@@ -183,13 +183,7 @@ fn main() -> ExitCode {
     assert_eq!(report.dumps.len(), 3, "all three tiers must dump");
 
     let regions = regions_of(args.leaves, args.regions);
-    let fed_cfg = FederationConfig {
-        // The link-byte before/after comparison is what this bench
-        // records into BENCH_federation.json.
-        meter_links: true,
-        collector: CollectorConfig::default(),
-        ..FederationConfig::default()
-    };
+    let fed_cfg = FederationConfig::default();
 
     let t = Instant::now();
     let reference = analyze(
@@ -242,22 +236,15 @@ fn main() -> ExitCode {
         "peak resident: leaf {}  regional {}  root {}  (stream {} events)",
         s.peak_resident_leaf, s.peak_resident_regional, s.peak_resident_root, s.leaf_events_in
     );
-    let link_json = s.leaf_link_json_bytes + s.regional_link_json_bytes;
-    let link_wire = s.leaf_link_wire_bytes + s.regional_link_wire_bytes;
     println!(
-        "links: leaf {} -> {} B  regional {} -> {} B  (wire {:.1}x smaller than JSON)  decode errors {}",
-        s.leaf_link_json_bytes,
-        s.leaf_link_wire_bytes,
-        s.regional_link_json_bytes,
-        s.regional_link_wire_bytes,
-        link_json as f64 / link_wire.max(1) as f64,
-        s.wire_decode_errors
+        "links: leaf {} B  regional {} B  decode errors {}",
+        s.leaf_link_wire_bytes, s.regional_link_wire_bytes, s.wire_decode_errors
     );
     ok &= byte_identical_clean
         && mass_loss_clean == 0
         && s.wire_decode_errors == 0
-        && link_wire > 0
-        && link_wire < link_json
+        && s.leaf_link_wire_bytes > 0
+        && s.regional_link_wire_bytes > 0
         && clean.coverage_ppm == 1_000_000
         && clean.degraded.is_empty()
         && !clean.output.stats.used_fallback
@@ -402,13 +389,8 @@ fn main() -> ExitCode {
         deg.degraded.len()
     ));
     j.push_str(&format!(
-        "  \"wire_links\": {{\"leaf_json_bytes\": {}, \"leaf_wire_bytes\": {}, \"regional_json_bytes\": {}, \"regional_wire_bytes\": {}, \"compression_vs_json\": {:.2}, \"decode_errors\": {}}},\n",
-        s.leaf_link_json_bytes,
-        s.leaf_link_wire_bytes,
-        s.regional_link_json_bytes,
-        s.regional_link_wire_bytes,
-        link_json as f64 / link_wire.max(1) as f64,
-        s.wire_decode_errors
+        "  \"wire_links\": {{\"leaf_wire_bytes\": {}, \"regional_wire_bytes\": {}, \"decode_errors\": {}}},\n",
+        s.leaf_link_wire_bytes, s.regional_link_wire_bytes, s.wire_decode_errors
     ));
     j.push_str(&format!("  \"ok\": {ok}\n"));
     j.push_str("}\n");

@@ -60,9 +60,10 @@ const BASELINE_EVENTS_PER_S: f64 = 2_052_189.0;
 /// digest — must beat 2x this.
 const WIRE_BASELINE_EVENTS_PER_S: f64 = 6_200_000.0;
 
-/// Wire frames must be at most this fraction of the legacy JSON edge
-/// encoding of the same stream.
-const WIRE_MAX_JSON_FRACTION: f64 = 0.2;
+/// Wire frames must average at most this many bytes per change event:
+/// 0.2x the 74.105 B/event the retired JSON edge encoding cost on the
+/// full-run stream (`BENCH_hotpath.json` as recorded by PR 10).
+const WIRE_MAX_BYTES_PER_EVENT: f64 = 14.8;
 
 struct Args {
     replicas: usize,
@@ -401,9 +402,8 @@ fn main() -> ExitCode {
 
     // Wire codec (DESIGN.md §16): encode and decode rates over the
     // same fleet stream, the direct-to-accumulator apply rate, frame
-    // size against the legacy JSON edge encoding, and one full
-    // collector run ingesting through `enqueue_wire` — all
-    // byte-checked.
+    // bytes per event, and one full collector run ingesting through
+    // `enqueue_wire` — all byte-checked.
     let frames: Vec<Vec<u8>> = stream.iter().map(whodunit_core::encode_batch).collect();
     let wire_frame_bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
 
@@ -480,23 +480,10 @@ fn main() -> ExitCode {
         WIRE_BASELINE_EVENTS_PER_S / 1e6
     );
 
-    // Frame size against the legacy JSON edge encoding of the stream.
-    let json_edge_bytes: u64 = stream
-        .iter()
-        .map(|b| whodunit_core::batch_to_json(b).len() as u64)
-        .sum();
     let bytes_per_event = wire_frame_bytes as f64 / (stream_events as f64).max(1.0);
-    let json_bytes_per_event = json_edge_bytes as f64 / (stream_events as f64).max(1.0);
-    let compression_vs_json = json_edge_bytes as f64 / (wire_frame_bytes as f64).max(1.0);
-    let size_ok =
-        wire_frame_bytes as f64 <= WIRE_MAX_JSON_FRACTION * json_edge_bytes as f64;
+    let size_ok = bytes_per_event <= WIRE_MAX_BYTES_PER_EVENT;
     println!(
-        "wire size  {:.2} B/event vs {:.2} B/event JSON ({:.1}x smaller, gate <= {:.1}x: {})",
-        bytes_per_event,
-        json_bytes_per_event,
-        compression_vs_json,
-        WIRE_MAX_JSON_FRACTION,
-        size_ok
+        "wire size  {bytes_per_event:.2} B/event (gate <= {WIRE_MAX_BYTES_PER_EVENT} B/event: {size_ok})"
     );
 
     // Full collector ingest through the wire: header frame, every
@@ -608,12 +595,7 @@ fn main() -> ExitCode {
     j.push_str("  },\n");
     j.push_str("  \"wire\": {\n");
     j.push_str(&format!(
-        "    \"frame_bytes\": {}, \"json_edge_bytes\": {},\n",
-        wire_frame_bytes, json_edge_bytes
-    ));
-    j.push_str(&format!(
-        "    \"bytes_per_event\": {:.3}, \"json_bytes_per_event\": {:.3}, \"compression_vs_json\": {:.2},\n",
-        bytes_per_event, json_bytes_per_event, compression_vs_json
+        "    \"frame_bytes\": {wire_frame_bytes},\n    \"bytes_per_event\": {bytes_per_event:.3},\n"
     ));
     j.push_str(&format!(
         "    \"encode_events_per_s\": {:.0}, \"decode_events_per_s\": {:.0}, \"ingest_events_per_s\": {:.0},\n",

@@ -18,7 +18,9 @@
 //!   `FaultPlan` adapts onto it). Receivers verify frame checksums,
 //!   drop duplicates by per-link sequence number, park bounded
 //!   reordered frames, and ack cumulatively; senders retransmit
-//!   go-back-N from a bounded spool with exponential backoff.
+//!   go-back-N from a bounded spool with exponential backoff. The
+//!   protocol lives once, in [`crate::link`]; a link only ever holds
+//!   sealed wire frames, encoded once when the node flushes.
 //! - **Write-ahead rule.** A node only *transmits* frames its latest
 //!   checkpoint covers, and an aggregator only *acks* receptions its
 //!   own checkpoint covers (the root acks immediately — it is the
@@ -39,7 +41,7 @@
 //!   [`whodunit_core::oracle::check_federation`] oracle cross-checks
 //!   the ledger against the root's actually-applied mass.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use whodunit_core::delta::{
     EpochBatch, RecordedResync, ResyncSource, StageAccumulator, StageDelta, StreamHeader,
 };
@@ -48,9 +50,9 @@ use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
     delta_mass, empty_delta, merge_stage_delta, seal_delta, LeafGauges, SummaryFrame, TierSketch,
 };
-use whodunit_core::wire;
 use whodunit_report::live::{FedNodeView, FedTopologyView};
 
+use crate::link::{AckMode, RxState, Sender, Uplink, WireFrame};
 use crate::{Collector, CollectorConfig, CollectorOutput};
 use whodunit_core::exec::{self, StealPlan};
 
@@ -103,17 +105,6 @@ pub struct FederationConfig {
     /// aggregators only ack up to their checkpoint horizon, so this is
     /// also the ack cadence.
     pub checkpoint_every: u64,
-    /// Initial retransmission timeout in ticks. Should exceed
-    /// `checkpoint_every` plus the link round trip, or clean links
-    /// will retransmit spuriously while waiting for the ack cadence.
-    pub rto_initial: u64,
-    /// Retransmission timeout ceiling (exponential backoff).
-    pub rto_max: u64,
-    /// Reordered frames a receiver parks per link before dropping.
-    pub park_max: usize,
-    /// Unacked frames a sender spools before it stalls flushing (the
-    /// pending increment keeps merging — lag, not loss).
-    pub spool_max: usize,
     /// Drain ticks [`Federation::finalize`] grants before declaring
     /// still-missing subtrees degraded.
     pub deadline_ticks: u64,
@@ -126,18 +117,6 @@ pub struct FederationConfig {
     /// Steal-schedule perturbation for the ingest executor — sweepable
     /// by the stress harness, inert for correctness.
     pub steal: StealPlan,
-    /// Ship [`SummaryFrame`]s over the links as compact columnar wire
-    /// frames ([`whodunit_core::wire::encode_summary`]) instead of
-    /// in-memory structs. Byte-identical output either way; `false`
-    /// keeps the legacy struct links for differential runs.
-    pub wire_links: bool,
-    /// Meter every link transmission in both encodings
-    /// (`*_link_json_bytes` vs `*_link_wire_bytes`) for the
-    /// before/after compression story. Rendering the legacy JSON on
-    /// every send — retransmits included — costs far more than the
-    /// wire encode itself, so the comparison is off by default and
-    /// switched on by the `federation` bench that records it.
-    pub meter_links: bool,
     /// Configuration of the root's flat [`Collector`].
     pub collector: CollectorConfig,
 }
@@ -147,15 +126,9 @@ impl Default for FederationConfig {
         FederationConfig {
             flush_every: 4,
             checkpoint_every: 8,
-            rto_initial: 24,
-            rto_max: 192,
-            park_max: 8,
-            spool_max: 64,
             deadline_ticks: 4096,
             workers: 1,
             steal: StealPlan::CANONICAL,
-            wire_links: true,
-            meter_links: false,
             collector: CollectorConfig::default(),
         }
     }
@@ -207,7 +180,8 @@ pub struct FederationStats {
     pub retransmits: u64,
     /// Frames the link policy dropped.
     pub frames_lost: u64,
-    /// Acks offered to links.
+    /// Acks offered to links (dropped ones included, like
+    /// `frames_sent`).
     pub acks_sent: u64,
     /// Acks the link policy dropped.
     pub acks_lost: u64,
@@ -260,19 +234,11 @@ pub struct FederationStats {
     pub ingest_steals: u64,
     /// Ingest worker panics recovered through the resync path.
     pub ingest_panics: u64,
-    /// Leaf-uplink frame payload bytes in the legacy JSON edge
-    /// encoding (the "before" of the compression story; counted per
-    /// transmission, including retransmits — only when
-    /// [`FederationConfig::meter_links`] is on, zero otherwise).
-    pub leaf_link_json_bytes: u64,
-    /// Leaf-uplink frame payload bytes in the columnar wire encoding
-    /// (metered under the same `meter_links` gate).
+    /// Wire-frame bytes offered to leaf uplinks, counted per
+    /// transmission (retransmits included).
     pub leaf_link_wire_bytes: u64,
-    /// Regional-uplink frame payload bytes in the legacy JSON edge
-    /// encoding (gated by `meter_links`).
-    pub regional_link_json_bytes: u64,
-    /// Regional-uplink frame payload bytes in the columnar wire
-    /// encoding (gated by `meter_links`).
+    /// Wire-frame bytes offered to regional uplinks, counted per
+    /// transmission (retransmits included).
     pub regional_link_wire_bytes: u64,
     /// Wire frames a receiver could not decode (envelope or body
     /// damage). The frame is dropped; the sender's RTO retransmit
@@ -298,103 +264,6 @@ pub struct FederationOutput {
     pub topology: FedTopologyView,
     /// Planted-crash lifecycle records, in planting order.
     pub recovery: Vec<RecoveryRecord>,
-}
-
-/// Volatile sender-side transmission state (never checkpointed: a
-/// recovered node simply replays its spool tail).
-#[derive(Clone, Debug)]
-struct Sender {
-    next_send: u64,
-    rto: u64,
-    deadline: u64,
-}
-
-impl Sender {
-    fn new(rto: u64, now: u64) -> Sender {
-        Sender {
-            next_send: 0,
-            rto,
-            deadline: now + rto,
-        }
-    }
-
-    /// First-transmits newly checkpoint-covered frames and, on RTO
-    /// expiry, retransmits the whole unacked window (go-back-N) with
-    /// exponential backoff. `spool` holds sequences `[acked, ...)`.
-    fn pump(
-        &mut self,
-        spool: &VecDeque<SummaryFrame>,
-        acked: u64,
-        gate: u64,
-        now: u64,
-        cfg: &FederationConfig,
-        stats: &mut FederationStats,
-    ) -> Vec<SummaryFrame> {
-        let mut out = Vec::new();
-        if self.next_send < acked {
-            self.next_send = acked;
-        }
-        while self.next_send < gate {
-            let Some(f) = spool.get((self.next_send - acked) as usize) else {
-                break;
-            };
-            out.push(f.clone());
-            stats.frames_sent += 1;
-            self.next_send += 1;
-            self.deadline = now + self.rto;
-        }
-        if acked < self.next_send && now >= self.deadline {
-            for seq in acked..self.next_send {
-                if let Some(f) = spool.get((seq - acked) as usize) {
-                    out.push(f.clone());
-                    stats.retransmits += 1;
-                }
-            }
-            self.rto = self.rto.saturating_mul(2).clamp(cfg.rto_initial, cfg.rto_max);
-            self.deadline = now + self.rto;
-        }
-        out
-    }
-
-    /// Folds a cumulative ack (everything `<= upto` received and
-    /// checkpointed by the parent) into the spool.
-    fn on_ack(
-        &mut self,
-        upto: u64,
-        spool: &mut VecDeque<SummaryFrame>,
-        spool_events: &mut u64,
-        acked: &mut u64,
-        now: u64,
-        cfg: &FederationConfig,
-    ) {
-        if upto < *acked {
-            return; // stale
-        }
-        while *acked <= upto {
-            if let Some(f) = spool.pop_front() {
-                *spool_events = spool_events.saturating_sub(f.events());
-            }
-            *acked += 1;
-        }
-        self.rto = cfg.rto_initial;
-        self.deadline = now + self.rto;
-        if self.next_send < *acked {
-            self.next_send = *acked;
-        }
-    }
-}
-
-/// Receiver-side state of one incoming link.
-#[derive(Clone, Debug, Default)]
-struct RxState {
-    /// Next in-order frame sequence number.
-    expected: u64,
-    /// Frames `< ack_gate` are covered by this node's checkpoint and
-    /// may be (re-)acked.
-    ack_gate: u64,
-    /// Bounded reorder buffer, keyed by frame seq.
-    parked: BTreeMap<u64, SummaryFrame>,
-    parked_events: u64,
 }
 
 fn extend_interval(iv: &mut Option<(u64, u64)>, first: u64, last: u64) {
@@ -428,14 +297,8 @@ struct LeafState {
     pending_events: u64,
     /// Next outgoing per-stage delta seq, parallel to owned stages.
     out_seq: Vec<u64>,
-    /// Next outgoing frame seq.
-    frame_seq: u64,
-    /// Sealed frames retained until the parent acks them. Front seq is
-    /// `acked`.
-    spool: VecDeque<SummaryFrame>,
-    spool_events: u64,
-    /// Frames `< acked` are acknowledged and discarded.
-    acked: u64,
+    /// Sender half of the uplink to the regional.
+    up: Uplink,
     /// Input epoch interval the pending increment covers.
     interval: Option<(u64, u64)>,
     /// Latest input virtual time seen.
@@ -458,8 +321,6 @@ struct LeafNode {
     names: Vec<String>,
     st: LeafState,
     ckpt: LeafState,
-    /// Frames `< gate` are checkpoint-covered and transmittable.
-    gate: u64,
     snd: Sender,
     alive: bool,
     need_resync: bool,
@@ -544,13 +405,13 @@ impl LeafNode {
         stats.input_resyncs += 1;
     }
 
-    fn flush(&mut self, cfg: &FederationConfig, stats: &mut FederationStats) {
+    fn flush(&mut self, stats: &mut FederationStats) {
         if self.st.interval.is_none() {
             return;
         }
-        if self.st.spool.len() >= cfg.spool_max {
+        if self.st.up.is_full() {
             stats.spool_stalls += 1;
-            self.st.gauges.lag_frames = self.st.spool.len() as u64;
+            self.st.gauges.lag_frames = self.st.up.spool_len() as u64;
             return;
         }
         let (first, last) = self.st.interval.take().expect("checked above");
@@ -584,12 +445,12 @@ impl LeafNode {
         }
         let gauges = {
             let mut g = self.st.gauges;
-            g.lag_frames = self.st.spool.len() as u64;
+            g.lag_frames = self.st.up.spool_len() as u64;
             g
         };
-        let f = SummaryFrame {
+        self.st.up.seal(SummaryFrame {
             src: self.leaf_id,
-            seq: self.st.frame_seq,
+            seq: 0,
             first_epoch: first,
             last_epoch: last,
             end: self.st.end,
@@ -598,32 +459,27 @@ impl LeafNode {
             leaf_mass: vec![(self.leaf_id, self.st.interval_mass)],
             gauges: vec![(self.leaf_id, gauges)],
             checksum: 0,
-        }
-        .seal();
-        self.st.frame_seq += 1;
-        self.st.spool_events += f.events();
-        self.st.spool.push_back(f);
+        });
         self.st.interval_mass = 0;
     }
 
     fn checkpoint(&mut self, stats: &mut FederationStats) {
         self.st.gauges.checkpoints += 1;
         self.ckpt = self.st.clone();
-        self.gate = self.st.frame_seq;
+        self.snd.checkpointed(&self.st.up);
         stats.checkpoints += 1;
     }
 
-    fn recover(&mut self, now: u64, cfg: &FederationConfig) {
+    fn recover(&mut self, now: u64) {
         self.st = self.ckpt.clone();
         self.st.gauges.recoveries += 1;
-        self.snd = Sender::new(cfg.rto_initial, now);
-        self.snd.next_send = self.st.acked;
+        self.snd = Sender::restart(&self.st.up, now);
         self.alive = true;
         self.need_resync = true;
     }
 
     fn resident_events(&self) -> u64 {
-        self.st.pending_events + self.st.spool_events
+        self.st.pending_events + self.st.up.spool_events()
     }
 }
 
@@ -637,10 +493,8 @@ struct RegionalState {
     in_seq: BTreeMap<usize, u64>,
     /// Next outgoing per-stage delta seq.
     out_seq: BTreeMap<usize, u64>,
-    frame_seq: u64,
-    spool: VecDeque<SummaryFrame>,
-    spool_events: u64,
-    acked: u64,
+    /// Sender half of the uplink to the root.
+    up: Uplink,
     /// Per-child receive state.
     rx: Vec<RxState>,
     interval: Option<(u64, u64)>,
@@ -660,7 +514,6 @@ struct RegionalNode {
     children: Vec<u32>,
     st: RegionalState,
     ckpt: RegionalState,
-    gate: u64,
     snd: Sender,
     alive: bool,
 }
@@ -670,48 +523,13 @@ impl RegionalNode {
     /// back, if any is due now (regular acks ride the checkpoint
     /// cadence; only duplicates of already-covered frames re-ack
     /// immediately, to heal lost acks cheaply).
-    fn on_frame(
-        &mut self,
-        slot: usize,
-        f: SummaryFrame,
-        cfg: &FederationConfig,
-        stats: &mut FederationStats,
-    ) -> Option<u64> {
-        if !f.verify() {
-            stats.corrupt_frames += 1;
-            return None;
-        }
-        let rx = &mut self.st.rx[slot];
-        if f.seq < rx.expected {
-            stats.dup_frames += 1;
-            return rx.ack_gate.checked_sub(1).filter(|_| f.seq < rx.ack_gate);
-        }
-        if f.seq > rx.expected {
-            if rx.parked.len() < cfg.park_max {
-                rx.parked_events += f.events();
-                rx.parked.entry(f.seq).or_insert(f);
-            } else {
-                stats.park_overflow += 1;
-            }
-            return None;
-        }
-        if self.accept(&f, stats) {
-            self.st.rx[slot].expected += 1;
-            loop {
-                let next = self.st.rx[slot].expected;
-                let Some(n) = self.st.rx[slot].parked.remove(&next) else {
-                    break;
-                };
-                self.st.rx[slot].parked_events =
-                    self.st.rx[slot].parked_events.saturating_sub(n.events());
-                if !self.accept(&n, stats) {
-                    break;
-                }
-                stats.healed_frames += 1;
-                self.st.rx[slot].expected += 1;
-            }
-        }
-        None
+    fn on_frame(&mut self, slot: usize, bytes: &[u8], stats: &mut FederationStats) -> Option<u64> {
+        let mut rx = std::mem::take(&mut self.st.rx[slot]);
+        let ack = rx.receive(bytes, AckMode::OnCheckpoint, stats, |f, stats| {
+            self.accept(&f, stats)
+        });
+        self.st.rx[slot] = rx;
+        ack
     }
 
     fn accept(&mut self, f: &SummaryFrame, stats: &mut FederationStats) -> bool {
@@ -761,11 +579,11 @@ impl RegionalNode {
         true
     }
 
-    fn flush(&mut self, cfg: &FederationConfig, stats: &mut FederationStats) {
+    fn flush(&mut self, stats: &mut FederationStats) {
         if self.st.interval.is_none() {
             return;
         }
-        if self.st.spool.len() >= cfg.spool_max {
+        if self.st.up.is_full() {
             stats.spool_stalls += 1;
             return;
         }
@@ -792,9 +610,9 @@ impl RegionalNode {
             .collect();
         let leaf_mass = std::mem::take(&mut self.st.leaf_mass).into_iter().collect();
         let gauges = self.st.gauges.iter().map(|(&l, &g)| (l, g)).collect();
-        let f = SummaryFrame {
+        self.st.up.seal(SummaryFrame {
             src: self.src,
-            seq: self.st.frame_seq,
+            seq: 0,
             first_epoch: first,
             last_epoch: last,
             end: self.st.end,
@@ -803,41 +621,36 @@ impl RegionalNode {
             leaf_mass,
             gauges,
             checksum: 0,
-        }
-        .seal();
-        self.st.frame_seq += 1;
-        self.st.spool_events += f.events();
-        self.st.spool.push_back(f);
+        });
     }
 
     /// Takes a checkpoint and returns the cumulative acks now covered
     /// by it, per child slot (periodic re-acks heal lost acks).
     fn checkpoint(&mut self, stats: &mut FederationStats) -> Vec<(usize, u64)> {
-        let mut acks = Vec::new();
-        for (slot, rx) in self.st.rx.iter_mut().enumerate() {
-            rx.ack_gate = rx.ack_gate.max(rx.expected);
-            if let Some(upto) = rx.ack_gate.checked_sub(1) {
-                acks.push((slot, upto));
-            }
-        }
+        let acks = self
+            .st
+            .rx
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(slot, rx)| Some((slot, rx.checkpointed()?)))
+            .collect();
         self.ckpt = self.st.clone();
-        self.gate = self.st.frame_seq;
+        self.snd.checkpointed(&self.st.up);
         stats.checkpoints += 1;
         acks
     }
 
-    fn recover(&mut self, now: u64, cfg: &FederationConfig, stats: &mut FederationStats) {
+    fn recover(&mut self, now: u64, stats: &mut FederationStats) {
         self.st = self.ckpt.clone();
-        self.snd = Sender::new(cfg.rto_initial, now);
-        self.snd.next_send = self.st.acked;
+        self.snd = Sender::restart(&self.st.up, now);
         self.alive = true;
         stats.recoveries += 1;
     }
 
     fn resident_events(&self) -> u64 {
         self.st.pending_events
-            + self.st.spool_events
-            + self.st.rx.iter().map(|x| x.parked_events).sum::<u64>()
+            + self.st.up.spool_events()
+            + self.st.rx.iter().map(|x| x.parked_events()).sum::<u64>()
     }
 }
 
@@ -860,45 +673,14 @@ struct RootNode {
 impl RootNode {
     /// The root acks immediately on apply: it is the durable terminus
     /// of the tree (root crashes are out of scope).
-    fn on_frame(
-        &mut self,
-        slot: usize,
-        f: SummaryFrame,
-        cfg: &FederationConfig,
-        stats: &mut FederationStats,
-    ) -> Option<u64> {
-        if !f.verify() {
-            stats.corrupt_frames += 1;
-            return None;
-        }
-        let rx = &mut self.rx[slot];
-        if f.seq < rx.expected {
-            stats.dup_frames += 1;
-            return rx.ack_gate.checked_sub(1);
-        }
-        if f.seq > rx.expected {
-            if rx.parked.len() < cfg.park_max {
-                rx.parked_events += f.events();
-                rx.parked.entry(f.seq).or_insert(f);
-            } else {
-                stats.park_overflow += 1;
-            }
-            return None;
-        }
-        self.apply(f, stats);
-        self.rx[slot].expected += 1;
-        loop {
-            let next = self.rx[slot].expected;
-            let Some(n) = self.rx[slot].parked.remove(&next) else {
-                break;
-            };
-            self.rx[slot].parked_events = self.rx[slot].parked_events.saturating_sub(n.events());
-            stats.healed_frames += 1;
-            self.apply(n, stats);
-            self.rx[slot].expected += 1;
-        }
-        self.rx[slot].ack_gate = self.rx[slot].expected;
-        self.rx[slot].ack_gate.checked_sub(1)
+    fn on_frame(&mut self, slot: usize, bytes: &[u8], stats: &mut FederationStats) -> Option<u64> {
+        let mut rx = std::mem::take(&mut self.rx[slot]);
+        let ack = rx.receive(bytes, AckMode::Immediate, stats, |f, stats| {
+            self.apply(f, stats);
+            true
+        });
+        self.rx[slot] = rx;
+        ack
     }
 
     fn apply(&mut self, f: SummaryFrame, stats: &mut FederationStats) {
@@ -928,31 +710,27 @@ impl RootNode {
     }
 
     fn resident_events(&self) -> u64 {
-        self.rx.iter().map(|x| x.parked_events).sum()
+        self.rx.iter().map(|x| x.parked_events()).sum()
     }
 }
 
-/// What a queued message is addressed to.
-#[derive(Clone, Debug)]
-enum Dest {
-    /// A frame arriving at a regional from child `slot`.
-    Region { region: usize, slot: usize },
-    /// A frame arriving at the root from regional `slot`.
-    Root { slot: usize },
-    /// An ack arriving back at a leaf.
-    LeafAck { leaf: usize },
-    /// An ack arriving back at a regional's sender side.
-    RegionAck { region: usize },
-}
-
+/// One message in flight on the link fabric. Frames travel as the
+/// sealed [`whodunit_core::wire`] bytes the sender spooled, decoded
+/// (and envelope-verified) at the receiving end.
 #[derive(Clone, Debug)]
 enum FedMsg {
-    Frame(SummaryFrame),
-    /// A frame serialized as a [`whodunit_core::wire`] summary frame —
-    /// what actually travels when [`FederationConfig::wire_links`] is
-    /// on. Decoded (and envelope-verified) at the receiving end.
-    FrameBytes(Vec<u8>),
-    Ack(u64),
+    /// A frame arriving at a regional from child `slot`.
+    ToRegion {
+        region: usize,
+        slot: usize,
+        bytes: WireFrame,
+    },
+    /// A frame arriving at the root from regional `slot`.
+    ToRoot { slot: usize, bytes: WireFrame },
+    /// A cumulative ack arriving back at a leaf.
+    LeafAck { leaf: usize, upto: u64 },
+    /// A cumulative ack arriving back at a regional's sender side.
+    RegionAck { region: usize, upto: u64 },
 }
 
 /// The federation harness: owns the tree, the virtual link fabric, the
@@ -974,7 +752,7 @@ pub struct Federation {
     /// Last input virtual time fed per leaf.
     truth_end: Vec<u64>,
     policy: Box<dyn LinkPolicy>,
-    queue: BTreeMap<(u64, u64), (Dest, FedMsg)>,
+    queue: BTreeMap<(u64, u64), FedMsg>,
     msg_order: u64,
     now: u64,
     crashes: Vec<PlannedCrash>,
@@ -1020,10 +798,7 @@ impl Federation {
                     pending: vec![None; stages.len()],
                     pending_events: 0,
                     out_seq: vec![0; stages.len()],
-                    frame_seq: 0,
-                    spool: VecDeque::new(),
-                    spool_events: 0,
-                    acked: 0,
+                    up: Uplink::default(),
                     interval: None,
                     end: 0,
                     sketches: stages.iter().map(|_| QuantileSketch::new()).collect(),
@@ -1036,10 +811,9 @@ impl Federation {
                     child_slot: children.len(),
                     stages,
                     names,
+                    snd: Sender::restart(&st.up, 0),
                     ckpt: st.clone(),
                     st,
-                    gate: 0,
-                    snd: Sender::new(cfg.rto_initial, 0),
                     alive: true,
                     need_resync: false,
                 });
@@ -1050,10 +824,7 @@ impl Federation {
                 pending_events: 0,
                 in_seq: BTreeMap::new(),
                 out_seq: BTreeMap::new(),
-                frame_seq: 0,
-                spool: VecDeque::new(),
-                spool_events: 0,
-                acked: 0,
+                up: Uplink::default(),
                 rx: children.iter().map(|_| RxState::default()).collect(),
                 interval: None,
                 end: 0,
@@ -1065,10 +836,9 @@ impl Federation {
                 region_id: r,
                 src: 0, // assigned below once the leaf count is known
                 children,
+                snd: Sender::restart(&st.up, 0),
                 ckpt: st.clone(),
                 st,
-                gate: 0,
-                snd: Sender::new(cfg.rto_initial, 0),
                 alive: true,
             });
         }
@@ -1245,53 +1015,32 @@ impl Federation {
         }
     }
 
-    fn enqueue_msg(&mut self, link: u32, to: Dest, msg: FedMsg) {
-        // Serialize frames at the sender; the columnar bytes are what
-        // actually travels when `wire_links` is on. With `meter_links`,
-        // both encodings are additionally metered per transmission so
-        // one run yields the before/after link-byte story — the JSON
-        // render is costly, so it never happens unless asked for.
-        let msg = if let FedMsg::Frame(f) = msg {
-            let bytes = (self.cfg.wire_links || self.cfg.meter_links)
-                .then(|| wire::encode_summary(&f));
-            if self.cfg.meter_links {
-                let wire_len = bytes.as_ref().expect("encoded for metering").len() as u64;
-                let json_len = wire::summary_to_json(&f).len() as u64;
-                if (link as usize) < self.leaves.len() {
-                    self.stats.leaf_link_json_bytes += json_len;
-                    self.stats.leaf_link_wire_bytes += wire_len;
-                } else {
-                    self.stats.regional_link_json_bytes += json_len;
-                    self.stats.regional_link_wire_bytes += wire_len;
-                }
+    /// The one place a message enters a link: meters it, asks the
+    /// policy for its fate, and queues the surviving copies.
+    fn enqueue_msg(&mut self, link: u32, msg: FedMsg) {
+        let lost = match &msg {
+            FedMsg::ToRegion { bytes, .. } => {
+                self.stats.leaf_link_wire_bytes += bytes.len() as u64;
+                &mut self.stats.frames_lost
             }
-            if self.cfg.wire_links {
-                FedMsg::FrameBytes(bytes.expect("encoded when wire_links is on"))
-            } else {
-                FedMsg::Frame(f)
+            FedMsg::ToRoot { bytes, .. } => {
+                self.stats.regional_link_wire_bytes += bytes.len() as u64;
+                &mut self.stats.frames_lost
             }
-        } else {
-            msg
+            FedMsg::LeafAck { .. } | FedMsg::RegionAck { .. } => {
+                self.stats.acks_sent += 1;
+                &mut self.stats.acks_lost
+            }
         };
         let v = self.policy.verdict(link, self.now);
-        let is_ack = matches!(msg, FedMsg::Ack(_));
         if v.copies == 0 {
-            if is_ack {
-                self.stats.acks_lost += 1;
-            } else {
-                self.stats.frames_lost += 1;
-            }
+            *lost += 1;
             return;
-        }
-        if is_ack {
-            self.stats.acks_sent += 1;
         }
         for _ in 0..v.copies {
             self.msg_order += 1;
-            self.queue.insert(
-                (self.now + 1 + v.delay, self.msg_order),
-                (to.clone(), msg.clone()),
-            );
+            self.queue
+                .insert((self.now + 1 + v.delay, self.msg_order), msg.clone());
         }
     }
 
@@ -1329,13 +1078,10 @@ impl Federation {
                 self.crashes[ci].recovered = true;
                 match node {
                     FedNodeId::Leaf(i) => {
-                        self.leaves[i].recover(now, &self.cfg);
+                        self.leaves[i].recover(now);
                         self.stats.recoveries += 1;
                     }
-                    FedNodeId::Regional(i) => {
-                        let cfg = self.cfg.clone();
-                        self.regions[i].recover(now, &cfg, &mut self.stats);
-                    }
+                    FedNodeId::Regional(i) => self.regions[i].recover(now, &mut self.stats),
                 }
             }
         }
@@ -1359,21 +1105,20 @@ impl Federation {
 
         // 3. Flush on cadence (leaves first, then regionals).
         if now.is_multiple_of(self.cfg.flush_every) {
-            let cfg = self.cfg.clone();
             for l in &mut self.leaves {
                 if l.alive {
-                    l.flush(&cfg, &mut self.stats);
+                    l.flush(&mut self.stats);
                 }
             }
             for r in &mut self.regions {
                 if r.alive {
-                    r.flush(&cfg, &mut self.stats);
+                    r.flush(&mut self.stats);
                 }
             }
         }
 
         // 4. Checkpoint on cadence; regional checkpoints release acks.
-        let mut outbox: Vec<(u32, Dest, FedMsg)> = Vec::new();
+        let mut outbox: Vec<(u32, FedMsg)> = Vec::new();
         if now.is_multiple_of(self.cfg.checkpoint_every) {
             for l in &mut self.leaves {
                 if l.alive {
@@ -1386,29 +1131,25 @@ impl Federation {
                 }
                 for (slot, upto) in self.regions[r].checkpoint(&mut self.stats) {
                     let leaf = self.regions[r].children[slot] as usize;
-                    outbox.push((leaf as u32, Dest::LeafAck { leaf }, FedMsg::Ack(upto)));
+                    outbox.push((leaf as u32, FedMsg::LeafAck { leaf, upto }));
                 }
             }
         }
 
         // 5. Pump senders (first-sends of gated frames + RTO retries).
         let n_leaves = self.leaves.len();
-        let cfg = self.cfg.clone();
         for (i, l) in self.leaves.iter_mut().enumerate() {
             if !l.alive {
                 continue;
             }
-            for f in l
-                .snd
-                .pump(&l.st.spool, l.st.acked, l.gate, now, &cfg, &mut self.stats)
-            {
+            for bytes in l.snd.pump(&l.st.up, now, &mut self.stats) {
                 outbox.push((
                     i as u32,
-                    Dest::Region {
+                    FedMsg::ToRegion {
                         region: l.region,
                         slot: l.child_slot,
+                        bytes,
                     },
-                    FedMsg::Frame(f),
                 ));
             }
         }
@@ -1416,102 +1157,62 @@ impl Federation {
             if !reg.alive {
                 continue;
             }
-            for f in reg.snd.pump(
-                &reg.st.spool,
-                reg.st.acked,
-                reg.gate,
-                now,
-                &cfg,
-                &mut self.stats,
-            ) {
-                outbox.push((
-                    (n_leaves + r) as u32,
-                    Dest::Root { slot: r },
-                    FedMsg::Frame(f),
-                ));
+            for bytes in reg.snd.pump(&reg.st.up, now, &mut self.stats) {
+                outbox.push(((n_leaves + r) as u32, FedMsg::ToRoot { slot: r, bytes }));
             }
         }
-        for (link, to, msg) in outbox {
-            self.enqueue_msg(link, to, msg);
+        for (link, msg) in outbox {
+            self.enqueue_msg(link, msg);
         }
 
         // 6. Deliver due messages (acks generated here land next tick).
-        let mut acks_out: Vec<(u32, Dest, FedMsg)> = Vec::new();
+        let mut acks_out: Vec<(u32, FedMsg)> = Vec::new();
         while let Some((&key, _)) = self.queue.first_key_value() {
             if key.0 > now {
                 break;
             }
-            let (to, msg) = self.queue.remove(&key).expect("key just observed");
-            // Wire frames decode (with envelope verification) at the
-            // receiving end; damage drops the frame and the sender's
-            // RTO retransmit heals the link.
-            let msg = match msg {
-                FedMsg::FrameBytes(b) => match wire::decode_summary(&b) {
-                    Ok((f, _)) => FedMsg::Frame(f),
-                    Err(_) => {
-                        self.stats.wire_decode_errors += 1;
-                        continue;
-                    }
-                },
-                other => other,
-            };
-            match (to, msg) {
-                (Dest::Region { region, slot }, FedMsg::Frame(f)) => {
-                    if !self.regions[region].alive {
-                        self.stats.dropped_to_dead += 1;
-                        continue;
-                    }
-                    if let Some(upto) =
-                        self.regions[region].on_frame(slot, f, &cfg, &mut self.stats)
-                    {
-                        let leaf = self.regions[region].children[slot] as usize;
-                        acks_out.push((leaf as u32, Dest::LeafAck { leaf }, FedMsg::Ack(upto)));
-                    }
-                }
-                (Dest::Root { slot }, FedMsg::Frame(f)) => {
-                    if let Some(upto) = self.root.on_frame(slot, f, &cfg, &mut self.stats) {
-                        acks_out.push((
-                            (n_leaves + slot) as u32,
-                            Dest::RegionAck { region: slot },
-                            FedMsg::Ack(upto),
-                        ));
-                    }
-                }
-                (Dest::LeafAck { leaf }, FedMsg::Ack(upto)) => {
-                    let l = &mut self.leaves[leaf];
-                    if !l.alive {
-                        self.stats.dropped_to_dead += 1;
-                        continue;
-                    }
-                    l.snd.on_ack(
-                        upto,
-                        &mut l.st.spool,
-                        &mut l.st.spool_events,
-                        &mut l.st.acked,
-                        now,
-                        &cfg,
-                    );
-                }
-                (Dest::RegionAck { region }, FedMsg::Ack(upto)) => {
+            match self.queue.remove(&key).expect("key just observed") {
+                FedMsg::ToRegion {
+                    region,
+                    slot,
+                    bytes,
+                } => {
                     let r = &mut self.regions[region];
                     if !r.alive {
                         self.stats.dropped_to_dead += 1;
                         continue;
                     }
-                    r.snd.on_ack(
-                        upto,
-                        &mut r.st.spool,
-                        &mut r.st.spool_events,
-                        &mut r.st.acked,
-                        now,
-                        &cfg,
-                    );
+                    if let Some(upto) = r.on_frame(slot, &bytes, &mut self.stats) {
+                        let leaf = r.children[slot] as usize;
+                        acks_out.push((leaf as u32, FedMsg::LeafAck { leaf, upto }));
+                    }
                 }
-                _ => unreachable!("frame/ack destinations never cross"),
+                FedMsg::ToRoot { slot, bytes } => {
+                    if let Some(upto) = self.root.on_frame(slot, &bytes, &mut self.stats) {
+                        let ack = FedMsg::RegionAck { region: slot, upto };
+                        acks_out.push(((n_leaves + slot) as u32, ack));
+                    }
+                }
+                FedMsg::LeafAck { leaf, upto } => {
+                    let l = &mut self.leaves[leaf];
+                    if !l.alive {
+                        self.stats.dropped_to_dead += 1;
+                        continue;
+                    }
+                    l.snd.on_ack(&mut l.st.up, upto, now);
+                }
+                FedMsg::RegionAck { region, upto } => {
+                    let r = &mut self.regions[region];
+                    if !r.alive {
+                        self.stats.dropped_to_dead += 1;
+                        continue;
+                    }
+                    r.snd.on_ack(&mut r.st.up, upto, now);
+                }
             }
         }
-        for (link, to, msg) in acks_out {
-            self.enqueue_msg(link, to, msg);
+        for (link, msg) in acks_out {
+            self.enqueue_msg(link, msg);
         }
 
         // 7. Residency sampling and recovery-latency detection.
@@ -1542,13 +1243,13 @@ impl Federation {
     fn quiesced(&self) -> bool {
         self.queue.is_empty()
             && self.leaves.iter().all(|l| {
-                !l.alive || (l.st.interval.is_none() && l.st.spool.is_empty() && !l.need_resync)
+                !l.alive || (l.st.interval.is_none() && l.st.up.spool_len() == 0 && !l.need_resync)
             })
             && self.regions.iter().all(|r| {
                 !r.alive
                     || (r.st.interval.is_none()
-                        && r.st.spool.is_empty()
-                        && r.st.rx.iter().all(|x| x.parked.is_empty()))
+                        && r.st.up.spool_len() == 0
+                        && r.st.rx.iter().all(|x| x.parked_len() == 0))
             })
     }
 
@@ -1572,8 +1273,8 @@ impl Federation {
                 label: format!("region{}", r.region_id),
                 alive: r.alive,
                 degraded: !r.alive,
-                lag_frames: (r.st.spool.len()
-                    + r.st.rx.iter().map(|x| x.parked.len()).sum::<usize>())
+                lag_frames: (r.st.up.spool_len()
+                    + r.st.rx.iter().map(|x| x.parked_len()).sum::<usize>())
                     as u64,
                 last_epoch: r.st.gauges.values().map(|g| g.last_epoch).max().unwrap_or(0),
                 mass: r.children.iter().fold(0, |a, &l| {
@@ -1606,7 +1307,7 @@ impl Federation {
                 label: "root".into(),
                 alive: true,
                 degraded: false,
-                lag_frames: self.root.rx.iter().map(|x| x.parked.len() as u64).sum(),
+                lag_frames: self.root.rx.iter().map(|x| x.parked_len() as u64).sum(),
                 last_epoch: self.root.max_epoch,
                 mass: self.root.applied_mass,
                 recoveries: 0,
@@ -1657,9 +1358,8 @@ impl Federation {
         let mut topology = self.topology_view();
         for (rv, reg) in topology.root.children.iter_mut().zip(&self.regions) {
             rv.degraded = !reg.alive;
-            for lv in &mut rv.children {
-                let lid: usize = lv.label.trim_start_matches("leaf").parse().unwrap_or(0);
-                lv.degraded = subtrees[lid].degraded;
+            for (lv, &lid) in rv.children.iter_mut().zip(&reg.children) {
+                lv.degraded = subtrees[lid as usize].degraded;
             }
         }
         let evidence = FederationEvidence {
@@ -1680,8 +1380,10 @@ impl Federation {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use whodunit_core::delta::{diff_dump, StreamStage};
     use whodunit_core::stitch::{DumpCct, DumpContext, DumpNode, StageDump};
 
@@ -1695,7 +1397,7 @@ mod tests {
         }
     }
 
-    fn header2() -> StreamHeader {
+    pub(crate) fn header2() -> StreamHeader {
         StreamHeader {
             stages: vec![
                 StreamStage {
@@ -1728,7 +1430,7 @@ mod tests {
             .collect()
     }
 
-    fn batches_for(stage: usize, proc: u32, name: &str, n: usize) -> Vec<EpochBatch> {
+    pub(crate) fn batches_for(stage: usize, proc: u32, name: &str, n: usize) -> Vec<EpochBatch> {
         let snaps = snapshots(proc, name, n);
         (0..n)
             .map(|e| {
@@ -1744,7 +1446,7 @@ mod tests {
             .collect()
     }
 
-    fn flat_reference(n: usize) -> whodunit_core::pipeline::PipelineReport {
+    pub(crate) fn flat_reference(n: usize) -> whodunit_core::pipeline::PipelineReport {
         let dumps = vec![
             snapshots(0, "front", n).pop().unwrap(),
             snapshots(1, "db", n).pop().unwrap(),
@@ -1752,7 +1454,7 @@ mod tests {
         whodunit_core::pipeline::analyze(dumps, Default::default())
     }
 
-    fn run(
+    pub(crate) fn run(
         fed: &mut Federation,
         epochs: usize,
         front: &[EpochBatch],
@@ -1853,6 +1555,8 @@ mod tests {
         assert_eq!(out.degraded, vec!["leaf1".to_string()]);
         assert!(out.evidence.subtrees[1].degraded);
         assert!(out.evidence.subtrees[1].delivered < out.evidence.subtrees[1].truth);
+        let leaves = &out.topology.root.children[0].children;
+        assert_eq!((leaves[0].degraded, leaves[1].degraded), (false, true));
         // The honest ledger passes the oracle even though mass is gone.
         assert_eq!(
             whodunit_core::oracle::check_federation(&out.evidence),
@@ -1864,9 +1568,12 @@ mod tests {
     /// duplicates every 5th message and delays every 3rd.
     struct Lossy {
         n: u64,
+        /// Messages offered on any link, shared with the test.
+        offered: Rc<Cell<u64>>,
     }
     impl LinkPolicy for Lossy {
         fn verdict(&mut self, link: u32, _now: u64) -> LinkVerdict {
+            self.offered.set(self.offered.get() + 1);
             if link != 0 {
                 return LinkVerdict::default();
             }
@@ -1884,11 +1591,15 @@ mod tests {
     fn lossy_uplink_heals_through_retry_and_stays_byte_identical() {
         let hdr = header2();
         let topo = vec![vec![vec![0], vec![1]]];
+        let offered = Rc::new(Cell::new(0));
         let mut fed = Federation::new(
             &hdr,
             &topo,
             FederationConfig::default(),
-            Box::new(Lossy { n: 0 }),
+            Box::new(Lossy {
+                n: 0,
+                offered: offered.clone(),
+            }),
         );
         let n = 20;
         run(
@@ -1901,6 +1612,11 @@ mod tests {
         let out = fed.finalize();
         assert!(out.stats.frames_lost + out.stats.acks_lost > 0, "plan fired");
         assert!(out.stats.retransmits > 0, "losses forced retries");
+        assert_eq!(
+            out.stats.frames_sent + out.stats.retransmits + out.stats.acks_sent,
+            offered.get(),
+            "every message offered to a link is counted once, lost or not"
+        );
         assert_eq!(out.coverage_ppm, 1_000_000);
         let flat = flat_reference(n);
         assert_eq!(out.output.report.fingerprint(), flat.fingerprint());

@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod federation;
+mod link;
 pub mod quarantine;
 pub mod sentinel;
 

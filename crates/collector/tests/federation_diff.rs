@@ -187,6 +187,14 @@ fn lossy_uplinks_heal_through_retransmission() {
     assert!(s.frames_lost + s.acks_lost > 0, "plan never fired");
     assert!(s.retransmits > 0, "losses never forced a retry");
     assert!(s.dup_frames > 0, "duplicates never reached a receiver");
+    // Sent counters are counted at offer time, before the link decides.
+    assert!(s.acks_lost > 0 && s.acks_sent >= s.acks_lost, "acks offered < acks lost");
+    assert!(
+        s.frames_sent + s.retransmits >= s.frames_lost,
+        "frames offered < frames lost"
+    );
+    assert!(s.leaf_link_wire_bytes > 0 && s.regional_link_wire_bytes > 0);
+    assert_eq!(s.wire_decode_errors, 0);
     assert_clean_and_identical(&out, &reference, "lossy links");
 }
 

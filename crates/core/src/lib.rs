@@ -94,16 +94,13 @@ pub use pipeline::{
     PipelineReport,
 };
 pub use profiler::{Whodunit, WhodunitConfig};
-pub use repro::{
-    repro_from_json, repro_from_wire, repro_to_json, repro_to_wire, ChaosRepro, FaultEntry,
-    ReproWindow,
-};
+pub use repro::{repro_from_json, repro_to_json, ChaosRepro, FaultEntry, ReproWindow};
 pub use rt::{NullRuntime, Runtime};
 pub use shm::{FlowDetector, FlowEvent, Loc, MemEvent};
 pub use sketch::QuantileSketch;
 pub use summary::{merge_stage_delta, seal_delta, LeafGauges, SummaryFrame, TierSketch};
 pub use synopsis::{SynChain, Synopsis, SynopsisTable};
 pub use wire::{
-    apply_batch, batch_to_json, decode_batch, decode_header, decode_summary, encode_batch,
-    encode_header, encode_summary, summary_to_json, WireBatchInfo, WireError, WIRE_VERSION,
+    apply_batch, decode_batch, decode_header, decode_summary, encode_batch, encode_header,
+    encode_summary, WireBatchInfo, WireError, WIRE_VERSION,
 };

@@ -211,19 +211,6 @@ pub fn repro_to_json(r: &ChaosRepro) -> String {
     out
 }
 
-/// The binary frame form of a repro bundle, on the shared wire codec
-/// ([`crate::wire::encode_repro`]): same content as
-/// [`repro_to_json`], envelope-checksummed, for embedding bundles in
-/// binary streams. JSON stays the on-disk format.
-pub fn repro_to_wire(r: &ChaosRepro) -> Vec<u8> {
-    crate::wire::encode_repro(r)
-}
-
-/// Parses a [`repro_to_wire`] frame.
-pub fn repro_from_wire(buf: &[u8]) -> Result<ChaosRepro, crate::wire::WireError> {
-    crate::wire::decode_repro(buf).map(|(r, _)| r)
-}
-
 // ---------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------
@@ -422,22 +409,6 @@ mod tests {
         // A malformed window is an error, not a silent None.
         let bad = j.replace("\"start\":17", "\"start\":\"x\"");
         assert!(repro_from_json(&bad).is_err());
-    }
-
-    #[test]
-    fn wire_form_round_trips_and_rejects_damage() {
-        let mut r = sample();
-        r.window = Some(ReproWindow {
-            epoch_len: 2_400_000_000,
-            start: 17,
-            end: 23,
-            dimension: "slo-latency".into(),
-        });
-        let bytes = repro_to_wire(&r);
-        assert_eq!(repro_from_wire(&bytes).unwrap(), r);
-        let mut bad = bytes.clone();
-        *bad.last_mut().unwrap() ^= 1;
-        assert!(repro_from_wire(&bad).is_err());
     }
 
     #[test]

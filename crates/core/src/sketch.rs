@@ -160,20 +160,6 @@ impl QuantileSketch {
         s
     }
 
-    /// The sparse wire form framed as checksummed bytes on the shared
-    /// binary codec ([`crate::wire::encode_sketch`]) — the byte packing
-    /// that used to be hand-rolled per call site now lives in
-    /// [`crate::wire`].
-    pub fn to_wire_bytes(&self) -> Vec<u8> {
-        crate::wire::encode_sketch(self)
-    }
-
-    /// Rebuilds a sketch from a [`QuantileSketch::to_wire_bytes`]
-    /// frame, verifying the envelope and digest.
-    pub fn from_wire_bytes(buf: &[u8]) -> Result<QuantileSketch, crate::wire::WireError> {
-        crate::wire::decode_sketch(buf).map(|(s, _)| s)
-    }
-
     /// The quantile estimate at `q_ppm` parts-per-million (e.g.
     /// `990_000` = p99): the inclusive upper bound of the bucket
     /// holding the sample of rank `ceil(q * count)` (clamped to
@@ -333,24 +319,6 @@ mod tests {
         // Empty sketch round-trips to an empty wire form.
         let (m, b) = QuantileSketch::new().to_wire();
         assert_eq!((m, b.len()), (0, 0));
-    }
-
-    #[test]
-    fn wire_bytes_match_the_sparse_form() {
-        let mut s = QuantileSketch::new();
-        for v in [0u64, 3, 3, 99, 1 << 20, u64::MAX] {
-            s.record(v);
-        }
-        let r = QuantileSketch::from_wire_bytes(&s.to_wire_bytes()).unwrap();
-        let direct = {
-            let (max, buckets) = s.to_wire();
-            QuantileSketch::from_wire(max, &buckets)
-        };
-        for q in [0u64, 500_000, 990_000, 1_000_000] {
-            assert_eq!(r.quantile_ppm(q), direct.quantile_ppm(q));
-        }
-        assert_eq!((r.count(), r.max()), (direct.count(), direct.max()));
-        assert!(QuantileSketch::from_wire_bytes(&[1, 2, 3]).is_err());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Everything the streaming and federation tiers ship between processes
 //! — stream headers, per-epoch delta batches, federation summary
-//! frames, quantile-sketch digests, chaos repro bundles — has exactly
-//! one binary encoding, defined here (DESIGN.md §16). The format is
-//! built from three layers:
+//! frames — has exactly one binary encoding, defined here (DESIGN.md
+//! §16). The format is built from three layers:
 //!
 //! 1. **Primitives**: LEB128 varints (little-endian base-128), length-
 //!    prefixed UTF-8 strings, and zigzag **delta-of-delta** columns
@@ -34,18 +33,9 @@
 //! envelope digest already authenticated every body byte, it skips the
 //! per-delta lane-checksum recompute that dominates the struct apply
 //! path.
-//!
-//! The hand-rolled byte packing that previously accumulated in
-//! [`crate::sketch`] (`to_wire`/`from_wire` sparse buckets),
-//! [`crate::summary`] (frame freight), and [`crate::repro`] (bundle
-//! files) now rides on these primitives: [`encode_sketch`],
-//! [`encode_summary`], and [`encode_repro`].
 
 use crate::delta::{CctDelta, EpochBatch, StageAccumulator, StageDelta, StreamHeader, StreamStage};
-use crate::dumpjson::esc;
 use crate::hash::fnv1a;
-use crate::repro::{ChaosRepro, FaultEntry, ReproWindow};
-use crate::sketch::QuantileSketch;
 use crate::stitch::{DumpAtom, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode};
 use crate::summary::{LeafGauges, SummaryFrame, TierSketch};
 use std::collections::HashMap;
@@ -67,10 +57,9 @@ pub const KIND_HEADER: u8 = 1;
 pub const KIND_BATCH: u8 = 2;
 /// Frame kind: a federation [`SummaryFrame`].
 pub const KIND_SUMMARY: u8 = 3;
-/// Frame kind: a [`ChaosRepro`] bundle.
-pub const KIND_REPRO: u8 = 4;
-/// Frame kind: a [`QuantileSketch`] digest.
-pub const KIND_SKETCH: u8 = 5;
+// Kind bytes 4 and 5 are retired (they carried chaos repro bundles and
+// bare sketch digests, which no reader ever consumed) and are never
+// reused: a frame carrying either is rejected as `BadKind`.
 
 /// Bytes of envelope before the body (magic + version + kind + length).
 pub const ENVELOPE_HEAD: usize = 9;
@@ -1211,182 +1200,6 @@ pub fn decode_summary(buf: &[u8]) -> Result<(SummaryFrame, usize), WireError> {
     ))
 }
 
-/// Encodes a [`QuantileSketch`] digest (its sparse wire form) as a
-/// [`KIND_SKETCH`] frame.
-pub fn encode_sketch(s: &QuantileSketch) -> Vec<u8> {
-    let (max, buckets) = s.to_wire();
-    let mut buf = Vec::with_capacity(64);
-    let body = begin_frame(&mut buf, KIND_SKETCH);
-    put_u64(&mut buf, max);
-    put_buckets(&mut buf, &buckets);
-    end_frame(&mut buf, body);
-    buf
-}
-
-/// Decodes a [`KIND_SKETCH`] frame back into a sketch that merges and
-/// queries bit-identically to the encoded one.
-pub fn decode_sketch(buf: &[u8]) -> Result<(QuantileSketch, usize), WireError> {
-    let (mut r, consumed) = open_frame(buf, KIND_SKETCH)?;
-    let max = r.u64()?;
-    let buckets = get_buckets(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes in sketch body"));
-    }
-    Ok((QuantileSketch::from_wire(max, &buckets), consumed))
-}
-
-const FAULT_DROP: u8 = 1;
-const FAULT_DUP: u8 = 2;
-const FAULT_DELAY: u8 = 3;
-const FAULT_CRASH: u8 = 4;
-const FAULT_SLOWDOWN: u8 = 5;
-
-/// Encodes a [`ChaosRepro`] bundle as a [`KIND_REPRO`] frame — the
-/// binary sibling of [`crate::repro::repro_to_json`], for embedding
-/// repro bundles in wire streams (the JSON form stays the on-disk
-/// format).
-pub fn encode_repro(rep: &ChaosRepro) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(128);
-    let body = begin_frame(&mut buf, KIND_REPRO);
-    put_u64(&mut buf, rep.seed);
-    put_str(&mut buf, &rep.policy);
-    put_u64(&mut buf, rep.workload.len() as u64);
-    for (k, v) in &rep.workload {
-        put_str(&mut buf, k);
-        put_u64(&mut buf, *v);
-    }
-    put_u64(&mut buf, rep.faults.len() as u64);
-    for f in &rep.faults {
-        match f {
-            FaultEntry::Drop { chan, ppm } => {
-                buf.push(FAULT_DROP);
-                put_str(&mut buf, chan);
-                put_u64(&mut buf, *ppm);
-            }
-            FaultEntry::Dup { chan, ppm } => {
-                buf.push(FAULT_DUP);
-                put_str(&mut buf, chan);
-                put_u64(&mut buf, *ppm);
-            }
-            FaultEntry::Delay { chan, ppm, cycles } => {
-                buf.push(FAULT_DELAY);
-                put_str(&mut buf, chan);
-                put_u64(&mut buf, *ppm);
-                put_u64(&mut buf, *cycles);
-            }
-            FaultEntry::Crash { proc, at } => {
-                buf.push(FAULT_CRASH);
-                put_str(&mut buf, proc);
-                put_u64(&mut buf, *at);
-            }
-            FaultEntry::Slowdown {
-                machine,
-                from,
-                until,
-                factor,
-            } => {
-                buf.push(FAULT_SLOWDOWN);
-                put_str(&mut buf, machine);
-                put_u64(&mut buf, *from);
-                put_u64(&mut buf, *until);
-                put_u64(&mut buf, *factor);
-            }
-        }
-    }
-    match &rep.violation {
-        Some(v) => {
-            buf.push(1);
-            put_str(&mut buf, v);
-        }
-        None => buf.push(0),
-    }
-    match &rep.window {
-        Some(w) => {
-            buf.push(1);
-            put_u64(&mut buf, w.epoch_len);
-            put_u64(&mut buf, w.start);
-            put_u64(&mut buf, w.end);
-            put_str(&mut buf, &w.dimension);
-        }
-        None => buf.push(0),
-    }
-    end_frame(&mut buf, body);
-    buf
-}
-
-/// Decodes a [`KIND_REPRO`] frame, returning the bundle and the total
-/// bytes consumed.
-pub fn decode_repro(buf: &[u8]) -> Result<(ChaosRepro, usize), WireError> {
-    let (mut r, consumed) = open_frame(buf, KIND_REPRO)?;
-    let seed = r.u64()?;
-    let policy = r.str()?.to_owned();
-    let nw = r.count()?;
-    let mut workload = Vec::with_capacity(nw);
-    for _ in 0..nw {
-        let k = r.str()?.to_owned();
-        workload.push((k, r.u64()?));
-    }
-    let nf = r.count()?;
-    let mut faults = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        faults.push(match r.u8()? {
-            FAULT_DROP => FaultEntry::Drop {
-                chan: r.str()?.to_owned(),
-                ppm: r.u64()?,
-            },
-            FAULT_DUP => FaultEntry::Dup {
-                chan: r.str()?.to_owned(),
-                ppm: r.u64()?,
-            },
-            FAULT_DELAY => FaultEntry::Delay {
-                chan: r.str()?.to_owned(),
-                ppm: r.u64()?,
-                cycles: r.u64()?,
-            },
-            FAULT_CRASH => FaultEntry::Crash {
-                proc: r.str()?.to_owned(),
-                at: r.u64()?,
-            },
-            FAULT_SLOWDOWN => FaultEntry::Slowdown {
-                machine: r.str()?.to_owned(),
-                from: r.u64()?,
-                until: r.u64()?,
-                factor: r.u64()?,
-            },
-            _ => return Err(WireError::Malformed("unknown fault tag")),
-        });
-    }
-    let violation = match r.u8()? {
-        0 => None,
-        1 => Some(r.str()?.to_owned()),
-        _ => return Err(WireError::Malformed("bad option tag")),
-    };
-    let window = match r.u8()? {
-        0 => None,
-        1 => Some(ReproWindow {
-            epoch_len: r.u64()?,
-            start: r.u64()?,
-            end: r.u64()?,
-            dimension: r.str()?.to_owned(),
-        }),
-        _ => return Err(WireError::Malformed("bad option tag")),
-    };
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes in repro body"));
-    }
-    Ok((
-        ChaosRepro {
-            seed,
-            policy,
-            workload,
-            faults,
-            violation,
-            window,
-        },
-        consumed,
-    ))
-}
-
 // ---------------------------------------------------------------------
 // The ingest fast path: columns straight into the accumulator
 // ---------------------------------------------------------------------
@@ -1745,210 +1558,11 @@ fn apply_delta(
     Ok(events)
 }
 
-// ---------------------------------------------------------------------
-// JSON edge encoding (the legacy form and the compression baseline)
-// ---------------------------------------------------------------------
-
-fn atom_to_json(a: &DumpAtom, out: &mut String) {
-    match a {
-        DumpAtom::Frame(f) => {
-            out.push_str("{\"Frame\":");
-            out.push_str(&f.to_string());
-            out.push('}');
-        }
-        DumpAtom::Path(p) => {
-            out.push_str("{\"Path\":[");
-            for (i, f) in p.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&f.to_string());
-            }
-            out.push_str("]}");
-        }
-        DumpAtom::Remote(chain) => {
-            out.push_str("{\"Remote\":[");
-            for (i, s) in chain.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&s.to_string());
-            }
-            out.push_str("]}");
-        }
-    }
-}
-
-fn opt_to_json(v: Option<u32>, out: &mut String) {
-    match v {
-        Some(x) => out.push_str(&x.to_string()),
-        None => out.push_str("null"),
-    }
-}
-
-fn delta_to_json(d: &StageDelta, out: &mut String) {
-    out.push_str(&format!("{{\"stage\":{},\"seq\":{}", d.stage, d.seq));
-    out.push_str(",\"new_frames\":[");
-    for (i, f) in d.new_frames.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        esc(f, out);
-    }
-    out.push_str("],\"new_contexts\":[");
-    for (i, c) in d.new_contexts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"atoms\":[");
-        for (j, a) in c.atoms.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            atom_to_json(a, out);
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"new_synopses\":[");
-    for (i, &(raw, ctx)) in d.new_synopses.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{raw},{ctx}]"));
-    }
-    out.push_str("],\"ccts\":[");
-    for (i, c) in d.ccts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"ctx\":{},\"nodes_before\":{},\"new_nodes\":[",
-            c.ctx, c.nodes_before
-        ));
-        for (j, n) in c.new_nodes.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"frame\":");
-            opt_to_json(n.frame, out);
-            out.push_str(",\"parent\":");
-            opt_to_json(n.parent, out);
-            out.push_str(&format!(
-                ",\"samples\":{},\"cycles\":{},\"calls\":{}}}",
-                n.samples, n.cycles, n.calls
-            ));
-        }
-        out.push_str("],\"grown\":[");
-        for (j, &(node, s, cy, ca)) in c.grown.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{node},{s},{cy},{ca}]"));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"pairs\":[");
-    for (i, p) in d.pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"waiter\":{},\"holder\":{},\"count\":{},\"total_wait\":{}}}",
-            p.waiter, p.holder, p.count, p.total_wait
-        ));
-    }
-    out.push_str("],\"waiters\":[");
-    for (i, w) in d.waiters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"waiter\":{},\"count\":{},\"total_wait\":{}}}",
-            w.waiter, w.count, w.total_wait
-        ));
-    }
-    out.push_str(&format!(
-        "],\"piggyback_bytes\":{},\"messages\":{},\"checksum\":{}}}",
-        d.piggyback_bytes, d.messages, d.checksum
-    ));
-}
-
-/// The JSON edge encoding of an [`EpochBatch`] — the legacy wire form
-/// kept for differential testing, and the honest baseline the
-/// `bytes_per_event` compression gate divides against (same field set,
-/// same [`crate::dumpjson`] house style as the stage dumps).
-pub fn batch_to_json(b: &EpochBatch) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str(&format!(
-        "{{\"epoch\":{},\"seq\":{},\"end\":{},\"deltas\":[",
-        b.epoch, b.seq, b.end
-    ));
-    for (i, d) in b.deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        delta_to_json(d, &mut out);
-    }
-    out.push_str("]}");
-    out
-}
-
-/// The JSON edge encoding of a federation [`SummaryFrame`] — the
-/// legacy link form the federation byte counters compare the binary
-/// codec against.
-pub fn summary_to_json(f: &SummaryFrame) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str(&format!(
-        "{{\"src\":{},\"seq\":{},\"first_epoch\":{},\"last_epoch\":{},\"end\":{},\"deltas\":[",
-        f.src, f.seq, f.first_epoch, f.last_epoch, f.end
-    ));
-    for (i, d) in f.deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        delta_to_json(d, &mut out);
-    }
-    out.push_str("],\"sketches\":[");
-    for (i, s) in f.sketches.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"tier\":");
-        esc(&s.tier, &mut out);
-        out.push_str(&format!(",\"max\":{},\"buckets\":[", s.max));
-        for (j, &(b, c)) in s.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{b},{c}]"));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"leaf_mass\":[");
-    for (i, &(leaf, m)) in f.leaf_mass.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{leaf},{m}]"));
-    }
-    out.push_str("],\"gauges\":[");
-    for (i, &(leaf, g)) in f.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "[{leaf},{{\"last_epoch\":{},\"events\":{},\"mass\":{},\"lag_frames\":{},\"checkpoints\":{},\"recoveries\":{}}}]",
-            g.last_epoch, g.events, g.mass, g.lag_frames, g.checkpoints, g.recoveries
-        ));
-    }
-    out.push_str(&format!("],\"checksum\":{}}}", f.checksum));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::delta::diff_dump;
+    use crate::sketch::QuantileSketch;
     use crate::stitch::{DumpCct, StageDump};
     use crate::summary::seal_delta;
 
@@ -2307,80 +1921,6 @@ mod tests {
         assert_eq!(back, frame);
         assert_eq!(consumed, bytes.len());
         assert!(back.verify());
-    }
-
-    #[test]
-    fn sketch_frame_round_trips_bit_identically() {
-        let mut s = QuantileSketch::new();
-        for v in [0u64, 3, 3, 99, 1 << 20, u64::MAX] {
-            s.record(v);
-        }
-        let (back, _) = decode_sketch(&encode_sketch(&s)).unwrap();
-        assert_eq!(back.count(), s.count());
-        assert_eq!(back.max(), s.max());
-        for q in [0u64, 500_000, 990_000, 1_000_000] {
-            assert_eq!(back.quantile_ppm(q), s.quantile_ppm(q));
-        }
-    }
-
-    #[test]
-    fn repro_frame_round_trips() {
-        let rep = ChaosRepro {
-            seed: 0xF00D,
-            policy: "perturb:7:250000".into(),
-            workload: vec![("clients".into(), 40)],
-            faults: vec![
-                FaultEntry::Drop {
-                    chan: "db".into(),
-                    ppm: 50_000,
-                },
-                FaultEntry::Delay {
-                    chan: "db".into(),
-                    ppm: 100_000,
-                    cycles: 24_000_000,
-                },
-                FaultEntry::Crash {
-                    proc: "mysql".into(),
-                    at: 240_000_000_000,
-                },
-                FaultEntry::Dup {
-                    chan: "front".into(),
-                    ppm: 1,
-                },
-                FaultEntry::Slowdown {
-                    machine: "mysql".into(),
-                    from: 1,
-                    until: 2,
-                    factor: 3,
-                },
-            ],
-            violation: Some("mass-conservation".into()),
-            window: Some(ReproWindow {
-                epoch_len: 2_400_000_000,
-                start: 17,
-                end: 23,
-                dimension: "slo-latency".into(),
-            }),
-        };
-        let (back, _) = decode_repro(&encode_repro(&rep)).unwrap();
-        assert_eq!(back, rep);
-        // None variants too.
-        let plain = ChaosRepro::default();
-        let (back, _) = decode_repro(&encode_repro(&plain)).unwrap();
-        assert_eq!(back, plain);
-    }
-
-    #[test]
-    fn wire_beats_json_by_the_gate_margin() {
-        let (_, batches) = sample_batches();
-        for b in &batches {
-            let wire = encode_batch(b).len();
-            let json = batch_to_json(b).len();
-            assert!(
-                wire * 5 <= json,
-                "wire {wire} vs json {json}: under 5x even on a tiny batch"
-            );
-        }
     }
 
     #[test]

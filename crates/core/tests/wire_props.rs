@@ -21,7 +21,6 @@
 
 use proptest::prelude::*;
 use whodunit_core::delta::{EpochBatch, StageDelta, StreamHeader, StreamStage};
-use whodunit_core::repro::{ChaosRepro, FaultEntry, ReproWindow};
 use whodunit_core::stitch::{
     DumpAtom, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode,
 };
@@ -29,7 +28,7 @@ use whodunit_core::summary::{LeafGauges, SummaryFrame, TierSketch};
 use whodunit_core::wire::{
     decode_batch, decode_header, decode_summary, encode_batch, encode_header, encode_summary,
 };
-use whodunit_core::{delta::CctDelta, repro_from_wire, repro_to_wire};
+use whodunit_core::delta::CctDelta;
 
 /// Deterministic xorshift64* stream for structure building.
 struct Rng(u64);
@@ -269,10 +268,10 @@ proptest! {
         prop_assert_eq!(at, stream.len(), "stream left trailing bytes");
     }
 
-    /// Stream headers and chaos repro files round-trip through their
-    /// wire frames for arbitrary contents.
+    /// Stream headers round-trip through their wire frames for
+    /// arbitrary contents.
     #[test]
-    fn headers_and_repros_round_trip(seed in any::<u64>()) {
+    fn headers_round_trip(seed in any::<u64>()) {
         let mut r = Rng::new(seed);
         let header = StreamHeader {
             stages: (0..r.below(6))
@@ -283,43 +282,6 @@ proptest! {
         let (back, consumed) = decode_header(&bytes).expect("header decodes");
         prop_assert_eq!(consumed, bytes.len());
         prop_assert_eq!(back, header);
-
-        let repro = ChaosRepro {
-            seed: r.extreme(),
-            policy: r.name("policy"),
-            workload: (0..r.below(4)).map(|_| (r.name("op"), r.extreme())).collect(),
-            faults: (0..r.below(6))
-                .map(|_| match r.below(5) {
-                    0 => FaultEntry::Drop { chan: r.name("chan"), ppm: r.below(1_000_001) },
-                    1 => FaultEntry::Dup { chan: r.name("chan"), ppm: r.below(1_000_001) },
-                    2 => FaultEntry::Delay {
-                        chan: r.name("chan"),
-                        ppm: r.below(1_000_001),
-                        cycles: r.extreme(),
-                    },
-                    3 => FaultEntry::Crash { proc: r.name("proc"), at: r.extreme() },
-                    _ => FaultEntry::Slowdown {
-                        machine: r.name("machine"),
-                        from: r.extreme(),
-                        until: r.extreme(),
-                        factor: r.below(64) + 1,
-                    },
-                })
-                .collect(),
-            violation: if r.below(2) == 0 { None } else { Some(r.name("violation")) },
-            window: if r.below(2) == 0 {
-                None
-            } else {
-                Some(ReproWindow {
-                    epoch_len: r.extreme(),
-                    start: r.extreme(),
-                    end: r.extreme(),
-                    dimension: r.name("dim"),
-                })
-            },
-        };
-        let back = repro_from_wire(&repro_to_wire(&repro)).expect("repro decodes");
-        prop_assert_eq!(back, repro);
     }
 }
 

@@ -156,14 +156,12 @@ GATE_FIELDS = {
         "peak_resident.per_level",
         "wire_links.leaf_wire_bytes",
         "wire_links.regional_wire_bytes",
-        "wire_links.compression_vs_json",
     ],
     "hotpath": [
         "ok",
         "wire.bytes_per_event",
         "wire.encode_events_per_s",
         "wire.decode_events_per_s",
-        "wire.compression_vs_json",
         "wire.ingest_events_per_s",
         "wire.speedup_vs_baseline",
     ],
