@@ -60,9 +60,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Mutex;
 use whodunit_core::cct::{Cct, CctNodeId, Metrics};
 use whodunit_core::hash::FnvHashMap;
-use whodunit_core::context::{
-    ContextAtom, ContextShard, ShardedContextTable, ShardedCtxId, TransactionContext,
-};
+use whodunit_core::context::{ContextShard, ShardedContextTable, ShardedCtxId};
 use whodunit_core::crosstalk::{CrosstalkMatrix, OriginKey, WaitStats};
 use whodunit_core::delta::{
     CctDelta, DeltaError, DeltaSink, EpochBatch, ResyncSource, StageAccumulator, StageDelta,
@@ -71,8 +69,10 @@ use whodunit_core::delta::{
 use whodunit_core::exec::{self, StealPlan};
 use whodunit_core::frame::FrameId;
 use whodunit_core::pipeline::{analyze, OriginProfile, PipelineConfig, PipelineReport};
-use whodunit_core::stitch::{ctx_string_of, DumpAtom, DumpNode, RequestEdge, StageDump, UnresolvedEdge};
-use whodunit_core::synopsis::{SynChain, Synopsis};
+use whodunit_core::stitch::{
+    ctx_string_of, fold_dump_nodes, global_frames, global_value, walk_origin, DumpNode,
+    RequestEdge, StageDump, UnresolvedEdge, UnresolvedHead,
+};
 use whodunit_core::wire::{self, WireError};
 use whodunit_report::live::{Hotspot, LagStats, LiveSnapshot, ThreadingStats, TierSlice, TopPath};
 
@@ -92,8 +92,6 @@ pub struct CollectorConfig {
     /// Epochs an origin may stay idle before it is evicted from the
     /// resident working set (minimum 1).
     pub window_epochs: u64,
-    /// How many entries live queries return (top paths, hotspots).
-    pub top_k: usize,
     /// Ingest queue capacity; `0` means unbounded. When the queue is
     /// full, [`Collector::enqueue`] refuses the batch (backpressure)
     /// and counts it in [`CollectorStats::throttled`].
@@ -125,7 +123,6 @@ impl Default for CollectorConfig {
         CollectorConfig {
             shards: PipelineConfig::default().shards,
             window_epochs: 4,
-            top_k: 5,
             max_queue: 0,
             quarantine: QuarantinePolicy::default(),
             track_obs: false,
@@ -390,54 +387,23 @@ struct FoldGroup {
 }
 
 impl FoldGroup {
-    /// Runs the group's ops in recorded order — the fold_full /
-    /// fold_delta bodies verbatim, against the owned aggregate and
+    /// Runs the group's ops in recorded order — what the serial
+    /// `fold_full` / `fold_delta` do, against the owned aggregate and
     /// maps, with stage frame maps shared read-only.
     fn execute(&mut self, frame_maps: &[Vec<u32>]) {
         let ops = std::mem::take(&mut self.ops);
         for op in ops {
-            match op {
+            let folded = match op {
                 PlannedOp::Full { stage, ctx, nodes } => {
-                    let frame_of = &frame_maps[stage];
-                    let mut cycles = 0u64;
-                    let mut map: Vec<CctNodeId> = Vec::with_capacity(nodes.len());
-                    let mut ok = true;
-                    for (i, n) in nodes.iter().enumerate() {
-                        let id = if i == 0 {
-                            CctNodeId::ROOT
-                        } else {
-                            let (Some(p), Some(f)) = (n.parent, n.frame) else {
-                                self.broken = true;
-                                ok = false;
-                                break;
-                            };
-                            if p as usize >= map.len() {
-                                self.broken = true;
-                                ok = false;
-                                break;
-                            }
-                            let cf = frame_of.get(f as usize).copied().unwrap_or(u32::MAX);
-                            self.entry.cct.child(map[p as usize], FrameId(cf))
-                        };
-                        self.entry.cct.record_at(
-                            id,
-                            Metrics {
-                                samples: n.samples,
-                                cycles: n.cycles,
-                                calls: n.calls,
-                            },
-                        );
-                        cycles += n.cycles;
-                        map.push(id);
+                    let mut map = Vec::with_capacity(nodes.len());
+                    let frames = frame_of(&frame_maps[stage]);
+                    let cycles = fold_dump_nodes(&mut self.entry.cct, &mut map, &nodes, frames).ok();
+                    // As in serial fold_full, a malformed tree installs
+                    // no map; the fallback owns the report now.
+                    if cycles.is_some() {
+                        self.maps.push(((stage, ctx), map));
                     }
-                    if !ok {
-                        // Serial fold_full returns without installing
-                        // the map; the fallback owns the report now.
-                        continue;
-                    }
-                    self.entry.stages.insert(stage);
-                    *self.entry.tier_cycles.entry(stage).or_insert(0) += cycles;
-                    self.maps.push(((stage, ctx), map));
+                    cycles.map(|cycles| (stage, cycles))
                 }
                 PlannedOp::Delta { stage, delta } => {
                     let key = (stage, delta.ctx);
@@ -447,57 +413,56 @@ impl FoldGroup {
                         .find(|(k, _)| *k == key)
                         .expect("map taken at plan time")
                         .1;
-                    if map.len() != delta.nodes_before as usize {
-                        self.broken = true;
-                        continue;
-                    }
-                    let frame_of = &frame_maps[stage];
-                    let mut cycles = 0u64;
-                    for &(i, ds, dc, da) in &delta.grown {
-                        self.entry.cct.record_at(
-                            map[i as usize],
-                            Metrics {
-                                samples: ds,
-                                cycles: dc,
-                                calls: da,
-                            },
-                        );
-                        cycles += dc;
-                    }
-                    let mut ok = true;
-                    for n in &delta.new_nodes {
-                        let (Some(p), Some(f)) = (n.parent, n.frame) else {
-                            self.broken = true;
-                            ok = false;
-                            break;
-                        };
-                        if p as usize >= map.len() {
-                            self.broken = true;
-                            ok = false;
-                            break;
-                        }
-                        let cf = frame_of.get(f as usize).copied().unwrap_or(u32::MAX);
-                        let id = self.entry.cct.child(map[p as usize], FrameId(cf));
-                        self.entry.cct.record_at(
-                            id,
-                            Metrics {
-                                samples: n.samples,
-                                cycles: n.cycles,
-                                calls: n.calls,
-                            },
-                        );
-                        cycles += n.cycles;
-                        map.push(id);
-                    }
-                    if !ok {
-                        continue;
-                    }
+                    fold_cct_delta(&mut self.entry.cct, map, &delta, &frame_maps[stage])
+                        .map(|cycles| (stage, cycles))
+                }
+            };
+            match folded {
+                Some((stage, cycles)) => {
                     self.entry.stages.insert(stage);
                     *self.entry.tier_cycles.entry(stage).or_insert(0) += cycles;
                 }
+                None => self.broken = true,
             }
         }
     }
+}
+
+/// Stage-local frame index → collector-global [`FrameId`], for
+/// [`fold_dump_nodes`].
+fn frame_of(map: &[u32]) -> impl Fn(u32) -> FrameId + '_ {
+    |f| FrameId(map.get(f as usize).copied().unwrap_or(u32::MAX))
+}
+
+/// Folds one CCT increment into `cct` through the context's node map:
+/// growth onto mapped nodes, then the new nodes appended. Returns the
+/// cycles added, or `None` for an increment that does not continue the
+/// map (out of order) or carries a malformed node.
+fn fold_cct_delta(
+    cct: &mut Cct,
+    map: &mut Vec<CctNodeId>,
+    c: &CctDelta,
+    frames: &[u32],
+) -> Option<u64> {
+    // The fold map is synced to the accumulator after every delta, so
+    // a length mismatch means deltas arrived out of order.
+    if map.len() != c.nodes_before as usize {
+        return None;
+    }
+    let mut cycles = 0u64;
+    for &(i, ds, dc, da) in &c.grown {
+        cct.record_at(
+            map[i as usize],
+            Metrics {
+                samples: ds,
+                cycles: dc,
+                calls: da,
+            },
+        );
+        cycles += dc;
+    }
+    let added = fold_dump_nodes(cct, map, &c.new_nodes, frame_of(frames)).ok()?;
+    Some(cycles + added)
 }
 
 /// The streaming collector. See the crate docs for the model.
@@ -580,6 +545,9 @@ impl std::fmt::Debug for ResyncHandle {
 
 /// Bound on retained [`EpochObs`] when nothing drains them.
 const OBS_CAPACITY: usize = 4096;
+
+/// How many entries live queries return (top paths, hotspots).
+const TOP_K: usize = 5;
 
 const WAITER_ONLY: u32 = u32::MAX;
 
@@ -714,10 +682,23 @@ impl Collector {
     /// a throttle) if the queue is at capacity — the emitter must slow
     /// down or retry; the batch was **not** accepted.
     pub fn enqueue(&mut self, batch: EpochBatch) -> bool {
-        if self.cfg.max_queue > 0 && self.queue.len() >= self.cfg.max_queue {
-            self.stats.throttled += 1;
+        if self.throttle() {
             return false;
         }
+        self.push(batch);
+        true
+    }
+
+    /// Whether the queue is at capacity; counts the refusal if so.
+    fn throttle(&mut self) -> bool {
+        let full = self.cfg.max_queue > 0 && self.queue.len() >= self.cfg.max_queue;
+        if full {
+            self.stats.throttled += 1;
+        }
+        full
+    }
+
+    fn push(&mut self, batch: EpochBatch) {
         // A batch landing on an empty queue starts a new fill/drain
         // cycle: the cycle gauge resets while the all-time peak stays.
         if self.queue.is_empty() {
@@ -727,7 +708,6 @@ impl Collector {
         let depth = self.queue.len() as u64;
         self.stats.peak_queued = self.stats.peak_queued.max(depth);
         self.stats.cycle_peak_queued = self.stats.cycle_peak_queued.max(depth);
-        true
     }
 
     /// Installs the stream header from its binary wire frame
@@ -740,23 +720,26 @@ impl Collector {
     }
 
     /// Offers a binary wire frame to the ingest queue — the wire twin
-    /// of [`Collector::enqueue`]. The envelope (magic, version, kind,
+    /// of [`Collector::enqueue`]. Queue capacity is checked first:
+    /// `Ok(false)` means the queue was full and the frame was **not**
+    /// looked at — counted in [`CollectorStats::throttled`] only, so a
+    /// damaged frame offered to a full queue is reported on the retry
+    /// that finds room. Otherwise the envelope (magic, version, kind,
     /// length, FNV digest) is verified before any decode; a damaged
     /// frame is counted in [`CollectorStats::wire_errors`] and dropped,
     /// which the self-healing machinery then treats exactly like a
     /// lost batch (reorder-buffer park on the next good frame, bounded
-    /// resync if the hole cannot be healed). `Ok(false)` means the
-    /// frame decoded but the queue was full (the frame was **not**
-    /// accepted, and is not counted in [`CollectorStats::wire_frames`]).
+    /// resync if the hole cannot be healed).
     pub fn enqueue_wire(&mut self, frame: &[u8]) -> Result<bool, WireError> {
+        if self.throttle() {
+            return Ok(false);
+        }
         match wire::decode_batch(frame) {
             Ok((batch, consumed)) => {
-                let accepted = self.enqueue(batch);
-                if accepted {
-                    self.stats.wire_frames += 1;
-                    self.stats.wire_bytes += consumed as u64;
-                }
-                Ok(accepted)
+                self.push(batch);
+                self.stats.wire_frames += 1;
+                self.stats.wire_bytes += consumed as u64;
+                Ok(true)
             }
             Err(e) => {
                 self.stats.wire_errors += 1;
@@ -1073,14 +1056,10 @@ impl Collector {
             .bindings
             .resize(ctx_total as usize, None);
         for ci in ctx_base..ctx_total {
-            let first_remote_last = {
-                let c = &self.stages[d.stage].acc.contexts[ci as usize];
-                match c.atoms.first() {
-                    Some(DumpAtom::Remote(chain)) => chain.last().copied(),
-                    _ => None,
-                }
-            };
-            if let Some(last) = first_remote_last {
+            let sender = self.stages[d.stage].acc.contexts[ci as usize]
+                .remote_chain()
+                .and_then(|chain| chain.last().copied());
+            if let Some(last) = sender {
                 match self.syn_index.get(&last) {
                     Some(&(fs, fc)) => self.edges.push(RequestEdge {
                         from_stage: fs,
@@ -1119,59 +1098,30 @@ impl Collector {
         id
     }
 
-    /// The incremental origin walk, replicating the batch
-    /// `walk_origin` semantics except that an unresolvable chain head
-    /// *parks* instead of settling (the batch answer depends on the
-    /// complete index, so the walk resumes when the missing synopsis
-    /// arrives, or settles batch-style at finalize).
+    /// The incremental origin walk: the batch walk, except that an
+    /// unresolvable chain head *parks* instead of settling (the batch
+    /// answer depends on the complete index, so the walk resumes when
+    /// the missing synopsis arrives, or settles batch-style at
+    /// finalize).
     fn try_walk(&mut self, start: (usize, u32)) {
-        if self
-            .stages
-            .get(start.0)
-            .and_then(|s| s.bindings.get(start.1 as usize))
-            .copied()
-            .flatten()
-            .is_some()
-        {
+        if self.binding_of(start.0, start.1).is_some() {
             return;
         }
-        match self.walk(start, false) {
+        match self.origin_walk(start) {
             Ok(origin) => self.bind(start, origin),
-            Err(missing) => self
+            Err(u) => self
                 .pending_walks
-                .entry(missing)
+                .entry(u.missing)
                 .or_default()
                 .push(start),
         }
     }
 
-    /// Walks the remote chain from `start` through the current index.
-    /// `settle` makes an unresolvable head terminate the walk (batch
-    /// end-of-run semantics) instead of reporting the missing raw.
-    fn walk(&self, start: (usize, u32), settle: bool) -> Result<OriginKey, u64> {
-        let mut cur = start;
-        for _ in 0..64 {
-            let Some(st) = self.stages.get(cur.0) else {
-                return Ok(cur);
-            };
-            let Some(c) = st.acc.contexts.get(cur.1 as usize) else {
-                return Ok(cur);
-            };
-            let Some(DumpAtom::Remote(chain)) = c.atoms.first() else {
-                return Ok(cur);
-            };
-            let Some(&head) = chain.first() else {
-                return Ok(cur);
-            };
-            let Some(&next) = self.syn_index.get(&head) else {
-                return if settle { Ok(cur) } else { Err(head) };
-            };
-            if next == cur {
-                return Ok(cur);
-            }
-            cur = next;
-        }
-        Ok(cur)
+    /// [`walk_origin`] over the accumulated contexts and the current
+    /// minted-synopsis index.
+    fn origin_walk(&self, start: (usize, u32)) -> Result<OriginKey, UnresolvedHead> {
+        let context = |(s, c): (usize, u32)| self.stages.get(s)?.acc.contexts.get(c as usize);
+        walk_origin(context, |raw| self.syn_index.get(&raw).copied(), start)
     }
 
     /// Records a settled origin and folds any CCT mass the context has
@@ -1387,47 +1337,23 @@ impl Collector {
             None => return,
         };
         // Borrow the cached stage frame map for the duration of the
-        // fold (taken rather than cloned; restored on every exit).
-        let frame_of = std::mem::take(&mut self.stages[si].frame_map);
-        let mut cycles = 0u64;
+        // fold (taken rather than cloned; restored below).
+        let frames = std::mem::take(&mut self.stages[si].frame_map);
         let mut map: Vec<CctNodeId> = Vec::with_capacity(nodes.len());
-        {
-            let entry = self.touch_resident(origin);
-            for (i, n) in nodes.iter().enumerate() {
-                let id = if i == 0 {
-                    CctNodeId::ROOT
-                } else {
-                    let (Some(p), Some(f)) = (n.parent, n.frame) else {
-                        // Malformed node: the dump will fail validation
-                        // at finalize and the fallback takes over.
-                        self.broken = true;
-                        self.stages[si].frame_map = frame_of;
-                        return;
-                    };
-                    if p as usize >= map.len() {
-                        self.broken = true;
-                        self.stages[si].frame_map = frame_of;
-                        return;
-                    }
-                    let cf = frame_of.get(f as usize).copied().unwrap_or(u32::MAX);
-                    entry.cct.child(map[p as usize], FrameId(cf))
-                };
-                entry.cct.record_at(
-                    id,
-                    Metrics {
-                        samples: n.samples,
-                        cycles: n.cycles,
-                        calls: n.calls,
-                    },
-                );
-                cycles += n.cycles;
-                map.push(id);
-            }
+        let entry = self.touch_resident(origin);
+        let folded = fold_dump_nodes(&mut entry.cct, &mut map, &nodes, frame_of(&frames));
+        if let Ok(cycles) = folded {
             entry.stages.insert(si);
             *entry.tier_cycles.entry(si).or_insert(0) += cycles;
         }
         let st = &mut self.stages[si];
-        st.frame_map = frame_of;
+        st.frame_map = frames;
+        if folded.is_err() {
+            // Malformed node: the dump will fail validation at
+            // finalize and the fallback takes over.
+            self.broken = true;
+            return;
+        }
         if st.fold.len() <= ctx as usize {
             st.fold.resize_with(ctx as usize + 1, || None);
         }
@@ -1437,71 +1363,23 @@ impl Collector {
     /// Folds one CCT increment through the context's existing node
     /// map.
     fn fold_delta(&mut self, si: usize, c: &CctDelta) {
-        let origin = match self.stages[si].bindings.get(c.ctx as usize).copied().flatten() {
-            Some(o) => o,
-            None => {
-                self.broken = true;
-                return;
-            }
-        };
-        let map_len = self.stages[si].fold[c.ctx as usize]
-            .as_ref()
-            .expect("caller checked the fold map exists")
-            .len();
-        if map_len != c.nodes_before as usize {
-            // The fold map is synced to the accumulator after every
-            // delta, so a mismatch means deltas arrived out of order.
+        let Some(origin) = self.binding_of(si, c.ctx) else {
             self.broken = true;
             return;
-        }
-        let frame_of = std::mem::take(&mut self.stages[si].frame_map);
+        };
+        let frames = std::mem::take(&mut self.stages[si].frame_map);
         let mut map = self.stages[si].fold[c.ctx as usize]
             .take()
-            .expect("checked above");
-        let mut cycles = 0u64;
-        {
-            let entry = self.touch_resident(origin);
-            for &(i, ds, dc, da) in &c.grown {
-                entry.cct.record_at(
-                    map[i as usize],
-                    Metrics {
-                        samples: ds,
-                        cycles: dc,
-                        calls: da,
-                    },
-                );
-                cycles += dc;
+            .expect("caller checked the fold map exists");
+        let entry = self.touch_resident(origin);
+        match fold_cct_delta(&mut entry.cct, &mut map, c, &frames) {
+            Some(cycles) => {
+                entry.stages.insert(si);
+                *entry.tier_cycles.entry(si).or_insert(0) += cycles;
             }
-            for n in &c.new_nodes {
-                let (Some(p), Some(f)) = (n.parent, n.frame) else {
-                    self.broken = true;
-                    self.stages[si].frame_map = frame_of;
-                    self.stages[si].fold[c.ctx as usize] = Some(map);
-                    return;
-                };
-                if p as usize >= map.len() {
-                    self.broken = true;
-                    self.stages[si].frame_map = frame_of;
-                    self.stages[si].fold[c.ctx as usize] = Some(map);
-                    return;
-                }
-                let cf = frame_of.get(f as usize).copied().unwrap_or(u32::MAX);
-                let id = entry.cct.child(map[p as usize], FrameId(cf));
-                entry.cct.record_at(
-                    id,
-                    Metrics {
-                        samples: n.samples,
-                        cycles: n.cycles,
-                        calls: n.calls,
-                    },
-                );
-                cycles += n.cycles;
-                map.push(id);
-            }
-            entry.stages.insert(si);
-            *entry.tier_cycles.entry(si).or_insert(0) += cycles;
+            None => self.broken = true,
         }
-        self.stages[si].frame_map = frame_of;
+        self.stages[si].frame_map = frames;
         self.stages[si].fold[c.ctx as usize] = Some(map);
     }
 
@@ -1630,7 +1508,7 @@ impl Collector {
             .chain(
                 self.finalized_rank
                     .iter()
-                    .take(self.cfg.top_k)
+                    .take(TOP_K)
                     .map(|&(std::cmp::Reverse(c), k)| (c, k)),
             )
             .collect();
@@ -1640,11 +1518,9 @@ impl Collector {
         // first k entries — snapshots run mid-ingest, where a full
         // O(n log n) over every origin is the dominant cost.
         let cmp = |a: &(u64, OriginKey), b: &(u64, OriginKey)| (b.0, a.1).cmp(&(a.0, b.1));
-        if ranked.len() > self.cfg.top_k {
-            if self.cfg.top_k > 0 {
-                ranked.select_nth_unstable_by(self.cfg.top_k - 1, cmp);
-            }
-            ranked.truncate(self.cfg.top_k);
+        if ranked.len() > TOP_K {
+            ranked.select_nth_unstable_by(TOP_K - 1, cmp);
+            ranked.truncate(TOP_K);
         }
         ranked.sort_by(cmp);
 
@@ -1717,11 +1593,9 @@ impl Collector {
                        b: &(&(OriginKey, OriginKey), &WaitStats)| {
             (b.1.total_wait, a.0).cmp(&(a.1.total_wait, b.0))
         };
-        if hot.len() > self.cfg.top_k {
-            if self.cfg.top_k > 0 {
-                hot.select_nth_unstable_by(self.cfg.top_k - 1, hot_cmp);
-            }
-            hot.truncate(self.cfg.top_k);
+        if hot.len() > TOP_K {
+            hot.select_nth_unstable_by(TOP_K - 1, hot_cmp);
+            hot.truncate(TOP_K);
         }
         hot.sort_by(hot_cmp);
         let hotspots = hot
@@ -1772,6 +1646,14 @@ impl Collector {
     pub fn finalize(mut self) -> CollectorOutput {
         assert!(self.started, "collector not started");
         self.drain();
+        // A sequence hole still open when the stream ends is loss, not
+        // reordering: resync (or halt) the stage rather than finalize
+        // with its parked frames silently unapplied.
+        for si in 0..self.stages.len() {
+            if !self.quarantine[si].parked.is_empty() {
+                self.request_resync(si);
+            }
+        }
         self.stats.pending_walks_at_flush = self.pending_walk_count();
         self.stats.pending_edges_at_flush = self.pending_edge_count();
 
@@ -1781,7 +1663,7 @@ impl Collector {
         for si in 0..self.stages.len() {
             for ci in 0..self.stages[si].bindings.len() as u32 {
                 if self.stages[si].bindings[ci as usize].is_none() {
-                    let origin = self.walk((si, ci), true).expect("settled walk");
+                    let origin = self.origin_walk((si, ci)).unwrap_or_else(|u| u.at);
                     self.bind((si, ci), origin);
                 }
             }
@@ -1844,25 +1726,13 @@ impl Collector {
         mut unresolved: Vec<UnresolvedEdge>,
     ) -> PipelineReport {
         let shards = self.cfg.shards.max(1);
-        // Global frame table: sorted union, exactly as batch builds it.
-        let names: BTreeSet<&str> = dumps
-            .iter()
-            .flat_map(|d| d.frames.iter().map(|f| f.as_str()))
-            .collect();
-        let frames: Vec<String> = names.iter().map(|s| (*s).to_owned()).collect();
-        let frame_global: HashMap<&str, u32> = frames
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), i as u32))
-            .collect();
-        let remap: Vec<Vec<u32>> = dumps
-            .iter()
-            .map(|d| d.frames.iter().map(|f| frame_global[f.as_str()]).collect())
-            .collect();
+        let (frames, remap) = global_frames(&dumps);
+        // `frames` is sorted, so a collector-local name finds its
+        // global id by binary search.
         let coll_to_global: Vec<u32> = self
             .frames
             .iter()
-            .map(|n| frame_global.get(n.as_str()).copied().unwrap_or(u32::MAX))
+            .map(|n| frames.binary_search(n).map_or(u32::MAX, |i| i as u32))
             .collect();
 
         // The dictionary and each origin's global context id replay
@@ -1927,14 +1797,7 @@ impl Collector {
         waiters.sort_unstable_by_key(|&(w, _)| w);
         let matrix = CrosstalkMatrix { pairs, waiters };
 
-        let mut dumps_json = String::from("[\n");
-        for (i, d) in dumps.iter().enumerate() {
-            if i > 0 {
-                dumps_json.push_str(",\n");
-            }
-            dumps_json.push_str(&whodunit_core::dumpjson::dump_to_json(d));
-        }
-        dumps_json.push_str("\n]\n");
+        let dumps_json = whodunit_core::dumpjson::to_json(&dumps);
 
         PipelineReport {
             workers: 1,
@@ -1951,32 +1814,6 @@ impl Collector {
             timings: Vec::new(),
         }
     }
-
-}
-
-/// The batch pipeline's `global_value`: an origin's dumped context
-/// with stage-local frame indices remapped onto the global table.
-fn global_value(dumps: &[StageDump], remap: &[Vec<u32>], origin: OriginKey) -> TransactionContext {
-    let Some(d) = dumps.get(origin.0) else {
-        return TransactionContext::root();
-    };
-    let Some(c) = d.contexts.get(origin.1 as usize) else {
-        return TransactionContext::root();
-    };
-    let rm = &remap[origin.0];
-    let gf = |f: &u32| FrameId(rm.get(*f as usize).copied().unwrap_or(u32::MAX));
-    TransactionContext(
-        c.atoms
-            .iter()
-            .map(|a| match a {
-                DumpAtom::Frame(f) => ContextAtom::Frame(gf(f)),
-                DumpAtom::Path(p) => ContextAtom::Path(p.iter().map(&gf).collect::<Vec<_>>().into()),
-                DumpAtom::Remote(chain) => {
-                    ContextAtom::Remote(SynChain(chain.iter().map(|&s| Synopsis(s)).collect()))
-                }
-            })
-            .collect(),
-    )
 }
 
 /// Rebuilds a CCT with every frame id passed through `map`. Frame
@@ -2006,5 +1843,38 @@ impl DeltaSink for Collector {
     fn on_batch(&mut self, batch: EpochBatch) {
         self.enqueue(batch);
         self.drain();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::federation::tests::{batches_for, header2};
+
+    #[test]
+    fn full_queue_refuses_a_wire_frame_without_decoding_it() {
+        let frames: Vec<Vec<u8>> = batches_for(0, 0, "front", 2)
+            .iter()
+            .map(wire::encode_batch)
+            .collect();
+        let mut c = Collector::with_header(
+            &header2(),
+            CollectorConfig {
+                max_queue: 1,
+                ..CollectorConfig::default()
+            },
+        );
+        assert_eq!(c.enqueue_wire(&frames[0]), Ok(true));
+        let mut bad = frames[1].clone();
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0x10;
+        // Full queue: the damaged frame is refused unseen.
+        assert_eq!(c.enqueue_wire(&bad), Ok(false));
+        assert_eq!((c.stats().throttled, c.stats().wire_errors), (1, 0));
+        // Room again: the same frame is now looked at, and rejected.
+        assert!(c.poll());
+        assert_eq!(c.enqueue_wire(&bad), Err(WireError::Checksum));
+        let st = c.stats();
+        assert_eq!((st.throttled, st.wire_errors, st.wire_frames), (1, 1, 1));
     }
 }

@@ -477,6 +477,30 @@ fn lost_frame_overflows_the_reorder_buffer_into_a_resync() {
 }
 
 #[test]
+fn hole_still_open_at_end_of_stream_is_resynced_at_finalize() {
+    let (header, batches, reference) = recorded_scenario();
+    // Lose a stage's second-to-last delta: its last one parks behind
+    // the hole and nothing follows to overflow the reorder buffer.
+    let stage = 0;
+    let carrying: Vec<usize> = (0..batches.len())
+        .filter(|&bi| batches[bi].deltas.iter().any(|d| d.stage == stage))
+        .collect();
+    let bi = carrying[carrying.len() - 2];
+    let mut damaged = batches.clone();
+    damaged[bi].deltas.retain(|d| d.stage != stage);
+
+    let out = ingest_damaged(&header, &batches, &damaged, CollectorConfig::default());
+    assert!(!out.stats.used_fallback);
+    assert_eq!(out.stats.resyncs, 1, "the open hole is loss, not reordering");
+    assert_byte_identical(&reference, &out.report, "hole open at end of stream");
+    assert!(
+        out.stats.degraded.iter().any(|m| m.contains("stage 0 ") && m.contains("1 resync")),
+        "degraded: {:?}",
+        out.stats.degraded
+    );
+}
+
+#[test]
 fn gap_without_resync_source_still_falls_back() {
     // The legacy contract is untouched: no source attached means any
     // damage breaks the stream and finalize runs the batch pipeline.

@@ -18,6 +18,11 @@
 //! - **Reorder/duplicate transparency**: damage that only permutes or
 //!   repeats intact frames heals to byte-identity through the park,
 //!   dedup, and resync paths.
+//! - **Structure-aware damage**: bit flips almost never get past the
+//!   FNV envelope, so one suite edits a *decoded* field, re-seals the
+//!   delta checksum and re-encodes under a fresh valid envelope — the
+//!   only way to reach `StageAccumulator::apply`'s validation with
+//!   bytes every checksum vouches for.
 //!
 //! One recorded TPC-W scenario is encoded once and shared across all
 //! cases; each case derives a fresh damage plan from its proptest seed.
@@ -35,7 +40,7 @@ use whodunit_core::delta::{
 };
 use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_core::stitch::{DumpNode, StageDump};
-use whodunit_core::wire::{encode_batch, encode_header};
+use whodunit_core::wire::{decode_batch, encode_batch, encode_header};
 use whodunit_sim::sched::SchedulePolicy;
 
 /// One recorded clean scenario, encoded, with its reference surfaces.
@@ -254,6 +259,62 @@ proptest! {
         prop_assert_eq!(out.stats.wire_errors, 0u64);
         prop_assert!(!out.stats.used_fallback, "healed, not fallen back");
         prop_assert!(identical(&out), "reorder/dup damage leaked into the report");
+    }
+
+    /// Checksum-valid structural damage: one decoded field of one delta
+    /// is edited, the delta checksum recomputed, the batch re-encoded
+    /// under a fresh envelope. Nothing upstream of the accumulator's own
+    /// validation can object, so it must — whether or not the run then
+    /// heals to byte-identity, the damage always shows in the stats.
+    #[test]
+    fn resealed_structural_damage_is_caught_by_the_accumulator(seed in any::<u64>()) {
+        let s = scenario();
+        let mut r = Rng::new(seed);
+        let mut frames = s.frames.clone();
+        let busy: Vec<usize> = (0..frames.len())
+            .filter(|&i| !s.batches[i].deltas.is_empty())
+            .collect();
+        let fi = busy[r.below(busy.len() as u64) as usize];
+        let (mut batch, _) = decode_batch(&frames[fi]).expect("clean frame decodes");
+        let di = r.below(batch.deltas.len() as u64) as usize;
+        let d = &mut batch.deltas[di];
+        // A context this stage minted a synopsis for in an earlier frame.
+        let minted = s.batches[..fi]
+            .iter()
+            .flat_map(|b| &b.deltas)
+            .filter(|e| e.stage == d.stage)
+            .flat_map(|e| &e.new_synopses)
+            .next()
+            .copied();
+        let ci = r.below(d.ccts.len() as u64) as usize;
+        let before = d.clone();
+        match (r.below(6), d.ccts.get_mut(ci), minted) {
+            (0, ..) => d.stage = s.header.stages.len() + r.below(4) as usize,
+            (1, Some(c), _) if c.nodes_before > 0 && r.below(2) == 0 => c.nodes_before -= 1,
+            (1, Some(c), _) => c.nodes_before += 1,
+            (2, Some(c), _) => c.grown.push((c.nodes_before + r.below(3) as u32, 1, 100, 1)),
+            (3, _, Some((raw, ctx))) => d.new_synopses.push((raw ^ 1, ctx)),
+            (4, Some(_), _) if ci > 0 && r.below(2) == 0 => d.ccts.swap(ci - 1, ci),
+            (4, Some(c), _) => {
+                let repeat = c.clone();
+                d.ccts.insert(ci, repeat);
+            }
+            // A per-stage sequence skip fits every delta.
+            _ => d.seq += 1 + r.below(3),
+        }
+        d.checksum = d.compute_checksum();
+        frames[fi] = encode_batch(&batch);
+
+        let (out, rejected) = ingest(&frames);
+        prop_assert_eq!(out.stats.wire_errors, rejected, "error count drifted");
+        let st = &out.stats;
+        prop_assert!(
+            st.wire_errors + st.quarantined + st.resyncs > 0
+                || !st.degraded.is_empty()
+                || st.used_fallback,
+            "re-sealed damage went unnoticed: frame {} of {}: {:?} -> {:?}",
+            fi, frames.len(), before, batch.deltas[di]
+        );
     }
 
     /// A checksum-valid frame whose CCT section repeats a ctx id —

@@ -624,16 +624,14 @@ pub struct StageAccumulator {
     /// Interned contexts so far.
     pub contexts: Vec<DumpContext>,
     /// Per context id: its CCT node list, if one has accumulated.
-    /// Crate-visible so [`crate::wire::apply_batch`] can stream decoded
-    /// columns straight into the dense layout.
-    pub(crate) ccts: Vec<Option<Vec<DumpNode>>>,
+    ccts: Vec<Option<Vec<DumpNode>>>,
     /// Per context id: its minted synopsis, if any.
-    pub(crate) synopses: Vec<Option<u64>>,
-    pub(crate) pairs: BTreeMap<(u32, u32), (u64, u64)>,
-    pub(crate) waiters: BTreeMap<u32, (u64, u64)>,
-    pub(crate) piggyback_bytes: u64,
-    pub(crate) messages: u64,
-    pub(crate) next_seq: u64,
+    synopses: Vec<Option<u64>>,
+    pairs: BTreeMap<(u32, u32), (u64, u64)>,
+    waiters: BTreeMap<u32, (u64, u64)>,
+    piggyback_bytes: u64,
+    messages: u64,
+    next_seq: u64,
 }
 
 impl StageAccumulator {
@@ -689,7 +687,12 @@ impl StageAccumulator {
             what,
         };
         // Validate keyed baselines before mutating anything, so a bad
-        // delta leaves the accumulator untouched.
+        // delta leaves the accumulator untouched. One CCT per context,
+        // sorted by ctx: a repeated id would have both entries checked
+        // against the same pre-state baseline and both appended.
+        if d.ccts.windows(2).any(|w| w[0].ctx >= w[1].ctx) {
+            return Err(incon("CCT ctx column not strictly increasing"));
+        }
         for c in &d.ccts {
             let have = self.cct_nodes(c.ctx).map_or(0, |n| n.len());
             if have != c.nodes_before as usize {
@@ -825,8 +828,44 @@ impl StageAccumulator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A checksum-valid delta whose CCT list names ctx 1 twice, the
+    /// second time with fewer new nodes — shared with the wire tests.
+    pub(crate) fn dup_ctx_delta() -> StageDelta {
+        let node = |parent: Option<u32>, cycles: u64| DumpNode {
+            frame: parent,
+            parent,
+            samples: cycles / 100,
+            cycles,
+            calls: 1,
+        };
+        let cct = |new_nodes: Vec<DumpNode>| CctDelta {
+            ctx: 1,
+            nodes_before: 0,
+            new_nodes,
+            grown: vec![],
+        };
+        let mut d = StageDelta {
+            stage: 0,
+            seq: 0,
+            new_frames: vec![],
+            new_contexts: vec![],
+            new_synopses: vec![],
+            ccts: vec![
+                cct(vec![node(None, 100), node(Some(0), 200)]),
+                cct(vec![node(None, 300)]),
+            ],
+            pairs: vec![],
+            waiters: vec![],
+            piggyback_bytes: 0,
+            messages: 0,
+            checksum: 0,
+        };
+        d.checksum = d.compute_checksum();
+        d
+    }
 
     fn base_dump() -> StageDump {
         StageDump {
@@ -970,6 +1009,28 @@ mod tests {
                 got: 3
             })
         ));
+    }
+
+    #[test]
+    fn unsorted_cct_ctx_is_rejected_before_any_mutation() {
+        // Both entries would pass the baseline check against the same
+        // pre-state and both be appended: invented mass.
+        let dup = dup_ctx_delta();
+        let mut descending = dup.clone();
+        descending.ccts[0].ctx = 2;
+        descending.checksum = descending.compute_checksum();
+        for d in [dup, descending] {
+            let mut acc = StageAccumulator::new(&header());
+            assert_eq!(
+                acc.apply(&d),
+                Err(DeltaError::Inconsistent {
+                    stage: 0,
+                    what: "CCT ctx column not strictly increasing"
+                })
+            );
+            assert_eq!(acc.to_dump(), StageAccumulator::new(&header()).to_dump());
+            assert_eq!(acc.next_seq(), 0);
+        }
     }
 
     #[test]

@@ -26,16 +26,17 @@
 //! worker counts, and DESIGN.md §9/§14 record the invariants a future
 //! contributor must preserve.
 
-use crate::cct::{Cct, CctNodeId, Metrics};
+use crate::cct::{Cct, CctNodeId};
 use crate::exec::{self, ShardPanic, StealPlan};
-use crate::context::{
-    ContextAtom, ContextShard, ShardedContextTable, ShardedCtxId, TransactionContext,
-};
+use crate::context::{ContextShard, ShardedContextTable, ShardedCtxId, TransactionContext};
 use crate::crosstalk::{CrosstalkMatrix, OriginKey, WaitStats};
 use crate::dumpjson;
 use crate::frame::FrameId;
-use crate::stitch::{DumpAtom, RequestEdge, StageDump, StitchError, UnresolvedEdge};
-use crate::synopsis::{SynChain, Synopsis};
+use crate::stitch::{
+    fold_dump_nodes, global_frames, global_value, walk_origin, RequestEdge, StageDump,
+    StitchError, UnresolvedEdge,
+};
+use crate::synopsis::Synopsis;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -169,25 +170,9 @@ pub fn analyze_with(
     let n_stages = stages.len();
     let mut timings = Vec::new();
 
-    // Global frame table: the sorted union of every stage's frame
-    // names, plus per-stage local→global index maps. Serial — it is a
-    // cheap prefix every later phase reads.
-    let mut names: BTreeSet<&str> = BTreeSet::new();
-    for d in stages {
-        for f in &d.frames {
-            names.insert(f);
-        }
-    }
-    let frames: Vec<String> = names.iter().map(|s| (*s).to_owned()).collect();
-    let frame_global: HashMap<&str, u32> = frames
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i as u32))
-        .collect();
-    let remap: Vec<Vec<u32>> = stages
-        .iter()
-        .map(|d| d.frames.iter().map(|f| frame_global[f.as_str()]).collect())
-        .collect();
+    // Global frame table plus per-stage local→global index maps.
+    // Serial — it is a cheap prefix every later phase reads.
+    let (frames, remap) = global_frames(stages);
 
     // Phase: validate. Per stage, check indices and rebuild every CCT.
     let (validated, t) = timed_phase("validate", workers, plan, n_stages, |si| {
@@ -239,25 +224,26 @@ pub fn analyze_with(
         let mut unresolved: Vec<UnresolvedEdge> = Vec::new();
         if valid[si] {
             let d = &stages[si];
+            let context = |(s, c): (usize, u32)| stages.get(s)?.contexts.get(c as usize);
             for (ci, c) in d.contexts.iter().enumerate() {
                 let ci = ci as u32;
-                origins.push(walk_origin(stages, &resolve, (si, ci)));
-                if let Some(DumpAtom::Remote(chain)) = c.atoms.first() {
-                    if let Some(&last) = chain.last() {
-                        match resolve(last) {
-                            Some((fs, fc)) => edges.push(RequestEdge {
-                                from_stage: fs,
-                                from_ctx: fc,
-                                to_stage: si,
-                                to_ctx: ci,
-                            }),
-                            None => unresolved.push(UnresolvedEdge {
-                                to_stage: si,
-                                to_ctx: ci,
-                                missing: last,
-                            }),
-                        }
-                    }
+                // The index is complete: an unresolvable head settles.
+                origins.push(walk_origin(context, resolve, (si, ci)).unwrap_or_else(|u| u.at));
+                let Some(&last) = c.remote_chain().and_then(|chain| chain.last()) else {
+                    continue;
+                };
+                match resolve(last) {
+                    Some((fs, fc)) => edges.push(RequestEdge {
+                        from_stage: fs,
+                        from_ctx: fc,
+                        to_stage: si,
+                        to_ctx: ci,
+                    }),
+                    None => unresolved.push(UnresolvedEdge {
+                        to_stage: si,
+                        to_ctx: ci,
+                        missing: last,
+                    }),
                 }
             }
         }
@@ -494,89 +480,12 @@ fn origin_of(origins: &[Vec<OriginKey>], si: usize, ctx: u32) -> OriginKey {
         .unwrap_or((si, ctx))
 }
 
-/// [`crate::stitch::Stitched::origin`]'s walk, against the sharded
-/// index.
-fn walk_origin(
-    stages: &[StageDump],
-    resolve: &dyn Fn(u64) -> Option<(usize, u32)>,
-    start: (usize, u32),
-) -> (usize, u32) {
-    let mut cur = start;
-    for _ in 0..64 {
-        let Some(d) = stages.get(cur.0) else {
-            return cur;
-        };
-        let Some(c) = d.contexts.get(cur.1 as usize) else {
-            return cur;
-        };
-        let Some(DumpAtom::Remote(chain)) = c.atoms.first() else {
-            return cur;
-        };
-        let Some(&head) = chain.first() else {
-            return cur;
-        };
-        let Some(next) = resolve(head) else {
-            return cur;
-        };
-        if next == cur {
-            return cur;
-        }
-        cur = next;
-    }
-    cur
-}
-
-/// The global-dictionary value of an origin: its dumped context with
-/// stage-local frame indices remapped onto the global frame table.
-fn global_value(stages: &[StageDump], remap: &[Vec<u32>], origin: OriginKey) -> TransactionContext {
-    let Some(d) = stages.get(origin.0) else {
-        return TransactionContext::root();
-    };
-    let Some(c) = d.contexts.get(origin.1 as usize) else {
-        return TransactionContext::root();
-    };
-    let rm = &remap[origin.0];
-    let gf = |f: &u32| FrameId(rm.get(*f as usize).copied().unwrap_or(u32::MAX));
-    TransactionContext(
-        c.atoms
-            .iter()
-            .map(|a| match a {
-                DumpAtom::Frame(f) => ContextAtom::Frame(gf(f)),
-                DumpAtom::Path(p) => {
-                    ContextAtom::Path(p.iter().map(&gf).collect::<Vec<_>>().into())
-                }
-                DumpAtom::Remote(chain) => {
-                    ContextAtom::Remote(SynChain(chain.iter().map(|&s| Synopsis(s)).collect()))
-                }
-            })
-            .collect(),
-    )
-}
-
-/// Rebuilds a dumped CCT over global frame ids. The dump is already
-/// validated, so malformed nodes cannot occur here.
+/// Rebuilds a dumped CCT over global frame ids.
 fn rebuild_global(remap: &[u32], d: &crate::stitch::DumpCct) -> Cct {
     let mut cct = Cct::new();
-    let mut map: Vec<CctNodeId> = Vec::with_capacity(d.nodes.len());
-    for (i, n) in d.nodes.iter().enumerate() {
-        let id = if i == 0 {
-            CctNodeId::ROOT
-        } else {
-            let p = n.parent.expect("validated dump") as usize;
-            let f = n.frame.expect("validated dump");
-            let gf = remap.get(f as usize).copied().unwrap_or(u32::MAX);
-            cct.child(map[p], FrameId(gf))
-        };
-        cct.record_at(
-            id,
-            Metrics {
-                samples: n.samples,
-                cycles: n.cycles,
-                calls: n.calls,
-            },
-        );
-        map.push(id);
-    }
+    let gf = |f: u32| FrameId(remap.get(f as usize).copied().unwrap_or(u32::MAX));
+    fold_dump_nodes(&mut cct, &mut Vec::with_capacity(d.nodes.len()), &d.nodes, gf)
+        .expect("validated dump");
     cct
 }
 
@@ -800,7 +709,9 @@ pub fn replicate_fleet(dumps: &[StageDump], replicas: usize) -> Vec<StageDump> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stitch::{DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, Stitched};
+    use crate::stitch::{
+        DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, Stitched,
+    };
 
     fn node(frame: Option<u32>, parent: Option<u32>, samples: u64, cycles: u64) -> DumpNode {
         DumpNode {

@@ -20,8 +20,9 @@
 use crate::blackbox::TierVisibility;
 use crate::cct::{Cct, CctNodeId};
 use crate::context::{ContextAtom, TransactionContext};
-use crate::synopsis::Synopsis;
-use std::collections::HashMap;
+use crate::frame::FrameId;
+use crate::synopsis::{SynChain, Synopsis};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// One atom of a dumped transaction context.
@@ -40,6 +41,19 @@ pub enum DumpAtom {
 pub struct DumpContext {
     /// The atoms in order.
     pub atoms: Vec<DumpAtom>,
+}
+
+impl DumpContext {
+    /// The received synopsis chain the context starts with, if its
+    /// first atom is [`DumpAtom::Remote`]. The chain's *first* synopsis
+    /// was minted by the originating transaction, its *last* by the
+    /// immediate sender.
+    pub fn remote_chain(&self) -> Option<&[u64]> {
+        match self.atoms.first() {
+            Some(DumpAtom::Remote(chain)) => Some(chain),
+            _ => None,
+        }
+    }
 }
 
 /// One dumped CCT node.
@@ -201,28 +215,7 @@ impl StageDump {
     /// precede its children.
     pub fn rebuild_cct(&self, d: &DumpCct) -> Result<Cct, StitchError> {
         let mut cct = Cct::new();
-        let mut map: Vec<CctNodeId> = Vec::with_capacity(d.nodes.len());
-        for (i, n) in d.nodes.iter().enumerate() {
-            let id = if i == 0 {
-                CctNodeId::ROOT
-            } else {
-                let p = n.parent.ok_or(StitchError::NodeWithoutParent { node: i })?;
-                if p as usize >= i {
-                    return Err(StitchError::ParentOutOfOrder { node: i, parent: p });
-                }
-                let frame = n.frame.ok_or(StitchError::NodeWithoutFrame { node: i })?;
-                cct.child(map[p as usize], crate::frame::FrameId(frame))
-            };
-            cct.record_at(
-                id,
-                crate::cct::Metrics {
-                    samples: n.samples,
-                    cycles: n.cycles,
-                    calls: n.calls,
-                },
-            );
-            map.push(id);
-        }
+        fold_dump_nodes(&mut cct, &mut Vec::with_capacity(d.nodes.len()), &d.nodes, FrameId)?;
         Ok(cct)
     }
 
@@ -354,6 +347,149 @@ pub fn dump_context(value: &TransactionContext) -> DumpContext {
     }
 }
 
+/// Appends dumped CCT nodes to `cct`, extending `map` (dump node index
+/// → node id in `cct`) and passing each frame index through `frame`;
+/// returns the exclusive cycles added. The first node of a tree (empty
+/// `map`) is the root; every later one must name a frame and a parent
+/// that precedes it — dumps are untrusted, so a violation is an error,
+/// not a panic, and leaves the nodes before it folded.
+pub fn fold_dump_nodes(
+    cct: &mut Cct,
+    map: &mut Vec<CctNodeId>,
+    nodes: &[DumpNode],
+    frame: impl Fn(u32) -> FrameId,
+) -> Result<u64, StitchError> {
+    let mut cycles = 0u64;
+    for n in nodes {
+        let i = map.len();
+        let id = if i == 0 {
+            CctNodeId::ROOT
+        } else {
+            let p = n.parent.ok_or(StitchError::NodeWithoutParent { node: i })?;
+            if p as usize >= i {
+                return Err(StitchError::ParentOutOfOrder { node: i, parent: p });
+            }
+            let f = n.frame.ok_or(StitchError::NodeWithoutFrame { node: i })?;
+            cct.child(map[p as usize], frame(f))
+        };
+        cct.record_at(
+            id,
+            crate::cct::Metrics {
+                samples: n.samples,
+                cycles: n.cycles,
+                calls: n.calls,
+            },
+        );
+        cycles += n.cycles;
+        map.push(id);
+    }
+    Ok(cycles)
+}
+
+/// An origin walk that stopped at a remote context whose chain head no
+/// indexed stage minted.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct UnresolvedHead {
+    /// The `(stage, ctx)` the walk had reached.
+    pub at: (usize, u32),
+    /// The raw synopsis that did not resolve.
+    pub missing: u64,
+}
+
+/// Follows remote chains from `start` back to the originating stage's
+/// context (the transaction's entry point): a context whose first atom
+/// is `Remote(chain)` originated at the stage that minted the *first*
+/// synopsis of the chain.
+///
+/// `context` looks a `(stage, ctx)` up and `resolve` maps a raw
+/// synopsis to the `(stage, ctx)` that minted it. What an unresolvable
+/// head means is the caller's call: against a complete index the walk
+/// settles at [`UnresolvedHead::at`]; a streaming index parks on
+/// [`UnresolvedHead::missing`] until a later epoch mints it.
+pub fn walk_origin<'a>(
+    context: impl Fn((usize, u32)) -> Option<&'a DumpContext>,
+    resolve: impl Fn(u64) -> Option<(usize, u32)>,
+    start: (usize, u32),
+) -> Result<(usize, u32), UnresolvedHead> {
+    let mut cur = start;
+    // Chains are acyclic in well-formed profiles; the guard bounds
+    // damage from a malformed dump.
+    for _ in 0..64 {
+        let head = context(cur)
+            .and_then(DumpContext::remote_chain)
+            .and_then(|chain| chain.first());
+        let Some(&head) = head else {
+            return Ok(cur);
+        };
+        let Some(next) = resolve(head) else {
+            return Err(UnresolvedHead {
+                at: cur,
+                missing: head,
+            });
+        };
+        if next == cur {
+            return Ok(cur);
+        }
+        cur = next;
+    }
+    Ok(cur)
+}
+
+/// The global frame table of a set of dumps: the sorted union of every
+/// stage's frame names, plus each stage's local→global index map.
+pub fn global_frames(stages: &[StageDump]) -> (Vec<String>, Vec<Vec<u32>>) {
+    // Inserted one by one: a fleet repeats each name once per replica,
+    // and `collect` would buffer and sort every repeat first.
+    let mut names: BTreeSet<&str> = BTreeSet::new();
+    for d in stages {
+        for f in &d.frames {
+            names.insert(f);
+        }
+    }
+    let index: HashMap<&str, u32> = names
+        .iter()
+        .enumerate()
+        .map(|(i, n)| (*n, i as u32))
+        .collect();
+    let remap = stages
+        .iter()
+        .map(|d| d.frames.iter().map(|f| index[f.as_str()]).collect())
+        .collect();
+    let frames = names.into_iter().map(str::to_owned).collect();
+    (frames, remap)
+}
+
+/// The global-dictionary value of an origin: its dumped context with
+/// stage-local frame indices remapped onto the [`global_frames`] table.
+pub fn global_value(
+    stages: &[StageDump],
+    remap: &[Vec<u32>],
+    origin: (usize, u32),
+) -> TransactionContext {
+    let Some(d) = stages.get(origin.0) else {
+        return TransactionContext::root();
+    };
+    let Some(c) = d.contexts.get(origin.1 as usize) else {
+        return TransactionContext::root();
+    };
+    let rm = &remap[origin.0];
+    let gf = |f: &u32| FrameId(rm.get(*f as usize).copied().unwrap_or(u32::MAX));
+    TransactionContext(
+        c.atoms
+            .iter()
+            .map(|a| match a {
+                DumpAtom::Frame(f) => ContextAtom::Frame(gf(f)),
+                DumpAtom::Path(p) => {
+                    ContextAtom::Path(p.iter().map(&gf).collect::<Vec<_>>().into())
+                }
+                DumpAtom::Remote(chain) => {
+                    ContextAtom::Remote(SynChain(chain.iter().map(|&s| Synopsis(s)).collect()))
+                }
+            })
+            .collect(),
+    )
+}
+
 /// A request edge in the stitched transactional profile: the send point
 /// in one stage that a remote context in another stage came from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -477,31 +613,8 @@ impl Stitched {
     /// A context whose first atom is `Remote(chain)` originated at the
     /// stage that minted the *first* synopsis of the chain.
     pub fn origin(&self, stage: usize, ctx: u32) -> (usize, u32) {
-        let mut cur = (stage, ctx);
-        // Chains are acyclic in well-formed profiles; the guard bounds
-        // damage from a malformed dump.
-        for _ in 0..64 {
-            let Some(d) = self.stages.get(cur.0) else {
-                return cur;
-            };
-            let Some(c) = d.contexts.get(cur.1 as usize) else {
-                return cur;
-            };
-            let Some(DumpAtom::Remote(chain)) = c.atoms.first() else {
-                return cur;
-            };
-            let Some(&head) = chain.first() else {
-                return cur;
-            };
-            let Some(next) = self.resolve(head) else {
-                return cur;
-            };
-            if next == cur {
-                return cur;
-            }
-            cur = next;
-        }
-        cur
+        let context = |(s, c): (usize, u32)| self.stages.get(s)?.contexts.get(c as usize);
+        walk_origin(context, |raw| self.resolve(raw), (stage, ctx)).unwrap_or_else(|u| u.at)
     }
 
     /// All request edges: for every remote context, the send point that
@@ -513,17 +626,16 @@ impl Stitched {
                 continue;
             }
             for (ci, c) in d.contexts.iter().enumerate() {
-                if let Some(DumpAtom::Remote(chain)) = c.atoms.first() {
-                    if let Some(&last) = chain.last() {
-                        if let Some((fs, fc)) = self.resolve(last) {
-                            edges.push(RequestEdge {
-                                from_stage: fs,
-                                from_ctx: fc,
-                                to_stage: si,
-                                to_ctx: ci as u32,
-                            });
-                        }
-                    }
+                let Some(&last) = c.remote_chain().and_then(|chain| chain.last()) else {
+                    continue;
+                };
+                if let Some((fs, fc)) = self.resolve(last) {
+                    edges.push(RequestEdge {
+                        from_stage: fs,
+                        from_ctx: fc,
+                        to_stage: si,
+                        to_ctx: ci as u32,
+                    });
                 }
             }
         }
@@ -544,16 +656,15 @@ impl Stitched {
                 continue;
             }
             for (ci, c) in d.contexts.iter().enumerate() {
-                if let Some(DumpAtom::Remote(chain)) = c.atoms.first() {
-                    if let Some(&last) = chain.last() {
-                        if self.resolve(last).is_none() {
-                            edges.push(UnresolvedEdge {
-                                to_stage: si,
-                                to_ctx: ci as u32,
-                                missing: last,
-                            });
-                        }
-                    }
+                let Some(&last) = c.remote_chain().and_then(|chain| chain.last()) else {
+                    continue;
+                };
+                if self.resolve(last).is_none() {
+                    edges.push(UnresolvedEdge {
+                        to_stage: si,
+                        to_ctx: ci as u32,
+                        missing: last,
+                    });
                 }
             }
         }

@@ -24,17 +24,18 @@
 //!    misparse — and slots into the collector's §12 quarantine /
 //!    resync machinery like any other lost or corrupt delta.
 //!
-//! Decoding offers two paths. [`decode_batch`] materializes the
-//! [`EpochBatch`] structs (the differential-testing path: the struct
-//! codecs must round-trip bit-exactly, `decode(encode(b)) == b`).
-//! [`apply_batch`] is the ingest hot path: it streams the columns
-//! **directly into [`StageAccumulator`]'s dense Vec-by-ctx-id
-//! layouts**, never materializing per-event structs — and because the
-//! envelope digest already authenticated every body byte, it skips the
-//! per-delta lane-checksum recompute that dominates the struct apply
-//! path.
+//! Decoding has one path. [`decode_batch`] materializes the
+//! [`EpochBatch`] structs (`decode(encode(b)) == b`, bit-exactly), and
+//! every consumer — the collector's `enqueue_wire`, the resync
+//! catch-up, the in-process sinks — then applies each [`StageDelta`]
+//! through [`StageAccumulator::apply`], which validates the whole delta
+//! against the accumulator's state before it mutates anything. Batch
+//! validation therefore exists once, next to the mutation it guards;
+//! [`apply_batch`] is only those two calls composed.
 
-use crate::delta::{CctDelta, EpochBatch, StageAccumulator, StageDelta, StreamHeader, StreamStage};
+use crate::delta::{
+    CctDelta, DeltaError, EpochBatch, StageAccumulator, StageDelta, StreamHeader, StreamStage,
+};
 use crate::hash::fnv1a;
 use crate::stitch::{DumpAtom, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode};
 use crate::summary::{LeafGauges, SummaryFrame, TierSketch};
@@ -523,7 +524,7 @@ fn get_atom(r: &mut Reader<'_>) -> Result<DumpAtom, WireError> {
 /// waiter columns; piggyback bytes; messages; and — only when it
 /// differs from the canonical recomputable value — the stored
 /// end-to-end checksum as 8 raw bytes (a wrong checksum must
-/// round-trip verbatim: the struct path revalidates it, which is what
+/// round-trip verbatim: the accumulator revalidates it, which is what
 /// the damage matrix locks).
 /// Builds the per-frame interned string table over a run of deltas:
 /// every distinct `new_frames` string, in first-use order. Delta frame
@@ -722,8 +723,7 @@ pub(crate) fn put_delta(buf: &mut Vec<u8>, d: &StageDelta, dict: &HashMap<&str, 
     }
 }
 
-/// Parses one delta section back into a [`StageDelta`] (the struct /
-/// differential-testing path; [`apply_batch`] is the hot path).
+/// Parses one delta section back into a [`StageDelta`].
 pub(crate) fn get_delta(r: &mut Reader<'_>, table: &[&str]) -> Result<StageDelta, WireError> {
     let stage = as_usize(r.u64()?)?;
     let seq = r.u64()?;
@@ -853,8 +853,8 @@ fn get_cct_section(r: &mut Reader<'_>) -> Result<Vec<CctDelta>, WireError> {
     let mut dr = DodReader::new();
     for _ in 0..nc {
         let ctx = as_u32(dr.next(r)?)?;
-        // One CCT per context, sorted by ctx — same rule [`apply_batch`]
-        // enforces, so both decode paths reject identical frames.
+        // One CCT per context, sorted by ctx — the rule
+        // [`StageAccumulator::apply`] enforces again for struct callers.
         if ctx_col.last().is_some_and(|&prev| prev >= ctx) {
             return Err(WireError::Malformed("CCT ctx column not strictly increasing"));
         }
@@ -1001,9 +1001,8 @@ pub fn encode_batch(b: &EpochBatch) -> Vec<u8> {
     buf
 }
 
-/// Decodes a [`KIND_BATCH`] frame into the [`EpochBatch`] structs (the
-/// differential-testing path; ingest uses [`apply_batch`]), returning
-/// the batch and the total frame size consumed.
+/// Decodes a [`KIND_BATCH`] frame into the [`EpochBatch`] structs,
+/// returning the batch and the total frame size consumed.
 pub fn decode_batch(buf: &[u8]) -> Result<(EpochBatch, usize), WireError> {
     let (mut r, consumed) = open_frame(buf, KIND_BATCH)?;
     let epoch = r.u64()?;
@@ -1119,7 +1118,7 @@ pub fn encode_summary(f: &SummaryFrame) -> Vec<u8> {
 
 /// Decodes a [`KIND_SUMMARY`] frame, returning the frame and the total
 /// bytes consumed. The stored end-to-end checksum round-trips verbatim;
-/// callers still run [`SummaryFrame::verify`] as on the struct path.
+/// callers still run [`SummaryFrame::verify`] on the decoded frame.
 pub fn decode_summary(buf: &[u8]) -> Result<(SummaryFrame, usize), WireError> {
     let (mut r, consumed) = open_frame(buf, KIND_SUMMARY)?;
     let src = r.u32()?;
@@ -1201,7 +1200,7 @@ pub fn decode_summary(buf: &[u8]) -> Result<(SummaryFrame, usize), WireError> {
 }
 
 // ---------------------------------------------------------------------
-// The ingest fast path: columns straight into the accumulator
+// Decode-and-apply, for callers holding bare accumulators
 // ---------------------------------------------------------------------
 
 /// What [`apply_batch`] learned about the frame it applied.
@@ -1219,343 +1218,41 @@ pub struct WireBatchInfo {
     pub consumed: usize,
 }
 
-/// Reusable column scratch so a stream of batches allocates once, not
-/// once per delta.
-#[derive(Default)]
-struct ApplyScratch {
-    syn_ctx: Vec<u32>,
-    cct_ctx: Vec<u32>,
-    cct_new: Vec<usize>,
-    cct_grown: Vec<usize>,
-    cct_start: Vec<usize>,
-    grown_idx: Vec<u32>,
-    key_a: Vec<u32>,
-    key_b: Vec<u32>,
-    val_a: Vec<u64>,
+impl From<DeltaError> for WireError {
+    fn from(e: DeltaError) -> WireError {
+        WireError::Malformed(match e {
+            DeltaError::Checksum { .. } => "delta checksum mismatch",
+            DeltaError::SeqGap { .. } => "delta sequence gap",
+            DeltaError::Inconsistent { what, .. } => what,
+        })
+    }
 }
 
-/// Decodes a [`KIND_BATCH`] frame **directly into** the per-stage
-/// accumulators — the ingest hot path. No [`StageDelta`] or
-/// [`EpochBatch`] is materialized: each column is streamed straight
-/// into the accumulator's dense Vec-by-ctx-id layout.
-///
-/// Sequence numbers and structural baselines (CCT sizes, growth
-/// targets, synopsis re-mints) are still validated, but the per-delta
-/// lane-checksum recompute of [`StageAccumulator::apply`] is skipped:
-/// the envelope's byte digest — verified by [`open_frame`] before any
-/// parsing — already authenticated the transport. Unlike the struct
-/// path, a mid-frame error is **not** transactional: the accumulators
-/// may hold a prefix of the batch and must be discarded (the collector
-/// keeps its own quarantine mirror for that; the benches only feed
-/// this path verified-clean streams).
+/// [`decode_batch`], then [`StageAccumulator::apply`] per delta — the
+/// same two steps the collector's ingest takes, composed for a caller
+/// that holds bare accumulators. No product path calls this; it stays
+/// because the `benchmark/` package's layer probe times it by name
+/// (`wire.apply_ms`) and that package may not change with this crate.
+/// Each delta is validated before it mutates, but the batch is not one
+/// transaction: an error on delta *k* leaves deltas before *k* applied.
 pub fn apply_batch(
     accs: &mut [StageAccumulator],
     buf: &[u8],
 ) -> Result<WireBatchInfo, WireError> {
-    let (mut r, consumed) = open_frame(buf, KIND_BATCH)?;
-    let epoch = r.u64()?;
-    let seq = r.u64()?;
-    let end = r.u64()?;
-    let table = get_dict(&mut r)?;
-    let nd = r.count()?;
-    let mut events = 0u64;
-    let mut scratch = ApplyScratch::default();
-    for _ in 0..nd {
-        events += apply_delta(accs, &mut r, &mut scratch, &table)?;
-    }
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes in batch body"));
+    let (batch, consumed) = decode_batch(buf)?;
+    for d in &batch.deltas {
+        let acc = accs
+            .get_mut(d.stage)
+            .ok_or(WireError::Malformed("stage index out of range"))?;
+        acc.apply(d)?;
     }
     Ok(WireBatchInfo {
-        epoch,
-        seq,
-        end,
-        events,
+        epoch: batch.epoch,
+        seq: batch.seq,
+        end: batch.end,
+        events: batch.events(),
         consumed,
     })
-}
-
-fn apply_delta(
-    accs: &mut [StageAccumulator],
-    r: &mut Reader<'_>,
-    sc: &mut ApplyScratch,
-    table: &[&str],
-) -> Result<u64, WireError> {
-    let stage = as_usize(r.u64()?)?;
-    if stage >= accs.len() {
-        return Err(WireError::Malformed("stage index out of range"));
-    }
-    let seq = r.u64()?;
-    let acc = &mut accs[stage];
-    if seq != acc.next_seq {
-        return Err(WireError::Malformed("sequence gap on fast apply"));
-    }
-    let flags = r.u64()?;
-    if flags & !F_ALL != 0 {
-        return Err(WireError::Malformed("unknown delta section flag"));
-    }
-    let mut events = 0u64;
-
-    // Intern-table tails.
-    if flags & F_FRAMES != 0 {
-        let nf = r.count()?;
-        acc.frames.reserve(nf);
-        for _ in 0..nf {
-            let i = as_usize(r.u64()?)?;
-            let s = *table
-                .get(i)
-                .ok_or(WireError::Malformed("frame string index out of range"))?;
-            acc.frames.push(s.to_owned());
-        }
-        events += nf as u64;
-    }
-    if flags & F_CONTEXTS != 0 {
-        let ncx = r.count()?;
-        acc.contexts.reserve(ncx);
-        for _ in 0..ncx {
-            let na = r.count()?;
-            let mut atoms = Vec::with_capacity(na);
-            for _ in 0..na {
-                atoms.push(get_atom(r)?);
-            }
-            acc.contexts.push(DumpContext { atoms });
-        }
-        events += ncx as u64;
-    }
-
-    // Synopses: ctx column, then raw column applied in place.
-    if flags & F_SYNOPSES != 0 {
-        let ns = r.count()?;
-        sc.syn_ctx.clear();
-        let mut dr = DodReader::new();
-        for _ in 0..ns {
-            sc.syn_ctx.push(as_u32(dr.next(r)?)?);
-        }
-        for i in 0..ns {
-            let raw = r.u64()?;
-            let ctx = sc.syn_ctx[i] as usize;
-            if acc.synopses.len() <= ctx {
-                acc.synopses.resize(ctx + 1, None);
-            }
-            if acc.synopses[ctx].is_some() {
-                return Err(WireError::Malformed("synopsis re-minted for a context"));
-            }
-            acc.synopses[ctx] = Some(raw);
-        }
-        events += ns as u64;
-    }
-
-    // CCT header columns, baseline validation, placeholder extension.
-    let nc = if flags & F_CCTS != 0 { r.count()? } else { 0 };
-    sc.cct_ctx.clear();
-    let mut dr = DodReader::new();
-    for _ in 0..nc {
-        let ctx = as_u32(dr.next(r)?)?;
-        // diff_dump emits at most one CCT per context, sorted by ctx.
-        // A repeated id would let a later, smaller resize shrink a
-        // range an earlier entry's column fills still index — so the
-        // column must be strictly increasing before anything mutates.
-        if sc.cct_ctx.last().is_some_and(|&prev| prev >= ctx) {
-            return Err(WireError::Malformed("CCT ctx column not strictly increasing"));
-        }
-        sc.cct_ctx.push(ctx);
-    }
-    sc.cct_start.clear();
-    for k in 0..nc {
-        let before = as_usize(r.u64()?)?;
-        let i = sc.cct_ctx[k] as usize;
-        if acc.ccts.len() <= i {
-            acc.ccts.resize_with(i + 1, || None);
-        }
-        let nodes = acc.ccts[i].get_or_insert_with(Vec::new);
-        if nodes.len() != before {
-            return Err(WireError::Malformed("CCT baseline size mismatch"));
-        }
-        sc.cct_start.push(before);
-    }
-    sc.cct_new.clear();
-    let mut total_new = 0u64;
-    for k in 0..nc {
-        let n = r.u64()?;
-        if n > r.remaining() as u64 {
-            return Err(WireError::Malformed("count exceeds frame size"));
-        }
-        total_new += n;
-        let n = as_usize(n)?;
-        sc.cct_new.push(n);
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        nodes.resize(
-            sc.cct_start[k] + n,
-            DumpNode {
-                frame: None,
-                parent: None,
-                samples: 0,
-                cycles: 0,
-                calls: 0,
-            },
-        );
-    }
-    sc.cct_grown.clear();
-    let mut total_grown = 0u64;
-    for _ in 0..nc {
-        let n = r.u64()?;
-        if n > r.remaining() as u64 {
-            return Err(WireError::Malformed("count exceeds frame size"));
-        }
-        total_grown += n;
-        sc.cct_grown.push(as_usize(n)?);
-    }
-    events += total_new + total_grown;
-
-    // Node field columns, filled in place across all CCTs.
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].frame = opt_u32(r.u64()?)?;
-        }
-    }
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].parent = opt_u32(r.u64()?)?;
-        }
-    }
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].samples = r.u64()?;
-        }
-    }
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].cycles = r.u64()?;
-        }
-    }
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for j in 0..sc.cct_new[k] {
-            nodes[sc.cct_start[k] + j].calls = r.u64()?;
-        }
-    }
-
-    // Grown columns: indices first (validated against the baseline),
-    // then the three increment columns folded in place.
-    sc.grown_idx.clear();
-    for _ in 0..total_grown {
-        sc.grown_idx.push(r.u32()?);
-    }
-    {
-        let mut g = 0usize;
-        for k in 0..nc {
-            for _ in 0..sc.cct_grown[k] {
-                if sc.grown_idx[g] as usize >= sc.cct_start[k] {
-                    return Err(WireError::Malformed("CCT growth targets a missing node"));
-                }
-                g += 1;
-            }
-        }
-    }
-    let mut g = 0usize;
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for _ in 0..sc.cct_grown[k] {
-            nodes[sc.grown_idx[g] as usize].samples += r.u64()?;
-            g += 1;
-        }
-    }
-    let mut g = 0usize;
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for _ in 0..sc.cct_grown[k] {
-            nodes[sc.grown_idx[g] as usize].cycles += r.u64()?;
-            g += 1;
-        }
-    }
-    let mut g = 0usize;
-    for k in 0..nc {
-        let nodes = acc.ccts[sc.cct_ctx[k] as usize]
-            .as_mut()
-            .expect("cct slot initialized above");
-        for _ in 0..sc.cct_grown[k] {
-            nodes[sc.grown_idx[g] as usize].calls += r.u64()?;
-            g += 1;
-        }
-    }
-
-    // Crosstalk pair columns.
-    let np = if flags & F_PAIRS != 0 { r.count()? } else { 0 };
-    sc.key_a.clear();
-    sc.key_b.clear();
-    sc.val_a.clear();
-    let mut dr = DodReader::new();
-    for _ in 0..np {
-        sc.key_a.push(as_u32(dr.next(r)?)?);
-    }
-    for _ in 0..np {
-        sc.key_b.push(r.u32()?);
-    }
-    for _ in 0..np {
-        sc.val_a.push(r.u64()?);
-    }
-    for i in 0..np {
-        let e = acc
-            .pairs
-            .entry((sc.key_a[i], sc.key_b[i]))
-            .or_insert((0, 0));
-        e.0 += sc.val_a[i];
-        e.1 += r.u64()?;
-    }
-    events += np as u64;
-
-    // Crosstalk waiter columns.
-    let nw = if flags & F_WAITERS != 0 { r.count()? } else { 0 };
-    sc.key_a.clear();
-    sc.val_a.clear();
-    let mut dr = DodReader::new();
-    for _ in 0..nw {
-        sc.key_a.push(as_u32(dr.next(r)?)?);
-    }
-    for _ in 0..nw {
-        sc.val_a.push(r.u64()?);
-    }
-    for i in 0..nw {
-        let e = acc.waiters.entry(sc.key_a[i]).or_insert((0, 0));
-        e.0 += sc.val_a[i];
-        e.1 += r.u64()?;
-    }
-    events += nw as u64;
-
-    if flags & F_PIGGYBACK != 0 {
-        acc.piggyback_bytes += r.u64()?;
-    }
-    if flags & F_MESSAGES != 0 {
-        acc.messages += r.u64()?;
-    }
-    // A divergent stored end-to-end checksum, when present: transport
-    // integrity was already settled by the envelope digest, so it is
-    // skipped, not recomputed.
-    if flags & F_CHECKSUM != 0 {
-        let _stored = r.fixed_u64()?;
-    }
-    acc.next_seq += 1;
-    Ok(events)
 }
 
 #[cfg(test)]
@@ -1837,37 +1534,10 @@ mod tests {
     #[test]
     fn duplicate_cct_ctx_is_rejected_before_any_mutation() {
         // A checksum-valid frame whose CCT section lists the same ctx
-        // twice with a smaller new-node count the second time: the
-        // second resize would shrink the Vec below the range the first
-        // entry's column fills index. Both decode paths must reject
-        // the frame as malformed — never panic.
-        let mut d = StageDelta {
-            stage: 0,
-            seq: 0,
-            new_frames: vec![],
-            new_contexts: vec![],
-            new_synopses: vec![],
-            ccts: vec![
-                CctDelta {
-                    ctx: 1,
-                    nodes_before: 0,
-                    new_nodes: vec![node(None, None, 100), node(Some(0), Some(0), 200)],
-                    grown: vec![],
-                },
-                CctDelta {
-                    ctx: 1,
-                    nodes_before: 0,
-                    new_nodes: vec![node(None, None, 300)],
-                    grown: vec![],
-                },
-            ],
-            pairs: vec![],
-            waiters: vec![],
-            piggyback_bytes: 0,
-            messages: 0,
-            checksum: 0,
-        };
-        d.checksum = d.compute_checksum();
+        // twice with a smaller new-node count the second time. Both
+        // entry points must reject the frame as malformed — never
+        // panic, never append both.
+        let d = crate::delta::tests::dup_ctx_delta();
         let frame = encode_batch(&EpochBatch {
             epoch: 0,
             seq: 0,

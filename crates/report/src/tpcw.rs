@@ -15,10 +15,8 @@ pub fn hops(stitched: &Stitched, stage: usize, ctx: u32) -> Vec<(usize, u32)> {
     let mut cur = (stage, ctx);
     for _ in 0..16 {
         let d = &stitched.stages[cur.0];
-        let Some(DumpAtom::Remote(chain)) = d.contexts[cur.1 as usize].atoms.first() else {
-            break;
-        };
-        let Some(&last) = chain.last() else {
+        let chain = d.contexts[cur.1 as usize].remote_chain();
+        let Some(&last) = chain.and_then(|chain| chain.last()) else {
             break;
         };
         let Some(next) = stitched.resolve(last) else {
