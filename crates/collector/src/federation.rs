@@ -29,10 +29,14 @@
 //!   with different content, and an acked frame is never lost by a
 //!   receiver crash.
 //! - **Crash recovery.** Leaves and regionals crash at virtual time and
-//!   recover from their periodic checkpoint (a clone of accumulators,
-//!   pending increment, spool, and counters), replay the spool tail
-//!   verbatim (receivers dedup), and — for leaves — catch their *input*
-//!   up through the PR 6 [`ResyncSource`] shape: a snapshot diff folded
+//!   recover from their periodic checkpoint. The pending increment,
+//!   spool and counters are interval-sized and a checkpoint copies
+//!   them; a leaf's cumulative input accumulators are not, and its
+//!   checkpoint advances them by replaying the redo journal of ops
+//!   applied since the previous one (`Redo`, `LeafNode::log`) instead
+//!   of copying them. A recovered node replays the spool tail verbatim
+//!   (receivers dedup), and — for leaves — catches its *input* up
+//!   through the PR 6 [`ResyncSource`] shape: a snapshot diff folded
 //!   through the normal merge path, so no profile mass is lost.
 //! - **Honest degradation.** If a subtree stays unrecoverable past the
 //!   finalize deadline, the root finalizes anyway: the missing mass is
@@ -43,7 +47,8 @@
 
 use std::collections::BTreeMap;
 use whodunit_core::delta::{
-    EpochBatch, RecordedResync, ResyncSource, StageAccumulator, StageDelta, StreamHeader,
+    DeltaError, EpochBatch, RecordedResync, ResyncSource, StageAccumulator, StageDelta,
+    StreamHeader,
 };
 use whodunit_core::oracle::{FederationEvidence, SubtreeMass};
 use whodunit_core::sketch::QuantileSketch;
@@ -286,11 +291,45 @@ fn merge_pending(slot: &mut Option<StageDelta>, d: &StageDelta, events: &mut u64
     }
 }
 
+/// One logged mutation of a leaf's input accumulators: the unit of the
+/// leaf's redo journal. [`Redo::run`] is the only code that mutates a
+/// leaf accumulator — on the live state when the op is logged, and on
+/// the checkpoint copy when [`LeafNode::checkpoint`] replays the
+/// journal — so both copies take every op through the same
+/// [`StageAccumulator::apply`] checks.
+enum Redo {
+    /// An input (or catch-up) delta.
+    Apply(StageDelta),
+    /// A resync fast-forwarded the expected input seq.
+    Seek(u64),
+}
+
+impl Redo {
+    fn run(&self, acc: &mut StageAccumulator) -> Result<(), DeltaError> {
+        match self {
+            Redo::Apply(d) => acc.apply(d),
+            Redo::Seek(next) => {
+                acc.set_next_seq(*next);
+                Ok(())
+            }
+        }
+    }
+
+    fn events(&self) -> u64 {
+        match self {
+            Redo::Apply(d) => d.events(),
+            Redo::Seek(_) => 0,
+        }
+    }
+}
+
 /// Durable (checkpointed) state of one leaf.
 #[derive(Clone)]
 struct LeafState {
     /// Input accumulators, parallel to the owned stage list. Needed to
-    /// verify input deltas and to diff against resync snapshots.
+    /// verify input deltas and to diff against resync snapshots. The
+    /// only cumulative part of the state: a checkpoint advances its
+    /// copy by replaying the journal, never by cloning.
     accs: Vec<StageAccumulator>,
     /// Merged not-yet-flushed increment per owned stage.
     pending: Vec<Option<StageDelta>>,
@@ -321,6 +360,12 @@ struct LeafNode {
     names: Vec<String>,
     st: LeafState,
     ckpt: LeafState,
+    /// Every op applied to `st.accs` since `ckpt` was taken, as
+    /// `(owned-stage slot, op)` in application order: `ckpt.accs` plus
+    /// the journal is `st.accs`. Volatile — a crash loses it with `st`.
+    journal: Vec<(usize, Redo)>,
+    /// Change events the journal holds.
+    journal_events: u64,
     snd: Sender,
     alive: bool,
     need_resync: bool,
@@ -344,14 +389,28 @@ impl IngestTally {
 }
 
 impl LeafNode {
+    /// Runs `op` on `st.accs[si]` and logs it. The entry is pushed
+    /// before the op runs and popped if the op refuses, so not even an
+    /// unwinding ingest worker leaves `st.accs` ahead of the journal.
+    fn log(&mut self, si: usize, op: Redo) -> Result<(), DeltaError> {
+        self.journal.push((si, op));
+        let (_, op) = self.journal.last().expect("just pushed");
+        let done = op.run(&mut self.st.accs[si]);
+        match done {
+            Ok(()) => self.journal_events += op.events(),
+            Err(_) => drop(self.journal.pop()),
+        }
+        done
+    }
+
     fn ingest(&mut self, batch: &EpochBatch) -> IngestTally {
         let mut tally = IngestTally::default();
         for d in &batch.deltas {
-            let Some(si) = self.stages.iter().position(|&g| g == d.stage) else {
+            let Ok(si) = self.stages.binary_search(&d.stage) else {
                 tally.foreign_deltas += 1;
                 continue;
             };
-            if self.st.accs[si].apply(d).is_err() {
+            if self.log(si, Redo::Apply(d.clone())).is_err() {
                 tally.input_errors += 1;
                 self.need_resync = true;
                 continue;
@@ -380,13 +439,15 @@ impl LeafNode {
         stats: &mut FederationStats,
     ) {
         let mut gained = false;
-        for (si, &gs) in self.stages.iter().enumerate() {
+        for si in 0..self.stages.len() {
+            let gs = self.stages[si];
             let Some((dump, upto)) = mirror.snapshot(gs) else {
                 continue;
             };
             if let Some(cd) = self.st.accs[si].catchup_delta(gs, &dump) {
                 let m = delta_mass(&cd);
-                self.st.accs[si].apply(&cd).expect("catch-up delta applies");
+                self.log(si, Redo::Apply(cd.clone()))
+                    .expect("catch-up delta applies");
                 self.st.interval_mass += m;
                 self.st.gauges.mass += m;
                 self.st.gauges.events += cd.events();
@@ -394,7 +455,7 @@ impl LeafNode {
                 merge_pending(&mut self.st.pending[si], &cd, &mut self.st.pending_events);
                 gained = true;
             }
-            self.st.accs[si].set_next_seq(upto);
+            self.log(si, Redo::Seek(upto)).expect("seek cannot refuse");
         }
         if gained {
             extend_interval(&mut self.st.interval, up_to_epoch, up_to_epoch);
@@ -463,15 +524,50 @@ impl LeafNode {
         self.st.interval_mass = 0;
     }
 
+    /// Brings `ckpt` up to `st`: replays the journal into `ckpt.accs`
+    /// and copies the rest, which is small — the un-flushed increment,
+    /// a spool of shared bytes, drained sketches and counters.
     fn checkpoint(&mut self, stats: &mut FederationStats) {
         self.st.gauges.checkpoints += 1;
-        self.ckpt = self.st.clone();
+        for (si, op) in self.journal.drain(..) {
+            op.run(&mut self.ckpt.accs[si])
+                .expect("an op the live state took replays onto its checkpoint");
+        }
+        self.journal_events = 0;
+        // Exhaustive on purpose: a new `LeafState` field must decide
+        // here how it reaches the checkpoint.
+        let LeafState {
+            accs: _,
+            pending,
+            pending_events,
+            out_seq,
+            up,
+            interval,
+            end,
+            sketches,
+            interval_mass,
+            gauges,
+        } = &self.st;
+        let ck = &mut self.ckpt;
+        ck.pending.clone_from(pending);
+        ck.pending_events = *pending_events;
+        ck.out_seq.clone_from(out_seq);
+        ck.up.clone_from(up);
+        ck.interval = *interval;
+        ck.end = *end;
+        ck.sketches.clone_from(sketches);
+        ck.interval_mass = *interval_mass;
+        ck.gauges = *gauges;
+        #[cfg(test)]
+        tests::assert_checkpoint_is_a_clone(self);
         self.snd.checkpointed(&self.st.up);
         stats.checkpoints += 1;
     }
 
     fn recover(&mut self, now: u64) {
         self.st = self.ckpt.clone();
+        self.journal.clear();
+        self.journal_events = 0;
         self.st.gauges.recoveries += 1;
         self.snd = Sender::restart(&self.st.up, now);
         self.alive = true;
@@ -479,7 +575,7 @@ impl LeafNode {
     }
 
     fn resident_events(&self) -> u64 {
-        self.st.pending_events + self.st.up.spool_events()
+        self.st.pending_events + self.st.up.spool_events() + self.journal_events
     }
 }
 
@@ -790,7 +886,9 @@ impl Federation {
                     owned[gs] = true;
                     names.push(header.stages[gs].stage_name.clone());
                 }
-                let st = LeafState {
+                // Built twice — live state and checkpoint zero — since
+                // the two never share a copy again.
+                let empty_state = || LeafState {
                     accs: stages
                         .iter()
                         .map(|&gs| StageAccumulator::new(&header.stages[gs]))
@@ -801,10 +899,11 @@ impl Federation {
                     up: Uplink::default(),
                     interval: None,
                     end: 0,
-                    sketches: stages.iter().map(|_| QuantileSketch::new()).collect(),
+                    sketches: vec![QuantileSketch::new(); stages.len()],
                     interval_mass: 0,
                     gauges: LeafGauges::default(),
                 };
+                let (st, ckpt) = (empty_state(), empty_state());
                 leaves.push(LeafNode {
                     leaf_id,
                     region: r,
@@ -812,8 +911,10 @@ impl Federation {
                     stages,
                     names,
                     snd: Sender::restart(&st.up, 0),
-                    ckpt: st.clone(),
+                    ckpt,
                     st,
+                    journal: Vec::new(),
+                    journal_events: 0,
                     alive: true,
                     need_resync: false,
                 });
@@ -1649,6 +1750,168 @@ pub(crate) mod tests {
         assert_eq!(out.stats.recoveries, 1);
         assert_eq!(out.coverage_ppm, 1_000_000);
         let flat = flat_reference(n);
+        assert_eq!(out.output.report.fingerprint(), flat.fingerprint());
+    }
+
+    thread_local! {
+        /// Leaf checkpoints [`assert_checkpoint_is_a_clone`] has
+        /// verified on this test thread.
+        static CHECKED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Field-by-field equality of two leaf states (accumulators by the
+    /// dump they reconstruct plus their expected seq). Exhaustive, so a
+    /// new `LeafState` field cannot escape the comparison.
+    fn assert_same_state(got: &LeafState, want: &LeafState, what: &str) {
+        let LeafState {
+            accs,
+            pending,
+            pending_events,
+            out_seq,
+            up,
+            interval,
+            end,
+            sketches,
+            interval_mass,
+            gauges,
+        } = got;
+        assert_eq!(accs.len(), want.accs.len(), "{what}: accs");
+        for (si, (a, b)) in accs.iter().zip(&want.accs).enumerate() {
+            assert_eq!(a.next_seq(), b.next_seq(), "{what}: accs[{si}] seq");
+            assert_eq!(a.to_dump(), b.to_dump(), "{what}: accs[{si}] dump");
+        }
+        assert_eq!(pending, &want.pending, "{what}: pending");
+        assert_eq!(*pending_events, want.pending_events, "{what}: events");
+        assert_eq!(out_seq, &want.out_seq, "{what}: out_seq");
+        assert_eq!(up, &want.up, "{what}: uplink");
+        assert_eq!(*interval, want.interval, "{what}: interval");
+        assert_eq!(*end, want.end, "{what}: end");
+        assert_eq!(sketches.len(), want.sketches.len(), "{what}: sketches");
+        for (si, (a, b)) in sketches.iter().zip(&want.sketches).enumerate() {
+            assert_eq!(a.count(), b.count(), "{what}: sketches[{si}] count");
+            assert_eq!(a.to_wire(), b.to_wire(), "{what}: sketches[{si}]");
+        }
+        assert_eq!(*interval_mass, want.interval_mass, "{what}: mass");
+        assert_eq!(*gauges, want.gauges, "{what}: gauges");
+    }
+
+    /// The checkpoint oracle, called by [`LeafNode::checkpoint`] in
+    /// every unit test of this crate: what the journal replay left in
+    /// `ckpt` must be what cloning the live state — the old checkpoint,
+    /// alive only here — produces, and the journal must be spent.
+    pub(super) fn assert_checkpoint_is_a_clone(l: &LeafNode) {
+        let what = format!("leaf {} checkpoint {}", l.leaf_id, l.st.gauges.checkpoints);
+        assert_same_state(&l.ckpt, &l.st.clone(), &what);
+        assert!(l.journal.is_empty(), "{what}: journal not drained");
+        assert_eq!(l.journal_events, 0, "{what}: journal events");
+        CHECKED.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Drops, duplicates and delays messages on every link from a
+    /// seeded stream.
+    struct SeededLossy(u64);
+    impl LinkPolicy for SeededLossy {
+        fn verdict(&mut self, _link: u32, _now: u64) -> LinkVerdict {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            match self.0 % 16 {
+                0 | 1 => LinkVerdict { copies: 0, delay: 0 },
+                2 | 3 => LinkVerdict { copies: 2, delay: 0 },
+                r @ 4..=7 => LinkVerdict { copies: 1, delay: r },
+                _ => LinkVerdict::default(),
+            }
+        }
+    }
+
+    #[test]
+    fn journalled_checkpoints_equal_full_clones_through_every_fault() {
+        // Four stages, three leaves (leaf 0 owns two stages of one
+        // tier), two regions; every link lossy.
+        let stage = |proc: u32, name: &str| StreamStage {
+            proc,
+            stage_name: name.into(),
+        };
+        let hdr = StreamHeader {
+            stages: vec![
+                stage(0, "front"),
+                stage(1, "db"),
+                stage(2, "front"),
+                stage(3, "db"),
+            ],
+        };
+        let topo = vec![vec![vec![2, 0]], vec![vec![1], vec![3]]];
+        let owned: [&[usize]; 3] = [&[0, 2], &[1], &[3]];
+        let n = 64;
+        let per_stage: Vec<Vec<EpochBatch>> = hdr
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(gs, s)| batches_for(gs, s.proc, &s.stage_name, n))
+            .collect();
+        let batch_of = |leaf: usize, e: usize| EpochBatch {
+            epoch: e as u64,
+            seq: e as u64,
+            end: (e as u64 + 1) * 100,
+            deltas: owned[leaf]
+                .iter()
+                .map(|&gs| per_stage[gs][e].deltas[0].clone())
+                .collect(),
+        };
+        let mut fed = Federation::new(
+            &hdr,
+            &topo,
+            FederationConfig::default(),
+            Box::new(SeededLossy(0x9e37_79b9_7f4a_7c15)),
+        );
+        // Both planted crashes fall between checkpoints (cadence 8).
+        fed.crash(FedNodeId::Leaf(1), 21, Some(37));
+        fed.crash(FedNodeId::Regional(1), 44, Some(52));
+        CHECKED.with(|c| c.set(0));
+        for e in 0..n {
+            for leaf in 0..3 {
+                let clean = batch_of(leaf, e);
+                match (leaf, e) {
+                    // A corrupt first delta: the second still applies,
+                    // the next tick's catch-up repairs the first.
+                    (0, 13) => {
+                        let mut bad = clean.clone();
+                        bad.deltas[0].checksum ^= 1;
+                        assert!(fed.feed_truth(leaf, &clean));
+                        fed.leaves[leaf].ingest(&bad).apply(&mut fed.stats);
+                    }
+                    // A batch lost before the leaf: the next one gaps.
+                    (2, 29) => assert!(fed.feed_truth(leaf, &clean)),
+                    _ => fed.feed(leaf, &clean),
+                }
+            }
+            if e == 10 {
+                // A crash between checkpoints restores exactly the last
+                // checkpoint and forgets the journal.
+                let l = &mut fed.leaves[0];
+                assert!(!l.journal.is_empty() && l.journal_events > 0);
+                let mut last = l.ckpt.clone();
+                l.recover(fed.now);
+                last.gauges.recoveries += 1;
+                assert_same_state(&l.st, &last, "restored state");
+                assert!(l.journal.is_empty() && l.journal_events == 0);
+            }
+            fed.tick();
+        }
+        let out = fed.finalize();
+        // Eight checkpoint ticks in the fed epochs; leaf 1 is down for two.
+        assert!(CHECKED.with(Cell::get) >= 8 + 6 + 8, "oracle ran");
+        assert_eq!(out.stats.input_errors, 2, "both damaged inputs refused");
+        assert!(out.stats.input_resyncs >= 4, "damage + recoveries resynced");
+        assert_eq!(out.stats.recoveries, 2);
+        assert!(out.stats.frames_lost > 0 && out.stats.dup_frames > 0);
+        assert_eq!(out.coverage_ppm, 1_000_000);
+        let dumps = hdr
+            .stages
+            .iter()
+            .map(|s| snapshots(s.proc, &s.stage_name, n).pop().unwrap())
+            .collect();
+        let flat = whodunit_core::pipeline::analyze(dumps, Default::default());
         assert_eq!(out.output.report.fingerprint(), flat.fingerprint());
     }
 

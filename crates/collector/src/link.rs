@@ -11,8 +11,9 @@
 //!
 //! - [`Uplink`] is the *durable* sender half — next sequence number,
 //!   the spool of unacked frames, the ack horizon. It is `Clone`, and a
-//!   node checkpoint is a clone of the state embedding it (cheap: the
-//!   spool shares its bytes).
+//!   node checkpoint copies it whole (cheap: the spool shares its
+//!   bytes); only a leaf's accumulators reach its checkpoint another
+//!   way, through the redo journal in [`crate::federation`].
 //! - [`Sender`] is the *volatile* sender half — the transmit gate, the
 //!   send cursor and the retransmission timer. A recovered node builds
 //!   a fresh one ([`Sender::restart`]) and simply replays its spool
@@ -47,7 +48,7 @@ pub(crate) const SPOOL_MAX: usize = 64;
 pub(crate) type WireFrame = Arc<[u8]>;
 
 /// Durable (checkpointed) sender state of one uplink.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Uplink {
     /// Next outgoing frame seq.
     next_seq: u64,

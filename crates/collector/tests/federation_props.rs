@@ -238,13 +238,17 @@ proptest! {
         let n = rotated.len();
         rotated.rotate_left(rot % n);
         let mut merged = QuantileSketch::new();
-        for chunk in rotated.chunks(split) {
+        // An empty part follows every real one — a tier whose stages
+        // saw nothing that interval. It ships as no buckets and merges
+        // as the identity.
+        for chunk in rotated.chunks(split).flat_map(|c| [c, &[][..]]) {
             let mut part = QuantileSketch::new();
             for &v in chunk {
                 part.record(v);
             }
             // Ship every part through the wire form, as a frame would.
             let (max, buckets) = part.to_wire();
+            prop_assert_eq!(buckets.is_empty(), chunk.is_empty());
             merged.merge(&QuantileSketch::from_wire(max, &buckets));
         }
 

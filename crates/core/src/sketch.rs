@@ -69,17 +69,17 @@ fn bucket_hi(b: usize) -> u64 {
 
 /// A fixed-size, mergeable, deterministic quantile sketch over `u64`
 /// observations. See the module docs for the error contract.
-#[derive(Clone)]
+///
+/// The histogram is allocated by the first observation: an empty
+/// sketch holds none, so creating, cloning and resetting one is free.
+/// Nodes that keep a sketch per stage and drain it every flush (the
+/// federation leaves) hold mostly empty ones.
+#[derive(Clone, Default)]
 pub struct QuantileSketch {
-    counts: Box<[u64; BUCKETS]>,
+    /// `None` until something is recorded or merged in.
+    counts: Option<Box<[u64; BUCKETS]>>,
     count: u64,
     max: u64,
-}
-
-impl Default for QuantileSketch {
-    fn default() -> Self {
-        QuantileSketch::new()
-    }
 }
 
 impl std::fmt::Debug for QuantileSketch {
@@ -94,18 +94,22 @@ impl std::fmt::Debug for QuantileSketch {
 impl QuantileSketch {
     /// An empty sketch.
     pub fn new() -> Self {
-        QuantileSketch {
-            counts: Box::new([0; BUCKETS]),
-            count: 0,
-            max: 0,
-        }
+        QuantileSketch::default()
     }
 
     /// Records one observation.
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_of(v)] += 1;
+        self.buckets_mut()[bucket_of(v)] += 1;
         self.count += 1;
         self.max = self.max.max(v);
+    }
+
+    fn buckets_mut(&mut self) -> &mut [u64; BUCKETS] {
+        self.counts.get_or_insert_with(|| Box::new([0; BUCKETS]))
+    }
+
+    fn buckets(&self) -> &[u64] {
+        self.counts.as_deref().map_or(&[], |c| c.as_slice())
     }
 
     /// Number of observations recorded (including merged ones).
@@ -121,8 +125,15 @@ impl QuantileSketch {
     /// Folds `other` into `self`. Bucket-wise addition: commutative,
     /// associative, and loss-free with respect to later queries.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        if let Some(theirs) = &other.counts {
+            match &mut self.counts {
+                Some(mine) => {
+                    for (a, b) in mine.iter_mut().zip(theirs.iter()) {
+                        *a += b;
+                    }
+                }
+                None => self.counts = Some(theirs.clone()),
+            }
         }
         self.count += other.count;
         self.max = self.max.max(other.max);
@@ -135,7 +146,7 @@ impl QuantileSketch {
     /// sketch that merges and queries bit-identically to the original.
     pub fn to_wire(&self) -> (u64, Vec<(u32, u64)>) {
         let buckets = self
-            .counts
+            .buckets()
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c != 0)
@@ -151,8 +162,8 @@ impl QuantileSketch {
     pub fn from_wire(max: u64, buckets: &[(u32, u64)]) -> QuantileSketch {
         let mut s = QuantileSketch::new();
         for &(b, c) in buckets {
-            if let Some(slot) = s.counts.get_mut(b as usize) {
-                *slot += c;
+            if (b as usize) < BUCKETS {
+                s.buckets_mut()[b as usize] += c;
                 s.count += c;
             }
         }
@@ -171,7 +182,7 @@ impl QuantileSketch {
         // rank in [1, count]: ceil(count * q / 1e6), floored at 1.
         let r = rank_of(self.count, q_ppm);
         let mut cum = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
+        for (b, &c) in self.buckets().iter().enumerate() {
             cum += c;
             if cum >= r {
                 return Some(bucket_hi(b).min(self.max));

@@ -767,16 +767,73 @@ proptest! {
             s.record(v);
         }
         vals.sort_unstable();
-        let r = ((n as u64 * q).div_ceil(1_000_000)).max(1) as usize;
-        let exact = vals[r - 1];
-        let est = s.quantile_ppm(q).unwrap();
-        prop_assert!(est >= exact, "q={} est {} < exact {}", q, est, exact);
-        prop_assert!(
-            est <= exact + (exact >> EPS_SHIFT).max(1),
-            "q={} est {} too far above exact {}",
-            q,
-            est,
-            exact
-        );
+        assert_brackets_sorted(&s, &vals, q, "one stream");
     }
+
+    /// An empty sketch holds no histogram, and nothing shows it: as
+    /// either operand of a merge, through the wire form, or cloned and
+    /// then recorded into, it answers exactly like the sorted vector
+    /// of the observations actually made.
+    #[test]
+    fn sketch_empty_operands_match_sorted_reference(
+        args in (any::<u64>(), 0usize..200, 0u64..1_000_001)
+    ) {
+        let (seed, n, q) = args;
+        let mut vals = sketch_stream(seed, n);
+        let empty = QuantileSketch::new();
+        let mut x = QuantileSketch::new();
+        for &v in &vals {
+            x.record(v);
+        }
+        vals.sort_unstable();
+
+        let mut empty_empty = empty.clone();
+        empty_empty.merge(&empty);
+        let (max, buckets) = empty.to_wire();
+        prop_assert_eq!((max, buckets.len()), (0, 0));
+        let rewired = QuantileSketch::from_wire(max, &buckets);
+        assert_brackets_sorted(&empty_empty, &[], q, "empty + empty");
+        assert_brackets_sorted(&rewired, &[], q, "from_wire(to_wire(empty))");
+
+        let mut empty_x = empty.clone();
+        empty_x.merge(&x);
+        let mut x_empty = x.clone();
+        x_empty.merge(&empty);
+        let mut x_rewired = x.clone();
+        x_rewired.merge(&rewired);
+        let mut recorded = empty.clone();
+        for &v in vals.iter().rev() {
+            recorded.record(v);
+        }
+        for (s, what) in [
+            (&empty_x, "empty + x"),
+            (&x_empty, "x + empty"),
+            (&x_rewired, "x + rewired empty"),
+            (&recorded, "record after cloning empty"),
+        ] {
+            assert_brackets_sorted(s, &vals, q, what);
+            prop_assert_eq!(s.to_wire(), x.to_wire(), "{}", what);
+        }
+        // The clones above left their source alone.
+        assert_brackets_sorted(&empty, &[], q, "cloned-from empty");
+    }
+}
+
+/// Holds `s` against the exact reference `sorted` (ascending): same
+/// count and max, no quantile when empty, otherwise the estimate is an
+/// upper bound of the exact rank-r sample within one bucket width.
+fn assert_brackets_sorted(s: &QuantileSketch, sorted: &[u64], q: u64, what: &str) {
+    assert_eq!(s.count(), sorted.len() as u64, "{what}: count");
+    assert_eq!(s.max(), sorted.last().copied().unwrap_or(0), "{what}: max");
+    let Some(est) = s.quantile_ppm(q) else {
+        assert!(sorted.is_empty(), "{what}: no quantile over {sorted:?}");
+        return;
+    };
+    let r = ((sorted.len() as u64 * q).div_ceil(1_000_000)).max(1) as usize;
+    let exact = sorted[r - 1];
+    assert!(est >= exact, "{what}: q={q} est {est} < exact {exact}");
+    assert!(
+        est <= exact + (exact >> EPS_SHIFT).max(1),
+        "{what}: q={q} est {est} too far above exact {exact}"
+    );
 }

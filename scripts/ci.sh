@@ -115,6 +115,12 @@ cargo run --release -q -p whodunit-bench --bin hotpath -- --smoke --out target/B
 # unbounded per-level residency, or a dishonest degraded finalize.
 cargo run --release -q -p whodunit-bench --bin federation -- --smoke --out target/BENCH_federation_smoke.json
 
+# The repo benchmark's own tests (benchmark/ is its own workspace, so
+# the workspace suite above never sees it): harness unit tests plus a
+# --smoke run of all four workloads with their output verification, so
+# a product change that breaks a benchmark check fails here first.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Inference smoke: a reduced scenario corpus (TPC-W slice + zoo) under
 # the three visibility configs; fail if any clean scenario's pairs or
 # origins F1 drops below 0.95, on any accounting-oracle violation, on
