@@ -41,9 +41,7 @@
 use std::process::ExitCode;
 use whodunit_apps::tpcw::run_tpcw;
 use whodunit_apps::zoo::{run_zoo, Topology, ZooConfig, ZooFaults};
-use whodunit_bench::{
-    clamp_replicas, fleet_config, header, json_escape, matrix, run_fleet, write_json_file,
-};
+use whodunit_bench::{fleet_config, header, json_escape, matrix, run_fleet, write_json_file};
 use whodunit_core::blackbox::{CommLog, TierVisibility};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::oracle::{check_inference, InferenceScore};
@@ -244,12 +242,12 @@ fn batch_identity(smoke: bool) -> (u64, u64, bool) {
     let (clients, duration_s, replicas) = if smoke { (12, 20, 16) } else { (24, 40, 48) };
     let mut cfg = fleet_config(clients, duration_s);
     cfg.comm_log = true;
-    let (_report, fleet) = run_fleet(cfg, clamp_replicas(replicas));
+    let (_report, fleet) = run_fleet(cfg, replicas);
     let on_fp = analyze(fleet, PipelineConfig::with_workers(1)).fingerprint();
     let expected = if smoke {
         // The published constant pins the full-size fleet; smoke pins
         // the same property against a freshly-run comm-off twin.
-        let (_r, fleet_off) = run_fleet(fleet_config(clients, duration_s), clamp_replicas(replicas));
+        let (_r, fleet_off) = run_fleet(fleet_config(clients, duration_s), replicas);
         analyze(fleet_off, PipelineConfig::with_workers(1)).fingerprint()
     } else {
         EXPECTED_BATCH_FP

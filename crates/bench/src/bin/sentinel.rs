@@ -13,37 +13,41 @@
 //!    verifies bit-identical replay through the capture oracle. The
 //!    repro bundle and the rendered incident report are written next
 //!    to the JSON output.
-//! 4. **Capture overhead**: the same recorded clean stream is ingested
-//!    through a plain `Collector` and through a `SentinelSink` as
-//!    back-to-back pairs; the reported overhead is the median plain
-//!    time plus the median per-pair delta (robust to timer drift),
-//!    and must stay within the gate (default 10%).
+//! 4. **Always-on cost, as exact counts**: the same recorded clean
+//!    stream, replicated to a 32-replica fleet, is ingested through a
+//!    plain `Collector` and through a `SentinelSink`. What the sentinel
+//!    adds while nothing is wrong is one observation per epoch and one
+//!    ring snapshot per `SNAPSHOT_EVERY` epochs, and it must change
+//!    nothing: the two report fingerprints are equal, every epoch was
+//!    observed, exactly the due snapshots were taken, and nothing
+//!    tripped. (How long that takes is `benchmark/`'s business.)
 //!
 //! Results go to `BENCH_sentinel.json`. Modes:
 //!
 //! - `sentinel [--clients C] [--duration-s S] [--factor F]
-//!   [--overhead-gate-pct P] [--out FILE]` — full matrix.
+//!   [--out FILE]` — full matrix.
 //! - `sentinel --smoke` — reduced seed × policy set; CI gate.
 
 use std::process::ExitCode;
-use std::time::Instant;
 use whodunit_apps::chaos::default_workload;
 use whodunit_apps::sentinel::{calibrate_budget, capture_incident, run_with_sentinel};
 use whodunit_apps::tpcw::run_tpcw_streaming;
 use whodunit_bench::{fleet_stream, header, write_json_file};
 use whodunit_collector::{Collector, CollectorConfig, SentinelSink, SloBudget};
 use whodunit_core::cost::CPU_HZ;
-use whodunit_core::delta::{DeltaSink, RecordingSink};
+use whodunit_core::delta::{DeltaSink, EpochBatch, RecordingSink, StreamHeader};
 use whodunit_core::repro::{repro_to_json, ChaosRepro, FaultEntry};
 use whodunit_report::render_incident;
 
 const MATRIX_SEEDS: &[u64] = &[1, 2, 3, 5, 8, 13];
 
+/// Ring-snapshot cadence of the always-on run, in epochs.
+const SNAPSHOT_EVERY: u64 = 8;
+
 struct Args {
     clients: u64,
     duration_s: u64,
     factor: u64,
-    overhead_gate_pct: f64,
     out: String,
     smoke: bool,
 }
@@ -53,7 +57,6 @@ fn parse_args() -> Result<Args, String> {
         clients: 12,
         duration_s: 25,
         factor: 8,
-        overhead_gate_pct: 10.0,
         out: "BENCH_sentinel.json".to_owned(),
         smoke: false,
     };
@@ -73,11 +76,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--factor" => {
                 a.factor = val("--factor")?.parse().map_err(|e| format!("--factor: {e}"))?
-            }
-            "--overhead-gate-pct" => {
-                a.overhead_gate_pct = val("--overhead-gate-pct")?
-                    .parse()
-                    .map_err(|e| format!("--overhead-gate-pct: {e}"))?
             }
             "--out" => a.out = val("--out")?,
             "--smoke" => a.smoke = true,
@@ -120,70 +118,59 @@ fn matrix_repro(args: &Args, seed: u64, policy: &str) -> ChaosRepro {
     r
 }
 
-/// One timed ingest of a recorded stream through `sink`, in
-/// milliseconds. `finish` consumes whatever the sink accumulated so
-/// the next repetition starts clean.
-fn ingest_once<S: DeltaSink>(
-    header: &whodunit_core::delta::StreamHeader,
-    batches: &[whodunit_core::delta::EpochBatch],
-    make: impl FnOnce() -> S,
-    finish: impl FnOnce(S),
-) -> f64 {
-    let mut sink = make();
-    let t = Instant::now();
-    sink.on_start(header);
-    for b in batches {
-        sink.on_batch(b.clone());
-    }
-    finish(sink);
-    t.elapsed().as_secs_f64() * 1e3
+/// What the always-on sentinel did over one clean stream, next to a
+/// plain collector fed the same batches.
+struct AlwaysOn {
+    epochs: u64,
+    epochs_seen: u64,
+    snapshots_due: u64,
+    ring_snapshots: u64,
+    tripped: bool,
+    plain_fp: u64,
+    sentinel_fp: u64,
 }
 
-/// Paired wall times for the plain and sentinel sinks. Every
-/// repetition times one plain ingest and one sentinel ingest back to
-/// back, so clock-frequency and allocator drift over the run lands on
-/// both sides of each pair equally; the sentinel's cost is then the
-/// **median of the per-pair differences** — scheduler spikes hit one
-/// rep's difference, not the estimate, and unlike best-of-N ratios
-/// the paired median doesn't swing when the two sides' luckiest reps
-/// happen in different moments. Returns `(plain_ms, sentinel_ms)`
-/// where `plain_ms` is the median plain time and `sentinel_ms` is
-/// `plain_ms` plus the median paired difference.
-fn time_ingest_pair(
-    header: &whodunit_core::delta::StreamHeader,
-    batches: &[whodunit_core::delta::EpochBatch],
-    budget: &SloBudget,
-) -> (f64, f64) {
-    const REPS: usize = 25;
-    let mut plains = Vec::with_capacity(REPS);
-    let mut diffs = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        let plain = ingest_once(
-            header,
-            batches,
-            || Collector::new(CollectorConfig::default()),
-            |c| {
-                c.finalize();
-            },
-        );
-        let sentinel = ingest_once(
-            header,
-            batches,
-            || SentinelSink::new(CollectorConfig::default(), budget.clone()),
-            |s| {
-                s.finish();
-            },
-        );
-        plains.push(plain);
-        diffs.push(sentinel - plain);
+impl AlwaysOn {
+    fn identical(&self) -> bool {
+        self.plain_fp == self.sentinel_fp
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
-    let plain_ms = median(&mut plains);
-    let delta_ms = median(&mut diffs);
-    (plain_ms, plain_ms + delta_ms)
+
+    fn holds(&self) -> bool {
+        self.identical()
+            && self.epochs_seen == self.epochs
+            && self.ring_snapshots == self.snapshots_due
+            && !self.tripped
+    }
+}
+
+/// Ingests `batches` through a plain `Collector` and through a
+/// `SentinelSink`, counting the sentinel's per-epoch work. The ring
+/// keeps only its newest entries, so snapshots are counted as they
+/// are taken: one each time the ring's newest epoch moves.
+fn always_on_counts(header: &StreamHeader, batches: &[EpochBatch], budget: &SloBudget) -> AlwaysOn {
+    let mut plain = Collector::new(CollectorConfig::default());
+    let mut sink = SentinelSink::new(CollectorConfig::default(), budget.clone())
+        .with_snapshot_every(SNAPSHOT_EVERY);
+    plain.on_start(header);
+    sink.on_start(header);
+    let newest = |s: &SentinelSink| s.snapshots().back().map(|(e, _)| *e);
+    let mut ring_snapshots = 0u64;
+    for b in batches {
+        plain.on_batch(b.clone());
+        let before = newest(&sink);
+        sink.on_batch(b.clone());
+        ring_snapshots += u64::from(newest(&sink) != before);
+    }
+    let (out, sentinel, _) = sink.finish();
+    AlwaysOn {
+        epochs: batches.len() as u64,
+        epochs_seen: sentinel.epochs_seen(),
+        snapshots_due: batches.iter().filter(|b| b.epoch % SNAPSHOT_EVERY == 0).count() as u64,
+        ring_snapshots,
+        tripped: sentinel.tripped().is_some(),
+        plain_fp: plain.finalize().report.fingerprint(),
+        sentinel_fp: out.report.fingerprint(),
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -196,7 +183,7 @@ fn write_json(
     inc: &whodunit_apps::sentinel::Incident,
     onset_epoch: u64,
     shrunk_duration: u64,
-    overhead: (f64, f64, f64, bool),
+    on: &AlwaysOn,
 ) {
     let latency = inc.violation.epoch.saturating_sub(onset_epoch);
     let s = inc.card.shrink.as_ref().expect("shrink summary");
@@ -204,7 +191,6 @@ fn write_json(
     let before_work = args.duration_s * args.clients;
     let after_work = (shrunk_duration / CPU_HZ) * s.clients_after;
     let shrink_ratio = after_work as f64 / before_work.max(1) as f64;
-    let (plain_ms, sentinel_ms, overhead_pct, within_gate) = overhead;
     let mut j = String::from("{\n");
     j.push_str("  \"bench\": \"sentinel\",\n");
     j.push_str(&format!(
@@ -243,8 +229,15 @@ fn write_json(
         inc.oracle.len()
     ));
     j.push_str(&format!(
-        "  \"overhead\": {{\"plain_ingest_ms\": {:.3}, \"sentinel_ingest_ms\": {:.3}, \"capture_overhead_pct\": {:.2}, \"gate_pct\": {:.1}, \"within_gate\": {}}}\n",
-        plain_ms, sentinel_ms, overhead_pct, args.overhead_gate_pct, within_gate
+        "  \"always_on\": {{\"epochs\": {}, \"epochs_seen\": {}, \"snapshot_every\": {}, \"snapshots_due\": {}, \"ring_snapshots\": {}, \"tripped\": {}, \"fingerprint\": \"{:016x}\", \"identical_output\": {}}}\n",
+        on.epochs,
+        on.epochs_seen,
+        SNAPSHOT_EVERY,
+        on.snapshots_due,
+        on.ring_snapshots,
+        on.tripped,
+        on.sentinel_fp,
+        on.identical()
     ));
     j.push_str("}\n");
     write_json_file(path, &j);
@@ -260,7 +253,7 @@ fn main() -> ExitCode {
     };
     header(
         "sentinel",
-        "always-on SLO watchdog: detection latency, capture overhead, shrink ratio",
+        "always-on SLO watchdog: detection latency, shrink ratio, always-on counts",
     );
 
     // 1. Calibrate from the first clean scenario of the matrix.
@@ -333,24 +326,22 @@ fn main() -> ExitCode {
         .unwrap_or_else(|e| panic!("write {report_path}: {e}"));
     println!("wrote {repro_path} and {report_path}");
 
-    // 4. Capture overhead, interleaved best-of-15 each way. The
-    // recorded baseline stream is replicated to fleet size first: the
-    // always-on cost only makes sense against a realistically-sized
-    // ingest load, not a single-node stream where one snapshot dwarfs
-    // the epoch work.
-    // Same fleet scale in smoke and full mode: the overhead ratio is
-    // scale-sensitive (fixed per-snapshot costs amortize over stream
-    // size), so the CI smoke must measure the same deployment shape
-    // the full bench gates.
+    // 4. Always-on cost as exact counts. The recorded baseline stream
+    // is replicated to fleet size first, the same in smoke and full
+    // mode, so CI checks the deployment shape the full bench records.
     let mut rec = RecordingSink::default();
     run_tpcw_streaming(whodunit_apps::chaos::config_of(&baseline), CPU_HZ, &mut rec);
     let (fleet_hdr, fleet_batches) = fleet_stream(&rec.header, &rec.batches, 32, 2);
-    let (plain_ms, sentinel_ms) = time_ingest_pair(&fleet_hdr, &fleet_batches, &budget);
-    let overhead_pct = (sentinel_ms - plain_ms) / plain_ms.max(1e-9) * 100.0;
-    let within_gate = overhead_pct <= args.overhead_gate_pct;
+    let on = always_on_counts(&fleet_hdr, &fleet_batches, &budget);
     println!(
-        "ingest: plain {plain_ms:.2} ms, sentinel {sentinel_ms:.2} ms -> overhead {overhead_pct:.2}% (gate {:.1}%)",
-        args.overhead_gate_pct
+        "always-on: {}/{} epochs observed, {}/{} ring snapshots, tripped={}, fingerprint {:016x} (plain {:016x})",
+        on.epochs_seen,
+        on.epochs,
+        on.ring_snapshots,
+        on.snapshots_due,
+        on.tripped,
+        on.sentinel_fp,
+        on.plain_fp
     );
 
     write_json(
@@ -362,18 +353,19 @@ fn main() -> ExitCode {
         &inc,
         onset_epoch,
         shrunk_duration,
-        (plain_ms, sentinel_ms, overhead_pct, within_gate),
+        &on,
     );
     println!("wrote {}", args.out);
 
     let replay_ok = inc.oracle.is_empty()
         && inc.card.replay.as_ref().is_some_and(|r| r.bit_identical && r.retripped);
-    if false_repros > 0 || !replay_ok || !within_gate {
+    let always_on_ok = on.holds();
+    if false_repros > 0 || !replay_ok || !always_on_ok {
         eprintln!(
-            "FAIL: false_repros={false_repros} replay_ok={replay_ok} overhead_within_gate={within_gate}"
+            "FAIL: false_repros={false_repros} replay_ok={replay_ok} always_on_ok={always_on_ok}"
         );
         return ExitCode::FAILURE;
     }
-    println!("gates passed: zero false repros, bit-identical verified replay, overhead within gate");
+    println!("gates passed: zero false repros, bit-identical verified replay, sentinel observation-only");
     ExitCode::SUCCESS
 }

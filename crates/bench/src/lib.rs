@@ -6,10 +6,10 @@
 //! knees fall) is visible at a glance. `EXPERIMENTS.md` records the
 //! outcomes.
 //!
-//! The fleet-scale analysis benches (`pipeline`, `collectord`) share
-//! their scenario setup and JSON emission through this crate instead of
-//! carrying per-bin copies: [`fleet_config`], [`clamp_replicas`],
-//! [`run_fleet`], [`json_escape`], and [`write_json_file`].
+//! The `sentinel` and `infer` drivers share their fleet-scale scenario
+//! setup and JSON emission through this crate: [`fleet_config`],
+//! [`run_fleet`], [`fleet_stream`], [`json_escape`], and
+//! [`write_json_file`]. Speed is measured in `benchmark/`, not here.
 
 use whodunit_apps::federation::{fleet_epochs, leaf_stream, replica_header};
 use whodunit_apps::tpcw::{run_tpcw, TpcwConfig, TpcwReport};
@@ -46,35 +46,8 @@ pub fn fleet_config(clients: u32, duration_s: u64) -> TpcwConfig {
     }
 }
 
-/// Default replica cap: 3 tiers per replica inside the 8-bit
-/// process-id space, which keeps synopses at their 4-byte wire size.
-pub const DEFAULT_REPLICA_CAP: usize = 85;
-
-/// The effective replica cap: `WHODUNIT_MAX_REPLICAS` when set to a
-/// positive integer, [`DEFAULT_REPLICA_CAP`] otherwise. Raising the
-/// cap is safe since synopses widened to 64-bit process ids; the
-/// federation bench uses it to scale the fleet into the thousands.
-pub fn replica_cap() -> usize {
-    std::env::var("WHODUNIT_MAX_REPLICAS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&cap| cap >= 1)
-        .unwrap_or(DEFAULT_REPLICA_CAP)
-}
-
-/// Clamps a replica count to `[1, cap]`.
-pub fn clamp_replicas_to(replicas: usize, cap: usize) -> usize {
-    replicas.clamp(1, cap.max(1))
-}
-
-/// Clamps a replica count to the effective cap ([`replica_cap`]).
-pub fn clamp_replicas(replicas: usize) -> usize {
-    clamp_replicas_to(replicas, replica_cap())
-}
-
 /// Runs the 3-tier TPC-W stack once and replicates its dumps into a
-/// `replicas`-wide fleet of disjoint-process-id copies — the shared
-/// scenario setup of the fleet-scale analysis benches.
+/// `replicas`-wide fleet of disjoint-process-id copies.
 pub fn run_fleet(cfg: TpcwConfig, replicas: usize) -> (TpcwReport, Vec<StageDump>) {
     let report = run_tpcw(cfg);
     assert_eq!(report.dumps.len(), 3, "all three tiers must dump");
@@ -85,8 +58,7 @@ pub fn run_fleet(cfg: TpcwConfig, replicas: usize) -> (TpcwReport, Vec<StageDump
 /// Replicates a recorded single-stack delta stream into a staggered
 /// fleet stream: replica `r`'s batches are process-remapped into the
 /// `r*g..r*g+g` stage range (mirroring `replicate_fleet`) and start
-/// `r * stagger` epochs late. Shared by the streaming-ingest benches
-/// (`collectord`, `hotpath`).
+/// `r * stagger` epochs late.
 pub fn fleet_stream(
     hdr: &StreamHeader,
     batches: &[EpochBatch],
@@ -95,8 +67,8 @@ pub fn fleet_stream(
 ) -> (StreamHeader, Vec<EpochBatch>) {
     let total = fleet_epochs(batches.len(), replicas, stagger);
     let slice = leaf_stream(hdr, batches, 0, replicas, stagger, total, CPU_HZ);
-    // The federation splitter omits content-free epochs; the flat
-    // ingest benches expect a dense batch sequence, so reinsert them.
+    // The federation splitter omits content-free epochs; a flat
+    // collector expects a dense batch sequence, so reinsert them.
     let mut out = Vec::with_capacity(total as usize);
     let mut it = slice.into_iter().peekable();
     for ge in 0..total {
@@ -120,8 +92,8 @@ pub fn fleet_stream(
 /// schedule policies × clean/faulty) builds it from here —
 /// `core/tests/parallel_diff.rs`, `core/tests/thread_stress.rs`,
 /// `collector/tests/streaming_diff.rs`, `collector/tests/thread_stress.rs`,
-/// `collector/tests/federation_diff.rs`, `tests/golden_federation.rs`,
-/// and the `parallel` bench bin — instead of carrying per-file copies
+/// `collector/tests/federation_diff.rs` and
+/// `tests/golden_federation.rs` — instead of carrying per-file copies
 /// that can drift apart. A corpus change here intentionally moves
 /// every one of those suites at once.
 pub mod matrix {
@@ -239,35 +211,4 @@ pub fn write_json_file(path: &str, content: &str) {
         }
     }
     std::fs::write(path, content).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clamp_with_explicit_cap() {
-        assert_eq!(clamp_replicas_to(0, 85), 1);
-        assert_eq!(clamp_replicas_to(40, 85), 40);
-        assert_eq!(clamp_replicas_to(1000, 85), 85);
-        assert_eq!(clamp_replicas_to(4096, 2048), 2048);
-        assert_eq!(clamp_replicas_to(7, 0), 1, "degenerate cap still clamps");
-    }
-
-    #[test]
-    fn clamp_with_env_cap() {
-        // Exercises the env-resolution path end to end. The var is
-        // process-global, so this is the only test that touches it.
-        std::env::set_var("WHODUNIT_MAX_REPLICAS", "2048");
-        assert_eq!(replica_cap(), 2048);
-        assert_eq!(clamp_replicas(4096), 2048);
-        std::env::set_var("WHODUNIT_MAX_REPLICAS", "not-a-number");
-        assert_eq!(replica_cap(), DEFAULT_REPLICA_CAP, "garbage falls back");
-        std::env::set_var("WHODUNIT_MAX_REPLICAS", "0");
-        assert_eq!(replica_cap(), DEFAULT_REPLICA_CAP, "zero falls back");
-        std::env::remove_var("WHODUNIT_MAX_REPLICAS");
-        assert_eq!(replica_cap(), DEFAULT_REPLICA_CAP);
-        assert_eq!(clamp_replicas(1000), 85);
-        assert_eq!(clamp_replicas(0), 1);
-    }
 }

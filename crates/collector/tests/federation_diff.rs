@@ -154,6 +154,11 @@ fn clean_matrix_is_byte_identical_at_every_fan_in() {
                     "summary merge inflated the stream: {what}"
                 );
                 assert_eq!(s.spool_stalls, 0, "clean run backpressured: {what}");
+                assert!(
+                    s.leaf_link_wire_bytes > 0 && s.regional_link_wire_bytes > 0,
+                    "a link level carried no wire bytes: {what}"
+                );
+                assert_eq!(s.wire_decode_errors, 0, "clean link frame failed decode: {what}");
             }
         }
     }

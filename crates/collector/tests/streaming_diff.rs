@@ -23,16 +23,20 @@
 //! batch pipeline swept over the same worker counts, all in one
 //! fingerprint table per scenario. A subset additionally cross-checks
 //! that the epoch-chunked simulation run is bit-identical to the
-//! unchunked one, and one scenario sweeps epoch lengths and retention
-//! windows.
+//! unchunked one, one scenario sweeps epoch lengths and retention
+//! windows, and a staggered 12-replica fleet holds the residency bound
+//! (peak resident origins < total origins) and the wire size bound.
 
 use whodunit_apps::tpcw::{run_tpcw, run_tpcw_streaming, TpcwConfig};
 use whodunit_bench::matrix::{scenario_cfg, schedules, SEEDS, WORKER_SWEEP};
+use whodunit_bench::{fleet_config, fleet_stream};
 use whodunit_collector::{Collector, CollectorConfig, CollectorOutput};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::delta::RecordingSink;
 use whodunit_core::exec::StealPlan;
-use whodunit_core::pipeline::{analyze, analyze_with, PipelineConfig, PipelineReport};
+use whodunit_core::pipeline::{
+    analyze, analyze_with, replicate_fleet, PipelineConfig, PipelineReport,
+};
 use whodunit_sim::sched::SchedulePolicy;
 
 const EPOCH_LEN: u64 = CPU_HZ;
@@ -238,7 +242,7 @@ fn window_and_epoch_sweep_preserves_end_state() {
                 );
                 // This single-node workload keeps all of its (few)
                 // origins concurrently live, so peak_resident equals
-                // the total here; the fleet bench (`collectord`) is
+                // the total here; the staggered-fleet test below is
                 // where peak < total is asserted. Bound it anyway.
                 assert!(
                     out.stats.peak_resident <= out.report.profiles.len() as u64,
@@ -249,6 +253,67 @@ fn window_and_epoch_sweep_preserves_end_state() {
         }
     }
     assert!(evictions_seen);
+}
+
+/// Wire frames must average at most this many bytes per change event:
+/// 0.2x the 74.1 B/event the retired JSON edge encoding cost.
+const WIRE_MAX_BYTES_PER_EVENT: f64 = 14.8;
+
+/// The deployment shape: 12 replicas of one recorded stack whose
+/// streams start 2 epochs apart, so machines come and go and the
+/// retention window — not the origin population — bounds the resident
+/// set. Every window must finalize byte-identical to batch over the
+/// replicated dumps with the peak resident set strictly below the
+/// origin total; the same stream shipped as wire frames must do the
+/// same and stay inside the size bound.
+#[test]
+fn staggered_fleet_stays_resident_below_total_and_packs_on_the_wire() {
+    let (replicas, stagger) = (12, 2);
+    let mut sink = RecordingSink::default();
+    let report = run_tpcw_streaming(fleet_config(12, 12), EPOCH_LEN, &mut sink);
+    let reference = analyze(
+        replicate_fleet(&report.dumps, replicas),
+        PipelineConfig { workers: 1, shards: 32 },
+    );
+    let total_origins = reference.profiles.len() as u64;
+    let (hdr, stream) = fleet_stream(&sink.header, &sink.batches, replicas, stagger);
+
+    for window in [1u64, 4] {
+        let what = format!("fleet window={window}");
+        let mut c = Collector::with_header(
+            &hdr,
+            CollectorConfig {
+                window_epochs: window,
+                ..CollectorConfig::default()
+            },
+        );
+        for b in &stream {
+            assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
+            c.drain();
+        }
+        let out = c.finalize();
+        let s = &out.stats;
+        assert!(!s.used_fallback, "fallback: {what}");
+        assert_byte_identical(&reference, &out.report, &what);
+        assert!(s.evictions > 0, "eviction never engaged: {what}");
+        assert!(
+            s.peak_resident < total_origins,
+            "resident peak {} reached the origin total {total_origins}: {what}",
+            s.peak_resident
+        );
+        assert_eq!(s.pending_walks_at_flush, 0, "pending walks leaked: {what}");
+        assert_eq!(s.pending_edges_at_flush, 0, "pending edges leaked: {what}");
+    }
+
+    let (out, wire_bytes) = ingest_clean_wire(&hdr, &stream, "fleet wire");
+    assert_byte_identical(&reference, &out.report, "fleet wire");
+    let events: u64 = stream.iter().map(|b| b.events()).sum();
+    let per_event = wire_bytes as f64 / events as f64;
+    assert!(
+        per_event <= WIRE_MAX_BYTES_PER_EVENT,
+        "frames pack to {per_event:.3} B/event over {events} events \
+         (9.412 when this bound was set), over the {WIRE_MAX_BYTES_PER_EVENT} bound"
+    );
 }
 
 /// The bounded ingest queue refuses batches at capacity and counts
@@ -629,6 +694,35 @@ fn pick_batch_site(batches: &[EpochBatch], lookahead: usize) -> usize {
     panic!("no batch site with {lookahead} follow-up frames on every stage");
 }
 
+/// Ships a clean stream as wire frames: header frame, then every
+/// batch encoded and ingested through [`Collector::enqueue_wire`].
+/// Asserts the wire counters are clean and returns the output plus
+/// the total frame bytes.
+fn ingest_clean_wire(
+    header: &StreamHeader,
+    batches: &[EpochBatch],
+    what: &str,
+) -> (CollectorOutput, u64) {
+    let mut c = Collector::new(CollectorConfig::default());
+    c.start_wire(&encode_header(header)).expect("header frame decodes");
+    let mut wire_bytes = 0u64;
+    for b in batches {
+        let f = encode_batch(b);
+        wire_bytes += f.len() as u64;
+        assert!(
+            c.enqueue_wire(&f).expect("clean wire frame decodes"),
+            "unbounded queue refused a frame: {what}"
+        );
+        c.drain();
+    }
+    let out = c.finalize();
+    assert!(!out.stats.used_fallback, "wire ingest fell back: {what}");
+    assert_eq!(out.stats.wire_frames, batches.len() as u64, "{what}");
+    assert_eq!(out.stats.wire_bytes, wire_bytes, "{what}");
+    assert_eq!(out.stats.wire_errors, 0, "{what}");
+    (out, wire_bytes)
+}
+
 /// The full 36-scenario matrix shipped over the wire: encode every
 /// recorded batch, ingest through [`Collector::enqueue_wire`], and
 /// byte-compare against the batch pipeline — the wire transport must
@@ -644,23 +738,7 @@ fn run_wire_matrix(faulty: bool) {
                 run_tpcw_streaming(scenario_cfg(seed, sched, faulty), EPOCH_LEN, &mut sink);
             let batch = analyze(report.dumps, PipelineConfig { workers: 1, shards: 32 });
 
-            let mut c = Collector::new(CollectorConfig::default());
-            c.start_wire(&encode_header(&sink.header)).expect("header frame decodes");
-            let mut wire_bytes = 0u64;
-            for b in &sink.batches {
-                let f = encode_batch(b);
-                wire_bytes += f.len() as u64;
-                assert!(
-                    c.enqueue_wire(&f).expect("clean wire frame decodes"),
-                    "unbounded queue refused a frame: {what}"
-                );
-                c.drain();
-            }
-            let out = c.finalize();
-            assert!(!out.stats.used_fallback, "wire ingest fell back: {what}");
-            assert_eq!(out.stats.wire_frames, sink.batches.len() as u64, "{what}");
-            assert_eq!(out.stats.wire_bytes, wire_bytes, "{what}");
-            assert_eq!(out.stats.wire_errors, 0, "{what}");
+            let (out, _) = ingest_clean_wire(&sink.header, &sink.batches, &what);
             assert_byte_identical(&batch, &out.report, &what);
         }
     }

@@ -72,21 +72,15 @@ impl PipelineConfig {
     }
 }
 
-/// Wall time and deterministic work accounting for one phase.
+/// Wall time of one phase.
 #[derive(Clone, Debug)]
 pub struct PhaseTiming {
-    /// Phase name (stable across runs; used by the bench breakdown).
+    /// Phase name (stable across runs; `benchmark/` keys its
+    /// per-phase layer rows on it).
     pub phase: &'static str,
     /// Measured wall time of the phase, in nanoseconds. Hardware- and
     /// load-dependent; NOT part of the deterministic output.
     pub wall_ns: u64,
-    /// Deterministic work units per item (stage or shard). A pure
-    /// function of the input dumps; the bench derives the
-    /// critical-path model speedup from these.
-    pub item_work: Vec<u64>,
-    /// Items executed by a non-owner worker (work stealing). Timing-
-    /// dependent; NOT part of the deterministic output.
-    pub steals: u64,
 }
 
 /// One stitched per-transaction profile: every stage's CCT work that
@@ -138,9 +132,8 @@ pub struct PipelineReport {
     /// The dumps re-serialized; byte-identical to
     /// [`crate::dumpjson::to_json`] on the same dumps.
     pub dumps_json: String,
-    /// Per-phase wall times and work accounting. The only
-    /// non-deterministic field (wall times); excluded from
-    /// [`PipelineReport::fingerprint`].
+    /// Per-phase wall times. The only non-deterministic field;
+    /// excluded from [`PipelineReport::fingerprint`].
     pub timings: Vec<PhaseTiming>,
 }
 
@@ -175,14 +168,8 @@ pub fn analyze_with(
     let (frames, remap) = global_frames(stages);
 
     // Phase: validate. Per stage, check indices and rebuild every CCT.
-    let (validated, t) = timed_phase("validate", workers, plan, n_stages, |si| {
-        let d = &stages[si];
-        let work = 1
-            + d.frames.len() as u64
-            + d.contexts.len() as u64
-            + d.ccts.iter().map(|c| c.nodes.len() as u64).sum::<u64>();
-        (d.validate(), work)
-    })?;
+    let (validated, t) =
+        timed_phase("validate", workers, plan, n_stages, |si| stages[si].validate())?;
     timings.push(t);
     let valid: Vec<bool> = validated.iter().map(|r| r.is_ok()).collect();
     let warnings: Vec<(usize, StitchError)> = validated
@@ -197,7 +184,6 @@ pub fn analyze_with(
     // duplicates) match the serial stage-order scan exactly.
     let (index, t) = timed_phase("index", workers, plan, shards, |j| {
         let mut map: HashMap<u64, (usize, u32)> = HashMap::new();
-        let mut kept = 0u64;
         for (si, d) in stages.iter().enumerate() {
             if !valid[si] {
                 continue;
@@ -205,11 +191,10 @@ pub fn analyze_with(
             for &(raw, ctx) in &d.synopses {
                 if syn_shard(raw, shards) == j {
                     map.insert(raw, (si, ctx));
-                    kept += 1;
                 }
             }
         }
-        (map, 1 + kept)
+        map
     })?;
     timings.push(t);
     let resolve = |raw: u64| -> Option<(usize, u32)> {
@@ -247,8 +232,7 @@ pub fn analyze_with(
                 }
             }
         }
-        let work = 1 + origins.len() as u64;
-        ((origins, edges, unresolved), work)
+        (origins, edges, unresolved)
     })?;
     timings.push(t);
     let origins: Vec<Vec<OriginKey>> = stitched.iter().map(|(o, _, _)| o.clone()).collect();
@@ -263,7 +247,6 @@ pub fn analyze_with(
     // value, and the dictionary shard that value hashes to.
     let (annotated, t) = timed_phase("annotate", workers, plan, n_stages, |si| {
         let mut anns: Vec<CctAnnotation> = Vec::new();
-        let mut work = 1u64;
         if valid[si] {
             let d = &stages[si];
             for c in &d.ccts {
@@ -271,7 +254,6 @@ pub fn analyze_with(
                 let value = global_value(stages, &remap, origin);
                 let dict_shard = (value.stable_hash() % shards as u64) as usize;
                 let cct = rebuild_global(&remap[si], c);
-                work += c.nodes.len() as u64 + value.len() as u64 + 1;
                 anns.push(CctAnnotation {
                     origin,
                     value,
@@ -280,7 +262,7 @@ pub fn analyze_with(
                 });
             }
         }
-        (anns, work)
+        anns
     })?;
     timings.push(t);
 
@@ -291,13 +273,11 @@ pub fn analyze_with(
     let (profile_parts, t) = timed_phase("profiles", workers, plan, shards, |j| {
         let mut shard = ContextShard::default();
         let mut acc: BTreeMap<OriginKey, (u32, BTreeSet<usize>, Cct)> = BTreeMap::new();
-        let mut work = 1u64;
         for (si, anns) in annotated.iter().enumerate() {
             for a in anns {
                 if a.dict_shard != j {
                     continue;
                 }
-                work += a.cct.node_ids().count() as u64 + 1;
                 let e = acc.entry(a.origin).or_insert_with(|| {
                     let local = shard.intern_local(a.value.clone());
                     (local, BTreeSet::new(), Cct::new())
@@ -315,7 +295,7 @@ pub fn analyze_with(
                 cct,
             })
             .collect();
-        ((shard, profiles), work)
+        (shard, profiles)
     })?;
     timings.push(t);
     let mut dict_parts = Vec::new();
@@ -333,7 +313,6 @@ pub fn analyze_with(
     let (ct_maps, t) = timed_phase("crosstalk-map", workers, plan, n_stages, |si| {
         let mut pairs: Vec<(usize, OriginKey, OriginKey, WaitStats)> = Vec::new();
         let mut waiters: Vec<(usize, OriginKey, WaitStats)> = Vec::new();
-        let mut work = 1u64;
         if valid[si] {
             let d = &stages[si];
             for p in &d.crosstalk_pairs {
@@ -360,9 +339,8 @@ pub fn analyze_with(
                     },
                 ));
             }
-            work += (d.crosstalk_pairs.len() + d.crosstalk_waiters.len()) as u64;
         }
-        ((pairs, waiters), work)
+        (pairs, waiters)
     })?;
     timings.push(t);
 
@@ -372,13 +350,11 @@ pub fn analyze_with(
     let (ct_parts, t) = timed_phase("crosstalk-reduce", workers, plan, shards, |j| {
         let mut pair_acc: BTreeMap<(OriginKey, OriginKey), WaitStats> = BTreeMap::new();
         let mut waiter_acc: BTreeMap<OriginKey, WaitStats> = BTreeMap::new();
-        let mut work = 1u64;
         for (ps, ws) in &ct_maps {
             for &(shard, w, h, s) in ps {
                 if shard != j {
                     continue;
                 }
-                work += 1;
                 let e = pair_acc.entry((w, h)).or_default();
                 e.count += s.count;
                 e.total_wait += s.total_wait;
@@ -387,17 +363,15 @@ pub fn analyze_with(
                 if shard != j {
                     continue;
                 }
-                work += 1;
                 let e = waiter_acc.entry(w).or_default();
                 e.count += s.count;
                 e.total_wait += s.total_wait;
             }
         }
-        let m = CrosstalkMatrix {
+        CrosstalkMatrix {
             pairs: pair_acc.into_iter().map(|((w, h), s)| (w, h, s)).collect(),
             waiters: waiter_acc.into_iter().collect(),
-        };
-        (m, work)
+        }
     })?;
     timings.push(t);
     let matrix = CrosstalkMatrix::from_parts(ct_parts);
@@ -406,9 +380,7 @@ pub fn analyze_with(
     // concatenation below reproduces dumpjson::to_json byte-for-byte
     // because that format is itself a per-dump concatenation.
     let (jsons, t) = timed_phase("serialize", workers, plan, n_stages, |si| {
-        let j = dumpjson::dump_to_json(&stages[si]);
-        let work = 1 + j.len() as u64;
-        (j, work)
+        dumpjson::dump_to_json(&stages[si])
     })?;
     timings.push(t);
     let mut dumps_json = String::from("[\n");
@@ -494,29 +466,21 @@ fn rebuild_global(remap: &[u32], d: &crate::stitch::DumpCct) -> Cct {
 ///
 /// Execution goes through [`exec::run`]: per-worker deques seeded by
 /// `plan`, work stealing, results slotted by item index. Scheduling
-/// can influence only the diagnostic `wall_ns`/`steals` fields, never
-/// the results. A panicking item aborts the phase and surfaces as a
-/// clean [`ShardPanic`] carrying the phase name and item index.
+/// can influence only the diagnostic `wall_ns`, never the results. A
+/// panicking item aborts the phase and surfaces as a clean
+/// [`ShardPanic`] carrying the phase name and item index.
 fn timed_phase<T: Send>(
     phase: &'static str,
     workers: usize,
     plan: StealPlan,
     n: usize,
-    f: impl Fn(usize) -> (T, u64) + Sync,
+    f: impl Fn(usize) -> T + Sync,
 ) -> Result<(Vec<T>, PhaseTiming), ShardPanic> {
     let start = Instant::now();
-    let (pairs, stats) = exec::run(phase, workers, plan, n, f)?;
-    let mut results = Vec::with_capacity(n);
-    let mut item_work = Vec::with_capacity(n);
-    for (r, w) in pairs {
-        results.push(r);
-        item_work.push(w);
-    }
+    let (results, _) = exec::run(phase, workers, plan, n, f)?;
     let t = PhaseTiming {
         phase,
         wall_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        item_work,
-        steals: stats.steals,
     };
     Ok((results, t))
 }
@@ -630,50 +594,13 @@ impl PipelineReport {
 
     /// FNV-1a fingerprint over the deterministic outputs (stitched
     /// text, crosstalk text, dump JSON). Equal fingerprints across
-    /// worker counts is the bench's divergence gate.
+    /// worker counts is the differential suites' divergence gate.
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::hash::Fnv64::new();
         h.write(self.stitched_text().as_bytes());
         h.write(self.crosstalk_text().as_bytes());
         h.write(self.dumps_json.as_bytes());
         h.finish()
-    }
-
-    /// Total deterministic work units across all phases.
-    pub fn total_work(&self) -> u64 {
-        self.timings
-            .iter()
-            .map(|t| t.item_work.iter().sum::<u64>())
-            .sum()
-    }
-
-    /// The critical-path model speedup of running this workload with
-    /// `workers` workers versus serially.
-    ///
-    /// For each phase, serial cost is the sum of its items' work units
-    /// and parallel cost is the maximum per-worker sum under the static
-    /// `item % workers` assignment [`analyze`] actually uses. The ratio
-    /// of the phase sums is the speedup an ideally scheduled
-    /// `workers`-core host would see. It is a pure function of the
-    /// input dumps — reproducible on any machine, including single-core
-    /// CI hosts where wall-clock parallel speedup is physically
-    /// unobservable.
-    pub fn model_speedup(&self, workers: usize) -> f64 {
-        let w = workers.max(1);
-        let mut serial = 0u64;
-        let mut parallel = 0u64;
-        for t in &self.timings {
-            serial += t.item_work.iter().sum::<u64>();
-            let mut per_worker = vec![0u64; w];
-            for (i, &units) in t.item_work.iter().enumerate() {
-                per_worker[i % w] += units;
-            }
-            parallel += per_worker.into_iter().max().unwrap_or(0);
-        }
-        if parallel == 0 {
-            return 1.0;
-        }
-        serial as f64 / parallel as f64
     }
 }
 
@@ -682,13 +609,11 @@ impl PipelineReport {
 /// process id `r * dumps.len() + i`, applied consistently to minted
 /// synopses and remote chains via
 /// [`StageDump::with_remapped_proc`]. This turns one small run into a
-/// deterministic fleet-sized analysis workload for the `pipeline`
-/// bench.
-///
-/// # Panics
-///
-/// Panics (in `Synopsis::new`) if `replicas * dumps.len()` exceeds the
-/// 8-bit process-id space (256).
+/// deterministic fleet-sized analysis workload (`benchmark/` replicates
+/// 1,536 stages this way). Process ids are full `u32`s inside the
+/// 64-bit synopsis, so the fleet is not bounded by the classic 8-bit
+/// process-id byte; only a synopsis *counter* is held to 24 bits
+/// (`Synopsis::new`), and remapping never changes a counter.
 pub fn replicate_fleet(dumps: &[StageDump], replicas: usize) -> Vec<StageDump> {
     let g = dumps.len();
     let proc_index: HashMap<u32, usize> = dumps
@@ -902,16 +827,5 @@ mod tests {
         assert_eq!(serial.profiles.len(), 5);
         assert!(serial.unresolved.is_empty());
         assert_eq!(serial.edges.len(), 10);
-    }
-
-    #[test]
-    fn model_speedup_grows_with_workers() {
-        let fleet = replicate_fleet(&chain_dumps(), 16);
-        let rep = analyze(fleet, PipelineConfig::default());
-        let s1 = rep.model_speedup(1);
-        let s4 = rep.model_speedup(4);
-        assert!((s1 - 1.0).abs() < 1e-12);
-        assert!(s4 > 2.0, "4-worker model speedup {s4:.2} over 48 stages");
-        assert!(s4 <= 4.0 + 1e-9);
     }
 }

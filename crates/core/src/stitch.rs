@@ -252,15 +252,15 @@ impl StageDump {
     /// Returns a copy of this dump re-homed onto other process ids.
     ///
     /// `map` translates an old process id to a new one; it is applied
-    /// to the dump's own `proc`, to the high byte of every synopsis
+    /// to the dump's own `proc`, to the process-id bits of every synopsis
     /// this stage minted, and to every synopsis inside `Remote` context
     /// atoms, keeping the dump internally consistent. Ids the map
     /// returns `None` for are left unchanged (a chain may reference a
     /// process outside the remapped group).
     ///
-    /// This is how the `pipeline` bench replicates one profiled tier
-    /// group into a fleet: each replica gets a disjoint process-id
-    /// range, so the replicas' synopses never collide.
+    /// This is how [`crate::pipeline::replicate_fleet`] turns one
+    /// profiled tier group into a fleet: each replica gets a disjoint
+    /// process-id range, so the replicas' synopses never collide.
     pub fn with_remapped_proc(&self, map: &dyn Fn(u32) -> Option<u32>) -> StageDump {
         let remap_syn = |raw: u64| -> u64 {
             let s = Synopsis(raw);

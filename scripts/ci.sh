@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo CI gate: build, test, lint, pipeline + chaos smoke. Run from the
-# repo root.
+# Repo CI gate: build, test, lint, the benchmark package's own tests,
+# and the infer / chaos / sentinel smokes. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,9 +35,11 @@ cargo test -q -p whodunit-collector --test thread_stress
 
 # The streaming-collector gates:
 # - differential: streaming collector vs batch pipeline byte-identity
-#   over the same 36-scenario matrix (end-state lock), plus the
-#   self-healing ingest damage matrix (corrupt / truncated / duplicate
-#   / reordered / lost frames, stall watchdog);
+#   over the same 36-scenario matrix (end-state lock), the staggered
+#   12-replica fleet (resident peak below the origin total at windows
+#   1 and 4, wire frames <= 14.8 B/event), bounded-queue backpressure,
+#   plus the self-healing ingest damage matrix (corrupt / truncated /
+#   duplicate / reordered / lost frames, stall watchdog);
 # - golden: live-query snapshot rendering, mid-run + final epoch, and
 #   the rendered sentinel incident report mid-violation + post-capture
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
@@ -85,40 +87,12 @@ cargo test -q --test golden_infer
 
 cargo clippy --workspace -- -D warnings
 
-# Pipeline smoke: sweep worker counts {1, 2, 4} over a small fleet and
-# fail on any serial/parallel divergence.
-cargo run --release -q -p whodunit-bench --bin pipeline -- --smoke --out target/BENCH_pipeline_smoke.json
-
-# Parallel-execution smoke: the OS-thread sweep with steal-schedule
-# stress; fails on any byte divergence, and on a sub-1.5x best wall
-# speedup when the host has >= 4 cores.
-cargo run --release -q -p whodunit-bench --bin parallel -- --smoke --out target/BENCH_parallel_smoke.json
-
-# Collector smoke: ingest a staggered 12-replica delta stream at two
-# retention windows; fail on any streaming/batch divergence, leaked
-# pending state, or a resident peak that reaches the origin total. The
-# wire scenario replays the stream as binary frames through
-# enqueue_wire and holds the same byte-identity bar.
-cargo run --release -q -p whodunit-bench --bin collectord -- --smoke --out target/BENCH_collector_smoke.json
-
-# Hot-path smoke: microbench self-checks (flow table, context intern,
-# CCT fold, serializer byte-stability) plus a reduced streaming-ingest
-# run; fail on any self-check miss or streaming/batch divergence. The
-# binary wire format rides two hard gates here: a collector fed through
-# enqueue_wire must finalize byte-identical to batch, and frames must
-# pack to <= 14.8 B/event (0.2x the retired JSON edge encoding).
-cargo run --release -q -p whodunit-bench --bin hotpath -- --smoke --out target/BENCH_hotpath_smoke.json
-
-# Federation smoke: a 24-replica fleet across 4 leaves in 2 regions
-# through all four federation scenarios (clean, crash+recovery, lossy,
-# unrecoverable-degraded); fail on any divergence, ledger mass loss,
-# unbounded per-level residency, or a dishonest degraded finalize.
-cargo run --release -q -p whodunit-bench --bin federation -- --smoke --out target/BENCH_federation_smoke.json
-
 # The repo benchmark's own tests (benchmark/ is its own workspace, so
 # the workspace suite above never sees it): harness unit tests plus a
 # --smoke run of all four workloads with their output verification, so
 # a product change that breaks a benchmark check fails here first.
+# benchmark/ is the only place this repo measures speed; nothing below
+# times anything.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Inference smoke: a reduced scenario corpus (TPC-W slice + zoo) under
@@ -138,7 +112,9 @@ cargo run --release -q -p whodunit-bench --bin chaos -- --seeds 25 --out target/
 # Sentinel smoke: calibrate an SLO budget from a clean run, sweep a
 # reduced clean matrix (any trip is a false repro and fails), capture
 # one planted faultstorm with shrink + bit-identical replay, and hold
-# the always-on ingest-overhead gate.
+# the always-on counts on a clean 32-replica stream (report fingerprint
+# equal to a plain collector's, every epoch observed, exactly the due
+# ring snapshots taken, no trip).
 cargo run --release -q -p whodunit-bench --bin sentinel -- --smoke --out target/BENCH_sentinel_smoke.json
 
 # The sentinel's repro bundle must be self-contained: chaos --replay
@@ -154,36 +130,22 @@ python3 - <<'EOF'
 import glob, json, sys
 
 GATE_FIELDS = {
-    "collectord": ["sweep", "lag", "wire.identical_output"],
-    "federation": [
-        "byte_identical_clean",
-        "mass_loss_clean",
-        "recovery.latency_epochs",
-        "peak_resident.per_level",
-        "wire_links.leaf_wire_bytes",
-        "wire_links.regional_wire_bytes",
-    ],
-    "hotpath": [
-        "ok",
-        "wire.bytes_per_event",
-        "wire.encode_events_per_s",
-        "wire.decode_events_per_s",
-    ],
     "infer": [
         "scenarios",
         "clean_min_f1_ppm",
         "batch.identical_output",
         "ok",
     ],
-    "parallel": ["wall_speedup", "host_cores", "byte_identical"],
-    "pipeline": ["sweep", "serial_fingerprint"],
     "sentinel": [
         "false_repros",
         "detection.latency_epochs",
         "capture.shrink_ratio",
         "replay.bit_identical",
         "replay.retripped",
-        "overhead.within_gate",
+        "always_on.identical_output",
+        "always_on.epochs_seen",
+        "always_on.ring_snapshots",
+        "always_on.tripped",
     ],
 }
 
