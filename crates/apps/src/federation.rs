@@ -223,8 +223,7 @@ pub fn run_federation(
     }
     let mut cursors = vec![0usize; streams.len()];
     for ge in 0..total {
-        // One round per global epoch, at most one batch per leaf —
-        // ingested serially or on the executor per `cfg.workers`.
+        // One round per global epoch, at most one batch per leaf.
         let mut round: Vec<(usize, &EpochBatch)> = Vec::new();
         for (leaf, stream) in streams.iter().enumerate() {
             let cur = cursors[leaf];

@@ -243,12 +243,12 @@ fn batch_identity(smoke: bool) -> (u64, u64, bool) {
     let mut cfg = fleet_config(clients, duration_s);
     cfg.comm_log = true;
     let (_report, fleet) = run_fleet(cfg, replicas);
-    let on_fp = analyze(fleet, PipelineConfig::with_workers(1)).fingerprint();
+    let on_fp = analyze(fleet, PipelineConfig::default()).fingerprint();
     let expected = if smoke {
         // The published constant pins the full-size fleet; smoke pins
         // the same property against a freshly-run comm-off twin.
         let (_r, fleet_off) = run_fleet(fleet_config(clients, duration_s), replicas);
-        analyze(fleet_off, PipelineConfig::with_workers(1)).fingerprint()
+        analyze(fleet_off, PipelineConfig::default()).fingerprint()
     } else {
         EXPECTED_BATCH_FP
     };

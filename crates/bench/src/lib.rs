@@ -86,12 +86,11 @@ pub fn fleet_stream(
     (replica_header(hdr, replicas), out)
 }
 
-/// The shared scenario corpus of the differential and stress suites.
+/// The shared scenario corpus of the differential suites.
 ///
 /// Every suite that sweeps the "36-scenario matrix" (6 seeds × 3
 /// schedule policies × clean/faulty) builds it from here —
-/// `core/tests/parallel_diff.rs`, `core/tests/thread_stress.rs`,
-/// `collector/tests/streaming_diff.rs`, `collector/tests/thread_stress.rs`,
+/// `core/tests/parallel_diff.rs`, `collector/tests/streaming_diff.rs`,
 /// `collector/tests/federation_diff.rs` and
 /// `tests/golden_federation.rs` — instead of carrying per-file copies
 /// that can drift apart. A corpus change here intentionally moves
@@ -105,11 +104,6 @@ pub mod matrix {
 
     /// The matrix seeds: 6 × [`schedules`] × clean/faulty = 36.
     pub const SEEDS: [u64; 6] = [1, 2, 3, 5, 8, 13];
-
-    /// Worker counts every parallel execution surface is swept across
-    /// (1 is the serial reference; 3 and 8 are deliberately not
-    /// divisors/multiples of the 2-or-3-stage item counts).
-    pub const WORKER_SWEEP: [usize; 5] = [1, 2, 3, 4, 8];
 
     /// The three schedule policies per seed.
     pub fn schedules(seed: u64) -> [SchedulePolicy; 3] {

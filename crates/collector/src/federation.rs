@@ -59,9 +59,6 @@ use whodunit_report::live::{FedNodeView, FedTopologyView};
 
 use crate::link::{AckMode, RxState, Sender, Uplink, WireFrame};
 use crate::{Collector, CollectorConfig, CollectorOutput};
-use whodunit_core::exec::{self, StealPlan};
-
-use std::sync::Mutex;
 
 /// Fate of one message offered to an upstream link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,15 +110,6 @@ pub struct FederationConfig {
     /// Drain ticks [`Federation::finalize`] grants before declaring
     /// still-missing subtrees degraded.
     pub deadline_ticks: u64,
-    /// OS threads for the per-leaf ingest phase of
-    /// [`Federation::feed_round`]. `1` keeps the serial reference path;
-    /// leaves own disjoint state, so any worker count is byte-identical
-    /// (DESIGN.md §14). The root collector's own fold parallelism is
-    /// configured separately through `collector.workers`.
-    pub workers: usize,
-    /// Steal-schedule perturbation for the ingest executor — sweepable
-    /// by the stress harness, inert for correctness.
-    pub steal: StealPlan,
     /// Configuration of the root's flat [`Collector`].
     pub collector: CollectorConfig,
 }
@@ -132,8 +120,6 @@ impl Default for FederationConfig {
             flush_every: 4,
             checkpoint_every: 8,
             deadline_ticks: 4096,
-            workers: 1,
-            steal: StealPlan::CANONICAL,
             collector: CollectorConfig::default(),
         }
     }
@@ -232,13 +218,6 @@ pub struct FederationStats {
     pub leaf_events_in: u64,
     /// Change events the root applied (compaction numerator).
     pub root_events_applied: u64,
-    /// Feed rounds whose leaf ingest ran on the parallel executor.
-    pub parallel_ingest_rounds: u64,
-    /// Work steals across parallel ingest rounds. Timing-dependent;
-    /// diagnostic only, never part of a fingerprint surface.
-    pub ingest_steals: u64,
-    /// Ingest worker panics recovered through the resync path.
-    pub ingest_panics: u64,
     /// Wire-frame bytes offered to leaf uplinks, counted per
     /// transmission (retransmits included).
     pub leaf_link_wire_bytes: u64,
@@ -371,27 +350,10 @@ struct LeafNode {
     need_resync: bool,
 }
 
-/// Stats increments one leaf ingest produced, carried back to the
-/// shared [`FederationStats`] by the caller — in leaf order when the
-/// ingest phase ran in parallel, so the merged counters are
-/// schedule-independent.
-#[derive(Clone, Copy, Debug, Default)]
-struct IngestTally {
-    foreign_deltas: u64,
-    input_errors: u64,
-}
-
-impl IngestTally {
-    fn apply(self, stats: &mut FederationStats) {
-        stats.foreign_deltas += self.foreign_deltas;
-        stats.input_errors += self.input_errors;
-    }
-}
-
 impl LeafNode {
     /// Runs `op` on `st.accs[si]` and logs it. The entry is pushed
     /// before the op runs and popped if the op refuses, so not even an
-    /// unwinding ingest worker leaves `st.accs` ahead of the journal.
+    /// op that unwinds leaves `st.accs` ahead of the journal.
     fn log(&mut self, si: usize, op: Redo) -> Result<(), DeltaError> {
         self.journal.push((si, op));
         let (_, op) = self.journal.last().expect("just pushed");
@@ -403,15 +365,14 @@ impl LeafNode {
         done
     }
 
-    fn ingest(&mut self, batch: &EpochBatch) -> IngestTally {
-        let mut tally = IngestTally::default();
+    fn ingest(&mut self, batch: &EpochBatch, stats: &mut FederationStats) {
         for d in &batch.deltas {
             let Ok(si) = self.stages.binary_search(&d.stage) else {
-                tally.foreign_deltas += 1;
+                stats.foreign_deltas += 1;
                 continue;
             };
             if self.log(si, Redo::Apply(d.clone())).is_err() {
-                tally.input_errors += 1;
+                stats.input_errors += 1;
                 self.need_resync = true;
                 continue;
             }
@@ -425,7 +386,6 @@ impl LeafNode {
         self.st.gauges.last_epoch = self.st.gauges.last_epoch.max(batch.epoch);
         extend_interval(&mut self.st.interval, batch.epoch, batch.epoch);
         self.st.end = self.st.end.max(batch.end);
-        tally
     }
 
     /// Catches the input side up to the emitter mirror: per owned
@@ -1018,13 +978,13 @@ impl Federation {
     /// resync path, or honestly reported as missing coverage).
     pub fn feed(&mut self, leaf: usize, batch: &EpochBatch) {
         if self.feed_truth(leaf, batch) {
-            self.leaves[leaf].ingest(batch).apply(&mut self.stats);
+            self.leaves[leaf].ingest(batch, &mut self.stats);
         }
     }
 
-    /// The serial prefix of any feed: ground truth, emitter mirror, and
-    /// liveness — shared state the parallel ingest phase must not
-    /// touch. Returns whether the leaf should actually ingest.
+    /// The part of a feed that happens whether or not the leaf is up:
+    /// ground truth, emitter mirror, and liveness. Returns whether the
+    /// leaf should actually ingest.
     fn feed_truth(&mut self, leaf: usize, batch: &EpochBatch) -> bool {
         let mass: u64 = batch.deltas.iter().map(delta_mass).sum();
         self.truth[leaf] += mass;
@@ -1039,80 +999,16 @@ impl Federation {
         true
     }
 
-    /// Feeds one round — at most one batch per distinct leaf — with the
-    /// per-leaf ingest work executed on `cfg.workers` OS threads via
-    /// the deterministic work-stealing executor. Leaves own disjoint
-    /// state and tallies merge in leaf order, so any worker count and
-    /// steal schedule is byte-identical to serial [`Federation::feed`]
-    /// calls in leaf order (DESIGN.md §14).
-    ///
-    /// Panic policy: if an ingest worker panics, the round's leaves are
-    /// all marked for input resync — the next tick heals each of them
-    /// from its emitter mirror (the same catch-up diff path crash
-    /// recovery uses), so a lost increment degrades to lag, never to
-    /// silent mass loss.
+    /// Feeds one round — at most one batch per distinct leaf, leaves
+    /// ascending — as [`Federation::feed`] per entry.
     pub fn feed_round(&mut self, round: &[(usize, &EpochBatch)]) {
-        let mut live: Vec<(usize, &EpochBatch)> = Vec::with_capacity(round.len());
+        // Over the round as given: a crashed leaf is not exempt.
+        assert!(
+            round.windows(2).all(|w| w[0].0 < w[1].0),
+            "one batch per leaf, ascending"
+        );
         for &(leaf, batch) in round {
-            if let Some(prev) = live.last() {
-                assert!(prev.0 < leaf, "one batch per leaf, ascending");
-            }
-            if self.feed_truth(leaf, batch) {
-                live.push((leaf, batch));
-            }
-        }
-        let (workers, plan) = (self.cfg.workers, self.cfg.steal);
-        if workers <= 1 || live.len() <= 1 {
-            for &(leaf, batch) in &live {
-                self.leaves[leaf].ingest(batch).apply(&mut self.stats);
-            }
-            return;
-        }
-        // Hand each worker exclusive access to its round entry's leaf.
-        // `live` is ascending by leaf index, so the zip below pairs
-        // each entry with exactly its own `&mut LeafNode`.
-        let mut want = live.iter().peekable();
-        let slots: Vec<Mutex<Option<(&mut LeafNode, &EpochBatch)>>> = self
-            .leaves
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, l)| {
-                if want.peek().is_some_and(|&&(leaf, _)| leaf == i) {
-                    let &(_, batch) = want.next().expect("peeked");
-                    Some(Mutex::new(Some((l, batch))))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        debug_assert_eq!(slots.len(), live.len());
-        let outcome = exec::run("fed-ingest", workers, plan, slots.len(), |i| {
-            let (l, b) = slots[i]
-                .lock()
-                .expect("ingest slot poisoned")
-                .take()
-                .expect("each leaf ingests exactly once");
-            l.ingest(b)
-        });
-        match outcome {
-            Ok((tallies, stats)) => {
-                self.stats.parallel_ingest_rounds += 1;
-                self.stats.ingest_steals += stats.steals;
-                for t in tallies {
-                    t.apply(&mut self.stats);
-                }
-            }
-            Err(_) => {
-                // A worker panicked mid-apply: the panicking leaf's
-                // accumulator may hold a partial batch, and other
-                // leaves' completion is schedule-dependent. Resync the
-                // whole round from the emitter mirrors — the catch-up
-                // diff repairs exactly whatever is missing.
-                self.stats.ingest_panics += 1;
-                for &(leaf, _) in &live {
-                    self.leaves[leaf].need_resync = true;
-                }
-            }
+            self.feed(leaf, batch);
         }
     }
 
@@ -1665,6 +1561,23 @@ pub(crate) mod tests {
         );
     }
 
+    #[test]
+    #[should_panic(expected = "one batch per leaf")]
+    fn feed_round_refuses_a_dead_leaf_named_twice() {
+        let topo = vec![vec![vec![0], vec![1]]];
+        let mut fed = Federation::new(
+            &header2(),
+            &topo,
+            FederationConfig::default(),
+            Box::new(CleanLinks),
+        );
+        fed.crash(FedNodeId::Leaf(1), 1, None);
+        fed.tick();
+        assert!(!fed.leaves[1].alive, "the planted crash fired");
+        let db = batches_for(1, 1, "db", 2);
+        fed.feed_round(&[(1, &db[0]), (1, &db[1])]);
+    }
+
     /// Drops the first burst on link 0 (forcing RTO retries), then
     /// duplicates every 5th message and delays every 3rd.
     struct Lossy {
@@ -1878,7 +1791,7 @@ pub(crate) mod tests {
                         let mut bad = clean.clone();
                         bad.deltas[0].checksum ^= 1;
                         assert!(fed.feed_truth(leaf, &clean));
-                        fed.leaves[leaf].ingest(&bad).apply(&mut fed.stats);
+                        fed.leaves[leaf].ingest(&bad, &mut fed.stats);
                     }
                     // A batch lost before the leaf: the next one gaps.
                     (2, 29) => assert!(fed.feed_truth(leaf, &clean)),

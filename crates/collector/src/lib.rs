@@ -56,8 +56,7 @@ mod link;
 pub mod quarantine;
 pub mod sentinel;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Mutex;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use whodunit_core::cct::{Cct, CctNodeId, Metrics};
 use whodunit_core::hash::FnvHashMap;
 use whodunit_core::context::{ContextShard, ShardedContextTable, ShardedCtxId};
@@ -66,15 +65,14 @@ use whodunit_core::delta::{
     CctDelta, DeltaError, DeltaSink, EpochBatch, ResyncSource, StageAccumulator, StageDelta,
     StreamHeader,
 };
-use whodunit_core::exec::{self, StealPlan};
 use whodunit_core::frame::FrameId;
 use whodunit_core::pipeline::{analyze, OriginProfile, PipelineConfig, PipelineReport};
 use whodunit_core::stitch::{
-    ctx_string_of, fold_dump_nodes, global_frames, global_value, walk_origin, DumpNode,
-    RequestEdge, StageDump, UnresolvedEdge, UnresolvedHead,
+    ctx_string_of, fold_dump_nodes, global_frames, global_value, walk_origin, RequestEdge,
+    StageDump, UnresolvedEdge, UnresolvedHead,
 };
 use whodunit_core::wire::{self, WireError};
-use whodunit_report::live::{Hotspot, LagStats, LiveSnapshot, ThreadingStats, TierSlice, TopPath};
+use whodunit_report::live::{Hotspot, LagStats, LiveSnapshot, TierSlice, TopPath};
 
 pub use federation::{
     CleanLinks, FedNodeId, Federation, FederationConfig, FederationOutput, FederationStats,
@@ -104,18 +102,6 @@ pub struct CollectorConfig {
     /// drain. Off by default: the observations are cheap but not free,
     /// and only the sentinel consumes them.
     pub track_obs: bool,
-    /// Worker threads for CCT fold execution. `1` (the default) is the
-    /// serial reference path: folds run inline as deltas arrive,
-    /// exactly as before. Larger counts defer each batch's folds into
-    /// per-origin groups executed on scoped OS threads via
-    /// [`whodunit_core::exec::run`] — the final report stays
-    /// byte-identical (the thread-stress suite sweeps counts to prove
-    /// it), only wall time and the diagnostic threading counters move.
-    pub workers: usize,
-    /// Steal schedule for the parallel fold phase. Scheduling can
-    /// never change output; the stress harness sweeps seeds and
-    /// injects panics through this knob.
-    pub steal: StealPlan,
 }
 
 impl Default for CollectorConfig {
@@ -126,8 +112,6 @@ impl Default for CollectorConfig {
             max_queue: 0,
             quarantine: QuarantinePolicy::default(),
             track_obs: false,
-            workers: 1,
-            steal: StealPlan::CANONICAL,
         }
     }
 }
@@ -212,19 +196,6 @@ pub struct CollectorStats {
     /// function of the delta stream content (never of hash iteration
     /// or timing) — the window-boundary property tests key on this.
     pub eviction_log: Vec<(u64, OriginKey)>,
-    /// Batches whose folds executed on the parallel executor (always 0
-    /// on the `workers == 1` reference path).
-    pub parallel_fold_batches: u64,
-    /// Per-origin fold groups executed in parallel. A pure function of
-    /// the stream content and `workers > 1`.
-    pub fold_groups: u64,
-    /// Work-steal events during parallel fold execution. Timing-
-    /// dependent; diagnostic only, never part of any fingerprint.
-    pub fold_steals: u64,
-    /// Fold workers that panicked. Each one marks the stream broken,
-    /// so finalize falls back to the batch pipeline — a clean,
-    /// byte-correct report, never a deadlock or partial dump.
-    pub fold_panics: u64,
     /// Binary wire frames accepted by [`Collector::enqueue_wire`].
     pub wire_frames: u64,
     /// Total encoded bytes of the accepted wire frames.
@@ -340,94 +311,6 @@ struct StageState {
     frame_map: Vec<u32>,
 }
 
-/// One deferred fold operation (parallel mode): recorded exactly where
-/// the serial path would fold inline, executed in per-origin groups at
-/// the end of the batch.
-#[derive(Debug)]
-enum FoldOp {
-    /// Fold the whole accumulated CCT of `(stage, ctx)` — the binding
-    /// just settled, or first mass arrived on a bound context.
-    Full { stage: usize, ctx: u32 },
-    /// Fold one CCT increment through the context's existing node map.
-    Delta { stage: usize, delta: CctDelta },
-}
-
-/// A [`FoldOp`] with its inputs resolved at plan time, so group
-/// execution touches nothing but the group's own state.
-#[derive(Debug)]
-enum PlannedOp {
-    Full {
-        stage: usize,
-        ctx: u32,
-        nodes: Vec<DumpNode>,
-    },
-    Delta {
-        stage: usize,
-        delta: CctDelta,
-    },
-}
-
-/// All of one origin's fold work for the batch, owning everything it
-/// mutates: the resident aggregate (removed from the map for the
-/// duration) and the fold node maps of every context it updates.
-/// Disjoint by construction — each `(stage, ctx)` binds to exactly one
-/// origin — which is what makes group-parallel execution safe.
-#[derive(Debug)]
-struct FoldGroup {
-    origin: OriginKey,
-    entry: ResidentOrigin,
-    ops: Vec<PlannedOp>,
-    /// `(stage, ctx)` → that context's fold node map: taken from the
-    /// stage at plan time for `Delta` ops, created by `Full` ops.
-    /// Restored to the stages (in group order) after execution.
-    maps: Vec<((usize, u32), Vec<CctNodeId>)>,
-    /// Whether an op hit a condition the serial fold marks the stream
-    /// broken for (malformed node, out-of-order delta).
-    broken: bool,
-}
-
-impl FoldGroup {
-    /// Runs the group's ops in recorded order — what the serial
-    /// `fold_full` / `fold_delta` do, against the owned aggregate and
-    /// maps, with stage frame maps shared read-only.
-    fn execute(&mut self, frame_maps: &[Vec<u32>]) {
-        let ops = std::mem::take(&mut self.ops);
-        for op in ops {
-            let folded = match op {
-                PlannedOp::Full { stage, ctx, nodes } => {
-                    let mut map = Vec::with_capacity(nodes.len());
-                    let frames = frame_of(&frame_maps[stage]);
-                    let cycles = fold_dump_nodes(&mut self.entry.cct, &mut map, &nodes, frames).ok();
-                    // As in serial fold_full, a malformed tree installs
-                    // no map; the fallback owns the report now.
-                    if cycles.is_some() {
-                        self.maps.push(((stage, ctx), map));
-                    }
-                    cycles.map(|cycles| (stage, cycles))
-                }
-                PlannedOp::Delta { stage, delta } => {
-                    let key = (stage, delta.ctx);
-                    let map = &mut self
-                        .maps
-                        .iter_mut()
-                        .find(|(k, _)| *k == key)
-                        .expect("map taken at plan time")
-                        .1;
-                    fold_cct_delta(&mut self.entry.cct, map, &delta, &frame_maps[stage])
-                        .map(|cycles| (stage, cycles))
-                }
-            };
-            match folded {
-                Some((stage, cycles)) => {
-                    self.entry.stages.insert(stage);
-                    *self.entry.tier_cycles.entry(stage).or_insert(0) += cycles;
-                }
-                None => self.broken = true,
-            }
-        }
-    }
-}
-
 /// Stage-local frame index → collector-global [`FrameId`], for
 /// [`fold_dump_nodes`].
 fn frame_of(map: &[u32]) -> impl Fn(u32) -> FrameId + '_ {
@@ -516,13 +399,6 @@ pub struct Collector {
     /// progress tracking; `epoch` itself only advances post-batch to
     /// keep eviction timing unchanged).
     ingest_epoch: u64,
-    /// Deferred fold operations of the batch being ingested (parallel
-    /// mode only; always empty between batches and on the serial path).
-    fold_ops: Vec<FoldOp>,
-    /// `(stage, ctx)` pairs with a queued `Full` op this batch: later
-    /// increments for them are subsumed (the full fold reads the
-    /// accumulator at execution time).
-    fold_queued: HashSet<(usize, u32)>,
     /// Recorded per-epoch observations awaiting `take_epoch_obs`.
     epoch_obs: VecDeque<EpochObs>,
     /// Per-batch scratch for `EpochObs::stage_cycles`.
@@ -581,8 +457,6 @@ impl Collector {
             quarantine: Vec::new(),
             resync: None,
             ingest_epoch: 0,
-            fold_ops: Vec::new(),
-            fold_queued: HashSet::new(),
             epoch_obs: VecDeque::new(),
             obs_stage_cycles: Vec::new(),
             obs_xt_wait: 0,
@@ -786,9 +660,6 @@ impl Collector {
         for d in &batch.deltas {
             self.ingest_delta(d);
         }
-        // Parallel mode: the batch's deferred folds, before the epoch
-        // advances (the serial path folds inline at the same epoch).
-        self.execute_folds();
         self.retry_deferred_xt();
         self.epoch = self.epoch.max(batch.epoch);
         self.now = self.now.max(batch.end);
@@ -1004,12 +875,8 @@ impl Collector {
         // CCT increments for contexts whose mass is already folded.
         // Unbound contexts are skipped here: their mass stays in the
         // accumulator and is folded wholesale when the walk settles.
-        // Parallel mode queues the same decisions for the end-of-batch
-        // group phase instead of folding inline.
         for c in &d.ccts {
-            if self.parallel_fold() {
-                self.queue_fold(d.stage, c);
-            } else if self.stages[d.stage]
+            if self.stages[d.stage]
                 .fold
                 .get(c.ctx as usize)
                 .is_some_and(Option::is_some)
@@ -1129,167 +996,7 @@ impl Collector {
     fn bind(&mut self, start: (usize, u32), origin: OriginKey) {
         self.stages[start.0].bindings[start.1 as usize] = Some(origin);
         if self.stages[start.0].acc.cct_nodes(start.1).is_some() {
-            if self.parallel_fold() {
-                self.queue_full(start.0, start.1);
-            } else {
-                self.fold_full(start.0, start.1);
-            }
-        }
-    }
-
-    /// Whether folds defer to the end-of-batch parallel group phase.
-    fn parallel_fold(&self) -> bool {
-        self.cfg.workers > 1
-    }
-
-    /// Parallel-mode twin of the inline fold dispatch in
-    /// `apply_stitch`: records the fold decision for this increment.
-    fn queue_fold(&mut self, si: usize, c: &CctDelta) {
-        if self.fold_queued.contains(&(si, c.ctx)) {
-            // A Full op is queued for this context; it reads the
-            // accumulator at execution time, increments included.
-            return;
-        }
-        if self.stages[si]
-            .fold
-            .get(c.ctx as usize)
-            .is_some_and(Option::is_some)
-        {
-            self.fold_ops.push(FoldOp::Delta {
-                stage: si,
-                delta: c.clone(),
-            });
-        } else if self.stages[si].bindings.get(c.ctx as usize).copied().flatten().is_some() {
-            self.queue_full(si, c.ctx);
-        }
-    }
-
-    /// Queues a whole-CCT fold once per `(stage, ctx)` per batch.
-    fn queue_full(&mut self, si: usize, ctx: u32) {
-        if self.fold_queued.insert((si, ctx)) {
-            self.fold_ops.push(FoldOp::Full { stage: si, ctx });
-        }
-    }
-
-    /// The end-of-batch parallel fold phase: plan per-origin groups
-    /// (serially — residency and revival bookkeeping happen here, in
-    /// queue order, so stats match the serial path), execute them on
-    /// the deterministic work-stealing executor, then restore the
-    /// groups' state in group order. Runs before the epoch advances,
-    /// exactly where the serial path folded, so `last_active` and
-    /// eviction timing are unchanged.
-    fn execute_folds(&mut self) {
-        if self.fold_ops.is_empty() {
-            return;
-        }
-        let ops = std::mem::take(&mut self.fold_ops);
-        self.fold_queued.clear();
-        let mut groups: Vec<FoldGroup> = Vec::new();
-        let mut by_origin: FnvHashMap<OriginKey, usize> = FnvHashMap::default();
-        for op in ops {
-            let (si, ctx) = match &op {
-                FoldOp::Full { stage, ctx } => (*stage, *ctx),
-                FoldOp::Delta { stage, delta } => (*stage, delta.ctx),
-            };
-            let Some(origin) = self.binding_of(si, ctx) else {
-                // fold_delta's missing-binding condition (bindings
-                // never unbind, so Full ops cannot reach this).
-                self.broken = true;
-                continue;
-            };
-            let planned = match op {
-                FoldOp::Full { stage, ctx } => match self.stages[stage].acc.cct_nodes(ctx) {
-                    Some(n) => PlannedOp::Full {
-                        stage,
-                        ctx,
-                        nodes: n.to_vec(),
-                    },
-                    // Serial fold_full's early return: no mass, no
-                    // residency touch.
-                    None => continue,
-                },
-                FoldOp::Delta { stage, delta } => PlannedOp::Delta { stage, delta },
-            };
-            let gi = match by_origin.get(&origin) {
-                Some(&gi) => gi,
-                None => {
-                    // First touch this batch: revival / peak_resident /
-                    // last_active bookkeeping, identical to the serial
-                    // path's first fold for the origin.
-                    self.touch_resident(origin);
-                    let entry = self.resident.remove(&origin).expect("just touched");
-                    by_origin.insert(origin, groups.len());
-                    groups.push(FoldGroup {
-                        origin,
-                        entry,
-                        ops: Vec::new(),
-                        maps: Vec::new(),
-                        broken: false,
-                    });
-                    groups.len() - 1
-                }
-            };
-            let g = &mut groups[gi];
-            if let PlannedOp::Delta { stage, delta } = &planned {
-                let key = (*stage, delta.ctx);
-                if !g.maps.iter().any(|(k, _)| *k == key) {
-                    let map = self.stages[key.0].fold[key.1 as usize]
-                        .take()
-                        .expect("fold map existed when the delta was queued");
-                    g.maps.push((key, map));
-                }
-            }
-            g.ops.push(planned);
-        }
-
-        // Stage frame maps, shared read-only across groups.
-        let frame_maps: Vec<Vec<u32>> = self
-            .stages
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.frame_map))
-            .collect();
-        let n = groups.len();
-        let slots: Vec<Mutex<Option<FoldGroup>>> =
-            groups.into_iter().map(|g| Mutex::new(Some(g))).collect();
-        let outcome = exec::run("collector-fold", self.cfg.workers, self.cfg.steal, n, |gi| {
-            let mut g = slots[gi]
-                .lock()
-                .expect("group slot poisoned")
-                .take()
-                .expect("each group executes exactly once");
-            g.execute(&frame_maps);
-            g
-        });
-        for (s, fm) in self.stages.iter_mut().zip(frame_maps) {
-            s.frame_map = fm;
-        }
-        match outcome {
-            Ok((done, stats)) => {
-                self.stats.parallel_fold_batches += 1;
-                self.stats.fold_groups += done.len() as u64;
-                self.stats.fold_steals += stats.steals;
-                for g in done {
-                    self.broken |= g.broken;
-                    self.resident.insert(g.origin, g.entry);
-                    for ((si, ctx), map) in g.maps {
-                        let st = &mut self.stages[si];
-                        if st.fold.len() <= ctx as usize {
-                            st.fold.resize_with(ctx as usize + 1, || None);
-                        }
-                        st.fold[ctx as usize] = Some(map);
-                    }
-                }
-            }
-            Err(_) => {
-                // A fold worker panicked. The aggregates its group (and
-                // any unexecuted groups) owned are gone, so live views
-                // degrade — but the accumulators are untouched, the
-                // stream is marked broken, and finalize rebuilds the
-                // full byte-correct report through the batch fallback.
-                // Clean degradation: no deadlock, no partial dump.
-                self.broken = true;
-                self.stats.fold_panics += 1;
-            }
+            self.fold_full(start.0, start.1);
         }
     }
 
@@ -1626,13 +1333,6 @@ impl Collector {
                 cycle_peak_queued: self.stats.cycle_peak_queued,
                 throttled: self.stats.throttled,
             },
-            threads: ThreadingStats {
-                workers: self.cfg.workers.max(1) as u64,
-                parallel_fold_batches: self.stats.parallel_fold_batches,
-                fold_groups: self.stats.fold_groups,
-                fold_steals: self.stats.fold_steals,
-                fold_panics: self.stats.fold_panics,
-            },
             degraded: self.degraded_markers(),
             top_paths,
             tiers,
@@ -1668,8 +1368,6 @@ impl Collector {
                 }
             }
         }
-        // Settling binds queues folds in parallel mode; run them.
-        self.execute_folds();
         self.pending_walks.clear();
         // Pending edges whose synopsis never arrived are unresolved.
         let unresolved: Vec<UnresolvedEdge> = self
@@ -1708,8 +1406,8 @@ impl Collector {
             let report = analyze(
                 dumps,
                 PipelineConfig {
-                    workers: 1,
                     shards: self.cfg.shards,
+                    ..Default::default()
                 },
             );
             return CollectorOutput { report, stats };
@@ -1800,7 +1498,6 @@ impl Collector {
         let dumps_json = whodunit_core::dumpjson::to_json(&dumps);
 
         PipelineReport {
-            workers: 1,
             shards,
             stages: dumps,
             frames,

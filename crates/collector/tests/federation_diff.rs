@@ -20,7 +20,6 @@ use whodunit_apps::federation::{run_federation, FaultLinkPolicy, FedCrash};
 use whodunit_apps::tpcw::run_tpcw_streaming;
 use whodunit_bench::matrix::{federation_cfg, SEEDS};
 use whodunit_collector::federation::{CleanLinks, FedNodeId, FederationConfig, FederationOutput};
-use whodunit_collector::CollectorConfig;
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::delta::{EpochBatch, RecordingSink, StreamHeader};
 use whodunit_core::oracle::check_federation;
@@ -51,11 +50,7 @@ fn recorded(seed: u64) -> (StreamHeader, Vec<EpochBatch>, Vec<whodunit_core::sti
 
 /// The flat batch reference: analyze over the replicated fleet dumps.
 fn flat_reference(dumps: &[whodunit_core::stitch::StageDump], replicas: usize) -> PipelineReport {
-    let shards = CollectorConfig::default().shards;
-    analyze(
-        replicate_fleet(dumps, replicas),
-        PipelineConfig { workers: 1, shards },
-    )
+    analyze(replicate_fleet(dumps, replicas), PipelineConfig::default())
 }
 
 fn fed_cfg(flush: u64, ckpt: u64) -> FederationConfig {
@@ -316,70 +311,6 @@ fn unrecoverable_leaf_finalizes_degraded_not_aborted() {
     // ...and the surviving subtree's profiles still finalized.
     assert!(!out.output.report.profiles.is_empty());
     assert!(out.topology.root.children[0].children[0].degraded);
-}
-
-/// Parallel per-leaf ingest (`Federation::feed_round` on the
-/// work-stealing executor) is byte-identical to serial at every worker
-/// count and under steal perturbation — the federation arm of the
-/// thread-stress contract (DESIGN.md §14).
-#[test]
-fn parallel_leaf_ingest_is_byte_identical_at_every_worker_count() {
-    use whodunit_bench::matrix::WORKER_SWEEP;
-    use whodunit_core::exec::StealPlan;
-
-    let (hdr, batches, dumps) = recorded(1);
-    let (_, replicas, regions) = SHAPES[2]; // widest fan-in: 8 leaves
-    let reference = flat_reference(&dumps, replicas);
-    for workers in WORKER_SWEEP {
-        for steal in [0u64, 0x5eed_0001 ^ workers as u64] {
-            let what = format!("fed workers={workers} steal={steal:#x}");
-            let mut cfg = fed_cfg(2, 4);
-            cfg.workers = workers;
-            cfg.steal = StealPlan::seeded(steal);
-            let out = run_clean(&hdr, &batches, replicas, regions, cfg);
-            assert_clean_and_identical(&out, &reference, &what);
-            if workers > 1 {
-                assert!(
-                    out.stats.parallel_ingest_rounds > 0,
-                    "parallel ingest never engaged: {what}"
-                );
-            }
-            assert_eq!(out.stats.ingest_panics, 0, "{what}");
-        }
-    }
-}
-
-/// An injected ingest-worker panic heals through the mirror resync
-/// path: the panic is counted, the round's leaves catch up next tick,
-/// and the run still finalizes clean and byte-identical — lag, never
-/// silent mass loss, never a deadlock.
-#[test]
-fn injected_ingest_panic_heals_through_resync() {
-    use whodunit_core::exec::StealPlan;
-
-    let (hdr, batches, dumps) = recorded(2);
-    let (_, replicas, regions) = SHAPES[2];
-    let reference = flat_reference(&dumps, replicas);
-    let mut cfg = fed_cfg(2, 4);
-    cfg.workers = 4;
-    cfg.steal = StealPlan {
-        seed: 9,
-        panic_at: Some(("fed-ingest", 1)),
-    };
-    let out = run_federation(
-        &hdr,
-        &batches,
-        replicas,
-        STAGGER,
-        EPOCH_LEN,
-        regions,
-        cfg,
-        Box::new(CleanLinks),
-        &[],
-    );
-    assert!(out.stats.ingest_panics > 0, "injection never fired");
-    assert!(out.stats.input_resyncs > 0, "no resync healed the round");
-    assert_clean_and_identical(&out, &reference, "ingest panic heal");
 }
 
 /// A misreporting root would be caught: fabricate the evidence a buggy

@@ -258,7 +258,7 @@ fn collect(batches: &[EpochBatch], window: u64) -> CollectorOutput {
 fn batch_reference(shape: &Shape) -> PipelineReport {
     analyze(
         dumps_at(shape, shape.epochs - 1),
-        PipelineConfig { workers: 1, shards: 32 },
+        PipelineConfig::default(),
     )
 }
 

@@ -18,25 +18,20 @@
 //! Coverage mirrors `core/tests/parallel_diff.rs` through the shared
 //! corpus in `whodunit_bench::matrix`: 6 seeds × 3 schedule policies
 //! (fifo, random, perturb) × 2 fault plans (clean, faulty) = 36
-//! scenarios, each replayed through the collector at every worker
-//! count in [`matrix::WORKER_SWEEP`] and cross-validated against the
-//! batch pipeline swept over the same worker counts, all in one
-//! fingerprint table per scenario. A subset additionally cross-checks
-//! that the epoch-chunked simulation run is bit-identical to the
-//! unchunked one, one scenario sweeps epoch lengths and retention
-//! windows, and a staggered 12-replica fleet holds the residency bound
-//! (peak resident origins < total origins) and the wire size bound.
+//! scenarios, each recorded once and replayed through the collector.
+//! A subset additionally cross-checks that the epoch-chunked simulation
+//! run is bit-identical to the unchunked one, one scenario sweeps epoch
+//! lengths, retention windows and the dictionary shard count, and a
+//! staggered 12-replica fleet holds the residency bound (peak resident
+//! origins < total origins) and the wire size bound.
 
 use whodunit_apps::tpcw::{run_tpcw, run_tpcw_streaming, TpcwConfig};
-use whodunit_bench::matrix::{scenario_cfg, schedules, SEEDS, WORKER_SWEEP};
+use whodunit_bench::matrix::{scenario_cfg, schedules, SEEDS};
 use whodunit_bench::{fleet_config, fleet_stream};
 use whodunit_collector::{Collector, CollectorConfig, CollectorOutput};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::delta::RecordingSink;
-use whodunit_core::exec::StealPlan;
-use whodunit_core::pipeline::{
-    analyze, analyze_with, replicate_fleet, PipelineConfig, PipelineReport,
-};
+use whodunit_core::pipeline::{analyze, replicate_fleet, PipelineConfig, PipelineReport};
 use whodunit_sim::sched::SchedulePolicy;
 
 const EPOCH_LEN: u64 = CPU_HZ;
@@ -53,7 +48,13 @@ fn run_scenario(
     let mut collector = Collector::new(ccfg);
     let report = run_tpcw_streaming(cfg, epoch_len, &mut collector);
     let out = collector.finalize();
-    let batch = analyze(report.dumps, PipelineConfig { workers: 1, shards });
+    let batch = analyze(
+        report.dumps,
+        PipelineConfig {
+            shards,
+            ..Default::default()
+        },
+    );
     (out, batch)
 }
 
@@ -81,36 +82,6 @@ fn assert_byte_identical(batch: &PipelineReport, streamed: &PipelineReport, what
     );
 }
 
-/// One row of the cross-validation table: every (path, workers) cell's
-/// report fingerprint for one scenario. The table is the lock — a row
-/// whose cells disagree names exactly which path at which worker count
-/// diverged.
-fn cross_validate(what: &str, dumps: Vec<whodunit_core::stitch::StageDump>, outs: &[(usize, CollectorOutput)]) {
-    let mut cells: Vec<(String, u64)> = Vec::new();
-    for workers in WORKER_SWEEP {
-        let report = analyze_with(
-            dumps.clone(),
-            PipelineConfig { workers, shards: 32 },
-            StealPlan::CANONICAL,
-        )
-        .unwrap_or_else(|e| panic!("pipeline panicked: {what} workers={workers}: {e}"));
-        cells.push((format!("pipeline/w{workers}"), report.fingerprint()));
-    }
-    for (workers, out) in outs {
-        cells.push((format!("collector/w{workers}"), out.report.fingerprint()));
-    }
-    let reference = cells[0].1;
-    let table = cells
-        .iter()
-        .map(|(name, fp)| format!("  {name:<14} {fp:016x}"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(
-        cells.iter().all(|&(_, fp)| fp == reference),
-        "fingerprint table diverged: {what}\n{table}"
-    );
-}
-
 fn run_matrix(faulty: bool) {
     let mut scenarios = 0;
     for &seed in &SEEDS {
@@ -118,57 +89,37 @@ fn run_matrix(faulty: bool) {
             scenarios += 1;
             let what = format!("seed={seed} sched={sched:?} faulty={faulty}");
 
-            // One simulation run, recorded; every worker count replays
-            // the identical stream.
+            // One simulation run, recorded and replayed.
             let mut sink = RecordingSink::default();
             let report = run_tpcw_streaming(scenario_cfg(seed, sched, faulty), EPOCH_LEN, &mut sink);
-            let batch = analyze(report.dumps.clone(), PipelineConfig { workers: 1, shards: 32 });
+            let batch = analyze(report.dumps, PipelineConfig::default());
             assert!(
                 !batch.profiles.is_empty(),
                 "scenario produced no profiles (vacuous): {what}"
             );
 
-            let mut outs = Vec::new();
-            for workers in WORKER_SWEEP {
-                let what = format!("{what} workers={workers}");
-                let mut c = Collector::with_header(
-                    &sink.header,
-                    CollectorConfig {
-                        workers,
-                        ..CollectorConfig::default()
-                    },
-                );
-                for b in &sink.batches {
-                    assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
-                    c.drain();
-                }
-                let out = c.finalize();
-                assert!(
-                    !out.stats.used_fallback,
-                    "incremental path bailed to batch fallback: {what}"
-                );
-                assert!(out.stats.batches > 1, "stream collapsed to one batch: {what}");
-                if workers > 1 {
-                    assert!(
-                        out.stats.parallel_fold_batches > 0,
-                        "parallel fold path never engaged: {what}"
-                    );
-                    assert_eq!(out.stats.fold_panics, 0, "fold panicked: {what}");
-                }
-                assert_byte_identical(&batch, &out.report, &what);
-                if !faulty {
-                    assert_eq!(
-                        out.stats.pending_walks_at_flush, 0,
-                        "pending walks leaked on a clean run: {what}"
-                    );
-                    assert_eq!(
-                        out.stats.pending_edges_at_flush, 0,
-                        "pending edges leaked on a clean run: {what}"
-                    );
-                }
-                outs.push((workers, out));
+            let mut c = Collector::with_header(&sink.header, CollectorConfig::default());
+            for b in &sink.batches {
+                assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
+                c.drain();
             }
-            cross_validate(&what, report.dumps, &outs);
+            let out = c.finalize();
+            assert!(
+                !out.stats.used_fallback,
+                "incremental path bailed to batch fallback: {what}"
+            );
+            assert!(out.stats.batches > 1, "stream collapsed to one batch: {what}");
+            assert_byte_identical(&batch, &out.report, &what);
+            if !faulty {
+                assert_eq!(
+                    out.stats.pending_walks_at_flush, 0,
+                    "pending walks leaked on a clean run: {what}"
+                );
+                assert_eq!(
+                    out.stats.pending_edges_at_flush, 0,
+                    "pending edges leaked on a clean run: {what}"
+                );
+            }
         }
     }
     assert_eq!(scenarios, 18);
@@ -213,43 +164,60 @@ fn chunked_run_is_bit_identical_to_unchunked() {
 
 /// Epoch length and retention window are performance knobs, not
 /// semantics: every combination must finalize to the same bytes, and
-/// a tight window must actually evict while staying lossless.
+/// a tight window must actually evict while staying lossless. The
+/// shard count *is* output (dictionary ids are printed), so a collector
+/// off the default must match batch at the same count.
 #[test]
 fn window_and_epoch_sweep_preserves_end_state() {
     let cfg = scenario_cfg(2, SchedulePolicy::Fifo, false);
-    let reference = analyze(
-        run_tpcw(cfg.clone()).dumps,
-        PipelineConfig { workers: 1, shards: 32 },
+    let dumps = run_tpcw(cfg.clone()).dumps;
+    let batch_at = |shards: usize| {
+        let cfg = PipelineConfig {
+            shards,
+            ..Default::default()
+        };
+        analyze(dumps.clone(), cfg)
+    };
+    let default_shards = CollectorConfig::default().shards;
+    assert_ne!(
+        batch_at(default_shards).fingerprint(),
+        batch_at(5).fingerprint(),
+        "shard count left no mark on the report; the shards=5 input is vacuous"
     );
-    let mut evictions_seen = false;
+    let mut inputs = vec![(CPU_HZ, 4u64, 5)];
     for epoch_len in [CPU_HZ / 4, CPU_HZ, 5 * CPU_HZ] {
         for window in [1u64, 4] {
-            let what = format!("epoch_len={epoch_len} window={window}");
-            let (out, _) = run_scenario(
-                cfg.clone(),
-                epoch_len,
-                CollectorConfig {
-                    window_epochs: window,
-                    ..CollectorConfig::default()
-                },
+            inputs.push((epoch_len, window, default_shards));
+        }
+    }
+    let mut evictions_seen = false;
+    for (epoch_len, window, shards) in inputs {
+        let what = format!("epoch_len={epoch_len} window={window} shards={shards}");
+        let (out, _) = run_scenario(
+            cfg.clone(),
+            epoch_len,
+            CollectorConfig {
+                shards,
+                window_epochs: window,
+                ..CollectorConfig::default()
+            },
+        );
+        assert!(!out.stats.used_fallback, "fallback: {what}");
+        assert_byte_identical(&batch_at(shards), &out.report, &what);
+        if window == 1 && epoch_len <= CPU_HZ {
+            assert!(
+                out.stats.evictions > 0,
+                "tight window never evicted: {what}"
             );
-            assert!(!out.stats.used_fallback, "fallback: {what}");
-            assert_byte_identical(&reference, &out.report, &what);
-            if window == 1 && epoch_len <= CPU_HZ {
-                assert!(
-                    out.stats.evictions > 0,
-                    "tight window never evicted: {what}"
-                );
-                // This single-node workload keeps all of its (few)
-                // origins concurrently live, so peak_resident equals
-                // the total here; the staggered-fleet test below is
-                // where peak < total is asserted. Bound it anyway.
-                assert!(
-                    out.stats.peak_resident <= out.report.profiles.len() as u64,
-                    "resident set exceeded total origins: {what}"
-                );
-                evictions_seen = true;
-            }
+            // This single-node workload keeps all of its (few)
+            // origins concurrently live, so peak_resident equals
+            // the total here; the staggered-fleet test below is
+            // where peak < total is asserted. Bound it anyway.
+            assert!(
+                out.stats.peak_resident <= out.report.profiles.len() as u64,
+                "resident set exceeded total origins: {what}"
+            );
+            evictions_seen = true;
         }
     }
     assert!(evictions_seen);
@@ -273,7 +241,7 @@ fn staggered_fleet_stays_resident_below_total_and_packs_on_the_wire() {
     let report = run_tpcw_streaming(fleet_config(12, 12), EPOCH_LEN, &mut sink);
     let reference = analyze(
         replicate_fleet(&report.dumps, replicas),
-        PipelineConfig { workers: 1, shards: 32 },
+        PipelineConfig::default(),
     );
     let total_origins = reference.profiles.len() as u64;
     let (hdr, stream) = fleet_stream(&sink.header, &sink.batches, replicas, stagger);
@@ -323,7 +291,7 @@ fn backpressure_counts_throttles_and_stays_lossless() {
     let cfg = scenario_cfg(3, SchedulePolicy::Fifo, false);
     let mut sink = RecordingSink::default();
     let report = run_tpcw_streaming(cfg, CPU_HZ, &mut sink);
-    let batch_ref = analyze(report.dumps, PipelineConfig { workers: 1, shards: 32 });
+    let batch_ref = analyze(report.dumps, PipelineConfig::default());
 
     let mut c = Collector::with_header(
         &sink.header,
@@ -381,7 +349,7 @@ fn recorded_scenario() -> (StreamHeader, Vec<EpochBatch>, PipelineReport) {
     let cfg = scenario_cfg(2, SchedulePolicy::Fifo, false);
     let mut sink = RecordingSink::default();
     let report = run_tpcw_streaming(cfg, EPOCH_LEN, &mut sink);
-    let reference = analyze(report.dumps, PipelineConfig { workers: 1, shards: 32 });
+    let reference = analyze(report.dumps, PipelineConfig::default());
     (sink.header, sink.batches, reference)
 }
 
@@ -736,7 +704,7 @@ fn run_wire_matrix(faulty: bool) {
             let mut sink = RecordingSink::default();
             let report =
                 run_tpcw_streaming(scenario_cfg(seed, sched, faulty), EPOCH_LEN, &mut sink);
-            let batch = analyze(report.dumps, PipelineConfig { workers: 1, shards: 32 });
+            let batch = analyze(report.dumps, PipelineConfig::default());
 
             let (out, _) = ingest_clean_wire(&sink.header, &sink.batches, &what);
             assert_byte_identical(&batch, &out.report, &what);

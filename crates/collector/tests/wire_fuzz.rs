@@ -60,7 +60,7 @@ fn scenario() -> &'static Scenario {
         let cfg = scenario_cfg(2, SchedulePolicy::Fifo, false);
         let mut sink = RecordingSink::default();
         let report = run_tpcw_streaming(cfg, CPU_HZ, &mut sink);
-        let reference = analyze(report.dumps, PipelineConfig { workers: 1, shards: 32 });
+        let reference = analyze(report.dumps, PipelineConfig::default());
         let frames = sink.batches.iter().map(encode_batch).collect();
         Scenario {
             header: sink.header,

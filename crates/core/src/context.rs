@@ -45,8 +45,9 @@ pub enum ContextAtom {
     /// An event handler or SEDA stage executed for the transaction.
     Frame(FrameId),
     /// A call path captured at a produce point (shared-memory produce or
-    /// message send). `Arc` (not `Rc`) so context values can cross the
-    /// analysis pipeline's worker-pool threads.
+    /// message send). `Arc` (not `Rc`) keeps context values `Send +
+    /// Sync`; nothing in the workspace moves one across threads, so
+    /// that is headroom for an embedder, not a requirement of ours.
     Path(Arc<[FrameId]>),
     /// A synopsis chain received from another process; it stands for the
     /// entire upstream history, which only the stitcher can expand.
@@ -409,9 +410,9 @@ impl fmt::Display for ShardedCtxId {
 /// One shard of a [`ShardedContextTable`]: a self-contained intern
 /// table whose ids are local to the shard.
 ///
-/// Shards are plain data (`Send`), so each worker of the analysis
-/// pipeline can populate its own shards privately and hand them back
-/// for assembly — no global table, no locks.
+/// Shards are plain data: the batch pipeline and the collector each
+/// populate a `Vec` of them and hand it to
+/// [`ShardedContextTable::from_parts`] for assembly.
 #[derive(Debug, Default, Clone)]
 pub struct ContextShard {
     index: ValueIndex,
@@ -481,14 +482,13 @@ impl ContextShard {
 ///
 /// Each value is owned by exactly one shard — the one its stable hash
 /// selects — so two shards can never mint different ids for the same
-/// value, and parallel workers minting into disjoint shards can never
-/// mint duplicates. Ids ([`ShardedCtxId`]) embed the owning shard, so
-/// they stay valid however the shards are later reassembled.
+/// value. Ids ([`ShardedCtxId`]) embed the owning shard, so they stay
+/// valid however the shards are later reassembled.
 ///
 /// Determinism rules (see DESIGN.md §9):
 ///
 /// - the shard of a value depends only on the value and the shard
-///   count, never on insertion order or worker count;
+///   count, never on insertion order;
 /// - shard-local ids depend only on the order values are interned
 ///   *into that shard*, which the pipeline fixes by scanning inputs in
 ///   (stage, context) order;
@@ -563,8 +563,9 @@ impl ShardedContextTable {
 
     /// Assembles a table from independently built shards. `parts` are
     /// `(shard index, shard)` pairs in **any** order; missing indices
-    /// become empty shards. Order-insensitivity is what lets pipeline
-    /// workers finish in any order without affecting the result.
+    /// become empty shards. Parts are placed by index, so the batch
+    /// pipeline and the collector's `assemble`, which build their
+    /// shards independently, assemble equal tables from equal shards.
     ///
     /// # Panics
     ///

@@ -172,12 +172,11 @@ pub struct CrosstalkMatrix {
 }
 
 impl CrosstalkMatrix {
-    /// Assembles a matrix from disjoint partial matrices (one per
-    /// dictionary shard of the pipeline).
+    /// Assembles a matrix from partial matrices with disjoint keys.
     ///
-    /// Parts are sharded by waiter origin, so no key appears in two
-    /// parts and concatenation plus one sort is a lossless merge; the
-    /// sort makes the result independent of part order.
+    /// No key may appear in two parts, so concatenation plus one sort
+    /// is a lossless merge; the sort makes the result independent of
+    /// part order.
     pub fn from_parts(parts: impl IntoIterator<Item = CrosstalkMatrix>) -> Self {
         let mut m = CrosstalkMatrix::default();
         for p in parts {

@@ -51,7 +51,6 @@ pub mod crosstalk;
 pub mod delta;
 pub mod dumpjson;
 pub mod events;
-pub mod exec;
 pub mod frame;
 pub mod hash;
 pub mod ids;
@@ -81,7 +80,6 @@ pub use delta::{
     diff_dump, DeltaSink, EpochBatch, RecordedResync, ResyncSource, StageAccumulator, StageDelta,
     StreamHeader,
 };
-pub use exec::{RunStats, ShardPanic, StealPlan};
 pub use frame::{FrameId, FrameKind, FrameTable, SharedFrameTable};
 pub use hash::{fnv1a, Fnv64};
 pub use ids::{ChanId, LockId, LockMode, ProcId, ThreadId};
@@ -90,8 +88,7 @@ pub use oracle::{
     InferenceScore, ProgressState, Violation,
 };
 pub use pipeline::{
-    analyze, analyze_with, replicate_fleet, OriginProfile, PhaseTiming, PipelineConfig,
-    PipelineReport,
+    analyze, replicate_fleet, OriginProfile, PhaseTiming, PipelineConfig, PipelineReport,
 };
 pub use profiler::{Whodunit, WhodunitConfig};
 pub use repro::{repro_from_json, repro_to_json, ChaosRepro, FaultEntry, ReproWindow};

@@ -1,33 +1,33 @@
-//! The parallel post-collection analysis pipeline.
+//! The post-collection analysis pipeline.
 //!
 //! Post-mortem analysis — validating stage dumps, indexing minted
 //! synopses, resolving origins and request edges, merging per-stage
 //! CCTs into per-transaction profiles, aggregating crosstalk, and
-//! re-serializing the dumps — is embarrassingly parallel *if* the
-//! merge order is pinned down. This module runs those phases across a
-//! deterministic fixed-size worker pool and guarantees the result is
-//! **bit-identical for every worker count**, by construction:
+//! re-serializing the dumps — runs as eight named phases on the calling
+//! thread. The report is a pure function of the input dumps because
+//! every scan and merge order is pinned down:
 //!
-//! 1. Work is partitioned into a *fixed* number of items (stages, or
-//!    dictionary shards chosen by location hash) that does not depend
-//!    on the worker count.
-//! 2. Each item's result is a pure function of the input dumps.
-//! 3. Per-item results land in per-item slots and are merged in
-//!    ascending item order — never in completion order.
+//! 1. Stages are visited in input order and a stage's contexts, CCTs
+//!    and crosstalk rows in dump order, so duplicate-synopsis
+//!    last-insert-wins, CCT merge order and dictionary interning order
+//!    never depend on anything but the input.
+//! 2. Keyed output (profiles, the crosstalk matrix, edges) is emitted
+//!    in ascending key order — accumulated in a `BTreeMap` or sorted
+//!    before it is returned, never in hash-iteration order.
+//! 3. An origin's context value interns into the dictionary shard its
+//!    stable hash routes to ([`PipelineConfig::shards`]); the shard
+//!    index is printed with every profile, so the routing is part of
+//!    the output.
 //!
-//! `workers == 1` *is* the serial path: the same item functions run on
-//! the calling thread in the same item order. Parallel counts execute
-//! on real scoped OS threads with seeded work stealing via
-//! [`crate::exec::run`]; [`analyze_with`] additionally accepts a
-//! [`StealPlan`] so the stress harness can perturb steal order and
-//! inject deterministic shard panics. The differential suites
-//! (`crates/core/tests/parallel_diff.rs`, `thread_stress.rs`) hold all
-//! paths to byte equality over seeds × schedules × fault plans ×
-//! worker counts, and DESIGN.md §9/§14 record the invariants a future
-//! contributor must preserve.
+//! The pipeline is single-threaded on measurement (DESIGN.md §14). The
+//! differential suite (`crates/core/tests/parallel_diff.rs`) holds it
+//! to the legacy [`crate::stitch::Stitched`] resolver and the serial
+//! dump serializer over seeds × schedules × fault plans, and the
+//! streaming collector's end-state lock holds the collector to it byte
+//! for byte; DESIGN.md §9 records the invariants a future contributor
+//! must preserve.
 
 use crate::cct::{Cct, CctNodeId};
-use crate::exec::{self, ShardPanic, StealPlan};
 use crate::context::{ContextShard, ShardedContextTable, ShardedCtxId, TransactionContext};
 use crate::crosstalk::{CrosstalkMatrix, OriginKey, WaitStats};
 use crate::dumpjson;
@@ -37,19 +37,23 @@ use crate::stitch::{
     StitchError, UnresolvedEdge,
 };
 use crate::synopsis::Synopsis;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// Pipeline sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
-    /// Worker threads. `1` runs every phase on the calling thread (the
-    /// serial reference path); larger counts only change *who* computes
-    /// each item, never the result.
+    /// Reserved and unread: [`analyze`] runs on the calling thread
+    /// whatever this says (DESIGN.md §14). The field survives only
+    /// because `benchmark/`'s `batch_config` names it in a struct
+    /// literal and product PRs may not edit `benchmark/`; ROADMAP
+    /// item 8 drops that literal, then this field. Build configs with
+    /// `..Default::default()`.
     pub workers: usize,
-    /// Dictionary shard count. Fixed independently of `workers` — this
-    /// is what makes output worker-count-invariant — and sized so shard
-    /// work stays balanced (default 32).
+    /// Dictionary shard count: the shape of the context dictionary in
+    /// the output (every profile prints its `ShardedCtxId`), which the
+    /// streaming collector's `CollectorConfig::shards` must match for
+    /// the byte-identity lock (default 32).
     pub shards: usize,
 }
 
@@ -58,16 +62,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             workers: 1,
             shards: 32,
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// A config with `workers` workers and default shard count.
-    pub fn with_workers(workers: usize) -> Self {
-        PipelineConfig {
-            workers: workers.max(1),
-            ..Default::default()
         }
     }
 }
@@ -100,13 +94,11 @@ pub struct OriginProfile {
 }
 
 /// Everything the pipeline produces. All fields except [`timings`] are
-/// bit-identical across worker counts.
+/// a pure function of the input dumps and the shard count.
 ///
 /// [`timings`]: PipelineReport::timings
 #[derive(Debug)]
 pub struct PipelineReport {
-    /// Workers the run used.
-    pub workers: usize,
     /// Dictionary shard count the run used.
     pub shards: usize,
     /// The input dumps, order preserved.
@@ -137,40 +129,21 @@ pub struct PipelineReport {
     pub timings: Vec<PhaseTiming>,
 }
 
-/// Runs every phase of the analysis over `dumps` under the canonical
-/// schedule, propagating any worker panic (with the executor's clean
-/// [`ShardPanic`] message) — the legacy entry point.
+/// Runs every phase of the analysis over `dumps`.
 pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
-    match analyze_with(dumps, cfg, StealPlan::CANONICAL) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs every phase of the analysis over `dumps` under a specific
-/// steal schedule. The schedule can never change the report — the
-/// thread-stress harness sweeps plans to prove it — but a panicking
-/// shard (organic, or injected via [`StealPlan::panic_at`]) surfaces
-/// here as a clean [`ShardPanic`] instead of a partial report.
-pub fn analyze_with(
-    dumps: Vec<StageDump>,
-    cfg: PipelineConfig,
-    plan: StealPlan,
-) -> Result<PipelineReport, ShardPanic> {
-    let workers = cfg.workers.max(1);
     let shards = cfg.shards.max(1);
     let stages = &dumps;
     let n_stages = stages.len();
     let mut timings = Vec::new();
 
-    // Global frame table plus per-stage local→global index maps.
-    // Serial — it is a cheap prefix every later phase reads.
+    // Global frame table plus per-stage local→global index maps: a
+    // cheap prefix every later phase reads.
     let (frames, remap) = global_frames(stages);
 
     // Phase: validate. Per stage, check indices and rebuild every CCT.
-    let (validated, t) =
-        timed_phase("validate", workers, plan, n_stages, |si| stages[si].validate())?;
-    timings.push(t);
+    let validated: Vec<Result<(), StitchError>> = timed_phase(&mut timings, "validate", || {
+        stages.iter().map(StageDump::validate).collect()
+    });
     let valid: Vec<bool> = validated.iter().map(|r| r.is_ok()).collect();
     let warnings: Vec<(usize, StitchError)> = validated
         .into_iter()
@@ -178,42 +151,38 @@ pub fn analyze_with(
         .filter_map(|(si, r)| r.err().map(|e| (si, e)))
         .collect();
 
-    // Phase: index. The minted-synopsis index, sharded by synopsis
-    // hash. Each shard scans all valid stages in order and keeps the
-    // entries it owns, so shard contents (and last-insert-wins on
-    // duplicates) match the serial stage-order scan exactly.
-    let (index, t) = timed_phase("index", workers, plan, shards, |j| {
-        let mut map: HashMap<u64, (usize, u32)> = HashMap::new();
+    // Phase: index. The minted-synopsis index, built in one stage-order
+    // scan over the valid stages so a duplicate mint resolves
+    // last-insert-wins.
+    let index: HashMap<u64, (usize, u32)> = timed_phase(&mut timings, "index", || {
+        let mut map = HashMap::new();
         for (si, d) in stages.iter().enumerate() {
             if !valid[si] {
                 continue;
             }
             for &(raw, ctx) in &d.synopses {
-                if syn_shard(raw, shards) == j {
-                    map.insert(raw, (si, ctx));
-                }
+                map.insert(raw, (si, ctx));
             }
         }
         map
-    })?;
-    timings.push(t);
-    let resolve = |raw: u64| -> Option<(usize, u32)> {
-        index[syn_shard(raw, shards)].get(&raw).copied()
-    };
+    });
+    let resolve = |raw: u64| -> Option<(usize, u32)> { index.get(&raw).copied() };
 
     // Phase: stitch. Per stage, resolve every context's origin and
     // classify remote contexts into request/unresolved edges.
-    let (stitched, t) = timed_phase("stitch", workers, plan, n_stages, |si| {
-        let mut origins: Vec<OriginKey> = Vec::new();
-        let mut edges: Vec<RequestEdge> = Vec::new();
-        let mut unresolved: Vec<UnresolvedEdge> = Vec::new();
-        if valid[si] {
-            let d = &stages[si];
-            let context = |(s, c): (usize, u32)| stages.get(s)?.contexts.get(c as usize);
+    let mut edges: Vec<RequestEdge> = Vec::new();
+    let mut unresolved: Vec<UnresolvedEdge> = Vec::new();
+    let origins: Vec<Vec<OriginKey>> = timed_phase(&mut timings, "stitch", || {
+        let context = |(s, c): (usize, u32)| stages.get(s)?.contexts.get(c as usize);
+        let mut origins = vec![Vec::new(); n_stages];
+        for (si, d) in stages.iter().enumerate() {
+            if !valid[si] {
+                continue;
+            }
             for (ci, c) in d.contexts.iter().enumerate() {
                 let ci = ci as u32;
                 // The index is complete: an unresolvable head settles.
-                origins.push(walk_origin(context, resolve, (si, ci)).unwrap_or_else(|u| u.at));
+                origins[si].push(walk_origin(context, resolve, (si, ci)).unwrap_or_else(|u| u.at));
                 let Some(&last) = c.remote_chain().and_then(|chain| chain.last()) else {
                     continue;
                 };
@@ -232,137 +201,114 @@ pub fn analyze_with(
                 }
             }
         }
-        (origins, edges, unresolved)
-    })?;
-    timings.push(t);
-    let origins: Vec<Vec<OriginKey>> = stitched.iter().map(|(o, _, _)| o.clone()).collect();
-    let mut edges: Vec<RequestEdge> = stitched.iter().flat_map(|(_, e, _)| e.clone()).collect();
+        origins
+    });
     edges.sort_by_key(|e| (e.to_stage, e.to_ctx, e.from_stage, e.from_ctx));
-    let mut unresolved: Vec<UnresolvedEdge> =
-        stitched.iter().flat_map(|(_, _, u)| u.clone()).collect();
     unresolved.sort_by_key(|e| (e.to_stage, e.to_ctx, e.missing));
 
     // Phase: annotate. Per stage, rebuild each CCT over global frame
     // ids and tag it with its origin, the origin's global context
     // value, and the dictionary shard that value hashes to.
-    let (annotated, t) = timed_phase("annotate", workers, plan, n_stages, |si| {
-        let mut anns: Vec<CctAnnotation> = Vec::new();
-        if valid[si] {
-            let d = &stages[si];
-            for c in &d.ccts {
-                let origin = origin_of(&origins, si, c.ctx);
-                let value = global_value(stages, &remap, origin);
-                let dict_shard = (value.stable_hash() % shards as u64) as usize;
-                let cct = rebuild_global(&remap[si], c);
-                anns.push(CctAnnotation {
-                    origin,
-                    value,
-                    dict_shard,
-                    cct,
-                });
+    let annotated: Vec<Vec<CctAnnotation>> = timed_phase(&mut timings, "annotate", || {
+        let annotate = |si: usize| {
+            let mut anns: Vec<CctAnnotation> = Vec::new();
+            if valid[si] {
+                for c in &stages[si].ccts {
+                    let origin = origin_of(&origins, si, c.ctx);
+                    let value = global_value(stages, &remap, origin);
+                    let dict_shard = (value.stable_hash() % shards as u64) as usize;
+                    let cct = rebuild_global(&remap[si], c);
+                    anns.push(CctAnnotation {
+                        origin,
+                        value,
+                        dict_shard,
+                        cct,
+                    });
+                }
             }
-        }
-        anns
-    })?;
-    timings.push(t);
+            anns
+        };
+        (0..n_stages).map(annotate).collect()
+    });
 
-    // Phase: profiles. Per dictionary shard, merge the CCTs of every
-    // annotation the shard owns (scan in (stage, cct) order so merge
-    // order is fixed) and intern the origin values into the shard's
-    // slice of the global dictionary.
-    let (profile_parts, t) = timed_phase("profiles", workers, plan, shards, |j| {
-        let mut shard = ContextShard::default();
-        let mut acc: BTreeMap<OriginKey, (u32, BTreeSet<usize>, Cct)> = BTreeMap::new();
+    // Phase: profiles. One scan in (stage, cct) order — which fixes
+    // each origin's CCT merge order and each dictionary shard's
+    // interning order — merging every annotation into its origin's
+    // profile and interning the origin's value, at its first
+    // occurrence, into the shard that value hashes to.
+    let (dict, profiles) = timed_phase(&mut timings, "profiles", || {
+        let mut shard_tabs: Vec<ContextShard> =
+            (0..shards).map(|_| ContextShard::default()).collect();
+        let mut acc: BTreeMap<OriginKey, OriginProfile> = BTreeMap::new();
         for (si, anns) in annotated.iter().enumerate() {
             for a in anns {
-                if a.dict_shard != j {
-                    continue;
-                }
-                let e = acc.entry(a.origin).or_insert_with(|| {
-                    let local = shard.intern_local(a.value.clone());
-                    (local, BTreeSet::new(), Cct::new())
+                let p = acc.entry(a.origin).or_insert_with(|| {
+                    let local = shard_tabs[a.dict_shard].intern_local(a.value.clone());
+                    OriginProfile {
+                        origin: a.origin,
+                        global_ctx: ShardedCtxId::new(a.dict_shard as u32, local),
+                        stages: Vec::new(),
+                        cct: Cct::new(),
+                    }
                 });
-                e.1.insert(si);
-                e.2.merge(&a.cct);
+                if p.stages.last() != Some(&si) {
+                    p.stages.push(si);
+                }
+                p.cct.merge(&a.cct);
             }
         }
-        let profiles: Vec<OriginProfile> = acc
-            .into_iter()
-            .map(|(origin, (local, stages, cct))| OriginProfile {
-                origin,
-                global_ctx: ShardedCtxId::new(j as u32, local),
-                stages: stages.into_iter().collect(),
-                cct,
-            })
-            .collect();
-        (shard, profiles)
-    })?;
-    timings.push(t);
-    let mut dict_parts = Vec::new();
-    let mut profiles = Vec::new();
-    for (j, (shard, mut ps)) in profile_parts.into_iter().enumerate() {
-        dict_parts.push((j, shard));
-        profiles.append(&mut ps);
-    }
-    let dict = ShardedContextTable::from_parts(shards, dict_parts);
-    profiles.sort_by_key(|p| p.origin);
+        let dict = ShardedContextTable::from_parts(shards, shard_tabs.into_iter().enumerate());
+        (dict, acc.into_values().collect::<Vec<_>>())
+    });
 
     // Phase: crosstalk-map. Per stage, resolve each recorded pair and
-    // waiter through the origin walk and tag it with the shard its
-    // waiter origin hashes to.
-    let (ct_maps, t) = timed_phase("crosstalk-map", workers, plan, n_stages, |si| {
-        let mut pairs: Vec<(usize, OriginKey, OriginKey, WaitStats)> = Vec::new();
-        let mut waiters: Vec<(usize, OriginKey, WaitStats)> = Vec::new();
-        if valid[si] {
-            let d = &stages[si];
-            for p in &d.crosstalk_pairs {
-                let w = origin_of(&origins, si, p.waiter);
-                let h = origin_of(&origins, si, p.holder);
-                pairs.push((
-                    origin_shard(w, shards),
-                    w,
-                    h,
-                    WaitStats {
-                        count: p.count,
-                        total_wait: p.total_wait,
-                    },
-                ));
+    // waiter through the origin walk.
+    let ct_maps: Vec<_> = timed_phase(&mut timings, "crosstalk-map", || {
+        let resolve_rows = |si: usize| {
+            let mut pairs: Vec<(OriginKey, OriginKey, WaitStats)> = Vec::new();
+            let mut waiters: Vec<(OriginKey, WaitStats)> = Vec::new();
+            if valid[si] {
+                let d = &stages[si];
+                for p in &d.crosstalk_pairs {
+                    let w = origin_of(&origins, si, p.waiter);
+                    let h = origin_of(&origins, si, p.holder);
+                    pairs.push((
+                        w,
+                        h,
+                        WaitStats {
+                            count: p.count,
+                            total_wait: p.total_wait,
+                        },
+                    ));
+                }
+                for wt in &d.crosstalk_waiters {
+                    let w = origin_of(&origins, si, wt.waiter);
+                    waiters.push((
+                        w,
+                        WaitStats {
+                            count: wt.count,
+                            total_wait: wt.total_wait,
+                        },
+                    ));
+                }
             }
-            for wt in &d.crosstalk_waiters {
-                let w = origin_of(&origins, si, wt.waiter);
-                waiters.push((
-                    origin_shard(w, shards),
-                    w,
-                    WaitStats {
-                        count: wt.count,
-                        total_wait: wt.total_wait,
-                    },
-                ));
-            }
-        }
-        (pairs, waiters)
-    })?;
-    timings.push(t);
+            (pairs, waiters)
+        };
+        (0..n_stages).map(resolve_rows).collect()
+    });
 
-    // Phase: crosstalk-reduce. Per shard, accumulate the rows the
-    // shard owns; keys are disjoint across shards (a waiter origin
-    // lives in exactly one), so the final from_parts merge is lossless.
-    let (ct_parts, t) = timed_phase("crosstalk-reduce", workers, plan, shards, |j| {
+    // Phase: crosstalk-reduce. Accumulate the rows per key; the
+    // `BTreeMap`s hand the matrix back in ascending key order.
+    let matrix = timed_phase(&mut timings, "crosstalk-reduce", || {
         let mut pair_acc: BTreeMap<(OriginKey, OriginKey), WaitStats> = BTreeMap::new();
         let mut waiter_acc: BTreeMap<OriginKey, WaitStats> = BTreeMap::new();
         for (ps, ws) in &ct_maps {
-            for &(shard, w, h, s) in ps {
-                if shard != j {
-                    continue;
-                }
+            for &(w, h, s) in ps {
                 let e = pair_acc.entry((w, h)).or_default();
                 e.count += s.count;
                 e.total_wait += s.total_wait;
             }
-            for &(shard, w, s) in ws {
-                if shard != j {
-                    continue;
-                }
+            for &(w, s) in ws {
                 let e = waiter_acc.entry(w).or_default();
                 e.count += s.count;
                 e.total_wait += s.total_wait;
@@ -372,17 +318,14 @@ pub fn analyze_with(
             pairs: pair_acc.into_iter().map(|((w, h), s)| (w, h, s)).collect(),
             waiters: waiter_acc.into_iter().collect(),
         }
-    })?;
-    timings.push(t);
-    let matrix = CrosstalkMatrix::from_parts(ct_parts);
+    });
 
-    // Phase: serialize. Per stage, render the dump's JSON; the serial
+    // Phase: serialize. Per stage, render the dump's JSON; the
     // concatenation below reproduces dumpjson::to_json byte-for-byte
     // because that format is itself a per-dump concatenation.
-    let (jsons, t) = timed_phase("serialize", workers, plan, n_stages, |si| {
-        dumpjson::dump_to_json(&stages[si])
-    })?;
-    timings.push(t);
+    let jsons: Vec<String> = timed_phase(&mut timings, "serialize", || {
+        stages.iter().map(dumpjson::dump_to_json).collect()
+    });
     let mut dumps_json = String::from("[\n");
     for (i, j) in jsons.iter().enumerate() {
         if i > 0 {
@@ -392,8 +335,7 @@ pub fn analyze_with(
     }
     dumps_json.push_str("\n]\n");
 
-    Ok(PipelineReport {
-        workers,
+    PipelineReport {
         shards,
         stages: dumps,
         frames,
@@ -405,7 +347,7 @@ pub fn analyze_with(
         dict,
         dumps_json,
         timings,
-    })
+    }
 }
 
 struct CctAnnotation {
@@ -413,33 +355,6 @@ struct CctAnnotation {
     value: TransactionContext,
     dict_shard: usize,
     cct: Cct,
-}
-
-/// The shard a minted synopsis routes to — the pure routing function
-/// behind the index phase, exposed so property tests can pin
-/// shard-assignment stability under input permutation.
-pub fn shard_of_syn(raw: u64, shards: usize) -> usize {
-    syn_shard(raw, shards.max(1))
-}
-
-/// The dictionary shard an origin key routes to — the pure routing
-/// function behind the profiles/crosstalk-reduce phases, exposed for
-/// the same property tests as [`shard_of_syn`].
-pub fn shard_of_origin(k: OriginKey, shards: usize) -> usize {
-    origin_shard(k, shards.max(1))
-}
-
-/// FNV-1a over a synopsis value, reduced to a shard index.
-fn syn_shard(raw: u64, shards: usize) -> usize {
-    (crate::hash::fnv1a(&raw.to_le_bytes()) % shards as u64) as usize
-}
-
-/// FNV-1a over an origin key, reduced to a shard index.
-fn origin_shard(k: OriginKey, shards: usize) -> usize {
-    let mut h = crate::hash::Fnv64::new();
-    h.write_u64(k.0 as u64);
-    h.write_u64(k.1 as u64);
-    (h.finish() % shards as u64) as usize
 }
 
 /// The origin computed in the stitch phase for a stage-local context
@@ -461,28 +376,16 @@ fn rebuild_global(remap: &[u32], d: &crate::stitch::DumpCct) -> Cct {
     cct
 }
 
-/// Runs `f` over items `0..n` on real worker threads and returns the
-/// results in item order, along with the phase timing.
-///
-/// Execution goes through [`exec::run`]: per-worker deques seeded by
-/// `plan`, work stealing, results slotted by item index. Scheduling
-/// can influence only the diagnostic `wall_ns`, never the results. A
-/// panicking item aborts the phase and surfaces as a clean
-/// [`ShardPanic`] carrying the phase name and item index.
-fn timed_phase<T: Send>(
-    phase: &'static str,
-    workers: usize,
-    plan: StealPlan,
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Result<(Vec<T>, PhaseTiming), ShardPanic> {
+/// Runs one phase and records its wall time under `phase`. Timing can
+/// influence only the diagnostic `wall_ns`, never the results.
+fn timed_phase<T>(timings: &mut Vec<PhaseTiming>, phase: &'static str, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
-    let (results, _) = exec::run(phase, workers, plan, n, f)?;
-    let t = PhaseTiming {
+    let out = f();
+    timings.push(PhaseTiming {
         phase,
         wall_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    };
-    Ok((results, t))
+    });
+    out
 }
 
 impl PipelineReport {
@@ -593,8 +496,9 @@ impl PipelineReport {
     }
 
     /// FNV-1a fingerprint over the deterministic outputs (stitched
-    /// text, crosstalk text, dump JSON). Equal fingerprints across
-    /// worker counts is the differential suites' divergence gate.
+    /// text, crosstalk text, dump JSON). Equal fingerprints between
+    /// batch, collector and federation is the differential suites'
+    /// divergence gate.
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::hash::Fnv64::new();
         h.write(self.stitched_text().as_bytes());
@@ -724,31 +628,6 @@ mod tests {
         vec![s0, s1, s2]
     }
 
-    fn assert_identical(a: &PipelineReport, b: &PipelineReport) {
-        assert_eq!(a.stitched_text(), b.stitched_text());
-        assert_eq!(a.crosstalk_text(), b.crosstalk_text());
-        assert_eq!(a.dumps_json, b.dumps_json);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.dict, b.dict);
-    }
-
-    #[test]
-    fn parallel_output_is_bit_identical_to_serial() {
-        for shards in [1, 4, 32] {
-            let serial = analyze(
-                chain_dumps(),
-                PipelineConfig { workers: 1, shards },
-            );
-            for workers in [2, 3, 4, 8] {
-                let par = analyze(
-                    chain_dumps(),
-                    PipelineConfig { workers, shards },
-                );
-                assert_identical(&serial, &par);
-            }
-        }
-    }
-
     #[test]
     fn edges_match_legacy_stitched() {
         let dumps = chain_dumps();
@@ -763,7 +642,7 @@ mod tests {
     fn json_matches_serial_serializer() {
         let dumps = chain_dumps();
         let want = dumpjson::to_json(&dumps);
-        let rep = analyze(dumps, PipelineConfig::with_workers(4));
+        let rep = analyze(dumps, PipelineConfig::default());
         assert_eq!(rep.dumps_json, want);
         let back = dumpjson::from_json(&rep.dumps_json).expect("round trip");
         assert_eq!(back.len(), 3);
@@ -784,7 +663,7 @@ mod tests {
 
     #[test]
     fn crosstalk_resolves_to_origins() {
-        let rep = analyze(chain_dumps(), PipelineConfig::with_workers(4));
+        let rep = analyze(chain_dumps(), PipelineConfig::default());
         // db ctx1's origin is (0,1); db ctx0 is local root (2,0).
         assert_eq!(rep.matrix.pairs, vec![(
             (0, 1),
@@ -802,30 +681,26 @@ mod tests {
     fn corrupt_stage_is_skipped_identically() {
         let mut dumps = chain_dumps();
         dumps[1].ccts[0].ctx = 99; // context out of range → invalid
-        let serial = analyze(dumps.clone(), PipelineConfig::default());
-        let par = analyze(dumps.clone(), PipelineConfig::with_workers(4));
-        assert_identical(&serial, &par);
-        assert_eq!(serial.warnings.len(), 1);
-        assert_eq!(serial.warnings[0].0, 1);
+        let rep = analyze(dumps.clone(), PipelineConfig::default());
+        assert_eq!(rep.warnings.len(), 1);
+        assert_eq!(rep.warnings[0].0, 1);
         // Legacy comparison still holds with an invalid stage present.
         let st = Stitched::new(dumps);
-        assert_eq!(serial.edges, st.request_edges());
-        assert_eq!(serial.unresolved, st.unresolved_edges());
+        assert_eq!(rep.edges, st.request_edges());
+        assert_eq!(rep.unresolved, st.unresolved_edges());
     }
 
     #[test]
     fn fleet_replication_is_consistent_and_analyzable() {
         let fleet = replicate_fleet(&chain_dumps(), 5);
         assert_eq!(fleet.len(), 15);
-        let procs: BTreeSet<u32> = fleet.iter().map(|d| d.proc).collect();
+        let procs: std::collections::BTreeSet<u32> = fleet.iter().map(|d| d.proc).collect();
         assert_eq!(procs.len(), 15, "disjoint proc ids");
-        let serial = analyze(fleet.clone(), PipelineConfig::default());
-        let par = analyze(fleet, PipelineConfig::with_workers(4));
-        assert_identical(&serial, &par);
+        let rep = analyze(fleet, PipelineConfig::default());
         // One profile per replica origin, all resolved (no unresolved
         // edges introduced by remapping).
-        assert_eq!(serial.profiles.len(), 5);
-        assert!(serial.unresolved.is_empty());
-        assert_eq!(serial.edges.len(), 10);
+        assert_eq!(rep.profiles.len(), 5);
+        assert!(rep.unresolved.is_empty());
+        assert_eq!(rep.edges.len(), 10);
     }
 }

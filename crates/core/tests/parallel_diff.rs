@@ -1,61 +1,30 @@
-//! Differential suite: the parallel sharded analysis pipeline must be
-//! **byte-identical** to the serial path on real TPC-W dumps, across
-//! seeds × schedule policies × fault plans.
+//! Differential suite: the analysis pipeline against the analysis it
+//! replaced, on real TPC-W dumps across seeds × schedule policies ×
+//! fault plans. (The file name predates DESIGN.md §14's decision to
+//! keep the pipeline single-threaded.)
 //!
-//! Each scenario runs the 3-tier TPC-W stack once, then analyzes the
-//! resulting dumps with `workers = 1` (the serial reference path) and
-//! with several parallel worker counts, comparing:
-//!
-//! - the stitched per-transaction profile text (origins, merged CCTs,
-//!   request/unresolved edges, warnings),
-//! - the rendered crosstalk matrix,
-//! - the re-serialized dump JSON,
-//! - the sharded context dictionary,
-//!
-//! all as exact equality. The serial path is additionally
-//! cross-validated against the legacy `Stitched` resolver and the
-//! serial `dumpjson::to_json` serializer, so the pipeline cannot drift
-//! from the pre-existing analysis and then "agree with itself".
+//! Each scenario runs the 3-tier TPC-W stack once, analyzes the
+//! resulting dumps, and cross-validates the report against the legacy
+//! `Stitched` resolver (request edges, unresolved edges, warnings,
+//! every CCT's origin) and the serial `dumpjson::to_json` serializer,
+//! so the pipeline cannot drift from the pre-existing analysis. The
+//! same comparison runs again at `shards: 5`: a different shard count
+//! moves dictionary ids, and nothing the legacy analysis computes may
+//! depend on it.
 //!
 //! Coverage: 6 seeds × 3 schedule policies (fifo, random, perturb) × 2
 //! fault plans (clean, faulty) = 36 scenarios (≥ 32 required by the
-//! acceptance gate), each analyzed at every worker count in
-//! [`matrix::WORKER_SWEEP`]. The scenario corpus itself is shared with
-//! the other differential suites via `whodunit_bench::matrix`.
+//! acceptance gate). The scenario corpus itself is shared with the
+//! other differential suites via `whodunit_bench::matrix`.
 
 use whodunit_apps::tpcw::run_tpcw;
-use whodunit_bench::matrix::{self, scenario_dumps, schedules, SEEDS, WORKER_SWEEP};
+use whodunit_bench::matrix::{self, scenario_dumps, schedules, SEEDS};
 use whodunit_core::dumpjson;
 use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_core::stitch::{StageDump, Stitched};
 
-/// Byte-compares every deterministic output surface of two reports.
-fn assert_byte_identical(
-    serial: &whodunit_core::pipeline::PipelineReport,
-    par: &whodunit_core::pipeline::PipelineReport,
-    what: &str,
-) {
-    assert_eq!(
-        serial.stitched_text(),
-        par.stitched_text(),
-        "stitched text diverged: {what}"
-    );
-    assert_eq!(
-        serial.crosstalk_text(),
-        par.crosstalk_text(),
-        "crosstalk matrix diverged: {what}"
-    );
-    assert_eq!(serial.dumps_json, par.dumps_json, "dump JSON diverged: {what}");
-    assert_eq!(serial.dict, par.dict, "context dictionary diverged: {what}");
-    assert_eq!(
-        serial.fingerprint(),
-        par.fingerprint(),
-        "fingerprint diverged: {what}"
-    );
-}
-
-/// Cross-validates the pipeline's serial path against the legacy
-/// analysis: `Stitched` edges and the serial JSON serializer.
+/// Cross-validates a pipeline report against the legacy analysis:
+/// `Stitched` edges and the serial JSON serializer.
 fn assert_matches_legacy(dumps: &[StageDump], rep: &whodunit_core::pipeline::PipelineReport, what: &str) {
     let st = Stitched::new(dumps.to_vec());
     assert_eq!(rep.edges, st.request_edges(), "request edges vs legacy: {what}");
@@ -102,44 +71,41 @@ fn run_matrix(faulty: bool) {
             scenarios += 1;
             let what = format!("seed={seed} sched={sched:?} faulty={faulty}");
             let dumps = scenario_dumps(seed, sched, faulty);
-            let serial = analyze(dumps.clone(), PipelineConfig { workers: 1, shards: 32 });
-            assert_matches_legacy(&dumps, &serial, &what);
+            let rep = analyze(dumps.clone(), PipelineConfig::default());
+            assert_matches_legacy(&dumps, &rep, &what);
             assert!(
-                !serial.profiles.is_empty(),
+                !rep.profiles.is_empty(),
                 "scenario produced no profiles (vacuous): {what}"
             );
-            for workers in WORKER_SWEEP {
-                if workers == 1 {
-                    continue; // `serial` above is the workers=1 run.
-                }
-                let par = analyze(dumps.clone(), PipelineConfig { workers, shards: 32 });
-                assert_byte_identical(&serial, &par, &format!("{what} workers={workers}"));
-            }
             // A different shard count is a *different* canonical output
-            // (dictionary ids move) but must still be worker-invariant.
-            let s5 = analyze(dumps.clone(), PipelineConfig { workers: 1, shards: 5 });
-            let p5 = analyze(dumps, PipelineConfig { workers: 3, shards: 5 });
-            assert_byte_identical(&s5, &p5, &format!("{what} shards=5"));
+            // (dictionary ids move), but edges, unresolved edges,
+            // warnings and the dump JSON may not depend on it.
+            let cfg5 = PipelineConfig {
+                shards: 5,
+                ..Default::default()
+            };
+            let s5 = analyze(dumps.clone(), cfg5);
+            assert_matches_legacy(&dumps, &s5, &format!("{what} shards=5"));
         }
     }
     assert_eq!(scenarios, 18);
 }
 
 #[test]
-fn clean_runs_are_byte_identical_across_worker_counts() {
+fn clean_runs_match_the_legacy_analysis() {
     run_matrix(false);
 }
 
 #[test]
-fn faulty_runs_are_byte_identical_across_worker_counts() {
+fn faulty_runs_match_the_legacy_analysis() {
     run_matrix(true);
 }
 
 #[test]
 fn faulty_runs_exercise_unresolved_and_warning_paths() {
     // At least one faulty scenario should drop messages; stitching must
-    // still succeed and stay byte-identical (checked above). Here we
-    // assert the faulty matrix is not vacuously identical to clean.
+    // still succeed and match the legacy analysis (checked above). Here
+    // we assert the faulty matrix is not vacuously identical to clean.
     let mut any_faults_seen = false;
     for &seed in &SEEDS {
         let report = run_tpcw(matrix::scenario_cfg(

@@ -232,7 +232,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Sharded dictionary + batch minting (the parallel pipeline's
+// Sharded dictionary + batch minting (the analysis pipeline's
 // determinism primitives; see DESIGN.md §9).
 // ---------------------------------------------------------------------
 
@@ -284,8 +284,8 @@ proptest! {
     }
 
     /// Assembling the dictionary from per-shard parts is insensitive to
-    /// the order the parts arrive in (the parallel pipeline's workers
-    /// finish in any order) and equals serial interning.
+    /// the order the parts arrive in and equals interning into one
+    /// table.
     #[test]
     fn sharded_merge_is_order_insensitive(
         args in (proptest::collection::vec(value_strategy(), 1..60), 1usize..9, 0usize..9)
@@ -296,7 +296,7 @@ proptest! {
             serial.intern(v.clone());
         }
         // Partition the values per shard, preserving first-seen order —
-        // exactly what each pipeline worker does for its shard.
+        // exactly what the pipeline's (stage, cct) scan does per shard.
         let probe = ShardedContextTable::new(shards);
         let mut parts: Vec<(usize, ContextShard)> =
             (0..shards).map(|j| (j, ContextShard::default())).collect();

@@ -32,26 +32,6 @@ pub struct LagStats {
     pub throttled: u64,
 }
 
-/// Parallel-execution accounting of the collector's deferred fold
-/// phase (DESIGN.md §14). Everything here except `fold_steals` is a
-/// pure function of the configuration and the stream, so the rendered
-/// line is deterministic; steal counts are scheduling noise and are
-/// deliberately kept out of [`render_live_snapshot`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ThreadingStats {
-    /// Configured fold workers (1 = the serial reference path).
-    pub workers: u64,
-    /// Batches whose folds ran on the parallel executor.
-    pub parallel_fold_batches: u64,
-    /// Per-origin fold groups executed across those batches.
-    pub fold_groups: u64,
-    /// Successful work steals across fold runs. Timing-dependent;
-    /// diagnostic only, never rendered.
-    pub fold_steals: u64,
-    /// Fold worker panics recovered through the batch fallback.
-    pub fold_panics: u64,
-}
-
 /// One entry of the top-k transaction paths by cost.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TopPath {
@@ -108,8 +88,6 @@ pub struct LiveSnapshot {
     pub pending_edges: u64,
     /// Ingest/backpressure accounting.
     pub lag: LagStats,
-    /// Parallel fold-phase accounting.
-    pub threads: ThreadingStats,
     /// Explicit degradation markers: one line per stage whose stream
     /// needed quarantine, resync, or stall handling. Empty on a clean
     /// stream.
@@ -150,18 +128,6 @@ pub fn render_live_snapshot(s: &LiveSnapshot) -> String {
         s.lag.peak_queued,
         s.lag.cycle_peak_queued,
         s.lag.throttled
-    );
-    let _ = writeln!(
-        out,
-        "threads: {} fold workers, {} parallel batches, {} fold groups{}",
-        s.threads.workers,
-        s.threads.parallel_fold_batches,
-        s.threads.fold_groups,
-        if s.threads.fold_panics > 0 {
-            format!(", {} fold panics", s.threads.fold_panics)
-        } else {
-            String::new()
-        }
     );
     for d in &s.degraded {
         let _ = writeln!(out, "degraded: {d}");
@@ -607,13 +573,6 @@ mod tests {
                 events: 120,
                 ..LagStats::default()
             },
-            threads: ThreadingStats {
-                workers: 4,
-                parallel_fold_batches: 3,
-                fold_groups: 17,
-                fold_steals: 999, // scheduling noise: must not render
-                fold_panics: 0,
-            },
             top_paths: vec![TopPath {
                 origin: "squid:client_http_request".into(),
                 cycles: 500,
@@ -634,9 +593,6 @@ mod tests {
         };
         let text = render_live_snapshot(&s);
         assert!(text.contains("epoch 3"));
-        assert!(text.contains("threads: 4 fold workers, 3 parallel batches, 17 fold groups"));
-        assert!(!text.contains("999"), "steal counts are scheduling noise");
-        assert!(!text.contains("fold panics"), "clean snapshot has no panic note");
         assert!(text.contains("1. squid:client_http_request  cycles 500 samples 5"));
         assert!(text.contains("client_http_request -> do_query"));
         assert!(text.contains("squid 100 | mysql 400"));

@@ -278,7 +278,7 @@ pub fn render_stitched_text(stitched: &Stitched) -> String {
     out
 }
 
-/// Renders the parallel pipeline's full analysis as one canonical text
+/// Renders the analysis pipeline's full report as one canonical text
 /// document: per-transaction profiles, request/unresolved edges, the
 /// cross-stage crosstalk matrix, and a dictionary summary.
 ///

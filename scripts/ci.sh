@@ -6,32 +6,20 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 
-# The full suite twice: default parallel test threads, then serialized.
-# The analysis pipeline spawns its own worker pool inside tests; running
-# both ways catches output that only stays deterministic under one
-# threading regime.
 cargo test --workspace -q
-cargo test --workspace -q -- --test-threads=1
 
-# The parallel-pipeline gates, explicitly (they also run as part of the
+# The batch-pipeline gates, explicitly (they also run as part of the
 # workspace suite above; naming them keeps the gate obvious and fails
 # fast if a refactor drops a suite from the workspace):
-# - differential: serial vs parallel analysis byte-identity over
-#   seeds x schedules x fault plans, cross-checked against the legacy
-#   Stitched resolver;
+# - differential: pipeline::analyze vs the legacy Stitched resolver
+#   (edges, unresolved edges, warnings, CCT origins) and the serial
+#   dump serializer over the 36-scenario corpus (seeds x schedules x
+#   fault plans), at shards 32 and 5, plus the serializer vs its
+#   format!-based reference writer;
 # - golden: canonical rendered reports for two fixed TPC-W runs
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 cargo test -q -p whodunit-core --test parallel_diff
 cargo test -q --test golden_report
-
-# The thread-stress gates (DESIGN.md §14): every matrix scenario across
-# worker counts {1,2,3,4,8} under seeded steal-order perturbation must
-# stay byte-identical on both the pipeline and collector paths, and an
-# injected worker panic must surface as a clean phase-labelled error
-# (pipeline) or a counted, byte-correct fallback (collector folds) —
-# never a deadlock, never a partial report.
-cargo test -q -p whodunit-core --test thread_stress
-cargo test -q -p whodunit-collector --test thread_stress
 
 # The streaming-collector gates:
 # - differential: streaming collector vs batch pipeline byte-identity

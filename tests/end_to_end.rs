@@ -196,8 +196,8 @@ fn figure8_profile_renders_with_flow_context() {
 #[test]
 fn faulty_tpcw_still_stitches_end_to_end() {
     // A lossy wire between the tiers: the profile must stay
-    // stitchable, the parallel analysis must stay byte-identical to
-    // serial, and any missing sender shows up as an explicit
+    // stitchable, the pipeline's edges must match the legacy
+    // resolver's, and any missing sender shows up as an explicit
     // unresolved edge rather than silent shrinkage.
     let r = run_tpcw(TpcwConfig {
         clients: 24,
@@ -228,18 +228,15 @@ fn faulty_tpcw_still_stitches_end_to_end() {
     // The degraded stack still completes work.
     assert!(r.throughput_per_min > 0.0);
 
-    let serial = analyze(r.dumps.clone(), PipelineConfig::with_workers(1));
-    let par = analyze(r.dumps.clone(), PipelineConfig::with_workers(4));
-    assert_eq!(serial.fingerprint(), par.fingerprint());
-    assert_eq!(serial.stitched_text(), par.stitched_text());
-    assert!(!serial.profiles.is_empty(), "faulty run still profiles");
+    let rep = analyze(r.dumps.clone(), PipelineConfig::default());
+    assert!(!rep.profiles.is_empty(), "faulty run still profiles");
 
     // Edges still connect squid -> tomcat -> mysql despite the faults.
     let stitched = Stitched::new(r.dumps);
     let edges = stitched.request_edges();
     assert!(edges.iter().any(|e| e.from_stage == 0 && e.to_stage == 1));
     assert!(edges.iter().any(|e| e.from_stage == 1 && e.to_stage == 2));
-    assert_eq!(serial.edges, edges);
+    assert_eq!(rep.edges, edges);
 }
 
 #[test]

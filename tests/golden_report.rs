@@ -3,8 +3,8 @@
 //! byte-for-byte against checked-in goldens under `tests/golden/`.
 //!
 //! The rendered document is `report::render::render_pipeline` (the
-//! stitched transactions + crosstalk matrix from the parallel analysis
-//! pipeline) followed by the Table-1 view. Both simulation and analysis
+//! stitched transactions + crosstalk matrix from the analysis pipeline)
+//! followed by the Table-1 view. Both simulation and analysis
 //! are fully deterministic, so any byte difference is a real behavior
 //! or format change.
 //!
@@ -39,10 +39,7 @@ fn label_of(frame: &str) -> Option<String> {
 fn canonical_doc(cfg: TpcwConfig) -> String {
     let r = run_tpcw(cfg);
     assert_eq!(r.dumps.len(), 3, "squid, tomcat, mysql all dump");
-    // Analyze with a parallel worker count: the differential suite
-    // proves this equals workers = 1, so the goldens also pin the
-    // parallel path's output.
-    let rep = analyze(r.dumps.clone(), PipelineConfig::with_workers(4));
+    let rep = analyze(r.dumps.clone(), PipelineConfig::default());
     let mut doc = render::render_pipeline(&rep);
     doc.push_str("\n== table 1 ==\n");
     let stitched = whodunit::core::stitch::Stitched::new(r.dumps);
