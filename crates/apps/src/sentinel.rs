@@ -314,7 +314,6 @@ mod tests {
         for seed in [1, 2] {
             let run = run_with_sentinel(&clean_repro(seed), &budget, CPU_HZ);
             assert!(run.violation.is_none(), "seed {seed}: {:?}", run.violation);
-            assert!(!run.output.stats.used_fallback);
             assert!(run.epochs > 10, "sentinel observed the stream");
         }
     }

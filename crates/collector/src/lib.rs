@@ -2,11 +2,11 @@
 //! aggregation, and live queries over a streaming profile feed.
 //!
 //! Batch Whodunit (EuroSys 2007 §5) stitches per-stage dumps *post
-//! mortem* — `whodunit_core::pipeline::analyze` reads every stage's
-//! complete profile at end-of-run. The paper pitches Whodunit as an
-//! *online* profiler, though, and the deployable shape of that claim
-//! is a collector daemon that consumes per-stage deltas as the tiers
-//! produce them. This crate is that tier:
+//! mortem* — the batch pipeline ([`whodunit_core::pipeline`]) reads
+//! every stage's complete profile at end-of-run. The paper pitches
+//! Whodunit as an *online* profiler, though, and the deployable shape
+//! of that claim is a collector daemon that consumes per-stage deltas
+//! as the tiers produce them. This crate is that tier:
 //!
 //! - **Ingest** ([`Collector::enqueue`], [`Collector::poll`]): epoch
 //!   batches of [`whodunit_core::delta`] stage deltas, with sequence
@@ -38,16 +38,23 @@
 //!   [`whodunit_report::live`].
 //!
 //! **The end-state lock.** [`Collector::finalize`] must produce output
-//! byte-identical to batch [`analyze`] on the same run's dumps:
+//! byte-identical to the batch pipeline on the same run's dumps:
 //! stitched text, crosstalk matrix, dump JSON, and dictionary.
 //! Streaming is a pure refactoring of *when* work happens, never
-//! *what* is computed. The incremental path covers every stream a
-//! live simulation can emit; inputs the incremental path cannot
-//! honestly reproduce (an invalid stage dump, a duplicate synopsis
-//! mint, a corrupt delta) flip a `broken` flag and finalize falls
-//! back to running the batch pipeline on the reconstructed dumps —
-//! [`CollectorStats::used_fallback`] records that this happened, and
-//! the differential suite asserts it never does on real streams.
+//! *what* is computed, and the report is always assembled from the
+//! incrementally computed state — there is no second route to it.
+//! That holds under damage too, because nothing reaches that state
+//! unvalidated: [`StageAccumulator::apply`] checks everything
+//! [`StageDump::validate`] checks before it mutates, and a frame it
+//! (or the minted-synopsis index) refuses leaves no trace. Refused
+//! input has exactly one route, with or without a [`ResyncSource`]:
+//! duplicate → drop, gap → park, corrupt or inconsistent → quarantine
+//! → bounded resync → halt the stage (see [`quarantine`]). Every step
+//! is counted in [`CollectorStats`] and named in
+//! [`CollectorStats::degraded`]; the report stays what the batch
+//! pipeline computes over the dumps the collector did accumulate
+//! ([`PipelineReport::stages`]) — healed or short of mass, never
+//! invented.
 
 #![warn(missing_docs)]
 
@@ -66,7 +73,7 @@ use whodunit_core::delta::{
     StreamHeader,
 };
 use whodunit_core::frame::FrameId;
-use whodunit_core::pipeline::{analyze, OriginProfile, PipelineConfig, PipelineReport};
+use whodunit_core::pipeline::{OriginProfile, PipelineConfig, PipelineReport};
 use whodunit_core::stitch::{
     ctx_string_of, fold_dump_nodes, global_frames, global_value, walk_origin, RequestEdge,
     StageDump, UnresolvedEdge, UnresolvedHead,
@@ -94,9 +101,9 @@ pub struct CollectorConfig {
     /// full, [`Collector::enqueue`] refuses the batch (backpressure)
     /// and counts it in [`CollectorStats::throttled`].
     pub max_queue: usize,
-    /// Quarantine/reorder/resync/stall policy. Only consulted when a
-    /// [`ResyncSource`] is attached; without one, damage falls back to
-    /// the legacy broken-stream handling.
+    /// Quarantine/reorder/resync/stall policy. Applies with or without
+    /// a [`ResyncSource`]: without one, the first resync a stage needs
+    /// halts it.
     pub quarantine: QuarantinePolicy,
     /// Whether to record per-epoch [`EpochObs`] for a sentinel to
     /// drain. Off by default: the observations are cheap but not free,
@@ -146,14 +153,12 @@ pub struct CollectorStats {
     pub events: u64,
     /// Batch sequence gaps observed.
     pub seq_gaps: u64,
-    /// Deltas rejected by the accumulator (checksum, per-stage
-    /// sequence, baseline inconsistency) with no [`ResyncSource`]
-    /// attached. Any of these marks the stream broken and forces the
-    /// batch fallback at finalize. With a source attached, damage is
-    /// routed through quarantine instead (see the counters below).
+    /// Deltas naming a stage outside the stream header: there is no
+    /// stage to quarantine them under, so they are dropped, counted
+    /// here and reported as one line of [`CollectorStats::degraded`].
     pub delta_errors: u64,
-    /// Corrupt frames quarantined (checksum / inconsistency, healed by
-    /// resync rather than fallback).
+    /// Corrupt frames quarantined (checksum / inconsistency), each
+    /// followed by a resync attempt.
     pub quarantined: u64,
     /// Duplicated frames dropped (already-applied sequence numbers).
     pub dup_frames: u64,
@@ -180,17 +185,20 @@ pub struct CollectorStats {
     /// drain cycles does not pin the gauge at an ancient peak.
     pub cycle_peak_queued: u64,
     /// Explicit degradation markers, one per stage whose stream needed
-    /// quarantine/resync/stall handling (set at finalize; empty on a
-    /// clean stream). The [`PipelineReport`] itself stays byte-exact —
-    /// degradation is annotated here and in [`LiveSnapshot::degraded`],
-    /// never inside the report.
+    /// quarantine/resync/stall handling, plus one for deltas that named
+    /// no stage (set at finalize; empty on a clean stream). The
+    /// [`PipelineReport`] itself stays byte-exact — degradation is
+    /// annotated here and in [`LiveSnapshot::degraded`], never inside
+    /// the report.
     pub degraded: Vec<String>,
     /// Origin walks still pending when [`Collector::finalize`] began
     /// (before settlement). Zero on a clean complete stream.
     pub pending_walks_at_flush: u64,
     /// Request edges still pending when finalize began.
     pub pending_edges_at_flush: u64,
-    /// Whether finalize fell back to the batch pipeline.
+    /// Never set: the whole-run batch fallback it reported is gone.
+    /// Kept only because `benchmark/src/{layers,workloads}.rs`, which
+    /// product PRs may not edit, read it by name (ROADMAP item 8).
     pub used_fallback: bool,
     /// `(epoch, origin)` eviction sequence, in eviction order. A pure
     /// function of the delta stream content (never of hash iteration
@@ -211,7 +219,7 @@ pub struct CollectorStats {
 /// plus the collector's own accounting.
 #[derive(Debug)]
 pub struct CollectorOutput {
-    /// Analysis output; byte-identical to batch [`analyze`] on the
+    /// Analysis output; byte-identical to the batch pipeline on the
     /// same dumps (same stitched text, crosstalk text, dump JSON,
     /// dictionary, fingerprint).
     pub report: PipelineReport,
@@ -317,37 +325,6 @@ fn frame_of(map: &[u32]) -> impl Fn(u32) -> FrameId + '_ {
     |f| FrameId(map.get(f as usize).copied().unwrap_or(u32::MAX))
 }
 
-/// Folds one CCT increment into `cct` through the context's node map:
-/// growth onto mapped nodes, then the new nodes appended. Returns the
-/// cycles added, or `None` for an increment that does not continue the
-/// map (out of order) or carries a malformed node.
-fn fold_cct_delta(
-    cct: &mut Cct,
-    map: &mut Vec<CctNodeId>,
-    c: &CctDelta,
-    frames: &[u32],
-) -> Option<u64> {
-    // The fold map is synced to the accumulator after every delta, so
-    // a length mismatch means deltas arrived out of order.
-    if map.len() != c.nodes_before as usize {
-        return None;
-    }
-    let mut cycles = 0u64;
-    for &(i, ds, dc, da) in &c.grown {
-        cct.record_at(
-            map[i as usize],
-            Metrics {
-                samples: ds,
-                cycles: dc,
-                calls: da,
-            },
-        );
-        cycles += dc;
-    }
-    let added = fold_dump_nodes(cct, map, &c.new_nodes, frame_of(frames)).ok()?;
-    Some(cycles + added)
-}
-
 /// The streaming collector. See the crate docs for the model.
 #[derive(Debug)]
 pub struct Collector {
@@ -355,13 +332,17 @@ pub struct Collector {
     header: StreamHeader,
     stages: Vec<StageState>,
     /// Raw synopsis → `(stage, ctx)` that minted it. Insert-only.
-    /// FNV-hashed: probed on every origin-walk hop and context mint.
-    syn_index: FnvHashMap<u64, (usize, u32)>,
+    /// Probed on every origin-walk hop and context mint, and keyed —
+    /// like the two pending tables — by values a frame chose, so on
+    /// std's keyed hasher: FNV's one multiply keeps the process-id
+    /// bits out of the bucket index, and a fleet's mints (the same few
+    /// counters under a thousand process ids) probe one long cluster.
+    syn_index: HashMap<u64, (usize, u32)>,
     /// Missing raw synopsis → walk start contexts parked on it.
-    pending_walks: FnvHashMap<u64, Vec<(usize, u32)>>,
+    pending_walks: HashMap<u64, Vec<(usize, u32)>>,
     /// Missing raw synopsis → receiving `(stage, ctx)` request edges
     /// parked on it.
-    pending_edges: FnvHashMap<u64, Vec<(usize, u32)>>,
+    pending_edges: HashMap<u64, Vec<(usize, u32)>>,
     edges: Vec<RequestEdge>,
     /// Crosstalk increments whose waiter or holder origin is not yet
     /// resolved: `(stage, waiter, holder, count, total_wait)`; a
@@ -390,7 +371,6 @@ pub struct Collector {
     next_batch_seq: u64,
     stats: CollectorStats,
     started: bool,
-    broken: bool,
     /// Per-stage quarantine/reorder/stall state, parallel to `stages`.
     quarantine: Vec<StageQuarantine>,
     /// Emitter-side snapshot provider for bounded resync, if attached.
@@ -434,9 +414,9 @@ impl Collector {
             cfg,
             header: StreamHeader::default(),
             stages: Vec::new(),
-            syn_index: FnvHashMap::default(),
-            pending_walks: FnvHashMap::default(),
-            pending_edges: FnvHashMap::default(),
+            syn_index: HashMap::new(),
+            pending_walks: HashMap::new(),
+            pending_edges: HashMap::new(),
             edges: Vec::new(),
             deferred_xt: Vec::new(),
             xt_pairs: FnvHashMap::default(),
@@ -453,7 +433,6 @@ impl Collector {
             next_batch_seq: 0,
             stats: CollectorStats::default(),
             started: false,
-            broken: false,
             quarantine: Vec::new(),
             resync: None,
             ingest_epoch: 0,
@@ -490,11 +469,13 @@ impl Collector {
         self.quarantine = vec![StageQuarantine::default(); self.stages.len()];
     }
 
-    /// Attaches an emitter-side snapshot provider, switching damage
-    /// handling from broken-stream fallback to quarantine + bounded
-    /// resync. The source must be advanced to (at least) the batch the
-    /// collector is about to process — a snapshot that lags the damage
-    /// cannot heal it.
+    /// Attaches an emitter-side snapshot provider, so a quarantined
+    /// frame or an unfillable sequence hole heals by bounded resync
+    /// instead of halting its stage. The source must be advanced to (at
+    /// least) the batch the collector is about to process — a snapshot
+    /// that lags the damage cannot heal it — and its snapshots must
+    /// extend what the collector has applied; one that does not halts
+    /// the stage.
     pub fn set_resync_source(&mut self, src: Box<dyn ResyncSource>) {
         self.resync = Some(ResyncHandle(src));
     }
@@ -505,8 +486,10 @@ impl Collector {
     }
 
     /// The explicit degradation markers for every stage whose stream
-    /// needed self-healing, in stage order. Empty on a clean stream.
+    /// needed self-healing, in stage order, then one line for deltas
+    /// that named no stage of the header. Empty on a clean stream.
     pub fn degraded_markers(&self) -> Vec<String> {
+        let unknown = self.stats.delta_errors;
         self.quarantine
             .iter()
             .enumerate()
@@ -520,6 +503,7 @@ impl Collector {
                     .unwrap_or("?");
                 q.marker(si, name)
             })
+            .chain((unknown > 0).then(|| format!("{unknown} deltas for unknown stages dropped")))
             .collect()
     }
 
@@ -544,12 +528,6 @@ impl Collector {
     /// The epoch of the last processed batch.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Whether the incremental path has given up (finalize will fall
-    /// back to the batch pipeline).
-    pub fn is_broken(&self) -> bool {
-        self.broken
     }
 
     /// Offers a batch to the ingest queue. Returns `false` (and counts
@@ -698,7 +676,7 @@ impl Collector {
     /// then do the incremental stitching work its content unlocks.
     fn ingest_delta(&mut self, d: &StageDelta) {
         if d.stage >= self.stages.len() {
-            self.broken = true;
+            // No stage to quarantine it under: drop and count.
             self.stats.delta_errors += 1;
             return;
         }
@@ -710,25 +688,40 @@ impl Collector {
         self.try_apply(d);
     }
 
-    /// Applies one frame through the accumulator and, on success, the
-    /// incremental stitch work plus any parked frames it unblocks. On
-    /// failure routes the frame through quarantine (or the legacy
-    /// broken-stream path when no [`ResyncSource`] is attached).
-    fn try_apply(&mut self, d: &StageDelta) {
+    /// Validates `d` against the minted-synopsis index and the stage's
+    /// accumulator, then applies it and does the incremental stitch
+    /// work; an `Err` leaves no trace of the frame. The one way a
+    /// delta, live or catch-up, reaches collector state.
+    fn apply_checked(&mut self, d: &StageDelta) -> Result<(), DeltaError> {
+        // The index is insert-only and batch resolves a duplicate mint
+        // last-insert-wins over the complete run, which no incremental
+        // index can reproduce: a raw value has one owner.
+        let stolen = |&(raw, ctx): &(u64, u32)| {
+            self.syn_index
+                .get(&raw)
+                .is_some_and(|&owner| owner != (d.stage, ctx))
+        };
+        if d.new_synopses.iter().any(stolen) {
+            return Err(DeltaError::Inconsistent {
+                stage: d.stage,
+                what: "synopsis already minted by another context",
+            });
+        }
         let ctx_base = self.stages[d.stage].acc.context_count() as u32;
-        match self.stages[d.stage].acc.apply(d) {
-            Ok(()) => {
-                let q = &mut self.quarantine[d.stage];
-                q.last_progress = self.ingest_epoch;
-                q.stalled = false;
-                self.apply_stitch(d, ctx_base);
-                self.drain_parked(d.stage);
-            }
-            Err(e) if self.resync.is_none() => {
-                let _ = e;
-                self.broken = true;
-                self.stats.delta_errors += 1;
-            }
+        self.stages[d.stage].acc.apply(d)?;
+        let q = &mut self.quarantine[d.stage];
+        q.last_progress = self.ingest_epoch;
+        q.stalled = false;
+        self.apply_stitch(d, ctx_base);
+        Ok(())
+    }
+
+    /// Applies one live frame plus any parked frames it unblocks, or
+    /// routes it by why it was refused: duplicate → drop, gap → park,
+    /// corrupt or inconsistent → quarantine and resync.
+    fn try_apply(&mut self, d: &StageDelta) {
+        match self.apply_checked(d) {
+            Ok(()) => self.drain_parked(d.stage),
             Err(DeltaError::SeqGap { expected, got, .. }) if got < expected => {
                 // Duplicate of an already-applied frame: drop it.
                 self.quarantine[d.stage].duplicates += 1;
@@ -736,9 +729,9 @@ impl Collector {
             }
             Err(DeltaError::SeqGap { .. }) => self.park(d),
             Err(_) => {
-                // Checksum or baseline inconsistency: the frame's
-                // content is unusable. Quarantine it and catch up from
-                // the emitter snapshot.
+                // Checksum or inconsistency: the frame's content is
+                // unusable. Quarantine it and catch up from the
+                // emitter snapshot.
                 self.quarantine[d.stage].corrupt += 1;
                 self.stats.quarantined += 1;
                 self.obs_quarantined += 1;
@@ -776,8 +769,8 @@ impl Collector {
     /// Bounded resync: fold the emitter's snapshot in as a synthetic
     /// catch-up delta through the normal ingest path, fast-forward the
     /// sequence horizon, and drain whatever parked frames survive.
-    /// Exhausted (or unusable) resync halts the stage — explicitly
-    /// degraded, never a batch fallback.
+    /// No source, a source that lags, a snapshot that does not extend
+    /// the accumulated state, or an exhausted budget halts the stage.
     fn request_resync(&mut self, si: usize) {
         if self.quarantine[si].halted {
             return;
@@ -797,27 +790,16 @@ impl Collector {
             self.halt(si);
             return;
         }
+        let caught_up = self.stages[si]
+            .acc
+            .catchup_delta(si, &dump)
+            .and_then(|cd| cd.map_or(Ok(()), |cd| self.apply_checked(&cd)));
+        if caught_up.is_err() {
+            self.halt(si);
+            return;
+        }
         self.quarantine[si].resyncs += 1;
         self.stats.resyncs += 1;
-        if let Some(cd) = self.stages[si].acc.catchup_delta(si, &dump) {
-            let ctx_base = self.stages[si].acc.context_count() as u32;
-            match self.stages[si].acc.apply(&cd) {
-                Ok(()) => {
-                    let q = &mut self.quarantine[si];
-                    q.last_progress = self.ingest_epoch;
-                    q.stalled = false;
-                    self.apply_stitch(&cd, ctx_base);
-                }
-                Err(_) => {
-                    // A self-built catch-up delta failing to apply
-                    // means the snapshot is not an extension of our
-                    // state — an emitter bug, not stream damage.
-                    self.broken = true;
-                    self.stats.delta_errors += 1;
-                    return;
-                }
-            }
-        }
         self.stages[si].acc.set_next_seq(upto);
         // Parked frames the snapshot subsumed are no longer needed.
         self.quarantine[si].parked.retain(|&s, _| s >= upto);
@@ -838,8 +820,9 @@ impl Collector {
         self.stats.dropped_frames += parked;
     }
 
-    /// The incremental stitching work an applied delta unlocks. Must
-    /// only be called after `acc.apply(d)` succeeded.
+    /// The incremental stitching work an applied delta unlocks; only
+    /// [`Collector::apply_checked`] calls it, so every node, context
+    /// and mint in `d` has passed validation.
     fn apply_stitch(&mut self, d: &StageDelta, ctx_base: u32) {
         if self.cfg.track_obs {
             let cycles: u64 = d
@@ -889,17 +872,7 @@ impl Collector {
         }
         // Index new mints; each may unpark pending walks and edges.
         for &(raw, ctx) in &d.new_synopses {
-            match self.syn_index.insert(raw, (d.stage, ctx)) {
-                Some(prev) if prev != (d.stage, ctx) => {
-                    // A duplicate mint with a different owner cannot
-                    // happen on a real stream (process ids are packed
-                    // into the raw value); batch last-insert-wins
-                    // semantics are not reproducible incrementally,
-                    // so hand the run to the fallback.
-                    self.broken = true;
-                }
-                _ => {}
-            }
+            self.syn_index.insert(raw, (d.stage, ctx));
             if let Some(starts) = self.pending_walks.remove(&raw) {
                 for s in starts {
                     self.try_walk(s);
@@ -1048,19 +1021,12 @@ impl Collector {
         let frames = std::mem::take(&mut self.stages[si].frame_map);
         let mut map: Vec<CctNodeId> = Vec::with_capacity(nodes.len());
         let entry = self.touch_resident(origin);
-        let folded = fold_dump_nodes(&mut entry.cct, &mut map, &nodes, frame_of(&frames));
-        if let Ok(cycles) = folded {
-            entry.stages.insert(si);
-            *entry.tier_cycles.entry(si).or_insert(0) += cycles;
-        }
+        let cycles = fold_dump_nodes(&mut entry.cct, &mut map, &nodes, frame_of(&frames))
+            .expect("apply validated every accumulated node");
+        entry.stages.insert(si);
+        *entry.tier_cycles.entry(si).or_insert(0) += cycles;
         let st = &mut self.stages[si];
         st.frame_map = frames;
-        if folded.is_err() {
-            // Malformed node: the dump will fail validation at
-            // finalize and the fallback takes over.
-            self.broken = true;
-            return;
-        }
         if st.fold.len() <= ctx as usize {
             st.fold.resize_with(ctx as usize + 1, || None);
         }
@@ -1068,24 +1034,34 @@ impl Collector {
     }
 
     /// Folds one CCT increment through the context's existing node
-    /// map.
+    /// map: growth onto mapped nodes, then the new nodes appended. `c`
+    /// has been applied to the stage's accumulator, whose node list the
+    /// map mirrors, so it continues the map and every new node links to
+    /// a mapped parent.
     fn fold_delta(&mut self, si: usize, c: &CctDelta) {
-        let Some(origin) = self.binding_of(si, c.ctx) else {
-            self.broken = true;
-            return;
-        };
+        let origin = self
+            .binding_of(si, c.ctx)
+            .expect("a fold map exists only for a bound context");
         let frames = std::mem::take(&mut self.stages[si].frame_map);
         let mut map = self.stages[si].fold[c.ctx as usize]
             .take()
             .expect("caller checked the fold map exists");
+        debug_assert_eq!(map.len(), c.nodes_before as usize);
         let entry = self.touch_resident(origin);
-        match fold_cct_delta(&mut entry.cct, &mut map, c, &frames) {
-            Some(cycles) => {
-                entry.stages.insert(si);
-                *entry.tier_cycles.entry(si).or_insert(0) += cycles;
-            }
-            None => self.broken = true,
+        let mut cycles = 0u64;
+        for &(i, samples, dc, calls) in &c.grown {
+            let grown = Metrics {
+                samples,
+                cycles: dc,
+                calls,
+            };
+            entry.cct.record_at(map[i as usize], grown);
+            cycles += dc;
         }
+        cycles += fold_dump_nodes(&mut entry.cct, &mut map, &c.new_nodes, frame_of(&frames))
+            .expect("apply validated the new nodes");
+        entry.stages.insert(si);
+        *entry.tier_cycles.entry(si).or_insert(0) += cycles;
         self.stages[si].frame_map = frames;
         self.stages[si].fold[c.ctx as usize] = Some(map);
     }
@@ -1399,19 +1375,12 @@ impl Collector {
         }
 
         let dumps: Vec<StageDump> = self.stages.iter().map(|s| s.acc.to_dump()).collect();
-        let mut stats = std::mem::take(&mut self.stats);
-        stats.degraded = self.degraded_markers();
-        if self.broken || dumps.iter().any(|d| d.validate().is_err()) {
-            stats.used_fallback = true;
-            let report = analyze(
-                dumps,
-                PipelineConfig {
-                    shards: self.cfg.shards,
-                    ..Default::default()
-                },
-            );
-            return CollectorOutput { report, stats };
-        }
+        debug_assert!(
+            dumps.iter().all(|d| d.validate().is_ok()),
+            "apply returned Ok for a delta that left its dump invalid"
+        );
+        self.stats.degraded = self.degraded_markers();
+        let stats = std::mem::take(&mut self.stats);
         let report = self.assemble(dumps, unresolved);
         CollectorOutput { report, stats }
     }

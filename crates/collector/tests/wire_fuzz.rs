@@ -22,7 +22,10 @@
 //!   FNV envelope, so one suite edits a *decoded* field, re-seals the
 //!   delta checksum and re-encodes under a fresh valid envelope — the
 //!   only way to reach `StageAccumulator::apply`'s validation with
-//!   bytes every checksum vouches for.
+//!   bytes every checksum vouches for. Whatever `apply` lets through
+//!   must leave a dump that validates.
+//! - **Self-consistency**: every finalized report, healed or degraded,
+//!   equals batch `analyze` over the dumps the collector accumulated.
 //!
 //! One recorded TPC-W scenario is encoded once and shared across all
 //! cases; each case derives a fresh damage plan from its proptest seed.
@@ -36,10 +39,12 @@ use whodunit_bench::matrix::scenario_cfg;
 use whodunit_collector::{Collector, CollectorConfig, CollectorOutput, QuarantinePolicy};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::delta::{
-    CctDelta, EpochBatch, RecordedResync, RecordingSink, ResyncSource, StageDelta, StreamHeader,
+    CctDelta, EpochBatch, RecordedResync, RecordingSink, ResyncSource, StageAccumulator,
+    StageDelta, StreamHeader,
 };
 use whodunit_core::pipeline::{analyze, PipelineConfig};
-use whodunit_core::stitch::{DumpNode, StageDump};
+use whodunit_core::stitch::{DumpAtom, DumpContext, DumpNode, StageDump};
+use whodunit_core::synopsis::Synopsis;
 use whodunit_core::wire::{decode_batch, encode_batch, encode_header};
 use whodunit_sim::sched::SchedulePolicy;
 
@@ -157,8 +162,22 @@ fn visible(out: &CollectorOutput) -> bool {
         || st.seq_gaps > 0
         || st.delta_errors > 0
         || st.stalls > 0
-        || st.used_fallback
         || !st.degraded.is_empty()
+}
+
+/// The report must be exactly what batch `analyze` computes over the
+/// dumps the collector itself accumulated, whatever the damage did.
+fn self_consistent(out: &CollectorOutput) -> bool {
+    let cfg = PipelineConfig {
+        shards: out.report.shards,
+        ..Default::default()
+    };
+    let batch = analyze(out.report.stages.clone(), cfg);
+    batch.warnings.is_empty()
+        && batch.fingerprint() == out.report.fingerprint()
+        && batch.stitched_text() == out.report.stitched_text()
+        && batch.crosstalk_text() == out.report.crosstalk_text()
+        && batch.dict == out.report.dict
 }
 
 proptest! {
@@ -233,6 +252,7 @@ proptest! {
                 out.stats
             );
         }
+        prop_assert!(self_consistent(&out), "report is not batch over its own dumps");
     }
 
     /// Damage that only permutes or repeats intact frames is fully
@@ -257,7 +277,6 @@ proptest! {
         let (out, rejected) = ingest(&frames);
         prop_assert_eq!(rejected, 0u64, "intact frames must decode");
         prop_assert_eq!(out.stats.wire_errors, 0u64);
-        prop_assert!(!out.stats.used_fallback, "healed, not fallen back");
         prop_assert!(identical(&out), "reorder/dup damage leaked into the report");
     }
 
@@ -266,6 +285,9 @@ proptest! {
     /// under a fresh envelope. Nothing upstream of the accumulator's own
     /// validation can object, so it must — whether or not the run then
     /// heals to byte-identity, the damage always shows in the stats.
+    /// The classes that break what `StageDump::validate` checks (and
+    /// the mint rules) must be refused by `apply` itself: quarantined,
+    /// resynced, byte-identical.
     #[test]
     fn resealed_structural_damage_is_caught_by_the_accumulator(seed in any::<u64>()) {
         let s = scenario();
@@ -278,17 +300,24 @@ proptest! {
         let (mut batch, _) = decode_batch(&frames[fi]).expect("clean frame decodes");
         let di = r.below(batch.deltas.len() as u64) as usize;
         let d = &mut batch.deltas[di];
-        // A context this stage minted a synopsis for in an earlier frame.
-        let minted = s.batches[..fi]
-            .iter()
-            .flat_map(|b| &b.deltas)
-            .filter(|e| e.stage == d.stage)
-            .flat_map(|e| &e.new_synopses)
-            .next()
-            .copied();
+        // The stage's state when this delta arrives on the clean stream.
+        let mut acc = StageAccumulator::new(&s.header.stages[d.stage]);
+        for e in s.batches[..fi].iter().flat_map(|b| &b.deltas).filter(|e| e.stage == d.stage) {
+            acc.apply(e).expect("clean prefix applies");
+        }
+        let (n_frames, n_ctx) = (
+            (acc.frames.len() + d.new_frames.len()) as u32,
+            (acc.context_count() + d.new_contexts.len()) as u32,
+        );
+        // A context this stage minted a synopsis for in an earlier frame,
+        // and a raw value no process of the scenario can mint.
+        let minted = acc.to_dump().synopses.first().copied();
+        let fresh_raw = Synopsis::new(0x7fff, r.below(1 << 20) as u32).0;
         let ci = r.below(d.ccts.len() as u64) as usize;
         let before = d.clone();
-        match (r.below(6), d.ccts.get_mut(ci), minted) {
+        // Whether the class is one `apply` must itself refuse.
+        let mut must_heal = false;
+        match (r.below(11), d.ccts.get_mut(ci), minted) {
             (0, ..) => d.stage = s.header.stages.len() + r.below(4) as usize,
             (1, Some(c), _) if c.nodes_before > 0 && r.below(2) == 0 => c.nodes_before -= 1,
             (1, Some(c), _) => c.nodes_before += 1,
@@ -299,22 +328,76 @@ proptest! {
                 let repeat = c.clone();
                 d.ccts.insert(ci, repeat);
             }
+            // A new node whose parent does not precede it, or is absent.
+            (5, Some(c), _) => {
+                let at = c.nodes_before + c.new_nodes.len() as u32;
+                let parent = [None, Some(at), Some(at + 1 + r.below(9) as u32)];
+                c.new_nodes.push(DumpNode {
+                    frame: Some(0),
+                    parent: parent[r.below(3) as usize],
+                    samples: 1,
+                    cycles: 100,
+                    calls: 1,
+                });
+                must_heal = true;
+            }
+            // A CCT labeled with a context the stage never interned.
+            (6, Some(_), _) => {
+                // The last one, so the ctx column stays increasing.
+                let c = d.ccts.last_mut().expect("the delta has a CCT");
+                c.ctx = n_ctx + r.below(3) as u32;
+                must_heal = true;
+            }
+            // A context atom naming a frame the stage never interned.
+            (7, ..) => {
+                let bad = n_frames + r.below(3) as u32;
+                let atom = [DumpAtom::Frame(bad), DumpAtom::Path(vec![0, bad])];
+                d.new_contexts.push(DumpContext {
+                    atoms: vec![atom[r.below(2) as usize].clone()],
+                });
+                must_heal = true;
+            }
+            // A synopsis minted for a context the stage never interned —
+            // the far ones would size a dense table off the frame.
+            (8, ..) => {
+                let ctx = [n_ctx, n_ctx + 7, u32::MAX][r.below(3) as usize];
+                d.new_synopses.push((fresh_raw, ctx));
+                must_heal = true;
+            }
+            // One delta minting a raw value, or for a context, twice.
+            (9, ..) => {
+                d.new_contexts.extend([DumpContext::default(), DumpContext::default()]);
+                let second = [(fresh_raw, n_ctx + 1), (fresh_raw ^ 1, n_ctx)];
+                d.new_synopses.extend([(fresh_raw, n_ctx), second[r.below(2) as usize]]);
+                must_heal = true;
+            }
             // A per-stage sequence skip fits every delta.
             _ => d.seq += 1 + r.below(3),
         }
         d.checksum = d.compute_checksum();
+        // `apply` returning `Ok` means the dump still validates.
+        if d.stage < s.header.stages.len() && acc.apply(d).is_ok() {
+            prop_assert!(!must_heal, "apply let through: {:?} -> {:?}", before, d);
+            prop_assert_eq!(acc.to_dump().validate(), Ok(()), "{:?} -> {:?}", before, d);
+        }
         frames[fi] = encode_batch(&batch);
 
         let (out, rejected) = ingest(&frames);
         prop_assert_eq!(out.stats.wire_errors, rejected, "error count drifted");
         let st = &out.stats;
         prop_assert!(
-            st.wire_errors + st.quarantined + st.resyncs > 0
-                || !st.degraded.is_empty()
-                || st.used_fallback,
+            st.wire_errors + st.quarantined + st.resyncs > 0 || !st.degraded.is_empty(),
             "re-sealed damage went unnoticed: frame {} of {}: {:?} -> {:?}",
             fi, frames.len(), before, batch.deltas[di]
         );
+        prop_assert!(self_consistent(&out), "report is not batch over its own dumps");
+        if must_heal {
+            prop_assert!(
+                st.quarantined > 0 && st.resyncs > 0 && identical(&out),
+                "not refused and healed: {:?} -> {:?}: {:?}",
+                before, batch.deltas[di], st
+            );
+        }
     }
 
     /// A checksum-valid frame whose CCT section repeats a ctx id —

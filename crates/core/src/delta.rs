@@ -320,10 +320,11 @@ impl DeltaSink for RecordingSink {
 ///
 /// When a collector quarantines a corrupt frame or detects a sequence
 /// hole it cannot heal from its reorder buffer, it asks the emitter for
-/// the stage's *current cumulative state* instead of falling back to
-/// batch mode. The snapshot plus the sequence horizon it covers let the
+/// the stage's *current cumulative state* instead of giving the stage
+/// up. The snapshot plus the sequence horizon it covers let the
 /// collector build a catch-up delta ([`StageAccumulator::catchup_delta`])
-/// and resume the live stream mid-run.
+/// and resume the live stream mid-run. Snapshots are outside input: one
+/// that does not extend the collector's state is refused, not trusted.
 pub trait ResyncSource {
     /// The emitter's current cumulative dump for `stage`, plus the
     /// sequence number of the next delta the emitter will produce for
@@ -386,18 +387,31 @@ pub fn diff_dump(
     prev: Option<&StageDump>,
     cur: &StageDump,
 ) -> Option<StageDelta> {
+    try_diff_dump(stage, seq, prev, cur).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`diff_dump`] with every monotonicity violation returned as a
+/// [`DeltaError::Inconsistent`] instead of a panic, for a `cur` that
+/// comes from outside the program (a [`ResyncSource`] snapshot).
+fn try_diff_dump(
+    stage: usize,
+    seq: u64,
+    prev: Option<&StageDump>,
+    cur: &StageDump,
+) -> Result<Option<StageDelta>, DeltaError> {
+    let incon = |what| DeltaError::Inconsistent { stage, what };
+    let ensure = |ok: bool, what| ok.then_some(()).ok_or(incon(what));
+    let grew = |new: u64, old: u64, what| new.checked_sub(old).ok_or(incon(what));
     let empty = StageDump::default();
     let prev = prev.unwrap_or(&empty);
-    assert!(
-        prev.frames.len() <= cur.frames.len()
-            && prev.frames[..] == cur.frames[..prev.frames.len()],
-        "stage {stage}: frame table is not an append-only extension"
-    );
-    assert!(
-        prev.contexts.len() <= cur.contexts.len()
-            && prev.contexts[..] == cur.contexts[..prev.contexts.len()],
-        "stage {stage}: context table is not an append-only extension"
-    );
+    ensure(
+        cur.frames.starts_with(&prev.frames),
+        "frame table is not an append-only extension",
+    )?;
+    ensure(
+        cur.contexts.starts_with(&prev.contexts),
+        "context table is not an append-only extension",
+    )?;
 
     // Synopses: sorted by ctx in both snapshots, one per ctx, minted
     // once; new entries may interleave anywhere in ctx order.
@@ -407,16 +421,13 @@ pub fn diff_dump(
         for &(raw, ctx) in &cur.synopses {
             match pi.peek() {
                 Some(&&(praw, pctx)) if pctx == ctx => {
-                    assert!(praw == raw, "stage {stage}: synopsis for ctx {ctx} changed");
+                    ensure(praw == raw, "a minted synopsis changed")?;
                     pi.next();
                 }
                 _ => new_synopses.push((raw, ctx)),
             }
         }
-        assert!(
-            pi.next().is_none(),
-            "stage {stage}: a minted synopsis disappeared"
-        );
+        ensure(pi.next().is_none(), "a minted synopsis disappeared")?;
     }
 
     // CCTs: sorted by ctx in both snapshots; node lists append-only,
@@ -432,27 +443,17 @@ pub fn diff_dump(
                 }
                 _ => &[],
             };
-            assert!(
-                old.len() <= c.nodes.len(),
-                "stage {stage}: CCT for ctx {} shrank",
-                c.ctx
-            );
+            ensure(old.len() <= c.nodes.len(), "a CCT shrank")?;
             let mut grown = Vec::new();
             for (i, (o, n)) in old.iter().zip(&c.nodes).enumerate() {
-                assert!(
+                ensure(
                     o.frame == n.frame && o.parent == n.parent,
-                    "stage {stage}: CCT node structure mutated for ctx {}",
-                    c.ctx
-                );
+                    "CCT node structure mutated",
+                )?;
                 let (ds, dc, da) = (
-                    n.samples.checked_sub(o.samples),
-                    n.cycles.checked_sub(o.cycles),
-                    n.calls.checked_sub(o.calls),
-                );
-                let (ds, dc, da) = (
-                    ds.expect("samples decreased"),
-                    dc.expect("cycles decreased"),
-                    da.expect("calls decreased"),
+                    grew(n.samples, o.samples, "samples decreased")?,
+                    grew(n.cycles, o.cycles, "cycles decreased")?,
+                    grew(n.calls, o.calls, "calls decreased")?,
                 );
                 if ds != 0 || dc != 0 || da != 0 {
                     grown.push((i as u32, ds, dc, da));
@@ -468,7 +469,7 @@ pub fn diff_dump(
                 });
             }
         }
-        assert!(pi.next().is_none(), "stage {stage}: a CCT disappeared");
+        ensure(pi.next().is_none(), "a CCT disappeared")?;
     }
 
     // Crosstalk: keyed aggregates, sorted, monotone.
@@ -483,8 +484,8 @@ pub fn diff_dump(
                 }
                 _ => (0, 0),
             };
-            let dc = p.count.checked_sub(oc).expect("pair count decreased");
-            let dw = p.total_wait.checked_sub(ow).expect("pair wait decreased");
+            let dc = grew(p.count, oc, "pair count decreased")?;
+            let dw = grew(p.total_wait, ow, "pair wait decreased")?;
             if dc != 0 || dw != 0 {
                 pairs.push(DumpCrosstalkPair {
                     waiter: p.waiter,
@@ -494,10 +495,7 @@ pub fn diff_dump(
                 });
             }
         }
-        assert!(
-            pi.next().is_none(),
-            "stage {stage}: a crosstalk pair disappeared"
-        );
+        ensure(pi.next().is_none(), "a crosstalk pair disappeared")?;
     }
     let mut waiters = Vec::new();
     {
@@ -510,8 +508,8 @@ pub fn diff_dump(
                 }
                 _ => (0, 0),
             };
-            let dc = w.count.checked_sub(oc).expect("waiter count decreased");
-            let dw = w.total_wait.checked_sub(ow).expect("waiter wait decreased");
+            let dc = grew(w.count, oc, "waiter count decreased")?;
+            let dw = grew(w.total_wait, ow, "waiter wait decreased")?;
             if dc != 0 || dw != 0 {
                 waiters.push(DumpCrosstalkWaiter {
                     waiter: w.waiter,
@@ -520,10 +518,7 @@ pub fn diff_dump(
                 });
             }
         }
-        assert!(
-            pi.next().is_none(),
-            "stage {stage}: a crosstalk waiter disappeared"
-        );
+        ensure(pi.next().is_none(), "a crosstalk waiter disappeared")?;
     }
 
     let mut d = StageDelta {
@@ -535,21 +530,19 @@ pub fn diff_dump(
         ccts,
         pairs,
         waiters,
-        piggyback_bytes: cur
-            .piggyback_bytes
-            .checked_sub(prev.piggyback_bytes)
-            .expect("piggyback_bytes decreased"),
-        messages: cur
-            .messages
-            .checked_sub(prev.messages)
-            .expect("messages decreased"),
+        piggyback_bytes: grew(
+            cur.piggyback_bytes,
+            prev.piggyback_bytes,
+            "piggyback_bytes decreased",
+        )?,
+        messages: grew(cur.messages, prev.messages, "messages decreased")?,
         checksum: 0,
     };
     if d.is_empty() {
-        return None;
+        return Ok(None);
     }
     d.checksum = d.compute_checksum();
-    Some(d)
+    Ok(Some(d))
 }
 
 /// Why a delta could not be applied.
@@ -601,6 +594,23 @@ impl fmt::Display for DeltaError {
             }
         }
     }
+}
+
+/// Whether no raw synopsis and no context appears twice among one
+/// delta's mints. A repeat would leave [`StageAccumulator::to_dump`]
+/// (one synopsis per context) short of what an index built from the
+/// delta itself holds, so the two could resolve a chain differently.
+fn distinct_mints(mints: &[(u64, u32)]) -> bool {
+    if mints.len() < 2 {
+        return true;
+    }
+    let mut sorted = mints.to_vec();
+    sorted.sort_unstable();
+    if sorted.windows(2).any(|w| w[0].0 == w[1].0) {
+        return false;
+    }
+    sorted.sort_unstable_by_key(|m| m.1);
+    sorted.windows(2).all(|w| w[0].1 != w[1].1)
 }
 
 /// Replays [`StageDelta`]s back into the exact [`StageDump`] the
@@ -667,7 +677,13 @@ impl StageAccumulator {
         self.ccts.get(ctx as usize).and_then(|v| v.as_deref())
     }
 
-    /// Applies one delta, verifying its sequence number and checksum.
+    /// Applies one delta, or rejects it leaving the accumulator
+    /// untouched: sequence number, checksum, keyed baselines and every
+    /// condition [`StageDump::validate`] checks are verified against
+    /// the state plus the delta's own new frames and contexts before
+    /// anything mutates. By induction, an accumulator that only ever
+    /// returned `Ok` holds a [`StageAccumulator::to_dump`] that
+    /// validates.
     pub fn apply(&mut self, d: &StageDelta) -> Result<(), DeltaError> {
         if d.seq != self.next_seq {
             return Err(DeltaError::SeqGap {
@@ -686,14 +702,22 @@ impl StageAccumulator {
             stage: d.stage,
             what,
         };
-        // Validate keyed baselines before mutating anything, so a bad
-        // delta leaves the accumulator untouched. One CCT per context,
-        // sorted by ctx: a repeated id would have both entries checked
-        // against the same pre-state baseline and both appended.
+        let frames = self.frames.len() + d.new_frames.len();
+        let contexts = self.contexts.len() + d.new_contexts.len();
+        let mut new_contexts = d.new_contexts.iter();
+        if new_contexts.any(|c| c.check_frames(frames).is_err()) {
+            return Err(incon("context atom names an unknown frame"));
+        }
+        // One CCT per context, sorted by ctx: a repeated id would have
+        // both entries checked against the same pre-state baseline and
+        // both appended.
         if d.ccts.windows(2).any(|w| w[0].ctx >= w[1].ctx) {
             return Err(incon("CCT ctx column not strictly increasing"));
         }
         for c in &d.ccts {
+            if c.ctx as usize >= contexts {
+                return Err(incon("CCT labeled with an unknown context"));
+            }
             let have = self.cct_nodes(c.ctx).map_or(0, |n| n.len());
             if have != c.nodes_before as usize {
                 return Err(incon("CCT baseline size mismatch"));
@@ -701,29 +725,34 @@ impl StageAccumulator {
             if c.grown.iter().any(|&(i, ..)| i as usize >= have) {
                 return Err(incon("CCT growth targets a missing node"));
             }
+            let mut new = c.new_nodes.iter().enumerate();
+            if new.any(|(k, n)| n.link(have + k).is_err()) {
+                return Err(incon("CCT node lacks a frame or a preceding parent"));
+            }
         }
-        if d.new_synopses
-            .iter()
-            .any(|&(_, ctx)| self.synopses.get(ctx as usize).copied().flatten().is_some())
-        {
-            return Err(incon("synopsis re-minted for a context"));
+        for &(_, ctx) in &d.new_synopses {
+            if ctx as usize >= contexts {
+                return Err(incon("synopsis minted for an unknown context"));
+            }
+            if self.synopses.get(ctx as usize).copied().flatten().is_some() {
+                return Err(incon("synopsis re-minted for a context"));
+            }
+        }
+        if !distinct_mints(&d.new_synopses) {
+            return Err(incon("synopsis minted twice in one delta"));
         }
 
         self.frames.extend(d.new_frames.iter().cloned());
         self.contexts.extend(d.new_contexts.iter().cloned());
+        // The dense per-context tables are sized by the intern table,
+        // never by an index a frame chose (all checked `< contexts`).
+        self.synopses.resize(contexts, None);
+        self.ccts.resize_with(contexts, || None);
         for &(raw, ctx) in &d.new_synopses {
-            let i = ctx as usize;
-            if self.synopses.len() <= i {
-                self.synopses.resize(i + 1, None);
-            }
-            self.synopses[i] = Some(raw);
+            self.synopses[ctx as usize] = Some(raw);
         }
         for c in &d.ccts {
-            let i = c.ctx as usize;
-            if self.ccts.len() <= i {
-                self.ccts.resize_with(i + 1, || None);
-            }
-            let nodes = self.ccts[i].get_or_insert_with(Vec::new);
+            let nodes = self.ccts[c.ctx as usize].get_or_insert_with(Vec::new);
             for &(i, s, cy, ca) in &c.grown {
                 let n = &mut nodes[i as usize];
                 n.samples += s;
@@ -771,11 +800,16 @@ impl StageAccumulator {
     /// The delta is stamped with the accumulator's own next sequence
     /// number so it flows through [`StageAccumulator::apply`] — and
     /// therefore through a collector's normal ingest path — unchanged.
-    /// Panics (via [`diff_dump`]) if `snapshot` is not a monotone
-    /// extension of the accumulated state; `apply` is transactional, so
-    /// any accumulator fed a prefix of a clean stream is a valid base.
-    pub fn catchup_delta(&self, stage: usize, snapshot: &StageDump) -> Option<StageDelta> {
-        diff_dump(stage, self.next_seq, Some(&self.to_dump()), snapshot)
+    /// `Err` if `snapshot` is not a monotone extension of the
+    /// accumulated state — snapshots come from outside the program;
+    /// `apply` is transactional, so any accumulator fed a prefix of a
+    /// clean stream is a valid base for an honest one.
+    pub fn catchup_delta(
+        &self,
+        stage: usize,
+        snapshot: &StageDump,
+    ) -> Result<Option<StageDelta>, DeltaError> {
+        try_diff_dump(stage, self.next_seq, Some(&self.to_dump()), snapshot)
     }
 
     /// The dump this accumulator's state reconstructs.
@@ -1034,6 +1068,42 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn whatever_validate_rejects_apply_rejects_before_any_mutation() {
+        let a = base_dump();
+        let b = grown_dump();
+        let d0 = diff_dump(0, 0, None, &a).unwrap();
+        let good = diff_dump(0, 1, Some(&a), &b).unwrap();
+        type Damage = fn(&mut StageDelta);
+        const NODE: &str = "CCT node lacks a frame or a preceding parent";
+        const ATOM: &str = "context atom names an unknown frame";
+        const TWICE: &str = "synopsis minted twice in one delta";
+        let cases: [(Damage, &str); 9] = [
+            (|d| d.ccts[1].new_nodes[0].parent = Some(2), NODE),
+            (|d| d.ccts[1].new_nodes[0].parent = None, NODE),
+            (|d| d.ccts[1].new_nodes[0].frame = None, NODE),
+            (|d| d.ccts[1].ctx = 3, "CCT labeled with an unknown context"),
+            (|d| d.new_contexts[0].atoms[0] = DumpAtom::Frame(3), ATOM),
+            (|d| d.new_contexts[0].atoms.push(DumpAtom::Path(vec![0, 3])), ATOM),
+            (|d| d.new_synopses[0].1 = 3, "synopsis minted for an unknown context"),
+            (|d| d.new_synopses.push((0x0100_0003, 2)), TWICE),
+            (|d| d.new_synopses.push((0x0100_0002, 0)), TWICE),
+        ];
+        for (damage, what) in cases {
+            let mut acc = StageAccumulator::new(&header());
+            acc.apply(&d0).unwrap();
+            let mut d = good.clone();
+            damage(&mut d);
+            d.checksum = d.compute_checksum();
+            let refused = DeltaError::Inconsistent { stage: 0, what };
+            assert_eq!(acc.apply(&d), Err(refused));
+            assert_eq!(acc.to_dump(), a, "{what}");
+            // The same delta undamaged still applies, and validates.
+            acc.apply(&good).unwrap();
+            assert_eq!(acc.to_dump().validate(), Ok(()));
+        }
+    }
+
+    #[test]
     fn remap_proc_tracks_dump_remap() {
         let b = grown_dump();
         let map = |p: u32| if p == 1 { Some(7) } else { None };
@@ -1057,14 +1127,23 @@ pub(crate) mod tests {
         let mut acc = StageAccumulator::new(&header());
         acc.apply(&d0).unwrap();
         // Resync from the emitter snapshot covering seqs 0..2.
-        let cd = acc.catchup_delta(0, &b).expect("acc is behind");
+        let cd = acc.catchup_delta(0, &b).unwrap().expect("acc is behind");
         assert_eq!(cd.seq, acc.next_seq());
         acc.apply(&cd).unwrap();
         acc.set_next_seq(2);
         assert_eq!(acc.to_dump(), b);
         assert_eq!(acc.next_seq(), 2);
         // Already caught up: no further catch-up delta.
-        assert!(acc.catchup_delta(0, &b).is_none());
+        assert_eq!(acc.catchup_delta(0, &b), Ok(None));
+        // A snapshot that is not an extension of the state is an
+        // error for the caller, not a panic.
+        assert_eq!(
+            acc.catchup_delta(0, &base_dump()),
+            Err(DeltaError::Inconsistent {
+                stage: 0,
+                what: "frame table is not an append-only extension"
+            })
+        );
     }
 
     #[test]

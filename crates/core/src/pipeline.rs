@@ -140,7 +140,8 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
     // cheap prefix every later phase reads.
     let (frames, remap) = global_frames(stages);
 
-    // Phase: validate. Per stage, check indices and rebuild every CCT.
+    // Phase: validate. Per stage, check indices and every CCT node's
+    // link to a preceding parent.
     let validated: Vec<Result<(), StitchError>> = timed_phase(&mut timings, "validate", || {
         stages.iter().map(StageDump::validate).collect()
     });

@@ -17,7 +17,6 @@
 //! minting stage's dump is absent) surface as explicit
 //! [`UnresolvedEdge`]s instead of silently vanishing.
 
-use crate::blackbox::TierVisibility;
 use crate::cct::{Cct, CctNodeId};
 use crate::context::{ContextAtom, TransactionContext};
 use crate::frame::FrameId;
@@ -54,6 +53,22 @@ impl DumpContext {
             _ => None,
         }
     }
+
+    /// Checks that every `Frame`/`Path` atom names one of the first
+    /// `frames` entries of its stage's frame table — the one
+    /// context-atom check behind [`StageDump::validate`] and
+    /// [`crate::delta::StageAccumulator::apply`].
+    pub fn check_frames(&self, frames: usize) -> Result<(), StitchError> {
+        let mut named = self.atoms.iter().flat_map(|a| match a {
+            DumpAtom::Frame(f) => std::slice::from_ref(f),
+            DumpAtom::Path(p) => p.as_slice(),
+            DumpAtom::Remote(_) => &[],
+        });
+        match named.find(|&&f| f as usize >= frames) {
+            Some(&frame) => Err(StitchError::FrameOutOfRange { frame }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// One dumped CCT node.
@@ -69,6 +84,26 @@ pub struct DumpNode {
     pub cycles: u64,
     /// Exclusive call count.
     pub calls: u64,
+}
+
+impl DumpNode {
+    /// The `(parent, frame)` this node hangs from as node `i` of its
+    /// CCT, `None` for the root (`i == 0`): every later node must name
+    /// a frame and a parent that precedes it. The one node-structure
+    /// check — behind [`fold_dump_nodes`] (so every CCT rebuild),
+    /// [`StageDump::validate`] and, before it mutates,
+    /// [`crate::delta::StageAccumulator::apply`].
+    pub fn link(&self, i: usize) -> Result<Option<(u32, u32)>, StitchError> {
+        if i == 0 {
+            return Ok(None);
+        }
+        let p = self.parent.ok_or(StitchError::NodeWithoutParent { node: i })?;
+        if p as usize >= i {
+            return Err(StitchError::ParentOutOfOrder { node: i, parent: p });
+        }
+        let f = self.frame.ok_or(StitchError::NodeWithoutFrame { node: i })?;
+        Ok(Some((p, f)))
+    }
 }
 
 /// A dumped CCT, labeled by the context it is annotated with (§7.1).
@@ -168,12 +203,6 @@ pub enum StitchError {
     },
     /// The JSON is well-formed but does not describe a stage dump.
     Schema(String),
-    /// The stage is deliberately opaque ([`TierVisibility::Opaque`]):
-    /// its dump is withheld by policy, not lost or corrupt. Distinct
-    /// from the malformed-dump variants so black-box inference fallback
-    /// triggers precisely on the tiers configured for it, never on
-    /// corrupt-dump heuristics.
-    Opaque,
 }
 
 impl fmt::Display for StitchError {
@@ -198,9 +227,6 @@ impl fmt::Display for StitchError {
                 write!(f, "malformed JSON at byte {offset}: {msg}")
             }
             StitchError::Schema(msg) => write!(f, "dump schema violation: {msg}"),
-            StitchError::Opaque => {
-                write!(f, "tier is opaque by policy (no dump exported)")
-            }
         }
     }
 }
@@ -219,34 +245,21 @@ impl StageDump {
         Ok(cct)
     }
 
-    /// Checks the dump's internal indices: every CCT rebuilds, every
-    /// CCT label and every context atom resolves.
+    /// Checks the dump's internal indices: every CCT node links to a
+    /// preceding parent, every CCT label and every context atom
+    /// resolves.
     pub fn validate(&self) -> Result<(), StitchError> {
         for c in &self.ccts {
             if c.ctx as usize >= self.contexts.len() {
                 return Err(StitchError::ContextOutOfRange { ctx: c.ctx });
             }
-            self.rebuild_cct(c)?;
-        }
-        let frame_ok = |f: &u32| (*f as usize) < self.frames.len();
-        for ctx in &self.contexts {
-            for a in &ctx.atoms {
-                match a {
-                    DumpAtom::Frame(fr) => {
-                        if !frame_ok(fr) {
-                            return Err(StitchError::FrameOutOfRange { frame: *fr });
-                        }
-                    }
-                    DumpAtom::Path(p) => {
-                        if let Some(&fr) = p.iter().find(|&fr| !frame_ok(fr)) {
-                            return Err(StitchError::FrameOutOfRange { frame: fr });
-                        }
-                    }
-                    DumpAtom::Remote(_) => {}
-                }
+            for (i, n) in c.nodes.iter().enumerate() {
+                n.link(i)?;
             }
         }
-        Ok(())
+        self.contexts
+            .iter()
+            .try_for_each(|c| c.check_frames(self.frames.len()))
     }
 
     /// Returns a copy of this dump re-homed onto other process ids.
@@ -361,16 +374,9 @@ pub fn fold_dump_nodes(
 ) -> Result<u64, StitchError> {
     let mut cycles = 0u64;
     for n in nodes {
-        let i = map.len();
-        let id = if i == 0 {
-            CctNodeId::ROOT
-        } else {
-            let p = n.parent.ok_or(StitchError::NodeWithoutParent { node: i })?;
-            if p as usize >= i {
-                return Err(StitchError::ParentOutOfOrder { node: i, parent: p });
-            }
-            let f = n.frame.ok_or(StitchError::NodeWithoutFrame { node: i })?;
-            cct.child(map[p as usize], frame(f))
+        let id = match n.link(map.len())? {
+            None => CctNodeId::ROOT,
+            Some((p, f)) => cct.child(map[p as usize], frame(f)),
         };
         cct.record_at(
             id,
@@ -538,27 +544,10 @@ impl Stitched {
     /// (retrievable via [`Stitched::warnings`]) instead of panicking:
     /// a partial, faulty run must still stitch.
     pub fn new(stages: Vec<StageDump>) -> Self {
-        let vis = vec![TierVisibility::Cooperating; stages.len()];
-        Self::new_with_visibility(stages, &vis)
-    }
-
-    /// [`Stitched::new`] with a per-stage visibility policy (hybrid
-    /// deployments). An [`TierVisibility::Opaque`] stage's dump is
-    /// withheld from the index — no synopsis it minted resolves, and
-    /// none of its contexts contribute request edges — and the stage is
-    /// reported as a [`StitchError::Opaque`] warning so downstream
-    /// black-box inference knows exactly which tiers to fill in.
-    /// Stages past the end of `vis` default to cooperating.
-    pub fn new_with_visibility(stages: Vec<StageDump>, vis: &[TierVisibility]) -> Self {
         let mut minted = HashMap::new();
         let mut valid = Vec::with_capacity(stages.len());
         let mut warnings = Vec::new();
         for (si, d) in stages.iter().enumerate() {
-            if vis.get(si) == Some(&TierVisibility::Opaque) {
-                valid.push(false);
-                warnings.push((si, StitchError::Opaque));
-                continue;
-            }
             match d.validate() {
                 Ok(()) => {
                     valid.push(true);
@@ -583,18 +572,6 @@ impl Stitched {
     /// Validation failures of skipped stages: `(stage index, error)`.
     pub fn warnings(&self) -> &[(usize, StitchError)] {
         &self.warnings
-    }
-
-    /// Stage indices withheld by visibility policy — exactly the stages
-    /// whose warning is [`StitchError::Opaque`], never corrupt or
-    /// missing dumps. This is the precise trigger for inference
-    /// fallback.
-    pub fn opaque_stages(&self) -> Vec<usize> {
-        self.warnings
-            .iter()
-            .filter(|(_, e)| *e == StitchError::Opaque)
-            .map(|&(si, _)| si)
-            .collect()
     }
 
     /// Whether stage `si` passed validation and is part of the index.
@@ -862,44 +839,6 @@ mod tests {
         // The origin walk still finds the true entry stage via the
         // chain head, which stage 0 did mint.
         assert_eq!(st.origin(1, 1), (0, 1));
-    }
-
-    #[test]
-    fn opaque_tier_is_distinct_from_corrupt_dump() {
-        // Stage 0 cooperates; stage 1 is opaque by policy; stage 2 is
-        // genuinely corrupt. The warnings must tell them apart so
-        // inference fallback triggers only on stage 1.
-        let s0 = dump_with_ctx(0, vec![DumpAtom::Path(vec![0, 1])], vec![(100, 1)]);
-        let s1 = dump_with_ctx(1, vec![DumpAtom::Remote(vec![100])], vec![(200, 1)]);
-        let s2 = StageDump {
-            proc: 2,
-            stage_name: "corrupt".into(),
-            ccts: vec![DumpCct { ctx: 9, nodes: vec![] }],
-            ..Default::default()
-        };
-        let vis = [
-            TierVisibility::Cooperating,
-            TierVisibility::Opaque,
-            TierVisibility::Cooperating,
-        ];
-        let st = Stitched::new_with_visibility(vec![s0, s1, s2], &vis);
-        assert!(st.stage_valid(0));
-        assert!(!st.stage_valid(1));
-        assert!(!st.stage_valid(2));
-        assert_eq!(st.opaque_stages(), vec![1]);
-        assert_eq!(st.warnings()[0], (1, StitchError::Opaque));
-        assert!(matches!(st.warnings()[1], (2, StitchError::ContextOutOfRange { .. })));
-        // The opaque stage's synopses are withheld even though its dump
-        // is well-formed.
-        assert_eq!(st.resolve(200), None);
-        assert_eq!(st.resolve(100), Some((0, 1)));
-        // Full visibility (the default constructor) indexes everything.
-        let s0 = dump_with_ctx(0, vec![DumpAtom::Path(vec![0, 1])], vec![(100, 1)]);
-        let s1 = dump_with_ctx(1, vec![DumpAtom::Remote(vec![100])], vec![(200, 1)]);
-        let st = Stitched::new(vec![s0, s1]);
-        assert!(st.stage_valid(1));
-        assert_eq!(st.resolve(200), Some((1, 1)));
-        assert!(st.opaque_stages().is_empty());
     }
 
     #[test]

@@ -8,9 +8,11 @@ cargo build --release
 
 cargo test --workspace -q
 
-# The batch-pipeline gates, explicitly (they also run as part of the
-# workspace suite above; naming them keeps the gate obvious and fails
-# fast if a refactor drops a suite from the workspace):
+# The gates inside the workspace suite above, by name. Each ran once,
+# just now; the check that closes this list fails if a refactor has
+# dropped a named suite from the workspace.
+#
+# The batch-pipeline gates (parallel_diff, golden_report):
 # - differential: pipeline::analyze vs the legacy Stitched resolver
 #   (edges, unresolved edges, warnings, CCT origins) and the serial
 #   dump serializer over the 36-scenario corpus (seeds x schedules x
@@ -18,35 +20,33 @@ cargo test --workspace -q
 #   format!-based reference writer;
 # - golden: canonical rendered reports for two fixed TPC-W runs
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
-cargo test -q -p whodunit-core --test parallel_diff
-cargo test -q --test golden_report
-
-# The streaming-collector gates:
+#
+# The streaming-collector gates (streaming_diff, golden_collector,
+# golden_sentinel):
 # - differential: streaming collector vs batch pipeline byte-identity
 #   over the same 36-scenario matrix (end-state lock), the staggered
 #   12-replica fleet (resident peak below the origin total at windows
 #   1 and 4, wire frames <= 14.8 B/event), bounded-queue backpressure,
 #   plus the self-healing ingest damage matrix (corrupt / truncated /
-#   duplicate / reordered / lost frames, stall watchdog);
+#   duplicate / reordered / lost frames, stall watchdog; sourceless,
+#   unknown-stage, duplicate-mint and lying-source damage halting
+#   degraded), every output equal to batch over its own dumps;
 # - golden: live-query snapshot rendering, mid-run + final epoch, and
 #   the rendered sentinel incident report mid-violation + post-capture
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
-cargo test -q -p whodunit-collector --test streaming_diff
-cargo test -q --test golden_collector
-cargo test -q --test golden_sentinel
-
-# The binary wire-format gates (DESIGN.md §16):
+#
+# The binary wire-format gates (DESIGN.md §16; wire_props, wire_fuzz):
 # - properties: decode(encode(delta)) == delta for arbitrary deltas,
 #   batches, and summary frames, plus the golden frame hex dump
 #   (regenerate intentionally with UPDATE_GOLDEN=1);
 # - fuzz: randomized truncation / bit flips / reordering / garbage
 #   injection over encoded streams — damaged frames are rejected by the
 #   envelope and healed by the §12 quarantine machinery, never a panic,
-#   never a silent divergence.
-cargo test -q -p whodunit-core --test wire_props
-cargo test -q -p whodunit-collector --test wire_fuzz
-
-# The federation gates:
+#   never a silent divergence; re-sealed structural damage is refused
+#   by apply before it mutates (apply Ok => the dump validates).
+#
+# The federation gates (federation_diff, federation_props,
+# golden_federation):
 # - differential: leaf/regional/global federation vs flat batch
 #   byte-identity over the 36-scenario matrix, plus fault scenarios
 #   (lossy uplinks, partitions, leaf/regional crash recovery,
@@ -55,11 +55,9 @@ cargo test -q -p whodunit-collector --test wire_fuzz
 #   associativity, mass conservation, sketch wire round-trip);
 # - golden: rendered federation topology mid-outage + final
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
-cargo test -q -p whodunit-collector --test federation_diff
-cargo test -q -p whodunit-collector --test federation_props
-cargo test -q --test golden_federation
-
-# The black-box inference gates (DESIGN.md §15):
+#
+# The black-box inference gates (DESIGN.md §15; infer's properties and
+# scenarios, golden_infer):
 # - properties: inference is a pure function of the event set
 #   (deterministic, permutation-invariant), the ambiguity-1 subset is
 #   always correct and only shrinks as the modelled jitter window
@@ -69,9 +67,27 @@ cargo test -q --test golden_federation
 #   observation-only;
 # - golden: the rendered inference sweep table (regenerate
 #   intentionally with UPDATE_GOLDEN=1).
-cargo test -q -p whodunit-infer --test properties
-cargo test -q -p whodunit-infer --test scenarios
-cargo test -q --test golden_infer
+cargo metadata --no-deps --offline --format-version 1 | python3 -c '
+import json, sys
+
+GATES = """
+whodunit-core/parallel_diff whodunit/golden_report
+whodunit-collector/streaming_diff whodunit/golden_collector whodunit/golden_sentinel
+whodunit-core/wire_props whodunit-collector/wire_fuzz
+whodunit-collector/federation_diff whodunit-collector/federation_props whodunit/golden_federation
+whodunit-infer/properties whodunit-infer/scenarios whodunit/golden_infer
+""".split()
+have = {
+    p["name"] + "/" + t["name"]
+    for p in json.load(sys.stdin)["packages"]
+    for t in p["targets"]
+    if "test" in t["kind"]
+}
+missing = [g for g in GATES if g not in have]
+if missing:
+    sys.exit("gate suites missing from the workspace: " + " ".join(missing))
+print(f"all {len(GATES)} named gate suites are workspace test targets")
+'
 
 cargo clippy --workspace -- -D warnings
 
