@@ -13,7 +13,7 @@ use whodunit_apps::rtconf::RtKind;
 use whodunit_apps::tpcw::{run_tpcw, TpcwConfig};
 use whodunit_bench::header;
 use whodunit_core::cost::CPU_HZ;
-use whodunit_core::stitch::Stitched;
+use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_report::tpcw::table1;
 use whodunit_workload::{Interaction, Mix};
 
@@ -40,7 +40,7 @@ fn main() {
             warmup: 50 * CPU_HZ,
             ..TpcwConfig::default()
         });
-        let stitched = Stitched::new(r.dumps.clone());
+        let stitched = analyze(r.dumps.clone(), PipelineConfig::default());
         let mut rows = table1(&stitched, 2, &|n| label_of(n));
         rows.sort_by(|a, b| b.cpu_pct.partial_cmp(&a.cpu_pct).unwrap());
         println!(

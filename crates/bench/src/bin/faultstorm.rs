@@ -19,7 +19,7 @@ use whodunit_apps::dbserver::Engine;
 use whodunit_apps::tpcw::{run_tpcw, TpcwConfig, TpcwFaults, TpcwReport};
 use whodunit_bench::header;
 use whodunit_core::cost::CPU_HZ;
-use whodunit_core::stitch::Stitched;
+use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_report::render::render_stitched_text;
 use whodunit_sim::ChannelFaults;
 
@@ -107,29 +107,32 @@ fn main() {
     }
 
     // 3a. Full stitch first: three healthy dumps, resolvable edges.
-    let full = Stitched::new(r1.dumps.clone());
-    let full_edges = full.request_edges().len();
+    let full = analyze(r1.dumps.clone(), PipelineConfig::default());
+    let full_edges = full.edges.len();
     assert!(full_edges > 0, "healthy stitch finds request edges");
-    assert!(full.unresolved_edges().is_empty(), "nothing unresolved");
+    assert!(full.unresolved.is_empty(), "nothing unresolved");
 
     // 3b. The front tier's host "crashed before dumping": stitch only
     // tomcat + mysql. Tomcat's remote contexts were minted by squid,
     // whose dump is missing — they must surface as unresolved edges,
     // not a panic, and mysql→tomcat edges must still resolve.
-    let partial = Stitched::new(vec![r1.dumps[1].clone(), r1.dumps[2].clone()]);
-    let unresolved = partial.unresolved_edges();
+    let partial = analyze(
+        vec![r1.dumps[1].clone(), r1.dumps[2].clone()],
+        PipelineConfig::default(),
+    );
+    let unresolved = &partial.unresolved;
     assert!(
         !unresolved.is_empty(),
         "missing sender dump yields unresolved edges"
     );
     assert!(
-        !partial.request_edges().is_empty(),
+        !partial.edges.is_empty(),
         "surviving stages still stitch"
     );
     println!(
         "partial stitch       {} unresolved edges with squid's dump missing ({} resolved)",
         unresolved.len(),
-        partial.request_edges().len()
+        partial.edges.len()
     );
     let rendered = render_stitched_text(&partial);
     assert!(rendered.contains("unresolved"), "report renders degradation");
@@ -142,9 +145,9 @@ fn main() {
             node.parent = None; // non-root node without a parent
         }
     }
-    let quarantined = Stitched::new(corrupt);
+    let quarantined = analyze(corrupt, PipelineConfig::default());
     assert!(
-        !quarantined.warnings().is_empty(),
+        !quarantined.warnings.is_empty(),
         "corrupt dump produces a warning"
     );
     assert!(!quarantined.stage_valid(2), "mysql dump quarantined");
@@ -154,7 +157,7 @@ fn main() {
     );
     println!(
         "corrupt dump         quarantined with {} warning(s), healthy stages kept",
-        quarantined.warnings().len()
+        quarantined.warnings.len()
     );
 
     // 4. Crosstalk attribution survives the storm: MySQL still records

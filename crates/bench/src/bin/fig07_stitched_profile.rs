@@ -14,9 +14,9 @@ use whodunit_bench::header;
 use whodunit_core::cost::ms_to_cycles;
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::{ChanId, ProcId};
+use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_core::profiler::{Whodunit, WhodunitConfig};
 use whodunit_core::rt::Runtime;
-use whodunit_core::stitch::Stitched;
 use whodunit_report::render;
 use whodunit_sim::{Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 
@@ -172,7 +172,7 @@ fn main() {
         caller_rt.borrow().dump().unwrap(),
         callee_rt.borrow().dump().unwrap(),
     ];
-    let stitched = Stitched::new(dumps);
+    let stitched = analyze(dumps, PipelineConfig::default());
     print!("{}", render::render_stitched_text(&stitched));
 
     // The Figure 7 shape: the callee's call-path tree appears twice,
@@ -180,7 +180,7 @@ fn main() {
     let callee_ccts = stitched.stages[1].ccts.len();
     println!("\ncallee CCT instances: {callee_ccts} (Figure 7 shows the tree twice)");
     assert_eq!(callee_ccts, 2, "one CCT per caller path");
-    let edges = stitched.request_edges();
+    let edges = &stitched.edges;
     assert!(edges.len() >= 2, "request edges connect both paths");
     println!("DOT output (render with graphviz):\n");
     print!("{}", render::render_stitched_dot(&stitched));

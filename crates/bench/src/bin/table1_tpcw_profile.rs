@@ -13,7 +13,7 @@ use whodunit_apps::rtconf::RtKind;
 use whodunit_apps::tpcw::{run_tpcw, TpcwConfig};
 use whodunit_bench::header;
 use whodunit_core::cost::CPU_HZ;
-use whodunit_core::stitch::Stitched;
+use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_report::table;
 use whodunit_report::tpcw::{crosstalk_pairs, table1};
 use whodunit_workload::Interaction;
@@ -57,7 +57,7 @@ fn main() {
         ..TpcwConfig::default()
     });
     assert_eq!(r.dumps.len(), 3, "three profiled stages dumped");
-    let stitched = Stitched::new(r.dumps.clone());
+    let stitched = analyze(r.dumps.clone(), PipelineConfig::default());
     let rows = table1(&stitched, 2, &|n| label_of(n));
 
     let mut out_rows = Vec::new();

@@ -11,7 +11,7 @@
 use whodunit_apps::dbserver::Engine;
 use whodunit_apps::tpcw::{run_tpcw, TpcwConfig, TpcwFaults, TpcwReport};
 use whodunit_core::cost::CPU_HZ;
-use whodunit_core::stitch::Stitched;
+use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_sim::ChannelFaults;
 
 /// A compressed storm: same fault classes as the bin (drops, delays,
@@ -91,22 +91,25 @@ fn profile_mass_is_conserved_per_tier_under_the_storm() {
 fn stitching_degrades_not_panics_under_missing_and_corrupt_dumps() {
     let r = run_tpcw(storm_config());
 
-    let full = Stitched::new(r.dumps.clone());
+    let full = analyze(r.dumps.clone(), PipelineConfig::default());
     assert!(
-        !full.request_edges().is_empty(),
+        !full.edges.is_empty(),
         "healthy stitch finds request edges"
     );
-    assert!(full.unresolved_edges().is_empty(), "nothing unresolved");
+    assert!(full.unresolved.is_empty(), "nothing unresolved");
 
     // Front tier's dump missing: tomcat's remote contexts surface as
     // unresolved edges; mysql→tomcat edges still resolve.
-    let partial = Stitched::new(vec![r.dumps[1].clone(), r.dumps[2].clone()]);
+    let partial = analyze(
+        vec![r.dumps[1].clone(), r.dumps[2].clone()],
+        PipelineConfig::default(),
+    );
     assert!(
-        !partial.unresolved_edges().is_empty(),
+        !partial.unresolved.is_empty(),
         "missing sender dump yields unresolved edges"
     );
     assert!(
-        !partial.request_edges().is_empty(),
+        !partial.edges.is_empty(),
         "surviving stages still stitch"
     );
 
@@ -117,8 +120,8 @@ fn stitching_degrades_not_panics_under_missing_and_corrupt_dumps() {
             node.parent = None;
         }
     }
-    let quarantined = Stitched::new(corrupt);
-    assert!(!quarantined.warnings().is_empty());
+    let quarantined = analyze(corrupt, PipelineConfig::default());
+    assert!(!quarantined.warnings.is_empty());
     assert!(!quarantined.stage_valid(2), "mysql dump quarantined");
     assert!(
         quarantined.stage_valid(0) && quarantined.stage_valid(1),

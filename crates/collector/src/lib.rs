@@ -480,11 +480,6 @@ impl Collector {
         self.resync = Some(ResyncHandle(src));
     }
 
-    /// Per-stage quarantine/reorder/stall accounting.
-    pub fn quarantine_state(&self) -> &[StageQuarantine] {
-        &self.quarantine
-    }
-
     /// The explicit degradation markers for every stage whose stream
     /// needed self-healing, in stage order, then one line for deltas
     /// that named no stage of the header. Empty on a clean stream.

@@ -441,12 +441,6 @@ impl SentinelSink {
         &self.collector
     }
 
-    /// Mutable access to the wrapped collector (e.g. to attach a
-    /// [`whodunit_core::delta::ResyncSource`]).
-    pub fn collector_mut(&mut self) -> &mut Collector {
-        &mut self.collector
-    }
-
     /// The watchdog state.
     pub fn sentinel(&self) -> &Sentinel {
         &self.sentinel

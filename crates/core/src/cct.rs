@@ -383,25 +383,6 @@ impl Cct {
         v.truncate(n);
         v
     }
-
-    /// Merges `other` into `self`, node by node along matching paths.
-    pub fn merge(&mut self, other: &Cct) {
-        // Walk `other` depth-first, carrying the corresponding node in
-        // `self`; the pair always names the same call path.
-        let mut stack = vec![(CctNodeId::ROOT, CctNodeId::ROOT)];
-        while let Some((mine, theirs)) = stack.pop() {
-            self.nodes[mine.0 as usize]
-                .metrics
-                .add(other.nodes[theirs.0 as usize].metrics);
-            let mut tc = other.nodes[theirs.0 as usize].first_child;
-            while tc != NO_NODE {
-                let f = other.nodes[tc as usize].frame.expect("non-root node has a frame");
-                let mc = self.child(mine, f);
-                stack.push((mc, CctNodeId(tc)));
-                tc = other.nodes[tc as usize].next_sibling;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -452,21 +433,6 @@ mod tests {
         assert_eq!(cct.inclusive(n1).cycles, 60);
         assert_eq!(cct.total().cycles, 65);
         assert_eq!(cct.metrics(n1).cycles, 10);
-    }
-
-    #[test]
-    fn merge_adds_along_matching_paths() {
-        let mut a = Cct::new();
-        a.record(&[fid(1), fid(2)], m(1, 10));
-        let mut b = Cct::new();
-        b.record(&[fid(1), fid(2)], m(2, 20));
-        b.record(&[fid(3)], m(1, 7));
-        a.merge(&b);
-        assert_eq!(a.total().cycles, 37);
-        let n = a.path_node(&[fid(1), fid(2)]);
-        assert_eq!(a.metrics(n).samples, 3);
-        let n3 = a.path_node(&[fid(3)]);
-        assert_eq!(a.metrics(n3).cycles, 7);
     }
 
     #[test]

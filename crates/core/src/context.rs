@@ -467,14 +467,6 @@ impl ContextShard {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    /// Iterates values in shard-local insertion order.
-    pub fn iter_local(&self) -> impl Iterator<Item = (u32, &TransactionContext)> {
-        self.values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i as u32, v))
-    }
 }
 
 /// A context dictionary sharded by location hash
@@ -506,11 +498,6 @@ impl ShardedContextTable {
         ShardedContextTable {
             shards: vec![ContextShard::default(); shards.max(1)],
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard a value belongs to: its location hash mod the shard

@@ -26,7 +26,8 @@
 //! scenario to a repro file ([`crate::repro`]) and shrinks it while the
 //! violation persists.
 
-use crate::stitch::{StageDump, Stitched};
+use crate::pipeline::{analyze, PipelineConfig};
+use crate::stitch::StageDump;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -520,7 +521,7 @@ pub fn check_all(ev: &Evidence) -> Vec<Violation> {
     }
 
     // 3 + 4a. Stitch completeness and unexplained unresolved edges.
-    let stitched = Stitched::new(ev.dumps.clone());
+    let stitched = analyze(ev.dumps.clone(), PipelineConfig::default());
     let remote_contexts: usize = stitched
         .stages
         .iter()
@@ -535,8 +536,8 @@ pub fn check_all(ev: &Evidence) -> Vec<Violation> {
                 .count()
         })
         .sum();
-    let unresolved = stitched.unresolved_edges().len();
-    let accounted = stitched.request_edges().len() + unresolved;
+    let unresolved = stitched.unresolved.len();
+    let accounted = stitched.edges.len() + unresolved;
     if accounted != remote_contexts {
         out.push(Violation::StitchCompleteness {
             remote_contexts,

@@ -1,15 +1,19 @@
-//! The post-collection analysis pipeline.
+//! The post-collection analysis pipeline: the one road from stage
+//! dumps to a stitched answer.
 //!
 //! Post-mortem analysis — validating stage dumps, indexing minted
-//! synopses, resolving origins and request edges, merging per-stage
+//! synopses, resolving origins and request edges, folding per-stage
 //! CCTs into per-transaction profiles, aggregating crosstalk, and
-//! re-serializing the dumps — runs as eight named phases on the calling
-//! thread. The report is a pure function of the input dumps because
-//! every scan and merge order is pinned down:
+//! re-serializing the dumps — runs as six named phases on the calling
+//! thread, each one loop. Every reader of a stitched profile (the
+//! report crate's renderers and Table 1 assembly, `whodunit-view`, the
+//! invariant oracle, the experiment binaries) reads the
+//! [`PipelineReport`] this returns. The report is a pure function of
+//! the input dumps because every scan and fold order is pinned down:
 //!
 //! 1. Stages are visited in input order and a stage's contexts, CCTs
 //!    and crosstalk rows in dump order, so duplicate-synopsis
-//!    last-insert-wins, CCT merge order and dictionary interning order
+//!    last-insert-wins, CCT fold order and dictionary interning order
 //!    never depend on anything but the input.
 //! 2. Keyed output (profiles, the crosstalk matrix, edges) is emitted
 //!    in ascending key order — accumulated in a `BTreeMap` or sorted
@@ -21,14 +25,14 @@
 //!
 //! The pipeline is single-threaded on measurement (DESIGN.md §14). The
 //! differential suite (`crates/core/tests/parallel_diff.rs`) holds it
-//! to the legacy [`crate::stitch::Stitched`] resolver and the serial
-//! dump serializer over seeds × schedules × fault plans, and the
-//! streaming collector's end-state lock holds the collector to it byte
-//! for byte; DESIGN.md §9 records the invariants a future contributor
-//! must preserve.
+//! to the resolver it replaced — kept in that suite as the oracle —
+//! and the serial dump serializer over seeds × schedules × fault
+//! plans, and the streaming collector's end-state lock holds the
+//! collector to it byte for byte; DESIGN.md §9 records the invariants
+//! a future contributor must preserve.
 
 use crate::cct::{Cct, CctNodeId};
-use crate::context::{ContextShard, ShardedContextTable, ShardedCtxId, TransactionContext};
+use crate::context::{ContextShard, ShardedContextTable, ShardedCtxId};
 use crate::crosstalk::{CrosstalkMatrix, OriginKey, WaitStats};
 use crate::dumpjson;
 use crate::frame::FrameId;
@@ -107,13 +111,19 @@ pub struct PipelineReport {
     ///
     /// [`profiles`]: PipelineReport::profiles
     pub frames: Vec<String>,
-    /// Stages skipped as invalid, with why.
+    /// Stages skipped as invalid, with why; ascending by stage index.
     pub warnings: Vec<(usize, StitchError)>,
-    /// Resolved request edges, sorted as
-    /// [`crate::stitch::Stitched::request_edges`] sorts them.
+    /// Resolved request edges: for every remote context of a valid
+    /// stage, the send point that minted the *last* synopsis of its
+    /// chain (the immediate sender). Sorted by `(to_stage, to_ctx)`,
+    /// which is unique — [`PipelineReport::sender`] searches on it.
     pub edges: Vec<RequestEdge>,
-    /// Remote contexts whose sender dump is missing, sorted as
-    /// [`crate::stitch::Stitched::unresolved_edges`] sorts them.
+    /// The complement of [`edges`]: remote contexts whose immediate
+    /// sender is not in the index — its stage's dump was never
+    /// collected, was skipped as invalid, or had pruned the dictionary
+    /// entry. Sorted by `(to_stage, to_ctx)`.
+    ///
+    /// [`edges`]: PipelineReport::edges
     pub unresolved: Vec<UnresolvedEdge>,
     /// Per-transaction profiles, sorted by origin key.
     pub profiles: Vec<OriginProfile>,
@@ -133,7 +143,6 @@ pub struct PipelineReport {
 pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
     let shards = cfg.shards.max(1);
     let stages = &dumps;
-    let n_stages = stages.len();
     let mut timings = Vec::new();
 
     // Global frame table plus per-stage local→global index maps: a
@@ -142,25 +151,22 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
 
     // Phase: validate. Per stage, check indices and every CCT node's
     // link to a preceding parent.
-    let validated: Vec<Result<(), StitchError>> = timed_phase(&mut timings, "validate", || {
-        stages.iter().map(StageDump::validate).collect()
+    let warnings: Vec<(usize, StitchError)> = timed_phase(&mut timings, "validate", || {
+        let check = |(si, d): (usize, &StageDump)| Some((si, d.validate().err()?));
+        stages.iter().enumerate().filter_map(check).collect()
     });
-    let valid: Vec<bool> = validated.iter().map(|r| r.is_ok()).collect();
-    let warnings: Vec<(usize, StitchError)> = validated
-        .into_iter()
-        .enumerate()
-        .filter_map(|(si, r)| r.err().map(|e| (si, e)))
-        .collect();
+    let mut valid = vec![true; stages.len()];
+    for (si, _) in &warnings {
+        valid[*si] = false;
+    }
+    // Every later phase scans the valid stages only, in input order.
+    let valid_stages = || stages.iter().enumerate().filter(|&(si, _)| valid[si]);
 
     // Phase: index. The minted-synopsis index, built in one stage-order
-    // scan over the valid stages so a duplicate mint resolves
-    // last-insert-wins.
+    // scan so a duplicate mint resolves last-insert-wins.
     let index: HashMap<u64, (usize, u32)> = timed_phase(&mut timings, "index", || {
         let mut map = HashMap::new();
-        for (si, d) in stages.iter().enumerate() {
-            if !valid[si] {
-                continue;
-            }
+        for (si, d) in valid_stages() {
             for &(raw, ctx) in &d.synopses {
                 map.insert(raw, (si, ctx));
             }
@@ -175,11 +181,8 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
     let mut unresolved: Vec<UnresolvedEdge> = Vec::new();
     let origins: Vec<Vec<OriginKey>> = timed_phase(&mut timings, "stitch", || {
         let context = |(s, c): (usize, u32)| stages.get(s)?.contexts.get(c as usize);
-        let mut origins = vec![Vec::new(); n_stages];
-        for (si, d) in stages.iter().enumerate() {
-            if !valid[si] {
-                continue;
-            }
+        let mut origins = vec![Vec::new(); stages.len()];
+        for (si, d) in valid_stages() {
             for (ci, c) in d.contexts.iter().enumerate() {
                 let ci = ci as u32;
                 // The index is complete: an unresolvable head settles.
@@ -206,48 +209,33 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
     });
     edges.sort_by_key(|e| (e.to_stage, e.to_ctx, e.from_stage, e.from_ctx));
     unresolved.sort_by_key(|e| (e.to_stage, e.to_ctx, e.missing));
-
-    // Phase: annotate. Per stage, rebuild each CCT over global frame
-    // ids and tag it with its origin, the origin's global context
-    // value, and the dictionary shard that value hashes to.
-    let annotated: Vec<Vec<CctAnnotation>> = timed_phase(&mut timings, "annotate", || {
-        let annotate = |si: usize| {
-            let mut anns: Vec<CctAnnotation> = Vec::new();
-            if valid[si] {
-                for c in &stages[si].ccts {
-                    let origin = origin_of(&origins, si, c.ctx);
-                    let value = global_value(stages, &remap, origin);
-                    let dict_shard = (value.stable_hash() % shards as u64) as usize;
-                    let cct = rebuild_global(&remap[si], c);
-                    anns.push(CctAnnotation {
-                        origin,
-                        value,
-                        dict_shard,
-                        cct,
-                    });
-                }
-            }
-            anns
-        };
-        (0..n_stages).map(annotate).collect()
-    });
+    // A context index a crosstalk row made up has no walk: it stands
+    // for itself.
+    let origin_of = |si: usize, ctx: u32| -> OriginKey {
+        origins[si].get(ctx as usize).copied().unwrap_or((si, ctx))
+    };
 
     // Phase: profiles. One scan in (stage, cct) order — which fixes
-    // each origin's CCT merge order and each dictionary shard's
-    // interning order — merging every annotation into its origin's
-    // profile and interning the origin's value, at its first
+    // each origin's fold order and each dictionary shard's interning
+    // order — folding every dumped CCT over global frame ids into its
+    // origin's profile and interning the origin's value, at its first
     // occurrence, into the shard that value hashes to.
     let (dict, profiles) = timed_phase(&mut timings, "profiles", || {
         let mut shard_tabs: Vec<ContextShard> =
             (0..shards).map(|_| ContextShard::default()).collect();
         let mut acc: BTreeMap<OriginKey, OriginProfile> = BTreeMap::new();
-        for (si, anns) in annotated.iter().enumerate() {
-            for a in anns {
-                let p = acc.entry(a.origin).or_insert_with(|| {
-                    let local = shard_tabs[a.dict_shard].intern_local(a.value.clone());
+        let mut node_map = Vec::new();
+        for (si, d) in valid_stages() {
+            let gf = |f: u32| FrameId(remap[si].get(f as usize).copied().unwrap_or(u32::MAX));
+            for c in &d.ccts {
+                let origin = origin_of(si, c.ctx);
+                let p = acc.entry(origin).or_insert_with(|| {
+                    let value = global_value(stages, &remap, origin);
+                    let shard = (value.stable_hash() % shards as u64) as usize;
+                    let local = shard_tabs[shard].intern_local(value);
                     OriginProfile {
-                        origin: a.origin,
-                        global_ctx: ShardedCtxId::new(a.dict_shard as u32, local),
+                        origin,
+                        global_ctx: ShardedCtxId::new(shard as u32, local),
                         stages: Vec::new(),
                         cct: Cct::new(),
                     }
@@ -255,69 +243,36 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
                 if p.stages.last() != Some(&si) {
                     p.stages.push(si);
                 }
-                p.cct.merge(&a.cct);
+                node_map.clear();
+                fold_dump_nodes(&mut p.cct, &mut node_map, &c.nodes, gf).expect("validated dump");
             }
         }
         let dict = ShardedContextTable::from_parts(shards, shard_tabs.into_iter().enumerate());
         (dict, acc.into_values().collect::<Vec<_>>())
     });
 
-    // Phase: crosstalk-map. Per stage, resolve each recorded pair and
-    // waiter through the origin walk.
-    let ct_maps: Vec<_> = timed_phase(&mut timings, "crosstalk-map", || {
-        let resolve_rows = |si: usize| {
-            let mut pairs: Vec<(OriginKey, OriginKey, WaitStats)> = Vec::new();
-            let mut waiters: Vec<(OriginKey, WaitStats)> = Vec::new();
-            if valid[si] {
-                let d = &stages[si];
-                for p in &d.crosstalk_pairs {
-                    let w = origin_of(&origins, si, p.waiter);
-                    let h = origin_of(&origins, si, p.holder);
-                    pairs.push((
-                        w,
-                        h,
-                        WaitStats {
-                            count: p.count,
-                            total_wait: p.total_wait,
-                        },
-                    ));
-                }
-                for wt in &d.crosstalk_waiters {
-                    let w = origin_of(&origins, si, wt.waiter);
-                    waiters.push((
-                        w,
-                        WaitStats {
-                            count: wt.count,
-                            total_wait: wt.total_wait,
-                        },
-                    ));
-                }
-            }
-            (pairs, waiters)
-        };
-        (0..n_stages).map(resolve_rows).collect()
-    });
-
-    // Phase: crosstalk-reduce. Accumulate the rows per key; the
-    // `BTreeMap`s hand the matrix back in ascending key order.
+    // Phase: crosstalk-reduce. Resolve each recorded pair and waiter
+    // to its origins and accumulate per key; the `BTreeMap`s hand the
+    // matrix back in ascending key order.
     let matrix = timed_phase(&mut timings, "crosstalk-reduce", || {
-        let mut pair_acc: BTreeMap<(OriginKey, OriginKey), WaitStats> = BTreeMap::new();
-        let mut waiter_acc: BTreeMap<OriginKey, WaitStats> = BTreeMap::new();
-        for (ps, ws) in &ct_maps {
-            for &(w, h, s) in ps {
-                let e = pair_acc.entry((w, h)).or_default();
-                e.count += s.count;
-                e.total_wait += s.total_wait;
+        let mut pairs: BTreeMap<(OriginKey, OriginKey), WaitStats> = BTreeMap::new();
+        let mut waiters: BTreeMap<OriginKey, WaitStats> = BTreeMap::new();
+        for (si, d) in valid_stages() {
+            for p in &d.crosstalk_pairs {
+                let key = (origin_of(si, p.waiter), origin_of(si, p.holder));
+                let e = pairs.entry(key).or_default();
+                e.count += p.count;
+                e.total_wait += p.total_wait;
             }
-            for &(w, s) in ws {
-                let e = waiter_acc.entry(w).or_default();
-                e.count += s.count;
-                e.total_wait += s.total_wait;
+            for w in &d.crosstalk_waiters {
+                let e = waiters.entry(origin_of(si, w.waiter)).or_default();
+                e.count += w.count;
+                e.total_wait += w.total_wait;
             }
         }
         CrosstalkMatrix {
-            pairs: pair_acc.into_iter().map(|((w, h), s)| (w, h, s)).collect(),
-            waiters: waiter_acc.into_iter().collect(),
+            pairs: pairs.into_iter().map(|((w, h), s)| (w, h, s)).collect(),
+            waiters: waiters.into_iter().collect(),
         }
     });
 
@@ -351,32 +306,6 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
     }
 }
 
-struct CctAnnotation {
-    origin: OriginKey,
-    value: TransactionContext,
-    dict_shard: usize,
-    cct: Cct,
-}
-
-/// The origin computed in the stitch phase for a stage-local context
-/// index, with the same out-of-range fallback on both paths.
-fn origin_of(origins: &[Vec<OriginKey>], si: usize, ctx: u32) -> OriginKey {
-    origins
-        .get(si)
-        .and_then(|v| v.get(ctx as usize))
-        .copied()
-        .unwrap_or((si, ctx))
-}
-
-/// Rebuilds a dumped CCT over global frame ids.
-fn rebuild_global(remap: &[u32], d: &crate::stitch::DumpCct) -> Cct {
-    let mut cct = Cct::new();
-    let gf = |f: u32| FrameId(remap.get(f as usize).copied().unwrap_or(u32::MAX));
-    fold_dump_nodes(&mut cct, &mut Vec::with_capacity(d.nodes.len()), &d.nodes, gf)
-        .expect("validated dump");
-    cct
-}
-
 /// Runs one phase and records its wall time under `phase`. Timing can
 /// influence only the diagnostic `wall_ns`, never the results.
 fn timed_phase<T>(timings: &mut Vec<PhaseTiming>, phase: &'static str, f: impl FnOnce() -> T) -> T {
@@ -390,6 +319,21 @@ fn timed_phase<T>(timings: &mut Vec<PhaseTiming>, phase: &'static str, f: impl F
 }
 
 impl PipelineReport {
+    /// Whether stage `si` passed validation and is part of the index.
+    pub fn stage_valid(&self, si: usize) -> bool {
+        si < self.stages.len() && self.warnings.binary_search_by_key(&si, |w| w.0).is_err()
+    }
+
+    /// The send point `(stage, ctx)` that the remote context `ctx` of
+    /// `stage` came from: the `from` end of its request edge. `None`
+    /// for a local context, an unresolved sender, a stage skipped as
+    /// invalid, or an index out of range.
+    pub fn sender(&self, stage: usize, ctx: u32) -> Option<(usize, u32)> {
+        let to = |e: &RequestEdge| (e.to_stage, e.to_ctx);
+        let i = self.edges.binary_search_by_key(&(stage, ctx), to).ok()?;
+        Some((self.edges[i].from_stage, self.edges[i].from_ctx))
+    }
+
     /// Renders the stitched per-transaction profiles, request edges,
     /// unresolved edges, and warnings as deterministic text — the
     /// byte-comparison surface of the differential suite.
@@ -540,7 +484,7 @@ pub fn replicate_fleet(dumps: &[StageDump], replicas: usize) -> Vec<StageDump> {
 mod tests {
     use super::*;
     use crate::stitch::{
-        DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, Stitched,
+        DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode,
     };
 
     fn node(frame: Option<u32>, parent: Option<u32>, samples: u64, cycles: u64) -> DumpNode {
@@ -630,13 +574,64 @@ mod tests {
     }
 
     #[test]
-    fn edges_match_legacy_stitched() {
-        let dumps = chain_dumps();
-        let st = Stitched::new(dumps.clone());
-        let rep = analyze(dumps, PipelineConfig::default());
-        assert_eq!(rep.edges, st.request_edges());
-        assert_eq!(rep.unresolved, st.unresolved_edges());
+    fn request_edges_point_at_immediate_sender() {
+        let rep = analyze(chain_dumps(), PipelineConfig::default());
+        // mid's remote ctx came from front; db's from mid, the minter
+        // of its chain's *last* synopsis.
+        assert_eq!(rep.edges, vec![
+            RequestEdge {
+                from_stage: 0,
+                from_ctx: 1,
+                to_stage: 1,
+                to_ctx: 1
+            },
+            RequestEdge {
+                from_stage: 1,
+                from_ctx: 1,
+                to_stage: 2,
+                to_ctx: 1
+            },
+        ]);
+        assert!(rep.unresolved.is_empty());
         assert!(rep.warnings.is_empty());
+    }
+
+    #[test]
+    fn missing_stage_dump_yields_unresolved_edges() {
+        // mid's dump was lost (crashed before dumping): db's remote
+        // chain ends in a synopsis nobody minted.
+        let mut dumps = chain_dumps();
+        dumps.remove(1);
+        let rep = analyze(dumps, PipelineConfig::default());
+        assert!(rep.edges.is_empty());
+        assert_eq!(rep.unresolved, vec![UnresolvedEdge {
+            to_stage: 1,
+            to_ctx: 1,
+            missing: Synopsis::new(1, 0).0
+        }]);
+        // The origin walk still finds the true entry stage via the
+        // chain head, which front did mint.
+        assert_eq!(rep.profiles.len(), 1);
+        assert_eq!(rep.profiles[0].origin, (0, 1));
+        assert_eq!(rep.profiles[0].stages, vec![0, 1]);
+    }
+
+    #[test]
+    fn sender_reads_the_request_edges() {
+        let mut dumps = chain_dumps();
+        // A second remote context at db whose sender nobody minted.
+        dumps[2].contexts.push(DumpContext {
+            atoms: vec![DumpAtom::Remote(vec![Synopsis::new(7, 7).0])],
+        });
+        let rep = analyze(dumps, PipelineConfig::default());
+        assert_eq!(rep.sender(2, 1), Some((1, 1)));
+        assert_eq!(rep.sender(1, 1), Some((0, 1)));
+        assert_eq!(rep.sender(0, 1), None, "local context");
+        assert_eq!(rep.sender(2, 0), None, "root context");
+        assert_eq!(rep.unresolved.len(), 1);
+        assert_eq!(rep.sender(2, 2), None, "unresolved sender");
+        assert_eq!(rep.sender(2, 99), None, "context out of range");
+        assert_eq!(rep.sender(99, 1), None, "stage out of range");
     }
 
     #[test]
@@ -679,16 +674,26 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_stage_is_skipped_identically() {
+    fn corrupt_stage_is_skipped_with_a_warning() {
         let mut dumps = chain_dumps();
         dumps[1].ccts[0].ctx = 99; // context out of range → invalid
-        let rep = analyze(dumps.clone(), PipelineConfig::default());
-        assert_eq!(rep.warnings.len(), 1);
-        assert_eq!(rep.warnings[0].0, 1);
-        // Legacy comparison still holds with an invalid stage present.
-        let st = Stitched::new(dumps);
-        assert_eq!(rep.edges, st.request_edges());
-        assert_eq!(rep.unresolved, st.unresolved_edges());
+        let rep = analyze(dumps, PipelineConfig::default());
+        assert_eq!(rep.warnings, vec![(1, StitchError::ContextOutOfRange { ctx: 99 })]);
+        assert!(rep.stage_valid(0));
+        assert!(!rep.stage_valid(1));
+        assert!(rep.stage_valid(2));
+        assert!(!rep.stage_valid(3), "out of range");
+        // The skipped stage's mint is unindexed, so the db tier's edge
+        // is unresolved; its own remote context is not scanned at all.
+        assert!(rep.edges.is_empty());
+        assert_eq!(rep.unresolved, vec![UnresolvedEdge {
+            to_stage: 2,
+            to_ctx: 1,
+            missing: Synopsis::new(1, 0).0
+        }]);
+        // front's mint is indexed: db's work still files under it.
+        assert_eq!(rep.profiles.len(), 1);
+        assert_eq!(rep.profiles[0].stages, vec![0, 2]);
     }
 
     #[test]

@@ -74,21 +74,9 @@ impl WhodunitConfig {
         self
     }
 
-    /// Overrides the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Overrides the context policy.
     pub fn with_policy(mut self, policy: ContextPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Overrides the flow-detector configuration.
-    pub fn with_flow(mut self, flow: FlowConfig) -> Self {
-        self.flow = flow;
         self
     }
 
@@ -215,17 +203,6 @@ impl Whodunit {
             }
         }
         parts.join(" -> ")
-    }
-
-    /// Forcibly sets a thread's base context (used by harnesses that
-    /// model an out-of-band classification, and by tests).
-    pub fn set_base(&mut self, t: ThreadId, ctx: CtxId) {
-        self.base.insert(t, ctx);
-    }
-
-    /// Interns `base + frame` in this instance's context table.
-    pub fn intern_frame_ctx(&mut self, base: CtxId, frame: FrameId) -> CtxId {
-        self.ctxs.append_frame(base, frame)
     }
 
     fn charge(&mut self, cycles: u64) -> u64 {

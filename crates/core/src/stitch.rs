@@ -4,18 +4,21 @@
 //! program exits; a final presentation phase stitches the per-stage
 //! profiles together using the transaction-context annotations. The
 //! [`StageDump`] types here are the on-disk format (serialized by
-//! [`crate::dumpjson`]), and [`Stitched`] is the cross-stage index: it
-//! resolves synopses back to the contexts and stages that minted them,
-//! follows remote chains to the originating transaction, and enumerates
-//! the request edges that connect caller send points to callee CCTs.
+//! [`crate::dumpjson`]); beside them sits the stitch kernel —
+//! [`walk_origin`] follows remote chains to the originating
+//! transaction, [`global_frames`] / [`global_value`] put stage-local
+//! frames and contexts on one table, [`fold_dump_nodes`] folds a dumped
+//! CCT into a tree — shared by the one cross-stage resolver,
+//! [`crate::pipeline::analyze`], and the streaming collector that is
+//! byte-locked to it.
 //!
 //! Stage dumps are *untrusted input*: a stage may have crashed mid-run,
 //! its dump may be truncated or corrupt, or an entire tier's dump may be
 //! missing. Nothing in this module panics on such input — malformed
-//! dumps are reported as [`StitchError`]s, [`Stitched::new`] skips them
-//! with a warning, and chains that cannot be resolved (because their
-//! minting stage's dump is absent) surface as explicit
-//! [`UnresolvedEdge`]s instead of silently vanishing.
+//! dumps are reported as [`StitchError`]s, the pipeline skips them with
+//! a warning, and chains that cannot be resolved (because their minting
+//! stage's dump is absent) surface as explicit [`UnresolvedEdge`]s
+//! instead of silently vanishing.
 
 use crate::cct::{Cct, CctNodeId};
 use crate::context::{ContextAtom, TransactionContext};
@@ -524,132 +527,6 @@ pub struct UnresolvedEdge {
     pub missing: u64,
 }
 
-/// Cross-stage index over a set of [`StageDump`]s.
-#[derive(Debug)]
-pub struct Stitched {
-    /// The stage dumps, in the order given. Invalid dumps are retained
-    /// (so stage indices stay stable) but excluded from the index; see
-    /// [`Stitched::warnings`].
-    pub stages: Vec<StageDump>,
-    /// Raw synopsis → (stage index, context index) that minted it.
-    minted: HashMap<u64, (usize, u32)>,
-    /// Per-stage validity (parallel to `stages`).
-    valid: Vec<bool>,
-    /// Validation failures, by stage index.
-    warnings: Vec<(usize, StitchError)>,
-}
-
-impl Stitched {
-    /// Builds the index. Malformed dumps are skipped with a warning
-    /// (retrievable via [`Stitched::warnings`]) instead of panicking:
-    /// a partial, faulty run must still stitch.
-    pub fn new(stages: Vec<StageDump>) -> Self {
-        let mut minted = HashMap::new();
-        let mut valid = Vec::with_capacity(stages.len());
-        let mut warnings = Vec::new();
-        for (si, d) in stages.iter().enumerate() {
-            match d.validate() {
-                Ok(()) => {
-                    valid.push(true);
-                    for &(raw, ctx) in &d.synopses {
-                        minted.insert(raw, (si, ctx));
-                    }
-                }
-                Err(e) => {
-                    valid.push(false);
-                    warnings.push((si, e));
-                }
-            }
-        }
-        Stitched {
-            stages,
-            minted,
-            valid,
-            warnings,
-        }
-    }
-
-    /// Validation failures of skipped stages: `(stage index, error)`.
-    pub fn warnings(&self) -> &[(usize, StitchError)] {
-        &self.warnings
-    }
-
-    /// Whether stage `si` passed validation and is part of the index.
-    pub fn stage_valid(&self, si: usize) -> bool {
-        self.valid.get(si).copied().unwrap_or(false)
-    }
-
-    /// Resolves a raw synopsis to the (stage, context) that minted it.
-    pub fn resolve(&self, raw: u64) -> Option<(usize, u32)> {
-        self.minted.get(&raw).copied()
-    }
-
-    /// Follows remote chains from `(stage, ctx)` back to the
-    /// originating stage's context (the transaction's entry point).
-    ///
-    /// A context whose first atom is `Remote(chain)` originated at the
-    /// stage that minted the *first* synopsis of the chain.
-    pub fn origin(&self, stage: usize, ctx: u32) -> (usize, u32) {
-        let context = |(s, c): (usize, u32)| self.stages.get(s)?.contexts.get(c as usize);
-        walk_origin(context, |raw| self.resolve(raw), (stage, ctx)).unwrap_or_else(|u| u.at)
-    }
-
-    /// All request edges: for every remote context, the send point that
-    /// produced the *last* synopsis in its chain (the immediate sender).
-    pub fn request_edges(&self) -> Vec<RequestEdge> {
-        let mut edges = Vec::new();
-        for (si, d) in self.stages.iter().enumerate() {
-            if !self.stage_valid(si) {
-                continue;
-            }
-            for (ci, c) in d.contexts.iter().enumerate() {
-                let Some(&last) = c.remote_chain().and_then(|chain| chain.last()) else {
-                    continue;
-                };
-                if let Some((fs, fc)) = self.resolve(last) {
-                    edges.push(RequestEdge {
-                        from_stage: fs,
-                        from_ctx: fc,
-                        to_stage: si,
-                        to_ctx: ci as u32,
-                    });
-                }
-            }
-        }
-        edges.sort_by_key(|e| (e.to_stage, e.to_ctx, e.from_stage, e.from_ctx));
-        edges
-    }
-
-    /// The complement of [`Stitched::request_edges`]: remote contexts
-    /// whose immediate sender is *not* in the index — its stage's dump
-    /// was never collected (crash), was corrupt (skipped with a
-    /// warning), or its dictionary entry was pruned. These are rendered
-    /// explicitly so a partial profile is visibly partial rather than
-    /// silently smaller.
-    pub fn unresolved_edges(&self) -> Vec<UnresolvedEdge> {
-        let mut edges = Vec::new();
-        for (si, d) in self.stages.iter().enumerate() {
-            if !self.stage_valid(si) {
-                continue;
-            }
-            for (ci, c) in d.contexts.iter().enumerate() {
-                let Some(&last) = c.remote_chain().and_then(|chain| chain.last()) else {
-                    continue;
-                };
-                if self.resolve(last).is_none() {
-                    edges.push(UnresolvedEdge {
-                        to_stage: si,
-                        to_ctx: ci as u32,
-                        missing: last,
-                    });
-                }
-            }
-        }
-        edges.sort_by_key(|e| (e.to_stage, e.to_ctx, e.missing));
-        edges
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,84 +638,37 @@ mod tests {
     }
 
     #[test]
-    fn stitched_skips_invalid_dumps_with_warning() {
-        let good = dump_with_ctx(0, vec![DumpAtom::Path(vec![0, 1])], vec![(100, 1)]);
-        let bad = StageDump {
-            proc: 1,
-            stage_name: "corrupt".into(),
-            ccts: vec![DumpCct { ctx: 9, nodes: vec![] }],
-            synopses: vec![(200, 0)],
-            ..Default::default()
-        };
-        let st = Stitched::new(vec![good, bad]);
-        assert!(st.stage_valid(0));
-        assert!(!st.stage_valid(1));
-        assert_eq!(st.warnings().len(), 1);
-        assert_eq!(st.warnings()[0].0, 1);
-        // The corrupt stage's synopses are not indexed.
-        assert_eq!(st.resolve(200), None);
-        assert_eq!(st.resolve(100), Some((0, 1)));
-    }
-
-    #[test]
     fn origin_follows_remote_chains() {
         // Stage 0 mints synopsis 100 for its local ctx 1; stage 1's ctx
         // 1 is remote([100]) and mints 200; stage 2's ctx 1 is
         // remote([100, 200]).
-        let s0 = dump_with_ctx(0, vec![DumpAtom::Path(vec![0, 1])], vec![(100, 1)]);
-        let s1 = dump_with_ctx(1, vec![DumpAtom::Remote(vec![100])], vec![(200, 1)]);
-        let s2 = dump_with_ctx(2, vec![DumpAtom::Remote(vec![100, 200])], vec![]);
-        let st = Stitched::new(vec![s0, s1, s2]);
-        assert_eq!(st.origin(2, 1), (0, 1));
-        assert_eq!(st.origin(1, 1), (0, 1));
-        assert_eq!(st.origin(0, 1), (0, 1));
-    }
-
-    #[test]
-    fn request_edges_point_at_immediate_sender() {
-        let s0 = dump_with_ctx(0, vec![DumpAtom::Path(vec![0, 1])], vec![(100, 1)]);
-        let s1 = dump_with_ctx(1, vec![DumpAtom::Remote(vec![100])], vec![(200, 1)]);
-        let s2 = dump_with_ctx(2, vec![DumpAtom::Remote(vec![100, 200])], vec![]);
-        let st = Stitched::new(vec![s0, s1, s2]);
-        let edges = st.request_edges();
-        assert_eq!(edges.len(), 2);
-        // Stage 1's remote ctx came from stage 0; stage 2's from stage 1.
-        assert!(edges.contains(&RequestEdge {
-            from_stage: 0,
-            from_ctx: 1,
-            to_stage: 1,
-            to_ctx: 1
-        }));
-        assert!(edges.contains(&RequestEdge {
-            from_stage: 1,
-            from_ctx: 1,
-            to_stage: 2,
-            to_ctx: 1
-        }));
-        assert!(st.unresolved_edges().is_empty());
-    }
-
-    #[test]
-    fn missing_stage_dump_yields_unresolved_edges() {
-        // As above, but stage 1's dump was lost (crashed before dumping):
-        // stage 2's remote chain ends in a synopsis nobody minted.
-        let s0 = dump_with_ctx(0, vec![DumpAtom::Path(vec![0, 1])], vec![(100, 1)]);
-        let s2 = dump_with_ctx(2, vec![DumpAtom::Remote(vec![100, 200])], vec![]);
-        let st = Stitched::new(vec![s0, s2]);
-        assert!(st.request_edges().is_empty());
-        let un = st.unresolved_edges();
-        assert_eq!(un.len(), 1);
+        let stages = [
+            dump_with_ctx(0, vec![DumpAtom::Path(vec![0, 1])], vec![(100, 1)]),
+            dump_with_ctx(1, vec![DumpAtom::Remote(vec![100])], vec![(200, 1)]),
+            dump_with_ctx(2, vec![DumpAtom::Remote(vec![100, 200])], vec![]),
+        ];
+        let context = |(s, c): (usize, u32)| stages.get(s)?.contexts.get(c as usize);
+        let minted = |raw: u64| match raw {
+            100 => Some((0, 1)),
+            200 => Some((1, 1)),
+            _ => None,
+        };
+        assert_eq!(walk_origin(context, minted, (2, 1)), Ok((0, 1)));
+        assert_eq!(walk_origin(context, minted, (1, 1)), Ok((0, 1)));
+        assert_eq!(walk_origin(context, minted, (0, 1)), Ok((0, 1)));
+        // Stage 1's dump lost: the walk from stage 2 still finds the
+        // entry stage via the chain head, which stage 0 did mint.
+        let without_mid = |raw: u64| minted(raw).filter(|&(s, _)| s != 1);
+        assert_eq!(walk_origin(context, without_mid, (2, 1)), Ok((0, 1)));
+        // Stage 0's lost: the walk stops where the head went missing.
+        let without_front = |raw: u64| minted(raw).filter(|&(s, _)| s != 0);
         assert_eq!(
-            un[0],
-            UnresolvedEdge {
-                to_stage: 1,
-                to_ctx: 1,
-                missing: 200
-            }
+            walk_origin(context, without_front, (2, 1)),
+            Err(UnresolvedHead {
+                at: (2, 1),
+                missing: 100
+            })
         );
-        // The origin walk still finds the true entry stage via the
-        // chain head, which stage 0 did mint.
-        assert_eq!(st.origin(1, 1), (0, 1));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! resulting dumps, and cross-validates the report against the legacy
 //! `Stitched` resolver (request edges, unresolved edges, warnings,
 //! every CCT's origin) and the serial `dumpjson::to_json` serializer,
-//! so the pipeline cannot drift from the pre-existing analysis. The
+//! so the pipeline cannot drift from the pre-existing analysis. Both
+//! references left the product when the pipeline replaced them and are
+//! kept here (`mod legacy_stitched`, `mod legacy_writer`). The
 //! same comparison runs again at `shards: 5`: a different shard count
 //! moves dictionary ids, and nothing the legacy analysis computes may
 //! depend on it.
@@ -17,11 +19,150 @@
 //! acceptance gate). The scenario corpus itself is shared with the
 //! other differential suites via `whodunit_bench::matrix`.
 
+use legacy_stitched::Stitched;
 use whodunit_apps::tpcw::run_tpcw;
 use whodunit_bench::matrix::{self, scenario_dumps, schedules, SEEDS};
 use whodunit_core::dumpjson;
 use whodunit_core::pipeline::{analyze, PipelineConfig};
-use whodunit_core::stitch::{StageDump, Stitched};
+use whodunit_core::stitch::StageDump;
+
+// ---------------------------------------------------------------------
+// The resolver `pipeline::analyze` replaced: `core::stitch::Stitched`,
+// the product's cross-stage index until the pipeline became the only
+// road from dumps to a stitched answer. Kept verbatim as the second
+// implementation the matrix compares against.
+// ---------------------------------------------------------------------
+
+mod legacy_stitched {
+    use std::collections::HashMap;
+    use whodunit_core::stitch::{walk_origin, RequestEdge, StageDump, StitchError, UnresolvedEdge};
+
+    /// Cross-stage index over a set of [`StageDump`]s.
+    #[derive(Debug)]
+    pub struct Stitched {
+        /// The stage dumps, in the order given. Invalid dumps are retained
+        /// (so stage indices stay stable) but excluded from the index; see
+        /// [`Stitched::warnings`].
+        pub stages: Vec<StageDump>,
+        /// Raw synopsis → (stage index, context index) that minted it.
+        minted: HashMap<u64, (usize, u32)>,
+        /// Per-stage validity (parallel to `stages`).
+        valid: Vec<bool>,
+        /// Validation failures, by stage index.
+        warnings: Vec<(usize, StitchError)>,
+    }
+
+    impl Stitched {
+        /// Builds the index. Malformed dumps are skipped with a warning
+        /// (retrievable via [`Stitched::warnings`]) instead of panicking:
+        /// a partial, faulty run must still stitch.
+        pub fn new(stages: Vec<StageDump>) -> Self {
+            let mut minted = HashMap::new();
+            let mut valid = Vec::with_capacity(stages.len());
+            let mut warnings = Vec::new();
+            for (si, d) in stages.iter().enumerate() {
+                match d.validate() {
+                    Ok(()) => {
+                        valid.push(true);
+                        for &(raw, ctx) in &d.synopses {
+                            minted.insert(raw, (si, ctx));
+                        }
+                    }
+                    Err(e) => {
+                        valid.push(false);
+                        warnings.push((si, e));
+                    }
+                }
+            }
+            Stitched {
+                stages,
+                minted,
+                valid,
+                warnings,
+            }
+        }
+
+        /// Validation failures of skipped stages: `(stage index, error)`.
+        pub fn warnings(&self) -> &[(usize, StitchError)] {
+            &self.warnings
+        }
+
+        /// Whether stage `si` passed validation and is part of the index.
+        pub fn stage_valid(&self, si: usize) -> bool {
+            self.valid.get(si).copied().unwrap_or(false)
+        }
+
+        /// Resolves a raw synopsis to the (stage, context) that minted it.
+        pub fn resolve(&self, raw: u64) -> Option<(usize, u32)> {
+            self.minted.get(&raw).copied()
+        }
+
+        /// Follows remote chains from `(stage, ctx)` back to the
+        /// originating stage's context (the transaction's entry point).
+        ///
+        /// A context whose first atom is `Remote(chain)` originated at the
+        /// stage that minted the *first* synopsis of the chain.
+        pub fn origin(&self, stage: usize, ctx: u32) -> (usize, u32) {
+            let context = |(s, c): (usize, u32)| self.stages.get(s)?.contexts.get(c as usize);
+            walk_origin(context, |raw| self.resolve(raw), (stage, ctx)).unwrap_or_else(|u| u.at)
+        }
+
+        /// All request edges: for every remote context, the send point that
+        /// produced the *last* synopsis in its chain (the immediate sender).
+        pub fn request_edges(&self) -> Vec<RequestEdge> {
+            let mut edges = Vec::new();
+            for (si, d) in self.stages.iter().enumerate() {
+                if !self.stage_valid(si) {
+                    continue;
+                }
+                for (ci, c) in d.contexts.iter().enumerate() {
+                    let Some(&last) = c.remote_chain().and_then(|chain| chain.last()) else {
+                        continue;
+                    };
+                    if let Some((fs, fc)) = self.resolve(last) {
+                        edges.push(RequestEdge {
+                            from_stage: fs,
+                            from_ctx: fc,
+                            to_stage: si,
+                            to_ctx: ci as u32,
+                        });
+                    }
+                }
+            }
+            edges.sort_by_key(|e| (e.to_stage, e.to_ctx, e.from_stage, e.from_ctx));
+            edges
+        }
+
+        /// The complement of [`Stitched::request_edges`]: remote contexts
+        /// whose immediate sender is *not* in the index — its stage's dump
+        /// was never collected (crash), was corrupt (skipped with a
+        /// warning), or its dictionary entry was pruned. These are rendered
+        /// explicitly so a partial profile is visibly partial rather than
+        /// silently smaller.
+        pub fn unresolved_edges(&self) -> Vec<UnresolvedEdge> {
+            let mut edges = Vec::new();
+            for (si, d) in self.stages.iter().enumerate() {
+                if !self.stage_valid(si) {
+                    continue;
+                }
+                for (ci, c) in d.contexts.iter().enumerate() {
+                    let Some(&last) = c.remote_chain().and_then(|chain| chain.last()) else {
+                        continue;
+                    };
+                    if self.resolve(last).is_none() {
+                        edges.push(UnresolvedEdge {
+                            to_stage: si,
+                            to_ctx: ci as u32,
+                            missing: last,
+                        });
+                    }
+                }
+            }
+            edges.sort_by_key(|e| (e.to_stage, e.to_ctx, e.missing));
+            edges
+        }
+    }
+}
 
 /// Cross-validates a pipeline report against the legacy analysis:
 /// `Stitched` edges and the serial JSON serializer.

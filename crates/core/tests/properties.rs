@@ -82,10 +82,6 @@ proptest! {
         let total = cct.total();
         prop_assert_eq!(total.cycles, want_cycles);
         prop_assert_eq!(total.samples, want_samples);
-        // Merging into an empty tree preserves totals.
-        let mut other = Cct::new();
-        other.merge(&cct);
-        prop_assert_eq!(other.total(), total);
     }
 
     /// Synopsis tables: every minted synopsis resolves back to its

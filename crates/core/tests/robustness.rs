@@ -8,7 +8,8 @@ use whodunit_core::ids::{LockId, LockMode, ProcId, ThreadId};
 use whodunit_core::ipc::{IpcTracker, RecvKind};
 use whodunit_core::profiler::{Whodunit, WhodunitConfig};
 use whodunit_core::rt::Runtime;
-use whodunit_core::stitch::{DumpAtom, DumpContext, StageDump, Stitched};
+use whodunit_core::pipeline::{analyze, PipelineConfig};
+use whodunit_core::stitch::{DumpAtom, DumpCct, DumpContext, DumpNode, StageDump};
 use whodunit_core::synopsis::{SynChain, Synopsis, SynopsisTable};
 
 const T: ThreadId = ThreadId(1);
@@ -91,10 +92,26 @@ fn double_release_does_not_corrupt_holders() {
     assert_eq!(w.holder_hint(l), None);
 }
 
+/// A CCT holding only a root, so `analyze` files a profile under the
+/// origin of `ctx` and the walk's answer can be read back.
+fn root_only_cct(ctx: u32) -> DumpCct {
+    let root = DumpNode {
+        frame: None,
+        parent: None,
+        samples: 0,
+        cycles: 0,
+        calls: 0,
+    };
+    DumpCct {
+        ctx,
+        nodes: vec![root],
+    }
+}
+
 #[test]
 fn stitch_tolerates_circular_synopsis_chains() {
     // Malicious/corrupt dumps: two stages whose remote chains point at
-    // each other. `origin` must terminate.
+    // each other. The origin walk must terminate.
     let a = StageDump {
         proc: 0,
         stage_name: "a".into(),
@@ -105,6 +122,7 @@ fn stitch_tolerates_circular_synopsis_chains() {
                 atoms: vec![DumpAtom::Remote(vec![200])],
             },
         ],
+        ccts: vec![root_only_cct(1)],
         synopses: vec![(100, 1)],
         ..StageDump::default()
     };
@@ -121,10 +139,14 @@ fn stitch_tolerates_circular_synopsis_chains() {
         synopses: vec![(200, 1)],
         ..StageDump::default()
     };
-    let st = Stitched::new(vec![a, b]);
+    let rep = analyze(vec![a, b], PipelineConfig::default());
     // Terminates (bounded walk) and lands somewhere in the cycle.
-    let (s, _) = st.origin(0, 1);
+    assert_eq!(rep.profiles.len(), 1);
+    let (s, _) = rep.profiles[0].origin;
     assert!(s < 2);
+    // Each context's immediate sender is still the other's mint.
+    assert_eq!(rep.sender(0, 1), Some((1, 1)));
+    assert_eq!(rep.sender(1, 1), Some((0, 1)));
 }
 
 #[test]
@@ -139,11 +161,13 @@ fn stitch_tolerates_dangling_synopses() {
                 atoms: vec![DumpAtom::Remote(vec![0xdead])],
             },
         ],
+        ccts: vec![root_only_cct(1)],
         ..StageDump::default()
     };
-    let st = Stitched::new(vec![a]);
-    assert_eq!(st.origin(0, 1), (0, 1), "unresolvable chain stays put");
-    assert!(st.request_edges().is_empty());
+    let rep = analyze(vec![a], PipelineConfig::default());
+    assert_eq!(rep.profiles.len(), 1);
+    assert_eq!(rep.profiles[0].origin, (0, 1), "unresolvable chain stays put");
+    assert!(rep.edges.is_empty());
 }
 
 #[test]

@@ -89,14 +89,6 @@ impl Pairing {
     pub fn confident(&self) -> impl Iterator<Item = &InferredPair> {
         self.pairs.iter().filter(|p| p.confidence_ppm == 1_000_000)
     }
-
-    /// The asserted pairing as a recv → (send, confidence) map.
-    pub fn by_recv(&self) -> HashMap<CommEventId, (CommEventId, u32)> {
-        self.pairs
-            .iter()
-            .map(|p| (p.recv, (p.send, p.confidence_ppm)))
-            .collect()
-    }
 }
 
 /// Events of one channel, canonically ordered.

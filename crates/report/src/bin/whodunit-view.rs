@@ -12,7 +12,7 @@
 //! ```
 
 use std::process::ExitCode;
-use whodunit_core::stitch::Stitched;
+use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_report::{json, render};
 
 fn usage() -> ExitCode {
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let stitched = Stitched::new(dumps);
+    let stitched = analyze(dumps, PipelineConfig::default());
     match mode.as_str() {
         "--dot" => print!("{}", render::render_stitched_dot(&stitched)),
         "--shares" => {

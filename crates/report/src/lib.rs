@@ -5,12 +5,13 @@
 //! (Figures 11–12). This crate renders:
 //!
 //! - [`render`]: per-context CCT trees and DOT graphs from
-//!   [`whodunit_core::stitch::StageDump`]s;
+//!   [`whodunit_core::stitch::StageDump`]s, and the stitched text/DOT
+//!   views of a [`whodunit_core::pipeline::PipelineReport`];
 //! - [`table`]: aligned text tables for the experiment binaries;
-//! - [`tpcw`]: the cross-tier resolution (via
-//!   [`whodunit_core::stitch::Stitched`]) that labels MySQL's remote
-//!   contexts with the TPC-W interaction that produced them, and the
-//!   Table 1 assembly;
+//! - [`tpcw`]: the cross-tier resolution (over the request edges of a
+//!   [`whodunit_core::pipeline::PipelineReport`]) that labels MySQL's
+//!   remote contexts with the TPC-W interaction that produced them, and
+//!   the Table 1 assembly;
 //! - [`json`]: profile dump/load, the paper's "writes the profile data
 //!   to disk … final presentation phase";
 //! - [`live`]: point-in-time snapshots of the streaming collector

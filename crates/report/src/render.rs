@@ -7,7 +7,8 @@
 
 use std::fmt::Write as _;
 use whodunit_core::cct::CctNodeId;
-use whodunit_core::stitch::{StageDump, Stitched};
+use whodunit_core::pipeline::PipelineReport;
+use whodunit_core::stitch::StageDump;
 use whodunit_core::txt::{push_u32, push_usize};
 
 /// One rendered context entry: the context string and its share of the
@@ -171,7 +172,7 @@ pub fn render_dot(dump: &StageDump) -> String {
 /// one cluster per (stage, context) CCT, solid call edges inside
 /// clusters, and dashed transaction edges from each caller send point
 /// to the callee context it established — the Figure 7 presentation.
-pub fn render_stitched_dot(stitched: &Stitched) -> String {
+pub fn render_stitched_dot(stitched: &PipelineReport) -> String {
     let mut out = String::new();
     out.push_str("digraph whodunit {\n  compound=true;\n");
     // Remember one representative node per (stage, ctx) so transaction
@@ -217,7 +218,7 @@ pub fn render_stitched_dot(stitched: &Stitched) -> String {
         }
     }
     // Dashed transaction edges (request direction).
-    for e in stitched.request_edges() {
+    for e in &stitched.edges {
         let (Some(from), Some(to)) = (
             anchor.get(&(e.from_stage, e.from_ctx)),
             anchor.get(&(e.to_stage, e.to_ctx)),
@@ -236,14 +237,14 @@ pub fn render_stitched_dot(stitched: &Stitched) -> String {
 
 /// Renders every stage of a stitched set as text trees, followed by the
 /// transaction edges (the "final presentation phase" of §7.1).
-pub fn render_stitched_text(stitched: &Stitched) -> String {
+pub fn render_stitched_text(stitched: &PipelineReport) -> String {
     let mut out = String::new();
     for d in &stitched.stages {
         render_stage_into(d, &mut out);
         out.push('\n');
     }
     out.push_str("transaction edges (request direction):\n");
-    for e in stitched.request_edges() {
+    for e in &stitched.edges {
         let _ = writeln!(
             out,
             "  {}:{}  ==>  {}:{}",
@@ -255,10 +256,9 @@ pub fn render_stitched_text(stitched: &Stitched) -> String {
     }
     // A partial run is visibly partial: edges whose sender dump is
     // missing or corrupt, and dumps skipped at stitch time.
-    let unresolved = stitched.unresolved_edges();
-    if !unresolved.is_empty() {
+    if !stitched.unresolved.is_empty() {
         out.push_str("unresolved edges (sender dump missing or pruned):\n");
-        for e in unresolved {
+        for e in &stitched.unresolved {
             let _ = writeln!(
                 out,
                 "  ???[{}]  ==>  {}:{}",
@@ -268,7 +268,7 @@ pub fn render_stitched_text(stitched: &Stitched) -> String {
             );
         }
     }
-    for (si, err) in stitched.warnings() {
+    for (si, err) in &stitched.warnings {
         let _ = writeln!(
             out,
             "warning: stage {si} ({}) skipped: {err}",
@@ -286,7 +286,7 @@ pub fn render_stitched_text(stitched: &Stitched) -> String {
 /// (`tests/golden_report.rs`), so its format is part of the repo's
 /// compatibility contract: change it only together with the goldens
 /// (regenerate with `UPDATE_GOLDEN=1`).
-pub fn render_pipeline(rep: &whodunit_core::pipeline::PipelineReport) -> String {
+pub fn render_pipeline(rep: &PipelineReport) -> String {
     let mut out = String::new();
     out.push_str("pipeline analysis: ");
     push_usize(&mut out, rep.stages.len());
@@ -380,6 +380,7 @@ mod tests {
 
     #[test]
     fn stitched_dot_draws_transaction_edges() {
+        use whodunit_core::pipeline::{analyze, PipelineConfig};
         use whodunit_core::stitch::{DumpAtom, DumpContext};
         let caller = StageDump {
             proc: 0,
@@ -444,7 +445,7 @@ mod tests {
             }],
             ..StageDump::default()
         };
-        let st = Stitched::new(vec![caller, callee]);
+        let st = analyze(vec![caller, callee], PipelineConfig::default());
         let dot = render_stitched_dot(&st);
         assert!(dot.contains("style=dashed"), "{dot}");
         assert!(dot.contains("cluster_s0_c1"));

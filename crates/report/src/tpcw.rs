@@ -2,24 +2,24 @@
 //!
 //! At MySQL every transaction context is a remote synopsis chain; only
 //! the post-mortem stitching phase can say *which interaction* it
-//! belongs to, by resolving the chain's most recent synopsis back to
-//! the application server's send-point context, whose call path names
-//! the servlet.
+//! belongs to: the request edge [`whodunit_core::pipeline::analyze`]
+//! resolved from the chain's most recent synopsis leads back to the
+//! application server's send-point context, whose call path names the
+//! servlet.
 
-use whodunit_core::stitch::{DumpAtom, StageDump, Stitched};
+use whodunit_core::pipeline::PipelineReport;
+use whodunit_core::stitch::{DumpAtom, StageDump};
 
-/// Follows remote chains from `(stage, ctx)` to the chain of
-/// `(stage, ctx)` hops, most recent sender first.
-pub fn hops(stitched: &Stitched, stage: usize, ctx: u32) -> Vec<(usize, u32)> {
+/// Follows request edges from `(stage, ctx)` to the chain of
+/// `(stage, ctx)` hops, most recent sender first. Empty for a local
+/// context, an unresolved sender, or a stage skipped as invalid.
+pub fn hops(stitched: &PipelineReport, stage: usize, ctx: u32) -> Vec<(usize, u32)> {
     let mut out = Vec::new();
     let mut cur = (stage, ctx);
+    // Chains are acyclic in well-formed profiles; the bound stops a
+    // malformed one.
     for _ in 0..16 {
-        let d = &stitched.stages[cur.0];
-        let chain = d.contexts[cur.1 as usize].remote_chain();
-        let Some(&last) = chain.and_then(|chain| chain.last()) else {
-            break;
-        };
-        let Some(next) = stitched.resolve(last) else {
+        let Some(next) = stitched.sender(cur.0, cur.1) else {
             break;
         };
         out.push(next);
@@ -51,7 +51,7 @@ pub fn ctx_frames(dump: &StageDump, ctx: u32) -> Vec<String> {
 /// Labels a (possibly remote) context by the first frame — searching
 /// the sender hops nearest-first — whose name satisfies `pred`.
 pub fn label_by_frame(
-    stitched: &Stitched,
+    stitched: &PipelineReport,
     stage: usize,
     ctx: u32,
     pred: &dyn Fn(&str) -> bool,
@@ -84,15 +84,18 @@ pub struct Table1Row {
 
 /// Assembles Table 1 from a stitched profile set.
 ///
-/// `mysql_stage` indexes the MySQL dump within `stitched`; `label_of`
-/// maps a frame name (e.g. a servlet) to the interaction label, or
-/// `None` for frames that do not identify an interaction.
+/// `mysql_stage` indexes the MySQL dump within `stitched` (out of
+/// range tabulates nothing); `label_of` maps a frame name (e.g. a
+/// servlet) to the interaction label, or `None` for frames that do not
+/// identify an interaction.
 pub fn table1(
-    stitched: &Stitched,
+    stitched: &PipelineReport,
     mysql_stage: usize,
     label_of: &dyn Fn(&str) -> Option<String>,
 ) -> Vec<Table1Row> {
-    let dump = &stitched.stages[mysql_stage];
+    let Some(dump) = stitched.stages.get(mysql_stage) else {
+        return Vec::new();
+    };
     let pred = |n: &str| label_of(n).is_some();
     // CPU shares per context → per interaction.
     let mut cpu: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
@@ -154,11 +157,13 @@ pub fn table1(
 /// Crosstalk pairs resolved to interaction labels: (waiter, holder,
 /// mean wait ms, count).
 pub fn crosstalk_pairs(
-    stitched: &Stitched,
+    stitched: &PipelineReport,
     mysql_stage: usize,
     label_of: &dyn Fn(&str) -> Option<String>,
 ) -> Vec<(String, String, f64, u64)> {
-    let dump = &stitched.stages[mysql_stage];
+    let Some(dump) = stitched.stages.get(mysql_stage) else {
+        return Vec::new();
+    };
     let pred = |n: &str| label_of(n).is_some();
     let mut agg: std::collections::HashMap<(String, String), (u64, u64)> =
         std::collections::HashMap::new();
@@ -182,19 +187,20 @@ pub fn crosstalk_pairs(
             )
         })
         .collect();
-    out.sort_by(|a, b| (b.2 * b.3 as f64).partial_cmp(&(a.2 * a.3 as f64)).unwrap());
+    out.sort_by(|a, b| (b.2 * b.3 as f64).total_cmp(&(a.2 * a.3 as f64)));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whodunit_core::pipeline::{analyze, PipelineConfig};
     use whodunit_core::stitch::{DumpCct, DumpContext, DumpCrosstalkWaiter, DumpNode};
 
-    /// Builds a 2-stage stitched set: tomcat ctx 1 has a path through
-    /// "TPCW_home" and minted synopsis 100; mysql ctx 1 is
-    /// remote([100]) with samples and crosstalk.
-    fn setup() -> Stitched {
+    /// A 2-stage dump set: tomcat ctx 1 has a path through "TPCW_home"
+    /// and minted synopsis 100; mysql ctx 1 is remote([100]) with
+    /// samples and crosstalk.
+    fn dumps() -> Vec<StageDump> {
         let tomcat = StageDump {
             proc: 1,
             stage_name: "tomcat".into(),
@@ -244,7 +250,15 @@ mod tests {
             }],
             ..StageDump::default()
         };
-        Stitched::new(vec![tomcat, mysql])
+        vec![tomcat, mysql]
+    }
+
+    fn stitch(dumps: Vec<StageDump>) -> PipelineReport {
+        analyze(dumps, PipelineConfig::default())
+    }
+
+    fn setup() -> PipelineReport {
+        stitch(dumps())
     }
 
     fn label(n: &str) -> Option<String> {
@@ -256,6 +270,35 @@ mod tests {
         let st = setup();
         assert_eq!(hops(&st, 1, 1), vec![(0, 1)]);
         assert!(hops(&st, 0, 1).is_empty());
+    }
+
+    #[test]
+    fn hops_from_a_stage_skipped_as_invalid_are_empty() {
+        // A stage the index rejected contributes no edges, so nothing
+        // is resolved on its behalf — not even through the intact
+        // sender's mint.
+        let mut d = dumps();
+        d[1].ccts[0].ctx = 9;
+        let st = stitch(d);
+        assert!(!st.stage_valid(1));
+        assert!(hops(&st, 1, 1).is_empty());
+    }
+
+    #[test]
+    fn waiter_row_naming_an_unknown_context_does_not_panic() {
+        // `validate` does not range-check crosstalk rows, so this dump
+        // is accepted; the made-up context has no label and no sender.
+        let mut d = dumps();
+        d[1].crosstalk_waiters[0].waiter = 99;
+        assert_eq!(d[1].validate(), Ok(()));
+        let st = stitch(d);
+        let rows = table1(&st, 1, &label);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].interaction, "home");
+        assert_eq!(rows[0].crosstalk_ms, 0.0);
+        // A stage index the set does not have tabulates nothing.
+        assert!(table1(&st, 99, &label).is_empty());
+        assert!(crosstalk_pairs(&st, 99, &label).is_empty());
     }
 
     #[test]

@@ -446,11 +446,6 @@ impl Sim {
         self.sched = Scheduler::new(policy);
     }
 
-    /// The installed tie-breaking policy.
-    pub fn schedule_policy(&self) -> SchedulePolicy {
-        self.sched.policy()
-    }
-
     /// Bounds zero-progress wake storms: if more than `budget` thread
     /// resumes happen without virtual time advancing, the run stops
     /// with [`RunOutcome::Livelock`] naming the spinning threads.
@@ -585,11 +580,6 @@ impl Sim {
     /// A thread's name (for reports and tests).
     pub fn thread_name(&self, t: ThreadId) -> &str {
         &self.threads[t.0 as usize].name
-    }
-
-    /// A thread's owning process.
-    pub fn thread_proc(&self, t: ThreadId) -> ProcId {
-        self.threads[t.0 as usize].proc
     }
 
     fn rt_of(&self, t: ThreadId) -> Rc<RefCell<dyn Runtime>> {

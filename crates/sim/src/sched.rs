@@ -101,11 +101,6 @@ impl Scheduler {
         Scheduler { policy, state }
     }
 
-    /// The installed policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
-    }
-
     /// Picks the index of the next ready-queue entry to resume, given
     /// the queue length. Indices count from the front (oldest entry).
     ///

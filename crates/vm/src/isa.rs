@@ -315,11 +315,6 @@ impl Program {
         self.instrs.is_empty()
     }
 
-    /// Total direct-execution cost if every instruction ran once.
-    pub fn straightline_direct_cost(&self) -> u64 {
-        self.instrs.iter().map(Instr::direct_cost).sum()
-    }
-
     /// Checks structural well-formedness: every jump target lies within
     /// the program. Returns the index of the first bad instruction.
     pub fn validate(&self) -> Result<(), usize> {

@@ -12,7 +12,7 @@ use whodunit::apps::dbserver::Engine;
 use whodunit::apps::rtconf::RtKind;
 use whodunit::apps::tpcw::{run_tpcw, TpcwConfig, TpcwReport};
 use whodunit::core::cost::CPU_HZ;
-use whodunit::core::stitch::Stitched;
+use whodunit::core::pipeline::{analyze, PipelineConfig};
 use whodunit::report::diff::{render_diff, DiffRow};
 use whodunit::report::tpcw::table1;
 use whodunit::workload::Interaction;
@@ -50,7 +50,7 @@ fn main() {
     // between runs, so diff by the stitched interaction labels.
     println!("MySQL profile diff (share of MySQL CPU by interaction):\n");
     let shares = |r: &TpcwReport| {
-        let st = Stitched::new(r.dumps.clone());
+        let st = analyze(r.dumps.clone(), PipelineConfig::default());
         table1(&st, 2, &|n| label_of(n))
             .into_iter()
             .map(|row| (row.interaction, row.cpu_pct))

@@ -13,7 +13,7 @@ use whodunit::core::cost::ms_to_cycles;
 use whodunit::core::ids::ProcId;
 use whodunit::core::profiler::{Whodunit, WhodunitConfig};
 use whodunit::core::rt::Runtime;
-use whodunit::core::stitch::Stitched;
+use whodunit::core::pipeline::{analyze, PipelineConfig};
 use whodunit::report::render;
 use whodunit::sim::{Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 use whodunit_core::frame::FrameId;
@@ -162,9 +162,9 @@ fn main() {
     for d in &dumps {
         println!("{}", render::render_stage(d));
     }
-    let stitched = Stitched::new(dumps);
+    let stitched = analyze(dumps, PipelineConfig::default());
     println!("request edges (caller send point -> callee context):");
-    for e in stitched.request_edges() {
+    for e in &stitched.edges {
         println!(
             "  {}:{} -> {}:{}",
             stitched.stages[e.from_stage].stage_name,

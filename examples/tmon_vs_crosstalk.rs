@@ -13,7 +13,7 @@ use whodunit::apps::dbserver::Engine;
 use whodunit::apps::rtconf::RtKind;
 use whodunit::apps::tpcw::{run_tpcw, TpcwConfig};
 use whodunit::core::cost::{cycles_to_ms, CPU_HZ};
-use whodunit::core::stitch::Stitched;
+use whodunit::core::pipeline::{analyze, PipelineConfig};
 use whodunit::report::tpcw::crosstalk_pairs;
 use whodunit::workload::Interaction;
 
@@ -125,7 +125,7 @@ fn main() {
 
     // --- Whodunit view ---
     let r = run_tpcw(cfg(RtKind::Whodunit));
-    let stitched = Stitched::new(r.dumps.clone());
+    let stitched = analyze(r.dumps.clone(), PipelineConfig::default());
     println!("Whodunit crosstalk view (TPC-W browsing mix, 100 clients):");
     for (waiter, holder, ms, n) in crosstalk_pairs(&stitched, 2, &|n| label_of(n))
         .iter()

@@ -11,7 +11,7 @@ use whodunit::apps::dbserver::Engine;
 use whodunit::apps::rtconf::RtKind;
 use whodunit::apps::tpcw::{run_tpcw, TpcwConfig};
 use whodunit::core::cost::CPU_HZ;
-use whodunit::core::stitch::Stitched;
+use whodunit::core::pipeline::{analyze, PipelineConfig};
 use whodunit::report::tpcw::{crosstalk_pairs, table1};
 use whodunit::workload::Interaction;
 
@@ -32,7 +32,7 @@ fn main() {
         warmup: 50 * CPU_HZ,
         ..TpcwConfig::default()
     });
-    let stitched = Stitched::new(r.dumps.clone());
+    let stitched = analyze(r.dumps.clone(), PipelineConfig::default());
 
     println!("MySQL profile by TPC-W interaction (via stitched synopsis chains):\n");
     let mut rows = table1(&stitched, 2, &|n| label_of(n));

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate: build, test, lint, the benchmark package's own tests,
-# and the infer / chaos / sentinel smokes. Run from the repo root.
+# the captured experiment outputs, and the infer / chaos / sentinel
+# smokes. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,8 +14,9 @@ cargo test --workspace -q
 # dropped a named suite from the workspace.
 #
 # The batch-pipeline gates (parallel_diff, golden_report):
-# - differential: pipeline::analyze vs the legacy Stitched resolver
-#   (edges, unresolved edges, warnings, CCT origins) and the serial
+# - differential: pipeline::analyze vs the resolver it replaced, kept
+#   in the suite as the oracle (edges, unresolved edges, warnings, CCT
+#   origins), and the serial
 #   dump serializer over the 36-scenario corpus (seeds x schedules x
 #   fault plans), at shards 32 and 5, plus the serializer vs its
 #   format!-based reference writer;
@@ -98,6 +100,56 @@ cargo clippy --workspace -- -D warnings
 # benchmark/ is the only place this repo measures speed; nothing below
 # times anything.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+# Captured experiment outputs: EXPERIMENTS.md's 14-bin loop, each
+# bin's stdout byte-identical to results/<bin>.txt (the bins run in
+# virtual time and print no wall-clock line, so two runs never differ;
+# UPDATE_GOLDEN=1 rewrites the captures instead — the variable the
+# golden suites above also read, so set it only when every output
+# change of the run is intended). A bin asserts its own
+# shape claims, so it must also exit 0 — except the bins in XFAIL
+# (name:exit), whose stdout is still diffed and which must exit with
+# exactly the listed code: an XFAIL bin that starts passing fails the
+# stage, so the list cannot rot.
+#
+# table1_tpcw_profile:101 — the bin panics on its own last assertion,
+# "AdminConfirm has the largest mean crosstalk wait": at its seed the
+# column reads AdminConfirm 37.52 ms against BuyConfirm 67.82 ms, on
+# 20 AdminConfirm lock acquires. The model is not recalibrated and the
+# assertion not loosened here; the finding is ROADMAP item 7's.
+XFAIL="table1_tpcw_profile:101"
+mkdir -p target/results
+bad=0
+for b in table1_tpcw_profile table2_overhead table3_emulation_cost \
+         fig07_stitched_profile fig08_apache_profile fig09_squid_profile \
+         fig10_haboob_profile fig11_response_times fig12_throughput \
+         sec92_apache_overhead sec93_event_overhead ablations \
+         appendix_mixes faultstorm; do
+  want=0
+  for x in $XFAIL; do
+    if [ "${x%%:*}" = "$b" ]; then want="${x##*:}"; fi
+  done
+  got=0
+  cargo run --release -q -p whodunit-bench --bin "$b" \
+    > "target/results/$b.txt" 2> "target/results/$b.err" || got=$?
+  if [ "$got" != "$want" ]; then
+    echo "experiment $b: exit $got, expected $want" >&2
+    tail -n 5 "target/results/$b.err" >&2
+    bad=1
+  fi
+  if [ -n "${UPDATE_GOLDEN:-}" ]; then
+    cp "target/results/$b.txt" "results/$b.txt"
+  elif ! cmp -s "target/results/$b.txt" "results/$b.txt"; then
+    echo "experiment $b: stdout differs from results/$b.txt" >&2
+    diff -u "results/$b.txt" "target/results/$b.txt" | head -n 40 >&2 || true
+    bad=1
+  fi
+done
+if [ "$bad" != 0 ]; then
+  echo "experiment outputs: FAILED (UPDATE_GOLDEN=1 accepts new stdout; exit codes are never accepted)" >&2
+  exit 1
+fi
+echo "experiment outputs: 14 bins match results/ (XFAIL: $XFAIL)"
 
 # Inference smoke: a reduced scenario corpus (TPC-W slice + zoo) under
 # the three visibility configs; fail if any clean scenario's pairs or

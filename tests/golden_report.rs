@@ -39,11 +39,10 @@ fn label_of(frame: &str) -> Option<String> {
 fn canonical_doc(cfg: TpcwConfig) -> String {
     let r = run_tpcw(cfg);
     assert_eq!(r.dumps.len(), 3, "squid, tomcat, mysql all dump");
-    let rep = analyze(r.dumps.clone(), PipelineConfig::default());
+    let rep = analyze(r.dumps, PipelineConfig::default());
     let mut doc = render::render_pipeline(&rep);
     doc.push_str("\n== table 1 ==\n");
-    let stitched = whodunit::core::stitch::Stitched::new(r.dumps);
-    let rows = tpcw::table1(&stitched, 2, &|n| label_of(n));
+    let rows = tpcw::table1(&rep, 2, &|n| label_of(n));
     let cells: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
