@@ -69,8 +69,8 @@ use whodunit_core::hash::FnvHashMap;
 use whodunit_core::context::{ContextShard, ShardedContextTable, ShardedCtxId};
 use whodunit_core::crosstalk::{CrosstalkMatrix, OriginKey, WaitStats};
 use whodunit_core::delta::{
-    CctDelta, DeltaError, DeltaSink, EpochBatch, ResyncSource, StageAccumulator, StageDelta,
-    StreamHeader,
+    CctDelta, DeltaError, DeltaSink, EpochBatch, Incoming, IncomingBatch, ResyncSource,
+    StageAccumulator, StageDelta, StreamHeader,
 };
 use whodunit_core::frame::FrameId;
 use whodunit_core::pipeline::{OriginProfile, PipelineConfig, PipelineReport};
@@ -78,7 +78,7 @@ use whodunit_core::stitch::{
     ctx_string_of, fold_dump_nodes, global_frames, global_value, walk_origin, RequestEdge,
     StageDump, UnresolvedEdge, UnresolvedHead,
 };
-use whodunit_core::wire::{self, WireError};
+use whodunit_core::wire::{self, BatchDecoder, WireError};
 use whodunit_report::live::{Hotspot, LagStats, LiveSnapshot, TierSlice, TopPath};
 
 pub use federation::{
@@ -367,7 +367,9 @@ pub struct Collector {
     frame_ids: FnvHashMap<String, u32>,
     epoch: u64,
     now: u64,
-    queue: VecDeque<EpochBatch>,
+    queue: VecDeque<IncomingBatch>,
+    /// Reads wire frames into the storage of batches already processed.
+    decoder: BatchDecoder,
     next_batch_seq: u64,
     stats: CollectorStats,
     started: bool,
@@ -396,6 +398,19 @@ struct ResyncHandle(Box<dyn ResyncSource>);
 impl std::fmt::Debug for ResyncHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("ResyncSource(..)")
+    }
+}
+
+const TRAILING: WireError = WireError::Malformed("bytes after the frame");
+const OTHER_HEADER: WireError = WireError::Malformed("a different stream header is installed");
+
+/// A decoder's `(value, consumed)` for a buffer that is to hold exactly
+/// one frame: the value, or a refusal if anything follows the frame.
+fn whole_frame<T>((value, consumed): (T, usize), buf: &[u8]) -> Result<T, WireError> {
+    if consumed == buf.len() {
+        Ok(value)
+    } else {
+        Err(TRAILING)
     }
 }
 
@@ -430,6 +445,7 @@ impl Collector {
             epoch: 0,
             now: 0,
             queue: VecDeque::new(),
+            decoder: BatchDecoder::default(),
             next_batch_seq: 0,
             stats: CollectorStats::default(),
             started: false,
@@ -532,7 +548,7 @@ impl Collector {
         if self.throttle() {
             return false;
         }
-        self.push(batch);
+        self.push(batch.into());
         true
     }
 
@@ -545,7 +561,7 @@ impl Collector {
         full
     }
 
-    fn push(&mut self, batch: EpochBatch) {
+    fn push(&mut self, batch: IncomingBatch) {
         // A batch landing on an empty queue starts a new fill/drain
         // cycle: the cycle gauge resets while the all-time peak stays.
         if self.queue.is_empty() {
@@ -559,11 +575,24 @@ impl Collector {
 
     /// Installs the stream header from its binary wire frame
     /// ([`whodunit_core::wire::encode_header`]). The wire twin of
-    /// [`Collector::start`].
+    /// [`Collector::start`], except that the frame comes from outside:
+    /// a header delivered again (links duplicate) is accepted and
+    /// changes nothing, while a different one, bytes after the frame or
+    /// a damaged frame are refused and counted in
+    /// [`CollectorStats::wire_errors`].
     pub fn start_wire(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let (header, _) = wire::decode_header(frame)?;
-        self.start(&header);
-        Ok(())
+        let installed = wire::decode_header(frame)
+            .and_then(|decoded| whole_frame(decoded, frame))
+            .and_then(|header| {
+                if !self.started {
+                    self.start(&header);
+                } else if header != self.header {
+                    return Err(OTHER_HEADER);
+                }
+                Ok(())
+            });
+        self.stats.wire_errors += u64::from(installed.is_err());
+        installed
     }
 
     /// Offers a binary wire frame to the ingest queue — the wire twin
@@ -576,16 +605,19 @@ impl Collector {
     /// frame is counted in [`CollectorStats::wire_errors`] and dropped,
     /// which the self-healing machinery then treats exactly like a
     /// lost batch (reorder-buffer park on the next good frame, bounded
-    /// resync if the hole cannot be healed).
+    /// resync if the hole cannot be healed). So is a buffer that holds
+    /// anything after its one frame. An accepted frame is decoded into
+    /// the storage of batches [`Collector::poll`] has finished with.
     pub fn enqueue_wire(&mut self, frame: &[u8]) -> Result<bool, WireError> {
         if self.throttle() {
             return Ok(false);
         }
-        match wire::decode_batch(frame) {
-            Ok((batch, consumed)) => {
+        let decoded = self.decoder.decode(frame);
+        match decoded.and_then(|decoded| whole_frame(decoded, frame)) {
+            Ok(batch) => {
                 self.push(batch);
                 self.stats.wire_frames += 1;
-                self.stats.wire_bytes += consumed as u64;
+                self.stats.wire_bytes += frame.len() as u64;
                 Ok(true)
             }
             Err(e) => {
@@ -600,7 +632,8 @@ impl Collector {
         let Some(batch) = self.queue.pop_front() else {
             return false;
         };
-        self.process_batch(batch);
+        self.process_batch(&batch);
+        self.decoder.recycle(batch);
         true
     }
 
@@ -614,8 +647,9 @@ impl Collector {
         self.queue.len()
     }
 
-    fn process_batch(&mut self, batch: EpochBatch) {
+    fn process_batch(&mut self, queued: &IncomingBatch) {
         assert!(self.started, "collector not started");
+        let batch = queued.batch();
         self.stats.batches += 1;
         let events = batch.events();
         self.stats.events += events;
@@ -630,7 +664,7 @@ impl Collector {
             self.obs_xt_wait = 0;
             self.obs_quarantined = 0;
         }
-        for d in &batch.deltas {
+        for d in queued.deltas() {
             self.ingest_delta(d);
         }
         self.retry_deferred_xt();
@@ -669,14 +703,15 @@ impl Collector {
 
     /// One stage delta: classify (apply / quarantine / park / drop),
     /// then do the incremental stitching work its content unlocks.
-    fn ingest_delta(&mut self, d: &StageDelta) {
-        if d.stage >= self.stages.len() {
+    fn ingest_delta(&mut self, d: Incoming<'_>) {
+        let stage = d.delta().stage;
+        if stage >= self.stages.len() {
             // No stage to quarantine it under: drop and count.
             self.stats.delta_errors += 1;
             return;
         }
-        if self.quarantine[d.stage].halted {
-            self.quarantine[d.stage].dropped += 1;
+        if self.quarantine[stage].halted {
+            self.quarantine[stage].dropped += 1;
             self.stats.dropped_frames += 1;
             return;
         }
@@ -687,7 +722,8 @@ impl Collector {
     /// accumulator, then applies it and does the incremental stitch
     /// work; an `Err` leaves no trace of the frame. The one way a
     /// delta, live or catch-up, reaches collector state.
-    fn apply_checked(&mut self, d: &StageDelta) -> Result<(), DeltaError> {
+    fn apply_checked(&mut self, incoming: Incoming<'_>) -> Result<(), DeltaError> {
+        let d = incoming.delta();
         // The index is insert-only and batch resolves a duplicate mint
         // last-insert-wins over the complete run, which no incremental
         // index can reproduce: a raw value has one owner.
@@ -703,7 +739,7 @@ impl Collector {
             });
         }
         let ctx_base = self.stages[d.stage].acc.context_count() as u32;
-        self.stages[d.stage].acc.apply(d)?;
+        incoming.apply_to(&mut self.stages[d.stage].acc)?;
         let q = &mut self.quarantine[d.stage];
         q.last_progress = self.ingest_epoch;
         q.stalled = false;
@@ -714,15 +750,16 @@ impl Collector {
     /// Applies one live frame plus any parked frames it unblocks, or
     /// routes it by why it was refused: duplicate → drop, gap → park,
     /// corrupt or inconsistent → quarantine and resync.
-    fn try_apply(&mut self, d: &StageDelta) {
-        match self.apply_checked(d) {
+    fn try_apply(&mut self, incoming: Incoming<'_>) {
+        let d = incoming.delta();
+        match self.apply_checked(incoming) {
             Ok(()) => self.drain_parked(d.stage),
             Err(DeltaError::SeqGap { expected, got, .. }) if got < expected => {
                 // Duplicate of an already-applied frame: drop it.
                 self.quarantine[d.stage].duplicates += 1;
                 self.stats.dup_frames += 1;
             }
-            Err(DeltaError::SeqGap { .. }) => self.park(d),
+            Err(DeltaError::SeqGap { .. }) => self.park(incoming),
             Err(_) => {
                 // Checksum or inconsistency: the frame's content is
                 // unusable. Quarantine it and catch up from the
@@ -736,10 +773,13 @@ impl Collector {
     }
 
     /// Parks an out-of-order frame in the bounded reorder buffer; an
-    /// overflowing hole is treated as loss and resyncs.
-    fn park(&mut self, d: &StageDelta) {
+    /// overflowing hole is treated as loss and resyncs. The parked copy
+    /// outlives its batch, so an unsealed delta is sealed with its real
+    /// checksum first: it comes back through the verifying `apply`.
+    fn park(&mut self, incoming: Incoming<'_>) {
+        let d = incoming.delta();
         let q = &mut self.quarantine[d.stage];
-        q.parked.entry(d.seq).or_insert_with(|| d.clone());
+        q.parked.entry(d.seq).or_insert_with(|| incoming.seal());
         q.parked_peak = q.parked_peak.max(q.parked.len() as u64);
         if q.parked.len() > self.cfg.quarantine.reorder_buffer {
             self.request_resync(d.stage);
@@ -757,7 +797,7 @@ impl Collector {
             self.quarantine[si].healed += 1;
             self.stats.healed_frames += 1;
             // Recursion depth is bounded by the reorder buffer size.
-            self.try_apply(&d);
+            self.try_apply(Incoming::Sealed(&d));
         }
     }
 
@@ -788,7 +828,7 @@ impl Collector {
         let caught_up = self.stages[si]
             .acc
             .catchup_delta(si, &dump)
-            .and_then(|cd| cd.map_or(Ok(()), |cd| self.apply_checked(&cd)));
+            .and_then(|cd| cd.map_or(Ok(()), |cd| self.apply_checked(Incoming::Sealed(&cd))));
         if caught_up.is_err() {
             self.halt(si);
             return;
@@ -1369,7 +1409,13 @@ impl Collector {
             }
         }
 
-        let dumps: Vec<StageDump> = self.stages.iter().map(|s| s.acc.to_dump()).collect();
+        // Nothing below reads an accumulator again: the dumps take
+        // their tables and node lists instead of copying them.
+        let dumps: Vec<StageDump> = self
+            .stages
+            .iter_mut()
+            .map(|s| std::mem::take(&mut s.acc).into_dump())
+            .collect();
         debug_assert!(
             dumps.iter().all(|d| d.validate().is_ok()),
             "apply returned Ok for a delta that left its dump invalid"
@@ -1537,5 +1583,88 @@ mod tests {
         assert_eq!(c.enqueue_wire(&bad), Err(WireError::Checksum));
         let st = c.stats();
         assert_eq!((st.throttled, st.wire_errors, st.wire_frames), (1, 1, 1));
+    }
+
+    fn front_frames(n: usize) -> Vec<Vec<u8>> {
+        batches_for(0, 0, "front", n)
+            .iter()
+            .map(wire::encode_batch)
+            .collect()
+    }
+
+    #[test]
+    fn bytes_after_the_frame_are_refused_not_dropped() {
+        let frames = front_frames(2);
+        let header = wire::encode_header(&header2());
+        let mut c = Collector::new(CollectorConfig::default());
+        // A header frame followed by anything installs nothing.
+        let followed = [&header[..], &frames[0]].concat();
+        assert_eq!(c.start_wire(&followed), Err(TRAILING));
+        assert_eq!(c.stats().wire_errors, 1);
+        c.start_wire(&header).expect("the bare header installs");
+        // Two batch frames in one buffer: neither is queued or counted
+        // as accepted, and the refusal is.
+        let both = frames.concat();
+        assert_eq!(c.enqueue_wire(&both), Err(TRAILING));
+        let st = c.stats();
+        assert_eq!((st.wire_errors, st.wire_frames, c.queued()), (2, 0, 0));
+        // Offered one by one, both are accepted.
+        for f in &frames {
+            assert_eq!(c.enqueue_wire(f), Ok(true));
+        }
+        let st = c.stats();
+        assert_eq!((st.wire_errors, st.wire_frames), (2, 2));
+        assert_eq!(st.wire_bytes, both.len() as u64);
+    }
+
+    #[test]
+    fn a_repeated_header_frame_changes_nothing_and_a_different_one_is_refused() {
+        let frames = front_frames(2);
+        let header = wire::encode_header(&header2());
+        let mut c = Collector::new(CollectorConfig::default());
+        c.start_wire(&header).expect("header installs");
+        assert_eq!(c.enqueue_wire(&frames[0]), Ok(true));
+        c.drain();
+        // The link delivers the header again mid-stream.
+        assert_eq!(c.start_wire(&header), Ok(()));
+        assert_eq!(c.stats().wire_errors, 0);
+        let mut other = header2();
+        other.stages[1].proc = 9;
+        let other = wire::encode_header(&other);
+        assert_eq!(c.start_wire(&other), Err(OTHER_HEADER));
+        assert_eq!(c.stats().wire_errors, 1);
+        // Neither touched what the stream had built up.
+        assert_eq!(c.enqueue_wire(&frames[1]), Ok(true));
+        let out = c.finalize();
+        assert_eq!((out.stats.batches, out.stats.quarantined), (2, 0));
+        assert_eq!(out.report.stages[0].ccts[0].nodes[0].cycles, 200);
+    }
+
+    #[test]
+    fn a_wire_delta_that_parks_is_healed_not_quarantined() {
+        // Frames 1 and 2 carry consecutive deltas of one stage and
+        // arrive swapped: delta 2 waits in the reorder buffer, beyond
+        // the life of its (unsealed, recycled) batch, and must come
+        // back through the verifying `apply` with its real checksum.
+        let frames = front_frames(4);
+        let header = wire::encode_header(&header2());
+        let ingest = |order: [usize; 4]| {
+            let mut c = Collector::new(CollectorConfig::default());
+            c.start_wire(&header).expect("header installs");
+            for i in order {
+                assert_eq!(c.enqueue_wire(&frames[i]), Ok(true));
+                c.drain();
+            }
+            c.finalize()
+        };
+        let (clean, swapped) = (ingest([0, 1, 2, 3]), ingest([0, 2, 1, 3]));
+        let st = &swapped.stats;
+        assert_eq!((st.healed_frames, st.quarantined, st.resyncs), (1, 0, 0));
+        assert_eq!(st.degraded, ["stage 0 (front): 1 reordered healed"]);
+        let (a, b) = (&clean.report, &swapped.report);
+        assert_eq!(a.stitched_text(), b.stitched_text());
+        assert_eq!(a.crosstalk_text(), b.crosstalk_text());
+        assert_eq!(a.dumps_json, b.dumps_json);
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 }

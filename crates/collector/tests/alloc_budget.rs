@@ -1,0 +1,101 @@
+//! The wire ingest path's allocation budget, as an exact-count gate.
+//!
+//! `streaming_diff`'s staggered fleet (12 replicas of one recorded
+//! stack, 2 epochs apart, window 4) goes through
+//! [`Collector::enqueue_wire`] + [`Collector::drain`] behind a counting
+//! allocator, and the allocations between the first offer and the last
+//! drain are held against the events the stream carries.
+//!
+//! - 11,818 allocations for 3,372 events (3.505 per event) when the
+//!   decoder built up to 12 temporary column lists per delta and every
+//!   batch was freed after its drain;
+//! - 6,527 (1.936 per event) with the one delta-section reader that
+//!   fills the target lists directly and a [`BatchDecoder`] that reads
+//!   into the storage of batches already drained.
+//!
+//! The bound sits between the two, so a per-delta temporary that comes
+//! back trips it without a stopwatch. What is left is the content that
+//! outlives the batch (interned frame names, context atoms, the
+//! accumulators' and the stitcher's own growth), not the decoder.
+//!
+//! One `#[test]` and nothing else in this binary: the counter is
+//! process-wide, and a second test thread would allocate into it.
+//!
+//! [`BatchDecoder`]: whodunit_core::wire::BatchDecoder
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use whodunit_apps::tpcw::run_tpcw_streaming;
+use whodunit_bench::{fleet_config, fleet_stream};
+use whodunit_collector::{Collector, CollectorConfig};
+use whodunit_core::cost::CPU_HZ;
+use whodunit_core::delta::RecordingSink;
+use whodunit_core::wire::{encode_batch, encode_header};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator with a call counter in front.
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a plain
+// statistic (`Relaxed`, publishing no other data) and never influences
+// what is returned.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through as-is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations per event the wire ingest path may make on this stream.
+const MAX_ALLOCS_PER_EVENT: f64 = 2.25;
+
+#[test]
+fn wire_ingest_stays_inside_its_allocation_budget() {
+    let (replicas, stagger) = (12, 2);
+    let mut sink = RecordingSink::default();
+    run_tpcw_streaming(fleet_config(12, 12), CPU_HZ, &mut sink);
+    let (hdr, stream) = fleet_stream(&sink.header, &sink.batches, replicas, stagger);
+    let events: u64 = stream.iter().map(|b| b.events()).sum();
+    assert_eq!(events, 3_372, "not the stream the budget was set on");
+    let frames: Vec<Vec<u8>> = stream.iter().map(encode_batch).collect();
+
+    let mut c = Collector::new(CollectorConfig {
+        window_epochs: 4,
+        ..CollectorConfig::default()
+    });
+    c.start_wire(&encode_header(&hdr)).expect("header decodes");
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for f in &frames {
+        assert_eq!(c.enqueue_wire(f), Ok(true), "clean frame refused");
+        c.drain();
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(c.stats().events, events);
+    let per_event = allocs as f64 / events as f64;
+    assert!(
+        per_event <= MAX_ALLOCS_PER_EVENT,
+        "{allocs} allocations for {events} events = {per_event:.3} per event, \
+         over the {MAX_ALLOCS_PER_EVENT} budget (3.505 before the recycling decoder, 1.936 with it)"
+    );
+}

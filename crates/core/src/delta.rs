@@ -77,7 +77,7 @@ impl StreamHeader {
 }
 
 /// Increment of one context's CCT since the previous epoch.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CctDelta {
     /// Context index this CCT is annotated with.
     pub ctx: u32,
@@ -92,7 +92,7 @@ pub struct CctDelta {
 }
 
 /// Increment of one stage's profile state over one epoch.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct StageDelta {
     /// Index into [`StreamHeader::stages`].
     pub stage: usize,
@@ -230,6 +230,11 @@ impl StageDelta {
         h.finish()
     }
 
+    /// Stores the checksum the content implies.
+    pub fn seal(&mut self) {
+        self.checksum = self.compute_checksum();
+    }
+
     /// A copy with stage index `stage` and every raw synopsis value's
     /// embedded process id passed through `map` (both newly minted
     /// synopses and `Remote` chains inside new contexts), with the
@@ -262,7 +267,7 @@ impl StageDelta {
                 }
             }
         }
-        d.checksum = d.compute_checksum();
+        d.seal();
         d
     }
 }
@@ -284,6 +289,113 @@ impl EpochBatch {
     /// Total change events across all stage deltas.
     pub fn events(&self) -> u64 {
         self.deltas.iter().map(|d| d.events()).sum()
+    }
+}
+
+/// A [`StageDelta`] whose wire frame stored no checksum at all.
+///
+/// The encoder elides a checksum exactly when it equals
+/// [`StageDelta::compute_checksum`] of the content, so for such a delta
+/// the canonical value is *implied*: hashing the content to fill the
+/// field in and hashing it again to compare the field with itself
+/// proves nothing, and [`StageAccumulator::apply_unsealed`] does
+/// neither. Holding one is the vouch that this is the case, and only
+/// the wire decoder — which saw the frame — can make one; a struct
+/// anybody else holds goes through [`StageAccumulator::apply`] and has
+/// its stored checksum compared.
+#[derive(Clone, Copy, Debug)]
+pub struct Unsealed<'a>(&'a StageDelta);
+
+/// A borrowed delta on its way into an accumulator, and which `apply`
+/// it is due.
+#[derive(Clone, Copy, Debug)]
+pub enum Incoming<'a> {
+    /// A struct that carries its own checksum, which is compared with
+    /// the content: every delta that never was bytes, and every delta
+    /// of a frame that stored any checksum.
+    Sealed(&'a StageDelta),
+    /// A delta the wire decoder vouches for. Its `checksum` field is a
+    /// placeholder.
+    Unsealed(Unsealed<'a>),
+}
+
+impl<'a> Incoming<'a> {
+    /// The delta's content.
+    pub fn delta(self) -> &'a StageDelta {
+        match self {
+            Incoming::Sealed(d) | Incoming::Unsealed(Unsealed(d)) => d,
+        }
+    }
+
+    /// [`StageAccumulator::apply`] or
+    /// [`StageAccumulator::apply_unsealed`], as the delta is due.
+    pub fn apply_to(self, acc: &mut StageAccumulator) -> Result<(), DeltaError> {
+        match self {
+            Incoming::Sealed(d) => acc.apply(d),
+            Incoming::Unsealed(u) => acc.apply_unsealed(u),
+        }
+    }
+
+    /// An owned copy for a holder that outlives the borrow (the
+    /// collector's reorder buffer): an unsealed delta gets its real
+    /// checksum, so the copy equals what [`crate::wire::decode_batch`]
+    /// returns for the same bytes and passes the verifying `apply`.
+    pub fn seal(self) -> StageDelta {
+        let mut d = self.delta().clone();
+        if let Incoming::Unsealed(_) = self {
+            d.seal();
+        }
+        d
+    }
+}
+
+/// An [`EpochBatch`] on its way into accumulators, and which `apply`
+/// its deltas are due ([`IncomingBatch::deltas`]). A wire frame that
+/// stored no checksum at all — the canonical case, every clean frame —
+/// comes out of [`crate::wire::BatchDecoder::decode`] *unsealed*: its
+/// deltas are applied without ever being hashed. Every other batch is
+/// sealed: a struct batch (`From<EpochBatch>`), and a frame that stored
+/// any checksum, whose other deltas then have theirs filled in.
+#[derive(Debug)]
+pub struct IncomingBatch {
+    pub(crate) batch: EpochBatch,
+    pub(crate) unsealed: bool,
+}
+
+impl From<EpochBatch> for IncomingBatch {
+    fn from(batch: EpochBatch) -> Self {
+        IncomingBatch {
+            batch,
+            unsealed: false,
+        }
+    }
+}
+
+impl IncomingBatch {
+    /// The batch. Where [`IncomingBatch::deltas`] yields
+    /// [`Incoming::Unsealed`], the `checksum` fields are placeholders.
+    pub fn batch(&self) -> &EpochBatch {
+        &self.batch
+    }
+
+    /// The deltas, each under the `apply` it is due.
+    pub fn deltas(&self) -> impl Iterator<Item = Incoming<'_>> {
+        let unsealed = self.unsealed;
+        self.batch.deltas.iter().map(move |d| {
+            if unsealed {
+                Incoming::Unsealed(Unsealed(d))
+            } else {
+                Incoming::Sealed(d)
+            }
+        })
+    }
+
+    /// The plain struct batch, implied checksums filled in.
+    pub fn seal(mut self) -> EpochBatch {
+        if self.unsealed {
+            self.batch.deltas.iter_mut().for_each(StageDelta::seal);
+        }
+        self.batch
     }
 }
 
@@ -541,7 +653,7 @@ fn try_diff_dump(
     if d.is_empty() {
         return Ok(None);
     }
-    d.checksum = d.compute_checksum();
+    d.seal();
     Ok(Some(d))
 }
 
@@ -623,7 +735,7 @@ fn distinct_mints(mints: &[(u64, u32)]) -> bool {
 /// Either way [`StageAccumulator::to_dump`] is equal to the source
 /// snapshot after every applied delta — and therefore byte-identical
 /// under [`crate::dumpjson`] serialization.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StageAccumulator {
     /// Process id (from the stream header).
     pub proc: u32,
@@ -685,6 +797,17 @@ impl StageAccumulator {
     /// returned `Ok` holds a [`StageAccumulator::to_dump`] that
     /// validates.
     pub fn apply(&mut self, d: &StageDelta) -> Result<(), DeltaError> {
+        self.apply_inner(d, true)
+    }
+
+    /// [`StageAccumulator::apply`] for a delta whose frame stored no
+    /// checksum: every check but the comparison of the implied
+    /// checksum with itself, so the content is never hashed.
+    pub fn apply_unsealed(&mut self, d: Unsealed<'_>) -> Result<(), DeltaError> {
+        self.apply_inner(d.0, false)
+    }
+
+    fn apply_inner(&mut self, d: &StageDelta, stored_checksum: bool) -> Result<(), DeltaError> {
         if d.seq != self.next_seq {
             return Err(DeltaError::SeqGap {
                 stage: d.stage,
@@ -692,7 +815,7 @@ impl StageAccumulator {
                 got: d.seq,
             });
         }
-        if d.compute_checksum() != d.checksum {
+        if stored_checksum && d.compute_checksum() != d.checksum {
             return Err(DeltaError::Checksum {
                 stage: d.stage,
                 seq: d.seq,
@@ -814,19 +937,26 @@ impl StageAccumulator {
 
     /// The dump this accumulator's state reconstructs.
     pub fn to_dump(&self) -> StageDump {
+        self.clone().into_dump()
+    }
+
+    /// [`StageAccumulator::to_dump`] for a caller done accumulating:
+    /// the frame and context tables and every CCT node list move into
+    /// the dump instead of being copied.
+    pub fn into_dump(self) -> StageDump {
         StageDump {
             proc: self.proc,
-            stage_name: self.stage_name.clone(),
-            frames: self.frames.clone(),
-            contexts: self.contexts.clone(),
+            stage_name: self.stage_name,
+            frames: self.frames,
+            contexts: self.contexts,
             ccts: self
                 .ccts
-                .iter()
+                .into_iter()
                 .enumerate()
                 .filter_map(|(ctx, nodes)| {
-                    nodes.as_ref().map(|nodes| DumpCct {
+                    nodes.map(|nodes| DumpCct {
                         ctx: ctx as u32,
-                        nodes: nodes.clone(),
+                        nodes,
                     })
                 })
                 .collect(),

@@ -75,7 +75,7 @@ impl DumpContext {
 }
 
 /// One dumped CCT node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DumpNode {
     /// Frame index (`None` for the root).
     pub frame: Option<u32>,
@@ -119,7 +119,7 @@ pub struct DumpCct {
 }
 
 /// Crosstalk aggregate rows of one stage.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DumpCrosstalkPair {
     /// Waiter context index.
     pub waiter: u32,
@@ -132,7 +132,7 @@ pub struct DumpCrosstalkPair {
 }
 
 /// Per-waiter crosstalk aggregate (all acquires).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DumpCrosstalkWaiter {
     /// Waiter context index.
     pub waiter: u32,

@@ -237,7 +237,7 @@ fn compose_cct(a: &mut CctDelta, n: &CctDelta) {
 /// federation node.
 pub fn seal_delta(mut d: StageDelta, seq: u64) -> StageDelta {
     d.seq = seq;
-    d.checksum = d.compute_checksum();
+    d.seal();
     d
 }
 

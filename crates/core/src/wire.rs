@@ -24,20 +24,24 @@
 //!    misparse — and slots into the collector's §12 quarantine /
 //!    resync machinery like any other lost or corrupt delta.
 //!
-//! Decoding has one path. [`decode_batch`] materializes the
-//! [`EpochBatch`] structs (`decode(encode(b)) == b`, bit-exactly), and
-//! every consumer — the collector's `enqueue_wire`, the resync
-//! catch-up, the in-process sinks — then applies each [`StageDelta`]
-//! through [`StageAccumulator::apply`], which validates the whole delta
-//! against the accumulator's state before it mutates anything. Batch
-//! validation therefore exists once, next to the mutation it guards;
-//! [`apply_batch`] is only those two calls composed.
+//! Decoding has one reader and two storage policies. `read_delta` is
+//! the only function that reads a delta section; [`BatchDecoder`] reads
+//! with it into the storage of batches its caller has finished with —
+//! the collector's `enqueue_wire` — and [`decode_batch`] /
+//! [`decode_summary`] into fresh structs (`decode(encode(b)) == b`,
+//! bit-exactly). Every consumer then applies each delta through
+//! [`StageAccumulator::apply`], which validates the whole delta against
+//! the accumulator's state before it mutates anything; a delta whose
+//! frame stored no checksum skips only the comparison of the implied
+//! checksum with itself ([`crate::delta::Unsealed`]). [`apply_batch`]
+//! is only those two steps composed.
 
 use crate::delta::{
-    CctDelta, DeltaError, EpochBatch, StageAccumulator, StageDelta, StreamHeader, StreamStage,
+    CctDelta, DeltaError, EpochBatch, IncomingBatch, StageAccumulator, StageDelta, StreamHeader,
+    StreamStage,
 };
 use crate::hash::fnv1a;
-use crate::stitch::{DumpAtom, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode};
+use crate::stitch::{DumpAtom, DumpContext, DumpNode};
 use crate::summary::{LeafGauges, SummaryFrame, TierSketch};
 use std::collections::HashMap;
 use std::fmt;
@@ -191,6 +195,11 @@ impl<'a> Reader<'a> {
     /// Reads a LEB128 varint into a `u64`, rejecting encodings that
     /// overflow 64 bits.
     pub fn u64(&mut self) -> Result<u64, WireError> {
+        // Most varints on this wire are one byte.
+        if let Some(&b) = self.buf.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(b as u64);
+        }
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -215,6 +224,10 @@ impl<'a> Reader<'a> {
     }
 
     fn u128(&mut self) -> Result<u128, WireError> {
+        if let Some(&b) = self.buf.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(b as u128);
+        }
         let mut v = 0u128;
         let mut shift = 0u32;
         loop {
@@ -453,8 +466,8 @@ const ATOM_REMOTE: u8 = 3;
 // empty sections cost nothing. `F_CHECKSUM` marks a stored checksum
 // that differs from the canonical [`StageDelta::compute_checksum`] of
 // the content (a corrupt emitter, preserved verbatim for the struct
-// path to quarantine); clean deltas omit the 8 bytes and the decoder
-// re-derives the canonical value.
+// path to quarantine); clean deltas omit the 8 bytes, which leaves the
+// canonical value implied.
 const F_FRAMES: u64 = 1 << 0;
 const F_CONTEXTS: u64 = 1 << 1;
 const F_SYNOPSES: u64 = 1 << 2;
@@ -723,230 +736,260 @@ pub(crate) fn put_delta(buf: &mut Vec<u8>, d: &StageDelta, dict: &HashMap<&str, 
     }
 }
 
-/// Parses one delta section back into a [`StageDelta`].
-pub(crate) fn get_delta(r: &mut Reader<'_>, table: &[&str]) -> Result<StageDelta, WireError> {
-    let stage = as_usize(r.u64()?)?;
-    let seq = r.u64()?;
+/// Reads one delta section into `d`, overwriting every field. Each
+/// column goes straight into the list it belongs to — a count sizes
+/// the list, every column then fills one field through `iter_mut` — so
+/// no column is held on the side and nothing is indexed. CCT increments
+/// are drawn from `spare`, capacity and all. Returns whether the
+/// section stored a checksum; when it did not, `d.checksum` is left 0:
+/// the canonical value is implied, for the caller to fill in or to
+/// vouch for.
+#[deny(clippy::indexing_slicing)]
+fn read_delta(
+    r: &mut Reader<'_>,
+    table: &[&str],
+    d: &mut StageDelta,
+    spare: &mut Vec<CctDelta>,
+) -> Result<bool, WireError> {
+    d.stage = as_usize(r.u64()?)?;
+    d.seq = r.u64()?;
     let flags = r.u64()?;
     if flags & !F_ALL != 0 {
         return Err(WireError::Malformed("unknown delta section flag"));
     }
-    let mut new_frames = Vec::new();
-    if flags & F_FRAMES != 0 {
-        let nf = r.count()?;
-        new_frames.reserve(nf);
-        for _ in 0..nf {
-            let i = as_usize(r.u64()?)?;
-            let s = *table
-                .get(i)
-                .ok_or(WireError::Malformed("frame string index out of range"))?;
-            new_frames.push(s.to_owned());
-        }
+    // A section whose flag is clear is a section of no rows.
+    let rows = |r: &mut Reader<'_>, bit| if flags & bit != 0 { r.count() } else { Ok(0) };
+    let nf = rows(r, F_FRAMES)?;
+    d.new_frames.clear();
+    d.new_frames.reserve(nf);
+    for _ in 0..nf {
+        let s = table
+            .get(as_usize(r.u64()?)?)
+            .ok_or(WireError::Malformed("frame string index out of range"))?;
+        d.new_frames.push((*s).to_owned());
     }
-    let mut new_contexts = Vec::new();
-    if flags & F_CONTEXTS != 0 {
-        let ncx = r.count()?;
-        new_contexts.reserve(ncx);
-        for _ in 0..ncx {
-            let na = r.count()?;
-            let mut atoms = Vec::with_capacity(na);
-            for _ in 0..na {
-                atoms.push(get_atom(r)?);
-            }
-            new_contexts.push(DumpContext { atoms });
+    let ncx = rows(r, F_CONTEXTS)?;
+    d.new_contexts.clear();
+    d.new_contexts.reserve(ncx);
+    for _ in 0..ncx {
+        let na = r.count()?;
+        let mut atoms = Vec::with_capacity(na);
+        for _ in 0..na {
+            atoms.push(get_atom(r)?);
         }
+        d.new_contexts.push(DumpContext { atoms });
     }
-    let mut new_synopses = Vec::new();
-    if flags & F_SYNOPSES != 0 {
-        let ns = r.count()?;
-        let mut syn_ctx = Vec::with_capacity(ns);
-        let mut dr = DodReader::new();
-        for _ in 0..ns {
-            syn_ctx.push(as_u32(dr.next(r)?)?);
-        }
-        new_synopses.reserve(ns);
-        for &ctx in &syn_ctx {
-            new_synopses.push((r.u64()?, ctx));
-        }
+    d.new_synopses.clear();
+    d.new_synopses.resize(rows(r, F_SYNOPSES)?, (0, 0));
+    let mut dr = DodReader::new();
+    for s in &mut d.new_synopses {
+        s.1 = as_u32(dr.next(r)?)?;
     }
-    let ccts = if flags & F_CCTS != 0 {
-        get_cct_section(r)?
-    } else {
-        Vec::new()
-    };
-    let mut pairs = Vec::new();
-    if flags & F_PAIRS != 0 {
-        let np = r.count()?;
-        let mut waiter_col = Vec::with_capacity(np);
-        let mut dr = DodReader::new();
-        for _ in 0..np {
-            waiter_col.push(as_u32(dr.next(r)?)?);
-        }
-        let mut holder_col = Vec::with_capacity(np);
-        for _ in 0..np {
-            holder_col.push(r.u32()?);
-        }
-        let mut count_col = Vec::with_capacity(np);
-        for _ in 0..np {
-            count_col.push(r.u64()?);
-        }
-        pairs.reserve(np);
-        for i in 0..np {
-            pairs.push(DumpCrosstalkPair {
-                waiter: waiter_col[i],
-                holder: holder_col[i],
-                count: count_col[i],
-                total_wait: r.u64()?,
-            });
-        }
+    for s in &mut d.new_synopses {
+        s.0 = r.u64()?;
     }
-    let mut waiters = Vec::new();
-    if flags & F_WAITERS != 0 {
-        let nw = r.count()?;
-        let mut wwaiter_col = Vec::with_capacity(nw);
-        let mut dr = DodReader::new();
-        for _ in 0..nw {
-            wwaiter_col.push(as_u32(dr.next(r)?)?);
-        }
-        let mut wcount_col = Vec::with_capacity(nw);
-        for _ in 0..nw {
-            wcount_col.push(r.u64()?);
-        }
-        waiters.reserve(nw);
-        for i in 0..nw {
-            waiters.push(DumpCrosstalkWaiter {
-                waiter: wwaiter_col[i],
-                count: wcount_col[i],
-                total_wait: r.u64()?,
-            });
-        }
-    }
-    let piggyback_bytes = if flags & F_PIGGYBACK != 0 { r.u64()? } else { 0 };
-    let messages = if flags & F_MESSAGES != 0 { r.u64()? } else { 0 };
-    let checksum = if flags & F_CHECKSUM != 0 {
-        Some(r.fixed_u64()?)
-    } else {
-        None
-    };
-    let mut d = StageDelta {
-        stage,
-        seq,
-        new_frames,
-        new_contexts,
-        new_synopses,
-        ccts,
-        pairs,
-        waiters,
-        piggyback_bytes,
-        messages,
-        checksum: 0,
-    };
-    d.checksum = checksum.unwrap_or_else(|| d.compute_checksum());
-    Ok(d)
-}
-
-/// Reads the CCT header columns and node/grown field columns back into
-/// per-context [`CctDelta`]s.
-fn get_cct_section(r: &mut Reader<'_>) -> Result<Vec<CctDelta>, WireError> {
-    let nc = r.count()?;
-    let mut ctx_col = Vec::with_capacity(nc);
+    let nc = rows(r, F_CCTS)?;
+    d.ccts.clear();
+    d.ccts.reserve(nc);
     let mut dr = DodReader::new();
     for _ in 0..nc {
         let ctx = as_u32(dr.next(r)?)?;
         // One CCT per context, sorted by ctx — the rule
         // [`StageAccumulator::apply`] enforces again for struct callers.
-        if ctx_col.last().is_some_and(|&prev| prev >= ctx) {
+        if d.ccts.last().is_some_and(|prev| prev.ctx >= ctx) {
             return Err(WireError::Malformed("CCT ctx column not strictly increasing"));
         }
-        ctx_col.push(ctx);
+        let mut c = spare.pop().unwrap_or_default();
+        c.ctx = ctx;
+        d.ccts.push(c);
     }
-    let mut before_col = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        before_col.push(r.u32()?);
+    for c in &mut d.ccts {
+        c.nodes_before = r.u32()?;
     }
-    let mut nnew = Vec::with_capacity(nc);
-    let mut total_new = 0u64;
-    for _ in 0..nc {
+    let node = DumpNode::default();
+    let new = read_counts(r, &mut d.ccts, |c, n| c.new_nodes.resize(n, node))?;
+    let grown = read_counts(r, &mut d.ccts, |c, n| c.grown.resize(n, (0, 0, 0, 0)))?;
+    if new > r.remaining() as u64 || grown > r.remaining() as u64 {
+        return Err(OVERSIZE);
+    }
+    for n in d.ccts.iter_mut().flat_map(|c| &mut c.new_nodes) {
+        n.frame = opt_u32(r.u64()?)?;
+    }
+    for n in d.ccts.iter_mut().flat_map(|c| &mut c.new_nodes) {
+        n.parent = opt_u32(r.u64()?)?;
+    }
+    for n in d.ccts.iter_mut().flat_map(|c| &mut c.new_nodes) {
+        n.samples = r.u64()?;
+    }
+    for n in d.ccts.iter_mut().flat_map(|c| &mut c.new_nodes) {
+        n.cycles = r.u64()?;
+    }
+    for n in d.ccts.iter_mut().flat_map(|c| &mut c.new_nodes) {
+        n.calls = r.u64()?;
+    }
+    for g in d.ccts.iter_mut().flat_map(|c| &mut c.grown) {
+        g.0 = r.u32()?;
+    }
+    for g in d.ccts.iter_mut().flat_map(|c| &mut c.grown) {
+        g.1 = r.u64()?;
+    }
+    for g in d.ccts.iter_mut().flat_map(|c| &mut c.grown) {
+        g.2 = r.u64()?;
+    }
+    for g in d.ccts.iter_mut().flat_map(|c| &mut c.grown) {
+        g.3 = r.u64()?;
+    }
+    d.pairs.clear();
+    d.pairs.resize(rows(r, F_PAIRS)?, Default::default());
+    let mut dr = DodReader::new();
+    for p in &mut d.pairs {
+        p.waiter = as_u32(dr.next(r)?)?;
+    }
+    for p in &mut d.pairs {
+        p.holder = r.u32()?;
+    }
+    for p in &mut d.pairs {
+        p.count = r.u64()?;
+    }
+    for p in &mut d.pairs {
+        p.total_wait = r.u64()?;
+    }
+    d.waiters.clear();
+    d.waiters.resize(rows(r, F_WAITERS)?, Default::default());
+    let mut dr = DodReader::new();
+    for w in &mut d.waiters {
+        w.waiter = as_u32(dr.next(r)?)?;
+    }
+    for w in &mut d.waiters {
+        w.count = r.u64()?;
+    }
+    for w in &mut d.waiters {
+        w.total_wait = r.u64()?;
+    }
+    d.piggyback_bytes = if flags & F_PIGGYBACK != 0 { r.u64()? } else { 0 };
+    d.messages = if flags & F_MESSAGES != 0 { r.u64()? } else { 0 };
+    let stored = flags & F_CHECKSUM != 0;
+    d.checksum = if stored { r.fixed_u64()? } else { 0 };
+    Ok(stored)
+}
+
+const OVERSIZE: WireError = WireError::Malformed("count exceeds frame size");
+
+/// Reads one per-CCT count column, handing each count to `size`, and
+/// returns its total. A count is bounded by the bytes left before it
+/// is used, and sizes its list only while the running total fits them
+/// too: a total that does not is refused by the caller once both count
+/// columns are read, and must size nothing on the way there.
+#[deny(clippy::indexing_slicing)]
+fn read_counts(
+    r: &mut Reader<'_>,
+    ccts: &mut [CctDelta],
+    size: impl Fn(&mut CctDelta, usize),
+) -> Result<u64, WireError> {
+    let mut total = 0u64;
+    for c in ccts {
         let n = r.u64()?;
         if n > r.remaining() as u64 {
-            return Err(WireError::Malformed("count exceeds frame size"));
+            return Err(OVERSIZE);
         }
-        total_new += n;
-        nnew.push(as_usize(n)?);
-    }
-    let mut ngrown = Vec::with_capacity(nc);
-    let mut total_grown = 0u64;
-    for _ in 0..nc {
-        let n = r.u64()?;
-        if n > r.remaining() as u64 {
-            return Err(WireError::Malformed("count exceeds frame size"));
+        total = total.saturating_add(n);
+        let n = as_usize(n)?;
+        if total <= r.remaining() as u64 {
+            size(c, n);
         }
-        total_grown += n;
-        ngrown.push(as_usize(n)?);
     }
-    if total_new > r.remaining() as u64 || total_grown > r.remaining() as u64 {
-        return Err(WireError::Malformed("count exceeds frame size"));
-    }
-    let (total_new, total_grown) = (total_new as usize, total_grown as usize);
-    let mut frame_col = Vec::with_capacity(total_new);
-    for _ in 0..total_new {
-        frame_col.push(opt_u32(r.u64()?)?);
-    }
-    let mut parent_col = Vec::with_capacity(total_new);
-    for _ in 0..total_new {
-        parent_col.push(opt_u32(r.u64()?)?);
-    }
-    let mut samples_col = Vec::with_capacity(total_new);
-    for _ in 0..total_new {
-        samples_col.push(r.u64()?);
-    }
-    let mut cycles_col = Vec::with_capacity(total_new);
-    for _ in 0..total_new {
-        cycles_col.push(r.u64()?);
-    }
-    let mut calls_col = Vec::with_capacity(total_new);
-    for _ in 0..total_new {
-        calls_col.push(r.u64()?);
-    }
-    let mut gidx_col = Vec::with_capacity(total_grown);
-    for _ in 0..total_grown {
-        gidx_col.push(r.u32()?);
-    }
-    let mut gs_col = Vec::with_capacity(total_grown);
-    for _ in 0..total_grown {
-        gs_col.push(r.u64()?);
-    }
-    let mut gcy_col = Vec::with_capacity(total_grown);
-    for _ in 0..total_grown {
-        gcy_col.push(r.u64()?);
-    }
-    let mut ccts = Vec::with_capacity(nc);
-    let (mut ni, mut gi) = (0usize, 0usize);
-    for k in 0..nc {
-        let mut new_nodes = Vec::with_capacity(nnew[k]);
-        for _ in 0..nnew[k] {
-            new_nodes.push(DumpNode {
-                frame: frame_col[ni],
-                parent: parent_col[ni],
-                samples: samples_col[ni],
-                cycles: cycles_col[ni],
-                calls: calls_col[ni],
-            });
-            ni += 1;
+    Ok(total)
+}
+
+/// Decodes [`KIND_BATCH`] frames into recycled storage: the deltas and
+/// CCT increments of a batch handed back through
+/// [`BatchDecoder::recycle`] keep their lists' capacity and serve the
+/// next [`BatchDecoder::decode`], so a steady stream is read without
+/// allocating per delta. A fresh decoder has nothing to reuse and reads
+/// into fresh storage, which is all [`decode_batch`] is.
+#[derive(Debug, Default)]
+pub struct BatchDecoder {
+    /// Spare deltas, CCT increments and one batch-level list, all
+    /// empty (capacity, never content), and the cap on the first two:
+    /// the most of each that any one decoded batch held.
+    deltas: Vec<StageDelta>,
+    ccts: Vec<CctDelta>,
+    batch: Vec<StageDelta>,
+    max_deltas: usize,
+    max_ccts: usize,
+}
+
+#[deny(clippy::indexing_slicing)]
+impl BatchDecoder {
+    /// Decodes the frame at the start of `buf`, returning the batch and
+    /// the total frame size consumed. A frame that stored no checksum —
+    /// every clean frame — comes out unsealed, never hashed; one that
+    /// stored any has its implied checksums filled in, all to be
+    /// verified. A refused frame drops the spares it had drawn.
+    pub fn decode(&mut self, buf: &[u8]) -> Result<(IncomingBatch, usize), WireError> {
+        let (mut r, consumed) = open_frame(buf, KIND_BATCH)?;
+        let (epoch, seq, end) = (r.u64()?, r.u64()?, r.u64()?);
+        let table = get_dict(&mut r)?;
+        let n = r.count()?;
+        let mut deltas = std::mem::take(&mut self.batch);
+        deltas.reserve(n);
+        let mut unsealed = true;
+        for _ in 0..n {
+            deltas.push(self.deltas.pop().unwrap_or_default());
+            let (d, earlier) = deltas.split_last_mut().expect("just pushed");
+            let stored = read_delta(&mut r, &table, d, &mut self.ccts)?;
+            if stored && unsealed {
+                // The frame's first stored checksum: every delta before
+                // it elided its own.
+                earlier.iter_mut().for_each(StageDelta::seal);
+                unsealed = false;
+            } else if !stored && !unsealed {
+                d.seal();
+            }
         }
-        let mut grown = Vec::with_capacity(ngrown[k]);
-        for _ in 0..ngrown[k] {
-            grown.push((gidx_col[gi], gs_col[gi], gcy_col[gi], r.u64()?));
-            gi += 1;
+        if r.remaining() != 0 {
+            return Err(WireError::Malformed("trailing bytes in batch body"));
         }
-        ccts.push(CctDelta {
-            ctx: ctx_col[k],
-            nodes_before: before_col[k],
-            new_nodes,
-            grown,
-        });
+        self.max_deltas = self.max_deltas.max(n);
+        let ccts = deltas.iter().map(|d| d.ccts.len()).sum();
+        self.max_ccts = self.max_ccts.max(ccts);
+        let batch = EpochBatch {
+            epoch,
+            seq,
+            end,
+            deltas,
+        };
+        Ok((IncomingBatch { batch, unsealed }, consumed))
     }
-    Ok(ccts)
+
+    /// Takes a decoded batch's storage back for later decodes. A sealed
+    /// batch (a struct batch, a frame that stored a checksum) is dropped.
+    pub fn recycle(&mut self, batch: IncomingBatch) {
+        if !batch.unsealed {
+            return;
+        }
+        let mut deltas = batch.batch.deltas;
+        for mut d in deltas.drain(..) {
+            for mut c in d.ccts.drain(..) {
+                if self.ccts.len() < self.max_ccts {
+                    c.new_nodes.clear();
+                    c.grown.clear();
+                    self.ccts.push(c);
+                }
+            }
+            if self.deltas.len() < self.max_deltas {
+                d.new_frames.clear();
+                d.new_contexts.clear();
+                d.new_synopses.clear();
+                d.pairs.clear();
+                d.waiters.clear();
+                self.deltas.push(d);
+            }
+        }
+        if deltas.capacity() > self.batch.capacity() {
+            self.batch = deltas;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1002,30 +1045,12 @@ pub fn encode_batch(b: &EpochBatch) -> Vec<u8> {
 }
 
 /// Decodes a [`KIND_BATCH`] frame into the [`EpochBatch`] structs,
-/// returning the batch and the total frame size consumed.
+/// returning the batch and the total frame size consumed: a
+/// [`BatchDecoder`] with nothing to recycle, and every implied checksum
+/// filled in.
 pub fn decode_batch(buf: &[u8]) -> Result<(EpochBatch, usize), WireError> {
-    let (mut r, consumed) = open_frame(buf, KIND_BATCH)?;
-    let epoch = r.u64()?;
-    let seq = r.u64()?;
-    let end = r.u64()?;
-    let table = get_dict(&mut r)?;
-    let n = r.count()?;
-    let mut deltas = Vec::with_capacity(n);
-    for _ in 0..n {
-        deltas.push(get_delta(&mut r, &table)?);
-    }
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes in batch body"));
-    }
-    Ok((
-        EpochBatch {
-            epoch,
-            seq,
-            end,
-            deltas,
-        },
-        consumed,
-    ))
+    let (batch, consumed) = BatchDecoder::default().decode(buf)?;
+    Ok((batch.seal(), consumed))
 }
 
 /// Appends a sparse bucket list (ascending indices) as an index DoD
@@ -1130,7 +1155,11 @@ pub fn decode_summary(buf: &[u8]) -> Result<(SummaryFrame, usize), WireError> {
     let nd = r.count()?;
     let mut deltas = Vec::with_capacity(nd);
     for _ in 0..nd {
-        deltas.push(get_delta(&mut r, &table)?);
+        let mut d = StageDelta::default();
+        if !read_delta(&mut r, &table, &mut d, &mut Vec::new())? {
+            d.seal();
+        }
+        deltas.push(d);
     }
     let nsk = r.count()?;
     let mut sketches = Vec::with_capacity(nsk);
@@ -1228,29 +1257,28 @@ impl From<DeltaError> for WireError {
     }
 }
 
-/// [`decode_batch`], then [`StageAccumulator::apply`] per delta — the
-/// same two steps the collector's ingest takes, composed for a caller
-/// that holds bare accumulators. No product path calls this; it stays
-/// because the `benchmark/` package's layer probe times it by name
-/// (`wire.apply_ms`) and that package may not change with this crate.
-/// Each delta is validated before it mutates, but the batch is not one
-/// transaction: an error on delta *k* leaves deltas before *k* applied.
-pub fn apply_batch(
-    accs: &mut [StageAccumulator],
-    buf: &[u8],
-) -> Result<WireBatchInfo, WireError> {
-    let (batch, consumed) = decode_batch(buf)?;
-    for d in &batch.deltas {
+/// [`BatchDecoder::decode`], then each delta under the `apply` it is
+/// due — the same two steps the collector's ingest takes, minus the
+/// recycling, composed for a caller that holds bare accumulators. No
+/// product path calls this; it stays because the `benchmark/` package's
+/// layer probe times it by name (`wire.apply_ms`) and that package may
+/// not change with this crate. Each delta is validated before it
+/// mutates, but the batch is not one transaction: an error on delta *k*
+/// leaves deltas before *k* applied.
+pub fn apply_batch(accs: &mut [StageAccumulator], buf: &[u8]) -> Result<WireBatchInfo, WireError> {
+    let (batch, consumed) = BatchDecoder::default().decode(buf)?;
+    for d in batch.deltas() {
         let acc = accs
-            .get_mut(d.stage)
+            .get_mut(d.delta().stage)
             .ok_or(WireError::Malformed("stage index out of range"))?;
-        acc.apply(d)?;
+        d.apply_to(acc)?;
     }
+    let b = batch.batch();
     Ok(WireBatchInfo {
-        epoch: batch.epoch,
-        seq: batch.seq,
-        end: batch.end,
-        events: batch.events(),
+        epoch: b.epoch,
+        seq: b.seq,
+        end: b.end,
+        events: b.events(),
         consumed,
     })
 }
@@ -1260,7 +1288,7 @@ mod tests {
     use super::*;
     use crate::delta::diff_dump;
     use crate::sketch::QuantileSketch;
-    use crate::stitch::{DumpCct, StageDump};
+    use crate::stitch::{DumpCct, DumpCrosstalkPair, DumpCrosstalkWaiter, StageDump};
     use crate::summary::seal_delta;
 
     fn node(frame: Option<u32>, parent: Option<u32>, cycles: u64) -> DumpNode {
@@ -1551,6 +1579,36 @@ mod tests {
         })];
         assert_eq!(apply_batch(&mut accs, &frame).unwrap_err(), expected);
         assert_eq!(decode_batch(&frame).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn the_pool_never_outgrows_the_largest_batch() {
+        let (_, batches) = sample_batches();
+        let d = &batches[1].deltas[0];
+        let wide = EpochBatch {
+            deltas: vec![d.clone(); 3],
+            ..batches[1].clone()
+        };
+        let mut dec = BatchDecoder::default();
+        let frames = [&wide, &wide, &batches[0]].map(encode_batch);
+        let held = frames.each_ref().map(|f| dec.decode(f).expect("clean").0);
+        held.into_iter().for_each(|b| dec.recycle(b));
+        let full = (3, 3 * d.ccts.len());
+        assert_eq!((dec.deltas.len(), dec.ccts.len()), full);
+        // Spares hold capacity, never content.
+        let (deltas, ccts) = (&dec.deltas, &dec.ccts);
+        assert!(deltas.iter().all(|d| d.events() == 0 && d.ccts.is_empty()));
+        assert!(ccts.iter().all(|c| c.new_nodes.len() + c.grown.len() == 0));
+        assert!(deltas.iter().any(|d| d.new_frames.capacity() > 0));
+        // A frame refused part way through keeps what it drew; the
+        // next clean batch refills the pool, to the same cap.
+        let mut bad = wide.clone();
+        bad.deltas[2] = crate::delta::tests::dup_ctx_delta();
+        assert!(dec.decode(&encode_batch(&bad)).is_err());
+        assert_eq!(dec.deltas.len(), 0);
+        let (back, _) = dec.decode(&frames[0]).expect("clean frame");
+        dec.recycle(back);
+        assert_eq!((dec.deltas.len(), dec.ccts.len()), full);
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //!   struct ingest path can quarantine them).
 //! - **Stream framing**: concatenated frames decode one by one off a
 //!   single buffer via the `consumed` count, with no drift.
+//! - **Recycled decode ≡ fresh decode**: one [`BatchDecoder`] fed a
+//!   random sequence of frames — batch sizes going up and down, some
+//!   frames truncated, bit-flipped or re-sealed around a repeated CCT
+//!   ctx — answers every frame exactly as [`decode_batch`] does, so
+//!   nothing of an earlier delta ever shows in a later one and a
+//!   refused frame leaves the pool usable.
 //! - **Golden frame**: one small, fully-populated frame is locked as a
 //!   hex dump under `tests/golden/wire_frame.hex`. Any byte change to
 //!   the format is a visible diff; regenerate deliberately with
@@ -20,13 +26,14 @@
 //! `diff_dump`'s output.
 
 use proptest::prelude::*;
-use whodunit_core::delta::{EpochBatch, StageDelta, StreamHeader, StreamStage};
+use whodunit_core::delta::{EpochBatch, Incoming, StageDelta, StreamHeader, StreamStage};
 use whodunit_core::stitch::{
     DumpAtom, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode,
 };
 use whodunit_core::summary::{LeafGauges, SummaryFrame, TierSketch};
 use whodunit_core::wire::{
     decode_batch, decode_header, decode_summary, encode_batch, encode_header, encode_summary,
+    BatchDecoder,
 };
 use whodunit_core::delta::CctDelta;
 
@@ -266,6 +273,75 @@ proptest! {
             at += consumed;
         }
         prop_assert_eq!(at, stream.len(), "stream left trailing bytes");
+    }
+
+    /// One [`BatchDecoder`] over a sequence of frames, some of them
+    /// damaged, against [`decode_batch`] (fresh storage) on the same
+    /// bytes: the same `Ok`, field for field, or the same `Err`.
+    #[test]
+    fn recycled_decode_equals_fresh_decode(seed in any::<u64>()) {
+        let mut r = Rng::new(seed);
+        let mut dec = BatchDecoder::default();
+        // Batches not yet handed back: the pool is sometimes empty,
+        // sometimes fuller than the next frame needs.
+        let mut held = Vec::new();
+        for step in 0..2 + r.below(10) {
+            let mut batch = arb_batch(&mut r);
+            batch.deltas = (0..r.below(7)).map(|_| arb_delta(&mut r)).collect();
+            // Clean emitters (every checksum canonical, so none is
+            // stored and the batch comes out unsealed), corrupt ones,
+            // and frames that mix the two.
+            let canonical = r.below(3);
+            for d in &mut batch.deltas {
+                if canonical == 0 || (canonical == 1 && r.below(2) == 0) {
+                    d.checksum = d.compute_checksum();
+                }
+            }
+            let damage = r.below(6);
+            if damage == 0 {
+                // A checksum-valid frame the reader must refuse part
+                // way through: its last delta repeats a CCT ctx, after
+                // the earlier deltas have been read into pooled storage.
+                let mut d = arb_delta(&mut r);
+                d.ccts.push(CctDelta { ctx: 7, ..CctDelta::default() });
+                d.ccts.push(d.ccts.last().expect("just pushed").clone());
+                batch.deltas.push(d);
+            }
+            let mut bytes = encode_batch(&batch);
+            match damage {
+                1 => bytes.truncate(r.below(bytes.len() as u64) as usize),
+                2 => {
+                    let at = r.below(bytes.len() as u64) as usize;
+                    bytes[at] ^= 1 << r.below(8);
+                }
+                _ => {}
+            }
+
+            let fresh = decode_batch(&bytes);
+            match (dec.decode(&bytes), fresh) {
+                (Ok((got, consumed)), Ok((want, fresh_consumed))) => {
+                    prop_assert!(damage > 2, "step {}: damaged frame decoded", step);
+                    prop_assert_eq!(consumed, fresh_consumed);
+                    let b = got.batch();
+                    prop_assert_eq!((b.epoch, b.seq, b.end), (want.epoch, want.seq, want.end));
+                    let sealed: Vec<StageDelta> = got.deltas().map(Incoming::seal).collect();
+                    prop_assert_eq!(&sealed, &want.deltas, "step {}: recycled != fresh", step);
+                    prop_assert_eq!(&want, &batch, "step {}: fresh != encoder input", step);
+                    // The vouch is per frame: unsealed iff none of its
+                    // deltas had a checksum worth storing.
+                    let clean = batch.deltas.iter().all(|d| d.checksum == d.compute_checksum());
+                    for d in got.deltas() {
+                        prop_assert_eq!(matches!(d, Incoming::Unsealed(_)), clean);
+                    }
+                    held.push(got);
+                }
+                (Err(got), Err(want)) => prop_assert_eq!(got, want, "step {}", step),
+                (got, want) => prop_assert!(false, "step {}: {:?} vs {:?}", step, got, want),
+            }
+            while !held.is_empty() && r.below(3) != 0 {
+                dec.recycle(held.swap_remove(r.below(held.len() as u64) as usize));
+            }
+        }
     }
 
     /// Stream headers round-trip through their wire frames for

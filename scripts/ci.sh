@@ -37,10 +37,18 @@ cargo test --workspace -q
 #   the rendered sentinel incident report mid-violation + post-capture
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
-# The binary wire-format gates (DESIGN.md §16; wire_props, wire_fuzz):
+# The binary wire-format gates (DESIGN.md §16; wire_props, wire_fuzz,
+# alloc_budget):
 # - properties: decode(encode(delta)) == delta for arbitrary deltas,
 #   batches, and summary frames, plus the golden frame hex dump
-#   (regenerate intentionally with UPDATE_GOLDEN=1);
+#   (regenerate intentionally with UPDATE_GOLDEN=1); and recycled
+#   decode == fresh decode — one BatchDecoder over random frame
+#   sequences, damaged frames in between, answers each frame exactly as
+#   decode_batch does, so nothing of an earlier delta shows in a later
+#   one;
+# - allocation budget: wire ingest of the staggered fleet stream behind
+#   a counting allocator, <= 2.25 allocations per event (1.936 now,
+#   3.505 before the decoder recycled its storage);
 # - fuzz: randomized truncation / bit flips / reordering / garbage
 #   injection over encoded streams — damaged frames are rejected by the
 #   envelope and healed by the §12 quarantine machinery, never a panic,
@@ -75,7 +83,7 @@ import json, sys
 GATES = """
 whodunit-core/parallel_diff whodunit/golden_report
 whodunit-collector/streaming_diff whodunit/golden_collector whodunit/golden_sentinel
-whodunit-core/wire_props whodunit-collector/wire_fuzz
+whodunit-core/wire_props whodunit-collector/wire_fuzz whodunit-collector/alloc_budget
 whodunit-collector/federation_diff whodunit-collector/federation_props whodunit/golden_federation
 whodunit-infer/properties whodunit-infer/scenarios whodunit/golden_infer
 """.split()
@@ -91,6 +99,9 @@ if missing:
 print(f"all {len(GATES)} named gate suites are workspace test targets")
 '
 
+# Also what keeps the wire's delta-section reader and BatchDecoder free
+# of indexing: both carry #[deny(clippy::indexing_slicing)], so the
+# first `col[i]` written there fails this line, not a review.
 cargo clippy --workspace -- -D warnings
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so
