@@ -535,6 +535,8 @@ pub struct TpcwReport {
     /// [`TpcwConfig::comm_log`] was set. Procs are squid=0, tomcat=1,
     /// mysql=2, clients=3; clients are the marked origin tier.
     pub comm: Option<whodunit_core::blackbox::CommLog>,
+    /// What the simulator's event queue carried, by kind.
+    pub events: whodunit_sim::EventCensus,
 }
 
 /// The planted livelock defect: two threads ping-ponging over
@@ -769,6 +771,7 @@ fn run_tpcw_inner(
         outcome,
         compute_truth,
         comm,
+        events: sim.event_census(),
     }
 }
 
@@ -785,6 +788,29 @@ mod tests {
             warmup: 30 * CPU_HZ,
             ..TpcwConfig::default()
         })
+    }
+
+    #[test]
+    fn event_census_of_a_fixed_run_is_pinned() {
+        // 40 clients, 120 s, the default seed. Scheduled minus fired
+        // is what was still queued at the limit; every receive deadline
+        // that fired found its receive already answered.
+        use whodunit_sim::{EventCensus, KindCount};
+        let count = |scheduled, fired| KindCount { scheduled, fired };
+        assert_eq!(
+            quick(40, false, Engine::MyIsam).events,
+            EventCensus {
+                quantum_end: count(49_032, 49_031),
+                deliver: count(8_925, 8_925),
+                timer: count(3_390, 3_351),
+                recv_deadline: count(671, 506),
+                cond_deadline: count(0, 0),
+                crash: count(0, 0),
+                recv_deadlines_stale: 506,
+                peak_quanta: 4,
+                peak_events: 221,
+            }
+        );
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!    pruned: `[accept, read, write] + read → [accept, read]`.
 
 use crate::frame::FrameId;
-use crate::synopsis::SynChain;
+use crate::hash::Fnv64;
+use crate::synopsis::{SynChain, Synopsis};
 use std::fmt;
 use std::sync::Arc;
 
@@ -54,6 +55,69 @@ pub enum ContextAtom {
     Remote(SynChain),
 }
 
+/// A context atom by its borrowed parts: what the intern table hashes
+/// and compares when the caller holds the pieces of a value (a parent
+/// context and a call stack, a received chain) and not the value.
+#[derive(Clone, Copy)]
+enum AtomRef<'a> {
+    Frame(FrameId),
+    Path(&'a [FrameId]),
+    Remote(&'a [Synopsis]),
+}
+
+impl ContextAtom {
+    fn as_ref(&self) -> AtomRef<'_> {
+        match self {
+            ContextAtom::Frame(f) => AtomRef::Frame(*f),
+            ContextAtom::Path(p) => AtomRef::Path(p),
+            ContextAtom::Remote(c) => AtomRef::Remote(&c.0),
+        }
+    }
+}
+
+impl AtomRef<'_> {
+    /// Folds the atom into a running [`TransactionContext::stable_hash`].
+    fn hash_into(self, h: &mut Fnv64) {
+        match self {
+            AtomRef::Frame(f) => {
+                h.write_u64(1);
+                h.write_u64(f.0 as u64);
+            }
+            AtomRef::Path(p) => {
+                h.write_u64(2);
+                h.write_u64(p.len() as u64);
+                for f in p {
+                    h.write_u64(f.0 as u64);
+                }
+            }
+            AtomRef::Remote(c) => {
+                h.write_u64(3);
+                h.write_u64(c.len() as u64);
+                for s in c {
+                    h.write_u64(s.0);
+                }
+            }
+        }
+    }
+
+    fn is(self, atom: &ContextAtom) -> bool {
+        match (self, atom) {
+            (AtomRef::Frame(f), ContextAtom::Frame(g)) => f == *g,
+            (AtomRef::Path(p), ContextAtom::Path(q)) => *p == **q,
+            (AtomRef::Remote(c), ContextAtom::Remote(d)) => *c == *d.0,
+            _ => false,
+        }
+    }
+
+    fn to_atom(self) -> ContextAtom {
+        match self {
+            AtomRef::Frame(f) => ContextAtom::Frame(f),
+            AtomRef::Path(p) => ContextAtom::Path(p.into()),
+            AtomRef::Remote(c) => ContextAtom::Remote(SynChain(c.to_vec())),
+        }
+    }
+}
+
 /// Normalization policy applied when appending handler/stage frames.
 #[derive(Clone, Copy, Debug)]
 pub struct ContextPolicy {
@@ -86,6 +150,43 @@ impl ContextPolicy {
     }
 }
 
+/// What appending a handler/stage frame does to an atom sequence.
+enum FrameStep {
+    /// The result is the first `n` atoms (collapse keeps all of them,
+    /// loop pruning a proper prefix).
+    Keep(usize),
+    /// The frame is appended.
+    Push,
+}
+
+/// The §4.1 collapse and loop-pruning rules for `atoms + frame`.
+fn frame_step(atoms: &[ContextAtom], frame: FrameId, policy: ContextPolicy) -> FrameStep {
+    if policy.collapse_consecutive {
+        if let Some(ContextAtom::Frame(last)) = atoms.last() {
+            if *last == frame {
+                return FrameStep::Keep(atoms.len());
+            }
+        }
+    }
+    if policy.prune_loops {
+        // The window of trailing `Frame` atoms that normalization may
+        // inspect; pruning never reaches across a `Path` or `Remote`
+        // atom because those mark a different stage's history.
+        let run_start = atoms
+            .iter()
+            .rposition(|a| !matches!(a, ContextAtom::Frame(_)))
+            .map(|i| i + 1)
+            .unwrap_or(0);
+        let pos = atoms[run_start..]
+            .iter()
+            .position(|a| matches!(a, ContextAtom::Frame(f) if *f == frame));
+        if let Some(p) = pos {
+            return FrameStep::Keep(run_start + p + 1);
+        }
+    }
+    FrameStep::Push
+}
+
 /// An owned transaction context value (a sequence of atoms).
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct TransactionContext(pub Vec<ContextAtom>);
@@ -105,31 +206,10 @@ impl TransactionContext {
     /// collapse and loop-pruning rules to the trailing frame run.
     pub fn append_frame(&self, frame: FrameId, policy: ContextPolicy) -> Self {
         let mut atoms = self.0.clone();
-        // The window of trailing `Frame` atoms that normalization may
-        // inspect; pruning never reaches across a `Path` or `Remote`
-        // atom because those mark a different stage's history.
-        let run_start = atoms
-            .iter()
-            .rposition(|a| !matches!(a, ContextAtom::Frame(_)))
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        if policy.collapse_consecutive {
-            if let Some(ContextAtom::Frame(last)) = atoms.last() {
-                if *last == frame {
-                    return TransactionContext(atoms);
-                }
-            }
+        match frame_step(&atoms, frame, policy) {
+            FrameStep::Keep(n) => atoms.truncate(n),
+            FrameStep::Push => atoms.push(ContextAtom::Frame(frame)),
         }
-        if policy.prune_loops {
-            let pos = atoms[run_start..]
-                .iter()
-                .position(|a| matches!(a, ContextAtom::Frame(f) if *f == frame));
-            if let Some(p) = pos {
-                atoms.truncate(run_start + p + 1);
-                return TransactionContext(atoms);
-            }
-        }
-        atoms.push(ContextAtom::Frame(frame));
         TransactionContext(atoms)
     }
 
@@ -163,31 +243,16 @@ impl TransactionContext {
     /// std `Hasher` (whose keys are unspecified across releases) — so
     /// that sharded runs place every value deterministically.
     pub fn stable_hash(&self) -> u64 {
-        let mut h = crate::hash::Fnv64::new();
-        for a in &self.0 {
-            match a {
-                ContextAtom::Frame(f) => {
-                    h.write_u64(1);
-                    h.write_u64(f.0 as u64);
-                }
-                ContextAtom::Path(p) => {
-                    h.write_u64(2);
-                    h.write_u64(p.len() as u64);
-                    for f in p.iter() {
-                        h.write_u64(f.0 as u64);
-                    }
-                }
-                ContextAtom::Remote(c) => {
-                    h.write_u64(3);
-                    h.write_u64(c.0.len() as u64);
-                    for s in &c.0 {
-                        h.write_u64(s.0);
-                    }
-                }
-            }
-        }
-        h.finish()
+        hash_atoms(&self.0)
     }
+}
+
+fn hash_atoms(atoms: &[ContextAtom]) -> u64 {
+    let mut h = Fnv64::new();
+    for a in atoms {
+        a.as_ref().hash_into(&mut h);
+    }
+    h.finish()
 }
 
 /// One slot of a [`ValueIndex`]: the value's stable hash plus its arena
@@ -216,6 +281,13 @@ struct ValueIndex {
 impl ValueIndex {
     /// Looks up the arena id of `value` (whose stable hash is `hash`).
     fn get(&self, values: &[TransactionContext], hash: u64, value: &TransactionContext) -> Option<u32> {
+        self.find(hash, |id| values[id as usize] == *value)
+    }
+
+    /// Looks up the arena id recorded under `hash` whose value `is`
+    /// accepts — the caller compares against the arena however it holds
+    /// the candidate (whole, or as borrowed parts).
+    fn find(&self, hash: u64, is: impl Fn(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
@@ -226,7 +298,7 @@ impl ValueIndex {
             if s.idp1 == 0 {
                 return None;
             }
-            if s.hash == hash && values[(s.idp1 - 1) as usize] == *value {
+            if s.hash == hash && is(s.idp1 - 1) {
                 return Some(s.idp1 - 1);
             }
             i = (i + 1) & mask;
@@ -293,6 +365,9 @@ impl ValueIndex {
 pub struct ContextTable {
     index: ValueIndex,
     values: Vec<TransactionContext>,
+    /// `values[i].stable_hash()`, kept so a child's hash continues from
+    /// its parent's (FNV-1a is a running state).
+    hashes: Vec<u64>,
     policy: ContextPolicy,
 }
 
@@ -305,14 +380,56 @@ impl Default for ContextTable {
 impl ContextTable {
     /// Creates a table with the given normalization policy.
     pub fn new(policy: ContextPolicy) -> Self {
-        let root = TransactionContext::root();
-        let mut index = ValueIndex::default();
-        index.insert(root.stable_hash(), CtxId::ROOT.0);
-        ContextTable {
-            index,
-            values: vec![root],
+        let mut table = ContextTable {
+            index: ValueIndex::default(),
+            values: Vec::new(),
+            hashes: Vec::new(),
             policy,
+        };
+        let root = TransactionContext::root();
+        table.mint(root.stable_hash(), root);
+        table
+    }
+
+    /// Gives a value not yet in the table the next id.
+    fn mint(&mut self, hash: u64, value: TransactionContext) -> CtxId {
+        let id = u32::try_from(self.values.len()).expect("more than u32::MAX transaction contexts");
+        self.index.insert(hash, id);
+        self.values.push(value);
+        self.hashes.push(hash);
+        CtxId(id)
+    }
+
+    /// Interns `ctx`'s first `keep` atoms followed by `tail`, looking
+    /// the value up by those borrowed parts; it is built only when it
+    /// is new.
+    fn intern_parts(&mut self, ctx: CtxId, keep: usize, tail: Option<AtomRef<'_>>) -> CtxId {
+        let parent = &self.values[ctx.0 as usize].0;
+        let prefix = &parent[..keep];
+        let mut h = if keep == parent.len() {
+            Fnv64::with_state(self.hashes[ctx.0 as usize])
+        } else {
+            Fnv64::with_state(hash_atoms(prefix))
+        };
+        if let Some(t) = tail {
+            t.hash_into(&mut h);
         }
+        let hash = h.finish();
+        let hit = self.index.find(hash, |id| {
+            let v = &self.values[id as usize].0;
+            match (tail, v.split_last()) {
+                (None, _) => v[..] == *prefix,
+                (Some(t), Some((last, rest))) => t.is(last) && *rest == *prefix,
+                (Some(_), None) => false,
+            }
+        });
+        if let Some(id) = hit {
+            return CtxId(id);
+        }
+        let mut atoms = Vec::with_capacity(keep + usize::from(tail.is_some()));
+        atoms.extend_from_slice(prefix);
+        atoms.extend(tail.map(AtomRef::to_atom));
+        self.mint(hash, TransactionContext(atoms))
     }
 
     /// The normalization policy in force.
@@ -324,13 +441,10 @@ impl ContextTable {
     /// arena on first sight — never cloned.
     pub fn intern(&mut self, value: TransactionContext) -> CtxId {
         let hash = value.stable_hash();
-        if let Some(id) = self.index.get(&self.values, hash, &value) {
-            return CtxId(id);
+        match self.index.get(&self.values, hash, &value) {
+            Some(id) => CtxId(id),
+            None => self.mint(hash, value),
         }
-        let id = u32::try_from(self.values.len()).expect("more than u32::MAX transaction contexts");
-        self.index.insert(hash, id);
-        self.values.push(value);
-        CtxId(id)
     }
 
     /// Returns the value of an interned context.
@@ -344,20 +458,23 @@ impl ContextTable {
 
     /// Interns `ctx + frame` under the table's policy (§4.1).
     pub fn append_frame(&mut self, ctx: CtxId, frame: FrameId) -> CtxId {
-        let v = self.value(ctx).append_frame(frame, self.policy);
-        self.intern(v)
+        let atoms = self.value(ctx).atoms();
+        match frame_step(atoms, frame, self.policy) {
+            FrameStep::Keep(n) if n == atoms.len() => ctx,
+            FrameStep::Keep(n) => self.intern_parts(ctx, n, None),
+            FrameStep::Push => self.intern_parts(ctx, atoms.len(), Some(AtomRef::Frame(frame))),
+        }
     }
 
     /// Interns `ctx + path` (a produce-point call path).
     pub fn append_path(&mut self, ctx: CtxId, path: &[FrameId]) -> CtxId {
-        let v = self.value(ctx).append_path(path);
-        self.intern(v)
+        let n = self.value(ctx).len();
+        self.intern_parts(ctx, n, Some(AtomRef::Path(path)))
     }
 
     /// Interns the context standing for a received remote chain.
-    pub fn from_remote(&mut self, chain: SynChain) -> CtxId {
-        let v = TransactionContext::from_remote(chain);
-        self.intern(v)
+    pub fn from_remote(&mut self, chain: &SynChain) -> CtxId {
+        self.intern_parts(CtxId::ROOT, 0, Some(AtomRef::Remote(&chain.0)))
     }
 
     /// Number of interned contexts (including the root).
@@ -575,7 +692,6 @@ impl ShardedContextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synopsis::Synopsis;
 
     fn fid(n: u32) -> FrameId {
         FrameId(n)
@@ -658,8 +774,8 @@ mod tests {
     fn remote_contexts_intern() {
         let mut t = ContextTable::default();
         let chain = SynChain::request(Synopsis::new(1, 5));
-        let a = t.from_remote(chain.clone());
-        let b = t.from_remote(chain);
+        let a = t.from_remote(&chain);
+        let b = t.from_remote(&chain);
         assert_eq!(a, b);
         assert!(matches!(t.value(a).atoms(), [ContextAtom::Remote(_)]));
     }

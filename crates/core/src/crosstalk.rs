@@ -13,8 +13,8 @@
 //! the reverse as the headline, but both directions occur in TPC-W).
 
 use crate::context::CtxId;
-use crate::ids::{LockId, LockMode, ThreadId};
-use std::collections::HashMap;
+use crate::hash::FnvHashMap;
+use crate::ids::{IdVec, LockId, LockMode, ThreadId};
 
 /// Aggregated waiting-time statistics for one ordered context pair or
 /// one waiter.
@@ -40,19 +40,19 @@ impl WaitStats {
 #[derive(Debug, Default)]
 struct LockHolders {
     exclusive: Option<(ThreadId, CtxId)>,
-    shared: HashMap<ThreadId, CtxId>,
+    shared: FnvHashMap<ThreadId, CtxId>,
 }
 
 /// Records transaction crosstalk from lock acquire/release hooks.
 #[derive(Debug, Default)]
 pub struct CrosstalkRecorder {
-    holders: HashMap<LockId, LockHolders>,
+    holders: IdVec<LockHolders>,
     /// Ordered pair (waiter context, holder context) → stats.
-    pairs: HashMap<(CtxId, CtxId), WaitStats>,
+    pairs: FnvHashMap<(CtxId, CtxId), WaitStats>,
     /// Waiter context → stats, counting *all* acquires of that context
     /// (including uncontended ones) so means match Table 1's
     /// "mean crosstalk wait per transaction".
-    waiters: HashMap<CtxId, WaitStats>,
+    waiters: IdVec<WaitStats>,
 }
 
 impl CrosstalkRecorder {
@@ -77,7 +77,7 @@ impl CrosstalkRecorder {
         waited: u64,
         holder_hint: Option<CtxId>,
     ) {
-        let w = self.waiters.entry(ctx).or_default();
+        let w = self.waiters.slot(ctx.0).get_or_insert_with(WaitStats::default);
         w.count += 1;
         w.total_wait += waited;
         if waited > 0 {
@@ -87,7 +87,7 @@ impl CrosstalkRecorder {
                 p.total_wait += waited;
             }
         }
-        let h = self.holders.entry(lock).or_default();
+        let h = self.holders.slot(lock.0).get_or_insert_with(LockHolders::default);
         match mode {
             LockMode::Exclusive => h.exclusive = Some((t, ctx)),
             LockMode::Shared => {
@@ -98,7 +98,7 @@ impl CrosstalkRecorder {
 
     /// Called when `t` released `lock`.
     pub fn released(&mut self, t: ThreadId, lock: LockId) {
-        if let Some(h) = self.holders.get_mut(&lock) {
+        if let Some(h) = self.holders.get_mut(lock.0) {
             if matches!(h.exclusive, Some((ht, _)) if ht == t) {
                 h.exclusive = None;
             }
@@ -110,7 +110,7 @@ impl CrosstalkRecorder {
     /// holder if any, otherwise an arbitrary-but-deterministic shared
     /// holder (the one with the smallest thread id).
     pub fn holder_of(&self, lock: LockId) -> Option<CtxId> {
-        let h = self.holders.get(&lock)?;
+        let h = self.holders.get(lock.0)?;
         if let Some((_, ctx)) = h.exclusive {
             return Some(ctx);
         }
@@ -122,7 +122,7 @@ impl CrosstalkRecorder {
 
     /// Per-waiter aggregate stats (all acquires of that context).
     pub fn waiter_stats(&self, ctx: CtxId) -> WaitStats {
-        self.waiters.get(&ctx).copied().unwrap_or_default()
+        self.waiters.get(ctx.0).copied().unwrap_or_default()
     }
 
     /// Stats for the ordered pair `(waiter, holder)`.
@@ -137,8 +137,7 @@ impl CrosstalkRecorder {
     pub fn report(&self) -> CrosstalkReport {
         let mut pairs: Vec<_> = self.pairs.iter().map(|(&(w, h), &s)| (w, h, s)).collect();
         pairs.sort_by_key(|&(w, h, _)| (w, h));
-        let mut waiters: Vec<_> = self.waiters.iter().map(|(&w, &s)| (w, s)).collect();
-        waiters.sort_by_key(|&(w, _)| w);
+        let waiters = self.waiters.iter().map(|(w, &s)| (CtxId(w), s)).collect();
         CrosstalkReport { pairs, waiters }
     }
 }

@@ -29,6 +29,13 @@ impl Fnv64 {
         Fnv64(FNV_OFFSET)
     }
 
+    /// A hasher that continues from an earlier [`Fnv64::finish`]: the
+    /// digest is a running state, so hashing `a` and then, from its
+    /// digest, `b` gives the digest of `a ++ b`.
+    pub fn with_state(state: u64) -> Self {
+        Fnv64(state)
+    }
+
     /// Folds `bytes` into the digest.
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
@@ -171,6 +178,13 @@ mod tests {
     fn incremental_matches_oneshot() {
         let mut h = Fnv64::new();
         h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
+    }
+
+    #[test]
+    fn with_state_continues_a_digest() {
+        let mut h = Fnv64::with_state(fnv1a(b"foo"));
         h.write(b"bar");
         assert_eq!(h.finish(), fnv1a(b"foobar"));
     }

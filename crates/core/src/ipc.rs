@@ -73,6 +73,8 @@ pub struct IpcTracker {
     /// order. An entry whose stamp no longer matches `assoc` was
     /// refreshed by a later send of the same synopsis and is skipped.
     age: VecDeque<(u64, Synopsis)>,
+    /// Length of `age` at which the next send compacts it.
+    compact_at: usize,
     /// Current epoch (advanced by [`IpcTracker::advance_epoch`]).
     epoch: u64,
     /// Associations pruned unanswered so far.
@@ -115,6 +117,20 @@ impl IpcTracker {
         }
     }
 
+    /// Drops the age-queue entries a later send of the same synopsis
+    /// superseded. `advance_epoch` skips them anyway, so nothing
+    /// observable changes; what changes is that the queue stays the size
+    /// of `assoc` instead of growing by 16 bytes per send for `ttl`
+    /// sends (4 MiB on the busiest TPC-W stage, regrown every run).
+    /// Runs when the queue has doubled since the last time: amortised
+    /// O(1) a send.
+    fn compact_age(&mut self) {
+        let assoc = &self.assoc;
+        self.age
+            .retain(|&(e, s)| assoc.get(&s).is_some_and(|&(_, stamp)| stamp == e));
+        self.compact_at = (2 * self.age.len()).max(64);
+    }
+
     /// The send wrapper (§7.4).
     ///
     /// `base` is the sender thread's base transaction context and
@@ -132,12 +148,17 @@ impl IpcTracker {
         ctx_at_send: CtxId,
     ) -> SynChain {
         let local = syns.synopsis_of(ctx_at_send);
+        if self.age.len() >= self.compact_at {
+            self.compact_age();
+        }
         self.assoc.insert(local, (base, self.epoch));
         self.age.push_back((self.epoch, local));
-        let mut chain = match ctxs.value(base).atoms().first() {
-            Some(ContextAtom::Remote(prefix)) => prefix.clone(),
-            _ => SynChain::default(),
+        let prefix = match ctxs.value(base).atoms().first() {
+            Some(ContextAtom::Remote(prefix)) => prefix.0.as_slice(),
+            _ => &[],
         };
+        let mut chain = SynChain(Vec::with_capacity(prefix.len() + 1));
+        chain.0.extend_from_slice(prefix);
         chain.0.push(local);
         self.piggyback_bytes += chain.wire_bytes();
         self.messages += 1;
@@ -171,7 +192,7 @@ impl IpcTracker {
             }
         }
         RecvKind::Request {
-            ctx: ctxs.from_remote(chain.clone()),
+            ctx: ctxs.from_remote(chain),
         }
     }
 }
@@ -337,6 +358,61 @@ mod tests {
             RecvKind::Response { restore, .. } => assert_eq!(restore, CtxId::ROOT),
             k => panic!("expected response, got {k:?}"),
         }
+    }
+
+    #[test]
+    fn age_queue_stays_the_size_of_the_associations() {
+        // Eight send points re-sent round-robin under a TTL that never
+        // expires them: one live queue entry each, and the superseded
+        // ones must not pile up behind them.
+        let (mut ctxs, mut syns, mut ipc) = setup(1);
+        let points: Vec<CtxId> = (0..8)
+            .map(|f| ctxs.append_path(CtxId::ROOT, &[FrameId(f)]))
+            .collect();
+        for i in 0..10_000 {
+            ipc.advance_epoch(1_000_000);
+            ipc.send(&ctxs, &mut syns, CtxId::ROOT, points[i % 8]);
+            assert!(ipc.age.len() <= 64, "{} entries at send {i}", ipc.age.len());
+        }
+        assert_eq!(ipc.pending(), 8);
+        assert_eq!(ipc.pruned, 0);
+    }
+
+    #[test]
+    fn compaction_changes_no_pruning_decision() {
+        // Model: synopsis → epoch of its last send, pruned once that is
+        // more than `ttl` epochs old. Three sends in four re-stamp one of
+        // 4 hot points, so most of the 300 entries a TTL's worth of sends
+        // queues are superseded and the queue compacts again and again,
+        // while the cold points expire unanswered.
+        const TTL: u64 = 300;
+        let (mut ctxs, mut syns, mut ipc) = setup(1);
+        let points: Vec<CtxId> = (0..2_000)
+            .map(|f| ctxs.append_path(CtxId::ROOT, &[FrameId(f)]))
+            .collect();
+        let mut model: HashMap<Synopsis, u64> = HashMap::new();
+        let (mut epoch, mut pruned) = (0u64, 0u64);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let pick = if x & 3 != 0 {
+                (x >> 2) % 4
+            } else {
+                (x >> 2) % 2_000
+            };
+            epoch += 1;
+            let before = model.len();
+            model.retain(|_, stamp| *stamp + TTL >= epoch);
+            pruned += (before - model.len()) as u64;
+            ipc.advance_epoch(TTL);
+            let chain = ipc.send(&ctxs, &mut syns, CtxId::ROOT, points[pick as usize]);
+            model.insert(chain.0[0], epoch);
+            assert_eq!(ipc.pending(), model.len());
+            assert_eq!(ipc.pruned, pruned);
+        }
+        assert!(pruned > 0, "the pattern must expire something");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::cost::{CostModel, SampleClock, Sampling};
 use crate::crosstalk::CrosstalkRecorder;
 use crate::events::EventCtx;
 use crate::frame::{FrameId, SharedFrameTable};
-use crate::ids::{LockId, LockMode, ProcId, ThreadId};
+use crate::ids::{IdVec, LockId, LockMode, ProcId, ThreadId};
 use crate::ipc::{IpcTracker, RecvKind, SendInfo};
 use crate::rt::Runtime;
 use crate::seda::StageElemCtx;
@@ -23,7 +23,6 @@ use crate::stitch::{
     dump_context, DumpCct, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
 };
 use crate::synopsis::{SynChain, SynopsisTable};
-use std::collections::HashMap;
 
 /// Configuration of one Whodunit instance.
 #[derive(Clone, Debug)]
@@ -101,15 +100,16 @@ pub struct Whodunit {
     ctxs: ContextTable,
     syns: SynopsisTable,
     ipc: IpcTracker,
-    ccts: HashMap<CtxId, Cct>,
+    /// One CCT per transaction context, by context id.
+    ccts: IdVec<Cct>,
     /// Base transaction context per thread: what the thread inherited
     /// from the produce/consume point it is executing on behalf of.
-    base: HashMap<ThreadId, CtxId>,
+    base: IdVec<CtxId>,
     /// Full context at critical-section entry, per thread (the
     /// produce-point context used to taint locations, §3.5).
-    cs_ctx: HashMap<ThreadId, CtxId>,
+    cs_ctx: IdVec<CtxId>,
     /// Sampling clock per thread.
-    acc: HashMap<ThreadId, SampleClock>,
+    acc: IdVec<SampleClock>,
     crosstalk: CrosstalkRecorder,
     detector: FlowDetector,
     overhead: u64,
@@ -127,10 +127,10 @@ impl Whodunit {
             frames,
             ctxs: ContextTable::new(policy),
             ipc: IpcTracker::new(),
-            ccts: HashMap::new(),
-            base: HashMap::new(),
-            cs_ctx: HashMap::new(),
-            acc: HashMap::new(),
+            ccts: IdVec::default(),
+            base: IdVec::default(),
+            cs_ctx: IdVec::default(),
+            acc: IdVec::default(),
             crosstalk: CrosstalkRecorder::new(),
             detector: FlowDetector::new(flow),
             overhead: 0,
@@ -139,7 +139,7 @@ impl Whodunit {
     }
 
     fn base_of(&self, t: ThreadId) -> CtxId {
-        self.base.get(&t).copied().unwrap_or(CtxId::ROOT)
+        self.base.get(t.0).copied().unwrap_or(CtxId::ROOT)
     }
 
     /// The context table (read access for reports and tests).
@@ -149,14 +149,12 @@ impl Whodunit {
 
     /// The CCT annotated with `ctx`, if it accumulated data.
     pub fn cct(&self, ctx: CtxId) -> Option<&Cct> {
-        self.ccts.get(&ctx)
+        self.ccts.get(ctx.0)
     }
 
     /// All contexts with CCTs, sorted by id.
     pub fn profiled_contexts(&self) -> Vec<CtxId> {
-        let mut v: Vec<_> = self.ccts.keys().copied().collect();
-        v.sort();
-        v
+        self.ccts.iter().map(|(ctx, _)| CtxId(ctx)).collect()
     }
 
     /// The crosstalk recorder (read access).
@@ -217,18 +215,18 @@ impl Runtime for Whodunit {
     }
 
     fn on_exit(&mut self, t: ThreadId) {
-        self.base.remove(&t);
-        self.acc.remove(&t);
-        self.cs_ctx.remove(&t);
+        self.base.remove(t.0);
+        self.acc.remove(t.0);
+        self.cs_ctx.remove(t.0);
     }
 
     fn on_compute(&mut self, t: ThreadId, stack: &[FrameId], cycles: u64) -> u64 {
         let ctx = self.base_of(t);
-        let clock = self.acc.entry(t).or_insert_with(|| {
+        let clock = self.acc.slot(t.0).get_or_insert_with(|| {
             SampleClock::new(self.cfg.sampling, self.cfg.cost.sample_period, t.0 as u64)
         });
         let samples = clock.samples_in(cycles);
-        let cct = self.ccts.entry(ctx).or_default();
+        let cct = self.ccts.slot(ctx.0).get_or_insert_with(Cct::default);
         cct.record(
             stack,
             Metrics {
@@ -258,10 +256,10 @@ impl Runtime for Whodunit {
         match self.ipc.recv(&mut self.ctxs, &self.syns, chain) {
             RecvKind::Unprofiled => {}
             RecvKind::Request { ctx } => {
-                self.base.insert(t, ctx);
+                self.base.insert(t.0, ctx);
             }
             RecvKind::Response { restore, .. } => {
-                self.base.insert(t, restore);
+                self.base.insert(t.0, restore);
             }
             // A late reply to a pruned request: keep the thread's
             // current base rather than adopt a chain containing our
@@ -299,12 +297,12 @@ impl Runtime for Whodunit {
 
     fn on_event_dispatch(&mut self, t: ThreadId, ev: EventCtx, handler: FrameId) -> u64 {
         let ctx = self.ctxs.append_frame(ev.0, handler);
-        self.base.insert(t, ctx);
+        self.base.insert(t.0, ctx);
         0
     }
 
     fn on_handler_done(&mut self, t: ThreadId) {
-        self.base.remove(&t);
+        self.base.remove(t.0);
     }
 
     fn on_stage_make_elem(&mut self, t: ThreadId) -> StageElemCtx {
@@ -313,12 +311,12 @@ impl Runtime for Whodunit {
 
     fn on_stage_dequeue(&mut self, t: ThreadId, elem: StageElemCtx, stage: FrameId) -> u64 {
         let ctx = self.ctxs.append_frame(elem.0, stage);
-        self.base.insert(t, ctx);
+        self.base.insert(t.0, ctx);
         0
     }
 
     fn on_stage_elem_done(&mut self, t: ThreadId) {
-        self.base.remove(&t);
+        self.base.remove(t.0);
     }
 
     fn on_mem_event(&mut self, t: ThreadId, stack: &[FrameId], ev: &MemEvent) {
@@ -326,11 +324,11 @@ impl Runtime for Whodunit {
         // full context at critical-section entry (§3.5).
         if let MemEvent::CsEnter { .. } = ev {
             let full = self.ctxs.append_path(self.base_of(t), stack);
-            self.cs_ctx.insert(t, full);
+            self.cs_ctx.insert(t.0, full);
         }
         let cur = self
             .cs_ctx
-            .get(&t)
+            .get(t.0)
             .copied()
             .unwrap_or_else(|| self.base_of(t));
         let mut out = Vec::new();
@@ -338,12 +336,12 @@ impl Runtime for Whodunit {
         for fe in &out {
             if let FlowEvent::Consumed { thread, ctx, .. } = fe {
                 // §3.5: the consumer inherits the producer's context.
-                self.base.insert(*thread, *ctx);
+                self.base.insert(thread.0, *ctx);
             }
         }
         self.flow_log.extend(out);
         if let MemEvent::CsExit = ev {
-            self.cs_ctx.remove(&t);
+            self.cs_ctx.remove(t.0);
         }
     }
 
@@ -361,63 +359,79 @@ impl Runtime for Whodunit {
         self.overhead
     }
 
-    fn dump(&self) -> Option<StageDump> {
+    fn dump_into(&self, d: &mut StageDump) -> bool {
         let frames = self.frames.borrow();
-        let mut d = StageDump {
-            proc: self.cfg.proc.0,
-            stage_name: self.cfg.stage_name.clone(),
-            frames: frames.iter().map(|(_, n)| n.to_owned()).collect(),
-            contexts: self.ctxs.iter().map(|(_, v)| dump_context(v)).collect(),
-            piggyback_bytes: self.ipc.piggyback_bytes,
-            messages: self.ipc.messages,
-            ..Default::default()
-        };
-        let mut ctx_ids: Vec<_> = self.ccts.keys().copied().collect();
-        ctx_ids.sort();
-        for ctx in ctx_ids {
-            let cct = &self.ccts[&ctx];
-            let nodes = cct
-                .node_ids()
-                .map(|id| DumpNode {
-                    frame: cct.frame(id).map(|f| f.0),
-                    parent: cct.parent(id).map(|p| p.0),
-                    samples: cct.metrics(id).samples,
-                    cycles: cct.metrics(id).cycles,
-                    calls: cct.metrics(id).calls,
-                })
-                .collect();
-            d.ccts.push(DumpCct { ctx: ctx.0, nodes });
+        // Frame names and contexts are append-only, so an earlier dump
+        // of this instance already holds a prefix of both.
+        if d.proc != self.cfg.proc.0
+            || d.stage_name != self.cfg.stage_name
+            || d.frames.len() > frames.len()
+            || d.contexts.len() > self.ctxs.len()
+        {
+            *d = StageDump {
+                proc: self.cfg.proc.0,
+                stage_name: self.cfg.stage_name.clone(),
+                ..Default::default()
+            };
         }
+        let new = d.frames.len() as u32..frames.len() as u32;
+        d.frames
+            .extend(new.map(|f| frames.name(FrameId(f)).to_owned()));
+        let new = d.contexts.len() as u32..self.ctxs.len() as u32;
+        d.contexts
+            .extend(new.map(|c| dump_context(self.ctxs.value(CtxId(c)))));
+        d.piggyback_bytes = self.ipc.piggyback_bytes;
+        d.messages = self.ipc.messages;
+        // One CCT per profiled context, in context-id order; each node
+        // list is rewritten into whatever list sat at its position.
+        let mut n = 0;
+        for (ctx, cct) in self.ccts.iter() {
+            if n == d.ccts.len() {
+                d.ccts.push(DumpCct {
+                    ctx,
+                    nodes: Vec::new(),
+                });
+            }
+            let out = &mut d.ccts[n];
+            out.ctx = ctx;
+            out.nodes.clear();
+            out.nodes.extend(cct.node_ids().map(|id| DumpNode {
+                frame: cct.frame(id).map(|f| f.0),
+                parent: cct.parent(id).map(|p| p.0),
+                samples: cct.metrics(id).samples,
+                cycles: cct.metrics(id).cycles,
+                calls: cct.metrics(id).calls,
+            }));
+            n += 1;
+        }
+        d.ccts.truncate(n);
         // Canonical dump order (sorted by context id) comes from the
         // synopsis table itself so the serial dump path and the sharded
         // analysis pipeline share one ordering rule.
-        d.synopses = self
-            .syns
-            .minted_sorted()
-            .into_iter()
-            .map(|(raw, ctx)| (raw, ctx.0))
-            .collect();
+        d.synopses.clear();
+        d.synopses.extend(
+            self.syns
+                .minted_sorted()
+                .into_iter()
+                .map(|(raw, ctx)| (raw, ctx.0)),
+        );
         let rep = self.crosstalk.report();
-        d.crosstalk_pairs = rep
-            .pairs
-            .iter()
-            .map(|&(w, h, s)| DumpCrosstalkPair {
+        d.crosstalk_pairs.clear();
+        d.crosstalk_pairs
+            .extend(rep.pairs.iter().map(|&(w, h, s)| DumpCrosstalkPair {
                 waiter: w.0,
                 holder: h.0,
                 count: s.count,
                 total_wait: s.total_wait,
-            })
-            .collect();
-        d.crosstalk_waiters = rep
-            .waiters
-            .iter()
-            .map(|&(w, s)| DumpCrosstalkWaiter {
+            }));
+        d.crosstalk_waiters.clear();
+        d.crosstalk_waiters
+            .extend(rep.waiters.iter().map(|&(w, s)| DumpCrosstalkWaiter {
                 waiter: w.0,
                 count: s.count,
                 total_wait: s.total_wait,
-            })
-            .collect();
-        Some(d)
+            }));
+        true
     }
 }
 

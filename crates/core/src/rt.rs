@@ -146,7 +146,18 @@ pub trait Runtime {
 
     /// Serializable end-of-run profile for post-mortem stitching.
     fn dump(&self) -> Option<StageDump> {
-        None
+        let mut d = StageDump::default();
+        self.dump_into(&mut d).then_some(d)
+    }
+
+    /// [`Runtime::dump`] into storage the caller keeps: `out` is a
+    /// default dump or an earlier dump of this same runtime, and leaves
+    /// as the current one (`false`, and `out` untouched, if this
+    /// runtime has nothing to dump). A streaming emitter hands back the
+    /// dump of two epochs ago, and a runtime whose tables only grow
+    /// need only append to it.
+    fn dump_into(&self, _out: &mut StageDump) -> bool {
+        false
     }
 
     /// Total overhead cycles this runtime has charged so far.

@@ -9,7 +9,7 @@
 //! recognize its own context and switch back to the right CCT.
 
 use crate::context::CtxId;
-use std::collections::HashMap;
+use crate::ids::IdVec;
 use std::fmt;
 
 /// A synopsis of a transaction context.
@@ -132,9 +132,10 @@ impl fmt::Display for SynChain {
 #[derive(Debug)]
 pub struct SynopsisTable {
     proc_id: u32,
-    next: u32,
-    by_ctx: HashMap<CtxId, Synopsis>,
-    by_syn: HashMap<Synopsis, CtxId>,
+    by_ctx: IdVec<Synopsis>,
+    /// The context each synopsis labels, by the synopsis's counter:
+    /// counters are handed out densely from 0.
+    by_counter: Vec<CtxId>,
 }
 
 impl SynopsisTable {
@@ -142,21 +143,19 @@ impl SynopsisTable {
     pub fn new(proc_id: impl ProcIdLike) -> Self {
         SynopsisTable {
             proc_id: proc_id.raw(),
-            next: 0,
-            by_ctx: HashMap::new(),
-            by_syn: HashMap::new(),
+            by_ctx: IdVec::default(),
+            by_counter: Vec::new(),
         }
     }
 
     /// Returns the synopsis for `ctx`, minting one on first use.
     pub fn synopsis_of(&mut self, ctx: CtxId) -> Synopsis {
-        if let Some(&s) = self.by_ctx.get(&ctx) {
+        if let Some(&s) = self.by_ctx.get(ctx.0) {
             return s;
         }
-        let s = Synopsis::new(self.proc_id, self.next);
-        self.next += 1;
-        self.by_ctx.insert(ctx, s);
-        self.by_syn.insert(s, ctx);
+        let s = Synopsis::new(self.proc_id, self.by_counter.len() as u32);
+        self.by_ctx.insert(ctx.0, s);
+        self.by_counter.push(ctx);
         s
     }
 
@@ -165,30 +164,21 @@ impl SynopsisTable {
     ///
     /// The result is element-wise identical to calling `synopsis_of`
     /// once per context in slice order — the property suite holds the
-    /// two paths to byte equality — but reserves the dictionary space
-    /// up front and touches each map once, which is what the analysis
-    /// pipeline wants when a stage floods many contexts at a dump or
-    /// propagation barrier.
+    /// two paths to byte equality.
     pub fn mint_batch(&mut self, ctxs: &[CtxId]) -> Vec<Synopsis> {
-        // Worst case every context is new; duplicate reservations are
-        // harmless.
-        self.by_ctx.reserve(ctxs.len());
-        self.by_syn.reserve(ctxs.len());
         ctxs.iter().map(|&c| self.synopsis_of(c)).collect()
     }
 
     /// Looks up the synopsis already minted for `ctx`, if any.
     pub fn get(&self, ctx: CtxId) -> Option<Synopsis> {
-        self.by_ctx.get(&ctx).copied()
+        self.by_ctx.get(ctx.0).copied()
     }
 
     /// All minted `(raw synopsis, context)` pairs, sorted by context id
     /// — the canonical dump order shared by the serial and sharded
     /// analysis paths.
     pub fn minted_sorted(&self) -> Vec<(u64, CtxId)> {
-        let mut v: Vec<_> = self.by_ctx.iter().map(|(&c, &s)| (s.0, c)).collect();
-        v.sort_by_key(|&(_, c)| c);
-        v
+        self.by_ctx.iter().map(|(c, &s)| (s.0, CtxId(c))).collect()
     }
 
     /// Looks up the context a synopsis was minted for, if it is ours.
@@ -196,22 +186,22 @@ impl SynopsisTable {
         if s.proc_id() != self.proc_id {
             return None;
         }
-        self.by_syn.get(&s).copied()
+        self.by_counter.get(s.counter() as usize).copied()
     }
 
     /// Whether this table minted `s`.
     pub fn is_mine(&self, s: Synopsis) -> bool {
-        s.proc_id() == self.proc_id && self.by_syn.contains_key(&s)
+        self.ctx_of(s).is_some()
     }
 
     /// Number of synopses minted so far.
     pub fn len(&self) -> usize {
-        self.by_syn.len()
+        self.by_counter.len()
     }
 
     /// Whether no synopsis has been minted yet.
     pub fn is_empty(&self) -> bool {
-        self.by_syn.is_empty()
+        self.by_counter.is_empty()
     }
 }
 

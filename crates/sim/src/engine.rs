@@ -8,8 +8,10 @@
 //! lock/unlock), charges returned overhead cycles to the thread, and
 //! schedules the follow-up wake.
 //!
-//! The engine is strictly deterministic: the event heap is ordered by
-//! `(time, sequence)`, ready wakes drain under a seeded
+//! The engine is strictly deterministic: pending events fire in
+//! `(time, sequence)` order — one sequence counter over the
+//! [`EventQueue`]'s two heaps, so same-instant events fire in the order
+//! they were scheduled — ready wakes drain under a seeded
 //! [`SchedulePolicy`] (FIFO by default), and nothing consults
 //! wall-clock time or unseeded randomness. A run can additionally be
 //! asked to *account for its own progress*: [`Sim::run_until_outcome`]
@@ -21,11 +23,11 @@ use crate::chan::{ChanTable, Msg};
 use crate::fault::FaultPlan;
 use crate::lock::{Acquire, LockTable, Waiter};
 use crate::machine::{Dispatch, MachineTable};
+use crate::queue::{Due, EventQueue};
 use crate::sched::{SchedulePolicy, Scheduler};
 use crate::time::{CondId, Cycles, MachineId};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 use whodunit_core::blackbox::{CommLog, CommRecorder};
@@ -33,6 +35,7 @@ use whodunit_core::delta::{diff_dump, DeltaSink, EpochBatch, StreamHeader, Strea
 use whodunit_core::frame::{shared_frame_table, FrameId, SharedFrameTable};
 use whodunit_core::ids::{ChanId, LockId, LockMode, ProcId, ThreadId};
 use whodunit_core::rt::{NullRuntime, Runtime};
+use whodunit_core::stitch::StageDump;
 
 /// Why a thread is being resumed.
 #[derive(Debug)]
@@ -282,11 +285,9 @@ struct Proc {
     crashed: bool,
 }
 
+/// Every event but a quantum end, which is the queue's other payload:
+/// `(machine, dispatch)`.
 enum EvKind {
-    QuantumEnd {
-        machine: MachineId,
-        d: Dispatch,
-    },
     Deliver {
         chan: ChanId,
         msg: Msg,
@@ -310,29 +311,49 @@ enum EvKind {
     },
 }
 
-struct Ev {
-    at: Cycles,
-    seq: u64,
-    kind: EvKind,
+/// How many events of one kind were scheduled and how many have fired.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KindCount {
+    /// Pushed onto the queue.
+    pub scheduled: u64,
+    /// Popped and handled (a stale deadline counts: it was popped).
+    pub fired: u64,
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// What the event queue has carried so far, by kind. Observation only:
+/// nothing in the engine reads it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventCensus {
+    /// Quantum ends (one per dispatch decision).
+    pub quantum_end: KindCount,
+    /// Message deliveries.
+    pub deliver: KindCount,
+    /// Sleep timers.
+    pub timer: KindCount,
+    /// Deadlines of timed receives.
+    pub recv_deadline: KindCount,
+    /// Deadlines of timed condition waits.
+    pub cond_deadline: KindCount,
+    /// Fault-plan crashes.
+    pub crash: KindCount,
+    /// Receive deadlines that fired after their receive had already
+    /// ended some other way, and were discarded.
+    pub recv_deadlines_stale: u64,
+    /// Longest the quantum heap has been.
+    pub peak_quanta: u64,
+    /// Longest the heap of all other events has been.
+    pub peak_events: u64,
 }
 
-impl Eq for Ev {}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+impl EventCensus {
+    fn of(&mut self, kind: &EvKind) -> &mut KindCount {
+        match kind {
+            EvKind::Deliver { .. } => &mut self.deliver,
+            EvKind::Timer { .. } => &mut self.timer,
+            EvKind::RecvDeadline { .. } => &mut self.recv_deadline,
+            EvKind::CondDeadline { .. } => &mut self.cond_deadline,
+            EvKind::Crash { .. } => &mut self.crash,
+        }
     }
 }
 
@@ -340,8 +361,8 @@ impl Ord for Ev {
 pub struct Sim {
     cfg: SimConfig,
     now: Cycles,
-    seq: u64,
-    heap: BinaryHeap<Reverse<Ev>>,
+    events: EventQueue<(MachineId, Dispatch), EvKind>,
+    census: EventCensus,
     ready: VecDeque<(ThreadId, Wake)>,
     threads: Vec<Thread>,
     procs: Vec<Proc>,
@@ -380,8 +401,8 @@ impl Sim {
         Sim {
             cfg,
             now: 0,
-            seq: 0,
-            heap: BinaryHeap::new(),
+            events: EventQueue::default(),
+            census: EventCensus::default(),
             ready: VecDeque::new(),
             threads: Vec::new(),
             procs: Vec::new(),
@@ -525,7 +546,7 @@ impl Sim {
     /// order. Processes whose runtime has nothing to dump (e.g.
     /// unprofiled [`NullRuntime`] clients) are skipped, so the result is
     /// the deterministic stage order the analysis pipeline expects.
-    pub fn collect_dumps(&self) -> Vec<whodunit_core::stitch::StageDump> {
+    pub fn collect_dumps(&self) -> Vec<StageDump> {
         self.procs
             .iter()
             .filter_map(|p| p.rt.borrow().dump())
@@ -588,10 +609,18 @@ impl Sim {
             .clone()
     }
 
+    /// The event census so far.
+    pub fn event_census(&self) -> EventCensus {
+        EventCensus {
+            peak_quanta: self.events.peak_quanta() as u64,
+            peak_events: self.events.peak_events() as u64,
+            ..self.census
+        }
+    }
+
     fn push_ev(&mut self, at: Cycles, kind: EvKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Ev { at, seq, kind }));
+        self.census.of(&kind).scheduled += 1;
+        self.events.push(at, kind);
     }
 
     /// Runs until virtual time `limit` (inclusive of events at
@@ -621,25 +650,30 @@ impl Sim {
                 }
                 self.resume_thread(t, wake);
             }
-            let Some(Reverse(ev)) = self.heap.pop() else {
-                return match self.detect_lock_cycle() {
-                    Some(report) => RunOutcome::Deadlock(report),
-                    None => RunOutcome::Idle,
-                };
+            let kind = match self.events.pop_due(limit) {
+                Due::Empty => {
+                    return match self.detect_lock_cycle() {
+                        Some(report) => RunOutcome::Deadlock(report),
+                        None => RunOutcome::Idle,
+                    };
+                }
+                Due::Later => {
+                    self.now = limit;
+                    return RunOutcome::ReachedLimit;
+                }
+                Due::Quantum(at, (machine, d)) => {
+                    self.advance_to(at);
+                    self.census.quantum_end.fired += 1;
+                    self.on_quantum_end(machine, d);
+                    continue;
+                }
+                Due::Event(at, kind) => {
+                    self.advance_to(at);
+                    kind
+                }
             };
-            if ev.at > limit {
-                self.heap.push(Reverse(ev));
-                self.now = limit;
-                return RunOutcome::ReachedLimit;
-            }
-            if ev.at > self.now {
-                // Virtual time advances: the run is making progress.
-                self.spin_total = 0;
-                self.spin.clear();
-            }
-            self.now = ev.at;
-            match ev.kind {
-                EvKind::QuantumEnd { machine, d } => self.on_quantum_end(machine, d),
+            self.census.of(&kind).fired += 1;
+            match kind {
                 EvKind::Deliver { chan, msg } => self.on_deliver(chan, msg),
                 EvKind::Timer { thread } => {
                     if self.threads[thread.0 as usize].state == TState::Sleeping {
@@ -657,6 +691,8 @@ impl Sim {
                         self.chans.cancel_wait(chan, thread);
                         self.threads[thread.0 as usize].state = TState::Ready;
                         self.ready.push_back((thread, Wake::RecvTimedOut));
+                    } else {
+                        self.census.recv_deadlines_stale += 1;
                     }
                 }
                 EvKind::CondDeadline {
@@ -673,6 +709,16 @@ impl Sim {
                 EvKind::Crash { proc } => self.on_crash(proc),
             }
         }
+    }
+
+    /// Moves virtual time to a fired event's instant.
+    fn advance_to(&mut self, at: Cycles) {
+        if at > self.now {
+            // Virtual time advances: the run is making progress.
+            self.spin_total = 0;
+            self.spin.clear();
+        }
+        self.now = at;
     }
 
     /// Runs until no events or runnable threads remain.
@@ -698,11 +744,12 @@ impl Sim {
     /// early (idle, deadlock, livelock) or `limit` is not a multiple
     /// of `epoch_len`.
     ///
-    /// Chunked execution is exact: the event heap is ordered by
-    /// `(time, seq)`, the ready queue is always drained before the
-    /// heap is popped (so it is empty at every epoch boundary), and
-    /// hitting an epoch boundary only pushes the peeked event back —
-    /// so the schedule, and therefore every profile, is bit-identical
+    /// Chunked execution is exact: events fire in `(time, seq)` order,
+    /// the ready queue is always drained before the next event is
+    /// popped (so it is empty at every epoch boundary), and hitting an
+    /// epoch boundary only looks at the next event, which stays queued
+    /// under the `seq` it was given — so the schedule, and therefore
+    /// every profile, is bit-identical
     /// to a single `run_until_outcome(limit)` call. Streaming changes
     /// *when* profile state is observed, never what it is.
     pub fn run_streaming(
@@ -712,40 +759,47 @@ impl Sim {
         sink: &mut dyn DeltaSink,
     ) -> RunOutcome {
         assert!(epoch_len > 0, "epoch_len must be positive");
+        // Two dumps per stage, swapped every epoch: the one being
+        // diffed against, and the one before it, whose storage the next
+        // dump refills.
+        let mut stages: Vec<Rc<RefCell<dyn Runtime>>> = Vec::new();
+        let mut prev: Vec<StageDump> = Vec::new();
+        for p in &self.procs {
+            let mut d = StageDump::default();
+            if p.rt.borrow().dump_into(&mut d) {
+                stages.push(p.rt.clone());
+                prev.push(d);
+            }
+        }
         let header = StreamHeader {
-            stages: self
-                .procs
+            stages: prev
                 .iter()
-                .filter_map(|p| {
-                    p.rt.borrow().dump().map(|d| StreamStage {
-                        proc: d.proc,
-                        stage_name: d.stage_name,
-                    })
+                .map(|d| StreamStage {
+                    proc: d.proc,
+                    stage_name: d.stage_name.clone(),
                 })
                 .collect(),
         };
         sink.on_start(&header);
-        let mut prev: Vec<Option<whodunit_core::stitch::StageDump>> =
-            vec![None; header.stages.len()];
-        let mut seqs: Vec<u64> = vec![0; header.stages.len()];
+        let mut cur = vec![StageDump::default(); stages.len()];
+        let mut seqs: Vec<u64> = vec![0; stages.len()];
         let mut epoch: u64 = 0;
         loop {
             let end = self.now.saturating_add(epoch_len).min(limit);
             let outcome = self.run_until_outcome(end);
-            let dumps = self.collect_dumps();
-            assert_eq!(
-                dumps.len(),
-                header.stages.len(),
-                "profiled stage set changed mid-run"
-            );
             let mut deltas = Vec::new();
-            for (i, cur) in dumps.iter().enumerate() {
-                if let Some(d) = diff_dump(i, seqs[i], prev[i].as_ref(), cur) {
+            for (i, rt) in stages.iter().enumerate() {
+                assert!(
+                    rt.borrow().dump_into(&mut cur[i]),
+                    "profiled stage set changed mid-run"
+                );
+                let before = (epoch > 0).then(|| &prev[i]);
+                if let Some(d) = diff_dump(i, seqs[i], before, &cur[i]) {
                     seqs[i] += 1;
                     deltas.push(d);
                 }
             }
-            prev = dumps.into_iter().map(Some).collect();
+            std::mem::swap(&mut prev, &mut cur);
             sink.on_batch(EpochBatch {
                 epoch,
                 seq: epoch,
@@ -954,8 +1008,9 @@ impl Sim {
     }
 
     fn dispatch_machine(&mut self, machine: MachineId) {
-        for d in self.machines.dispatch(machine, self.cfg.quantum) {
-            self.push_ev(self.now + d.slice, EvKind::QuantumEnd { machine, d });
+        while let Some(d) = self.machines.dispatch(machine, self.cfg.quantum) {
+            self.census.quantum_end.scheduled += 1;
+            self.events.push_quantum(self.now + d.slice, (machine, d));
         }
     }
 

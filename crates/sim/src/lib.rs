@@ -42,14 +42,15 @@ pub mod explore;
 pub mod fault;
 pub mod lock;
 pub mod machine;
+pub mod queue;
 pub mod sched;
 pub mod seda;
 pub mod time;
 
 pub use chan::Msg;
 pub use engine::{
-    DeadlockLink, DeadlockReport, LivelockReport, Op, RunOutcome, Sim, SimConfig, ThreadBody,
-    ThreadCx, Wake,
+    DeadlockLink, DeadlockReport, EventCensus, KindCount, LivelockReport, Op, RunOutcome, Sim,
+    SimConfig, ThreadBody, ThreadCx, Wake,
 };
 pub use explore::{sample_scenario, shrink, ChaosSpace};
 pub use fault::{ChannelFaults, FaultPlan, SendVerdict, Slowdown};

@@ -60,26 +60,24 @@ impl MachineTable {
         self.machines[m.0 as usize].runq.push_back((thread, work));
     }
 
-    /// Dispatches as many threads as there are free cores; each entry
-    /// must be followed by [`MachineTable::complete_slice`] when its
-    /// slice ends.
-    pub fn dispatch(&mut self, m: MachineId, quantum: Cycles) -> Vec<Dispatch> {
+    /// Dispatches the next queued thread onto a free core, or returns
+    /// `None` when no core is free or nothing is queued; the caller
+    /// loops until then. Each decision must be followed by
+    /// [`MachineTable::complete_slice`] when its slice ends.
+    pub fn dispatch(&mut self, m: MachineId, quantum: Cycles) -> Option<Dispatch> {
         let st = &mut self.machines[m.0 as usize];
-        let mut out = Vec::new();
-        while st.busy < st.cores {
-            let Some((t, work)) = st.runq.pop_front() else {
-                break;
-            };
-            let slice = work.min(quantum).max(1);
-            st.busy += 1;
-            st.busy_cycles += slice;
-            out.push(Dispatch {
-                thread: t,
-                slice,
-                remaining: work.saturating_sub(slice),
-            });
+        if st.busy >= st.cores {
+            return None;
         }
-        out
+        let (thread, work) = st.runq.pop_front()?;
+        let slice = work.min(quantum).max(1);
+        st.busy += 1;
+        st.busy_cycles += slice;
+        Some(Dispatch {
+            thread,
+            slice,
+            remaining: work.saturating_sub(slice),
+        })
     }
 
     /// A slice ended for a thread that no longer exists (crashed
@@ -137,10 +135,9 @@ mod tests {
         let m = mt.add(1);
         mt.enqueue(m, ThreadId(1), 250);
         mt.enqueue(m, ThreadId(2), 90);
-        let d = mt.dispatch(m, 100);
-        assert_eq!(d.len(), 1, "one core, one dispatch");
+        let d = mt.dispatch(m, 100).expect("a free core and queued work");
         assert_eq!(
-            d[0],
+            d,
             Dispatch {
                 thread: ThreadId(1),
                 slice: 100,
@@ -148,13 +145,13 @@ mod tests {
             }
         );
         // No further dispatch while the core is busy.
-        assert!(mt.dispatch(m, 100).is_empty());
-        assert!(!mt.complete_slice(m, d[0]));
+        assert_eq!(mt.dispatch(m, 100), None, "one core, one dispatch");
+        assert!(!mt.complete_slice(m, d));
         // Round robin: thread 2 goes next.
-        let d = mt.dispatch(m, 100);
-        assert_eq!(d[0].thread, ThreadId(2));
-        assert_eq!(d[0].slice, 90);
-        assert!(mt.complete_slice(m, d[0]));
+        let d = mt.dispatch(m, 100).expect("the core is free again");
+        assert_eq!(d.thread, ThreadId(2));
+        assert_eq!(d.slice, 90);
+        assert!(mt.complete_slice(m, d));
     }
 
     #[test]
@@ -164,7 +161,7 @@ mod tests {
         mt.enqueue(m, ThreadId(1), 50);
         mt.enqueue(m, ThreadId(2), 50);
         mt.enqueue(m, ThreadId(3), 50);
-        let d = mt.dispatch(m, 100);
+        let d: Vec<Dispatch> = std::iter::from_fn(|| mt.dispatch(m, 100)).collect();
         assert_eq!(d.len(), 2);
         assert_eq!(mt.queue_len(m), 1);
     }
@@ -175,8 +172,8 @@ mod tests {
         let mut mt = MachineTable::new();
         let m = mt.add(1);
         mt.enqueue(m, ThreadId(1), 0);
-        let d = mt.dispatch(m, 100);
-        assert_eq!(d[0].slice, 1);
+        let d = mt.dispatch(m, 100).expect("dispatched");
+        assert_eq!(d.slice, 1);
     }
 
     #[test]
@@ -184,10 +181,10 @@ mod tests {
         let mut mt = MachineTable::new();
         let m = mt.add(1);
         mt.enqueue(m, ThreadId(1), 300);
-        let d = mt.dispatch(m, 100);
-        mt.complete_slice(m, d[0]);
-        let d = mt.dispatch(m, 100);
-        mt.complete_slice(m, d[0]);
+        let d = mt.dispatch(m, 100).expect("dispatched");
+        mt.complete_slice(m, d);
+        let d = mt.dispatch(m, 100).expect("dispatched");
+        mt.complete_slice(m, d);
         assert_eq!(mt.busy_cycles(m), 200);
     }
 }

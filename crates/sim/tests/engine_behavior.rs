@@ -319,3 +319,155 @@ fn whodunit_send_adds_piggyback_bytes_to_transfer() {
     assert_eq!(w.borrow().ipc().piggyback_bytes, 4);
     let _ = ThreadId(0);
 }
+
+/// The three ways to schedule something for t = 1000, by name.
+fn at_1000(kind: &str, ch: whodunit_core::ids::ChanId) -> Op {
+    match kind {
+        "quantum" => Op::Compute(1000),
+        "deliver" => Op::Send(ch, Msg::new(5u32, 0)),
+        "timer" => Op::Sleep(1000),
+        _ => unreachable!(),
+    }
+}
+
+#[test]
+fn same_instant_events_fire_in_scheduling_order_whatever_their_kind() {
+    // A quantum end lives in one heap, a delivery and a timer in the
+    // other; all three land on t = 1000. Under FIFO the threads run in
+    // spawn order at t = 0, so spawn order is scheduling order, and the
+    // three must fire in it — for every permutation.
+    let kinds = ["quantum", "deliver", "timer"];
+    let perms = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    for perm in perms {
+        let mut sim = Sim::default();
+        let m = sim.add_machine(4);
+        let p = sim.add_unprofiled_process("p");
+        let ch = sim.add_channel(1000, 0);
+        let l = log();
+        sim.spawn(p, m, "rx", Script::new(vec![Op::Recv(ch)], &l));
+        for &k in &perm {
+            sim.spawn(p, m, kinds[k], Script::new(vec![at_1000(kinds[k], ch)], &l));
+        }
+        sim.run_to_idle();
+        assert_eq!(sim.now(), 1000);
+        // Thread ids: rx is t0, then the three in spawn order. What
+        // each kind's firing makes visible at t = 1000:
+        let want: Vec<String> = perm
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| match kinds[k] {
+                "quantum" => format!("t{}:computed@1000", i + 1),
+                "deliver" => "t0:recv(5)".to_owned(),
+                _ => format!("t{}:slept@1000", i + 1),
+            })
+            .collect();
+        let got: Vec<String> = l
+            .borrow()
+            .iter()
+            .filter(|e| e.contains("@1000") || e.contains("recv"))
+            .cloned()
+            .collect();
+        assert_eq!(got, want, "spawn order {perm:?}");
+        let c = sim.event_census();
+        assert_eq!(
+            (c.quantum_end.fired, c.deliver.fired, c.timer.fired),
+            (1, 1, 1)
+        );
+    }
+}
+
+/// A busy little system: computes that span several quanta on a shared
+/// core, messages, sleeps and a timed receive that expires.
+fn busy_sim(l: &Rc<RefCell<Vec<String>>>) -> Sim {
+    let mut sim = Sim::new(SimConfig { quantum: 700 });
+    let m = sim.add_machine(2);
+    let p = sim.add_unprofiled_process("p");
+    let ch = sim.add_channel(450, 3);
+    let quiet = sim.add_channel(0, 0);
+    sim.spawn(
+        p,
+        m,
+        "rx",
+        Script::new(
+            vec![
+                Op::Recv(ch),
+                Op::Compute(1500),
+                Op::Recv(ch),
+                Op::RecvTimeout(quiet, 2100),
+            ],
+            l,
+        ),
+    );
+    sim.spawn(
+        p,
+        m,
+        "tx",
+        Script::new(
+            vec![
+                Op::Compute(2000),
+                Op::Send(ch, Msg::new(1u32, 50)),
+                Op::Sleep(700),
+                Op::Send(ch, Msg::new(2u32, 10)),
+                Op::Compute(900),
+            ],
+            l,
+        ),
+    );
+    sim.spawn(
+        p,
+        m,
+        "spin",
+        Script::new(vec![Op::Compute(5000), Op::Sleep(1400), Op::Compute(10)], l),
+    );
+    sim.spawn(
+        p,
+        m,
+        "nap",
+        Script::new(vec![Op::Sleep(1400), Op::Compute(2100), Op::Sleep(1)], l),
+    );
+    sim
+}
+
+#[test]
+fn chunked_run_is_bit_identical_to_the_unchunked_run() {
+    let whole_log = log();
+    let mut whole = busy_sim(&whole_log);
+    assert!(whole.run_to_idle_outcome().is_ok());
+    // Every instant something became visible at, plus its neighbours:
+    // a limit exactly on an event, one just before it (the event stays
+    // queued), and ones that fall between a pending quantum end and a
+    // pending timer or delivery.
+    let mut limits: Vec<u64> = whole_log
+        .borrow()
+        .iter()
+        .filter_map(|e| e.split('@').nth(1)?.parse().ok())
+        .flat_map(|t: u64| [t.saturating_sub(1), t, t + 1])
+        .filter(|&t| t <= whole.now())
+        .collect();
+    limits.sort_unstable();
+    limits.dedup();
+    assert!(limits.len() > 20, "the run is busy enough to chunk");
+
+    let chunked_log = log();
+    let mut chunked = busy_sim(&chunked_log);
+    for &limit in &limits {
+        chunked.run_until(limit);
+        assert_eq!(chunked.now(), limit, "work is pending at every limit");
+    }
+    assert!(chunked.run_to_idle_outcome().is_ok());
+
+    assert_eq!(*chunked_log.borrow(), *whole_log.borrow());
+    assert_eq!(chunked.now(), whole.now());
+    assert_eq!(chunked.event_census(), whole.event_census());
+    let c = whole.event_census();
+    assert!(c.quantum_end.fired > 10 && c.timer.fired == 4 && c.deliver.fired == 2);
+    assert_eq!(c.recv_deadline, whodunit_sim::KindCount { scheduled: 1, fired: 1 });
+    assert_eq!(c.recv_deadlines_stale, 0, "the timed receive expired");
+}

@@ -7,6 +7,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use whodunit_core::ids::LockMode;
+use whodunit_sim::queue::{Due, EventQueue};
 use whodunit_sim::{ChannelFaults, FaultPlan, Msg, Op, SendVerdict, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 
 /// A compact scripted op for generation.
@@ -137,6 +138,69 @@ proptest! {
                 "thread {i} never ran"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The event queue's order.
+//
+// The engine keeps quantum ends in one heap and every other event in
+// another, under one sequence counter. The contract every golden rests
+// on is that this pops exactly as a single heap ordered by
+// `(time, seq)` would — the tie-break is insertion order, whatever the
+// kind — and that a limit only ever looks at the next event.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random interleavings of schedule (either kind, small time
+    /// offsets so ties are common) and bounded pops agree with the
+    /// one-heap reference at every step.
+    #[test]
+    fn two_queue_pop_order_equals_one_heap_by_time_and_seq(
+        ops in proptest::collection::vec((0u8..4, 0u64..6), 0..200)
+    ) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut q: EventQueue<u64, u64> = EventQueue::default();
+        // (at, seq, is_quantum); the payload handed to `q` is `seq`.
+        let mut model: BinaryHeap<Reverse<(u64, u64, bool)>> = BinaryHeap::new();
+        let (mut seq, mut now) = (0u64, 0u64);
+        for (op, dt) in ops {
+            match op {
+                0 => {
+                    q.push_quantum(now + dt, seq);
+                    model.push(Reverse((now + dt, seq, true)));
+                    seq += 1;
+                }
+                1 => {
+                    q.push(now + dt, seq);
+                    model.push(Reverse((now + dt, seq, false)));
+                    seq += 1;
+                }
+                // A `run_until`-style limit, on or between pending
+                // times; popped until the queue says stop.
+                _ => loop {
+                    let limit = now + dt;
+                    let want = match model.peek() {
+                        None => Due::Empty,
+                        Some(&Reverse((at, _, _))) if at > limit => Due::Later,
+                        Some(_) => {
+                            let Reverse((at, s, quantum)) = model.pop().unwrap();
+                            if quantum { Due::Quantum(at, s) } else { Due::Event(at, s) }
+                        }
+                    };
+                    let got = q.pop_due(limit);
+                    prop_assert_eq!(&got, &want);
+                    match got {
+                        Due::Quantum(at, _) | Due::Event(at, _) => now = at,
+                        Due::Empty | Due::Later => break,
+                    }
+                },
+            }
+        }
+        prop_assert!(q.peak_quanta() + q.peak_events() <= seq as usize);
     }
 }
 

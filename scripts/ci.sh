@@ -66,6 +66,17 @@ cargo test --workspace -q
 # - golden: rendered federation topology mid-outage + final
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
+# The engine gate (DESIGN.md §11 "Event queue and engine host cost";
+# engine_alloc_budget):
+# - allocation budget: the smoke-shaped 3-tier stack (40 clients,
+#   150 s, seed 1) run live into a recording sink behind a counting
+#   allocator, <= 60 allocations per completed request (46.1 now,
+#   251.3 when every quantum end returned a Vec<Dispatch>, every send
+#   built the context it looked up and every epoch took fresh dumps).
+#   The event order itself is held by whodunit-sim's engine_behavior
+#   (same-instant tie-break, chunked == unchunked) and properties
+#   (two heaps pop as one heap by (time, seq)) suites.
+#
 # The black-box inference gates (DESIGN.md §15; infer's properties and
 # scenarios, golden_infer):
 # - properties: inference is a pure function of the event set
@@ -86,6 +97,7 @@ whodunit-collector/streaming_diff whodunit/golden_collector whodunit/golden_sent
 whodunit-core/wire_props whodunit-collector/wire_fuzz whodunit-collector/alloc_budget
 whodunit-collector/federation_diff whodunit-collector/federation_props whodunit/golden_federation
 whodunit-infer/properties whodunit-infer/scenarios whodunit/golden_infer
+whodunit-apps/engine_alloc_budget
 """.split()
 have = {
     p["name"] + "/" + t["name"]
