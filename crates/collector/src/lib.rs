@@ -29,9 +29,12 @@
 //! - **Bounded memory**: origins idle for
 //!   [`CollectorConfig::window_epochs`] epochs are deterministically
 //!   evicted (ascending origin order) from the resident working set
-//!   into a compact finalized store — flat node arrays instead of
-//!   hash-indexed trees — and revived only if late activity arrives.
-//!   Peak resident counts are tracked; eviction is lossless.
+//!   into the finalized store and revived only if late activity
+//!   arrives. Both flip a flag on the one aggregate — the store keeps
+//!   the tree as it stands, at 64 bytes a node where a flat copy took
+//!   32 — so eviction is lossless and costs no allocation; what the
+//!   window bounds is the set scanned per batch and ranked per
+//!   snapshot. Peak resident counts are tracked.
 //! - **Live queries** ([`Collector::snapshot`]): top-k transaction
 //!   paths by cost, per-origin tier latency breakdown, and crosstalk
 //!   hotspots at any epoch, rendered through
@@ -65,7 +68,7 @@ pub mod sentinel;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use whodunit_core::cct::{Cct, CctNodeId, Metrics};
-use whodunit_core::hash::FnvHashMap;
+use whodunit_core::hash::{FnvHashMap, FnvLanes};
 use whodunit_core::context::{ContextShard, ShardedContextTable, ShardedCtxId};
 use whodunit_core::crosstalk::{CrosstalkMatrix, OriginKey, WaitStats};
 use whodunit_core::delta::{
@@ -200,10 +203,13 @@ pub struct CollectorStats {
     /// Kept only because `benchmark/src/{layers,workloads}.rs`, which
     /// product PRs may not edit, read it by name (ROADMAP item 8).
     pub used_fallback: bool,
-    /// `(epoch, origin)` eviction sequence, in eviction order. A pure
+    /// Digest of the `(epoch, stage, ctx)` eviction sequence, in
+    /// eviction order ([`FnvLanes`] from its offset basis, published
+    /// after each batch's evictions; `evictions` is the count). A pure
     /// function of the delta stream content (never of hash iteration
-    /// or timing) — the window-boundary property tests key on this.
-    pub eviction_log: Vec<(u64, OriginKey)>,
+    /// or timing) — the window-boundary property tests key on this —
+    /// and constant-size however long the collector lives.
+    pub eviction_digest: u64,
     /// Binary wire frames accepted by [`Collector::enqueue_wire`].
     pub wire_frames: u64,
     /// Total encoded bytes of the accepted wire frames.
@@ -227,82 +233,34 @@ pub struct CollectorOutput {
     pub stats: CollectorStats,
 }
 
-/// A resident (still accumulating) origin aggregate.
-#[derive(Debug)]
-struct ResidentOrigin {
+/// One origin's cross-stage aggregate. A resident (still accumulating)
+/// origin and a finalized (evicted) one are the same value in the same
+/// map: eviction clears `resident` and revival sets it, so node ids
+/// survive both because nothing is copied or rebuilt.
+#[derive(Debug, Default)]
+struct OriginAggregate {
     cct: Cct,
     stages: BTreeSet<usize>,
     tier_cycles: BTreeMap<usize, u64>,
     last_active: u64,
-}
-
-impl ResidentOrigin {
-    fn new(epoch: u64) -> Self {
-        ResidentOrigin {
-            cct: Cct::new(),
-            stages: BTreeSet::new(),
-            tier_cycles: BTreeMap::new(),
-            last_active: epoch,
-        }
-    }
-}
-
-/// One node of a compacted CCT: creation order, parents first, so the
-/// tree (and its node ids) rebuild exactly.
-#[derive(Clone, Copy, Debug)]
-struct CompactNode {
-    /// Collector-local frame id; `u32::MAX` for the root.
-    frame: u32,
-    /// Parent node index; `u32::MAX` for the root.
-    parent: u32,
-    m: Metrics,
-}
-
-/// An evicted origin aggregate: flat arrays, no hash indexes.
-#[derive(Debug)]
-struct FinalizedOrigin {
-    nodes: Vec<CompactNode>,
-    stages: BTreeSet<usize>,
-    tier_cycles: BTreeMap<usize, u64>,
-    /// Hottest path (collector-global frame ids), memoized on first
-    /// snapshot use: live snapshots rank finalized origins too, and
-    /// rebuilding a CCT per origin per snapshot would put an O(nodes)
-    /// tax on every live query — while computing it eagerly at
-    /// eviction would tax ingest for origins no query ever ranks.
+    /// Whether the key is in [`Collector::resident`].
+    resident: bool,
+    /// Hottest path (collector-local frame ids), memoized on first
+    /// snapshot use and dropped by the next fold: live snapshots rank
+    /// finalized origins too, and walking a tree per origin per
+    /// snapshot would put an O(nodes) tax on every live query — while
+    /// computing it eagerly at eviction would tax ingest for origins
+    /// no query ever ranks.
     hot_path: std::cell::OnceCell<Vec<u32>>,
-    samples: u64,
-    /// Sum of `tier_cycles`, fixed at eviction (revival recomputes on
-    /// the next eviction): snapshots rank every finalized origin, and
-    /// at fleet scale re-summing each one's tier map per snapshot is
-    /// the ranking's dominant cost.
-    cycles: u64,
 }
 
-fn compact_cct(cct: &Cct) -> Vec<CompactNode> {
-    cct.node_ids()
-        .map(|id| CompactNode {
-            frame: cct.frame(id).map_or(u32::MAX, |f| f.0),
-            parent: cct.parent(id).map_or(u32::MAX, |p| p.0),
-            m: cct.metrics(id),
-        })
-        .collect()
-}
-
-/// Rebuilds a compacted CCT; node ids come back identical because
-/// nodes are replayed in their original creation order.
-fn rebuild_cct(nodes: &[CompactNode]) -> Cct {
-    let mut cct = Cct::new();
-    let mut map: Vec<CctNodeId> = Vec::with_capacity(nodes.len());
-    for (i, n) in nodes.iter().enumerate() {
-        let id = if i == 0 {
-            CctNodeId::ROOT
-        } else {
-            cct.child(map[n.parent as usize], FrameId(n.frame))
-        };
-        cct.record_at(id, n.m);
-        map.push(id);
+impl OriginAggregate {
+    /// Sum of `tier_cycles`: the snapshot ranking key. A finalized
+    /// origin's map is untouched until revival, so the sum taken at
+    /// eviction finds its `finalized_rank` entry again.
+    fn cycles(&self) -> u64 {
+        self.tier_cycles.values().sum()
     }
-    cct
 }
 
 /// Per-stage streaming state.
@@ -352,13 +310,19 @@ pub struct Collector {
     // consumer that emits ordered output sorts explicitly.
     xt_pairs: FnvHashMap<(OriginKey, OriginKey), WaitStats>,
     xt_waiters: FnvHashMap<OriginKey, WaitStats>,
-    resident: FnvHashMap<OriginKey, ResidentOrigin>,
-    finalized: FnvHashMap<OriginKey, FinalizedOrigin>,
+    /// Every origin folded so far, resident or finalized.
+    origins: FnvHashMap<OriginKey, OriginAggregate>,
+    /// Keys of the resident working set (`OriginAggregate::resident`),
+    /// in no particular order: what a batch scans for idleness and a
+    /// snapshot ranks in full.
+    resident: Vec<OriginKey>,
     /// Finalized origins ordered by `(cycles desc, key asc)` — the
     /// snapshot ranking order. Maintained at eviction/revival so a
     /// live snapshot ranks `resident ∪ top-k(finalized)` instead of
     /// walking the whole (ever-growing) finalized store.
     finalized_rank: std::collections::BTreeSet<(std::cmp::Reverse<u64>, OriginKey)>,
+    /// Running state of [`CollectorStats::eviction_digest`].
+    eviction_digest: FnvLanes,
     /// Memoized origin labels (see [`Collector::origin_label`]).
     label_cache: std::cell::RefCell<FnvHashMap<OriginKey, String>>,
     /// Collector-local frame intern table (union of stage frames in
@@ -436,9 +400,10 @@ impl Collector {
             deferred_xt: Vec::new(),
             xt_pairs: FnvHashMap::default(),
             xt_waiters: FnvHashMap::default(),
-            resident: FnvHashMap::default(),
-            finalized: FnvHashMap::default(),
+            origins: FnvHashMap::default(),
+            resident: Vec::new(),
             finalized_rank: std::collections::BTreeSet::new(),
+            eviction_digest: FnvLanes::new(),
             label_cache: std::cell::RefCell::new(FnvHashMap::default()),
             frames: Vec::new(),
             frame_ids: FnvHashMap::default(),
@@ -1008,32 +973,25 @@ impl Collector {
         }
     }
 
-    /// Moves an origin into the resident set (reviving it from the
-    /// finalized store if needed) and returns it for folding.
-    fn touch_resident(&mut self, origin: OriginKey) -> &mut ResidentOrigin {
-        let epoch = self.epoch;
-        let prior = self.resident.len() as u64;
-        let e = match self.resident.entry(origin) {
-            std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let entry = match self.finalized.remove(&origin) {
-                    Some(f) => {
-                        self.stats.revivals += 1;
-                        self.finalized_rank.remove(&(std::cmp::Reverse(f.cycles), origin));
-                        ResidentOrigin {
-                            cct: rebuild_cct(&f.nodes),
-                            stages: f.stages,
-                            tier_cycles: f.tier_cycles,
-                            last_active: epoch,
-                        }
-                    }
-                    None => ResidentOrigin::new(epoch),
-                };
-                self.stats.peak_resident = self.stats.peak_resident.max(prior + 1);
-                v.insert(entry)
+    /// Puts an origin in the resident set (new, or revived from the
+    /// finalized store) and returns it for folding.
+    fn touch_resident(&mut self, origin: OriginKey) -> &mut OriginAggregate {
+        let e = self.origins.entry(origin).or_default();
+        if !e.resident {
+            e.resident = true;
+            // Ranked means finalized: it is coming back, not new.
+            if self
+                .finalized_rank
+                .remove(&(std::cmp::Reverse(e.cycles()), origin))
+            {
+                self.stats.revivals += 1;
             }
-        };
-        e.last_active = epoch;
+            self.resident.push(origin);
+            self.stats.peak_resident = self.stats.peak_resident.max(self.resident.len() as u64);
+        }
+        e.last_active = self.epoch;
+        // The caller is about to change the tree.
+        e.hot_path.take();
         e
     }
 
@@ -1153,30 +1111,32 @@ impl Collector {
         let epoch = self.epoch;
         let mut idle: Vec<OriginKey> = self
             .resident
-            .iter()
-            .filter(|(_, r)| epoch.saturating_sub(r.last_active) >= window)
-            .map(|(&k, _)| k)
+            .extract_if(.., |k| {
+                epoch.saturating_sub(self.origins[k].last_active) >= window
+            })
             .collect();
         idle.sort_unstable();
         for k in idle {
-            let r = self.resident.remove(&k).expect("listed above");
-            let samples = r.cct.total().samples;
-            let cycles = r.tier_cycles.values().sum();
-            self.finalized.insert(
-                k,
-                FinalizedOrigin {
-                    nodes: compact_cct(&r.cct),
-                    stages: r.stages,
-                    tier_cycles: r.tier_cycles,
-                    hot_path: std::cell::OnceCell::new(),
-                    samples,
-                    cycles,
-                },
-            );
-            self.finalized_rank.insert((std::cmp::Reverse(cycles), k));
+            let r = self.origins.get_mut(&k).expect("listed above");
+            r.resident = false;
+            self.finalized_rank
+                .insert((std::cmp::Reverse(r.cycles()), k));
             self.stats.evictions += 1;
-            self.stats.eviction_log.push((epoch, k));
+            for word in [epoch, k.0 as u64, k.1 as u64] {
+                self.eviction_digest.write_u64(word);
+            }
         }
+        self.stats.eviction_digest = self.eviction_digest.finish();
+        self.debug_check_residency();
+    }
+
+    /// The `resident` flag and the key list say the same thing.
+    fn debug_check_residency(&self) {
+        debug_assert_eq!(
+            self.origins.values().filter(|o| o.resident).count(),
+            self.resident.len()
+        );
+        debug_assert!(self.resident.iter().all(|k| self.origins[k].resident));
     }
 
     fn pending_walk_count(&self) -> u64 {
@@ -1213,7 +1173,7 @@ impl Collector {
     /// transaction paths by cost, their tier breakdowns, and crosstalk
     /// hotspots, plus memory/pending/lag gauges.
     pub fn snapshot(&self) -> LiveSnapshot {
-        let total_cycles = |tc: &BTreeMap<usize, u64>| tc.values().sum::<u64>();
+        self.debug_check_residency();
         // Candidates: every resident origin (totals change as deltas
         // land) plus the top-k finalized ones from the maintained rank
         // index — any finalized origin in the union's top-k is
@@ -1222,7 +1182,7 @@ impl Collector {
         let mut ranked: Vec<(u64, OriginKey)> = self
             .resident
             .iter()
-            .map(|(&k, r)| (total_cycles(&r.tier_cycles), k))
+            .map(|&k| (self.origins[&k].cycles(), k))
             .chain(
                 self.finalized_rank
                     .iter()
@@ -1251,44 +1211,21 @@ impl Collector {
                     .cloned()
                     .unwrap_or_else(|| format!("<frame {f}?>"))
             };
-            let (path, samples, stages_cycles): (Vec<String>, u64, _) =
-                match self.resident.get(&k) {
-                    Some(r) => (
-                        r.cct
-                            .hot_paths(1)
-                            .into_iter()
-                            .next()
-                            .map(|(frames, _)| frames.iter().map(|f| frame_name(f.0)).collect())
-                            .unwrap_or_default(),
-                        r.cct.total().samples,
-                        &r.tier_cycles,
-                    ),
-                    None => {
-                        let f = &self.finalized[&k];
-                        let hot = f.hot_path.get_or_init(|| {
-                            rebuild_cct(&f.nodes)
-                                .hot_paths(1)
-                                .into_iter()
-                                .next()
-                                .map(|(frames, _)| frames.iter().map(|fr| fr.0).collect())
-                                .unwrap_or_default()
-                        });
-                        (
-                            hot.iter().map(|&fr| frame_name(fr)).collect(),
-                            f.samples,
-                            &f.tier_cycles,
-                        )
-                    }
-                };
+            let o = &self.origins[&k];
+            let hot = o.hot_path.get_or_init(|| {
+                let hottest = o.cct.hot_paths(1).into_iter().next();
+                hottest.map_or_else(Vec::new, |(frames, _)| frames.iter().map(|f| f.0).collect())
+            });
             top_paths.push(TopPath {
                 origin: self.origin_label(k),
                 cycles,
-                samples,
-                path,
+                samples: o.cct.total().samples,
+                path: hot.iter().map(|&f| frame_name(f)).collect(),
             });
             tiers.push(TierSlice {
                 origin: self.origin_label(k),
-                stages: stages_cycles
+                stages: o
+                    .tier_cycles
                     .iter()
                     .map(|(&si, &cy)| {
                         let name = self
@@ -1330,7 +1267,7 @@ impl Collector {
             epoch: self.epoch,
             now: self.now,
             resident_origins: self.resident.len() as u64,
-            finalized_origins: self.finalized.len() as u64,
+            finalized_origins: (self.origins.len() - self.resident.len()) as u64,
             peak_resident: self.stats.peak_resident,
             evictions: self.stats.evictions,
             pending_walks: self.pending_walk_count(),
@@ -1463,20 +1400,14 @@ impl Collector {
         }
         let dict = ShardedContextTable::from_parts(shards, shard_tabs.into_iter().enumerate());
 
-        // Profiles: resident ∪ finalized in ascending origin order,
-        // CCTs remapped from collector-local to global frame ids.
-        let resident = std::mem::take(&mut self.resident);
-        let finalized = std::mem::take(&mut self.finalized);
-        let mut parts: BTreeMap<OriginKey, (Cct, BTreeSet<usize>)> = BTreeMap::new();
-        for (k, r) in resident {
-            parts.insert(k, (r.cct, r.stages));
-        }
-        for (k, f) in finalized {
-            parts.insert(k, (rebuild_cct(&f.nodes), f.stages));
-        }
+        // Profiles: every origin, resident or finalized, in ascending
+        // origin order, CCTs remapped from collector-local to global
+        // frame ids.
+        let parts: BTreeMap<OriginKey, OriginAggregate> =
+            std::mem::take(&mut self.origins).into_iter().collect();
         let profiles: Vec<OriginProfile> = parts
             .into_iter()
-            .map(|(origin, (cct, stages))| OriginProfile {
+            .map(|(origin, agg)| OriginProfile {
                 origin,
                 global_ctx: global_ctx.get(&origin).copied().unwrap_or_else(|| {
                     // An aggregate with no CCT occurrence cannot exist
@@ -1484,8 +1415,8 @@ impl Collector {
                     // deterministic placeholder rather than panicking.
                     ShardedCtxId::new(0, u32::MAX)
                 }),
-                stages: stages.into_iter().collect(),
-                cct: remap_cct(&cct, &coll_to_global),
+                stages: agg.stages.into_iter().collect(),
+                cct: remap_cct(&agg.cct, &coll_to_global),
             })
             .collect();
 
@@ -1638,6 +1569,93 @@ mod tests {
         let out = c.finalize();
         assert_eq!((out.stats.batches, out.stats.quarantined), (2, 0));
         assert_eq!(out.report.stages[0].ccts[0].nodes[0].cycles, 200);
+    }
+
+    #[test]
+    fn a_revived_origin_keeps_its_tree_and_drops_its_hot_path_memo() {
+        use whodunit_core::delta::{diff_dump, StreamStage};
+        use whodunit_core::stitch::{DumpCct, DumpContext, DumpNode};
+        let node = |frame, parent, samples| DumpNode {
+            frame,
+            parent,
+            samples,
+            cycles: samples * 10,
+            calls: 1,
+        };
+        // main → a is the hot path; then `b` appears under main (a
+        // non-root parent) and outweighs it.
+        let mut nodes = vec![
+            node(None, None, 0),
+            node(Some(0), Some(0), 1),
+            node(Some(1), Some(1), 5),
+        ];
+        let dump_of = |nodes: &[DumpNode]| StageDump {
+            stage_name: "front".into(),
+            frames: vec!["main".into(), "a".into(), "b".into()],
+            contexts: vec![DumpContext::default()],
+            ccts: vec![DumpCct {
+                ctx: 0,
+                nodes: nodes.to_vec(),
+            }],
+            ..StageDump::default()
+        };
+        let first = dump_of(&nodes);
+        nodes.push(node(Some(2), Some(1), 9));
+        let second = dump_of(&nodes);
+        let header = StreamHeader {
+            stages: vec![StreamStage {
+                proc: 0,
+                stage_name: "front".into(),
+            }],
+        };
+        let batch = |epoch: u64, delta: Option<StageDelta>| EpochBatch {
+            epoch,
+            seq: epoch,
+            end: (epoch + 1) * 100,
+            deltas: delta.into_iter().collect(),
+        };
+        let stream = [
+            batch(0, diff_dump(0, 0, None, &first)),
+            batch(1, None),
+            batch(2, diff_dump(0, 1, Some(&first), &second)),
+        ];
+        let collector = |window_epochs| {
+            Collector::with_header(
+                &header,
+                CollectorConfig {
+                    window_epochs,
+                    ..CollectorConfig::default()
+                },
+            )
+        };
+        let top = |c: &Collector| {
+            let snap = c.snapshot();
+            assert_eq!((snap.resident_origins, snap.finalized_origins), (0, 1));
+            (snap.top_paths[0].path.join(">"), snap.top_paths[0].samples)
+        };
+
+        let (mut windowed, mut unbounded) = (collector(1), collector(u64::MAX));
+        for (i, b) in stream.iter().enumerate() {
+            assert!(windowed.enqueue(b.clone()) && unbounded.enqueue(b.clone()));
+            windowed.drain();
+            match i {
+                0 => assert_eq!(windowed.stats().evictions, 0),
+                // Idled out; this snapshot memoizes the hot path.
+                1 => assert_eq!(top(&windowed), ("main>a".into(), 6)),
+                // Revived by the fold, grown, idled out again.
+                _ => assert_eq!(top(&windowed), ("main>b".into(), 15)),
+            }
+        }
+        let st = windowed.stats();
+        assert_eq!((st.evictions, st.revivals, st.peak_resident), (2, 1, 1));
+
+        let (windowed, unbounded) = (windowed.finalize(), unbounded.finalize());
+        assert_eq!(unbounded.stats.evictions, 0);
+        let batch = whodunit_core::pipeline::analyze(vec![second], PipelineConfig::default());
+        for out in [&windowed.report, &unbounded.report] {
+            assert_eq!(out.fingerprint(), batch.fingerprint());
+            assert_eq!(out.stitched_text(), batch.stitched_text());
+        }
     }
 
     #[test]

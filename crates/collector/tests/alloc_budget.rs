@@ -17,6 +17,19 @@
 //! back trips it without a stopwatch. What is left is the content that
 //! outlives the batch (interned frame names, context atoms, the
 //! accumulators' and the stitcher's own growth), not the decoder.
+//! (6,453, 1.914 per event, since evicted origins keep their tree:
+//! this window-4 leg evicts little.)
+//!
+//! A second phase sends the same frames through the shape of the
+//! benchmark's `ingest_churn`: `window_epochs: 1` behind a 4-deep queue
+//! polled on every third offer, a `snapshot()` per frame — 393
+//! evictions and 357 revivals for the 3,372 events:
+//!
+//! - 11,069 allocations (3.283 per event) when every eviction copied
+//!   the origin's tree into a flat node list and every revival rebuilt
+//!   it child by child;
+//! - 8,492 (2.518 per event) now that both only flip a flag on the
+//!   one aggregate. (Full size, `ingest_churn` seed 1: 2.151 → 0.879.)
 //!
 //! One `#[test]` and nothing else in this binary: the counter is
 //! process-wide, and a second test thread would allocate into it.
@@ -69,6 +82,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations per event the wire ingest path may make on this stream.
 const MAX_ALLOCS_PER_EVENT: f64 = 2.25;
 
+/// The same, for the churn leg (eviction, revival and a snapshot per
+/// frame on top of the decode).
+const MAX_CHURN_ALLOCS_PER_EVENT: f64 = 2.9;
+
 #[test]
 fn wire_ingest_stays_inside_its_allocation_budget() {
     let (replicas, stagger) = (12, 2);
@@ -78,12 +95,18 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
     let events: u64 = stream.iter().map(|b| b.events()).sum();
     assert_eq!(events, 3_372, "not the stream the budget was set on");
     let frames: Vec<Vec<u8>> = stream.iter().map(encode_batch).collect();
+    let header = encode_header(&hdr);
+    let collector = |window_epochs, max_queue| {
+        let mut c = Collector::new(CollectorConfig {
+            window_epochs,
+            max_queue,
+            ..CollectorConfig::default()
+        });
+        c.start_wire(&header).expect("header decodes");
+        c
+    };
 
-    let mut c = Collector::new(CollectorConfig {
-        window_epochs: 4,
-        ..CollectorConfig::default()
-    });
-    c.start_wire(&encode_header(&hdr)).expect("header decodes");
+    let mut c = collector(4, 0);
     let before = ALLOCS.load(Ordering::Relaxed);
     for f in &frames {
         assert_eq!(c.enqueue_wire(f), Ok(true), "clean frame refused");
@@ -96,6 +119,38 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
     assert!(
         per_event <= MAX_ALLOCS_PER_EVENT,
         "{allocs} allocations for {events} events = {per_event:.3} per event, \
-         over the {MAX_ALLOCS_PER_EVENT} budget (3.505 before the recycling decoder, 1.936 with it)"
+         over the {MAX_ALLOCS_PER_EVENT} budget (3.505 before the recycling decoder, 1.914 now)"
+    );
+
+    // Second phase, same thread: a slow consumer behind a 4-deep queue
+    // and a 1-epoch window, read after every offer.
+    let mut c = collector(1, 4);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for (i, f) in frames.iter().enumerate() {
+        while c.enqueue_wire(f) == Ok(false) {
+            c.poll();
+        }
+        if i % 3 == 0 {
+            c.poll();
+        }
+        std::hint::black_box(c.snapshot());
+    }
+    c.drain();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+
+    let st = c.stats();
+    assert_eq!(st.events, events);
+    assert!(
+        st.revivals > 0 && st.throttled > 0,
+        "the churn leg did not churn: {st:?}"
+    );
+    let per_event = allocs as f64 / events as f64;
+    assert!(
+        per_event <= MAX_CHURN_ALLOCS_PER_EVENT,
+        "{allocs} allocations for {events} events = {per_event:.3} per event with {} evictions \
+         and {} revivals, over the {MAX_CHURN_ALLOCS_PER_EVENT} churn budget \
+         (3.283 when eviction copied the tree and revival rebuilt it, 2.518 since)",
+        st.evictions,
+        st.revivals
     );
 }

@@ -3,10 +3,10 @@
 //! shape (epoch count, context arrival, cross-stage references,
 //! late/missing synopses) is driven by proptest:
 //!
-//! - **Eviction determinism**: the eviction log is a pure function of
-//!   the stream content — two independently built collectors (fresh
-//!   `HashMap` hasher states and all) produce identical logs and
-//!   identical finalized bytes.
+//! - **Eviction determinism**: the eviction sequence is a pure
+//!   function of the stream content — two independently built
+//!   collectors (fresh `HashMap` hasher states and all) produce
+//!   identical eviction digests and identical finalized bytes.
 //! - **Interleaving invariance**: any epoch-respecting interleaving of
 //!   the stage deltas (reordered within an epoch, regrouped into any
 //!   number of sub-batches) finalizes to the same bytes as the batch
@@ -318,6 +318,12 @@ proptest! {
         let stream = stream_of(&shape);
         let canonical = collect(&stream, window);
         assert_report_eq(&reference, &canonical.report, "canonical feed");
+        // A 1-epoch window evicts every origin a batch touched, and the
+        // front origins grow every epoch: they must come back — keeps
+        // the identity check non-vacuous for revived trees.
+        if window == 1 && shape.epochs >= 3 {
+            prop_assert!(canonical.stats.revivals > 0, "window=1 never revived");
+        }
         let shuffled = interleave(&stream, rot, split);
         let out = collect(&shuffled, window);
         assert_report_eq(&reference, &out.report, "interleaved feed");
@@ -327,16 +333,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// (a) The eviction log is deterministic: two independently
+    /// (a) The eviction sequence is deterministic: two independently
     /// constructed collectors (fresh hasher states) over the same
-    /// stream produce identical logs, stats, and bytes.
+    /// stream produce identical eviction digests, stats, and bytes.
     #[test]
     fn eviction_order_is_stream_determined(input in (shape_strategy(), 1u64..4)) {
         let (shape, window) = input;
         let stream = stream_of(&shape);
         let a = collect(&stream, window);
         let b = collect(&stream, window);
-        prop_assert_eq!(&a.stats.eviction_log, &b.stats.eviction_log);
+        prop_assert_eq!(a.stats.eviction_digest, b.stats.eviction_digest);
         prop_assert_eq!(a.stats.evictions, b.stats.evictions);
         prop_assert_eq!(a.stats.peak_resident, b.stats.peak_resident);
         prop_assert_eq!(a.report.fingerprint(), b.report.fingerprint());

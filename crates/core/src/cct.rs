@@ -327,9 +327,15 @@ impl Cct {
         total
     }
 
-    /// Total metrics in the whole tree.
+    /// Total metrics in the whole tree. Every node descends from the
+    /// root, so this is [`Cct::inclusive`] of the root without the
+    /// walk: a sum over the arena.
     pub fn total(&self) -> Metrics {
-        self.inclusive(CctNodeId::ROOT)
+        let mut total = Metrics::default();
+        for n in &self.nodes {
+            total.add(n.metrics);
+        }
+        total
     }
 
     /// Children of `node`, sorted by frame id for deterministic output.

@@ -1,7 +1,7 @@
 //! Property-based tests of the core data structures and algorithms.
 
 use proptest::prelude::*;
-use whodunit_core::cct::{Cct, Metrics};
+use whodunit_core::cct::{Cct, CctNodeId, Metrics};
 use whodunit_core::context::{ContextAtom, ContextPolicy, ContextTable, CtxId};
 use whodunit_core::crosstalk::CrosstalkRecorder;
 use whodunit_core::frame::FrameId;
@@ -60,7 +60,10 @@ proptest! {
     }
 
     /// CCT invariants: the root's inclusive metrics equal the sum of
-    /// all recordings, and every recorded path resolves back to itself.
+    /// all recordings, `total()` (a sum over the arena) equals the tree
+    /// walk it replaced — eight frames over up to 40 paths spill well
+    /// past the inline child slots — and every recorded path resolves
+    /// back to itself.
     #[test]
     fn cct_totals_and_paths(
         records in proptest::collection::vec(
@@ -80,6 +83,7 @@ proptest! {
             prop_assert_eq!(cct.path_of(n), p);
         }
         let total = cct.total();
+        prop_assert_eq!(total, cct.inclusive(CctNodeId::ROOT));
         prop_assert_eq!(total.cycles, want_cycles);
         prop_assert_eq!(total.samples, want_samples);
     }

@@ -47,8 +47,13 @@ cargo test --workspace -q
 #   decode_batch does, so nothing of an earlier delta shows in a later
 #   one;
 # - allocation budget: wire ingest of the staggered fleet stream behind
-#   a counting allocator, <= 2.25 allocations per event (1.936 now,
-#   3.505 before the decoder recycled its storage);
+#   a counting allocator, <= 2.25 allocations per event (1.914 now,
+#   3.505 before the decoder recycled its storage); then the same
+#   frames through a window-1 collector behind a 4-deep queue with a
+#   snapshot per frame (393 evictions, 357 revivals), <= 2.9 per event
+#   (2.518 now, 3.283 when every eviction copied the origin's tree to a
+#   flat list and every revival rebuilt it; DESIGN.md §11 "Eviction
+#   and revival cost");
 # - fuzz: randomized truncation / bit flips / reordering / garbage
 #   injection over encoded streams — damaged frames are rejected by the
 #   envelope and healed by the §12 quarantine machinery, never a panic,
