@@ -161,7 +161,7 @@ pub struct RecoveryRecord {
 }
 
 /// Operational counters across one federation run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FederationStats {
     /// Federation ticks executed (including finalize drain).
     pub ticks: u64,
@@ -1537,8 +1537,10 @@ pub(crate) mod tests {
     fn unrecoverable_leaf_finalizes_degraded_with_partial_coverage() {
         let hdr = header2();
         let topo = vec![vec![vec![0], vec![1]]];
-        let mut cfg = FederationConfig::default();
-        cfg.deadline_ticks = 64;
+        let cfg = FederationConfig {
+            deadline_ticks: 64,
+            ..FederationConfig::default()
+        };
         let mut fed = Federation::new(&hdr, &topo, cfg, Box::new(CleanLinks));
         fed.crash(FedNodeId::Leaf(1), 13, None);
         let n = 30;

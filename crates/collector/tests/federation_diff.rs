@@ -15,11 +15,19 @@
 //! the window, a planted leaf crash recovers from its checkpoint with
 //! zero mass loss, and an unrecoverable leaf finalizes degraded with
 //! honest partial coverage instead of aborting.
+//!
+//! The lossy, leaf-crash and regional-crash scenarios also pin the
+//! whole `FederationStats` of their run: every frame, ack, retransmit,
+//! checkpoint and wire byte. A refactor of the federation must leave
+//! the protocol's timing and every frame's bytes as they were; a change
+//! *to* the protocol re-captures these numbers and says why they moved.
 
 use whodunit_apps::federation::{run_federation, FaultLinkPolicy, FedCrash};
 use whodunit_apps::tpcw::run_tpcw_streaming;
 use whodunit_bench::matrix::{federation_cfg, SEEDS};
-use whodunit_collector::federation::{CleanLinks, FedNodeId, FederationConfig, FederationOutput};
+use whodunit_collector::federation::{
+    CleanLinks, FedNodeId, FederationConfig, FederationOutput, FederationStats,
+};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::delta::{EpochBatch, RecordingSink, StreamHeader};
 use whodunit_core::oracle::check_federation;
@@ -166,7 +174,6 @@ fn lossy_uplinks_heal_through_retransmission() {
         dup_p: 0.05,
         delay_p: 0.10,
         delay_cycles: 3,
-        ..Default::default()
     });
     let out = run_federation(
         &hdr,
@@ -178,6 +185,41 @@ fn lossy_uplinks_heal_through_retransmission() {
         fed_cfg(2, 4),
         Box::new(FaultLinkPolicy::new(plan)),
         &[],
+    );
+    assert_eq!(
+        out.stats,
+        FederationStats {
+            ticks: 93,
+            frames_sent: 56,
+            retransmits: 22,
+            frames_lost: 5,
+            acks_sent: 100,
+            acks_lost: 14,
+            frames_delivered: 56,
+            dup_frames: 21,
+            healed_frames: 18,
+            corrupt_frames: 0,
+            park_overflow: 0,
+            rejected_frames: 0,
+            dropped_to_dead: 0,
+            checkpoints: 138,
+            crashes: 0,
+            recoveries: 0,
+            input_resyncs: 0,
+            missed_batches: 0,
+            spool_stalls: 0,
+            foreign_deltas: 0,
+            input_errors: 0,
+            peak_resident_leaf: 672,
+            peak_resident_regional: 762,
+            peak_resident_root: 86,
+            leaf_events_in: 1836,
+            root_events_applied: 1446,
+            leaf_link_wire_bytes: 24330,
+            regional_link_wire_bytes: 14929,
+            wire_decode_errors: 0,
+        },
+        "protocol counters moved"
     );
     let s = &out.stats;
     assert!(s.frames_lost + s.acks_lost > 0, "plan never fired");
@@ -239,6 +281,41 @@ fn planted_leaf_crash_recovers_with_zero_mass_loss() {
             recover_at: Some(15),
         }],
     );
+    assert_eq!(
+        out.stats,
+        FederationStats {
+            ticks: 38,
+            frames_sent: 54,
+            retransmits: 0,
+            frames_lost: 0,
+            acks_sent: 42,
+            acks_lost: 0,
+            frames_delivered: 52,
+            dup_frames: 2,
+            healed_frames: 0,
+            corrupt_frames: 0,
+            park_overflow: 0,
+            rejected_frames: 0,
+            dropped_to_dead: 1,
+            checkpoints: 53,
+            crashes: 1,
+            recoveries: 1,
+            input_resyncs: 1,
+            missed_batches: 6,
+            spool_stalls: 0,
+            foreign_deltas: 0,
+            input_errors: 0,
+            peak_resident_leaf: 650,
+            peak_resident_regional: 765,
+            peak_resident_root: 0,
+            leaf_events_in: 1914,
+            root_events_applied: 1548,
+            leaf_link_wire_bytes: 22059,
+            regional_link_wire_bytes: 12583,
+            wire_decode_errors: 0,
+        },
+        "protocol counters moved"
+    );
     assert_eq!(out.stats.crashes, 1);
     assert_eq!(out.stats.recoveries, 1);
     assert!(out.stats.missed_batches > 0, "crash window saw no input");
@@ -271,6 +348,41 @@ fn regional_crash_recovers_with_zero_mass_loss() {
             at: 11,
             recover_at: Some(19),
         }],
+    );
+    assert_eq!(
+        out.stats,
+        FederationStats {
+            ticks: 58,
+            frames_sent: 52,
+            retransmits: 20,
+            frames_lost: 0,
+            acks_sent: 44,
+            acks_lost: 0,
+            frames_delivered: 55,
+            dup_frames: 9,
+            healed_frames: 8,
+            corrupt_frames: 0,
+            park_overflow: 0,
+            rejected_frames: 0,
+            dropped_to_dead: 8,
+            checkpoints: 82,
+            crashes: 1,
+            recoveries: 1,
+            input_resyncs: 0,
+            missed_batches: 0,
+            spool_stalls: 0,
+            foreign_deltas: 0,
+            input_errors: 0,
+            peak_resident_leaf: 601,
+            peak_resident_regional: 704,
+            peak_resident_root: 0,
+            leaf_events_in: 1770,
+            root_events_applied: 1363,
+            leaf_link_wire_bytes: 28763,
+            regional_link_wire_bytes: 12041,
+            wire_decode_errors: 0,
+        },
+        "protocol counters moved"
     );
     assert_eq!(out.stats.recoveries, 1);
     assert_clean_and_identical(&out, &reference, "regional crash + recovery");

@@ -116,10 +116,11 @@ if missing:
 print(f"all {len(GATES)} named gate suites are workspace test targets")
 '
 
-# Also what keeps the wire's delta-section reader and BatchDecoder free
-# of indexing: both carry #[deny(clippy::indexing_slicing)], so the
-# first `col[i]` written there fails this line, not a review.
-cargo clippy --workspace -- -D warnings
+# Lints the tests, benches and examples as well as the libraries. Also
+# what keeps the wire's delta-section reader and BatchDecoder free of
+# indexing: both carry #[deny(clippy::indexing_slicing)], so the first
+# `col[i]` written there fails this line, not a review.
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so
 # the workspace suite above never sees it): harness unit tests plus a
