@@ -250,23 +250,139 @@ pub struct FederationOutput {
     pub recovery: Vec<RecoveryRecord>,
 }
 
-fn extend_interval(iv: &mut Option<(u64, u64)>, first: u64, last: u64) {
-    *iv = Some(match *iv {
-        None => (first, last),
-        Some((a, b)) => (a.min(first), b.max(last)),
-    });
+/// The per-leaf ledger a frame carries, keyed by originating leaf.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(super) struct Ledger {
+    /// Profile mass: of the pending interval at a sender, of the whole
+    /// run at the root.
+    pub(super) mass: BTreeMap<u32, u64>,
+    /// Latest gauges (by `last_epoch`).
+    pub(super) gauges: BTreeMap<u32, LeafGauges>,
 }
 
-fn merge_pending(slot: &mut Option<StageDelta>, d: &StageDelta, events: &mut u64) {
-    *events += d.events();
-    match slot {
-        Some(acc) => merge_stage_delta(acc, d)
-            .expect("contiguous same-stage increments always merge"),
-        None => {
-            let mut e = empty_delta(d.stage);
-            merge_stage_delta(&mut e, d).expect("merge into identity");
-            *slot = Some(e);
+impl Ledger {
+    /// Folds in a frame's per-leaf mass and gauges.
+    fn fold(&mut self, f: &SummaryFrame) {
+        for &(l, m) in &f.leaf_mass {
+            *self.mass.entry(l).or_insert(0) += m;
         }
+        for &(l, g) in &f.gauges {
+            let e = self.gauges.entry(l).or_insert(g);
+            if g.last_epoch >= e.last_epoch {
+                *e = g;
+            }
+        }
+    }
+}
+
+/// What a node has merged since its last flush: everything it ships
+/// upstream as one sealed [`SummaryFrame`]. A leaf fills it from its
+/// input, a regional from its children's frames; [`Increment::flush`]
+/// seals the frame for both.
+#[derive(Clone, Default)]
+pub(super) struct Increment {
+    /// Merged not-yet-flushed delta per global stage.
+    pending: BTreeMap<usize, StageDelta>,
+    /// Next outgoing delta seq per global stage.
+    out_seq: BTreeMap<usize, u64>,
+    /// Change events in the pending deltas.
+    events: u64,
+    /// Input epoch interval the pending deltas cover.
+    pub(super) interval: Option<(u64, u64)>,
+    /// Latest input virtual time seen.
+    end: u64,
+    /// Per-tier interval cost digests.
+    sketches: BTreeMap<String, QuantileSketch>,
+    /// Interval mass and latest gauges per originating leaf.
+    pub(super) ledger: Ledger,
+}
+
+impl Increment {
+    /// Merges the next in-order increment of `d.stage` into the pending
+    /// delta of that stage.
+    fn absorb_delta(&mut self, d: &StageDelta) {
+        self.events += d.events();
+        let acc = self
+            .pending
+            .entry(d.stage)
+            .or_insert_with(|| empty_delta(d.stage));
+        merge_stage_delta(acc, d).expect("contiguous same-stage increments always merge");
+    }
+
+    /// Widens the pending interval to input epochs `first..=last`,
+    /// ending at virtual time `end`.
+    fn cover(&mut self, first: u64, last: u64, end: u64) {
+        self.interval = Some(match self.interval {
+            None => (first, last),
+            Some((a, b)) => (a.min(first), b.max(last)),
+        });
+        self.end = self.end.max(end);
+    }
+
+    /// The interval digest of `tier`.
+    fn sketch(&mut self, tier: &str) -> &mut QuantileSketch {
+        if !self.sketches.contains_key(tier) {
+            self.sketches.insert(tier.to_owned(), QuantileSketch::new());
+        }
+        self.sketches.get_mut(tier).expect("just inserted")
+    }
+
+    /// Folds a child frame's freight — interval, tier digests, per-leaf
+    /// mass and gauges — into this increment.
+    fn fold_freight(&mut self, f: &SummaryFrame) {
+        self.cover(f.first_epoch, f.last_epoch, f.end);
+        for ts in &f.sketches {
+            self.sketch(&ts.tier)
+                .merge(&QuantileSketch::from_wire(ts.max, &ts.buckets));
+        }
+        self.ledger.fold(f);
+    }
+
+    /// Seals everything merged since the last flush into one frame from
+    /// `src` on `up`. A full spool stalls the flush (the increment keeps
+    /// merging: lag, not loss); an interval with no content ships
+    /// nothing. A leaf's own gauges, filed under `src`, report the spool
+    /// lag as of this flush.
+    pub(super) fn flush(&mut self, src: u32, up: &mut Uplink, stats: &mut FederationStats) {
+        if self.interval.is_none() {
+            return;
+        }
+        if up.is_full() {
+            stats.spool_stalls += 1;
+            return;
+        }
+        let (first_epoch, last_epoch) = self.interval.take().expect("checked above");
+        self.events = 0;
+        let mut deltas = Vec::new();
+        for (gs, d) in std::mem::take(&mut self.pending) {
+            if d.is_empty() {
+                continue;
+            }
+            let seq = self.out_seq.entry(gs).or_insert(0);
+            deltas.push(seal_delta(d, *seq));
+            *seq += 1;
+        }
+        if deltas.is_empty() && self.ledger.mass.values().sum::<u64>() == 0 {
+            return;
+        }
+        if let Some(g) = self.ledger.gauges.get_mut(&src) {
+            g.lag_frames = up.spool_len() as u64;
+        }
+        up.seal(SummaryFrame {
+            src,
+            seq: 0,
+            first_epoch,
+            last_epoch,
+            end: self.end,
+            deltas,
+            sketches: std::mem::take(&mut self.sketches)
+                .iter()
+                .map(|(t, sk)| TierSketch::of(t, sk))
+                .collect(),
+            leaf_mass: std::mem::take(&mut self.ledger.mass).into_iter().collect(),
+            gauges: self.ledger.gauges.iter().map(|(&l, &g)| (l, g)).collect(),
+            checksum: 0,
+        });
     }
 }
 
@@ -304,40 +420,28 @@ impl Redo {
 
 /// Durable (checkpointed) state of one leaf.
 #[derive(Clone)]
-struct LeafState {
+pub(super) struct LeafState {
     /// Input accumulators, parallel to the owned stage list. Needed to
     /// verify input deltas and to diff against resync snapshots. The
     /// only cumulative part of the state: a checkpoint advances its
     /// copy by replaying the journal, never by cloning.
     accs: Vec<StageAccumulator>,
-    /// Merged not-yet-flushed increment per owned stage.
-    pending: Vec<Option<StageDelta>>,
-    pending_events: u64,
-    /// Next outgoing per-stage delta seq, parallel to owned stages.
-    out_seq: Vec<u64>,
+    /// The outgoing increment. The leaf's own cumulative gauges ride in
+    /// its ledger, under the leaf's id.
+    pub(super) inc: Increment,
     /// Sender half of the uplink to the regional.
-    up: Uplink,
-    /// Input epoch interval the pending increment covers.
-    interval: Option<(u64, u64)>,
-    /// Latest input virtual time seen.
-    end: u64,
-    /// Per-owned-stage interval cost digest (drained per flush).
-    sketches: Vec<QuantileSketch>,
-    /// Profile mass in the pending increment.
-    interval_mass: u64,
-    /// Cumulative health gauges, shipped on every frame.
-    gauges: LeafGauges,
+    pub(super) up: Uplink,
 }
 
-struct LeafNode {
-    leaf_id: u32,
-    region: usize,
-    child_slot: usize,
+pub(super) struct LeafNode {
+    pub(super) leaf_id: u32,
+    pub(super) region: usize,
+    pub(super) child_slot: usize,
     /// Owned global stage indices, ascending.
     stages: Vec<usize>,
     /// Tier (stage) names parallel to `stages`.
     names: Vec<String>,
-    st: LeafState,
+    pub(super) st: LeafState,
     ckpt: LeafState,
     /// Every op applied to `st.accs` since `ckpt` was taken, as
     /// `(owned-stage slot, op)` in application order: `ckpt.accs` plus
@@ -345,12 +449,56 @@ struct LeafNode {
     journal: Vec<(usize, Redo)>,
     /// Change events the journal holds.
     journal_events: u64,
-    snd: Sender,
-    alive: bool,
-    need_resync: bool,
+    pub(super) snd: Sender,
+    pub(super) alive: bool,
+    pub(super) need_resync: bool,
 }
 
 impl LeafNode {
+    /// Leaf `leaf_id`, child `child_slot` of region `region`, owning
+    /// the header stages `stages` (ascending).
+    pub(super) fn new(
+        leaf_id: u32,
+        region: usize,
+        child_slot: usize,
+        stages: Vec<usize>,
+        header: &StreamHeader,
+    ) -> LeafNode {
+        // Built twice — live state and checkpoint zero — since the two
+        // never share a copy again.
+        let empty_state = || LeafState {
+            accs: stages
+                .iter()
+                .map(|&gs| StageAccumulator::new(&header.stages[gs]))
+                .collect(),
+            inc: Increment::default(),
+            up: Uplink::default(),
+        };
+        let (st, ckpt) = (empty_state(), empty_state());
+        LeafNode {
+            leaf_id,
+            region,
+            child_slot,
+            names: stages
+                .iter()
+                .map(|&gs| header.stages[gs].stage_name.clone())
+                .collect(),
+            stages,
+            snd: Sender::restart(&st.up, 0),
+            st,
+            ckpt,
+            journal: Vec::new(),
+            journal_events: 0,
+            alive: true,
+            need_resync: false,
+        }
+    }
+
+    /// The leaf's own cumulative health gauges.
+    fn gauges(&mut self) -> &mut LeafGauges {
+        self.st.inc.ledger.gauges.entry(self.leaf_id).or_default()
+    }
+
     /// Runs `op` on `st.accs[si]` and logs it. The entry is pushed
     /// before the op runs and popped if the op refuses, so not even an
     /// op that unwinds leaves `st.accs` ahead of the journal.
@@ -365,7 +513,18 @@ impl LeafNode {
         done
     }
 
-    fn ingest(&mut self, batch: &EpochBatch, stats: &mut FederationStats) {
+    /// Folds a delta the accumulators took into the outgoing increment:
+    /// its mass, its tier's digest and the pending merge.
+    fn absorb(&mut self, si: usize, d: &StageDelta) {
+        let m = delta_mass(d);
+        self.gauges().mass += m;
+        let inc = &mut self.st.inc;
+        *inc.ledger.mass.entry(self.leaf_id).or_insert(0) += m;
+        inc.sketch(&self.names[si]).record(m);
+        inc.absorb_delta(d);
+    }
+
+    pub(super) fn ingest(&mut self, batch: &EpochBatch, stats: &mut FederationStats) {
         for d in &batch.deltas {
             let Ok(si) = self.stages.binary_search(&d.stage) else {
                 stats.foreign_deltas += 1;
@@ -376,22 +535,18 @@ impl LeafNode {
                 self.need_resync = true;
                 continue;
             }
-            let m = delta_mass(d);
-            self.st.interval_mass += m;
-            self.st.gauges.mass += m;
-            self.st.sketches[si].record(m);
-            merge_pending(&mut self.st.pending[si], d, &mut self.st.pending_events);
+            self.absorb(si, d);
         }
-        self.st.gauges.events += batch.events();
-        self.st.gauges.last_epoch = self.st.gauges.last_epoch.max(batch.epoch);
-        extend_interval(&mut self.st.interval, batch.epoch, batch.epoch);
-        self.st.end = self.st.end.max(batch.end);
+        let g = self.gauges();
+        g.events += batch.events();
+        g.last_epoch = g.last_epoch.max(batch.epoch);
+        self.st.inc.cover(batch.epoch, batch.epoch, batch.end);
     }
 
     /// Catches the input side up to the emitter mirror: per owned
     /// stage, diff the accumulator against the snapshot and fold the
     /// catch-up delta through the normal merge path.
-    fn catchup(
+    pub(super) fn catchup(
         &mut self,
         mirror: &dyn ResyncSource,
         up_to_epoch: u64,
@@ -408,90 +563,28 @@ impl LeafNode {
                 .catchup_delta(gs, &dump)
                 .expect("the mirror replays this leaf's own clean input");
             if let Some(cd) = cd {
-                let m = delta_mass(&cd);
                 self.log(si, Redo::Apply(cd.clone()))
                     .expect("catch-up delta applies");
-                self.st.interval_mass += m;
-                self.st.gauges.mass += m;
-                self.st.gauges.events += cd.events();
-                self.st.sketches[si].record(m);
-                merge_pending(&mut self.st.pending[si], &cd, &mut self.st.pending_events);
+                self.absorb(si, &cd);
+                self.gauges().events += cd.events();
                 gained = true;
             }
             self.log(si, Redo::Seek(upto)).expect("seek cannot refuse");
         }
         if gained {
-            extend_interval(&mut self.st.interval, up_to_epoch, up_to_epoch);
-            self.st.end = self.st.end.max(up_to_end);
+            self.st.inc.cover(up_to_epoch, up_to_epoch, up_to_end);
         }
-        self.st.gauges.last_epoch = self.st.gauges.last_epoch.max(up_to_epoch);
+        let g = self.gauges();
+        g.last_epoch = g.last_epoch.max(up_to_epoch);
         self.need_resync = false;
         stats.input_resyncs += 1;
     }
 
-    fn flush(&mut self, stats: &mut FederationStats) {
-        if self.st.interval.is_none() {
-            return;
-        }
-        if self.st.up.is_full() {
-            stats.spool_stalls += 1;
-            self.st.gauges.lag_frames = self.st.up.spool_len() as u64;
-            return;
-        }
-        let (first, last) = self.st.interval.take().expect("checked above");
-        let mut deltas = Vec::new();
-        for (si, slot) in self.st.pending.iter_mut().enumerate() {
-            if let Some(d) = slot.take() {
-                if d.is_empty() {
-                    continue;
-                }
-                let seq = self.st.out_seq[si];
-                self.st.out_seq[si] += 1;
-                deltas.push(seal_delta(d, seq));
-            }
-        }
-        self.st.pending_events = 0;
-        if deltas.is_empty() && self.st.interval_mass == 0 {
-            return; // content-free interval: nothing to ship
-        }
-        let mut by_tier: BTreeMap<&str, QuantileSketch> = BTreeMap::new();
-        for (si, sk) in self.st.sketches.iter().enumerate() {
-            if sk.count() > 0 {
-                by_tier.entry(&self.names[si]).or_default().merge(sk);
-            }
-        }
-        let sketches = by_tier
-            .into_iter()
-            .map(|(t, sk)| TierSketch::of(t, &sk))
-            .collect();
-        for sk in &mut self.st.sketches {
-            *sk = QuantileSketch::new();
-        }
-        let gauges = {
-            let mut g = self.st.gauges;
-            g.lag_frames = self.st.up.spool_len() as u64;
-            g
-        };
-        self.st.up.seal(SummaryFrame {
-            src: self.leaf_id,
-            seq: 0,
-            first_epoch: first,
-            last_epoch: last,
-            end: self.st.end,
-            deltas,
-            sketches,
-            leaf_mass: vec![(self.leaf_id, self.st.interval_mass)],
-            gauges: vec![(self.leaf_id, gauges)],
-            checksum: 0,
-        });
-        self.st.interval_mass = 0;
-    }
-
     /// Brings `ckpt` up to `st`: replays the journal into `ckpt.accs`
-    /// and copies the rest, which is small — the un-flushed increment,
-    /// a spool of shared bytes, drained sketches and counters.
-    fn checkpoint(&mut self, stats: &mut FederationStats) {
-        self.st.gauges.checkpoints += 1;
+    /// and copies the rest, which is small — the un-flushed increment
+    /// (drained sketches, counters) and a spool of shared bytes.
+    pub(super) fn checkpoint(&mut self, stats: &mut FederationStats) {
+        self.gauges().checkpoints += 1;
         for (si, op) in self.journal.drain(..) {
             op.run(&mut self.ckpt.accs[si])
                 .expect("an op the live state took replays onto its checkpoint");
@@ -499,90 +592,84 @@ impl LeafNode {
         self.journal_events = 0;
         // Exhaustive on purpose: a new `LeafState` field must decide
         // here how it reaches the checkpoint.
-        let LeafState {
-            accs: _,
-            pending,
-            pending_events,
-            out_seq,
-            up,
-            interval,
-            end,
-            sketches,
-            interval_mass,
-            gauges,
-        } = &self.st;
-        let ck = &mut self.ckpt;
-        ck.pending.clone_from(pending);
-        ck.pending_events = *pending_events;
-        ck.out_seq.clone_from(out_seq);
-        ck.up.clone_from(up);
-        ck.interval = *interval;
-        ck.end = *end;
-        ck.sketches.clone_from(sketches);
-        ck.interval_mass = *interval_mass;
-        ck.gauges = *gauges;
+        let LeafState { accs: _, inc, up } = &self.st;
+        self.ckpt.inc = inc.clone();
+        self.ckpt.up.clone_from(up);
         #[cfg(test)]
         tests::assert_checkpoint_is_a_clone(self);
         self.snd.checkpointed(&self.st.up);
         stats.checkpoints += 1;
     }
 
-    fn recover(&mut self, now: u64) {
+    pub(super) fn recover(&mut self, now: u64) {
         self.st = self.ckpt.clone();
         self.journal.clear();
         self.journal_events = 0;
-        self.st.gauges.recoveries += 1;
+        self.gauges().recoveries += 1;
         self.snd = Sender::restart(&self.st.up, now);
         self.alive = true;
         self.need_resync = true;
     }
 
-    fn resident_events(&self) -> u64 {
-        self.st.pending_events + self.st.up.spool_events() + self.journal_events
+    pub(super) fn resident_events(&self) -> u64 {
+        self.st.inc.events + self.st.up.spool_events() + self.journal_events
     }
 }
 
 /// Durable (checkpointed) state of one regional aggregator.
 #[derive(Clone)]
-struct RegionalState {
-    /// Merged not-yet-flushed increment per global stage.
-    pending: BTreeMap<usize, StageDelta>,
-    pending_events: u64,
+pub(super) struct RegionalState {
+    /// The outgoing increment, merged from the children's frames.
+    pub(super) inc: Increment,
+    /// Sender half of the uplink to the root.
+    pub(super) up: Uplink,
+    /// Per-child receive state.
+    pub(super) rx: Vec<RxState>,
     /// Next expected incoming per-stage delta seq.
     in_seq: BTreeMap<usize, u64>,
-    /// Next outgoing per-stage delta seq.
-    out_seq: BTreeMap<usize, u64>,
-    /// Sender half of the uplink to the root.
-    up: Uplink,
-    /// Per-child receive state.
-    rx: Vec<RxState>,
-    interval: Option<(u64, u64)>,
-    end: u64,
-    /// Per-tier interval digests (merged from child frames).
-    sketches: BTreeMap<String, QuantileSketch>,
-    /// Interval mass per originating leaf.
-    leaf_mass: BTreeMap<u32, u64>,
-    /// Latest gauges per originating leaf.
-    gauges: BTreeMap<u32, LeafGauges>,
 }
 
-struct RegionalNode {
-    region_id: usize,
-    src: u32,
+pub(super) struct RegionalNode {
+    pub(super) region_id: usize,
+    pub(super) src: u32,
     /// Leaf ids of the children, by slot.
-    children: Vec<u32>,
-    st: RegionalState,
+    pub(super) children: Vec<u32>,
+    pub(super) st: RegionalState,
     ckpt: RegionalState,
-    snd: Sender,
-    alive: bool,
+    pub(super) snd: Sender,
+    pub(super) alive: bool,
 }
 
 impl RegionalNode {
+    /// Region `region_id`, sending as `src`, over the leaves `children`.
+    pub(super) fn new(region_id: usize, src: u32, children: Vec<u32>) -> RegionalNode {
+        let st = RegionalState {
+            inc: Increment::default(),
+            up: Uplink::default(),
+            rx: children.iter().map(|_| RxState::default()).collect(),
+            in_seq: BTreeMap::new(),
+        };
+        RegionalNode {
+            region_id,
+            src,
+            children,
+            snd: Sender::restart(&st.up, 0),
+            ckpt: st.clone(),
+            st,
+            alive: true,
+        }
+    }
+
     /// Handles one incoming frame; returns a cumulative ack to send
     /// back, if any is due now (regular acks ride the checkpoint
     /// cadence; only duplicates of already-covered frames re-ack
     /// immediately, to heal lost acks cheaply).
-    fn on_frame(&mut self, slot: usize, bytes: &[u8], stats: &mut FederationStats) -> Option<u64> {
+    pub(super) fn on_frame(
+        &mut self,
+        slot: usize,
+        bytes: &[u8],
+        stats: &mut FederationStats,
+    ) -> Option<u64> {
         let mut rx = std::mem::take(&mut self.st.rx[slot]);
         let ack = rx.receive(bytes, AckMode::OnCheckpoint, stats, |f, stats| {
             self.accept(&f, stats)
@@ -603,95 +690,22 @@ impl RegionalNode {
         }
         for d in &f.deltas {
             *self.st.in_seq.entry(d.stage).or_insert(0) += 1;
-            let slot = &mut self.st.pending;
-            let events = &mut self.st.pending_events;
-            *events += d.events();
-            match slot.get_mut(&d.stage) {
-                Some(acc) => merge_stage_delta(acc, d)
-                    .expect("in-order child increments always merge"),
-                None => {
-                    let mut e = empty_delta(d.stage);
-                    merge_stage_delta(&mut e, d).expect("merge into identity");
-                    slot.insert(d.stage, e);
-                }
-            }
+            self.st.inc.absorb_delta(d);
         }
-        extend_interval(&mut self.st.interval, f.first_epoch, f.last_epoch);
-        self.st.end = self.st.end.max(f.end);
-        for ts in &f.sketches {
-            self.st
-                .sketches
-                .entry(ts.tier.clone())
-                .or_default()
-                .merge(&QuantileSketch::from_wire(ts.max, &ts.buckets));
-        }
-        for &(l, m) in &f.leaf_mass {
-            *self.st.leaf_mass.entry(l).or_insert(0) += m;
-        }
-        for &(l, g) in &f.gauges {
-            let e = self.st.gauges.entry(l).or_insert(g);
-            if g.last_epoch >= e.last_epoch {
-                *e = g;
-            }
-        }
+        self.st.inc.fold_freight(f);
         stats.frames_delivered += 1;
         true
     }
 
-    fn flush(&mut self, stats: &mut FederationStats) {
-        if self.st.interval.is_none() {
-            return;
-        }
-        if self.st.up.is_full() {
-            stats.spool_stalls += 1;
-            return;
-        }
-        let (first, last) = self.st.interval.take().expect("checked above");
-        let pending = std::mem::take(&mut self.st.pending);
-        self.st.pending_events = 0;
-        let mut deltas = Vec::new();
-        for (gs, d) in pending {
-            if d.is_empty() {
-                continue;
-            }
-            let seq = self.st.out_seq.entry(gs).or_insert(0);
-            let s = *seq;
-            *seq += 1;
-            deltas.push(seal_delta(d, s));
-        }
-        let mass_total: u64 = self.st.leaf_mass.values().sum();
-        if deltas.is_empty() && mass_total == 0 {
-            return;
-        }
-        let sketches = std::mem::take(&mut self.st.sketches)
-            .into_iter()
-            .map(|(t, sk)| TierSketch::of(&t, &sk))
-            .collect();
-        let leaf_mass = std::mem::take(&mut self.st.leaf_mass).into_iter().collect();
-        let gauges = self.st.gauges.iter().map(|(&l, &g)| (l, g)).collect();
-        self.st.up.seal(SummaryFrame {
-            src: self.src,
-            seq: 0,
-            first_epoch: first,
-            last_epoch: last,
-            end: self.st.end,
-            deltas,
-            sketches,
-            leaf_mass,
-            gauges,
-            checksum: 0,
-        });
-    }
-
     /// Takes a checkpoint and returns the cumulative acks now covered
-    /// by it, per child slot (periodic re-acks heal lost acks).
-    fn checkpoint(&mut self, stats: &mut FederationStats) -> Vec<(usize, u64)> {
+    /// by it, per child leaf (periodic re-acks heal lost acks).
+    pub(super) fn checkpoint(&mut self, stats: &mut FederationStats) -> Vec<(usize, u64)> {
         let acks = self
             .st
             .rx
             .iter_mut()
-            .enumerate()
-            .filter_map(|(slot, rx)| Some((slot, rx.checkpointed()?)))
+            .zip(&self.children)
+            .filter_map(|(rx, &leaf)| Some((leaf as usize, rx.checkpointed()?)))
             .collect();
         self.ckpt = self.st.clone();
         self.snd.checkpointed(&self.st.up);
@@ -699,40 +713,54 @@ impl RegionalNode {
         acks
     }
 
-    fn recover(&mut self, now: u64, stats: &mut FederationStats) {
+    pub(super) fn recover(&mut self, now: u64) {
         self.st = self.ckpt.clone();
         self.snd = Sender::restart(&self.st.up, now);
         self.alive = true;
-        stats.recoveries += 1;
     }
 
-    fn resident_events(&self) -> u64 {
-        self.st.pending_events
+    pub(super) fn resident_events(&self) -> u64 {
+        self.st.inc.events
             + self.st.up.spool_events()
             + self.st.rx.iter().map(|x| x.parked_events()).sum::<u64>()
     }
 }
 
-struct RootNode {
-    collector: Collector,
+pub(super) struct RootNode {
+    pub(super) collector: Collector,
     batch_seq: u64,
     /// Per-regional-link receive state.
-    rx: Vec<RxState>,
-    /// Mass the root applied, per originating leaf (the frames' own
-    /// ledger).
-    delivered: BTreeMap<u32, u64>,
+    pub(super) rx: Vec<RxState>,
+    /// Mass delivered since the start and latest gauges, per
+    /// originating leaf — the frames' own ledger.
+    pub(super) ledger: Ledger,
     /// Mass the root actually applied, measured from delta content —
     /// independently of the frames' self-reported ledger.
-    applied_mass: u64,
-    gauges: BTreeMap<u32, LeafGauges>,
-    max_epoch: u64,
-    events_applied: u64,
+    pub(super) applied_mass: u64,
+    pub(super) max_epoch: u64,
 }
 
 impl RootNode {
+    /// The root over `collector`, receiving from `regions` regionals.
+    pub(super) fn new(collector: Collector, regions: usize) -> RootNode {
+        RootNode {
+            collector,
+            batch_seq: 0,
+            rx: vec![RxState::default(); regions],
+            ledger: Ledger::default(),
+            applied_mass: 0,
+            max_epoch: 0,
+        }
+    }
+
     /// The root acks immediately on apply: it is the durable terminus
     /// of the tree (root crashes are out of scope).
-    fn on_frame(&mut self, slot: usize, bytes: &[u8], stats: &mut FederationStats) -> Option<u64> {
+    pub(super) fn on_frame(
+        &mut self,
+        slot: usize,
+        bytes: &[u8],
+        stats: &mut FederationStats,
+    ) -> Option<u64> {
         let mut rx = std::mem::take(&mut self.rx[slot]);
         let ack = rx.receive(bytes, AckMode::Immediate, stats, |f, stats| {
             self.apply(f, stats);
@@ -744,17 +772,8 @@ impl RootNode {
 
     fn apply(&mut self, f: SummaryFrame, stats: &mut FederationStats) {
         self.applied_mass += f.deltas.iter().map(delta_mass).sum::<u64>();
-        for &(l, m) in &f.leaf_mass {
-            *self.delivered.entry(l).or_insert(0) += m;
-        }
-        for &(l, g) in &f.gauges {
-            let e = self.gauges.entry(l).or_insert(g);
-            if g.last_epoch >= e.last_epoch {
-                *e = g;
-            }
-        }
+        self.ledger.fold(&f);
         self.max_epoch = self.max_epoch.max(f.last_epoch);
-        self.events_applied += f.events();
         stats.frames_delivered += 1;
         stats.root_events_applied += f.events();
         let batch = EpochBatch {
@@ -768,28 +787,21 @@ impl RootNode {
         self.collector.drain();
     }
 
-    fn resident_events(&self) -> u64 {
+    pub(super) fn resident_events(&self) -> u64 {
         self.rx.iter().map(|x| x.parked_events()).sum()
     }
 }
 
-/// One message in flight on the link fabric. Frames travel as the
-/// sealed [`whodunit_core::wire`] bytes the sender spooled, decoded
-/// (and envelope-verified) at the receiving end.
+/// One message in flight on the link fabric, named by the child end of
+/// its link. Frames travel as the sealed [`whodunit_core::wire`] bytes
+/// the sender spooled, decoded (and envelope-verified) at the receiving
+/// end.
 #[derive(Clone, Debug)]
 enum FedMsg {
-    /// A frame arriving at a regional from child `slot`.
-    ToRegion {
-        region: usize,
-        slot: usize,
-        bytes: WireFrame,
-    },
-    /// A frame arriving at the root from regional `slot`.
-    ToRoot { slot: usize, bytes: WireFrame },
-    /// A cumulative ack arriving back at a leaf.
-    LeafAck { leaf: usize, upto: u64 },
-    /// A cumulative ack arriving back at a regional's sender side.
-    RegionAck { region: usize, upto: u64 },
+    /// A frame going up from `from` to its parent's receive slot.
+    Frame { from: FedNodeId, bytes: WireFrame },
+    /// A cumulative ack going down to `to`.
+    Ack { to: FedNodeId, upto: u64 },
 }
 
 /// The federation harness: owns the tree, the virtual link fabric, the
@@ -833,97 +845,31 @@ impl Federation {
         policy: Box<dyn LinkPolicy>,
     ) -> Federation {
         assert!(cfg.flush_every >= 1 && cfg.checkpoint_every >= 1);
+        let n_leaves: usize = topology.iter().map(Vec::len).sum();
         let mut owned = vec![false; header.stages.len()];
         let mut leaves = Vec::new();
         let mut regions = Vec::new();
         for (r, leaf_specs) in topology.iter().enumerate() {
             let mut children = Vec::new();
-            for spec in leaf_specs {
+            for (slot, spec) in leaf_specs.iter().enumerate() {
                 let leaf_id = leaves.len() as u32;
                 let mut stages = spec.clone();
                 stages.sort_unstable();
-                let mut names = Vec::with_capacity(stages.len());
                 for &gs in &stages {
                     assert!(gs < header.stages.len(), "stage {gs} out of range");
                     assert!(!owned[gs], "stage {gs} owned by two leaves");
                     owned[gs] = true;
-                    names.push(header.stages[gs].stage_name.clone());
                 }
-                // Built twice — live state and checkpoint zero — since
-                // the two never share a copy again.
-                let empty_state = || LeafState {
-                    accs: stages
-                        .iter()
-                        .map(|&gs| StageAccumulator::new(&header.stages[gs]))
-                        .collect(),
-                    pending: vec![None; stages.len()],
-                    pending_events: 0,
-                    out_seq: vec![0; stages.len()],
-                    up: Uplink::default(),
-                    interval: None,
-                    end: 0,
-                    sketches: vec![QuantileSketch::new(); stages.len()],
-                    interval_mass: 0,
-                    gauges: LeafGauges::default(),
-                };
-                let (st, ckpt) = (empty_state(), empty_state());
-                leaves.push(LeafNode {
-                    leaf_id,
-                    region: r,
-                    child_slot: children.len(),
-                    stages,
-                    names,
-                    snd: Sender::restart(&st.up, 0),
-                    ckpt,
-                    st,
-                    journal: Vec::new(),
-                    journal_events: 0,
-                    alive: true,
-                    need_resync: false,
-                });
+                leaves.push(LeafNode::new(leaf_id, r, slot, stages, header));
                 children.push(leaf_id);
             }
-            let st = RegionalState {
-                pending: BTreeMap::new(),
-                pending_events: 0,
-                in_seq: BTreeMap::new(),
-                out_seq: BTreeMap::new(),
-                up: Uplink::default(),
-                rx: children.iter().map(|_| RxState::default()).collect(),
-                interval: None,
-                end: 0,
-                sketches: BTreeMap::new(),
-                leaf_mass: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-            };
-            regions.push(RegionalNode {
-                region_id: r,
-                src: 0, // assigned below once the leaf count is known
-                children,
-                snd: Sender::restart(&st.up, 0),
-                ckpt: st.clone(),
-                st,
-                alive: true,
-            });
+            regions.push(RegionalNode::new(r, (n_leaves + r) as u32, children));
         }
         assert!(
             owned.iter().all(|&o| o),
             "every header stage must be owned by a leaf"
         );
-        let n_leaves = leaves.len();
-        for (r, reg) in regions.iter_mut().enumerate() {
-            reg.src = (n_leaves + r) as u32;
-        }
-        let root = RootNode {
-            collector: Collector::with_header(header, cfg.collector.clone()),
-            batch_seq: 0,
-            rx: regions.iter().map(|_| RxState::default()).collect(),
-            delivered: BTreeMap::new(),
-            applied_mass: 0,
-            gauges: BTreeMap::new(),
-            max_epoch: 0,
-            events_applied: 0,
-        };
+        let collector = Collector::with_header(header, cfg.collector.clone());
         Federation {
             mirrors: leaves.iter().map(|_| RecordedResync::new(header)).collect(),
             truth: vec![0; n_leaves],
@@ -931,8 +877,8 @@ impl Federation {
             truth_end: vec![0; n_leaves],
             cfg,
             leaves,
+            root: RootNode::new(collector, regions.len()),
             regions,
-            root,
             policy,
             queue: BTreeMap::new(),
             msg_order: 0,
@@ -1016,23 +962,27 @@ impl Federation {
     }
 
     /// The one place a message enters a link: meters it, asks the
-    /// policy for its fate, and queues the surviving copies.
-    fn enqueue_msg(&mut self, link: u32, msg: FedMsg) {
-        let lost = match &msg {
-            FedMsg::ToRegion { bytes, .. } => {
-                self.stats.leaf_link_wire_bytes += bytes.len() as u64;
-                &mut self.stats.frames_lost
+    /// policy for its fate, and queues the surviving copies. Leaf `i`'s
+    /// link is `i`, regional `r`'s is `leaf_count + r`.
+    fn enqueue_msg(&mut self, msg: FedMsg) {
+        let (node, lost) = match &msg {
+            FedMsg::Frame { from, bytes } => {
+                *match from {
+                    FedNodeId::Leaf(_) => &mut self.stats.leaf_link_wire_bytes,
+                    FedNodeId::Regional(_) => &mut self.stats.regional_link_wire_bytes,
+                } += bytes.len() as u64;
+                (*from, &mut self.stats.frames_lost)
             }
-            FedMsg::ToRoot { bytes, .. } => {
-                self.stats.regional_link_wire_bytes += bytes.len() as u64;
-                &mut self.stats.frames_lost
-            }
-            FedMsg::LeafAck { .. } | FedMsg::RegionAck { .. } => {
+            FedMsg::Ack { to, .. } => {
                 self.stats.acks_sent += 1;
-                &mut self.stats.acks_lost
+                (*to, &mut self.stats.acks_lost)
             }
         };
-        let v = self.policy.verdict(link, self.now);
+        let link = match node {
+            FedNodeId::Leaf(i) => i,
+            FedNodeId::Regional(r) => self.leaves.len() + r,
+        };
+        let v = self.policy.verdict(link as u32, self.now);
         if v.copies == 0 {
             *lost += 1;
             return;
@@ -1053,15 +1003,11 @@ impl Federation {
         self.stats.ticks = now;
 
         // 1. Planned crashes and recoveries.
-        for ci in 0..self.crashes.len() {
-            let (node, at, recover_at, fired, recovered) = {
-                let c = &self.crashes[ci];
-                (c.node, c.at, c.recover_at, c.fired, c.recovered)
-            };
-            if !fired && at == now {
-                self.crashes[ci].fired = true;
+        for c in &mut self.crashes {
+            if !c.fired && c.at == now {
+                c.fired = true;
                 self.stats.crashes += 1;
-                match node {
+                match c.node {
                     FedNodeId::Leaf(i) => {
                         self.leaves[i].alive = false;
                         self.recovery_log.push(RecoveryRecord {
@@ -1073,146 +1019,110 @@ impl Federation {
                     }
                     FedNodeId::Regional(i) => self.regions[i].alive = false,
                 }
-            }
-            if fired && !recovered && recover_at == Some(now) {
-                self.crashes[ci].recovered = true;
-                match node {
-                    FedNodeId::Leaf(i) => {
-                        self.leaves[i].recover(now);
-                        self.stats.recoveries += 1;
-                    }
-                    FedNodeId::Regional(i) => self.regions[i].recover(now, &mut self.stats),
+            } else if c.fired && !c.recovered && c.recover_at == Some(now) {
+                c.recovered = true;
+                self.stats.recoveries += 1;
+                match c.node {
+                    FedNodeId::Leaf(i) => self.leaves[i].recover(now),
+                    FedNodeId::Regional(i) => self.regions[i].recover(now),
                 }
             }
         }
 
         // 2. Input resync for leaves that need it (recovery or damage).
-        {
-            let Federation {
-                leaves,
-                mirrors,
-                truth_epoch,
-                truth_end,
-                stats,
-                ..
-            } = self;
-            for (i, l) in leaves.iter_mut().enumerate() {
-                if l.alive && l.need_resync {
-                    l.catchup(&mirrors[i], truth_epoch[i], truth_end[i], stats);
-                }
+        for (i, l) in self.leaves.iter_mut().enumerate() {
+            if l.alive && l.need_resync {
+                let (epoch, end) = (self.truth_epoch[i], self.truth_end[i]);
+                l.catchup(&self.mirrors[i], epoch, end, &mut self.stats);
             }
         }
 
         // 3. Flush on cadence (leaves first, then regionals).
         if now.is_multiple_of(self.cfg.flush_every) {
-            for l in &mut self.leaves {
-                if l.alive {
-                    l.flush(&mut self.stats);
-                }
+            for l in self.leaves.iter_mut().filter(|l| l.alive) {
+                l.st.inc.flush(l.leaf_id, &mut l.st.up, &mut self.stats);
             }
-            for r in &mut self.regions {
-                if r.alive {
-                    r.flush(&mut self.stats);
-                }
+            for r in self.regions.iter_mut().filter(|r| r.alive) {
+                r.st.inc.flush(r.src, &mut r.st.up, &mut self.stats);
             }
         }
 
         // 4. Checkpoint on cadence; regional checkpoints release acks.
-        let mut outbox: Vec<(u32, FedMsg)> = Vec::new();
+        let mut outbox = Vec::new();
         if now.is_multiple_of(self.cfg.checkpoint_every) {
-            for l in &mut self.leaves {
-                if l.alive {
-                    l.checkpoint(&mut self.stats);
-                }
+            for l in self.leaves.iter_mut().filter(|l| l.alive) {
+                l.checkpoint(&mut self.stats);
             }
-            for r in 0..self.regions.len() {
-                if !self.regions[r].alive {
-                    continue;
-                }
-                for (slot, upto) in self.regions[r].checkpoint(&mut self.stats) {
-                    let leaf = self.regions[r].children[slot] as usize;
-                    outbox.push((leaf as u32, FedMsg::LeafAck { leaf, upto }));
+            for r in self.regions.iter_mut().filter(|r| r.alive) {
+                for (leaf, upto) in r.checkpoint(&mut self.stats) {
+                    let to = FedNodeId::Leaf(leaf);
+                    outbox.push(FedMsg::Ack { to, upto });
                 }
             }
         }
 
         // 5. Pump senders (first-sends of gated frames + RTO retries).
-        let n_leaves = self.leaves.len();
-        for (i, l) in self.leaves.iter_mut().enumerate() {
-            if !l.alive {
-                continue;
-            }
+        for (i, l) in self.leaves.iter_mut().enumerate().filter(|(_, l)| l.alive) {
             for bytes in l.snd.pump(&l.st.up, now, &mut self.stats) {
-                outbox.push((
-                    i as u32,
-                    FedMsg::ToRegion {
-                        region: l.region,
-                        slot: l.child_slot,
-                        bytes,
-                    },
-                ));
+                let from = FedNodeId::Leaf(i);
+                outbox.push(FedMsg::Frame { from, bytes });
             }
         }
-        for (r, reg) in self.regions.iter_mut().enumerate() {
-            if !reg.alive {
-                continue;
-            }
+        for (r, reg) in self.regions.iter_mut().enumerate().filter(|(_, r)| r.alive) {
             for bytes in reg.snd.pump(&reg.st.up, now, &mut self.stats) {
-                outbox.push(((n_leaves + r) as u32, FedMsg::ToRoot { slot: r, bytes }));
+                let from = FedNodeId::Regional(r);
+                outbox.push(FedMsg::Frame { from, bytes });
             }
         }
-        for (link, msg) in outbox {
-            self.enqueue_msg(link, msg);
+        for msg in outbox {
+            self.enqueue_msg(msg);
         }
 
         // 6. Deliver due messages (acks generated here land next tick).
-        let mut acks_out: Vec<(u32, FedMsg)> = Vec::new();
+        let mut acks_out = Vec::new();
         while let Some((&key, _)) = self.queue.first_key_value() {
             if key.0 > now {
                 break;
             }
             match self.queue.remove(&key).expect("key just observed") {
-                FedMsg::ToRegion {
-                    region,
-                    slot,
-                    bytes,
-                } => {
-                    let r = &mut self.regions[region];
-                    if !r.alive {
-                        self.stats.dropped_to_dead += 1;
-                        continue;
-                    }
-                    if let Some(upto) = r.on_frame(slot, &bytes, &mut self.stats) {
-                        let leaf = r.children[slot] as usize;
-                        acks_out.push((leaf as u32, FedMsg::LeafAck { leaf, upto }));
-                    }
-                }
-                FedMsg::ToRoot { slot, bytes } => {
-                    if let Some(upto) = self.root.on_frame(slot, &bytes, &mut self.stats) {
-                        let ack = FedMsg::RegionAck { region: slot, upto };
-                        acks_out.push(((n_leaves + slot) as u32, ack));
+                FedMsg::Frame { from, bytes } => {
+                    let ack = match from {
+                        FedNodeId::Leaf(i) => {
+                            let l = &self.leaves[i];
+                            let r = &mut self.regions[l.region];
+                            if !r.alive {
+                                self.stats.dropped_to_dead += 1;
+                                continue;
+                            }
+                            r.on_frame(l.child_slot, &bytes, &mut self.stats)
+                        }
+                        FedNodeId::Regional(r) => self.root.on_frame(r, &bytes, &mut self.stats),
+                    };
+                    if let Some(upto) = ack {
+                        acks_out.push(FedMsg::Ack { to: from, upto });
                     }
                 }
-                FedMsg::LeafAck { leaf, upto } => {
-                    let l = &mut self.leaves[leaf];
-                    if !l.alive {
+                FedMsg::Ack { to, upto } => {
+                    let (alive, snd, up) = match to {
+                        FedNodeId::Leaf(i) => {
+                            let l = &mut self.leaves[i];
+                            (l.alive, &mut l.snd, &mut l.st.up)
+                        }
+                        FedNodeId::Regional(r) => {
+                            let r = &mut self.regions[r];
+                            (r.alive, &mut r.snd, &mut r.st.up)
+                        }
+                    };
+                    if alive {
+                        snd.on_ack(up, upto, now);
+                    } else {
                         self.stats.dropped_to_dead += 1;
-                        continue;
                     }
-                    l.snd.on_ack(&mut l.st.up, upto, now);
-                }
-                FedMsg::RegionAck { region, upto } => {
-                    let r = &mut self.regions[region];
-                    if !r.alive {
-                        self.stats.dropped_to_dead += 1;
-                        continue;
-                    }
-                    r.snd.on_ack(&mut r.st.up, upto, now);
                 }
             }
         }
-        for (link, msg) in acks_out {
-            self.enqueue_msg(link, msg);
+        for msg in acks_out {
+            self.enqueue_msg(msg);
         }
 
         // 7. Residency sampling and recovery-latency detection.
@@ -1228,12 +1138,9 @@ impl Federation {
             .peak_resident_root
             .max(self.root.resident_events());
         for rec in &mut self.recovery_log {
-            if rec.recovered_epoch.is_none() {
-                if let Some(g) = self.root.gauges.get(&(rec.leaf as u32)) {
-                    if g.recoveries > 0 && g.last_epoch >= rec.crash_epoch {
-                        rec.recovered_epoch = Some(g.last_epoch);
-                    }
-                }
+            let g = self.root.ledger.gauges.get(&(rec.leaf as u32));
+            if let Some(g) = g.filter(|g| g.recoveries > 0 && g.last_epoch >= rec.crash_epoch) {
+                rec.recovered_epoch.get_or_insert(g.last_epoch);
             }
         }
     }
@@ -1243,19 +1150,25 @@ impl Federation {
     fn quiesced(&self) -> bool {
         self.queue.is_empty()
             && self.leaves.iter().all(|l| {
-                !l.alive || (l.st.interval.is_none() && l.st.up.spool_len() == 0 && !l.need_resync)
+                !l.alive
+                    || (l.st.inc.interval.is_none() && l.st.up.spool_len() == 0 && !l.need_resync)
             })
             && self.regions.iter().all(|r| {
                 !r.alive
-                    || (r.st.interval.is_none()
+                    || (r.st.inc.interval.is_none()
                         && r.st.up.spool_len() == 0
                         && r.st.rx.iter().all(|x| x.parked_len() == 0))
             })
     }
 
+    /// Mass the root has been delivered from leaf `leaf`'s subtree.
+    fn delivered(&self, leaf: u32) -> u64 {
+        self.root.ledger.mass.get(&leaf).copied().unwrap_or(0)
+    }
+
     /// Delivered/truth coverage in parts-per-million at this instant.
     pub fn coverage_ppm(&self) -> u64 {
-        let delivered: u64 = self.root.delivered.values().sum();
+        let delivered: u64 = self.root.ledger.mass.values().sum();
         let truth: u64 = self.truth.iter().sum();
         delivered
             .saturating_mul(1_000_000)
@@ -1266,6 +1179,7 @@ impl Federation {
     /// The operator's topology view at this instant: per-level fan-in,
     /// lag, liveness, and the root's per-subtree delivery ledger.
     pub fn topology_view(&self) -> FedTopologyView {
+        let gauges = &self.root.ledger.gauges;
         let children = self
             .regions
             .iter()
@@ -1276,25 +1190,21 @@ impl Federation {
                 lag_frames: (r.st.up.spool_len()
                     + r.st.rx.iter().map(|x| x.parked_len()).sum::<usize>())
                     as u64,
-                last_epoch: r.st.gauges.values().map(|g| g.last_epoch).max().unwrap_or(0),
-                mass: r.children.iter().fold(0, |a, &l| {
-                    a + self.root.delivered.get(&l).copied().unwrap_or(0)
-                }),
+                last_epoch: r.st.inc.ledger.gauges.values().fold(0, |e, g| e.max(g.last_epoch)),
+                mass: r.children.iter().map(|&l| self.delivered(l)).sum(),
                 recoveries: 0,
                 children: r
                     .children
                     .iter()
                     .map(|&lid| {
-                        let l = &self.leaves[lid as usize];
-                        let g = self.root.gauges.get(&lid).copied().unwrap_or_default();
-                        let delivered = self.root.delivered.get(&lid).copied().unwrap_or(0);
+                        let g = gauges.get(&lid).copied().unwrap_or_default();
                         FedNodeView {
                             label: format!("leaf{lid}"),
-                            alive: l.alive,
-                            degraded: !l.alive,
+                            alive: self.leaves[lid as usize].alive,
+                            degraded: !self.leaves[lid as usize].alive,
                             lag_frames: g.lag_frames,
                             last_epoch: g.last_epoch,
-                            mass: delivered,
+                            mass: self.delivered(lid),
                             recoveries: g.recoveries,
                             children: Vec::new(),
                         }
@@ -1335,7 +1245,7 @@ impl Federation {
         let mut subtrees = Vec::new();
         let mut degraded = Vec::new();
         for i in 0..self.leaves.len() {
-            let delivered = self.root.delivered.get(&(i as u32)).copied().unwrap_or(0);
+            let delivered = self.delivered(i as u32);
             let truth = self.truth[i];
             let is_degraded = delivered < truth;
             if is_degraded {
@@ -1677,39 +1587,38 @@ pub(crate) mod tests {
     }
 
     /// Field-by-field equality of two leaf states (accumulators by the
-    /// dump they reconstruct plus their expected seq). Exhaustive, so a
-    /// new `LeafState` field cannot escape the comparison.
+    /// dump they reconstruct plus their expected seq, sketches by their
+    /// wire form). Exhaustive, so a new `LeafState` or `Increment` field
+    /// cannot escape the comparison.
     fn assert_same_state(got: &LeafState, want: &LeafState, what: &str) {
-        let LeafState {
-            accs,
-            pending,
-            pending_events,
-            out_seq,
-            up,
-            interval,
-            end,
-            sketches,
-            interval_mass,
-            gauges,
-        } = got;
+        let LeafState { accs, inc, up } = got;
         assert_eq!(accs.len(), want.accs.len(), "{what}: accs");
         for (si, (a, b)) in accs.iter().zip(&want.accs).enumerate() {
             assert_eq!(a.next_seq(), b.next_seq(), "{what}: accs[{si}] seq");
             assert_eq!(a.to_dump(), b.to_dump(), "{what}: accs[{si}] dump");
         }
-        assert_eq!(pending, &want.pending, "{what}: pending");
-        assert_eq!(*pending_events, want.pending_events, "{what}: events");
-        assert_eq!(out_seq, &want.out_seq, "{what}: out_seq");
         assert_eq!(up, &want.up, "{what}: uplink");
-        assert_eq!(*interval, want.interval, "{what}: interval");
-        assert_eq!(*end, want.end, "{what}: end");
-        assert_eq!(sketches.len(), want.sketches.len(), "{what}: sketches");
-        for (si, (a, b)) in sketches.iter().zip(&want.sketches).enumerate() {
-            assert_eq!(a.count(), b.count(), "{what}: sketches[{si}] count");
-            assert_eq!(a.to_wire(), b.to_wire(), "{what}: sketches[{si}]");
+        let Increment {
+            pending,
+            out_seq,
+            events,
+            interval,
+            end,
+            sketches,
+            ledger,
+        } = inc;
+        let w = &want.inc;
+        assert_eq!(pending, &w.pending, "{what}: pending");
+        assert_eq!(out_seq, &w.out_seq, "{what}: out_seq");
+        assert_eq!(*events, w.events, "{what}: events");
+        assert_eq!(*interval, w.interval, "{what}: interval");
+        assert_eq!(*end, w.end, "{what}: end");
+        assert!(sketches.keys().eq(w.sketches.keys()), "{what}: sketch tiers");
+        for ((tier, a), b) in sketches.iter().zip(w.sketches.values()) {
+            assert_eq!(a.count(), b.count(), "{what}: sketch {tier} count");
+            assert_eq!(a.to_wire(), b.to_wire(), "{what}: sketch {tier}");
         }
-        assert_eq!(*interval_mass, want.interval_mass, "{what}: mass");
-        assert_eq!(*gauges, want.gauges, "{what}: gauges");
+        assert_eq!(ledger, &w.ledger, "{what}: ledger");
     }
 
     /// The checkpoint oracle, called by [`LeafNode::checkpoint`] in
@@ -1717,7 +1626,8 @@ pub(crate) mod tests {
     /// `ckpt` must be what cloning the live state — the old checkpoint,
     /// alive only here — produces, and the journal must be spent.
     pub(super) fn assert_checkpoint_is_a_clone(l: &LeafNode) {
-        let what = format!("leaf {} checkpoint {}", l.leaf_id, l.st.gauges.checkpoints);
+        let checkpoints = l.st.inc.ledger.gauges[&l.leaf_id].checkpoints;
+        let what = format!("leaf {} checkpoint {checkpoints}", l.leaf_id);
         assert_same_state(&l.ckpt, &l.st.clone(), &what);
         assert!(l.journal.is_empty(), "{what}: journal not drained");
         assert_eq!(l.journal_events, 0, "{what}: journal events");
@@ -1809,7 +1719,8 @@ pub(crate) mod tests {
                 assert!(!l.journal.is_empty() && l.journal_events > 0);
                 let mut last = l.ckpt.clone();
                 l.recover(fed.now);
-                last.gauges.recoveries += 1;
+                let g = last.inc.ledger.gauges.get_mut(&l.leaf_id);
+                g.expect("leaf 0 has checkpointed").recoveries += 1;
                 assert_same_state(&l.st, &last, "restored state");
                 assert!(l.journal.is_empty() && l.journal_events == 0);
             }
