@@ -276,20 +276,8 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
         }
     });
 
-    // Phase: serialize. Per stage, render the dump's JSON; the
-    // concatenation below reproduces dumpjson::to_json byte-for-byte
-    // because that format is itself a per-dump concatenation.
-    let jsons: Vec<String> = timed_phase(&mut timings, "serialize", || {
-        stages.iter().map(dumpjson::dump_to_json).collect()
-    });
-    let mut dumps_json = String::from("[\n");
-    for (i, j) in jsons.iter().enumerate() {
-        if i > 0 {
-            dumps_json.push_str(",\n");
-        }
-        dumps_json.push_str(j);
-    }
-    dumps_json.push_str("\n]\n");
+    // Phase: serialize.
+    let dumps_json = timed_phase(&mut timings, "serialize", || dumpjson::to_json(stages));
 
     PipelineReport {
         shards,

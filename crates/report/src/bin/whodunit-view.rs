@@ -2,7 +2,7 @@
 //! presentation phase" (§7.1) as a tool.
 //!
 //! Reads one or more stage-dump JSON files (as written by
-//! `whodunit_report::json::to_json`), stitches them, and renders the
+//! `whodunit_core::dumpjson::to_json`), stitches them, and renders the
 //! end-to-end transactional profile.
 //!
 //! ```console
@@ -12,8 +12,9 @@
 //! ```
 
 use std::process::ExitCode;
+use whodunit_core::dumpjson;
 use whodunit_core::pipeline::{analyze, PipelineConfig};
-use whodunit_report::{json, render};
+use whodunit_report::render;
 
 fn usage() -> ExitCode {
     eprintln!("usage: whodunit-view [--dot|--shares|--text] <dumps.json>...");
@@ -43,7 +44,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match json::from_json(&text) {
+        match dumpjson::from_json(&text) {
             Ok(mut ds) => dumps.append(&mut ds),
             Err(e) => {
                 eprintln!("whodunit-view: {f} is not a profile dump: {e}");

@@ -12,8 +12,6 @@
 //!   [`whodunit_core::pipeline::PipelineReport`]) that labels MySQL's
 //!   remote contexts with the TPC-W interaction that produced them, and
 //!   the Table 1 assembly;
-//! - [`json`]: profile dump/load, the paper's "writes the profile data
-//!   to disk … final presentation phase";
 //! - [`live`]: point-in-time snapshots of the streaming collector
 //!   (top-k paths, tier breakdowns, crosstalk hotspots, lag);
 //! - [`infer`]: the black-box inference sweep summary (per-scenario
@@ -24,7 +22,6 @@
 pub mod crosstalk;
 pub mod diff;
 pub mod infer;
-pub mod json;
 pub mod live;
 pub mod render;
 pub mod table;

@@ -59,7 +59,7 @@ fn main() {
     // Write the stage dumps for the standalone viewer (§7.1's on-disk
     // profiles): `whodunit-view --shares target/tpcw_profile.json`.
     let path = "target/tpcw_profile.json";
-    if std::fs::write(path, whodunit::report::json::to_json(&r.dumps)).is_ok() {
+    if std::fs::write(path, whodunit::core::dumpjson::to_json(&r.dumps)).is_ok() {
         println!("stage profiles written to {path} (render with whodunit-view)");
     }
 }

@@ -9,10 +9,11 @@ use whodunit::apps::rtconf::RtKind;
 use whodunit::apps::sedasrv::{run_haboob, HaboobConfig};
 use whodunit::apps::tpcw::{run_tpcw, TpcwConfig, TpcwFaults};
 use whodunit::core::cost::CPU_HZ;
+use whodunit::core::dumpjson;
 use whodunit::core::pipeline::{analyze, PipelineConfig};
 use whodunit::core::repro::{repro_from_json, repro_to_json, ChaosRepro, FaultEntry};
 use whodunit::core::rt::Runtime;
-use whodunit::report::{json, render, tpcw};
+use whodunit::report::{render, tpcw};
 use whodunit::sim::fault::ChannelFaults;
 use whodunit::workload::Interaction;
 
@@ -37,8 +38,8 @@ fn tpcw_profiles_stitch_and_label_interactions() {
     assert_eq!(r.dumps.len(), 3);
 
     // The dumps survive a JSON round trip (the on-disk format).
-    let j = json::to_json(&r.dumps);
-    let dumps = json::from_json(&j).expect("profiles parse back");
+    let j = dumpjson::to_json(&r.dumps);
+    let dumps = dumpjson::from_json(&j).expect("profiles parse back");
     let stitched = analyze(dumps, PipelineConfig::default());
 
     // Table 1 labels resolve across tiers.
