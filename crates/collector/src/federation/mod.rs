@@ -46,6 +46,13 @@
 //!   fraction, never silently dropped. The
 //!   [`whodunit_core::oracle::check_federation`] oracle cross-checks
 //!   the ledger against the root's actually-applied mass.
+//!
+//! This file is the driver: the public types, the link fabric's two
+//! message kinds (a frame going up, an ack going down) and
+//! [`Federation`], which owns the tree and the fault schedule. The
+//! nodes live in `node.rs`: the one `Increment` a leaf and a regional
+//! both merge into and flush, the leaf with its redo journal, the
+//! regional and the root.
 
 mod node;
 
@@ -648,7 +655,13 @@ impl Federation {
                 lag_frames: (r.st.up.spool_len()
                     + r.st.rx.iter().map(|x| x.parked_len()).sum::<usize>())
                     as u64,
-                last_epoch: r.st.inc.ledger.gauges.values().fold(0, |e, g| e.max(g.last_epoch)),
+                last_epoch: r
+                    .st
+                    .inc
+                    .ledger
+                    .gauges
+                    .values()
+                    .fold(0, |e, g| e.max(g.last_epoch)),
                 mass: r.children.iter().map(|&l| self.delivered(l)).sum(),
                 recoveries: 0,
                 children: r

@@ -561,7 +561,7 @@ impl RootNode {
 mod tests {
     use super::*;
     use crate::federation::tests::{batches_for, snapshots};
-    use crate::federation::{Federation, FederationConfig, FedNodeId, LinkPolicy, LinkVerdict};
+    use crate::federation::{FedNodeId, Federation, FederationConfig, LinkPolicy, LinkVerdict};
     use std::cell::Cell;
     use whodunit_core::delta::StreamStage;
 
@@ -598,7 +598,10 @@ mod tests {
         assert_eq!(*events, w.events, "{what}: events");
         assert_eq!(*interval, w.interval, "{what}: interval");
         assert_eq!(*end, w.end, "{what}: end");
-        assert!(sketches.keys().eq(w.sketches.keys()), "{what}: sketch tiers");
+        assert!(
+            sketches.keys().eq(w.sketches.keys()),
+            "{what}: sketch tiers"
+        );
         for ((tier, a), b) in sketches.iter().zip(w.sketches.values()) {
             assert_eq!(a.count(), b.count(), "{what}: sketch {tier} count");
             assert_eq!(a.to_wire(), b.to_wire(), "{what}: sketch {tier}");
