@@ -435,31 +435,27 @@ impl RegionalNode {
         bytes: &[u8],
         stats: &mut FederationStats,
     ) -> Option<u64> {
-        let mut rx = std::mem::take(&mut self.st.rx[slot]);
-        let ack = rx.receive(bytes, AckMode::OnCheckpoint, stats, |f, stats| {
-            self.accept(&f, stats)
-        });
-        self.st.rx[slot] = rx;
-        ack
-    }
-
-    fn accept(&mut self, f: &SummaryFrame, stats: &mut FederationStats) -> bool {
-        // Per-stage contiguity check first, so a bad frame is rejected
-        // whole (and the per-link seq does not advance — the sender
-        // will retry until the deadline marks the subtree degraded).
-        for d in &f.deltas {
-            if d.seq != self.st.in_seq.get(&d.stage).copied().unwrap_or(0) {
+        let RegionalState {
+            inc, rx, in_seq, ..
+        } = &mut self.st;
+        rx[slot].receive(bytes, AckMode::OnCheckpoint, stats, |f, stats| {
+            // Per-stage contiguity check first, so a bad frame is
+            // rejected whole (and the per-link seq does not advance —
+            // the sender retries until the deadline marks the subtree
+            // degraded).
+            let next = |d: &StageDelta| in_seq.get(&d.stage).copied().unwrap_or(0);
+            if f.deltas.iter().any(|d| d.seq != next(d)) {
                 stats.rejected_frames += 1;
                 return false;
             }
-        }
-        for d in &f.deltas {
-            *self.st.in_seq.entry(d.stage).or_insert(0) += 1;
-            self.st.inc.absorb_delta(d);
-        }
-        self.st.inc.fold_freight(f);
-        stats.frames_delivered += 1;
-        true
+            for d in &f.deltas {
+                *in_seq.entry(d.stage).or_insert(0) += 1;
+                inc.absorb_delta(d);
+            }
+            inc.fold_freight(&f);
+            stats.frames_delivered += 1;
+            true
+        })
     }
 
     /// Takes a checkpoint and returns the cumulative acks now covered
