@@ -47,7 +47,7 @@
 //!   [`whodunit_core::oracle::check_federation`] oracle cross-checks
 //!   the ledger against the root's actually-applied mass.
 //!
-//! This file is the driver: the public types, the link fabric's two
+//! This file is the harness: the public types, the link fabric's two
 //! message kinds (a frame going up, an ack going down) and
 //! [`Federation`], which owns the tree and the fault schedule. The
 //! nodes live in `node.rs`: the one `Increment` a leaf and a regional

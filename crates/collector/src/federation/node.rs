@@ -1,6 +1,7 @@
 //! The federation's nodes: the [`Increment`] every sender ships, the
 //! leaf with its redo journal, the regional aggregator and the root.
-//! The driver in the parent module owns them and carries their frames.
+//! The [`Federation`](super::Federation) harness owns them and carries
+//! their frames.
 
 use std::collections::BTreeMap;
 use whodunit_core::delta::{
