@@ -32,11 +32,13 @@
 //! - **Crash recovery.** Leaves and regionals crash at virtual time and
 //!   recover from their periodic checkpoint. The pending increment,
 //!   spool and counters are interval-sized and a checkpoint copies
-//!   them; a leaf's cumulative input accumulators are not, and its
-//!   checkpoint advances them by replaying the redo journal of ops
-//!   applied since the previous one (`Redo`, `LeafNode::log`) instead
-//!   of copying them. A recovered node replays the spool tail verbatim
-//!   (receivers dedup), and — for leaves — catches its *input* up
+//!   them (a regional's parked frames are shared, so it copies
+//!   pointers to those); a leaf's cumulative input accumulators are
+//!   not, and its checkpoint advances them by replaying the redo
+//!   journal of ops applied since the previous one (`Redo`,
+//!   `LeafNode::log`) instead of copying them. A recovered node
+//!   replays the spool tail verbatim (receivers dedup), and — for
+//!   leaves — catches its *input* up
 //!   through the [`ResyncSource`](whodunit_core::delta::ResyncSource)
 //!   shape: a snapshot diff folded through the normal merge path, so
 //!   no profile mass is lost.
@@ -269,7 +271,7 @@ enum FedMsg {
 }
 
 /// The federation harness: owns the tree, the virtual link fabric, the
-/// per-leaf emitter mirrors (truth for resync and coverage), and the
+/// emitter mirror and ground truth (for resync and coverage), and the
 /// planned fault schedule. Drive it with [`Federation::feed`] and
 /// [`Federation::tick`], then [`Federation::finalize`].
 pub struct Federation {
@@ -277,10 +279,12 @@ pub struct Federation {
     leaves: Vec<LeafNode>,
     regions: Vec<RegionalNode>,
     root: RootNode,
-    /// Per-leaf emitter mirror: the clean input stream replayed in
+    /// The emitter mirror: every leaf's clean input stream replayed in
     /// lockstep, serving resync snapshots
-    /// ([`ResyncSource`](whodunit_core::delta::ResyncSource)).
-    mirrors: Vec<RecordedResync>,
+    /// ([`ResyncSource`](whodunit_core::delta::ResyncSource)). One over
+    /// the whole header, since each stage has one emitter: a stage
+    /// advances only with deltas fed to the leaf that owns it.
+    mirror: RecordedResync,
     /// Ground-truth profile mass fed per leaf.
     truth: Vec<u64>,
     /// Last input epoch fed per leaf.
@@ -336,7 +340,7 @@ impl Federation {
         );
         let collector = Collector::with_header(header, cfg.collector.clone());
         Federation {
-            mirrors: leaves.iter().map(|_| RecordedResync::new(header)).collect(),
+            mirror: RecordedResync::new(header),
             truth: vec![0; n_leaves],
             truth_epoch: vec![0; n_leaves],
             truth_end: vec![0; n_leaves],
@@ -398,13 +402,18 @@ impl Federation {
 
     /// The part of a feed that happens whether or not the leaf is up:
     /// ground truth, emitter mirror, and liveness. Returns whether the
-    /// leaf should actually ingest.
+    /// leaf should actually ingest. A delta for a stage the leaf does
+    /// not own counts in its truth, but is not the stage's stream and
+    /// stays out of the mirror.
     fn feed_truth(&mut self, leaf: usize, batch: &EpochBatch) -> bool {
         let mass: u64 = batch.deltas.iter().map(delta_mass).sum();
         self.truth[leaf] += mass;
         self.truth_epoch[leaf] = self.truth_epoch[leaf].max(batch.epoch);
         self.truth_end[leaf] = self.truth_end[leaf].max(batch.end);
-        self.mirrors[leaf].advance(batch);
+        let owner = &self.leaves[leaf];
+        for d in batch.deltas.iter().filter(|d| owner.owns(d.stage)) {
+            self.mirror.advance_delta(d);
+        }
         self.stats.leaf_events_in += batch.events();
         if !self.leaves[leaf].alive {
             self.stats.missed_batches += 1;
@@ -498,7 +507,7 @@ impl Federation {
         for (i, l) in self.leaves.iter_mut().enumerate() {
             if l.alive && l.need_resync {
                 let (epoch, end) = (self.truth_epoch[i], self.truth_end[i]);
-                l.catchup(&self.mirrors[i], epoch, end, &mut self.stats);
+                l.catchup(&self.mirror, epoch, end, &mut self.stats);
             }
         }
 

@@ -3,13 +3,16 @@
 //! The [`Federation`](super::Federation) harness owns them and carries
 //! their frames.
 
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use whodunit_core::delta::{
     DeltaError, EpochBatch, ResyncSource, StageAccumulator, StageDelta, StreamHeader,
 };
 use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
-    delta_mass, empty_delta, merge_stage_delta, seal_delta, LeafGauges, SummaryFrame, TierSketch,
+    delta_mass, merge_stage_delta, seal_delta, LeafGauges, SummaryFrame, TierSketch,
 };
 
 use super::FederationStats;
@@ -65,14 +68,19 @@ pub(super) struct Increment {
 
 impl Increment {
     /// Merges the next in-order increment of `d.stage` into the pending
-    /// delta of that stage.
-    fn absorb_delta(&mut self, d: &StageDelta) {
+    /// delta of that stage. The interval's first delta of a stage *is*
+    /// its pending delta — merged into the empty delta, its content
+    /// comes out unchanged, and [`Increment::flush`] restamps its seq
+    /// and checksum — so it moves in, or is cloned once if borrowed.
+    fn absorb_delta(&mut self, d: Cow<'_, StageDelta>) {
         self.events += d.events();
-        let acc = self
-            .pending
-            .entry(d.stage)
-            .or_insert_with(|| empty_delta(d.stage));
-        merge_stage_delta(acc, d).expect("contiguous same-stage increments always merge");
+        match self.pending.entry(d.stage) {
+            Entry::Vacant(e) => {
+                e.insert(d.into_owned());
+            }
+            Entry::Occupied(e) => merge_stage_delta(e.into_mut(), &d)
+                .expect("contiguous same-stage increments always merge"),
+        }
     }
 
     /// Widens the pending interval to input epochs `first..=last`,
@@ -281,13 +289,18 @@ impl LeafNode {
 
     /// Folds a delta the accumulators took into the outgoing increment:
     /// its mass, its tier's digest and the pending merge.
-    fn absorb(&mut self, si: usize, d: &StageDelta) {
-        let m = delta_mass(d);
+    fn absorb(&mut self, si: usize, d: Cow<'_, StageDelta>) {
+        let m = delta_mass(&d);
         self.gauges().mass += m;
         let inc = &mut self.st.inc;
         *inc.ledger.mass.entry(self.leaf_id).or_insert(0) += m;
         inc.sketch(&self.names[si]).record(m);
         inc.absorb_delta(d);
+    }
+
+    /// Whether this leaf owns global stage `gs`.
+    pub(super) fn owns(&self, gs: usize) -> bool {
+        self.stages.binary_search(&gs).is_ok()
     }
 
     pub(super) fn ingest(&mut self, batch: &EpochBatch, stats: &mut FederationStats) {
@@ -301,7 +314,7 @@ impl LeafNode {
                 self.need_resync = true;
                 continue;
             }
-            self.absorb(si, d);
+            self.absorb(si, Cow::Borrowed(d));
         }
         let g = self.gauges();
         g.events += batch.events();
@@ -331,8 +344,8 @@ impl LeafNode {
             if let Some(cd) = cd {
                 self.log(si, Redo::Apply(cd.clone()))
                     .expect("catch-up delta applies");
-                self.absorb(si, &cd);
                 self.gauges().events += cd.events();
+                self.absorb(si, Cow::Owned(cd));
                 gained = true;
             }
             self.log(si, Redo::Seek(upto)).expect("seek cannot refuse");
@@ -449,9 +462,10 @@ impl RegionalNode {
                 stats.rejected_frames += 1;
                 return false;
             }
-            for d in &f.deltas {
+            let mut f = Arc::unwrap_or_clone(f);
+            for d in std::mem::take(&mut f.deltas) {
                 *in_seq.entry(d.stage).or_insert(0) += 1;
-                inc.absorb_delta(d);
+                inc.absorb_delta(Cow::Owned(d));
             }
             inc.fold_freight(&f);
             stats.frames_delivered += 1;
@@ -460,7 +474,8 @@ impl RegionalNode {
     }
 
     /// Takes a checkpoint and returns the cumulative acks now covered
-    /// by it, per child leaf (periodic re-acks heal lost acks).
+    /// by it, per child leaf (periodic re-acks heal lost acks). The
+    /// children's parked frames are shared, not copied.
     pub(super) fn checkpoint(&mut self, stats: &mut FederationStats) -> Vec<(usize, u64)> {
         let acks = self
             .st
@@ -523,30 +538,33 @@ impl RootNode {
         bytes: &[u8],
         stats: &mut FederationStats,
     ) -> Option<u64> {
-        let mut rx = std::mem::take(&mut self.rx[slot]);
-        let ack = rx.receive(bytes, AckMode::Immediate, stats, |f, stats| {
-            self.apply(f, stats);
+        let RootNode {
+            collector,
+            batch_seq,
+            rx,
+            ledger,
+            applied_mass,
+            max_epoch,
+        } = self;
+        rx[slot].receive(bytes, AckMode::Immediate, stats, |f, stats| {
+            // The root never checkpoints its receive state, so nothing
+            // else holds the frame and this moves it.
+            let f = Arc::unwrap_or_clone(f);
+            *applied_mass += f.deltas.iter().map(delta_mass).sum::<u64>();
+            ledger.fold(&f);
+            *max_epoch = (*max_epoch).max(f.last_epoch);
+            stats.frames_delivered += 1;
+            stats.root_events_applied += f.events();
+            collector.enqueue(EpochBatch {
+                epoch: f.last_epoch,
+                seq: *batch_seq,
+                end: f.end,
+                deltas: f.deltas,
+            });
+            *batch_seq += 1;
+            collector.drain();
             true
-        });
-        self.rx[slot] = rx;
-        ack
-    }
-
-    fn apply(&mut self, f: SummaryFrame, stats: &mut FederationStats) {
-        self.applied_mass += f.deltas.iter().map(delta_mass).sum::<u64>();
-        self.ledger.fold(&f);
-        self.max_epoch = self.max_epoch.max(f.last_epoch);
-        stats.frames_delivered += 1;
-        stats.root_events_applied += f.events();
-        let batch = EpochBatch {
-            epoch: f.last_epoch,
-            seq: self.batch_seq,
-            end: f.end,
-            deltas: f.deltas,
-        };
-        self.batch_seq += 1;
-        self.collector.enqueue(batch);
-        self.collector.drain();
+        })
     }
 
     pub(super) fn resident_events(&self) -> u64 {
@@ -634,6 +652,57 @@ mod tests {
                 _ => LinkVerdict::default(),
             }
         }
+    }
+
+    #[test]
+    fn a_regional_checkpoint_shares_parked_frames_and_keeps_them_whole() {
+        let deltas = batches_for(0, 0, "front", 3);
+        let mut up = Uplink::default();
+        for b in &deltas {
+            up.seal(SummaryFrame {
+                src: 0,
+                seq: 0,
+                first_epoch: b.epoch,
+                last_epoch: b.epoch,
+                end: b.end,
+                deltas: b.deltas.clone(),
+                sketches: Vec::new(),
+                leaf_mass: Vec::new(),
+                gauges: Vec::new(),
+                checksum: 0,
+            });
+        }
+        let mut snd = Sender::restart(&up, 0);
+        snd.checkpointed(&up);
+        let mut stats = FederationStats::default();
+        let sent = snd.pump(&up, 1, &mut stats);
+        let mut r = RegionalNode::new(0, 1, vec![0]);
+
+        // Seq 0 is late: 1 and 2 park, and the checkpoint copies
+        // pointers to them.
+        assert_eq!(r.on_frame(0, &sent[2], &mut stats), None);
+        assert_eq!(r.on_frame(0, &sent[1], &mut stats), None);
+        r.checkpoint(&mut stats);
+        let parked = |st: &RegionalState| st.rx[0].parked_frames().cloned().collect::<Vec<_>>();
+        let (live, saved) = (parked(&r.st), parked(&r.ckpt));
+        assert_eq!(live.len(), 2);
+        assert!(live.iter().zip(&saved).all(|(a, b)| Arc::ptr_eq(a, b)));
+        drop(live);
+
+        // The hole arrives: the live state takes the parked frames, and
+        // the checkpoint's copies stay as they were.
+        let events: u64 = deltas.iter().map(|b| b.events()).sum();
+        assert_eq!(r.on_frame(0, &sent[0], &mut stats), None);
+        assert_eq!((r.st.rx[0].parked_len(), r.st.inc.events), (0, events));
+        assert_eq!(parked(&r.ckpt), saved);
+
+        // A crash before the next checkpoint re-parks them; the
+        // retransmitted hole drains them into the same increment.
+        r.recover(2);
+        assert_eq!(r.st.rx[0].parked_len(), 2);
+        assert_eq!(r.on_frame(0, &sent[0], &mut stats), None);
+        assert_eq!((r.st.rx[0].parked_len(), r.st.inc.events), (0, events));
+        assert_eq!(stats.frames_delivered, 6);
     }
 
     #[test]

@@ -201,7 +201,7 @@ pub struct CollectorStats {
     pub pending_edges_at_flush: u64,
     /// Never set: the whole-run batch fallback it reported is gone.
     /// Kept only because `benchmark/src/{layers,workloads}.rs`, which
-    /// product PRs may not edit, read it by name (ROADMAP item 8).
+    /// product PRs may not edit, read it by name (ROADMAP item 7).
     pub used_fallback: bool,
     /// Digest of the `(epoch, stage, ctx)` eviction sequence, in
     /// eviction order ([`FnvLanes`] from its offset basis, published

@@ -6,8 +6,8 @@
 //! seals and encodes a [`SummaryFrame`] once, when it flushes
 //! ([`Uplink::seal`]); from then on the spool, checkpoints, first
 //! transmissions, go-back-N retransmits and the fabric's duplicates all
-//! move the same shared bytes. The receiving node decodes them once
-//! ([`RxState::receive`]).
+//! move the same shared bytes. The receiving node decodes them at most
+//! once, and a duplicate not at all ([`RxState::receive`]).
 //!
 //! - [`Uplink`] is the *durable* sender half — next sequence number,
 //!   the spool of unacked frames, the ack horizon. It is `Clone`, and a
@@ -19,10 +19,10 @@
 //!   a fresh one ([`Sender::restart`]) and simply replays its spool
 //!   tail; receivers dedup.
 //! - [`RxState`] is the receiver half of one incoming link: envelope
-//!   digest → end-to-end checksum → duplicate → bounded park → accept
-//!   → drain parked. Regionals and the root differ only in *when* they
-//!   ack ([`AckMode`]) and in what accepting a frame means (the
-//!   `accept` closure).
+//!   digest and link header → duplicate → body → end-to-end checksum →
+//!   bounded park → accept → drain parked. Regionals and the root
+//!   differ only in *when* they ack ([`AckMode`]) and in what accepting
+//!   a frame means (the `accept` closure).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -153,10 +153,11 @@ impl Sender {
     }
 
     /// Folds a cumulative ack (everything `<= upto` received and
-    /// checkpointed by the parent) into the spool.
+    /// checkpointed by the parent) into the spool. An ack of a frame
+    /// never sealed can only be damage, and is ignored like a stale one.
     pub(crate) fn on_ack(&mut self, up: &mut Uplink, upto: u64, now: u64) {
-        if upto < up.acked {
-            return; // stale
+        if upto < up.acked || upto >= up.next_seq {
+            return; // stale, or past every sealed frame
         }
         while up.acked <= upto {
             if let Some((events, _)) = up.spool.pop_front() {
@@ -189,8 +190,9 @@ pub(crate) struct RxState {
     /// Frames `< ack_gate` are covered by this node's checkpoint and
     /// may be (re-)acked.
     ack_gate: u64,
-    /// Bounded reorder buffer, keyed by frame seq.
-    parked: BTreeMap<u64, SummaryFrame>,
+    /// Bounded reorder buffer, keyed by frame seq. Shared, so a
+    /// checkpoint of this state copies pointers, not frames.
+    parked: BTreeMap<u64, Arc<SummaryFrame>>,
     parked_events: u64,
 }
 
@@ -198,23 +200,39 @@ impl RxState {
     /// Handles one frame off the link; returns the cumulative ack to
     /// send back, if one is due now.
     ///
-    /// Damaged bytes (envelope digest, then the frame's own end-to-end
-    /// checksum) are dropped and counted — the sender's RTO retransmit
-    /// heals the link, exactly like a lost frame. A duplicate is
-    /// re-acked only if its seq is already ack-covered, to heal a lost
-    /// ack cheaply. A frame ahead of sequence parks (bounded by
-    /// [`PARK_MAX`]). The in-order frame goes to `accept`, followed by
-    /// every parked frame it makes contiguous; if `accept` refuses a
-    /// frame the link seq does not advance, and the sender retries
-    /// until the finalize deadline marks the subtree degraded.
+    /// The envelope is verified and the link header read first: a
+    /// duplicate (a seq below the expected one, or one already parked)
+    /// is dropped before its body is read, and the former re-acked if
+    /// its seq is already ack-covered, to heal a lost ack cheaply.
+    /// Damaged bytes (envelope digest, body, then the frame's own
+    /// end-to-end checksum) are dropped and counted — the sender's RTO
+    /// retransmit heals the link, exactly like a lost frame. A frame
+    /// ahead of sequence parks (bounded by [`PARK_MAX`]). The in-order
+    /// frame goes to `accept`, followed by every parked frame it makes
+    /// contiguous; if `accept` refuses a frame the link seq does not
+    /// advance, and the sender retries until the finalize deadline
+    /// marks the subtree degraded. A frame reaches `accept` shared only
+    /// if a checkpoint of this state still holds it.
     pub(crate) fn receive(
         &mut self,
         bytes: &[u8],
         mode: AckMode,
         stats: &mut FederationStats,
-        mut accept: impl FnMut(SummaryFrame, &mut FederationStats) -> bool,
+        mut accept: impl FnMut(Arc<SummaryFrame>, &mut FederationStats) -> bool,
     ) -> Option<u64> {
-        let Ok((f, _)) = wire::decode_summary(bytes) else {
+        let Ok(open) = wire::open_summary(bytes) else {
+            stats.wire_decode_errors += 1;
+            return None;
+        };
+        let seq = open.seq;
+        if seq < self.expected {
+            stats.dup_frames += 1;
+            return self.ack_gate.checked_sub(1).filter(|_| seq < self.ack_gate);
+        }
+        if self.parked.contains_key(&seq) {
+            return None;
+        }
+        let Ok((f, _)) = open.read() else {
             stats.wire_decode_errors += 1;
             return None;
         };
@@ -222,25 +240,16 @@ impl RxState {
             stats.corrupt_frames += 1;
             return None;
         }
-        if f.seq < self.expected {
-            stats.dup_frames += 1;
-            return self
-                .ack_gate
-                .checked_sub(1)
-                .filter(|_| f.seq < self.ack_gate);
-        }
-        if f.seq > self.expected {
+        if seq > self.expected {
             if self.parked.len() < PARK_MAX {
-                self.parked.entry(f.seq).or_insert_with(|| {
-                    self.parked_events += f.events();
-                    f
-                });
+                self.parked_events += f.events();
+                self.parked.insert(seq, Arc::new(f));
             } else {
                 stats.park_overflow += 1;
             }
             return None;
         }
-        if accept(f, stats) {
+        if accept(Arc::new(f), stats) {
             self.expected += 1;
             while let Some(n) = self.parked.remove(&self.expected) {
                 self.parked_events = self.parked_events.saturating_sub(n.events());
@@ -273,6 +282,12 @@ impl RxState {
     /// Change events resident in the park buffer.
     pub(crate) fn parked_events(&self) -> u64 {
         self.parked_events
+    }
+
+    /// The parked frames, by seq.
+    #[cfg(test)]
+    pub(crate) fn parked_frames(&self) -> impl Iterator<Item = &Arc<SummaryFrame>> {
+        self.parked.values()
     }
 }
 
@@ -485,6 +500,95 @@ mod tests {
         // A stale ack changes nothing.
         l.snd.on_ack(&mut l.up, 0, now);
         assert_eq!(l.up.spool_len(), 1);
+    }
+
+    #[test]
+    fn an_ack_past_the_last_sealed_frame_is_ignored() {
+        let mut l = Link::new(AckMode::Immediate);
+        l.flush(2);
+        assert_eq!(l.pump(1).len(), 2);
+        for upto in [2, 5, u64::MAX] {
+            l.snd.on_ack(&mut l.up, upto, 2);
+            assert_eq!(
+                (l.up.acked, l.up.spool_len()),
+                (0, 2),
+                "ack of {upto} taken"
+            );
+        }
+        // The link still moves: a true ack trims the spool, and the
+        // next sealed frame goes out.
+        l.snd.on_ack(&mut l.up, 1, 2);
+        assert_eq!(
+            (l.up.acked, l.up.spool_len(), l.up.spool_events()),
+            (2, 0, 0)
+        );
+        l.flush(1);
+        let next = l.pump(3);
+        assert_eq!(next.len(), 1, "the frame sealed after the ack stalled");
+        assert_eq!(l.deliver(&next[0]), None, "seqs 0 and 1 never arrived");
+        assert_eq!(l.rx.parked_len(), 1);
+    }
+
+    /// Bytes whose envelope verifies and whose link header reads `seq`,
+    /// but whose body ends there.
+    fn headless(seq: u64) -> Vec<u8> {
+        let mut b = Vec::new();
+        let body = wire::begin_frame(&mut b, wire::KIND_SUMMARY);
+        wire::put_u64(&mut b, 0);
+        wire::put_u64(&mut b, seq);
+        wire::end_frame(&mut b, body);
+        assert!(wire::open_summary(&b).is_ok() && wire::decode_summary(&b).is_err());
+        b
+    }
+
+    #[test]
+    fn a_duplicate_is_known_by_its_header_before_its_body_is_read() {
+        let mut l = Link::new(AckMode::Immediate);
+        l.flush(1);
+        let sent = l.pump(1);
+        assert_eq!(l.deliver(&sent[0]), Some(0));
+
+        // A duplicate with a damaged body is a duplicate: counted and
+        // re-acked, its body never read.
+        assert_eq!(l.deliver(&headless(0)), Some(0));
+        assert_eq!((l.stats.dup_frames, l.stats.wire_decode_errors), (1, 0));
+
+        // One damaged in flight fails the envelope before its seq is
+        // read, like any damaged frame.
+        let mut flipped = sent[0].to_vec();
+        flipped[ENVELOPE_HEAD + 2] ^= 0x10;
+        assert_eq!(l.deliver(&flipped), None);
+        assert_eq!((l.stats.dup_frames, l.stats.wire_decode_errors), (1, 1));
+
+        // The same damaged body on a new seq is read, and refused.
+        assert_eq!(l.deliver(&headless(1)), None);
+        assert_eq!((l.stats.dup_frames, l.stats.wire_decode_errors), (1, 2));
+        assert_eq!(l.accepted, vec![0]);
+    }
+
+    #[test]
+    fn a_repeat_of_a_parked_seq_parks_once_and_is_never_read() {
+        let mut l = Link::new(AckMode::OnCheckpoint);
+        l.flush(2);
+        let sent = l.pump(1);
+        assert_eq!(l.deliver(&sent[1]), None);
+        let first = Arc::clone(l.rx.parked_frames().next().expect("seq 1 parked"));
+        assert_eq!(l.deliver(&sent[1]), None);
+        assert_eq!(l.deliver(&headless(1)), None);
+        assert_eq!((l.rx.parked_len(), l.rx.parked_events()), (1, EVENTS));
+        let kept = l.rx.parked_frames().next().expect("seq 1 parked");
+        assert!(
+            Arc::ptr_eq(kept, &first),
+            "a repeat replaced the parked frame"
+        );
+        let s = &l.stats;
+        assert_eq!(
+            (s.dup_frames, s.wire_decode_errors, s.park_overflow),
+            (0, 0, 0)
+        );
+
+        assert_eq!(l.deliver(&sent[0]), None);
+        assert_eq!(l.accepted, vec![0, 1]);
     }
 
     /// Cuts link 0 (frames up, acks down) before tick `self.0`.

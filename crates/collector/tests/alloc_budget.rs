@@ -31,53 +31,19 @@
 //! - 8,492 (2.518 per event) now that both only flip a flag on the
 //!   one aggregate. (Full size, `ingest_churn` seed 1: 2.151 → 0.879.)
 //!
-//! One `#[test]` and nothing else in this binary: the counter is
-//! process-wide, and a second test thread would allocate into it.
+//! One `#[test]` and nothing else in this binary: the counter
+//! (`counting_alloc`) is process-wide.
 //!
 //! [`BatchDecoder`]: whodunit_core::wire::BatchDecoder
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
+
 use whodunit_apps::tpcw::run_tpcw_streaming;
 use whodunit_bench::{fleet_config, fleet_stream};
 use whodunit_collector::{Collector, CollectorConfig};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::delta::RecordingSink;
 use whodunit_core::wire::{encode_batch, encode_header};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator with a call counter in front.
-struct CountingAlloc;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a plain
-// statistic (`Relaxed`, publishing no other data) and never influences
-// what is returned.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed through as-is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations per event the wire ingest path may make on this stream.
 const MAX_ALLOCS_PER_EVENT: f64 = 2.25;
@@ -107,12 +73,12 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
     };
 
     let mut c = collector(4, 0);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocs();
     for f in &frames {
         assert_eq!(c.enqueue_wire(f), Ok(true), "clean frame refused");
         c.drain();
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = counting_alloc::allocs() - before;
 
     assert_eq!(c.stats().events, events);
     let per_event = allocs as f64 / events as f64;
@@ -125,7 +91,7 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
     // Second phase, same thread: a slow consumer behind a 4-deep queue
     // and a 1-epoch window, read after every offer.
     let mut c = collector(1, 4);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocs();
     for (i, f) in frames.iter().enumerate() {
         while c.enqueue_wire(f) == Ok(false) {
             c.poll();
@@ -136,7 +102,7 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
         std::hint::black_box(c.snapshot());
     }
     c.drain();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = counting_alloc::allocs() - before;
 
     let st = c.stats();
     assert_eq!(st.events, events);

@@ -13,8 +13,10 @@
 //! Fault scenarios then hold the robustness half of the contract:
 //! lossy uplinks heal through retransmission, partitions heal after
 //! the window, a planted leaf crash recovers from its checkpoint with
-//! zero mass loss, and an unrecoverable leaf finalizes degraded with
-//! honest partial coverage instead of aborting.
+//! zero mass loss, an unrecoverable leaf finalizes degraded with
+//! honest partial coverage instead of aborting, and a delta fed to a
+//! leaf that does not own its stage is dropped and charged to that
+//! leaf.
 //!
 //! The lossy, leaf-crash and regional-crash scenarios also pin the
 //! whole `FederationStats` of their run: every frame, ack, retransmit,
@@ -22,16 +24,20 @@
 //! the protocol's timing and every frame's bytes as they were; a change
 //! *to* the protocol re-captures these numbers and says why they moved.
 
-use whodunit_apps::federation::{run_federation, FaultLinkPolicy, FedCrash};
+use whodunit_apps::federation::{
+    fan_in_topology, fleet_epochs, leaf_stream, replica_header, run_federation, FaultLinkPolicy,
+    FedCrash,
+};
 use whodunit_apps::tpcw::run_tpcw_streaming;
 use whodunit_bench::matrix::{federation_cfg, SEEDS};
 use whodunit_collector::federation::{
-    CleanLinks, FedNodeId, FederationConfig, FederationOutput, FederationStats,
+    CleanLinks, FedNodeId, Federation, FederationConfig, FederationOutput, FederationStats,
 };
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::delta::{EpochBatch, RecordingSink, StreamHeader};
 use whodunit_core::oracle::check_federation;
 use whodunit_core::pipeline::{analyze, replicate_fleet, PipelineConfig, PipelineReport};
+use whodunit_core::summary::delta_mass;
 use whodunit_sim::fault::ChannelFaults;
 use whodunit_sim::FaultPlan;
 use whodunit_core::ids::ChanId;
@@ -419,6 +425,78 @@ fn unrecoverable_leaf_finalizes_degraded_not_aborted() {
     // ...and the surviving subtree's profiles still finalized.
     assert!(!out.output.report.profiles.is_empty());
     assert!(out.topology.root.children[0].children[0].degraded);
+}
+
+/// A delta handed to a leaf that does not own its stage — here a copy
+/// of one the owner is fed in the same round — is dropped and counted,
+/// and its mass is charged to the leaf it was fed to. It never reaches
+/// the emitter mirror, which holds each stage's own stream only: the
+/// owner's crash, taken after the copy went by, still resyncs from the
+/// mirror to the flat answer.
+#[test]
+fn foreign_delta_is_dropped_charged_to_its_feeder_and_kept_out_of_the_mirror() {
+    let (hdr, batches, dumps) = recorded(4);
+    let (_, replicas, regions) = SHAPES[0];
+    let reference = flat_reference(&dumps, replicas);
+    let (topo, ranges) = fan_in_topology(replicas, hdr.stages.len(), regions);
+    assert_eq!(ranges.len(), 2, "one region of two leaves");
+    let total = fleet_epochs(batches.len(), replicas, STAGGER);
+    let mut streams: Vec<Vec<EpochBatch>> = ranges
+        .iter()
+        .map(|&(r0, r1)| leaf_stream(&hdr, &batches, r0, r1, STAGGER, total, EPOCH_LEN))
+        .collect();
+    // The stray: leaf 1's first delta with mass, also fed to leaf 0,
+    // which comes first in every round.
+    let (at, stray) = streams[1]
+        .iter()
+        .find_map(|b| {
+            let d = b.deltas.iter().find(|d| delta_mass(d) > 0)?;
+            Some((b.epoch, d.clone()))
+        })
+        .expect("leaf 1 is fed mass");
+    let host = streams[0]
+        .iter_mut()
+        .find(|b| b.epoch == at)
+        .expect("leaf 0 is fed in the stray's round");
+    host.deltas.push(stray.clone());
+
+    let mut fed = Federation::new(
+        &replica_header(&hdr, replicas),
+        &topo,
+        fed_cfg(2, 4),
+        Box::new(CleanLinks),
+    );
+    fed.crash(FedNodeId::Leaf(1), at + 3, Some(at + 9));
+    let mut cursors = [0usize; 2];
+    for ge in 0..total {
+        for (leaf, stream) in streams.iter().enumerate() {
+            if let Some(b) = stream.get(cursors[leaf]).filter(|b| b.epoch == ge) {
+                fed.feed(leaf, b);
+                cursors[leaf] += 1;
+            }
+        }
+        fed.tick();
+    }
+    let out = fed.finalize();
+
+    let s = &out.stats;
+    assert_eq!(s.foreign_deltas, 1);
+    assert_eq!((s.crashes, s.recoveries), (1, 1));
+    assert!(s.missed_batches > 0, "the crash window saw no input");
+    assert!(s.input_resyncs > 0, "the owner never resynced");
+    let [feeder, owner] = [&out.evidence.subtrees[0], &out.evidence.subtrees[1]];
+    assert_eq!(feeder.truth - feeder.delivered, delta_mass(&stray));
+    assert!(feeder.degraded);
+    assert_eq!(owner.delivered, owner.truth);
+    assert!(!owner.degraded);
+    assert_eq!(out.degraded, vec!["leaf0".to_string()]);
+    assert!(out.coverage_ppm < 1_000_000);
+    assert_eq!(check_federation(&out.evidence), vec![]);
+    assert_byte_identical(
+        &reference,
+        &out.output.report,
+        "foreign delta + owner resync",
+    );
 }
 
 /// A misreporting root would be caught: fabricate the evidence a buggy

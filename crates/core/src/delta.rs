@@ -471,10 +471,17 @@ impl RecordedResync {
     /// reference, so it must always apply.
     pub fn advance(&mut self, batch: &EpochBatch) {
         for d in &batch.deltas {
-            self.accs[d.stage]
-                .apply(d)
-                .expect("recorded reference stream must be clean");
+            self.advance_delta(d);
         }
+    }
+
+    /// Folds one clean delta into the emitter-side state of its stage,
+    /// for a caller that knows which deltas of a batch this source
+    /// stands for. Panics as [`RecordedResync::advance`] does.
+    pub fn advance_delta(&mut self, d: &StageDelta) {
+        self.accs[d.stage]
+            .apply(d)
+            .expect("recorded reference stream must be clean");
     }
 }
 

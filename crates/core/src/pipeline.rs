@@ -51,7 +51,7 @@ pub struct PipelineConfig {
     /// whatever this says (DESIGN.md §14). The field survives only
     /// because `benchmark/`'s `batch_config` names it in a struct
     /// literal and product PRs may not edit `benchmark/`; ROADMAP
-    /// item 8 drops that literal, then this field. Build configs with
+    /// item 7 drops that literal, then this field. Build configs with
     /// `..Default::default()`.
     pub workers: usize,
     /// Dictionary shard count: the shape of the context dictionary in

@@ -34,7 +34,10 @@
 //! the accumulator's state before it mutates anything; a delta whose
 //! frame stored no checksum skips only the comparison of the implied
 //! checksum with itself ([`crate::delta::Unsealed`]). [`apply_batch`]
-//! is only those two steps composed.
+//! is only those two steps composed. [`decode_summary`] is likewise two
+//! halves: [`open_summary`] verifies the envelope and reads the link
+//! header, [`OpenSummary::read`] the body, so a federation receiver
+//! drops a duplicate without reading its body.
 
 use crate::delta::{
     CctDelta, DeltaError, EpochBatch, IncomingBatch, StageAccumulator, StageDelta, StreamHeader,
@@ -416,37 +419,36 @@ pub fn end_frame(buf: &mut Vec<u8>, body_start: usize) {
 /// and returns a body [`Reader`] plus the total frame size (so callers
 /// can walk concatenated frames). No body byte is interpreted before
 /// the digest matches.
+#[deny(clippy::indexing_slicing)]
 pub fn open_frame(buf: &[u8], kind: u8) -> Result<(Reader<'_>, usize), WireError> {
-    if buf.len() < ENVELOPE_HEAD {
+    let Some((head, rest)) = buf.split_first_chunk::<ENVELOPE_HEAD>() else {
         return Err(WireError::Truncated);
-    }
-    if buf[..3] != WIRE_MAGIC {
+    };
+    let [m0, m1, m2, version, got, l0, l1, l2, l3] = *head;
+    if [m0, m1, m2] != WIRE_MAGIC {
         return Err(WireError::BadMagic);
     }
-    if buf[3] != WIRE_VERSION {
-        return Err(WireError::BadVersion(buf[3]));
+    if version != WIRE_VERSION {
+        return Err(WireError::BadVersion(version));
     }
-    if buf[4] != kind {
+    if got != kind {
         return Err(WireError::BadKind {
             expected: kind,
-            got: buf[4],
+            got,
         });
     }
-    let len = u32::from_le_bytes(buf[5..9].try_into().expect("4-byte slice")) as usize;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     let total = ENVELOPE_HEAD
         .checked_add(len)
         .and_then(|t| t.checked_add(ENVELOPE_TAIL))
         .ok_or(WireError::Truncated)?;
-    if buf.len() < total {
+    let Some((body, stored)) = rest
+        .split_at_checked(len)
+        .and_then(|(body, tail)| Some((body, tail.first_chunk::<ENVELOPE_TAIL>()?)))
+    else {
         return Err(WireError::Truncated);
-    }
-    let body = &buf[ENVELOPE_HEAD..ENVELOPE_HEAD + len];
-    let stored = u64::from_le_bytes(
-        buf[ENVELOPE_HEAD + len..total]
-            .try_into()
-            .expect("8-byte slice"),
-    );
-    if fnv1a(body) != stored {
+    };
+    if fnv1a(body) != u64::from_le_bytes(*stored) {
         return Err(WireError::Checksum);
     }
     Ok((Reader::new(body), total))
@@ -1141,91 +1143,135 @@ pub fn encode_summary(f: &SummaryFrame) -> Vec<u8> {
     buf
 }
 
-/// Decodes a [`KIND_SUMMARY`] frame, returning the frame and the total
-/// bytes consumed. The stored end-to-end checksum round-trips verbatim;
-/// callers still run [`SummaryFrame::verify`] on the decoded frame.
-pub fn decode_summary(buf: &[u8]) -> Result<(SummaryFrame, usize), WireError> {
-    let (mut r, consumed) = open_frame(buf, KIND_SUMMARY)?;
-    let src = r.u32()?;
-    let seq = r.u64()?;
-    let first_epoch = r.u64()?;
-    let last_epoch = r.u64()?;
-    let end = r.u64()?;
-    let table = get_dict(&mut r)?;
-    let nd = r.count()?;
-    let mut deltas = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        let mut d = StageDelta::default();
-        if !read_delta(&mut r, &table, &mut d, &mut Vec::new())? {
-            d.seal();
-        }
-        deltas.push(d);
-    }
-    let nsk = r.count()?;
-    let mut sketches = Vec::with_capacity(nsk);
-    for _ in 0..nsk {
-        let tier = r.str()?.to_owned();
-        let max = r.u64()?;
-        let buckets = get_buckets(&mut r)?;
-        sketches.push(TierSketch { tier, max, buckets });
-    }
-    let nlm = r.count()?;
-    let mut leaf_col = Vec::with_capacity(nlm);
-    let mut dr = DodReader::new();
-    for _ in 0..nlm {
-        leaf_col.push(as_u32(dr.next(&mut r)?)?);
-    }
-    let mut leaf_mass = Vec::with_capacity(nlm);
-    for &leaf in &leaf_col {
-        leaf_mass.push((leaf, r.u64()?));
-    }
-    let ng = r.count()?;
-    let mut gleaf_col = Vec::with_capacity(ng);
-    let mut dr = DodReader::new();
-    for _ in 0..ng {
-        gleaf_col.push(as_u32(dr.next(&mut r)?)?);
-    }
-    let mut gauges: Vec<(u32, LeafGauges)> = gleaf_col
-        .iter()
-        .map(|&leaf| (leaf, LeafGauges::default()))
-        .collect();
-    for g in &mut gauges {
-        g.1.last_epoch = r.u64()?;
-    }
-    for g in &mut gauges {
-        g.1.events = r.u64()?;
-    }
-    for g in &mut gauges {
-        g.1.mass = r.u64()?;
-    }
-    for g in &mut gauges {
-        g.1.lag_frames = r.u64()?;
-    }
-    for g in &mut gauges {
-        g.1.checkpoints = r.u64()?;
-    }
-    for g in &mut gauges {
-        g.1.recoveries = r.u64()?;
-    }
-    let checksum = r.fixed_u64()?;
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed("trailing bytes in summary body"));
-    }
-    Ok((
-        SummaryFrame {
+/// A [`KIND_SUMMARY`] frame whose envelope has verified and whose link
+/// header — `src` and `seq`, the first two body fields — has been read;
+/// the rest of the body has not. A receiver decides from the header
+/// whether the frame is a duplicate before it pays for
+/// [`OpenSummary::read`].
+#[derive(Clone, Debug)]
+pub struct OpenSummary<'a> {
+    /// Emitting node id.
+    pub src: u32,
+    /// Per-link frame sequence number.
+    pub seq: u64,
+    /// The body, positioned after `seq`.
+    rest: Reader<'a>,
+    /// Total frame size.
+    consumed: usize,
+}
+
+/// Opens a [`KIND_SUMMARY`] frame: verifies the envelope (the frame's
+/// one digest pass) and reads `src` and `seq`.
+#[deny(clippy::indexing_slicing)]
+pub fn open_summary(buf: &[u8]) -> Result<OpenSummary<'_>, WireError> {
+    let (mut rest, consumed) = open_frame(buf, KIND_SUMMARY)?;
+    let src = rest.u32()?;
+    let seq = rest.u64()?;
+    Ok(OpenSummary {
+        src,
+        seq,
+        rest,
+        consumed,
+    })
+}
+
+#[deny(clippy::indexing_slicing)]
+impl OpenSummary<'_> {
+    /// Reads the rest of the body, returning the frame and the total
+    /// bytes consumed. The stored end-to-end checksum round-trips
+    /// verbatim; callers still run [`SummaryFrame::verify`] on it.
+    pub fn read(self) -> Result<(SummaryFrame, usize), WireError> {
+        let OpenSummary {
             src,
             seq,
-            first_epoch,
-            last_epoch,
-            end,
-            deltas,
-            sketches,
-            leaf_mass,
-            gauges,
-            checksum,
-        },
-        consumed,
-    ))
+            rest: mut r,
+            consumed,
+        } = self;
+        let first_epoch = r.u64()?;
+        let last_epoch = r.u64()?;
+        let end = r.u64()?;
+        let table = get_dict(&mut r)?;
+        let nd = r.count()?;
+        let mut deltas = Vec::with_capacity(nd);
+        for _ in 0..nd {
+            let mut d = StageDelta::default();
+            if !read_delta(&mut r, &table, &mut d, &mut Vec::new())? {
+                d.seal();
+            }
+            deltas.push(d);
+        }
+        let nsk = r.count()?;
+        let mut sketches = Vec::with_capacity(nsk);
+        for _ in 0..nsk {
+            let tier = r.str()?.to_owned();
+            let max = r.u64()?;
+            let buckets = get_buckets(&mut r)?;
+            sketches.push(TierSketch { tier, max, buckets });
+        }
+        let nlm = r.count()?;
+        let mut leaf_col = Vec::with_capacity(nlm);
+        let mut dr = DodReader::new();
+        for _ in 0..nlm {
+            leaf_col.push(as_u32(dr.next(&mut r)?)?);
+        }
+        let mut leaf_mass = Vec::with_capacity(nlm);
+        for &leaf in &leaf_col {
+            leaf_mass.push((leaf, r.u64()?));
+        }
+        let ng = r.count()?;
+        let mut gleaf_col = Vec::with_capacity(ng);
+        let mut dr = DodReader::new();
+        for _ in 0..ng {
+            gleaf_col.push(as_u32(dr.next(&mut r)?)?);
+        }
+        let mut gauges: Vec<(u32, LeafGauges)> = gleaf_col
+            .iter()
+            .map(|&leaf| (leaf, LeafGauges::default()))
+            .collect();
+        for g in &mut gauges {
+            g.1.last_epoch = r.u64()?;
+        }
+        for g in &mut gauges {
+            g.1.events = r.u64()?;
+        }
+        for g in &mut gauges {
+            g.1.mass = r.u64()?;
+        }
+        for g in &mut gauges {
+            g.1.lag_frames = r.u64()?;
+        }
+        for g in &mut gauges {
+            g.1.checkpoints = r.u64()?;
+        }
+        for g in &mut gauges {
+            g.1.recoveries = r.u64()?;
+        }
+        let checksum = r.fixed_u64()?;
+        if r.remaining() != 0 {
+            return Err(WireError::Malformed("trailing bytes in summary body"));
+        }
+        Ok((
+            SummaryFrame {
+                src,
+                seq,
+                first_epoch,
+                last_epoch,
+                end,
+                deltas,
+                sketches,
+                leaf_mass,
+                gauges,
+                checksum,
+            },
+            consumed,
+        ))
+    }
+}
+
+/// Decodes a [`KIND_SUMMARY`] frame, returning the frame and the total
+/// bytes consumed: [`open_summary`], then [`OpenSummary::read`].
+pub fn decode_summary(buf: &[u8]) -> Result<(SummaryFrame, usize), WireError> {
+    open_summary(buf)?.read()
 }
 
 // ---------------------------------------------------------------------

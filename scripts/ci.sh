@@ -61,13 +61,19 @@ cargo test --workspace -q
 #   by apply before it mutates (apply Ok => the dump validates).
 #
 # The federation gates (federation_diff, federation_props,
-# golden_federation):
+# federation_alloc_budget, golden_federation):
 # - differential: leaf/regional/global federation vs flat batch
 #   byte-identity over the 36-scenario matrix, plus fault scenarios
 #   (lossy uplinks, partitions, leaf/regional crash recovery,
-#   unrecoverable-leaf degraded finalize);
+#   unrecoverable-leaf degraded finalize, a foreign delta charged to
+#   its feeder), three of them with their whole FederationStats pinned;
 # - properties: the summary-delta merge algebra (grouping invariance,
 #   associativity, mass conservation, sketch wire round-trip);
+# - allocation budget: a 24-replica federation on lossy links (frames
+#   parked and duplicated) behind a counting allocator, <= 8.3
+#   allocations per leaf event (7.691 now, 9.017 when checkpoints
+#   deep-copied parked frames, duplicates were decoded, regionals
+#   cloned every decoded delta and each leaf had its own mirror);
 # - golden: rendered federation topology mid-outage + final
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
@@ -100,7 +106,8 @@ GATES = """
 whodunit-core/parallel_diff whodunit/golden_report
 whodunit-collector/streaming_diff whodunit/golden_collector whodunit/golden_sentinel
 whodunit-core/wire_props whodunit-collector/wire_fuzz whodunit-collector/alloc_budget
-whodunit-collector/federation_diff whodunit-collector/federation_props whodunit/golden_federation
+whodunit-collector/federation_diff whodunit-collector/federation_props
+whodunit-collector/federation_alloc_budget whodunit/golden_federation
 whodunit-infer/properties whodunit-infer/scenarios whodunit/golden_infer
 whodunit-apps/engine_alloc_budget
 """.split()
@@ -117,9 +124,10 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 '
 
 # Lints the tests, benches and examples as well as the libraries. Also
-# what keeps the wire's delta-section reader and BatchDecoder free of
-# indexing: both carry #[deny(clippy::indexing_slicing)], so the first
-# `col[i]` written there fails this line, not a review.
+# what keeps the wire's envelope check (open_frame), delta-section
+# reader, BatchDecoder and summary decoder free of indexing: each
+# carries #[deny(clippy::indexing_slicing)], so the first `col[i]`
+# written there fails this line, not a review.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so
@@ -145,7 +153,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # "AdminConfirm has the largest mean crosstalk wait": at its seed the
 # column reads AdminConfirm 37.52 ms against BuyConfirm 67.82 ms, on
 # 20 AdminConfirm lock acquires. The model is not recalibrated and the
-# assertion not loosened here; the finding is ROADMAP item 7's.
+# assertion not loosened here; the finding is ROADMAP item 2's.
 XFAIL="table1_tpcw_profile:101"
 mkdir -p target/results
 bad=0
