@@ -412,10 +412,16 @@ mod tests {
         assert_eq!(sent.len(), PARK_MAX + 2);
 
         // Seq 0 is lost. A duplicate of a parked frame must not park
-        // (or count) twice.
+        // (or count) twice, and its body is never read.
         assert_eq!(l.deliver(&sent[1]), None);
         assert_eq!(l.deliver(&sent[1]), None);
+        assert_eq!(l.deliver(&headless(1)), None);
         assert_eq!((l.rx.parked_len(), l.rx.parked_events()), (1, EVENTS));
+        let s = &l.stats;
+        assert_eq!(
+            (s.dup_frames, s.wire_decode_errors, s.park_overflow),
+            (0, 0, 0)
+        );
         for b in &sent[2..] {
             assert_eq!(l.deliver(b), None);
         }
@@ -564,31 +570,6 @@ mod tests {
         assert_eq!(l.deliver(&headless(1)), None);
         assert_eq!((l.stats.dup_frames, l.stats.wire_decode_errors), (1, 2));
         assert_eq!(l.accepted, vec![0]);
-    }
-
-    #[test]
-    fn a_repeat_of_a_parked_seq_parks_once_and_is_never_read() {
-        let mut l = Link::new(AckMode::OnCheckpoint);
-        l.flush(2);
-        let sent = l.pump(1);
-        assert_eq!(l.deliver(&sent[1]), None);
-        let first = Arc::clone(l.rx.parked_frames().next().expect("seq 1 parked"));
-        assert_eq!(l.deliver(&sent[1]), None);
-        assert_eq!(l.deliver(&headless(1)), None);
-        assert_eq!((l.rx.parked_len(), l.rx.parked_events()), (1, EVENTS));
-        let kept = l.rx.parked_frames().next().expect("seq 1 parked");
-        assert!(
-            Arc::ptr_eq(kept, &first),
-            "a repeat replaced the parked frame"
-        );
-        let s = &l.stats;
-        assert_eq!(
-            (s.dup_frames, s.wire_decode_errors, s.park_overflow),
-            (0, 0, 0)
-        );
-
-        assert_eq!(l.deliver(&sent[0]), None);
-        assert_eq!(l.accepted, vec![0, 1]);
     }
 
     /// Cuts link 0 (frames up, acks down) before tick `self.0`.
