@@ -8,9 +8,10 @@
 //! compacted [`SummaryFrame`](whodunit_core::summary::SummaryFrame)s
 //! through *regional* aggregators, and applies the result at a single
 //! *global root* — an ordinary [`Collector`] over the full fleet
-//! header, so the clean-run final report is **byte-identical** to the
-//! flat batch pipeline (the differential suite holds the fingerprint
-//! lineage to it).
+//! header, whose finalize is batch `analyze` over the dumps the root
+//! accumulated. A clean run delivers every stage's dump whole, so its
+//! final report is **byte-identical** to the flat batch pipeline (the
+//! differential suite holds the fingerprint lineage to it).
 //!
 //! The robustness contract, per level:
 //!
@@ -240,7 +241,8 @@ pub struct FederationStats {
 
 /// Everything a finished federation run hands back.
 pub struct FederationOutput {
-    /// The root collector's finalized, byte-locked report.
+    /// The root collector's output: batch `analyze` over the dumps the
+    /// root accumulated, plus its accounting.
     pub output: CollectorOutput,
     /// Delivered/truth coverage in parts-per-million (1_000_000 on a
     /// clean run).

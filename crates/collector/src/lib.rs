@@ -23,9 +23,8 @@
 //!   complete end-of-run index.
 //! - **Incremental CCT merge**: each origin's cross-stage profile is
 //!   folded node-by-node as CCT deltas arrive, over a collector-local
-//!   frame table (the global sorted frame table only exists at
-//!   finalize; remapping frame ids commutes with frame-keyed merging,
-//!   so folding early changes nothing).
+//!   frame table in arrival order (the global sorted frame table only
+//!   exists in the batch report).
 //! - **Bounded memory**: origins idle for
 //!   [`CollectorConfig::window_epochs`] epochs are deterministically
 //!   evicted (ascending origin order) from the resident working set
@@ -40,24 +39,23 @@
 //!   hotspots at any epoch, rendered through
 //!   [`whodunit_report::live`].
 //!
-//! **The end-state lock.** [`Collector::finalize`] must produce output
-//! byte-identical to the batch pipeline on the same run's dumps:
-//! stitched text, crosstalk matrix, dump JSON, and dictionary.
-//! Streaming is a pure refactoring of *when* work happens, never
-//! *what* is computed, and the report is always assembled from the
-//! incrementally computed state — there is no second route to it.
-//! That holds under damage too, because nothing reaches that state
-//! unvalidated: [`StageAccumulator::apply`] checks everything
-//! [`StageDump::validate`] checks before it mutates, and a frame it
-//! (or the minted-synopsis index) refuses leaves no trace. Refused
-//! input has exactly one route, with or without a [`ResyncSource`]:
-//! duplicate → drop, gap → park, corrupt or inconsistent → quarantine
-//! → bounded resync → halt the stage (see [`quarantine`]). Every step
-//! is counted in [`CollectorStats`] and named in
-//! [`CollectorStats::degraded`]; the report stays what the batch
-//! pipeline computes over the dumps the collector did accumulate
-//! ([`PipelineReport::stages`]) — healed or short of mass, never
-//! invented.
+//! **One answer-maker.** [`Collector::finalize`] is
+//! [`whodunit_core::pipeline::analyze`] over the dumps the collector
+//! accumulated: the report has no second route. The incremental state
+//! (origin trees, crosstalk tables, pending walks) exists to answer
+//! [`Collector::snapshot`], and the collector's test suites hold every
+//! live snapshot to what `analyze` reports over the same prefix of the
+//! stream. Nothing reaches the accumulators unvalidated:
+//! [`StageAccumulator::apply`] checks everything [`StageDump::validate`]
+//! checks before it mutates, and a frame it (or the minted-synopsis
+//! index) refuses leaves no trace. Refused input has exactly one route,
+//! with or without a [`ResyncSource`]: duplicate → drop, gap → park,
+//! corrupt or inconsistent → quarantine → bounded resync → halt the
+//! stage (see [`quarantine`]). Every step is counted in
+//! [`CollectorStats`] and named in [`CollectorStats::degraded`]; the
+//! report is what the batch pipeline computes over the dumps the
+//! collector did accumulate ([`PipelineReport::stages`]) — healed or
+//! short of mass, never invented.
 
 #![warn(missing_docs)]
 
@@ -66,20 +64,18 @@ mod link;
 pub mod quarantine;
 pub mod sentinel;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use whodunit_core::cct::{Cct, CctNodeId, Metrics};
 use whodunit_core::hash::{FnvHashMap, FnvLanes};
-use whodunit_core::context::{ContextShard, ShardedContextTable, ShardedCtxId};
-use whodunit_core::crosstalk::{CrosstalkMatrix, OriginKey, WaitStats};
+use whodunit_core::crosstalk::{OriginKey, WaitStats};
 use whodunit_core::delta::{
     CctDelta, DeltaError, DeltaSink, EpochBatch, Incoming, IncomingBatch, ResyncSource,
     StageAccumulator, StageDelta, StreamHeader,
 };
 use whodunit_core::frame::FrameId;
-use whodunit_core::pipeline::{OriginProfile, PipelineConfig, PipelineReport};
+use whodunit_core::pipeline::{analyze, PipelineConfig, PipelineReport};
 use whodunit_core::stitch::{
-    ctx_string_of, fold_dump_nodes, global_frames, global_value, walk_origin, RequestEdge,
-    StageDump, UnresolvedEdge, UnresolvedHead,
+    ctx_string_of, fold_dump_nodes, walk_origin, StageDump, UnresolvedHead,
 };
 use whodunit_core::wire::{self, BatchDecoder, WireError};
 use whodunit_report::live::{Hotspot, LagStats, LiveSnapshot, TierSlice, TopPath};
@@ -94,8 +90,9 @@ pub use sentinel::{Sentinel, SentinelSink, SloBudget, SloViolation};
 /// Tuning knobs of the collector.
 #[derive(Clone, Debug)]
 pub struct CollectorConfig {
-    /// Dictionary shard count; must match the batch pipeline's for the
-    /// byte-identity lock (default: [`PipelineConfig::default`]'s).
+    /// Dictionary shard count of the finalized report, handed to
+    /// [`analyze`] as [`PipelineConfig::shards`] (default:
+    /// [`PipelineConfig::default`]'s).
     pub shards: usize,
     /// Epochs an origin may stay idle before it is evicted from the
     /// resident working set (minimum 1).
@@ -194,10 +191,11 @@ pub struct CollectorStats {
     /// annotated here and in [`LiveSnapshot::degraded`], never inside
     /// the report.
     pub degraded: Vec<String>,
-    /// Origin walks still pending when [`Collector::finalize`] began
-    /// (before settlement). Zero on a clean complete stream.
+    /// Origin walks still pending when [`Collector::finalize`] flushed
+    /// the stream. Zero on a clean complete stream.
     pub pending_walks_at_flush: u64,
-    /// Request edges still pending when finalize began.
+    /// Request edges still pending when finalize flushed the stream:
+    /// the report's unresolved edges.
     pub pending_edges_at_flush: u64,
     /// Never set: the whole-run batch fallback it reported is gone.
     /// Kept only because `benchmark/src/{layers,workloads}.rs`, which
@@ -221,13 +219,13 @@ pub struct CollectorStats {
     pub wire_errors: u64,
 }
 
-/// What [`Collector::finalize`] returns: the batch-identical report
-/// plus the collector's own accounting.
+/// What [`Collector::finalize`] returns: the batch report over the
+/// accumulated dumps plus the collector's own accounting.
 #[derive(Debug)]
 pub struct CollectorOutput {
-    /// Analysis output; byte-identical to the batch pipeline on the
-    /// same dumps (same stitched text, crosstalk text, dump JSON,
-    /// dictionary, fingerprint).
+    /// [`analyze`] over the dumps the collector accumulated, so it
+    /// carries the pipeline's phase [`PipelineReport::timings`]: the
+    /// collector's finalize times itself.
     pub report: PipelineReport,
     /// Ingest/memory/integrity accounting of the streaming run.
     pub stats: CollectorStats,
@@ -240,7 +238,6 @@ pub struct CollectorOutput {
 #[derive(Debug, Default)]
 struct OriginAggregate {
     cct: Cct,
-    stages: BTreeSet<usize>,
     tier_cycles: BTreeMap<usize, u64>,
     last_active: u64,
     /// Whether the key is in [`Collector::resident`].
@@ -298,18 +295,15 @@ pub struct Collector {
     syn_index: HashMap<u64, (usize, u32)>,
     /// Missing raw synopsis → walk start contexts parked on it.
     pending_walks: HashMap<u64, Vec<(usize, u32)>>,
-    /// Missing raw synopsis → receiving `(stage, ctx)` request edges
-    /// parked on it.
-    pending_edges: HashMap<u64, Vec<(usize, u32)>>,
-    edges: Vec<RequestEdge>,
+    /// Missing raw synopsis → how many receiving contexts' request
+    /// edges wait on it (the live `pending_edges` gauge).
+    pending_edges: HashMap<u64, u64>,
     /// Crosstalk increments whose waiter or holder origin is not yet
-    /// resolved: `(stage, waiter, holder, count, total_wait)`; a
-    /// waiter-only row uses `holder == u32::MAX` as the marker.
+    /// resolved: `(stage, waiter, holder, count, total_wait)`.
     deferred_xt: Vec<(usize, u32, u32, u64, u64)>,
-    // Hash-indexed for the per-fold/per-row hot lookups; every
-    // consumer that emits ordered output sorts explicitly.
+    // Hash-indexed for the per-row hot lookups; the snapshot ranks it
+    // with an explicit total order.
     xt_pairs: FnvHashMap<(OriginKey, OriginKey), WaitStats>,
-    xt_waiters: FnvHashMap<OriginKey, WaitStats>,
     /// Every origin folded so far, resident or finalized.
     origins: FnvHashMap<OriginKey, OriginAggregate>,
     /// Keys of the resident working set (`OriginAggregate::resident`),
@@ -326,7 +320,7 @@ pub struct Collector {
     /// Memoized origin labels (see [`Collector::origin_label`]).
     label_cache: std::cell::RefCell<FnvHashMap<OriginKey, String>>,
     /// Collector-local frame intern table (union of stage frames in
-    /// arrival order; remapped to the global sorted table at finalize).
+    /// arrival order), naming the snapshot's hot paths.
     frames: Vec<String>,
     frame_ids: FnvHashMap<String, u32>,
     epoch: u64,
@@ -367,6 +361,7 @@ impl std::fmt::Debug for ResyncHandle {
 
 const TRAILING: WireError = WireError::Malformed("bytes after the frame");
 const OTHER_HEADER: WireError = WireError::Malformed("a different stream header is installed");
+const NO_HEADER: WireError = WireError::Malformed("no stream header is installed");
 
 /// A decoder's `(value, consumed)` for a buffer that is to hold exactly
 /// one frame: the value, or a refusal if anything follows the frame.
@@ -384,8 +379,6 @@ const OBS_CAPACITY: usize = 4096;
 /// How many entries live queries return (top paths, hotspots).
 const TOP_K: usize = 5;
 
-const WAITER_ONLY: u32 = u32::MAX;
-
 impl Collector {
     /// A collector that has not yet seen its stream header.
     pub fn new(cfg: CollectorConfig) -> Self {
@@ -396,10 +389,8 @@ impl Collector {
             syn_index: HashMap::new(),
             pending_walks: HashMap::new(),
             pending_edges: HashMap::new(),
-            edges: Vec::new(),
             deferred_xt: Vec::new(),
             xt_pairs: FnvHashMap::default(),
-            xt_waiters: FnvHashMap::default(),
             origins: FnvHashMap::default(),
             resident: Vec::new(),
             finalized_rank: std::collections::BTreeSet::new(),
@@ -571,13 +562,19 @@ impl Collector {
     /// which the self-healing machinery then treats exactly like a
     /// lost batch (reorder-buffer park on the next good frame, bounded
     /// resync if the hole cannot be healed). So is a buffer that holds
-    /// anything after its one frame. An accepted frame is decoded into
-    /// the storage of batches [`Collector::poll`] has finished with.
+    /// anything after its one frame, and any frame offered before a
+    /// stream header is installed: a batch has no stages to land in
+    /// then. An accepted frame is decoded into the storage of batches
+    /// [`Collector::poll`] has finished with.
     pub fn enqueue_wire(&mut self, frame: &[u8]) -> Result<bool, WireError> {
         if self.throttle() {
             return Ok(false);
         }
-        let decoded = self.decoder.decode(frame);
+        let decoded = if self.started {
+            self.decoder.decode(frame)
+        } else {
+            Err(NO_HEADER)
+        };
         match decoded.and_then(|decoded| whole_frame(decoded, frame)) {
             Ok(batch) => {
                 self.push(batch);
@@ -878,19 +875,10 @@ impl Collector {
                     self.try_walk(s);
                 }
             }
-            if let Some(tos) = self.pending_edges.remove(&raw) {
-                let (fs, fc) = self.syn_index[&raw];
-                for (ts, tc) in tos {
-                    self.edges.push(RequestEdge {
-                        from_stage: fs,
-                        from_ctx: fc,
-                        to_stage: ts,
-                        to_ctx: tc,
-                    });
-                }
-            }
+            self.pending_edges.remove(&raw);
         }
-        // New contexts: request-edge classification plus origin walk.
+        // New contexts: a request edge whose sender is not minted yet
+        // waits, then the origin walk.
         let ctx_total = self.stages[d.stage].acc.context_count() as u32;
         self.stages[d.stage]
             .bindings
@@ -899,20 +887,8 @@ impl Collector {
             let sender = self.stages[d.stage].acc.contexts[ci as usize]
                 .remote_chain()
                 .and_then(|chain| chain.last().copied());
-            if let Some(last) = sender {
-                match self.syn_index.get(&last) {
-                    Some(&(fs, fc)) => self.edges.push(RequestEdge {
-                        from_stage: fs,
-                        from_ctx: fc,
-                        to_stage: d.stage,
-                        to_ctx: ci,
-                    }),
-                    None => self
-                        .pending_edges
-                        .entry(last)
-                        .or_default()
-                        .push((d.stage, ci)),
-                }
+            if let Some(last) = sender.filter(|raw| !self.syn_index.contains_key(raw)) {
+                *self.pending_edges.entry(last).or_default() += 1;
             }
             self.try_walk((d.stage, ci));
         }
@@ -921,10 +897,6 @@ impl Collector {
         for p in &d.pairs {
             self.deferred_xt
                 .push((d.stage, p.waiter, p.holder, p.count, p.total_wait));
-        }
-        for w in &d.waiters {
-            self.deferred_xt
-                .push((d.stage, w.waiter, WAITER_ONLY, w.count, w.total_wait));
         }
     }
 
@@ -941,8 +913,8 @@ impl Collector {
     /// The incremental origin walk: the batch walk, except that an
     /// unresolvable chain head *parks* instead of settling (the batch
     /// answer depends on the complete index, so the walk resumes when
-    /// the missing synopsis arrives, or settles batch-style at
-    /// finalize).
+    /// the missing synopsis arrives; one still parked at finalize is
+    /// settled by [`analyze`]).
     fn try_walk(&mut self, start: (usize, u32)) {
         if self.binding_of(start.0, start.1).is_some() {
             return;
@@ -1016,7 +988,6 @@ impl Collector {
         let entry = self.touch_resident(origin);
         let cycles = fold_dump_nodes(&mut entry.cct, &mut map, &nodes, frame_of(&frames))
             .expect("apply validated every accumulated node");
-        entry.stages.insert(si);
         *entry.tier_cycles.entry(si).or_insert(0) += cycles;
         let st = &mut self.stages[si];
         st.frame_map = frames;
@@ -1053,7 +1024,6 @@ impl Collector {
         }
         cycles += fold_dump_nodes(&mut entry.cct, &mut map, &c.new_nodes, frame_of(&frames))
             .expect("apply validated the new nodes");
-        entry.stages.insert(si);
         *entry.tier_cycles.entry(si).or_insert(0) += cycles;
         self.stages[si].frame_map = frames;
         self.stages[si].fold[c.ctx as usize] = Some(map);
@@ -1072,33 +1042,13 @@ impl Collector {
         let rows = std::mem::take(&mut self.deferred_xt);
         for row in rows {
             let (si, waiter, holder, count, total_wait) = row;
-            let w = self.binding_of(si, waiter);
-            let resolved = if holder == WAITER_ONLY {
-                w.map(|w| (w, None))
-            } else {
-                match (w, self.binding_of(si, holder)) {
-                    (Some(w), Some(h)) => Some((w, Some(h))),
-                    _ => None,
+            match (self.binding_of(si, waiter), self.binding_of(si, holder)) {
+                (Some(w), Some(h)) => {
+                    let e = self.xt_pairs.entry((w, h)).or_default();
+                    e.count += count;
+                    e.total_wait += total_wait;
                 }
-            };
-            match resolved {
-                Some((w, h)) => self.account_xt(w, h, count, total_wait),
-                None => self.deferred_xt.push(row),
-            }
-        }
-    }
-
-    fn account_xt(&mut self, w: OriginKey, h: Option<OriginKey>, count: u64, total_wait: u64) {
-        match h {
-            Some(h) => {
-                let e = self.xt_pairs.entry((w, h)).or_default();
-                e.count += count;
-                e.total_wait += total_wait;
-            }
-            None => {
-                let e = self.xt_waiters.entry(w).or_default();
-                e.count += count;
-                e.total_wait += total_wait;
+                _ => self.deferred_xt.push(row),
             }
         }
     }
@@ -1144,7 +1094,7 @@ impl Collector {
     }
 
     fn pending_edge_count(&self) -> u64 {
-        self.pending_edges.values().map(|v| v.len() as u64).sum()
+        self.pending_edges.values().sum()
     }
 
     /// `stage:context` label for an origin, matching the batch
@@ -1288,11 +1238,12 @@ impl Collector {
         }
     }
 
-    /// Final flush: drains the queue, settles every pending walk and
-    /// edge with the complete index (batch end-of-run semantics),
-    /// and assembles the batch-identical [`PipelineReport`].
+    /// Final flush: drains the queue, resyncs (or halts) every stage
+    /// whose sequence hole is still open, records what is still
+    /// pending, then returns [`analyze`] over the accumulated dumps. A
+    /// collector that never installed a header has no stages, so its
+    /// report is the analysis of no dumps.
     pub fn finalize(mut self) -> CollectorOutput {
-        assert!(self.started, "collector not started");
         self.drain();
         // A sequence hole still open when the stream ends is loss, not
         // reordering: resync (or halt) the stage rather than finalize
@@ -1304,174 +1255,24 @@ impl Collector {
         }
         self.stats.pending_walks_at_flush = self.pending_walk_count();
         self.stats.pending_edges_at_flush = self.pending_edge_count();
-
-        // Settle pending walks: with the complete index, an
-        // unresolvable head now terminates the walk exactly like the
-        // batch `walk_origin`. Deterministic (stage, ctx) order.
-        for si in 0..self.stages.len() {
-            for ci in 0..self.stages[si].bindings.len() as u32 {
-                if self.stages[si].bindings[ci as usize].is_none() {
-                    let origin = self.origin_walk((si, ci)).unwrap_or_else(|u| u.at);
-                    self.bind((si, ci), origin);
-                }
-            }
-        }
-        self.pending_walks.clear();
-        // Pending edges whose synopsis never arrived are unresolved.
-        let unresolved: Vec<UnresolvedEdge> = self
-            .pending_edges
-            .drain()
-            .flat_map(|(raw, tos)| {
-                tos.into_iter().map(move |(ts, tc)| UnresolvedEdge {
-                    to_stage: ts,
-                    to_ctx: tc,
-                    missing: raw,
-                })
-            })
-            .collect();
-        // All bindings exist now, so deferred crosstalk settles fully.
-        self.retry_deferred_xt();
-        if !self.deferred_xt.is_empty() {
-            // A crosstalk row naming a context index the stage never
-            // interned: batch `origin_of` falls back to the identity
-            // key, so do the same.
-            let rows = std::mem::take(&mut self.deferred_xt);
-            for (si, waiter, holder, count, total_wait) in rows {
-                let of = |ctx: u32| self.binding_of(si, ctx).unwrap_or((si, ctx));
-                if holder == WAITER_ONLY {
-                    self.account_xt(of(waiter), None, count, total_wait);
-                } else {
-                    self.account_xt(of(waiter), Some(of(holder)), count, total_wait);
-                }
-            }
-        }
-
-        // Nothing below reads an accumulator again: the dumps take
-        // their tables and node lists instead of copying them.
-        let dumps: Vec<StageDump> = self
-            .stages
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.acc).into_dump())
-            .collect();
-        debug_assert!(
-            dumps.iter().all(|d| d.validate().is_ok()),
-            "apply returned Ok for a delta that left its dump invalid"
-        );
         self.stats.degraded = self.degraded_markers();
         let stats = std::mem::take(&mut self.stats);
-        let report = self.assemble(dumps, unresolved);
-        CollectorOutput { report, stats }
-    }
-
-    /// Assembles the final report from incrementally computed state,
-    /// replicating every ordering rule of the batch pipeline.
-    fn assemble(
-        mut self,
-        dumps: Vec<StageDump>,
-        mut unresolved: Vec<UnresolvedEdge>,
-    ) -> PipelineReport {
-        let shards = self.cfg.shards.max(1);
-        let (frames, remap) = global_frames(&dumps);
-        // `frames` is sorted, so a collector-local name finds its
-        // global id by binary search.
-        let coll_to_global: Vec<u32> = self
-            .frames
-            .iter()
-            .map(|n| frames.binary_search(n).map_or(u32::MAX, |i| i as u32))
-            .collect();
-
-        // The dictionary and each origin's global context id replay
-        // the batch interning order exactly: scan CCTs in (stage, cct)
-        // order, intern each origin's value at its first occurrence
-        // into the shard that value hashes to.
-        let mut shard_tabs: Vec<ContextShard> = (0..shards).map(|_| ContextShard::default()).collect();
-        let mut global_ctx: HashMap<OriginKey, ShardedCtxId> = HashMap::new();
-        for (si, d) in dumps.iter().enumerate() {
-            for c in &d.ccts {
-                let origin = self.binding_of(si, c.ctx).unwrap_or((si, c.ctx));
-                if global_ctx.contains_key(&origin) {
-                    continue;
-                }
-                let value = global_value(&dumps, &remap, origin);
-                let shard = (value.stable_hash() % shards as u64) as usize;
-                let local = shard_tabs[shard].intern_local(value);
-                global_ctx.insert(origin, ShardedCtxId::new(shard as u32, local));
-            }
-        }
-        let dict = ShardedContextTable::from_parts(shards, shard_tabs.into_iter().enumerate());
-
-        // Profiles: every origin, resident or finalized, in ascending
-        // origin order, CCTs remapped from collector-local to global
-        // frame ids.
-        let parts: BTreeMap<OriginKey, OriginAggregate> =
-            std::mem::take(&mut self.origins).into_iter().collect();
-        let profiles: Vec<OriginProfile> = parts
-            .into_iter()
-            .map(|(origin, agg)| OriginProfile {
-                origin,
-                global_ctx: global_ctx.get(&origin).copied().unwrap_or_else(|| {
-                    // An aggregate with no CCT occurrence cannot exist
-                    // (aggregates are only created by folds); keep a
-                    // deterministic placeholder rather than panicking.
-                    ShardedCtxId::new(0, u32::MAX)
-                }),
-                stages: agg.stages.into_iter().collect(),
-                cct: remap_cct(&agg.cct, &coll_to_global),
-            })
-            .collect();
-
-        let mut edges = std::mem::take(&mut self.edges);
-        edges.sort_by_key(|e| (e.to_stage, e.to_ctx, e.from_stage, e.from_ctx));
-        unresolved.sort_by_key(|u| (u.to_stage, u.to_ctx, u.missing));
-        // The matrix is keyed output: restore the ascending key order
-        // the batch pipeline emits.
-        let mut pairs: Vec<(OriginKey, OriginKey, WaitStats)> = self
-            .xt_pairs
-            .iter()
-            .map(|(&(w, h), &s)| (w, h, s))
-            .collect();
-        pairs.sort_unstable_by_key(|&(w, h, _)| (w, h));
-        let mut waiters: Vec<(OriginKey, WaitStats)> =
-            self.xt_waiters.iter().map(|(&w, &s)| (w, s)).collect();
-        waiters.sort_unstable_by_key(|&(w, _)| w);
-        let matrix = CrosstalkMatrix { pairs, waiters };
-
-        let dumps_json = whodunit_core::dumpjson::to_json(&dumps);
-
-        PipelineReport {
-            shards,
-            stages: dumps,
-            frames,
-            warnings: Vec::new(),
-            edges,
-            unresolved,
-            profiles,
-            matrix,
-            dict,
-            dumps_json,
-            timings: Vec::new(),
-        }
-    }
-}
-
-/// Rebuilds a CCT with every frame id passed through `map`. Frame
-/// mapping is injective (ids alias distinct names), so the frame-keyed
-/// tree structure is preserved exactly.
-fn remap_cct(cct: &Cct, map: &[u32]) -> Cct {
-    let mut out = Cct::new();
-    let mut ids: Vec<CctNodeId> = Vec::with_capacity(cct.len());
-    for id in cct.node_ids() {
-        let nid = match (cct.parent(id), cct.frame(id)) {
-            (Some(p), Some(f)) => {
-                let gf = map.get(f.0 as usize).copied().unwrap_or(u32::MAX);
-                out.child(ids[p.0 as usize], FrameId(gf))
-            }
-            _ => CctNodeId::ROOT,
+        let cfg = PipelineConfig {
+            shards: self.cfg.shards,
+            ..Default::default()
         };
-        out.record_at(nid, cct.metrics(id));
-        ids.push(nid);
+        let stages = std::mem::take(&mut self.stages);
+        // The incremental state only answered snapshots: free it before
+        // the batch pass builds its own.
+        drop(self);
+        // The dumps take the accumulators' tables and node lists
+        // instead of copying them.
+        let dumps: Vec<StageDump> = stages.into_iter().map(|s| s.acc.into_dump()).collect();
+        CollectorOutput {
+            report: analyze(dumps, cfg),
+            stats,
+        }
     }
-    out
 }
 
 impl DeltaSink for Collector {
@@ -1546,6 +1347,23 @@ mod tests {
         let st = c.stats();
         assert_eq!((st.wire_errors, st.wire_frames), (2, 2));
         assert_eq!(st.wire_bytes, both.len() as u64);
+    }
+
+    #[test]
+    fn a_batch_frame_before_the_header_is_refused_and_finalize_needs_no_header() {
+        let frames = front_frames(1);
+        let mut c = Collector::new(CollectorConfig::default());
+        // No stages to land in: refused and counted like a lost batch,
+        // never queued, so draining has nothing to process.
+        assert_eq!(c.enqueue_wire(&frames[0]), Err(NO_HEADER));
+        c.drain();
+        let st = c.stats();
+        assert_eq!((st.wire_errors, st.wire_frames, c.queued()), (1, 0, 0));
+        // The header never came: the report analyzes no dumps.
+        let out = c.finalize();
+        assert_eq!((out.stats.batches, out.stats.wire_errors), (0, 1));
+        let r = &out.report;
+        assert!(r.stages.is_empty() && r.profiles.is_empty() && r.warnings.is_empty());
     }
 
     #[test]

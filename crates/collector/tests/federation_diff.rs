@@ -4,8 +4,11 @@
 //! it into a staggered replica fleet across a leaf/regional/global
 //! federation, and byte-compares the root's finalized report against
 //! batch `pipeline::analyze` over `replicate_fleet` of the same run's
-//! dumps — the same end-state lock the flat streaming suite
-//! (`streaming_diff.rs`) holds, one aggregation tier higher.
+//! dumps. The root's finalize is itself `analyze` over the dumps the
+//! root accumulated, so equal bytes say the tree delivered every
+//! replica stage's dump exactly — the end-state check the flat
+//! streaming suite (`streaming_diff.rs`) makes, one aggregation tier
+//! higher.
 //!
 //! Coverage mirrors that suite's 36-scenario shape: 6 seeds × 3
 //! fan-in shapes × 2 flush/checkpoint cadences, all clean-run

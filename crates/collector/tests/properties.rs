@@ -10,14 +10,19 @@
 //! - **Interleaving invariance**: any epoch-respecting interleaving of
 //!   the stage deltas (reordered within an epoch, regrouped into any
 //!   number of sub-batches) finalizes to the same bytes as the batch
-//!   pipeline on the final dumps.
+//!   pipeline on the final dumps, and after every sub-batch with no
+//!   origin walk pending the live snapshot shows what the batch
+//!   pipeline reports over the dumps so far (`snapshot_oracle`).
 //! - **No pending leaks**: after the final flush, every receiving
 //!   context is accounted for — resolved edges plus unresolved edges
 //!   equal the receivers, pending edges at flush equal exactly the
 //!   references whose synopsis never arrived, and clean streams flush
 //!   with zero pending.
 
+mod snapshot_oracle;
+
 use proptest::prelude::*;
+use snapshot_oracle::{SnapshotGate, Tally};
 use whodunit_collector::{Collector, CollectorConfig, CollectorOutput};
 use whodunit_core::delta::{diff_dump, EpochBatch, StageDelta, StreamHeader, StreamStage};
 use whodunit_core::pipeline::{analyze, PipelineConfig, PipelineReport};
@@ -240,7 +245,9 @@ fn stream_of(shape: &Shape) -> Vec<EpochBatch> {
     out
 }
 
-fn collect(batches: &[EpochBatch], window: u64) -> CollectorOutput {
+/// Feeds `batches` one at a time, holding the snapshot after each to
+/// the batch pipeline over the same prefix, and finalizes.
+fn collect(batches: &[EpochBatch], window: u64) -> (CollectorOutput, Tally) {
     let mut c = Collector::with_header(
         &header(),
         CollectorConfig {
@@ -248,11 +255,13 @@ fn collect(batches: &[EpochBatch], window: u64) -> CollectorOutput {
             ..CollectorConfig::default()
         },
     );
+    let mut gate = SnapshotGate::new(&header());
     for b in batches {
         assert!(c.enqueue(b.clone()));
+        c.drain();
+        gate.after(b, &c, &format!("window={window} batch seq={}", b.seq));
     }
-    c.drain();
-    c.finalize()
+    (c.finalize(), gate.tally)
 }
 
 fn batch_reference(shape: &Shape) -> PipelineReport {
@@ -316,7 +325,7 @@ proptest! {
         let (shape, rot, split, window) = input;
         let reference = batch_reference(&shape);
         let stream = stream_of(&shape);
-        let canonical = collect(&stream, window);
+        let (canonical, _) = collect(&stream, window);
         assert_report_eq(&reference, &canonical.report, "canonical feed");
         // A 1-epoch window evicts every origin a batch touched, and the
         // front origins grow every epoch: they must come back — keeps
@@ -325,8 +334,13 @@ proptest! {
             prop_assert!(canonical.stats.revivals > 0, "window=1 never revived");
         }
         let shuffled = interleave(&stream, rot, split);
-        let out = collect(&shuffled, window);
+        let (out, gated) = collect(&shuffled, window);
         assert_report_eq(&reference, &out.report, "interleaved feed");
+        // Once every delta is in, only a never-minted synopsis keeps a
+        // walk pending: without one, the last snapshot is compared.
+        if !shape.targets.iter().any(|t| matches!(t, Target::Missing)) {
+            prop_assert!(gated.snapshots > 0, "no snapshot compared: {}", gated);
+        }
     }
 }
 
@@ -340,8 +354,8 @@ proptest! {
     fn eviction_order_is_stream_determined(input in (shape_strategy(), 1u64..4)) {
         let (shape, window) = input;
         let stream = stream_of(&shape);
-        let a = collect(&stream, window);
-        let b = collect(&stream, window);
+        let (a, _) = collect(&stream, window);
+        let (b, _) = collect(&stream, window);
         prop_assert_eq!(a.stats.eviction_digest, b.stats.eviction_digest);
         prop_assert_eq!(a.stats.evictions, b.stats.evictions);
         prop_assert_eq!(a.stats.peak_resident, b.stats.peak_resident);
@@ -364,7 +378,7 @@ proptest! {
     #[test]
     fn pending_edges_never_leak(shape in shape_strategy()) {
         let stream = stream_of(&shape);
-        let out = collect(&stream, 2);
+        let (out, _) = collect(&stream, 2);
         let receivers = shape.epochs as u64; // one stage-1 receiver per epoch
         prop_assert_eq!(
             out.report.edges.len() as u64 + out.report.unresolved.len() as u64,

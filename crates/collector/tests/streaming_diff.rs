@@ -1,9 +1,15 @@
-//! Streaming-vs-batch differential suite: the end-state lock.
+//! Streaming-vs-batch differential suite: the snapshot gate and the
+//! end-state check.
 //!
-//! Each scenario runs the 3-tier TPC-W stack with the streaming
-//! emission hook, feeds every epoch batch through the online
-//! [`Collector`], and byte-compares the finalized report against batch
-//! `pipeline::analyze` on the same run's dumps:
+//! `Collector::finalize` is batch `pipeline::analyze` over the dumps the
+//! collector accumulated, so the incremental state it keeps — origin
+//! trees, tier cycles, the crosstalk table — is read only by live
+//! snapshots. That is where this suite holds it: in the clean and faulty
+//! matrices, at windows 1 and 4, every snapshot taken after a drained
+//! batch with no origin walk pending must show what `analyze` over the
+//! same prefix of the stream reports (`snapshot_oracle`: top paths, hot
+//! paths, tiers, hotspots). The finalized report is then byte-compared
+//! with `analyze` over the run's own end-of-run dumps:
 //!
 //! - the stitched per-transaction profile text,
 //! - the rendered crosstalk matrix,
@@ -11,12 +17,10 @@
 //! - the sharded context dictionary,
 //! - the report fingerprint,
 //!
-//! all as exact equality. The collector has no second route to a report
-//! — it never runs the batch pipeline — so the comparison cannot be
-//! vacuous; batch `analyze` lives here, under `tests/`, as the oracle.
-//! Under damage it is applied a second way: whatever a run finalizes
-//! to, healed or degraded, must equal `analyze` over the report's own
-//! accumulated dumps ([`assert_self_consistent`]) — never invented mass.
+//! which checks that the accumulators rebuilt every stage's dump. Under
+//! damage, whatever a run finalizes to, healed or degraded, must have
+//! accumulated only dumps that validate ([`assert_dumps_validate`]) —
+//! never invented mass.
 //!
 //! Coverage mirrors `core/tests/parallel_diff.rs` through the shared
 //! corpus in `whodunit_bench::matrix`: 6 seeds × 3 schedule policies
@@ -28,6 +32,9 @@
 //! staggered 12-replica fleet holds the residency bound (peak resident
 //! origins < total origins) and the wire size bound.
 
+mod snapshot_oracle;
+
+use snapshot_oracle::{SnapshotGate, Tally};
 use whodunit_apps::tpcw::{run_tpcw, run_tpcw_streaming, TpcwConfig};
 use whodunit_bench::matrix::{scenario_cfg, schedules, SEEDS};
 use whodunit_bench::{fleet_config, fleet_stream};
@@ -85,27 +92,27 @@ fn assert_byte_identical(batch: &PipelineReport, streamed: &PipelineReport, what
     );
 }
 
-/// The retired batch fallback, as an oracle: a finalized report must be
-/// exactly what batch `analyze` computes over the dumps the collector
-/// itself accumulated — on every surface, however damaged the stream.
-fn assert_self_consistent(out: &CollectorOutput, what: &str) {
-    let cfg = PipelineConfig {
-        shards: out.report.shards,
-        ..Default::default()
-    };
-    let batch = analyze(out.report.stages.clone(), cfg);
-    assert!(batch.warnings.is_empty(), "accumulated an invalid dump: {what}");
-    assert_byte_identical(&batch, &out.report, &format!("self-consistency, {what}"));
+/// What is left to check of a report that is `analyze` over the
+/// collector's own dumps, however damaged the stream: every dump it
+/// accumulated validates, so no stage was skipped.
+fn assert_dumps_validate(out: &CollectorOutput, what: &str) {
+    let warnings = &out.report.warnings;
+    assert!(warnings.is_empty(), "accumulated an invalid dump: {what}: {warnings:?}");
 }
+
+/// Snapshots the matrices must compare in all, per fault plan: at least
+/// one per scenario and window.
+const MIN_MATRIX_SNAPSHOTS: u64 = 18 * 2;
 
 fn run_matrix(faulty: bool) {
     let mut scenarios = 0;
+    let mut gated = Tally::default();
     for &seed in &SEEDS {
         for sched in schedules(seed) {
             scenarios += 1;
             let what = format!("seed={seed} sched={sched:?} faulty={faulty}");
 
-            // One simulation run, recorded and replayed.
+            // One simulation run, recorded and replayed at two windows.
             let mut sink = RecordingSink::default();
             let report = run_tpcw_streaming(scenario_cfg(seed, sched, faulty), EPOCH_LEN, &mut sink);
             let batch = analyze(report.dumps, PipelineConfig::default());
@@ -114,27 +121,50 @@ fn run_matrix(faulty: bool) {
                 "scenario produced no profiles (vacuous): {what}"
             );
 
-            let mut c = Collector::with_header(&sink.header, CollectorConfig::default());
-            for b in &sink.batches {
-                assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
-                c.drain();
-            }
-            let out = c.finalize();
-            assert!(out.stats.batches > 1, "stream collapsed to one batch: {what}");
-            assert_byte_identical(&batch, &out.report, &what);
-            if !faulty {
+            for window in [1u64, 4] {
+                let what = format!("{what} window={window}");
+                let ccfg = CollectorConfig {
+                    window_epochs: window,
+                    ..CollectorConfig::default()
+                };
+                let mut c = Collector::with_header(&sink.header, ccfg);
+                let mut gate = SnapshotGate::new(&sink.header);
+                for b in &sink.batches {
+                    assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
+                    c.drain();
+                    gate.after(b, &c, &what);
+                }
+                if !faulty {
+                    assert!(gate.tally.snapshots > 0, "no snapshot compared: {what}");
+                }
+                gated += gate.tally;
+                let out = c.finalize();
+                assert!(out.stats.batches > 1, "stream collapsed to one batch: {what}");
+                assert_byte_identical(&batch, &out.report, &what);
                 assert_eq!(
-                    out.stats.pending_walks_at_flush, 0,
-                    "pending walks leaked on a clean run: {what}"
+                    out.stats.pending_edges_at_flush,
+                    out.report.unresolved.len() as u64,
+                    "the live pending-edge gauge is not the unresolved edges: {what}"
                 );
-                assert_eq!(
-                    out.stats.pending_edges_at_flush, 0,
-                    "pending edges leaked on a clean run: {what}"
-                );
+                if !faulty {
+                    assert_eq!(
+                        out.stats.pending_walks_at_flush, 0,
+                        "pending walks leaked on a clean run: {what}"
+                    );
+                    assert_eq!(
+                        out.stats.pending_edges_at_flush, 0,
+                        "pending edges leaked on a clean run: {what}"
+                    );
+                }
             }
         }
     }
     assert_eq!(scenarios, 18);
+    println!("snapshot gate, faulty={faulty}: {gated}");
+    assert!(
+        gated.snapshots >= MIN_MATRIX_SNAPSHOTS,
+        "{gated}: under {MIN_MATRIX_SNAPSHOTS} snapshots"
+    );
 }
 
 #[test]
@@ -332,8 +362,8 @@ fn backpressure_counts_throttles_and_stays_lossless() {
 // must heal back to byte-identity through quarantine and resync, with
 // the damage visible only as explicit degraded markers in the stats,
 // never in the report; what cannot heal halts its stage and finalizes
-// degraded. Every output is checked against the self-consistency
-// oracle inside the ingest helpers.
+// degraded. Every output's dumps are checked to validate inside the
+// ingest helpers.
 // ---------------------------------------------------------------------
 
 use std::cell::RefCell;
@@ -394,7 +424,7 @@ fn ingest_damaged_via(
         c.drain();
     }
     let out = c.finalize();
-    assert_self_consistent(&out, "damaged stream");
+    assert_dumps_validate(&out, "damaged stream");
     out
 }
 
@@ -561,7 +591,7 @@ fn ingest_sourceless(header: &StreamHeader, damaged: &[EpochBatch]) -> Collector
         c.drain();
     }
     let out = c.finalize();
-    assert_self_consistent(&out, "sourceless damaged stream");
+    assert_dumps_validate(&out, "sourceless damaged stream");
     out
 }
 
@@ -774,7 +804,7 @@ fn ingest_wire(
         c.drain();
     }
     let out = c.finalize();
-    assert_self_consistent(&out, "damaged wire stream");
+    assert_dumps_validate(&out, "damaged wire stream");
     (out, rejected)
 }
 

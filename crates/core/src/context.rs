@@ -667,9 +667,8 @@ impl ShardedContextTable {
 
     /// Assembles a table from independently built shards. `parts` are
     /// `(shard index, shard)` pairs in **any** order; missing indices
-    /// become empty shards. Parts are placed by index, so the batch
-    /// pipeline and the collector's `assemble`, which build their
-    /// shards independently, assemble equal tables from equal shards.
+    /// become empty shards. Parts are placed by index, so any order of
+    /// the same independently built shards assembles an equal table.
     ///
     /// # Panics
     ///

@@ -27,9 +27,10 @@
 //! differential suite (`crates/core/tests/parallel_diff.rs`) holds it
 //! to the resolver it replaced — kept in that suite as the oracle —
 //! and the serial dump serializer over seeds × schedules × fault
-//! plans, and the streaming collector's end-state lock holds the
-//! collector to it byte for byte; DESIGN.md §9 records the invariants
-//! a future contributor must preserve.
+//! plans. The streaming collector's `finalize` is this function over
+//! the dumps it accumulated, and its suites hold every live snapshot
+//! to this function over the same prefix of the stream; DESIGN.md §9
+//! records the invariants a future contributor must preserve.
 
 use crate::cct::{Cct, CctNodeId};
 use crate::context::{ContextShard, ShardedContextTable, ShardedCtxId};
@@ -55,9 +56,9 @@ pub struct PipelineConfig {
     /// `..Default::default()`.
     pub workers: usize,
     /// Dictionary shard count: the shape of the context dictionary in
-    /// the output (every profile prints its `ShardedCtxId`), which the
-    /// streaming collector's `CollectorConfig::shards` must match for
-    /// the byte-identity lock (default 32).
+    /// the output (every profile prints its `ShardedCtxId`). The
+    /// streaming collector's finalize passes its
+    /// `CollectorConfig::shards` here (default 32).
     pub shards: usize,
 }
 

@@ -177,6 +177,7 @@ pub struct Reader<'a> {
     pos: usize,
 }
 
+#[deny(clippy::indexing_slicing)]
 impl<'a> Reader<'a> {
     /// A cursor over `buf`, positioned at its start.
     pub fn new(buf: &'a [u8]) -> Self {
@@ -259,11 +260,9 @@ impl<'a> Reader<'a> {
 
     /// Borrows the next `n` raw bytes.
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
+        self.pos = end;
         Ok(s)
     }
 
@@ -571,6 +570,7 @@ fn put_dict(buf: &mut Vec<u8>, table: &[&str]) {
 
 /// Reads a frame's string table back as borrowed slices of the frame
 /// body — deltas copy out only the strings they actually intern.
+#[deny(clippy::indexing_slicing)]
 fn get_dict<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a str>, WireError> {
     let n = r.count()?;
     let mut table = Vec::with_capacity(n);
@@ -1070,6 +1070,7 @@ pub(crate) fn put_buckets(buf: &mut Vec<u8>, buckets: &[(u32, u64)]) {
 }
 
 /// Reads a [`put_buckets`] bucket list back.
+#[deny(clippy::indexing_slicing)]
 pub(crate) fn get_buckets(r: &mut Reader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
     let n = r.count()?;
     let mut idx = Vec::with_capacity(n);

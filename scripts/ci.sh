@@ -23,16 +23,27 @@ cargo test --workspace -q
 # - golden: canonical rendered reports for two fixed TPC-W runs
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
-# The streaming-collector gates (streaming_diff, golden_collector,
-# golden_sentinel):
-# - differential: streaming collector vs batch pipeline byte-identity
-#   over the same 36-scenario matrix (end-state lock), the staggered
-#   12-replica fleet (resident peak below the origin total at windows
-#   1 and 4, wire frames <= 14.8 B/event), bounded-queue backpressure,
-#   plus the self-healing ingest damage matrix (corrupt / truncated /
-#   duplicate / reordered / lost frames, stall watchdog; sourceless,
+# The streaming-collector gates (streaming_diff, properties,
+# golden_collector, golden_sentinel):
+# - snapshot gate: finalize is pipeline::analyze over the collector's
+#   own dumps, so the incremental state is read only by live snapshots,
+#   and that is where it is checked. In the 36-scenario matrix at
+#   windows 1 and 4 (streaming_diff) and after every sub-batch of the
+#   synthetic interleavings (properties), every snapshot taken with no
+#   origin walk pending must show what analyze over the same prefix of
+#   the stream reports: top paths, unique hot paths, tiers, hotspots
+#   (tests/snapshot_oracle). The matrix prints and asserts its totals;
+# - end state: every finalized report byte-identical to batch over the
+#   run's dumps (the accumulators rebuilt every stage), the pending-edge
+#   gauge equal to the unresolved edges, the staggered 12-replica fleet
+#   (resident peak below the origin total at windows 1 and 4, wire
+#   frames <= 14.8 B/event), bounded-queue backpressure, plus the
+#   self-healing ingest damage matrix (corrupt / truncated / duplicate
+#   / reordered / lost frames, stall watchdog; sourceless,
 #   unknown-stage, duplicate-mint and lying-source damage halting
-#   degraded), every output equal to batch over its own dumps;
+#   degraded), every accumulated dump valid;
+# - properties: eviction order is a function of the stream, and
+#   pending edges never leak;
 # - golden: live-query snapshot rendering, mid-run + final epoch, and
 #   the rendered sentinel incident report mid-violation + post-capture
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
@@ -57,8 +68,10 @@ cargo test --workspace -q
 # - fuzz: randomized truncation / bit flips / reordering / garbage
 #   injection over encoded streams — damaged frames are rejected by the
 #   envelope and healed by the §12 quarantine machinery, never a panic,
-#   never a silent divergence; re-sealed structural damage is refused
-#   by apply before it mutates (apply Ok => the dump validates).
+#   never a silent divergence; a lost, bit-flipped or late header frame
+#   refuses the batch frames offered before it and finalizes healed or
+#   empty; re-sealed structural damage is refused by apply before it
+#   mutates (apply Ok => the dump validates).
 #
 # The federation gates (federation_diff, federation_props,
 # federation_alloc_budget, golden_federation):
@@ -104,7 +117,8 @@ import json, sys
 
 GATES = """
 whodunit-core/parallel_diff whodunit/golden_report
-whodunit-collector/streaming_diff whodunit/golden_collector whodunit/golden_sentinel
+whodunit-collector/streaming_diff whodunit-collector/properties
+whodunit/golden_collector whodunit/golden_sentinel
 whodunit-core/wire_props whodunit-collector/wire_fuzz whodunit-collector/alloc_budget
 whodunit-collector/federation_diff whodunit-collector/federation_props
 whodunit-collector/federation_alloc_budget whodunit/golden_federation
@@ -124,10 +138,12 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 '
 
 # Lints the tests, benches and examples as well as the libraries. Also
-# what keeps the wire's envelope check (open_frame), delta-section
-# reader, BatchDecoder and summary decoder free of indexing: each
-# carries #[deny(clippy::indexing_slicing)], so the first `col[i]`
-# written there fails this line, not a review.
+# what keeps the wire's decoders free of indexing — the body cursor
+# (Reader), the envelope check (open_frame), the string table
+# (get_dict), the delta-section reader, BatchDecoder, the sketch bucket
+# list (get_buckets) and the summary decoder: each carries
+# #[deny(clippy::indexing_slicing)], so the first `col[i]` written there
+# fails this line, not a review.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so
