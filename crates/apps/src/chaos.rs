@@ -1,4 +1,5 @@
-//! Chaos harness: materializing sampled scenarios onto the TPC-W stack.
+//! Chaos harness: materializing sampled scenarios onto the TPC-W stack,
+//! and the one verdict every assembly's scenarios get.
 //!
 //! This module is the bridge between the pure-data chaos layer
 //! ([`whodunit_core::repro`], [`whodunit_sim::explore`]) and the
@@ -8,21 +9,27 @@
 //!   faultable channels (`"db"`, `"front"`), the crashable `"mysql"`
 //!   process, the slowable `"mysql"` machine;
 //! - [`default_workload`] names the workload knobs a repro carries;
-//! - [`config_of`] resolves a repro into a [`TpcwConfig`];
-//! - [`run_scenario`] executes it, assembles the oracle
-//!   [`Evidence`], and returns the violations plus a fingerprint of
-//!   the run's complete observable state — two runs of the same repro
-//!   must produce equal fingerprints, which is what makes a repro file
-//!   a *repro* rather than a suggestion.
+//! - [`config_of`] resolves a repro into a [`TpcwConfig`], its faults
+//!   through [`ScenarioFaults::from_repro`] with `"db"` as the
+//!   backbone role;
+//! - [`run_scenario`] executes it and hands the run to `judge`.
+//!
+//! `judge` is shared by every assembly (the zoo's
+//! `run_zoo_scenario` and the sentinel use it too): it assembles the
+//! oracle [`Evidence`], checks it, and fingerprints the run's complete
+//! observable state — two runs of the same repro must produce equal
+//! fingerprints, which is what makes a repro file a *repro* rather
+//! than a suggestion.
 
-use crate::tpcw::{run_tpcw, TpcwConfig, TpcwFaults};
+use crate::tpcw::{run_tpcw, TpcwConfig};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::dumpjson;
 use whodunit_core::hash::Fnv64;
 use whodunit_core::oracle::{check_all, Evidence, ProgressState, Violation};
 use whodunit_core::repro::{ChaosRepro, FaultEntry};
-use whodunit_sim::{ChannelFaults, RunOutcome};
-use whodunit_sim::explore::ChaosSpace;
+use whodunit_core::stitch::StageDump;
+use whodunit_sim::explore::{ChaosSpace, ScenarioFaults};
+use whodunit_sim::RunOutcome;
 
 /// Virtual horizon of a chaos run with the default workload.
 pub const CHAOS_HORIZON: u64 = 60 * CPU_HZ;
@@ -63,64 +70,11 @@ pub fn default_workload() -> Vec<(String, u64)> {
 /// The knobs [`whodunit_sim::explore::shrink`] may reduce.
 pub const SHRINKABLE_KNOBS: &[&str] = &["clients"];
 
-fn ppm_to_p(ppm: u64) -> f64 {
-    ppm as f64 / 1_000_000.0
-}
-
-/// The faultable channel roles of the assembly.
-fn chan_mut<'a>(faults: &'a mut TpcwFaults, name: &str) -> Option<&'a mut ChannelFaults> {
-    match name {
-        "db" => Some(&mut faults.db_chan),
-        "front" => Some(&mut faults.front_chan),
-        _ => None,
-    }
-}
-
 /// Resolves a repro into a concrete [`TpcwConfig`]. Unknown channel,
 /// process, and machine roles are ignored (a repro sampled from a
 /// larger space still runs); later fault entries for the same role and
 /// class overwrite earlier ones.
 pub fn config_of(repro: &ChaosRepro) -> TpcwConfig {
-    let mut faults = TpcwFaults {
-        seed: repro.seed,
-        ..TpcwFaults::default()
-    };
-    for f in &repro.faults {
-        match f {
-            FaultEntry::Drop { chan, ppm } => {
-                if let Some(c) = chan_mut(&mut faults, chan) {
-                    c.drop_p = ppm_to_p(*ppm);
-                }
-            }
-            FaultEntry::Dup { chan, ppm } => {
-                if let Some(c) = chan_mut(&mut faults, chan) {
-                    c.dup_p = ppm_to_p(*ppm);
-                }
-            }
-            FaultEntry::Delay { chan, ppm, cycles } => {
-                if let Some(c) = chan_mut(&mut faults, chan) {
-                    c.delay_p = ppm_to_p(*ppm);
-                    c.delay_cycles = *cycles;
-                }
-            }
-            FaultEntry::Crash { proc, at } => {
-                if proc == "mysql" {
-                    faults.db_crash_at = Some(*at);
-                }
-            }
-            FaultEntry::Slowdown {
-                machine,
-                from,
-                until,
-                factor,
-            } => {
-                if machine == "mysql" {
-                    faults.db_slowdown = Some((*from, *until, *factor));
-                }
-            }
-        }
-    }
-
     let knob = |name: &str, default: u64| repro.knob(name).unwrap_or(default);
     TpcwConfig {
         clients: knob("clients", 16) as u32,
@@ -136,7 +90,7 @@ pub fn config_of(repro: &ChaosRepro) -> TpcwConfig {
             b => Some(b),
         },
         livelock_pair: knob("livelock_pair", 0) != 0,
-        faults: Some(faults),
+        faults: Some(ScenarioFaults::from_repro(repro, "front", "db", "mysql")),
         ..TpcwConfig::default()
     }
 }
@@ -166,45 +120,59 @@ impl ScenarioResult {
 /// Executes a repro on the TPC-W stack and checks every oracle.
 pub fn run_scenario(repro: &ChaosRepro) -> ScenarioResult {
     let r = run_tpcw(config_of(repro));
+    let seen = (r.dropped_msgs, r.duplicated_msgs, r.delayed_msgs);
+    judge(repro, r.dumps, r.compute_truth, seen, &r.outcome)
+}
 
-    let progress = match &r.outcome {
+/// The verdict on one executed run of any assembly: the oracle
+/// [`Evidence`] (which fault classes `repro` permits against what the
+/// wire saw), every violation [`check_all`] finds, and the run
+/// fingerprint over the dumps, the dropped / duplicated / delayed
+/// counters, the ground-truth compute cycles and the outcome.
+pub(crate) fn judge(
+    repro: &ChaosRepro,
+    dumps: Vec<StageDump>,
+    compute_truth: Vec<u64>,
+    faults_seen: (u64, u64, u64),
+    outcome: &RunOutcome,
+) -> ScenarioResult {
+    let progress = match outcome {
         RunOutcome::ReachedLimit | RunOutcome::Idle => ProgressState::Completed,
         RunOutcome::Deadlock(d) => ProgressState::Deadlock(d.to_string()),
         RunOutcome::Livelock(l) => ProgressState::Livelock(l.to_string()),
     };
     let has = |pred: &dyn Fn(&FaultEntry) -> bool| repro.faults.iter().any(pred);
+    let (dropped, duplicated, delayed) = faults_seen;
     let ev = Evidence {
-        compute_truth: r.compute_truth.clone(),
+        compute_truth,
         drops_permitted: has(&|f| matches!(f, FaultEntry::Drop { ppm, .. } if *ppm > 0)),
         dups_permitted: has(&|f| matches!(f, FaultEntry::Dup { ppm, .. } if *ppm > 0)),
         delays_permitted: has(&|f| matches!(f, FaultEntry::Delay { ppm, .. } if *ppm > 0)),
         crash_permitted: has(&|f| matches!(f, FaultEntry::Crash { .. })),
-        dropped: r.dropped_msgs,
-        duplicated: r.duplicated_msgs,
-        delayed: r.delayed_msgs,
+        dropped,
+        duplicated,
+        delayed,
         progress,
-        dumps: r.dumps,
-        federation: None,
+        dumps,
     };
     let violations = check_all(&ev);
 
     let mut h = Fnv64::new();
     h.write(dumpjson::to_json(&ev.dumps).as_bytes());
-    for n in [ev.dropped, ev.duplicated, ev.delayed] {
+    for n in [dropped, duplicated, delayed] {
         h.write_u64(n);
     }
     for &t in &ev.compute_truth {
         h.write(&t.to_le_bytes());
     }
-    let outcome = r.outcome.to_string();
+    let outcome = outcome.to_string();
     h.write(outcome.as_bytes());
-    let h = h.finish();
 
     ScenarioResult {
         violations,
-        fingerprint: h,
+        fingerprint: h.finish(),
         outcome,
-        faults_seen: (ev.dropped, ev.duplicated, ev.delayed),
+        faults_seen,
     }
 }
 
@@ -269,12 +237,12 @@ mod tests {
         assert_eq!(cfg.sched, SchedulePolicy::Random { seed: 99 });
         assert_eq!(cfg.step_budget, Some(2_000_000));
         let f = cfg.faults.unwrap();
-        assert!((f.db_chan.drop_p - 0.05).abs() < 1e-12);
-        assert!((f.front_chan.delay_p - 0.1).abs() < 1e-12);
-        assert_eq!(f.front_chan.delay_cycles, 777);
-        assert_eq!(f.db_crash_at, Some(12 * CPU_HZ));
-        assert_eq!(f.db_slowdown, Some((1, 2, 3)));
-        assert_eq!(f.front_chan.drop_p, 0.0, "unknown role ignored");
+        assert!((f.backbone.drop_p - 0.05).abs() < 1e-12);
+        assert!((f.front.delay_p - 0.1).abs() < 1e-12);
+        assert_eq!(f.front.delay_cycles, 777);
+        assert_eq!(f.crash_at, Some(12 * CPU_HZ));
+        assert_eq!(f.slowdown, Some((1, 2, 3)));
+        assert_eq!(f.front.drop_p, 0.0, "unknown role ignored");
     }
 
     #[test]

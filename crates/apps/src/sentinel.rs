@@ -19,13 +19,11 @@
 //!    [`check_capture`] so a capture that fails verification surfaces
 //!    as an explicit `false-repro` violation instead of a bogus bundle.
 
-use crate::chaos::{config_of, CHAOS_HORIZON, SHRINKABLE_KNOBS};
-use crate::tpcw::{run_tpcw_streaming, TpcwReport};
+use crate::chaos::{config_of, judge, CHAOS_HORIZON, SHRINKABLE_KNOBS};
+use crate::tpcw::run_tpcw_streaming;
 use whodunit_collector::{
     CollectorConfig, CollectorOutput, SentinelSink, SloBudget, SloViolation,
 };
-use whodunit_core::dumpjson;
-use whodunit_core::hash::Fnv64;
 use whodunit_core::oracle::{check_capture, CaptureEvidence, Violation};
 use whodunit_core::repro::{ChaosRepro, ReproWindow};
 use whodunit_report::live::{IncidentCard, LiveSnapshot, ReplaySummary, ShrinkSummary};
@@ -47,35 +45,21 @@ pub struct SentinelRun {
     pub before: Option<LiveSnapshot>,
     /// Snapshot taken at the trip epoch.
     pub after: Option<LiveSnapshot>,
-    /// Scenario fingerprint (same recipe as `chaos::run_scenario`):
-    /// equal fingerprints mean bit-identical runs.
+    /// Scenario fingerprint (`chaos::judge`'s, so streaming-path
+    /// fingerprints are comparable with batch ones): equal
+    /// fingerprints mean bit-identical runs.
     pub fingerprint: u64,
     /// Epochs the sentinel observed.
     pub epochs: u64,
-}
-
-/// The run fingerprint: dumps, wire-fault counters, ground truth, and
-/// outcome — the same observable surface `chaos::run_scenario` hashes,
-/// so streaming-path fingerprints are comparable with batch ones.
-fn fingerprint_of(r: &TpcwReport) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(dumpjson::to_json(&r.dumps).as_bytes());
-    for n in [r.dropped_msgs, r.duplicated_msgs, r.delayed_msgs] {
-        h.write_u64(n);
-    }
-    for &t in &r.compute_truth {
-        h.write(&t.to_le_bytes());
-    }
-    h.write(r.outcome.to_string().as_bytes());
-    h.finish()
 }
 
 /// Executes a repro with the sentinel attached.
 pub fn run_with_sentinel(repro: &ChaosRepro, budget: &SloBudget, epoch_len: u64) -> SentinelRun {
     let mut sink = SentinelSink::new(CollectorConfig::default(), budget.clone())
         .with_snapshot_every(SNAPSHOT_EVERY);
-    let report = run_tpcw_streaming(config_of(repro), epoch_len, &mut sink);
-    let fingerprint = fingerprint_of(&report);
+    let r = run_tpcw_streaming(config_of(repro), epoch_len, &mut sink);
+    let seen = (r.dropped_msgs, r.duplicated_msgs, r.delayed_msgs);
+    let fingerprint = judge(repro, r.dumps, r.compute_truth, seen, &r.outcome).fingerprint;
     let (before, after) = match sink.before_after() {
         Some((b, a)) => (Some(b.clone()), Some(a.clone())),
         None => (None, None),

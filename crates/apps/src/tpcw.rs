@@ -29,8 +29,8 @@ use whodunit_core::frame::FrameId;
 use whodunit_core::ids::{ChanId, ProcId};
 use whodunit_core::stitch::StageDump;
 use whodunit_sim::{
-    ChannelFaults, Cycles, FaultPlan, Msg, Op, RunOutcome, SchedulePolicy, Sim, SimConfig,
-    ThreadBody, ThreadCx, Wake,
+    plant_livelock_pair, Cycles, Msg, Op, RunOutcome, ScenarioFaults, SchedulePolicy, Sim,
+    SimConfig, ThreadBody, ThreadCx, Wake,
 };
 use whodunit_workload::{Interaction, Mix, TpcwMix};
 
@@ -415,43 +415,25 @@ pub struct TpcwConfig {
     pub seed: u64,
     /// Tomcat's DB-RPC timeout (see [`AppServerConfig::db_timeout`]).
     pub db_timeout: Cycles,
-    /// Optional seeded fault plan for the assembly (`None` = fault-free).
-    pub faults: Option<TpcwFaults>,
+    /// Optional seeded faults for the assembly (`None` = fault-free):
+    /// `front` is client → squid, `backbone` is tomcat → mysql, and
+    /// mysql is the victim process and machine.
+    pub faults: Option<ScenarioFaults>,
     /// Ready-queue tie-breaking policy (FIFO = the historical schedule).
     pub sched: SchedulePolicy,
     /// Livelock bound: maximum thread resumes at a single virtual
     /// instant before the run is declared livelocked (`None` = off).
     pub step_budget: Option<u64>,
-    /// Spawns an intentionally buggy zero-latency ping-pong thread pair
-    /// that never advances virtual time — a planted bounded-progress
-    /// defect for exercising the chaos explorer's livelock oracle.
-    /// Requires a `step_budget`, or the run never terminates.
+    /// Plants the zero-progress ping-pong pair among the clients
+    /// ([`plant_livelock_pair`]) for exercising the chaos explorer's
+    /// livelock oracle. Requires a `step_budget`, or the run never
+    /// terminates.
     pub livelock_pair: bool,
     /// Records the per-channel send/recv event log (plus ground-truth
     /// pairings) for black-box inference. Pure observation: enabling
     /// it never changes the run (see the engine's comm-log test), so
     /// the batch fingerprint is unaffected.
     pub comm_log: bool,
-}
-
-/// Fault knobs for the 3-tier assembly, resolved into a
-/// [`whodunit_sim::FaultPlan`] once the channels and processes exist.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TpcwFaults {
-    /// Seed of the fault plan's random stream.
-    pub seed: u64,
-    /// Faults on the tomcat → mysql request channel.
-    pub db_chan: ChannelFaults,
-    /// Faults on the client → squid channel. Note that a *dropped*
-    /// client request strands that client for the rest of the run (the
-    /// closed-loop browser has no reply timeout), shrinking offered
-    /// load — use drops here for orphaned-message stress, not for
-    /// throughput comparisons.
-    pub front_chan: ChannelFaults,
-    /// Crash the mysql process at this virtual time.
-    pub db_crash_at: Option<Cycles>,
-    /// Slow the mysql machine: `(from, until, factor)`.
-    pub db_slowdown: Option<(Cycles, Cycles, u64)>,
 }
 
 impl Default for TpcwConfig {
@@ -539,27 +521,6 @@ pub struct TpcwReport {
     pub events: whodunit_sim::EventCensus,
 }
 
-/// The planted livelock defect: two threads ping-ponging over
-/// zero-latency, zero-cost channels. Every exchange happens at the same
-/// virtual instant, so the pair makes unbounded scheduler steps without
-/// ever advancing time — exactly what the step budget exists to catch.
-struct PingPongPeer {
-    rx: ChanId,
-    tx: ChanId,
-    serves: bool,
-}
-
-impl ThreadBody for PingPongPeer {
-    fn resume(&mut self, _cx: &mut ThreadCx<'_>, wake: Wake) -> Op {
-        match wake {
-            Wake::Start if self.serves => Op::Recv(self.rx),
-            Wake::Start | Wake::Received(_) => Op::Send(self.tx, Msg::new((), 0)),
-            Wake::Done => Op::Recv(self.rx),
-            _ => unreachable!("ping-pong only sends and receives"),
-        }
-    }
-}
-
 /// Runs the TPC-W assembly.
 pub fn run_tpcw(cfg: TpcwConfig) -> TpcwReport {
     run_tpcw_inner(cfg, None)
@@ -627,16 +588,7 @@ fn run_tpcw_inner(
 
     let squid_in = sim.add_channel(240_000, 20);
     if let Some(fs) = cfg.faults {
-        let mut plan = FaultPlan::new(fs.seed)
-            .channel_faults(db.req_chan, fs.db_chan)
-            .channel_faults(squid_in, fs.front_chan);
-        if let Some(at) = fs.db_crash_at {
-            plan = plan.crash(mysql_proc, at);
-        }
-        if let Some((from, until, factor)) = fs.db_slowdown {
-            plan = plan.slowdown(mysql_m, from, until, factor);
-        }
-        sim.set_fault_plan(plan);
+        sim.set_fault_plan(fs.plan(squid_in, db.req_chan, mysql_proc, mysql_m));
     }
     let f_sq_main = sim.frame("comm_poll");
     let f_sq_fwd = sim.frame("client_http_request");
@@ -687,28 +639,7 @@ fn run_tpcw_inner(
     }
 
     if cfg.livelock_pair {
-        let a = sim.add_channel(0, 0);
-        let b = sim.add_channel(0, 0);
-        sim.spawn(
-            client_proc,
-            client_m,
-            "pingpong0",
-            Box::new(PingPongPeer {
-                rx: b,
-                tx: a,
-                serves: false,
-            }),
-        );
-        sim.spawn(
-            client_proc,
-            client_m,
-            "pingpong1",
-            Box::new(PingPongPeer {
-                rx: a,
-                tx: b,
-                serves: true,
-            }),
-        );
+        plant_livelock_pair(&mut sim, client_proc, client_m);
     }
 
     let outcome = match streaming {
@@ -897,10 +828,10 @@ mod tests {
             duration: 90 * CPU_HZ,
             warmup: 20 * CPU_HZ,
             db_timeout: CPU_HZ / 2,
-            faults: Some(TpcwFaults {
+            faults: Some(ScenarioFaults {
                 seed: 9,
-                db_crash_at: Some(45 * CPU_HZ),
-                ..TpcwFaults::default()
+                crash_at: Some(45 * CPU_HZ),
+                ..ScenarioFaults::default()
             }),
             ..TpcwConfig::default()
         });
@@ -933,13 +864,13 @@ mod tests {
             duration: 90 * CPU_HZ,
             warmup: 20 * CPU_HZ,
             db_timeout: CPU_HZ,
-            faults: Some(TpcwFaults {
+            faults: Some(ScenarioFaults {
                 seed: 11,
-                db_chan: whodunit_sim::ChannelFaults {
+                backbone: whodunit_sim::ChannelFaults {
                     drop_p: 0.2,
                     ..Default::default()
                 },
-                ..TpcwFaults::default()
+                ..ScenarioFaults::default()
             }),
             ..TpcwConfig::default()
         });

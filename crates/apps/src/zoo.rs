@@ -18,10 +18,12 @@
 //! the variable timing-window inference is sensitive to.
 //!
 //! The chaos glue ([`zoo_space`], [`zoo_config_of`],
-//! [`run_zoo_scenario`]) mirrors [`crate::chaos`], so the explorer
+//! [`run_zoo_scenario`]) uses [`crate::chaos`]'s harness — one
+//! [`ScenarioFaults`] in the `front` / `backbone` / backend roles, the
+//! planted livelock pair, and `chaos::judge` — so the explorer
 //! can sample, check, and shrink scenarios on any zoo member.
 
-use crate::chaos::ScenarioResult;
+use crate::chaos::{judge, ScenarioResult};
 use crate::rtconf::RtKind;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -29,16 +31,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use whodunit_core::blackbox::CommLog;
 use whodunit_core::cost::CPU_HZ;
-use whodunit_core::dumpjson;
-use whodunit_core::hash::Fnv64;
 use whodunit_core::ids::ChanId;
-use whodunit_core::oracle::{check_all, Evidence, ProgressState};
-use whodunit_core::repro::{ChaosRepro, FaultEntry};
+use whodunit_core::repro::ChaosRepro;
 use whodunit_core::stitch::StageDump;
-use whodunit_sim::explore::ChaosSpace;
-use whodunit_sim::{
-    ChannelFaults, Cycles, Msg, Op, RunOutcome, SchedulePolicy, ThreadBody, ThreadCx, Wake,
-};
+use whodunit_sim::explore::{ChaosSpace, ScenarioFaults};
+use whodunit_sim::{Cycles, Msg, Op, RunOutcome, SchedulePolicy, ThreadBody, ThreadCx, Wake};
 use whodunit_workload::LoadShape;
 
 pub mod cachewt;
@@ -68,24 +65,6 @@ impl Topology {
             Topology::CacheWt => "cachewt",
         }
     }
-}
-
-/// Fault knobs for a zoo assembly, mirroring [`crate::tpcw::TpcwFaults`]
-/// with topology-neutral roles.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ZooFaults {
-    /// Seed of the fault plan's random stream.
-    pub seed: u64,
-    /// Faults on the client → entry-tier channel.
-    pub front_chan: ChannelFaults,
-    /// Faults on the entry tier → first-backend channel (gateway→svc0,
-    /// broker→sub0, shards→store).
-    pub backbone_chan: ChannelFaults,
-    /// Crash the designated backend (last service / last subscriber /
-    /// the store) at this virtual time.
-    pub crash_at: Option<Cycles>,
-    /// Slow that backend's machine: `(from, until, factor)`.
-    pub slowdown: Option<(Cycles, Cycles, u64)>,
 }
 
 /// Zoo experiment configuration, shared by all three topologies.
@@ -120,8 +99,11 @@ pub struct ZooConfig {
     pub base_think: Cycles,
     /// Cross-tier RPC timeout for workers that wait on a backend.
     pub rpc_timeout: Cycles,
-    /// Optional fault plan.
-    pub faults: Option<ZooFaults>,
+    /// Optional faults: `front` is client → entry tier, `backbone` is
+    /// entry tier → first backend (gateway → svc0, broker → sub0,
+    /// shards → store), and the victim is the last service, the last
+    /// subscriber, or the store.
+    pub faults: Option<ScenarioFaults>,
 }
 
 impl Default for ZooConfig {
@@ -264,25 +246,6 @@ impl<F: FnMut(&mut SmallRng, ChanId) -> Msg> ThreadBody for ZooClient<F> {
     }
 }
 
-/// The planted zero-progress defect (see
-/// [`crate::tpcw::TpcwConfig::livelock_pair`]).
-pub(crate) struct PingPongPeer {
-    pub(crate) rx: ChanId,
-    pub(crate) tx: ChanId,
-    pub(crate) serves: bool,
-}
-
-impl ThreadBody for PingPongPeer {
-    fn resume(&mut self, _cx: &mut ThreadCx<'_>, wake: Wake) -> Op {
-        match wake {
-            Wake::Start if self.serves => Op::Recv(self.rx),
-            Wake::Start | Wake::Received(_) => Op::Send(self.tx, Msg::new((), 0)),
-            Wake::Done => Op::Recv(self.rx),
-            _ => unreachable!("ping-pong only sends and receives"),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Chaos-explorer glue
 // ---------------------------------------------------------------------
@@ -324,62 +287,10 @@ pub fn zoo_workload() -> Vec<(String, u64)> {
     ]
 }
 
-fn ppm_to_p(ppm: u64) -> f64 {
-    ppm as f64 / 1_000_000.0
-}
-
-/// The faultable channel roles of a zoo assembly.
-fn chan_mut<'a>(faults: &'a mut ZooFaults, name: &str) -> Option<&'a mut ChannelFaults> {
-    match name {
-        "front" => Some(&mut faults.front_chan),
-        "backbone" => Some(&mut faults.backbone_chan),
-        _ => None,
-    }
-}
-
 /// Resolves a repro into a concrete [`ZooConfig`] for topology `t`.
 /// Unknown roles are ignored, exactly as in [`crate::chaos::config_of`].
 pub fn zoo_config_of(t: Topology, repro: &ChaosRepro) -> ZooConfig {
-    let mut faults = ZooFaults {
-        seed: repro.seed,
-        ..ZooFaults::default()
-    };
-    for f in &repro.faults {
-        match f {
-            FaultEntry::Drop { chan, ppm } => {
-                if let Some(c) = chan_mut(&mut faults, chan) {
-                    c.drop_p = ppm_to_p(*ppm);
-                }
-            }
-            FaultEntry::Dup { chan, ppm } => {
-                if let Some(c) = chan_mut(&mut faults, chan) {
-                    c.dup_p = ppm_to_p(*ppm);
-                }
-            }
-            FaultEntry::Delay { chan, ppm, cycles } => {
-                if let Some(c) = chan_mut(&mut faults, chan) {
-                    c.delay_p = ppm_to_p(*ppm);
-                    c.delay_cycles = *cycles;
-                }
-            }
-            FaultEntry::Crash { proc, at } => {
-                if proc == backend_role(t) {
-                    faults.crash_at = Some(*at);
-                }
-            }
-            FaultEntry::Slowdown {
-                machine,
-                from,
-                until,
-                factor,
-            } => {
-                if machine == backend_role(t) {
-                    faults.slowdown = Some((*from, *until, *factor));
-                }
-            }
-        }
-    }
-
+    let faults = ScenarioFaults::from_repro(repro, "front", "backbone", backend_role(t));
     let knob = |name: &str, default: u64| repro.knob(name).unwrap_or(default);
     ZooConfig {
         topology: t,
@@ -404,46 +315,8 @@ pub fn zoo_config_of(t: Topology, repro: &ChaosRepro) -> ZooConfig {
 /// oracle (mass conservation, dictionary, fault accounting, progress).
 pub fn run_zoo_scenario(t: Topology, repro: &ChaosRepro) -> ScenarioResult {
     let r = run_zoo(&zoo_config_of(t, repro));
-
-    let progress = match &r.outcome {
-        RunOutcome::ReachedLimit | RunOutcome::Idle => ProgressState::Completed,
-        RunOutcome::Deadlock(d) => ProgressState::Deadlock(d.to_string()),
-        RunOutcome::Livelock(l) => ProgressState::Livelock(l.to_string()),
-    };
-    let has = |pred: &dyn Fn(&FaultEntry) -> bool| repro.faults.iter().any(pred);
-    let ev = Evidence {
-        compute_truth: r.compute_truth.clone(),
-        drops_permitted: has(&|f| matches!(f, FaultEntry::Drop { ppm, .. } if *ppm > 0)),
-        dups_permitted: has(&|f| matches!(f, FaultEntry::Dup { ppm, .. } if *ppm > 0)),
-        delays_permitted: has(&|f| matches!(f, FaultEntry::Delay { ppm, .. } if *ppm > 0)),
-        crash_permitted: has(&|f| matches!(f, FaultEntry::Crash { .. })),
-        dropped: r.dropped_msgs,
-        duplicated: r.duplicated_msgs,
-        delayed: r.delayed_msgs,
-        progress,
-        dumps: r.dumps,
-        federation: None,
-    };
-    let violations = check_all(&ev);
-
-    let mut h = Fnv64::new();
-    h.write(dumpjson::to_json(&ev.dumps).as_bytes());
-    for n in [ev.dropped, ev.duplicated, ev.delayed] {
-        h.write_u64(n);
-    }
-    for &tc in &ev.compute_truth {
-        h.write(&tc.to_le_bytes());
-    }
-    let outcome = r.outcome.to_string();
-    h.write(outcome.as_bytes());
-    let h = h.finish();
-
-    ScenarioResult {
-        violations,
-        fingerprint: h,
-        outcome,
-        faults_seen: (ev.dropped, ev.duplicated, ev.delayed),
-    }
+    let seen = (r.dropped_msgs, r.duplicated_msgs, r.delayed_msgs);
+    judge(repro, r.dumps, r.compute_truth, seen, &r.outcome)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! burst of same-sized messages on one channel at near-identical
 //! timestamps.
 
-use super::{ClientReply, ClientState, PingPongPeer, ZooClient, ZooConfig, ZooReport, ZooStats};
+use super::{ClientReply, ClientState, ZooClient, ZooConfig, ZooReport, ZooStats};
 use crate::rtconf::make_runtime;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -21,7 +21,9 @@ use std::rc::Rc;
 use whodunit_core::cost::ms_to_cycles;
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::{ChanId, ProcId};
-use whodunit_sim::{Cycles, FaultPlan, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{
+    plant_livelock_pair, Cycles, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake,
+};
 
 /// Cache key space.
 const KEYS: u64 = 64;
@@ -384,16 +386,7 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     let shard_in = [sim.add_channel(240_000, 20), sim.add_channel(240_000, 20)];
     let store_in = sim.add_channel(240_000, 20);
     if let Some(fs) = cfg.faults {
-        let mut plan = FaultPlan::new(fs.seed)
-            .channel_faults(front_in, fs.front_chan)
-            .channel_faults(store_in, fs.backbone_chan);
-        if let Some(at) = fs.crash_at {
-            plan = plan.crash(store_proc, at);
-        }
-        if let Some((from, until, factor)) = fs.slowdown {
-            plan = plan.slowdown(store_m, from, until, factor);
-        }
-        sim.set_fault_plan(plan);
+        sim.set_fault_plan(fs.plan(front_in, store_in, store_proc, store_m));
     }
 
     let f_f_main = sim.frame("front_poll");
@@ -492,28 +485,7 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     }
 
     if cfg.livelock_pair {
-        let a = sim.add_channel(0, 0);
-        let b = sim.add_channel(0, 0);
-        sim.spawn(
-            client_proc,
-            client_m,
-            "pingpong0",
-            Box::new(PingPongPeer {
-                rx: b,
-                tx: a,
-                serves: false,
-            }),
-        );
-        sim.spawn(
-            client_proc,
-            client_m,
-            "pingpong1",
-            Box::new(PingPongPeer {
-                rx: a,
-                tx: b,
-                serves: true,
-            }),
-        );
+        plant_livelock_pair(&mut sim, client_proc, client_m);
     }
 
     let outcome = sim.run_until_outcome(cfg.duration);

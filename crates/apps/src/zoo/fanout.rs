@@ -12,7 +12,7 @@
 //! in after its RPC timed out (crashed or slowed service) is
 //! discarded instead of being credited to the *next* request.
 
-use super::{ClientReply, ClientState, PingPongPeer, ZooClient, ZooConfig, ZooReport, ZooStats};
+use super::{ClientReply, ClientState, ZooClient, ZooConfig, ZooReport, ZooStats};
 use crate::rtconf::make_runtime;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -21,7 +21,9 @@ use std::rc::Rc;
 use whodunit_core::cost::ms_to_cycles;
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::{ChanId, ProcId};
-use whodunit_sim::{Cycles, FaultPlan, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{
+    plant_livelock_pair, Cycles, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake,
+};
 
 /// Client → gateway request.
 #[derive(Debug)]
@@ -244,17 +246,8 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     let gw_in = sim.add_channel(240_000, 20);
     let svc_in: Vec<_> = (0..services).map(|_| sim.add_channel(240_000, 20)).collect();
     if let Some(fs) = cfg.faults {
-        let mut plan = FaultPlan::new(fs.seed)
-            .channel_faults(gw_in, fs.front_chan)
-            .channel_faults(svc_in[0], fs.backbone_chan);
         let victim = services - 1;
-        if let Some(at) = fs.crash_at {
-            plan = plan.crash(svc_procs[victim], at);
-        }
-        if let Some((from, until, factor)) = fs.slowdown {
-            plan = plan.slowdown(svc_m[victim], from, until, factor);
-        }
-        sim.set_fault_plan(plan);
+        sim.set_fault_plan(fs.plan(gw_in, svc_in[0], svc_procs[victim], svc_m[victim]));
     }
 
     let f_gw_main = sim.frame("gw_poll");
@@ -328,28 +321,7 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     }
 
     if cfg.livelock_pair {
-        let a = sim.add_channel(0, 0);
-        let b = sim.add_channel(0, 0);
-        sim.spawn(
-            client_proc,
-            client_m,
-            "pingpong0",
-            Box::new(PingPongPeer {
-                rx: b,
-                tx: a,
-                serves: false,
-            }),
-        );
-        sim.spawn(
-            client_proc,
-            client_m,
-            "pingpong1",
-            Box::new(PingPongPeer {
-                rx: a,
-                tx: b,
-                serves: true,
-            }),
-        );
+        plant_livelock_pair(&mut sim, client_proc, client_m);
     }
 
     let outcome = sim.run_until_outcome(cfg.duration);

@@ -8,7 +8,7 @@
 //! replies**, so nesting gives the inferrer nothing and only the
 //! per-channel timing window pairs them.
 
-use super::{ClientReply, ClientState, PingPongPeer, ZooClient, ZooConfig, ZooReport, ZooStats};
+use super::{ClientReply, ClientState, ZooClient, ZooConfig, ZooReport, ZooStats};
 use crate::rtconf::make_runtime;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -17,7 +17,7 @@ use std::rc::Rc;
 use whodunit_core::cost::ms_to_cycles;
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::{ChanId, ProcId};
-use whodunit_sim::{FaultPlan, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{plant_livelock_pair, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 
 /// Distinct topics on the bus.
 const TOPICS: u64 = 16;
@@ -183,17 +183,8 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     let broker_in = sim.add_channel(240_000, 20);
     let sub_in: Vec<_> = (0..subs_n).map(|_| sim.add_channel(240_000, 20)).collect();
     if let Some(fs) = cfg.faults {
-        let mut plan = FaultPlan::new(fs.seed)
-            .channel_faults(broker_in, fs.front_chan)
-            .channel_faults(sub_in[0], fs.backbone_chan);
         let victim = subs_n - 1;
-        if let Some(at) = fs.crash_at {
-            plan = plan.crash(sub_procs[victim], at);
-        }
-        if let Some((from, until, factor)) = fs.slowdown {
-            plan = plan.slowdown(sub_m[victim], from, until, factor);
-        }
-        sim.set_fault_plan(plan);
+        sim.set_fault_plan(fs.plan(broker_in, sub_in[0], sub_procs[victim], sub_m[victim]));
     }
 
     let f_b_main = sim.frame("broker_poll");
@@ -264,28 +255,7 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     }
 
     if cfg.livelock_pair {
-        let a = sim.add_channel(0, 0);
-        let b = sim.add_channel(0, 0);
-        sim.spawn(
-            client_proc,
-            client_m,
-            "pingpong0",
-            Box::new(PingPongPeer {
-                rx: b,
-                tx: a,
-                serves: false,
-            }),
-        );
-        sim.spawn(
-            client_proc,
-            client_m,
-            "pingpong1",
-            Box::new(PingPongPeer {
-                rx: a,
-                tx: b,
-                serves: true,
-            }),
-        );
+        plant_livelock_pair(&mut sim, client_proc, client_m);
     }
 
     let outcome = sim.run_until_outcome(cfg.duration);

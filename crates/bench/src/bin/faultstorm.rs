@@ -16,12 +16,12 @@
 //!    transaction contexts is still recorded at MySQL.
 
 use whodunit_apps::dbserver::Engine;
-use whodunit_apps::tpcw::{run_tpcw, TpcwConfig, TpcwFaults, TpcwReport};
+use whodunit_apps::tpcw::{run_tpcw, TpcwConfig, TpcwReport};
 use whodunit_bench::header;
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_report::render::render_stitched_text;
-use whodunit_sim::ChannelFaults;
+use whodunit_sim::{ChannelFaults, ScenarioFaults};
 
 fn storm_config() -> TpcwConfig {
     TpcwConfig {
@@ -30,17 +30,17 @@ fn storm_config() -> TpcwConfig {
         duration: 120 * CPU_HZ,
         warmup: 30 * CPU_HZ,
         db_timeout: CPU_HZ / 2,
-        faults: Some(TpcwFaults {
+        faults: Some(ScenarioFaults {
             seed: 0xF0057,
-            db_chan: ChannelFaults {
+            backbone: ChannelFaults {
                 drop_p: 0.05,
                 delay_p: 0.10,
                 delay_cycles: CPU_HZ / 100, // 10 ms
                 ..ChannelFaults::default()
             },
-            db_slowdown: Some((40 * CPU_HZ, 60 * CPU_HZ, 3)),
-            db_crash_at: Some(100 * CPU_HZ),
-            ..TpcwFaults::default()
+            slowdown: Some((40 * CPU_HZ, 60 * CPU_HZ, 3)),
+            crash_at: Some(100 * CPU_HZ),
+            ..ScenarioFaults::default()
         }),
         ..TpcwConfig::default()
     }

@@ -40,7 +40,7 @@
 
 use std::process::ExitCode;
 use whodunit_apps::tpcw::run_tpcw;
-use whodunit_apps::zoo::{run_zoo, Topology, ZooConfig, ZooFaults};
+use whodunit_apps::zoo::{run_zoo, Topology, ZooConfig};
 use whodunit_bench::{fleet_config, header, json_escape, matrix, run_fleet, write_json_file};
 use whodunit_core::blackbox::{CommLog, TierVisibility};
 use whodunit_core::cost::CPU_HZ;
@@ -51,6 +51,7 @@ use whodunit_infer::{
     PairingConfig,
 };
 use whodunit_sim::fault::ChannelFaults;
+use whodunit_sim::ScenarioFaults;
 use whodunit_workload::LoadShape;
 
 /// The published batch fingerprint every fleet-scale bench is gated
@@ -97,14 +98,14 @@ struct Scenario {
 
 /// The zoo storm plan: lossy frontend, lossy/dup/laggy backbone —
 /// the same shape as the TPC-W matrix fault plan.
-fn zoo_storm(seed: u64) -> ZooFaults {
-    ZooFaults {
+fn zoo_storm(seed: u64) -> ScenarioFaults {
+    ScenarioFaults {
         seed: seed ^ 0xfa07,
-        front_chan: ChannelFaults {
+        front: ChannelFaults {
             drop_p: 0.01,
             ..Default::default()
         },
-        backbone_chan: ChannelFaults {
+        backbone: ChannelFaults {
             drop_p: 0.02,
             dup_p: 0.01,
             delay_p: 0.05,
@@ -135,7 +136,7 @@ fn build_scenarios(smoke: bool) -> Vec<Scenario> {
         out.push(Scenario { label, clean, log });
     }
 
-    let shapes: Vec<(&str, LoadShape, Option<ZooFaults>)> = vec![
+    let shapes: Vec<(&str, LoadShape, Option<ScenarioFaults>)> = vec![
         ("clean/steady", LoadShape::Steady, None),
         (
             "clean/flash",

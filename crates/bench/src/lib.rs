@@ -96,11 +96,12 @@ pub fn fleet_stream(
 /// that can drift apart. A corpus change here intentionally moves
 /// every one of those suites at once.
 pub mod matrix {
-    use whodunit_apps::tpcw::{run_tpcw, TpcwConfig, TpcwFaults};
+    use whodunit_apps::tpcw::{run_tpcw, TpcwConfig};
     use whodunit_core::cost::CPU_HZ;
     use whodunit_core::stitch::StageDump;
     use whodunit_sim::fault::ChannelFaults;
     use whodunit_sim::sched::SchedulePolicy;
+    use whodunit_sim::ScenarioFaults;
 
     /// The matrix seeds: 6 × [`schedules`] × clean/faulty = 36.
     pub const SEEDS: [u64; 6] = [1, 2, 3, 5, 8, 13];
@@ -119,16 +120,16 @@ pub mod matrix {
 
     /// The matrix fault plan: lossy/dup/laggy DB channel, lossy
     /// frontend channel.
-    pub fn faults(seed: u64) -> TpcwFaults {
-        TpcwFaults {
+    pub fn faults(seed: u64) -> ScenarioFaults {
+        ScenarioFaults {
             seed: seed ^ 0xfa07,
-            db_chan: ChannelFaults {
+            backbone: ChannelFaults {
                 drop_p: 0.02,
                 dup_p: 0.01,
                 delay_p: 0.05,
                 delay_cycles: CPU_HZ / 100,
             },
-            front_chan: ChannelFaults {
+            front: ChannelFaults {
                 drop_p: 0.01,
                 ..Default::default()
             },

@@ -9,10 +9,10 @@
 //! attribution surviving the storm.
 
 use whodunit_apps::dbserver::Engine;
-use whodunit_apps::tpcw::{run_tpcw, TpcwConfig, TpcwFaults, TpcwReport};
+use whodunit_apps::tpcw::{run_tpcw, TpcwConfig, TpcwReport};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::pipeline::{analyze, PipelineConfig};
-use whodunit_sim::ChannelFaults;
+use whodunit_sim::{ChannelFaults, ScenarioFaults};
 
 /// A compressed storm: same fault classes as the bin (drops, delays,
 /// slowdown window, mid-run crash), sized so the whole suite runs in
@@ -24,17 +24,17 @@ fn storm_config() -> TpcwConfig {
         duration: 60 * CPU_HZ,
         warmup: 15 * CPU_HZ,
         db_timeout: CPU_HZ / 2,
-        faults: Some(TpcwFaults {
+        faults: Some(ScenarioFaults {
             seed: 0xF0057,
-            db_chan: ChannelFaults {
+            backbone: ChannelFaults {
                 drop_p: 0.05,
                 delay_p: 0.10,
                 delay_cycles: CPU_HZ / 100,
                 ..ChannelFaults::default()
             },
-            db_slowdown: Some((20 * CPU_HZ, 30 * CPU_HZ, 3)),
-            db_crash_at: Some(50 * CPU_HZ),
-            ..TpcwFaults::default()
+            slowdown: Some((20 * CPU_HZ, 30 * CPU_HZ, 3)),
+            crash_at: Some(50 * CPU_HZ),
+            ..ScenarioFaults::default()
         }),
         ..TpcwConfig::default()
     }

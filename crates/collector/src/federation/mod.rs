@@ -61,7 +61,7 @@ mod node;
 
 use std::collections::BTreeMap;
 use whodunit_core::delta::{EpochBatch, RecordedResync, StreamHeader};
-use whodunit_core::oracle::{FederationEvidence, SubtreeMass};
+use whodunit_core::oracle::{ppm, FederationEvidence, SubtreeMass};
 use whodunit_core::summary::delta_mass;
 use whodunit_report::live::{FedNodeView, FedTopologyView};
 
@@ -646,10 +646,7 @@ impl Federation {
     pub fn coverage_ppm(&self) -> u64 {
         let delivered: u64 = self.root.ledger.mass.values().sum();
         let truth: u64 = self.truth.iter().sum();
-        delivered
-            .saturating_mul(1_000_000)
-            .checked_div(truth)
-            .unwrap_or(1_000_000)
+        ppm(delivered, truth)
     }
 
     /// The operator's topology view at this instant: per-level fan-in,

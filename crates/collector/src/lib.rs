@@ -339,7 +339,7 @@ pub struct Collector {
     /// progress tracking; `epoch` itself only advances post-batch to
     /// keep eviction timing unchanged).
     ingest_epoch: u64,
-    /// Recorded per-epoch observations awaiting `take_epoch_obs`.
+    /// Recorded per-epoch observations awaiting `pop_epoch_obs`.
     epoch_obs: VecDeque<EpochObs>,
     /// Per-batch scratch for `EpochObs::stage_cycles`.
     obs_stage_cycles: Vec<u64>,
@@ -474,15 +474,8 @@ impl Collector {
             .collect()
     }
 
-    /// Drains the per-epoch observations recorded since the last call
-    /// (empty unless [`CollectorConfig::track_obs`] is set).
-    pub fn take_epoch_obs(&mut self) -> Vec<EpochObs> {
-        self.epoch_obs.drain(..).collect()
-    }
-
-    /// Pops the oldest pending observation, if any — the allocation-
-    /// free form of [`Collector::take_epoch_obs`] for per-batch
-    /// polling loops.
+    /// Pops the oldest per-epoch observation not yet taken, if any
+    /// (there are none unless [`CollectorConfig::track_obs`] is set).
     pub fn pop_epoch_obs(&mut self) -> Option<EpochObs> {
         self.epoch_obs.pop_front()
     }

@@ -446,16 +446,6 @@ impl SentinelSink {
         &self.sentinel
     }
 
-    /// Time travel: the retained snapshot taken at or before `epoch`
-    /// (newest such), if the ring still holds one.
-    pub fn at(&self, epoch: u64) -> Option<&LiveSnapshot> {
-        self.ring
-            .iter()
-            .rev()
-            .find(|(e, _)| *e <= epoch)
-            .map(|(_, s)| s)
-    }
-
     /// The retained periodic snapshots, oldest first.
     pub fn snapshots(&self) -> &VecDeque<(u64, LiveSnapshot)> {
         &self.ring

@@ -263,11 +263,19 @@ pub(crate) enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// Deepest `[` / `{` nesting the parser accepts. A dump nests 7 levels
+/// and a repro 4; the bound keeps a hostile file from recursing the
+/// parser off the end of its stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
+#[deny(clippy::indexing_slicing)]
 impl<'a> Parser<'a> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, StitchError> {
         Err(StitchError::Json {
@@ -301,7 +309,11 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_lit(&mut self, lit: &str) -> bool {
-        if self.b[self.pos..].starts_with(lit.as_bytes()) {
+        if self
+            .b
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(lit.as_bytes()))
+        {
             self.pos += lit.len();
             true
         } else {
@@ -334,8 +346,19 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c.is_ascii_digit() => self.number(),
             Some(b'-') => self.err("negative numbers do not occur in stage dumps"),
             Some(c) => self.err(format!("unexpected byte '{}'", c as char)),
@@ -358,7 +381,11 @@ impl<'a> Parser<'a> {
         {
             return self.err("non-integer numbers do not occur in stage dumps");
         }
-        let s = std::str::from_utf8(&self.b[start..self.pos]).unwrap_or("");
+        let s = self
+            .b
+            .get(start..self.pos)
+            .and_then(|digits| std::str::from_utf8(digits).ok())
+            .unwrap_or("");
         match s.parse::<u64>() {
             Ok(n) => Ok(Value::Num(n)),
             Err(_) => self.err("integer out of range"),
@@ -390,10 +417,10 @@ impl<'a> Parser<'a> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            if self.pos + 4 > self.b.len() {
+                            let Some(hex) = self.b.get(self.pos..self.pos + 4) else {
                                 return self.err("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.pos..self.pos + 4])
+                            };
+                            let hex = std::str::from_utf8(hex)
                                 .ok()
                                 .and_then(|h| u32::from_str_radix(h, 16).ok());
                             self.pos += 4;
@@ -415,10 +442,10 @@ impl<'a> Parser<'a> {
                         0xF0..=0xF7 => 4,
                         _ => return self.err("invalid UTF-8 in string"),
                     };
-                    if start + len > self.b.len() {
+                    let Some(bytes) = self.b.get(start..start + len) else {
                         return self.err("truncated UTF-8 in string");
-                    }
-                    match std::str::from_utf8(&self.b[start..start + len]) {
+                    };
+                    match std::str::from_utf8(bytes) {
                         Ok(s) => {
                             out.push_str(s);
                             self.pos = start + len;
@@ -479,6 +506,7 @@ pub(crate) fn parse_value(s: &str) -> Result<Value, StitchError> {
     let mut p = Parser {
         b: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -775,6 +803,29 @@ mod tests {
         ] {
             assert!(from_json(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_before_the_stack_runs_out() {
+        // 100,000 open brackets recursed once each and overflowed the
+        // stack; both file-reading entry points now refuse them.
+        let deep = "[".repeat(100_000);
+        let repro = crate::repro::repro_from_json(&deep).err();
+        for (entry, got) in [
+            ("from_json", from_json(&deep).err()),
+            ("repro_from_json", repro),
+        ] {
+            let depth = match got {
+                Some(StitchError::Json { offset, .. }) => Some(offset),
+                _ => None,
+            };
+            assert_eq!(depth, Some(MAX_DEPTH), "{entry}: {got:?}");
+        }
+        // The bound itself still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_value(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(matches!(parse_value(&over), Err(StitchError::Json { .. })));
     }
 
     #[test]

@@ -68,9 +68,6 @@ pub struct Evidence {
     pub delayed: u64,
     /// Terminal progress state of the run.
     pub progress: ProgressState,
-    /// Federation mass/coverage ledger, when the run aggregated through
-    /// a collector federation (absent on flat runs).
-    pub federation: Option<FederationEvidence>,
 }
 
 /// The mass ledger of one federation subtree: what the root received
@@ -109,7 +106,8 @@ impl Evidence {
     }
 }
 
-/// One invariant violation found by [`check_all`].
+/// One invariant violation found by [`check_all`] or by one of the
+/// other oracles of this module.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Violation {
     /// A tier's profiled cycles diverge from simulator ground truth.
@@ -463,10 +461,7 @@ pub fn check_federation(fed: &FederationEvidence) -> Vec<Violation> {
             truth: delivered_total,
         });
     }
-    let actual_ppm = delivered_total
-        .saturating_mul(1_000_000)
-        .checked_div(truth_total)
-        .unwrap_or(1_000_000);
+    let actual_ppm = ppm(delivered_total, truth_total);
     if fed.reported_coverage_ppm != actual_ppm {
         out.push(Violation::FederationCoverage {
             reported_ppm: fed.reported_coverage_ppm,
@@ -557,11 +552,6 @@ pub fn check_all(ev: &Evidence) -> Vec<Violation> {
         if count > 0 && !permitted {
             out.push(Violation::SynopsisAccounting { counter, count });
         }
-    }
-
-    // 4c. Federation mass conservation and coverage accounting.
-    if let Some(fed) = &ev.federation {
-        out.extend(check_federation(fed));
     }
 
     // 5. Bounded progress.
@@ -737,11 +727,6 @@ mod tests {
     #[test]
     fn clean_federation_conserves_mass() {
         assert_eq!(check_federation(&fed_two_leaves()), vec![]);
-        let ev = Evidence {
-            federation: Some(fed_two_leaves()),
-            ..healthy()
-        };
-        assert_eq!(check_all(&ev), vec![]);
     }
 
     #[test]

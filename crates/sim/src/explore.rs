@@ -5,10 +5,13 @@
 //! samples one scenario — a [`crate::SchedulePolicy`] for ready-queue
 //! tie-breaking plus a fault plan (drops, duplicates, delays, a crash,
 //! a slowdown window) — as a pure-data
-//! [`whodunit_core::repro::ChaosRepro`]. The harness that owns the
-//! concrete stack (e.g. the TPC-W assembly in `whodunit-apps`)
-//! materializes the repro into a real `Sim` + `FaultPlan`, runs it, and
-//! checks the [`whodunit_core::oracle`]s.
+//! [`whodunit_core::repro::ChaosRepro`]. Every assembly that runs
+//! scenarios (the TPC-W stack and the topology zoo in `whodunit-apps`)
+//! resolves the repro's fault entries with
+//! [`ScenarioFaults::from_repro`], installs them with
+//! [`ScenarioFaults::plan`] once its channels and processes exist,
+//! plants the zero-progress defect with [`plant_livelock_pair`] when
+//! asked, runs, and checks the [`whodunit_core::oracle`]s.
 //!
 //! When a scenario fails, [`shrink`] greedily minimizes it: drop fault
 //! entries one at a time, halve the shrinkable workload knobs, and keep
@@ -17,8 +20,146 @@
 //! candidate is a complete scenario and the minimized repro replays
 //! bit-identically.
 
-use crate::time::Cycles;
+use crate::engine::{Op, Sim, ThreadBody, ThreadCx, Wake};
+use crate::fault::{ChannelFaults, FaultPlan};
+use crate::time::{Cycles, MachineId};
+use crate::Msg;
+use whodunit_core::ids::{ChanId, ProcId};
 use whodunit_core::repro::{ChaosRepro, FaultEntry};
+
+/// The faults of one scenario, in the roles every assembly has: the
+/// `front` channel clients send into, one `backbone` channel behind the
+/// entry tier, and one victim process on its own machine.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ScenarioFaults {
+    /// Seed of the fault plan's random stream.
+    pub seed: u64,
+    /// Faults on the client → entry-tier channel. A *dropped* client
+    /// request strands a closed-loop client that has no reply timeout
+    /// for the rest of the run, shrinking offered load.
+    pub front: ChannelFaults,
+    /// Faults on the backbone channel (tomcat → mysql, gateway → svc0,
+    /// broker → sub0, shards → store).
+    pub backbone: ChannelFaults,
+    /// Crash the victim process at this virtual time.
+    pub crash_at: Option<Cycles>,
+    /// Slow the victim's machine: `(from, until, factor)`.
+    pub slowdown: Option<(Cycles, Cycles, u64)>,
+}
+
+impl ScenarioFaults {
+    /// Resolves a repro's fault entries, with the seed as the plan
+    /// seed. An entry whose role is none of the given three is ignored
+    /// (a repro sampled from a larger space still runs); a later entry
+    /// for the same role and class overwrites an earlier one.
+    pub fn from_repro(
+        repro: &ChaosRepro,
+        front_role: &str,
+        backbone_role: &str,
+        victim_role: &str,
+    ) -> ScenarioFaults {
+        let mut faults = ScenarioFaults {
+            seed: repro.seed,
+            ..ScenarioFaults::default()
+        };
+        let p = |ppm: &u64| *ppm as f64 / 1_000_000.0;
+        for f in &repro.faults {
+            let chan = match f {
+                FaultEntry::Drop { chan, .. }
+                | FaultEntry::Dup { chan, .. }
+                | FaultEntry::Delay { chan, .. } => match chan.as_str() {
+                    c if c == front_role => Some(&mut faults.front),
+                    c if c == backbone_role => Some(&mut faults.backbone),
+                    _ => None,
+                },
+                FaultEntry::Crash { .. } | FaultEntry::Slowdown { .. } => None,
+            };
+            match (f, chan) {
+                (FaultEntry::Drop { ppm, .. }, Some(c)) => c.drop_p = p(ppm),
+                (FaultEntry::Dup { ppm, .. }, Some(c)) => c.dup_p = p(ppm),
+                (FaultEntry::Delay { ppm, cycles, .. }, Some(c)) => {
+                    c.delay_p = p(ppm);
+                    c.delay_cycles = *cycles;
+                }
+                (FaultEntry::Crash { proc, at }, _) if proc == victim_role => {
+                    faults.crash_at = Some(*at);
+                }
+                (
+                    FaultEntry::Slowdown {
+                        machine,
+                        from,
+                        until,
+                        factor,
+                    },
+                    _,
+                ) if machine == victim_role => {
+                    faults.slowdown = Some((*from, *until, *factor));
+                }
+                _ => {}
+            }
+        }
+        faults
+    }
+
+    /// The fault plan over the assembly's concrete channels, victim
+    /// process and victim machine.
+    pub fn plan(
+        &self,
+        front: ChanId,
+        backbone: ChanId,
+        victim_proc: ProcId,
+        victim_machine: MachineId,
+    ) -> FaultPlan {
+        let mut plan = FaultPlan::new(self.seed)
+            .channel_faults(front, self.front)
+            .channel_faults(backbone, self.backbone);
+        if let Some(at) = self.crash_at {
+            plan = plan.crash(victim_proc, at);
+        }
+        if let Some((from, until, factor)) = self.slowdown {
+            plan = plan.slowdown(victim_machine, from, until, factor);
+        }
+        plan
+    }
+}
+
+/// Plants the zero-progress defect: two threads, `pingpong0` and
+/// `pingpong1`, ping-ponging over zero-latency, zero-cost channels.
+/// Every exchange happens at the same virtual instant, so the pair
+/// makes unbounded scheduler steps without ever advancing time —
+/// exactly what the step budget exists to catch. Without a step budget
+/// the run never ends.
+pub fn plant_livelock_pair(sim: &mut Sim, proc: ProcId, machine: MachineId) {
+    let a = sim.add_channel(0, 0);
+    let b = sim.add_channel(0, 0);
+    for (name, rx, tx, serves) in [("pingpong0", b, a, false), ("pingpong1", a, b, true)] {
+        sim.spawn(
+            proc,
+            machine,
+            name,
+            Box::new(PingPongPeer { rx, tx, serves }),
+        );
+    }
+}
+
+/// One side of [`plant_livelock_pair`]; the serving side receives
+/// first.
+struct PingPongPeer {
+    rx: ChanId,
+    tx: ChanId,
+    serves: bool,
+}
+
+impl ThreadBody for PingPongPeer {
+    fn resume(&mut self, _cx: &mut ThreadCx<'_>, wake: Wake) -> Op {
+        match wake {
+            Wake::Start if self.serves => Op::Recv(self.rx),
+            Wake::Start | Wake::Received(_) => Op::Send(self.tx, Msg::new((), 0)),
+            Wake::Done => Op::Recv(self.rx),
+            _ => unreachable!("ping-pong only sends and receives"),
+        }
+    }
+}
 
 /// The sampling space: what a scenario is allowed to touch.
 #[derive(Clone, Debug, Default)]

@@ -28,8 +28,9 @@
 //!   tie-breaking (FIFO/LIFO/random/perturbation), so every seed is a
 //!   distinct legal interleaving of the same workload.
 //! - **Chaos exploration** ([`explore`]): sampling random
-//!   (schedule, fault-plan) scenarios and greedily shrinking failing
-//!   ones to minimal repro files.
+//!   (schedule, fault-plan) scenarios, greedily shrinking failing
+//!   ones to minimal repro files, and the one fault set and planted
+//!   livelock pair every assembly materializes a repro with.
 //!
 //! Everything is single-threaded and seeded: a simulation is a pure
 //! function of its inputs.
@@ -52,7 +53,7 @@ pub use engine::{
     DeadlockLink, DeadlockReport, EventCensus, KindCount, LivelockReport, Op, RunOutcome, Sim,
     SimConfig, ThreadBody, ThreadCx, Wake,
 };
-pub use explore::{sample_scenario, shrink, ChaosSpace};
+pub use explore::{plant_livelock_pair, sample_scenario, shrink, ChaosSpace, ScenarioFaults};
 pub use fault::{ChannelFaults, FaultPlan, SendVerdict, Slowdown};
 pub use sched::{SchedulePolicy, Scheduler};
 pub use time::{Cycles, MachineId};

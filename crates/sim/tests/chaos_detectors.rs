@@ -9,7 +9,8 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use whodunit_core::ids::LockMode;
 use whodunit_sim::{
-    Msg, Op, RunOutcome, SchedulePolicy, Sim, SimConfig, ThreadBody, ThreadCx, Wake,
+    plant_livelock_pair, Msg, Op, RunOutcome, SchedulePolicy, Sim, SimConfig, ThreadBody, ThreadCx,
+    Wake,
 };
 
 struct Script {
@@ -132,35 +133,16 @@ fn deadlock_free_contention_still_drains_to_idle() {
     assert!(matches!(sim.run_to_idle_outcome(), RunOutcome::Idle));
 }
 
-/// Two threads ping-ponging over zero-latency, zero-cost channels:
-/// unbounded steps at one virtual instant.
-struct PingPong {
-    rx: whodunit_core::ids::ChanId,
-    tx: whodunit_core::ids::ChanId,
-    serves: bool,
-}
-
-impl ThreadBody for PingPong {
-    fn resume(&mut self, _cx: &mut ThreadCx<'_>, wake: Wake) -> Op {
-        match wake {
-            Wake::Start if self.serves => Op::Recv(self.rx),
-            Wake::Start | Wake::Received(_) => Op::Send(self.tx, Msg::new(0u32, 0)),
-            Wake::Done => Op::Recv(self.rx),
-            _ => unreachable!("ping-pong only sends and receives"),
-        }
-    }
-}
-
 #[test]
 fn livelock_budget_names_the_spinners() {
+    // The planted pair every chaos assembly uses: two threads
+    // ping-ponging over zero-latency, zero-cost channels, unbounded
+    // steps at one virtual instant.
     let mut sim = Sim::default();
     sim.set_step_budget(Some(500));
     let m = sim.add_machine(2);
     let p = sim.add_unprofiled_process("p");
-    let a = sim.add_channel(0, 0);
-    let b = sim.add_channel(0, 0);
-    sim.spawn(p, m, "ping", Box::new(PingPong { rx: b, tx: a, serves: false }));
-    sim.spawn(p, m, "pong", Box::new(PingPong { rx: a, tx: b, serves: true }));
+    plant_livelock_pair(&mut sim, p, m);
     let outcome = sim.run_to_idle_outcome();
     let RunOutcome::Livelock(report) = outcome else {
         panic!("expected livelock, got {outcome}");
@@ -168,14 +150,17 @@ fn livelock_budget_names_the_spinners() {
     assert!(report.steps > 500);
     let names: Vec<&str> = report.spinners.iter().map(|s| s.name.as_str()).collect();
     assert!(
-        names.contains(&"ping") && names.contains(&"pong"),
+        names.contains(&"pingpong0") && names.contains(&"pingpong1"),
         "spinners: {names:?}"
     );
     // The two spinners dominate the step count.
     let spun: u64 = report.spinners.iter().map(|s| s.resumes).sum();
     assert!(spun > 400, "spinner resumes {spun} of {} steps", report.steps);
     let shown = report.to_string();
-    assert!(shown.contains("ping") && shown.contains("pong"), "{shown}");
+    assert!(
+        shown.contains("pingpong0") && shown.contains("pingpong1"),
+        "{shown}"
+    );
 }
 
 #[test]

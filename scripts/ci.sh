@@ -112,6 +112,15 @@ cargo test --workspace -q
 #   observation-only;
 # - golden: the rendered inference sweep table (regenerate
 #   intentionally with UPDATE_GOLDEN=1).
+#
+# The chaos-harness gates (zoo_chaos, chaos_detectors):
+# - pinned verdicts: the exact fingerprint, violation kinds and outcome
+#   of TPC-W and every zoo topology under a full fault storm (every
+#   fault class on both channel roles, a victim crash and slowdown)
+#   and under the planted livelock pair, plus the zoo's oracle sweeps;
+# - detectors: AB/BA deadlock as a lock cycle, the planted pair caught
+#   by the step budget with its spinners named, and the schedule
+#   policies' tie-breaking.
 cargo metadata --no-deps --offline --format-version 1 | python3 -c '
 import json, sys
 
@@ -124,6 +133,7 @@ whodunit-collector/federation_diff whodunit-collector/federation_props
 whodunit-collector/federation_alloc_budget whodunit/golden_federation
 whodunit-infer/properties whodunit-infer/scenarios whodunit/golden_infer
 whodunit-apps/engine_alloc_budget
+whodunit-apps/zoo_chaos whodunit-sim/chaos_detectors
 """.split()
 have = {
     p["name"] + "/" + t["name"]
@@ -214,7 +224,10 @@ cargo run --release -q -p whodunit-bench --bin infer -- --smoke --out target/BEN
 # Chaos smoke: the explorer's own pipeline check (find -> shrink ->
 # record -> replay on a planted defect), then a bounded fuzz sweep —
 # 25 sampled (schedule, fault-plan) scenarios over the TPC-W stack,
-# failing on any invariant-oracle violation.
+# failing on any invariant-oracle violation. One harness serves every
+# assembly (TPC-W here, the zoo in zoo_chaos, the sentinel below): one
+# fault set resolved from a repro's roles, one planted livelock pair,
+# and one judge that checks the oracles and fingerprints the run.
 cargo run --release -q -p whodunit-bench --bin chaos -- --selftest --out target/chaos-smoke
 cargo run --release -q -p whodunit-bench --bin chaos -- --seeds 25 --out target/chaos-smoke
 

@@ -7,7 +7,7 @@ use whodunit::apps::httpd::{run_httpd, HttpdConfig};
 use whodunit::apps::proxy::{run_proxy, ProxyConfig};
 use whodunit::apps::rtconf::RtKind;
 use whodunit::apps::sedasrv::{run_haboob, HaboobConfig};
-use whodunit::apps::tpcw::{run_tpcw, TpcwConfig, TpcwFaults};
+use whodunit::apps::tpcw::{run_tpcw, TpcwConfig};
 use whodunit::core::cost::CPU_HZ;
 use whodunit::core::dumpjson;
 use whodunit::core::pipeline::{analyze, PipelineConfig};
@@ -15,6 +15,7 @@ use whodunit::core::repro::{repro_from_json, repro_to_json, ChaosRepro, FaultEnt
 use whodunit::core::rt::Runtime;
 use whodunit::report::{render, tpcw};
 use whodunit::sim::fault::ChannelFaults;
+use whodunit::sim::ScenarioFaults;
 use whodunit::workload::Interaction;
 
 fn label_of(frame: &str) -> Option<String> {
@@ -203,15 +204,15 @@ fn faulty_tpcw_still_stitches_end_to_end() {
         clients: 24,
         duration: 60 * CPU_HZ,
         warmup: 15 * CPU_HZ,
-        faults: Some(TpcwFaults {
+        faults: Some(ScenarioFaults {
             seed: 0xbad,
-            db_chan: ChannelFaults {
+            backbone: ChannelFaults {
                 drop_p: 0.04,
                 dup_p: 0.02,
                 delay_p: 0.06,
                 delay_cycles: CPU_HZ / 100,
             },
-            front_chan: ChannelFaults {
+            front: ChannelFaults {
                 drop_p: 0.01,
                 ..Default::default()
             },

@@ -18,7 +18,7 @@
 //! other code change.
 
 use std::path::PathBuf;
-use whodunit::apps::tpcw::{run_tpcw, TpcwConfig, TpcwFaults};
+use whodunit::apps::tpcw::{run_tpcw, TpcwConfig};
 use whodunit::apps::zoo::{run_zoo, Topology, ZooConfig};
 use whodunit::core::blackbox::{CommLog, TierVisibility};
 use whodunit::core::cost::CPU_HZ;
@@ -28,6 +28,7 @@ use whodunit::infer::{
 };
 use whodunit::report::infer::{render_infer, InferRow};
 use whodunit::sim::fault::ChannelFaults;
+use whodunit::sim::ScenarioFaults;
 
 /// Scores one (scenario, visibility) cell into a report row.
 fn row(scenario: &str, vis: &str, log: &CommLog) -> InferRow {
@@ -72,9 +73,9 @@ fn canonical_doc() -> String {
         step_budget: Some(2_000_000),
         ..TpcwConfig::default()
     };
-    let storm = TpcwFaults {
+    let storm = ScenarioFaults {
         seed: 0xfeed,
-        db_chan: ChannelFaults {
+        backbone: ChannelFaults {
             drop_p: 0.03,
             dup_p: 0.01,
             delay_p: 0.05,

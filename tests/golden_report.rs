@@ -21,11 +21,12 @@
 //! change and commit it alongside the change that caused it.
 
 use std::path::PathBuf;
-use whodunit::apps::tpcw::{run_tpcw, TpcwConfig, TpcwFaults};
+use whodunit::apps::tpcw::{run_tpcw, TpcwConfig};
 use whodunit::core::cost::CPU_HZ;
 use whodunit::core::pipeline::{analyze, PipelineConfig};
 use whodunit::report::{render, table, tpcw};
 use whodunit::sim::fault::ChannelFaults;
+use whodunit::sim::ScenarioFaults;
 use whodunit::workload::Interaction;
 
 fn label_of(frame: &str) -> Option<String> {
@@ -118,15 +119,15 @@ fn faulty_cfg() -> TpcwConfig {
         duration: 45 * CPU_HZ,
         warmup: 10 * CPU_HZ,
         seed: 7,
-        faults: Some(TpcwFaults {
+        faults: Some(ScenarioFaults {
             seed: 0xfeed,
-            db_chan: ChannelFaults {
+            backbone: ChannelFaults {
                 drop_p: 0.03,
                 dup_p: 0.01,
                 delay_p: 0.05,
                 delay_cycles: CPU_HZ / 100,
             },
-            front_chan: ChannelFaults {
+            front: ChannelFaults {
                 drop_p: 0.01,
                 ..Default::default()
             },
