@@ -95,8 +95,6 @@ pub struct ZooConfig {
     pub livelock_pair: bool,
     /// Records the comm event log for black-box inference.
     pub comm_log: bool,
-    /// Mean client think time before shaping.
-    pub base_think: Cycles,
     /// Cross-tier RPC timeout for workers that wait on a backend.
     pub rpc_timeout: Cycles,
     /// Optional faults: `front` is client → entry tier, `backbone` is
@@ -121,7 +119,6 @@ impl Default for ZooConfig {
             step_budget: Some(2_000_000),
             livelock_pair: false,
             comm_log: false,
-            base_think: CPU_HZ / 2,
             rpc_timeout: CPU_HZ / 2,
             faults: None,
         }
@@ -168,6 +165,9 @@ pub fn run_zoo(cfg: &ZooConfig) -> ZooReport {
     }
 }
 
+/// Mean client think time before shaping.
+const BASE_THINK: Cycles = CPU_HZ / 2;
+
 /// Client-side completion counters, shared across a topology's
 /// closed-loop clients.
 #[derive(Debug, Default)]
@@ -185,7 +185,6 @@ pub(crate) struct ZooClient<F: FnMut(&mut SmallRng, ChanId) -> Msg> {
     pub(crate) reply: ChanId,
     pub(crate) stats: Rc<RefCell<ZooStats>>,
     pub(crate) warmup: Cycles,
-    pub(crate) base_think: Cycles,
     pub(crate) shape: LoadShape,
     pub(crate) started: Cycles,
     pub(crate) state: ClientState,
@@ -216,7 +215,7 @@ impl<F: FnMut(&mut SmallRng, ChanId) -> Msg> ThreadBody for ZooClient<F> {
                     // Draw a fresh think and run it through the load
                     // shape at the current virtual time.
                     let u = self.rng.gen::<f64>();
-                    let base = (self.base_think as f64 * (0.25 + 1.5 * u)) as u64;
+                    let base = (BASE_THINK as f64 * (0.25 + 1.5 * u)) as u64;
                     self.state = ClientState::Think;
                     Op::Sleep(self.shape.scale_think(base, cx.now()))
                 }
@@ -239,7 +238,7 @@ impl<F: FnMut(&mut SmallRng, ChanId) -> Msg> ThreadBody for ZooClient<F> {
                 drop(st);
                 self.state = ClientState::Think;
                 let u = self.rng.gen::<f64>();
-                let base = (self.base_think as f64 * (0.25 + 1.5 * u)) as u64;
+                let base = (BASE_THINK as f64 * (0.25 + 1.5 * u)) as u64;
                 Op::Sleep(self.shape.scale_think(base, cx.now()))
             }
         }

@@ -246,7 +246,6 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
                 reply,
                 stats: stats.clone(),
                 warmup: cfg.warmup,
-                base_think: cfg.base_think,
                 shape: cfg.shape,
                 started: 0,
                 state: ClientState::Think,

@@ -28,7 +28,7 @@
 //! - `full` rows reproduce the truth maps exactly;
 //! - comm-log purity: the batch-analysis fingerprint of a fleet run
 //!   with the comm log enabled equals the published fingerprint
-//!   `5dabdc5f5ca7e570` (full mode) or a comm-off twin (smoke mode).
+//!   `20ca3d2b1a107f2a` (full mode) or a comm-off twin (smoke mode).
 //!
 //! Modes:
 //!
@@ -56,7 +56,7 @@ use whodunit_workload::LoadShape;
 
 /// The published batch fingerprint every fleet-scale bench is gated
 /// on; a comm-log-enabled run must still produce exactly this.
-const EXPECTED_BATCH_FP: u64 = 0x5dab_dc5f_5ca7_e570;
+const EXPECTED_BATCH_FP: u64 = 0x20ca_3d2b_1a10_7f2a;
 
 /// Clean-scenario F1 floor, ppm.
 const GATE_F1_PPM: u64 = 950_000;

@@ -90,9 +90,10 @@ pub use sentinel::{Sentinel, SentinelSink, SloBudget, SloViolation};
 /// Tuning knobs of the collector.
 #[derive(Clone, Debug)]
 pub struct CollectorConfig {
-    /// Dictionary shard count of the finalized report, handed to
-    /// [`analyze`] as [`PipelineConfig::shards`] (default:
-    /// [`PipelineConfig::default`]'s).
+    /// Reserved and unread, like [`PipelineConfig::shards`]: the
+    /// finalized report has one context dictionary. The field survives
+    /// only because `benchmark/`'s `batch_config` reads its default;
+    /// ROADMAP item 7 drops that, then this field.
     pub shards: usize,
     /// Epochs an origin may stay idle before it is evicted from the
     /// resident working set (minimum 1).
@@ -114,7 +115,7 @@ pub struct CollectorConfig {
 impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
-            shards: PipelineConfig::default().shards,
+            shards: 32,
             window_epochs: 4,
             max_queue: 0,
             quarantine: QuarantinePolicy::default(),
@@ -1250,10 +1251,6 @@ impl Collector {
         self.stats.pending_edges_at_flush = self.pending_edge_count();
         self.stats.degraded = self.degraded_markers();
         let stats = std::mem::take(&mut self.stats);
-        let cfg = PipelineConfig {
-            shards: self.cfg.shards,
-            ..Default::default()
-        };
         let stages = std::mem::take(&mut self.stages);
         // The incremental state only answered snapshots: free it before
         // the batch pass builds its own.
@@ -1262,7 +1259,7 @@ impl Collector {
         // instead of copying them.
         let dumps: Vec<StageDump> = stages.into_iter().map(|s| s.acc.into_dump()).collect();
         CollectorOutput {
-            report: analyze(dumps, cfg),
+            report: analyze(dumps, PipelineConfig::default()),
             stats,
         }
     }

@@ -54,17 +54,10 @@ fn run_scenario(
     epoch_len: u64,
     ccfg: CollectorConfig,
 ) -> (CollectorOutput, PipelineReport) {
-    let shards = ccfg.shards;
     let mut collector = Collector::new(ccfg);
     let report = run_tpcw_streaming(cfg, epoch_len, &mut collector);
     let out = collector.finalize();
-    let batch = analyze(
-        report.dumps,
-        PipelineConfig {
-            shards,
-            ..Default::default()
-        },
-    );
+    let batch = analyze(report.dumps, PipelineConfig::default());
     (out, batch)
 }
 
@@ -206,59 +199,39 @@ fn chunked_run_is_bit_identical_to_unchunked() {
 
 /// Epoch length and retention window are performance knobs, not
 /// semantics: every combination must finalize to the same bytes, and
-/// a tight window must actually evict while staying lossless. The
-/// shard count *is* output (dictionary ids are printed), so a collector
-/// off the default must match batch at the same count.
+/// a tight window must actually evict while staying lossless.
 #[test]
 fn window_and_epoch_sweep_preserves_end_state() {
     let cfg = scenario_cfg(2, SchedulePolicy::Fifo, false);
-    let dumps = run_tpcw(cfg.clone()).dumps;
-    let batch_at = |shards: usize| {
-        let cfg = PipelineConfig {
-            shards,
-            ..Default::default()
-        };
-        analyze(dumps.clone(), cfg)
-    };
-    let default_shards = CollectorConfig::default().shards;
-    assert_ne!(
-        batch_at(default_shards).fingerprint(),
-        batch_at(5).fingerprint(),
-        "shard count left no mark on the report; the shards=5 input is vacuous"
-    );
-    let mut inputs = vec![(CPU_HZ, 4u64, 5)];
+    let batch = analyze(run_tpcw(cfg.clone()).dumps, PipelineConfig::default());
+    let mut evictions_seen = false;
     for epoch_len in [CPU_HZ / 4, CPU_HZ, 5 * CPU_HZ] {
         for window in [1u64, 4] {
-            inputs.push((epoch_len, window, default_shards));
-        }
-    }
-    let mut evictions_seen = false;
-    for (epoch_len, window, shards) in inputs {
-        let what = format!("epoch_len={epoch_len} window={window} shards={shards}");
-        let (out, _) = run_scenario(
-            cfg.clone(),
-            epoch_len,
-            CollectorConfig {
-                shards,
-                window_epochs: window,
-                ..CollectorConfig::default()
-            },
-        );
-        assert_byte_identical(&batch_at(shards), &out.report, &what);
-        if window == 1 && epoch_len <= CPU_HZ {
-            assert!(
-                out.stats.evictions > 0,
-                "tight window never evicted: {what}"
+            let what = format!("epoch_len={epoch_len} window={window}");
+            let (out, _) = run_scenario(
+                cfg.clone(),
+                epoch_len,
+                CollectorConfig {
+                    window_epochs: window,
+                    ..CollectorConfig::default()
+                },
             );
-            // This single-node workload keeps all of its (few)
-            // origins concurrently live, so peak_resident equals
-            // the total here; the staggered-fleet test below is
-            // where peak < total is asserted. Bound it anyway.
-            assert!(
-                out.stats.peak_resident <= out.report.profiles.len() as u64,
-                "resident set exceeded total origins: {what}"
-            );
-            evictions_seen = true;
+            assert_byte_identical(&batch, &out.report, &what);
+            if window == 1 && epoch_len <= CPU_HZ {
+                assert!(
+                    out.stats.evictions > 0,
+                    "tight window never evicted: {what}"
+                );
+                // This single-node workload keeps all of its (few)
+                // origins concurrently live, so peak_resident equals
+                // the total here; the staggered-fleet test below is
+                // where peak < total is asserted. Bound it anyway.
+                assert!(
+                    out.stats.peak_resident <= out.report.profiles.len() as u64,
+                    "resident set exceeded total origins: {what}"
+                );
+                evictions_seen = true;
+            }
         }
     }
     assert!(evictions_seen);

@@ -306,36 +306,41 @@ impl Cct {
         path
     }
 
-    /// Pushes the sibling chain of `node`'s children onto `stack`.
-    fn push_children(&self, node: u32, stack: &mut Vec<u32>) {
-        let mut c = self.nodes[node as usize].first_child;
-        while c != NO_NODE {
-            stack.push(c);
-            c = self.nodes[c as usize].next_sibling;
-        }
-    }
-
-    /// Inclusive metrics of `node`: its own plus all descendants'.
-    pub fn inclusive(&self, node: CctNodeId) -> Metrics {
-        let mut total = self.nodes[node.0 as usize].metrics;
-        let mut stack: Vec<u32> = Vec::new();
-        self.push_children(node.0, &mut stack);
-        while let Some(n) = stack.pop() {
-            total.add(self.nodes[n as usize].metrics);
-            self.push_children(n, &mut stack);
-        }
-        total
-    }
-
     /// Total metrics in the whole tree. Every node descends from the
-    /// root, so this is [`Cct::inclusive`] of the root without the
-    /// walk: a sum over the arena.
+    /// root, so this is the root's [`Cct::inclusive_all`] entry without
+    /// the fold: a sum over the arena.
     pub fn total(&self) -> Metrics {
         let mut total = Metrics::default();
         for n in &self.nodes {
             total.add(n.metrics);
         }
         total
+    }
+
+    /// Inclusive metrics (own plus all descendants') of every node,
+    /// indexed by node id. A node is always created after its parent,
+    /// so one reverse scan of the arena folds each finished subtree
+    /// into its parent: O(nodes) for the whole tree.
+    pub fn inclusive_all(&self) -> Vec<Metrics> {
+        let mut inc: Vec<Metrics> = self.nodes.iter().map(|n| n.metrics).collect();
+        for i in (1..inc.len()).rev() {
+            let m = inc[i];
+            inc[self.nodes[i].parent as usize].add(m);
+        }
+        inc
+    }
+
+    /// Visits every node in pre-order, children by frame id, with its
+    /// depth below the root (the root is depth 0). The walk keeps an
+    /// explicit stack, so a tree as deep as its node count never
+    /// touches the call stack.
+    pub fn visit_sorted(&self, mut visit: impl FnMut(CctNodeId, usize)) {
+        let mut stack = vec![(CctNodeId::ROOT, 0)];
+        while let Some((node, depth)) = stack.pop() {
+            visit(node, depth);
+            let children = self.children_sorted(node);
+            stack.extend(children.into_iter().rev().map(|c| (c, depth + 1)));
+        }
     }
 
     /// Children of `node`, sorted by frame id for deterministic output.
@@ -436,7 +441,7 @@ mod tests {
         cct.record(&[fid(1), fid(3)], m(0, 30));
         cct.record(&[fid(4)], m(0, 5));
         let n1 = cct.path_node(&[fid(1)]);
-        assert_eq!(cct.inclusive(n1).cycles, 60);
+        assert_eq!(cct.inclusive_all()[n1.0 as usize].cycles, 60);
         assert_eq!(cct.total().cycles, 65);
         assert_eq!(cct.metrics(n1).cycles, 10);
     }

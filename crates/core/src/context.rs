@@ -237,11 +237,13 @@ impl TransactionContext {
 
     /// A stable FNV-1a hash of the context value.
     ///
-    /// This is the *location hash* that routes a value to its shard in
-    /// a [`ShardedContextTable`]. It must stay a pure function of the
-    /// atom sequence — never of interning order, table state, or the
-    /// std `Hasher` (whose keys are unspecified across releases) — so
-    /// that sharded runs place every value deterministically.
+    /// This is the key of a [`ContextTable`]'s value index. Ids never
+    /// depend on it: one dictionary mints dense ids in first-occurrence
+    /// order (the pipeline's (stage, cct) scan). It must still stay a
+    /// pure function of the atom sequence — never of interning order,
+    /// table state, or the std `Hasher` (whose keys are unspecified
+    /// across releases) — because a child's hash continues from its
+    /// parent's stored one.
     pub fn stable_hash(&self) -> u64 {
         hash_atoms(&self.0)
     }
@@ -266,7 +268,7 @@ struct IndexSlot {
 /// Open-addressed index from [`TransactionContext::stable_hash`] into an
 /// id-ordered value arena.
 ///
-/// The intern tables below used to keep a second `HashMap` from the
+/// The intern table below used to keep a second `HashMap` from the
 /// *full context value* to its id — a complete copy of every chain just
 /// to answer "seen before?". This index stores only `(hash, id)` pairs;
 /// the arena itself is the single owner of each value, and a probe
@@ -374,6 +376,15 @@ pub struct ContextTable {
 impl Default for ContextTable {
     fn default() -> Self {
         Self::new(ContextPolicy::default())
+    }
+}
+
+/// Table equality is *value* equality: two tables holding the same
+/// values in the same id order are the same dictionary, whatever the
+/// incidental layout of their hash indices (capacity, probe positions).
+impl PartialEq for ContextTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values
     }
 }
 
@@ -493,198 +504,6 @@ impl ContextTable {
             .iter()
             .enumerate()
             .map(|(i, v)| (CtxId(i as u32), v))
-    }
-}
-
-/// A context id minted by a [`ShardedContextTable`]: the owning shard
-/// in the high 32 bits, the shard-local index in the low 32.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct ShardedCtxId(pub u64);
-
-impl ShardedCtxId {
-    /// Packs a shard index and a shard-local index.
-    pub fn new(shard: u32, local: u32) -> Self {
-        ShardedCtxId(((shard as u64) << 32) | local as u64)
-    }
-
-    /// The shard that owns this context.
-    pub fn shard(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-
-    /// The index within the owning shard.
-    pub fn local(self) -> u32 {
-        self.0 as u32
-    }
-}
-
-impl fmt::Display for ShardedCtxId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ctx{}.{}", self.shard(), self.local())
-    }
-}
-
-/// One shard of a [`ShardedContextTable`]: a self-contained intern
-/// table whose ids are local to the shard.
-///
-/// Shards are plain data: the batch pipeline and the collector each
-/// populate a `Vec` of them and hand it to
-/// [`ShardedContextTable::from_parts`] for assembly.
-#[derive(Debug, Default, Clone)]
-pub struct ContextShard {
-    index: ValueIndex,
-    values: Vec<TransactionContext>,
-}
-
-/// Shard equality is *value* equality: two shards holding the same
-/// values in the same local order are the same dictionary, whatever the
-/// incidental layout of their hash indices (capacity, probe positions).
-impl PartialEq for ContextShard {
-    fn eq(&self, other: &Self) -> bool {
-        self.values == other.values
-    }
-}
-
-impl ContextShard {
-    /// Interns a value, returning its shard-local index.
-    pub fn intern_local(&mut self, value: TransactionContext) -> u32 {
-        let hash = value.stable_hash();
-        self.intern_local_hashed(hash, value)
-    }
-
-    /// [`Self::intern_local`] with the stable hash already computed —
-    /// the sharded table routes on the same hash and passes it down so
-    /// each value is hashed exactly once per intern.
-    fn intern_local_hashed(&mut self, hash: u64, value: TransactionContext) -> u32 {
-        if let Some(i) = self.index.get(&self.values, hash, &value) {
-            return i;
-        }
-        let i = u32::try_from(self.values.len()).expect("more than u32::MAX contexts in a shard");
-        self.index.insert(hash, i);
-        self.values.push(value);
-        i
-    }
-
-    /// Looks up a value's shard-local index without interning.
-    pub fn get_local(&self, value: &TransactionContext) -> Option<u32> {
-        self.index.get(&self.values, value.stable_hash(), value)
-    }
-
-    /// The value at a shard-local index, if present.
-    pub fn value_local(&self, local: u32) -> Option<&TransactionContext> {
-        self.values.get(local as usize)
-    }
-
-    /// Number of values interned into this shard.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the shard holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
-/// A context dictionary sharded by location hash
-/// ([`TransactionContext::stable_hash`]).
-///
-/// Each value is owned by exactly one shard — the one its stable hash
-/// selects — so two shards can never mint different ids for the same
-/// value. Ids ([`ShardedCtxId`]) embed the owning shard, so they stay
-/// valid however the shards are later reassembled.
-///
-/// Determinism rules (see DESIGN.md §9):
-///
-/// - the shard of a value depends only on the value and the shard
-///   count, never on insertion order;
-/// - shard-local ids depend only on the order values are interned
-///   *into that shard*, which the pipeline fixes by scanning inputs in
-///   (stage, context) order;
-/// - [`ShardedContextTable::from_parts`] is order-insensitive: parts
-///   are placed by shard index, so any permutation of the same parts
-///   assembles the same table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedContextTable {
-    shards: Vec<ContextShard>,
-}
-
-impl ShardedContextTable {
-    /// Creates an empty table with `shards` shards (at least 1).
-    pub fn new(shards: usize) -> Self {
-        ShardedContextTable {
-            shards: vec![ContextShard::default(); shards.max(1)],
-        }
-    }
-
-    /// The shard a value belongs to: its location hash mod the shard
-    /// count.
-    pub fn shard_of(&self, value: &TransactionContext) -> usize {
-        (value.stable_hash() % self.shards.len() as u64) as usize
-    }
-
-    /// Interns a value into its owning shard. The stable hash is
-    /// computed once and reused for both shard routing and the
-    /// shard-local index probe.
-    pub fn intern(&mut self, value: TransactionContext) -> ShardedCtxId {
-        let hash = value.stable_hash();
-        let s = (hash % self.shards.len() as u64) as usize;
-        let local = self.shards[s].intern_local_hashed(hash, value);
-        ShardedCtxId::new(s as u32, local)
-    }
-
-    /// Looks up a value without interning.
-    pub fn get(&self, value: &TransactionContext) -> Option<ShardedCtxId> {
-        let hash = value.stable_hash();
-        let s = (hash % self.shards.len() as u64) as usize;
-        self.shards[s]
-            .index
-            .get(&self.shards[s].values, hash, value)
-            .map(|l| ShardedCtxId::new(s as u32, l))
-    }
-
-    /// The value of an id minted by this table, if in range.
-    pub fn value(&self, id: ShardedCtxId) -> Option<&TransactionContext> {
-        self.shards
-            .get(id.shard() as usize)
-            .and_then(|s| s.value_local(id.local()))
-    }
-
-    /// Total values across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether no value has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// Read access to one shard.
-    pub fn shard(&self, i: usize) -> &ContextShard {
-        &self.shards[i]
-    }
-
-    /// Assembles a table from independently built shards. `parts` are
-    /// `(shard index, shard)` pairs in **any** order; missing indices
-    /// become empty shards. Parts are placed by index, so any order of
-    /// the same independently built shards assembles an equal table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard index is out of range or supplied twice — both
-    /// are pipeline bugs, not data faults.
-    pub fn from_parts(shards: usize, parts: impl IntoIterator<Item = (usize, ContextShard)>) -> Self {
-        let n = shards.max(1);
-        let mut table = ShardedContextTable::new(n);
-        let mut seen = vec![false; n];
-        for (i, part) in parts {
-            assert!(i < n, "shard index {i} out of range ({n} shards)");
-            assert!(!seen[i], "shard {i} supplied twice");
-            seen[i] = true;
-            table.shards[i] = part;
-        }
-        table
     }
 }
 
@@ -814,45 +633,5 @@ mod tests {
             .append_frame(fid(1), ContextPolicy::default())
             .append_frame(fid(2), ContextPolicy::default());
         assert_ne!(a.stable_hash(), b.stable_hash());
-    }
-
-    #[test]
-    fn sharded_table_mints_one_id_per_value() {
-        let mut t = ShardedContextTable::new(8);
-        let values = sample_values(64);
-        let ids: Vec<_> = values.iter().map(|v| t.intern(v.clone())).collect();
-        for (v, &id) in values.iter().zip(&ids) {
-            assert_eq!(t.intern(v.clone()), id, "re-interning is stable");
-            assert_eq!(t.get(v), Some(id));
-            assert_eq!(t.value(id), Some(v));
-            assert_eq!(id.shard() as usize, t.shard_of(v));
-        }
-    }
-
-    #[test]
-    fn sharded_from_parts_is_order_insensitive() {
-        let values = sample_values(64);
-        let n = 8;
-        let probe = ShardedContextTable::new(n);
-        let mut parts: Vec<ContextShard> = vec![ContextShard::default(); n];
-        for v in &values {
-            parts[probe.shard_of(v)].intern_local(v.clone());
-        }
-        let fwd = ShardedContextTable::from_parts(n, parts.iter().cloned().enumerate());
-        let rev = ShardedContextTable::from_parts(n, parts.iter().cloned().enumerate().rev());
-        assert_eq!(fwd, rev);
-        let mut serial = ShardedContextTable::new(n);
-        for v in &values {
-            serial.intern(v.clone());
-        }
-        assert_eq!(fwd, serial, "partitioned build equals serial interning");
-    }
-
-    #[test]
-    fn sharded_id_packs_shard_and_local() {
-        let id = ShardedCtxId::new(3, 17);
-        assert_eq!(id.shard(), 3);
-        assert_eq!(id.local(), 17);
-        assert_eq!(id.to_string(), "ctx3.17");
     }
 }

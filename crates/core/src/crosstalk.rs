@@ -171,44 +171,6 @@ pub struct CrosstalkMatrix {
 }
 
 impl CrosstalkMatrix {
-    /// Assembles a matrix from partial matrices with disjoint keys.
-    ///
-    /// No key may appear in two parts, so concatenation plus one sort
-    /// is a lossless merge; the sort makes the result independent of
-    /// part order.
-    pub fn from_parts(parts: impl IntoIterator<Item = CrosstalkMatrix>) -> Self {
-        let mut m = CrosstalkMatrix::default();
-        for p in parts {
-            m.pairs.extend(p.pairs);
-            m.waiters.extend(p.waiters);
-        }
-        m.pairs.sort_by_key(|&(w, h, _)| (w, h));
-        m.waiters.sort_by_key(|&(w, _)| w);
-        m
-    }
-
-    /// Adds one resolved pair observation.
-    pub fn add_pair(&mut self, waiter: OriginKey, holder: OriginKey, s: WaitStats) {
-        match self.pairs.iter_mut().find(|(w, h, _)| *w == waiter && *h == holder) {
-            Some((_, _, acc)) => {
-                acc.count += s.count;
-                acc.total_wait += s.total_wait;
-            }
-            None => self.pairs.push((waiter, holder, s)),
-        }
-    }
-
-    /// Adds one resolved waiter observation.
-    pub fn add_waiter(&mut self, waiter: OriginKey, s: WaitStats) {
-        match self.waiters.iter_mut().find(|(w, _)| *w == waiter) {
-            Some((_, acc)) => {
-                acc.count += s.count;
-                acc.total_wait += s.total_wait;
-            }
-            None => self.waiters.push((waiter, s)),
-        }
-    }
-
     /// Renders the matrix as deterministic text; `label` names an
     /// origin (stage, context) for display.
     pub fn render(&self, label: &dyn Fn(usize, u32) -> String) -> String {
@@ -307,40 +269,6 @@ mod tests {
         assert_eq!(rep.pairs.len(), 2);
         assert!(rep.pairs[0].0 <= rep.pairs[1].0);
         assert_eq!(rep.waiters.len(), 2);
-    }
-
-    #[test]
-    fn matrix_from_parts_is_order_insensitive() {
-        let s = WaitStats {
-            count: 2,
-            total_wait: 100,
-        };
-        let mut a = CrosstalkMatrix::default();
-        a.add_pair((0, 1), (2, 3), s);
-        a.add_waiter((0, 1), s);
-        let mut b = CrosstalkMatrix::default();
-        b.add_pair((1, 0), (2, 3), s);
-        b.add_waiter((1, 0), s);
-        let ab = CrosstalkMatrix::from_parts([a.clone(), b.clone()]);
-        let ba = CrosstalkMatrix::from_parts([b, a]);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.pairs.len(), 2);
-        let text = ab.render(&|s, c| format!("s{s}c{c}"));
-        assert!(text.contains("s0c1  <-  s2c3"), "{text}");
-    }
-
-    #[test]
-    fn matrix_accumulates_repeated_keys() {
-        let s = WaitStats {
-            count: 1,
-            total_wait: 10,
-        };
-        let mut m = CrosstalkMatrix::default();
-        m.add_pair((0, 0), (1, 1), s);
-        m.add_pair((0, 0), (1, 1), s);
-        assert_eq!(m.pairs.len(), 1);
-        assert_eq!(m.pairs[0].2.count, 2);
-        assert_eq!(m.pairs[0].2.total_wait, 20);
     }
 
     #[test]

@@ -524,6 +524,7 @@ fn schema<T>(msg: impl Into<String>) -> Result<T, StitchError> {
     Err(StitchError::Schema(msg.into()))
 }
 
+#[deny(clippy::indexing_slicing)]
 impl Value {
     pub(crate) fn as_u64(&self, what: &str) -> Result<u64, StitchError> {
         match self {
@@ -571,22 +572,24 @@ impl Value {
     }
 }
 
+#[deny(clippy::indexing_slicing)]
 fn u32_list(v: &Value, what: &str) -> Result<Vec<u32>, StitchError> {
     v.as_arr(what)?.iter().map(|x| x.as_u32(what)).collect()
 }
 
+#[deny(clippy::indexing_slicing)]
 fn u64_list(v: &Value, what: &str) -> Result<Vec<u64>, StitchError> {
     v.as_arr(what)?.iter().map(|x| x.as_u64(what)).collect()
 }
 
+#[deny(clippy::indexing_slicing)]
 fn atom_of(v: &Value) -> Result<DumpAtom, StitchError> {
     let Value::Obj(items) = v else {
         return schema("atom: expected {\"Variant\": ...}");
     };
-    if items.len() != 1 {
+    let [(k, payload)] = items.as_slice() else {
         return schema("atom: expected exactly one variant key");
-    }
-    let (k, payload) = &items[0];
+    };
     match k.as_str() {
         "Frame" => Ok(DumpAtom::Frame(payload.as_u32("Frame")?)),
         "Path" => Ok(DumpAtom::Path(u32_list(payload, "Path")?)),
@@ -595,6 +598,7 @@ fn atom_of(v: &Value) -> Result<DumpAtom, StitchError> {
     }
 }
 
+#[deny(clippy::indexing_slicing)]
 fn node_of(v: &Value) -> Result<DumpNode, StitchError> {
     Ok(DumpNode {
         frame: v.field("frame")?.as_opt_u32("frame")?,
@@ -605,6 +609,7 @@ fn node_of(v: &Value) -> Result<DumpNode, StitchError> {
     })
 }
 
+#[deny(clippy::indexing_slicing)]
 fn dump_of(v: &Value) -> Result<StageDump, StitchError> {
     let contexts = v
         .field("contexts")?
@@ -642,11 +647,10 @@ fn dump_of(v: &Value) -> Result<StageDump, StitchError> {
         .as_arr("synopses")?
         .iter()
         .map(|p| {
-            let pair = p.as_arr("synopsis pair")?;
-            if pair.len() != 2 {
+            let [raw, ctx] = p.as_arr("synopsis pair")? else {
                 return schema("synopsis pair: expected [raw, ctx]");
-            }
-            Ok((pair[0].as_u64("synopsis")?, pair[1].as_u32("synopsis ctx")?))
+            };
+            Ok((raw.as_u64("synopsis")?, ctx.as_u32("synopsis ctx")?))
         })
         .collect::<Result<_, StitchError>>()?;
     let crosstalk_pairs = v

@@ -4,8 +4,8 @@
 //! Several subsystems need a hash that is a pure function of the bytes
 //! fed to it — never of interning order, table state, or the std
 //! `Hasher` (whose keys are unspecified across releases): context
-//! value sharding, pipeline shard routing, report fingerprints, chaos
-//! scenario fingerprints, and streaming delta checksums. They all
+//! value interning, report fingerprints, chaos scenario fingerprints,
+//! and streaming delta checksums. They all
 //! share this implementation so the constants and byte order cannot
 //! drift apart between call sites.
 

@@ -71,10 +71,7 @@ pub mod wire;
 
 pub use blackbox::{CommEvent, CommEventId, CommKind, CommLog, CommRecorder, CommTag, CommTruth, TierVisibility};
 pub use cct::{Cct, CctNodeId, Metrics};
-pub use context::{
-    ContextAtom, ContextPolicy, ContextShard, ContextTable, CtxId, ShardedContextTable,
-    ShardedCtxId, TransactionContext,
-};
+pub use context::{ContextAtom, ContextPolicy, ContextTable, CtxId, TransactionContext};
 pub use crosstalk::{CrosstalkMatrix, CrosstalkRecorder, CrosstalkReport, OriginKey, WaitStats};
 pub use delta::{
     diff_dump, DeltaSink, EpochBatch, RecordedResync, ResyncSource, StageAccumulator, StageDelta,

@@ -18,10 +18,9 @@
 //! 2. Keyed output (profiles, the crosstalk matrix, edges) is emitted
 //!    in ascending key order — accumulated in a `BTreeMap` or sorted
 //!    before it is returned, never in hash-iteration order.
-//! 3. An origin's context value interns into the dictionary shard its
-//!    stable hash routes to ([`PipelineConfig::shards`]); the shard
-//!    index is printed with every profile, so the routing is part of
-//!    the output.
+//! 3. One dictionary mints dense ids in first-occurrence order over
+//!    the (stage, cct) scan: an origin's context value interns at its
+//!    first CCT, and the id is printed with every profile.
 //!
 //! The pipeline is single-threaded on measurement (DESIGN.md §14). The
 //! differential suite (`crates/core/tests/parallel_diff.rs`) holds it
@@ -32,8 +31,8 @@
 //! to this function over the same prefix of the stream; DESIGN.md §9
 //! records the invariants a future contributor must preserve.
 
-use crate::cct::{Cct, CctNodeId};
-use crate::context::{ContextShard, ShardedContextTable, ShardedCtxId};
+use crate::cct::Cct;
+use crate::context::{ContextTable, CtxId};
 use crate::crosstalk::{CrosstalkMatrix, OriginKey, WaitStats};
 use crate::dumpjson;
 use crate::frame::FrameId;
@@ -55,10 +54,9 @@ pub struct PipelineConfig {
     /// item 7 drops that literal, then this field. Build configs with
     /// `..Default::default()`.
     pub workers: usize,
-    /// Dictionary shard count: the shape of the context dictionary in
-    /// the output (every profile prints its `ShardedCtxId`). The
-    /// streaming collector's finalize passes its
-    /// `CollectorConfig::shards` here (default 32).
+    /// Reserved and unread: the context dictionary is one
+    /// [`ContextTable`] whatever this says. Kept, like `workers`, only
+    /// for `benchmark/`'s `batch_config`; ROADMAP item 7 drops it.
     pub shards: usize,
 }
 
@@ -89,8 +87,9 @@ pub struct PhaseTiming {
 pub struct OriginProfile {
     /// `(stage index, context index)` of the transaction's entry point.
     pub origin: OriginKey,
-    /// The origin's context value in the sharded global dictionary.
-    pub global_ctx: ShardedCtxId,
+    /// The origin's context value in the global dictionary
+    /// ([`PipelineReport::dict`]).
+    pub global_ctx: CtxId,
     /// Stages that contributed CCT mass, ascending.
     pub stages: Vec<usize>,
     /// The merged CCT, over global frame ids
@@ -99,13 +98,11 @@ pub struct OriginProfile {
 }
 
 /// Everything the pipeline produces. All fields except [`timings`] are
-/// a pure function of the input dumps and the shard count.
+/// a pure function of the input dumps.
 ///
 /// [`timings`]: PipelineReport::timings
 #[derive(Debug)]
 pub struct PipelineReport {
-    /// Dictionary shard count the run used.
-    pub shards: usize,
     /// The input dumps, order preserved.
     pub stages: Vec<StageDump>,
     /// Global frame names, sorted; CCTs in [`profiles`] index these.
@@ -130,8 +127,8 @@ pub struct PipelineReport {
     pub profiles: Vec<OriginProfile>,
     /// Cross-stage crosstalk between origin transactions.
     pub matrix: CrosstalkMatrix,
-    /// The sharded global context dictionary the profiles intern into.
-    pub dict: ShardedContextTable,
+    /// The global context dictionary the profiles intern into.
+    pub dict: ContextTable,
     /// The dumps re-serialized; byte-identical to
     /// [`crate::dumpjson::to_json`] on the same dumps.
     pub dumps_json: String,
@@ -141,8 +138,7 @@ pub struct PipelineReport {
 }
 
 /// Runs every phase of the analysis over `dumps`.
-pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
-    let shards = cfg.shards.max(1);
+pub fn analyze(dumps: Vec<StageDump>, _cfg: PipelineConfig) -> PipelineReport {
     let stages = &dumps;
     let mut timings = Vec::new();
 
@@ -217,29 +213,22 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
     };
 
     // Phase: profiles. One scan in (stage, cct) order — which fixes
-    // each origin's fold order and each dictionary shard's interning
-    // order — folding every dumped CCT over global frame ids into its
-    // origin's profile and interning the origin's value, at its first
-    // occurrence, into the shard that value hashes to.
+    // each origin's fold order and the dictionary's interning order —
+    // folding every dumped CCT over global frame ids into its origin's
+    // profile and interning the origin's value at its first occurrence.
     let (dict, profiles) = timed_phase(&mut timings, "profiles", || {
-        let mut shard_tabs: Vec<ContextShard> =
-            (0..shards).map(|_| ContextShard::default()).collect();
+        let mut dict = ContextTable::default();
         let mut acc: BTreeMap<OriginKey, OriginProfile> = BTreeMap::new();
         let mut node_map = Vec::new();
         for (si, d) in valid_stages() {
             let gf = |f: u32| FrameId(remap[si].get(f as usize).copied().unwrap_or(u32::MAX));
             for c in &d.ccts {
                 let origin = origin_of(si, c.ctx);
-                let p = acc.entry(origin).or_insert_with(|| {
-                    let value = global_value(stages, &remap, origin);
-                    let shard = (value.stable_hash() % shards as u64) as usize;
-                    let local = shard_tabs[shard].intern_local(value);
-                    OriginProfile {
-                        origin,
-                        global_ctx: ShardedCtxId::new(shard as u32, local),
-                        stages: Vec::new(),
-                        cct: Cct::new(),
-                    }
+                let p = acc.entry(origin).or_insert_with(|| OriginProfile {
+                    origin,
+                    global_ctx: dict.intern(global_value(stages, &remap, origin)),
+                    stages: Vec::new(),
+                    cct: Cct::new(),
                 });
                 if p.stages.last() != Some(&si) {
                     p.stages.push(si);
@@ -248,7 +237,6 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
                 fold_dump_nodes(&mut p.cct, &mut node_map, &c.nodes, gf).expect("validated dump");
             }
         }
-        let dict = ShardedContextTable::from_parts(shards, shard_tabs.into_iter().enumerate());
         (dict, acc.into_values().collect::<Vec<_>>())
     });
 
@@ -281,7 +269,6 @@ pub fn analyze(dumps: Vec<StageDump>, cfg: PipelineConfig) -> PipelineReport {
     let dumps_json = timed_phase(&mut timings, "serialize", || dumpjson::to_json(stages));
 
     PipelineReport {
-        shards,
         stages: dumps,
         frames,
         warnings,
@@ -346,7 +333,7 @@ impl PipelineReport {
                 push_usize(&mut out, si);
             }
             out.push_str("]\n");
-            self.render_cct(&mut out, &p.cct, CctNodeId::ROOT, 1);
+            self.render_cct(&mut out, &p.cct);
         }
         out.push_str("request edges:\n");
         for e in &self.edges {
@@ -406,15 +393,22 @@ impl PipelineReport {
         }
     }
 
-    fn render_cct(&self, out: &mut String, cct: &Cct, node: CctNodeId, depth: usize) {
-        if let Some(f) = cct.frame(node) {
+    /// One line per framed node, indented two spaces per level (the
+    /// root sits at level 1 and prints nothing), with its inclusive
+    /// samples and cycles.
+    fn render_cct(&self, out: &mut String, cct: &Cct) {
+        let inc = cct.inclusive_all();
+        cct.visit_sorted(|node, depth| {
+            let Some(f) = cct.frame(node) else {
+                return;
+            };
             let name = self
                 .frames
                 .get(f.0 as usize)
                 .map(String::as_str)
                 .unwrap_or("<?>");
-            let m = cct.inclusive(node);
-            for _ in 0..depth {
+            let m = inc[node.0 as usize];
+            for _ in 0..=depth {
                 out.push_str("  ");
             }
             out.push_str(name);
@@ -423,10 +417,7 @@ impl PipelineReport {
             out.push_str(" cycles ");
             crate::txt::push_u64(out, m.cycles);
             out.push('\n');
-        }
-        for child in cct.children_sorted(node) {
-            self.render_cct(out, cct, child, depth + 1);
-        }
+        });
     }
 
     /// FNV-1a fingerprint over the deterministic outputs (stitched
@@ -642,8 +633,8 @@ mod tests {
         assert_eq!(p.origin, (0, 1));
         assert_eq!(p.stages, vec![0, 1, 2]);
         assert_eq!(p.cct.total().cycles, 50 + 70 + 30 + 20);
-        // The origin's value is interned in the sharded dictionary.
-        assert_eq!(rep.dict.value(p.global_ctx).map(|v| v.len()), Some(1));
+        // The origin's value is interned in the dictionary.
+        assert_eq!(rep.dict.value(p.global_ctx).len(), 1);
     }
 
     #[test]

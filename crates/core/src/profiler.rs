@@ -406,8 +406,8 @@ impl Runtime for Whodunit {
         }
         d.ccts.truncate(n);
         // Canonical dump order (sorted by context id) comes from the
-        // synopsis table itself so the serial dump path and the sharded
-        // analysis pipeline share one ordering rule.
+        // synopsis table itself so the dump path and the analysis
+        // pipeline share one ordering rule.
         d.synopses.clear();
         d.synopses.extend(
             self.syns

@@ -219,14 +219,14 @@ fn schema<T>(msg: impl Into<String>) -> Result<T, StitchError> {
     Err(StitchError::Schema(msg.into()))
 }
 
+#[deny(clippy::indexing_slicing)]
 fn fault_of(v: &Value) -> Result<FaultEntry, StitchError> {
     let Value::Obj(items) = v else {
         return schema("fault: expected {\"Variant\": {...}}");
     };
-    if items.len() != 1 {
+    let [(k, p)] = items.as_slice() else {
         return schema("fault: expected exactly one variant key");
-    }
-    let (k, p) = &items[0];
+    };
     let s = |key: &str| -> Result<String, StitchError> {
         p.field(key)?.as_str(key).map(str::to_owned)
     };
@@ -260,6 +260,7 @@ fn fault_of(v: &Value) -> Result<FaultEntry, StitchError> {
 }
 
 /// Parses a repro from its on-disk JSON form.
+#[deny(clippy::indexing_slicing)]
 pub fn repro_from_json(s: &str) -> Result<ChaosRepro, StitchError> {
     let v = parse_value(s)?;
     let workload = v
@@ -267,11 +268,10 @@ pub fn repro_from_json(s: &str) -> Result<ChaosRepro, StitchError> {
         .as_arr("workload")?
         .iter()
         .map(|pair| {
-            let p = pair.as_arr("workload pair")?;
-            if p.len() != 2 {
+            let [name, value] = pair.as_arr("workload pair")? else {
                 return schema("workload pair: expected [name, value]");
-            }
-            Ok((p[0].as_str("knob name")?.to_owned(), p[1].as_u64("knob value")?))
+            };
+            Ok((name.as_str("knob name")?.to_owned(), value.as_u64("knob value")?))
         })
         .collect::<Result<_, StitchError>>()?;
     let faults = v

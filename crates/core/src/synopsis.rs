@@ -175,8 +175,8 @@ impl SynopsisTable {
     }
 
     /// All minted `(raw synopsis, context)` pairs, sorted by context id
-    /// — the canonical dump order shared by the serial and sharded
-    /// analysis paths.
+    /// — the canonical dump order the dump path and the analysis
+    /// pipeline share.
     pub fn minted_sorted(&self) -> Vec<(u64, CtxId)> {
         self.by_ctx.iter().map(|(c, &s)| (s.0, CtxId(c))).collect()
     }

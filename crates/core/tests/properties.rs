@@ -83,7 +83,7 @@ proptest! {
             prop_assert_eq!(cct.path_of(n), p);
         }
         let total = cct.total();
-        prop_assert_eq!(total, cct.inclusive(CctNodeId::ROOT));
+        prop_assert_eq!(total, cct.inclusive_all()[CctNodeId::ROOT.0 as usize]);
         prop_assert_eq!(total.cycles, want_cycles);
         prop_assert_eq!(total.samples, want_samples);
     }
@@ -232,11 +232,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Sharded dictionary + batch minting (the analysis pipeline's
+// Context dictionary + batch minting (the analysis pipeline's
 // determinism primitives; see DESIGN.md §9).
 // ---------------------------------------------------------------------
 
-use whodunit_core::context::{ContextShard, ShardedContextTable, TransactionContext};
+use whodunit_core::context::TransactionContext;
 use whodunit_core::synopsis::{SynChain, Synopsis};
 
 fn atom_strategy() -> impl Strategy<Value = ContextAtom> {
@@ -258,58 +258,6 @@ fn value_strategy() -> impl Strategy<Value = TransactionContext> {
 }
 
 proptest! {
-    /// The sharded dictionary never mints two ids for one value and
-    /// never reuses an id across distinct values, no matter how values
-    /// interleave across shards; and every id's shard is the value's
-    /// location hash, so no value can be minted in two shards.
-    #[test]
-    fn sharded_dictionary_mints_no_duplicates(
-        args in (proptest::collection::vec(value_strategy(), 1..60), 1usize..9)
-    ) {
-        let (values, shards) = args;
-        let mut t = ShardedContextTable::new(shards);
-        let mut by_value = std::collections::HashMap::new();
-        for v in &values {
-            let id = t.intern(v.clone());
-            prop_assert_eq!(id.shard() as usize, t.shard_of(v), "id lives off-shard");
-            let prev = by_value.insert(v.clone(), id);
-            if let Some(prev) = prev {
-                prop_assert_eq!(prev, id, "same value minted twice");
-            }
-            prop_assert_eq!(t.value(id), Some(v), "id resolves to its value");
-        }
-        // Distinct values ⇒ distinct ids (across *all* shards).
-        let ids: std::collections::HashSet<_> = by_value.values().copied().collect();
-        prop_assert_eq!(ids.len(), by_value.len(), "id reused across values");
-    }
-
-    /// Assembling the dictionary from per-shard parts is insensitive to
-    /// the order the parts arrive in and equals interning into one
-    /// table.
-    #[test]
-    fn sharded_merge_is_order_insensitive(
-        args in (proptest::collection::vec(value_strategy(), 1..60), 1usize..9, 0usize..9)
-    ) {
-        let (values, shards, rot) = args;
-        let mut serial = ShardedContextTable::new(shards);
-        for v in &values {
-            serial.intern(v.clone());
-        }
-        // Partition the values per shard, preserving first-seen order —
-        // exactly what the pipeline's (stage, cct) scan does per shard.
-        let probe = ShardedContextTable::new(shards);
-        let mut parts: Vec<(usize, ContextShard)> =
-            (0..shards).map(|j| (j, ContextShard::default())).collect();
-        for v in &values {
-            let j = probe.shard_of(v);
-            parts[j].1.intern_local(v.clone());
-        }
-        // Deliver the parts in a rotated (i.e. arbitrary) order.
-        parts.rotate_left(rot % shards);
-        let merged = ShardedContextTable::from_parts(shards, parts);
-        prop_assert_eq!(&merged, &serial);
-    }
-
     /// The hash-indexed intern arena mints exactly the ids a plain
     /// `HashMap`-keyed dictionary would: dense first-seen order, one id
     /// per distinct value, with `len` and `value` agreeing throughout.
@@ -335,34 +283,6 @@ proptest! {
             }
             prop_assert_eq!(t.value(id), v);
             prop_assert_eq!(t.len(), model.len(), "len = distinct values incl. root");
-        }
-    }
-
-    /// A single shard's local interning behaves like a map too:
-    /// `get_local` hits exactly the interned values.
-    #[test]
-    fn shard_intern_matches_hashmap_reference(
-        args in (proptest::collection::vec(value_strategy(), 1..60),
-                 proptest::collection::vec(value_strategy(), 0..10))
-    ) {
-        let (values, probes) = args;
-        let mut shard = ContextShard::default();
-        let mut model: std::collections::HashMap<TransactionContext, u32> =
-            std::collections::HashMap::new();
-        for v in &values {
-            let id = shard.intern_local(v.clone());
-            match model.get(v) {
-                Some(&prev) => prop_assert_eq!(prev, id),
-                None => {
-                    prop_assert_eq!(id as usize, model.len());
-                    model.insert(v.clone(), id);
-                }
-            }
-            prop_assert_eq!(shard.value_local(id), Some(v));
-        }
-        prop_assert_eq!(shard.len(), model.len());
-        for p in &probes {
-            prop_assert_eq!(shard.get_local(p), model.get(p).copied());
         }
     }
 

@@ -6,7 +6,7 @@
 //! allocates an intermediate `format!` string.
 
 use std::fmt::Write as _;
-use whodunit_core::cct::CctNodeId;
+use whodunit_core::cct::Cct;
 use whodunit_core::pipeline::PipelineReport;
 use whodunit_core::stitch::StageDump;
 use whodunit_core::txt::{push_u32, push_usize};
@@ -94,26 +94,26 @@ pub fn render_stage_into(dump: &StageDump, out: &mut String) {
         out.push_str("ctx: ");
         out.push_str(&dump.ctx_string(c.ctx));
         out.push('\n');
-        render_node(out, dump, &cct, CctNodeId::ROOT, 1, total_samples);
+        render_tree(out, dump, &cct, total_samples);
     }
 }
 
-fn render_node(
-    out: &mut String,
-    dump: &StageDump,
-    cct: &whodunit_core::cct::Cct,
-    node: CctNodeId,
-    depth: usize,
-    total_samples: u64,
-) {
-    if let Some(f) = cct.frame(node) {
-        let inc = cct.inclusive(node);
+/// One line per framed node, indented two spaces per level (the root
+/// sits at level 1 and prints nothing), with its inclusive share of
+/// `total_samples`.
+fn render_tree(out: &mut String, dump: &StageDump, cct: &Cct, total_samples: u64) {
+    let inc = cct.inclusive_all();
+    cct.visit_sorted(|node, depth| {
+        let Some(f) = cct.frame(node) else {
+            return;
+        };
+        let samples = inc[node.0 as usize].samples;
         let pct = if total_samples == 0 {
             0.0
         } else {
-            inc.samples as f64 * 100.0 / total_samples as f64
+            samples as f64 * 100.0 / total_samples as f64
         };
-        for _ in 0..depth {
+        for _ in 0..=depth {
             out.push_str("  ");
         }
         out.push_str(
@@ -126,10 +126,7 @@ fn render_node(
         // byte-for-byte; the write lands directly in `out`.
         let _ = write!(out, " [{pct:.2}%]");
         out.push('\n');
-    }
-    for child in cct.children_sorted(node) {
-        render_node(out, dump, cct, child, depth + 1, total_samples);
-    }
+    });
 }
 
 /// Renders a stage profile as a Graphviz DOT digraph: solid edges for
@@ -296,9 +293,7 @@ pub fn render_pipeline(rep: &PipelineReport) -> String {
     push_usize(&mut out, rep.frames.len());
     out.push_str(" frames, dict ");
     push_usize(&mut out, rep.dict.len());
-    out.push_str(" values / ");
-    push_usize(&mut out, rep.shards);
-    out.push_str(" shards\n\n");
+    out.push_str(" values\n\n");
     out.push_str("== stitched transactions ==\n");
     out.push_str(&rep.stitched_text());
     out.push_str("\n== crosstalk ==\n");
@@ -454,5 +449,55 @@ mod tests {
         assert!(text.contains("==>"), "{text}");
         assert!(text.contains("caller"));
         assert!(text.contains("callee"));
+    }
+
+    /// A chain CCT (each node the previous one's child) renders through
+    /// the stage tree and the pipeline's stitched text on a 128 KiB
+    /// stack: neither renderer spends a call frame per level.
+    #[test]
+    fn deep_chain_renders_on_a_small_stack() {
+        use whodunit_core::pipeline::{analyze, PipelineConfig};
+        const DEPTH: usize = 2_000;
+        let link = |i: usize| DumpNode {
+            frame: Some(0),
+            parent: Some(i as u32),
+            samples: 1,
+            cycles: 10,
+            calls: 0,
+        };
+        let root = DumpNode {
+            frame: None,
+            parent: None,
+            samples: 0,
+            cycles: 0,
+            calls: 0,
+        };
+        let dump = StageDump {
+            stage_name: "deep".into(),
+            frames: vec!["f".into()],
+            contexts: vec![Default::default()],
+            ccts: vec![DumpCct {
+                ctx: 0,
+                nodes: std::iter::once(root).chain((0..DEPTH).map(link)).collect(),
+            }],
+            ..StageDump::default()
+        };
+        let worker = std::thread::Builder::new()
+            .stack_size(128 << 10)
+            .spawn(move || {
+                let stage = render_stage(&dump);
+                let stitched = analyze(vec![dump], PipelineConfig::default()).stitched_text();
+                (stage, stitched)
+            })
+            .expect("spawn the renderer thread");
+        let (stage, stitched) = worker.join().expect("renderers finished");
+        let deepest = "  ".repeat(DEPTH + 1);
+        let stage: Vec<&str> = stage.lines().collect();
+        assert_eq!(stage.len(), 2 + DEPTH);
+        assert_eq!(stage[2], "    f [100.00%]");
+        assert_eq!(stage[1 + DEPTH], format!("{deepest}f [0.05%]"));
+        let stitched: Vec<&str> = stitched.lines().collect();
+        assert_eq!(stitched[1], "    f samples 2000 cycles 20000");
+        assert_eq!(stitched[DEPTH], format!("{deepest}f samples 1 cycles 10"));
     }
 }

@@ -18,8 +18,8 @@ cargo test --workspace -q
 #   in the suite as the oracle (edges, unresolved edges, warnings, CCT
 #   origins), and the serial
 #   dump serializer over the 36-scenario corpus (seeds x schedules x
-#   fault plans), at shards 32 and 5, plus the serializer vs its
-#   format!-based reference writer;
+#   fault plans), plus the serializer vs its format!-based reference
+#   writer;
 # - golden: canonical rendered reports for two fixed TPC-W runs
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
@@ -148,12 +148,13 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 '
 
 # Lints the tests, benches and examples as well as the libraries. Also
-# what keeps the wire's decoders free of indexing — the body cursor
-# (Reader), the envelope check (open_frame), the string table
-# (get_dict), the delta-section reader, BatchDecoder, the sketch bucket
-# list (get_buckets) and the summary decoder: each carries
-# #[deny(clippy::indexing_slicing)], so the first `col[i]` written there
-# fails this line, not a review.
+# what keeps the outside-input readers free of indexing — the wire's
+# body cursor (Reader), the envelope check (open_frame), the string
+# table (get_dict), the delta-section reader, BatchDecoder, the sketch
+# bucket list (get_buckets) and the summary decoder, the JSON Parser,
+# and the Value -> dump (dumpjson) and Value -> repro (repro) schema
+# readers: each carries #[deny(clippy::indexing_slicing)], so the first
+# `col[i]` written there fails this line, not a review.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so
@@ -248,8 +249,18 @@ cargo run --release -q -p whodunit-bench --bin chaos -- --replay target/BENCH_se
 # bench that silently stops reporting a gate can never fail it, so a
 # missing field is itself a CI failure. (`*.repro.json` is a repro
 # bundle riding along with the sentinel bench, not a bench result.)
+# Every infer result must also have met its batch pin, and the
+# published BENCH_infer.json must pin the fingerprint infer.rs expects:
+# the smoke above compares against a comm-off twin, so without this
+# nothing would notice a stale published pin.
 python3 - <<'EOF'
-import glob, json, sys
+import glob, json, re, sys
+
+pin = re.search(
+    r"const EXPECTED_BATCH_FP: u64 = 0x([0-9a-f_]+);",
+    open("crates/bench/src/bin/infer.rs").read(),
+)
+EXPECTED_BATCH_FP = pin.group(1).replace("_", "") if pin else None
 
 GATE_FIELDS = {
     "infer": [
@@ -287,6 +298,12 @@ for path in files:
             node = node.get(part) if isinstance(node, dict) else None
         if node is None:
             bad.append(f"{path}: missing gate field {field!r}")
+    if bench == "infer":
+        batch = doc.get("batch") or {}
+        if batch.get("fingerprint") != batch.get("expected"):
+            bad.append(f"{path}: batch.fingerprint {batch.get('fingerprint')} != batch.expected {batch.get('expected')}")
+        if path == "BENCH_infer.json" and batch.get("expected") != EXPECTED_BATCH_FP:
+            bad.append(f"{path}: batch.expected {batch.get('expected')} != EXPECTED_BATCH_FP {EXPECTED_BATCH_FP} in infer.rs")
 if bad:
     print("\n".join(bad), file=sys.stderr)
     sys.exit(1)
