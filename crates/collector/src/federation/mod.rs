@@ -39,10 +39,9 @@
 //!   journal of ops applied since the previous one (`Redo`,
 //!   `LeafNode::log`) instead of copying them. A recovered node
 //!   replays the spool tail verbatim (receivers dedup), and — for
-//!   leaves — catches its *input* up
-//!   through the [`ResyncSource`](whodunit_core::delta::ResyncSource)
-//!   shape: a snapshot diff folded through the normal merge path, so
-//!   no profile mass is lost.
+//!   leaves — catches its *input* up from the emitter mirror the
+//!   harness keeps for it while it is out of lockstep: a snapshot diff
+//!   folded through the normal merge path, so no profile mass is lost.
 //! - **Honest degradation.** If a subtree stays unrecoverable past the
 //!   finalize deadline, the root finalizes anyway: the missing mass is
 //!   attributed to explicit per-subtree degraded markers and a coverage
@@ -60,7 +59,7 @@
 mod node;
 
 use std::collections::BTreeMap;
-use whodunit_core::delta::{EpochBatch, RecordedResync, StreamHeader};
+use whodunit_core::delta::{EpochBatch, StageAccumulator, StreamHeader};
 use whodunit_core::oracle::{ppm, FederationEvidence, SubtreeMass};
 use whodunit_core::summary::delta_mass;
 use whodunit_report::live::{FedNodeView, FedTopologyView};
@@ -281,12 +280,16 @@ pub struct Federation {
     leaves: Vec<LeafNode>,
     regions: Vec<RegionalNode>,
     root: RootNode,
-    /// The emitter mirror: every leaf's clean input stream replayed in
-    /// lockstep, serving resync snapshots
-    /// ([`ResyncSource`](whodunit_core::delta::ResyncSource)). One over
-    /// the whole header, since each stage has one emitter: a stage
-    /// advances only with deltas fed to the leaf that owns it.
-    mirror: RecordedResync,
+    /// The emitter mirror, per leaf out of lockstep: what the emitters
+    /// of the leaf's stages hold, parallel to its stage list, serving
+    /// its input catch-up. A leaf in lockstep — one that has taken
+    /// every batch fed to it whole — holds exactly that in its own
+    /// accumulators, so it needs none. A leaf leaves lockstep when it
+    /// crashes, or when a test hands it other input than the clean
+    /// stream (`diverge`); its mirror then starts as a copy of its
+    /// accumulators, advances with each clean delta of a stage it
+    /// owns, and is spent by the catch-up that brings it back.
+    mirrors: BTreeMap<usize, Vec<StageAccumulator>>,
     /// Ground-truth profile mass fed per leaf.
     truth: Vec<u64>,
     /// Last input epoch fed per leaf.
@@ -342,7 +345,7 @@ impl Federation {
         );
         let collector = Collector::with_header(header, cfg.collector.clone());
         Federation {
-            mirror: RecordedResync::new(header),
+            mirrors: BTreeMap::new(),
             truth: vec![0; n_leaves],
             truth_epoch: vec![0; n_leaves],
             truth_end: vec![0; n_leaves],
@@ -393,13 +396,31 @@ impl Federation {
     }
 
     /// Feeds one input epoch batch to `leaf`. Always advances the
-    /// emitter mirror and the ground-truth ledger; the leaf itself
-    /// only ingests while alive (missed input is recovered through the
-    /// resync path, or honestly reported as missing coverage).
+    /// ground-truth ledger, and the leaf's emitter mirror if it is out
+    /// of lockstep; the leaf itself only ingests while alive (missed
+    /// input is recovered through the resync path, or honestly
+    /// reported as missing coverage).
+    ///
+    /// `batch` is the emitters' clean stream: panics if a leaf in
+    /// lockstep refuses any of it.
     pub fn feed(&mut self, leaf: usize, batch: &EpochBatch) {
         if self.feed_truth(leaf, batch) {
-            self.leaves[leaf].ingest(batch, &mut self.stats);
+            let l = &mut self.leaves[leaf];
+            l.ingest(batch, &mut self.stats);
+            assert!(
+                !l.need_resync || self.mirrors.contains_key(&leaf),
+                "leaf {leaf} in lockstep refused the clean stream"
+            );
         }
+    }
+
+    /// Takes `leaf` out of lockstep, before it crashes or takes other
+    /// input than the clean stream: its accumulators, which hold what
+    /// the emitters of its stages hold, seed its emitter mirror. A leaf
+    /// already out of lockstep keeps the mirror it has.
+    fn diverge(&mut self, leaf: usize) {
+        let l = &self.leaves[leaf];
+        self.mirrors.entry(leaf).or_insert_with(|| l.accs().to_vec());
     }
 
     /// The part of a feed that happens whether or not the leaf is up:
@@ -412,9 +433,15 @@ impl Federation {
         self.truth[leaf] += mass;
         self.truth_epoch[leaf] = self.truth_epoch[leaf].max(batch.epoch);
         self.truth_end[leaf] = self.truth_end[leaf].max(batch.end);
-        let owner = &self.leaves[leaf];
-        for d in batch.deltas.iter().filter(|d| owner.owns(d.stage)) {
-            self.mirror.advance_delta(d);
+        if let Some(mirror) = self.mirrors.get_mut(&leaf) {
+            let owner = &self.leaves[leaf];
+            for d in &batch.deltas {
+                if let Some(si) = owner.slot(d.stage) {
+                    mirror[si]
+                        .apply(d)
+                        .expect("the emitters' clean stream applies");
+                }
+            }
         }
         self.stats.leaf_events_in += batch.events();
         if !self.leaves[leaf].alive {
@@ -479,12 +506,14 @@ impl Federation {
         self.stats.ticks = now;
 
         // 1. Planned crashes and recoveries.
-        for c in &mut self.crashes {
+        let mut crashes = std::mem::take(&mut self.crashes);
+        for c in &mut crashes {
             if !c.fired && c.at == now {
                 c.fired = true;
                 self.stats.crashes += 1;
                 match c.node {
                     FedNodeId::Leaf(i) => {
+                        self.diverge(i);
                         self.leaves[i].alive = false;
                         self.recovery_log.push(RecoveryRecord {
                             leaf: i,
@@ -504,12 +533,17 @@ impl Federation {
                 }
             }
         }
+        self.crashes = crashes;
 
-        // 2. Input resync for leaves that need it (recovery or damage).
-        for (i, l) in self.leaves.iter_mut().enumerate() {
+        // 2. Input resync for leaves that need it (recovery or damage),
+        //    which spends their mirrors.
+        for (i, mirror) in std::mem::take(&mut self.mirrors) {
+            let l = &mut self.leaves[i];
             if l.alive && l.need_resync {
                 let (epoch, end) = (self.truth_epoch[i], self.truth_end[i]);
-                l.catchup(&self.mirror, epoch, end, &mut self.stats);
+                l.catchup(mirror, epoch, end, &mut self.stats);
+            } else {
+                self.mirrors.insert(i, mirror);
             }
         }
 
@@ -940,6 +974,8 @@ pub(crate) mod tests {
             &batches_for(1, 1, "db", n),
             0,
         );
+        let down = fed.mirrors.keys().collect::<Vec<_>>();
+        assert_eq!(down, [&1], "a leaf that stays down keeps its mirror");
         let out = fed.finalize();
         assert!(out.coverage_ppm < 1_000_000);
         assert_eq!(out.degraded, vec!["leaf1".to_string()]);
@@ -952,6 +988,64 @@ pub(crate) mod tests {
             whodunit_core::oracle::check_federation(&out.evidence),
             vec![]
         );
+    }
+
+    /// A leaf in lockstep needs no mirror, lossy links or not. Its
+    /// crash seeds one from the live accumulators, because the
+    /// recovery restores a checkpoint that misses the journal: here
+    /// the leaf is fed nothing while down, and the two epochs it took
+    /// after its last checkpoint come back only through that mirror.
+    /// The catch-up spends it.
+    #[test]
+    fn a_crash_seeds_the_only_mirror_and_the_catchup_spends_it() {
+        let hdr = header2();
+        let topo = vec![vec![vec![0], vec![1]]];
+        let offered = Rc::new(Cell::new(0));
+        let policy = Box::new(Lossy { n: 0, offered });
+        let mut fed = Federation::new(&hdr, &topo, FederationConfig::default(), policy);
+        // Checkpoints at ticks 8 and 16; epochs 8 and 9 are fed after
+        // the first, and the leaf is down for tick 11 only.
+        fed.crash(FedNodeId::Leaf(0), 11, Some(12));
+        let n = 20;
+        let (front, db) = (batches_for(0, 0, "front", n), batches_for(1, 1, "db", n));
+        for e in 0..n {
+            if e == 10 {
+                fed.tick();
+                assert!(!fed.leaves[0].alive);
+                assert_eq!(fed.mirrors.keys().collect::<Vec<_>>(), [&0]);
+                fed.tick();
+                assert!(fed.leaves[0].alive && fed.mirrors.is_empty());
+            }
+            fed.feed(0, &front[e]);
+            fed.feed(1, &db[e]);
+            fed.tick();
+            assert!(fed.mirrors.is_empty(), "epoch {e}: a mirror in lockstep");
+        }
+        let out = fed.finalize();
+        assert!(out.stats.frames_lost > 0 && out.stats.retransmits > 0);
+        assert_eq!((out.stats.recoveries, out.stats.input_resyncs), (1, 1));
+        assert_eq!(out.stats.missed_batches, 0);
+        assert_eq!(out.coverage_ppm, 1_000_000, "the journal's epochs came back");
+        let flat = flat_reference(n);
+        assert_eq!(out.output.report.fingerprint(), flat.fingerprint());
+    }
+
+    /// `feed` hands a leaf the emitters' own stream, so a leaf in
+    /// lockstep that refuses it has no mirror to catch up from: the
+    /// harness says so at once instead of at the next tick.
+    #[test]
+    #[should_panic(expected = "leaf 1 in lockstep refused the clean stream")]
+    fn a_leaf_in_lockstep_refusing_its_feed_panics() {
+        let topo = vec![vec![vec![0], vec![1]]];
+        let mut fed = Federation::new(
+            &header2(),
+            &topo,
+            FederationConfig::default(),
+            Box::new(CleanLinks),
+        );
+        let mut db = batches_for(1, 1, "db", 1).remove(0);
+        db.deltas[0].checksum ^= 1;
+        fed.feed(1, &db);
     }
 
     #[test]

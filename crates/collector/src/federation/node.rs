@@ -7,9 +7,7 @@ use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use whodunit_core::delta::{
-    DeltaError, EpochBatch, ResyncSource, StageAccumulator, StageDelta, StreamHeader,
-};
+use whodunit_core::delta::{DeltaError, EpochBatch, StageAccumulator, StageDelta, StreamHeader};
 use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
     delta_mass, merge_stage_delta, seal_delta, LeafGauges, SummaryFrame, TierSketch,
@@ -196,9 +194,11 @@ impl Redo {
 #[derive(Clone)]
 pub(super) struct LeafState {
     /// Input accumulators, parallel to the owned stage list. Needed to
-    /// verify input deltas and to diff against resync snapshots. The
-    /// only cumulative part of the state: a checkpoint advances its
-    /// copy by replaying the journal, never by cloning.
+    /// verify input deltas and to diff against resync snapshots, and,
+    /// while the leaf is in lockstep, the only copy of what its stages'
+    /// emitters hold. The only cumulative part of the state: a
+    /// checkpoint advances its copy by replaying the journal, never by
+    /// cloning.
     accs: Vec<StageAccumulator>,
     /// The outgoing increment. The leaf's own cumulative gauges ride in
     /// its ledger, under the leaf's id.
@@ -225,6 +225,8 @@ pub(super) struct LeafNode {
     journal_events: u64,
     pub(super) snd: Sender,
     pub(super) alive: bool,
+    /// The input side is behind its emitters (a recovery, or a refused
+    /// delta) and catches up from the harness's mirror at the next tick.
     pub(super) need_resync: bool,
 }
 
@@ -298,14 +300,20 @@ impl LeafNode {
         inc.absorb_delta(d);
     }
 
-    /// Whether this leaf owns global stage `gs`.
-    pub(super) fn owns(&self, gs: usize) -> bool {
-        self.stages.binary_search(&gs).is_ok()
+    /// The slot of global stage `gs` in the owned stage list, if this
+    /// leaf owns it.
+    pub(super) fn slot(&self, gs: usize) -> Option<usize> {
+        self.stages.binary_search(&gs).ok()
+    }
+
+    /// The live input accumulators, parallel to the owned stage list.
+    pub(super) fn accs(&self) -> &[StageAccumulator] {
+        &self.st.accs
     }
 
     pub(super) fn ingest(&mut self, batch: &EpochBatch, stats: &mut FederationStats) {
         for d in &batch.deltas {
-            let Ok(si) = self.stages.binary_search(&d.stage) else {
+            let Some(si) = self.slot(d.stage) else {
                 stats.foreign_deltas += 1;
                 continue;
             };
@@ -322,24 +330,24 @@ impl LeafNode {
         self.st.inc.cover(batch.epoch, batch.epoch, batch.end);
     }
 
-    /// Catches the input side up to the emitter mirror: per owned
-    /// stage, diff the accumulator against the snapshot and fold the
-    /// catch-up delta through the normal merge path.
+    /// Catches the input side up to the emitter mirror, which holds
+    /// each owned stage's clean stream in stage-list order: per stage,
+    /// diff the accumulator against the emitter's snapshot and fold the
+    /// catch-up delta through the normal merge path. The leaf is back
+    /// in lockstep, so the mirror is spent.
     pub(super) fn catchup(
         &mut self,
-        mirror: &dyn ResyncSource,
+        mirror: Vec<StageAccumulator>,
         up_to_epoch: u64,
         up_to_end: u64,
         stats: &mut FederationStats,
     ) {
         let mut gained = false;
-        for si in 0..self.stages.len() {
+        for (si, emitter) in mirror.into_iter().enumerate() {
             let gs = self.stages[si];
-            let Some((dump, upto)) = mirror.snapshot(gs) else {
-                continue;
-            };
+            let upto = emitter.next_seq();
             let cd = self.st.accs[si]
-                .catchup_delta(gs, &dump)
+                .catchup_delta(gs, &emitter.into_dump())
                 .expect("the mirror replays this leaf's own clean input");
             if let Some(cd) = cd {
                 self.log(si, Redo::Apply(cd.clone()))
@@ -758,17 +766,23 @@ mod tests {
                     (0, 13) => {
                         let mut bad = clean.clone();
                         bad.deltas[0].checksum ^= 1;
+                        fed.diverge(leaf);
                         assert!(fed.feed_truth(leaf, &clean));
                         fed.leaves[leaf].ingest(&bad, &mut fed.stats);
                     }
                     // A batch lost before the leaf: the next one gaps.
-                    (2, 29) => assert!(fed.feed_truth(leaf, &clean)),
+                    (2, 29) => {
+                        fed.diverge(leaf);
+                        assert!(fed.feed_truth(leaf, &clean));
+                    }
                     _ => fed.feed(leaf, &clean),
                 }
             }
             if e == 10 {
-                // A crash between checkpoints restores exactly the last
-                // checkpoint and forgets the journal.
+                // A crash between checkpoints (which, like a planted
+                // one, first diverges the leaf) restores exactly the
+                // last checkpoint and forgets the journal.
+                fed.diverge(0);
                 let l = &mut fed.leaves[0];
                 assert!(!l.journal.is_empty() && l.journal_events > 0);
                 let mut last = l.ckpt.clone();

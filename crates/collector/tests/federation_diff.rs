@@ -433,9 +433,9 @@ fn unrecoverable_leaf_finalizes_degraded_not_aborted() {
 /// A delta handed to a leaf that does not own its stage — here a copy
 /// of one the owner is fed in the same round — is dropped and counted,
 /// and its mass is charged to the leaf it was fed to. It never reaches
-/// the emitter mirror, which holds each stage's own stream only: the
-/// owner's crash, taken after the copy went by, still resyncs from the
-/// mirror to the flat answer.
+/// an emitter mirror, which holds its leaf's own stages' stream only:
+/// the owner's crash, taken after the copy went by, seeds the owner's
+/// mirror, and the recovery still resyncs from it to the flat answer.
 #[test]
 fn foreign_delta_is_dropped_charged_to_its_feeder_and_kept_out_of_the_mirror() {
     let (hdr, batches, dumps) = recorded(4);

@@ -83,10 +83,11 @@ cargo test --workspace -q
 # - properties: the summary-delta merge algebra (grouping invariance,
 #   associativity, mass conservation, sketch wire round-trip);
 # - allocation budget: a 24-replica federation on lossy links (frames
-#   parked and duplicated) behind a counting allocator, <= 8.3
-#   allocations per leaf event (7.691 now, 9.017 when checkpoints
+#   parked and duplicated) behind a counting allocator, <= 7.2
+#   allocations per leaf event (6.797 now; 9.017 when checkpoints
 #   deep-copied parked frames, duplicates were decoded, regionals
-#   cloned every decoded delta and each leaf had its own mirror);
+#   cloned every decoded delta and each leaf had its own mirror;
+#   7.691 while one emitter mirror replayed every leaf in lockstep);
 # - golden: rendered federation topology mid-outage + final
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
