@@ -1,15 +1,19 @@
 //! Fault-tolerant collector federation: leaf → regional → global
 //! aggregation of streaming profile deltas.
 //!
-//! A flat [`Collector`] ingests every stage of a fleet directly; at
-//! planet scale that is one process holding every accumulator and every
-//! uplink. The federation splits the fleet across many *leaf* nodes
-//! (one per rack/region slice of the stage space), folds their
-//! compacted [`SummaryFrame`](whodunit_core::summary::SummaryFrame)s
-//! through *regional* aggregators, and applies the result at a single
-//! *global root* — an ordinary [`Collector`] over the full fleet
-//! header, whose finalize is batch `analyze` over the dumps the root
-//! accumulated. A clean run delivers every stage's dump whole, so its
+//! A flat [`crate::Collector`] ingests every stage of a fleet
+//! directly; at planet scale that is one process holding every
+//! accumulator and every uplink. The federation splits the fleet
+//! across many *leaf* nodes (one per rack/region slice of the stage
+//! space), folds their compacted
+//! [`SummaryFrame`](whodunit_core::summary::SummaryFrame)s through
+//! *regional* aggregators, and applies the result at a single *global
+//! root*. Whodunit stitches post mortem from complete per-stage dumps
+//! (§5), so the root holds exactly that: one
+//! [`StageAccumulator`] per header stage, and finalize is batch
+//! `analyze` over their dumps. No snapshot is ever asked of the root,
+//! so it runs none of the collector's incremental stitching or
+//! eviction. A clean run delivers every stage's dump whole, so its
 //! final report is **byte-identical** to the flat batch pipeline (the
 //! differential suite holds the fingerprint lineage to it).
 //!
@@ -42,30 +46,42 @@
 //!   leaves — catches its *input* up from the emitter mirror the
 //!   harness keeps for it while it is out of lockstep: a snapshot diff
 //!   folded through the normal merge path, so no profile mass is lost.
+//! - **Whole frames.** A link frame is the unit every receiver takes
+//!   or refuses. A regional merges a child's frame only if each delta
+//!   names a stage no other delta of the frame names, carries that
+//!   stage's next seq and composes onto the pending increment; the
+//!   root applies a frame through
+//!   [`whodunit_core::delta::apply_frame`], which checks every delta
+//!   before it mutates any accumulator. A refused frame is counted in
+//!   `rejected_frames`, moves no ledger or mass, and leaves the link
+//!   seq where it was — so refusal has one route at every hop:
+//!   refuse → retry → deadline → degraded.
 //! - **Honest degradation.** If a subtree stays unrecoverable past the
 //!   finalize deadline, the root finalizes anyway: the missing mass is
 //!   attributed to explicit per-subtree degraded markers and a coverage
 //!   fraction, never silently dropped. The
 //!   [`whodunit_core::oracle::check_federation`] oracle cross-checks
-//!   the ledger against the root's actually-applied mass.
+//!   the ledger against the root's actually-applied mass, and only an
+//!   applied frame reaches either.
 //!
 //! This file is the harness: the public types, the link fabric's two
 //! message kinds (a frame going up, an ack going down) and
 //! [`Federation`], which owns the tree and the fault schedule. The
 //! nodes live in `node.rs`: the one `Increment` a leaf and a regional
 //! both merge into and flush, the leaf with its redo journal, the
-//! regional and the root.
+//! regional and the root with its accumulators.
 
 mod node;
 
 use std::collections::BTreeMap;
 use whodunit_core::delta::{EpochBatch, StageAccumulator, StreamHeader};
 use whodunit_core::oracle::{ppm, FederationEvidence, SubtreeMass};
+use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_core::summary::delta_mass;
 use whodunit_report::live::{FedNodeView, FedTopologyView};
 
 use crate::link::WireFrame;
-use crate::{Collector, CollectorConfig, CollectorOutput};
+use crate::{CollectorOutput, CollectorStats};
 use node::{LeafNode, RegionalNode, RootNode};
 
 /// Fate of one message offered to an upstream link.
@@ -118,8 +134,6 @@ pub struct FederationConfig {
     /// Drain ticks [`Federation::finalize`] grants before declaring
     /// still-missing subtrees degraded.
     pub deadline_ticks: u64,
-    /// Configuration of the root's flat [`Collector`].
-    pub collector: CollectorConfig,
 }
 
 impl Default for FederationConfig {
@@ -128,7 +142,6 @@ impl Default for FederationConfig {
             flush_every: 4,
             checkpoint_every: 8,
             deadline_ticks: 4096,
-            collector: CollectorConfig::default(),
         }
     }
 }
@@ -194,7 +207,10 @@ pub struct FederationStats {
     pub corrupt_frames: u64,
     /// Reordered frames dropped because the park buffer was full.
     pub park_overflow: u64,
-    /// In-order frames rejected for a per-stage sequence mismatch.
+    /// In-order frames a receiver refused whole: a regional's for a
+    /// delta that is out of its stage's sequence or does not merge
+    /// onto the pending increment, the root's for one `apply_frame`
+    /// refuses; either also for two deltas naming one stage.
     pub rejected_frames: u64,
     /// Messages delivered to a crashed node and discarded.
     pub dropped_to_dead: u64,
@@ -240,8 +256,11 @@ pub struct FederationStats {
 
 /// Everything a finished federation run hands back.
 pub struct FederationOutput {
-    /// The root collector's output: batch `analyze` over the dumps the
-    /// root accumulated, plus its accounting.
+    /// Batch `analyze` over the dumps the root accumulated. Its
+    /// `stats.batches` and `stats.events` count the frames and change
+    /// events the root applied; every other [`CollectorStats`] field
+    /// is zero, since the root runs none of the collector's ingest,
+    /// stitching or eviction.
     pub output: CollectorOutput,
     /// Delivered/truth coverage in parts-per-million (1_000_000 on a
     /// clean run).
@@ -343,7 +362,6 @@ impl Federation {
             owned.iter().all(|&o| o),
             "every header stage must be owned by a leaf"
         );
-        let collector = Collector::with_header(header, cfg.collector.clone());
         Federation {
             mirrors: BTreeMap::new(),
             truth: vec![0; n_leaves],
@@ -351,7 +369,7 @@ impl Federation {
             truth_end: vec![0; n_leaves],
             cfg,
             leaves,
-            root: RootNode::new(collector, regions.len()),
+            root: RootNode::new(header, regions.len()),
             regions,
             policy,
             queue: BTreeMap::new(),
@@ -742,7 +760,8 @@ impl Federation {
     }
 
     /// Drains the tree (up to the configured deadline), marks whatever
-    /// is still missing as degraded, and finalizes the root collector.
+    /// is still missing as degraded, and analyzes the dumps the root
+    /// accumulated.
     ///
     /// On a clean, fully-delivered run the finalized report is
     /// byte-identical to the flat batch pipeline over the whole fleet
@@ -790,8 +809,17 @@ impl Federation {
             root_mass: self.root.applied_mass,
             reported_coverage_ppm: coverage_ppm,
         };
+        let dumps = self.root.accs.into_iter().map(StageAccumulator::into_dump);
+        let output = CollectorOutput {
+            report: analyze(dumps.collect(), PipelineConfig::default()),
+            stats: CollectorStats {
+                batches: self.root.frames_applied,
+                events: self.stats.root_events_applied,
+                ..CollectorStats::default()
+            },
+        };
         FederationOutput {
-            output: self.root.collector.finalize(),
+            output,
             coverage_ppm,
             degraded,
             evidence,

@@ -7,15 +7,18 @@ use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use whodunit_core::delta::{DeltaError, EpochBatch, StageAccumulator, StageDelta, StreamHeader};
+use whodunit_core::delta::{
+    apply_frame, repeated_stage, DeltaError, EpochBatch, StageAccumulator, StageDelta,
+    StreamHeader,
+};
 use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
-    delta_mass, merge_stage_delta, seal_delta, LeafGauges, SummaryFrame, TierSketch,
+    check_merge, delta_mass, empty_delta, merge_stage_delta, seal_delta, LeafGauges,
+    SummaryFrame, TierSketch,
 };
 
 use super::FederationStats;
 use crate::link::{AckMode, RxState, Sender, Uplink};
-use crate::Collector;
 
 /// The per-leaf ledger a frame carries, keyed by originating leaf.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -70,6 +73,8 @@ impl Increment {
     /// its pending delta — merged into the empty delta, its content
     /// comes out unchanged, and [`Increment::flush`] restamps its seq
     /// and checksum — so it moves in, or is cloned once if borrowed.
+    /// Every caller's delta merges: a leaf's is input its accumulators
+    /// took, a regional's comes from a frame [`Increment::admits`].
     fn absorb_delta(&mut self, d: Cow<'_, StageDelta>) {
         self.events += d.events();
         match self.pending.entry(d.stage) {
@@ -79,6 +84,20 @@ impl Increment {
             Entry::Occupied(e) => merge_stage_delta(e.into_mut(), &d)
                 .expect("contiguous same-stage increments always merge"),
         }
+    }
+
+    /// Whether a child frame's `deltas` all merge in: no two name one
+    /// stage, and each carries its stage's next expected seq in
+    /// `in_seq` and composes onto the stage's pending delta (the empty
+    /// delta if there is none). Every delta is checked against the
+    /// state before the frame, so the frame merges whole or not at all.
+    fn admits(&self, deltas: &[StageDelta], in_seq: &BTreeMap<usize, u64>) -> bool {
+        repeated_stage(deltas).is_none()
+            && deltas.iter().all(|d| {
+                let pending = self.pending.get(&d.stage);
+                d.seq == in_seq.get(&d.stage).copied().unwrap_or(0)
+                    && check_merge(pending.unwrap_or(&empty_delta(d.stage)), d).is_ok()
+            })
     }
 
     /// Widens the pending interval to input epochs `first..=last`,
@@ -461,12 +480,10 @@ impl RegionalNode {
             inc, rx, in_seq, ..
         } = &mut self.st;
         rx[slot].receive(bytes, AckMode::OnCheckpoint, stats, |f, stats| {
-            // Per-stage contiguity check first, so a bad frame is
-            // rejected whole (and the per-link seq does not advance —
-            // the sender retries until the deadline marks the subtree
-            // degraded).
-            let next = |d: &StageDelta| in_seq.get(&d.stage).copied().unwrap_or(0);
-            if f.deltas.iter().any(|d| d.seq != next(d)) {
+            // A frame that does not merge whole is refused whole, and
+            // the per-link seq does not advance: the sender retries
+            // until the deadline marks the subtree degraded.
+            if !inc.admits(&f.deltas, in_seq) {
                 stats.rejected_frames += 1;
                 return false;
             }
@@ -512,34 +529,40 @@ impl RegionalNode {
 }
 
 pub(super) struct RootNode {
-    pub(super) collector: Collector,
-    batch_seq: u64,
+    /// One accumulator per header stage, indexed by stage: everything
+    /// the root holds of the profile, and all `analyze` needs of it.
+    pub(super) accs: Vec<StageAccumulator>,
     /// Per-regional-link receive state.
     pub(super) rx: Vec<RxState>,
     /// Mass delivered since the start and latest gauges, per
-    /// originating leaf — the frames' own ledger.
+    /// originating leaf — the applied frames' own ledger.
     pub(super) ledger: Ledger,
     /// Mass the root actually applied, measured from delta content —
     /// independently of the frames' self-reported ledger.
     pub(super) applied_mass: u64,
     pub(super) max_epoch: u64,
+    /// Frames applied: the output's `CollectorStats::batches`.
+    pub(super) frames_applied: u64,
 }
 
 impl RootNode {
-    /// The root over `collector`, receiving from `regions` regionals.
-    pub(super) fn new(collector: Collector, regions: usize) -> RootNode {
+    /// The root over `header`'s stages, receiving from `regions`
+    /// regionals.
+    pub(super) fn new(header: &StreamHeader, regions: usize) -> RootNode {
         RootNode {
-            collector,
-            batch_seq: 0,
+            accs: header.stages.iter().map(StageAccumulator::new).collect(),
             rx: vec![RxState::default(); regions],
             ledger: Ledger::default(),
             applied_mass: 0,
             max_epoch: 0,
+            frames_applied: 0,
         }
     }
 
-    /// The root acks immediately on apply: it is the durable terminus
-    /// of the tree (root crashes are out of scope).
+    /// Applies each frame whole or refuses it whole ([`apply_frame`]);
+    /// only an applied frame counts in the ledger. The root acks
+    /// immediately on apply: it is the durable terminus of the tree
+    /// (root crashes are out of scope).
     pub(super) fn on_frame(
         &mut self,
         slot: usize,
@@ -547,30 +570,24 @@ impl RootNode {
         stats: &mut FederationStats,
     ) -> Option<u64> {
         let RootNode {
-            collector,
-            batch_seq,
+            accs,
             rx,
             ledger,
             applied_mass,
             max_epoch,
+            frames_applied,
         } = self;
         rx[slot].receive(bytes, AckMode::Immediate, stats, |f, stats| {
-            // The root never checkpoints its receive state, so nothing
-            // else holds the frame and this moves it.
-            let f = Arc::unwrap_or_clone(f);
+            if apply_frame(accs, &f.deltas).is_err() {
+                stats.rejected_frames += 1;
+                return false;
+            }
             *applied_mass += f.deltas.iter().map(delta_mass).sum::<u64>();
             ledger.fold(&f);
             *max_epoch = (*max_epoch).max(f.last_epoch);
+            *frames_applied += 1;
             stats.frames_delivered += 1;
             stats.root_events_applied += f.events();
-            collector.enqueue(EpochBatch {
-                epoch: f.last_epoch,
-                seq: *batch_seq,
-                end: f.end,
-                deltas: f.deltas,
-            });
-            *batch_seq += 1;
-            collector.drain();
             true
         })
     }
@@ -583,10 +600,13 @@ impl RootNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::federation::tests::{batches_for, snapshots};
+    use crate::federation::tests::{batches_for, header2, snapshots};
     use crate::federation::{FedNodeId, Federation, FederationConfig, LinkPolicy, LinkVerdict};
+    use crate::link::WireFrame;
+    use proptest::prelude::*;
     use std::cell::Cell;
-    use whodunit_core::delta::StreamStage;
+    use whodunit_core::delta::{diff_dump, StreamStage};
+    use whodunit_core::stitch::{DumpAtom, DumpCct, DumpContext, DumpNode, StageDump};
 
     thread_local! {
         /// Leaf checkpoints [`assert_checkpoint_is_a_clone`] has
@@ -809,5 +829,270 @@ mod tests {
             .collect();
         let flat = whodunit_core::pipeline::analyze(dumps, Default::default());
         assert_eq!(out.output.report.fingerprint(), flat.fingerprint());
+    }
+
+    /// One child's link frames `0..`, each carrying `deltas` with
+    /// their mass filed under leaf 0, as their first transmission puts
+    /// them on the wire.
+    fn sealed(frames: Vec<Vec<StageDelta>>) -> Vec<WireFrame> {
+        let mut up = Uplink::default();
+        for deltas in frames {
+            let mass = deltas.iter().map(delta_mass).sum();
+            up.seal(SummaryFrame {
+                src: 0,
+                seq: 0,
+                first_epoch: 0,
+                last_epoch: 0,
+                end: 0,
+                deltas,
+                sketches: Vec::new(),
+                leaf_mass: vec![(0, mass)],
+                gauges: Vec::new(),
+                checksum: 0,
+            });
+        }
+        let mut snd = Sender::restart(&up, 0);
+        snd.checkpointed(&up);
+        snd.pump(&up, 1, &mut FederationStats::default())
+    }
+
+    /// `d`, changed by `f` and sealed again.
+    fn resealed(mut d: StageDelta, f: impl FnOnce(&mut StageDelta)) -> StageDelta {
+        f(&mut d);
+        d.seal();
+        d
+    }
+
+    /// CCT cycles the accumulators hold.
+    fn held_cycles(accs: &[StageAccumulator]) -> u64 {
+        let nodes = |a: &StageAccumulator| {
+            (0..a.context_count() as u32)
+                .filter_map(|ctx| a.cct_nodes(ctx))
+                .flatten()
+                .map(|n| n.cycles)
+                .sum::<u64>()
+        };
+        accs.iter().map(nodes).sum()
+    }
+
+    /// Two checksum-valid frames that cannot merge whole: one whose
+    /// CCT baseline does not extend the pending increment, and one
+    /// naming a stage twice. Each is refused whole, the link seq stays
+    /// where it is, and the clean frame at that seq merges after it.
+    #[test]
+    fn a_regional_refuses_a_frame_that_does_not_merge_whole() {
+        let clean: Vec<StageDelta> = batches_for(0, 0, "front", 3)
+            .into_iter()
+            .map(|mut b| b.deltas.remove(0))
+            .collect();
+        let skewed = resealed(clean[1].clone(), |d| d.ccts[0].nodes_before = 5);
+        let bad = sealed(vec![
+            vec![clean[0].clone()],
+            vec![skewed],
+            vec![clean[2].clone(), clean[2].clone()],
+        ]);
+        let good = sealed(clean.iter().map(|d| vec![d.clone()]).collect());
+        let mut r = RegionalNode::new(0, 1, vec![0]);
+        let mut stats = FederationStats::default();
+        r.on_frame(0, &bad[0], &mut stats);
+        for (i, frame) in bad.iter().enumerate().skip(1) {
+            let merged = r.st.inc.pending.clone();
+            for _ in 0..2 {
+                r.on_frame(0, frame, &mut stats);
+            }
+            assert_eq!(stats.rejected_frames, 2 * i as u64, "frame {i} refused");
+            assert_eq!(stats.dup_frames, 0, "frame {i}: the link seq moved");
+            assert_eq!(r.st.inc.pending, merged, "frame {i} merged in part");
+            assert_eq!(r.st.in_seq[&0], i as u64);
+            r.on_frame(0, &good[i], &mut stats);
+            assert_eq!(r.st.in_seq[&0], i as u64 + 1);
+        }
+        assert_eq!(stats.frames_delivered, 3);
+        let mut want = clean[0].clone();
+        for d in &clean[1..] {
+            merge_stage_delta(&mut want, d).unwrap();
+        }
+        assert_eq!(r.st.inc.pending[&0], want);
+    }
+
+    /// A frame the root refuses leaves no trace in its accounting: not
+    /// in the ledger coverage is computed from, not in the applied
+    /// mass the oracle checks the ledger against, not in the delivered
+    /// frames, and not in any accumulator, even where only its second
+    /// delta is bad.
+    #[test]
+    fn a_refused_frame_counts_nowhere_at_the_root() {
+        let front = batches_for(0, 0, "front", 1).remove(0).deltas.remove(0);
+        let db = batches_for(1, 1, "db", 1).remove(0).deltas.remove(0);
+        let unknown_ctx = |d: &StageDelta| resealed(d.clone(), |d| d.ccts[0].ctx = 1);
+        let outside = resealed(db.clone(), |d| d.stage = 2);
+        for bad in [
+            vec![unknown_ctx(&front)],
+            vec![outside],
+            vec![front.clone(), unknown_ctx(&db)],
+        ] {
+            let what = format!("{bad:?}");
+            let (bad, good) = (sealed(vec![bad]), sealed(vec![vec![front.clone(), db.clone()]]));
+            let mut root = RootNode::new(&header2(), 1);
+            let mut stats = FederationStats::default();
+            root.on_frame(0, &bad[0], &mut stats);
+            assert_eq!(root.ledger, Ledger::default(), "{what}");
+            assert_eq!(root.applied_mass, 0, "{what}");
+            assert_eq!(stats.frames_delivered, 0, "{what}");
+            assert_eq!(stats.rejected_frames, 1, "{what}");
+            assert!(root.accs.iter().all(|a| a.next_seq() == 0), "{what}");
+            // The clean frame at the same link seq is applied in full.
+            root.on_frame(0, &good[0], &mut stats);
+            assert_eq!(root.ledger.mass[&0], 200, "{what}");
+            assert_eq!(root.applied_mass, 200, "{what}");
+            assert_eq!((stats.frames_delivered, root.frames_applied), (1, 1));
+        }
+    }
+
+    /// Snapshot `e` of a stage whose contexts arrive one per epoch up
+    /// to three: each has a root that grows every epoch and gains one
+    /// child node per epoch it has lived, so a delta carries several
+    /// CCTs, new nodes and growth.
+    fn growing_dump(proc: u32, e: u32) -> StageDump {
+        let ctxs = (e + 1).min(3);
+        let node = |parent: Option<u32>, cycles| DumpNode {
+            frame: parent.map(|_| 1),
+            parent,
+            samples: 1,
+            cycles,
+            calls: 1,
+        };
+        StageDump {
+            proc,
+            stage_name: "svc".into(),
+            frames: vec!["main".into(), "work".into()],
+            contexts: (0..ctxs)
+                .map(|k| DumpContext {
+                    atoms: vec![DumpAtom::Frame(k % 2)],
+                })
+                .collect(),
+            ccts: (0..ctxs)
+                .map(|k| DumpCct {
+                    ctx: k,
+                    nodes: std::iter::once(node(None, u64::from((e + 1) * (k + 1))))
+                        .chain((k..e).map(|_| node(Some(0), 7)))
+                        .collect(),
+                })
+                .collect(),
+            ..StageDump::default()
+        }
+    }
+
+    /// One damage applied to a frame of deltas (`param` picks the
+    /// delta and the size of the change); the touched delta is sealed
+    /// again, so only the receivers' own checks can catch it.
+    fn damage(frame: &mut Vec<StageDelta>, kind: u8, param: usize) {
+        if frame.is_empty() {
+            return;
+        }
+        let at = param % frame.len();
+        let mut d = frame[at].clone();
+        let bump = param as u32 + 1;
+        match kind {
+            0 => d.seq ^= 1 + (param as u64 & 1),
+            1 => d.stage = (d.stage + 1 + param) % 5,
+            2 => match d.ccts.get_mut(param % 2) {
+                Some(c) if param == 7 => c.nodes_before = u32::MAX,
+                Some(c) => c.nodes_before = c.nodes_before.wrapping_add(bump) % 9,
+                None => return,
+            },
+            3 if d.ccts.len() >= 2 => d.ccts.reverse(),
+            3 => match d.ccts.first().cloned() {
+                Some(c) => d.ccts.push(c),
+                None => return,
+            },
+            4 => {
+                let mut twin = d.clone();
+                twin.seq += param as u64 & 1;
+                twin.seal();
+                frame.push(twin);
+            }
+            _ => match d.ccts.iter_mut().find(|c| !c.grown.is_empty()) {
+                Some(c) => c.grown[0].0 += bump,
+                None => match d.ccts.first_mut() {
+                    Some(c) => c.grown.push((c.nodes_before + bump % 3, 0, 5, 0)),
+                    None => return,
+                },
+            },
+        }
+        d.seal();
+        frame[at] = d;
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Checksum-valid frames cut from a clean three-stage stream and
+        /// damaged (seq, stage, CCT baseline, ctx order, a stage named
+        /// twice, grown index) reach a regional and the root on one
+        /// link, each followed by the clean frame at its seq if it was
+        /// refused; the regional's increment is flushed to a second root
+        /// every two frames. Nothing panics, and after every frame each
+        /// root's ledger holds exactly the CCT cycles its accumulators
+        /// hold: a frame is applied whole, or its mass is nowhere.
+        #[test]
+        fn receivers_apply_damaged_frames_whole_or_not_at_all(
+            damages in proptest::collection::vec((0usize..6, 0u8..6, 0usize..8), 0..4)
+        ) {
+            let n = 6u32;
+            let header = StreamHeader {
+                stages: (0..3)
+                    .map(|proc| StreamStage { proc, stage_name: "svc".into() })
+                    .collect(),
+            };
+            let clean: Vec<Vec<StageDelta>> = (0..n)
+                .map(|e| {
+                    (0..3u32)
+                        .map(|gs| {
+                            let prev = e.checked_sub(1).map(|p| growing_dump(gs, p));
+                            let cur = growing_dump(gs, e);
+                            diff_dump(gs as usize, u64::from(e), prev.as_ref(), &cur)
+                                .expect("every epoch grows")
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut bad = clean.clone();
+            for &(fi, kind, param) in &damages {
+                damage(&mut bad[fi], kind, param);
+            }
+            let (bad, clean) = (sealed(bad), sealed(clean));
+            let mut r = RegionalNode::new(0, 1, vec![0]);
+            let (mut root, mut root2) = (RootNode::new(&header, 1), RootNode::new(&header, 1));
+            let mut rs = FederationStats::default();
+            let (mut s1, mut s2) = (rs.clone(), rs.clone());
+            let ledger_holds = |root: &RootNode| {
+                root.ledger.mass.values().sum::<u64>() == held_cycles(&root.accs)
+            };
+            for (i, (b, c)) in bad.iter().zip(&clean).enumerate() {
+                let now = i as u64 + 2;
+                let delivered = rs.frames_delivered;
+                r.on_frame(0, b, &mut rs);
+                if rs.frames_delivered == delivered {
+                    r.on_frame(0, c, &mut rs);
+                }
+                let delivered = s1.frames_delivered;
+                root.on_frame(0, b, &mut s1);
+                if s1.frames_delivered == delivered {
+                    root.on_frame(0, c, &mut s1);
+                }
+                prop_assert!(ledger_holds(&root), "root after frame {}", i);
+                if i % 2 == 1 {
+                    r.st.inc.flush(r.src, &mut r.st.up, &mut rs);
+                    r.checkpoint(&mut rs);
+                    for bytes in r.snd.pump(&r.st.up, now, &mut rs) {
+                        if let Some(upto) = root2.on_frame(0, &bytes, &mut s2) {
+                            r.snd.on_ack(&mut r.st.up, upto, now);
+                        }
+                        prop_assert!(ledger_holds(&root2), "second root after frame {}", i);
+                    }
+                }
+            }
+        }
     }
 }

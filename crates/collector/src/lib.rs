@@ -56,6 +56,12 @@
 //! report is what the batch pipeline computes over the dumps the
 //! collector did accumulate ([`PipelineReport::stages`]) — healed or
 //! short of mass, never invented.
+//!
+//! The [`federation`]'s root is not a collector. Nothing asks it for a
+//! snapshot, so it keeps only one [`StageAccumulator`] per stage and
+//! finalizes with the same `analyze`; a bad frame there, as at every
+//! federation hop, is refused whole and retried by its link rather
+//! than quarantined.
 
 #![warn(missing_docs)]
 
@@ -414,13 +420,6 @@ impl Collector {
             obs_xt_wait: 0,
             obs_quarantined: 0,
         }
-    }
-
-    /// A collector initialized for `header`'s stage set.
-    pub fn with_header(header: &StreamHeader, cfg: CollectorConfig) -> Self {
-        let mut c = Collector::new(cfg);
-        c.start(header);
-        c
     }
 
     /// Installs the stream header (stage set). Must be called exactly
@@ -1286,13 +1285,11 @@ mod tests {
             .iter()
             .map(wire::encode_batch)
             .collect();
-        let mut c = Collector::with_header(
-            &header2(),
-            CollectorConfig {
-                max_queue: 1,
-                ..CollectorConfig::default()
-            },
-        );
+        let mut c = Collector::new(CollectorConfig {
+            max_queue: 1,
+            ..CollectorConfig::default()
+        });
+        c.start(&header2());
         assert_eq!(c.enqueue_wire(&frames[0]), Ok(true));
         let mut bad = frames[1].clone();
         let mid = bad.len() / 2;
@@ -1428,13 +1425,12 @@ mod tests {
             batch(2, diff_dump(0, 1, Some(&first), &second)),
         ];
         let collector = |window_epochs| {
-            Collector::with_header(
-                &header,
-                CollectorConfig {
-                    window_epochs,
-                    ..CollectorConfig::default()
-                },
-            )
+            let mut c = Collector::new(CollectorConfig {
+                window_epochs,
+                ..CollectorConfig::default()
+            });
+            c.start(&header);
+            c
         };
         let top = |c: &Collector| {
             let snap = c.snapshot();

@@ -248,13 +248,11 @@ fn stream_of(shape: &Shape) -> Vec<EpochBatch> {
 /// Feeds `batches` one at a time, holding the snapshot after each to
 /// the batch pipeline over the same prefix, and finalizes.
 fn collect(batches: &[EpochBatch], window: u64) -> (CollectorOutput, Tally) {
-    let mut c = Collector::with_header(
-        &header(),
-        CollectorConfig {
-            window_epochs: window,
-            ..CollectorConfig::default()
-        },
-    );
+    let mut c = Collector::new(CollectorConfig {
+        window_epochs: window,
+        ..CollectorConfig::default()
+    });
+    c.start(&header());
     let mut gate = SnapshotGate::new(&header());
     for b in batches {
         assert!(c.enqueue(b.clone()));

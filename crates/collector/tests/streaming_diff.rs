@@ -120,7 +120,8 @@ fn run_matrix(faulty: bool) {
                     window_epochs: window,
                     ..CollectorConfig::default()
                 };
-                let mut c = Collector::with_header(&sink.header, ccfg);
+                let mut c = Collector::new(ccfg);
+                c.start(&sink.header);
                 let mut gate = SnapshotGate::new(&sink.header);
                 for b in &sink.batches {
                     assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
@@ -262,13 +263,11 @@ fn staggered_fleet_stays_resident_below_total_and_packs_on_the_wire() {
 
     for window in [1u64, 4] {
         let what = format!("fleet window={window}");
-        let mut c = Collector::with_header(
-            &hdr,
-            CollectorConfig {
-                window_epochs: window,
-                ..CollectorConfig::default()
-            },
-        );
+        let mut c = Collector::new(CollectorConfig {
+            window_epochs: window,
+            ..CollectorConfig::default()
+        });
+        c.start(&hdr);
         for b in &stream {
             assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
             c.drain();
@@ -306,13 +305,11 @@ fn backpressure_counts_throttles_and_stays_lossless() {
     let report = run_tpcw_streaming(cfg, CPU_HZ, &mut sink);
     let batch_ref = analyze(report.dumps, PipelineConfig::default());
 
-    let mut c = Collector::with_header(
-        &sink.header,
-        CollectorConfig {
-            max_queue: 2,
-            ..CollectorConfig::default()
-        },
-    );
+    let mut c = Collector::new(CollectorConfig {
+        max_queue: 2,
+        ..CollectorConfig::default()
+    });
+    c.start(&sink.header);
     let mut throttles = 0u64;
     for b in &sink.batches {
         // Offer without draining: every third batch overflows the
@@ -388,7 +385,8 @@ fn ingest_damaged_via(
     ccfg: CollectorConfig,
     wrap: impl FnOnce(SharedResync) -> Box<dyn ResyncSource>,
 ) -> CollectorOutput {
-    let mut c = Collector::with_header(header, ccfg);
+    let mut c = Collector::new(ccfg);
+    c.start(header);
     let shared = Rc::new(RefCell::new(RecordedResync::new(header)));
     c.set_resync_source(wrap(SharedResync(shared.clone())));
     for (orig, dam) in clean.iter().zip(damaged) {
@@ -558,7 +556,8 @@ fn hole_still_open_at_end_of_stream_is_resynced_at_finalize() {
 /// Ingests `damaged` with no resync source attached — how the sentinel
 /// sink, the federation root and every `benchmark/` workload run.
 fn ingest_sourceless(header: &StreamHeader, damaged: &[EpochBatch]) -> CollectorOutput {
-    let mut c = Collector::with_header(header, CollectorConfig::default());
+    let mut c = Collector::new(CollectorConfig::default());
+    c.start(header);
     for b in damaged {
         assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
         c.drain();
@@ -944,7 +943,8 @@ fn cycle_peak_queue_gauge_resets_between_drain_cycles() {
     let (header, batches, reference) = recorded_scenario();
     assert!(batches.len() >= 6, "need a few batches to form two cycles");
 
-    let mut c = Collector::with_header(&header, CollectorConfig::default());
+    let mut c = Collector::new(CollectorConfig::default());
+    c.start(&header);
     // Cycle 1: pile up three batches, then drain.
     for b in &batches[..3] {
         assert!(c.enqueue(b.clone()));

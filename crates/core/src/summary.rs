@@ -6,11 +6,11 @@
 //! increment of everything it absorbed since its previous frame. A
 //! regional aggregator folds frames from many leaves into its own
 //! pending increment and re-emits coarser frames upstream; the global
-//! root applies them through an ordinary
-//! [`StageAccumulator`](crate::delta::StageAccumulator), so the
-//! composition of every frame reconstructs exactly the cumulative dumps
-//! a flat run would have produced — the federation's byte-identity
-//! anchor.
+//! root applies each frame whole to one ordinary
+//! [`StageAccumulator`](crate::delta::StageAccumulator) per stage
+//! ([`apply_frame`](crate::delta::apply_frame)), so the composition of
+//! every frame reconstructs exactly the cumulative dumps a flat run
+//! would have produced — the federation's byte-identity anchor.
 //!
 //! The algebra that makes this sound is [`merge_stage_delta`]:
 //! sequential composition of two same-stage increments. It preserves
@@ -73,6 +73,42 @@ pub fn empty_delta(stage: usize) -> StageDelta {
     }
 }
 
+/// Whether `next` composes onto `acc` ([`merge_stage_delta`]'s checks,
+/// with no mutation): both name one stage, and each of `next`'s CCT
+/// increments starts at `acc`'s baseline plus its appended nodes for
+/// that context and grows only nodes below its own baseline. Deltas
+/// come from outside the program, so every count is checked, never
+/// trusted.
+#[deny(clippy::indexing_slicing)]
+pub fn check_merge(acc: &StageDelta, next: &StageDelta) -> Result<(), MergeError> {
+    let refuse = |what| {
+        Err(MergeError {
+            stage: acc.stage,
+            what,
+        })
+    };
+    if next.stage != acc.stage {
+        return refuse("stage index mismatch");
+    }
+    let mut ai = acc.ccts.iter().peekable();
+    for n in &next.ccts {
+        while ai.peek().is_some_and(|a| a.ctx < n.ctx) {
+            ai.next();
+        }
+        let extended = match ai.peek() {
+            Some(a) if a.ctx == n.ctx => u64::from(a.nodes_before) + a.new_nodes.len() as u64,
+            _ => u64::from(n.nodes_before),
+        };
+        if u64::from(n.nodes_before) != extended {
+            return refuse("CCT baseline does not extend the accumulated increment");
+        }
+        if n.grown.iter().any(|&(i, ..)| i >= n.nodes_before) {
+            return refuse("CCT growth targets a node past its baseline");
+        }
+    }
+    Ok(())
+}
+
 /// Sequentially composes `next` into `acc` (both increments of the
 /// same stage, `next` covering the interval immediately after `acc`),
 /// so that applying the merged delta equals applying `acc` then `next`.
@@ -81,49 +117,17 @@ pub fn empty_delta(stage: usize) -> StageDelta {
 /// increments sum by key; CCT increments compose per context — `next`'s
 /// growth of nodes `acc` itself appended folds into those appended
 /// nodes, growth of older nodes sums into `acc`'s growth list. The
-/// composition is checked (`next`'s per-context baseline must equal
-/// `acc`'s baseline plus its appended nodes), so frames assembled from
-/// a damaged stream fail loudly here instead of corrupting an upstream
-/// accumulator.
+/// composition is checked first ([`check_merge`]), so a pair that does
+/// not compose leaves `acc` untouched and fails here instead of
+/// corrupting an upstream accumulator.
 ///
 /// `acc`'s `stage` and `seq` are preserved and its `checksum` is left
 /// **unset** (zero): the emitter stamps the outgoing sequence number
 /// and recomputes the checksum once per frame (see
 /// [`seal_delta`]), not once per merged epoch.
+#[deny(clippy::indexing_slicing)]
 pub fn merge_stage_delta(acc: &mut StageDelta, next: &StageDelta) -> Result<(), MergeError> {
-    if next.stage != acc.stage {
-        return Err(MergeError {
-            stage: acc.stage,
-            what: "stage index mismatch",
-        });
-    }
-    // Validate every CCT composition before mutating anything, so a
-    // bad pair leaves `acc` untouched (mirrors StageAccumulator::apply).
-    {
-        let mut ai = acc.ccts.iter().peekable();
-        for n in &next.ccts {
-            while ai.peek().is_some_and(|a| a.ctx < n.ctx) {
-                ai.next();
-            }
-            let (base, appended) = match ai.peek() {
-                Some(a) if a.ctx == n.ctx => (a.nodes_before, a.new_nodes.len() as u32),
-                _ => (n.nodes_before, 0),
-            };
-            if n.nodes_before != base + appended {
-                return Err(MergeError {
-                    stage: acc.stage,
-                    what: "CCT baseline does not extend the accumulated increment",
-                });
-            }
-            if n.grown.iter().any(|&(i, ..)| i >= n.nodes_before) {
-                return Err(MergeError {
-                    stage: acc.stage,
-                    what: "CCT growth targets a node past its baseline",
-                });
-            }
-        }
-    }
-
+    check_merge(acc, next)?;
     acc.new_frames.extend(next.new_frames.iter().cloned());
     acc.new_contexts.extend(next.new_contexts.iter().cloned());
     acc.new_synopses.extend(next.new_synopses.iter().copied());
@@ -203,9 +207,11 @@ pub fn merge_stage_delta(acc: &mut StageDelta, next: &StageDelta) -> Result<(), 
     Ok(())
 }
 
-/// Composes `n` (the later increment) into `a` for one context. The
-/// caller has already validated `n.nodes_before == a.nodes_before +
-/// a.new_nodes.len()`.
+/// Composes `n` (the later increment) into `a` for one context.
+/// [`check_merge`] has already checked `n.nodes_before ==
+/// a.nodes_before + a.new_nodes.len()` and that `n` grows only nodes
+/// below that, so every grown node is in `a` or before it.
+#[deny(clippy::indexing_slicing)]
 fn compose_cct(a: &mut CctDelta, n: &CctDelta) {
     for &(i, s, cy, ca) in &n.grown {
         if i < a.nodes_before {
@@ -213,17 +219,17 @@ fn compose_cct(a: &mut CctDelta, n: &CctDelta) {
             // growth list, keeping it sorted by node index.
             match a.grown.binary_search_by_key(&i, |g| g.0) {
                 Ok(at) => {
-                    let g = &mut a.grown[at];
-                    g.1 += s;
-                    g.2 += cy;
-                    g.3 += ca;
+                    if let Some(g) = a.grown.get_mut(at) {
+                        g.1 += s;
+                        g.2 += cy;
+                        g.3 += ca;
+                    }
                 }
                 Err(at) => a.grown.insert(at, (i, s, cy, ca)),
             }
-        } else {
+        } else if let Some(node) = a.new_nodes.get_mut((i - a.nodes_before) as usize) {
             // Growth of a node `a` itself appended: fold into the
             // appended node's metrics.
-            let node = &mut a.new_nodes[(i - a.nodes_before) as usize];
             node.samples += s;
             node.cycles += cy;
             node.calls += ca;

@@ -83,11 +83,12 @@ cargo test --workspace -q
 # - properties: the summary-delta merge algebra (grouping invariance,
 #   associativity, mass conservation, sketch wire round-trip);
 # - allocation budget: a 24-replica federation on lossy links (frames
-#   parked and duplicated) behind a counting allocator, <= 7.2
-#   allocations per leaf event (6.797 now; 9.017 when checkpoints
+#   parked and duplicated) behind a counting allocator, <= 6.7
+#   allocations per leaf event (6.609 now; 9.017 when checkpoints
 #   deep-copied parked frames, duplicates were decoded, regionals
 #   cloned every decoded delta and each leaf had its own mirror;
-#   7.691 while one emitter mirror replayed every leaf in lockstep);
+#   7.691 while one emitter mirror replayed every leaf in lockstep;
+#   6.797 while the root ran a §10 collector);
 # - golden: rendered federation topology mid-outage + final
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
@@ -153,9 +154,12 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 # body cursor (Reader), the envelope check (open_frame), the string
 # table (get_dict), the delta-section reader, BatchDecoder, the sketch
 # bucket list (get_buckets) and the summary decoder, the JSON Parser,
-# and the Value -> dump (dumpjson) and Value -> repro (repro) schema
-# readers: each carries #[deny(clippy::indexing_slicing)], so the first
-# `col[i]` written there fails this line, not a review.
+# the Value -> dump (dumpjson) and Value -> repro (repro) schema
+# readers, and the federation's frame receivers — the merge of a
+# child's deltas (check_merge, merge_stage_delta, compose_cct) and the
+# root's whole-frame apply (apply_frame): each carries
+# #[deny(clippy::indexing_slicing)], so the first `col[i]` written
+# there fails this line, not a review.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so

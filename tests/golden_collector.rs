@@ -76,7 +76,8 @@ fn golden_live_snapshots() {
     run_tpcw_streaming(cfg, CPU_HZ, &mut sink);
     assert!(sink.batches.len() > 4, "stream too short to snapshot mid-run");
 
-    let mut c = Collector::with_header(&sink.header, CollectorConfig::default());
+    let mut c = Collector::new(CollectorConfig::default());
+    c.start(&sink.header);
     let mid = sink.batches.len() / 2;
     let mut doc = String::new();
     for (i, b) in sink.batches.iter().enumerate() {
