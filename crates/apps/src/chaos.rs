@@ -158,7 +158,7 @@ pub(crate) fn judge(
     let violations = check_all(&ev);
 
     let mut h = Fnv64::new();
-    h.write(dumpjson::to_json(&ev.dumps).as_bytes());
+    dumpjson::to_json_into(&ev.dumps, &mut h);
     for n in [dropped, duplicated, delayed] {
         h.write_u64(n);
     }

@@ -81,7 +81,7 @@ use whodunit_core::delta::{
 use whodunit_core::frame::FrameId;
 use whodunit_core::pipeline::{analyze, PipelineConfig, PipelineReport};
 use whodunit_core::stitch::{
-    ctx_string_of, fold_dump_nodes, walk_origin, StageDump, UnresolvedHead,
+    ctx_string_into, fold_dump_nodes, walk_origin, StageDump, UnresolvedHead,
 };
 use whodunit_core::wire::{self, BatchDecoder, WireError};
 use whodunit_report::live::{Hotspot, LagStats, LiveSnapshot, TierSlice, TopPath};
@@ -1101,11 +1101,12 @@ impl Collector {
             return s.clone();
         }
         let s = match (self.header.stages.get(origin.0), self.stages.get(origin.0)) {
-            (Some(s), Some(st)) => format!(
-                "{}:{}",
-                s.stage_name,
-                ctx_string_of(&st.acc.frames, &st.acc.contexts, origin.1)
-            ),
+            (Some(s), Some(st)) => {
+                let mut label = s.stage_name.clone();
+                label.push(':');
+                ctx_string_into(&mut label, &st.acc.frames, &st.acc.contexts, origin.1);
+                label
+            }
             _ => format!("<stage {}?>:{}", origin.0, origin.1),
         };
         self.label_cache.borrow_mut().insert(origin, s.clone());

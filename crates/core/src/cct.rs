@@ -196,6 +196,16 @@ impl Default for Cct {
     }
 }
 
+/// The buffers of [`Cct::walk_sorted`], kept by a caller that walks
+/// many trees: the pre-order stack, one node's children, and the
+/// inclusive metrics of the tree being walked.
+#[derive(Debug, Default)]
+pub struct SortedWalk {
+    stack: Vec<(CctNodeId, usize)>,
+    kids: Vec<(FrameId, u32)>,
+    inc: Vec<Metrics>,
+}
+
 impl Cct {
     /// Creates a CCT holding only the (frameless) root.
     pub fn new() -> Self {
@@ -322,38 +332,51 @@ impl Cct {
     /// so one reverse scan of the arena folds each finished subtree
     /// into its parent: O(nodes) for the whole tree.
     pub fn inclusive_all(&self) -> Vec<Metrics> {
-        let mut inc: Vec<Metrics> = self.nodes.iter().map(|n| n.metrics).collect();
+        let mut inc = Vec::new();
+        self.inclusive_into(&mut inc);
+        inc
+    }
+
+    /// [`Cct::inclusive_all`] into a buffer the caller reuses.
+    fn inclusive_into(&self, inc: &mut Vec<Metrics>) {
+        inc.clear();
+        inc.extend(self.nodes.iter().map(|n| n.metrics));
         for i in (1..inc.len()).rev() {
             let m = inc[i];
             inc[self.nodes[i].parent as usize].add(m);
         }
-        inc
     }
 
     /// Visits every node in pre-order, children by frame id, with its
-    /// depth below the root (the root is depth 0). The walk keeps an
-    /// explicit stack, so a tree as deep as its node count never
-    /// touches the call stack.
-    pub fn visit_sorted(&self, mut visit: impl FnMut(CctNodeId, usize)) {
-        let mut stack = vec![(CctNodeId::ROOT, 0)];
+    /// depth below the root (the root is depth 0) and its inclusive
+    /// metrics. The walk keeps an explicit stack, so a tree as deep as
+    /// its node count never touches the call stack, and every buffer it
+    /// needs lives in `walk`: a renderer walking many trees through one
+    /// [`SortedWalk`] allocates only while the largest tree so far
+    /// grows them.
+    pub fn walk_sorted(
+        &self,
+        walk: &mut SortedWalk,
+        mut visit: impl FnMut(CctNodeId, usize, Metrics),
+    ) {
+        let SortedWalk { stack, kids, inc } = walk;
+        self.inclusive_into(inc);
+        stack.clear();
+        stack.push((CctNodeId::ROOT, 0));
         while let Some((node, depth)) = stack.pop() {
-            visit(node, depth);
-            let children = self.children_sorted(node);
-            stack.extend(children.into_iter().rev().map(|c| (c, depth + 1)));
+            visit(node, depth, inc[node.0 as usize]);
+            kids.clear();
+            let mut c = self.nodes[node.0 as usize].first_child;
+            while c != NO_NODE {
+                let nd = &self.nodes[c as usize];
+                kids.push((nd.frame.expect("non-root node has a frame"), c));
+                c = nd.next_sibling;
+            }
+            // A node has one child per frame, so the keys are distinct
+            // and an unstable sort gives the one order.
+            kids.sort_unstable_by_key(|&(f, _)| f);
+            stack.extend(kids.iter().rev().map(|&(_, c)| (CctNodeId(c), depth + 1)));
         }
-    }
-
-    /// Children of `node`, sorted by frame id for deterministic output.
-    pub fn children_sorted(&self, node: CctNodeId) -> Vec<CctNodeId> {
-        let mut v: Vec<(FrameId, u32)> = Vec::new();
-        let mut c = self.nodes[node.0 as usize].first_child;
-        while c != NO_NODE {
-            let nd = &self.nodes[c as usize];
-            v.push((nd.frame.expect("non-root node has a frame"), c));
-            c = nd.next_sibling;
-        }
-        v.sort_by_key(|&(f, _)| f);
-        v.into_iter().map(|(_, c)| CctNodeId(c)).collect()
     }
 
     /// Iterates over every node id (root first, then creation order).
@@ -460,17 +483,49 @@ mod tests {
     }
 
     #[test]
-    fn children_sorted_is_deterministic() {
+    fn sorted_walk_is_preorder_by_frame() {
         let mut cct = Cct::new();
         for f in [5u32, 1, 3, 2, 4] {
-            cct.child(CctNodeId::ROOT, fid(f));
+            let c = cct.child(CctNodeId::ROOT, fid(f));
+            cct.record_at(
+                c,
+                Metrics {
+                    samples: 1,
+                    cycles: u64::from(f),
+                    calls: 0,
+                },
+            );
         }
-        let frames: Vec<_> = cct
-            .children_sorted(CctNodeId::ROOT)
-            .into_iter()
-            .map(|n| cct.frame(n).unwrap().0)
-            .collect();
-        assert_eq!(frames, vec![1, 2, 3, 4, 5]);
+        let one = cct.child(CctNodeId::ROOT, fid(1));
+        let deep = cct.child(one, fid(9));
+        cct.record_at(
+            deep,
+            Metrics {
+                samples: 2,
+                cycles: 7,
+                calls: 0,
+            },
+        );
+        let mut seen = Vec::new();
+        let mut walk = SortedWalk::default();
+        for _ in 0..2 {
+            seen.clear();
+            cct.walk_sorted(&mut walk, |n, depth, inc| {
+                seen.push((cct.frame(n).map(|f| f.0), depth, inc.cycles));
+            });
+        }
+        assert_eq!(
+            seen,
+            vec![
+                (None, 0, 22),
+                (Some(1), 1, 8),
+                (Some(9), 2, 7),
+                (Some(2), 1, 2),
+                (Some(3), 1, 3),
+                (Some(4), 1, 4),
+                (Some(5), 1, 5),
+            ]
+        );
     }
 
     #[test]

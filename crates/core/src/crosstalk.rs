@@ -15,6 +15,7 @@
 use crate::context::CtxId;
 use crate::hash::FnvHashMap;
 use crate::ids::{IdVec, LockId, LockMode, ThreadId};
+use crate::txt::{push_u64, Sink};
 
 /// Aggregated waiting-time statistics for one ordered context pair or
 /// one waiter.
@@ -175,28 +176,39 @@ impl CrosstalkMatrix {
     /// origin (stage, context) for display.
     pub fn render(&self, label: &dyn Fn(usize, u32) -> String) -> String {
         let mut out = String::new();
-        out.push_str("crosstalk matrix (waiter <- holder):\n");
-        for &((ws, wc), (hs, hc), s) in &self.pairs {
-            out.push_str(&format!(
-                "  {}  <-  {}  waits {} total {} mean {:.1}\n",
-                label(ws, wc),
-                label(hs, hc),
-                s.count,
-                s.total_wait,
-                s.mean()
-            ));
-        }
-        out.push_str("waiters:\n");
-        for &((ws, wc), s) in &self.waiters {
-            out.push_str(&format!(
-                "  {}  acquires {} total {} mean {:.1}\n",
-                label(ws, wc),
-                s.count,
-                s.total_wait,
-                s.mean()
-            ));
-        }
+        self.render_into(&mut out, &|out: &mut String, s, c| out.push_str(&label(s, c)));
         out
+    }
+
+    /// [`CrosstalkMatrix::render`] writing into any [`Sink`]; `label`
+    /// writes an origin's name into the same sink.
+    pub fn render_into<S: Sink + ?Sized>(
+        &self,
+        out: &mut S,
+        label: &dyn Fn(&mut S, usize, u32),
+    ) {
+        let stats = |out: &mut S, s: &WaitStats| {
+            push_u64(out, s.count);
+            out.put(" total ");
+            push_u64(out, s.total_wait);
+            out.put_fmt(format_args!(" mean {:.1}\n", s.mean()));
+        };
+        out.put("crosstalk matrix (waiter <- holder):\n");
+        for &((ws, wc), (hs, hc), s) in &self.pairs {
+            out.put("  ");
+            label(out, ws, wc);
+            out.put("  <-  ");
+            label(out, hs, hc);
+            out.put("  waits ");
+            stats(out, &s);
+        }
+        out.put("waiters:\n");
+        for &((ws, wc), s) in &self.waiters {
+            out.put("  ");
+            label(out, ws, wc);
+            out.put("  acquires ");
+            stats(out, &s);
+        }
     }
 }
 

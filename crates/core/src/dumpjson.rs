@@ -11,98 +11,131 @@
 //! Like everything under stitching, parsed dumps are *untrusted*:
 //! errors come back as [`StitchError`], never a panic.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use crate::stitch::{
     DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
     StitchError,
 };
-use crate::txt::{push_u32, push_u64};
+use crate::txt::{push_u32, push_u64, Sink};
 
 // ---------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------
 
-pub(crate) fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let b = c as u32;
-                out.push_str("\\u00");
-                out.push(char::from_digit(b >> 4, 16).unwrap());
-                out.push(char::from_digit(b & 0xf, 16).unwrap());
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Whether JSON needs `b` escaped: the quote, the backslash and the
+/// control bytes. All are ASCII, so no UTF-8 sequence contains one.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
 }
 
-fn write_u32_list(xs: &[u32], out: &mut String) {
-    out.push('[');
+/// Writes `s` as a JSON string literal. A name with no byte to escape
+/// (the usual case) is copied whole; otherwise the runs between
+/// escapes are, so a run never splits a UTF-8 sequence.
+pub(crate) fn esc<S: Sink + ?Sized>(s: &str, out: &mut S) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.put_char('"');
+    // No early exit: the scan vectorizes, and names are short.
+    if !s.bytes().fold(false, |any, b| any | needs_escape(b)) {
+        out.put(s);
+        out.put_char('"');
+        return;
+    }
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.put(s.get(run..i).unwrap_or_default());
+        match b {
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\r' => out.put("\\r"),
+            b'\t' => out.put("\\t"),
+            _ => {
+                out.put("\\u00");
+                out.put_char(char::from(HEX[usize::from(b >> 4)]));
+                out.put_char(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.put(s.get(run..).unwrap_or_default());
+    out.put_char('"');
+}
+
+fn write_u32_list<S: Sink + ?Sized>(xs: &[u32], out: &mut S) {
+    out.put_char('[');
     for (i, &x) in xs.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.put_char(',');
         }
         push_u32(out, x);
     }
-    out.push(']');
+    out.put_char(']');
 }
 
-fn write_u64_list(xs: &[u64], out: &mut String) {
-    out.push('[');
+fn write_u64_list<S: Sink + ?Sized>(xs: &[u64], out: &mut S) {
+    out.put_char('[');
     for (i, &x) in xs.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.put_char(',');
         }
         push_u64(out, x);
     }
-    out.push(']');
+    out.put_char(']');
 }
 
-fn write_atom(a: &DumpAtom, out: &mut String) {
+fn write_atom<S: Sink + ?Sized>(a: &DumpAtom, out: &mut S) {
     match a {
         DumpAtom::Frame(f) => {
-            out.push_str("{\"Frame\":");
+            out.put("{\"Frame\":");
             push_u32(out, *f);
-            out.push('}');
+            out.put_char('}');
         }
         DumpAtom::Path(p) => {
-            out.push_str("{\"Path\":");
+            out.put("{\"Path\":");
             write_u32_list(p, out);
-            out.push('}');
+            out.put_char('}');
         }
         DumpAtom::Remote(r) => {
-            out.push_str("{\"Remote\":");
+            out.put("{\"Remote\":");
             write_u64_list(r, out);
-            out.push('}');
+            out.put_char('}');
         }
     }
 }
 
-fn write_opt_u32(v: Option<u32>, out: &mut String) {
+fn write_opt_u32<S: Sink + ?Sized>(v: Option<u32>, out: &mut S) {
     match v {
         Some(x) => push_u32(out, x),
-        None => out.push_str("null"),
+        None => out.put("null"),
     }
 }
 
-fn write_node(n: &DumpNode, out: &mut String) {
-    out.push_str("{\"frame\":");
+fn write_node<S: Sink + ?Sized>(n: &DumpNode, out: &mut S) {
+    out.put("{\"frame\":");
     write_opt_u32(n.frame, out);
-    out.push_str(",\"parent\":");
+    out.put(",\"parent\":");
     write_opt_u32(n.parent, out);
-    out.push_str(",\"samples\":");
+    out.put(",\"samples\":");
     push_u64(out, n.samples);
-    out.push_str(",\"cycles\":");
+    out.put(",\"cycles\":");
     push_u64(out, n.cycles);
-    out.push_str(",\"calls\":");
+    out.put(",\"calls\":");
     push_u64(out, n.calls);
-    out.push('}');
+    out.put_char('}');
+}
+
+/// Writes `items` comma-separated, each through `item`.
+fn write_seq<S: Sink + ?Sized, T>(items: &[T], out: &mut S, item: impl Fn(&T, &mut S)) {
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.put_char(',');
+        }
+        item(x, out);
+    }
 }
 
 /// Rough per-dump byte estimate used to preallocate the output buffer:
@@ -143,107 +176,83 @@ pub fn dump_to_json(d: &StageDump) -> String {
     out
 }
 
-fn write_dump(d: &StageDump, out: &mut String) {
-    out.push_str("{\n  \"proc\": ");
+fn write_dump<S: Sink + ?Sized>(d: &StageDump, out: &mut S) {
+    out.put("{\n  \"proc\": ");
     push_u32(out, d.proc);
-    out.push_str(",\n  \"stage_name\": ");
+    out.put(",\n  \"stage_name\": ");
     esc(&d.stage_name, out);
-    out.push_str(",\n  \"frames\": [");
-    for (i, f) in d.frames.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        esc(f, out);
-    }
-    out.push_str("],\n  \"contexts\": [");
-    for (i, c) in d.contexts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"atoms\":[");
-        for (j, a) in c.atoms.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            write_atom(a, out);
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\n  \"ccts\": [");
-    for (i, c) in d.ccts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"ctx\":");
+    out.put(",\n  \"frames\": [");
+    write_seq(&d.frames, out, |f, out| esc(f, out));
+    out.put("],\n  \"contexts\": [");
+    write_seq(&d.contexts, out, |c: &DumpContext, out| {
+        out.put("{\"atoms\":[");
+        write_seq(&c.atoms, out, write_atom);
+        out.put("]}");
+    });
+    out.put("],\n  \"ccts\": [");
+    write_seq(&d.ccts, out, |c: &DumpCct, out| {
+        out.put("{\"ctx\":");
         push_u32(out, c.ctx);
-        out.push_str(",\"nodes\":[");
-        for (j, n) in c.nodes.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            write_node(n, out);
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\n  \"synopses\": [");
-    for (i, &(raw, ctx)) in d.synopses.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
+        out.put(",\"nodes\":[");
+        write_seq(&c.nodes, out, write_node);
+        out.put("]}");
+    });
+    out.put("],\n  \"synopses\": [");
+    write_seq(&d.synopses, out, |&(raw, ctx), out| {
+        out.put_char('[');
         push_u64(out, raw);
-        out.push(',');
+        out.put_char(',');
         push_u32(out, ctx);
-        out.push(']');
-    }
-    out.push_str("],\n  \"crosstalk_pairs\": [");
-    for (i, p) in d.crosstalk_pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"waiter\":");
+        out.put_char(']');
+    });
+    out.put("],\n  \"crosstalk_pairs\": [");
+    write_seq(&d.crosstalk_pairs, out, |p: &DumpCrosstalkPair, out| {
+        out.put("{\"waiter\":");
         push_u32(out, p.waiter);
-        out.push_str(",\"holder\":");
+        out.put(",\"holder\":");
         push_u32(out, p.holder);
-        out.push_str(",\"count\":");
+        out.put(",\"count\":");
         push_u64(out, p.count);
-        out.push_str(",\"total_wait\":");
+        out.put(",\"total_wait\":");
         push_u64(out, p.total_wait);
-        out.push('}');
-    }
-    out.push_str("],\n  \"crosstalk_waiters\": [");
-    for (i, w) in d.crosstalk_waiters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"waiter\":");
+        out.put_char('}');
+    });
+    out.put("],\n  \"crosstalk_waiters\": [");
+    write_seq(&d.crosstalk_waiters, out, |w: &DumpCrosstalkWaiter, out| {
+        out.put("{\"waiter\":");
         push_u32(out, w.waiter);
-        out.push_str(",\"count\":");
+        out.put(",\"count\":");
         push_u64(out, w.count);
-        out.push_str(",\"total_wait\":");
+        out.put(",\"total_wait\":");
         push_u64(out, w.total_wait);
-        out.push('}');
-    }
-    out.push_str("],\n  \"piggyback_bytes\": ");
+        out.put_char('}');
+    });
+    out.put("],\n  \"piggyback_bytes\": ");
     push_u64(out, d.piggyback_bytes);
-    out.push_str(",\n  \"messages\": ");
+    out.put(",\n  \"messages\": ");
     push_u64(out, d.messages);
-    out.push_str("\n}");
+    out.put("\n}");
 }
 
 /// Serializes a set of stage dumps (the on-disk profile file).
 pub fn to_json(dumps: &[StageDump]) -> String {
     let cap: usize = 8 + dumps.iter().map(estimate_dump_bytes).sum::<usize>();
     let mut out = String::with_capacity(cap);
-    out.push_str("[\n");
+    to_json_into(dumps, &mut out);
+    out
+}
+
+/// [`to_json`] writing into any [`Sink`]: an `Fnv64` fingerprints the
+/// file without building it.
+pub fn to_json_into<S: Sink + ?Sized>(dumps: &[StageDump], out: &mut S) {
+    out.put("[\n");
     for (i, d) in dumps.iter().enumerate() {
         if i > 0 {
-            out.push_str(",\n");
+            out.put(",\n");
         }
-        write_dump(d, &mut out);
+        write_dump(d, out);
     }
-    out.push_str("\n]\n");
-    out
+    out.put("\n]\n");
 }
 
 // ---------------------------------------------------------------------

@@ -70,7 +70,7 @@ pub mod txt;
 pub mod wire;
 
 pub use blackbox::{CommEvent, CommEventId, CommKind, CommLog, CommRecorder, CommTag, CommTruth, TierVisibility};
-pub use cct::{Cct, CctNodeId, Metrics};
+pub use cct::{Cct, CctNodeId, Metrics, SortedWalk};
 pub use context::{ContextAtom, ContextPolicy, ContextTable, CtxId, TransactionContext};
 pub use crosstalk::{CrosstalkMatrix, CrosstalkRecorder, CrosstalkReport, OriginKey, WaitStats};
 pub use delta::{

@@ -31,16 +31,18 @@
 //! to this function over the same prefix of the stream; DESIGN.md §9
 //! records the invariants a future contributor must preserve.
 
-use crate::cct::Cct;
+use crate::cct::{Cct, SortedWalk};
 use crate::context::{ContextTable, CtxId};
 use crate::crosstalk::{CrosstalkMatrix, OriginKey, WaitStats};
 use crate::dumpjson;
 use crate::frame::FrameId;
+use crate::hash::Fnv64;
 use crate::stitch::{
     fold_dump_nodes, global_frames, global_value, walk_origin, RequestEdge, StageDump,
     StitchError, UnresolvedEdge,
 };
 use crate::synopsis::Synopsis;
+use crate::txt::{push_u32, push_u64, push_usize, Sink};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -314,81 +316,96 @@ impl PipelineReport {
     /// unresolved edges, and warnings as deterministic text — the
     /// byte-comparison surface of the differential suite.
     pub fn stitched_text(&self) -> String {
-        use crate::txt::push_usize;
-        use std::fmt::Write as _;
         let mut out = String::new();
+        self.stitched_text_into(&mut out);
+        out
+    }
+
+    /// [`PipelineReport::stitched_text`] writing into any [`Sink`]. One
+    /// [`SortedWalk`] serves every profile's tree, so the allocations
+    /// do not grow with the lines written.
+    pub fn stitched_text_into<S: Sink + ?Sized>(&self, out: &mut S) {
+        let mut walk = SortedWalk::default();
         for p in &self.profiles {
             let (os, oc) = p.origin;
-            out.push_str("origin ");
-            self.push_origin_label(&mut out, os, oc);
-            out.push_str(" [");
-            let _ = write!(out, "{}", p.global_ctx);
+            out.put("origin ");
+            self.origin_label_into(out, os, oc);
+            // `CtxId`'s `Display` form, "ctxN".
+            out.put(" [ctx");
+            push_u32(out, p.global_ctx.0);
             // `stages` keeps the `{:?}` rendering of a Vec<usize>:
             // "[0, 1, 2]".
-            out.push_str("] stages=[");
+            out.put("] stages=[");
             for (i, &si) in p.stages.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(", ");
+                    out.put(", ");
                 }
-                push_usize(&mut out, si);
+                push_usize(out, si);
             }
-            out.push_str("]\n");
-            self.render_cct(&mut out, &p.cct);
+            out.put("]\n");
+            self.render_cct(out, &p.cct, &mut walk);
         }
-        out.push_str("request edges:\n");
+        out.put("request edges:\n");
         for e in &self.edges {
-            out.push_str("  ");
-            self.push_origin_label(&mut out, e.from_stage, e.from_ctx);
-            out.push_str("  ==>  ");
-            self.push_origin_label(&mut out, e.to_stage, e.to_ctx);
-            out.push('\n');
+            out.put("  ");
+            self.origin_label_into(out, e.from_stage, e.from_ctx);
+            out.put("  ==>  ");
+            self.origin_label_into(out, e.to_stage, e.to_ctx);
+            out.put_char('\n');
         }
         if !self.unresolved.is_empty() {
-            out.push_str("unresolved edges:\n");
+            out.put("unresolved edges:\n");
             for e in &self.unresolved {
-                out.push_str("  ???[");
-                let _ = write!(out, "{}", Synopsis(e.missing));
-                out.push_str("]  ==>  ");
-                self.push_origin_label(&mut out, e.to_stage, e.to_ctx);
-                out.push('\n');
+                out.put("  ???[");
+                Synopsis(e.missing).push_into(out);
+                out.put("]  ==>  ");
+                self.origin_label_into(out, e.to_stage, e.to_ctx);
+                out.put_char('\n');
             }
         }
         for (si, err) in &self.warnings {
-            out.push_str("warning: stage ");
-            push_usize(&mut out, *si);
-            out.push_str(" (");
-            out.push_str(&self.stages[*si].stage_name);
-            let _ = write!(out, ") skipped: {err}");
-            out.push('\n');
+            out.put("warning: stage ");
+            push_usize(out, *si);
+            out.put(" (");
+            out.put(&self.stages[*si].stage_name);
+            out.put_fmt(format_args!(") skipped: {err}\n"));
         }
-        out
     }
 
     /// Renders the crosstalk matrix as deterministic text.
     pub fn crosstalk_text(&self) -> String {
-        self.matrix.render(&|s, c| self.origin_label(s, c))
+        let mut out = String::new();
+        self.crosstalk_text_into(&mut out);
+        out
+    }
+
+    /// [`PipelineReport::crosstalk_text`] writing into any [`Sink`].
+    pub fn crosstalk_text_into<S: Sink + ?Sized>(&self, out: &mut S) {
+        self.matrix
+            .render_into(out, &|out: &mut S, s, c| self.origin_label_into(out, s, c));
     }
 
     /// `stage_name:context` label for an origin key.
     pub fn origin_label(&self, stage: usize, ctx: u32) -> String {
         let mut out = String::new();
-        self.push_origin_label(&mut out, stage, ctx);
+        self.origin_label_into(&mut out, stage, ctx);
         out
     }
 
-    /// [`Self::origin_label`] appending into a caller-supplied buffer.
-    fn push_origin_label(&self, out: &mut String, stage: usize, ctx: u32) {
+    /// [`PipelineReport::origin_label`] writing into any [`Sink`]; it
+    /// allocates nothing of its own.
+    pub fn origin_label_into<S: Sink + ?Sized>(&self, out: &mut S, stage: usize, ctx: u32) {
         match self.stages.get(stage) {
             Some(d) => {
-                out.push_str(&d.stage_name);
-                out.push(':');
-                out.push_str(&d.ctx_string(ctx));
+                out.put(&d.stage_name);
+                out.put_char(':');
+                d.ctx_string_into(out, ctx);
             }
             None => {
-                out.push_str("<stage ");
-                crate::txt::push_usize(out, stage);
-                out.push_str("?>:");
-                crate::txt::push_u32(out, ctx);
+                out.put("<stage ");
+                push_usize(out, stage);
+                out.put("?>:");
+                push_u32(out, ctx);
             }
         }
     }
@@ -396,9 +413,8 @@ impl PipelineReport {
     /// One line per framed node, indented two spaces per level (the
     /// root sits at level 1 and prints nothing), with its inclusive
     /// samples and cycles.
-    fn render_cct(&self, out: &mut String, cct: &Cct) {
-        let inc = cct.inclusive_all();
-        cct.visit_sorted(|node, depth| {
+    fn render_cct<S: Sink + ?Sized>(&self, out: &mut S, cct: &Cct, walk: &mut SortedWalk) {
+        cct.walk_sorted(walk, |node, depth, m| {
             let Some(f) = cct.frame(node) else {
                 return;
             };
@@ -407,27 +423,27 @@ impl PipelineReport {
                 .get(f.0 as usize)
                 .map(String::as_str)
                 .unwrap_or("<?>");
-            let m = inc[node.0 as usize];
             for _ in 0..=depth {
-                out.push_str("  ");
+                out.put("  ");
             }
-            out.push_str(name);
-            out.push_str(" samples ");
-            crate::txt::push_u64(out, m.samples);
-            out.push_str(" cycles ");
-            crate::txt::push_u64(out, m.cycles);
-            out.push('\n');
+            out.put(name);
+            out.put(" samples ");
+            push_u64(out, m.samples);
+            out.put(" cycles ");
+            push_u64(out, m.cycles);
+            out.put_char('\n');
         });
     }
 
     /// FNV-1a fingerprint over the deterministic outputs (stitched
     /// text, crosstalk text, dump JSON). Equal fingerprints between
     /// batch, collector and federation is the differential suites'
-    /// divergence gate.
+    /// divergence gate. The two texts stream straight into the hasher:
+    /// no text is built to be hashed.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::hash::Fnv64::new();
-        h.write(self.stitched_text().as_bytes());
-        h.write(self.crosstalk_text().as_bytes());
+        let mut h = Fnv64::new();
+        self.stitched_text_into(&mut h);
+        self.crosstalk_text_into(&mut h);
         h.write(self.dumps_json.as_bytes());
         h.finish()
     }

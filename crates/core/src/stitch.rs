@@ -23,8 +23,9 @@
 use crate::cct::{Cct, CctNodeId};
 use crate::context::{ContextAtom, TransactionContext};
 use crate::frame::FrameId;
+use crate::hash::FnvHashMap;
 use crate::synopsis::{SynChain, Synopsis};
-use std::collections::{BTreeSet, HashMap};
+use crate::txt::{push_u32, Sink};
 use std::fmt;
 
 /// One atom of a dumped transaction context.
@@ -309,43 +310,77 @@ impl StageDump {
     pub fn ctx_string(&self, ctx: u32) -> String {
         ctx_string_of(&self.frames, &self.contexts, ctx)
     }
+
+    /// [`StageDump::ctx_string`] writing into any [`Sink`].
+    pub fn ctx_string_into<S: Sink + ?Sized>(&self, out: &mut S, ctx: u32) {
+        ctx_string_into(out, &self.frames, &self.contexts, ctx);
+    }
 }
 
 /// [`StageDump::ctx_string`] over borrowed tables, so callers holding
 /// frame/context slices (e.g. the streaming collector's accumulators)
 /// can render labels without assembling a throwaway dump.
 pub fn ctx_string_of(frames: &[String], contexts: &[DumpContext], ctx: u32) -> String {
+    let mut out = String::new();
+    ctx_string_into(&mut out, frames, contexts, ctx);
+    out
+}
+
+/// The label writer behind [`ctx_string_of`]: atoms joined by `" -> "`,
+/// a path as `[a>b]`, a received chain as `remote(s1:0#s2:5)`. It
+/// allocates nothing of its own.
+pub fn ctx_string_into<S: Sink + ?Sized>(
+    out: &mut S,
+    frames: &[String],
+    contexts: &[DumpContext],
+    ctx: u32,
+) {
     let Some(c) = contexts.get(ctx as usize) else {
-        return format!("<ctx {ctx}?>");
+        out.put("<ctx ");
+        push_u32(out, ctx);
+        out.put("?>");
+        return;
     };
     if c.atoms.is_empty() {
-        return "<root>".to_owned();
+        out.put("<root>");
+        return;
     }
-    let frame_name = |f: &u32| -> String {
-        frames
-            .get(*f as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("<frame {f}?>"))
+    let frame = |out: &mut S, f: u32| match frames.get(f as usize) {
+        Some(name) => out.put(name),
+        None => {
+            out.put("<frame ");
+            push_u32(out, f);
+            out.put("?>");
+        }
     };
-    let mut parts = Vec::new();
-    for a in &c.atoms {
+    for (i, a) in c.atoms.iter().enumerate() {
+        if i > 0 {
+            out.put(" -> ");
+        }
         match a {
-            DumpAtom::Frame(f) => parts.push(frame_name(f)),
-            DumpAtom::Path(p) => parts.push(format!(
-                "[{}]",
-                p.iter().map(frame_name).collect::<Vec<_>>().join(">")
-            )),
-            DumpAtom::Remote(chain) => parts.push(format!(
-                "remote({})",
-                chain
-                    .iter()
-                    .map(|s| Synopsis(*s).to_string())
-                    .collect::<Vec<_>>()
-                    .join("#")
-            )),
+            DumpAtom::Frame(f) => frame(out, *f),
+            DumpAtom::Path(p) => {
+                out.put_char('[');
+                for (j, &f) in p.iter().enumerate() {
+                    if j > 0 {
+                        out.put_char('>');
+                    }
+                    frame(out, f);
+                }
+                out.put_char(']');
+            }
+            DumpAtom::Remote(chain) => {
+                out.put("remote(");
+                for (j, &raw) in chain.iter().enumerate() {
+                    if j > 0 {
+                        out.put_char('#');
+                    }
+                    Synopsis(raw).push_into(out);
+                }
+                out.put_char(')');
+            }
         }
     }
-    parts.join(" -> ")
 }
 
 /// Converts a live [`TransactionContext`] into dump form.
@@ -447,24 +482,29 @@ pub fn walk_origin<'a>(
 /// The global frame table of a set of dumps: the sorted union of every
 /// stage's frame names, plus each stage's local→global index map.
 pub fn global_frames(stages: &[StageDump]) -> (Vec<String>, Vec<Vec<u32>>) {
-    // Inserted one by one: a fleet repeats each name once per replica,
-    // and `collect` would buffer and sort every repeat first.
-    let mut names: BTreeSet<&str> = BTreeSet::new();
+    // One hash probe per name hands out first-seen ids; a fleet repeats
+    // each name once per replica, so only the few distinct names are
+    // sorted, and the maps are renumbered by rank afterwards.
+    let mut seen: FnvHashMap<&str, u32> = FnvHashMap::default();
+    let mut remap: Vec<Vec<u32>> = Vec::with_capacity(stages.len());
     for d in stages {
+        let mut local = Vec::with_capacity(d.frames.len());
         for f in &d.frames {
-            names.insert(f);
+            let next = seen.len() as u32;
+            local.push(*seen.entry(f.as_str()).or_insert(next));
         }
+        remap.push(local);
     }
-    let index: HashMap<&str, u32> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (*n, i as u32))
-        .collect();
-    let remap = stages
-        .iter()
-        .map(|d| d.frames.iter().map(|f| index[f.as_str()]).collect())
-        .collect();
-    let frames = names.into_iter().map(str::to_owned).collect();
+    let mut names: Vec<(&str, u32)> = seen.into_iter().collect();
+    names.sort_unstable();
+    let mut rank = vec![0u32; names.len()];
+    for (r, &(_, id)) in names.iter().enumerate() {
+        rank[id as usize] = r as u32;
+    }
+    for g in remap.iter_mut().flatten() {
+        *g = rank[*g as usize];
+    }
+    let frames = names.into_iter().map(|(n, _)| n.to_owned()).collect();
     (frames, remap)
 }
 

@@ -10,6 +10,7 @@
 
 use crate::context::CtxId;
 use crate::ids::IdVec;
+use crate::txt::{push_u32, Sink};
 use std::fmt;
 
 /// A synopsis of a transaction context.
@@ -54,6 +55,15 @@ impl Synopsis {
     /// Process ids beyond the 8-bit field only arise from synthetic
     /// fleet replication, never on a modelled wire.
     pub const WIRE_BYTES: u64 = 4;
+
+    /// Writes the `Display` form, `s<proc>:<counter>`, into any
+    /// [`Sink`] without formatting machinery.
+    pub fn push_into<S: Sink + ?Sized>(self, out: &mut S) {
+        out.put_char('s');
+        push_u32(out, self.proc_id());
+        out.put_char(':');
+        push_u32(out, self.counter());
+    }
 }
 
 impl fmt::Display for Synopsis {

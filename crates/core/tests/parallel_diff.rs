@@ -6,15 +6,18 @@
 //! Each scenario runs the 3-tier TPC-W stack once, analyzes the
 //! resulting dumps, and cross-validates the report against the legacy
 //! `Stitched` resolver (request edges, unresolved edges, warnings,
-//! every CCT's origin) and the serial `dumpjson::to_json` serializer,
-//! so the pipeline cannot drift from the pre-existing analysis. Both
-//! references left the product when the pipeline replaced them and are
-//! kept here (`mod legacy_stitched`, `mod legacy_writer`).
+//! every CCT's origin) and the read side it replaced (dump JSON,
+//! stitched and crosstalk texts, fingerprint), so the pipeline cannot
+//! drift from the pre-existing analysis. Both references left the
+//! product when their replacements landed and are kept beside this
+//! suite (`mod legacy_stitched` here, `mod read_oracle` shared).
 //!
 //! Coverage: 6 seeds × 3 schedule policies (fifo, random, perturb) × 2
 //! fault plans (clean, faulty) = 36 scenarios (≥ 32 required by the
 //! acceptance gate). The scenario corpus itself is shared with the
 //! other differential suites via `whodunit_bench::matrix`.
+
+mod read_oracle;
 
 use legacy_stitched::Stitched;
 use whodunit_apps::tpcw::run_tpcw;
@@ -162,7 +165,8 @@ mod legacy_stitched {
 }
 
 /// Cross-validates a pipeline report against the legacy analysis:
-/// `Stitched` edges and the serial JSON serializer.
+/// `Stitched` edges, and the dump JSON, both texts and the fingerprint
+/// of the read-side oracle.
 fn assert_matches_legacy(dumps: &[StageDump], rep: &whodunit_core::pipeline::PipelineReport, what: &str) {
     let st = Stitched::new(dumps.to_vec());
     assert_eq!(rep.edges, st.request_edges(), "request edges vs legacy: {what}");
@@ -178,8 +182,23 @@ fn assert_matches_legacy(dumps: &[StageDump], rep: &whodunit_core::pipeline::Pip
     );
     assert_eq!(
         rep.dumps_json,
-        dumpjson::to_json(dumps),
-        "dump JSON vs legacy serializer: {what}"
+        read_oracle::to_json(dumps),
+        "dump JSON vs the oracle's writer: {what}"
+    );
+    assert_eq!(
+        rep.stitched_text(),
+        read_oracle::stitched_text(rep),
+        "stitched text vs the oracle: {what}"
+    );
+    assert_eq!(
+        rep.crosstalk_text(),
+        read_oracle::crosstalk_text(rep),
+        "crosstalk text vs the oracle: {what}"
+    );
+    assert_eq!(
+        rep.fingerprint(),
+        read_oracle::fingerprint(rep),
+        "fingerprint vs the oracle: {what}"
     );
     // Every CCT's origin agrees with the legacy walk: the profile the
     // pipeline filed it under exists and records this stage.
@@ -251,178 +270,13 @@ fn faulty_runs_exercise_unresolved_and_warning_paths() {
 }
 
 // ---------------------------------------------------------------------
-// Serializer byte-identity: the buffer-writer serializer must emit the
-// exact bytes of the original `format!`-based writer, over the full
+// Writer byte-identity: the sink writers must emit the exact bytes of
+// the read side they replaced (`read_oracle`), over the full
 // 36-scenario dump corpus.
 // ---------------------------------------------------------------------
 
-/// The pre-optimization `format!`/`to_string`-based writer, kept
-/// verbatim as the reference implementation.
-mod legacy_writer {
-    use whodunit_core::stitch::{DumpAtom, DumpNode, StageDump};
-
-    fn esc(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    fn write_u32_list<T: std::fmt::Display>(xs: &[T], out: &mut String) {
-        out.push('[');
-        for (i, x) in xs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&x.to_string());
-        }
-        out.push(']');
-    }
-
-    fn write_atom(a: &DumpAtom, out: &mut String) {
-        match a {
-            DumpAtom::Frame(f) => {
-                out.push_str("{\"Frame\":");
-                out.push_str(&f.to_string());
-                out.push('}');
-            }
-            DumpAtom::Path(p) => {
-                out.push_str("{\"Path\":");
-                write_u32_list(p, out);
-                out.push('}');
-            }
-            DumpAtom::Remote(r) => {
-                out.push_str("{\"Remote\":");
-                write_u32_list(r, out);
-                out.push('}');
-            }
-        }
-    }
-
-    fn write_opt_u32(v: Option<u32>, out: &mut String) {
-        match v {
-            Some(x) => out.push_str(&x.to_string()),
-            None => out.push_str("null"),
-        }
-    }
-
-    fn write_node(n: &DumpNode, out: &mut String) {
-        out.push_str("{\"frame\":");
-        write_opt_u32(n.frame, out);
-        out.push_str(",\"parent\":");
-        write_opt_u32(n.parent, out);
-        out.push_str(&format!(
-            ",\"samples\":{},\"cycles\":{},\"calls\":{}}}",
-            n.samples, n.cycles, n.calls
-        ));
-    }
-
-    fn write_dump(d: &StageDump, out: &mut String) {
-        out.push_str("{\n  \"proc\": ");
-        out.push_str(&d.proc.to_string());
-        out.push_str(",\n  \"stage_name\": ");
-        esc(&d.stage_name, out);
-        out.push_str(",\n  \"frames\": [");
-        for (i, f) in d.frames.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            esc(f, out);
-        }
-        out.push_str("],\n  \"contexts\": [");
-        for (i, c) in d.contexts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"atoms\":[");
-            for (j, a) in c.atoms.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                write_atom(a, out);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\n  \"ccts\": [");
-        for (i, c) in d.ccts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"ctx\":");
-            out.push_str(&c.ctx.to_string());
-            out.push_str(",\"nodes\":[");
-            for (j, n) in c.nodes.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                write_node(n, out);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\n  \"synopses\": [");
-        for (i, (raw, ctx)) in d.synopses.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{raw},{ctx}]"));
-        }
-        out.push_str("],\n  \"crosstalk_pairs\": [");
-        for (i, p) in d.crosstalk_pairs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"waiter\":{},\"holder\":{},\"count\":{},\"total_wait\":{}}}",
-                p.waiter, p.holder, p.count, p.total_wait
-            ));
-        }
-        out.push_str("],\n  \"crosstalk_waiters\": [");
-        for (i, w) in d.crosstalk_waiters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"waiter\":{},\"count\":{},\"total_wait\":{}}}",
-                w.waiter, w.count, w.total_wait
-            ));
-        }
-        out.push_str(&format!(
-            "],\n  \"piggyback_bytes\": {},\n  \"messages\": {}\n}}",
-            d.piggyback_bytes, d.messages
-        ));
-    }
-
-    pub fn dump_to_json(d: &StageDump) -> String {
-        let mut out = String::new();
-        write_dump(d, &mut out);
-        out
-    }
-
-    pub fn to_json(dumps: &[StageDump]) -> String {
-        let mut out = String::new();
-        out.push_str("[\n");
-        for (i, d) in dumps.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            write_dump(d, &mut out);
-        }
-        out.push_str("\n]\n");
-        out
-    }
-}
-
 #[test]
-fn serializer_is_byte_identical_to_legacy_writer_over_corpus() {
+fn serializer_is_byte_identical_to_the_oracle_over_corpus() {
     let mut scenarios = 0;
     for &seed in &SEEDS {
         for sched in schedules(seed) {
@@ -432,13 +286,13 @@ fn serializer_is_byte_identical_to_legacy_writer_over_corpus() {
                 let dumps = scenario_dumps(seed, sched, faulty);
                 assert_eq!(
                     dumpjson::to_json(&dumps),
-                    legacy_writer::to_json(&dumps),
+                    read_oracle::to_json(&dumps),
                     "to_json diverged: {what}"
                 );
                 for (i, d) in dumps.iter().enumerate() {
                     assert_eq!(
                         dumpjson::dump_to_json(d),
-                        legacy_writer::dump_to_json(d),
+                        read_oracle::dump_to_json(d),
                         "dump_to_json diverged: {what} stage={i}"
                     );
                 }

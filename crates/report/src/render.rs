@@ -1,14 +1,16 @@
 //! Rendering of per-context CCT profiles (Figures 8–10 style).
 //!
-//! All renderers append into one preallocated buffer: integers go
-//! through [`whodunit_core::txt`]'s fixed-buffer formatter and floats
-//! through `write!` directly into the output `String`, so no line
-//! allocates an intermediate `format!` string.
+//! All text renderers append into one buffer: integers go through
+//! [`whodunit_core::txt`]'s fixed-buffer formatter, context and origin
+//! labels through the core's label writers, and floats through `write!`
+//! directly into the output `String`, so no line or label allocates an
+//! intermediate `format!` string.
 
 use std::fmt::Write as _;
-use whodunit_core::cct::Cct;
+use whodunit_core::cct::{Cct, SortedWalk};
 use whodunit_core::pipeline::PipelineReport;
 use whodunit_core::stitch::StageDump;
+use whodunit_core::synopsis::Synopsis;
 use whodunit_core::txt::{push_u32, push_usize};
 
 /// One rendered context entry: the context string and its share of the
@@ -84,30 +86,34 @@ pub fn render_stage_into(dump: &StageDump, out: &mut String) {
             total_samples += cct.total().samples;
         }
     }
+    let mut walk = SortedWalk::default();
     for c in &dump.ccts {
+        out.push_str("ctx: ");
+        dump.ctx_string_into(out, c.ctx);
         let Ok(cct) = dump.rebuild_cct(c) else {
-            out.push_str("ctx: ");
-            out.push_str(&dump.ctx_string(c.ctx));
             out.push_str(" <corrupt cct skipped>\n");
             continue;
         };
-        out.push_str("ctx: ");
-        out.push_str(&dump.ctx_string(c.ctx));
         out.push('\n');
-        render_tree(out, dump, &cct, total_samples);
+        render_tree(out, dump, &cct, total_samples, &mut walk);
     }
 }
 
 /// One line per framed node, indented two spaces per level (the root
 /// sits at level 1 and prints nothing), with its inclusive share of
 /// `total_samples`.
-fn render_tree(out: &mut String, dump: &StageDump, cct: &Cct, total_samples: u64) {
-    let inc = cct.inclusive_all();
-    cct.visit_sorted(|node, depth| {
+fn render_tree(
+    out: &mut String,
+    dump: &StageDump,
+    cct: &Cct,
+    total_samples: u64,
+    walk: &mut SortedWalk,
+) {
+    cct.walk_sorted(walk, |node, depth, inc| {
         let Some(f) = cct.frame(node) else {
             return;
         };
-        let samples = inc[node.0 as usize].samples;
+        let samples = inc.samples;
         let pct = if total_samples == 0 {
             0.0
         } else {
@@ -242,27 +248,22 @@ pub fn render_stitched_text(stitched: &PipelineReport) -> String {
     }
     out.push_str("transaction edges (request direction):\n");
     for e in &stitched.edges {
-        let _ = writeln!(
-            out,
-            "  {}:{}  ==>  {}:{}",
-            stitched.stages[e.from_stage].stage_name,
-            stitched.stages[e.from_stage].ctx_string(e.from_ctx),
-            stitched.stages[e.to_stage].stage_name,
-            stitched.stages[e.to_stage].ctx_string(e.to_ctx),
-        );
+        out.push_str("  ");
+        stitched.origin_label_into(&mut out, e.from_stage, e.from_ctx);
+        out.push_str("  ==>  ");
+        stitched.origin_label_into(&mut out, e.to_stage, e.to_ctx);
+        out.push('\n');
     }
     // A partial run is visibly partial: edges whose sender dump is
     // missing or corrupt, and dumps skipped at stitch time.
     if !stitched.unresolved.is_empty() {
         out.push_str("unresolved edges (sender dump missing or pruned):\n");
         for e in &stitched.unresolved {
-            let _ = writeln!(
-                out,
-                "  ???[{}]  ==>  {}:{}",
-                whodunit_core::synopsis::Synopsis(e.missing),
-                stitched.stages[e.to_stage].stage_name,
-                stitched.stages[e.to_stage].ctx_string(e.to_ctx),
-            );
+            out.push_str("  ???[");
+            Synopsis(e.missing).push_into(&mut out);
+            out.push_str("]  ==>  ");
+            stitched.origin_label_into(&mut out, e.to_stage, e.to_ctx);
+            out.push('\n');
         }
     }
     for (si, err) in &stitched.warnings {
@@ -295,9 +296,9 @@ pub fn render_pipeline(rep: &PipelineReport) -> String {
     push_usize(&mut out, rep.dict.len());
     out.push_str(" values\n\n");
     out.push_str("== stitched transactions ==\n");
-    out.push_str(&rep.stitched_text());
+    rep.stitched_text_into(&mut out);
     out.push_str("\n== crosstalk ==\n");
-    out.push_str(&rep.crosstalk_text());
+    rep.crosstalk_text_into(&mut out);
     out
 }
 

@@ -16,12 +16,26 @@ cargo test --workspace -q
 # The batch-pipeline gates (parallel_diff, golden_report):
 # - differential: pipeline::analyze vs the resolver it replaced, kept
 #   in the suite as the oracle (edges, unresolved edges, warnings, CCT
-#   origins), and the serial
-#   dump serializer over the 36-scenario corpus (seeds x schedules x
-#   fault plans), plus the serializer vs its format!-based reference
-#   writer;
+#   origins), and the read side vs the String-building writers it
+#   replaced (tests/read_oracle: dump JSON, stitched and crosstalk
+#   texts, fingerprint), over the 36-scenario corpus (seeds x schedules
+#   x fault plans);
 # - golden: canonical rendered reports for two fixed TPC-W runs
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
+#
+# The read-side gates (DESIGN.md §9 "Writing the read side";
+# read_side, read_alloc_budget):
+# - byte identity: random dump sets whose names carry quotes,
+#   backslashes, control bytes, non-ASCII text and empty names, every
+#   sink writer (to_json, dump_to_json, context and origin labels, both
+#   texts, the streamed fingerprint) byte for byte against the same
+#   oracle, and the JSON read back to the same dumps;
+# - allocation budget: analyze, fingerprint() and render_pipeline over
+#   an 8- and a 16-replica fleet behind a counting allocator, pinned
+#   exactly (fingerprint 6 at both widths, 12,949 at 16 replicas when it
+#   rendered both texts to hash them; render_pipeline 20, 12,955 when
+#   every label was a fresh String), and zero allocations over every
+#   label the report has.
 #
 # The streaming-collector gates (streaming_diff, properties,
 # golden_collector, golden_sentinel):
@@ -128,6 +142,7 @@ import json, sys
 
 GATES = """
 whodunit-core/parallel_diff whodunit/golden_report
+whodunit-core/read_side whodunit/read_alloc_budget
 whodunit-collector/streaming_diff whodunit-collector/properties
 whodunit/golden_collector whodunit/golden_sentinel
 whodunit-core/wire_props whodunit-collector/wire_fuzz whodunit-collector/alloc_budget
@@ -159,7 +174,10 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 # child's deltas (check_merge, merge_stage_delta, compose_cct) and the
 # root's whole-frame apply (apply_frame): each carries
 # #[deny(clippy::indexing_slicing)], so the first `col[i]` written
-# there fails this line, not a review.
+# there fails this line, not a review. The wire codec (wire.rs), the
+# dump JSON reader and writer (dumpjson.rs) and the read side's sink
+# and integer writer (txt.rs) also deny clippy::unwrap_used outside
+# their tests, so none of them can panic on an `.unwrap()`.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so

@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Resolve a sigprof.so sample file against the binary it was taken from.
 
-    report.py <binary> <samples> [--under NAME]
+    report.py <binary> <samples> [--under NAME] [--top N]
 
 --under keeps only the samples with a function containing NAME on the
 stack (say `Workload>::pass` for the timed region alone); per cents are
 then of those.
+
+--top N prints N rows a table (default 30). Under `--under
+'Workload>::pass'` the first 30 inclusive rows are all std::rt,
+catch_unwind and harness frames that enclose every sample, so the repo
+functions start further down: `--top 80` shows them.
 
 Every distinct address goes through one `addr2line -a -f -i -C` process,
 so inlined frames are visible: an address resolves to its innermost
@@ -86,22 +91,26 @@ def short(where):
     return where
 
 
-TOP = 30
-
-
-def table(title, counts, total):
+def table(title, counts, total, top):
     print(f"\n{title}")
-    for key, n in counts.most_common(TOP):
+    for key, n in counts.most_common(top):
         print(f"  {n:7d}  {100 * n / total:5.1f} %  {key}")
 
 
 def main():
-    argv, under = sys.argv[1:], None
-    if "--under" in argv:
-        i = argv.index("--under")
-        under = argv[i + 1]
-        del argv[i : i + 2]
-    if len(argv) != 2:
+    argv, under, top = sys.argv[1:], None, 30
+    try:
+        if "--under" in argv:
+            i = argv.index("--under")
+            under = argv[i + 1]
+            del argv[i : i + 2]
+        if "--top" in argv:
+            i = argv.index("--top")
+            top = int(argv[i + 1])
+            del argv[i : i + 2]
+    except (IndexError, ValueError):
+        sys.exit(__doc__)
+    if len(argv) != 2 or top < 1:
         sys.exit(__doc__)
     binary, path = argv
     samples, maps = load(path)
@@ -138,9 +147,9 @@ def main():
     depth = sum(len(s) for s in samples) / len(samples)
     kept = f", {total} of them under {under!r}" if under else ""
     print(f"{len(samples)} samples{kept}, {depth:.1f} addresses a sample, binary {binary}")
-    table("self time by first repo frame", self_fn, total)
-    table("self time by first repo line", self_line, total)
-    table("inclusive time by function", incl, total)
+    table("self time by first repo frame", self_fn, total, top)
+    table("self time by first repo line", self_line, total, top)
+    table("inclusive time by function", incl, total, top)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,13 @@
 # and by line, inclusive time by function, inlined frames resolved.
 # Needs gcc, python3 and addr2line; downloads nothing; not a CI stage.
 # Seed 1. Everything lands under target/prof (PROF_DIR overrides).
+#
+# To re-read the samples, restricted to the timed pass and with more
+# rows than the default 30 a table (the outermost harness frames fill
+# the top of the inclusive table):
+#
+#   python3 scripts/prof/report.py target/prof/target/release/wbench \
+#       target/prof/<workload>.samples --under 'Workload>::pass' --top 80
 set -euo pipefail
 
 workload="${1:?usage: scripts/profile.sh <workload> [seconds]}"
