@@ -14,7 +14,10 @@
 //! - 29,616 (46.1 per request) with the one-decision `dispatch`, the
 //!   context table probing by borrowed parts, `dump_into` refilling the
 //!   dump of two epochs ago, and the IPC age queue compacted instead of
-//!   regrown (17 of the count; megabytes of the footprint).
+//!   regrown (17 of the count; megabytes of the footprint);
+//! - 29,380 (45.7 per request) with frame names and contexts shared:
+//!   `diff_dump` hands the sink each new name and context by
+//!   reference instead of copying it out of the dump.
 //!
 //! The three steps were counted apart only on the full-size run
 //! (`benchmark/`'s `live_stack`, seed 1, `engine.allocs` over 31,184
@@ -22,7 +25,7 @@
 //! `dispatch`, 66.3 after the profiler's send/receive path, 36.5 after
 //! `dump_into`. This run is shorter, so set-up weighs more in it.
 //!
-//! The bound sits between the two figures above, close to the lower
+//! The bound sits between the first two figures above, close to the lower
 //! one, so a per-quantum, per-send or per-epoch temporary that comes
 //! back trips it without a stopwatch. What is left is the model's own:
 //! a boxed payload per message, the synopsis chain each message
@@ -97,6 +100,6 @@ fn live_stack_stays_inside_its_allocation_budget() {
     assert!(
         per_request <= MAX_ALLOCS_PER_REQUEST,
         "{allocs} allocations for {requests} requests = {per_request:.1} per request, \
-         over the {MAX_ALLOCS_PER_REQUEST} budget (251.3 at the one-heap engine, 46.1 now)"
+         over the {MAX_ALLOCS_PER_REQUEST} budget (251.3 at the one-heap engine, 45.7 now)"
     );
 }

@@ -61,7 +61,7 @@ fn main() {
         let cct = dump.rebuild_cct(c).expect("profiler-produced dump is well-formed");
         for id in cct.node_ids() {
             if let Some(f) = cct.frame(id) {
-                let name = dump.frames[f.0 as usize].clone();
+                let name = dump.frames[f.0 as usize].to_string();
                 let m = cct.metrics(id);
                 total += m.samples;
                 per.push((name, m.samples));

@@ -123,8 +123,7 @@ impl Increment {
     fn fold_freight(&mut self, f: &SummaryFrame) {
         self.cover(f.first_epoch, f.last_epoch, f.end);
         for ts in &f.sketches {
-            self.sketch(&ts.tier)
-                .merge(&QuantileSketch::from_wire(ts.max, &ts.buckets));
+            self.sketch(&ts.tier).merge_wire(ts.max, &ts.buckets);
         }
         self.ledger.fold(f);
     }
@@ -968,7 +967,7 @@ mod tests {
             frames: vec!["main".into(), "work".into()],
             contexts: (0..ctxs)
                 .map(|k| DumpContext {
-                    atoms: vec![DumpAtom::Frame(k % 2)],
+                    atoms: vec![DumpAtom::Frame(k % 2)].into(),
                 })
                 .collect(),
             ccts: (0..ctxs)

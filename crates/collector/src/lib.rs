@@ -71,6 +71,7 @@ pub mod quarantine;
 pub mod sentinel;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 use whodunit_core::cct::{Cct, CctNodeId, Metrics};
 use whodunit_core::hash::{FnvHashMap, FnvLanes};
 use whodunit_core::crosstalk::{OriginKey, WaitStats};
@@ -327,9 +328,10 @@ pub struct Collector {
     /// Memoized origin labels (see [`Collector::origin_label`]).
     label_cache: std::cell::RefCell<FnvHashMap<OriginKey, String>>,
     /// Collector-local frame intern table (union of stage frames in
-    /// arrival order), naming the snapshot's hot paths.
-    frames: Vec<String>,
-    frame_ids: FnvHashMap<String, u32>,
+    /// arrival order), naming the snapshot's hot paths. Names are
+    /// shared with the stage accumulators.
+    frames: Vec<Arc<str>>,
+    frame_ids: FnvHashMap<Arc<str>, u32>,
     epoch: u64,
     now: u64,
     queue: VecDeque<IncomingBatch>,
@@ -893,13 +895,13 @@ impl Collector {
         }
     }
 
-    fn intern_frame(&mut self, name: &str) -> u32 {
+    fn intern_frame(&mut self, name: &Arc<str>) -> u32 {
         if let Some(&id) = self.frame_ids.get(name) {
             return id;
         }
         let id = self.frames.len() as u32;
-        self.frames.push(name.to_owned());
-        self.frame_ids.insert(name.to_owned(), id);
+        self.frames.push(Arc::clone(name));
+        self.frame_ids.insert(Arc::clone(name), id);
         id
     }
 
@@ -1152,8 +1154,7 @@ impl Collector {
             let frame_name = |f: u32| {
                 self.frames
                     .get(f as usize)
-                    .cloned()
-                    .unwrap_or_else(|| format!("<frame {f}?>"))
+                    .map_or_else(|| format!("<frame {f}?>"), |n| n.to_string())
             };
             let o = &self.origins[&k];
             let hot = o.hot_path.get_or_init(|| {

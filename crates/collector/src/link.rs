@@ -306,7 +306,7 @@ mod tests {
     /// to assign.
     fn frame() -> SummaryFrame {
         let mut d = empty_delta(0);
-        d.new_frames = (0..EVENTS).map(|i| format!("f{i}")).collect();
+        d.new_frames = (0..EVENTS).map(|i| format!("f{i}").into()).collect();
         SummaryFrame {
             src: 0,
             seq: 0,

@@ -11,14 +11,19 @@
 //!   batch was freed after its drain;
 //! - 6,527 (1.936 per event) with the one delta-section reader that
 //!   fills the target lists directly and a [`BatchDecoder`] that reads
-//!   into the storage of batches already drained.
+//!   into the storage of batches already drained;
+//! - 6,330 (1.877 per event) by the time evicted origins kept their
+//!   tree (this window-4 leg evicts little);
+//! - 3,019 (0.895 per event) with frame names and contexts shared: the
+//!   decoder makes one copy of a name per frame, not one per delta
+//!   naming it, and the accumulator's `commit` and the collector's
+//!   frame table clone a reference where they copied.
 //!
-//! The bound sits between the two, so a per-delta temporary that comes
-//! back trips it without a stopwatch. What is left is the content that
-//! outlives the batch (interned frame names, context atoms, the
-//! accumulators' and the stitcher's own growth), not the decoder.
-//! (6,453, 1.914 per event, since evicted origins keep their tree:
-//! this window-4 leg evicts little.)
+//! The bound sits just above the last, so a per-delta temporary or a
+//! per-delta copy of a name that comes back trips it without a
+//! stopwatch. What is left is the content that outlives the batch (one
+//! copy of each name and context atom list, the accumulators' and the
+//! stitcher's own growth), not the decoder.
 //!
 //! A second phase sends the same frames through the shape of the
 //! benchmark's `ingest_churn`: `window_epochs: 1` behind a 4-deep queue
@@ -28,8 +33,10 @@
 //! - 11,069 allocations (3.283 per event) when every eviction copied
 //!   the origin's tree into a flat node list and every revival rebuilt
 //!   it child by child;
-//! - 8,492 (2.518 per event) now that both only flip a flag on the
-//!   one aggregate. (Full size, `ingest_churn` seed 1: 2.151 → 0.879.)
+//! - 8,492 (2.518 per event) once both only flipped a flag on the
+//!   one aggregate (full size, `ingest_churn` seed 1: 2.151 → 0.879),
+//!   and 8,327 (2.469) by the time the first leg read 1.877;
+//! - 5,016 (1.488 per event) with names and contexts shared.
 //!
 //! One `#[test]` and nothing else in this binary: the counter
 //! (`counting_alloc`) is process-wide.
@@ -46,11 +53,11 @@ use whodunit_core::delta::RecordingSink;
 use whodunit_core::wire::{encode_batch, encode_header};
 
 /// Allocations per event the wire ingest path may make on this stream.
-const MAX_ALLOCS_PER_EVENT: f64 = 2.25;
+const MAX_ALLOCS_PER_EVENT: f64 = 1.0;
 
 /// The same, for the churn leg (eviction, revival and a snapshot per
 /// frame on top of the decode).
-const MAX_CHURN_ALLOCS_PER_EVENT: f64 = 2.9;
+const MAX_CHURN_ALLOCS_PER_EVENT: f64 = 1.6;
 
 #[test]
 fn wire_ingest_stays_inside_its_allocation_budget() {
@@ -85,7 +92,8 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
     assert!(
         per_event <= MAX_ALLOCS_PER_EVENT,
         "{allocs} allocations for {events} events = {per_event:.3} per event, \
-         over the {MAX_ALLOCS_PER_EVENT} budget (3.505 before the recycling decoder, 1.914 now)"
+         over the {MAX_ALLOCS_PER_EVENT} budget (3.505 before the recycling decoder, 1.877 \
+         while every delta copied its names and contexts, 0.895 since)"
     );
 
     // Second phase, same thread: a slow consumer behind a 4-deep queue
@@ -115,7 +123,8 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
         per_event <= MAX_CHURN_ALLOCS_PER_EVENT,
         "{allocs} allocations for {events} events = {per_event:.3} per event with {} evictions \
          and {} revivals, over the {MAX_CHURN_ALLOCS_PER_EVENT} churn budget \
-         (3.283 when eviction copied the tree and revival rebuilt it, 2.518 since)",
+         (3.283 when eviction copied the tree and revival rebuilt it, 2.469 while every \
+         delta copied its names and contexts, 1.488 since)",
         st.evictions,
         st.revivals
     );

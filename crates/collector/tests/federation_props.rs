@@ -63,7 +63,7 @@ fn dump_at(shape: &Shape, e: usize) -> StageDump {
         if d.contexts.len() < shape.ctxs {
             let k = d.contexts.len();
             d.contexts.push(DumpContext {
-                atoms: vec![DumpAtom::Frame((k % 2) as u32)],
+                atoms: vec![DumpAtom::Frame((k % 2) as u32)].into(),
             });
             d.ccts.push(DumpCct {
                 ctx: k as u32,

@@ -111,7 +111,7 @@ fn dumps_at(shape: &Shape, e: usize) -> Vec<StageDump> {
         for j in 0..shape.fronts_per_epoch {
             let k = front.contexts.len();
             front.contexts.push(DumpContext {
-                atoms: vec![DumpAtom::Frame((k % 2) as u32)],
+                atoms: vec![DumpAtom::Frame((k % 2) as u32)].into(),
             });
             front.synopses.push((front_syn(k), k as u32));
             front.ccts.push(DumpCct {
@@ -153,7 +153,7 @@ fn dumps_at(shape: &Shape, e: usize) -> Vec<StageDump> {
             Target::Missing => vec![never_syn(i)],
         };
         db.contexts.push(DumpContext {
-            atoms: vec![DumpAtom::Remote(chain)],
+            atoms: vec![DumpAtom::Remote(chain)].into(),
         });
         db.synopses.push((db_syn(i), i as u32));
         db.ccts.push(DumpCct {

@@ -403,7 +403,7 @@ proptest! {
                 let bad = n_frames + r.below(3) as u32;
                 let atom = [DumpAtom::Frame(bad), DumpAtom::Path(vec![0, bad])];
                 d.new_contexts.push(DumpContext {
-                    atoms: vec![atom[r.below(2) as usize].clone()],
+                    atoms: vec![atom[r.below(2) as usize].clone()].into(),
                 });
                 must_heal = true;
             }

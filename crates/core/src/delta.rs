@@ -31,12 +31,16 @@
 //! at the collector, squarely on the ingest hot path) so a collector
 //! can detect gaps and corruption rather than silently diverging.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use crate::hash::FnvLanes;
 use crate::stitch::{
-    DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
+    remap_synopsis, DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter,
+    DumpNode, StageDump,
 };
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identity of one stage in a delta stream.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -98,8 +102,9 @@ pub struct StageDelta {
     pub stage: usize,
     /// Per-stage sequence number, starting at 0, no gaps.
     pub seq: u64,
-    /// Newly interned frame names (appended to the stage's table).
-    pub new_frames: Vec<String>,
+    /// Newly interned frame names (appended to the stage's table),
+    /// shared with every table they are appended to.
+    pub new_frames: Vec<Arc<str>>,
     /// Newly interned contexts (appended to the stage's table).
     pub new_contexts: Vec<DumpContext>,
     /// Newly minted `(raw synopsis, context index)` pairs.
@@ -163,7 +168,7 @@ impl StageDelta {
         h.write_u64(self.new_contexts.len() as u64);
         for c in &self.new_contexts {
             h.write_u64(c.atoms.len() as u64);
-            for a in &c.atoms {
+            for a in c.atoms.iter() {
                 match a {
                     DumpAtom::Frame(f) => {
                         h.write_u64(1);
@@ -246,26 +251,13 @@ impl StageDelta {
         stage: usize,
         map: &dyn Fn(u32) -> Option<u32>,
     ) -> StageDelta {
-        let remap_syn = |raw: u64| -> u64 {
-            let s = crate::synopsis::Synopsis(raw);
-            match map(s.proc_id()) {
-                Some(p) => crate::synopsis::Synopsis::new(p, s.counter()).0,
-                None => raw,
-            }
-        };
         let mut d = self.clone();
         d.stage = stage;
         for (raw, _) in &mut d.new_synopses {
-            *raw = remap_syn(*raw);
+            *raw = remap_synopsis(*raw, map);
         }
         for c in &mut d.new_contexts {
-            for a in &mut c.atoms {
-                if let DumpAtom::Remote(chain) = a {
-                    for raw in chain.iter_mut() {
-                        *raw = remap_syn(*raw);
-                    }
-                }
-            }
+            *c = c.with_remapped_proc(map);
         }
         d.seal();
         d
@@ -548,12 +540,9 @@ fn try_diff_dump(
     {
         let mut pi = prev.ccts.iter().peekable();
         for c in &cur.ccts {
-            let old: &[DumpNode] = match pi.peek() {
-                Some(p) if p.ctx == c.ctx => {
-                    let p = pi.next().unwrap();
-                    &p.nodes
-                }
-                _ => &[],
+            let old: &[DumpNode] = match pi.next_if(|p| p.ctx == c.ctx) {
+                Some(p) => &p.nodes,
+                None => &[],
             };
             ensure(old.len() <= c.nodes.len(), "a CCT shrank")?;
             let mut grown = Vec::new();
@@ -589,12 +578,9 @@ fn try_diff_dump(
     {
         let mut pi = prev.crosstalk_pairs.iter().peekable();
         for p in &cur.crosstalk_pairs {
-            let (oc, ow) = match pi.peek() {
-                Some(o) if (o.waiter, o.holder) == (p.waiter, p.holder) => {
-                    let o = pi.next().unwrap();
-                    (o.count, o.total_wait)
-                }
-                _ => (0, 0),
+            let (oc, ow) = match pi.next_if(|o| (o.waiter, o.holder) == (p.waiter, p.holder)) {
+                Some(o) => (o.count, o.total_wait),
+                None => (0, 0),
             };
             let dc = grew(p.count, oc, "pair count decreased")?;
             let dw = grew(p.total_wait, ow, "pair wait decreased")?;
@@ -613,12 +599,9 @@ fn try_diff_dump(
     {
         let mut pi = prev.crosstalk_waiters.iter().peekable();
         for w in &cur.crosstalk_waiters {
-            let (oc, ow) = match pi.peek() {
-                Some(o) if o.waiter == w.waiter => {
-                    let o = pi.next().unwrap();
-                    (o.count, o.total_wait)
-                }
-                _ => (0, 0),
+            let (oc, ow) = match pi.next_if(|o| o.waiter == w.waiter) {
+                Some(o) => (o.count, o.total_wait),
+                None => (0, 0),
             };
             let dc = grew(w.count, oc, "waiter count decreased")?;
             let dw = grew(w.total_wait, ow, "waiter wait decreased")?;
@@ -742,7 +725,7 @@ pub struct StageAccumulator {
     /// Stage name (from the stream header).
     pub stage_name: String,
     /// Interned frame names so far.
-    pub frames: Vec<String>,
+    pub frames: Vec<Arc<str>>,
     /// Interned contexts so far.
     pub contexts: Vec<DumpContext>,
     /// Per context id: its CCT node list, if one has accumulated.
@@ -1095,9 +1078,11 @@ pub(crate) mod tests {
             stage_name: "app".into(),
             frames: vec!["main".into(), "handle".into()],
             contexts: vec![
-                DumpContext { atoms: vec![] },
                 DumpContext {
-                    atoms: vec![DumpAtom::Frame(1)],
+                    atoms: vec![].into(),
+                },
+                DumpContext {
+                    atoms: vec![DumpAtom::Frame(1)].into(),
                 },
             ],
             ccts: vec![DumpCct {
@@ -1140,7 +1125,7 @@ pub(crate) mod tests {
         let mut d = base_dump();
         d.frames.push("query".into());
         d.contexts.push(DumpContext {
-            atoms: vec![DumpAtom::Remote(vec![0x0100_0001])],
+            atoms: vec![DumpAtom::Remote(vec![0x0100_0001])].into(),
         });
         // Existing CCT grows a node and existing node metrics grow.
         d.ccts[0].nodes[1].samples += 2;
@@ -1297,8 +1282,19 @@ pub(crate) mod tests {
             (|d| d.ccts[1].new_nodes[0].parent = None, NODE),
             (|d| d.ccts[1].new_nodes[0].frame = None, NODE),
             (|d| d.ccts[1].ctx = 3, "CCT labeled with an unknown context"),
-            (|d| d.new_contexts[0].atoms[0] = DumpAtom::Frame(3), ATOM),
-            (|d| d.new_contexts[0].atoms.push(DumpAtom::Path(vec![0, 3])), ATOM),
+            (
+                |d| Arc::make_mut(&mut d.new_contexts[0].atoms)[0] = DumpAtom::Frame(3),
+                ATOM,
+            ),
+            (
+                |d| {
+                    let c = &mut d.new_contexts[0];
+                    c.atoms = [&c.atoms[..], &[DumpAtom::Path(vec![0, 3])]]
+                        .concat()
+                        .into();
+                },
+                ATOM,
+            ),
             (|d| d.new_synopses[0].1 = 3, "synopsis minted for an unknown context"),
             (|d| d.new_synopses.push((0x0100_0003, 2)), TWICE),
             (|d| d.new_synopses.push((0x0100_0002, 0)), TWICE),
@@ -1330,6 +1326,33 @@ pub(crate) mod tests {
         acc.apply(&d).unwrap();
         assert_eq!(acc.to_dump(), b.with_remapped_proc(&map));
         assert_eq!(d.stage, 5);
+    }
+
+    #[test]
+    fn remap_proc_copies_only_the_contexts_it_rewrites() {
+        let b = grown_dump();
+        let d = diff_dump(0, 0, None, &b).unwrap();
+        // The delta's contexts are the dump's, shared.
+        let shared = |x: &[DumpContext], y: &[DumpContext]| {
+            x.iter()
+                .zip(y)
+                .map(|(x, y)| Arc::ptr_eq(&x.atoms, &y.atoms))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(shared(&d.new_contexts, &b.contexts), [true, true, true]);
+        let moved = d.with_remapped_proc(5, &|p| if p == 1 { Some(7) } else { None });
+        // The remote context was rewritten into atoms of its own; the
+        // two it leaves alone are still shared.
+        assert_eq!(
+            shared(&moved.new_contexts, &d.new_contexts),
+            [true, true, false]
+        );
+        let chain = |c: &DumpContext| c.remote_chain().map(<[u64]>::to_vec);
+        assert_eq!(chain(&moved.new_contexts[2]), Some(vec![0x0700_0001]));
+        // The original and the dump it shares with are untouched.
+        assert_eq!(chain(&d.new_contexts[2]), Some(vec![0x0100_0001]));
+        assert_eq!(d, diff_dump(0, 0, None, &grown_dump()).unwrap());
+        assert_eq!(b, grown_dump());
     }
 
     #[test]

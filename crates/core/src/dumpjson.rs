@@ -18,6 +18,7 @@ use crate::stitch::{
     StitchError,
 };
 use crate::txt::{push_u32, push_u64, Sink};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Writing
@@ -694,7 +695,7 @@ fn dump_of(v: &Value) -> Result<StageDump, StitchError> {
             .field("frames")?
             .as_arr("frames")?
             .iter()
-            .map(|f| f.as_str("frame name").map(str::to_owned))
+            .map(|f| f.as_str("frame name").map(Arc::from))
             .collect::<Result<_, _>>()?,
         contexts,
         ccts,
@@ -736,7 +737,8 @@ mod tests {
                         DumpAtom::Frame(1),
                         DumpAtom::Path(vec![0, 1]),
                         DumpAtom::Remote(vec![0x0100_0001, 0x0200_0007]),
-                    ],
+                    ]
+                    .into(),
                 },
             ],
             ccts: vec![DumpCct {

@@ -569,6 +569,7 @@ pub fn check_all(ev: &Evidence) -> Vec<Violation> {
 mod tests {
     use super::*;
     use crate::stitch::{DumpAtom, DumpCct, DumpContext, DumpNode};
+    use std::sync::Arc;
 
     fn root(cycles: u64) -> DumpNode {
         DumpNode {
@@ -588,7 +589,7 @@ mod tests {
             stage_name: "front".into(),
             frames: vec!["main".into()],
             contexts: vec![DumpContext {
-                atoms: vec![DumpAtom::Frame(0)],
+                atoms: vec![DumpAtom::Frame(0)].into(),
             }],
             ccts: vec![DumpCct {
                 ctx: 0,
@@ -602,7 +603,7 @@ mod tests {
             stage_name: "db".into(),
             frames: vec!["query".into()],
             contexts: vec![DumpContext {
-                atoms: vec![DumpAtom::Remote(vec![7]), DumpAtom::Frame(0)],
+                atoms: vec![DumpAtom::Remote(vec![7]), DumpAtom::Frame(0)].into(),
             }],
             ccts: vec![DumpCct {
                 ctx: 0,
@@ -661,7 +662,7 @@ mod tests {
     #[test]
     fn unresolved_needs_a_permitting_fault() {
         let mut ev = healthy();
-        ev.dumps[1].contexts[0].atoms[0] = DumpAtom::Remote(vec![99]); // nobody minted 99
+        Arc::make_mut(&mut ev.dumps[1].contexts[0].atoms)[0] = DumpAtom::Remote(vec![99]); // nobody minted 99
         let v = check_all(&ev);
         assert_eq!(v, vec![Violation::UnresolvedWithoutFault { count: 1 }]);
 
@@ -901,7 +902,7 @@ mod tests {
         // A Remote([]) context can't resolve anywhere; the completeness
         // oracle must not count it as a vanished edge.
         let mut ev = healthy();
-        ev.dumps[1].contexts[0].atoms[0] = DumpAtom::Remote(vec![]);
+        Arc::make_mut(&mut ev.dumps[1].contexts[0].atoms)[0] = DumpAtom::Remote(vec![]);
         assert_eq!(check_all(&ev), vec![]);
     }
 }

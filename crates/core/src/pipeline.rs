@@ -504,7 +504,7 @@ mod tests {
             contexts: vec![
                 DumpContext::default(),
                 DumpContext {
-                    atoms: vec![DumpAtom::Path(vec![0, 1])],
+                    atoms: vec![DumpAtom::Path(vec![0, 1])].into(),
                 },
             ],
             ccts: vec![DumpCct {
@@ -521,7 +521,7 @@ mod tests {
             contexts: vec![
                 DumpContext::default(),
                 DumpContext {
-                    atoms: vec![DumpAtom::Remote(vec![Synopsis::new(0, 0).0])],
+                    atoms: vec![DumpAtom::Remote(vec![Synopsis::new(0, 0).0])].into(),
                 },
             ],
             ccts: vec![DumpCct {
@@ -541,7 +541,8 @@ mod tests {
                     atoms: vec![DumpAtom::Remote(vec![
                         Synopsis::new(0, 0).0,
                         Synopsis::new(1, 0).0,
-                    ])],
+                    ])]
+                    .into(),
                 },
             ],
             ccts: vec![DumpCct {
@@ -617,7 +618,7 @@ mod tests {
         let mut dumps = chain_dumps();
         // A second remote context at db whose sender nobody minted.
         dumps[2].contexts.push(DumpContext {
-            atoms: vec![DumpAtom::Remote(vec![Synopsis::new(7, 7).0])],
+            atoms: vec![DumpAtom::Remote(vec![Synopsis::new(7, 7).0])].into(),
         });
         let rep = analyze(dumps, PipelineConfig::default());
         assert_eq!(rep.sender(2, 1), Some((1, 1)));

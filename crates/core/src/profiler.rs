@@ -23,6 +23,7 @@ use crate::stitch::{
     dump_context, DumpCct, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
 };
 use crate::synopsis::{SynChain, SynopsisTable};
+use std::sync::Arc;
 
 /// Configuration of one Whodunit instance.
 #[derive(Clone, Debug)]
@@ -376,7 +377,7 @@ impl Runtime for Whodunit {
         }
         let new = d.frames.len() as u32..frames.len() as u32;
         d.frames
-            .extend(new.map(|f| frames.name(FrameId(f)).to_owned()));
+            .extend(new.map(|f| Arc::from(frames.name(FrameId(f)))));
         let new = d.contexts.len() as u32..self.ctxs.len() as u32;
         d.contexts
             .extend(new.map(|c| dump_context(self.ctxs.value(CtxId(c)))));

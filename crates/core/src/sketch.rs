@@ -161,14 +161,21 @@ impl QuantileSketch {
     /// long before reaching this point).
     pub fn from_wire(max: u64, buckets: &[(u32, u64)]) -> QuantileSketch {
         let mut s = QuantileSketch::new();
+        s.merge_wire(max, buckets);
+        s
+    }
+
+    /// `self.merge(&QuantileSketch::from_wire(max, buckets))` without
+    /// building the other sketch: the pairs are added in place, and the
+    /// histogram is allocated only if one lands in range.
+    pub fn merge_wire(&mut self, max: u64, buckets: &[(u32, u64)]) {
         for &(b, c) in buckets {
             if (b as usize) < BUCKETS {
-                s.buckets_mut()[b as usize] += c;
-                s.count += c;
+                self.buckets_mut()[b as usize] += c;
+                self.count += c;
             }
         }
-        s.max = max;
-        s
+        self.max = self.max.max(max);
     }
 
     /// The quantile estimate at `q_ppm` parts-per-million (e.g.
@@ -330,6 +337,18 @@ mod tests {
         // Empty sketch round-trips to an empty wire form.
         let (m, b) = QuantileSketch::new().to_wire();
         assert_eq!((m, b.len()), (0, 0));
+    }
+
+    #[test]
+    fn merge_wire_allocates_only_for_a_pair_that_lands() {
+        let mut s = QuantileSketch::new();
+        s.merge_wire(7, &[]);
+        s.merge_wire(9, &[(BUCKETS as u32, 5), (u32::MAX, 1)]);
+        assert!(s.counts.is_none());
+        assert_eq!((s.count(), s.max()), (0, 9));
+        s.merge_wire(3, &[(2, 4)]);
+        assert!(s.counts.is_some());
+        assert_eq!((s.count(), s.max()), (4, 9));
     }
 
     #[test]

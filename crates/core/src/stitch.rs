@@ -27,6 +27,7 @@ use crate::hash::FnvHashMap;
 use crate::synopsis::{SynChain, Synopsis};
 use crate::txt::{push_u32, Sink};
 use std::fmt;
+use std::sync::Arc;
 
 /// One atom of a dumped transaction context.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -39,11 +40,14 @@ pub enum DumpAtom {
     Remote(Vec<u64>),
 }
 
-/// A dumped transaction context.
+/// A dumped transaction context. The atoms are immutable and shared:
+/// cloning a context bumps a reference count, and every table that
+/// holds it (a delta, an accumulator, a dump) shares one allocation.
+/// It still compares, hashes and serialises by content.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct DumpContext {
     /// The atoms in order.
-    pub atoms: Vec<DumpAtom>,
+    pub atoms: Arc<[DumpAtom]>,
 }
 
 impl DumpContext {
@@ -55,6 +59,30 @@ impl DumpContext {
         match self.atoms.first() {
             Some(DumpAtom::Remote(chain)) => Some(chain),
             _ => None,
+        }
+    }
+
+    /// This context with the process id of every synopsis in its
+    /// `Remote` atoms passed through `map`, copy-on-write: a context
+    /// the map leaves as it is shares its atoms with `self`, and one it
+    /// changes gets atoms of its own, so `self`'s — and those of every
+    /// table sharing them — never change.
+    pub(crate) fn with_remapped_proc(&self, map: &dyn Fn(u32) -> Option<u32>) -> DumpContext {
+        let moves = |a: &DumpAtom| match a {
+            DumpAtom::Remote(chain) => chain.iter().any(|&raw| remap_synopsis(raw, map) != raw),
+            _ => false,
+        };
+        if !self.atoms.iter().any(moves) {
+            return self.clone();
+        }
+        let atoms = self.atoms.iter().map(|a| match a {
+            DumpAtom::Remote(chain) => {
+                DumpAtom::Remote(chain.iter().map(|&raw| remap_synopsis(raw, map)).collect())
+            }
+            a => a.clone(),
+        });
+        DumpContext {
+            atoms: atoms.collect(),
         }
     }
 
@@ -72,6 +100,16 @@ impl DumpContext {
             Some(&frame) => Err(StitchError::FrameOutOfRange { frame }),
             None => Ok(()),
         }
+    }
+}
+
+/// `raw` with its process id passed through `map` (kept where the map
+/// declines it): the one synopsis rewrite of fleet replication.
+pub(crate) fn remap_synopsis(raw: u64, map: &dyn Fn(u32) -> Option<u32>) -> u64 {
+    let s = Synopsis(raw);
+    match map(s.proc_id()) {
+        Some(p) => Synopsis::new(p, s.counter()).0,
+        None => raw,
     }
 }
 
@@ -150,8 +188,9 @@ pub struct StageDump {
     pub proc: u32,
     /// Human-readable stage name.
     pub stage_name: String,
-    /// Interned frame names; indices are local to this dump.
-    pub frames: Vec<String>,
+    /// Interned frame names; indices are local to this dump. Shared
+    /// with the deltas and accumulators they came through.
+    pub frames: Vec<Arc<str>>,
     /// Interned contexts; indices are local to this dump.
     pub contexts: Vec<DumpContext>,
     /// One CCT per context that accumulated profile data.
@@ -279,28 +318,15 @@ impl StageDump {
     /// profiled tier group into a fleet: each replica gets a disjoint
     /// process-id range, so the replicas' synopses never collide.
     pub fn with_remapped_proc(&self, map: &dyn Fn(u32) -> Option<u32>) -> StageDump {
-        let remap_syn = |raw: u64| -> u64 {
-            let s = Synopsis(raw);
-            match map(s.proc_id()) {
-                Some(p) => Synopsis::new(p, s.counter()).0,
-                None => raw,
-            }
-        };
         let mut d = self.clone();
         if let Some(p) = map(d.proc) {
             d.proc = p;
         }
         for (raw, _) in &mut d.synopses {
-            *raw = remap_syn(*raw);
+            *raw = remap_synopsis(*raw, map);
         }
         for c in &mut d.contexts {
-            for a in &mut c.atoms {
-                if let DumpAtom::Remote(chain) = a {
-                    for raw in chain.iter_mut() {
-                        *raw = remap_syn(*raw);
-                    }
-                }
-            }
+            *c = c.with_remapped_proc(map);
         }
         d
     }
@@ -320,7 +346,7 @@ impl StageDump {
 /// [`StageDump::ctx_string`] over borrowed tables, so callers holding
 /// frame/context slices (e.g. the streaming collector's accumulators)
 /// can render labels without assembling a throwaway dump.
-pub fn ctx_string_of(frames: &[String], contexts: &[DumpContext], ctx: u32) -> String {
+pub fn ctx_string_of<F: AsRef<str>>(frames: &[F], contexts: &[DumpContext], ctx: u32) -> String {
     let mut out = String::new();
     ctx_string_into(&mut out, frames, contexts, ctx);
     out
@@ -329,9 +355,9 @@ pub fn ctx_string_of(frames: &[String], contexts: &[DumpContext], ctx: u32) -> S
 /// The label writer behind [`ctx_string_of`]: atoms joined by `" -> "`,
 /// a path as `[a>b]`, a received chain as `remote(s1:0#s2:5)`. It
 /// allocates nothing of its own.
-pub fn ctx_string_into<S: Sink + ?Sized>(
+pub fn ctx_string_into<S: Sink + ?Sized, F: AsRef<str>>(
     out: &mut S,
-    frames: &[String],
+    frames: &[F],
     contexts: &[DumpContext],
     ctx: u32,
 ) {
@@ -346,7 +372,7 @@ pub fn ctx_string_into<S: Sink + ?Sized>(
         return;
     }
     let frame = |out: &mut S, f: u32| match frames.get(f as usize) {
-        Some(name) => out.put(name),
+        Some(name) => out.put(name.as_ref()),
         None => {
             out.put("<frame ");
             push_u32(out, f);
@@ -491,7 +517,7 @@ pub fn global_frames(stages: &[StageDump]) -> (Vec<String>, Vec<Vec<u32>>) {
         let mut local = Vec::with_capacity(d.frames.len());
         for f in &d.frames {
             let next = seen.len() as u32;
-            local.push(*seen.entry(f.as_str()).or_insert(next));
+            local.push(*seen.entry(f).or_insert(next));
         }
         remap.push(local);
     }
@@ -578,7 +604,12 @@ mod tests {
             proc,
             stage_name: format!("stage{proc}"),
             frames: vec!["main".into(), "foo".into(), "send".into()],
-            contexts: vec![DumpContext::default(), DumpContext { atoms }],
+            contexts: vec![
+                DumpContext::default(),
+                DumpContext {
+                    atoms: atoms.into(),
+                },
+            ],
             ccts: Vec::new(),
             synopses,
             ..Default::default()
@@ -709,6 +740,31 @@ mod tests {
                 missing: 100
             })
         );
+    }
+
+    #[test]
+    fn remap_proc_copies_only_the_contexts_it_rewrites() {
+        let chain = vec![0x0200_0005, 0x0100_0002];
+        let a = dump_with_ctx(1, vec![DumpAtom::Remote(chain.clone())], vec![]);
+        let shared = |x: &StageDump, y: &StageDump| {
+            x.contexts
+                .iter()
+                .zip(&y.contexts)
+                .map(|(x, y)| Arc::ptr_eq(&x.atoms, &y.atoms))
+                .collect::<Vec<_>>()
+        };
+        let twin = a.clone();
+        let moved = twin.with_remapped_proc(&|p| if p == 1 { Some(4) } else { None });
+        assert_eq!(shared(&moved, &a), [true, false]);
+        let want = [0x0200_0005, 0x0400_0002];
+        assert_eq!(moved.contexts[1].remote_chain(), Some(&want[..]));
+        // The clone it was made from, and the dump that clone shares
+        // its atoms with, still hold the old chain.
+        assert_eq!(shared(&twin, &a), [true, true]);
+        assert_eq!(twin.contexts[1].remote_chain(), Some(&chain[..]));
+        assert_eq!(a.contexts[1].remote_chain(), Some(&chain[..]));
+        // A map that moves nothing copies nothing.
+        assert_eq!(shared(&a.with_remapped_proc(&|_| None), &a), [true, true]);
     }
 
     #[test]

@@ -33,6 +33,8 @@
 //! mass (the root's coverage accounting), and per-leaf lag/health
 //! gauges ([`LeafGauges`]) for the topology view.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use crate::delta::{CctDelta, StageDelta};
 use crate::hash::FnvLanes;
 use crate::sketch::QuantileSketch;
@@ -134,27 +136,20 @@ pub fn merge_stage_delta(acc: &mut StageDelta, next: &StageDelta) -> Result<(), 
 
     // CCTs: both lists are sorted by ctx; merge-join.
     let mut merged = Vec::with_capacity(acc.ccts.len() + next.ccts.len());
-    {
-        let mut ai = std::mem::take(&mut acc.ccts).into_iter().peekable();
-        let mut ni = next.ccts.iter().peekable();
-        loop {
-            match (ai.peek(), ni.peek()) {
-                (None, None) => break,
-                (Some(_), None) => merged.push(ai.next().unwrap()),
-                (Some(a), Some(n)) if a.ctx < n.ctx => merged.push(ai.next().unwrap()),
-                (None, Some(_)) | (Some(_), Some(_)) => {
-                    let n = ni.next().unwrap();
-                    if ai.peek().is_some_and(|a| a.ctx == n.ctx) {
-                        let mut a = ai.next().unwrap();
-                        compose_cct(&mut a, n);
-                        merged.push(a);
-                    } else {
-                        merged.push(n.clone());
-                    }
-                }
+    let mut ai = std::mem::take(&mut acc.ccts).into_iter().peekable();
+    for n in &next.ccts {
+        while let Some(a) = ai.next_if(|a| a.ctx < n.ctx) {
+            merged.push(a);
+        }
+        match ai.next_if(|a| a.ctx == n.ctx) {
+            Some(mut a) => {
+                compose_cct(&mut a, n);
+                merged.push(a);
             }
+            None => merged.push(n.clone()),
         }
     }
+    merged.extend(ai);
     acc.ccts = merged;
 
     // Crosstalk: keyed monotone sums; rebuild sorted via BTreeMap so
@@ -448,7 +443,7 @@ mod tests {
         let mut s1 = s0.clone();
         s1.frames.push("handle".into());
         s1.contexts.push(DumpContext {
-            atoms: vec![DumpAtom::Frame(1)],
+            atoms: vec![DumpAtom::Frame(1)].into(),
         });
         s1.ccts[0].nodes[0].cycles += 50;
         s1.ccts[0].nodes.push(node(Some(1), Some(0), 70));

@@ -50,6 +50,7 @@ use crate::stitch::{DumpAtom, DumpContext, DumpNode};
 use crate::summary::{LeafGauges, SummaryFrame, TierSketch};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The three magic bytes every wire frame starts with.
 pub const WIRE_MAGIC: [u8; 3] = *b"WDW";
@@ -552,7 +553,7 @@ fn collect_dict(deltas: &[StageDelta]) -> (Vec<&str>, HashMap<&str, u64>) {
     let mut dict = HashMap::new();
     for d in deltas {
         for f in &d.new_frames {
-            let s = f.as_str();
+            let s = &**f;
             if !dict.contains_key(s) {
                 dict.insert(s, table.len() as u64);
                 table.push(s);
@@ -570,14 +571,16 @@ fn put_dict(buf: &mut Vec<u8>, table: &[&str]) {
     }
 }
 
-/// Reads a frame's string table back as borrowed slices of the frame
-/// body — deltas copy out only the strings they actually intern.
+/// Reads a frame's string table, each string into one shared
+/// allocation: every delta of the frame that interns a name clones
+/// the table's entry, so a name costs one copy per frame, not one per
+/// delta naming it.
 #[deny(clippy::indexing_slicing)]
-fn get_dict<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a str>, WireError> {
+fn get_dict(r: &mut Reader<'_>) -> Result<Vec<Arc<str>>, WireError> {
     let n = r.count()?;
     let mut table = Vec::with_capacity(n);
     for _ in 0..n {
-        table.push(r.str()?);
+        table.push(Arc::from(r.str()?));
     }
     Ok(table)
 }
@@ -617,14 +620,14 @@ pub(crate) fn put_delta(buf: &mut Vec<u8>, d: &StageDelta, dict: &HashMap<&str, 
     if flags & F_FRAMES != 0 {
         put_u64(buf, d.new_frames.len() as u64);
         for f in &d.new_frames {
-            put_u64(buf, dict[f.as_str()]);
+            put_u64(buf, dict[&**f]);
         }
     }
     if flags & F_CONTEXTS != 0 {
         put_u64(buf, d.new_contexts.len() as u64);
         for c in &d.new_contexts {
             put_u64(buf, c.atoms.len() as u64);
-            for a in &c.atoms {
+            for a in c.atoms.iter() {
                 put_atom(buf, a);
             }
         }
@@ -743,16 +746,19 @@ pub(crate) fn put_delta(buf: &mut Vec<u8>, d: &StageDelta, dict: &HashMap<&str, 
 /// Reads one delta section into `d`, overwriting every field. Each
 /// column goes straight into the list it belongs to — a count sizes
 /// the list, every column then fills one field through `iter_mut` — so
-/// no column is held on the side and nothing is indexed. CCT increments
-/// are drawn from `spare`, capacity and all. Returns whether the
+/// no column is held on the side and nothing is indexed. Frame names
+/// are clones of `table`'s entries; each context's atoms are read into
+/// `atoms` and moved into one allocation of their exact size. CCT
+/// increments are drawn from `spare`, capacity and all. Returns whether the
 /// section stored a checksum; when it did not, `d.checksum` is left 0:
 /// the canonical value is implied, for the caller to fill in or to
 /// vouch for.
 #[deny(clippy::indexing_slicing)]
 fn read_delta(
     r: &mut Reader<'_>,
-    table: &[&str],
+    table: &[Arc<str>],
     d: &mut StageDelta,
+    atoms: &mut Vec<DumpAtom>,
     spare: &mut Vec<CctDelta>,
 ) -> Result<bool, WireError> {
     d.stage = as_usize(r.u64()?)?;
@@ -770,18 +776,21 @@ fn read_delta(
         let s = table
             .get(as_usize(r.u64()?)?)
             .ok_or(WireError::Malformed("frame string index out of range"))?;
-        d.new_frames.push((*s).to_owned());
+        d.new_frames.push(Arc::clone(s));
     }
     let ncx = rows(r, F_CONTEXTS)?;
     d.new_contexts.clear();
     d.new_contexts.reserve(ncx);
     for _ in 0..ncx {
         let na = r.count()?;
-        let mut atoms = Vec::with_capacity(na);
+        atoms.clear();
+        atoms.reserve(na);
         for _ in 0..na {
             atoms.push(get_atom(r)?);
         }
-        d.new_contexts.push(DumpContext { atoms });
+        d.new_contexts.push(DumpContext {
+            atoms: atoms.drain(..).collect(),
+        });
     }
     d.new_synopses.clear();
     d.new_synopses.resize(rows(r, F_SYNOPSES)?, (0, 0));
@@ -913,12 +922,13 @@ fn read_counts(
 /// into fresh storage, which is all [`decode_batch`] is.
 #[derive(Debug, Default)]
 pub struct BatchDecoder {
-    /// Spare deltas, CCT increments and one batch-level list, all
-    /// empty (capacity, never content), and the cap on the first two:
-    /// the most of each that any one decoded batch held.
+    /// Spare deltas, CCT increments, one batch-level list and one atom
+    /// list, all empty (capacity, never content), and the cap on the
+    /// first two: the most of each that any one decoded batch held.
     deltas: Vec<StageDelta>,
     ccts: Vec<CctDelta>,
     batch: Vec<StageDelta>,
+    atoms: Vec<DumpAtom>,
     max_deltas: usize,
     max_ccts: usize,
 }
@@ -941,7 +951,7 @@ impl BatchDecoder {
         for _ in 0..n {
             deltas.push(self.deltas.pop().unwrap_or_default());
             let (d, earlier) = deltas.split_last_mut().expect("just pushed");
-            let stored = read_delta(&mut r, &table, d, &mut self.ccts)?;
+            let stored = read_delta(&mut r, &table, d, &mut self.atoms, &mut self.ccts)?;
             if stored && unsealed {
                 // The frame's first stored checksum: every delta before
                 // it elided its own.
@@ -1196,9 +1206,10 @@ impl OpenSummary<'_> {
         let table = get_dict(&mut r)?;
         let nd = r.count()?;
         let mut deltas = Vec::with_capacity(nd);
+        let mut atoms = Vec::new();
         for _ in 0..nd {
             let mut d = StageDelta::default();
-            if !read_delta(&mut r, &table, &mut d, &mut Vec::new())? {
+            if !read_delta(&mut r, &table, &mut d, &mut atoms, &mut Vec::new())? {
                 d.seal();
             }
             deltas.push(d);
@@ -1356,13 +1367,16 @@ mod tests {
             stage_name: "app".into(),
             frames: vec!["main".into(), "handle \"x\"".into()],
             contexts: vec![
-                DumpContext { atoms: vec![] },
+                DumpContext {
+                    atoms: vec![].into(),
+                },
                 DumpContext {
                     atoms: vec![
                         DumpAtom::Frame(1),
                         DumpAtom::Path(vec![0, 1]),
                         DumpAtom::Remote(vec![0x0100_0001, u64::MAX]),
-                    ],
+                    ]
+                    .into(),
                 },
             ],
             ccts: vec![DumpCct {
@@ -1390,7 +1404,7 @@ mod tests {
         let mut d = base_dump();
         d.frames.push("query".into());
         d.contexts.push(DumpContext {
-            atoms: vec![DumpAtom::Remote(vec![0x0100_0001])],
+            atoms: vec![DumpAtom::Remote(vec![0x0100_0001])].into(),
         });
         d.ccts[0].nodes[1].samples += 2;
         d.ccts[0].nodes[1].cycles += 120;
@@ -1698,6 +1712,54 @@ mod tests {
         assert_eq!(back, frame);
         assert_eq!(consumed, bytes.len());
         assert!(back.verify());
+    }
+
+    #[test]
+    fn a_decoded_frame_holds_one_copy_of_each_name() {
+        let (_, batches) = sample_batches();
+        let d = &batches[0].deltas[0];
+        // Three deltas naming the same frames, each from its own copy
+        // of the names: sharing on the far side is the decoder's doing.
+        let deltas: Vec<StageDelta> = (0..3)
+            .map(|stage| {
+                let mut twin = d.with_remapped_proc(stage, &|_| None);
+                twin.new_frames = d.new_frames.iter().map(|f| Arc::from(&**f)).collect();
+                twin
+            })
+            .collect();
+        let one_copy = |got: &[StageDelta]| {
+            assert_eq!(got, deltas);
+            let [a, rest @ ..] = got else {
+                panic!("no deltas")
+            };
+            assert!(!a.new_frames.is_empty());
+            for b in rest {
+                for (x, y) in a.new_frames.iter().zip(&b.new_frames) {
+                    assert!(Arc::ptr_eq(x, y), "{x:?} is copied per delta");
+                }
+            }
+        };
+        let batch = EpochBatch {
+            epoch: 0,
+            seq: 0,
+            end: 100,
+            deltas: deltas.clone(),
+        };
+        one_copy(&decode_batch(&encode_batch(&batch)).unwrap().0.deltas);
+        let frame = SummaryFrame {
+            src: 0,
+            seq: 0,
+            first_epoch: 0,
+            last_epoch: 0,
+            end: 100,
+            deltas: deltas.clone(),
+            sketches: vec![],
+            leaf_mass: vec![],
+            gauges: vec![],
+            checksum: 0,
+        }
+        .seal();
+        one_copy(&decode_summary(&encode_summary(&frame)).unwrap().0.deltas);
     }
 
     #[test]

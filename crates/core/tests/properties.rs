@@ -737,6 +737,36 @@ proptest! {
         // The clones above left their source alone.
         assert_brackets_sorted(&empty, &[], q, "cloned-from empty");
     }
+
+    /// Folding a wire digest in place is merging the sketch it
+    /// describes, over any pair list: empty ones, zero counts, repeated
+    /// buckets, indices past the histogram (both ignore them), and
+    /// either side empty.
+    #[test]
+    fn sketch_merge_wire_is_merge_of_from_wire(
+        args in (
+            any::<u64>(),
+            0usize..60,
+            proptest::collection::vec((0u32..1_200, 0u64..1_000), 0..12),
+            0u64..2_000_000,
+        )
+    ) {
+        let (seed, n, pairs, max) = args;
+        let mut base = QuantileSketch::new();
+        for v in sketch_stream(seed, n) {
+            base.record(v);
+        }
+        let mut folded = base.clone();
+        folded.merge_wire(max, &pairs);
+        let mut merged = base;
+        merged.merge(&QuantileSketch::from_wire(max, &pairs));
+        prop_assert_eq!(folded.count(), merged.count());
+        prop_assert_eq!(folded.max(), merged.max());
+        prop_assert_eq!(folded.to_wire(), merged.to_wire());
+        for q in (0..=10).map(|i| i * 100_000) {
+            prop_assert_eq!(folded.quantile_ppm(q), merged.quantile_ppm(q));
+        }
+    }
 }
 
 /// Holds `s` against the exact reference `sorted` (ascending): same

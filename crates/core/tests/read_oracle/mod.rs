@@ -12,6 +12,7 @@
 
 #![allow(dead_code)]
 
+use std::sync::Arc;
 use whodunit_core::cct::{Cct, CctNodeId};
 use whodunit_core::hash::Fnv64;
 use whodunit_core::pipeline::PipelineReport;
@@ -239,7 +240,7 @@ pub fn to_json(dumps: &[StageDump]) -> String {
 // ---------------------------------------------------------------------
 
 /// A dumped context as a human-readable string.
-pub fn ctx_string_of(frames: &[String], contexts: &[DumpContext], ctx: u32) -> String {
+pub fn ctx_string_of(frames: &[Arc<str>], contexts: &[DumpContext], ctx: u32) -> String {
     let Some(c) = contexts.get(ctx as usize) else {
         return format!("<ctx {ctx}?>");
     };
@@ -249,11 +250,10 @@ pub fn ctx_string_of(frames: &[String], contexts: &[DumpContext], ctx: u32) -> S
     let frame_name = |f: &u32| -> String {
         frames
             .get(*f as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("<frame {f}?>"))
+            .map_or_else(|| format!("<frame {f}?>"), |n| n.to_string())
     };
     let mut parts = Vec::new();
-    for a in &c.atoms {
+    for a in c.atoms.iter() {
         match a {
             DumpAtom::Frame(f) => parts.push(frame_name(f)),
             DumpAtom::Path(p) => parts.push(format!(

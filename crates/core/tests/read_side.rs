@@ -16,6 +16,7 @@ mod read_oracle;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use rand::Rng;
+use std::sync::Arc;
 use whodunit_core::dumpjson::{dump_from_json, dump_to_json, from_json, to_json};
 use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_core::stitch::{
@@ -68,8 +69,8 @@ impl DumpSets {
     }
 
     fn stage(rng: &mut TestRng, si: usize, stages: usize) -> StageDump {
-        let frames: Vec<String> = (0..rng.gen_range(0..6usize))
-            .map(|_| Self::name(rng))
+        let frames: Vec<Arc<str>> = (0..rng.gen_range(0..6usize))
+            .map(|_| Self::name(rng).into())
             .collect();
         let nf = frames.len();
         let mut contexts = vec![DumpContext::default()];
@@ -94,7 +95,9 @@ impl DumpSets {
                     ),
                 });
             }
-            contexts.push(DumpContext { atoms });
+            contexts.push(DumpContext {
+                atoms: atoms.into(),
+            });
         }
         let nc = contexts.len() as u32;
         let ctx = |rng: &mut TestRng| {

@@ -119,7 +119,7 @@ fn stitch_tolerates_circular_synopsis_chains() {
         contexts: vec![
             DumpContext::default(),
             DumpContext {
-                atoms: vec![DumpAtom::Remote(vec![200])],
+                atoms: vec![DumpAtom::Remote(vec![200])].into(),
             },
         ],
         ccts: vec![root_only_cct(1)],
@@ -133,7 +133,7 @@ fn stitch_tolerates_circular_synopsis_chains() {
         contexts: vec![
             DumpContext::default(),
             DumpContext {
-                atoms: vec![DumpAtom::Remote(vec![100])],
+                atoms: vec![DumpAtom::Remote(vec![100])].into(),
             },
         ],
         synopses: vec![(200, 1)],
@@ -158,7 +158,7 @@ fn stitch_tolerates_dangling_synopses() {
         contexts: vec![
             DumpContext::default(),
             DumpContext {
-                atoms: vec![DumpAtom::Remote(vec![0xdead])],
+                atoms: vec![DumpAtom::Remote(vec![0xdead])].into(),
             },
         ],
         ccts: vec![root_only_cct(1)],

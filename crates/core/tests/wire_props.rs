@@ -111,7 +111,7 @@ fn arb_delta(r: &mut Rng) -> StageDelta {
     StageDelta {
         stage: r.below(64) as usize,
         seq: r.extreme(),
-        new_frames: (0..r.below(5)).map(|_| r.name("frame")).collect(),
+        new_frames: (0..r.below(5)).map(|_| r.name("frame").into()).collect(),
         new_contexts: (0..r.below(4))
             .map(|_| DumpContext {
                 atoms: (0..r.below(4)).map(|_| arb_atom(r)).collect(),
@@ -373,9 +373,9 @@ fn golden_batch() -> EpochBatch {
             seq: 7,
             new_frames: vec!["main".into(), "handle_req".into()],
             new_contexts: vec![
-                DumpContext { atoms: vec![DumpAtom::Frame(0)] },
+                DumpContext { atoms: vec![DumpAtom::Frame(0)].into() },
                 DumpContext {
-                    atoms: vec![DumpAtom::Path(vec![0, 1]), DumpAtom::Remote(vec![0xABCD])],
+                    atoms: vec![DumpAtom::Path(vec![0, 1]), DumpAtom::Remote(vec![0xABCD])].into(),
                 },
             ],
             new_synopses: vec![(0x00C0FFEE, 0), (0x00C0FFFA, 1)],

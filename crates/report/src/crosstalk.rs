@@ -70,10 +70,10 @@ mod tests {
             contexts: vec![
                 DumpContext::default(),
                 DumpContext {
-                    atoms: vec![DumpAtom::Frame(0)],
+                    atoms: vec![DumpAtom::Frame(0)].into(),
                 },
                 DumpContext {
-                    atoms: vec![DumpAtom::Frame(1)],
+                    atoms: vec![DumpAtom::Frame(1)].into(),
                 },
             ],
             crosstalk_pairs: vec![

@@ -92,9 +92,9 @@ mod tests {
             contexts: (0..=max_ctx)
                 .map(|i| DumpContext {
                     atoms: if i == 0 {
-                        vec![]
+                        vec![].into()
                     } else {
-                        vec![whodunit_core::stitch::DumpAtom::Frame(0)]
+                        vec![whodunit_core::stitch::DumpAtom::Frame(0)].into()
                     },
                 })
                 .collect(),

@@ -122,12 +122,7 @@ fn render_tree(
         for _ in 0..=depth {
             out.push_str("  ");
         }
-        out.push_str(
-            dump.frames
-                .get(f.0 as usize)
-                .map(String::as_str)
-                .unwrap_or("<?>"),
-        );
+        out.push_str(dump.frames.get(f.0 as usize).map(|n| &**n).unwrap_or("<?>"));
         // Float percentages keep `write!` so rounding matches `Display`
         // byte-for-byte; the write lands directly in `out`.
         let _ = write!(out, " [{pct:.2}%]");
@@ -152,11 +147,7 @@ pub fn render_dot(dump: &StageDump) -> String {
         );
         for node in cct.node_ids() {
             if let Some(f) = cct.frame(node) {
-                let name = dump
-                    .frames
-                    .get(f.0 as usize)
-                    .map(String::as_str)
-                    .unwrap_or("<?>");
+                let name = dump.frames.get(f.0 as usize).map(|n| &**n).unwrap_or("<?>");
                 let _ = writeln!(out, "    n{ci}_{} [label=\"{name}\"];", node.0);
                 if let Some(p) = cct.parent(node) {
                     if cct.frame(p).is_some() {
@@ -197,11 +188,7 @@ pub fn render_stitched_dot(stitched: &PipelineReport) -> String {
             let mut first = None;
             for node in cct.node_ids() {
                 if let Some(f) = cct.frame(node) {
-                    let name = d
-                        .frames
-                        .get(f.0 as usize)
-                        .map(String::as_str)
-                        .unwrap_or("<?>");
+                    let name = d.frames.get(f.0 as usize).map(|n| &**n).unwrap_or("<?>");
                     let id = format!("s{si}_c{}_n{}", c.ctx, node.0);
                     let _ = writeln!(out, "    {id} [label=\"{name}\"];");
                     if first.is_none() {
@@ -385,7 +372,7 @@ mod tests {
             contexts: vec![
                 DumpContext::default(),
                 DumpContext {
-                    atoms: vec![DumpAtom::Path(vec![0, 1])],
+                    atoms: vec![DumpAtom::Path(vec![0, 1])].into(),
                 },
             ],
             ccts: vec![DumpCct {
@@ -417,7 +404,7 @@ mod tests {
             contexts: vec![
                 DumpContext::default(),
                 DumpContext {
-                    atoms: vec![DumpAtom::Remote(vec![7])],
+                    atoms: vec![DumpAtom::Remote(vec![7])].into(),
                 },
             ],
             ccts: vec![DumpCct {

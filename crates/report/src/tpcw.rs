@@ -30,13 +30,13 @@ pub fn hops(stitched: &PipelineReport, stage: usize, ctx: u32) -> Vec<(usize, u3
 
 /// All frame names appearing in a context's `Frame`/`Path` atoms.
 /// Out-of-range indices (corrupt dump) are skipped, not panicked on.
-pub fn ctx_frames(dump: &StageDump, ctx: u32) -> Vec<String> {
+pub fn ctx_frames(dump: &StageDump, ctx: u32) -> Vec<&str> {
     let mut out = Vec::new();
     let Some(context) = dump.contexts.get(ctx as usize) else {
         return out;
     };
-    let name = |f: u32| dump.frames.get(f as usize).cloned();
-    for atom in &context.atoms {
+    let name = |f: u32| dump.frames.get(f as usize).map(|n| &**n);
+    for atom in context.atoms.iter() {
         match atom {
             DumpAtom::Frame(f) => out.extend(name(*f)),
             DumpAtom::Path(p) => {
@@ -57,14 +57,14 @@ pub fn label_by_frame(
     pred: &dyn Fn(&str) -> bool,
 ) -> Option<String> {
     for name in ctx_frames(&stitched.stages[stage], ctx) {
-        if pred(&name) {
-            return Some(name);
+        if pred(name) {
+            return Some(name.to_owned());
         }
     }
     for (s, c) in hops(stitched, stage, ctx) {
         for name in ctx_frames(&stitched.stages[s], c) {
-            if pred(&name) {
-                return Some(name);
+            if pred(name) {
+                return Some(name.to_owned());
             }
         }
     }
@@ -208,7 +208,7 @@ mod tests {
             contexts: vec![
                 DumpContext::default(),
                 DumpContext {
-                    atoms: vec![DumpAtom::Path(vec![0, 1])],
+                    atoms: vec![DumpAtom::Path(vec![0, 1])].into(),
                 },
             ],
             synopses: vec![(100, 1)],
@@ -221,7 +221,7 @@ mod tests {
             contexts: vec![
                 DumpContext::default(),
                 DumpContext {
-                    atoms: vec![DumpAtom::Remote(vec![100])],
+                    atoms: vec![DumpAtom::Remote(vec![100])].into(),
                 },
             ],
             ccts: vec![DumpCct {

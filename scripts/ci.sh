@@ -72,13 +72,15 @@ cargo test --workspace -q
 #   decode_batch does, so nothing of an earlier delta shows in a later
 #   one;
 # - allocation budget: wire ingest of the staggered fleet stream behind
-#   a counting allocator, <= 2.25 allocations per event (1.914 now,
+#   a counting allocator, <= 1.0 allocations per event (0.895 now,
+#   1.877 while every delta copied its frame names and contexts,
 #   3.505 before the decoder recycled its storage); then the same
 #   frames through a window-1 collector behind a 4-deep queue with a
-#   snapshot per frame (393 evictions, 357 revivals), <= 2.9 per event
-#   (2.518 now, 3.283 when every eviction copied the origin's tree to a
-#   flat list and every revival rebuilt it; DESIGN.md §11 "Eviction
-#   and revival cost");
+#   snapshot per frame (393 evictions, 357 revivals), <= 1.6 per event
+#   (1.488 now, 2.469 while names and contexts were copied, 3.283 when
+#   every eviction copied the origin's tree to a flat list and every
+#   revival rebuilt it; DESIGN.md §11 "Eviction and revival cost",
+#   §13 "Shared names and contexts");
 # - fuzz: randomized truncation / bit flips / reordering / garbage
 #   injection over encoded streams — damaged frames are rejected by the
 #   envelope and healed by the §12 quarantine machinery, never a panic,
@@ -97,12 +99,14 @@ cargo test --workspace -q
 # - properties: the summary-delta merge algebra (grouping invariance,
 #   associativity, mass conservation, sketch wire round-trip);
 # - allocation budget: a 24-replica federation on lossy links (frames
-#   parked and duplicated) behind a counting allocator, <= 6.7
-#   allocations per leaf event (6.609 now; 9.017 when checkpoints
+#   parked and duplicated) behind a counting allocator, <= 2.6
+#   allocations per leaf event (2.538 now; 9.017 when checkpoints
 #   deep-copied parked frames, duplicates were decoded, regionals
 #   cloned every decoded delta and each leaf had its own mirror;
 #   7.691 while one emitter mirror replayed every leaf in lockstep;
-#   6.797 while the root ran a §10 collector);
+#   6.797 while the root ran a §10 collector; 6.609 while every hop
+#   copied each frame name and context, and a regional built a sketch
+#   per child digest to merge it);
 # - golden: rendered federation topology mid-outage + final
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
@@ -110,7 +114,7 @@ cargo test --workspace -q
 # engine_alloc_budget):
 # - allocation budget: the smoke-shaped 3-tier stack (40 clients,
 #   150 s, seed 1) run live into a recording sink behind a counting
-#   allocator, <= 60 allocations per completed request (46.1 now,
+#   allocator, <= 60 allocations per completed request (45.7 now,
 #   251.3 when every quantum end returned a Vec<Dispatch>, every send
 #   built the context it looked up and every epoch took fresh dumps).
 #   The event order itself is held by whodunit-sim's engine_behavior
@@ -175,8 +179,9 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 # root's whole-frame apply (apply_frame): each carries
 # #[deny(clippy::indexing_slicing)], so the first `col[i]` written
 # there fails this line, not a review. The wire codec (wire.rs), the
-# dump JSON reader and writer (dumpjson.rs) and the read side's sink
-# and integer writer (txt.rs) also deny clippy::unwrap_used outside
+# dump JSON reader and writer (dumpjson.rs), the read side's sink
+# and integer writer (txt.rs), the delta apply and diff (delta.rs) and
+# the summary merge (summary.rs) also deny clippy::unwrap_used outside
 # their tests, so none of them can panic on an `.unwrap()`.
 cargo clippy --workspace --all-targets -- -D warnings
 

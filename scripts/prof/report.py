@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Resolve a sigprof.so sample file against the binary it was taken from.
 
-    report.py <binary> <samples> [--under NAME] [--top N]
+    report.py <binary> <samples> [--under NAME] [--top N] [--alloc]
 
 --under keeps only the samples with a function containing NAME on the
 stack (say `Workload>::pass` for the timed region alone); per cents are
 then of those.
+
+--alloc keeps only the samples whose innermost frame is in the
+allocator or libc (malloc, free, memcpy, Rust's allocation shims and
+`RawVec` growth) and charges each to the first two repo frames,
+caller <- caller's caller: who allocates and copies, and on whose
+behalf. Per cents are of the samples --under kept; the header says
+what share of those the allocator and libc took.
 
 --top N prints N rows a table (default 30). Under `--under
 'Workload>::pass'` the first 30 inclusive rows are all std::rt,
@@ -17,7 +24,7 @@ so inlined frames are visible: an address resolves to its innermost
 inlined function first, then each function it was inlined into. Return
 addresses are looked up one byte back, inside the call instruction.
 
-Three tables, in samples and per cent of all samples:
+Without --alloc, three tables, in samples and per cent of all samples:
   - self time by the first repo frame (the innermost frame whose source
     is under crates/ or benchmark/; std, the allocator and libc are
     charged to the repo code that called them),
@@ -91,6 +98,16 @@ def short(where):
     return where
 
 
+ALLOCATOR = ("__rust_", "__rdl_", "alloc::alloc::", "alloc::raw_vec::", "std::alloc::")
+
+
+def in_allocator(stack):
+    """Whether the sample's innermost frame is libc (outside the binary)
+    or one of Rust's allocation layers."""
+    fn, where = stack[0] if stack else ("", "")
+    return where == OUTSIDE[1] or fn.startswith(ALLOCATOR) or "<alloc::alloc::Global" in fn
+
+
 def table(title, counts, total, top):
     print(f"\n{title}")
     for key, n in counts.most_common(top):
@@ -99,6 +116,8 @@ def table(title, counts, total, top):
 
 def main():
     argv, under, top = sys.argv[1:], None, 30
+    alloc = "--alloc" in argv
+    argv = [a for a in argv if a != "--alloc"]
     try:
         if "--under" in argv:
             i = argv.index("--under")
@@ -125,7 +144,7 @@ def main():
     frames = symbolise(binary, sorted(wanted))
 
     self_fn, self_line, incl = collections.Counter(), collections.Counter(), collections.Counter()
-    total = 0
+    pairs, total, kept_alloc = collections.Counter(), 0, 0
     for s in samples:
         stack = []
         for k, a in enumerate(s):
@@ -134,6 +153,12 @@ def main():
         if under and not any(under in fn for fn, _ in stack):
             continue
         total += 1
+        if alloc:
+            if in_allocator(stack):
+                kept_alloc += 1
+                repo = [fn for fn, w in stack if in_repo(w)][:2] or ["<no repo frame>"]
+                pairs[" <- ".join(repo)] += 1
+            continue
         first = next(((fn, w) for fn, w in stack if in_repo(w)), None)
         if first is None:
             first = (stack[0][0] if stack else "<no frames>", "??:0")
@@ -147,6 +172,12 @@ def main():
     depth = sum(len(s) for s in samples) / len(samples)
     kept = f", {total} of them under {under!r}" if under else ""
     print(f"{len(samples)} samples{kept}, {depth:.1f} addresses a sample, binary {binary}")
+    if alloc:
+        if not kept_alloc:
+            sys.exit("no sample ends in the allocator or libc")
+        print(f"{kept_alloc} of them ({100 * kept_alloc / total:.1f} %) end in the allocator or libc")
+        table("allocator and libc time by repo caller <- caller's caller", pairs, kept_alloc, top)
+        return
     table("self time by first repo frame", self_fn, total, top)
     table("self time by first repo line", self_line, total, top)
     table("inclusive time by function", incl, total, top)

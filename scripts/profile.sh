@@ -17,6 +17,10 @@
 #
 #   python3 scripts/prof/report.py target/prof/target/release/wbench \
 #       target/prof/<workload>.samples --under 'Workload>::pass' --top 80
+#
+# Add --alloc for the allocator's and libc's share alone (malloc, free,
+# memcpy), charged to the repo caller and the caller's caller: where the
+# copies are made, and for whom.
 set -euo pipefail
 
 workload="${1:?usage: scripts/profile.sh <workload> [seconds]}"
