@@ -12,10 +12,10 @@
 //! (§5), so the root holds exactly that: one
 //! [`StageAccumulator`] per header stage, and finalize is batch
 //! `analyze` over their dumps. No snapshot is ever asked of the root,
-//! so it runs none of the collector's incremental stitching or
-//! eviction. A clean run delivers every stage's dump whole, so its
-//! final report is **byte-identical** to the flat batch pipeline (the
-//! differential suite holds the fingerprint lineage to it).
+//! so it runs none of the collector's incremental stitching. A clean
+//! run delivers every stage's dump whole, so its final report is
+//! **byte-identical** to the flat batch pipeline (the differential
+//! suite holds the fingerprint lineage to it).
 //!
 //! The robustness contract, per level:
 //!
@@ -259,8 +259,8 @@ pub struct FederationOutput {
     /// Batch `analyze` over the dumps the root accumulated. Its
     /// `stats.batches` and `stats.events` count the frames and change
     /// events the root applied; every other [`CollectorStats`] field
-    /// is zero, since the root runs none of the collector's ingest,
-    /// stitching or eviction.
+    /// is zero, since the root runs none of the collector's ingest or
+    /// stitching.
     pub output: CollectorOutput,
     /// Delivered/truth coverage in parts-per-million (1_000_000 on a
     /// clean run).

@@ -1,4 +1,4 @@
-//! The online collector tier: incremental stitching, bounded-memory
+//! The online collector tier: incremental stitching, per-origin
 //! aggregation, and live queries over a streaming profile feed.
 //!
 //! Batch Whodunit (EuroSys 2007 §5) stitches per-stage dumps *post
@@ -25,15 +25,11 @@
 //!   folded node-by-node as CCT deltas arrive, over a collector-local
 //!   frame table in arrival order (the global sorted frame table only
 //!   exists in the batch report).
-//! - **Bounded memory**: origins idle for
-//!   [`CollectorConfig::window_epochs`] epochs are deterministically
-//!   evicted (ascending origin order) from the resident working set
-//!   into the finalized store and revived only if late activity
-//!   arrives. Both flip a flag on the one aggregate — the store keeps
-//!   the tree as it stands, at 64 bytes a node where a flat copy took
-//!   32 — so eviction is lossless and costs no allocation; what the
-//!   window bounds is the set scanned per batch and ranked per
-//!   snapshot. Peak resident counts are tracked.
+//! - **Retention**: every origin keeps its merged tree in one map until
+//!   [`Collector::finalize`], as every stage keeps its dump in its
+//!   accumulator, so memory grows with the origins and stages the
+//!   stream names. Each origin caches its cycle total, and a snapshot
+//!   ranks all of them in one scan.
 //! - **Live queries** ([`Collector::snapshot`]): top-k transaction
 //!   paths by cost, per-origin tier latency breakdown, and crosstalk
 //!   hotspots at any epoch, rendered through
@@ -64,16 +60,18 @@
 //! than quarantined.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod federation;
 mod link;
 pub mod quarantine;
 pub mod sentinel;
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use whodunit_core::cct::{Cct, CctNodeId, Metrics};
-use whodunit_core::hash::{FnvHashMap, FnvLanes};
+use whodunit_core::hash::FnvHashMap;
 use whodunit_core::crosstalk::{OriginKey, WaitStats};
 use whodunit_core::delta::{
     CctDelta, DeltaError, DeltaSink, EpochBatch, Incoming, IncomingBatch, ResyncSource,
@@ -102,8 +100,10 @@ pub struct CollectorConfig {
     /// only because `benchmark/`'s `batch_config` reads its default;
     /// ROADMAP item 7 drops that, then this field.
     pub shards: usize,
-    /// Epochs an origin may stay idle before it is evicted from the
-    /// resident working set (minimum 1).
+    /// Unread: the collector evicts nothing. Kept only because
+    /// `benchmark/src/workloads.rs` sets it; ROADMAP item 7 drops that,
+    /// then this field.
+    #[deprecated(note = "unread: the collector evicts nothing")]
     pub window_epochs: u64,
     /// Ingest queue capacity; `0` means unbounded. When the queue is
     /// full, [`Collector::enqueue`] refuses the batch (backpressure)
@@ -119,6 +119,7 @@ pub struct CollectorConfig {
     pub track_obs: bool,
 }
 
+#[allow(deprecated)]
 impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
@@ -178,11 +179,16 @@ pub struct CollectorStats {
     pub dropped_frames: u64,
     /// Stall events declared by the watchdog.
     pub stalls: u64,
-    /// Evictions from the resident set into the finalized store.
+    /// Always 0: the collector evicts nothing. Kept, with `revivals`
+    /// and `peak_resident`, only because `benchmark/src/layers.rs`
+    /// reads all three by name (ROADMAP item 7).
+    #[deprecated(note = "always 0: the collector evicts nothing")]
     pub evictions: u64,
-    /// Evicted origins revived by late activity.
+    /// Always 0; see [`CollectorStats::evictions`].
+    #[deprecated(note = "always 0: the collector evicts nothing")]
     pub revivals: u64,
-    /// High-water mark of resident origins.
+    /// Always 0; see [`CollectorStats::evictions`].
+    #[deprecated(note = "always 0: the collector evicts nothing")]
     pub peak_resident: u64,
     /// Batches refused because the ingest queue was full.
     pub throttled: u64,
@@ -209,13 +215,6 @@ pub struct CollectorStats {
     /// Kept only because `benchmark/src/{layers,workloads}.rs`, which
     /// product PRs may not edit, read it by name (ROADMAP item 7).
     pub used_fallback: bool,
-    /// Digest of the `(epoch, stage, ctx)` eviction sequence, in
-    /// eviction order ([`FnvLanes`] from its offset basis, published
-    /// after each batch's evictions; `evictions` is the count). A pure
-    /// function of the delta stream content (never of hash iteration
-    /// or timing) — the window-boundary property tests key on this —
-    /// and constant-size however long the collector lives.
-    pub eviction_digest: u64,
     /// Binary wire frames accepted by [`Collector::enqueue_wire`].
     pub wire_frames: u64,
     /// Total encoded bytes of the accepted wire frames.
@@ -239,32 +238,29 @@ pub struct CollectorOutput {
     pub stats: CollectorStats,
 }
 
-/// One origin's cross-stage aggregate. A resident (still accumulating)
-/// origin and a finalized (evicted) one are the same value in the same
-/// map: eviction clears `resident` and revival sets it, so node ids
-/// survive both because nothing is copied or rebuilt.
+/// One origin's cross-stage aggregate.
 #[derive(Debug, Default)]
 struct OriginAggregate {
     cct: Cct,
     tier_cycles: BTreeMap<usize, u64>,
-    last_active: u64,
-    /// Whether the key is in [`Collector::resident`].
-    resident: bool,
+    /// Sum of `tier_cycles`, kept beside it by every fold: the snapshot
+    /// ranking key, read for every origin at every snapshot.
+    total: u64,
     /// Hottest path (collector-local frame ids), memoized on first
-    /// snapshot use and dropped by the next fold: live snapshots rank
-    /// finalized origins too, and walking a tree per origin per
-    /// snapshot would put an O(nodes) tax on every live query — while
-    /// computing it eagerly at eviction would tax ingest for origins
-    /// no query ever ranks.
+    /// snapshot use and dropped by the next fold: periodic snapshots
+    /// rank the same hot origins again and again, and walking a tree
+    /// per ranked origin per snapshot would put an O(nodes) tax on
+    /// every live query.
     hot_path: std::cell::OnceCell<Vec<u32>>,
 }
 
 impl OriginAggregate {
-    /// Sum of `tier_cycles`: the snapshot ranking key. A finalized
-    /// origin's map is untouched until revival, so the sum taken at
-    /// eviction finds its `finalized_rank` entry again.
-    fn cycles(&self) -> u64 {
-        self.tier_cycles.values().sum()
+    /// Adds `cycles` folded from stage `si` to the tier row and the
+    /// cached total.
+    fn add_cycles(&mut self, si: usize, cycles: u64) {
+        *self.tier_cycles.entry(si).or_insert(0) += cycles;
+        self.total += cycles;
+        debug_assert_eq!(self.total, self.tier_cycles.values().sum::<u64>());
     }
 }
 
@@ -312,19 +308,8 @@ pub struct Collector {
     // Hash-indexed for the per-row hot lookups; the snapshot ranks it
     // with an explicit total order.
     xt_pairs: FnvHashMap<(OriginKey, OriginKey), WaitStats>,
-    /// Every origin folded so far, resident or finalized.
+    /// Every origin folded so far.
     origins: FnvHashMap<OriginKey, OriginAggregate>,
-    /// Keys of the resident working set (`OriginAggregate::resident`),
-    /// in no particular order: what a batch scans for idleness and a
-    /// snapshot ranks in full.
-    resident: Vec<OriginKey>,
-    /// Finalized origins ordered by `(cycles desc, key asc)` — the
-    /// snapshot ranking order. Maintained at eviction/revival so a
-    /// live snapshot ranks `resident ∪ top-k(finalized)` instead of
-    /// walking the whole (ever-growing) finalized store.
-    finalized_rank: std::collections::BTreeSet<(std::cmp::Reverse<u64>, OriginKey)>,
-    /// Running state of [`CollectorStats::eviction_digest`].
-    eviction_digest: FnvLanes,
     /// Memoized origin labels (see [`Collector::origin_label`]).
     label_cache: std::cell::RefCell<FnvHashMap<OriginKey, String>>,
     /// Collector-local frame intern table (union of stage frames in
@@ -345,8 +330,7 @@ pub struct Collector {
     /// Emitter-side snapshot provider for bounded resync, if attached.
     resync: Option<ResyncHandle>,
     /// Epoch of the batch currently being ingested (for per-stage
-    /// progress tracking; `epoch` itself only advances post-batch to
-    /// keep eviction timing unchanged).
+    /// progress tracking; `epoch` itself only advances post-batch).
     ingest_epoch: u64,
     /// Recorded per-epoch observations awaiting `pop_epoch_obs`.
     epoch_obs: VecDeque<EpochObs>,
@@ -388,6 +372,24 @@ const OBS_CAPACITY: usize = 4096;
 /// How many entries live queries return (top paths, hotspots).
 const TOP_K: usize = 5;
 
+/// The first [`TOP_K`] of `items` in the order `cmp`, which must be
+/// total: then the result is the prefix of a full sort, whatever order
+/// the items come in (hash iteration order included). One pass, holding
+/// at most `TOP_K + 1` items: an item that does not beat the worst kept
+/// one costs one comparison.
+fn top_k<T>(items: impl IntoIterator<Item = T>, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    let mut top: Vec<T> = Vec::with_capacity(TOP_K + 1);
+    for item in items {
+        if top.len() == TOP_K && top.last().is_some_and(|worst| cmp(&item, worst).is_ge()) {
+            continue;
+        }
+        let at = top.partition_point(|kept| cmp(kept, &item).is_le());
+        top.insert(at, item);
+        top.truncate(TOP_K);
+    }
+    top
+}
+
 impl Collector {
     /// A collector that has not yet seen its stream header.
     pub fn new(cfg: CollectorConfig) -> Self {
@@ -401,9 +403,6 @@ impl Collector {
             deferred_xt: Vec::new(),
             xt_pairs: FnvHashMap::default(),
             origins: FnvHashMap::default(),
-            resident: Vec::new(),
-            finalized_rank: std::collections::BTreeSet::new(),
-            eviction_digest: FnvLanes::new(),
             label_cache: std::cell::RefCell::new(FnvHashMap::default()),
             frames: Vec::new(),
             frame_ids: FnvHashMap::default(),
@@ -627,7 +626,6 @@ impl Collector {
         self.retry_deferred_xt();
         self.epoch = self.epoch.max(batch.epoch);
         self.now = self.now.max(batch.end);
-        self.evict_idle();
         // Stall watchdog: a stage silent for the configured number of
         // epochs is explicitly marked (and un-marks on progress; the
         // stall count stays).
@@ -940,24 +938,10 @@ impl Collector {
         }
     }
 
-    /// Puts an origin in the resident set (new, or revived from the
-    /// finalized store) and returns it for folding.
-    fn touch_resident(&mut self, origin: OriginKey) -> &mut OriginAggregate {
+    /// The aggregate of `origin`, created on first use, for a fold that
+    /// is about to change its tree: the hot-path memo goes.
+    fn origin_for_fold(&mut self, origin: OriginKey) -> &mut OriginAggregate {
         let e = self.origins.entry(origin).or_default();
-        if !e.resident {
-            e.resident = true;
-            // Ranked means finalized: it is coming back, not new.
-            if self
-                .finalized_rank
-                .remove(&(std::cmp::Reverse(e.cycles()), origin))
-            {
-                self.stats.revivals += 1;
-            }
-            self.resident.push(origin);
-            self.stats.peak_resident = self.stats.peak_resident.max(self.resident.len() as u64);
-        }
-        e.last_active = self.epoch;
-        // The caller is about to change the tree.
         e.hot_path.take();
         e
     }
@@ -980,10 +964,10 @@ impl Collector {
         // fold (taken rather than cloned; restored below).
         let frames = std::mem::take(&mut self.stages[si].frame_map);
         let mut map: Vec<CctNodeId> = Vec::with_capacity(nodes.len());
-        let entry = self.touch_resident(origin);
+        let entry = self.origin_for_fold(origin);
         let cycles = fold_dump_nodes(&mut entry.cct, &mut map, &nodes, frame_of(&frames))
             .expect("apply validated every accumulated node");
-        *entry.tier_cycles.entry(si).or_insert(0) += cycles;
+        entry.add_cycles(si, cycles);
         let st = &mut self.stages[si];
         st.frame_map = frames;
         if st.fold.len() <= ctx as usize {
@@ -1006,7 +990,7 @@ impl Collector {
             .take()
             .expect("caller checked the fold map exists");
         debug_assert_eq!(map.len(), c.nodes_before as usize);
-        let entry = self.touch_resident(origin);
+        let entry = self.origin_for_fold(origin);
         let mut cycles = 0u64;
         for &(i, samples, dc, calls) in &c.grown {
             let grown = Metrics {
@@ -1019,7 +1003,7 @@ impl Collector {
         }
         cycles += fold_dump_nodes(&mut entry.cct, &mut map, &c.new_nodes, frame_of(&frames))
             .expect("apply validated the new nodes");
-        *entry.tier_cycles.entry(si).or_insert(0) += cycles;
+        entry.add_cycles(si, cycles);
         self.stages[si].frame_map = frames;
         self.stages[si].fold[c.ctx as usize] = Some(map);
     }
@@ -1046,42 +1030,6 @@ impl Collector {
                 _ => self.deferred_xt.push(row),
             }
         }
-    }
-
-    /// Evicts origins idle for at least the configured window, in
-    /// ascending origin order — a pure function of epochs and stream
-    /// content, never of arrival timing or hash order.
-    fn evict_idle(&mut self) {
-        let window = self.cfg.window_epochs.max(1);
-        let epoch = self.epoch;
-        let mut idle: Vec<OriginKey> = self
-            .resident
-            .extract_if(.., |k| {
-                epoch.saturating_sub(self.origins[k].last_active) >= window
-            })
-            .collect();
-        idle.sort_unstable();
-        for k in idle {
-            let r = self.origins.get_mut(&k).expect("listed above");
-            r.resident = false;
-            self.finalized_rank
-                .insert((std::cmp::Reverse(r.cycles()), k));
-            self.stats.evictions += 1;
-            for word in [epoch, k.0 as u64, k.1 as u64] {
-                self.eviction_digest.write_u64(word);
-            }
-        }
-        self.stats.eviction_digest = self.eviction_digest.finish();
-        self.debug_check_residency();
-    }
-
-    /// The `resident` flag and the key list say the same thing.
-    fn debug_check_residency(&self) {
-        debug_assert_eq!(
-            self.origins.values().filter(|o| o.resident).count(),
-            self.resident.len()
-        );
-        debug_assert!(self.resident.iter().all(|k| self.origins[k].resident));
     }
 
     fn pending_walk_count(&self) -> u64 {
@@ -1117,36 +1065,12 @@ impl Collector {
 
     /// Answers the live queries at the current epoch: top-k
     /// transaction paths by cost, their tier breakdowns, and crosstalk
-    /// hotspots, plus memory/pending/lag gauges.
+    /// hotspots, plus origin, pending and lag gauges.
     pub fn snapshot(&self) -> LiveSnapshot {
-        self.debug_check_residency();
-        // Candidates: every resident origin (totals change as deltas
-        // land) plus the top-k finalized ones from the maintained rank
-        // index — any finalized origin in the union's top-k is
-        // necessarily in the finalized top-k, so this selects exactly
-        // the same entries as ranking the whole finalized store.
-        let mut ranked: Vec<(u64, OriginKey)> = self
-            .resident
-            .iter()
-            .map(|&k| (self.origins[&k].cycles(), k))
-            .chain(
-                self.finalized_rank
-                    .iter()
-                    .take(TOP_K)
-                    .map(|&(std::cmp::Reverse(c), k)| (c, k)),
-            )
-            .collect();
-        // Partial selection: the comparator is a total order (cycles
-        // descending, key ascending on ties), so selecting the top-k
-        // prefix and sorting only that yields exactly the full sort's
-        // first k entries — snapshots run mid-ingest, where a full
-        // O(n log n) over every origin is the dominant cost.
-        let cmp = |a: &(u64, OriginKey), b: &(u64, OriginKey)| (b.0, a.1).cmp(&(a.0, b.1));
-        if ranked.len() > TOP_K {
-            ranked.select_nth_unstable_by(TOP_K - 1, cmp);
-            ranked.truncate(TOP_K);
-        }
-        ranked.sort_by(cmp);
+        // Cycles descending, then origin ascending.
+        let ranked = top_k(self.origins.iter().map(|(&k, o)| (o.total, k)), |a, b| {
+            (b.0, a.1).cmp(&(a.0, b.1))
+        });
 
         let mut top_paths = Vec::new();
         let mut tiers = Vec::new();
@@ -1185,36 +1109,23 @@ impl Collector {
             });
         }
 
-        let mut hot: Vec<(&(OriginKey, OriginKey), &WaitStats)> = self.xt_pairs.iter().collect();
-        // Same partial-selection argument as `ranked` above: the
-        // comparator is a total order, so top-k-then-sort equals the
-        // full sort's first k entries.
-        let hot_cmp = |a: &(&(OriginKey, OriginKey), &WaitStats),
-                       b: &(&(OriginKey, OriginKey), &WaitStats)| {
+        // Wait descending, then pair ascending.
+        let hotspots = top_k(self.xt_pairs.iter(), |a, b| {
             (b.1.total_wait, a.0).cmp(&(a.1.total_wait, b.0))
-        };
-        if hot.len() > TOP_K {
-            hot.select_nth_unstable_by(TOP_K - 1, hot_cmp);
-            hot.truncate(TOP_K);
-        }
-        hot.sort_by(hot_cmp);
-        let hotspots = hot
-            .into_iter()
-            .map(|(&(w, h), s)| Hotspot {
-                waiter: self.origin_label(w),
-                holder: self.origin_label(h),
-                count: s.count,
-                total_wait: s.total_wait,
-            })
-            .collect();
+        })
+        .into_iter()
+        .map(|(&(w, h), s)| Hotspot {
+            waiter: self.origin_label(w),
+            holder: self.origin_label(h),
+            count: s.count,
+            total_wait: s.total_wait,
+        })
+        .collect();
 
         LiveSnapshot {
             epoch: self.epoch,
             now: self.now,
-            resident_origins: self.resident.len() as u64,
-            finalized_origins: (self.origins.len() - self.resident.len()) as u64,
-            peak_resident: self.stats.peak_resident,
-            evictions: self.stats.evictions,
+            origins: self.origins.len() as u64,
             pending_walks: self.pending_walk_count(),
             pending_edges: self.pending_edge_count(),
             lag: LagStats {
@@ -1280,6 +1191,31 @@ impl DeltaSink for Collector {
 mod tests {
     use super::*;
     use crate::federation::tests::{batches_for, header2};
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// `top_k` is the first `TOP_K` of a full sort under the same
+        /// total order: over inputs with tied ranks and repeated items,
+        /// shorter than `TOP_K` or empty.
+        #[test]
+        fn top_k_is_the_prefix_of_a_full_sort(
+            items in proptest::collection::vec((0u64..4, 0u32..8), 0..24)
+        ) {
+            let cmp = |a: &(u64, u32), b: &(u64, u32)| (b.0, a.1).cmp(&(a.0, b.1));
+            let mut sorted = items.clone();
+            sorted.sort_by(cmp);
+            sorted.truncate(TOP_K);
+            let top = top_k(items.iter().copied(), cmp);
+            proptest::prop_assert_eq!(&top, &sorted);
+            proptest::prop_assert!(top.capacity() <= TOP_K + 1);
+        }
+    }
+
+    #[test]
+    fn top_k_of_nothing_is_empty() {
+        assert!(top_k(std::iter::empty::<u8>(), Ord::cmp).is_empty());
+    }
 
     #[test]
     fn full_queue_refuses_a_wire_frame_without_decoding_it() {
@@ -1379,7 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn a_revived_origin_keeps_its_tree_and_drops_its_hot_path_memo() {
+    fn a_fold_drops_the_hot_path_memo() {
         use whodunit_core::delta::{diff_dump, StreamStage};
         use whodunit_core::stitch::{DumpCct, DumpContext, DumpNode};
         let node = |frame, parent, samples| DumpNode {
@@ -1426,42 +1362,29 @@ mod tests {
             batch(1, None),
             batch(2, diff_dump(0, 1, Some(&first), &second)),
         ];
-        let collector = |window_epochs| {
-            let mut c = Collector::new(CollectorConfig {
-                window_epochs,
-                ..CollectorConfig::default()
-            });
-            c.start(&header);
-            c
-        };
+        let mut c = Collector::new(CollectorConfig::default());
+        c.start(&header);
         let top = |c: &Collector| {
             let snap = c.snapshot();
-            assert_eq!((snap.resident_origins, snap.finalized_origins), (0, 1));
+            assert_eq!(snap.origins, 1);
             (snap.top_paths[0].path.join(">"), snap.top_paths[0].samples)
         };
-
-        let (mut windowed, mut unbounded) = (collector(1), collector(u64::MAX));
         for (i, b) in stream.iter().enumerate() {
-            assert!(windowed.enqueue(b.clone()) && unbounded.enqueue(b.clone()));
-            windowed.drain();
+            assert!(c.enqueue(b.clone()));
+            c.drain();
             match i {
-                0 => assert_eq!(windowed.stats().evictions, 0),
-                // Idled out; this snapshot memoizes the hot path.
-                1 => assert_eq!(top(&windowed), ("main>a".into(), 6)),
-                // Revived by the fold, grown, idled out again.
-                _ => assert_eq!(top(&windowed), ("main>b".into(), 15)),
+                0 => {}
+                // Nothing folded; this snapshot memoizes the hot path.
+                1 => assert_eq!(top(&c), ("main>a".into(), 6)),
+                // The fold grew the tree and dropped the memo.
+                _ => assert_eq!(top(&c), ("main>b".into(), 15)),
             }
         }
-        let st = windowed.stats();
-        assert_eq!((st.evictions, st.revivals, st.peak_resident), (2, 1, 1));
 
-        let (windowed, unbounded) = (windowed.finalize(), unbounded.finalize());
-        assert_eq!(unbounded.stats.evictions, 0);
+        let out = c.finalize();
         let batch = whodunit_core::pipeline::analyze(vec![second], PipelineConfig::default());
-        for out in [&windowed.report, &unbounded.report] {
-            assert_eq!(out.fingerprint(), batch.fingerprint());
-            assert_eq!(out.stitched_text(), batch.stitched_text());
-        }
+        assert_eq!(out.report.fingerprint(), batch.fingerprint());
+        assert_eq!(out.report.stitched_text(), batch.stitched_text());
     }
 
     #[test]

@@ -1,12 +1,8 @@
-//! Property tests for the streaming collector's ordering and
-//! bounded-memory invariants, over *synthetic* delta streams whose
-//! shape (epoch count, context arrival, cross-stage references,
-//! late/missing synopses) is driven by proptest:
+//! Property tests for the streaming collector's ordering invariants,
+//! over *synthetic* delta streams whose shape (epoch count, context
+//! arrival, cross-stage references, late/missing synopses) is driven
+//! by proptest:
 //!
-//! - **Eviction determinism**: the eviction sequence is a pure
-//!   function of the stream content — two independently built
-//!   collectors (fresh `HashMap` hasher states and all) produce
-//!   identical eviction digests and identical finalized bytes.
 //! - **Interleaving invariance**: any epoch-respecting interleaving of
 //!   the stage deltas (reordered within an epoch, regrouped into any
 //!   number of sub-batches) finalizes to the same bytes as the batch
@@ -247,17 +243,14 @@ fn stream_of(shape: &Shape) -> Vec<EpochBatch> {
 
 /// Feeds `batches` one at a time, holding the snapshot after each to
 /// the batch pipeline over the same prefix, and finalizes.
-fn collect(batches: &[EpochBatch], window: u64) -> (CollectorOutput, Tally) {
-    let mut c = Collector::new(CollectorConfig {
-        window_epochs: window,
-        ..CollectorConfig::default()
-    });
+fn collect(batches: &[EpochBatch]) -> (CollectorOutput, Tally) {
+    let mut c = Collector::new(CollectorConfig::default());
     c.start(&header());
     let mut gate = SnapshotGate::new(&header());
     for b in batches {
         assert!(c.enqueue(b.clone()));
         c.drain();
-        gate.after(b, &c, &format!("window={window} batch seq={}", b.seq));
+        gate.after(b, &c, &format!("batch seq={}", b.seq));
     }
     (c.finalize(), gate.tally)
 }
@@ -312,27 +305,21 @@ fn interleave(batches: &[EpochBatch], rot: usize, split: usize) -> Vec<EpochBatc
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// (b) Any epoch-respecting interleaving of the delta stream
+    /// (a) Any epoch-respecting interleaving of the delta stream
     /// finalizes byte-identical to the batch pipeline on the final
     /// dumps — sub-batch grouping and within-epoch order are
     /// presentation-free.
     #[test]
     fn interleavings_finalize_identically(
-        input in (shape_strategy(), 0usize..4, 1usize..4, 1u64..5)
+        input in (shape_strategy(), 0usize..4, 1usize..4)
     ) {
-        let (shape, rot, split, window) = input;
+        let (shape, rot, split) = input;
         let reference = batch_reference(&shape);
         let stream = stream_of(&shape);
-        let (canonical, _) = collect(&stream, window);
+        let (canonical, _) = collect(&stream);
         assert_report_eq(&reference, &canonical.report, "canonical feed");
-        // A 1-epoch window evicts every origin a batch touched, and the
-        // front origins grow every epoch: they must come back — keeps
-        // the identity check non-vacuous for revived trees.
-        if window == 1 && shape.epochs >= 3 {
-            prop_assert!(canonical.stats.revivals > 0, "window=1 never revived");
-        }
         let shuffled = interleave(&stream, rot, split);
-        let (out, gated) = collect(&shuffled, window);
+        let (out, gated) = collect(&shuffled);
         assert_report_eq(&reference, &out.report, "interleaved feed");
         // Once every delta is in, only a never-minted synopsis keeps a
         // walk pending: without one, the last snapshot is compared.
@@ -345,38 +332,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// (a) The eviction sequence is deterministic: two independently
-    /// constructed collectors (fresh hasher states) over the same
-    /// stream produce identical eviction digests, stats, and bytes.
-    #[test]
-    fn eviction_order_is_stream_determined(input in (shape_strategy(), 1u64..4)) {
-        let (shape, window) = input;
-        let stream = stream_of(&shape);
-        let (a, _) = collect(&stream, window);
-        let (b, _) = collect(&stream, window);
-        prop_assert_eq!(a.stats.eviction_digest, b.stats.eviction_digest);
-        prop_assert_eq!(a.stats.evictions, b.stats.evictions);
-        prop_assert_eq!(a.stats.peak_resident, b.stats.peak_resident);
-        prop_assert_eq!(a.report.fingerprint(), b.report.fingerprint());
-        // A 1-epoch window over a multi-epoch stream must actually
-        // evict (origins born in epoch 0 idle out) — keeps the
-        // determinism check non-vacuous.
-        if window == 1 && shape.epochs >= 3 {
-            prop_assert!(a.stats.evictions > 0, "window=1 never evicted");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// (c) Pending edges never leak: resolved plus unresolved edges
+    /// (b) Pending edges never leak: resolved plus unresolved edges
     /// account for every receiver, what is pending at flush is exactly
     /// the never-minted references, and clean streams flush pending-free.
     #[test]
     fn pending_edges_never_leak(shape in shape_strategy()) {
         let stream = stream_of(&shape);
-        let (out, _) = collect(&stream, 2);
+        let (out, _) = collect(&stream);
         let receivers = shape.epochs as u64; // one stage-1 receiver per epoch
         prop_assert_eq!(
             out.report.edges.len() as u64 + out.report.unresolved.len() as u64,

@@ -99,7 +99,7 @@ impl SnapshotGate {
 fn check(snap: &LiveSnapshot, report: &PipelineReport, what: &str) -> u64 {
     let label = |(s, c): (usize, u32)| report.origin_label(s, c);
     assert_eq!(
-        snap.resident_origins + snap.finalized_origins,
+        snap.origins,
         report.profiles.len() as u64,
         "origin count: {what}"
     );

@@ -5,8 +5,8 @@
 //! collector accumulated, so the incremental state it keeps — origin
 //! trees, tier cycles, the crosstalk table — is read only by live
 //! snapshots. That is where this suite holds it: in the clean and faulty
-//! matrices, at windows 1 and 4, every snapshot taken after a drained
-//! batch with no origin walk pending must show what `analyze` over the
+//! matrices, every snapshot taken after a drained batch with no origin
+//! walk pending must show what `analyze` over the
 //! same prefix of the stream reports (`snapshot_oracle`: top paths, hot
 //! paths, tiers, hotspots). The finalized report is then byte-compared
 //! with `analyze` over the run's own end-of-run dumps:
@@ -28,9 +28,8 @@
 //! scenarios, each recorded once and replayed through the collector.
 //! A subset additionally cross-checks that the epoch-chunked simulation
 //! run is bit-identical to the unchunked one, one scenario sweeps epoch
-//! lengths, retention windows and the dictionary shard count, and a
-//! staggered 12-replica fleet holds the residency bound (peak resident
-//! origins < total origins) and the wire size bound.
+//! lengths, and a staggered 12-replica fleet finalizes byte-identical
+//! to batch over the replicated dumps and holds the wire size bound.
 
 mod snapshot_oracle;
 
@@ -94,8 +93,8 @@ fn assert_dumps_validate(out: &CollectorOutput, what: &str) {
 }
 
 /// Snapshots the matrices must compare in all, per fault plan: at least
-/// one per scenario and window.
-const MIN_MATRIX_SNAPSHOTS: u64 = 18 * 2;
+/// one per scenario.
+const MIN_MATRIX_SNAPSHOTS: u64 = 18;
 
 fn run_matrix(faulty: bool) {
     let mut scenarios = 0;
@@ -105,7 +104,7 @@ fn run_matrix(faulty: bool) {
             scenarios += 1;
             let what = format!("seed={seed} sched={sched:?} faulty={faulty}");
 
-            // One simulation run, recorded and replayed at two windows.
+            // One simulation run, recorded, then replayed.
             let mut sink = RecordingSink::default();
             let report = run_tpcw_streaming(scenario_cfg(seed, sched, faulty), EPOCH_LEN, &mut sink);
             let batch = analyze(report.dumps, PipelineConfig::default());
@@ -114,42 +113,38 @@ fn run_matrix(faulty: bool) {
                 "scenario produced no profiles (vacuous): {what}"
             );
 
-            for window in [1u64, 4] {
-                let what = format!("{what} window={window}");
-                let ccfg = CollectorConfig {
-                    window_epochs: window,
-                    ..CollectorConfig::default()
-                };
-                let mut c = Collector::new(ccfg);
-                c.start(&sink.header);
-                let mut gate = SnapshotGate::new(&sink.header);
-                for b in &sink.batches {
-                    assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
-                    c.drain();
-                    gate.after(b, &c, &what);
-                }
-                if !faulty {
-                    assert!(gate.tally.snapshots > 0, "no snapshot compared: {what}");
-                }
-                gated += gate.tally;
-                let out = c.finalize();
-                assert!(out.stats.batches > 1, "stream collapsed to one batch: {what}");
-                assert_byte_identical(&batch, &out.report, &what);
+            let mut c = Collector::new(CollectorConfig::default());
+            c.start(&sink.header);
+            let mut gate = SnapshotGate::new(&sink.header);
+            for b in &sink.batches {
+                assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
+                c.drain();
+                gate.after(b, &c, &what);
+            }
+            if !faulty {
+                assert!(gate.tally.snapshots > 0, "no snapshot compared: {what}");
+            }
+            gated += gate.tally;
+            let out = c.finalize();
+            assert!(
+                out.stats.batches > 1,
+                "stream collapsed to one batch: {what}"
+            );
+            assert_byte_identical(&batch, &out.report, &what);
+            assert_eq!(
+                out.stats.pending_edges_at_flush,
+                out.report.unresolved.len() as u64,
+                "the live pending-edge gauge is not the unresolved edges: {what}"
+            );
+            if !faulty {
                 assert_eq!(
-                    out.stats.pending_edges_at_flush,
-                    out.report.unresolved.len() as u64,
-                    "the live pending-edge gauge is not the unresolved edges: {what}"
+                    out.stats.pending_walks_at_flush, 0,
+                    "pending walks leaked on a clean run: {what}"
                 );
-                if !faulty {
-                    assert_eq!(
-                        out.stats.pending_walks_at_flush, 0,
-                        "pending walks leaked on a clean run: {what}"
-                    );
-                    assert_eq!(
-                        out.stats.pending_edges_at_flush, 0,
-                        "pending edges leaked on a clean run: {what}"
-                    );
-                }
+                assert_eq!(
+                    out.stats.pending_edges_at_flush, 0,
+                    "pending edges leaked on a clean run: {what}"
+                );
             }
         }
     }
@@ -198,44 +193,17 @@ fn chunked_run_is_bit_identical_to_unchunked() {
     }
 }
 
-/// Epoch length and retention window are performance knobs, not
-/// semantics: every combination must finalize to the same bytes, and
-/// a tight window must actually evict while staying lossless.
+/// Epoch length is a performance knob, not semantics: every length
+/// must finalize to the same bytes.
 #[test]
-fn window_and_epoch_sweep_preserves_end_state() {
+fn epoch_sweep_preserves_end_state() {
     let cfg = scenario_cfg(2, SchedulePolicy::Fifo, false);
     let batch = analyze(run_tpcw(cfg.clone()).dumps, PipelineConfig::default());
-    let mut evictions_seen = false;
     for epoch_len in [CPU_HZ / 4, CPU_HZ, 5 * CPU_HZ] {
-        for window in [1u64, 4] {
-            let what = format!("epoch_len={epoch_len} window={window}");
-            let (out, _) = run_scenario(
-                cfg.clone(),
-                epoch_len,
-                CollectorConfig {
-                    window_epochs: window,
-                    ..CollectorConfig::default()
-                },
-            );
-            assert_byte_identical(&batch, &out.report, &what);
-            if window == 1 && epoch_len <= CPU_HZ {
-                assert!(
-                    out.stats.evictions > 0,
-                    "tight window never evicted: {what}"
-                );
-                // This single-node workload keeps all of its (few)
-                // origins concurrently live, so peak_resident equals
-                // the total here; the staggered-fleet test below is
-                // where peak < total is asserted. Bound it anyway.
-                assert!(
-                    out.stats.peak_resident <= out.report.profiles.len() as u64,
-                    "resident set exceeded total origins: {what}"
-                );
-                evictions_seen = true;
-            }
-        }
+        let what = format!("epoch_len={epoch_len}");
+        let (out, _) = run_scenario(cfg.clone(), epoch_len, CollectorConfig::default());
+        assert_byte_identical(&batch, &out.report, &what);
     }
-    assert!(evictions_seen);
 }
 
 /// Wire frames must average at most this many bytes per change event:
@@ -243,14 +211,12 @@ fn window_and_epoch_sweep_preserves_end_state() {
 const WIRE_MAX_BYTES_PER_EVENT: f64 = 14.8;
 
 /// The deployment shape: 12 replicas of one recorded stack whose
-/// streams start 2 epochs apart, so machines come and go and the
-/// retention window — not the origin population — bounds the resident
-/// set. Every window must finalize byte-identical to batch over the
-/// replicated dumps with the peak resident set strictly below the
-/// origin total; the same stream shipped as wire frames must do the
+/// streams start 2 epochs apart, so machines come and go. The stream
+/// must finalize byte-identical to batch over the replicated dumps with
+/// nothing pending; the same stream shipped as wire frames must do the
 /// same and stay inside the size bound.
 #[test]
-fn staggered_fleet_stays_resident_below_total_and_packs_on_the_wire() {
+fn staggered_fleet_matches_batch_and_packs_on_the_wire() {
     let (replicas, stagger) = (12, 2);
     let mut sink = RecordingSink::default();
     let report = run_tpcw_streaming(fleet_config(12, 12), EPOCH_LEN, &mut sink);
@@ -258,32 +224,19 @@ fn staggered_fleet_stays_resident_below_total_and_packs_on_the_wire() {
         replicate_fleet(&report.dumps, replicas),
         PipelineConfig::default(),
     );
-    let total_origins = reference.profiles.len() as u64;
     let (hdr, stream) = fleet_stream(&sink.header, &sink.batches, replicas, stagger);
 
-    for window in [1u64, 4] {
-        let what = format!("fleet window={window}");
-        let mut c = Collector::new(CollectorConfig {
-            window_epochs: window,
-            ..CollectorConfig::default()
-        });
-        c.start(&hdr);
-        for b in &stream {
-            assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
-            c.drain();
-        }
-        let out = c.finalize();
-        let s = &out.stats;
-        assert_byte_identical(&reference, &out.report, &what);
-        assert!(s.evictions > 0, "eviction never engaged: {what}");
-        assert!(
-            s.peak_resident < total_origins,
-            "resident peak {} reached the origin total {total_origins}: {what}",
-            s.peak_resident
-        );
-        assert_eq!(s.pending_walks_at_flush, 0, "pending walks leaked: {what}");
-        assert_eq!(s.pending_edges_at_flush, 0, "pending edges leaked: {what}");
+    let mut c = Collector::new(CollectorConfig::default());
+    c.start(&hdr);
+    for b in &stream {
+        assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
+        c.drain();
     }
+    let out = c.finalize();
+    let s = &out.stats;
+    assert_byte_identical(&reference, &out.report, "fleet");
+    assert_eq!(s.pending_walks_at_flush, 0, "pending walks leaked");
+    assert_eq!(s.pending_edges_at_flush, 0, "pending edges leaked");
 
     let (out, wire_bytes) = ingest_clean_wire(&hdr, &stream, "fleet wire");
     assert_byte_identical(&reference, &out.report, "fleet wire");

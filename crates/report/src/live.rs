@@ -74,14 +74,8 @@ pub struct LiveSnapshot {
     pub epoch: u64,
     /// Virtual time (cycles) at the end of that epoch.
     pub now: u64,
-    /// Origins currently resident (in-memory, still accumulating).
-    pub resident_origins: u64,
-    /// Origins evicted into the compact finalized store.
-    pub finalized_origins: u64,
-    /// High-water mark of resident origins.
-    pub peak_resident: u64,
-    /// Total evictions performed (revived origins count again).
-    pub evictions: u64,
+    /// Origins the collector has folded so far.
+    pub origins: u64,
     /// Origin walks still blocked on an unseen synopsis.
     pub pending_walks: u64,
     /// Request edges still blocked on an unseen synopsis.
@@ -108,11 +102,7 @@ pub fn render_live_snapshot(s: &LiveSnapshot) -> String {
         "== live collector snapshot @ epoch {} (t={}) ==",
         s.epoch, s.now
     );
-    let _ = writeln!(
-        out,
-        "origins: {} resident, {} finalized, peak {}, evictions {}",
-        s.resident_origins, s.finalized_origins, s.peak_resident, s.evictions
-    );
+    let _ = writeln!(out, "origins: {}", s.origins);
     let _ = writeln!(
         out,
         "pending: {} walks, {} edges",
@@ -562,10 +552,7 @@ mod tests {
         let s = LiveSnapshot {
             epoch: 3,
             now: 9000,
-            resident_origins: 2,
-            finalized_origins: 5,
-            peak_resident: 4,
-            evictions: 6,
+            origins: 7,
             pending_walks: 1,
             pending_edges: 0,
             lag: LagStats {
@@ -593,6 +580,7 @@ mod tests {
         };
         let text = render_live_snapshot(&s);
         assert!(text.contains("epoch 3"));
+        assert!(text.contains("origins: 7\n"));
         assert!(text.contains("1. squid:client_http_request  cycles 500 samples 5"));
         assert!(text.contains("client_http_request -> do_query"));
         assert!(text.contains("squid 100 | mysql 400"));

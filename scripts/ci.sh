@@ -41,23 +41,25 @@ cargo test --workspace -q
 # golden_collector, golden_sentinel):
 # - snapshot gate: finalize is pipeline::analyze over the collector's
 #   own dumps, so the incremental state is read only by live snapshots,
-#   and that is where it is checked. In the 36-scenario matrix at
-#   windows 1 and 4 (streaming_diff) and after every sub-batch of the
-#   synthetic interleavings (properties), every snapshot taken with no
-#   origin walk pending must show what analyze over the same prefix of
-#   the stream reports: top paths, unique hot paths, tiers, hotspots
-#   (tests/snapshot_oracle). The matrix prints and asserts its totals;
+#   and that is where it is checked. In the 36-scenario matrix
+#   (streaming_diff) and after every sub-batch of the synthetic
+#   interleavings (properties), every snapshot taken with no origin
+#   walk pending must show what analyze over the same prefix of the
+#   stream reports: the origin count, top paths, unique hot paths,
+#   tiers, hotspots (tests/snapshot_oracle). The matrix prints and
+#   asserts its totals (900 snapshots, 2,679 hot paths); the top_k
+#   unit test holds the snapshot's one ranking helper to a full sort;
 # - end state: every finalized report byte-identical to batch over the
 #   run's dumps (the accumulators rebuilt every stage), the pending-edge
 #   gauge equal to the unresolved edges, the staggered 12-replica fleet
-#   (resident peak below the origin total at windows 1 and 4, wire
-#   frames <= 14.8 B/event), bounded-queue backpressure, plus the
+#   (nothing pending at flush, wire frames <= 14.8 B/event),
+#   bounded-queue backpressure, plus the
 #   self-healing ingest damage matrix (corrupt / truncated / duplicate
 #   / reordered / lost frames, stall watchdog; sourceless,
 #   unknown-stage, duplicate-mint and lying-source damage halting
 #   degraded), every accumulated dump valid;
-# - properties: eviction order is a function of the stream, and
-#   pending edges never leak;
+# - properties: any epoch-respecting interleaving finalizes
+#   byte-identical to batch, and pending edges never leak;
 # - golden: live-query snapshot rendering, mid-run + final epoch, and
 #   the rendered sentinel incident report mid-violation + post-capture
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
@@ -72,15 +74,16 @@ cargo test --workspace -q
 #   decode_batch does, so nothing of an earlier delta shows in a later
 #   one;
 # - allocation budget: wire ingest of the staggered fleet stream behind
-#   a counting allocator, <= 1.0 allocations per event (0.895 now,
-#   1.877 while every delta copied its frame names and contexts,
-#   3.505 before the decoder recycled its storage); then the same
-#   frames through a window-1 collector behind a 4-deep queue with a
-#   snapshot per frame (393 evictions, 357 revivals), <= 1.6 per event
-#   (1.488 now, 2.469 while names and contexts were copied, 3.283 when
-#   every eviction copied the origin's tree to a flat list and every
-#   revival rebuilt it; DESIGN.md §11 "Eviction and revival cost",
-#   §13 "Shared names and contexts");
+#   a counting allocator, <= 1.0 allocations per event (0.890 now,
+#   0.895 while the collector evicted, 1.877 while every delta copied
+#   its frame names and contexts, 3.505 before the decoder recycled its
+#   storage); then the same frames through a collector behind a 4-deep
+#   queue with a snapshot per frame, <= 1.5 per event (1.456 now,
+#   1.488 while a 1-epoch window evicted and revived origins, 2.469
+#   while names and contexts were copied, 3.283 when every eviction
+#   copied the origin's tree to a flat list and every revival rebuilt
+#   it; DESIGN.md §10 "Ranking without eviction", §11 "Eviction and
+#   revival cost", §13 "Shared names and contexts");
 # - fuzz: randomized truncation / bit flips / reordering / garbage
 #   injection over encoded streams — damaged frames are rejected by the
 #   envelope and healed by the §12 quarantine machinery, never a panic,
@@ -181,8 +184,10 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 # there fails this line, not a review. The wire codec (wire.rs), the
 # dump JSON reader and writer (dumpjson.rs), the read side's sink
 # and integer writer (txt.rs), the delta apply and diff (delta.rs) and
-# the summary merge (summary.rs) also deny clippy::unwrap_used outside
-# their tests, so none of them can panic on an `.unwrap()`.
+# the summary merge (summary.rs), the repro reader (repro.rs) and the
+# whole collector crate (ingest, link.rs, federation/, quarantine.rs,
+# sentinel.rs) also deny clippy::unwrap_used outside their tests, so
+# none of them can panic on an `.unwrap()`.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so

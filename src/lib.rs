@@ -18,7 +18,7 @@
 //! - [`baselines`] — csprof-only and gprof-like comparator runtimes.
 //! - [`report`] — rendering of transactional profiles and tables.
 //! - [`collector`] — the online streaming collector tier: incremental
-//!   stitching, bounded-memory aggregation, live queries. Ingest
+//!   stitching, per-origin aggregation, live queries. Ingest
 //!   accepts either `StageDelta` structs or the binary wire frames of
 //!   [`core::wire`] (DESIGN.md §16).
 //! - [`infer`] — black-box inference stitching: recovering request
