@@ -17,7 +17,10 @@
 //!   regrown (17 of the count; megabytes of the footprint);
 //! - 29,380 (45.7 per request) with frame names and contexts shared:
 //!   `diff_dump` hands the sink each new name and context by
-//!   reference instead of copying it out of the dump.
+//!   reference instead of copying it out of the dump;
+//! - 29,381 (45.7 per request) with the flow dictionary, the lock table
+//!   and the CCT child spill `FnvHashMap`s, which grow from room for 3
+//!   entries where the hand-written tables started at 16 slots.
 //!
 //! The three steps were counted apart only on the full-size run
 //! (`benchmark/`'s `live_stack`, seed 1, `engine.allocs` over 31,184

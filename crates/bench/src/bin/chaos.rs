@@ -247,8 +247,6 @@ fn verify_slo(repro: &ChaosRepro, kind: &str) -> ExitCode {
             budget.stage_floor = vec![(stage.to_owned(), ceiling)];
         } else if dim == "xt-wait" {
             budget.xt_wait = Some(ceiling);
-        } else if dim == "lag" {
-            budget.max_lag = Some(ceiling);
         } else if dim == "quarantine" {
             budget.max_quarantined = Some(ceiling);
         } else {

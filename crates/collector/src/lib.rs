@@ -147,8 +147,6 @@ pub struct EpochObs {
     pub stage_cycles: Vec<u64>,
     /// Crosstalk wait cycles added this epoch.
     pub xt_wait: u64,
-    /// Ingest queue depth after the batch was processed.
-    pub queued: u64,
     /// Frames quarantined while processing the batch.
     pub quarantined: u64,
 }
@@ -647,7 +645,6 @@ impl Collector {
                 events,
                 stage_cycles: std::mem::take(&mut self.obs_stage_cycles),
                 xt_wait: self.obs_xt_wait,
-                queued: self.queue.len() as u64,
                 quarantined: self.obs_quarantined,
             });
             if self.epoch_obs.len() > OBS_CAPACITY {

@@ -13,7 +13,6 @@
 //!   sentinel.
 //! - **Crosstalk mass**: the same sketch over per-epoch crosstalk wait
 //!   cycles.
-//! - **Collector lag**: the ingest queue depth after each batch.
 //! - **Quarantine pressure**: cumulative frames the self-healing
 //!   ingest had to quarantine.
 //!
@@ -57,9 +56,6 @@ pub struct SloBudget {
     /// Budget on the chosen quantile of per-epoch crosstalk wait
     /// cycles (the hotspot-mass budget).
     pub xt_wait: Option<u64>,
-    /// Budget on the ingest queue depth after a batch (collector lag /
-    /// backpressure).
-    pub max_lag: Option<u64>,
     /// Budget on cumulative quarantined frames.
     pub max_quarantined: Option<u64>,
     /// Epochs observed before any budget is evaluated (lets the
@@ -79,7 +75,6 @@ impl Default for SloBudget {
             stage_cycles: Vec::new(),
             stage_floor: Vec::new(),
             xt_wait: None,
-            max_lag: None,
             max_quarantined: None,
             warmup_epochs: 5,
             window_epochs: 8,
@@ -94,9 +89,9 @@ pub struct SloViolation {
     /// Epoch at which the budget was exceeded.
     pub epoch: u64,
     /// Violated dimension: `tail:<stage>`, `starve:<stage>`,
-    /// `xt-wait`, `lag`, or `quarantine`.
+    /// `xt-wait`, or `quarantine`.
     pub dimension: String,
-    /// Observed value (cycles, queue depth, or frame count).
+    /// Observed value (cycles or frame count).
     pub observed: u64,
     /// The budgeted maximum it exceeded.
     pub budget: u64,
@@ -252,7 +247,7 @@ impl Sentinel {
 
     /// Evaluates every budget dimension over the retained window,
     /// returning the first violation in a fixed deterministic order
-    /// (stages in stream order, then crosstalk, lag, quarantine).
+    /// (stages in stream order, then crosstalk, quarantine).
     fn evaluate(&mut self) -> Option<SloViolation> {
         let epoch = self.window.back().map(|o| o.epoch).unwrap_or(0);
         let q = self.budget.quantile_ppm;
@@ -328,17 +323,6 @@ impl Sentinel {
                         budget,
                     });
                 }
-            }
-        }
-        if let Some(budget) = self.budget.max_lag {
-            let lag = self.window.back().map(|o| o.queued).unwrap_or(0);
-            if lag > budget {
-                return Some(SloViolation {
-                    epoch,
-                    dimension: "lag".to_owned(),
-                    observed: lag,
-                    budget,
-                });
             }
         }
         if let Some(budget) = self.budget.max_quarantined {
@@ -514,7 +498,6 @@ mod tests {
             events: 1,
             stage_cycles: vec![10, db_cycles],
             xt_wait: 0,
-            queued: 0,
             quarantined: 0,
         }
     }

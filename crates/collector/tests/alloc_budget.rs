@@ -19,7 +19,10 @@
 //!   naming it, and the accumulator's `commit` and the collector's
 //!   frame table clone a reference where they copied;
 //! - 3,000 (0.890 per event) once the collector stopped evicting: no
-//!   idle list, resident list or rank-index nodes.
+//!   idle list, resident list or rank-index nodes;
+//! - 3,024 (0.897 per event) with the CCT's child spill an
+//!   `FnvHashMap`: std's table first allocates room for 3 entries and
+//!   then doubles, where the hand-written one started at 16 slots.
 //!
 //! The bound sits just above the last, so a per-delta temporary or a
 //! per-delta copy of a name that comes back trips it without a
@@ -43,7 +46,9 @@
 //! - 4,911 (1.456 per event) with no eviction: a snapshot ranks every
 //!   origin by its cached total into a `TOP_K`-sized buffer, where it
 //!   ranked the resident set plus the head of a rank index that every
-//!   eviction and revival updated.
+//!   eviction and revival updated;
+//! - 4,935 (1.464 per event) with the child spill an `FnvHashMap`, for
+//!   the same growth steps as the first leg.
 //!
 //! One `#[test]` and nothing else in this binary: the counter
 //! (`counting_alloc`) is process-wide.
@@ -100,7 +105,7 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
         "{allocs} allocations for {events} events = {per_event:.3} per event, \
          over the {MAX_ALLOCS_PER_EVENT} budget (3.505 before the recycling decoder, 1.877 \
          while every delta copied its names and contexts, 0.895 while the collector still \
-         evicted, 0.890 since)"
+         evicted, 0.890 with hand-written CCT tables, 0.897 since)"
     );
 
     // Second phase, same thread: a slow consumer behind a 4-deep queue,
@@ -128,6 +133,7 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
         "{allocs} allocations for {events} events = {per_event:.3} per event, over the \
          {MAX_CHURN_ALLOCS_PER_EVENT} churn budget (3.283 when eviction copied the tree and \
          revival rebuilt it, 2.469 while every delta copied its names and contexts, 1.488 \
-         while the collector still evicted, 1.456 since)"
+         while the collector still evicted, 1.456 with hand-written CCT tables, 1.464 \
+         since)"
     );
 }

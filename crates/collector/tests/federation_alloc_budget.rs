@@ -26,7 +26,9 @@
 //!   every decode clone a reference, where each of them used to copy
 //!   every name and context;
 //! - 16,748 (2.538 per event) with a child's sketch digests folded in
-//!   place instead of built as a sketch each.
+//!   place instead of built as a sketch each; still 16,748 once the
+//!   flow dictionary, the lock table and the CCT child spill became
+//!   `FnvHashMap`s.
 //!
 //! The bound sits just above the last. `finalize` is outside the
 //! count: it is one `analyze` over the root's dumps.

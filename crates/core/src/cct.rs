@@ -10,6 +10,7 @@
 //! demand by summing subtrees.
 
 use crate::frame::FrameId;
+use crate::hash::FnvHashMap;
 
 /// Index of a node within one [`Cct`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -44,9 +45,9 @@ impl Metrics {
 /// Sentinel for "no node" in the intra-arena links below.
 const NO_NODE: u32 = u32::MAX;
 
-/// Children a node can hold inline before spilling to the CCT's flat
-/// lookup table. Most CCT nodes have 0–2 children (call trees are
-/// deep, not bushy), so the common case needs no table probe at all.
+/// Children a node can hold inline before spilling to the CCT's
+/// child map. Most CCT nodes have 0–2 children (call trees are deep,
+/// not bushy), so the common case needs no hash lookup at all.
 const INLINE_CHILDREN: usize = 2;
 
 /// One inline child entry: the child's frame and its node index.
@@ -59,10 +60,10 @@ struct InlineChild {
 /// A CCT node. Children are reachable two ways: the
 /// `first_child`/`next_sibling` chain enumerates them (newest first),
 /// and lookup-by-frame goes through the inline slots, falling back to
-/// the owning [`Cct`]'s spill table once the inline slots are full.
-/// Compared to the previous per-node `HashMap<FrameId, CctNodeId>`,
-/// this removes a heap allocation per interior node and keeps the
-/// whole tree in one contiguous arena.
+/// the owning [`Cct`]'s one `spill` map, keyed by [`spill_key`], once
+/// the inline slots are full. The whole tree stays in one contiguous
+/// arena with no per-node map. DESIGN.md §11 has what the inline slots
+/// measure against the map alone; measure again before dropping them.
 #[derive(Clone, Debug)]
 struct Node {
     frame: Option<FrameId>,
@@ -88,85 +89,15 @@ impl Node {
     }
 }
 
-/// One slot of a [`SpillTable`]: the packed `(parent, frame)` key and
-/// the child node index biased by one (0 = empty slot).
-#[derive(Clone, Copy, Debug, Default)]
-struct SpillSlot {
-    key: u64,
-    child_p1: u32,
-}
-
-/// The per-CCT flat child table: an open-addressed FNV map from
-/// `(parent node, frame) → child node` holding only the overflow
-/// children of bushy nodes. One table per tree (not per node), probed
-/// with linear scanning; entries are never removed.
-#[derive(Clone, Debug, Default)]
-struct SpillTable {
-    slots: Vec<SpillSlot>,
-    len: usize,
-}
-
+/// The `spill` key of `frame` under node `parent`: the parent in the
+/// high half, the frame xor the parent in the low. `FnvHasher` takes a
+/// `u64` in one multiply, so only the low half reaches the bucket
+/// index; with the parent folded in, one frame spilled under many
+/// parents spreads instead of piling onto one probe sequence. The key
+/// stays one-to-one: the high half gives back the parent, and with it
+/// the frame.
 fn spill_key(parent: u32, frame: FrameId) -> u64 {
-    ((parent as u64) << 32) | frame.0 as u64
-}
-
-fn spill_hash(key: u64) -> u64 {
-    let mut h = crate::hash::Fnv64::new();
-    h.write_u64(key);
-    h.finish()
-}
-
-impl SpillTable {
-    fn get(&self, key: u64) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (spill_hash(key) as usize) & mask;
-        loop {
-            let s = self.slots[i];
-            if s.child_p1 == 0 {
-                return None;
-            }
-            if s.key == key {
-                return Some(s.child_p1 - 1);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Records `key → child`; the caller has established it is absent.
-    fn insert(&mut self, key: u64, child: u32) {
-        if self.slots.len() * 7 <= (self.len + 1) * 8 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (spill_hash(key) as usize) & mask;
-        while self.slots[i].child_p1 != 0 {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = SpillSlot {
-            key,
-            child_p1: child + 1,
-        };
-        self.len += 1;
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![SpillSlot::default(); cap]);
-        let mask = cap - 1;
-        for s in old {
-            if s.child_p1 == 0 {
-                continue;
-            }
-            let mut i = (spill_hash(s.key) as usize) & mask;
-            while self.slots[i].child_p1 != 0 {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = s;
-        }
-    }
+    (u64::from(parent) << 32) | u64::from(frame.0 ^ parent)
 }
 
 /// A Calling Context Tree with per-node exclusive metrics.
@@ -187,7 +118,9 @@ impl SpillTable {
 #[derive(Clone, Debug)]
 pub struct Cct {
     nodes: Vec<Node>,
-    spill: SpillTable,
+    /// `spill_key(parent, frame) → child` for the children of bushy
+    /// nodes that did not fit inline; entries are never removed.
+    spill: FnvHashMap<u64, u32>,
 }
 
 impl Default for Cct {
@@ -211,7 +144,7 @@ impl Cct {
     pub fn new() -> Self {
         Cct {
             nodes: vec![Node::new(None, NO_NODE)],
-            spill: SpillTable::default(),
+            spill: FnvHashMap::default(),
         }
     }
 
@@ -279,7 +212,10 @@ impl Cct {
             // The inline slots never filled, so nothing spilled either.
             return None;
         }
-        self.spill.get(spill_key(node.0, frame)).map(CctNodeId)
+        self.spill
+            .get(&spill_key(node.0, frame))
+            .copied()
+            .map(CctNodeId)
     }
 
     /// Resolves (creating as needed) the node for a full call path.
@@ -526,6 +462,15 @@ mod tests {
                 (Some(5), 1, 5),
             ]
         );
+    }
+
+    #[test]
+    fn one_frame_spilled_under_many_parents_spreads() {
+        // Only a key's low half reaches the bucket index, so it must
+        // differ between parents for the same frame.
+        let lows: std::collections::HashSet<u32> =
+            (0..1000).map(|p| spill_key(p, fid(3)) as u32).collect();
+        assert_eq!(lows.len(), 1000);
     }
 
     #[test]

@@ -274,6 +274,10 @@ struct IndexSlot {
 /// the arena itself is the single owner of each value, and a probe
 /// compares against the arena entry only when the 64-bit hashes match.
 /// Linear probing over a power-of-two table; values are never removed.
+/// It stays hand-written where the flow dictionary and the CCT child
+/// spill use `FnvHashMap`: a lookup here starts from a stored hash and
+/// compares borrowed parts of an arena entry, which std's `HashMap`
+/// cannot do without keeping a second copy of every chain as its key.
 #[derive(Debug, Clone, Default)]
 struct ValueIndex {
     slots: Vec<IndexSlot>,

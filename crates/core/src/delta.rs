@@ -31,8 +31,6 @@
 //! at the collector, squarely on the ingest hot path) so a collector
 //! can detect gaps and corruption rather than silently diverging.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use crate::hash::FnvLanes;
 use crate::stitch::{
     remap_synopsis, DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter,

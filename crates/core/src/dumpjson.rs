@@ -11,8 +11,6 @@
 //! Like everything under stitching, parsed dumps are *untrusted*:
 //! errors come back as [`StitchError`], never a panic.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use crate::stitch::{
     DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
     StitchError,

@@ -42,6 +42,7 @@
 //! costs expressed in CPU cycles so the substrate can charge them.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod blackbox;
 pub mod cct;

@@ -14,8 +14,6 @@
 //! replays the file; probabilities are parts-per-million so the file
 //! stays integer-only and bit-exact.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use crate::dumpjson::{esc, parse_value, Value};
 use crate::stitch::StitchError;
 

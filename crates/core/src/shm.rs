@@ -34,7 +34,7 @@
 //!   critical sections (§7.2's performance optimization).
 
 use crate::context::CtxId;
-use crate::hash::Fnv64;
+use crate::hash::FnvHashMap;
 use crate::ids::{LockId, ThreadId};
 
 /// A location in the combined name space of §3.2: the virtual address
@@ -184,141 +184,6 @@ fn loc_code(loc: Loc) -> u64 {
     }
 }
 
-fn code_hash(code: u64) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(code);
-    h.finish()
-}
-
-const SLOT_EMPTY: u8 = 0;
-const SLOT_FULL: u8 = 1;
-const SLOT_DEAD: u8 = 2;
-
-#[derive(Clone, Copy, Debug)]
-struct DictSlot {
-    code: u64,
-    state: u8,
-    entry: Entry,
-}
-
-const EMPTY_SLOT: DictSlot = DictSlot {
-    code: 0,
-    state: SLOT_EMPTY,
-    entry: Entry {
-        taint: Taint::Invalid,
-        lock: LockId(0),
-    },
-};
-
-/// Open-addressed FNV table from packed memory codes to taint entries:
-/// one hash plus a short linear probe per `MOV`, no per-entry heap
-/// allocation. Capacity is a power of two kept under 7/8 load;
-/// deletions (the §3.2 foreign-lock flush) leave tombstones that are
-/// dropped on the next growth rehash.
-#[derive(Debug, Default)]
-struct TaintDict {
-    slots: Vec<DictSlot>,
-    /// Live (`SLOT_FULL`) entries.
-    live: usize,
-    /// Full plus tombstoned slots; drives the load factor.
-    filled: usize,
-}
-
-impl TaintDict {
-    fn get(&self, code: u64) -> Option<Entry> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (code_hash(code) as usize) & mask;
-        loop {
-            let s = &self.slots[i];
-            match s.state {
-                SLOT_EMPTY => return None,
-                SLOT_FULL if s.code == code => return Some(s.entry),
-                _ => {}
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn insert(&mut self, code: u64, entry: Entry) {
-        if self.slots.len() * 7 <= (self.filled + 1) * 8 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (code_hash(code) as usize) & mask;
-        let mut dead = None;
-        loop {
-            let s = &self.slots[i];
-            match s.state {
-                SLOT_EMPTY => {
-                    // Reusing a tombstone keeps `filled` unchanged.
-                    let at = match dead {
-                        Some(d) => d,
-                        None => {
-                            self.filled += 1;
-                            i
-                        }
-                    };
-                    self.slots[at] = DictSlot {
-                        code,
-                        state: SLOT_FULL,
-                        entry,
-                    };
-                    self.live += 1;
-                    return;
-                }
-                SLOT_FULL if s.code == code => {
-                    self.slots[i].entry = entry;
-                    return;
-                }
-                SLOT_DEAD if dead.is_none() => dead = Some(i),
-                _ => {}
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn remove(&mut self, code: u64) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (code_hash(code) as usize) & mask;
-        loop {
-            let s = &self.slots[i];
-            match s.state {
-                SLOT_EMPTY => return,
-                SLOT_FULL if s.code == code => {
-                    self.slots[i].state = SLOT_DEAD;
-                    self.live -= 1;
-                    return;
-                }
-                _ => {}
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.live * 2).max(16).next_power_of_two();
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]);
-        self.filled = self.live;
-        let mask = cap - 1;
-        for s in old {
-            if s.state != SLOT_FULL {
-                continue;
-            }
-            let mut i = (code_hash(s.code) as usize) & mask;
-            while self.slots[i].state != SLOT_EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = s;
-        }
-    }
-}
-
 /// Per-thread register taints, directly indexed by register number.
 ///
 /// Registers live in a tiny dense space (`u8` indices), so keeping
@@ -360,89 +225,6 @@ fn sorted_intersect(a: &[ThreadId], b: &[ThreadId]) -> bool {
     false
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct LockIdxSlot {
-    hash: u64,
-    idx_p1: u32,
-}
-
-/// Lock states in an id-ordered arena indexed by an open-addressed
-/// FNV probe (locks are never removed, so no tombstones are needed).
-#[derive(Debug, Default)]
-struct LockTable {
-    index: Vec<LockIdxSlot>,
-    arena: Vec<(LockId, LockState)>,
-}
-
-impl LockTable {
-    fn find(&self, lock: LockId) -> Option<usize> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let mask = self.index.len() - 1;
-        let h = code_hash(u64::from(lock.0));
-        let mut i = (h as usize) & mask;
-        loop {
-            let s = self.index[i];
-            if s.idx_p1 == 0 {
-                return None;
-            }
-            let at = (s.idx_p1 - 1) as usize;
-            if s.hash == h && self.arena[at].0 == lock {
-                return Some(at);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn get(&self, lock: LockId) -> Option<&LockState> {
-        self.find(lock).map(|i| &self.arena[i].1)
-    }
-
-    fn get_mut(&mut self, lock: LockId) -> Option<&mut LockState> {
-        self.find(lock).map(|i| &mut self.arena[i].1)
-    }
-
-    fn ensure(&mut self, lock: LockId) -> &mut LockState {
-        if let Some(i) = self.find(lock) {
-            return &mut self.arena[i].1;
-        }
-        if self.index.len() * 7 <= (self.arena.len() + 1) * 8 {
-            self.grow();
-        }
-        let h = code_hash(u64::from(lock.0));
-        let id = self.arena.len();
-        self.arena.push((lock, LockState::default()));
-        let mask = self.index.len() - 1;
-        let mut i = (h as usize) & mask;
-        while self.index[i].idx_p1 != 0 {
-            i = (i + 1) & mask;
-        }
-        self.index[i] = LockIdxSlot {
-            hash: h,
-            idx_p1: id as u32 + 1,
-        };
-        &mut self.arena[id].1
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.arena.len() * 2).max(16).next_power_of_two();
-        self.index = vec![LockIdxSlot::default(); cap];
-        let mask = cap - 1;
-        for (at, (lock, _)) in self.arena.iter().enumerate() {
-            let h = code_hash(u64::from(lock.0));
-            let mut i = (h as usize) & mask;
-            while self.index[i].idx_p1 != 0 {
-                i = (i + 1) & mask;
-            }
-            self.index[i] = LockIdxSlot {
-                hash: h,
-                idx_p1: at as u32 + 1,
-            };
-        }
-    }
-}
-
 /// Critical-section nesting of one thread; `depth == 0` means the
 /// thread is outside any critical section.
 #[derive(Clone, Copy, Debug)]
@@ -469,12 +251,11 @@ pub struct LockFlowStats {
 /// The §3 shared-memory transaction-flow detector.
 ///
 /// Internally the location dictionary is split by kind: memory taints
-/// live in an open-addressed FNV table keyed by a packed location
-/// code, register taints in dense per-thread banks (so the §3.1
-/// clear-on-entry rule touches only one bank), and per-lock state in
-/// an id-ordered arena behind an FNV index. A `MOV` therefore costs
-/// one hash and a short linear probe instead of several SipHash map
-/// operations.
+/// live in an FNV-hashed map keyed by a packed location code, register
+/// taints in dense per-thread banks (so the §3.1 clear-on-entry rule
+/// touches only one bank), and per-lock state in a second FNV map. A
+/// `MOV` therefore costs one integer hash instead of several SipHash
+/// map operations.
 ///
 /// # Examples
 ///
@@ -508,12 +289,12 @@ pub struct LockFlowStats {
 pub struct FlowDetector {
     cfg: FlowConfig,
     /// Memory taints, keyed by packed location code.
-    mem: TaintDict,
+    mem: FnvHashMap<u64, Entry>,
     /// Register taints, indexed by thread then register number.
     regs: Vec<RegBank>,
     /// Total live register taints across all banks.
     reg_live: usize,
-    locks: LockTable,
+    locks: FnvHashMap<LockId, LockState>,
     /// Critical-section nesting, indexed by thread id.
     in_cs: Vec<CsSlot>,
 }
@@ -529,10 +310,10 @@ impl FlowDetector {
     pub fn new(cfg: FlowConfig) -> Self {
         FlowDetector {
             cfg,
-            mem: TaintDict::default(),
+            mem: FnvHashMap::default(),
             regs: Vec::new(),
             reg_live: 0,
-            locks: LockTable::default(),
+            locks: FnvHashMap::default(),
             in_cs: Vec::new(),
         }
     }
@@ -542,12 +323,12 @@ impl FlowDetector {
     /// Substrates use this for the §7.2 optimization: once a lock's flow
     /// is disabled, its critical sections can run natively.
     pub fn flow_enabled(&self, lock: LockId) -> bool {
-        self.locks.get(lock).map(|s| !s.disabled).unwrap_or(true)
+        self.locks.get(&lock).map(|s| !s.disabled).unwrap_or(true)
     }
 
     /// Per-lock statistics.
     pub fn lock_stats(&self, lock: LockId) -> LockFlowStats {
-        match self.locks.get(lock) {
+        match self.locks.get(&lock) {
             None => LockFlowStats::default(),
             Some(s) => LockFlowStats {
                 produced: s.produced,
@@ -561,19 +342,19 @@ impl FlowDetector {
 
     /// All locks the detector has seen, in id order.
     pub fn known_locks(&self) -> Vec<LockId> {
-        let mut v: Vec<_> = self.locks.arena.iter().map(|(l, _)| *l).collect();
+        let mut v: Vec<_> = self.locks.keys().copied().collect();
         v.sort();
         v
     }
 
     /// Size of the location dictionary (tainted locations).
     pub fn dict_len(&self) -> usize {
-        self.mem.live + self.reg_live
+        self.mem.len() + self.reg_live
     }
 
     fn entry_of(&self, loc: Loc) -> Option<Entry> {
         match loc {
-            Loc::Mem(_) => self.mem.get(loc_code(loc)),
+            Loc::Mem(_) => self.mem.get(&loc_code(loc)).copied(),
             Loc::Reg(t, r) => self
                 .regs
                 .get(t.0 as usize)
@@ -583,7 +364,9 @@ impl FlowDetector {
 
     fn set_entry(&mut self, loc: Loc, e: Entry) {
         match loc {
-            Loc::Mem(_) => self.mem.insert(loc_code(loc), e),
+            Loc::Mem(_) => {
+                self.mem.insert(loc_code(loc), e);
+            }
             Loc::Reg(t, r) => {
                 let ti = t.0 as usize;
                 if self.regs.len() <= ti {
@@ -605,7 +388,9 @@ impl FlowDetector {
 
     fn remove_entry(&mut self, loc: Loc) {
         match loc {
-            Loc::Mem(_) => self.mem.remove(loc_code(loc)),
+            Loc::Mem(_) => {
+                self.mem.remove(&loc_code(loc));
+            }
             Loc::Reg(t, r) => {
                 if let Some(bank) = self.regs.get_mut(t.0 as usize) {
                     if let Some(slot) = bank.slots.get_mut(r as usize) {
@@ -655,7 +440,7 @@ impl FlowDetector {
             }
         }
         self.in_cs[ti].depth += 1;
-        self.locks.ensure(lock);
+        self.locks.entry(lock).or_default();
     }
 
     fn cs_exit(&mut self, t: ThreadId) {
@@ -716,7 +501,7 @@ impl FlowDetector {
                             lock,
                         },
                     );
-                    let st = self.locks.ensure(lock);
+                    let st = self.locks.entry(lock).or_default();
                     st.produced += 1;
                     insert_sorted(&mut st.producers, t);
                     out.push(FlowEvent::Produced {
@@ -758,12 +543,12 @@ impl FlowDetector {
         let Taint::Valid(ctx) = e.taint else {
             return;
         };
-        let st = self.locks.ensure(e.lock);
+        let st = self.locks.entry(e.lock).or_default();
         st.consumed += 1;
         insert_sorted(&mut st.consumers, t);
         let disabled = st.disabled;
         self.check_intersection(e.lock, out);
-        let now_disabled = self.locks.get(e.lock).map(|s| s.disabled).unwrap_or(false);
+        let now_disabled = self.locks.get(&e.lock).map(|s| s.disabled).unwrap_or(false);
         if !disabled && !now_disabled {
             out.push(FlowEvent::Consumed {
                 thread: t,
@@ -775,7 +560,7 @@ impl FlowDetector {
     }
 
     fn check_intersection(&mut self, lock: LockId, out: &mut Vec<FlowEvent>) {
-        let Some(st) = self.locks.get_mut(lock) else {
+        let Some(st) = self.locks.get_mut(&lock) else {
             return;
         };
         if st.disabled {

@@ -33,8 +33,6 @@
 //! mass (the root's coverage accounting), and per-leaf lag/health
 //! gauges ([`LeafGauges`]) for the topology view.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use crate::delta::{CctDelta, StageDelta};
 use crate::hash::FnvLanes;
 use crate::sketch::QuantileSketch;

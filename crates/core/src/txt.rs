@@ -12,8 +12,6 @@
 //! table into a stack buffer, no `format!`, no per-number allocation.
 //! Output bytes are identical to `Display` for the same value.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use crate::hash::Fnv64;
 use std::fmt;
 

@@ -39,8 +39,6 @@
 //! header, [`OpenSummary::read`] the body, so a federation receiver
 //! drops a duplicate without reading its body.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use crate::delta::{
     CctDelta, DeltaError, EpochBatch, IncomingBatch, StageAccumulator, StageDelta, StreamHeader,
     StreamStage,

@@ -301,8 +301,8 @@ pub struct ReplaySummary {
 /// `shrink`/`replay` still `None` renders as a mid-violation report.
 #[derive(Clone, Debug, Default)]
 pub struct IncidentCard {
-    /// Violated dimension (`tail:<stage>`, `xt-wait`, `lag`,
-    /// `quarantine`).
+    /// Violated dimension (`tail:<stage>`, `starve:<stage>`,
+    /// `xt-wait`, `quarantine`).
     pub dimension: String,
     /// Epoch the sentinel tripped at.
     pub detected_epoch: u64,

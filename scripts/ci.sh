@@ -74,12 +74,14 @@ cargo test --workspace -q
 #   decode_batch does, so nothing of an earlier delta shows in a later
 #   one;
 # - allocation budget: wire ingest of the staggered fleet stream behind
-#   a counting allocator, <= 1.0 allocations per event (0.890 now,
-#   0.895 while the collector evicted, 1.877 while every delta copied
+#   a counting allocator, <= 1.0 allocations per event (0.897 now,
+#   0.890 while the CCT's child spill was a hand-written table, 0.895
+#   while the collector evicted, 1.877 while every delta copied
 #   its frame names and contexts, 3.505 before the decoder recycled its
 #   storage); then the same frames through a collector behind a 4-deep
-#   queue with a snapshot per frame, <= 1.5 per event (1.456 now,
-#   1.488 while a 1-epoch window evicted and revived origins, 2.469
+#   queue with a snapshot per frame, <= 1.5 per event (1.464 now,
+#   1.456 with the hand-written child spill, 1.488 while a 1-epoch
+#   window evicted and revived origins, 2.469
 #   while names and contexts were copied, 3.283 when every eviction
 #   copied the origin's tree to a flat list and every revival rebuilt
 #   it; DESIGN.md §10 "Ranking without eviction", §11 "Eviction and
@@ -181,14 +183,18 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 # child's deltas (check_merge, merge_stage_delta, compose_cct) and the
 # root's whole-frame apply (apply_frame): each carries
 # #[deny(clippy::indexing_slicing)], so the first `col[i]` written
-# there fails this line, not a review. The wire codec (wire.rs), the
-# dump JSON reader and writer (dumpjson.rs), the read side's sink
-# and integer writer (txt.rs), the delta apply and diff (delta.rs) and
-# the summary merge (summary.rs), the repro reader (repro.rs) and the
-# whole collector crate (ingest, link.rs, federation/, quarantine.rs,
-# sentinel.rs) also deny clippy::unwrap_used outside their tests, so
-# none of them can panic on an `.unwrap()`.
+# there fails this line, not a review. The whole core crate (the wire
+# codec, the dump JSON reader and writer, the delta apply and diff,
+# the summary merge, the repro reader, the flow dictionary, the CCT,
+# ...) and the whole collector crate (ingest, link.rs, federation/,
+# quarantine.rs, sentinel.rs) also deny clippy::unwrap_used outside
+# their tests, so none of them can panic on an `.unwrap()`.
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Non-test Rust lines per crate, against the last commit. Subtraction
+# PRs quote `scripts/loc.sh <parent rev>` for their net lines; running
+# it here keeps the script working.
+bash scripts/loc.sh HEAD
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so
 # the workspace suite above never sees it): harness unit tests plus a
