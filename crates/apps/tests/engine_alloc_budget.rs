@@ -20,7 +20,12 @@
 //!   reference instead of copying it out of the dump;
 //! - 29,381 (45.7 per request) with the flow dictionary, the lock table
 //!   and the CCT child spill `FnvHashMap`s, which grow from room for 3
-//!   entries where the hand-written tables started at 16 slots.
+//!   entries where the hand-written tables started at 16 slots;
+//! - 29,380 (45.7 per request) with the IPC associations in a `Vec`
+//!   indexed by synopsis counter, whose growth steps over the three
+//!   stages add up to one fewer than the SipHash map's it replaced
+//!   (quantum ends in a sorted `Vec` instead of a heap alone read
+//!   29,381).
 //!
 //! The three steps were counted apart only on the full-size run
 //! (`benchmark/`'s `live_stack`, seed 1, `engine.allocs` over 31,184

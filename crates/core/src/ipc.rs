@@ -14,8 +14,9 @@
 //! into the runtime.
 
 use crate::context::{ContextAtom, ContextTable, CtxId};
+use crate::ids::IdVec;
 use crate::synopsis::{SynChain, Synopsis, SynopsisTable};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// What a send wrapper hands the substrate to put on the wire.
 #[derive(Clone, Debug, Default)]
@@ -56,6 +57,12 @@ pub enum RecvKind {
     },
 }
 
+/// Whether an age-queue entry `(e, s)` is still the stamp of `s`'s
+/// association.
+fn is_live(assoc: &IdVec<(CtxId, u64)>, e: u64, s: Synopsis) -> bool {
+    assoc.get(s.counter()).is_some_and(|&(_, stamp)| stamp == e)
+}
+
 /// Per-process IPC bookkeeping: the send-point associations of §7.4.
 ///
 /// Associations are stamped with a send **epoch** and pruned once they
@@ -63,12 +70,16 @@ pub enum RecvKind {
 /// every request whose answer never arrives — a crashed peer, a dropped
 /// reply — leaks its dictionary entry forever, which matters exactly in
 /// the degraded runs where answers go missing.
+///
+/// A tracker serves one process and its one [`SynopsisTable`]: every
+/// association is keyed by a synopsis that table minted, so it is held
+/// at the synopsis's counter, which the table hands out densely.
 #[derive(Debug, Default)]
 pub struct IpcTracker {
-    /// Synopsis we sent → the base context to restore when the
+    /// Synopsis counter → the base context to restore when the
     /// response comes back ("switch back to the CCT from which the
     /// request originated"), stamped with the epoch of the send.
-    assoc: HashMap<Synopsis, (CtxId, u64)>,
+    assoc: IdVec<(CtxId, u64)>,
     /// Age queue for lazy pruning: `(epoch at send, synopsis)` in send
     /// order. An entry whose stamp no longer matches `assoc` was
     /// refreshed by a later send of the same synopsis and is skipped.
@@ -92,9 +103,10 @@ impl IpcTracker {
         Self::default()
     }
 
-    /// Associations still held (answered or not, until pruned).
+    /// Associations still held (answered or not, until pruned),
+    /// counted by a walk of the table: no message path reads it.
     pub fn pending(&self) -> usize {
-        self.assoc.len()
+        self.assoc.iter().count()
     }
 
     /// Advances the epoch clock and prunes associations older than
@@ -110,8 +122,8 @@ impl IpcTracker {
             self.age.pop_front();
             // Lazy deletion: only drop the association if this queue
             // entry is still its live stamp.
-            if self.assoc.get(&s).is_some_and(|&(_, stamp)| stamp == e) {
-                self.assoc.remove(&s);
+            if is_live(&self.assoc, e, s) {
+                self.assoc.remove(s.counter());
                 self.pruned += 1;
             }
         }
@@ -126,8 +138,7 @@ impl IpcTracker {
     /// O(1) a send.
     fn compact_age(&mut self) {
         let assoc = &self.assoc;
-        self.age
-            .retain(|&(e, s)| assoc.get(&s).is_some_and(|&(_, stamp)| stamp == e));
+        self.age.retain(|&(e, s)| is_live(assoc, e, s));
         self.compact_at = (2 * self.age.len()).max(64);
     }
 
@@ -151,7 +162,7 @@ impl IpcTracker {
         if self.age.len() >= self.compact_at {
             self.compact_age();
         }
-        self.assoc.insert(local, (base, self.epoch));
+        self.assoc.insert(local.counter(), (base, self.epoch));
         self.age.push_back((self.epoch, local));
         let prefix = match ctxs.value(base).atoms().first() {
             Some(ContextAtom::Remote(prefix)) => prefix.0.as_slice(),
@@ -182,7 +193,7 @@ impl IpcTracker {
         };
         for &s in chain.0.iter().rev() {
             if syns.is_mine(s) {
-                return match self.assoc.get(&s) {
+                return match self.assoc.get(s.counter()) {
                     Some(&(restore, _)) => RecvKind::Response { ours: s, restore },
                     // Ours, but the association aged out: a late reply,
                     // not a fresh request — never adopt a chain that
@@ -202,6 +213,7 @@ mod tests {
     use super::*;
     use crate::frame::FrameId;
     use crate::ids::ProcId;
+    use std::collections::HashMap;
 
     fn setup(p: u32) -> (ContextTable, SynopsisTable, IpcTracker) {
         (
@@ -413,6 +425,133 @@ mod tests {
             assert_eq!(ipc.pruned, pruned);
         }
         assert!(pruned > 0, "the pattern must expire something");
+    }
+
+    /// The tracker as it was while `assoc` was a `HashMap` keyed by the
+    /// whole synopsis, with its own age queue and compaction: the oracle
+    /// of `dense_table_decides_as_the_hashed_one`.
+    #[derive(Default)]
+    struct HashedTracker {
+        assoc: HashMap<Synopsis, (CtxId, u64)>,
+        age: VecDeque<(u64, Synopsis)>,
+        compact_at: usize,
+        epoch: u64,
+        pruned: u64,
+    }
+
+    impl HashedTracker {
+        fn advance_epoch(&mut self, ttl: u64) {
+            self.epoch += 1;
+            while let Some(&(e, s)) = self.age.front() {
+                if e.saturating_add(ttl) >= self.epoch {
+                    break;
+                }
+                self.age.pop_front();
+                if self.assoc.get(&s).is_some_and(|&(_, stamp)| stamp == e) {
+                    self.assoc.remove(&s);
+                    self.pruned += 1;
+                }
+            }
+        }
+
+        fn send(&mut self, local: Synopsis, base: CtxId) {
+            if self.age.len() >= self.compact_at {
+                let assoc = &self.assoc;
+                self.age
+                    .retain(|&(e, s)| assoc.get(&s).is_some_and(|&(_, stamp)| stamp == e));
+                self.compact_at = (2 * self.age.len()).max(64);
+            }
+            self.assoc.insert(local, (base, self.epoch));
+            self.age.push_back((self.epoch, local));
+        }
+
+        fn recv(
+            &self,
+            ctxs: &mut ContextTable,
+            syns: &SynopsisTable,
+            chain: &SynChain,
+        ) -> RecvKind {
+            for &s in chain.0.iter().rev() {
+                if syns.is_mine(s) {
+                    return match self.assoc.get(&s) {
+                        Some(&(restore, _)) => RecvKind::Response { ours: s, restore },
+                        None => RecvKind::Stale { ours: s },
+                    };
+                }
+            }
+            RecvKind::Request {
+                ctx: ctxs.from_remote(chain),
+            }
+        }
+    }
+
+    #[test]
+    fn dense_table_decides_as_the_hashed_one() {
+        // Random mixes of sends from 12 send points under two bases (a
+        // re-send refreshes a stamp), epoch advances under a small TTL,
+        // replies that carry one of our synopses (answered in time, or
+        // after the association was pruned) and foreign requests.
+        let (mut responses, mut stale, mut requests, mut pruned) = (0, 0, 0, 0);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..64 {
+            let ttl = 2 + next() % 6;
+            let (mut ctxs, mut syns, mut ipc) = setup(1);
+            let mut old = HashedTracker::default();
+            let upstream = SynChain(vec![Synopsis::new(2, 7)]);
+            let remote = ctxs.from_remote(&upstream);
+            let mut sent: Vec<Synopsis> = Vec::new();
+            for _ in 0..2_000 {
+                let r = next();
+                let foreign = Synopsis::new(2 + (r >> 8) as u32 % 2, (r >> 16) as u32 % 32);
+                match r % 16 {
+                    0..=5 => {
+                        let base = if r & 0x100 == 0 { CtxId::ROOT } else { remote };
+                        let point = ctxs.append_path(base, &[FrameId((r >> 9) as u32 % 12)]);
+                        let chain = ipc.send(&ctxs, &mut syns, base, point);
+                        let local = *chain.0.last().expect("a send chain ends in ours");
+                        old.send(local, base);
+                        sent.push(local);
+                    }
+                    6..=8 => {
+                        ipc.advance_epoch(ttl);
+                        old.advance_epoch(ttl);
+                    }
+                    9..=12 if !sent.is_empty() => {
+                        let ours = sent[(r >> 20) as usize % sent.len()];
+                        let chain = SynChain(vec![foreign, ours, Synopsis::new(3, 1)]);
+                        let want = old.recv(&mut ctxs, &syns, &chain);
+                        let got = ipc.recv(&mut ctxs, &syns, Some(&chain));
+                        assert_eq!(got, want);
+                        match got {
+                            RecvKind::Response { .. } => responses += 1,
+                            RecvKind::Stale { .. } => stale += 1,
+                            k => panic!("a chain with ours in it read as {k:?}"),
+                        }
+                    }
+                    _ => {
+                        let chain = SynChain(vec![foreign, Synopsis::new(3, 5)]);
+                        let want = old.recv(&mut ctxs, &syns, &chain);
+                        let got = ipc.recv(&mut ctxs, &syns, Some(&chain));
+                        assert_eq!(got, want);
+                        assert!(matches!(got, RecvKind::Request { .. }), "{got:?}");
+                        requests += 1;
+                    }
+                }
+                assert_eq!(ipc.pending(), old.assoc.len());
+                assert_eq!(ipc.pruned, old.pruned);
+            }
+            pruned += ipc.pruned;
+        }
+        assert!(
+            responses > 0 && stale > 0 && requests > 0 && pruned > 0,
+            "responses {responses}, stale {stale}, requests {requests}, pruned {pruned}"
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! The engine is strictly deterministic: pending events fire in
 //! `(time, sequence)` order — one sequence counter over the
-//! [`EventQueue`]'s two heaps, so same-instant events fire in the order
-//! they were scheduled — ready wakes drain under a seeded
+//! [`EventQueue`]'s sorted run of quantum ends and its heap of
+//! everything else, so same-instant events fire in the order they were
+//! scheduled — ready wakes drain under a seeded
 //! [`SchedulePolicy`] (FIFO by default), and nothing consults
 //! wall-clock time or unseeded randomness. A run can additionally be
 //! asked to *account for its own progress*: [`Sim::run_until_outcome`]
@@ -339,7 +340,7 @@ pub struct EventCensus {
     /// Receive deadlines that fired after their receive had already
     /// ended some other way, and were discarded.
     pub recv_deadlines_stale: u64,
-    /// Longest the quantum heap has been.
+    /// Longest the sorted run of quantum ends has been.
     pub peak_quanta: u64,
     /// Longest the heap of all other events has been.
     pub peak_events: u64,

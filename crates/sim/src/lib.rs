@@ -36,6 +36,7 @@
 //! function of its inputs.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod chan;
 pub mod engine;

@@ -1,50 +1,31 @@
-//! The engine's event queue: two heaps under one `(time, seq)` order.
+//! The engine's event queue: a sorted run of quantum ends beside one
+//! heap of everything else, under one `(time, seq)` order.
 //!
 //! Four events in five are quantum ends, and a machine never has more
-//! of them pending than it has cores. They live in their own small heap
-//! (`quanta`); everything else goes through the big one, which holds
-//! 24-byte `(time, seq, slot)` keys while the payloads (a `Deliver`
-//! carries a whole message) wait in a slab and never move during a
-//! sift.
+//! of them pending than it has cores. They wait in a short `Vec`
+//! (`quanta`) kept sorted latest first, so the next one is the last
+//! entry; everything else goes through the heap, which holds 24-byte
+//! `(time, seq, slot)` keys while the payloads (a `Deliver` carries a
+//! whole message) wait in a slab and never move during a sift.
 //!
-//! Both heaps draw `seq` from one counter, in the order the pushes are
-//! made, and [`EventQueue::pop_due`] takes whichever top has the smaller
+//! Both draw `seq` from one counter, in the order the pushes are made,
+//! and [`EventQueue::pop_due`] takes whichever head has the smaller
 //! `(time, seq)`. The pop sequence is therefore exactly that of a single
 //! heap ordered by `(time, seq)` — same-instant events fire in the order
 //! they were scheduled — whatever mix of the two kinds is pending.
 //!
-//! Nothing is pre-sized: both heaps, the slab and its free list start
-//! empty and grow on demand.
+//! Nothing is pre-sized: the run, the heap, the slab and its free list
+//! start empty and grow on demand.
 
 use crate::time::Cycles;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A pending quantum end; ordered by `(at, seq)` alone.
+/// A pending quantum end.
 struct Quantum<Q> {
     at: Cycles,
     seq: u64,
     q: Q,
-}
-
-impl<Q> PartialEq for Quantum<Q> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl<Q> Eq for Quantum<Q> {}
-
-impl<Q> PartialOrd for Quantum<Q> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<Q> Ord for Quantum<Q> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// What [`EventQueue::pop_due`] found.
@@ -65,7 +46,8 @@ pub enum Due<Q, E> {
 /// everything else with payload `E`.
 pub struct EventQueue<Q, E> {
     seq: u64,
-    quanta: BinaryHeap<Reverse<Quantum<Q>>>,
+    /// Sorted by `(at, seq)`, latest first: the next to fire is last.
+    quanta: Vec<Quantum<Q>>,
     /// `(at, seq, slot)`; `seq` is unique, so `slot` never decides.
     heap: BinaryHeap<Reverse<(Cycles, u64, u32)>>,
     slab: Vec<Option<E>>,
@@ -78,7 +60,7 @@ impl<Q, E> Default for EventQueue<Q, E> {
     fn default() -> Self {
         EventQueue {
             seq: 0,
-            quanta: BinaryHeap::new(),
+            quanta: Vec::new(),
             heap: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -95,10 +77,13 @@ impl<Q, E> EventQueue<Q, E> {
         seq
     }
 
-    /// Schedules a quantum end at `at`.
+    /// Schedules a quantum end at `at`: in front of every entry not
+    /// later than `at`. Its `seq` is the largest yet, so among entries
+    /// of the same time it pops after every older one.
     pub fn push_quantum(&mut self, at: Cycles, q: Q) {
         let seq = self.next_seq();
-        self.quanta.push(Reverse(Quantum { at, seq, q }));
+        let i = self.quanta.partition_point(|k| k.at > at);
+        self.quanta.insert(i, Quantum { at, seq, q });
         self.peak_quanta = self.peak_quanta.max(self.quanta.len());
     }
 
@@ -125,7 +110,7 @@ impl<Q, E> EventQueue<Q, E> {
     /// time is at or before `limit`. An event past the limit is only
     /// looked at, never moved.
     pub fn pop_due(&mut self, limit: Cycles) -> Due<Q, E> {
-        let q = self.quanta.peek().map(|Reverse(k)| (k.at, k.seq));
+        let q = self.quanta.last().map(|k| (k.at, k.seq));
         let e = self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq));
         let (at, quantum) = match (q, e) {
             (None, None) => return Due::Empty,
@@ -143,7 +128,7 @@ impl<Q, E> EventQueue<Q, E> {
             return Due::Later;
         }
         if quantum {
-            let Reverse(k) = self.quanta.pop().expect("peeked above");
+            let k = self.quanta.pop().expect("peeked above");
             Due::Quantum(at, k.q)
         } else {
             let Reverse((_, _, slot)) = self.heap.pop().expect("peeked above");
@@ -155,7 +140,7 @@ impl<Q, E> EventQueue<Q, E> {
         }
     }
 
-    /// Longest the quantum heap has been.
+    /// Longest the run of quantum ends has been.
     pub fn peak_quanta(&self) -> usize {
         self.peak_quanta
     }
@@ -176,7 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_fires_in_scheduling_order_across_both_heaps() {
+    fn same_instant_fires_in_scheduling_order_across_both_kinds() {
         let mut q: EventQueue<u32, u32> = EventQueue::default();
         q.push(10, 0);
         q.push_quantum(10, 1);
@@ -189,6 +174,28 @@ mod tests {
         assert_eq!(q.pop_due(10), Due::Quantum(10, 1));
         assert_eq!(q.pop_due(10), Due::Event(10, 2));
         assert_eq!(q.pop_due(10), Due::Empty);
+    }
+
+    #[test]
+    fn a_crowded_instant_pops_in_push_order() {
+        let mut q: EventQueue<u32, u32> = EventQueue::default();
+        for i in 0..32 {
+            if i % 2 == 0 {
+                q.push_quantum(7, i);
+            } else {
+                q.push(7, i);
+            }
+        }
+        assert_eq!(q.peak_quanta(), 16);
+        for i in 0..32 {
+            let want = if i % 2 == 0 {
+                Due::Quantum(7, i)
+            } else {
+                Due::Event(7, i)
+            };
+            assert_eq!(q.pop_due(7), want);
+        }
+        assert_eq!(q.pop_due(u64::MAX), Due::Empty);
     }
 
     #[test]

@@ -332,8 +332,8 @@ fn at_1000(kind: &str, ch: whodunit_core::ids::ChanId) -> Op {
 
 #[test]
 fn same_instant_events_fire_in_scheduling_order_whatever_their_kind() {
-    // A quantum end lives in one heap, a delivery and a timer in the
-    // other; all three land on t = 1000. Under FIFO the threads run in
+    // A quantum end lives in the sorted run, a delivery and a timer in
+    // the heap; all three land on t = 1000. Under FIFO the threads run in
     // spawn order at t = 0, so spawn order is scheduling order, and the
     // three must fire in it — for every permutation.
     let kinds = ["quantum", "deliver", "timer"];

@@ -144,12 +144,76 @@ proptest! {
 // ---------------------------------------------------------------------
 // The event queue's order.
 //
-// The engine keeps quantum ends in one heap and every other event in
-// another, under one sequence counter. The contract every golden rests
+// The engine keeps quantum ends in a sorted run and every other event
+// in a heap, under one sequence counter. The contract every golden rests
 // on is that this pops exactly as a single heap ordered by
 // `(time, seq)` would — the tie-break is insertion order, whatever the
 // kind — and that a limit only ever looks at the next event.
 // ---------------------------------------------------------------------
+
+/// One generated step of a queue-order check.
+#[derive(Clone, Copy)]
+enum QOp {
+    /// Schedule a quantum end `dt` after `now`.
+    Quantum,
+    /// Schedule any other event `dt` after `now`.
+    Event,
+    /// Pop one event due by `now + dt`.
+    PopOne,
+    /// A `run_until`-style limit `now + dt`, on or between pending
+    /// times; popped until the queue says stop.
+    Drain,
+}
+
+/// The one-heap reference: `(at, seq, is_quantum)`, smallest first.
+type OneHeap = std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, bool)>>;
+
+/// Runs `ops` against an [`EventQueue`] and the one-heap reference,
+/// asserting that every pop agrees, and returns both with the number of
+/// pushes. The payload handed to the queue is each push's `seq`.
+fn pops_as_one_heap(
+    ops: impl IntoIterator<Item = (QOp, u64)>,
+) -> (EventQueue<u64, u64>, OneHeap, u64) {
+    use std::cmp::Reverse;
+    let mut q: EventQueue<u64, u64> = EventQueue::default();
+    let mut model = OneHeap::new();
+    let (mut seq, mut now) = (0u64, 0u64);
+    for (op, dt) in ops {
+        match op {
+            QOp::Quantum => {
+                q.push_quantum(now + dt, seq);
+                model.push(Reverse((now + dt, seq, true)));
+                seq += 1;
+            }
+            QOp::Event => {
+                q.push(now + dt, seq);
+                model.push(Reverse((now + dt, seq, false)));
+                seq += 1;
+            }
+            QOp::PopOne | QOp::Drain => loop {
+                let limit = now + dt;
+                let want = match model.peek() {
+                    None => Due::Empty,
+                    Some(&Reverse((at, _, _))) if at > limit => Due::Later,
+                    Some(_) => {
+                        let Reverse((at, s, quantum)) = model.pop().unwrap();
+                        if quantum { Due::Quantum(at, s) } else { Due::Event(at, s) }
+                    }
+                };
+                let got = q.pop_due(limit);
+                assert_eq!(&got, &want);
+                match got {
+                    Due::Quantum(at, _) | Due::Event(at, _) => now = at,
+                    Due::Empty | Due::Later => break,
+                }
+                if matches!(op, QOp::PopOne) {
+                    break;
+                }
+            },
+        }
+    }
+    (q, model, seq)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -161,46 +225,41 @@ proptest! {
     fn two_queue_pop_order_equals_one_heap_by_time_and_seq(
         ops in proptest::collection::vec((0u8..4, 0u64..6), 0..200)
     ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut q: EventQueue<u64, u64> = EventQueue::default();
-        // (at, seq, is_quantum); the payload handed to `q` is `seq`.
-        let mut model: BinaryHeap<Reverse<(u64, u64, bool)>> = BinaryHeap::new();
-        let (mut seq, mut now) = (0u64, 0u64);
-        for (op, dt) in ops {
-            match op {
-                0 => {
-                    q.push_quantum(now + dt, seq);
-                    model.push(Reverse((now + dt, seq, true)));
-                    seq += 1;
-                }
-                1 => {
-                    q.push(now + dt, seq);
-                    model.push(Reverse((now + dt, seq, false)));
-                    seq += 1;
-                }
-                // A `run_until`-style limit, on or between pending
-                // times; popped until the queue says stop.
-                _ => loop {
-                    let limit = now + dt;
-                    let want = match model.peek() {
-                        None => Due::Empty,
-                        Some(&Reverse((at, _, _))) if at > limit => Due::Later,
-                        Some(_) => {
-                            let Reverse((at, s, quantum)) = model.pop().unwrap();
-                            if quantum { Due::Quantum(at, s) } else { Due::Event(at, s) }
-                        }
-                    };
-                    let got = q.pop_due(limit);
-                    prop_assert_eq!(&got, &want);
-                    match got {
-                        Due::Quantum(at, _) | Due::Event(at, _) => now = at,
-                        Due::Empty | Due::Later => break,
-                    }
-                },
-            }
-        }
+        let mix = |op| match op {
+            0 => QOp::Quantum,
+            1 => QOp::Event,
+            _ => QOp::Drain,
+        };
+        let (q, _, seq) = pops_as_one_heap(ops.into_iter().map(|(op, dt)| (mix(op), dt)));
         prop_assert!(q.peak_quanta() + q.peak_events() <= seq as usize);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The same check with the quantum ends crowded: six pushes in seven
+    /// are quantum ends, all within two cycles of `now`, and pops are
+    /// rare (most take one event, one op in 32 drains to a limit), so
+    /// the sorted run grows to dozens of entries, most of them ties.
+    #[test]
+    fn a_long_run_of_tied_quantum_ends_pops_as_one_heap(
+        ops in proptest::collection::vec((0u8..32, 0u64..3), 200..400)
+    ) {
+        let mix = |op| match op {
+            0..=23 => QOp::Quantum,
+            24..=27 => QOp::Event,
+            28..=30 => QOp::PopOne,
+            _ => QOp::Drain,
+        };
+        let (mut q, mut model, _) = pops_as_one_heap(ops.into_iter().map(|(op, dt)| (mix(op), dt)));
+        // Drain what is left: the whole tail must still agree.
+        while let Some(std::cmp::Reverse((at, s, quantum))) = model.pop() {
+            let want = if quantum { Due::Quantum(at, s) } else { Due::Event(at, s) };
+            prop_assert_eq!(q.pop_due(u64::MAX), want);
+        }
+        prop_assert_eq!(q.pop_due(u64::MAX), Due::Empty);
+        prop_assert!(q.peak_quanta() >= 24, "the run peaked at {}", q.peak_quanta());
     }
 }
 

@@ -124,7 +124,8 @@ cargo test --workspace -q
 #   built the context it looked up and every epoch took fresh dumps).
 #   The event order itself is held by whodunit-sim's engine_behavior
 #   (same-instant tie-break, chunked == unchunked) and properties
-#   (two heaps pop as one heap by (time, seq)) suites.
+#   (the sorted run of quantum ends and the heap of the other events
+#   pop as one heap by (time, seq)) suites.
 #
 # The black-box inference gates (DESIGN.md §15; infer's properties and
 # scenarios, golden_infer):
@@ -186,15 +187,22 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 # there fails this line, not a review. The whole core crate (the wire
 # codec, the dump JSON reader and writer, the delta apply and diff,
 # the summary merge, the repro reader, the flow dictionary, the CCT,
-# ...) and the whole collector crate (ingest, link.rs, federation/,
-# quarantine.rs, sentinel.rs) also deny clippy::unwrap_used outside
-# their tests, so none of them can panic on an `.unwrap()`.
+# ...), the whole collector crate (ingest, link.rs, federation/,
+# quarantine.rs, sentinel.rs) and the whole simulator crate also deny
+# clippy::unwrap_used outside their tests, so none of them can panic
+# on an `.unwrap()`.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Non-test Rust lines per crate, against the last commit. Subtraction
 # PRs quote `scripts/loc.sh <parent rev>` for their net lines; running
 # it here keeps the script working.
 bash scripts/loc.sh HEAD
+
+# The paired-run tool perf claims are reported with
+# (scripts/pairs.sh <parent-rev> <workload> <pairs>): its summariser
+# over a fixed run log, against the expected table, so it cannot rot.
+# It runs no benchmark.
+bash scripts/pairs.sh --selftest
 
 # The repo benchmark's own tests (benchmark/ is its own workspace, so
 # the workspace suite above never sees it): harness unit tests plus a
