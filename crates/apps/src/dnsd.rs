@@ -20,9 +20,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use whodunit_core::cost::{ms_to_cycles, CPU_HZ};
-use whodunit_core::events::EventCtx;
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::ChanId;
+use whodunit_core::rt::Continuation;
 use whodunit_sim::{Cycles, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 
 /// Messages at the DNS server's poll channel.
@@ -42,7 +42,7 @@ struct UpstreamReq {
 
 struct DnsShared {
     cache: HashMap<u32, u64>,
-    pending: HashMap<u64, (ChanId, EventCtx)>,
+    pending: HashMap<u64, (ChanId, Continuation)>,
     /// Cache hits.
     pub hits: u64,
     /// Cache misses.
@@ -74,16 +74,14 @@ struct DnsLoop {
 }
 
 impl DnsLoop {
-    fn dispatch(&self, cx: &mut ThreadCx<'_>, ev: EventCtx, handler: FrameId) {
-        cx.runtime()
-            .borrow_mut()
-            .on_event_dispatch(cx.me(), ev, handler);
+    fn dispatch(&self, cx: &mut ThreadCx<'_>, ev: Continuation, handler: FrameId) {
+        cx.runtime().borrow_mut().on_resume(cx.me(), ev, handler);
         cx.push_frame(handler);
     }
 
-    fn finish(&self, cx: &mut ThreadCx<'_>) -> EventCtx {
-        let ev = cx.runtime().borrow_mut().on_event_create(cx.me());
-        cx.runtime().borrow_mut().on_handler_done(cx.me());
+    fn finish(&self, cx: &mut ThreadCx<'_>) -> Continuation {
+        let ev = cx.runtime().borrow_mut().on_capture(cx.me());
+        cx.runtime().borrow_mut().on_finish(cx.me());
         cx.pop_frame();
         ev
     }
@@ -103,7 +101,7 @@ impl ThreadBody for DnsLoop {
                 };
                 match msg.take::<DnsMsg>() {
                     DnsMsg::Query { qid, name, reply } => {
-                        self.dispatch(cx, EventCtx::default(), self.f_recv);
+                        self.dispatch(cx, Continuation::default(), self.f_recv);
                         self.state = DState::RecvDone { qid, name, reply };
                         Op::Compute(ms_to_cycles(0.05))
                     }

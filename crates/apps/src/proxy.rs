@@ -26,9 +26,9 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use whodunit_core::cost::{ms_to_cycles, CPU_HZ};
-use whodunit_core::events::EventCtx;
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::ChanId;
+use whodunit_core::rt::Continuation;
 use whodunit_sim::{ChannelFaults, Cycles, FaultPlan, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 use whodunit_workload::{WebTrace, WebTraceConfig};
 
@@ -62,7 +62,7 @@ struct OriginReq {
 
 struct ConnState {
     reply: ChanId,
-    ev: EventCtx,
+    ev: Continuation,
 }
 
 /// One cached object: its size and how long it stays fresh.
@@ -241,17 +241,15 @@ struct EventLoop {
 impl EventLoop {
     /// Figure 4 lines 5–7: dispatch `handler` for the continuation
     /// `ev`, entering the handler's frame.
-    fn dispatch(&self, cx: &mut ThreadCx<'_>, ev: EventCtx, handler: FrameId) {
-        cx.runtime()
-            .borrow_mut()
-            .on_event_dispatch(cx.me(), ev, handler);
+    fn dispatch(&self, cx: &mut ThreadCx<'_>, ev: Continuation, handler: FrameId) {
+        cx.runtime().borrow_mut().on_resume(cx.me(), ev, handler);
         cx.push_frame(handler);
     }
 
     /// The handler returned: capture its continuation for `conn`.
-    fn finish(&self, cx: &mut ThreadCx<'_>, conn: u64) -> EventCtx {
-        let ev = cx.runtime().borrow_mut().on_event_create(cx.me());
-        cx.runtime().borrow_mut().on_handler_done(cx.me());
+    fn finish(&self, cx: &mut ThreadCx<'_>, conn: u64) -> Continuation {
+        let ev = cx.runtime().borrow_mut().on_capture(cx.me());
+        cx.runtime().borrow_mut().on_finish(cx.me());
         cx.pop_frame();
         if let Some(c) = self.shared.borrow_mut().conns.get_mut(&conn) {
             c.ev = ev;
@@ -347,10 +345,10 @@ impl ThreadBody for EventLoop {
                             conn,
                             ConnState {
                                 reply,
-                                ev: EventCtx::default(),
+                                ev: Continuation::default(),
                             },
                         );
-                        self.dispatch(cx, EventCtx::default(), self.f_accept);
+                        self.dispatch(cx, Continuation::default(), self.f_accept);
                         self.state = PState::AcceptDone { conn };
                         Op::Compute(ACCEPT_COST)
                     }

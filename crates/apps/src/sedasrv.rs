@@ -114,7 +114,7 @@ impl ThreadBody for Acceptor {
             },
             AState::Locked(elem) => {
                 let elem = elem.expect("element present");
-                let ctx = cx.runtime().borrow_mut().on_stage_make_elem(cx.me());
+                let ctx = cx.runtime().borrow_mut().on_capture(cx.me());
                 self.listen_q.borrow_mut().push(ctx, Box::new(elem));
                 self.state = AState::Pushed;
                 Op::Unlock(self.listen_q.borrow().lock)

@@ -25,7 +25,10 @@
 //!   indexed by synopsis counter, whose growth steps over the three
 //!   stages add up to one fewer than the SipHash map's it replaced
 //!   (quantum ends in a sorted `Vec` instead of a heap alone read
-//!   29,381).
+//!   29,381);
+//! - 29,389 (45.7 per request) with every CCT child in its tree's one
+//!   child map (a tree whose nodes have at most two children each now
+//!   allocates its map too) and no copy of each process's name.
 //!
 //! The three steps were counted apart only on the full-size run
 //! (`benchmark/`'s `live_stack`, seed 1, `engine.allocs` over 31,184

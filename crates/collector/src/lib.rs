@@ -762,7 +762,7 @@ impl Collector {
         if self.quarantine[si].halted {
             return;
         }
-        if self.quarantine[si].resyncs >= self.cfg.quarantine.max_resyncs {
+        if self.quarantine[si].resyncs >= quarantine::MAX_RESYNCS {
             self.halt(si);
             return;
         }
@@ -1382,6 +1382,41 @@ mod tests {
         let batch = whodunit_core::pipeline::analyze(vec![second], PipelineConfig::default());
         assert_eq!(out.report.fingerprint(), batch.fingerprint());
         assert_eq!(out.report.stitched_text(), batch.stitched_text());
+    }
+
+    #[test]
+    fn the_resync_after_the_budget_halts_the_stage() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use whodunit_core::delta::RecordedResync;
+        /// The emitter's state, advanced in lockstep with the stream.
+        struct Lockstep(Rc<RefCell<RecordedResync>>);
+        impl ResyncSource for Lockstep {
+            fn snapshot(&self, stage: usize) -> Option<(StageDump, u64)> {
+                self.0.borrow().snapshot(stage)
+            }
+        }
+        let header = header2();
+        let emitter = Rc::new(RefCell::new(RecordedResync::new(&header)));
+        let mut c = Collector::new(CollectorConfig::default());
+        c.start(&header);
+        c.set_resync_source(Box::new(Lockstep(emitter.clone())));
+        // Every frame arrives corrupt; each but the last is repaired by
+        // a resync to the emitter's state.
+        let corrupt = quarantine::MAX_RESYNCS as usize + 1;
+        for b in batches_for(0, 0, "front", corrupt) {
+            emitter.borrow_mut().advance(&b);
+            let mut damaged = b.clone();
+            damaged.deltas[0].checksum ^= 1;
+            assert!(c.enqueue(damaged));
+            c.drain();
+        }
+        let q = &c.quarantine[0];
+        assert_eq!((q.corrupt, q.resyncs, q.halted), (9, 8, true));
+        assert_eq!(
+            c.degraded_markers(),
+            ["stage 0 (front): 9 corrupt quarantined, 8 resyncs, halted"]
+        );
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! - **Corrupt frames** (checksum failure, or content inconsistent
 //!   with the accumulated state or the minted-synopsis index) are
 //!   *quarantined*: counted, dropped, and repaired by a resync.
-//! - **Resync** is bounded: a catch-up diff from the accumulator's
-//!   state to the emitter's snapshot, applied through the normal
-//!   ingest path so the incremental stitch state stays exactly
-//!   consistent.
+//! - **Resync** is bounded, to [`MAX_RESYNCS`] per stage: a catch-up
+//!   diff from the accumulator's state to the emitter's snapshot,
+//!   applied through the normal ingest path so the incremental stitch
+//!   state stays exactly consistent.
 //! - **Halt**: with no source attached, a source that lags the
 //!   collector, a snapshot that does not extend the accumulated state,
 //!   or the resync budget spent, the stage halts — its later frames
@@ -37,6 +37,9 @@
 use std::collections::BTreeMap;
 use whodunit_core::delta::StageDelta;
 
+/// Resyncs per stage; the one after the last halts the stage instead.
+pub(crate) const MAX_RESYNCS: u64 = 8;
+
 /// Tuning knobs for quarantine and resync.
 #[derive(Clone, Debug)]
 pub struct QuarantinePolicy {
@@ -44,8 +47,6 @@ pub struct QuarantinePolicy {
     /// a sequence hole to fill; one more parked frame treats the hole
     /// as loss and triggers a resync.
     pub reorder_buffer: usize,
-    /// Maximum resyncs per stage; exhausting them halts the stage.
-    pub max_resyncs: u64,
     /// Epochs of stage silence before the watchdog declares a stall.
     /// `0` disables the watchdog (a stage with nothing to report emits
     /// no delta at all, so silence is only suspicious when the
@@ -57,7 +58,6 @@ impl Default for QuarantinePolicy {
     fn default() -> Self {
         QuarantinePolicy {
             reorder_buffer: 4,
-            max_resyncs: 8,
             stall_epochs: 0,
         }
     }

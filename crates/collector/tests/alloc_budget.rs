@@ -22,7 +22,10 @@
 //!   idle list, resident list or rank-index nodes;
 //! - 3,024 (0.897 per event) with the CCT's child spill an
 //!   `FnvHashMap`: std's table first allocates room for 3 entries and
-//!   then doubles, where the hand-written one started at 16 slots.
+//!   then doubles, where the hand-written one started at 16 slots;
+//! - 3,060 (0.907 per event) with every CCT child in that map, none in
+//!   inline slots on the node: a tree whose nodes have at most two
+//!   children each now allocates its map too.
 //!
 //! The bound sits just above the last, so a per-delta temporary or a
 //! per-delta copy of a name that comes back trips it without a
@@ -48,7 +51,9 @@
 //!   ranked the resident set plus the head of a rank index that every
 //!   eviction and revival updated;
 //! - 4,935 (1.464 per event) with the child spill an `FnvHashMap`, for
-//!   the same growth steps as the first leg.
+//!   the same growth steps as the first leg;
+//! - 4,971 (1.474 per event) with every child in the map, for the same
+//!   36 allocations as the first leg.
 //!
 //! One `#[test]` and nothing else in this binary: the counter
 //! (`counting_alloc`) is process-wide.
@@ -105,7 +110,8 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
         "{allocs} allocations for {events} events = {per_event:.3} per event, \
          over the {MAX_ALLOCS_PER_EVENT} budget (3.505 before the recycling decoder, 1.877 \
          while every delta copied its names and contexts, 0.895 while the collector still \
-         evicted, 0.890 with hand-written CCT tables, 0.897 since)"
+         evicted, 0.890 with hand-written CCT tables, 0.897 with inline child slots, 0.907 \
+         since)"
     );
 
     // Second phase, same thread: a slow consumer behind a 4-deep queue,
@@ -134,6 +140,6 @@ fn wire_ingest_stays_inside_its_allocation_budget() {
          {MAX_CHURN_ALLOCS_PER_EVENT} churn budget (3.283 when eviction copied the tree and \
          revival rebuilt it, 2.469 while every delta copied its names and contexts, 1.488 \
          while the collector still evicted, 1.456 with hand-written CCT tables, 1.464 \
-         since)"
+         with inline child slots, 1.474 since)"
     );
 }

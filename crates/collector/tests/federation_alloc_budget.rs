@@ -28,7 +28,8 @@
 //! - 16,748 (2.538 per event) with a child's sketch digests folded in
 //!   place instead of built as a sketch each; still 16,748 once the
 //!   flow dictionary, the lock table and the CCT child spill became
-//!   `FnvHashMap`s.
+//!   `FnvHashMap`s, and still 16,748 once every CCT child went into
+//!   that map (no CCT is built inside the count).
 //!
 //! The bound sits just above the last. `finalize` is outside the
 //! count: it is one `analyze` over the root's dumps.

@@ -42,61 +42,30 @@ impl Metrics {
     }
 }
 
-/// Sentinel for "no node" in the intra-arena links below.
+/// Sentinel for "no node": the root's parent.
 const NO_NODE: u32 = u32::MAX;
 
-/// Children a node can hold inline before spilling to the CCT's
-/// child map. Most CCT nodes have 0–2 children (call trees are deep,
-/// not bushy), so the common case needs no hash lookup at all.
-const INLINE_CHILDREN: usize = 2;
-
-/// One inline child entry: the child's frame and its node index.
-#[derive(Clone, Copy, Debug, Default)]
-struct InlineChild {
-    frame: u32,
-    child: u32,
-}
-
-/// A CCT node. Children are reachable two ways: the
-/// `first_child`/`next_sibling` chain enumerates them (newest first),
-/// and lookup-by-frame goes through the inline slots, falling back to
-/// the owning [`Cct`]'s one `spill` map, keyed by [`spill_key`], once
-/// the inline slots are full. The whole tree stays in one contiguous
-/// arena with no per-node map. DESIGN.md §11 has what the inline slots
-/// measure against the map alone; measure again before dropping them.
+/// A CCT node: its frame, its parent and its metrics. Lookup by frame
+/// goes through the owning [`Cct`]'s one `children` map, and
+/// [`Cct::walk_sorted`] finds a node's children through the parent
+/// links, so a node holds no child links and the whole tree is one
+/// contiguous arena. DESIGN.md §11 "CCT fold" has the measurements
+/// behind holding no child slots on the node.
 #[derive(Clone, Debug)]
 struct Node {
     frame: Option<FrameId>,
     parent: u32,
-    first_child: u32,
-    next_sibling: u32,
-    inline: [InlineChild; INLINE_CHILDREN],
-    inline_len: u8,
     metrics: Metrics,
 }
 
-impl Node {
-    fn new(frame: Option<FrameId>, parent: u32) -> Self {
-        Node {
-            frame,
-            parent,
-            first_child: NO_NODE,
-            next_sibling: NO_NODE,
-            inline: [InlineChild::default(); INLINE_CHILDREN],
-            inline_len: 0,
-            metrics: Metrics::default(),
-        }
-    }
-}
-
-/// The `spill` key of `frame` under node `parent`: the parent in the
-/// high half, the frame xor the parent in the low. `FnvHasher` takes a
-/// `u64` in one multiply, so only the low half reaches the bucket
-/// index; with the parent folded in, one frame spilled under many
+/// The `children` key of `frame` under node `parent`: the parent in
+/// the high half, the frame xor the parent in the low. `FnvHasher`
+/// takes a `u64` in one multiply, so only the low half reaches the
+/// bucket index; with the parent folded in, one frame under many
 /// parents spreads instead of piling onto one probe sequence. The key
 /// stays one-to-one: the high half gives back the parent, and with it
 /// the frame.
-fn spill_key(parent: u32, frame: FrameId) -> u64 {
+fn child_key(parent: u32, frame: FrameId) -> u64 {
     (u64::from(parent) << 32) | u64::from(frame.0 ^ parent)
 }
 
@@ -118,9 +87,9 @@ fn spill_key(parent: u32, frame: FrameId) -> u64 {
 #[derive(Clone, Debug)]
 pub struct Cct {
     nodes: Vec<Node>,
-    /// `spill_key(parent, frame) → child` for the children of bushy
-    /// nodes that did not fit inline; entries are never removed.
-    spill: FnvHashMap<u64, u32>,
+    /// `child_key(parent, frame) → child`, one entry per non-root
+    /// node; entries are never removed.
+    children: FnvHashMap<u64, u32>,
 }
 
 impl Default for Cct {
@@ -130,12 +99,14 @@ impl Default for Cct {
 }
 
 /// The buffers of [`Cct::walk_sorted`], kept by a caller that walks
-/// many trees: the pre-order stack, one node's children, and the
-/// inclusive metrics of the tree being walked.
+/// many trees: the pre-order stack, every node's children (grouped by
+/// parent, each group sorted by frame), where each group starts, and
+/// the inclusive metrics of the tree being walked.
 #[derive(Debug, Default)]
 pub struct SortedWalk {
     stack: Vec<(CctNodeId, usize)>,
     kids: Vec<(FrameId, u32)>,
+    start: Vec<u32>,
     inc: Vec<Metrics>,
 }
 
@@ -143,8 +114,12 @@ impl Cct {
     /// Creates a CCT holding only the (frameless) root.
     pub fn new() -> Self {
         Cct {
-            nodes: vec![Node::new(None, NO_NODE)],
-            spill: FnvHashMap::default(),
+            nodes: vec![Node {
+                frame: None,
+                parent: NO_NODE,
+                metrics: Metrics::default(),
+            }],
+            children: FnvHashMap::default(),
         }
     }
 
@@ -178,44 +153,20 @@ impl Cct {
 
     /// Child of `node` for `frame`, creating it if missing.
     pub fn child(&mut self, node: CctNodeId, frame: FrameId) -> CctNodeId {
-        if let Some(c) = self.find_child(node, frame) {
-            return c;
-        }
-        let id = u32::try_from(self.nodes.len()).expect("more than u32::MAX CCT nodes");
-        assert!(id != NO_NODE, "CCT node id space exhausted");
-        let mut n = Node::new(Some(frame), node.0);
-        n.next_sibling = self.nodes[node.0 as usize].first_child;
-        self.nodes.push(n);
-        let parent = &mut self.nodes[node.0 as usize];
-        parent.first_child = id;
-        if (parent.inline_len as usize) < INLINE_CHILDREN {
-            parent.inline[parent.inline_len as usize] = InlineChild {
-                frame: frame.0,
-                child: id,
-            };
-            parent.inline_len += 1;
-        } else {
-            self.spill.insert(spill_key(node.0, frame), id);
+        let next = u32::try_from(self.nodes.len()).expect("more than u32::MAX CCT nodes");
+        let id = *self
+            .children
+            .entry(child_key(node.0, frame))
+            .or_insert(next);
+        if id == next {
+            assert!(id != NO_NODE, "CCT node id space exhausted");
+            self.nodes.push(Node {
+                frame: Some(frame),
+                parent: node.0,
+                metrics: Metrics::default(),
+            });
         }
         CctNodeId(id)
-    }
-
-    /// Child of `node` for `frame` without creating it.
-    pub fn find_child(&self, node: CctNodeId, frame: FrameId) -> Option<CctNodeId> {
-        let nd = &self.nodes[node.0 as usize];
-        for s in &nd.inline[..nd.inline_len as usize] {
-            if s.frame == frame.0 {
-                return Some(CctNodeId(s.child));
-            }
-        }
-        if (nd.inline_len as usize) < INLINE_CHILDREN {
-            // The inline slots never filled, so nothing spilled either.
-            return None;
-        }
-        self.spill
-            .get(&spill_key(node.0, frame))
-            .copied()
-            .map(CctNodeId)
     }
 
     /// Resolves (creating as needed) the node for a full call path.
@@ -295,23 +246,44 @@ impl Cct {
         walk: &mut SortedWalk,
         mut visit: impl FnMut(CctNodeId, usize, Metrics),
     ) {
-        let SortedWalk { stack, kids, inc } = walk;
+        let SortedWalk {
+            stack,
+            kids,
+            start,
+            inc,
+        } = walk;
         self.inclusive_into(inc);
+        // Group the children by parent through the parent links: count
+        // each parent's children two slots ahead, prefix-sum, then
+        // place each child by bumping its parent's cursor one slot
+        // ahead, which leaves node `p`'s children at
+        // `kids[start[p]..start[p + 1]]`.
+        let n = self.nodes.len();
+        start.clear();
+        start.resize(n + 2, 0);
+        for nd in &self.nodes[1..] {
+            start[nd.parent as usize + 2] += 1;
+        }
+        for i in 2..start.len() {
+            start[i] += start[i - 1];
+        }
+        kids.clear();
+        kids.resize(n - 1, (FrameId(0), 0));
+        for (id, nd) in self.nodes.iter().enumerate().skip(1) {
+            let at = &mut start[nd.parent as usize + 1];
+            kids[*at as usize] = (nd.frame.expect("non-root node has a frame"), id as u32);
+            *at += 1;
+        }
         stack.clear();
         stack.push((CctNodeId::ROOT, 0));
         while let Some((node, depth)) = stack.pop() {
             visit(node, depth, inc[node.0 as usize]);
-            kids.clear();
-            let mut c = self.nodes[node.0 as usize].first_child;
-            while c != NO_NODE {
-                let nd = &self.nodes[c as usize];
-                kids.push((nd.frame.expect("non-root node has a frame"), c));
-                c = nd.next_sibling;
-            }
+            let (lo, hi) = (start[node.0 as usize], start[node.0 as usize + 1]);
+            let group = &mut kids[lo as usize..hi as usize];
             // A node has one child per frame, so the keys are distinct
             // and an unstable sort gives the one order.
-            kids.sort_unstable_by_key(|&(f, _)| f);
-            stack.extend(kids.iter().rev().map(|&(_, c)| (CctNodeId(c), depth + 1)));
+            group.sort_unstable_by_key(|&(f, _)| f);
+            stack.extend(group.iter().rev().map(|&(_, c)| (CctNodeId(c), depth + 1)));
         }
     }
 
@@ -465,11 +437,11 @@ mod tests {
     }
 
     #[test]
-    fn one_frame_spilled_under_many_parents_spreads() {
+    fn one_frame_under_many_parents_spreads() {
         // Only a key's low half reaches the bucket index, so it must
         // differ between parents for the same frame.
         let lows: std::collections::HashSet<u32> =
-            (0..1000).map(|p| spill_key(p, fid(3)) as u32).collect();
+            (0..1000).map(|p| child_key(p, fid(3)) as u32).collect();
         assert_eq!(lows.len(), 1000);
     }
 

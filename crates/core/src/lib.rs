@@ -13,8 +13,9 @@
 //!   algorithm over `MOV`/non-`MOV` operations in critical sections,
 //!   including the invalid-context rule, lock-tag flushing, and the
 //!   producer/consumer-list exclusion of allocator-like patterns.
-//! - **Event and SEDA stage tracking** ([`events`], [`seda`]): the §4
-//!   continuation / stage-queue context propagation.
+//! - **Event and SEDA stage tracking** ([`rt::Continuation`]): the §4
+//!   continuation / stage-queue context propagation, one hook triple
+//!   for both (Figures 4 and 5).
 //! - **Message-passing propagation** ([`synopsis`], [`ipc`]): 4-byte
 //!   transaction-context synopses, `#`-delimited chains, and
 //!   caller-prefix response detection (§5, §7.4).
@@ -51,7 +52,6 @@ pub mod cost;
 pub mod crosstalk;
 pub mod delta;
 pub mod dumpjson;
-pub mod events;
 pub mod frame;
 pub mod hash;
 pub mod ids;
@@ -61,7 +61,6 @@ pub mod pipeline;
 pub mod profiler;
 pub mod repro;
 pub mod rt;
-pub mod seda;
 pub mod shm;
 pub mod sketch;
 pub mod stitch;

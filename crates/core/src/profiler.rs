@@ -12,12 +12,10 @@ use crate::cct::{Cct, Metrics};
 use crate::context::{ContextPolicy, ContextTable, CtxId};
 use crate::cost::{CostModel, SampleClock, Sampling};
 use crate::crosstalk::CrosstalkRecorder;
-use crate::events::EventCtx;
 use crate::frame::{FrameId, SharedFrameTable};
 use crate::ids::{IdVec, LockId, LockMode, ProcId, ThreadId};
 use crate::ipc::{IpcTracker, RecvKind, SendInfo};
-use crate::rt::Runtime;
-use crate::seda::StageElemCtx;
+use crate::rt::{Continuation, Runtime};
 use crate::shm::{FlowConfig, FlowDetector, FlowEvent, MemEvent};
 use crate::stitch::{
     dump_context, DumpCct, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
@@ -292,31 +290,17 @@ impl Runtime for Whodunit {
         0
     }
 
-    fn on_event_create(&mut self, t: ThreadId) -> EventCtx {
-        EventCtx(self.base_of(t))
+    fn on_capture(&mut self, t: ThreadId) -> Continuation {
+        Continuation(self.base_of(t))
     }
 
-    fn on_event_dispatch(&mut self, t: ThreadId, ev: EventCtx, handler: FrameId) -> u64 {
-        let ctx = self.ctxs.append_frame(ev.0, handler);
+    fn on_resume(&mut self, t: ThreadId, k: Continuation, frame: FrameId) -> u64 {
+        let ctx = self.ctxs.append_frame(k.0, frame);
         self.base.insert(t.0, ctx);
         0
     }
 
-    fn on_handler_done(&mut self, t: ThreadId) {
-        self.base.remove(t.0);
-    }
-
-    fn on_stage_make_elem(&mut self, t: ThreadId) -> StageElemCtx {
-        StageElemCtx(self.base_of(t))
-    }
-
-    fn on_stage_dequeue(&mut self, t: ThreadId, elem: StageElemCtx, stage: FrameId) -> u64 {
-        let ctx = self.ctxs.append_frame(elem.0, stage);
-        self.base.insert(t.0, ctx);
-        0
-    }
-
-    fn on_stage_elem_done(&mut self, t: ThreadId) {
+    fn on_finish(&mut self, t: ThreadId) {
         self.base.remove(t.0);
     }
 
@@ -475,15 +459,39 @@ mod tests {
         let (mut w, frames) = make();
         let h1 = frames.borrow_mut().intern("accept");
         let main = frames.borrow_mut().intern("main");
-        let ev = w.on_event_create(T1);
-        w.on_event_dispatch(T1, ev, h1);
+        // Captured outside any handler: the root.
+        let ev = w.on_capture(T1);
+        assert_eq!(ev, Continuation(CtxId::ROOT));
+        w.on_resume(T1, ev, h1);
         let ctx = w.current_ctx(T1);
         assert_ne!(ctx, CtxId::ROOT);
         w.on_compute(T1, &[main], 500);
         assert!(w.cct(ctx).is_some());
         assert!(w.cct(CtxId::ROOT).is_none());
-        w.on_handler_done(T1);
+        w.on_finish(T1);
         assert_eq!(w.current_ctx(T1), CtxId::ROOT);
+    }
+
+    #[test]
+    fn rescheduled_handlers_collapse_and_connection_loops_prune() {
+        // §4.1: a read handler that needs several iterations appears
+        // once in the context, and a persistent connection's
+        // [accept, read, write] + read prunes back to [accept, read].
+        let (mut w, frames) = make();
+        let [accept, read, write] =
+            ["accept", "read", "write"].map(|n| frames.borrow_mut().intern(n));
+        let mut run = |k: Continuation, handler| {
+            w.on_resume(T1, k, handler);
+            let next = w.on_capture(T1);
+            w.on_finish(T1);
+            next
+        };
+        let k = run(Continuation::default(), accept);
+        let after_read = run(k, read);
+        assert_eq!(run(after_read, read), after_read);
+        let k = run(after_read, write);
+        assert_eq!(run(k, read), after_read);
+        assert_eq!(w.ctx_string(after_read.0), "accept -> read");
     }
 
     #[test]
@@ -491,13 +499,18 @@ mod tests {
         let (mut w, frames) = make();
         let s1 = frames.borrow_mut().intern("ListenStage");
         let s2 = frames.borrow_mut().intern("ReadStage");
-        let e = w.on_stage_make_elem(T1);
-        w.on_stage_dequeue(T1, e, s1);
-        let elem = w.on_stage_make_elem(T1);
-        w.on_stage_elem_done(T1);
-        w.on_stage_dequeue(T2, elem, s2);
+        let e = w.on_capture(T1);
+        w.on_resume(T1, e, s1);
+        let elem = w.on_capture(T1);
+        w.on_finish(T1);
+        w.on_resume(T2, elem, s2);
         let c2 = w.current_ctx(T2);
         assert_eq!(w.ctx_string(c2), "ListenStage -> ReadStage");
+        // Two workers busy at once stay independent.
+        w.on_resume(T1, Continuation::default(), s2);
+        assert_eq!(w.ctx_string(w.current_ctx(T1)), "ReadStage");
+        assert_eq!(w.current_ctx(T2), c2);
+        assert_ne!(w.on_capture(T1), w.on_capture(T2));
     }
 
     #[test]
@@ -526,8 +539,8 @@ mod tests {
     fn crosstalk_flows_through_hooks() {
         let (mut w, frames) = make();
         let h = frames.borrow_mut().intern("handler");
-        let ev = w.on_event_create(T1);
-        w.on_event_dispatch(T1, ev, h);
+        let ev = w.on_capture(T1);
+        w.on_resume(T1, ev, h);
         let ctx_a = w.current_ctx(T1);
         let l = LockId(9);
         w.on_lock_acquired(T1, l, LockMode::Exclusive, 0, None);

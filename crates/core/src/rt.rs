@@ -15,14 +15,27 @@
 //! `whodunit-baselines`, and [`NullRuntime`] (profiling off).
 
 use crate::context::CtxId;
-use crate::events::EventCtx;
 use crate::frame::FrameId;
 use crate::ids::{LockId, LockMode, ThreadId};
 use crate::ipc::SendInfo;
-use crate::seda::StageElemCtx;
 use crate::shm::MemEvent;
 use crate::stitch::StageDump;
 use crate::synopsis::SynChain;
+
+/// The transaction context stored on a continuation: an event (§4.1,
+/// the `ev_tran_ctxt` field Figure 4 adds to `struct event`) or a SEDA
+/// stage-queue element (§4.2, Figure 5's `elem->tran_ctxt`). The paper
+/// stresses that the two figures are one rule, so both carry this one
+/// type through one hook triple: [`Runtime::on_capture`],
+/// [`Runtime::on_resume`] and [`Runtime::on_finish`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Continuation(pub CtxId);
+
+impl Default for Continuation {
+    fn default() -> Self {
+        Continuation(CtxId::ROOT)
+    }
+}
 
 /// Hooks a profiling runtime implements; all have no-op defaults.
 pub trait Runtime {
@@ -100,34 +113,25 @@ pub trait Runtime {
         0
     }
 
-    /// Figure 4 line 12: an event is created; returns the context to
-    /// store in it.
-    fn on_event_create(&mut self, _t: ThreadId) -> EventCtx {
-        EventCtx::default()
+    /// Figures 4 and 5, line 12: `t` creates an event or a stage-queue
+    /// element; returns the context to store in it (the root outside
+    /// any handler or stage: "when the initial event handler is
+    /// scheduled, its transaction context is simply the call path").
+    fn on_capture(&mut self, _t: ThreadId) -> Continuation {
+        Continuation::default()
     }
 
-    /// Figure 4 lines 5–6: `handler` is about to run for an event
-    /// carrying `ev`.
-    fn on_event_dispatch(&mut self, _t: ThreadId, _ev: EventCtx, _handler: FrameId) -> u64 {
+    /// Figures 4 and 5, lines 5–6: `t` is about to run `frame`, an
+    /// event handler or a stage, for an event or element carrying `k`;
+    /// `k`'s context plus `frame` becomes current. Returns bookkeeping
+    /// cycles.
+    fn on_resume(&mut self, _t: ThreadId, _k: Continuation, _frame: FrameId) -> u64 {
         0
     }
 
-    /// The current event handler returned.
-    fn on_handler_done(&mut self, _t: ThreadId) {}
-
-    /// Figure 5 line 12: a stage-queue element is created by `t`.
-    fn on_stage_make_elem(&mut self, _t: ThreadId) -> StageElemCtx {
-        StageElemCtx::default()
-    }
-
-    /// Figure 5 lines 5–6: worker `t` dequeued `elem` and executes it
-    /// in `stage`.
-    fn on_stage_dequeue(&mut self, _t: ThreadId, _elem: StageElemCtx, _stage: FrameId) -> u64 {
-        0
-    }
-
-    /// Worker `t` finished its stage element.
-    fn on_stage_elem_done(&mut self, _t: ThreadId) {}
+    /// The handler or stage element `t` was running finished: no
+    /// continuation context is current anymore.
+    fn on_finish(&mut self, _t: ThreadId) {}
 
     /// A memory event from emulated critical-section code (§3, §7.2).
     /// `stack` is the thread's call stack (the produce-point call path).

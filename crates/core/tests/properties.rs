@@ -1,7 +1,7 @@
 //! Property-based tests of the core data structures and algorithms.
 
 use proptest::prelude::*;
-use whodunit_core::cct::{Cct, CctNodeId, Metrics};
+use whodunit_core::cct::{Cct, CctNodeId, Metrics, SortedWalk};
 use whodunit_core::context::{ContextAtom, ContextPolicy, ContextTable, CtxId};
 use whodunit_core::crosstalk::CrosstalkRecorder;
 use whodunit_core::frame::FrameId;
@@ -61,9 +61,8 @@ proptest! {
 
     /// CCT invariants: the root's inclusive metrics equal the sum of
     /// all recordings, `total()` (a sum over the arena) equals the tree
-    /// walk it replaced — eight frames over up to 40 paths spill well
-    /// past the inline child slots — and every recorded path resolves
-    /// back to itself.
+    /// walk it replaced, and every recorded path resolves back to
+    /// itself.
     #[test]
     fn cct_totals_and_paths(
         records in proptest::collection::vec(
@@ -86,6 +85,101 @@ proptest! {
         prop_assert_eq!(total, cct.inclusive_all()[CctNodeId::ROOT.0 as usize]);
         prop_assert_eq!(total.cycles, want_cycles);
         prop_assert_eq!(total.samples, want_samples);
+    }
+
+    /// The CCT against a map-based reference: random `child`,
+    /// `record` and `record_at` sequences over random paths give the
+    /// same node ids and parents as a `BTreeMap<(parent, frame),
+    /// child>`, the same `walk_sorted` visits (node, depth, inclusive
+    /// metrics) as a recursive walk of that map, and the same
+    /// `hot_paths` as a full sort.
+    #[test]
+    fn cct_matches_a_map_reference(
+        ops in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec(0u32..6, 0..5), 0u32..64, 0u64..400),
+            1..60
+        )
+    ) {
+        use std::collections::BTreeMap;
+        let mut cct = Cct::new();
+        let mut kids: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        // (parent, frame, exclusive metrics) per node, root first.
+        let mut nodes: Vec<(Option<u32>, Option<u32>, Metrics)> =
+            vec![(None, None, Metrics::default())];
+        let mut ref_child = |nodes: &mut Vec<(Option<u32>, Option<u32>, Metrics)>, parent: u32, f: u32| {
+            *kids.entry((parent, f)).or_insert_with(|| {
+                nodes.push((Some(parent), Some(f), Metrics::default()));
+                nodes.len() as u32 - 1
+            })
+        };
+        for (kind, path, pick, v) in &ops {
+            // Samples 0..4, so many nodes tie in `hot_paths`.
+            let m = Metrics { samples: v % 4, cycles: v / 4, calls: 1 };
+            let at = pick % nodes.len() as u32;
+            match kind {
+                0 => {
+                    let f = path.first().copied().unwrap_or(*pick % 6);
+                    let got = cct.child(CctNodeId(at), FrameId(f));
+                    prop_assert_eq!(got.0, ref_child(&mut nodes, at, f));
+                }
+                1 => {
+                    let p: Vec<FrameId> = path.iter().map(|&f| FrameId(f)).collect();
+                    cct.record(&p, m);
+                    let mut n = 0;
+                    for &f in path {
+                        n = ref_child(&mut nodes, n, f);
+                    }
+                    nodes[n as usize].2.add(m);
+                }
+                _ => {
+                    cct.record_at(CctNodeId(at), m);
+                    nodes[at as usize].2.add(m);
+                }
+            }
+        }
+        prop_assert_eq!(cct.len(), nodes.len());
+        for (id, &(parent, frame, metrics)) in nodes.iter().enumerate() {
+            let id = CctNodeId(id as u32);
+            prop_assert_eq!(cct.parent(id).map(|p| p.0), parent);
+            prop_assert_eq!(cct.frame(id).map(|f| f.0), frame);
+            prop_assert_eq!(cct.metrics(id), metrics);
+        }
+
+        // Reference walk: pre-order, children by frame.
+        let mut inc: Vec<Metrics> = nodes.iter().map(|n| n.2).collect();
+        for i in (1..nodes.len()).rev() {
+            let m = inc[i];
+            inc[nodes[i].0.expect("non-root") as usize].add(m);
+        }
+        let mut want = Vec::new();
+        let mut stack = vec![(0u32, 0usize)];
+        while let Some((n, depth)) = stack.pop() {
+            want.push((n, depth, inc[n as usize]));
+            let under: Vec<u32> = kids.range((n, 0)..(n + 1, 0)).map(|(_, &c)| c).collect();
+            stack.extend(under.into_iter().rev().map(|c| (c, depth + 1)));
+        }
+        let mut walk = SortedWalk::default();
+        let mut seen = Vec::new();
+        cct.walk_sorted(&mut walk, |n, depth, m| seen.push((n.0, depth, m)));
+        prop_assert_eq!(&seen, &want);
+
+        let path_of = |mut n: u32| {
+            let mut p = Vec::new();
+            while let (Some(parent), Some(f), _) = nodes[n as usize] {
+                p.push(FrameId(f));
+                n = parent;
+            }
+            p.reverse();
+            p
+        };
+        let mut hot: Vec<(Vec<FrameId>, Metrics)> = (0..nodes.len() as u32)
+            .filter(|&n| nodes[n as usize].2.samples > 0)
+            .map(|n| (path_of(n), nodes[n as usize].2))
+            .collect();
+        hot.sort_by(|a, b| b.1.samples.cmp(&a.1.samples).then(a.0.cmp(&b.0)));
+        for k in [0, 1, 3, hot.len() + 1] {
+            prop_assert_eq!(cct.hot_paths(k), hot.iter().take(k).cloned().collect::<Vec<_>>());
+        }
     }
 
     /// Synopsis tables: every minted synopsis resolves back to its

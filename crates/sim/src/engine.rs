@@ -276,7 +276,6 @@ struct Thread {
 }
 
 struct Proc {
-    name: String,
     rt: Rc<RefCell<dyn Runtime>>,
     /// Ground-truth application compute cycles requested by this
     /// process's threads (excludes profiling overhead and fault
@@ -504,10 +503,11 @@ impl Sim {
         self.frames.borrow_mut().intern(name)
     }
 
-    /// Registers a process with a profiling runtime.
-    pub fn add_process(&mut self, name: &str, rt: Rc<RefCell<dyn Runtime>>) -> ProcId {
+    /// Registers a process with a profiling runtime. `_name` labels
+    /// the process at the call site only: nothing reads a process's
+    /// name back, so the engine keeps no copy of it.
+    pub fn add_process(&mut self, _name: &str, rt: Rc<RefCell<dyn Runtime>>) -> ProcId {
         self.procs.push(Proc {
-            name: name.to_owned(),
             rt,
             compute_cycles: 0,
             crashed: false,
@@ -536,11 +536,6 @@ impl Sim {
     /// A process's runtime.
     pub fn runtime(&self, p: ProcId) -> Rc<RefCell<dyn Runtime>> {
         self.procs[p.0 as usize].rt.clone()
-    }
-
-    /// A process's name.
-    pub fn proc_name(&self, p: ProcId) -> &str {
-        &self.procs[p.0 as usize].name
     }
 
     /// Collects the stage dumps of every profiled process, in process-id

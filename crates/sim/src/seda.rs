@@ -3,10 +3,10 @@
 //! A SEDA application is a graph of *stages*, each with an input queue
 //! and a pool of worker threads. [`StageWorker`] is the instrumented
 //! stage loop of Figure 5 as a reusable [`ThreadBody`]: it dequeues an
-//! element (calling the runtime's `on_stage_dequeue` hook, which
-//! concatenates the element's transaction context with the stage), runs
-//! the application handler, computes, and emits new elements to
-//! downstream queues (stamping them via `on_stage_make_elem`).
+//! element (calling the runtime's `on_resume` hook, which concatenates
+//! the element's transaction context with the stage), runs the
+//! application handler, computes, and emits new elements to downstream
+//! queues (stamping them via `on_capture`).
 //!
 //! Queues are protected by a simulation lock + condition variable, so
 //! stage hand-offs also exercise the lock hook path.
@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::{ChanId, LockId, LockMode};
-use whodunit_core::seda::StageElemCtx;
+use whodunit_core::rt::Continuation;
 
 /// A stage input queue (share via `Rc<RefCell<_>>`).
 #[derive(Debug)]
@@ -29,7 +29,7 @@ pub struct StageQueue {
     pub lock: LockId,
     /// Condition signalled on enqueue.
     pub cond: CondId,
-    elems: VecDeque<(StageElemCtx, Box<dyn Any>)>,
+    elems: VecDeque<(Continuation, Box<dyn Any>)>,
     enqueued: u64,
 }
 
@@ -45,13 +45,13 @@ impl StageQueue {
     }
 
     /// Pushes an element with its transaction context.
-    pub fn push(&mut self, ctx: StageElemCtx, data: Box<dyn Any>) {
+    pub fn push(&mut self, ctx: Continuation, data: Box<dyn Any>) {
         self.elems.push_back((ctx, data));
         self.enqueued += 1;
     }
 
     /// Pops the oldest element.
-    pub fn pop(&mut self) -> Option<(StageElemCtx, Box<dyn Any>)> {
+    pub fn pop(&mut self) -> Option<(Continuation, Box<dyn Any>)> {
         self.elems.pop_front()
     }
 
@@ -165,7 +165,7 @@ impl StageWorker {
             return Op::Send(chan, msg);
         }
         // Element fully processed.
-        cx.runtime().borrow_mut().on_stage_elem_done(cx.me());
+        cx.runtime().borrow_mut().on_finish(cx.me());
         cx.pop_frame();
         self.state = WState::CheckQueue;
         Op::Lock(self.queue.borrow().lock, LockMode::Exclusive)
@@ -201,7 +201,7 @@ impl ThreadBody for StageWorker {
                         // elem->tran_ctxt + CURRENT_STAGE.
                         cx.runtime()
                             .borrow_mut()
-                            .on_stage_dequeue(cx.me(), ctx, self.stage);
+                            .on_resume(cx.me(), ctx, self.stage);
                         cx.push_frame(self.stage);
                         self.state = WState::Dequeued(Some(data));
                         Op::Unlock(self.queue.borrow().lock)
@@ -222,7 +222,7 @@ impl ThreadBody for StageWorker {
                 // stamped with the current transaction context
                 // (Figure 5 line 12).
                 let (q, data) = self.emits.pop_front().expect("emit pending");
-                let ctx = cx.runtime().borrow_mut().on_stage_make_elem(cx.me());
+                let ctx = cx.runtime().borrow_mut().on_capture(cx.me());
                 let (lock, cond) = {
                     let mut qb = q.borrow_mut();
                     qb.push(ctx, data);
@@ -322,7 +322,7 @@ mod tests {
                     }
                     1 => {
                         for i in 0..self.n {
-                            let ctx = cx.runtime().borrow_mut().on_stage_make_elem(cx.me());
+                            let ctx = cx.runtime().borrow_mut().on_capture(cx.me());
                             self.q.borrow_mut().push(ctx, Box::new(i));
                         }
                         self.phase = 2;

@@ -12,9 +12,9 @@ use whodunit::core::cost::{cycles_to_ms, ms_to_cycles};
 use whodunit::core::ids::{LockMode, ProcId};
 use whodunit::core::profiler::{Whodunit, WhodunitConfig};
 use whodunit::sim::{Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
-use whodunit_core::events::EventCtx;
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::LockId;
+use whodunit_core::rt::Continuation;
 
 /// A looping transaction: dispatch (sets its context), lock, hold,
 /// unlock, idle.
@@ -39,7 +39,7 @@ impl ThreadBody for Txn {
                 // Each round is one transaction instance of this type.
                 let rt = cx.runtime();
                 rt.borrow_mut()
-                    .on_event_dispatch(cx.me(), EventCtx::default(), self.handler);
+                    .on_resume(cx.me(), Continuation::default(), self.handler);
                 cx.set_stack(&[self.handler]);
                 self.state = 1;
                 Op::Lock(self.lock, self.mode)

@@ -74,13 +74,15 @@ cargo test --workspace -q
 #   decode_batch does, so nothing of an earlier delta shows in a later
 #   one;
 # - allocation budget: wire ingest of the staggered fleet stream behind
-#   a counting allocator, <= 1.0 allocations per event (0.897 now,
-#   0.890 while the CCT's child spill was a hand-written table, 0.895
+#   a counting allocator, <= 1.0 allocations per event (0.907 now,
+#   0.897 while CCT nodes kept two inline child slots, 0.890 while the
+#   CCT's child spill was a hand-written table, 0.895
 #   while the collector evicted, 1.877 while every delta copied
 #   its frame names and contexts, 3.505 before the decoder recycled its
 #   storage); then the same frames through a collector behind a 4-deep
-#   queue with a snapshot per frame, <= 1.5 per event (1.464 now,
-#   1.456 with the hand-written child spill, 1.488 while a 1-epoch
+#   queue with a snapshot per frame, <= 1.5 per event (1.474 now,
+#   1.464 with inline child slots, 1.456 with the hand-written child
+#   spill, 1.488 while a 1-epoch
 #   window evicted and revived origins, 2.469
 #   while names and contexts were copied, 3.283 when every eviction
 #   copied the origin's tree to a flat list and every revival rebuilt
