@@ -958,6 +958,11 @@ mod tests {
         assert!(r.stale_served > 0, "stale entries keep being served");
         assert!(r.failed > 0, "cold files fail instead of hanging");
         assert!(r.reqs > 100, "the proxy keeps serving: {}", r.reqs);
+        // The exact run at fault seed 0x5eed.
+        assert_eq!(
+            (r.reqs, r.origin_retries, r.stale_served, r.failed),
+            (8656, 612, 140, 52)
+        );
         let w = r.runtime.whodunit.as_ref().unwrap().borrow();
         let ctxs: Vec<String> = w
             .profiled_contexts()
@@ -992,6 +997,11 @@ mod tests {
             "few requests exhaust 3 retries: {} of {}",
             r.failed,
             r.reqs
+        );
+        // The exact run at fault seed 0x5eed.
+        assert_eq!(
+            (r.reqs, r.origin_retries, r.stale_served, r.failed),
+            (13157, 1601, 6, 36)
         );
     }
 

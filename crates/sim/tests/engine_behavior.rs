@@ -471,3 +471,133 @@ fn chunked_run_is_bit_identical_to_the_unchunked_run() {
     assert_eq!(c.recv_deadline, whodunit_sim::KindCount { scheduled: 1, fired: 1 });
     assert_eq!(c.recv_deadlines_stale, 0, "the timed receive expired");
 }
+
+/// Records every `waited` its process's threads are granted a lock
+/// with, by thread.
+#[derive(Default)]
+struct GrantLog(Vec<(ThreadId, u64)>);
+
+impl Runtime for GrantLog {
+    fn name(&self) -> &'static str {
+        "grant-log"
+    }
+
+    fn on_lock_acquired(
+        &mut self,
+        t: ThreadId,
+        _lock: whodunit_core::ids::LockId,
+        _mode: LockMode,
+        waited: u64,
+        _holder: Option<whodunit_core::context::CtxId>,
+    ) -> u64 {
+        self.0.push((t, waited));
+        0
+    }
+}
+
+/// A scripted body that logs each wake's `Debug` form.
+struct WakeLog {
+    ops: VecDeque<Op>,
+    log: Rc<RefCell<Vec<String>>>,
+}
+
+impl ThreadBody for WakeLog {
+    fn resume(&mut self, _cx: &mut ThreadCx<'_>, wake: Wake) -> Op {
+        self.log.borrow_mut().push(format!("{wake:?}"));
+        self.ops.pop_front().unwrap_or(Op::Exit)
+    }
+}
+
+/// Every way a thread can be granted a lock, against a free lock and
+/// against one another thread holds for `N` more cycles: the resume
+/// `Wake` is exact, and the profiler is told the same `waited`.
+#[test]
+fn every_lock_grant_resumes_with_its_wake_kind_and_wait() {
+    const N: u64 = 3_000;
+    const DEADLINE: u64 = 5_000;
+    #[derive(Clone, Copy, Debug)]
+    enum Row {
+        Lock,
+        CondNotify,
+        CondTimeout,
+    }
+    fn cell(row: Row, held: bool) -> (String, u64) {
+        let mut sim = Sim::default();
+        let m = sim.add_machine(4);
+        let rt = Rc::new(RefCell::new(GrantLog::default()));
+        let p = sim.add_process("p", rt.clone());
+        let lk = sim.add_lock();
+        let cv = sim.add_cond();
+        let x = LockMode::Exclusive;
+        // The subject is thread 0; its last wake is the one under test.
+        let subject: Vec<Op> = match row {
+            Row::Lock => vec![Op::Lock(lk, x)],
+            Row::CondNotify => vec![Op::Lock(lk, x), Op::CondWait(cv, lk)],
+            Row::CondTimeout => vec![Op::Lock(lk, x), Op::CondWaitTimeout(cv, lk, DEADLINE)],
+        };
+        // The other thread, when `held`, holds the lock across the
+        // subject's (re-)acquire and releases it `N` cycles later.
+        let other: Vec<Op> = match (row, held) {
+            (Row::Lock, false) => vec![],
+            (Row::Lock, true) => vec![Op::Lock(lk, x), Op::Compute(N), Op::Unlock(lk)],
+            (Row::CondNotify, false) => vec![Op::Sleep(1_000), Op::Notify(cv, false)],
+            (Row::CondNotify, true) => vec![
+                Op::Sleep(1_000),
+                Op::Lock(lk, x),
+                Op::Notify(cv, false),
+                Op::Compute(N),
+                Op::Unlock(lk),
+            ],
+            (Row::CondTimeout, false) => vec![],
+            (Row::CondTimeout, true) => vec![
+                Op::Sleep(1_000),
+                Op::Lock(lk, x),
+                Op::Compute(DEADLINE - 1_000 + N),
+                Op::Unlock(lk),
+            ],
+        };
+        let l = log();
+        // In the held `Lock` row the other thread must take the lock
+        // first, so it is spawned first there.
+        let order: [(&str, Vec<Op>); 2] = if matches!(row, Row::Lock) {
+            [("other", other), ("subject", subject)]
+        } else {
+            [("subject", subject), ("other", other)]
+        };
+        let mut subject_id = ThreadId(0);
+        for (name, ops) in order {
+            let body = WakeLog {
+                ops: ops.into(),
+                log: if name == "subject" { l.clone() } else { log() },
+            };
+            let t = sim.spawn(p, m, name, Box::new(body));
+            if name == "subject" {
+                subject_id = t;
+            }
+        }
+        sim.run_to_idle();
+        let last_wake = l.borrow().last().cloned().expect("the subject resumed");
+        let grants = &rt.borrow().0;
+        let &(_, waited) = grants
+            .iter()
+            .rev()
+            .find(|(t, _)| *t == subject_id)
+            .expect("the subject was granted the lock");
+        (last_wake, waited)
+    }
+    let table = [
+        (Row::Lock, false, "LockAcquired { waited: 0 }", 0),
+        (Row::Lock, true, "LockAcquired { waited: 3000 }", N),
+        (Row::CondNotify, false, "CondWoken { waited: 0 }", 0),
+        (Row::CondNotify, true, "CondWoken { waited: 3000 }", N),
+        (Row::CondTimeout, false, "CondTimedOut { waited: 0 }", 0),
+        (Row::CondTimeout, true, "CondTimedOut { waited: 3000 }", N),
+    ];
+    for (row, held, wake, waited) in table {
+        assert_eq!(
+            cell(row, held),
+            (wake.to_owned(), waited),
+            "{row:?}, lock held: {held}"
+        );
+    }
+}
