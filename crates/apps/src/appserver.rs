@@ -14,7 +14,7 @@ use crate::dbserver::{DbReply, DbReq};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use whodunit_core::cost::ms_to_cycles;
+use whodunit_core::cost::{ms_to_cycles, CPU_HZ};
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::ChanId;
 use whodunit_sim::{Cycles, Msg, Op, Sim, ThreadBody, ThreadCx, Wake};
@@ -74,17 +74,9 @@ pub struct AppServerConfig {
     pub workers: u32,
     /// Enable the §8.4 result caching optimization.
     pub caching: bool,
-    /// CPU cost of servlet logic per request.
-    pub servlet_cost: Cycles,
-    /// CPU cost of rendering the response.
-    pub render_cost: Cycles,
-    /// Cache TTL (TPC-W allows 30 s).
-    pub cache_ttl: Cycles,
     /// How long a worker waits for its database reply before
     /// resending. Generous by default so healthy runs never time out.
     pub db_timeout: Cycles,
-    /// Resend attempts per request after the first send.
-    pub db_retries: u32,
     /// Server-wide budget of resends; once spent, timed-out requests
     /// are shed immediately instead of retried (retry storms under a
     /// dead database would otherwise triple its queue).
@@ -96,15 +88,20 @@ impl Default for AppServerConfig {
         AppServerConfig {
             workers: 96,
             caching: false,
-            servlet_cost: ms_to_cycles(5.0),
-            render_cost: ms_to_cycles(1.0),
-            cache_ttl: 30 * whodunit_core::cost::CPU_HZ,
-            db_timeout: 30 * whodunit_core::cost::CPU_HZ,
-            db_retries: 2,
+            db_timeout: 30 * CPU_HZ,
             retry_budget: 1 << 20,
         }
     }
 }
+
+/// CPU cost of servlet logic per request (5 ms).
+const SERVLET_COST: Cycles = 5 * CPU_HZ / 1_000;
+/// CPU cost of rendering the response (1 ms).
+const RENDER_COST: Cycles = CPU_HZ / 1_000;
+/// Result-cache TTL (TPC-W allows 30 s).
+const CACHE_TTL: Cycles = 30 * CPU_HZ;
+/// Resend attempts per request after the first send.
+const DB_RETRIES: u32 = 2;
 
 /// Internal calls per servlet cycle (drives the gprof baseline; Java
 /// servlet code is call-dense).
@@ -152,8 +149,7 @@ impl AppShared {
 
     fn cache_insert(&mut self, i: Interaction, key: u64, now: Cycles) {
         if self.cacheable(i) {
-            let ttl = self.cfg.cache_ttl;
-            self.cache.insert((i, key), now + ttl);
+            self.cache.insert((i, key), now + CACHE_TTL);
         }
     }
 
@@ -218,10 +214,9 @@ impl ThreadBody for ServletWorker {
                 match msg.try_take::<PageReq>() {
                     Ok(req) => {
                         cx.push_frame(self.f_servlets[&req.interaction]);
-                        let cost = self.shared.borrow().cfg.servlet_cost;
-                        cx.count_calls(self.f_call, cost / CYCLES_PER_CALL);
+                        cx.count_calls(self.f_call, SERVLET_COST / CYCLES_PER_CALL);
                         self.state = SState::Serviced(Some(req));
-                        Op::Compute(cost)
+                        Op::Compute(SERVLET_COST)
                     }
                     Err(msg) => {
                         // Static content: served from disk, no DB.
@@ -254,9 +249,8 @@ impl ThreadBody for ServletWorker {
                     .borrow_mut()
                     .cache_lookup(r.interaction, r.key, cx.now());
                 if hit {
-                    let cost = self.shared.borrow().cfg.render_cost;
                     self.state = SState::Rendered { req, ok: true };
-                    Op::Compute(cost)
+                    Op::Compute(RENDER_COST)
                 } else {
                     self.shared.borrow_mut().db_queries += 1;
                     self.next_tag += 1;
@@ -295,15 +289,14 @@ impl ThreadBody for ServletWorker {
                     self.shared
                         .borrow_mut()
                         .cache_insert(r.interaction, r.key, cx.now());
-                    let cost = self.shared.borrow().cfg.render_cost;
                     self.state = SState::Rendered { req, ok: true };
-                    Op::Compute(cost)
+                    Op::Compute(RENDER_COST)
                 }
                 Wake::RecvTimedOut => {
                     let retry = {
                         let mut sh = self.shared.borrow_mut();
                         sh.db_timeouts += 1;
-                        attempts < sh.cfg.db_retries && sh.try_take_retry()
+                        attempts < DB_RETRIES && sh.try_take_retry()
                     };
                     if retry {
                         let r = req.as_ref().expect("request present");
@@ -457,10 +450,9 @@ mod tests {
     #[test]
     fn entries_expire_after_ttl() {
         let mut s = shared(true);
-        let ttl = s.cfg.cache_ttl;
         s.cache_insert(Interaction::BestSellers, 7, 1000);
-        assert!(s.cache_lookup(Interaction::BestSellers, 7, 1000 + ttl - 1));
-        assert!(!s.cache_lookup(Interaction::BestSellers, 7, 1000 + ttl));
+        assert!(s.cache_lookup(Interaction::BestSellers, 7, 1000 + CACHE_TTL - 1));
+        assert!(!s.cache_lookup(Interaction::BestSellers, 7, 1000 + CACHE_TTL));
         assert_eq!(s.cache_hits, 1);
     }
 
@@ -530,12 +522,12 @@ mod tests {
     fn run_against_dead_db(cfg: AppServerConfig) -> (Option<bool>, Rc<RefCell<AppShared>>) {
         let mut sim = whodunit_sim::Sim::new(whodunit_sim::SimConfig::default());
         let m = sim.add_machine(2);
-        let proc = sim.add_unprofiled_process("tomcat");
+        let proc = sim.add_unprofiled_process();
         let dead_db = sim.add_channel(240_000, 20);
         let app = build_appserver(&mut sim, proc, m, dead_db, cfg);
         let got = Rc::new(RefCell::new(None));
         let reply = sim.add_channel(240_000, 20);
-        let driver = sim.add_unprofiled_process("driver");
+        let driver = sim.add_unprofiled_process();
         sim.spawn(
             driver,
             m,
@@ -557,7 +549,6 @@ mod tests {
         let cfg = AppServerConfig {
             workers: 1,
             db_timeout: 1_000_000,
-            db_retries: 2,
             ..AppServerConfig::default()
         };
         let (got, shared) = run_against_dead_db(cfg);
@@ -574,7 +565,6 @@ mod tests {
         let cfg = AppServerConfig {
             workers: 1,
             db_timeout: 1_000_000,
-            db_retries: 2,
             retry_budget: 0,
             ..AppServerConfig::default()
         };

@@ -293,23 +293,8 @@ impl DbShared {
     }
 }
 
-/// Configuration of the database tier.
-#[derive(Clone, Copy, Debug)]
-pub struct DbConfig {
-    /// Storage engine (lock granularity).
-    pub engine: Engine,
-    /// Executor threads.
-    pub executors: u32,
-}
-
-impl Default for DbConfig {
-    fn default() -> Self {
-        DbConfig {
-            engine: Engine::MyIsam,
-            executors: 64,
-        }
-    }
-}
+/// Executor threads of the database tier.
+const EXECUTORS: u32 = 64;
 
 /// Handles returned by [`build_dbserver`].
 pub struct DbHandles {
@@ -512,17 +497,18 @@ pub struct DbReply {
     pub tag: u64,
 }
 
-/// Builds the database tier into `sim` on `machine`, profiled by the
-/// process runtime already registered as `proc`.
+/// Builds the database tier on `engine` (its lock granularity) into
+/// `sim` on `machine`, profiled by the process runtime already
+/// registered as `proc`.
 pub fn build_dbserver(
     sim: &mut Sim,
     proc: whodunit_core::ids::ProcId,
     machine: whodunit_sim::MachineId,
-    cfg: DbConfig,
+    engine: Engine,
 ) -> DbHandles {
     let mut locks = HashMap::new();
     for &t in &Table::ALL {
-        match cfg.engine {
+        match engine {
             Engine::MyIsam => {
                 locks.insert((t, 0), sim.add_lock());
             }
@@ -536,7 +522,7 @@ pub fn build_dbserver(
     let counter_lock = sim.add_lock();
     let counter = SharedCounter::new(counter_lock.0, 0);
     let shared = Rc::new(RefCell::new(DbShared {
-        engine: cfg.engine,
+        engine,
         locks: locks.clone(),
         counter,
         counter_lock,
@@ -553,7 +539,7 @@ pub fn build_dbserver(
     for it in Interaction::ALL {
         f_frames.insert(it, sim.frame(query_for(it).frame));
     }
-    for i in 0..cfg.executors {
+    for i in 0..EXECUTORS {
         sim.spawn(
             proc,
             machine,

@@ -312,8 +312,8 @@ pub fn run_dnsd(cfg: DnsConfig) -> DnsReport {
     let net_m = sim.add_machine(2);
 
     let pr = make_runtime(cfg.rt, whodunit_core::ids::ProcId(0), "dnsd", sim.frames().clone());
-    let server_proc = sim.add_process("dnsd", pr.rt.clone());
-    let other_proc = sim.add_unprofiled_process("net");
+    let server_proc = sim.add_process(pr.rt.clone());
+    let other_proc = sim.add_unprofiled_process();
 
     let poll = sim.add_channel(60_000, 4);
     let upstream_chan = sim.add_channel(240_000, 8);

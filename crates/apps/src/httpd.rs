@@ -437,8 +437,6 @@ pub struct HttpdConfig {
     pub clients: u32,
     /// Worker threads.
     pub workers: u32,
-    /// Server cores.
-    pub cores: u32,
     /// Virtual run duration.
     pub duration: Cycles,
     /// Which profiler to install in the server process.
@@ -452,7 +450,6 @@ impl Default for HttpdConfig {
         HttpdConfig {
             clients: 24,
             workers: 8,
-            cores: 1,
             duration: 20 * CPU_HZ,
             rt: RtKind::Whodunit,
             trace: WebTraceConfig::default(),
@@ -483,7 +480,7 @@ pub struct HttpdReport {
 /// Runs the Apache-like server under the given configuration.
 pub fn run_httpd(cfg: HttpdConfig) -> HttpdReport {
     let mut sim = Sim::new(SimConfig::default());
-    let server_m = sim.add_machine(cfg.cores);
+    let server_m = sim.add_machine(1);
     let client_m = sim.add_machine(8);
 
     let qlock = sim.add_lock();
@@ -491,8 +488,8 @@ pub fn run_httpd(cfg: HttpdConfig) -> HttpdReport {
     let alock = sim.add_lock();
 
     let pr = make_runtime(cfg.rt, ProcId(0), "httpd", sim.frames().clone());
-    let httpd_proc = sim.add_process("httpd", pr.rt.clone());
-    let client_proc = sim.add_unprofiled_process("clients");
+    let httpd_proc = sim.add_process(pr.rt.clone());
+    let client_proc = sim.add_unprofiled_process();
 
     let conn_chan = sim.add_channel(240_000, 20);
 

@@ -25,6 +25,7 @@
 //! (`whodunit-infer`) and its ground-truth scoring.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod appserver;
 pub mod chaos;

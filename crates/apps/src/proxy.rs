@@ -29,7 +29,7 @@ use whodunit_core::cost::{ms_to_cycles, CPU_HZ};
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::ChanId;
 use whodunit_core::rt::Continuation;
-use whodunit_sim::{ChannelFaults, Cycles, FaultPlan, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{Cycles, Msg, Op, ScenarioFaults, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 use whodunit_workload::{WebTrace, WebTraceConfig};
 
 /// Handler CPU costs.
@@ -40,6 +40,9 @@ const READ_REPLY_BASE: Cycles = 60_000;
 const READ_REPLY_PER_BYTE: Cycles = 50;
 const WRITE_BASE: Cycles = 50_000;
 const WRITE_PER_BYTE: Cycles = 55;
+
+/// Cache capacity in bytes.
+const CACHE_BYTES: u64 = 24 * 1024 * 1024;
 
 /// Messages arriving at the proxy's poll channel.
 #[derive(Debug)]
@@ -632,8 +635,6 @@ impl ThreadBody for ProxyClient {
 pub struct ProxyConfig {
     /// Closed-loop clients.
     pub clients: u32,
-    /// Cache capacity in bytes.
-    pub cache_bytes: u64,
     /// Profiler installed in the proxy process.
     pub rt: RtKind,
     /// Virtual run duration.
@@ -647,19 +648,17 @@ pub struct ProxyConfig {
     /// Freshness TTL of fetched entries; `Cycles::MAX` (the default)
     /// means entries never go stale.
     pub fresh_ttl: Cycles,
-    /// Crash the origin process at this virtual time.
-    pub origin_crash_at: Option<Cycles>,
-    /// Probability an origin-bound request is dropped on the wire.
-    pub origin_drop_p: f64,
-    /// Seed of the fault plan's random stream.
-    pub fault_seed: u64,
+    /// Optional seeded faults (`None` = fault-free): `front` is the
+    /// poll channel clients and the origin send into, `backbone` the
+    /// proxy → origin channel, and the origin is the victim process and
+    /// machine.
+    pub faults: Option<ScenarioFaults>,
 }
 
 impl Default for ProxyConfig {
     fn default() -> Self {
         ProxyConfig {
             clients: 24,
-            cache_bytes: 24 * 1024 * 1024,
             rt: RtKind::Whodunit,
             duration: 20 * CPU_HZ,
             trace: WebTraceConfig {
@@ -669,9 +668,7 @@ impl Default for ProxyConfig {
             origin_timeout: ms_to_cycles(50.0),
             origin_retries: 3,
             fresh_ttl: Cycles::MAX,
-            origin_crash_at: None,
-            origin_drop_p: 0.0,
-            fault_seed: 0x5eed,
+            faults: None,
         }
     }
 }
@@ -706,16 +703,16 @@ pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
     let client_m = sim.add_machine(8);
 
     let pr = make_runtime(cfg.rt, whodunit_core::ids::ProcId(0), "squid", sim.frames().clone());
-    let proxy_proc = sim.add_process("squid", pr.rt.clone());
-    let origin_proc = sim.add_unprofiled_process("origin");
-    let client_proc = sim.add_unprofiled_process("clients");
+    let proxy_proc = sim.add_process(pr.rt.clone());
+    let origin_proc = sim.add_unprofiled_process();
+    let client_proc = sim.add_unprofiled_process();
 
     let poll = sim.add_channel(240_000, 20);
     let origin_chan = sim.add_channel(240_000, 20);
 
     let shared = Rc::new(RefCell::new(ProxyShared {
         conns: HashMap::new(),
-        cache: ByteCache::new(cfg.cache_bytes),
+        cache: ByteCache::new(CACHE_BYTES),
         served_bytes: 0,
         served_reqs: 0,
         hits: 0,
@@ -735,21 +732,8 @@ pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
     let f_stale = sim.frame("httpServeStale");
     let f_error = sim.frame("httpRequestError");
 
-    if cfg.origin_crash_at.is_some() || cfg.origin_drop_p > 0.0 {
-        let mut plan = FaultPlan::new(cfg.fault_seed);
-        if cfg.origin_drop_p > 0.0 {
-            plan = plan.channel_faults(
-                origin_chan,
-                ChannelFaults {
-                    drop_p: cfg.origin_drop_p,
-                    ..ChannelFaults::default()
-                },
-            );
-        }
-        if let Some(at) = cfg.origin_crash_at {
-            plan = plan.crash(origin_proc, at);
-        }
-        sim.set_fault_plan(plan);
+    if let Some(fs) = cfg.faults {
+        sim.set_fault_plan(fs.plan(poll, origin_chan, origin_proc, origin_m));
     }
 
     sim.spawn(
@@ -825,9 +809,6 @@ pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
     } else {
         sh.hits as f64 / (sh.hits + sh.misses) as f64
     };
-    // Silence the unused-constant path for ms_to_cycles (kept for
-    // future handler calibration).
-    let _ = ms_to_cycles;
     ProxyReport {
         throughput_mbps: mbps(sh.served_bytes, cfg.duration),
         reqs: sh.served_reqs,
@@ -951,7 +932,11 @@ mod tests {
             duration: 10 * CPU_HZ,
             fresh_ttl: 2 * CPU_HZ,
             origin_timeout: ms_to_cycles(20.0),
-            origin_crash_at: Some(5 * CPU_HZ),
+            faults: Some(ScenarioFaults {
+                seed: 0x5eed,
+                crash_at: Some(5 * CPU_HZ),
+                ..ScenarioFaults::default()
+            }),
             ..ProxyConfig::default()
         });
         assert!(r.origin_retries > 0, "dead origin forces retries");
@@ -987,7 +972,14 @@ mod tests {
             clients: 12,
             duration: 8 * CPU_HZ,
             origin_timeout: ms_to_cycles(20.0),
-            origin_drop_p: 0.33,
+            faults: Some(ScenarioFaults {
+                seed: 0x5eed,
+                backbone: whodunit_sim::ChannelFaults {
+                    drop_p: 0.33,
+                    ..Default::default()
+                },
+                ..ScenarioFaults::default()
+            }),
             ..ProxyConfig::default()
         });
         assert!(r.origin_retries > 0, "drops surfaced as retries");

@@ -136,30 +136,29 @@ impl ThreadBody for Acceptor {
 pub struct HaboobConfig {
     /// Closed-loop clients.
     pub clients: u32,
-    /// Cache capacity in bytes.
-    pub cache_bytes: u64,
     /// Profiler installed in the server process.
     pub rt: RtKind,
     /// Virtual run duration.
     pub duration: Cycles,
     /// Trace parameters.
     pub trace: WebTraceConfig,
-    /// Worker threads per stage.
-    pub workers_per_stage: u32,
 }
+
+/// Cache capacity in bytes.
+const CACHE_BYTES: u64 = 2 * 1024 * 1024;
+/// Worker threads per stage.
+const WORKERS_PER_STAGE: u32 = 2;
 
 impl Default for HaboobConfig {
     fn default() -> Self {
         HaboobConfig {
             clients: 24,
-            cache_bytes: 2 * 1024 * 1024,
             rt: RtKind::Whodunit,
             duration: 20 * CPU_HZ,
             trace: WebTraceConfig {
                 files: 5000,
                 ..WebTraceConfig::default()
             },
-            workers_per_stage: 2,
         }
     }
 }
@@ -240,15 +239,15 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
         "haboob",
         sim.frames().clone(),
     );
-    let server_proc = sim.add_process("haboob", pr.rt.clone());
-    let client_proc = sim.add_unprofiled_process("clients");
+    let server_proc = sim.add_process(pr.rt.clone());
+    let client_proc = sim.add_unprofiled_process();
 
     let in_chan = sim.add_channel(240_000, 20);
 
     let shared = Rc::new(RefCell::new(HaboobShared {
         cache: HashMap::new(),
         cache_bytes: 0,
-        cache_capacity: cfg.cache_bytes,
+        cache_capacity: CACHE_BYTES,
         served_bytes: 0,
         served_reqs: 0,
         hits: 0,
@@ -304,7 +303,7 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
         }
     };
 
-    let n = cfg.workers_per_stage;
+    let n = WORKERS_PER_STAGE;
     {
         let next = q_httpserver.clone();
         spawn_stage(&mut sim, "listen", f_listen, &q_listen, 1, &mut || {

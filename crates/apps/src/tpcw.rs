@@ -16,7 +16,7 @@ use crate::appserver::{
     build_appserver, AppHandles, AppServerConfig, PageReply, PageReq, StaticReply, StaticReq,
     IMAGE_BYTES,
 };
-use crate::dbserver::{build_dbserver, DbConfig, DbHandles, Engine};
+use crate::dbserver::{build_dbserver, DbHandles, Engine};
 use crate::metrics::{per_minute, MeanAcc};
 use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
 use rand::rngs::SmallRng;
@@ -557,23 +557,15 @@ fn run_tpcw_inner(
     let squid_pr = make_runtime(cfg.rt, ProcId(0), "squid", sim.frames().clone());
     let tomcat_pr = make_runtime(cfg.rt, ProcId(1), "tomcat", sim.frames().clone());
     let mysql_pr = make_runtime(cfg.rt, ProcId(2), "mysql", sim.frames().clone());
-    let squid_proc = sim.add_process("squid", squid_pr.rt.clone());
-    let tomcat_proc = sim.add_process("tomcat", tomcat_pr.rt.clone());
-    let mysql_proc = sim.add_process("mysql", mysql_pr.rt.clone());
-    let client_proc = sim.add_unprofiled_process("clients");
+    let squid_proc = sim.add_process(squid_pr.rt.clone());
+    let tomcat_proc = sim.add_process(tomcat_pr.rt.clone());
+    let mysql_proc = sim.add_process(mysql_pr.rt.clone());
+    let client_proc = sim.add_unprofiled_process();
     if cfg.comm_log {
         sim.mark_comm_origin(client_proc);
     }
 
-    let db: DbHandles = build_dbserver(
-        &mut sim,
-        mysql_proc,
-        mysql_m,
-        DbConfig {
-            engine: cfg.engine,
-            executors: 64,
-        },
-    );
+    let db: DbHandles = build_dbserver(&mut sim, mysql_proc, mysql_m, cfg.engine);
     let app: AppHandles = build_appserver(
         &mut sim,
         tomcat_proc,
@@ -643,7 +635,7 @@ fn run_tpcw_inner(
     }
 
     let outcome = match streaming {
-        None => sim.run_until_outcome(cfg.duration),
+        None => sim.run_until(cfg.duration),
         Some((epoch_len, sink)) => sim.run_streaming(cfg.duration, epoch_len, sink),
     };
     let comm = sim.take_comm_log();

@@ -368,16 +368,16 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     let store_m = sim.add_machine(2);
 
     let front_pr = make_runtime(cfg.rt, ProcId(0), "front", sim.frames().clone());
-    let front_proc = sim.add_process("front", front_pr.rt.clone());
+    let front_proc = sim.add_process(front_pr.rt.clone());
     let mut shard_procs = Vec::new();
     for i in 0..2u32 {
         let name = format!("shard{i}");
         let pr = make_runtime(cfg.rt, ProcId(1 + i), &name, sim.frames().clone());
-        shard_procs.push(sim.add_process(&name, pr.rt.clone()));
+        shard_procs.push(sim.add_process(pr.rt.clone()));
     }
     let store_pr = make_runtime(cfg.rt, ProcId(3), "store", sim.frames().clone());
-    let store_proc = sim.add_process("store", store_pr.rt.clone());
-    let client_proc = sim.add_unprofiled_process("clients");
+    let store_proc = sim.add_process(store_pr.rt.clone());
+    let client_proc = sim.add_unprofiled_process();
     if cfg.comm_log {
         sim.mark_comm_origin(client_proc);
     }
@@ -487,7 +487,7 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
         plant_livelock_pair(&mut sim, client_proc, client_m);
     }
 
-    let outcome = sim.run_until_outcome(cfg.duration);
+    let outcome = sim.run_until(cfg.duration);
     let comm = sim.take_comm_log();
     let compute_truth = vec![
         sim.proc_compute_cycles(front_proc),

@@ -231,14 +231,14 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     let svc_m: Vec<_> = (0..services).map(|_| sim.add_machine(2)).collect();
 
     let gw_pr = make_runtime(cfg.rt, ProcId(0), "gateway", sim.frames().clone());
-    let gw_proc = sim.add_process("gateway", gw_pr.rt.clone());
+    let gw_proc = sim.add_process(gw_pr.rt.clone());
     let mut svc_procs = Vec::new();
     for i in 0..services {
         let name = format!("svc{i}");
         let pr = make_runtime(cfg.rt, ProcId(1 + i as u32), &name, sim.frames().clone());
-        svc_procs.push(sim.add_process(&name, pr.rt.clone()));
+        svc_procs.push(sim.add_process(pr.rt.clone()));
     }
-    let client_proc = sim.add_unprofiled_process("clients");
+    let client_proc = sim.add_unprofiled_process();
     if cfg.comm_log {
         sim.mark_comm_origin(client_proc);
     }
@@ -323,7 +323,7 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
         plant_livelock_pair(&mut sim, client_proc, client_m);
     }
 
-    let outcome = sim.run_until_outcome(cfg.duration);
+    let outcome = sim.run_until(cfg.duration);
     let comm = sim.take_comm_log();
     let mut compute_truth = vec![sim.proc_compute_cycles(gw_proc)];
     compute_truth.extend(svc_procs.iter().map(|&p| sim.proc_compute_cycles(p)));

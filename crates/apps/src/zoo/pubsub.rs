@@ -168,14 +168,14 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     let sub_m: Vec<_> = (0..subs_n).map(|_| sim.add_machine(1)).collect();
 
     let broker_pr = make_runtime(cfg.rt, ProcId(0), "broker", sim.frames().clone());
-    let broker_proc = sim.add_process("broker", broker_pr.rt.clone());
+    let broker_proc = sim.add_process(broker_pr.rt.clone());
     let mut sub_procs = Vec::new();
     for i in 0..subs_n {
         let name = format!("sub{i}");
         let pr = make_runtime(cfg.rt, ProcId(1 + i as u32), &name, sim.frames().clone());
-        sub_procs.push(sim.add_process(&name, pr.rt.clone()));
+        sub_procs.push(sim.add_process(pr.rt.clone()));
     }
-    let client_proc = sim.add_unprofiled_process("publishers");
+    let client_proc = sim.add_unprofiled_process();
     if cfg.comm_log {
         sim.mark_comm_origin(client_proc);
     }
@@ -257,7 +257,7 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
         plant_livelock_pair(&mut sim, client_proc, client_m);
     }
 
-    let outcome = sim.run_until_outcome(cfg.duration);
+    let outcome = sim.run_until(cfg.duration);
     let comm = sim.take_comm_log();
     let mut compute_truth = vec![sim.proc_compute_cycles(broker_proc)];
     compute_truth.extend(sub_procs.iter().map(|&p| sim.proc_compute_cycles(p)));

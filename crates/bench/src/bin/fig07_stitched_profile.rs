@@ -125,8 +125,8 @@ fn main() {
         WhodunitConfig::new(ProcId(1), "callee"),
         sim.frames().clone(),
     )));
-    let pc = sim.add_process("caller", caller_rt.clone());
-    let ps = sim.add_process("callee", callee_rt.clone());
+    let pc = sim.add_process(caller_rt.clone());
+    let ps = sim.add_process(callee_rt.clone());
     let svc = sim.add_channel(50_000, 2);
     let reply = sim.add_channel(50_000, 2);
     let caller_frames = ["main_caller", "foo", "bar", "rpc_call", "send"]

@@ -14,20 +14,25 @@
 //! everything else, so same-instant events fire in the order they were
 //! scheduled — ready wakes drain under a seeded
 //! [`SchedulePolicy`] (FIFO by default), and nothing consults
-//! wall-clock time or unseeded randomness. A run can additionally be
-//! asked to *account for its own progress*: [`Sim::run_until_outcome`]
-//! reports lock-wait deadlock cycles and zero-progress livelock storms
-//! as structured [`RunOutcome`]s instead of hanging or exiting
-//! silently.
+//! wall-clock time or unseeded randomness. Every run *accounts for
+//! its own progress*: [`Sim::run_until`] reports lock-wait deadlock
+//! cycles and zero-progress livelock storms as structured
+//! [`RunOutcome`]s instead of hanging or exiting silently.
+//!
+//! Each interception point has one path: every runtime hook that
+//! returns overhead goes through `Sim::hook`, every lock grant (a lock
+//! request, a notified or a timed-out condition wait re-taking its
+//! lock) through `Sim::acquire`, and every completed receive through
+//! `Sim::received`.
 
 use crate::chan::{ChanTable, Msg};
 use crate::fault::FaultPlan;
-use crate::lock::{Acquire, LockTable, Waiter};
+use crate::lock::{Acquire, LockTable, WaitKind, Waiter};
 use crate::machine::{Dispatch, MachineTable};
 use crate::queue::{Due, EventQueue};
 use crate::sched::{SchedulePolicy, Scheduler};
 use crate::time::{CondId, Cycles, MachineId};
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -303,7 +308,6 @@ enum EvKind {
     CondDeadline {
         thread: ThreadId,
         cond: CondId,
-        lock: LockId,
         epoch: u64,
     },
     Crash {
@@ -503,10 +507,8 @@ impl Sim {
         self.frames.borrow_mut().intern(name)
     }
 
-    /// Registers a process with a profiling runtime. `_name` labels
-    /// the process at the call site only: nothing reads a process's
-    /// name back, so the engine keeps no copy of it.
-    pub fn add_process(&mut self, _name: &str, rt: Rc<RefCell<dyn Runtime>>) -> ProcId {
+    /// Registers a process with a profiling runtime.
+    pub fn add_process(&mut self, rt: Rc<RefCell<dyn Runtime>>) -> ProcId {
         self.procs.push(Proc {
             rt,
             compute_cycles: 0,
@@ -529,8 +531,8 @@ impl Sim {
     }
 
     /// Registers an unprofiled process.
-    pub fn add_unprofiled_process(&mut self, name: &str) -> ProcId {
-        self.add_process(name, Rc::new(RefCell::new(NullRuntime)))
+    pub fn add_unprofiled_process(&mut self) -> ProcId {
+        self.add_process(Rc::new(RefCell::new(NullRuntime)))
     }
 
     /// A process's runtime.
@@ -599,10 +601,19 @@ impl Sim {
         &self.threads[t.0 as usize].name
     }
 
-    fn rt_of(&self, t: ThreadId) -> Rc<RefCell<dyn Runtime>> {
+    /// The runtime of `t`'s process, borrowed.
+    fn rt(&self, t: ThreadId) -> RefMut<'_, dyn Runtime> {
         self.procs[self.threads[t.0 as usize].proc.0 as usize]
             .rt
-            .clone()
+            .borrow_mut()
+    }
+
+    /// Calls one runtime hook for `t`, handing it `t`'s call stack, and
+    /// charges the overhead cycles it returns to `t`'s next compute.
+    fn hook(&mut self, t: ThreadId, f: impl FnOnce(&mut dyn Runtime, &[FrameId]) -> Cycles) {
+        let th = &self.threads[t.0 as usize];
+        let oh = f(&mut *self.rt(t), &th.stack);
+        self.threads[t.0 as usize].pending_overhead += oh;
     }
 
     /// The event census so far.
@@ -620,21 +631,11 @@ impl Sim {
     }
 
     /// Runs until virtual time `limit` (inclusive of events at
-    /// `limit`) or until nothing remains to do.
-    ///
-    /// The historical entry point: progress failures (deadlock under a
-    /// step budget) are silently ignored. Use
-    /// [`Sim::run_until_outcome`] when the caller needs to know how
-    /// the run ended.
-    pub fn run_until(&mut self, limit: Cycles) {
-        let _ = self.run_until_outcome(limit);
-    }
-
-    /// Runs until `limit` and reports how the run ended: the limit was
-    /// reached, the simulation went idle, a lock-wait deadlock cycle
-    /// wedged it, or a zero-progress wake storm exhausted the step
-    /// budget ([`Sim::set_step_budget`]).
-    pub fn run_until_outcome(&mut self, limit: Cycles) -> RunOutcome {
+    /// `limit`) or until nothing remains to do, and reports how the run
+    /// ended: the limit was reached, the simulation went idle, a
+    /// lock-wait deadlock cycle wedged it, or a zero-progress wake
+    /// storm exhausted the step budget ([`Sim::set_step_budget`]).
+    pub fn run_until(&mut self, limit: Cycles) -> RunOutcome {
         loop {
             // Drain instantly runnable threads first, under the
             // installed tie-breaking policy.
@@ -694,12 +695,11 @@ impl Sim {
                 EvKind::CondDeadline {
                     thread,
                     cond,
-                    lock,
                     epoch,
                 } => {
                     let th = &self.threads[thread.0 as usize];
                     if th.epoch == epoch && th.state == TState::WaitingCond {
-                        self.on_cond_timeout(thread, cond, lock);
+                        self.on_cond_timeout(thread, cond);
                     }
                 }
                 EvKind::Crash { proc } => self.on_crash(proc),
@@ -717,18 +717,13 @@ impl Sim {
         self.now = at;
     }
 
-    /// Runs until no events or runnable threads remain.
-    pub fn run_to_idle(&mut self) {
-        self.run_until(Cycles::MAX);
-    }
-
-    /// Like [`Sim::run_to_idle`], but reports how the run ended
+    /// Runs until no events or runnable threads remain
     /// ([`RunOutcome::Idle`] on a clean drain).
-    pub fn run_to_idle_outcome(&mut self) -> RunOutcome {
-        self.run_until_outcome(Cycles::MAX)
+    pub fn run_to_idle(&mut self) -> RunOutcome {
+        self.run_until(Cycles::MAX)
     }
 
-    /// Runs to `limit` like [`Sim::run_until_outcome`], but in epochs
+    /// Runs to `limit` like [`Sim::run_until`], but in epochs
     /// of `epoch_len` virtual cycles, streaming each epoch's per-stage
     /// profile increment to `sink`.
     ///
@@ -746,7 +741,7 @@ impl Sim {
     /// epoch boundary only looks at the next event, which stays queued
     /// under the `seq` it was given — so the schedule, and therefore
     /// every profile, is bit-identical
-    /// to a single `run_until_outcome(limit)` call. Streaming changes
+    /// to a single `run_until(limit)` call. Streaming changes
     /// *when* profile state is observed, never what it is.
     pub fn run_streaming(
         &mut self,
@@ -782,7 +777,7 @@ impl Sim {
         let mut epoch: u64 = 0;
         loop {
             let end = self.now.saturating_add(epoch_len).min(limit);
-            let outcome = self.run_until_outcome(end);
+            let outcome = self.run_until(end);
             let mut deltas = Vec::new();
             for (i, rt) in stages.iter().enumerate() {
                 assert!(
@@ -929,35 +924,9 @@ impl Sim {
     /// re-acquire the lock, resuming with [`Wake::CondTimedOut`] once
     /// it is held again. If a notify claimed the thread first, the
     /// deadline loses the race and does nothing.
-    fn on_cond_timeout(&mut self, t: ThreadId, cond: CondId, lock: LockId) {
-        if self.locks.cond_cancel(cond, t).is_none() {
-            return;
-        }
-        match self.locks.try_acquire(t, lock, LockMode::Exclusive) {
-            Acquire::Granted => {
-                let rt = self.rt_of(t);
-                let oh = rt
-                    .borrow_mut()
-                    .on_lock_acquired(t, lock, LockMode::Exclusive, 0, None);
-                self.threads[t.0 as usize].pending_overhead += oh;
-                self.threads[t.0 as usize].state = TState::Ready;
-                self.ready.push_back((t, Wake::CondTimedOut { waited: 0 }));
-            }
-            Acquire::Queued => {
-                let hint = self.rt_of(t).borrow().holder_hint(lock);
-                self.locks.enqueue(
-                    lock,
-                    Waiter {
-                        thread: t,
-                        mode: LockMode::Exclusive,
-                        since: self.now,
-                        hint,
-                        from_cond: true,
-                        timed_out: true,
-                    },
-                );
-                self.threads[t.0 as usize].state = TState::WaitingLock;
-            }
+    fn on_cond_timeout(&mut self, t: ThreadId, cond: CondId) {
+        if let Some(lock) = self.locks.cond_cancel(cond, t) {
+            self.acquire(t, lock, LockMode::Exclusive, WaitKind::CondTimedOut);
         }
     }
 
@@ -995,12 +964,86 @@ impl Sim {
 
     fn on_deliver(&mut self, chan: ChanId, msg: Msg) {
         if let Some((t, msg)) = self.chans.deliver(chan, msg) {
-            self.record_recv(chan, t, &msg);
-            let overhead = self.rt_of(t).borrow_mut().on_recv(t, msg.chain.as_ref());
-            self.threads[t.0 as usize].pending_overhead += overhead;
-            self.threads[t.0 as usize].state = TState::Ready;
-            self.ready.push_back((t, Wake::Received(msg)));
+            self.received(t, chan, msg);
         }
+    }
+
+    /// Completes `t`'s receive of `msg` from `chan`: the comm log
+    /// records it, the runtime's receive hook runs, and `t` resumes
+    /// with the message.
+    fn received(&mut self, t: ThreadId, chan: ChanId, msg: Msg) {
+        self.record_recv(chan, t, &msg);
+        self.hook(t, |rt, _| rt.on_recv(t, msg.chain.as_ref()));
+        self.threads[t.0 as usize].state = TState::Ready;
+        self.ready.push_back((t, Wake::Received(msg)));
+    }
+
+    /// A receive on `chan`: completes at once from the buffer, or parks
+    /// `t` on the channel, until `timeout` cycles from now if given.
+    fn recv(&mut self, t: ThreadId, chan: ChanId, timeout: Option<Cycles>) {
+        if let Some(msg) = self.chans.recv(chan, t) {
+            return self.received(t, chan, msg);
+        }
+        self.threads[t.0 as usize].state = TState::WaitingRecv;
+        if let Some(timeout) = timeout {
+            let epoch = self.threads[t.0 as usize].epoch;
+            self.push_ev(
+                self.now + timeout,
+                EvKind::RecvDeadline {
+                    thread: t,
+                    chan,
+                    epoch,
+                },
+            );
+        }
+    }
+
+    /// A condition wait: `t` joins `cond`'s wait set and releases
+    /// `lock`, until `timeout` cycles from now if given.
+    fn cond_wait(&mut self, t: ThreadId, cond: CondId, lock: LockId, timeout: Option<Cycles>) {
+        self.locks.cond_wait(t, cond, lock);
+        self.do_release(t, lock);
+        self.threads[t.0 as usize].state = TState::WaitingCond;
+        if let Some(timeout) = timeout {
+            let epoch = self.threads[t.0 as usize].epoch;
+            self.push_ev(
+                self.now + timeout,
+                EvKind::CondDeadline {
+                    thread: t,
+                    cond,
+                    epoch,
+                },
+            );
+        }
+    }
+
+    /// Grants `t` the lock now or queues it behind the holders and
+    /// waiters; either way the grant resumes `t` with `kind`'s wake.
+    fn acquire(&mut self, t: ThreadId, lock: LockId, mode: LockMode, kind: WaitKind) {
+        let mut w = Waiter {
+            thread: t,
+            mode,
+            since: self.now,
+            hint: None,
+            kind,
+        };
+        match self.locks.try_acquire(t, lock, mode) {
+            Acquire::Granted => self.granted(lock, w),
+            Acquire::Queued => {
+                w.hint = self.rt(t).holder_hint(lock);
+                self.locks.enqueue(lock, w);
+                self.threads[t.0 as usize].state = TState::WaitingLock;
+            }
+        }
+    }
+
+    /// `w` holds `lock` now: the runtime's hook is told how long it
+    /// waited, and the thread resumes with its kind's wake.
+    fn granted(&mut self, lock: LockId, w: Waiter) {
+        let (t, waited) = (w.thread, self.now - w.since);
+        self.hook(t, |rt, _| rt.on_lock_acquired(t, lock, w.mode, waited, w.hint));
+        self.threads[t.0 as usize].state = TState::Ready;
+        self.ready.push_back((t, w.kind.wake(waited)));
     }
 
     fn dispatch_machine(&mut self, machine: MachineId) {
@@ -1030,11 +1073,7 @@ impl Sim {
         let machine = self.threads[t.0 as usize].machine;
         match op {
             Op::Compute(cycles) => {
-                let rt = self.rt_of(t);
-                let overhead = {
-                    let th = &self.threads[t.0 as usize];
-                    rt.borrow_mut().on_compute(t, &th.stack, cycles)
-                };
+                self.hook(t, |rt, stack| rt.on_compute(t, stack, cycles));
                 let proc = self.threads[t.0 as usize].proc;
                 self.procs[proc.0 as usize].compute_cycles += cycles;
                 let pend = std::mem::take(&mut self.threads[t.0 as usize].pending_overhead);
@@ -1046,86 +1085,33 @@ impl Sim {
                     .faults
                     .as_ref()
                     .map_or(1, |f| f.slowdown_factor(machine, self.now));
-                let total = (cycles + overhead + pend).saturating_mul(factor.max(1));
+                let total = (cycles + pend).saturating_mul(factor.max(1));
                 self.threads[t.0 as usize].state = TState::Computing;
                 self.machines.enqueue(machine, t, total);
                 self.dispatch_machine(machine);
             }
-            Op::Lock(lock, mode) => match self.locks.try_acquire(t, lock, mode) {
-                Acquire::Granted => {
-                    let rt = self.rt_of(t);
-                    let oh = rt.borrow_mut().on_lock_acquired(t, lock, mode, 0, None);
-                    self.threads[t.0 as usize].pending_overhead += oh;
-                    self.ready.push_back((t, Wake::LockAcquired { waited: 0 }));
-                }
-                Acquire::Queued => {
-                    let hint = self.rt_of(t).borrow().holder_hint(lock);
-                    self.locks.enqueue(
-                        lock,
-                        Waiter {
-                            thread: t,
-                            mode,
-                            since: self.now,
-                            hint,
-                            from_cond: false,
-                            timed_out: false,
-                        },
-                    );
-                    self.threads[t.0 as usize].state = TState::WaitingLock;
-                }
-            },
+            Op::Lock(lock, mode) => self.acquire(t, lock, mode, WaitKind::Lock),
             Op::Unlock(lock) => {
                 self.do_release(t, lock);
                 self.ready.push_back((t, Wake::Done));
             }
-            Op::CondWait(cond, lock) => {
-                self.locks.cond_wait(t, cond, lock);
-                self.do_release(t, lock);
-                self.threads[t.0 as usize].state = TState::WaitingCond;
+            Op::CondWait(cond, lock) => self.cond_wait(t, cond, lock, None),
+            Op::CondWaitTimeout(cond, lock, timeout) => {
+                self.cond_wait(t, cond, lock, Some(timeout));
             }
             Op::Notify(cond, all) => {
                 let woken = self.locks.notify(cond, if all { None } else { Some(1) });
                 for (wt, lock) in woken {
                     // The woken thread re-acquires its lock; the wait
                     // measured for crosstalk is only the re-acquire.
-                    match self.locks.try_acquire(wt, lock, LockMode::Exclusive) {
-                        Acquire::Granted => {
-                            let rt = self.rt_of(wt);
-                            let oh = rt.borrow_mut().on_lock_acquired(
-                                wt,
-                                lock,
-                                LockMode::Exclusive,
-                                0,
-                                None,
-                            );
-                            self.threads[wt.0 as usize].pending_overhead += oh;
-                            self.threads[wt.0 as usize].state = TState::Ready;
-                            self.ready.push_back((wt, Wake::CondWoken { waited: 0 }));
-                        }
-                        Acquire::Queued => {
-                            let hint = self.rt_of(wt).borrow().holder_hint(lock);
-                            self.locks.enqueue(
-                                lock,
-                                Waiter {
-                                    thread: wt,
-                                    mode: LockMode::Exclusive,
-                                    since: self.now,
-                                    hint,
-                                    from_cond: true,
-                                    timed_out: false,
-                                },
-                            );
-                            self.threads[wt.0 as usize].state = TState::WaitingLock;
-                        }
-                    }
+                    self.acquire(wt, lock, LockMode::Exclusive, WaitKind::Cond);
                 }
                 self.ready.push_back((t, Wake::Done));
             }
             Op::Send(chan, mut msg) => {
-                let rt = self.rt_of(t);
                 let info = {
                     let th = &self.threads[t.0 as usize];
-                    rt.borrow_mut().on_send(t, &th.stack)
+                    self.rt(t).on_send(t, &th.stack)
                 };
                 msg.chain = info.chain;
                 if let Some(rec) = self.comm.as_mut() {
@@ -1163,54 +1149,8 @@ impl Sim {
                 }
                 self.ready.push_back((t, Wake::Done));
             }
-            Op::Recv(chan) => match self.chans.recv(chan, t) {
-                Some(msg) => {
-                    self.record_recv(chan, t, &msg);
-                    let rt = self.rt_of(t);
-                    let oh = rt.borrow_mut().on_recv(t, msg.chain.as_ref());
-                    self.threads[t.0 as usize].pending_overhead += oh;
-                    self.ready.push_back((t, Wake::Received(msg)));
-                }
-                None => {
-                    self.threads[t.0 as usize].state = TState::WaitingRecv;
-                }
-            },
-            Op::RecvTimeout(chan, timeout) => match self.chans.recv(chan, t) {
-                Some(msg) => {
-                    self.record_recv(chan, t, &msg);
-                    let rt = self.rt_of(t);
-                    let oh = rt.borrow_mut().on_recv(t, msg.chain.as_ref());
-                    self.threads[t.0 as usize].pending_overhead += oh;
-                    self.ready.push_back((t, Wake::Received(msg)));
-                }
-                None => {
-                    self.threads[t.0 as usize].state = TState::WaitingRecv;
-                    let epoch = self.threads[t.0 as usize].epoch;
-                    self.push_ev(
-                        self.now + timeout,
-                        EvKind::RecvDeadline {
-                            thread: t,
-                            chan,
-                            epoch,
-                        },
-                    );
-                }
-            },
-            Op::CondWaitTimeout(cond, lock, timeout) => {
-                self.locks.cond_wait(t, cond, lock);
-                self.do_release(t, lock);
-                self.threads[t.0 as usize].state = TState::WaitingCond;
-                let epoch = self.threads[t.0 as usize].epoch;
-                self.push_ev(
-                    self.now + timeout,
-                    EvKind::CondDeadline {
-                        thread: t,
-                        cond,
-                        lock,
-                        epoch,
-                    },
-                );
-            }
+            Op::Recv(chan) => self.recv(t, chan, None),
+            Op::RecvTimeout(chan, timeout) => self.recv(t, chan, Some(timeout)),
             Op::Sleep(cycles) => {
                 self.threads[t.0 as usize].state = TState::Sleeping;
                 self.push_ev(self.now + cycles, EvKind::Timer { thread: t });
@@ -1218,34 +1158,20 @@ impl Sim {
             Op::Exit => {
                 self.threads[t.0 as usize].state = TState::Exited;
                 self.threads[t.0 as usize].body = None;
-                self.rt_of(t).borrow_mut().on_exit(t);
+                self.rt(t).on_exit(t);
             }
         }
     }
 
     fn do_release(&mut self, t: ThreadId, lock: LockId) {
-        let rt = self.rt_of(t);
-        let oh = rt.borrow_mut().on_lock_released(t, lock);
-        self.threads[t.0 as usize].pending_overhead += oh;
+        self.hook(t, |rt, _| rt.on_lock_released(t, lock));
         let granted = self.locks.release(t, lock);
         self.wake_granted(lock, granted);
     }
 
     fn wake_granted(&mut self, lock: LockId, granted: Vec<Waiter>) {
         for w in granted {
-            let waited = self.now - w.since;
-            let rt = self.rt_of(w.thread);
-            let oh = rt
-                .borrow_mut()
-                .on_lock_acquired(w.thread, lock, w.mode, waited, w.hint);
-            self.threads[w.thread.0 as usize].pending_overhead += oh;
-            self.threads[w.thread.0 as usize].state = TState::Ready;
-            let wake = match (w.from_cond, w.timed_out) {
-                (true, true) => Wake::CondTimedOut { waited },
-                (true, false) => Wake::CondWoken { waited },
-                _ => Wake::LockAcquired { waited },
-            };
-            self.ready.push_back((w.thread, wake));
+            self.granted(lock, w);
         }
     }
 }
@@ -1279,7 +1205,7 @@ impl ThreadCx<'_> {
 
     /// The owning process's profiling runtime.
     pub fn runtime(&self) -> Rc<RefCell<dyn Runtime>> {
-        self.sim.rt_of(self.t)
+        self.sim.runtime(self.sim.threads[self.t.0 as usize].proc)
     }
 
     /// The thread's current call stack.
@@ -1289,18 +1215,16 @@ impl ThreadCx<'_> {
 
     /// Enters a procedure frame (calls the gprof-style hook).
     pub fn push_frame(&mut self, f: FrameId) {
-        let oh = self.sim.rt_of(self.t).borrow_mut().on_call(self.t, f);
-        let th = &mut self.sim.threads[self.t.0 as usize];
-        th.stack.push(f);
-        th.pending_overhead += oh;
+        let t = self.t;
+        self.sim.hook(t, |rt, _| rt.on_call(t, f));
+        self.sim.threads[t.0 as usize].stack.push(f);
     }
 
     /// Leaves the current procedure frame.
     pub fn pop_frame(&mut self) {
-        let oh = self.sim.rt_of(self.t).borrow_mut().on_return(self.t);
-        let th = &mut self.sim.threads[self.t.0 as usize];
-        th.stack.pop();
-        th.pending_overhead += oh;
+        let t = self.t;
+        self.sim.hook(t, |rt, _| rt.on_return(t));
+        self.sim.threads[t.0 as usize].stack.pop();
     }
 
     /// Replaces the whole call stack (convenience for flat bodies).
@@ -1320,8 +1244,8 @@ impl ThreadCx<'_> {
     /// work (drives the gprof baseline's per-call overhead; free for
     /// sampling profilers).
     pub fn count_calls(&mut self, f: FrameId, n: u64) {
-        let oh = self.sim.rt_of(self.t).borrow_mut().on_calls(self.t, f, n);
-        self.sim.threads[self.t.0 as usize].pending_overhead += oh;
+        let t = self.t;
+        self.sim.hook(t, |rt, _| rt.on_calls(t, f, n));
     }
 
     /// Creates a new channel mid-run (e.g. a per-request reply pipe).
@@ -1376,7 +1300,7 @@ mod tests {
     fn compute_advances_time() {
         let mut sim = Sim::default();
         let m = sim.add_machine(1);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let l = log();
         sim.spawn(p, m, "t", Script::new(vec![Op::Compute(5000)], l.clone()));
         sim.run_to_idle();
@@ -1389,7 +1313,7 @@ mod tests {
     fn single_core_serializes_two_threads() {
         let mut sim = Sim::default();
         let m = sim.add_machine(1);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let l = log();
         sim.spawn(
             p,
@@ -1416,7 +1340,7 @@ mod tests {
     fn two_cores_run_in_parallel() {
         let mut sim = Sim::default();
         let m = sim.add_machine(2);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let l = log();
         sim.spawn(
             p,
@@ -1438,7 +1362,7 @@ mod tests {
     fn lock_contention_measures_wait() {
         let mut sim = Sim::default();
         let m = sim.add_machine(2);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let lk = sim.add_lock();
         let l = log();
         // Thread a: lock, compute 1000, unlock.
@@ -1477,7 +1401,7 @@ mod tests {
     fn send_recv_delivers_with_delay() {
         let mut sim = Sim::default();
         let m = sim.add_machine(1);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let ch = sim.add_channel(500, 2);
         let l = log();
         sim.spawn(p, m, "rx", Script::new(vec![Op::Recv(ch)], l.clone()));
@@ -1497,7 +1421,7 @@ mod tests {
     fn condvar_roundtrip() {
         let mut sim = Sim::default();
         let m = sim.add_machine(2);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let lk = sim.add_lock();
         let cv = sim.add_cond();
         let l = log();
@@ -1547,7 +1471,7 @@ mod tests {
             WhodunitConfig::new(ProcId(0), "svc"),
             frames,
         )));
-        let p = sim.add_process("svc", w.clone());
+        let p = sim.add_process(w.clone());
         let l = log();
 
         struct Worker {
@@ -1588,7 +1512,7 @@ mod tests {
         fn run() -> (Cycles, Vec<String>) {
             let mut sim = Sim::default();
             let m = sim.add_machine(1);
-            let p = sim.add_unprofiled_process("p");
+            let p = sim.add_unprofiled_process();
             let lk = sim.add_lock();
             let ch = sim.add_channel(100, 1);
             let l = log();
@@ -1630,7 +1554,7 @@ mod tests {
     fn run_until_stops_at_limit() {
         let mut sim = Sim::default();
         let m = sim.add_machine(1);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let l = log();
         sim.spawn(
             p,
@@ -1650,8 +1574,8 @@ mod tests {
         fn run(record: bool) -> (Cycles, Vec<String>, Option<CommLog>) {
             let mut sim = Sim::default();
             let m = sim.add_machine(1);
-            let client = sim.add_unprofiled_process("client");
-            let server = sim.add_unprofiled_process("server");
+            let client = sim.add_unprofiled_process();
+            let server = sim.add_unprofiled_process();
             let req = sim.add_channel(500, 2);
             let rsp = sim.add_channel(500, 2);
             if record {
@@ -1714,7 +1638,7 @@ mod tests {
     fn sleep_wakes_at_deadline() {
         let mut sim = Sim::default();
         let m = sim.add_machine(1);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let l = log();
         sim.spawn(p, m, "t", Script::new(vec![Op::Sleep(123_456)], l.clone()));
         sim.run_to_idle();

@@ -9,10 +9,33 @@
 //! must eventually get the MyISAM-style table lock through the reader
 //! stream.
 
+use crate::engine::Wake;
 use crate::time::{CondId, Cycles};
 use std::collections::VecDeque;
 use whodunit_core::context::CtxId;
 use whodunit_core::ids::{LockId, LockMode, ThreadId};
+
+/// What a lock grant ends for the thread: the wake it resumes with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WaitKind {
+    /// A lock request ([`crate::Op::Lock`]).
+    Lock,
+    /// A notified condition wait re-taking its lock.
+    Cond,
+    /// A timed condition wait that expired, re-taking its lock.
+    CondTimedOut,
+}
+
+impl WaitKind {
+    /// The wake of a grant after `waited` cycles.
+    pub fn wake(self, waited: Cycles) -> Wake {
+        match self {
+            WaitKind::Lock => Wake::LockAcquired { waited },
+            WaitKind::Cond => Wake::CondWoken { waited },
+            WaitKind::CondTimedOut => Wake::CondTimedOut { waited },
+        }
+    }
+}
 
 /// A queued lock waiter.
 #[derive(Clone, Copy, Debug)]
@@ -26,12 +49,8 @@ pub struct Waiter {
     pub since: Cycles,
     /// Crosstalk holder hint captured when the wait began (§7.5).
     pub hint: Option<CtxId>,
-    /// Whether this acquisition re-takes the lock after a condition
-    /// wait (its grant resumes the thread with [`crate::Wake::CondWoken`]).
-    pub from_cond: bool,
-    /// Whether the condition wait ended by timeout rather than notify
-    /// (its grant resumes the thread with [`crate::Wake::CondTimedOut`]).
-    pub timed_out: bool,
+    /// What the grant ends, and so the wake it resumes the thread with.
+    pub kind: WaitKind,
 }
 
 #[derive(Debug, Default)]
@@ -190,7 +209,7 @@ impl LockTable {
     /// The lock-wait graph: one `(waiter, lock, holder)` edge for every
     /// queued waiter and every current holder of the lock it waits on.
     /// A cycle in this graph is a deadlock; the engine's
-    /// [`crate::Sim::run_until_outcome`] searches it at idle instead of
+    /// [`crate::Sim::run_until`] searches it at idle instead of
     /// returning silently with wedged threads.
     pub fn wait_edges(&self) -> Vec<(ThreadId, LockId, ThreadId)> {
         let mut edges = Vec::new();
@@ -258,8 +277,7 @@ mod tests {
             mode,
             since: 0,
             hint: None,
-            from_cond: false,
-            timed_out: false,
+            kind: WaitKind::Lock,
         }
     }
 

@@ -261,7 +261,7 @@ mod tests {
             WhodunitConfig::new(ProcId(0), "seda"),
             frames,
         )));
-        let p = sim.add_process("seda", w.clone());
+        let p = sim.add_process(w.clone());
 
         let la = sim.add_lock();
         let ca = sim.add_cond();
@@ -374,7 +374,7 @@ mod tests {
     fn idle_workers_block_until_notified() {
         let mut sim = Sim::new(SimConfig::default());
         let m = sim.add_machine(1);
-        let p = sim.add_unprofiled_process("seda");
+        let p = sim.add_unprofiled_process();
         let l = sim.add_lock();
         let c = sim.add_cond();
         let q = StageQueue::new(l, c);

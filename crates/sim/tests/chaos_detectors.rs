@@ -50,7 +50,7 @@ fn ab_ba_deadlock_is_reported_as_a_cycle() {
     let mut sim = Sim::new(SimConfig { quantum: 1000 });
     sim.set_schedule_policy(SchedulePolicy::Random { seed: 0xABBA });
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let a = sim.add_lock();
     let b = sim.add_lock();
     let l = log();
@@ -84,7 +84,7 @@ fn ab_ba_deadlock_is_reported_as_a_cycle() {
             &l,
         ),
     );
-    let outcome = sim.run_to_idle_outcome();
+    let outcome = sim.run_to_idle();
     let RunOutcome::Deadlock(report) = outcome else {
         panic!("expected deadlock, got {outcome}");
     };
@@ -109,7 +109,7 @@ fn deadlock_free_contention_still_drains_to_idle() {
     let mut sim = Sim::new(SimConfig { quantum: 1000 });
     sim.set_schedule_policy(SchedulePolicy::Random { seed: 0xABBA });
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let a = sim.add_lock();
     let b = sim.add_lock();
     let l = log();
@@ -130,7 +130,7 @@ fn deadlock_free_contention_still_drains_to_idle() {
             ),
         );
     }
-    assert!(matches!(sim.run_to_idle_outcome(), RunOutcome::Idle));
+    assert!(matches!(sim.run_to_idle(), RunOutcome::Idle));
 }
 
 #[test]
@@ -141,9 +141,9 @@ fn livelock_budget_names_the_spinners() {
     let mut sim = Sim::default();
     sim.set_step_budget(Some(500));
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     plant_livelock_pair(&mut sim, p, m);
-    let outcome = sim.run_to_idle_outcome();
+    let outcome = sim.run_to_idle();
     let RunOutcome::Livelock(report) = outcome else {
         panic!("expected livelock, got {outcome}");
     };
@@ -170,7 +170,7 @@ fn step_budget_resets_when_time_advances() {
     let mut sim = Sim::default();
     sim.set_step_budget(Some(10));
     let m = sim.add_machine(1);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let l = log();
     sim.spawn(
         p,
@@ -178,7 +178,7 @@ fn step_budget_resets_when_time_advances() {
         "worker",
         Script::new((0..50).map(|_| Op::Compute(100)).collect(), &l),
     );
-    assert!(matches!(sim.run_to_idle_outcome(), RunOutcome::Idle));
+    assert!(matches!(sim.run_to_idle(), RunOutcome::Idle));
 }
 
 /// MPMC handoff scenario: the spawn-time ready order decides which
@@ -187,7 +187,7 @@ fn mpmc_recv_order(policy: SchedulePolicy) -> Vec<String> {
     let mut sim = Sim::default();
     sim.set_schedule_policy(policy);
     let m = sim.add_machine(4);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(0, 0);
     let l = log();
     for i in 0..4 {
@@ -202,7 +202,7 @@ fn mpmc_recv_order(policy: SchedulePolicy) -> Vec<String> {
             &l,
         ),
     );
-    let outcome = sim.run_to_idle_outcome();
+    let outcome = sim.run_to_idle();
     assert!(outcome.is_ok(), "{outcome}");
     let v = l.borrow().clone();
     v

@@ -49,7 +49,7 @@ fn log() -> Rc<RefCell<Vec<String>>> {
 fn messages_on_one_channel_preserve_order() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(1000, 1);
     let l = log();
     sim.spawn(
@@ -86,7 +86,7 @@ fn multiple_receivers_share_a_channel_fifo() {
     // MPMC work queue: waiting receivers are served in wait order.
     let mut sim = Sim::default();
     let m = sim.add_machine(4);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(0, 0);
     let l = log();
     for i in 0..3 {
@@ -125,7 +125,7 @@ fn round_robin_shares_a_core_fairly() {
     // not one after the other — the quantum interleaves them.
     let mut sim = Sim::new(SimConfig { quantum: 1000 });
     let m = sim.add_machine(1);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let l = log();
     sim.spawn(p, m, "a", Script::new(vec![Op::Compute(10_000)], &l));
     sim.spawn(p, m, "b", Script::new(vec![Op::Compute(10_000)], &l));
@@ -160,7 +160,7 @@ fn pending_overhead_is_charged_on_next_compute() {
     }
     let mut sim = Sim::default();
     let m = sim.add_machine(1);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     sim.spawn(p, m, "t", Box::new(Charger { phase: 0 }));
     sim.run_to_idle();
     assert_eq!(sim.now(), 6_000, "compute extended by the charged overhead");
@@ -172,7 +172,7 @@ fn gprof_counts_calls_through_the_engine() {
     let mut sim = Sim::default();
     let m = sim.add_machine(1);
     let rt = Rc::new(RefCell::new(GprofRuntime::default()));
-    let p = sim.add_process("svc", rt.clone());
+    let p = sim.add_process(rt.clone());
 
     struct Body {
         f: FrameId,
@@ -211,7 +211,7 @@ fn gprof_counts_calls_through_the_engine() {
 fn exited_threads_stay_dead() {
     let mut sim = Sim::default();
     let m = sim.add_machine(1);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let l = log();
     sim.spawn(p, m, "t", Script::new(vec![], &l));
     sim.run_to_idle();
@@ -222,7 +222,7 @@ fn exited_threads_stay_dead() {
 fn notify_without_waiters_is_a_noop() {
     let mut sim = Sim::default();
     let m = sim.add_machine(1);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let cv = sim.add_cond();
     let l = log();
     sim.spawn(
@@ -239,7 +239,7 @@ fn notify_without_waiters_is_a_noop() {
 fn shared_then_exclusive_wait_ordering() {
     let mut sim = Sim::default();
     let m = sim.add_machine(4);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let lk = sim.add_lock();
     let l = log();
     // Two readers hold; a writer waits; a later reader queues behind
@@ -301,8 +301,8 @@ fn whodunit_send_adds_piggyback_bytes_to_transfer() {
         WhodunitConfig::new(ProcId(0), "s"),
         frames,
     )));
-    let p = sim.add_process("s", w.clone());
-    let pu = sim.add_unprofiled_process("u");
+    let p = sim.add_process(w.clone());
+    let pu = sim.add_unprofiled_process();
     // 1 cycle per byte, zero latency: delivery time == bytes.
     let ch = sim.add_channel(0, 1);
     let l = log();
@@ -348,7 +348,7 @@ fn same_instant_events_fire_in_scheduling_order_whatever_their_kind() {
     for perm in perms {
         let mut sim = Sim::default();
         let m = sim.add_machine(4);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let ch = sim.add_channel(1000, 0);
         let l = log();
         sim.spawn(p, m, "rx", Script::new(vec![Op::Recv(ch)], &l));
@@ -388,7 +388,7 @@ fn same_instant_events_fire_in_scheduling_order_whatever_their_kind() {
 fn busy_sim(l: &Rc<RefCell<Vec<String>>>) -> Sim {
     let mut sim = Sim::new(SimConfig { quantum: 700 });
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(450, 3);
     let quiet = sim.add_channel(0, 0);
     sim.spawn(
@@ -439,7 +439,7 @@ fn busy_sim(l: &Rc<RefCell<Vec<String>>>) -> Sim {
 fn chunked_run_is_bit_identical_to_the_unchunked_run() {
     let whole_log = log();
     let mut whole = busy_sim(&whole_log);
-    assert!(whole.run_to_idle_outcome().is_ok());
+    assert!(whole.run_to_idle().is_ok());
     // Every instant something became visible at, plus its neighbours:
     // a limit exactly on an event, one just before it (the event stays
     // queued), and ones that fall between a pending quantum end and a
@@ -461,7 +461,7 @@ fn chunked_run_is_bit_identical_to_the_unchunked_run() {
         chunked.run_until(limit);
         assert_eq!(chunked.now(), limit, "work is pending at every limit");
     }
-    assert!(chunked.run_to_idle_outcome().is_ok());
+    assert!(chunked.run_to_idle().is_ok());
 
     assert_eq!(*chunked_log.borrow(), *whole_log.borrow());
     assert_eq!(chunked.now(), whole.now());
@@ -525,7 +525,7 @@ fn every_lock_grant_resumes_with_its_wake_kind_and_wait() {
         let mut sim = Sim::default();
         let m = sim.add_machine(4);
         let rt = Rc::new(RefCell::new(GrantLog::default()));
-        let p = sim.add_process("p", rt.clone());
+        let p = sim.add_process(rt.clone());
         let lk = sim.add_lock();
         let cv = sim.add_cond();
         let x = LockMode::Exclusive;

@@ -67,7 +67,7 @@ fn log() -> Rc<RefCell<Vec<String>>> {
 fn recv_timeout_expires_when_nothing_arrives() {
     let mut sim = Sim::default();
     let m = sim.add_machine(1);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(0, 0);
     let l = log();
     sim.spawn(p, m, "rx", Script::new(vec![Op::RecvTimeout(ch, 5000)], l.clone()));
@@ -80,7 +80,7 @@ fn recv_timeout_expires_when_nothing_arrives() {
 fn recv_timeout_delivery_wins_and_deadline_is_inert() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(100, 0);
     let l = log();
     // rx: timed recv (deadline 50_000), then a *second* timed recv on
@@ -116,7 +116,7 @@ fn recv_timeout_delivery_wins_and_deadline_is_inert() {
 fn timed_out_receiver_leaves_queue_late_message_buffers() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(10_000, 0);
     let l = log();
     // rx gives up after 1000 cycles; the message lands at 10_000 and
@@ -142,7 +142,7 @@ fn timed_out_receiver_leaves_queue_late_message_buffers() {
 fn cond_wait_timeout_reacquires_lock() {
     let mut sim = Sim::default();
     let m = sim.add_machine(1);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let lk = sim.add_lock();
     let cv = sim.add_cond();
     let l = log();
@@ -174,7 +174,7 @@ fn cond_wait_timeout_reacquires_lock() {
 fn cond_notify_beats_timeout() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let lk = sim.add_lock();
     let cv = sim.add_cond();
     let l = log();
@@ -221,7 +221,7 @@ fn cond_notify_beats_timeout() {
 fn dropped_message_never_delivers_and_is_counted() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(100, 0);
     sim.set_fault_plan(FaultPlan::new(1).channel_faults(
         ch,
@@ -250,7 +250,7 @@ fn dropped_message_never_delivers_and_is_counted() {
 fn duplicated_replayable_message_delivers_twice() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(100, 0);
     sim.set_fault_plan(FaultPlan::new(3).channel_faults(
         ch,
@@ -283,7 +283,7 @@ fn duplicated_replayable_message_delivers_twice() {
 fn non_replayable_message_is_not_duplicated() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(100, 0);
     sim.set_fault_plan(FaultPlan::new(3).channel_faults(
         ch,
@@ -309,7 +309,7 @@ fn non_replayable_message_is_not_duplicated() {
 fn delay_fault_postpones_delivery() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(100, 0);
     sim.set_fault_plan(FaultPlan::new(5).channel_faults(
         ch,
@@ -341,7 +341,7 @@ fn slowdown_window_stretches_wall_clock_not_truth() {
     fn run(with_slowdown: bool) -> (u64, u64) {
         let mut sim = Sim::default();
         let m = sim.add_machine(1);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         if with_slowdown {
             sim.set_fault_plan(FaultPlan::new(0).slowdown(m, 0, u64::MAX, 4));
         }
@@ -362,8 +362,8 @@ fn slowdown_window_stretches_wall_clock_not_truth() {
 fn crash_halts_threads_and_releases_locks() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let victim = sim.add_unprofiled_process("victim");
-    let survivor = sim.add_unprofiled_process("survivor");
+    let victim = sim.add_unprofiled_process();
+    let survivor = sim.add_unprofiled_process();
     let lk = sim.add_lock();
     let l = log();
     // Victim grabs the lock and computes forever.
@@ -417,8 +417,8 @@ fn crash_halts_threads_and_releases_locks() {
 fn message_to_crashed_process_buffers_harmlessly() {
     let mut sim = Sim::default();
     let m = sim.add_machine(2);
-    let origin = sim.add_unprofiled_process("origin");
-    let client = sim.add_unprofiled_process("client");
+    let origin = sim.add_unprofiled_process();
+    let client = sim.add_unprofiled_process();
     let ch = sim.add_channel(100, 0);
     let l = log();
     // Origin would answer requests, but crashes at t=10.
@@ -447,7 +447,7 @@ fn faulted_run_is_bit_deterministic() {
     fn run() -> Vec<String> {
         let mut sim = Sim::default();
         let m = sim.add_machine(2);
-        let p = sim.add_unprofiled_process("p");
+        let p = sim.add_unprofiled_process();
         let ch = sim.add_channel(100, 1);
         sim.set_fault_plan(FaultPlan::new(0xBEEF).channel_faults(
             ch,

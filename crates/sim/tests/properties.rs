@@ -77,7 +77,7 @@ impl ThreadBody for Scripted {
 fn run_once(scripts: &[Vec<GOp>]) -> (u64, Vec<String>) {
     let mut sim = Sim::new(SimConfig { quantum: 500_000 });
     let m = sim.add_machine(2);
-    let p = sim.add_unprofiled_process("p");
+    let p = sim.add_unprofiled_process();
     let locks = vec![sim.add_lock(), sim.add_lock(), sim.add_lock()];
     let trace = Rc::new(RefCell::new(Vec::new()));
     for (i, ops) in scripts.iter().enumerate() {

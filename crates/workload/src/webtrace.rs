@@ -24,15 +24,6 @@ use rand::{Rng, SeedableRng};
 pub struct WebTraceConfig {
     /// Number of distinct files.
     pub files: usize,
-    /// Zipf skew of file popularity (1.0 ≈ classic web traces).
-    pub zipf_alpha: f64,
-    /// Mean requests per connection (geometric); the paper's workload
-    /// sends "a few" requests per connection.
-    pub mean_reqs_per_conn: f64,
-    /// Median file size in bytes.
-    pub median_file_bytes: u64,
-    /// Log-normal sigma of the size distribution.
-    pub size_sigma: f64,
     /// RNG seed for the *file population* (sizes, popularity). Trace
     /// instances with the same `seed` agree on every file's size, so
     /// caches at different tiers stay consistent.
@@ -47,15 +38,21 @@ impl Default for WebTraceConfig {
     fn default() -> Self {
         WebTraceConfig {
             files: 2000,
-            zipf_alpha: 1.0,
-            mean_reqs_per_conn: 4.0,
-            median_file_bytes: 8 * 1024,
-            size_sigma: 1.2,
             seed: 42,
             stream: 0,
         }
     }
 }
+
+/// Zipf skew of file popularity (1.0 ≈ classic web traces).
+const ZIPF_ALPHA: f64 = 1.0;
+/// Mean requests per connection (geometric); the paper's workload
+/// sends "a few" requests per connection.
+const MEAN_REQS_PER_CONN: f64 = 4.0;
+/// Median file size in bytes.
+const MEDIAN_FILE_BYTES: f64 = 8.0 * 1024.0;
+/// Log-normal sigma of the size distribution.
+const SIZE_SIGMA: f64 = 1.2;
 
 /// One HTTP request drawn from the trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,7 +87,7 @@ impl WebTrace {
         let mut cdf = Vec::with_capacity(cfg.files);
         let mut acc = 0.0;
         for rank in 1..=cfg.files {
-            acc += 1.0 / (rank as f64).powf(cfg.zipf_alpha);
+            acc += 1.0 / (rank as f64).powf(ZIPF_ALPHA);
             cdf.push(acc);
         }
         let total = acc;
@@ -101,7 +98,7 @@ impl WebTrace {
         let sizes = (0..cfg.files)
             .map(|_| {
                 let n = normal(&mut rng);
-                let s = cfg.median_file_bytes as f64 * (cfg.size_sigma * n).exp();
+                let s = MEDIAN_FILE_BYTES * (SIZE_SIGMA * n).exp();
                 (s.max(128.0)) as u64
             })
             .collect();
@@ -110,7 +107,6 @@ impl WebTrace {
         let stream_rng = SmallRng::seed_from_u64(
             cfg.seed ^ cfg.stream.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bd1,
         );
-        let _ = rng;
         let mut t = WebTrace {
             cfg,
             rng: stream_rng,
@@ -124,7 +120,7 @@ impl WebTrace {
 
     fn draw_conn_len(&mut self) -> u64 {
         // Geometric with the configured mean, at least 1.
-        let p = 1.0 / self.cfg.mean_reqs_per_conn.max(1.0);
+        let p = 1.0 / MEAN_REQS_PER_CONN;
         let mut n = 1;
         while self.rng.gen::<f64>() > p && n < 64 {
             n += 1;
@@ -198,10 +194,7 @@ mod tests {
 
     #[test]
     fn connections_have_geometric_lengths() {
-        let mut t = WebTrace::new(WebTraceConfig {
-            mean_reqs_per_conn: 4.0,
-            ..WebTraceConfig::default()
-        });
+        let mut t = WebTrace::new(WebTraceConfig::default());
         let n = 20_000;
         let conns = (0..n)
             .filter(|_| t.next_request().last_on_connection)

@@ -68,7 +68,7 @@ fn main() {
         WhodunitConfig::new(ProcId(0), "db"),
         sim.frames().clone(),
     )));
-    let p = sim.add_process("db", w.clone());
+    let p = sim.add_process(w.clone());
     let lock = sim.add_lock();
 
     let admin = sim.frame("AdminConfirm");

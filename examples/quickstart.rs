@@ -127,8 +127,8 @@ fn main() {
         WhodunitConfig::new(ProcId(1), "callee"),
         sim.frames().clone(),
     )));
-    let p_caller = sim.add_process("caller", caller_rt.clone());
-    let p_callee = sim.add_process("callee", callee_rt.clone());
+    let p_caller = sim.add_process(caller_rt.clone());
+    let p_callee = sim.add_process(callee_rt.clone());
 
     let svc = sim.add_channel(10_000, 2);
     let reply = sim.add_channel(10_000, 2);

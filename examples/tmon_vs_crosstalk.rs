@@ -87,7 +87,7 @@ fn main() {
         let mut sim = Sim::default();
         let m = sim.add_machine(4);
         let tmon = Rc::new(RefCell::new(TmonRuntime::new()));
-        let p = sim.add_process("db", tmon.clone());
+        let p = sim.add_process(tmon.clone());
         let lock = sim.add_lock();
         for (i, (mode, hold, idle)) in [
             (LockMode::Exclusive, 96_000_000u64, 42_000_000u64),
