@@ -311,7 +311,12 @@ pub fn run_dnsd(cfg: DnsConfig) -> DnsReport {
     let server_m = sim.add_machine(1);
     let net_m = sim.add_machine(2);
 
-    let pr = make_runtime(cfg.rt, whodunit_core::ids::ProcId(0), "dnsd", sim.frames().clone());
+    let pr = make_runtime(
+        cfg.rt,
+        whodunit_core::ids::ProcId(0),
+        "dnsd",
+        sim.frames().clone(),
+    );
     let server_proc = sim.add_process(pr.rt.clone());
     let other_proc = sim.add_unprofiled_process();
 

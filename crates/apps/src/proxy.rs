@@ -204,12 +204,31 @@ struct PendingFetch {
 enum PState {
     Init,
     WaitMsg,
-    AcceptDone { conn: u64 },
-    ReadDone { conn: u64, file: u32 },
-    ConnectDone { conn: u64, file: u32 },
-    RetryDone { conn: u64, file: u32 },
-    ReadReplyDone { conn: u64, file: u32, bytes: u64 },
-    WriteDone { conn: u64, bytes: u64, kind: ServeKind },
+    AcceptDone {
+        conn: u64,
+    },
+    ReadDone {
+        conn: u64,
+        file: u32,
+    },
+    ConnectDone {
+        conn: u64,
+        file: u32,
+    },
+    RetryDone {
+        conn: u64,
+        file: u32,
+    },
+    ReadReplyDone {
+        conn: u64,
+        file: u32,
+        bytes: u64,
+    },
+    WriteDone {
+        conn: u64,
+        bytes: u64,
+        kind: ServeKind,
+    },
     Sent,
 }
 
@@ -362,10 +381,7 @@ impl ThreadBody for EventLoop {
                         Op::Compute(READ_REQ_COST)
                     }
                     ProxyMsg::OriginData { conn, file, bytes } => {
-                        let live = self
-                            .pending
-                            .get(&conn)
-                            .is_some_and(|p| p.file == file);
+                        let live = self.pending.get(&conn).is_some_and(|p| p.file == file);
                         if !live {
                             // A reply for a fetch we retried or gave
                             // up on — the connection has moved on.
@@ -702,7 +718,12 @@ pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
     let origin_m = sim.add_machine(2);
     let client_m = sim.add_machine(8);
 
-    let pr = make_runtime(cfg.rt, whodunit_core::ids::ProcId(0), "squid", sim.frames().clone());
+    let pr = make_runtime(
+        cfg.rt,
+        whodunit_core::ids::ProcId(0),
+        "squid",
+        sim.frames().clone(),
+    );
     let proxy_proc = sim.add_process(pr.rt.clone());
     let origin_proc = sim.add_unprofiled_process();
     let client_proc = sim.add_unprofiled_process();

@@ -21,9 +21,7 @@
 
 use crate::chaos::{config_of, judge, CHAOS_HORIZON, SHRINKABLE_KNOBS};
 use crate::tpcw::run_tpcw_streaming;
-use whodunit_collector::{
-    CollectorConfig, CollectorOutput, SentinelSink, SloBudget, SloViolation,
-};
+use whodunit_collector::{CollectorConfig, CollectorOutput, SentinelSink, SloBudget, SloViolation};
 use whodunit_core::oracle::{check_capture, CaptureEvidence, Violation};
 use whodunit_core::repro::{ChaosRepro, ReproWindow};
 use whodunit_report::live::{IncidentCard, LiveSnapshot, ReplaySummary, ShrinkSummary};
@@ -110,7 +108,12 @@ pub fn calibrate_budget(
         .stages()
         .iter()
         .enumerate()
-        .map(|(si, name)| (name.clone(), margin_up(s.lifetime_quantile(si, q).unwrap_or(0))))
+        .map(|(si, name)| {
+            (
+                name.clone(),
+                margin_up(s.lifetime_quantile(si, q).unwrap_or(0)),
+            )
+        })
         .collect();
     let stage_floor = s
         .stages()
@@ -226,7 +229,9 @@ pub fn capture_incident(
     if let Some(v) = &a.violation {
         repro_out.window = Some(ReproWindow {
             epoch_len,
-            start: v.epoch.saturating_sub(budget.window_epochs.saturating_sub(1)),
+            start: v
+                .epoch
+                .saturating_sub(budget.window_epochs.saturating_sub(1)),
             end: v.epoch,
             dimension: v.dimension.clone(),
         });
@@ -239,7 +244,8 @@ pub fn capture_incident(
         budget: trip.budget,
         quantile_ppm: budget.quantile_ppm,
         window: (
-            trip.epoch.saturating_sub(budget.window_epochs.saturating_sub(1)),
+            trip.epoch
+                .saturating_sub(budget.window_epochs.saturating_sub(1)),
             trip.epoch,
         ),
         onset_epoch: None,
@@ -332,4 +338,3 @@ mod tests {
         );
     }
 }
-

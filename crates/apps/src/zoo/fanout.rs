@@ -200,7 +200,9 @@ impl ThreadBody for ServiceWorker {
                     reply: req.reply,
                 };
                 // Key-dependent cost keeps service latencies diverse.
-                Op::Compute(ms_to_cycles(self.cost_ms * (1.0 + (req.key % 5) as f64 * 0.2)))
+                Op::Compute(ms_to_cycles(
+                    self.cost_ms * (1.0 + (req.key % 5) as f64 * 0.2),
+                ))
             }
             SState::Work { seq, reply } => {
                 cx.pop_frame();
@@ -244,7 +246,9 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
     }
 
     let gw_in = sim.add_channel(240_000, 20);
-    let svc_in: Vec<_> = (0..services).map(|_| sim.add_channel(240_000, 20)).collect();
+    let svc_in: Vec<_> = (0..services)
+        .map(|_| sim.add_channel(240_000, 20))
+        .collect();
     if let Some(fs) = cfg.faults {
         let victim = services - 1;
         sim.set_fault_plan(fs.plan(gw_in, svc_in[0], svc_procs[victim], svc_m[victim]));

@@ -98,7 +98,12 @@ fn backend_crash_degrades_without_oracle_violations() {
             at: 8 * CPU_HZ,
         }];
         let res = run_zoo_scenario(t, &r);
-        assert_eq!(res.violations, vec![], "{}: crash run stays clean", t.name());
+        assert_eq!(
+            res.violations,
+            vec![],
+            "{}: crash run stays clean",
+            t.name()
+        );
         assert!(
             !res.outcome.contains("deadlock"),
             "{}: timeouts prevent a stall, got {}",

@@ -875,10 +875,7 @@ impl Sim {
                         // Found a cycle: the path from `holder` back to
                         // this edge closes it.
                         path.push((t, lock, holder));
-                        let from = path
-                            .iter()
-                            .position(|&(w, _, _)| w == holder)
-                            .unwrap_or(0);
+                        let from = path.iter().position(|&(w, _, _)| w == holder).unwrap_or(0);
                         let cycle = path[from..]
                             .iter()
                             .map(|&(w, l, h)| DeadlockLink {
@@ -1041,7 +1038,9 @@ impl Sim {
     /// waited, and the thread resumes with its kind's wake.
     fn granted(&mut self, lock: LockId, w: Waiter) {
         let (t, waited) = (w.thread, self.now - w.since);
-        self.hook(t, |rt, _| rt.on_lock_acquired(t, lock, w.mode, waited, w.hint));
+        self.hook(t, |rt, _| {
+            rt.on_lock_acquired(t, lock, w.mode, waited, w.hint)
+        });
         self.threads[t.0 as usize].state = TState::Ready;
         self.ready.push_back((t, w.kind.wake(waited)));
     }

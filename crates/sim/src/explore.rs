@@ -212,11 +212,7 @@ pub fn sample_scenario(seed: u64, space: &ChaosSpace, workload: &[(String, u64)]
         3..=5 => format!("random:{}", next_u64(&mut st)),
         // Perturbation probability up to 50%: mostly-FIFO with seeded
         // inversions, the schedule most likely to hide ordering bugs.
-        _ => format!(
-            "perturb:{}:{}",
-            next_u64(&mut st),
-            draw(&mut st, 500_000)
-        ),
+        _ => format!("perturb:{}:{}", next_u64(&mut st), draw(&mut st, 500_000)),
     };
 
     let mut faults = Vec::new();
@@ -439,8 +435,11 @@ mod tests {
             },
         ];
         // Only the crash matters.
-        let fails =
-            |r: &ChaosRepro| r.faults.iter().any(|f| matches!(f, FaultEntry::Crash { .. }));
+        let fails = |r: &ChaosRepro| {
+            r.faults
+                .iter()
+                .any(|f| matches!(f, FaultEntry::Crash { .. }))
+        };
         let small = shrink(&repro, &["clients"], fails);
         assert_eq!(small.faults.len(), 1);
         assert!(matches!(small.faults[0], FaultEntry::Crash { .. }));

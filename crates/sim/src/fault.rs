@@ -116,7 +116,13 @@ impl FaultPlan {
     }
 
     /// Adds a machine slowdown window.
-    pub fn slowdown(mut self, machine: MachineId, from: Cycles, until: Cycles, factor: u64) -> Self {
+    pub fn slowdown(
+        mut self,
+        machine: MachineId,
+        from: Cycles,
+        until: Cycles,
+        factor: u64,
+    ) -> Self {
         self.slowdowns.push(Slowdown {
             machine,
             from,
@@ -277,9 +283,10 @@ mod tests {
             delay_cycles: 500,
         };
         let mut plain = FaultPlan::new(11).default_channel_faults(faults);
-        let mut parted = FaultPlan::new(11)
-            .default_channel_faults(faults)
-            .partition(ChanId(2), 1_000, 2_000);
+        let mut parted =
+            FaultPlan::new(11)
+                .default_channel_faults(faults)
+                .partition(ChanId(2), 1_000, 2_000);
         for i in 0..200u64 {
             let now = i * 25;
             let a = plain.send_verdict_at(ChanId(2), now);

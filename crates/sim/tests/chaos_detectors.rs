@@ -30,9 +30,11 @@ impl Script {
 impl ThreadBody for Script {
     fn resume(&mut self, cx: &mut ThreadCx<'_>, wake: Wake) -> Op {
         if let Wake::Received(m) = &wake {
-            self.log
-                .borrow_mut()
-                .push(format!("{}:recv({})", cx.me(), m.peek::<u32>().copied().unwrap_or(0)));
+            self.log.borrow_mut().push(format!(
+                "{}:recv({})",
+                cx.me(),
+                m.peek::<u32>().copied().unwrap_or(0)
+            ));
         }
         self.ops.pop_front().unwrap_or(Op::Exit)
     }
@@ -90,8 +92,15 @@ fn ab_ba_deadlock_is_reported_as_a_cycle() {
     };
     // The report walks the full waiter → lock → holder cycle.
     assert_eq!(report.cycle.len(), 2, "two-thread cycle: {report}");
-    let names: Vec<&str> = report.cycle.iter().map(|e| e.waiter_name.as_str()).collect();
-    assert!(names.contains(&"fwd") && names.contains(&"rev"), "{names:?}");
+    let names: Vec<&str> = report
+        .cycle
+        .iter()
+        .map(|e| e.waiter_name.as_str())
+        .collect();
+    assert!(
+        names.contains(&"fwd") && names.contains(&"rev"),
+        "{names:?}"
+    );
     let locks: Vec<_> = report.cycle.iter().map(|e| e.lock).collect();
     assert!(locks.contains(&a) && locks.contains(&b), "{locks:?}");
     // Every link's holder is the next link's waiter (it is a cycle).
@@ -155,7 +164,11 @@ fn livelock_budget_names_the_spinners() {
     );
     // The two spinners dominate the step count.
     let spun: u64 = report.spinners.iter().map(|s| s.resumes).sum();
-    assert!(spun > 400, "spinner resumes {spun} of {} steps", report.steps);
+    assert!(
+        spun > 400,
+        "spinner resumes {spun} of {} steps",
+        report.steps
+    );
     let shown = report.to_string();
     assert!(
         shown.contains("pingpong0") && shown.contains("pingpong1"),
@@ -198,7 +211,9 @@ fn mpmc_recv_order(policy: SchedulePolicy) -> Vec<String> {
         m,
         "tx",
         Script::new(
-            (0..4u32).map(|i| Op::Send(ch, Msg::new(10 + i, 1))).collect(),
+            (0..4u32)
+                .map(|i| Op::Send(ch, Msg::new(10 + i, 1)))
+                .collect(),
             &l,
         ),
     );
@@ -245,7 +260,10 @@ fn random_policy_is_reproducible_per_seed() {
 #[test]
 fn perturb_extremes_bracket_fifo() {
     let fifo = mpmc_recv_order(SchedulePolicy::Fifo);
-    let never = mpmc_recv_order(SchedulePolicy::Perturb { seed: 3, swap_ppm: 0 });
+    let never = mpmc_recv_order(SchedulePolicy::Perturb {
+        seed: 3,
+        swap_ppm: 0,
+    });
     assert_eq!(never, fifo, "0 ppm perturbation is exactly FIFO");
     let always = mpmc_recv_order(SchedulePolicy::Perturb {
         seed: 3,

@@ -468,7 +468,13 @@ fn chunked_run_is_bit_identical_to_the_unchunked_run() {
     assert_eq!(chunked.event_census(), whole.event_census());
     let c = whole.event_census();
     assert!(c.quantum_end.fired > 10 && c.timer.fired == 4 && c.deliver.fired == 2);
-    assert_eq!(c.recv_deadline, whodunit_sim::KindCount { scheduled: 1, fired: 1 });
+    assert_eq!(
+        c.recv_deadline,
+        whodunit_sim::KindCount {
+            scheduled: 1,
+            fired: 1
+        }
+    );
     assert_eq!(c.recv_deadlines_stale, 0, "the timed receive expired");
 }
 

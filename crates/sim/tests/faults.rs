@@ -70,7 +70,12 @@ fn recv_timeout_expires_when_nothing_arrives() {
     let p = sim.add_unprofiled_process();
     let ch = sim.add_channel(0, 0);
     let l = log();
-    sim.spawn(p, m, "rx", Script::new(vec![Op::RecvTimeout(ch, 5000)], l.clone()));
+    sim.spawn(
+        p,
+        m,
+        "rx",
+        Script::new(vec![Op::RecvTimeout(ch, 5000)], l.clone()),
+    );
     sim.run_to_idle();
     assert_eq!(sim.now(), 5000);
     assert!(l.borrow().iter().any(|e| e == "t0:timeout@5000"), "{l:?}");
@@ -109,7 +114,10 @@ fn recv_timeout_delivery_wins_and_deadline_is_inert() {
         entries.iter().any(|e| e == "t0:timeout@200100"),
         "stale deadline fired early: {entries:?}"
     );
-    assert!(!entries.iter().any(|e| e == "t0:timeout@50000"), "{entries:?}");
+    assert!(
+        !entries.iter().any(|e| e == "t0:timeout@50000"),
+        "{entries:?}"
+    );
 }
 
 #[test]
@@ -121,7 +129,12 @@ fn timed_out_receiver_leaves_queue_late_message_buffers() {
     let l = log();
     // rx gives up after 1000 cycles; the message lands at 10_000 and
     // must buffer, not resurrect the abandoned wait.
-    sim.spawn(p, m, "rx", Script::new(vec![Op::RecvTimeout(ch, 1000)], l.clone()));
+    sim.spawn(
+        p,
+        m,
+        "rx",
+        Script::new(vec![Op::RecvTimeout(ch, 1000)], l.clone()),
+    );
     sim.spawn(
         p,
         m,
@@ -130,7 +143,10 @@ fn timed_out_receiver_leaves_queue_late_message_buffers() {
     );
     sim.run_to_idle();
     let entries = l.borrow();
-    assert!(entries.iter().any(|e| e == "t0:timeout@1000"), "{entries:?}");
+    assert!(
+        entries.iter().any(|e| e == "t0:timeout@1000"),
+        "{entries:?}"
+    );
     assert!(
         !entries.iter().any(|e| e.starts_with("t0:recv")),
         "{entries:?}"
@@ -231,7 +247,12 @@ fn dropped_message_never_delivers_and_is_counted() {
         },
     ));
     let l = log();
-    sim.spawn(p, m, "rx", Script::new(vec![Op::RecvTimeout(ch, 9000)], l.clone()));
+    sim.spawn(
+        p,
+        m,
+        "rx",
+        Script::new(vec![Op::RecvTimeout(ch, 9000)], l.clone()),
+    );
     sim.spawn(
         p,
         m,
@@ -240,9 +261,16 @@ fn dropped_message_never_delivers_and_is_counted() {
     );
     sim.run_to_idle();
     let entries = l.borrow();
-    assert!(entries.iter().any(|e| e == "t0:timeout@9000"), "{entries:?}");
+    assert!(
+        entries.iter().any(|e| e == "t0:timeout@9000"),
+        "{entries:?}"
+    );
     assert_eq!(sim.chans.dropped(ch), 1);
-    assert_eq!(sim.chans.msgs_sent(ch), 1, "send-side accounting still runs");
+    assert_eq!(
+        sim.chans.msgs_sent(ch),
+        1,
+        "send-side accounting still runs"
+    );
     assert_eq!(sim.chans.buffered(ch), 0);
 }
 
@@ -274,7 +302,10 @@ fn duplicated_replayable_message_delivers_twice() {
     );
     sim.run_to_idle();
     let entries = l.borrow();
-    let recvs = entries.iter().filter(|e| e.starts_with("t0:recv(4)")).count();
+    let recvs = entries
+        .iter()
+        .filter(|e| e.starts_with("t0:recv(4)"))
+        .count();
     assert_eq!(recvs, 2, "{entries:?}");
     assert_eq!(sim.chans.duplicated(ch), 1);
 }

@@ -1,14 +1,15 @@
 //! Property tests of the simulation engine: determinism and time
 //! monotonicity under randomized thread scripts.
 
-
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use whodunit_core::ids::LockMode;
 use whodunit_sim::queue::{Due, EventQueue};
-use whodunit_sim::{ChannelFaults, FaultPlan, Msg, Op, SendVerdict, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{
+    ChannelFaults, FaultPlan, Msg, Op, SendVerdict, Sim, SimConfig, ThreadBody, ThreadCx, Wake,
+};
 
 /// A compact scripted op for generation.
 #[derive(Clone, Copy, Debug)]
@@ -197,7 +198,11 @@ fn pops_as_one_heap(
                     Some(&Reverse((at, _, _))) if at > limit => Due::Later,
                     Some(_) => {
                         let Reverse((at, s, quantum)) = model.pop().unwrap();
-                        if quantum { Due::Quantum(at, s) } else { Due::Event(at, s) }
+                        if quantum {
+                            Due::Quantum(at, s)
+                        } else {
+                            Due::Event(at, s)
+                        }
                     }
                 };
                 let got = q.pop_due(limit);
@@ -273,14 +278,18 @@ proptest! {
 // channel's verdicts. These properties pin that contract.
 
 fn chan_faults() -> impl Strategy<Value = ChannelFaults> {
-    (0u32..1_000_000, 0u32..1_000_000, 0u32..1_000_000, 1u64..100_000).prop_map(
-        |(d, u, l, cycles)| ChannelFaults {
+    (
+        0u32..1_000_000,
+        0u32..1_000_000,
+        0u32..1_000_000,
+        1u64..100_000,
+    )
+        .prop_map(|(d, u, l, cycles)| ChannelFaults {
             drop_p: d as f64 / 1e6,
             dup_p: u as f64 / 1e6,
             delay_p: l as f64 / 1e6,
             delay_cycles: cycles,
-        },
-    )
+        })
 }
 
 /// Runs one plan over a fixed send sequence, returning the verdict each
