@@ -261,7 +261,11 @@ pub fn render_live_diff(d: &LiveDiff) -> String {
     if !d.hotspots.is_empty() {
         let _ = writeln!(out, "hotspot wait growth:");
         for (w, h, b, a) in &d.hotspots {
-            let _ = writeln!(out, "  {w}  <-  {h}: {b} -> {a} (+{})", a.saturating_sub(*b));
+            let _ = writeln!(
+                out,
+                "  {w}  <-  {h}: {b} -> {a} (+{})",
+                a.saturating_sub(*b)
+            );
         }
     }
     for m in &d.degraded_added {
@@ -639,7 +643,10 @@ mod tests {
         // still appears (with after = 0).
         assert_eq!(d.origins[0], ("a:x".into(), 100, 700));
         assert_eq!(d.origins[1], ("a:z".into(), 0, 90));
-        assert!(d.origins.iter().any(|(o, b, a)| o == "a:y" && *b == 50 && *a == 0));
+        assert!(d
+            .origins
+            .iter()
+            .any(|(o, b, a)| o == "a:y" && *b == 50 && *a == 0));
         assert_eq!(d.hotspots, vec![("a:x".into(), "a:z".into(), 0, 77)]);
         assert_eq!(d.degraded_added, vec!["stage 0 stalled".to_owned()]);
         let text = render_live_diff(&d);
