@@ -260,7 +260,10 @@ mod tests {
             .iter()
             .map(|x| (x.recv, x.send, x.confidence_ppm))
             .collect();
-        assert_eq!(got, vec![(3, 0, 1_000_000), (4, 1, 500_000), (5, 2, 1_000_000)]);
+        assert_eq!(
+            got,
+            vec![(3, 0, 1_000_000), (4, 1, 500_000), (5, 2, 1_000_000)]
+        );
     }
 
     #[test]

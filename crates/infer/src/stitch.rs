@@ -104,8 +104,7 @@ pub fn hybrid_stitch(log: &CommLog, vis: &[TierVisibility], cfg: &PairingConfig)
             .unwrap_or(TierVisibility::Opaque)
             == TierVisibility::Cooperating
     };
-    let by_id: HashMap<CommEventId, &CommEvent> =
-        log.events.iter().map(|e| (e.id, e)).collect();
+    let by_id: HashMap<CommEventId, &CommEvent> = log.events.iter().map(|e| (e.id, e)).collect();
     let truth_pairs = log.truth_pairs();
     let truth_origins = log.truth_origins();
 
@@ -195,16 +194,14 @@ fn walk_origins(
 ) -> InferredStitch {
     let mut sorted: Vec<&CommEvent> = events.iter().collect();
     sorted.sort_by_key(|e| (e.at, e.id));
-    let by_id: HashMap<CommEventId, &CommEvent> =
-        events.iter().map(|e| (e.id, e)).collect();
+    let by_id: HashMap<CommEventId, &CommEvent> = events.iter().map(|e| (e.id, e)).collect();
     let pair_of: HashMap<CommEventId, (CommEventId, u32, PairSource)> = pairing
         .pairs
         .iter()
         .map(|p| (p.recv, (p.send, p.confidence_ppm, p.source)))
         .collect();
 
-    let is_origin_proc: HashMap<u32, bool> =
-        origin_procs.iter().map(|&p| (p, true)).collect();
+    let is_origin_proc: HashMap<u32, bool> = origin_procs.iter().map(|&p| (p, true)).collect();
     // Per-thread: (has ever received, origin of last recv if known).
     type ThreadSlot = (bool, Option<(CommEventId, u32)>);
     let mut threads: HashMap<(u32, u32), ThreadSlot> = HashMap::new();
@@ -243,9 +240,11 @@ fn walk_origins(
                     continue;
                 }
                 let resolved = pair_of.get(&e.id).and_then(|&(send, conf, _)| {
-                    send_origin.get(&send).copied().flatten().map(
-                        |(root, root_conf)| (root, conf.min(root_conf)),
-                    )
+                    send_origin
+                        .get(&send)
+                        .copied()
+                        .flatten()
+                        .map(|(root, root_conf)| (root, conf.min(root_conf)))
                 });
                 match resolved {
                     Some((root, conf)) => {

@@ -102,7 +102,11 @@ fn gen_log(seed: u64, clients: usize, reqs: usize, tiers: usize) -> CommLog {
             chan_clock = arrive;
             rec.on_recv(arrive, tier as u32, tier as u32, tier as u32, 256, tag);
             busy_until = arrive + rng.gen_range(1..100u64);
-            let next_chan = if tier + 1 < tiers { tier + 1 } else { tiers + c };
+            let next_chan = if tier + 1 < tiers {
+                tier + 1
+            } else {
+                tiers + c
+            };
             let tag = rec.on_send(busy_until, next_chan as u32, tier as u32, tier as u32, 256);
             flights[next_chan].push((busy_until, tag, c));
         }
