@@ -539,7 +539,7 @@ mod tests {
                 state: 0,
             }),
         );
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         let outcome = *got.borrow();
         (outcome, app.shared)
     }

@@ -23,7 +23,7 @@ use whodunit_core::cost::{ms_to_cycles, CPU_HZ};
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::ChanId;
 use whodunit_core::rt::Continuation;
-use whodunit_sim::{Cycles, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{Cycles, Msg, Op, RunOutcome, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 
 /// Messages at the DNS server's poll channel.
 #[derive(Debug)]
@@ -278,6 +278,8 @@ pub struct DnsConfig {
     pub rt: RtKind,
     /// Virtual duration.
     pub duration: Cycles,
+    /// Livelock bound (see [`crate::tpcw::TpcwConfig::step_budget`]).
+    pub step_budget: Option<u64>,
 }
 
 impl Default for DnsConfig {
@@ -287,6 +289,7 @@ impl Default for DnsConfig {
             names: 400,
             rt: RtKind::Whodunit,
             duration: 10 * CPU_HZ,
+            step_budget: Some(2_000_000),
         }
     }
 }
@@ -303,11 +306,15 @@ pub struct DnsReport {
     pub mean_rt: f64,
     /// The server runtime.
     pub runtime: ProcRuntime,
+    /// How the run ended; only a `ReachedLimit` or `Idle` run's numbers
+    /// are those of the whole configured duration.
+    pub outcome: RunOutcome,
 }
 
 /// Runs the DNS server experiment.
 pub fn run_dnsd(cfg: DnsConfig) -> DnsReport {
     let mut sim = Sim::new(SimConfig::default());
+    sim.set_step_budget(cfg.step_budget);
     let server_m = sim.add_machine(1);
     let net_m = sim.add_machine(2);
 
@@ -381,7 +388,7 @@ pub fn run_dnsd(cfg: DnsConfig) -> DnsReport {
             }),
         );
     }
-    sim.run_until(cfg.duration);
+    let outcome = sim.run_until(cfg.duration);
     let mean_rt = rt_acc.borrow().mean();
     let sh = shared.borrow();
     DnsReport {
@@ -390,6 +397,7 @@ pub fn run_dnsd(cfg: DnsConfig) -> DnsReport {
         misses: sh.misses,
         mean_rt,
         runtime: pr,
+        outcome,
     }
 }
 
@@ -400,6 +408,7 @@ mod tests {
     #[test]
     fn dns_establishes_hit_and_miss_contexts() {
         let r = run_dnsd(DnsConfig::default());
+        assert_eq!(r.outcome, RunOutcome::ReachedLimit);
         assert!(r.answers > 500, "answers {}", r.answers);
         assert!(r.hits > 0 && r.misses > 0);
         let w = r.runtime.whodunit.as_ref().unwrap().borrow();

@@ -25,7 +25,7 @@ use whodunit_core::frame::FrameId;
 use whodunit_core::ids::{ChanId, LockId, LockMode, ProcId, ThreadId};
 use whodunit_core::rt::Runtime;
 use whodunit_sim::time::CondId;
-use whodunit_sim::{Cycles, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{Cycles, Msg, Op, RunOutcome, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 use whodunit_vm::programs::{Allocator, FdQueue};
 use whodunit_vm::{Cpu, CsEmulator, ExecMode, GuestMem, Program, TranslationCache};
 use whodunit_workload::{WebTrace, WebTraceConfig};
@@ -443,6 +443,8 @@ pub struct HttpdConfig {
     pub rt: RtKind,
     /// Web trace parameters.
     pub trace: WebTraceConfig,
+    /// Livelock bound (see [`crate::tpcw::TpcwConfig::step_budget`]).
+    pub step_budget: Option<u64>,
 }
 
 impl Default for HttpdConfig {
@@ -453,6 +455,7 @@ impl Default for HttpdConfig {
             duration: 20 * CPU_HZ,
             rt: RtKind::Whodunit,
             trace: WebTraceConfig::default(),
+            step_budget: Some(2_000_000),
         }
     }
 }
@@ -475,11 +478,15 @@ pub struct HttpdReport {
     pub alloc_lock: LockId,
     /// Virtual duration of the run.
     pub duration: Cycles,
+    /// How the run ended; only a `ReachedLimit` or `Idle` run's numbers
+    /// are those of the whole configured duration.
+    pub outcome: RunOutcome,
 }
 
 /// Runs the Apache-like server under the given configuration.
 pub fn run_httpd(cfg: HttpdConfig) -> HttpdReport {
     let mut sim = Sim::new(SimConfig::default());
+    sim.set_step_budget(cfg.step_budget);
     let server_m = sim.add_machine(1);
     let client_m = sim.add_machine(8);
 
@@ -553,7 +560,7 @@ pub fn run_httpd(cfg: HttpdConfig) -> HttpdReport {
         );
     }
 
-    sim.run_until(cfg.duration);
+    let outcome = sim.run_until(cfg.duration);
 
     let sh = shared.borrow();
     HttpdReport {
@@ -565,6 +572,7 @@ pub fn run_httpd(cfg: HttpdConfig) -> HttpdReport {
         fdq_lock: qlock,
         alloc_lock: alock,
         duration: cfg.duration,
+        outcome,
     }
 }
 
@@ -586,6 +594,7 @@ mod tests {
     #[test]
     fn serves_traffic_and_detects_fd_queue_flow() {
         let r = run_httpd(small_cfg(RtKind::Whodunit));
+        assert_eq!(r.outcome, RunOutcome::ReachedLimit);
         assert!(r.reqs > 100, "reqs = {}", r.reqs);
         assert!(r.conns > 20, "conns = {}", r.conns);
         assert!(r.throughput_mbps > 10.0, "tput = {}", r.throughput_mbps);

@@ -29,7 +29,9 @@ use whodunit_core::cost::{ms_to_cycles, CPU_HZ};
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::ChanId;
 use whodunit_core::rt::Continuation;
-use whodunit_sim::{Cycles, Msg, Op, ScenarioFaults, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{
+    Cycles, Msg, Op, RunOutcome, ScenarioFaults, Sim, SimConfig, ThreadBody, ThreadCx, Wake,
+};
 use whodunit_workload::{WebTrace, WebTraceConfig};
 
 /// Handler CPU costs.
@@ -669,6 +671,8 @@ pub struct ProxyConfig {
     /// proxy → origin channel, and the origin is the victim process and
     /// machine.
     pub faults: Option<ScenarioFaults>,
+    /// Livelock bound (see [`crate::tpcw::TpcwConfig::step_budget`]).
+    pub step_budget: Option<u64>,
 }
 
 impl Default for ProxyConfig {
@@ -685,6 +689,7 @@ impl Default for ProxyConfig {
             origin_retries: 3,
             fresh_ttl: Cycles::MAX,
             faults: None,
+            step_budget: Some(2_000_000),
         }
     }
 }
@@ -709,11 +714,15 @@ pub struct ProxyReport {
     pub runtime: ProcRuntime,
     /// Virtual duration.
     pub duration: Cycles,
+    /// How the run ended; only a `ReachedLimit` or `Idle` run's numbers
+    /// are those of the whole configured duration.
+    pub outcome: RunOutcome,
 }
 
 /// Runs the Squid-like proxy with an origin server behind it.
 pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
     let mut sim = Sim::new(SimConfig::default());
+    sim.set_step_budget(cfg.step_budget);
     let proxy_m = sim.add_machine(1);
     let origin_m = sim.add_machine(2);
     let client_m = sim.add_machine(8);
@@ -822,7 +831,7 @@ pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
         );
     }
 
-    sim.run_until(cfg.duration);
+    let outcome = sim.run_until(cfg.duration);
 
     let sh = shared.borrow();
     let hit_rate = if sh.hits + sh.misses == 0 {
@@ -840,6 +849,7 @@ pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
         late_replies: sh.late_replies,
         runtime: pr,
         duration: cfg.duration,
+        outcome,
     }
 }
 
@@ -897,6 +907,7 @@ mod tests {
     #[test]
     fn proxy_serves_and_caches() {
         let r = quick(RtKind::Whodunit);
+        assert_eq!(r.outcome, RunOutcome::ReachedLimit);
         assert!(r.reqs > 200, "reqs {}", r.reqs);
         assert!(r.hit_rate > 0.3, "hit rate {}", r.hit_rate);
         assert!(r.hit_rate < 0.999);

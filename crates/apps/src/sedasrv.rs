@@ -27,7 +27,7 @@ use std::rc::Rc;
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::ids::{ChanId, LockMode};
 use whodunit_sim::seda::{StageOutcome, StageQueue, StageWorker};
-use whodunit_sim::{Cycles, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{Cycles, Msg, Op, RunOutcome, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 use whodunit_workload::{WebTrace, WebTraceConfig};
 
 /// Per-connection stage costs.
@@ -142,6 +142,8 @@ pub struct HaboobConfig {
     pub duration: Cycles,
     /// Trace parameters.
     pub trace: WebTraceConfig,
+    /// Livelock bound (see [`crate::tpcw::TpcwConfig::step_budget`]).
+    pub step_budget: Option<u64>,
 }
 
 /// Cache capacity in bytes.
@@ -159,6 +161,7 @@ impl Default for HaboobConfig {
                 files: 5000,
                 ..WebTraceConfig::default()
             },
+            step_budget: Some(2_000_000),
         }
     }
 }
@@ -175,6 +178,9 @@ pub struct HaboobReport {
     pub runtime: ProcRuntime,
     /// Virtual duration.
     pub duration: Cycles,
+    /// How the run ended; only a `ReachedLimit` or `Idle` run's numbers
+    /// are those of the whole configured duration.
+    pub outcome: RunOutcome,
 }
 
 /// The same closed-loop client as the httpd harness: sends a whole
@@ -230,6 +236,7 @@ impl ThreadBody for HaboobClient {
 /// Runs the Haboob-like SEDA server.
 pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
     let mut sim = Sim::new(SimConfig::default());
+    sim.set_step_budget(cfg.step_budget);
     let server_m = sim.add_machine(1);
     let client_m = sim.add_machine(8);
 
@@ -453,7 +460,7 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
         );
     }
 
-    sim.run_until(cfg.duration);
+    let outcome = sim.run_until(cfg.duration);
 
     let sh = shared.borrow();
     let hit_rate = if sh.hits + sh.misses == 0 {
@@ -467,6 +474,7 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
         hit_rate,
         runtime: pr,
         duration: cfg.duration,
+        outcome,
     }
 }
 
@@ -486,6 +494,7 @@ mod tests {
     #[test]
     fn haboob_serves_requests() {
         let r = quick(RtKind::Whodunit);
+        assert_eq!(r.outcome, RunOutcome::ReachedLimit);
         assert!(r.reqs > 100, "reqs {}", r.reqs);
         assert!(r.hit_rate > 0.2, "hit rate {}", r.hit_rate);
         assert!(r.throughput_mbps > 1.0, "tput {}", r.throughput_mbps);

@@ -730,8 +730,55 @@ mod tests {
                 cond_deadline: count(0, 0),
                 crash: count(0, 0),
                 recv_deadlines_stale: 506,
-                peak_quanta: 4,
+                peak_near: 4,
                 peak_events: 221,
+            }
+        );
+    }
+
+    #[test]
+    fn event_census_of_a_run_with_piled_up_deliveries_is_pinned() {
+        // The run above under a fault plan on both faulted channels: one
+        // message in two is held back 100 ms, a thousand times a
+        // channel's 0.1 ms latency, so deliveries wait beside the
+        // quantum ends in the queue's sorted run. `peak_near` is how
+        // long that run got. The plan also asks for one duplicate in
+        // ten, but no TPC-W payload is `Msg::replayable`, so none is
+        // made.
+        use whodunit_sim::{ChannelFaults, EventCensus, KindCount};
+        let count = |scheduled, fired| KindCount { scheduled, fired };
+        let late_and_twice = ChannelFaults {
+            dup_p: 0.1,
+            delay_p: 0.5,
+            delay_cycles: CPU_HZ / 10,
+            ..ChannelFaults::default()
+        };
+        let r = run_tpcw(TpcwConfig {
+            clients: 40,
+            duration: 120 * CPU_HZ,
+            warmup: 30 * CPU_HZ,
+            faults: Some(ScenarioFaults {
+                seed: 7,
+                front: late_and_twice,
+                backbone: late_and_twice,
+                ..ScenarioFaults::default()
+            }),
+            ..TpcwConfig::default()
+        });
+        assert_eq!(r.outcome, RunOutcome::ReachedLimit);
+        assert_eq!((r.delayed_msgs, r.duplicated_msgs), (1_594, 0));
+        assert_eq!(
+            r.events,
+            EventCensus {
+                quantum_end: count(47_180, 47_180),
+                deliver: count(8_643, 8_640),
+                timer: count(3_270, 3_233),
+                recv_deadline: count(647, 490),
+                cond_deadline: count(0, 0),
+                crash: count(0, 0),
+                recv_deadlines_stale: 490,
+                peak_near: 8,
+                peak_events: 214,
             }
         );
     }

@@ -93,6 +93,7 @@ fn main() {
             rt: kind,
             ..ProxyConfig::default()
         });
+        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
         let w = r.runtime.whodunit.as_ref().unwrap().borrow();
         println!(
             "    {label:<18}: {:>6} distinct contexts after {} requests",
@@ -163,6 +164,7 @@ fn main() {
             rt: kind,
             ..HttpdConfig::default()
         });
+        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
         println!(
             "    {label:<26}: {:7.1} Mb/s (guest cycles {:>11})",
             r.throughput_mbps, r.guest_cycles
@@ -178,6 +180,7 @@ fn main() {
         rt: RtKind::Whodunit,
         ..ProxyConfig::default()
     });
+    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
     let w = r.runtime.whodunit.as_ref().unwrap().borrow();
     let syn_bytes = w.ipc().piggyback_bytes;
     let msgs = w.ipc().messages;
@@ -203,6 +206,7 @@ fn main() {
             rt: kind,
             ..ProxyConfig::default()
         });
+        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
         let w = r.runtime.whodunit.as_ref().unwrap().borrow();
         whodunit_report::render::context_shares(&w.dump().unwrap())
     };

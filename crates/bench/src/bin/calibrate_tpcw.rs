@@ -25,6 +25,7 @@ fn main() {
             warmup: 80 * CPU_HZ,
             ..TpcwConfig::default()
         });
+        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
         let ac = r
             .rt_ms
             .get(&Interaction::AdminConfirm)

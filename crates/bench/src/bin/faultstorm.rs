@@ -67,6 +67,7 @@ fn main() {
 
     let r1 = run_tpcw(storm_config());
     let r2 = run_tpcw(storm_config());
+    assert!(r1.outcome.is_ok(), "the run ended early: {}", r1.outcome);
 
     // 1. Determinism: the whole profile, not just summary scalars.
     assert_eq!(r1.dumps, r2.dumps, "stage dumps must be bit-identical");

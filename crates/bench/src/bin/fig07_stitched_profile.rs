@@ -166,7 +166,8 @@ fn main() {
             state: 0,
         }),
     );
-    sim.run_to_idle();
+    let outcome = sim.run_to_idle();
+    assert!(outcome.is_ok(), "the run ended early: {outcome}");
 
     let dumps = vec![
         caller_rt.borrow().dump().unwrap(),

@@ -27,6 +27,7 @@ fn main() {
         rt: RtKind::Whodunit,
         ..HttpdConfig::default()
     });
+    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
     let w = r
         .runtime
         .whodunit

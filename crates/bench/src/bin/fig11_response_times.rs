@@ -16,7 +16,7 @@ use whodunit_report::table;
 use whodunit_workload::Interaction;
 
 fn run(clients: u32, engine: Engine, caching: bool) -> std::collections::HashMap<Interaction, f64> {
-    run_tpcw(TpcwConfig {
+    let r = run_tpcw(TpcwConfig {
         clients,
         engine,
         caching,
@@ -24,8 +24,9 @@ fn run(clients: u32, engine: Engine, caching: bool) -> std::collections::HashMap
         duration: 320 * CPU_HZ,
         warmup: 80 * CPU_HZ,
         ..TpcwConfig::default()
-    })
-    .rt_ms
+    });
+    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.rt_ms
 }
 
 fn main() {

@@ -18,6 +18,7 @@ fn run(rt: RtKind) -> (f64, u64) {
         rt,
         ..HttpdConfig::default()
     });
+    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
     (r.throughput_mbps, r.guest_cycles)
 }
 

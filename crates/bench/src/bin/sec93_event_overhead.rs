@@ -15,13 +15,14 @@ fn main() {
         "Squid and Haboob peak throughput, profiling disabled vs Whodunit",
     );
     let squid = |rt| {
-        run_proxy(ProxyConfig {
+        let r = run_proxy(ProxyConfig {
             clients: 28,
             duration: 25 * CPU_HZ,
             rt,
             ..ProxyConfig::default()
-        })
-        .throughput_mbps
+        });
+        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+        r.throughput_mbps
     };
     let sq_base = squid(RtKind::None);
     let sq_prof = squid(RtKind::Whodunit);
@@ -31,13 +32,14 @@ fn main() {
     compare("Squid overhead", 5.5, sq_oh, "%");
 
     let haboob = |rt| {
-        run_haboob(HaboobConfig {
+        let r = run_haboob(HaboobConfig {
             clients: 28,
             duration: 25 * CPU_HZ,
             rt,
             ..HaboobConfig::default()
-        })
-        .throughput_mbps
+        });
+        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+        r.throughput_mbps
     };
     let hb_base = haboob(RtKind::None);
     let hb_prof = haboob(RtKind::Whodunit);

@@ -223,6 +223,7 @@ impl fmt::Display for LivelockReport {
 }
 
 /// How a bounded run ended.
+#[must_use = "a run that deadlocked or livelocked ended early: check how it ended"]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// The virtual-time limit was reached with work still pending.
@@ -290,13 +291,14 @@ struct Proc {
     crashed: bool,
 }
 
-/// Every event but a quantum end, which is the queue's other payload:
-/// `(machine, dispatch)`.
+/// An event of the queue's sorted run: due soon, and few pending.
+enum NearEv {
+    QuantumEnd(MachineId, Dispatch),
+    Deliver(ChanId, Msg),
+}
+
+/// An event of the queue's heap: one that waits long.
 enum EvKind {
-    Deliver {
-        chan: ChanId,
-        msg: Msg,
-    },
     Timer {
         thread: ThreadId,
     },
@@ -343,16 +345,17 @@ pub struct EventCensus {
     /// Receive deadlines that fired after their receive had already
     /// ended some other way, and were discarded.
     pub recv_deadlines_stale: u64,
-    /// Longest the sorted run of quantum ends has been.
-    pub peak_quanta: u64,
-    /// Longest the heap of all other events has been.
+    /// Longest the sorted run of near events (quantum ends and
+    /// deliveries) has been.
+    pub peak_near: u64,
+    /// Longest the heap of far events (timers, deadlines, crashes) has
+    /// been.
     pub peak_events: u64,
 }
 
 impl EventCensus {
     fn of(&mut self, kind: &EvKind) -> &mut KindCount {
         match kind {
-            EvKind::Deliver { .. } => &mut self.deliver,
             EvKind::Timer { .. } => &mut self.timer,
             EvKind::RecvDeadline { .. } => &mut self.recv_deadline,
             EvKind::CondDeadline { .. } => &mut self.cond_deadline,
@@ -365,7 +368,7 @@ impl EventCensus {
 pub struct Sim {
     cfg: SimConfig,
     now: Cycles,
-    events: EventQueue<(MachineId, Dispatch), EvKind>,
+    events: EventQueue<NearEv, EvKind>,
     census: EventCensus,
     ready: VecDeque<(ThreadId, Wake)>,
     threads: Vec<Thread>,
@@ -619,7 +622,7 @@ impl Sim {
     /// The event census so far.
     pub fn event_census(&self) -> EventCensus {
         EventCensus {
-            peak_quanta: self.events.peak_quanta() as u64,
+            peak_near: self.events.peak_near() as u64,
             peak_events: self.events.peak_events() as u64,
             ..self.census
         }
@@ -628,6 +631,11 @@ impl Sim {
     fn push_ev(&mut self, at: Cycles, kind: EvKind) {
         self.census.of(&kind).scheduled += 1;
         self.events.push(at, kind);
+    }
+
+    fn push_deliver(&mut self, at: Cycles, chan: ChanId, msg: Msg) {
+        self.census.deliver.scheduled += 1;
+        self.events.push_near(at, NearEv::Deliver(chan, msg));
     }
 
     /// Runs until virtual time `limit` (inclusive of events at
@@ -658,10 +666,16 @@ impl Sim {
                     self.now = limit;
                     return RunOutcome::ReachedLimit;
                 }
-                Due::Quantum(at, (machine, d)) => {
+                Due::Near(at, NearEv::QuantumEnd(machine, d)) => {
                     self.advance_to(at);
                     self.census.quantum_end.fired += 1;
                     self.on_quantum_end(machine, d);
+                    continue;
+                }
+                Due::Near(at, NearEv::Deliver(chan, msg)) => {
+                    self.advance_to(at);
+                    self.census.deliver.fired += 1;
+                    self.on_deliver(chan, msg);
                     continue;
                 }
                 Due::Event(at, kind) => {
@@ -671,7 +685,6 @@ impl Sim {
             };
             self.census.of(&kind).fired += 1;
             match kind {
-                EvKind::Deliver { chan, msg } => self.on_deliver(chan, msg),
                 EvKind::Timer { thread } => {
                     if self.threads[thread.0 as usize].state == TState::Sleeping {
                         self.threads[thread.0 as usize].state = TState::Ready;
@@ -1048,7 +1061,8 @@ impl Sim {
     fn dispatch_machine(&mut self, machine: MachineId) {
         while let Some(d) = self.machines.dispatch(machine, self.cfg.quantum) {
             self.census.quantum_end.scheduled += 1;
-            self.events.push_quantum(self.now + d.slice, (machine, d));
+            self.events
+                .push_near(self.now + d.slice, NearEv::QuantumEnd(machine, d));
         }
     }
 
@@ -1140,10 +1154,10 @@ impl Sim {
                     } else {
                         None
                     };
-                    self.push_ev(at, EvKind::Deliver { chan, msg });
+                    self.push_deliver(at, chan, msg);
                     if let Some(copy) = dup {
                         self.chans.note_duplicated(chan);
-                        self.push_ev(at, EvKind::Deliver { chan, msg: copy });
+                        self.push_deliver(at, chan, copy);
                     }
                 }
                 self.ready.push_back((t, Wake::Done));
@@ -1302,7 +1316,7 @@ mod tests {
         let p = sim.add_unprofiled_process();
         let l = log();
         sim.spawn(p, m, "t", Script::new(vec![Op::Compute(5000)], l.clone()));
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         assert_eq!(sim.now(), 5000);
         let entries = l.borrow();
         assert_eq!(entries.as_slice(), &["t0: start", "t0: computed@5000"]);
@@ -1326,7 +1340,7 @@ mod tests {
             "b",
             Script::new(vec![Op::Compute(1_000_000)], l.clone()),
         );
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         assert_eq!(
             sim.now(),
             2_000_000,
@@ -1353,7 +1367,7 @@ mod tests {
             "b",
             Script::new(vec![Op::Compute(1_000_000)], l.clone()),
         );
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         assert_eq!(sim.now(), 1_000_000);
     }
 
@@ -1388,7 +1402,7 @@ mod tests {
                 l.clone(),
             ),
         );
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         let entries = l.borrow();
         assert!(
             entries.iter().any(|e| e == "t1: locked(waited=1000)"),
@@ -1410,7 +1424,7 @@ mod tests {
             "tx",
             Script::new(vec![Op::Send(ch, Msg::new(7u32, 100))], l.clone()),
         );
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         // Delay = 500 + 100*2 = 700.
         assert_eq!(sim.now(), 700);
         assert!(l.borrow().iter().any(|e| e == "t0: recv(7)"));
@@ -1453,7 +1467,7 @@ mod tests {
                 l.clone(),
             ),
         );
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         let entries = l.borrow();
         assert!(
             entries.iter().any(|e| e.starts_with("t0: condwoken")),
@@ -1498,7 +1512,7 @@ mod tests {
                 first: true,
             }),
         );
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         let w = w.borrow();
         let cct = w
             .cct(whodunit_core::context::CtxId::ROOT)
@@ -1542,7 +1556,7 @@ mod tests {
                     l.clone(),
                 ),
             );
-            sim.run_to_idle();
+            assert!(sim.run_to_idle().is_ok());
             let v = l.borrow().clone();
             (sim.now(), v)
         }
@@ -1561,9 +1575,9 @@ mod tests {
             "t",
             Script::new(vec![Op::Compute(10_000_000)], l.clone()),
         );
-        sim.run_until(1_000_000);
+        assert!(sim.run_until(1_000_000).is_ok());
         assert_eq!(sim.now(), 1_000_000);
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         assert_eq!(sim.now(), 10_000_000);
     }
 
@@ -1603,7 +1617,7 @@ mod tests {
                     l.clone(),
                 ),
             );
-            sim.run_to_idle();
+            assert!(sim.run_to_idle().is_ok());
             let v = l.borrow().clone();
             let comm = sim.take_comm_log();
             (sim.now(), v, comm)
@@ -1640,7 +1654,7 @@ mod tests {
         let p = sim.add_unprofiled_process();
         let l = log();
         sim.spawn(p, m, "t", Script::new(vec![Op::Sleep(123_456)], l.clone()));
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         assert_eq!(sim.now(), 123_456);
         assert!(l.borrow().iter().any(|e| e == "t0: slept@123456"));
     }

@@ -347,7 +347,7 @@ mod tests {
             }),
         );
 
-        sim.run_until(3_000_000_000);
+        assert!(sim.run_until(3_000_000_000).is_ok());
         assert_eq!(*done.borrow(), 3, "all elements traverse both stages");
 
         // The profiler must show a StageA → StageB context with B's
@@ -389,7 +389,7 @@ mod tests {
                 Box::new(|_cx, _d| StageOutcome::compute(1)),
             ),
         );
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         // Worker parked on the condvar; queue untouched.
         assert_eq!(q.borrow().len(), 0);
         assert_eq!(sim.locks.cond_len(c), 1);

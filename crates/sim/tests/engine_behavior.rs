@@ -71,7 +71,7 @@ fn messages_on_one_channel_preserve_order() {
         "rx",
         Script::new(vec![Op::Recv(ch), Op::Recv(ch), Op::Recv(ch)], &l),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let got: Vec<String> = l
         .borrow()
         .iter()
@@ -105,7 +105,7 @@ fn multiple_receivers_share_a_channel_fifo() {
             &l,
         ),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let recvs: Vec<String> = l
         .borrow()
         .iter()
@@ -129,7 +129,7 @@ fn round_robin_shares_a_core_fairly() {
     let l = log();
     sim.spawn(p, m, "a", Script::new(vec![Op::Compute(10_000)], &l));
     sim.spawn(p, m, "b", Script::new(vec![Op::Compute(10_000)], &l));
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let done: Vec<u64> = l
         .borrow()
         .iter()
@@ -162,7 +162,7 @@ fn pending_overhead_is_charged_on_next_compute() {
     let m = sim.add_machine(1);
     let p = sim.add_unprofiled_process();
     sim.spawn(p, m, "t", Box::new(Charger { phase: 0 }));
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     assert_eq!(sim.now(), 6_000, "compute extended by the charged overhead");
 }
 
@@ -198,7 +198,7 @@ fn gprof_counts_calls_through_the_engine() {
     let f = sim.frame("handler");
     let inner = sim.frame("inner");
     sim.spawn(p, m, "t", Box::new(Body { f, inner, phase: 0 }));
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let g = rt.borrow();
     assert_eq!(g.call_count(), 501, "handler + 500 batched internal calls");
     assert_eq!(g.arc(Some(f), inner), 500);
@@ -214,7 +214,7 @@ fn exited_threads_stay_dead() {
     let p = sim.add_unprofiled_process();
     let l = log();
     sim.spawn(p, m, "t", Script::new(vec![], &l));
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     assert_eq!(l.borrow().len(), 1, "resumed exactly once, then exited");
 }
 
@@ -231,7 +231,7 @@ fn notify_without_waiters_is_a_noop() {
         "t",
         Script::new(vec![Op::Notify(cv, true), Op::Compute(10)], &l),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     assert!(l.borrow().iter().any(|e| e.contains("computed")));
 }
 
@@ -278,7 +278,7 @@ fn shared_then_exclusive_wait_ordering() {
         "late",
         Script::new(vec![Op::Lock(lk, LockMode::Shared), Op::Unlock(lk)], &l),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let order: Vec<String> = l
         .borrow()
         .iter()
@@ -313,7 +313,7 @@ fn whodunit_send_adds_piggyback_bytes_to_transfer() {
         Script::new(vec![Op::Send(ch, Msg::new(9u32, 100))], &l),
     );
     sim.spawn(pu, m, "rx", Script::new(vec![Op::Recv(ch)], &l));
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     // 100 payload bytes + 4 synopsis bytes.
     assert_eq!(sim.now(), 104, "piggyback bytes delay the message");
     assert_eq!(w.borrow().ipc().piggyback_bytes, 4);
@@ -355,7 +355,7 @@ fn same_instant_events_fire_in_scheduling_order_whatever_their_kind() {
         for &k in &perm {
             sim.spawn(p, m, kinds[k], Script::new(vec![at_1000(kinds[k], ch)], &l));
         }
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         assert_eq!(sim.now(), 1000);
         // Thread ids: rx is t0, then the three in spawn order. What
         // each kind's firing makes visible at t = 1000:
@@ -458,7 +458,7 @@ fn chunked_run_is_bit_identical_to_the_unchunked_run() {
     let chunked_log = log();
     let mut chunked = busy_sim(&chunked_log);
     for &limit in &limits {
-        chunked.run_until(limit);
+        assert!(chunked.run_until(limit).is_ok());
         assert_eq!(chunked.now(), limit, "work is pending at every limit");
     }
     assert!(chunked.run_to_idle().is_ok());
@@ -581,7 +581,7 @@ fn every_lock_grant_resumes_with_its_wake_kind_and_wait() {
                 subject_id = t;
             }
         }
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         let last_wake = l.borrow().last().cloned().expect("the subject resumed");
         let grants = &rt.borrow().0;
         let &(_, waited) = grants

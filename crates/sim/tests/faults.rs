@@ -76,7 +76,7 @@ fn recv_timeout_expires_when_nothing_arrives() {
         "rx",
         Script::new(vec![Op::RecvTimeout(ch, 5000)], l.clone()),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     assert_eq!(sim.now(), 5000);
     assert!(l.borrow().iter().any(|e| e == "t0:timeout@5000"), "{l:?}");
 }
@@ -106,7 +106,7 @@ fn recv_timeout_delivery_wins_and_deadline_is_inert() {
         "tx",
         Script::new(vec![Op::Send(ch, Msg::new(1u32, 0))], l.clone()),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let entries = l.borrow();
     assert!(entries.iter().any(|e| e == "t0:recv(1)@100"), "{entries:?}");
     // The second wait must expire at 100 + 200_000, NOT at 50_000.
@@ -141,7 +141,7 @@ fn timed_out_receiver_leaves_queue_late_message_buffers() {
         "tx",
         Script::new(vec![Op::Send(ch, Msg::new(9u32, 0))], l.clone()),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let entries = l.borrow();
     assert!(
         entries.iter().any(|e| e == "t0:timeout@1000"),
@@ -175,7 +175,7 @@ fn cond_wait_timeout_reacquires_lock() {
             l.clone(),
         ),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let entries = l.borrow();
     assert!(
         entries.iter().any(|e| e == "t0:condtimeout(w=0)@7000"),
@@ -221,7 +221,7 @@ fn cond_notify_beats_timeout() {
             l.clone(),
         ),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let entries = l.borrow();
     assert!(
         entries.iter().any(|e| e.starts_with("t0:woken")),
@@ -259,7 +259,7 @@ fn dropped_message_never_delivers_and_is_counted() {
         "tx",
         Script::new(vec![Op::Send(ch, Msg::new(1u32, 8))], l.clone()),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let entries = l.borrow();
     assert!(
         entries.iter().any(|e| e == "t0:timeout@9000"),
@@ -300,7 +300,7 @@ fn duplicated_replayable_message_delivers_twice() {
         "tx",
         Script::new(vec![Op::Send(ch, Msg::replayable(4u32, 8))], l.clone()),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let entries = l.borrow();
     let recvs = entries
         .iter()
@@ -331,7 +331,7 @@ fn non_replayable_message_is_not_duplicated() {
         "tx",
         Script::new(vec![Op::Send(ch, Msg::new(4u32, 8))], l.clone()),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     assert_eq!(sim.chans.duplicated(ch), 0);
     assert_eq!(sim.chans.buffered(ch), 0, "exactly one delivery, consumed");
 }
@@ -358,7 +358,7 @@ fn delay_fault_postpones_delivery() {
         "tx",
         Script::new(vec![Op::Send(ch, Msg::new(2u32, 0))], l.clone()),
     );
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let entries = l.borrow();
     assert!(
         entries.iter().any(|e| e == "t0:recv(2)@40100"),
@@ -378,7 +378,7 @@ fn slowdown_window_stretches_wall_clock_not_truth() {
         }
         let l = log();
         sim.spawn(p, m, "t", Script::new(vec![Op::Compute(100_000)], l));
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         (sim.now(), sim.proc_compute_cycles(p))
     }
     let (fast, truth_fast) = run(false);
@@ -426,7 +426,7 @@ fn crash_halts_threads_and_releases_locks() {
         ),
     );
     sim.set_fault_plan(FaultPlan::new(0).crash(victim, 50_000));
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     assert!(sim.proc_crashed(victim));
     assert!(!sim.proc_crashed(survivor));
     let entries = l.borrow();
@@ -464,7 +464,7 @@ fn message_to_crashed_process_buffers_harmlessly() {
         ),
     );
     sim.set_fault_plan(FaultPlan::new(0).crash(origin, 10));
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let entries = l.borrow();
     assert!(
         !entries.iter().any(|e| e.starts_with("t0:recv")),
@@ -499,7 +499,7 @@ fn faulted_run_is_bit_deterministic() {
         }
         sim.spawn(p, m, "rx", Script::new(rx_ops, l.clone()));
         sim.spawn(p, m, "tx", Script::new(tx_ops, l.clone()));
-        sim.run_to_idle();
+        assert!(sim.run_to_idle().is_ok());
         let mut v = l.borrow().clone();
         v.push(format!(
             "drops={} dups={} delays={} now={}",

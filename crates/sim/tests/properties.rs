@@ -96,7 +96,7 @@ fn run_once(scripts: &[Vec<GOp>]) -> (u64, Vec<String>) {
             }),
         );
     }
-    sim.run_to_idle();
+    assert!(sim.run_to_idle().is_ok());
     let t = trace.borrow().clone();
     (sim.now(), t)
 }
@@ -145,8 +145,9 @@ proptest! {
 // ---------------------------------------------------------------------
 // The event queue's order.
 //
-// The engine keeps quantum ends in a sorted run and every other event
-// in a heap, under one sequence counter. The contract every golden rests
+// The engine keeps near events (quantum ends, deliveries) in a sorted
+// run and far ones (timers, deadlines, crashes) in a heap, under one
+// sequence counter. The contract every golden rests
 // on is that this pops exactly as a single heap ordered by
 // `(time, seq)` would — the tie-break is insertion order, whatever the
 // kind — and that a limit only ever looks at the next event.
@@ -155,9 +156,9 @@ proptest! {
 /// One generated step of a queue-order check.
 #[derive(Clone, Copy)]
 enum QOp {
-    /// Schedule a quantum end `dt` after `now`.
-    Quantum,
-    /// Schedule any other event `dt` after `now`.
+    /// Schedule a near event `dt` after `now`.
+    Near,
+    /// Schedule a far event `dt` after `now`.
     Event,
     /// Pop one event due by `now + dt`.
     PopOne,
@@ -166,7 +167,7 @@ enum QOp {
     Drain,
 }
 
-/// The one-heap reference: `(at, seq, is_quantum)`, smallest first.
+/// The one-heap reference: `(at, seq, is_near)`, smallest first.
 type OneHeap = std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, bool)>>;
 
 /// Runs `ops` against an [`EventQueue`] and the one-heap reference,
@@ -181,8 +182,8 @@ fn pops_as_one_heap(
     let (mut seq, mut now) = (0u64, 0u64);
     for (op, dt) in ops {
         match op {
-            QOp::Quantum => {
-                q.push_quantum(now + dt, seq);
+            QOp::Near => {
+                q.push_near(now + dt, seq);
                 model.push(Reverse((now + dt, seq, true)));
                 seq += 1;
             }
@@ -197,9 +198,9 @@ fn pops_as_one_heap(
                     None => Due::Empty,
                     Some(&Reverse((at, _, _))) if at > limit => Due::Later,
                     Some(_) => {
-                        let Reverse((at, s, quantum)) = model.pop().unwrap();
-                        if quantum {
-                            Due::Quantum(at, s)
+                        let Reverse((at, s, near)) = model.pop().unwrap();
+                        if near {
+                            Due::Near(at, s)
                         } else {
                             Due::Event(at, s)
                         }
@@ -208,7 +209,7 @@ fn pops_as_one_heap(
                 let got = q.pop_due(limit);
                 assert_eq!(&got, &want);
                 match got {
-                    Due::Quantum(at, _) | Due::Event(at, _) => now = at,
+                    Due::Near(at, _) | Due::Event(at, _) => now = at,
                     Due::Empty | Due::Later => break,
                 }
                 if matches!(op, QOp::PopOne) {
@@ -223,7 +224,7 @@ fn pops_as_one_heap(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random interleavings of schedule (either kind, small time
+    /// Random interleavings of schedule (either side, small time
     /// offsets so ties are common) and bounded pops agree with the
     /// one-heap reference at every step.
     #[test]
@@ -231,40 +232,40 @@ proptest! {
         ops in proptest::collection::vec((0u8..4, 0u64..6), 0..200)
     ) {
         let mix = |op| match op {
-            0 => QOp::Quantum,
+            0 => QOp::Near,
             1 => QOp::Event,
             _ => QOp::Drain,
         };
         let (q, _, seq) = pops_as_one_heap(ops.into_iter().map(|(op, dt)| (mix(op), dt)));
-        prop_assert!(q.peak_quanta() + q.peak_events() <= seq as usize);
+        prop_assert!(q.peak_near() + q.peak_events() <= seq as usize);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The same check with the quantum ends crowded: six pushes in seven
-    /// are quantum ends, all within two cycles of `now`, and pops are
+    /// The same check with the near events crowded: six pushes in seven
+    /// are near, all within two cycles of `now`, and pops are
     /// rare (most take one event, one op in 32 drains to a limit), so
     /// the sorted run grows to dozens of entries, most of them ties.
     #[test]
-    fn a_long_run_of_tied_quantum_ends_pops_as_one_heap(
+    fn a_long_run_of_tied_near_events_pops_as_one_heap(
         ops in proptest::collection::vec((0u8..32, 0u64..3), 200..400)
     ) {
         let mix = |op| match op {
-            0..=23 => QOp::Quantum,
+            0..=23 => QOp::Near,
             24..=27 => QOp::Event,
             28..=30 => QOp::PopOne,
             _ => QOp::Drain,
         };
         let (mut q, mut model, _) = pops_as_one_heap(ops.into_iter().map(|(op, dt)| (mix(op), dt)));
         // Drain what is left: the whole tail must still agree.
-        while let Some(std::cmp::Reverse((at, s, quantum))) = model.pop() {
-            let want = if quantum { Due::Quantum(at, s) } else { Due::Event(at, s) };
+        while let Some(std::cmp::Reverse((at, s, near))) = model.pop() {
+            let want = if near { Due::Near(at, s) } else { Due::Event(at, s) };
             prop_assert_eq!(q.pop_due(u64::MAX), want);
         }
         prop_assert_eq!(q.pop_due(u64::MAX), Due::Empty);
-        prop_assert!(q.peak_quanta() >= 24, "the run peaked at {}", q.peak_quanta());
+        prop_assert!(q.peak_near() >= 24, "the run peaked at {}", q.peak_near());
     }
 }
 

@@ -22,6 +22,7 @@ fn main() {
         rt: RtKind::Whodunit,
         ..HttpdConfig::default()
     });
+    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
     let w = r.runtime.whodunit.as_ref().unwrap().borrow();
     println!("{}", render::render_stage(&w.dump().unwrap()));
 

@@ -103,7 +103,8 @@ fn main() {
             }),
         );
     }
-    sim.run_to_idle();
+    let outcome = sim.run_to_idle();
+    assert!(outcome.is_ok(), "the run ended early: {outcome}");
 
     let w = w.borrow();
     println!("crosstalk report (who waits for whom):\n");

@@ -20,6 +20,7 @@ fn main() {
         rt: RtKind::Whodunit,
         ..DnsConfig::default()
     });
+    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
     let w = r.runtime.whodunit.as_ref().unwrap().borrow();
     println!("DNS server transactional profile:\n");
     for s in render::context_shares(&w.dump().unwrap()) {

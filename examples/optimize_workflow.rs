@@ -25,7 +25,7 @@ fn label_of(frame: &str) -> Option<String> {
 }
 
 fn run(caching: bool) -> TpcwReport {
-    run_tpcw(TpcwConfig {
+    let r = run_tpcw(TpcwConfig {
         clients: 150,
         engine: Engine::MyIsam,
         caching,
@@ -33,7 +33,9 @@ fn run(caching: bool) -> TpcwReport {
         duration: 150 * CPU_HZ,
         warmup: 40 * CPU_HZ,
         ..TpcwConfig::default()
-    })
+    });
+    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r
 }
 
 fn main() {

@@ -19,6 +19,7 @@ fn main() {
         rt: RtKind::Whodunit,
         ..ProxyConfig::default()
     });
+    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
     let w = r.runtime.whodunit.as_ref().unwrap().borrow();
     let dump = w.dump().unwrap();
     println!("Squid transactional profile (event-handler contexts):\n");

@@ -111,7 +111,8 @@ fn main() {
                 }),
             );
         }
-        sim.run_to_idle();
+        let outcome = sim.run_to_idle();
+        assert!(outcome.is_ok(), "the run ended early: {outcome}");
         for (t, count, total) in tmon.borrow().report() {
             println!(
                 "  {:<18} {:>6}   {:>9.1} ms",

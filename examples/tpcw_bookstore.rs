@@ -32,6 +32,7 @@ fn main() {
         warmup: 50 * CPU_HZ,
         ..TpcwConfig::default()
     });
+    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
     let stitched = analyze(r.dumps.clone(), PipelineConfig::default());
 
     println!("MySQL profile by TPC-W interaction (via stitched synopsis chains):\n");

@@ -117,6 +117,11 @@ cargo test --workspace -q
 # - golden: rendered federation topology mid-outage + final
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
+# The byte-identity gate (fingerprint): the published TPC-W fleet
+# (24 clients, 40 s, 48 replicas, as infer builds it) analyzed and
+# fingerprinted, pinned to 20ca3d2b1a107f2a, the value every
+# "output unchanged" claim rests on.
+#
 # The engine gate (DESIGN.md §11 "Event queue and engine host cost";
 # engine_alloc_budget):
 # - allocation budget: the smoke-shaped 3-tier stack (40 clients,
@@ -126,8 +131,8 @@ cargo test --workspace -q
 #   built the context it looked up and every epoch took fresh dumps).
 #   The event order itself is held by whodunit-sim's engine_behavior
 #   (same-instant tie-break, chunked == unchunked) and properties
-#   (the sorted run of quantum ends and the heap of the other events
-#   pop as one heap by (time, seq)) suites.
+#   (the sorted run of near events, quantum ends and deliveries, and
+#   the heap of far ones pop as one heap by (time, seq)) suites.
 #
 # The black-box inference gates (DESIGN.md §15; infer's properties and
 # scenarios, golden_infer):
@@ -161,7 +166,7 @@ whodunit-core/wire_props whodunit-collector/wire_fuzz whodunit-collector/alloc_b
 whodunit-collector/federation_diff whodunit-collector/federation_props
 whodunit-collector/federation_alloc_budget whodunit/golden_federation
 whodunit-infer/properties whodunit-infer/scenarios whodunit/golden_infer
-whodunit-apps/engine_alloc_budget
+whodunit/fingerprint whodunit-apps/engine_alloc_budget
 whodunit-apps/zoo_chaos whodunit-sim/chaos_detectors
 """.split()
 have = {
@@ -198,10 +203,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Formatting of the crates that are rustfmt-clean, so a stray diff
 # fails here instead of riding along in the next change to the file.
 # Still unformatted, the backlog (`cargo fmt --all -- --check -l`):
-# whodunit-core 19 files, whodunit-collector 7, whodunit-bench 6,
-# whodunit-infer 3, whodunit-report 1, plus examples/, the root tests/
-# and vendor/. A change that formats one of them adds it here.
-cargo fmt -p whodunit-sim -p whodunit-apps -p whodunit-workload -- --check
+# whodunit-core 19 files, whodunit-collector 7, whodunit-bench 6, plus
+# examples/, the root tests/ and vendor/. A change that formats one of
+# them adds it here.
+cargo fmt -p whodunit-sim -p whodunit-apps -p whodunit-workload \
+    -p whodunit-report -p whodunit-infer -- --check
 
 # Non-test Rust lines per crate, against the last commit. Subtraction
 # PRs quote `scripts/loc.sh <parent rev>` for their net lines; running
