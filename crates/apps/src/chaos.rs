@@ -22,6 +22,7 @@
 //! than a suggestion.
 
 use crate::tpcw::{run_tpcw, TpcwConfig};
+use crate::STEP_BUDGET;
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::dumpjson;
 use whodunit_core::hash::Fnv64;
@@ -62,7 +63,7 @@ pub fn default_workload() -> Vec<(String, u64)> {
         ("db_timeout".into(), CPU_HZ / 2),
         ("images_per_page".into(), 2),
         ("search_terms".into(), 500),
-        ("step_budget".into(), 2_000_000),
+        ("step_budget".into(), STEP_BUDGET),
         ("livelock_pair".into(), 0),
     ]
 }
@@ -85,7 +86,7 @@ pub fn config_of(repro: &ChaosRepro) -> TpcwConfig {
         search_terms: knob("search_terms", 500),
         seed: repro.seed,
         sched: repro.policy.parse().unwrap_or_default(),
-        step_budget: match knob("step_budget", 2_000_000) {
+        step_budget: match knob("step_budget", STEP_BUDGET) {
             0 => None,
             b => Some(b),
         },

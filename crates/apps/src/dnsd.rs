@@ -14,6 +14,7 @@
 
 use crate::metrics::MeanAcc;
 use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
+use crate::STEP_BUDGET;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -278,8 +279,6 @@ pub struct DnsConfig {
     pub rt: RtKind,
     /// Virtual duration.
     pub duration: Cycles,
-    /// Livelock bound (see [`crate::tpcw::TpcwConfig::step_budget`]).
-    pub step_budget: Option<u64>,
 }
 
 impl Default for DnsConfig {
@@ -289,7 +288,6 @@ impl Default for DnsConfig {
             names: 400,
             rt: RtKind::Whodunit,
             duration: 10 * CPU_HZ,
-            step_budget: Some(2_000_000),
         }
     }
 }
@@ -314,7 +312,7 @@ pub struct DnsReport {
 /// Runs the DNS server experiment.
 pub fn run_dnsd(cfg: DnsConfig) -> DnsReport {
     let mut sim = Sim::new(SimConfig::default());
-    sim.set_step_budget(cfg.step_budget);
+    sim.set_step_budget(Some(STEP_BUDGET));
     let server_m = sim.add_machine(1);
     let net_m = sim.add_machine(2);
 

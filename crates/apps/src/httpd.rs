@@ -17,6 +17,7 @@
 
 use crate::metrics::mbps;
 use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
+use crate::STEP_BUDGET;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -443,8 +444,6 @@ pub struct HttpdConfig {
     pub rt: RtKind,
     /// Web trace parameters.
     pub trace: WebTraceConfig,
-    /// Livelock bound (see [`crate::tpcw::TpcwConfig::step_budget`]).
-    pub step_budget: Option<u64>,
 }
 
 impl Default for HttpdConfig {
@@ -455,7 +454,6 @@ impl Default for HttpdConfig {
             duration: 20 * CPU_HZ,
             rt: RtKind::Whodunit,
             trace: WebTraceConfig::default(),
-            step_budget: Some(2_000_000),
         }
     }
 }
@@ -486,7 +484,7 @@ pub struct HttpdReport {
 /// Runs the Apache-like server under the given configuration.
 pub fn run_httpd(cfg: HttpdConfig) -> HttpdReport {
     let mut sim = Sim::new(SimConfig::default());
-    sim.set_step_budget(cfg.step_budget);
+    sim.set_step_budget(Some(STEP_BUDGET));
     let server_m = sim.add_machine(1);
     let client_m = sim.add_machine(8);
 

@@ -40,3 +40,10 @@ pub mod sedasrv;
 pub mod sentinel;
 pub mod tpcw;
 pub mod zoo;
+
+/// Livelock bound of the httpd, proxy, haboob and DNS harnesses, and
+/// the default `step_budget` of the zoo and of a chaos repro: the most
+/// thread resumes at one virtual instant before a run ends in
+/// [`whodunit_sim::RunOutcome::Livelock`] (see
+/// [`tpcw::TpcwConfig::step_budget`]).
+pub const STEP_BUDGET: u64 = 2_000_000;

@@ -22,6 +22,7 @@
 
 use crate::metrics::mbps;
 use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
+use crate::STEP_BUDGET;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -671,8 +672,6 @@ pub struct ProxyConfig {
     /// proxy → origin channel, and the origin is the victim process and
     /// machine.
     pub faults: Option<ScenarioFaults>,
-    /// Livelock bound (see [`crate::tpcw::TpcwConfig::step_budget`]).
-    pub step_budget: Option<u64>,
 }
 
 impl Default for ProxyConfig {
@@ -689,7 +688,6 @@ impl Default for ProxyConfig {
             origin_retries: 3,
             fresh_ttl: Cycles::MAX,
             faults: None,
-            step_budget: Some(2_000_000),
         }
     }
 }
@@ -722,7 +720,7 @@ pub struct ProxyReport {
 /// Runs the Squid-like proxy with an origin server behind it.
 pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
     let mut sim = Sim::new(SimConfig::default());
-    sim.set_step_budget(cfg.step_budget);
+    sim.set_step_budget(Some(STEP_BUDGET));
     let proxy_m = sim.add_machine(1);
     let origin_m = sim.add_machine(2);
     let client_m = sim.add_machine(8);

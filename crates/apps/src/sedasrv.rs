@@ -21,6 +21,7 @@
 
 use crate::metrics::mbps;
 use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
+use crate::STEP_BUDGET;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -142,8 +143,6 @@ pub struct HaboobConfig {
     pub duration: Cycles,
     /// Trace parameters.
     pub trace: WebTraceConfig,
-    /// Livelock bound (see [`crate::tpcw::TpcwConfig::step_budget`]).
-    pub step_budget: Option<u64>,
 }
 
 /// Cache capacity in bytes.
@@ -161,7 +160,6 @@ impl Default for HaboobConfig {
                 files: 5000,
                 ..WebTraceConfig::default()
             },
-            step_budget: Some(2_000_000),
         }
     }
 }
@@ -236,7 +234,7 @@ impl ThreadBody for HaboobClient {
 /// Runs the Haboob-like SEDA server.
 pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
     let mut sim = Sim::new(SimConfig::default());
-    sim.set_step_budget(cfg.step_budget);
+    sim.set_step_budget(Some(STEP_BUDGET));
     let server_m = sim.add_machine(1);
     let client_m = sim.add_machine(8);
 

@@ -742,13 +742,12 @@ mod tests {
         // message in two is held back 100 ms, a thousand times a
         // channel's 0.1 ms latency, so deliveries wait beside the
         // quantum ends in the queue's sorted run. `peak_near` is how
-        // long that run got. The plan also asks for one duplicate in
-        // ten, but no TPC-W payload is `Msg::replayable`, so none is
-        // made.
+        // long that run got. The plan asks for no duplicates: no TPC-W
+        // payload is `Msg::replayable`, so a duplicate verdict would be
+        // delivered once all the same.
         use whodunit_sim::{ChannelFaults, EventCensus, KindCount};
         let count = |scheduled, fired| KindCount { scheduled, fired };
-        let late_and_twice = ChannelFaults {
-            dup_p: 0.1,
+        let late = ChannelFaults {
             delay_p: 0.5,
             delay_cycles: CPU_HZ / 10,
             ..ChannelFaults::default()
@@ -759,14 +758,14 @@ mod tests {
             warmup: 30 * CPU_HZ,
             faults: Some(ScenarioFaults {
                 seed: 7,
-                front: late_and_twice,
-                backbone: late_and_twice,
+                front: late,
+                backbone: late,
                 ..ScenarioFaults::default()
             }),
             ..TpcwConfig::default()
         });
         assert_eq!(r.outcome, RunOutcome::ReachedLimit);
-        assert_eq!((r.delayed_msgs, r.duplicated_msgs), (1_594, 0));
+        assert_eq!(r.delayed_msgs, 1_594);
         assert_eq!(
             r.events,
             EventCensus {

@@ -25,6 +25,7 @@
 
 use crate::chaos::{judge, ScenarioResult};
 use crate::rtconf::RtKind;
+use crate::STEP_BUDGET;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cell::RefCell;
@@ -116,7 +117,7 @@ impl Default for ZooConfig {
             shape: LoadShape::Steady,
             rt: RtKind::Whodunit,
             sched: SchedulePolicy::Fifo,
-            step_budget: Some(2_000_000),
+            step_budget: Some(STEP_BUDGET),
             livelock_pair: false,
             comm_log: false,
             rpc_timeout: CPU_HZ / 2,
@@ -281,7 +282,7 @@ pub fn zoo_workload() -> Vec<(String, u64)> {
         ("duration".into(), ZOO_HORIZON),
         ("warmup".into(), 5 * CPU_HZ),
         ("rpc_timeout".into(), CPU_HZ / 2),
-        ("step_budget".into(), 2_000_000),
+        ("step_budget".into(), STEP_BUDGET),
         ("livelock_pair".into(), 0),
     ]
 }
@@ -300,7 +301,7 @@ pub fn zoo_config_of(t: Topology, repro: &ChaosRepro) -> ZooConfig {
         rpc_timeout: knob("rpc_timeout", CPU_HZ / 2),
         seed: repro.seed,
         sched: repro.policy.parse().unwrap_or_default(),
-        step_budget: match knob("step_budget", 2_000_000) {
+        step_budget: match knob("step_budget", STEP_BUDGET) {
             0 => None,
             b => Some(b),
         },

@@ -41,7 +41,10 @@
 use std::process::ExitCode;
 use whodunit_apps::tpcw::run_tpcw;
 use whodunit_apps::zoo::{run_zoo, Topology, ZooConfig};
-use whodunit_bench::{fleet_config, header, json_escape, matrix, run_fleet, write_json_file};
+use whodunit_bench::{
+    fleet_config, header, json_escape, matrix, run_fleet, write_json_file, PUBLISHED_FLEET,
+    PUBLISHED_FP,
+};
 use whodunit_core::blackbox::{CommLog, TierVisibility};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::oracle::{check_inference, InferenceScore};
@@ -53,10 +56,6 @@ use whodunit_infer::{
 use whodunit_sim::fault::ChannelFaults;
 use whodunit_sim::ScenarioFaults;
 use whodunit_workload::LoadShape;
-
-/// The published batch fingerprint every fleet-scale bench is gated
-/// on; a comm-log-enabled run must still produce exactly this.
-const EXPECTED_BATCH_FP: u64 = 0x20ca_3d2b_1a10_7f2a;
 
 /// Clean-scenario F1 floor, ppm.
 const GATE_F1_PPM: u64 = 950_000;
@@ -238,9 +237,11 @@ fn run_cell(sc: &Scenario, vis: &'static str, pc: &PairingConfig) -> Row {
 }
 
 /// Analyzes a TPC-W fleet with the comm log on and (in smoke mode)
-/// off, returning `(comm_on_fp, expected_fp, identical)`.
+/// off, returning `(comm_on_fp, expected_fp, identical)`. Outside smoke
+/// mode the fleet is the published one, and a comm-log-enabled run must
+/// still produce exactly its [`PUBLISHED_FP`].
 fn batch_identity(smoke: bool) -> (u64, u64, bool) {
-    let (clients, duration_s, replicas) = if smoke { (12, 20, 16) } else { (24, 40, 48) };
+    let (clients, duration_s, replicas) = if smoke { (12, 20, 16) } else { PUBLISHED_FLEET };
     let mut cfg = fleet_config(clients, duration_s);
     cfg.comm_log = true;
     let (_report, fleet) = run_fleet(cfg, replicas);
@@ -251,7 +252,7 @@ fn batch_identity(smoke: bool) -> (u64, u64, bool) {
         let (_r, fleet_off) = run_fleet(fleet_config(clients, duration_s), replicas);
         analyze(fleet_off, PipelineConfig::default()).fingerprint()
     } else {
-        EXPECTED_BATCH_FP
+        PUBLISHED_FP
     };
     (on_fp, expected, on_fp == expected)
 }

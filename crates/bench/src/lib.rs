@@ -8,7 +8,8 @@
 //!
 //! The `sentinel` and `infer` drivers share their fleet-scale scenario
 //! setup and JSON emission through this crate: [`fleet_config`],
-//! [`run_fleet`], [`fleet_stream`], [`json_escape`], and
+//! [`run_fleet`], [`PUBLISHED_FLEET`] and its [`PUBLISHED_FP`],
+//! [`fleet_stream`], [`json_escape`], and
 //! [`write_json_file`]. Speed is measured in `benchmark/`, not here.
 
 use whodunit_apps::federation::{fleet_epochs, leaf_stream, replica_header};
@@ -34,6 +35,14 @@ pub fn compare(label: &str, paper: f64, measured: f64, unit: &str) {
     };
     println!("{label:<44} paper {paper:>10.2} {unit:<8} measured {measured:>10.2} {unit:<8} (x{ratio:.2})");
 }
+
+/// The published TPC-W fleet: clients, simulated seconds (see
+/// [`fleet_config`]) and replicas (see [`run_fleet`]).
+pub const PUBLISHED_FLEET: (u32, u64, usize) = (24, 40, 48);
+
+/// The batch fingerprint of [`PUBLISHED_FLEET`]: what `infer` gates
+/// `BENCH_infer.json` on and `tests/fingerprint.rs` pins.
+pub const PUBLISHED_FP: u64 = 0x20ca_3d2b_1a10_7f2a;
 
 /// The standard fleet-bench TPC-W configuration: `duration_s` seconds
 /// of simulated traffic with a quarter of it as warmup.

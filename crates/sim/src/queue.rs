@@ -9,8 +9,8 @@
 //! `Vec` (`near`) kept sorted latest first: the next one is the last
 //! entry, and an insert shifts nothing or one entry. Far events wait
 //! long, and hundreds are pending: think-time timers, receive and
-//! condition deadlines, crashes. They go through the heap, which holds
-//! 24-byte `(time, seq, slot)` keys while the payloads wait in a slab.
+//! condition deadlines, crashes. They go through a binary heap that
+//! holds each payload in its entry.
 //!
 //! Both draw `seq` from one counter, in the order the pushes are made,
 //! and [`EventQueue::pop_due`] takes whichever head has the smaller
@@ -18,18 +18,45 @@
 //! heap ordered by `(time, seq)` — same-instant events fire in the order
 //! they were scheduled — whatever mix of the two sides is pending.
 //!
-//! Nothing is pre-sized: the run, the heap, the slab and its free list
-//! start empty and grow on demand.
+//! Nothing is pre-sized: the run and the heap start empty and grow on
+//! demand.
 
 use crate::time::Cycles;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// A pending near event.
-struct Near<N> {
+/// A pending event with payload `P`, ordered by `(at, seq)` alone:
+/// `seq` is unique, so the payload never decides.
+struct Entry<P> {
     at: Cycles,
     seq: u64,
-    n: N,
+    p: P,
+}
+
+impl<P> Entry<P> {
+    fn key(&self) -> (Cycles, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl<P> PartialEq for Entry<P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<P> Eq for Entry<P> {}
+
+impl<P> PartialOrd for Entry<P> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<P> Ord for Entry<P> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 /// What [`EventQueue::pop_due`] found.
@@ -51,11 +78,8 @@ pub enum Due<N, E> {
 pub struct EventQueue<N, E> {
     seq: u64,
     /// Sorted by `(at, seq)`, latest first: the next to fire is last.
-    near: Vec<Near<N>>,
-    /// `(at, seq, slot)`; `seq` is unique, so `slot` never decides.
-    heap: BinaryHeap<Reverse<(Cycles, u64, u32)>>,
-    slab: Vec<Option<E>>,
-    free: Vec<u32>,
+    near: Vec<Entry<N>>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     peak_near: usize,
     peak_events: usize,
 }
@@ -66,8 +90,6 @@ impl<N, E> Default for EventQueue<N, E> {
             seq: 0,
             near: Vec::new(),
             heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
             peak_near: 0,
             peak_events: 0,
         }
@@ -87,26 +109,14 @@ impl<N, E> EventQueue<N, E> {
     pub fn push_near(&mut self, at: Cycles, n: N) {
         let seq = self.next_seq();
         let i = self.near.partition_point(|k| k.at > at);
-        self.near.insert(i, Near { at, seq, n });
+        self.near.insert(i, Entry { at, seq, p: n });
         self.peak_near = self.peak_near.max(self.near.len());
     }
 
     /// Schedules a far event at `at`.
     pub fn push(&mut self, at: Cycles, e: E) {
         let seq = self.next_seq();
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(e);
-                slot
-            }
-            None => {
-                let slot =
-                    u32::try_from(self.slab.len()).expect("more than u32::MAX pending events");
-                self.slab.push(Some(e));
-                slot
-            }
-        };
-        self.heap.push(Reverse((at, seq, slot)));
+        self.heap.push(Reverse(Entry { at, seq, p: e }));
         self.peak_events = self.peak_events.max(self.heap.len());
     }
 
@@ -114,8 +124,8 @@ impl<N, E> EventQueue<N, E> {
     /// time is at or before `limit`. An event past the limit is only
     /// looked at, never moved.
     pub fn pop_due(&mut self, limit: Cycles) -> Due<N, E> {
-        let n = self.near.last().map(|k| (k.at, k.seq));
-        let e = self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        let n = self.near.last().map(Entry::key);
+        let e = self.heap.peek().map(|Reverse(k)| k.key());
         let (at, near) = match (n, e) {
             (None, None) => return Due::Empty,
             (Some(n), None) => (n.0, true),
@@ -133,14 +143,10 @@ impl<N, E> EventQueue<N, E> {
         }
         if near {
             let k = self.near.pop().expect("peeked above");
-            Due::Near(at, k.n)
+            Due::Near(at, k.p)
         } else {
-            let Reverse((_, _, slot)) = self.heap.pop().expect("peeked above");
-            let e = self.slab[slot as usize]
-                .take()
-                .expect("a queued key owns a filled slot");
-            self.free.push(slot);
-            Due::Event(at, e)
+            let Reverse(k) = self.heap.pop().expect("peeked above");
+            Due::Event(at, k.p)
         }
     }
 
@@ -158,11 +164,6 @@ impl<N, E> EventQueue<N, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn the_heap_key_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Reverse<(Cycles, u64, u32)>>(), 24);
-    }
 
     #[test]
     fn same_instant_fires_in_scheduling_order_across_both_sides() {
@@ -203,7 +204,7 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_reused_and_peaks_remembered() {
+    fn peaks_are_remembered() {
         let mut q: EventQueue<(), u32> = EventQueue::default();
         for round in 0..3 {
             q.push(round, 1);
@@ -211,11 +212,6 @@ mod tests {
             assert_eq!(q.pop_due(round), Due::Event(round, 1));
             assert_eq!(q.pop_due(round), Due::Event(round, 2));
         }
-        assert_eq!(
-            q.slab.len(),
-            2,
-            "freed slots are taken before the slab grows"
-        );
         assert_eq!(q.peak_events(), 2);
         assert_eq!(q.peak_near(), 0);
     }

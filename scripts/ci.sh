@@ -313,17 +313,18 @@ cargo run --release -q -p whodunit-bench --bin chaos -- --replay target/BENCH_se
 # missing field is itself a CI failure. (`*.repro.json` is a repro
 # bundle riding along with the sentinel bench, not a bench result.)
 # Every infer result must also have met its batch pin, and the
-# published BENCH_infer.json must pin the fingerprint infer.rs expects:
+# published BENCH_infer.json must pin the fingerprint infer expects
+# (whodunit_bench::PUBLISHED_FP):
 # the smoke above compares against a comm-off twin, so without this
 # nothing would notice a stale published pin.
 python3 - <<'EOF'
 import glob, json, re, sys
 
 pin = re.search(
-    r"const EXPECTED_BATCH_FP: u64 = 0x([0-9a-f_]+);",
-    open("crates/bench/src/bin/infer.rs").read(),
+    r"pub const PUBLISHED_FP: u64 = 0x([0-9a-f_]+);",
+    open("crates/bench/src/lib.rs").read(),
 )
-EXPECTED_BATCH_FP = pin.group(1).replace("_", "") if pin else None
+PUBLISHED_FP = pin.group(1).replace("_", "") if pin else None
 
 GATE_FIELDS = {
     "infer": [
@@ -365,8 +366,8 @@ for path in files:
         batch = doc.get("batch") or {}
         if batch.get("fingerprint") != batch.get("expected"):
             bad.append(f"{path}: batch.fingerprint {batch.get('fingerprint')} != batch.expected {batch.get('expected')}")
-        if path == "BENCH_infer.json" and batch.get("expected") != EXPECTED_BATCH_FP:
-            bad.append(f"{path}: batch.expected {batch.get('expected')} != EXPECTED_BATCH_FP {EXPECTED_BATCH_FP} in infer.rs")
+        if path == "BENCH_infer.json" and batch.get("expected") != PUBLISHED_FP:
+            bad.append(f"{path}: batch.expected {batch.get('expected')} != PUBLISHED_FP {PUBLISHED_FP} in crates/bench/src/lib.rs")
 if bad:
     print("\n".join(bad), file=sys.stderr)
     sys.exit(1)
