@@ -24,8 +24,8 @@ use whodunit_apps::chaos::{
     default_workload, run_scenario, still_fails_with, tpcw_space, SHRINKABLE_KNOBS,
 };
 use whodunit_apps::sentinel::run_with_sentinel;
-use whodunit_collector::sentinel::SloBudget;
 use whodunit_bench::header;
+use whodunit_collector::sentinel::SloBudget;
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::repro::{repro_from_json, repro_to_json, ChaosRepro, FaultEntry};
 use whodunit_sim::explore::{sample_scenario, shrink};
@@ -52,19 +52,27 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
-            "--seeds" => a.seeds = val("--seeds")?.parse().map_err(|e| format!("--seeds: {e}"))?,
+            "--seeds" => {
+                a.seeds = val("--seeds")?
+                    .parse()
+                    .map_err(|e| format!("--seeds: {e}"))?
+            }
             "--base" => a.base = val("--base")?.parse().map_err(|e| format!("--base: {e}"))?,
             "--clients" => {
-                a.clients = Some(val("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?)
+                a.clients = Some(
+                    val("--clients")?
+                        .parse()
+                        .map_err(|e| format!("--clients: {e}"))?,
+                )
             }
             "--duration-s" => {
-                a.duration_s =
-                    Some(val("--duration-s")?.parse().map_err(|e| format!("--duration-s: {e}"))?)
+                a.duration_s = Some(
+                    val("--duration-s")?
+                        .parse()
+                        .map_err(|e| format!("--duration-s: {e}"))?,
+                )
             }
             "--out" => a.out = val("--out")?,
             "--replay" => a.replay = Some(val("--replay")?),
@@ -148,7 +156,10 @@ fn fuzz(args: &Args) -> ExitCode {
         }
     }
     if violations > 0 {
-        println!("\nchaos: {violations} of {} seeds violated an oracle", args.seeds);
+        println!(
+            "\nchaos: {violations} of {} seeds violated an oracle",
+            args.seeds
+        );
         ExitCode::FAILURE
     } else {
         println!("\nchaos: all {} seeds upheld every oracle", args.seeds);
@@ -188,7 +199,10 @@ fn replay(path: &str) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!("bit-identical     two executions, fingerprint {:#018x}", a.fingerprint);
+    println!(
+        "bit-identical     two executions, fingerprint {:#018x}",
+        a.fingerprint
+    );
     println!("outcome           {}", a.outcome);
     for v in &a.violations {
         println!("violation         {v}");
@@ -285,7 +299,10 @@ fn verify_slo(repro: &ChaosRepro, kind: &str) -> ExitCode {
 }
 
 fn selftest(args: &Args) -> ExitCode {
-    header("chaos --selftest", "planted livelock through the full pipeline");
+    header(
+        "chaos --selftest",
+        "planted livelock through the full pipeline",
+    );
 
     // A scenario with the planted zero-latency ping-pong defect, plus
     // decoy fault entries the shrinker must discover are irrelevant.

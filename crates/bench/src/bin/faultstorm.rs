@@ -126,17 +126,17 @@ fn main() {
         !unresolved.is_empty(),
         "missing sender dump yields unresolved edges"
     );
-    assert!(
-        !partial.edges.is_empty(),
-        "surviving stages still stitch"
-    );
+    assert!(!partial.edges.is_empty(), "surviving stages still stitch");
     println!(
         "partial stitch       {} unresolved edges with squid's dump missing ({} resolved)",
         unresolved.len(),
         partial.edges.len()
     );
     let rendered = render_stitched_text(&partial);
-    assert!(rendered.contains("unresolved"), "report renders degradation");
+    assert!(
+        rendered.contains("unresolved"),
+        "report renders degradation"
+    );
 
     // 3c. A corrupted dump is quarantined with a warning; the rest
     // still stitches.

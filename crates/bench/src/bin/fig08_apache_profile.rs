@@ -59,7 +59,9 @@ fn main() {
     let mut total = 0u64;
     let mut per: Vec<(String, u64)> = Vec::new();
     for c in &dump.ccts {
-        let cct = dump.rebuild_cct(c).expect("profiler-produced dump is well-formed");
+        let cct = dump
+            .rebuild_cct(c)
+            .expect("profiler-produced dump is well-formed");
         for id in cct.node_ids() {
             if let Some(f) = cct.frame(id) {
                 let name = dump.frames[f.0 as usize].to_string();

@@ -74,12 +74,13 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
-            "--slack" => a.slack = val("--slack")?.parse().map_err(|e| format!("--slack: {e}"))?,
+            "--slack" => {
+                a.slack = val("--slack")?
+                    .parse()
+                    .map_err(|e| format!("--slack: {e}"))?
+            }
             "--out" => a.out = val("--out")?,
             "--smoke" => a.smoke = true,
             other => return Err(format!("unknown argument '{other}'")),

@@ -62,20 +62,22 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
             "--clients" => {
-                a.clients = val("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?
+                a.clients = val("--clients")?
+                    .parse()
+                    .map_err(|e| format!("--clients: {e}"))?
             }
             "--duration-s" => {
-                a.duration_s =
-                    val("--duration-s")?.parse().map_err(|e| format!("--duration-s: {e}"))?
+                a.duration_s = val("--duration-s")?
+                    .parse()
+                    .map_err(|e| format!("--duration-s: {e}"))?
             }
             "--factor" => {
-                a.factor = val("--factor")?.parse().map_err(|e| format!("--factor: {e}"))?
+                a.factor = val("--factor")?
+                    .parse()
+                    .map_err(|e| format!("--factor: {e}"))?
             }
             "--out" => a.out = val("--out")?,
             "--smoke" => a.smoke = true,
@@ -91,7 +93,11 @@ fn parse_args() -> Result<Args, String> {
 /// The seed × policy matrix of clean scenarios (the same family the
 /// streaming differential tests lock down).
 fn clean_matrix(smoke: bool) -> Vec<(u64, String)> {
-    let seeds: &[u64] = if smoke { &MATRIX_SEEDS[..2] } else { MATRIX_SEEDS };
+    let seeds: &[u64] = if smoke {
+        &MATRIX_SEEDS[..2]
+    } else {
+        MATRIX_SEEDS
+    };
     let mut out = Vec::new();
     for &seed in seeds {
         out.push((seed, "fifo".to_owned()));
@@ -165,7 +171,10 @@ fn always_on_counts(header: &StreamHeader, batches: &[EpochBatch], budget: &SloB
     AlwaysOn {
         epochs: batches.len() as u64,
         epochs_seen: sentinel.epochs_seen(),
-        snapshots_due: batches.iter().filter(|b| b.epoch % SNAPSHOT_EVERY == 0).count() as u64,
+        snapshots_due: batches
+            .iter()
+            .filter(|b| b.epoch % SNAPSHOT_EVERY == 0)
+            .count() as u64,
         ring_snapshots,
         tripped: sentinel.tripped().is_some(),
         plain_fp: plain.finalize().report.fingerprint(),
@@ -277,7 +286,10 @@ fn main() -> ExitCode {
                 false_repros += 1;
                 eprintln!("FALSE REPRO: seed {seed} policy {policy}: {v}");
             }
-            None => println!("clean: seed {seed:2} policy {policy:<18} ok ({} epochs)", run.epochs),
+            None => println!(
+                "clean: seed {seed:2} policy {policy:<18} ok ({} epochs)",
+                run.epochs
+            ),
         }
     }
     println!(
@@ -297,11 +309,17 @@ fn main() -> ExitCode {
     let inc = match capture_incident(&storm, &budget, CPU_HZ) {
         Some(inc) => inc,
         None => {
-            eprintln!("FAIL: faultstorm (factor {}) never tripped the sentinel", args.factor);
+            eprintln!(
+                "FAIL: faultstorm (factor {}) never tripped the sentinel",
+                args.factor
+            );
             return ExitCode::FAILURE;
         }
     };
-    let shrunk_duration = inc.repro.knob("duration").unwrap_or(args.duration_s * CPU_HZ);
+    let shrunk_duration = inc
+        .repro
+        .knob("duration")
+        .unwrap_or(args.duration_s * CPU_HZ);
     println!(
         "detected {} at epoch {} (onset {}, latency {} epochs); capture took {} runs",
         inc.violation.dimension,
@@ -314,7 +332,11 @@ fn main() -> ExitCode {
         "shrunk: duration {}s -> {}s; replay {}",
         args.duration_s,
         shrunk_duration / CPU_HZ,
-        if inc.oracle.is_empty() { "verified bit-identical" } else { "FAILED ORACLE" }
+        if inc.oracle.is_empty() {
+            "verified bit-identical"
+        } else {
+            "FAILED ORACLE"
+        }
     );
 
     // Write the self-contained bundle next to the JSON output.
@@ -358,7 +380,11 @@ fn main() -> ExitCode {
     println!("wrote {}", args.out);
 
     let replay_ok = inc.oracle.is_empty()
-        && inc.card.replay.as_ref().is_some_and(|r| r.bit_identical && r.retripped);
+        && inc
+            .card
+            .replay
+            .as_ref()
+            .is_some_and(|r| r.bit_identical && r.retripped);
     let always_on_ok = on.holds();
     if false_repros > 0 || !replay_ok || !always_on_ok {
         eprintln!(
@@ -366,6 +392,8 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!("gates passed: zero false repros, bit-identical verified replay, sentinel observation-only");
+    println!(
+        "gates passed: zero false repros, bit-identical verified replay, sentinel observation-only"
+    );
     ExitCode::SUCCESS
 }

@@ -92,10 +92,7 @@ fn stitching_degrades_not_panics_under_missing_and_corrupt_dumps() {
     let r = run_tpcw(storm_config());
 
     let full = analyze(r.dumps.clone(), PipelineConfig::default());
-    assert!(
-        !full.edges.is_empty(),
-        "healthy stitch finds request edges"
-    );
+    assert!(!full.edges.is_empty(), "healthy stitch finds request edges");
     assert!(full.unresolved.is_empty(), "nothing unresolved");
 
     // Front tier's dump missing: tomcat's remote contexts surface as
@@ -108,10 +105,7 @@ fn stitching_degrades_not_panics_under_missing_and_corrupt_dumps() {
         !partial.unresolved.is_empty(),
         "missing sender dump yields unresolved edges"
     );
-    assert!(
-        !partial.edges.is_empty(),
-        "surviving stages still stitch"
-    );
+    assert!(!partial.edges.is_empty(), "surviving stages still stitch");
 
     // A corrupted dump is quarantined with a warning.
     let mut corrupt = r.dumps.clone();
