@@ -1,98 +1,210 @@
-//! Chaos harness: materializing sampled scenarios onto the TPC-W stack,
-//! and the one verdict every assembly's scenarios get.
-//!
-//! This module is the bridge between the pure-data chaos layer
+//! Chaos harness: the bridge between the pure-data chaos layer
 //! ([`whodunit_core::repro`], [`whodunit_sim::explore`]) and the
-//! concrete 3-tier assembly ([`crate::tpcw`]):
+//! assemblies a sampled scenario runs on ([`crate::tpcw`] and the
+//! [`crate::zoo`] topologies), with the one verdict every run gets.
 //!
-//! - [`tpcw_space`] declares what a scenario may touch — the two
-//!   faultable channels (`"db"`, `"front"`), the crashable `"mysql"`
-//!   process, the slowable `"mysql"` machine;
-//! - [`default_workload`] names the workload knobs a repro carries;
-//! - [`config_of`] resolves a repro into a [`TpcwConfig`], its faults
-//!   through [`ScenarioFaults::from_repro`] with `"db"` as the
-//!   backbone role;
-//! - [`run_scenario`] executes it and hands the run to `judge`.
-//!
-//! `judge` is shared by every assembly (the zoo's
-//! `run_zoo_scenario` and the sentinel use it too): it assembles the
-//! oracle [`Evidence`], checks it, and fingerprints the run's complete
-//! observable state — two runs of the same repro must produce equal
-//! fingerprints, which is what makes a repro file a *repro* rather
-//! than a suggestion.
+//! An [`Assembly`] declares what a scenario may touch
+//! ([`Assembly::space`]) and which workload knobs a repro carries
+//! ([`Assembly::workload`]); [`Assembly::run`] resolves a repro the
+//! same way for every assembly, runs it, and hands the run to `judge`,
+//! which checks every oracle over the [`Evidence`] and fingerprints the
+//! run's complete observable state — two runs of the same repro must
+//! produce equal fingerprints, which is what makes a repro file a
+//! *repro* rather than a suggestion.
 
-use crate::tpcw::{run_tpcw, TpcwConfig};
+use crate::harness::{RunTail, Stream};
+use crate::tpcw::{run_tpcw_on, TpcwConfig};
+use crate::zoo::{run_zoo_on, Topology, ZooConfig};
 use crate::STEP_BUDGET;
 use whodunit_core::cost::CPU_HZ;
+use whodunit_core::delta::DeltaSink;
 use whodunit_core::dumpjson;
 use whodunit_core::hash::Fnv64;
 use whodunit_core::oracle::{check_all, Evidence, ProgressState, Violation};
 use whodunit_core::repro::{ChaosRepro, FaultEntry};
 use whodunit_core::stitch::StageDump;
 use whodunit_sim::explore::{ChaosSpace, ScenarioFaults};
-use whodunit_sim::RunOutcome;
-
-/// Virtual horizon of a chaos run with the default workload.
-pub const CHAOS_HORIZON: u64 = 60 * CPU_HZ;
-
-/// The sampling space of the TPC-W assembly.
-pub fn tpcw_space() -> ChaosSpace {
-    ChaosSpace {
-        channels: vec!["db".into(), "front".into()],
-        crashable: vec!["mysql".into()],
-        slowable: vec!["mysql".into()],
-        horizon: CHAOS_HORIZON,
-        // Up to 15% per fault class: stormy, but the site still serves.
-        max_fault_ppm: 150_000,
-        // Up to 20 ms of extra delivery delay.
-        max_delay: CPU_HZ / 50,
-    }
-}
-
-/// The workload knobs a TPC-W chaos repro carries. Times are cycles so
-/// the file stays integer-exact; `livelock_pair` is 0/1.
-pub fn default_workload() -> Vec<(String, u64)> {
-    vec![
-        // Enough concurrency for table-lock contention at MySQL —
-        // contended unlocks are what puts ≥ 2 threads in the ready
-        // queue at one instant, which is where the schedule policy
-        // actually picks.
-        ("clients".into(), 48),
-        ("duration".into(), CHAOS_HORIZON),
-        ("warmup".into(), 15 * CPU_HZ),
-        ("db_timeout".into(), CPU_HZ / 2),
-        ("images_per_page".into(), 2),
-        ("search_terms".into(), 500),
-        ("step_budget".into(), STEP_BUDGET),
-        ("livelock_pair".into(), 0),
-    ]
-}
+use whodunit_sim::{RunOutcome, SchedulePolicy};
 
 /// The knobs [`whodunit_sim::explore::shrink`] may reduce.
 pub const SHRINKABLE_KNOBS: &[&str] = &["clients"];
 
-/// Resolves a repro into a concrete [`TpcwConfig`]. Unknown channel,
-/// process, and machine roles are ignored (a repro sampled from a
-/// larger space still runs); later fault entries for the same role and
-/// class overwrite earlier ones.
-pub fn config_of(repro: &ChaosRepro) -> TpcwConfig {
-    let knob = |name: &str, default: u64| repro.knob(name).unwrap_or(default);
-    TpcwConfig {
-        clients: knob("clients", 16) as u32,
-        duration: knob("duration", CHAOS_HORIZON),
-        warmup: knob("warmup", 15 * CPU_HZ),
-        db_timeout: knob("db_timeout", CPU_HZ / 2),
-        images_per_page: knob("images_per_page", 2) as u32,
-        search_terms: knob("search_terms", 500),
-        seed: repro.seed,
-        sched: repro.policy.parse().unwrap_or_default(),
-        step_budget: match knob("step_budget", STEP_BUDGET) {
-            0 => None,
-            b => Some(b),
-        },
-        livelock_pair: knob("livelock_pair", 0) != 0,
-        faults: Some(ScenarioFaults::from_repro(repro, "front", "db", "mysql")),
-        ..TpcwConfig::default()
+/// A simulated assembly that chaos scenarios run on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Assembly {
+    /// The 3-tier TPC-W stack squid → tomcat → mysql.
+    Tpcw,
+    /// One member of the topology zoo.
+    Zoo(Topology),
+}
+
+impl Assembly {
+    /// Every assembly, TPC-W first, then the zoo in bench order.
+    pub const ALL: [Assembly; 4] = [
+        Assembly::Tpcw,
+        Assembly::Zoo(Topology::Fanout),
+        Assembly::Zoo(Topology::PubSub),
+        Assembly::Zoo(Topology::CacheWt),
+    ];
+
+    /// Stable lowercase name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Assembly::Tpcw => "tpcw",
+            Assembly::Zoo(t) => t.name(),
+        }
+    }
+
+    /// The backbone channel role and the victim (crashable, slowable)
+    /// role; the other channel role is always `"front"`.
+    fn roles(self) -> (&'static str, &'static str) {
+        match self {
+            Assembly::Tpcw => ("db", "mysql"),
+            Assembly::Zoo(Topology::Fanout) => ("backbone", "svc"),
+            Assembly::Zoo(Topology::PubSub) => ("backbone", "sub"),
+            Assembly::Zoo(Topology::CacheWt) => ("backbone", "store"),
+        }
+    }
+
+    /// The sampling space: what a scenario may touch.
+    pub fn space(self) -> ChaosSpace {
+        let (backbone, victim) = self.roles();
+        let (channels, max_fault_ppm) = match self {
+            // Up to 15% per fault class: stormy, but the site still
+            // serves.
+            Assembly::Tpcw => ([backbone, "front"], 150_000),
+            Assembly::Zoo(_) => (["front", backbone], 100_000),
+        };
+        ChaosSpace {
+            channels: channels.map(String::from).to_vec(),
+            crashable: vec![victim.into()],
+            slowable: vec![victim.into()],
+            horizon: self.knob(&ChaosRepro::default(), "duration"),
+            max_fault_ppm,
+            // Up to 20 ms of extra delivery delay.
+            max_delay: CPU_HZ / 50,
+        }
+    }
+
+    /// The workload knobs and their defaults. Times are cycles so the
+    /// repro file stays integer-exact; `livelock_pair` is 0/1.
+    fn defaults(self) -> &'static [(&'static str, u64)] {
+        match self {
+            Assembly::Tpcw => &[
+                // Enough concurrency for table-lock contention at
+                // MySQL — contended unlocks are what puts ≥ 2 threads
+                // in the ready queue at one instant, which is where the
+                // schedule policy actually picks.
+                ("clients", 48),
+                ("duration", 60 * CPU_HZ),
+                ("warmup", 15 * CPU_HZ),
+                ("db_timeout", CPU_HZ / 2),
+                ("images_per_page", 2),
+                ("search_terms", 500),
+                ("step_budget", STEP_BUDGET),
+                ("livelock_pair", 0),
+            ],
+            Assembly::Zoo(_) => &[
+                ("clients", 12),
+                ("services", 3),
+                ("duration", 30 * CPU_HZ),
+                ("warmup", 5 * CPU_HZ),
+                ("rpc_timeout", CPU_HZ / 2),
+                ("step_budget", STEP_BUDGET),
+                ("livelock_pair", 0),
+            ],
+        }
+    }
+
+    /// The workload knobs a repro of this assembly carries, at their
+    /// defaults.
+    pub fn workload(self) -> Vec<(String, u64)> {
+        let knobs = self.defaults().iter();
+        knobs.map(|&(n, v)| (n.to_owned(), v)).collect()
+    }
+
+    /// A workload knob of `repro`, or its default when the repro does
+    /// not carry it (0 for a knob the assembly does not declare).
+    pub fn knob(self, repro: &ChaosRepro, name: &str) -> u64 {
+        let default = self.defaults().iter().find(|(n, _)| *n == name);
+        repro.knob(name).or(default.map(|&(_, v)| v)).unwrap_or(0)
+    }
+
+    /// What every assembly's run takes from a repro: the schedule
+    /// policy, the step budget (0 = off), the livelock pair, and the
+    /// faults in this assembly's roles. Unknown roles are ignored (a
+    /// repro sampled from a larger space still runs); later fault
+    /// entries for the same role and class overwrite earlier ones.
+    fn resolve(self, repro: &ChaosRepro) -> (SchedulePolicy, Option<u64>, bool, ScenarioFaults) {
+        let (backbone, victim) = self.roles();
+        (
+            repro.policy.parse().unwrap_or_default(),
+            Some(self.knob(repro, "step_budget")).filter(|&b| b > 0),
+            self.knob(repro, "livelock_pair") != 0,
+            ScenarioFaults::from_repro(repro, "front", backbone, victim),
+        )
+    }
+
+    /// Executes a repro on this assembly and checks every oracle.
+    pub fn run(self, repro: &ChaosRepro) -> ScenarioResult {
+        self.run_on(repro, None)
+    }
+
+    /// [`Assembly::run`] in streaming mode: each epoch's profile
+    /// increment goes to `sink`, and the verdict (fingerprint
+    /// included) is the batch run's.
+    pub fn run_streaming(
+        self,
+        repro: &ChaosRepro,
+        epoch_len: u64,
+        sink: &mut dyn DeltaSink,
+    ) -> ScenarioResult {
+        self.run_on(repro, Some((epoch_len, sink)))
+    }
+
+    fn run_on(self, repro: &ChaosRepro, stream: Stream<'_>) -> ScenarioResult {
+        let (sched, step_budget, livelock_pair, faults) = self.resolve(repro);
+        let faults = Some(faults);
+        let knob = |name: &str| self.knob(repro, name);
+        let (dumps, tail) = match self {
+            Assembly::Tpcw => {
+                let cfg = TpcwConfig {
+                    clients: knob("clients") as u32,
+                    duration: knob("duration"),
+                    warmup: knob("warmup"),
+                    db_timeout: knob("db_timeout"),
+                    images_per_page: knob("images_per_page") as u32,
+                    search_terms: knob("search_terms"),
+                    seed: repro.seed,
+                    sched,
+                    step_budget,
+                    livelock_pair,
+                    faults,
+                    ..TpcwConfig::default()
+                };
+                let r = run_tpcw_on(cfg, stream);
+                (r.dumps, r.tail)
+            }
+            Assembly::Zoo(topology) => {
+                let cfg = ZooConfig {
+                    topology,
+                    clients: knob("clients") as u32,
+                    services: knob("services") as u32,
+                    duration: knob("duration"),
+                    warmup: knob("warmup"),
+                    rpc_timeout: knob("rpc_timeout"),
+                    seed: repro.seed,
+                    sched,
+                    step_budget,
+                    livelock_pair,
+                    faults,
+                    ..ZooConfig::default()
+                };
+                let r = run_zoo_on(&cfg, stream);
+                (r.dumps, r.tail)
+            }
+        };
+        judge(repro, dumps, tail)
     }
 }
 
@@ -118,34 +230,22 @@ impl ScenarioResult {
     }
 }
 
-/// Executes a repro on the TPC-W stack and checks every oracle.
-pub fn run_scenario(repro: &ChaosRepro) -> ScenarioResult {
-    let r = run_tpcw(config_of(repro));
-    let seen = (r.dropped_msgs, r.duplicated_msgs, r.delayed_msgs);
-    judge(repro, r.dumps, r.compute_truth, seen, &r.outcome)
-}
-
 /// The verdict on one executed run of any assembly: the oracle
 /// [`Evidence`] (which fault classes `repro` permits against what the
 /// wire saw), every violation [`check_all`] finds, and the run
 /// fingerprint over the dumps, the dropped / duplicated / delayed
 /// counters, the ground-truth compute cycles and the outcome.
-pub(crate) fn judge(
-    repro: &ChaosRepro,
-    dumps: Vec<StageDump>,
-    compute_truth: Vec<u64>,
-    faults_seen: (u64, u64, u64),
-    outcome: &RunOutcome,
-) -> ScenarioResult {
-    let progress = match outcome {
+fn judge(repro: &ChaosRepro, dumps: Vec<StageDump>, tail: RunTail) -> ScenarioResult {
+    let progress = match &tail.outcome {
         RunOutcome::ReachedLimit | RunOutcome::Idle => ProgressState::Completed,
         RunOutcome::Deadlock(d) => ProgressState::Deadlock(d.to_string()),
         RunOutcome::Livelock(l) => ProgressState::Livelock(l.to_string()),
     };
     let has = |pred: &dyn Fn(&FaultEntry) -> bool| repro.faults.iter().any(pred);
+    let faults_seen = (tail.dropped_msgs, tail.duplicated_msgs, tail.delayed_msgs);
     let (dropped, duplicated, delayed) = faults_seen;
     let ev = Evidence {
-        compute_truth,
+        compute_truth: tail.compute_truth,
         drops_permitted: has(&|f| matches!(f, FaultEntry::Drop { ppm, .. } if *ppm > 0)),
         dups_permitted: has(&|f| matches!(f, FaultEntry::Dup { ppm, .. } if *ppm > 0)),
         delays_permitted: has(&|f| matches!(f, FaultEntry::Delay { ppm, .. } if *ppm > 0)),
@@ -166,7 +266,7 @@ pub(crate) fn judge(
     for &t in &ev.compute_truth {
         h.write(&t.to_le_bytes());
     }
-    let outcome = outcome.to_string();
+    let outcome = tail.outcome.to_string();
     h.write(outcome.as_bytes());
 
     ScenarioResult {
@@ -177,22 +277,15 @@ pub(crate) fn judge(
     }
 }
 
-/// Shrinking predicate: does the candidate still trigger a violation of
-/// `kind`? This re-executes the full scenario per candidate.
-pub fn still_fails_with(candidate: &ChaosRepro, kind: &str) -> bool {
-    run_scenario(candidate).has_violation(kind)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whodunit_sim::SchedulePolicy;
 
     fn tiny_repro() -> ChaosRepro {
         let mut r = ChaosRepro {
             seed: 3,
             policy: "fifo".into(),
-            workload: default_workload(),
+            workload: Assembly::Tpcw.workload(),
             faults: Vec::new(),
             violation: None,
             window: None,
@@ -233,33 +326,42 @@ mod tests {
                 ppm: 999_999,
             },
         ];
-        let cfg = config_of(&r);
-        assert_eq!(cfg.clients, 6);
-        assert_eq!(cfg.sched, SchedulePolicy::Random { seed: 99 });
-        assert_eq!(cfg.step_budget, Some(2_000_000));
-        let f = cfg.faults.unwrap();
+        let a = Assembly::Tpcw;
+        assert_eq!(a.knob(&r, "clients"), 6);
+        let (sched, step_budget, livelock_pair, f) = a.resolve(&r);
+        assert_eq!(sched, SchedulePolicy::Random { seed: 99 });
+        assert_eq!(step_budget, Some(STEP_BUDGET));
+        assert!(!livelock_pair);
         assert!((f.backbone.drop_p - 0.05).abs() < 1e-12);
         assert!((f.front.delay_p - 0.1).abs() < 1e-12);
         assert_eq!(f.front.delay_cycles, 777);
         assert_eq!(f.crash_at, Some(12 * CPU_HZ));
         assert_eq!(f.slowdown, Some((1, 2, 3)));
         assert_eq!(f.front.drop_p, 0.0, "unknown role ignored");
+
+        // A knob the repro does not carry falls back to the workload's
+        // default, and a zero step budget turns the bound off.
+        r.workload.retain(|(n, _)| n != "search_terms");
+        r.set_knob("step_budget", 0);
+        assert_eq!(a.knob(&r, "search_terms"), 500);
+        assert_eq!(a.resolve(&r).1, None);
     }
 
     #[test]
     fn clean_scenario_passes_every_oracle_and_is_reproducible() {
         let r = tiny_repro();
-        let a = run_scenario(&r);
-        let b = run_scenario(&r);
+        let a = Assembly::Tpcw.run(&r);
+        let b = Assembly::Tpcw.run(&r);
         assert_eq!(a.violations, vec![], "clean run violates nothing");
         assert_eq!(a.fingerprint, b.fingerprint, "bit-identical replay");
     }
 
     #[test]
     fn different_policies_reach_different_executions() {
-        // Needs real lock contention at MySQL (see default_workload);
-        // below that, the ready queue never holds two threads at once
-        // and every policy degenerates to the same execution.
+        // Needs real lock contention at MySQL (see the TPC-W workload
+        // defaults); below that, the ready queue never holds two
+        // threads at once and every policy degenerates to the same
+        // execution.
         let mut fifo = tiny_repro();
         fifo.set_knob("clients", 60);
         fifo.set_knob("duration", 60 * CPU_HZ);
@@ -267,8 +369,8 @@ mod tests {
         fifo.policy = "fifo".into();
         let mut lifo = fifo.clone();
         lifo.policy = "lifo".into();
-        let a = run_scenario(&fifo);
-        let b = run_scenario(&lifo);
+        let a = Assembly::Tpcw.run(&fifo);
+        let b = Assembly::Tpcw.run(&lifo);
         // Both legal, both clean — but genuinely distinct interleavings.
         assert_eq!(a.violations, vec![]);
         assert_eq!(b.violations, vec![]);
@@ -276,13 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn planted_livelock_is_caught_by_the_progress_oracle() {
-        let mut r = tiny_repro();
-        r.set_knob("livelock_pair", 1);
-        r.set_knob("step_budget", 10_000);
-        let res = run_scenario(&r);
-        assert!(res.has_violation("progress"), "got {:?}", res.violations);
-        assert!(res.outcome.contains("livelock"), "outcome: {}", res.outcome);
-        assert!(still_fails_with(&r, "progress"));
+    fn streaming_and_batch_runs_get_one_verdict() {
+        let r = tiny_repro();
+        let mut sink = whodunit_core::delta::RecordingSink::default();
+        let s = Assembly::Tpcw.run_streaming(&r, CPU_HZ, &mut sink);
+        let b = Assembly::Tpcw.run(&r);
+        assert!(!sink.batches.is_empty(), "the sink saw the epochs");
+        assert_eq!(s.fingerprint, b.fingerprint);
+        assert_eq!(s.violations, b.violations);
     }
 }

@@ -12,8 +12,9 @@
 //! answers. Whodunit establishes exactly the two context chains the
 //! paper predicts.
 
+use crate::harness::Build;
 use crate::metrics::MeanAcc;
-use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
+use crate::rtconf::{ProcRuntime, RtKind};
 use crate::STEP_BUDGET;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +25,7 @@ use whodunit_core::cost::{ms_to_cycles, CPU_HZ};
 use whodunit_core::frame::FrameId;
 use whodunit_core::ids::ChanId;
 use whodunit_core::rt::Continuation;
-use whodunit_sim::{Cycles, Msg, Op, RunOutcome, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{Cycles, Msg, Op, RunOutcome, SchedulePolicy, ThreadBody, ThreadCx, Wake};
 
 /// Messages at the DNS server's poll channel.
 #[derive(Debug)]
@@ -311,18 +312,12 @@ pub struct DnsReport {
 
 /// Runs the DNS server experiment.
 pub fn run_dnsd(cfg: DnsConfig) -> DnsReport {
-    let mut sim = Sim::new(SimConfig::default());
-    sim.set_step_budget(Some(STEP_BUDGET));
-    let server_m = sim.add_machine(1);
-    let net_m = sim.add_machine(2);
+    let mut b = Build::start(cfg.rt, SchedulePolicy::Fifo, Some(STEP_BUDGET));
+    let server_m = b.sim.add_machine(1);
+    let net_m = b.sim.add_machine(2);
 
-    let pr = make_runtime(
-        cfg.rt,
-        whodunit_core::ids::ProcId(0),
-        "dnsd",
-        sim.frames().clone(),
-    );
-    let server_proc = sim.add_process(pr.rt.clone());
+    let (server_proc, pr) = b.tier("dnsd");
+    let sim = &mut b.sim;
     let other_proc = sim.add_unprofiled_process();
 
     let poll = sim.add_channel(60_000, 4);
@@ -386,7 +381,7 @@ pub fn run_dnsd(cfg: DnsConfig) -> DnsReport {
             }),
         );
     }
-    let outcome = sim.run_until(cfg.duration);
+    let outcome = b.run(cfg.duration, false, None).outcome;
     let mean_rt = rt_acc.borrow().mean();
     let sh = shared.borrow();
     DnsReport {

@@ -15,18 +15,19 @@
 //! disables flow for that lock, and stops emulating it — the §7.2
 //! bail-out.
 
+use crate::harness::Build;
 use crate::metrics::mbps;
-use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
+use crate::rtconf::{ProcRuntime, RtKind};
 use crate::STEP_BUDGET;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::frame::FrameId;
-use whodunit_core::ids::{ChanId, LockId, LockMode, ProcId, ThreadId};
+use whodunit_core::ids::{ChanId, LockId, LockMode, ThreadId};
 use whodunit_core::rt::Runtime;
 use whodunit_sim::time::CondId;
-use whodunit_sim::{Cycles, Msg, Op, RunOutcome, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{Cycles, Msg, Op, RunOutcome, SchedulePolicy, ThreadBody, ThreadCx, Wake};
 use whodunit_vm::programs::{Allocator, FdQueue};
 use whodunit_vm::{Cpu, CsEmulator, ExecMode, GuestMem, Program, TranslationCache};
 use whodunit_workload::{WebTrace, WebTraceConfig};
@@ -40,12 +41,12 @@ const SENDFILE_BASE: Cycles = 40_000;
 /// Per-byte CPU cost of serving content (copy/checksum/driver).
 const SENDFILE_PER_BYTE: Cycles = 38;
 
-/// A connection as sent by a client: the requested file sizes and the
-/// channel to reply on.
+/// A connection as a [`WebClient`] sends it: the requested files as
+/// `(file, bytes)` and the channel to reply on.
 #[derive(Debug)]
-struct Conn {
-    sizes: Vec<u64>,
-    reply: ChanId,
+pub(crate) struct Conn {
+    pub(crate) files: Vec<(u32, u64)>,
+    pub(crate) reply: ChanId,
 }
 
 /// State shared by the httpd threads.
@@ -319,7 +320,7 @@ impl ThreadBody for Worker {
                 Op::Unlock(self.alock)
             }
             WState::Parse { conn, idx } => {
-                let done = conn.as_ref().map(|c| idx >= c.sizes.len()).unwrap_or(true);
+                let done = conn.as_ref().map(|c| idx >= c.files.len()).unwrap_or(true);
                 if done {
                     // All requests served; return the allocator block.
                     self.state = WState::Freed;
@@ -335,7 +336,7 @@ impl ThreadBody for Worker {
                 Op::Compute(PARSE_COST)
             }
             WState::SendfileDone { conn, idx } => {
-                let bytes = conn.as_ref().expect("conn present").sizes[idx];
+                let (_, bytes) = conn.as_ref().expect("conn present").files[idx];
                 cx.push_frame(self.f_sendfile);
                 self.state = WState::Replied { conn, idx };
                 Op::Compute(SENDFILE_BASE + bytes * SENDFILE_PER_BYTE)
@@ -343,7 +344,7 @@ impl ThreadBody for Worker {
             WState::Replied { conn, idx } => {
                 cx.pop_frame();
                 let c = conn.as_ref().expect("conn present");
-                let bytes = c.sizes[idx];
+                let (_, bytes) = c.files[idx];
                 let reply = c.reply;
                 {
                     let mut sh = self.shared.borrow_mut();
@@ -381,9 +382,10 @@ impl ThreadBody for Worker {
     }
 }
 
-/// A closed-loop web client: opens a connection, issues its requests,
-/// reads the responses, repeats.
-struct WebClient {
+/// A closed-loop web client of the httpd and haboob harnesses: sends a
+/// whole connection (its request list), reads one response per file,
+/// repeats.
+pub(crate) struct WebClient {
     trace: WebTrace,
     server: ChanId,
     reply: ChanId,
@@ -391,17 +393,27 @@ struct WebClient {
 }
 
 impl WebClient {
+    /// A client replaying `trace` to `server`, answered on `reply`.
+    pub(crate) fn new(trace: WebTrace, server: ChanId, reply: ChanId) -> Self {
+        WebClient {
+            trace,
+            server,
+            reply,
+            outstanding: 0,
+        }
+    }
+
     fn next_conn(&mut self) -> Conn {
-        let mut sizes = Vec::new();
+        let mut files = Vec::new();
         loop {
             let r = self.trace.next_request();
-            sizes.push(r.bytes);
+            files.push((r.file, r.bytes));
             if r.last_on_connection {
                 break;
             }
         }
         Conn {
-            sizes,
+            files,
             reply: self.reply,
         }
     }
@@ -412,7 +424,7 @@ impl ThreadBody for WebClient {
         match wake {
             Wake::Start | Wake::Done if self.outstanding == 0 => {
                 let conn = self.next_conn();
-                self.outstanding = conn.sizes.len();
+                self.outstanding = conn.files.len();
                 Op::Send(self.server, Msg::new(conn, 400))
             }
             Wake::Done => Op::Recv(self.reply),
@@ -420,7 +432,7 @@ impl ThreadBody for WebClient {
                 self.outstanding -= 1;
                 if self.outstanding == 0 {
                     let conn = self.next_conn();
-                    self.outstanding = conn.sizes.len();
+                    self.outstanding = conn.files.len();
                     Op::Send(self.server, Msg::new(conn, 400))
                 } else {
                     Op::Recv(self.reply)
@@ -483,17 +495,16 @@ pub struct HttpdReport {
 
 /// Runs the Apache-like server under the given configuration.
 pub fn run_httpd(cfg: HttpdConfig) -> HttpdReport {
-    let mut sim = Sim::new(SimConfig::default());
-    sim.set_step_budget(Some(STEP_BUDGET));
-    let server_m = sim.add_machine(1);
-    let client_m = sim.add_machine(8);
+    let mut b = Build::start(cfg.rt, SchedulePolicy::Fifo, Some(STEP_BUDGET));
+    let server_m = b.sim.add_machine(1);
+    let client_m = b.sim.add_machine(8);
 
-    let qlock = sim.add_lock();
-    let qcond = sim.add_cond();
-    let alock = sim.add_lock();
+    let qlock = b.sim.add_lock();
+    let qcond = b.sim.add_cond();
+    let alock = b.sim.add_lock();
 
-    let pr = make_runtime(cfg.rt, ProcId(0), "httpd", sim.frames().clone());
-    let httpd_proc = sim.add_process(pr.rt.clone());
+    let (httpd_proc, pr) = b.tier("httpd");
+    let sim = &mut b.sim;
     let client_proc = sim.add_unprofiled_process();
 
     let conn_chan = sim.add_channel(240_000, 20);
@@ -549,16 +560,11 @@ pub fn run_httpd(cfg: HttpdConfig) -> HttpdReport {
             client_proc,
             client_m,
             &format!("client{i}"),
-            Box::new(WebClient {
-                trace: WebTrace::new(trace_cfg),
-                server: conn_chan,
-                reply,
-                outstanding: 0,
-            }),
+            Box::new(WebClient::new(WebTrace::new(trace_cfg), conn_chan, reply)),
         );
     }
 
-    let outcome = sim.run_until(cfg.duration);
+    let outcome = b.run(cfg.duration, false, None).outcome;
 
     let sh = shared.borrow();
     HttpdReport {

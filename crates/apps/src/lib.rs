@@ -9,15 +9,26 @@
 //! | [`sedasrv`] | Haboob: SEDA web server (ListenStage … WriteStage) | Fig 10, §9.3 |
 //! | [`appserver`] | Tomcat: one servlet per TPC-W interaction, DB RPCs, optional 30 s result caching | §8.4, Table 2 |
 //! | [`tpcw`] | The 3-tier assembly squid → tomcat → mysql with closed-loop clients | Table 1, Figs 11–12, Table 2 |
+//! | [`dnsd`] | Event-driven DNS cache: `recv_query` → `reply_from_cache` / `forward_query` → `upstream_reply` | §4.1's DNS example |
+//! | [`zoo`] | Fan-out, pub/sub and write-through-cache assemblies | black-box inference, chaos |
+//! | [`harness`] | The build every `run_*` goes through, and the [`harness::RunTail`] it returns | all of the above |
+//! | [`chaos`] | [`chaos::Assembly`]: TPC-W and the zoo as chaos targets, and the one verdict | chaos explorer, sentinel |
 //!
-//! Each module exposes a `run_*` harness that wires a complete
+//! Each model exposes a `run_*` function that wires a complete
 //! simulation, runs it for a configured virtual duration, and returns a
 //! report with the measurements the corresponding table/figure needs.
+//! All eight build through [`harness`]: it starts the simulator (schedule
+//! policy, step budget), registers the profiled tiers and the client
+//! process, plants the livelock pair, runs in batch or streaming mode,
+//! and returns the [`harness::RunTail`] (outcome, compute truth per
+//! tier, comm log, fault counters).
 //!
-//! [`chaos`] is the exception: it does not model a subject system but
-//! materializes sampled chaos scenarios (schedule policy + fault plan)
-//! onto the [`tpcw`] assembly and checks the
-//! [`whodunit_core::oracle`]s after each run.
+//! [`chaos`] does not model a subject system: its
+//! [`chaos::Assembly`] names TPC-W or one [`zoo`] topology, resolves a
+//! sampled chaos scenario (schedule policy, step budget, livelock
+//! pair, fault plan) onto it, runs it, and checks the
+//! [`whodunit_core::oracle`]s over the run's tail — one path for all
+//! four.
 //!
 //! [`zoo`] steps beyond the paper's subjects: a topology zoo (fan-out
 //! graph, pub/sub bus, write-through cache pair) with time-varying
@@ -32,6 +43,7 @@ pub mod chaos;
 pub mod dbserver;
 pub mod dnsd;
 pub mod federation;
+pub mod harness;
 pub mod httpd;
 pub mod metrics;
 pub mod proxy;

@@ -20,8 +20,9 @@
 //! connections re-execute `clientReadRequest` after `commHandleWrite`;
 //! the §4.1 loop pruning keeps contexts finite.
 
+use crate::harness::Build;
 use crate::metrics::mbps;
-use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
+use crate::rtconf::{ProcRuntime, RtKind};
 use crate::STEP_BUDGET;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -31,7 +32,7 @@ use whodunit_core::frame::FrameId;
 use whodunit_core::ids::ChanId;
 use whodunit_core::rt::Continuation;
 use whodunit_sim::{
-    Cycles, Msg, Op, RunOutcome, ScenarioFaults, Sim, SimConfig, ThreadBody, ThreadCx, Wake,
+    Cycles, Msg, Op, RunOutcome, ScenarioFaults, SchedulePolicy, ThreadBody, ThreadCx, Wake,
 };
 use whodunit_workload::{WebTrace, WebTraceConfig};
 
@@ -719,19 +720,13 @@ pub struct ProxyReport {
 
 /// Runs the Squid-like proxy with an origin server behind it.
 pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
-    let mut sim = Sim::new(SimConfig::default());
-    sim.set_step_budget(Some(STEP_BUDGET));
-    let proxy_m = sim.add_machine(1);
-    let origin_m = sim.add_machine(2);
-    let client_m = sim.add_machine(8);
+    let mut b = Build::start(cfg.rt, SchedulePolicy::Fifo, Some(STEP_BUDGET));
+    let proxy_m = b.sim.add_machine(1);
+    let origin_m = b.sim.add_machine(2);
+    let client_m = b.sim.add_machine(8);
 
-    let pr = make_runtime(
-        cfg.rt,
-        whodunit_core::ids::ProcId(0),
-        "squid",
-        sim.frames().clone(),
-    );
-    let proxy_proc = sim.add_process(pr.rt.clone());
+    let (proxy_proc, pr) = b.tier("squid");
+    let sim = &mut b.sim;
     let origin_proc = sim.add_unprofiled_process();
     let client_proc = sim.add_unprofiled_process();
 
@@ -829,7 +824,7 @@ pub fn run_proxy(cfg: ProxyConfig) -> ProxyReport {
         );
     }
 
-    let outcome = sim.run_until(cfg.duration);
+    let outcome = b.run(cfg.duration, false, None).outcome;
 
     let sh = shared.borrow();
     let hit_rate = if sh.hits + sh.misses == 0 {

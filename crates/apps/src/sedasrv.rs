@@ -19,8 +19,10 @@
 //! single elements; CacheStage splits a connection's files into a hit
 //! batch and a miss batch.
 
+use crate::harness::Build;
+use crate::httpd::{Conn, WebClient};
 use crate::metrics::mbps;
-use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
+use crate::rtconf::{ProcRuntime, RtKind};
 use crate::STEP_BUDGET;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -28,7 +30,7 @@ use std::rc::Rc;
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::ids::{ChanId, LockMode};
 use whodunit_sim::seda::{StageOutcome, StageQueue, StageWorker};
-use whodunit_sim::{Cycles, Msg, Op, RunOutcome, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{Cycles, Msg, Op, RunOutcome, SchedulePolicy, Sim, ThreadBody, ThreadCx, Wake};
 use whodunit_workload::{WebTrace, WebTraceConfig};
 
 /// Per-connection stage costs.
@@ -44,13 +46,6 @@ const FILEIO_BASE: Cycles = 120_000;
 /// Write cost per byte (Haboob's Java I/O path is expensive).
 const WRITE_PER_BYTE: Cycles = 380;
 const WRITE_BASE: Cycles = 70_000;
-
-/// A connection travelling the pipeline.
-#[derive(Debug)]
-struct ConnElem {
-    files: Vec<(u32, u64)>,
-    reply: ChanId,
-}
 
 /// Shared server state.
 pub struct HaboobShared {
@@ -93,7 +88,7 @@ struct Acceptor {
 
 enum AState {
     WaitConn,
-    Locked(Option<ConnElem>),
+    Locked(Option<Conn>),
     Pushed,
     Notified,
 }
@@ -107,7 +102,7 @@ impl ThreadBody for Acceptor {
                     Op::Recv(self.in_chan)
                 }
                 Wake::Received(msg) => {
-                    let elem = msg.take::<ConnElem>();
+                    let elem = msg.take::<Conn>();
                     self.state = AState::Locked(Some(elem));
                     Op::Lock(self.listen_q.borrow().lock, LockMode::Exclusive)
                 }
@@ -181,70 +176,14 @@ pub struct HaboobReport {
     pub outcome: RunOutcome,
 }
 
-/// The same closed-loop client as the httpd harness: sends a whole
-/// connection (its request list), reads one response per file.
-struct HaboobClient {
-    trace: WebTrace,
-    server: ChanId,
-    reply: ChanId,
-    outstanding: usize,
-}
-
-impl HaboobClient {
-    fn next_conn(&mut self) -> ConnElem {
-        let mut files = Vec::new();
-        loop {
-            let r = self.trace.next_request();
-            files.push((r.file, r.bytes));
-            if r.last_on_connection {
-                break;
-            }
-        }
-        ConnElem {
-            files,
-            reply: self.reply,
-        }
-    }
-}
-
-impl ThreadBody for HaboobClient {
-    fn resume(&mut self, _cx: &mut ThreadCx<'_>, wake: Wake) -> Op {
-        match wake {
-            Wake::Start | Wake::Done if self.outstanding == 0 => {
-                let conn = self.next_conn();
-                self.outstanding = conn.files.len();
-                Op::Send(self.server, Msg::new(conn, 400))
-            }
-            Wake::Done => Op::Recv(self.reply),
-            Wake::Received(_) => {
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    let conn = self.next_conn();
-                    self.outstanding = conn.files.len();
-                    Op::Send(self.server, Msg::new(conn, 400))
-                } else {
-                    Op::Recv(self.reply)
-                }
-            }
-            _ => unreachable!("client wakes: start/done/received"),
-        }
-    }
-}
-
 /// Runs the Haboob-like SEDA server.
 pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
-    let mut sim = Sim::new(SimConfig::default());
-    sim.set_step_budget(Some(STEP_BUDGET));
-    let server_m = sim.add_machine(1);
-    let client_m = sim.add_machine(8);
+    let mut b = Build::start(cfg.rt, SchedulePolicy::Fifo, Some(STEP_BUDGET));
+    let server_m = b.sim.add_machine(1);
+    let client_m = b.sim.add_machine(8);
 
-    let pr = make_runtime(
-        cfg.rt,
-        whodunit_core::ids::ProcId(0),
-        "haboob",
-        sim.frames().clone(),
-    );
-    let server_proc = sim.add_process(pr.rt.clone());
+    let (server_proc, pr) = b.tier("haboob");
+    let sim = &mut b.sim;
     let client_proc = sim.add_unprofiled_process();
 
     let in_chan = sim.add_channel(240_000, 20);
@@ -265,14 +204,14 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
         let c = sim.add_cond();
         StageQueue::new(l, c)
     };
-    let q_listen = mk_q(&mut sim);
-    let q_httpserver = mk_q(&mut sim);
-    let q_read = mk_q(&mut sim);
-    let q_recv = mk_q(&mut sim);
-    let q_cache = mk_q(&mut sim);
-    let q_miss = mk_q(&mut sim);
-    let q_fileio = mk_q(&mut sim);
-    let q_write = mk_q(&mut sim);
+    let q_listen = mk_q(sim);
+    let q_httpserver = mk_q(sim);
+    let q_read = mk_q(sim);
+    let q_recv = mk_q(sim);
+    let q_cache = mk_q(sim);
+    let q_miss = mk_q(sim);
+    let q_fileio = mk_q(sim);
+    let q_write = mk_q(sim);
 
     let f_listen = sim.frame("ListenStage");
     let f_httpserver = sim.frame("HttpServer");
@@ -287,7 +226,7 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
     type Handler = Box<dyn FnMut(&mut ThreadCx<'_>, Box<dyn std::any::Any>) -> StageOutcome>;
     let passthrough = |next: Rc<RefCell<StageQueue>>, cost: Cycles| -> Handler {
         Box::new(move |_cx, data| {
-            let elem = data.downcast::<ConnElem>().expect("conn element");
+            let elem = data.downcast::<Conn>().expect("conn element");
             StageOutcome::compute(cost).emit(&next, *elem)
         })
     };
@@ -311,14 +250,14 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
     let n = WORKERS_PER_STAGE;
     {
         let next = q_httpserver.clone();
-        spawn_stage(&mut sim, "listen", f_listen, &q_listen, 1, &mut || {
+        spawn_stage(sim, "listen", f_listen, &q_listen, 1, &mut || {
             passthrough(next.clone(), LISTEN_COST)
         });
     }
     {
         let next = q_read.clone();
         spawn_stage(
-            &mut sim,
+            sim,
             "httpserver",
             f_httpserver,
             &q_httpserver,
@@ -328,13 +267,13 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
     }
     {
         let next = q_recv.clone();
-        spawn_stage(&mut sim, "read", f_read, &q_read, n, &mut || {
+        spawn_stage(sim, "read", f_read, &q_read, n, &mut || {
             passthrough(next.clone(), READ_COST)
         });
     }
     {
         let next = q_cache.clone();
-        spawn_stage(&mut sim, "httprecv", f_recv, &q_recv, n, &mut || {
+        spawn_stage(sim, "httprecv", f_recv, &q_recv, n, &mut || {
             passthrough(next.clone(), RECV_COST)
         });
     }
@@ -344,13 +283,13 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
         let sh = shared.clone();
         let qw = q_write.clone();
         let qm = q_miss.clone();
-        spawn_stage(&mut sim, "cache", f_cache, &q_cache, n, &mut || {
+        spawn_stage(sim, "cache", f_cache, &q_cache, n, &mut || {
             let sh = sh.clone();
             let qw = qw.clone();
             let qm = qm.clone();
             Box::new(move |_cx, data| {
-                let elem = data.downcast::<ConnElem>().expect("conn element");
-                let ConnElem { files, reply } = *elem;
+                let elem = data.downcast::<Conn>().expect("conn element");
+                let Conn { files, reply } = *elem;
                 let mut hits = Vec::new();
                 let mut misses = Vec::new();
                 {
@@ -367,12 +306,12 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
                 }
                 let mut out = StageOutcome::compute(CACHE_COST);
                 if !hits.is_empty() {
-                    out = out.emit(&qw, ConnElem { files: hits, reply });
+                    out = out.emit(&qw, Conn { files: hits, reply });
                 }
                 if !misses.is_empty() {
                     out = out.emit(
                         &qm,
-                        ConnElem {
+                        Conn {
                             files: misses,
                             reply,
                         },
@@ -384,7 +323,7 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
     }
     {
         let next = q_fileio.clone();
-        spawn_stage(&mut sim, "miss", f_miss, &q_miss, n, &mut || {
+        spawn_stage(sim, "miss", f_miss, &q_miss, n, &mut || {
             passthrough(next.clone(), MISS_BASE)
         });
     }
@@ -392,11 +331,11 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
         // File I/O: read the files from disk, insert into the cache.
         let sh = shared.clone();
         let qw = q_write.clone();
-        spawn_stage(&mut sim, "fileio", f_fileio, &q_fileio, n, &mut || {
+        spawn_stage(sim, "fileio", f_fileio, &q_fileio, n, &mut || {
             let sh = sh.clone();
             let qw = qw.clone();
             Box::new(move |_cx, data| {
-                let elem = data.downcast::<ConnElem>().expect("conn element");
+                let elem = data.downcast::<Conn>().expect("conn element");
                 let bytes: u64 = elem.files.iter().map(|&(_, b)| b).sum();
                 {
                     let mut s = sh.borrow_mut();
@@ -411,10 +350,10 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
     {
         // WriteStage: send each file's bytes back to the client.
         let sh = shared.clone();
-        spawn_stage(&mut sim, "write", f_write, &q_write, n + 2, &mut || {
+        spawn_stage(sim, "write", f_write, &q_write, n + 2, &mut || {
             let sh = sh.clone();
             Box::new(move |_cx, data| {
-                let elem = data.downcast::<ConnElem>().expect("conn element");
+                let elem = data.downcast::<Conn>().expect("conn element");
                 let bytes: u64 = elem.files.iter().map(|&(_, b)| b).sum();
                 let mut out = StageOutcome::compute(WRITE_BASE + bytes * WRITE_PER_BYTE);
                 {
@@ -449,16 +388,11 @@ pub fn run_haboob(cfg: HaboobConfig) -> HaboobReport {
             client_proc,
             client_m,
             &format!("client{i}"),
-            Box::new(HaboobClient {
-                trace: WebTrace::new(tc),
-                server: in_chan,
-                reply,
-                outstanding: 0,
-            }),
+            Box::new(WebClient::new(WebTrace::new(tc), in_chan, reply)),
         );
     }
 
-    let outcome = sim.run_until(cfg.duration);
+    let outcome = b.run(cfg.duration, false, None).outcome;
 
     let sh = shared.borrow();
     let hit_rate = if sh.hits + sh.misses == 0 {

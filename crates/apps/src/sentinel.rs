@@ -19,8 +19,7 @@
 //!    [`check_capture`] so a capture that fails verification surfaces
 //!    as an explicit `false-repro` violation instead of a bogus bundle.
 
-use crate::chaos::{config_of, judge, CHAOS_HORIZON, SHRINKABLE_KNOBS};
-use crate::tpcw::run_tpcw_streaming;
+use crate::chaos::{Assembly, SHRINKABLE_KNOBS};
 use whodunit_collector::{CollectorConfig, CollectorOutput, SentinelSink, SloBudget, SloViolation};
 use whodunit_core::oracle::{check_capture, CaptureEvidence, Violation};
 use whodunit_core::repro::{ChaosRepro, ReproWindow};
@@ -43,9 +42,9 @@ pub struct SentinelRun {
     pub before: Option<LiveSnapshot>,
     /// Snapshot taken at the trip epoch.
     pub after: Option<LiveSnapshot>,
-    /// Scenario fingerprint (`chaos::judge`'s, so streaming-path
-    /// fingerprints are comparable with batch ones): equal
-    /// fingerprints mean bit-identical runs.
+    /// Scenario fingerprint ([`Assembly::run_streaming`]'s, so
+    /// streaming-path fingerprints are comparable with batch ones):
+    /// equal fingerprints mean bit-identical runs.
     pub fingerprint: u64,
     /// Epochs the sentinel observed.
     pub epochs: u64,
@@ -55,9 +54,9 @@ pub struct SentinelRun {
 pub fn run_with_sentinel(repro: &ChaosRepro, budget: &SloBudget, epoch_len: u64) -> SentinelRun {
     let mut sink = SentinelSink::new(CollectorConfig::default(), budget.clone())
         .with_snapshot_every(SNAPSHOT_EVERY);
-    let r = run_tpcw_streaming(config_of(repro), epoch_len, &mut sink);
-    let seen = (r.dropped_msgs, r.duplicated_msgs, r.delayed_msgs);
-    let fingerprint = judge(repro, r.dumps, r.compute_truth, seen, &r.outcome).fingerprint;
+    let fingerprint = Assembly::Tpcw
+        .run_streaming(repro, epoch_len, &mut sink)
+        .fingerprint;
     let (before, after) = match sink.before_after() {
         Some((b, a)) => (Some(b.clone()), Some(a.clone())),
         None => (None, None),
@@ -98,7 +97,7 @@ pub fn calibrate_budget(
 ) -> SloBudget {
     let mut sink = SentinelSink::new(CollectorConfig::default(), SloBudget::default())
         .with_snapshot_every(SNAPSHOT_EVERY);
-    run_tpcw_streaming(config_of(clean), epoch_len, &mut sink);
+    Assembly::Tpcw.run_streaming(clean, epoch_len, &mut sink);
     let s = sink.sentinel();
     let q = s.budget().quantile_ppm;
     let slack = epoch_len / 100;
@@ -180,7 +179,7 @@ pub fn capture_incident(
     // truncated run replays the identical prefix, so the trip survives
     // unless it depended on nothing — which the re-check catches.
     let mut scoped = repro.clone();
-    let duration = scoped.knob("duration").unwrap_or(CHAOS_HORIZON);
+    let duration = Assembly::Tpcw.knob(&scoped, "duration");
     let cut = (trip.epoch + 1).saturating_mul(epoch_len);
     if cut < duration {
         scoped.set_knob("duration", cut);
@@ -278,7 +277,6 @@ pub fn capture_incident(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::default_workload;
     use whodunit_core::cost::CPU_HZ;
     use whodunit_core::repro::FaultEntry;
 
@@ -286,7 +284,7 @@ mod tests {
         let mut r = ChaosRepro {
             seed,
             policy: "fifo".into(),
-            workload: default_workload(),
+            workload: Assembly::Tpcw.workload(),
             faults: Vec::new(),
             violation: None,
             window: None,

@@ -17,21 +17,20 @@ use crate::appserver::{
     IMAGE_BYTES,
 };
 use crate::dbserver::{build_dbserver, DbHandles, Engine};
+use crate::harness::{Build, RunTail, Stream};
 use crate::metrics::{per_minute, MeanAcc};
-use crate::rtconf::{make_runtime, ProcRuntime, RtKind};
+use crate::rtconf::{ProcRuntime, RtKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use whodunit_core::cost::{cycles_to_ms, ms_to_cycles, CPU_HZ};
+use whodunit_core::delta::DeltaSink;
 use whodunit_core::frame::FrameId;
-use whodunit_core::ids::{ChanId, ProcId};
+use whodunit_core::ids::ChanId;
 use whodunit_core::stitch::StageDump;
-use whodunit_sim::{
-    plant_livelock_pair, Cycles, Msg, Op, RunOutcome, ScenarioFaults, SchedulePolicy, Sim,
-    SimConfig, ThreadBody, ThreadCx, Wake,
-};
+use whodunit_sim::{Cycles, Msg, Op, ScenarioFaults, SchedulePolicy, ThreadBody, ThreadCx, Wake};
 use whodunit_workload::{Interaction, Mix, TpcwMix};
 
 /// Number of BestSellers subjects (cache key space).
@@ -425,9 +424,9 @@ pub struct TpcwConfig {
     /// instant before the run is declared livelocked (`None` = off).
     pub step_budget: Option<u64>,
     /// Plants the zero-progress ping-pong pair among the clients
-    /// ([`plant_livelock_pair`]) for exercising the chaos explorer's
-    /// livelock oracle. Requires a `step_budget`, or the run never
-    /// terminates.
+    /// ([`whodunit_sim::plant_livelock_pair`]) for exercising the chaos
+    /// explorer's livelock oracle. Requires a `step_budget`, or the run
+    /// never terminates.
     pub livelock_pair: bool,
     /// Records the per-channel send/recv event log (plus ground-truth
     /// pairings) for black-box inference. Pure observation: enabling
@@ -500,30 +499,17 @@ pub struct TpcwReport {
     pub app_db_retries: u64,
     /// Requests tomcat shed after exhausting its timeout/retry budget.
     pub app_sheds: u64,
-    /// Messages the fault plan dropped on the wire.
-    pub dropped_msgs: u64,
-    /// Messages the fault plan duplicated on the wire.
-    pub duplicated_msgs: u64,
-    /// Messages the fault plan delayed on the wire.
-    pub delayed_msgs: u64,
-    /// How the run ended: limit reached, idle, or a detected
-    /// deadlock/livelock with its diagnostic.
-    pub outcome: RunOutcome,
-    /// Ground-truth compute cycles per profiled tier
-    /// (squid, tomcat, mysql) straight from the simulator — the
-    /// denominator of profile-mass conservation checks.
-    pub compute_truth: Vec<u64>,
-    /// The comm event log (with ground truth) when
-    /// [`TpcwConfig::comm_log`] was set. Procs are squid=0, tomcat=1,
-    /// mysql=2, clients=3; clients are the marked origin tier.
-    pub comm: Option<whodunit_core::blackbox::CommLog>,
+    /// The outcome, the compute truth of squid, tomcat and mysql, the
+    /// comm log (procs squid=0, tomcat=1, mysql=2, clients=3) when
+    /// [`TpcwConfig::comm_log`] was set, and the fault counters.
+    pub tail: RunTail,
     /// What the simulator's event queue carried, by kind.
     pub events: whodunit_sim::EventCensus,
 }
 
 /// Runs the TPC-W assembly.
 pub fn run_tpcw(cfg: TpcwConfig) -> TpcwReport {
-    run_tpcw_inner(cfg, None)
+    run_tpcw_on(cfg, None)
 }
 
 /// Runs the TPC-W assembly in streaming mode: identical build and
@@ -534,40 +520,28 @@ pub fn run_tpcw(cfg: TpcwConfig) -> TpcwReport {
 /// Streaming only changes when profile state is *observed*: the
 /// report (and in particular its dumps) is bit-identical to the
 /// batch run's for the same config.
-pub fn run_tpcw_streaming(
-    cfg: TpcwConfig,
-    epoch_len: u64,
-    sink: &mut dyn whodunit_core::delta::DeltaSink,
-) -> TpcwReport {
-    run_tpcw_inner(cfg, Some((epoch_len, sink)))
+pub fn run_tpcw_streaming(cfg: TpcwConfig, epoch_len: u64, sink: &mut dyn DeltaSink) -> TpcwReport {
+    run_tpcw_on(cfg, Some((epoch_len, sink)))
 }
 
-fn run_tpcw_inner(
-    cfg: TpcwConfig,
-    streaming: Option<(u64, &mut dyn whodunit_core::delta::DeltaSink)>,
-) -> TpcwReport {
-    let mut sim = Sim::new(SimConfig::default());
-    sim.set_schedule_policy(cfg.sched);
-    sim.set_step_budget(cfg.step_budget);
+/// [`run_tpcw`], or [`run_tpcw_streaming`] when `stream` is given.
+pub(crate) fn run_tpcw_on(cfg: TpcwConfig, stream: Stream<'_>) -> TpcwReport {
+    let mut b = Build::start(cfg.rt, cfg.sched, cfg.step_budget);
+    let sim = &mut b.sim;
     let client_m = sim.add_machine(8);
     let squid_m = sim.add_machine(1);
     let tomcat_m = sim.add_machine(2);
     let mysql_m = sim.add_machine(1);
 
-    let squid_pr = make_runtime(cfg.rt, ProcId(0), "squid", sim.frames().clone());
-    let tomcat_pr = make_runtime(cfg.rt, ProcId(1), "tomcat", sim.frames().clone());
-    let mysql_pr = make_runtime(cfg.rt, ProcId(2), "mysql", sim.frames().clone());
-    let squid_proc = sim.add_process(squid_pr.rt.clone());
-    let tomcat_proc = sim.add_process(tomcat_pr.rt.clone());
-    let mysql_proc = sim.add_process(mysql_pr.rt.clone());
-    let client_proc = sim.add_unprofiled_process();
-    if cfg.comm_log {
-        sim.mark_comm_origin(client_proc);
-    }
+    let (squid_proc, squid_pr) = b.tier("squid");
+    let (tomcat_proc, tomcat_pr) = b.tier("tomcat");
+    let (mysql_proc, mysql_pr) = b.tier("mysql");
+    let client_proc = b.client(client_m, cfg.comm_log);
+    let sim = &mut b.sim;
 
-    let db: DbHandles = build_dbserver(&mut sim, mysql_proc, mysql_m, cfg.engine);
+    let db: DbHandles = build_dbserver(sim, mysql_proc, mysql_m, cfg.engine);
     let app: AppHandles = build_appserver(
-        &mut sim,
+        sim,
         tomcat_proc,
         tomcat_m,
         db.req_chan,
@@ -630,24 +604,8 @@ fn run_tpcw_inner(
         );
     }
 
-    if cfg.livelock_pair {
-        plant_livelock_pair(&mut sim, client_proc, client_m);
-    }
-
-    let outcome = match streaming {
-        None => sim.run_until(cfg.duration),
-        Some((epoch_len, sink)) => sim.run_streaming(cfg.duration, epoch_len, sink),
-    };
-    let comm = sim.take_comm_log();
-
-    let compute_truth = vec![
-        sim.proc_compute_cycles(squid_proc),
-        sim.proc_compute_cycles(tomcat_proc),
-        sim.proc_compute_cycles(mysql_proc),
-    ];
-    let dropped_msgs = sim.chans.total_dropped();
-    let duplicated_msgs = sim.chans.total_duplicated();
-    let delayed_msgs = sim.chans.total_delayed();
+    let tail = b.run(cfg.duration, cfg.livelock_pair, stream);
+    let sim = &b.sim;
     let wire_bytes = sim.chans.total_bytes();
     let window = cfg.duration - cfg.warmup;
     let st = stats.borrow();
@@ -688,12 +646,7 @@ fn run_tpcw_inner(
         app_db_timeouts: ash.db_timeouts,
         app_db_retries: ash.db_retries_used,
         app_sheds: ash.sheds,
-        dropped_msgs,
-        duplicated_msgs,
-        delayed_msgs,
-        outcome,
-        compute_truth,
-        comm,
+        tail,
         events: sim.event_census(),
     }
 }
@@ -764,8 +717,8 @@ mod tests {
             }),
             ..TpcwConfig::default()
         });
-        assert_eq!(r.outcome, RunOutcome::ReachedLimit);
-        assert_eq!(r.delayed_msgs, 1_594);
+        assert_eq!(r.tail.outcome, whodunit_sim::RunOutcome::ReachedLimit);
+        assert_eq!(r.tail.delayed_msgs, 1_594);
         assert_eq!(
             r.events,
             EventCensus {
@@ -887,7 +840,7 @@ mod tests {
                 .map(|&c| w.cct(c).map_or(0, |t| t.total().cycles))
                 .sum();
             assert_eq!(
-                cct_sum, r.compute_truth[idx],
+                cct_sum, r.tail.compute_truth[idx],
                 "tier {idx} profile mass diverges from ground truth"
             );
         }
@@ -912,7 +865,10 @@ mod tests {
             }),
             ..TpcwConfig::default()
         });
-        assert!(r.dropped_msgs > 0, "the plan actually dropped messages");
+        assert!(
+            r.tail.dropped_msgs > 0,
+            "the plan actually dropped messages"
+        );
         assert!(r.app_db_retries > 0, "drops surfaced as retries");
         assert!(
             r.throughput_per_min > 50.0,
@@ -936,9 +892,9 @@ mod tests {
         // Observation only: the run is bit-identical either way.
         assert_eq!(on.throughput_per_min, off.throughput_per_min);
         assert_eq!(on.db_served, off.db_served);
-        assert_eq!(on.compute_truth, off.compute_truth);
-        let log = on.comm.expect("comm log requested");
-        assert!(off.comm.is_none());
+        assert_eq!(on.tail.compute_truth, off.tail.compute_truth);
+        let log = on.tail.comm.expect("comm log requested");
+        assert!(off.tail.comm.is_none());
         // Ground truth attributes every recv to one send and one root.
         assert!(log.recv_count() > 1000, "recvs {}", log.recv_count());
         assert_eq!(log.truth_pairs().len(), log.recv_count());

@@ -17,26 +17,22 @@
 //! crowds and diurnal swings change message density, which is exactly
 //! the variable timing-window inference is sensitive to.
 //!
-//! The chaos glue ([`zoo_space`], [`zoo_config_of`],
-//! [`run_zoo_scenario`]) uses [`crate::chaos`]'s harness — one
+//! Each member is also a [`crate::chaos::Assembly`], so the explorer
+//! can sample, check, and shrink scenarios on it: one
 //! [`ScenarioFaults`] in the `front` / `backbone` / backend roles, the
-//! planted livelock pair, and `chaos::judge` — so the explorer
-//! can sample, check, and shrink scenarios on any zoo member.
+//! planted livelock pair, and the shared verdict.
 
-use crate::chaos::{judge, ScenarioResult};
+use crate::harness::{Build, RunTail, Stream};
 use crate::rtconf::RtKind;
 use crate::STEP_BUDGET;
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
-use whodunit_core::blackbox::CommLog;
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::ids::ChanId;
-use whodunit_core::repro::ChaosRepro;
 use whodunit_core::stitch::StageDump;
-use whodunit_sim::explore::{ChaosSpace, ScenarioFaults};
-use whodunit_sim::{Cycles, Msg, Op, RunOutcome, SchedulePolicy, ThreadBody, ThreadCx, Wake};
+use whodunit_sim::{Cycles, Msg, Op, ScenarioFaults, SchedulePolicy, ThreadBody, ThreadCx, Wake};
 use whodunit_workload::LoadShape;
 
 pub mod cachewt;
@@ -132,23 +128,12 @@ pub struct ZooReport {
     pub completed: u64,
     /// Error replies clients received (backend timeout paths).
     pub errors: u64,
-    /// How the run ended.
-    pub outcome: RunOutcome,
     /// Stage dumps of the profiled tiers, in proc order.
     pub dumps: Vec<StageDump>,
-    /// Ground-truth compute cycles per profiled tier, in proc order.
-    pub compute_truth: Vec<u64>,
-    /// The comm event log when [`ZooConfig::comm_log`] was set.
-    pub comm: Option<CommLog>,
-    /// Messages the fault plan dropped / duplicated / delayed.
-    pub dropped_msgs: u64,
-    /// See [`ZooReport::dropped_msgs`].
-    pub duplicated_msgs: u64,
-    /// See [`ZooReport::dropped_msgs`].
-    pub delayed_msgs: u64,
-    /// Profiled tier count; procs `0..profiled_procs` are tiers and
-    /// proc `profiled_procs` is the (unprofiled, origin) client proc.
-    pub profiled_procs: u32,
+    /// The outcome, the compute truth of each profiled tier in proc
+    /// order, the comm log when [`ZooConfig::comm_log`] was set, and
+    /// the fault counters.
+    pub tail: RunTail,
     /// Pub/sub only: events delivered to subscribers.
     pub events_delivered: u64,
     /// Cache topology only: shard hits.
@@ -159,10 +144,16 @@ pub struct ZooReport {
 
 /// Runs the configured zoo assembly.
 pub fn run_zoo(cfg: &ZooConfig) -> ZooReport {
+    run_zoo_on(cfg, None)
+}
+
+/// [`run_zoo`], emitting each epoch's profile increment to the sink
+/// when `stream` is given.
+pub(crate) fn run_zoo_on(cfg: &ZooConfig, stream: Stream<'_>) -> ZooReport {
     match cfg.topology {
-        Topology::Fanout => fanout::run(cfg),
-        Topology::PubSub => pubsub::run(cfg),
-        Topology::CacheWt => cachewt::run(cfg),
+        Topology::Fanout => fanout::run(cfg, stream),
+        Topology::PubSub => pubsub::run(cfg, stream),
+        Topology::CacheWt => cachewt::run(cfg, stream),
     }
 }
 
@@ -172,26 +163,26 @@ const BASE_THINK: Cycles = CPU_HZ / 2;
 /// Client-side completion counters, shared across a topology's
 /// closed-loop clients.
 #[derive(Debug, Default)]
-pub(crate) struct ZooStats {
-    pub(crate) completed: u64,
-    pub(crate) errors: u64,
+struct ZooStats {
+    completed: u64,
+    errors: u64,
 }
 
 /// One closed-loop zoo client: think (shaped), fire the
 /// topology-specific request, await the reply, repeat.
-pub(crate) struct ZooClient<F: FnMut(&mut SmallRng, ChanId) -> Msg> {
-    pub(crate) make_req: F,
-    pub(crate) rng: SmallRng,
-    pub(crate) entry: ChanId,
-    pub(crate) reply: ChanId,
-    pub(crate) stats: Rc<RefCell<ZooStats>>,
-    pub(crate) warmup: Cycles,
-    pub(crate) shape: LoadShape,
-    pub(crate) started: Cycles,
-    pub(crate) state: ClientState,
+struct ZooClient<F: FnMut(&mut SmallRng, ChanId) -> Msg> {
+    make_req: F,
+    rng: SmallRng,
+    entry: ChanId,
+    reply: ChanId,
+    stats: Rc<RefCell<ZooStats>>,
+    warmup: Cycles,
+    shape: LoadShape,
+    started: Cycles,
+    state: ClientState,
 }
 
-pub(crate) enum ClientState {
+enum ClientState {
     Think,
     Sent,
     WaitReply,
@@ -246,77 +237,55 @@ impl<F: FnMut(&mut SmallRng, ChanId) -> Msg> ThreadBody for ZooClient<F> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Chaos-explorer glue
-// ---------------------------------------------------------------------
-
-/// Virtual horizon of a zoo chaos run with the default workload.
-pub const ZOO_HORIZON: u64 = 30 * CPU_HZ;
-
-/// The crashable/slowable backend role of a topology.
-fn backend_role(t: Topology) -> &'static str {
-    match t {
-        Topology::Fanout => "svc",
-        Topology::PubSub => "sub",
-        Topology::CacheWt => "store",
+/// The last steps every topology's build shares: spawns its
+/// closed-loop clients on the client process (client `c` named
+/// `{name}{c}`, seeded `cfg.seed ^ (c << 24) ^ salt`, sending
+/// `make_req`'s requests to `entry`), runs, and reports the clients'
+/// counters. The topology adds its own counters to the report.
+fn run_clients<F>(
+    mut b: Build,
+    cfg: &ZooConfig,
+    stream: Stream<'_>,
+    entry: ChanId,
+    name: &str,
+    salt: u64,
+    make_req: F,
+) -> ZooReport
+where
+    F: FnMut(&mut SmallRng, ChanId) -> Msg + Clone + 'static,
+{
+    let (proc, machine) = b.client.expect("the topology registered its clients");
+    let stats = Rc::new(RefCell::new(ZooStats::default()));
+    for c in 0..cfg.clients {
+        let reply = b.sim.add_channel(240_000, 20);
+        b.sim.spawn(
+            proc,
+            machine,
+            &format!("{name}{c}"),
+            Box::new(ZooClient {
+                make_req: make_req.clone(),
+                rng: SmallRng::seed_from_u64(cfg.seed ^ ((c as u64) << 24) ^ salt),
+                entry,
+                reply,
+                stats: stats.clone(),
+                warmup: cfg.warmup,
+                shape: cfg.shape,
+                started: 0,
+                state: ClientState::Think,
+            }),
+        );
     }
-}
-
-/// The sampling space of a zoo assembly.
-pub fn zoo_space(t: Topology) -> ChaosSpace {
-    ChaosSpace {
-        channels: vec!["front".into(), "backbone".into()],
-        crashable: vec![backend_role(t).into()],
-        slowable: vec![backend_role(t).into()],
-        horizon: ZOO_HORIZON,
-        max_fault_ppm: 100_000,
-        max_delay: CPU_HZ / 50,
+    let tail = b.run(cfg.duration, cfg.livelock_pair, stream);
+    let st = stats.borrow();
+    ZooReport {
+        completed: st.completed,
+        errors: st.errors,
+        dumps: b.sim.collect_dumps(),
+        tail,
+        events_delivered: 0,
+        cache_hits: 0,
+        invalidations: 0,
     }
-}
-
-/// The workload knobs a zoo chaos repro carries.
-pub fn zoo_workload() -> Vec<(String, u64)> {
-    vec![
-        ("clients".into(), 12),
-        ("services".into(), 3),
-        ("duration".into(), ZOO_HORIZON),
-        ("warmup".into(), 5 * CPU_HZ),
-        ("rpc_timeout".into(), CPU_HZ / 2),
-        ("step_budget".into(), STEP_BUDGET),
-        ("livelock_pair".into(), 0),
-    ]
-}
-
-/// Resolves a repro into a concrete [`ZooConfig`] for topology `t`.
-/// Unknown roles are ignored, exactly as in [`crate::chaos::config_of`].
-pub fn zoo_config_of(t: Topology, repro: &ChaosRepro) -> ZooConfig {
-    let faults = ScenarioFaults::from_repro(repro, "front", "backbone", backend_role(t));
-    let knob = |name: &str, default: u64| repro.knob(name).unwrap_or(default);
-    ZooConfig {
-        topology: t,
-        clients: knob("clients", 12) as u32,
-        services: knob("services", 3) as u32,
-        duration: knob("duration", ZOO_HORIZON),
-        warmup: knob("warmup", 5 * CPU_HZ),
-        rpc_timeout: knob("rpc_timeout", CPU_HZ / 2),
-        seed: repro.seed,
-        sched: repro.policy.parse().unwrap_or_default(),
-        step_budget: match knob("step_budget", STEP_BUDGET) {
-            0 => None,
-            b => Some(b),
-        },
-        livelock_pair: knob("livelock_pair", 0) != 0,
-        faults: Some(faults),
-        ..ZooConfig::default()
-    }
-}
-
-/// Executes a repro on a zoo topology and checks every applicable
-/// oracle (mass conservation, dictionary, fault accounting, progress).
-pub fn run_zoo_scenario(t: Topology, repro: &ChaosRepro) -> ScenarioResult {
-    let r = run_zoo(&zoo_config_of(t, repro));
-    let seen = (r.dropped_msgs, r.duplicated_msgs, r.delayed_msgs);
-    judge(repro, r.dumps, r.compute_truth, seen, &r.outcome)
 }
 
 #[cfg(test)]
@@ -339,9 +308,9 @@ mod tests {
         let r = run_zoo(&quick(Topology::Fanout));
         assert!(r.completed > 20, "completed {}", r.completed);
         assert_eq!(r.errors, 0, "clean run has no error replies");
-        assert_eq!(r.dumps.len(), r.profiled_procs as usize);
-        assert!(r.compute_truth.iter().all(|&c| c > 0));
-        let log = r.comm.expect("comm log requested");
+        assert_eq!(r.dumps.len(), r.tail.compute_truth.len());
+        assert!(r.tail.compute_truth.iter().all(|&c| c > 0));
+        let log = r.tail.comm.expect("comm log requested");
         // Every recv has exactly one ground-truth producer and origin.
         assert_eq!(log.truth_pairs().len(), log.recv_count());
         assert_eq!(log.truth_origins().len(), log.recv_count());
@@ -359,7 +328,7 @@ mod tests {
             r.events_delivered,
             r.completed
         );
-        let log = r.comm.expect("comm log requested");
+        let log = r.tail.comm.expect("comm log requested");
         assert!(log.send_count() > log.recv_count() / 2);
     }
 
@@ -399,9 +368,9 @@ mod tests {
         off.comm_log = false;
         let a = run_zoo(&on);
         let b = run_zoo(&off);
-        assert!(a.comm.is_some() && b.comm.is_none());
+        assert!(a.tail.comm.is_some() && b.tail.comm.is_none());
         assert_eq!(a.completed, b.completed);
-        assert_eq!(a.compute_truth, b.compute_truth);
+        assert_eq!(a.tail.compute_truth, b.tail.compute_truth);
         assert_eq!(a.cache_hits, b.cache_hits);
         assert_eq!(a.invalidations, b.invalidations);
     }

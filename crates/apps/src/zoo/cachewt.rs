@@ -11,19 +11,16 @@
 //! burst of same-sized messages on one channel at near-identical
 //! timestamps.
 
-use super::{ClientReply, ClientState, ZooClient, ZooConfig, ZooReport, ZooStats};
-use crate::rtconf::make_runtime;
+use super::{run_clients, ClientReply, ZooConfig, ZooReport};
+use crate::harness::{Build, Stream};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 use whodunit_core::cost::ms_to_cycles;
 use whodunit_core::frame::FrameId;
-use whodunit_core::ids::{ChanId, ProcId};
-use whodunit_sim::{
-    plant_livelock_pair, Cycles, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake,
-};
+use whodunit_core::ids::ChanId;
+use whodunit_sim::{Cycles, Msg, Op, ThreadBody, ThreadCx, Wake};
 
 /// Cache key space.
 const KEYS: u64 = 64;
@@ -357,30 +354,19 @@ impl ThreadBody for ShardWorker {
 }
 
 /// Builds and runs the write-through cache assembly.
-pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
-    let mut sim = Sim::new(SimConfig::default());
-    sim.set_schedule_policy(cfg.sched);
-    sim.set_step_budget(cfg.step_budget);
+pub(super) fn run(cfg: &ZooConfig, stream: Stream<'_>) -> ZooReport {
+    let mut b = Build::start(cfg.rt, cfg.sched, cfg.step_budget);
 
-    let client_m = sim.add_machine(8);
-    let front_m = sim.add_machine(2);
-    let shard_m = [sim.add_machine(1), sim.add_machine(1)];
-    let store_m = sim.add_machine(2);
+    let client_m = b.sim.add_machine(8);
+    let front_m = b.sim.add_machine(2);
+    let shard_m = [b.sim.add_machine(1), b.sim.add_machine(1)];
+    let store_m = b.sim.add_machine(2);
 
-    let front_pr = make_runtime(cfg.rt, ProcId(0), "front", sim.frames().clone());
-    let front_proc = sim.add_process(front_pr.rt.clone());
-    let mut shard_procs = Vec::new();
-    for i in 0..2u32 {
-        let name = format!("shard{i}");
-        let pr = make_runtime(cfg.rt, ProcId(1 + i), &name, sim.frames().clone());
-        shard_procs.push(sim.add_process(pr.rt.clone()));
-    }
-    let store_pr = make_runtime(cfg.rt, ProcId(3), "store", sim.frames().clone());
-    let store_proc = sim.add_process(store_pr.rt.clone());
-    let client_proc = sim.add_unprofiled_process();
-    if cfg.comm_log {
-        sim.mark_comm_origin(client_proc);
-    }
+    let (front_proc, _) = b.tier("front");
+    let shard_procs = [b.tier("shard0").0, b.tier("shard1").0];
+    let (store_proc, _) = b.tier("store");
+    b.client(client_m, cfg.comm_log);
+    let sim = &mut b.sim;
 
     let front_in = sim.add_channel(240_000, 20);
     let shard_in = [sim.add_channel(240_000, 20), sim.add_channel(240_000, 20)];
@@ -458,61 +444,26 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
         );
     }
 
-    let stats = Rc::new(RefCell::new(ZooStats::default()));
-    for c in 0..cfg.clients {
-        let reply = sim.add_channel(240_000, 20);
-        sim.spawn(
-            client_proc,
-            client_m,
-            &format!("cache_client{c}"),
-            Box::new(ZooClient {
-                make_req: |rng: &mut SmallRng, reply| {
-                    let key = rand::Rng::gen_range(rng, 0..KEYS);
-                    let write = rand::Rng::gen::<f64>(rng) < 0.3;
-                    Msg::new(CacheOp { key, write, reply }, 300)
-                },
-                rng: SmallRng::seed_from_u64(cfg.seed ^ ((c as u64) << 24) ^ 0xc4),
-                entry: front_in,
-                reply,
-                stats: stats.clone(),
-                warmup: cfg.warmup,
-                shape: cfg.shape,
-                started: 0,
-                state: ClientState::Think,
-            }),
-        );
-    }
-
-    if cfg.livelock_pair {
-        plant_livelock_pair(&mut sim, client_proc, client_m);
-    }
-
-    let outcome = sim.run_until(cfg.duration);
-    let comm = sim.take_comm_log();
-    let compute_truth = vec![
-        sim.proc_compute_cycles(front_proc),
-        sim.proc_compute_cycles(shard_procs[0]),
-        sim.proc_compute_cycles(shard_procs[1]),
-        sim.proc_compute_cycles(store_proc),
-    ];
-    let st = stats.borrow();
-    let hits = shard_shared[0].borrow().hits + shard_shared[1].borrow().hits;
-    let invals =
+    let r = run_clients(
+        b,
+        cfg,
+        stream,
+        front_in,
+        "cache_client",
+        0xc4,
+        |rng: &mut SmallRng, reply| {
+            let key = rand::Rng::gen_range(rng, 0..KEYS);
+            let write = rand::Rng::gen::<f64>(rng) < 0.3;
+            Msg::new(CacheOp { key, write, reply }, 300)
+        },
+    );
+    let cache_hits = shard_shared[0].borrow().hits + shard_shared[1].borrow().hits;
+    let invalidations =
         shard_shared[0].borrow().invals_delivered + shard_shared[1].borrow().invals_delivered;
     ZooReport {
-        completed: st.completed,
-        errors: st.errors,
-        outcome,
-        dumps: sim.collect_dumps(),
-        compute_truth,
-        comm,
-        dropped_msgs: sim.chans.total_dropped(),
-        duplicated_msgs: sim.chans.total_duplicated(),
-        delayed_msgs: sim.chans.total_delayed(),
-        profiled_procs: 4,
-        events_delivered: 0,
-        cache_hits: hits,
-        invalidations: invals,
+        cache_hits,
+        invalidations,
+        ..r
     }
 }
 

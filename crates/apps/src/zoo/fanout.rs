@@ -12,18 +12,14 @@
 //! in after its RPC timed out (crashed or slowed service) is
 //! discarded instead of being credited to the *next* request.
 
-use super::{ClientReply, ClientState, ZooClient, ZooConfig, ZooReport, ZooStats};
-use crate::rtconf::make_runtime;
+use super::{run_clients, ClientReply, ZooConfig, ZooReport};
+use crate::harness::{Build, Stream};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use std::cell::RefCell;
 use std::rc::Rc;
 use whodunit_core::cost::ms_to_cycles;
 use whodunit_core::frame::FrameId;
-use whodunit_core::ids::{ChanId, ProcId};
-use whodunit_sim::{
-    plant_livelock_pair, Cycles, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake,
-};
+use whodunit_core::ids::ChanId;
+use whodunit_sim::{Cycles, Msg, Op, ThreadBody, ThreadCx, Wake};
 
 /// Client → gateway request.
 #[derive(Debug)]
@@ -222,28 +218,20 @@ impl ThreadBody for ServiceWorker {
 }
 
 /// Builds and runs the fan-out assembly.
-pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
+pub(super) fn run(cfg: &ZooConfig, stream: Stream<'_>) -> ZooReport {
     let services = cfg.services.max(1) as usize;
-    let mut sim = Sim::new(SimConfig::default());
-    sim.set_schedule_policy(cfg.sched);
-    sim.set_step_budget(cfg.step_budget);
+    let mut b = Build::start(cfg.rt, cfg.sched, cfg.step_budget);
 
-    let client_m = sim.add_machine(8);
-    let gw_m = sim.add_machine(2);
-    let svc_m: Vec<_> = (0..services).map(|_| sim.add_machine(2)).collect();
+    let client_m = b.sim.add_machine(8);
+    let gw_m = b.sim.add_machine(2);
+    let svc_m: Vec<_> = (0..services).map(|_| b.sim.add_machine(2)).collect();
 
-    let gw_pr = make_runtime(cfg.rt, ProcId(0), "gateway", sim.frames().clone());
-    let gw_proc = sim.add_process(gw_pr.rt.clone());
-    let mut svc_procs = Vec::new();
-    for i in 0..services {
-        let name = format!("svc{i}");
-        let pr = make_runtime(cfg.rt, ProcId(1 + i as u32), &name, sim.frames().clone());
-        svc_procs.push(sim.add_process(pr.rt.clone()));
-    }
-    let client_proc = sim.add_unprofiled_process();
-    if cfg.comm_log {
-        sim.mark_comm_origin(client_proc);
-    }
+    let (gw_proc, _) = b.tier("gateway");
+    let svc_procs: Vec<_> = (0..services)
+        .map(|i| b.tier(&format!("svc{i}")).0)
+        .collect();
+    b.client(client_m, cfg.comm_log);
+    let sim = &mut b.sim;
 
     let gw_in = sim.add_channel(240_000, 20);
     let svc_in: Vec<_> = (0..services)
@@ -294,57 +282,16 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
         }
     }
 
-    let stats = Rc::new(RefCell::new(ZooStats::default()));
-    for c in 0..cfg.clients {
-        let reply = sim.add_channel(240_000, 20);
-        sim.spawn(
-            client_proc,
-            client_m,
-            &format!("fan_client{c}"),
-            Box::new(ZooClient {
-                make_req: |rng: &mut SmallRng, reply| {
-                    Msg::new(
-                        FanReq {
-                            key: rand::Rng::gen::<u64>(rng) >> 16,
-                            reply,
-                        },
-                        400,
-                    )
-                },
-                rng: SmallRng::seed_from_u64(cfg.seed ^ ((c as u64) << 24)),
-                entry: gw_in,
-                reply,
-                stats: stats.clone(),
-                warmup: cfg.warmup,
-                shape: cfg.shape,
-                started: 0,
-                state: ClientState::Think,
-            }),
-        );
-    }
-
-    if cfg.livelock_pair {
-        plant_livelock_pair(&mut sim, client_proc, client_m);
-    }
-
-    let outcome = sim.run_until(cfg.duration);
-    let comm = sim.take_comm_log();
-    let mut compute_truth = vec![sim.proc_compute_cycles(gw_proc)];
-    compute_truth.extend(svc_procs.iter().map(|&p| sim.proc_compute_cycles(p)));
-    let st = stats.borrow();
-    ZooReport {
-        completed: st.completed,
-        errors: st.errors,
-        outcome,
-        dumps: sim.collect_dumps(),
-        compute_truth,
-        comm,
-        dropped_msgs: sim.chans.total_dropped(),
-        duplicated_msgs: sim.chans.total_duplicated(),
-        delayed_msgs: sim.chans.total_delayed(),
-        profiled_procs: 1 + services as u32,
-        events_delivered: 0,
-        cache_hits: 0,
-        invalidations: 0,
-    }
+    run_clients(
+        b,
+        cfg,
+        stream,
+        gw_in,
+        "fan_client",
+        0,
+        |rng: &mut SmallRng, reply| {
+            let key = rand::Rng::gen::<u64>(rng) >> 16;
+            Msg::new(FanReq { key, reply }, 400)
+        },
+    )
 }

@@ -8,16 +8,15 @@
 //! replies**, so nesting gives the inferrer nothing and only the
 //! per-channel timing window pairs them.
 
-use super::{ClientReply, ClientState, ZooClient, ZooConfig, ZooReport, ZooStats};
-use crate::rtconf::make_runtime;
+use super::{run_clients, ClientReply, ZooConfig, ZooReport};
+use crate::harness::{Build, Stream};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::cell::RefCell;
 use std::rc::Rc;
 use whodunit_core::cost::ms_to_cycles;
 use whodunit_core::frame::FrameId;
-use whodunit_core::ids::{ChanId, ProcId};
-use whodunit_sim::{plant_livelock_pair, Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
+use whodunit_core::ids::ChanId;
+use whodunit_sim::{Msg, Op, ThreadBody, ThreadCx, Wake};
 
 /// Distinct topics on the bus.
 const TOPICS: u64 = 16;
@@ -157,28 +156,18 @@ impl ThreadBody for SubscriberWorker {
 }
 
 /// Builds and runs the pub/sub assembly.
-pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
+pub(super) fn run(cfg: &ZooConfig, stream: Stream<'_>) -> ZooReport {
     let subs_n = cfg.services.max(2) as usize;
-    let mut sim = Sim::new(SimConfig::default());
-    sim.set_schedule_policy(cfg.sched);
-    sim.set_step_budget(cfg.step_budget);
+    let mut b = Build::start(cfg.rt, cfg.sched, cfg.step_budget);
 
-    let client_m = sim.add_machine(8);
-    let broker_m = sim.add_machine(2);
-    let sub_m: Vec<_> = (0..subs_n).map(|_| sim.add_machine(1)).collect();
+    let client_m = b.sim.add_machine(8);
+    let broker_m = b.sim.add_machine(2);
+    let sub_m: Vec<_> = (0..subs_n).map(|_| b.sim.add_machine(1)).collect();
 
-    let broker_pr = make_runtime(cfg.rt, ProcId(0), "broker", sim.frames().clone());
-    let broker_proc = sim.add_process(broker_pr.rt.clone());
-    let mut sub_procs = Vec::new();
-    for i in 0..subs_n {
-        let name = format!("sub{i}");
-        let pr = make_runtime(cfg.rt, ProcId(1 + i as u32), &name, sim.frames().clone());
-        sub_procs.push(sim.add_process(pr.rt.clone()));
-    }
-    let client_proc = sim.add_unprofiled_process();
-    if cfg.comm_log {
-        sim.mark_comm_origin(client_proc);
-    }
+    let (broker_proc, _) = b.tier("broker");
+    let sub_procs: Vec<_> = (0..subs_n).map(|i| b.tier(&format!("sub{i}")).0).collect();
+    b.client(client_m, cfg.comm_log);
+    let sim = &mut b.sim;
 
     let broker_in = sim.add_channel(240_000, 20);
     let sub_in: Vec<_> = (0..subs_n).map(|_| sim.add_channel(240_000, 20)).collect();
@@ -224,58 +213,21 @@ pub(super) fn run(cfg: &ZooConfig) -> ZooReport {
         }
     }
 
-    let stats = Rc::new(RefCell::new(ZooStats::default()));
-    for c in 0..cfg.clients {
-        let reply = sim.add_channel(240_000, 20);
-        sim.spawn(
-            client_proc,
-            client_m,
-            &format!("pub{c}"),
-            Box::new(ZooClient {
-                make_req: |rng: &mut SmallRng, reply| {
-                    Msg::new(
-                        Publish {
-                            topic: rand::Rng::gen_range(rng, 0..TOPICS),
-                            reply,
-                        },
-                        256,
-                    )
-                },
-                rng: SmallRng::seed_from_u64(cfg.seed ^ ((c as u64) << 24) ^ 0x9b),
-                entry: broker_in,
-                reply,
-                stats: stats.clone(),
-                warmup: cfg.warmup,
-                shape: cfg.shape,
-                started: 0,
-                state: ClientState::Think,
-            }),
-        );
-    }
-
-    if cfg.livelock_pair {
-        plant_livelock_pair(&mut sim, client_proc, client_m);
-    }
-
-    let outcome = sim.run_until(cfg.duration);
-    let comm = sim.take_comm_log();
-    let mut compute_truth = vec![sim.proc_compute_cycles(broker_proc)];
-    compute_truth.extend(sub_procs.iter().map(|&p| sim.proc_compute_cycles(p)));
-    let st = stats.borrow();
+    let r = run_clients(
+        b,
+        cfg,
+        stream,
+        broker_in,
+        "pub",
+        0x9b,
+        |rng: &mut SmallRng, reply| {
+            let topic = rand::Rng::gen_range(rng, 0..TOPICS);
+            Msg::new(Publish { topic, reply }, 256)
+        },
+    );
     let events_delivered = *delivered.borrow();
     ZooReport {
-        completed: st.completed,
-        errors: st.errors,
-        outcome,
-        dumps: sim.collect_dumps(),
-        compute_truth,
-        comm,
-        dropped_msgs: sim.chans.total_dropped(),
-        duplicated_msgs: sim.chans.total_duplicated(),
-        delayed_msgs: sim.chans.total_delayed(),
-        profiled_procs: 1 + subs_n as u32,
         events_delivered,
-        cache_hits: 0,
-        invalidations: 0,
+        ..r
     }
 }

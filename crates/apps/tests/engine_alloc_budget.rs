@@ -29,6 +29,9 @@
 //! - 29,389 (45.7 per request) with every CCT child in its tree's one
 //!   child map (a tree whose nodes have at most two children each now
 //!   allocates its map too) and no copy of each process's name.
+//! - 29,378 just before the stack was built through the one build
+//!   harness, and 29,379 (45.7 per request) with it: its list of tier
+//!   ids is the one new allocation.
 //!
 //! The three steps were counted apart only on the full-size run
 //! (`benchmark/`'s `live_stack`, seed 1, `engine.allocs` over 31,184

@@ -1,20 +1,19 @@
-//! Chaos-explorer oracles over the topology zoo: every zoo member
-//! must hold the same invariants the TPC-W assembly does — profile
-//! mass conservation, honest fault accounting, bounded progress —
-//! under clean runs, fault storms, backend crashes, and the planted
-//! livelock defect. One test pins the exact verdicts of the TPC-W
-//! assembly and every zoo member under a full storm and under the
-//! planted livelock.
+//! Chaos-explorer oracles over every assembly: TPC-W and each zoo
+//! member must hold the same invariants — profile mass conservation,
+//! honest fault accounting, bounded progress — under clean runs, fault
+//! storms, backend crashes, and the planted livelock defect. One test
+//! pins the exact verdicts of every assembly under a full storm and
+//! under the planted livelock.
 
-use whodunit_apps::zoo::{run_zoo_scenario, zoo_space, zoo_workload, Topology, ZOO_HORIZON};
+use whodunit_apps::chaos::Assembly;
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::repro::{ChaosRepro, FaultEntry};
 
-fn base_repro(seed: u64) -> ChaosRepro {
+fn base_repro(a: Assembly, seed: u64) -> ChaosRepro {
     let mut r = ChaosRepro {
         seed,
         policy: "fifo".into(),
-        workload: zoo_workload(),
+        workload: a.workload(),
         faults: Vec::new(),
         violation: None,
         window: None,
@@ -22,21 +21,31 @@ fn base_repro(seed: u64) -> ChaosRepro {
     r.set_knob("clients", 8);
     r.set_knob("duration", 15 * CPU_HZ);
     r.set_knob("warmup", 4 * CPU_HZ);
+    if a == Assembly::Tpcw {
+        r.set_knob("images_per_page", 1);
+    }
     r
+}
+
+/// The channel role behind the entry tier (the one that is not
+/// `"front"`).
+fn backbone(a: Assembly) -> String {
+    let chans = a.space().channels;
+    chans.into_iter().find(|c| c != "front").expect("two roles")
 }
 
 #[test]
 fn clean_scenarios_pass_every_oracle_on_all_topologies() {
-    for t in Topology::ALL {
-        let r = base_repro(3);
-        let a = run_zoo_scenario(t, &r);
+    for t in Assembly::ALL {
+        let r = base_repro(t, 3);
+        let a = t.run(&r);
         assert_eq!(
             a.violations,
             vec![],
             "{}: clean run violates nothing",
             t.name()
         );
-        let b = run_zoo_scenario(t, &r);
+        let b = t.run(&r);
         assert_eq!(
             a.fingerprint,
             b.fingerprint,
@@ -48,24 +57,24 @@ fn clean_scenarios_pass_every_oracle_on_all_topologies() {
 
 #[test]
 fn fault_storms_conserve_profile_mass_on_all_topologies() {
-    for t in Topology::ALL {
-        let mut r = base_repro(7);
+    for t in Assembly::ALL {
+        let mut r = base_repro(t, 7);
         r.faults = vec![
             FaultEntry::Drop {
                 chan: "front".into(),
                 ppm: 20_000,
             },
             FaultEntry::Dup {
-                chan: "backbone".into(),
+                chan: backbone(t),
                 ppm: 30_000,
             },
             FaultEntry::Delay {
-                chan: "backbone".into(),
+                chan: backbone(t),
                 ppm: 80_000,
                 cycles: CPU_HZ / 100,
             },
         ];
-        let res = run_zoo_scenario(t, &r);
+        let res = t.run(&r);
         assert_eq!(
             res.violations,
             vec![],
@@ -86,18 +95,13 @@ fn backend_crash_degrades_without_oracle_violations() {
     // The crashable backend dies mid-run; RPC timeouts turn the loss
     // into client-visible errors instead of a stalled simulation, and
     // every oracle still holds.
-    for t in Topology::ALL {
-        let mut r = base_repro(11);
-        let role = match t {
-            Topology::Fanout => "svc",
-            Topology::PubSub => "sub",
-            Topology::CacheWt => "store",
-        };
+    for t in Assembly::ALL {
+        let mut r = base_repro(t, 11);
         r.faults = vec![FaultEntry::Crash {
-            proc: role.into(),
+            proc: t.space().crashable[0].clone(),
             at: 8 * CPU_HZ,
         }];
-        let res = run_zoo_scenario(t, &r);
+        let res = t.run(&r);
         assert_eq!(
             res.violations,
             vec![],
@@ -115,11 +119,11 @@ fn backend_crash_degrades_without_oracle_violations() {
 
 #[test]
 fn planted_livelock_is_caught_on_every_topology() {
-    for t in Topology::ALL {
-        let mut r = base_repro(5);
+    for t in Assembly::ALL {
+        let mut r = base_repro(t, 5);
         r.set_knob("livelock_pair", 1);
         r.set_knob("step_budget", 10_000);
-        let res = run_zoo_scenario(t, &r);
+        let res = t.run(&r);
         assert!(
             res.has_violation("progress"),
             "{}: got {:?}",
@@ -143,32 +147,32 @@ fn planted_livelock_is_caught_on_every_topology() {
 /// them shows here.
 #[test]
 fn every_assembly_replays_its_pinned_verdicts() {
-    use whodunit_apps::chaos::{default_workload, run_scenario};
-
-    fn storm(r: &mut ChaosRepro, chans: [&str; 2], victim: &str) {
-        for chan in chans {
+    fn storm(r: &mut ChaosRepro, a: Assembly) {
+        let space = a.space();
+        for chan in &space.channels {
             r.faults.push(FaultEntry::Drop {
-                chan: chan.into(),
+                chan: chan.clone(),
                 ppm: 20_000,
             });
             r.faults.push(FaultEntry::Dup {
-                chan: chan.into(),
+                chan: chan.clone(),
                 ppm: 30_000,
             });
             r.faults.push(FaultEntry::Delay {
-                chan: chan.into(),
+                chan: chan.clone(),
                 ppm: 60_000,
                 cycles: CPU_HZ / 100,
             });
         }
+        let victim = &space.crashable[0];
         r.faults.push(FaultEntry::Slowdown {
-            machine: victim.into(),
+            machine: victim.clone(),
             from: 5 * CPU_HZ,
             until: 9 * CPU_HZ,
             factor: 3,
         });
         r.faults.push(FaultEntry::Crash {
-            proc: victim.into(),
+            proc: victim.clone(),
             at: 11 * CPU_HZ,
         });
     }
@@ -181,31 +185,14 @@ fn every_assembly_replays_its_pinned_verdicts() {
         (res.fingerprint, kinds, res.outcome)
     }
 
-    let mut tpcw = base_repro(13);
-    tpcw.workload = default_workload();
-    tpcw.set_knob("clients", 8);
-    tpcw.set_knob("duration", 15 * CPU_HZ);
-    tpcw.set_knob("warmup", 4 * CPU_HZ);
-    tpcw.set_knob("images_per_page", 1);
-
     let mut got = Vec::new();
-    let mut r = tpcw.clone();
-    storm(&mut r, ["front", "db"], "mysql");
-    got.push(("tpcw/storm", verdict(run_scenario(&r))));
-    let mut r = tpcw;
-    livelock(&mut r);
-    got.push(("tpcw/livelock", verdict(run_scenario(&r))));
-    for (t, storm_name, livelock_name) in [
-        (Topology::Fanout, "fanout/storm", "fanout/livelock"),
-        (Topology::PubSub, "pubsub/storm", "pubsub/livelock"),
-        (Topology::CacheWt, "cachewt/storm", "cachewt/livelock"),
-    ] {
-        let mut r = base_repro(13);
-        storm(&mut r, ["front", "backbone"], &zoo_space(t).crashable[0]);
-        got.push((storm_name, verdict(run_zoo_scenario(t, &r))));
-        let mut r = base_repro(13);
+    for a in Assembly::ALL {
+        let mut r = base_repro(a, 13);
+        storm(&mut r, a);
+        got.push((format!("{}/storm", a.name()), verdict(a.run(&r))));
+        let mut r = base_repro(a, 13);
         livelock(&mut r);
-        got.push((livelock_name, verdict(run_zoo_scenario(t, &r))));
+        got.push((format!("{}/livelock", a.name()), verdict(a.run(&r))));
     }
 
     let spin = "livelock at t=0: 10001 zero-progress resumes; spinning: ";
@@ -256,18 +243,20 @@ fn every_assembly_replays_its_pinned_verdicts() {
     ];
     let got: Vec<_> = got
         .iter()
-        .map(|(n, (fp, k, o))| (*n, *fp, k.as_slice(), o.as_str()))
+        .map(|(n, (fp, k, o))| (n.as_str(), *fp, k.as_slice(), o.as_str()))
         .collect();
     assert_eq!(got, want);
 }
 
 #[test]
-fn zoo_space_declares_the_faultable_surface() {
-    for t in Topology::ALL {
-        let s = zoo_space(t);
-        assert_eq!(s.channels, vec!["front".to_string(), "backbone".into()]);
+fn space_declares_the_faultable_surface() {
+    for a in Assembly::ALL {
+        let s = a.space();
+        assert_eq!(s.channels.len(), 2, "{}", a.name());
+        assert!(s.channels.iter().any(|c| c == "front"), "{}", a.name());
         assert_eq!(s.crashable.len(), 1);
         assert_eq!(s.slowable, s.crashable);
-        assert_eq!(s.horizon, ZOO_HORIZON);
+        let duration = a.workload().into_iter().find(|(n, _)| n == "duration");
+        assert_eq!(Some(s.horizon), duration.map(|(_, v)| v), "{}", a.name());
     }
 }

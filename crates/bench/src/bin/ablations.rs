@@ -93,7 +93,7 @@ fn main() {
             rt: kind,
             ..ProxyConfig::default()
         });
-        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+        r.outcome.assert_ok();
         let w = r.runtime.whodunit.as_ref().unwrap().borrow();
         println!(
             "    {label:<18}: {:>6} distinct contexts after {} requests",
@@ -164,7 +164,7 @@ fn main() {
             rt: kind,
             ..HttpdConfig::default()
         });
-        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+        r.outcome.assert_ok();
         println!(
             "    {label:<26}: {:7.1} Mb/s (guest cycles {:>11})",
             r.throughput_mbps, r.guest_cycles
@@ -180,7 +180,7 @@ fn main() {
         rt: RtKind::Whodunit,
         ..ProxyConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.outcome.assert_ok();
     let w = r.runtime.whodunit.as_ref().unwrap().borrow();
     let syn_bytes = w.ipc().piggyback_bytes;
     let msgs = w.ipc().messages;
@@ -206,7 +206,7 @@ fn main() {
             rt: kind,
             ..ProxyConfig::default()
         });
-        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+        r.outcome.assert_ok();
         let w = r.runtime.whodunit.as_ref().unwrap().borrow();
         whodunit_report::render::context_shares(&w.dump().unwrap())
     };

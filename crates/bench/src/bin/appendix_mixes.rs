@@ -40,7 +40,7 @@ fn main() {
             warmup: 50 * CPU_HZ,
             ..TpcwConfig::default()
         });
-        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+        r.tail.outcome.assert_ok();
         let stitched = analyze(r.dumps.clone(), PipelineConfig::default());
         let mut rows = table1(&stitched, 2, &|n| label_of(n));
         rows.sort_by(|a, b| b.cpu_pct.partial_cmp(&a.cpu_pct).unwrap());

@@ -25,7 +25,7 @@ fn main() {
             warmup: 80 * CPU_HZ,
             ..TpcwConfig::default()
         });
-        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+        r.tail.outcome.assert_ok();
         let ac = r
             .rt_ms
             .get(&Interaction::AdminConfirm)

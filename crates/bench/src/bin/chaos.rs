@@ -20,9 +20,7 @@
 //!   exercising the whole find → shrink → record → replay pipeline.
 
 use std::process::ExitCode;
-use whodunit_apps::chaos::{
-    default_workload, run_scenario, still_fails_with, tpcw_space, SHRINKABLE_KNOBS,
-};
+use whodunit_apps::chaos::{Assembly, SHRINKABLE_KNOBS};
 use whodunit_apps::sentinel::run_with_sentinel;
 use whodunit_bench::header;
 use whodunit_collector::sentinel::SloBudget;
@@ -52,30 +50,15 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        let mut val = || it.next().ok_or_else(|| format!("{arg} requires a value"));
+        let num = |v: String| v.parse::<u64>().map_err(|e| format!("{arg}: {e}"));
         match arg.as_str() {
-            "--seeds" => {
-                a.seeds = val("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--base" => a.base = val("--base")?.parse().map_err(|e| format!("--base: {e}"))?,
-            "--clients" => {
-                a.clients = Some(
-                    val("--clients")?
-                        .parse()
-                        .map_err(|e| format!("--clients: {e}"))?,
-                )
-            }
-            "--duration-s" => {
-                a.duration_s = Some(
-                    val("--duration-s")?
-                        .parse()
-                        .map_err(|e| format!("--duration-s: {e}"))?,
-                )
-            }
-            "--out" => a.out = val("--out")?,
-            "--replay" => a.replay = Some(val("--replay")?),
+            "--seeds" => a.seeds = num(val()?)?,
+            "--base" => a.base = num(val()?)?,
+            "--clients" => a.clients = Some(num(val()?)?),
+            "--duration-s" => a.duration_s = Some(num(val()?)?),
+            "--out" => a.out = val()?,
+            "--replay" => a.replay = Some(val()?),
             "--selftest" => a.selftest = true,
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -84,7 +67,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn workload_for(args: &Args) -> Vec<(String, u64)> {
-    let mut w = default_workload();
+    let mut w = Assembly::Tpcw.workload();
     let mut set = |name: &str, v: u64| {
         if let Some(k) = w.iter_mut().find(|(n, _)| n == name) {
             k.1 = v;
@@ -116,7 +99,9 @@ fn shrink_and_record(
     kind: &str,
 ) -> std::io::Result<String> {
     let before = (repro.faults.len(), repro.knob("clients").unwrap_or(0));
-    let mut small = shrink(repro, SHRINKABLE_KNOBS, |c| still_fails_with(c, kind));
+    let mut small = shrink(repro, SHRINKABLE_KNOBS, |c| {
+        Assembly::Tpcw.run(c).has_violation(kind)
+    });
     small.violation = Some(kind.to_owned());
     println!(
         "  shrunk: {} faults -> {}, clients {} -> {}",
@@ -130,12 +115,12 @@ fn shrink_and_record(
 
 fn fuzz(args: &Args) -> ExitCode {
     header("chaos", "schedule/fault fuzzing with invariant oracles");
-    let space = tpcw_space();
+    let space = Assembly::Tpcw.space();
     let workload = workload_for(args);
     let mut violations = 0u64;
     for seed in args.base..args.base + args.seeds {
         let repro = sample_scenario(seed, &space, &workload);
-        let res = run_scenario(&repro);
+        let res = Assembly::Tpcw.run(&repro);
         let (d, u, l) = res.faults_seen;
         println!(
             "seed {seed:>4}  policy {:<24} faults {:>2}  dropped {d:>4} dup {u:>3} delayed {l:>4}  {}",
@@ -190,8 +175,8 @@ fn replay(path: &str) -> ExitCode {
         repro.faults.len(),
         repro.violation.as_deref().unwrap_or("none")
     );
-    let a = run_scenario(&repro);
-    let b = run_scenario(&repro);
+    let a = Assembly::Tpcw.run(&repro);
+    let b = Assembly::Tpcw.run(&repro);
     if a.fingerprint != b.fingerprint {
         println!(
             "NOT REPRODUCIBLE: fingerprints differ ({:#018x} vs {:#018x})",
@@ -309,7 +294,7 @@ fn selftest(args: &Args) -> ExitCode {
     let mut repro = ChaosRepro {
         seed: 0xDEFEC7,
         policy: "random:1".to_owned(),
-        workload: default_workload(),
+        workload: Assembly::Tpcw.workload(),
         faults: vec![
             FaultEntry::Drop {
                 chan: "db".into(),
@@ -327,7 +312,7 @@ fn selftest(args: &Args) -> ExitCode {
     repro.set_knob("livelock_pair", 1);
     repro.set_knob("step_budget", 50_000);
 
-    let res = run_scenario(&repro);
+    let res = Assembly::Tpcw.run(&repro);
     assert!(
         res.has_violation("progress"),
         "planted livelock not caught; violations: {:?}",
@@ -351,8 +336,8 @@ fn selftest(args: &Args) -> ExitCode {
     assert!(back.faults.is_empty(), "decoy faults survived shrinking");
     assert_eq!(back.knob("clients"), Some(1), "clients not shrunk");
     assert_eq!(back.violation.as_deref(), Some("progress"));
-    let a = run_scenario(&back);
-    let b = run_scenario(&back);
+    let a = Assembly::Tpcw.run(&back);
+    let b = Assembly::Tpcw.run(&back);
     assert_eq!(a.fingerprint, b.fingerprint, "replay not bit-identical");
     assert!(a.has_violation("progress"), "shrunk repro lost the failure");
     println!("replay            shrunk repro re-triggers 'progress', bit-identically");

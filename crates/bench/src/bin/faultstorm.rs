@@ -67,7 +67,7 @@ fn main() {
 
     let r1 = run_tpcw(storm_config());
     let r2 = run_tpcw(storm_config());
-    assert!(r1.outcome.is_ok(), "the run ended early: {}", r1.outcome);
+    r1.tail.outcome.assert_ok();
 
     // 1. Determinism: the whole profile, not just summary scalars.
     assert_eq!(r1.dumps, r2.dumps, "stage dumps must be bit-identical");
@@ -75,21 +75,21 @@ fn main() {
         r1.throughput_per_min.to_bits(),
         r2.throughput_per_min.to_bits()
     );
-    assert_eq!(r1.compute_truth, r2.compute_truth);
+    assert_eq!(r1.tail.compute_truth, r2.tail.compute_truth);
     assert_eq!(r1.client_errors, r2.client_errors);
-    assert_eq!(r1.dropped_msgs, r2.dropped_msgs);
+    assert_eq!(r1.tail.dropped_msgs, r2.tail.dropped_msgs);
     assert_eq!(r1.app_db_retries, r2.app_db_retries);
     println!("determinism          two seeded runs are bit-identical");
 
     // The storm actually stormed.
-    assert!(r1.dropped_msgs > 0, "plan dropped messages");
+    assert!(r1.tail.dropped_msgs > 0, "plan dropped messages");
     assert!(r1.app_db_timeouts > 0, "tomcat RPC timeouts fired");
     assert!(r1.app_db_retries > 0, "tomcat resent queries");
     assert!(r1.app_sheds > 0, "tomcat shed after the crash");
     assert!(r1.client_errors > 0, "clients saw classified errors");
     println!(
         "storm                dropped={} timeouts={} retries={} sheds={} client_errors={}",
-        r1.dropped_msgs, r1.app_db_timeouts, r1.app_db_retries, r1.app_sheds, r1.client_errors
+        r1.tail.dropped_msgs, r1.app_db_timeouts, r1.app_db_retries, r1.app_sheds, r1.client_errors
     );
     println!(
         "throughput           {:.0} interactions/min despite the storm",
@@ -99,7 +99,7 @@ fn main() {
     // 2. Profile-mass conservation per tier.
     for (tier, name) in ["squid", "tomcat", "mysql"].iter().enumerate() {
         let mass = profile_mass(&r1, tier);
-        let truth = r1.compute_truth[tier];
+        let truth = r1.tail.compute_truth[tier];
         assert_eq!(
             mass, truth,
             "{name}: profiled cycles diverge from ground truth"

@@ -167,7 +167,7 @@ fn main() {
         }),
     );
     let outcome = sim.run_to_idle();
-    assert!(outcome.is_ok(), "the run ended early: {outcome}");
+    outcome.assert_ok();
 
     let dumps = vec![
         caller_rt.borrow().dump().unwrap(),

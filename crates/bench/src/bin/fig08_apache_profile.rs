@@ -27,7 +27,7 @@ fn main() {
         rt: RtKind::Whodunit,
         ..HttpdConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.outcome.assert_ok();
     let w = r
         .runtime
         .whodunit

@@ -26,7 +26,7 @@ fn main() {
         rt: RtKind::Whodunit,
         ..HaboobConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.outcome.assert_ok();
     let w = r
         .runtime
         .whodunit

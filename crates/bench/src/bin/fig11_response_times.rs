@@ -25,7 +25,7 @@ fn run(clients: u32, engine: Engine, caching: bool) -> std::collections::HashMap
         warmup: 80 * CPU_HZ,
         ..TpcwConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.tail.outcome.assert_ok();
     r.rt_ms
 }
 

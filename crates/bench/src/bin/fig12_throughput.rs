@@ -26,7 +26,7 @@ fn sweep(caching: bool, clients: &[u32]) -> Vec<(u32, f64)> {
                 warmup: 80 * CPU_HZ,
                 ..TpcwConfig::default()
             });
-            assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+            r.tail.outcome.assert_ok();
             (n, r.throughput_per_min)
         })
         .collect()

@@ -74,14 +74,10 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        let mut val = || it.next().ok_or_else(|| format!("{arg} requires a value"));
         match arg.as_str() {
-            "--slack" => {
-                a.slack = val("--slack")?
-                    .parse()
-                    .map_err(|e| format!("--slack: {e}"))?
-            }
-            "--out" => a.out = val("--out")?,
+            "--slack" => a.slack = val()?.parse().map_err(|e| format!("{arg}: {e}"))?,
+            "--out" => a.out = val()?,
             "--smoke" => a.smoke = true,
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -132,7 +128,7 @@ fn build_scenarios(smoke: bool) -> Vec<Scenario> {
         }
         let clean = cfg.faults.is_none();
         let report = run_tpcw(cfg);
-        let log = report.comm.expect("inference slice records comm logs");
+        let log = report.tail.comm.expect("inference slice records comm logs");
         out.push(Scenario { label, clean, log });
     }
 
@@ -178,7 +174,7 @@ fn build_scenarios(smoke: bool) -> Vec<Scenario> {
                 cfg.warmup = 3 * CPU_HZ;
             }
             let report = run_zoo(&cfg);
-            let log = report.comm.expect("zoo records comm logs when asked");
+            let log = report.tail.comm.expect("zoo records comm logs when asked");
             out.push(Scenario {
                 label: format!("{}/{shape_name}", t.name()),
                 clean: faults.is_none(),

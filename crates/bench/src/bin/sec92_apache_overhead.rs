@@ -18,7 +18,7 @@ fn run(rt: RtKind) -> (f64, u64) {
         rt,
         ..HttpdConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.outcome.assert_ok();
     (r.throughput_mbps, r.guest_cycles)
 }
 

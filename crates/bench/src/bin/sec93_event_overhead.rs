@@ -21,7 +21,7 @@ fn main() {
             rt,
             ..ProxyConfig::default()
         });
-        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+        r.outcome.assert_ok();
         r.throughput_mbps
     };
     let sq_base = squid(RtKind::None);
@@ -38,7 +38,7 @@ fn main() {
             rt,
             ..HaboobConfig::default()
         });
-        assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+        r.outcome.assert_ok();
         r.throughput_mbps
     };
     let hb_base = haboob(RtKind::None);

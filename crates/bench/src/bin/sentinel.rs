@@ -29,9 +29,8 @@
 //! - `sentinel --smoke` — reduced seed × policy set; CI gate.
 
 use std::process::ExitCode;
-use whodunit_apps::chaos::default_workload;
+use whodunit_apps::chaos::Assembly;
 use whodunit_apps::sentinel::{calibrate_budget, capture_incident, run_with_sentinel};
-use whodunit_apps::tpcw::run_tpcw_streaming;
 use whodunit_bench::{fleet_stream, header, write_json_file};
 use whodunit_collector::{Collector, CollectorConfig, SentinelSink, SloBudget};
 use whodunit_core::cost::CPU_HZ;
@@ -62,24 +61,13 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        let mut val = || it.next().ok_or_else(|| format!("{arg} requires a value"));
+        let num = |v: String| v.parse::<u64>().map_err(|e| format!("{arg}: {e}"));
         match arg.as_str() {
-            "--clients" => {
-                a.clients = val("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--duration-s" => {
-                a.duration_s = val("--duration-s")?
-                    .parse()
-                    .map_err(|e| format!("--duration-s: {e}"))?
-            }
-            "--factor" => {
-                a.factor = val("--factor")?
-                    .parse()
-                    .map_err(|e| format!("--factor: {e}"))?
-            }
-            "--out" => a.out = val("--out")?,
+            "--clients" => a.clients = num(val()?)?,
+            "--duration-s" => a.duration_s = num(val()?)?,
+            "--factor" => a.factor = num(val()?)?,
+            "--out" => a.out = val()?,
             "--smoke" => a.smoke = true,
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -113,7 +101,7 @@ fn matrix_repro(args: &Args, seed: u64, policy: &str) -> ChaosRepro {
     let mut r = ChaosRepro {
         seed,
         policy: policy.to_owned(),
-        workload: default_workload(),
+        workload: Assembly::Tpcw.workload(),
         faults: Vec::new(),
         violation: None,
         window: None,
@@ -352,7 +340,7 @@ fn main() -> ExitCode {
     // is replicated to fleet size first, the same in smoke and full
     // mode, so CI checks the deployment shape the full bench records.
     let mut rec = RecordingSink::default();
-    run_tpcw_streaming(whodunit_apps::chaos::config_of(&baseline), CPU_HZ, &mut rec);
+    Assembly::Tpcw.run_streaming(&baseline, CPU_HZ, &mut rec);
     let (fleet_hdr, fleet_batches) = fleet_stream(&rec.header, &rec.batches, 32, 2);
     let on = always_on_counts(&fleet_hdr, &fleet_batches, &budget);
     println!(

@@ -56,7 +56,7 @@ fn main() {
         warmup: 100 * CPU_HZ,
         ..TpcwConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.tail.outcome.assert_ok();
     assert_eq!(r.dumps.len(), 3, "three profiled stages dumped");
     let stitched = analyze(r.dumps.clone(), PipelineConfig::default());
     let rows = table1(&stitched, 2, &|n| label_of(n));

@@ -29,7 +29,7 @@ fn peak(rt: RtKind) -> (f64, Option<(u64, u64, u64)>) {
         warmup: 80 * CPU_HZ,
         ..TpcwConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.tail.outcome.assert_ok();
     let msgs = r.dumps.iter().map(|d| d.messages).sum::<u64>();
     (
         r.throughput_per_min,

@@ -106,6 +106,7 @@ pub fn fleet_stream(
 /// every one of those suites at once.
 pub mod matrix {
     use whodunit_apps::tpcw::{run_tpcw, TpcwConfig};
+    use whodunit_apps::STEP_BUDGET;
     use whodunit_core::cost::CPU_HZ;
     use whodunit_core::stitch::StageDump;
     use whodunit_sim::fault::ChannelFaults;
@@ -155,7 +156,7 @@ pub mod matrix {
             seed,
             sched,
             faults: faulty.then(|| faults(seed)),
-            step_budget: Some(2_000_000),
+            step_budget: Some(STEP_BUDGET),
             ..Default::default()
         }
     }
@@ -196,7 +197,7 @@ pub mod matrix {
             duration: 20 * CPU_HZ,
             warmup: 5 * CPU_HZ,
             seed,
-            step_budget: Some(2_000_000),
+            step_budget: Some(STEP_BUDGET),
             ..Default::default()
         }
     }

@@ -62,12 +62,12 @@ fn storm_is_deterministic_and_actually_storms() {
         r1.throughput_per_min.to_bits(),
         r2.throughput_per_min.to_bits()
     );
-    assert_eq!(r1.compute_truth, r2.compute_truth);
+    assert_eq!(r1.tail.compute_truth, r2.tail.compute_truth);
     assert_eq!(r1.client_errors, r2.client_errors);
-    assert_eq!(r1.dropped_msgs, r2.dropped_msgs);
+    assert_eq!(r1.tail.dropped_msgs, r2.tail.dropped_msgs);
     assert_eq!(r1.app_db_retries, r2.app_db_retries);
     // The invariants below are vacuous unless the storm actually bites.
-    assert!(r1.dropped_msgs > 0, "plan dropped messages");
+    assert!(r1.tail.dropped_msgs > 0, "plan dropped messages");
     assert!(r1.app_db_timeouts > 0, "tomcat RPC timeouts fired");
     assert!(r1.app_db_retries > 0, "tomcat resent queries");
     assert!(r1.app_sheds > 0, "tomcat shed after the crash");
@@ -79,7 +79,7 @@ fn profile_mass_is_conserved_per_tier_under_the_storm() {
     let r = run_tpcw(storm_config());
     for (tier, name) in ["squid", "tomcat", "mysql"].iter().enumerate() {
         let mass = profile_mass(&r, tier);
-        let truth = r.compute_truth[tier];
+        let truth = r.tail.compute_truth[tier];
         assert_eq!(
             mass, truth,
             "{name}: profiled cycles diverge from ground truth"

@@ -185,7 +185,7 @@ fn chunked_run_is_bit_identical_to_unchunked() {
                 "wire traffic diverged: {what}"
             );
             assert_eq!(
-                batch.compute_truth, streamed.compute_truth,
+                batch.tail.compute_truth, streamed.tail.compute_truth,
                 "ground-truth compute diverged: {what}"
             );
             assert!(sink.batches.len() > 1, "stream collapsed to one batch: {what}");

@@ -28,6 +28,10 @@ pub enum FaultEntry {
         ppm: u64,
     },
     /// Duplicate sends on the channel role with probability `ppm` / 1e6.
+    /// Only a replayable message can be duplicated, and no simulated
+    /// assembly sends one yet, so today this entry is inert: it rolls,
+    /// but nothing is delivered twice. Making a payload replayable
+    /// moves every faulted fingerprint and needs its own re-baselining.
     Dup {
         /// Channel role name.
         chan: String,

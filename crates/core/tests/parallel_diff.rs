@@ -261,7 +261,7 @@ fn faulty_runs_exercise_unresolved_and_warning_paths() {
             whodunit_sim::sched::SchedulePolicy::Fifo,
             true,
         ));
-        if report.dropped_msgs + report.delayed_msgs + report.duplicated_msgs > 0 {
+        if report.tail.dropped_msgs + report.tail.delayed_msgs + report.tail.duplicated_msgs > 0 {
             any_faults_seen = true;
             break;
         }

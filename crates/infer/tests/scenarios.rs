@@ -89,6 +89,7 @@ fn tpcw_clean_slice_recovers_blackbox() {
         .find(|(l, _)| l == "tpcw/clean/s1")
         .expect("slice carries the clean s1 scenario");
     let log = run_tpcw(shrink(cfg))
+        .tail
         .comm
         .expect("inference slice records comm logs");
     let pc = PairingConfig::default();
@@ -111,6 +112,7 @@ fn tpcw_faulty_slice_degrades_soundly() {
         .find(|(l, _)| l == "tpcw/faulty/s1")
         .expect("slice carries the faulty s1 scenario");
     let log = run_tpcw(shrink(cfg))
+        .tail
         .comm
         .expect("inference slice records comm logs");
     // No accuracy floor under a fault storm — only soundness: the
@@ -136,7 +138,7 @@ fn zoo_topologies_hold_the_ladder() {
             ..ZooConfig::default()
         };
         let report = run_zoo(&cfg);
-        let log = report.comm.expect("zoo records comm logs when asked");
+        let log = report.tail.comm.expect("zoo records comm logs when asked");
         let pc = PairingConfig::default();
         let s = infer_stitch(&log.events, &pc);
         assert!(
@@ -169,10 +171,10 @@ fn comm_log_is_observation_only() {
         comm_log: false,
         ..cfg
     }));
-    assert!(on.comm.is_some() && off.comm.is_none());
+    assert!(on.tail.comm.is_some() && off.tail.comm.is_none());
     assert_eq!(
         on.dumps, off.dumps,
         "recording the comm log perturbed the profile dumps"
     );
-    assert_eq!(on.compute_truth, off.compute_truth);
+    assert_eq!(on.tail.compute_truth, off.tail.compute_truth);
 }

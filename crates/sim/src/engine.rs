@@ -243,6 +243,14 @@ impl RunOutcome {
     pub fn is_ok(&self) -> bool {
         matches!(self, RunOutcome::ReachedLimit | RunOutcome::Idle)
     }
+
+    /// Panics with the diagnostic unless [`RunOutcome::is_ok`]: for a
+    /// caller that must not report the numbers of a run that ended
+    /// early.
+    #[track_caller]
+    pub fn assert_ok(&self) {
+        assert!(self.is_ok(), "the run ended early: {self}");
+    }
 }
 
 impl fmt::Display for RunOutcome {
@@ -508,6 +516,12 @@ impl Sim {
     /// Interns a frame name.
     pub fn frame(&self, name: &str) -> FrameId {
         self.frames.borrow_mut().intern(name)
+    }
+
+    /// The id the next [`Sim::add_process`] returns, for a runtime that
+    /// must know its process before it is registered.
+    pub fn next_proc(&self) -> ProcId {
+        ProcId(self.procs.len() as u32)
     }
 
     /// Registers a process with a profiling runtime.

@@ -29,6 +29,10 @@ pub struct ChannelFaults {
     pub drop_p: f64,
     /// Probability a sent message is delivered twice (requires a
     /// [`crate::Msg::replayable`] payload; otherwise delivered once).
+    /// No model in `whodunit-apps` sends a replayable payload yet, so on
+    /// every assembly this rolls but never duplicates; making one
+    /// replayable moves every faulted fingerprint and needs its own
+    /// re-baselining.
     pub dup_p: f64,
     /// Probability a sent message is delayed by [`Self::delay_cycles`]
     /// extra cycles.

@@ -104,7 +104,7 @@ fn main() {
         );
     }
     let outcome = sim.run_to_idle();
-    assert!(outcome.is_ok(), "the run ended early: {outcome}");
+    outcome.assert_ok();
 
     let w = w.borrow();
     println!("crosstalk report (who waits for whom):\n");

@@ -20,7 +20,7 @@ fn main() {
         rt: RtKind::Whodunit,
         ..HaboobConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.outcome.assert_ok();
     let w = r.runtime.whodunit.as_ref().unwrap().borrow();
     let dump = w.dump().unwrap();
     println!("Haboob transactional profile (stage-path contexts):\n");

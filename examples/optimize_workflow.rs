@@ -34,7 +34,7 @@ fn run(caching: bool) -> TpcwReport {
         warmup: 40 * CPU_HZ,
         ..TpcwConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.tail.outcome.assert_ok();
     r
 }
 

@@ -153,7 +153,7 @@ fn main() {
     sim.spawn(p_caller, m, "caller", Box::new(caller));
     sim.spawn(p_callee, m, "callee", Box::new(callee));
     let outcome = sim.run_to_idle();
-    assert!(outcome.is_ok(), "the run ended early: {outcome}");
+    outcome.assert_ok();
 
     // Post-mortem: dump both stages and stitch.
     let dumps = vec![

@@ -112,7 +112,7 @@ fn main() {
             );
         }
         let outcome = sim.run_to_idle();
-        assert!(outcome.is_ok(), "the run ended early: {outcome}");
+        outcome.assert_ok();
         for (t, count, total) in tmon.borrow().report() {
             println!(
                 "  {:<18} {:>6}   {:>9.1} ms",

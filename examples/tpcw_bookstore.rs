@@ -32,7 +32,7 @@ fn main() {
         warmup: 50 * CPU_HZ,
         ..TpcwConfig::default()
     });
-    assert!(r.outcome.is_ok(), "the run ended early: {}", r.outcome);
+    r.tail.outcome.assert_ok();
     let stitched = analyze(r.dumps.clone(), PipelineConfig::default());
 
     println!("MySQL profile by TPC-W interaction (via stitched synopsis chains):\n");

@@ -6,11 +6,15 @@
 #   scripts/pairs.sh --selftest
 #
 # Exports <parent-rev> with git archive into target/pairs/<rev> (kept,
-# so a second call reuses its build; nothing is registered in .git), builds
-# both trees' benchmark/ (each into its own benchmark/target), then runs
-# each tree's benchmark/run.sh --workload W --seed i --seconds S once
-# per pair, the parent first in odd pairs and the change first in even
-# ones. Pair i runs at seed i, or every pair at [seed] when it is given
+# so a second call reuses its build; nothing is registered in .git), and
+# this tree's files (tracked and untracked, minus the ignored ones, as
+# `git ls-files -co --exclude-standard` lists them) into
+# target/pairs/work (refreshed on every call, its build kept), so the two
+# sides differ only in their code, not in where they are built and run
+# from. Builds both exports' benchmark/ (each into its own
+# benchmark/target), then runs each export's benchmark/run.sh
+# --workload W --seed i --seconds S once per pair, the parent first in
+# odd pairs and the change first in even ones. Pair i runs at seed i, or every pair at [seed] when it is given
 # (a held-out seed). [seconds] defaults to 25, the benchmark's own run
 # length. Nothing under benchmark/ is written but its build and out/.
 #
@@ -170,9 +174,18 @@ if [ ! -d "$tree" ]; then
     git -C "$root" archive "$rev" | tar -x -C "$tree.part"
     mv "$tree.part" "$tree"
 fi
-# Each tree builds into its own benchmark/target.
+work="$root/target/pairs/work"
+mkdir -p "$work/benchmark"
+find "$work" -mindepth 1 -maxdepth 1 ! -name benchmark -exec rm -rf {} +
+find "$work/benchmark" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+git -C "$root" ls-files -co --exclude-standard -z \
+    | (cd "$root" && while IFS= read -r -d '' f; do
+        if [ -f "$f" ]; then printf '%s\0' "$f"; fi
+    done) \
+    | tar -C "$root" --null -T - -cf - | tar -x -C "$work"
+# Each export builds into its own benchmark/target.
 unset CARGO_TARGET_DIR
-for dir in "$tree" "$root"; do
+for dir in "$tree" "$work"; do
     cargo build --release --offline --manifest-path "$dir/benchmark/Cargo.toml" --bins >&2
 done
 
@@ -188,7 +201,7 @@ run_pairs() {
         seed="${fixed_seed:-$i}"
         if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
-            if [ "$side" = parent ]; then dir="$tree"; else dir="$root"; fi
+            if [ "$side" = parent ]; then dir="$tree"; else dir="$work"; fi
             # A run that fails a check still ends in its JSON line (and
             # exits non-zero); one that ends in anything else stops here.
             line="$(bash "$dir/benchmark/run.sh" --workload "$workload" --seed "$seed" \

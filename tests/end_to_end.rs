@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full Whodunit pipeline from
 //! simulated applications through profiling to post-mortem stitching.
 
-use whodunit::apps::chaos::{default_workload, run_scenario};
+use whodunit::apps::chaos::Assembly;
 use whodunit::apps::dbserver::Engine;
 use whodunit::apps::httpd::{run_httpd, HttpdConfig};
 use whodunit::apps::proxy::{run_proxy, ProxyConfig};
@@ -223,7 +223,7 @@ fn faulty_tpcw_still_stitches_end_to_end() {
     });
     assert_eq!(r.dumps.len(), 3);
     assert!(
-        r.dropped_msgs + r.duplicated_msgs + r.delayed_msgs > 0,
+        r.tail.dropped_msgs + r.tail.duplicated_msgs + r.tail.delayed_msgs > 0,
         "fault plan fired on the wire"
     );
     // The degraded stack still completes work.
@@ -244,7 +244,7 @@ fn chaos_repro_fixture_replays_bit_identically() {
     let mut fixture = ChaosRepro {
         seed: 42,
         policy: "perturb:42:250000".to_owned(),
-        workload: default_workload(),
+        workload: Assembly::Tpcw.workload(),
         faults: vec![
             FaultEntry::Drop {
                 chan: "db".into(),
@@ -268,8 +268,8 @@ fn chaos_repro_fixture_replays_bit_identically() {
 
     // Round-trip through the on-disk format, then replay twice.
     let parsed = repro_from_json(&repro_to_json(&fixture)).expect("fixture parses back");
-    let a = run_scenario(&parsed);
-    let b = run_scenario(&parsed);
+    let a = Assembly::Tpcw.run(&parsed);
+    let b = Assembly::Tpcw.run(&parsed);
     assert_eq!(
         a.fingerprint, b.fingerprint,
         "replay is bit-identical: {} vs {}",

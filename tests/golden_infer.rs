@@ -20,6 +20,7 @@
 use std::path::PathBuf;
 use whodunit::apps::tpcw::{run_tpcw, TpcwConfig};
 use whodunit::apps::zoo::{run_zoo, Topology, ZooConfig};
+use whodunit::apps::STEP_BUDGET;
 use whodunit::core::blackbox::{CommLog, TierVisibility};
 use whodunit::core::cost::CPU_HZ;
 use whodunit::infer::{
@@ -70,7 +71,7 @@ fn canonical_doc() -> String {
         seed: 1,
         comm_log: true,
         faults,
-        step_budget: Some(2_000_000),
+        step_budget: Some(STEP_BUDGET),
         ..TpcwConfig::default()
     };
     let storm = ScenarioFaults {
@@ -84,7 +85,7 @@ fn canonical_doc() -> String {
         ..Default::default()
     };
     for (label, faults) in [("tpcw/clean", None), ("tpcw/faulty", Some(storm))] {
-        let log = run_tpcw(tpcw_cfg(faults)).comm.expect("comm log on");
+        let log = run_tpcw(tpcw_cfg(faults)).tail.comm.expect("comm log on");
         for vis in ["blackbox", "hybrid", "full"] {
             rows.push(row(label, vis, &log));
         }
@@ -100,7 +101,7 @@ fn canonical_doc() -> String {
             comm_log: true,
             ..ZooConfig::default()
         };
-        let log = run_zoo(&cfg).comm.expect("comm log on");
+        let log = run_zoo(&cfg).tail.comm.expect("comm log on");
         let label = format!("{}/clean", t.name());
         for vis in ["blackbox", "hybrid", "full"] {
             rows.push(row(&label, vis, &log));

@@ -21,7 +21,7 @@
 //! caused it.
 
 use std::path::PathBuf;
-use whodunit::apps::chaos::default_workload;
+use whodunit::apps::chaos::Assembly;
 use whodunit::apps::sentinel::{calibrate_budget, capture_incident};
 use whodunit::core::cost::CPU_HZ;
 use whodunit::core::repro::{ChaosRepro, FaultEntry};
@@ -71,7 +71,7 @@ fn matrix_repro(seed: u64) -> ChaosRepro {
     let mut r = ChaosRepro {
         seed,
         policy: "fifo".into(),
-        workload: default_workload(),
+        workload: Assembly::Tpcw.workload(),
         faults: Vec::new(),
         violation: None,
         window: None,
