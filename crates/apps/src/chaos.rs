@@ -79,7 +79,7 @@ impl Assembly {
             channels: channels.map(String::from).to_vec(),
             crashable: vec![victim.into()],
             slowable: vec![victim.into()],
-            horizon: self.knob(&ChaosRepro::default(), "duration"),
+            horizon: self.default_of("duration"),
             max_fault_ppm,
             // Up to 20 ms of extra delivery delay.
             max_delay: CPU_HZ / 50,
@@ -123,11 +123,21 @@ impl Assembly {
         knobs.map(|&(n, v)| (n.to_owned(), v)).collect()
     }
 
+    /// The default of a workload knob. Panics on a name the assembly
+    /// does not declare: that is a misspelt knob in the harness, and
+    /// running it at some fallback would hide it.
+    fn default_of(self, name: &str) -> u64 {
+        let entry = self.defaults().iter().find(|(n, _)| *n == name);
+        entry
+            .unwrap_or_else(|| panic!("{}: no workload knob '{name}'", self.name()))
+            .1
+    }
+
     /// A workload knob of `repro`, or its default when the repro does
-    /// not carry it (0 for a knob the assembly does not declare).
+    /// not carry it; `name` must be one [`Assembly::workload`] lists.
     pub fn knob(self, repro: &ChaosRepro, name: &str) -> u64 {
-        let default = self.defaults().iter().find(|(n, _)| *n == name);
-        repro.knob(name).or(default.map(|&(_, v)| v)).unwrap_or(0)
+        let default = self.default_of(name);
+        repro.knob(name).unwrap_or(default)
     }
 
     /// What every assembly's run takes from a repro: the schedule
@@ -348,6 +358,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "no workload knob 'client'")]
+    fn an_undeclared_knob_name_is_a_bug() {
+        Assembly::Tpcw.knob(&tiny_repro(), "client");
+    }
+
+    #[test]
     fn clean_scenario_passes_every_oracle_and_is_reproducible() {
         let r = tiny_repro();
         let a = Assembly::Tpcw.run(&r);
@@ -379,12 +395,22 @@ mod tests {
 
     #[test]
     fn streaming_and_batch_runs_get_one_verdict() {
-        let r = tiny_repro();
-        let mut sink = whodunit_core::delta::RecordingSink::default();
-        let s = Assembly::Tpcw.run_streaming(&r, CPU_HZ, &mut sink);
-        let b = Assembly::Tpcw.run(&r);
-        assert!(!sink.batches.is_empty(), "the sink saw the epochs");
-        assert_eq!(s.fingerprint, b.fingerprint);
-        assert_eq!(s.violations, b.violations);
+        for a in Assembly::ALL {
+            let mut r = tiny_repro();
+            r.workload = a.workload();
+            r.set_knob("clients", 4);
+            r.set_knob("duration", 8 * CPU_HZ);
+            r.set_knob("warmup", 2 * CPU_HZ);
+            let mut sink = whodunit_core::delta::RecordingSink::default();
+            let s = a.run_streaming(&r, CPU_HZ, &mut sink);
+            let b = a.run(&r);
+            assert!(
+                !sink.batches.is_empty(),
+                "{}: the sink saw the epochs",
+                a.name()
+            );
+            assert_eq!(s.fingerprint, b.fingerprint, "{}", a.name());
+            assert_eq!(s.violations, b.violations, "{}", a.name());
+        }
     }
 }

@@ -248,15 +248,33 @@ fn every_assembly_replays_its_pinned_verdicts() {
     assert_eq!(got, want);
 }
 
+/// The role names are frozen: a repro file names them, so a rename
+/// would make old repros silently fault-free. Each assembly's surface
+/// is pinned here, in the order `space()` lists it.
 #[test]
 fn space_declares_the_faultable_surface() {
-    for a in Assembly::ALL {
-        let s = a.space();
-        assert_eq!(s.channels.len(), 2, "{}", a.name());
-        assert!(s.channels.iter().any(|c| c == "front"), "{}", a.name());
-        assert_eq!(s.crashable.len(), 1);
-        assert_eq!(s.slowable, s.crashable);
-        let duration = a.workload().into_iter().find(|(n, _)| n == "duration");
-        assert_eq!(Some(s.horizon), duration.map(|(_, v)| v), "{}", a.name());
+    let want: &[(&str, [&str; 2], &str, u64, u64)] = &[
+        ("tpcw", ["db", "front"], "mysql", 60 * CPU_HZ, 150_000),
+        ("fanout", ["front", "backbone"], "svc", 30 * CPU_HZ, 100_000),
+        ("pubsub", ["front", "backbone"], "sub", 30 * CPU_HZ, 100_000),
+        (
+            "cachewt",
+            ["front", "backbone"],
+            "store",
+            30 * CPU_HZ,
+            100_000,
+        ),
+    ];
+    let got: Vec<_> = Assembly::ALL.iter().map(|a| a.space()).collect();
+    assert_eq!(got.len(), want.len());
+    for (s, &(name, channels, victim, horizon, ppm)) in got.iter().zip(want) {
+        assert_eq!(s.channels, channels, "{name}");
+        assert_eq!(s.crashable, [victim], "{name}");
+        assert_eq!(s.slowable, [victim], "{name}");
+        assert_eq!(s.horizon, horizon, "{name}");
+        assert_eq!(s.max_fault_ppm, ppm, "{name}");
+        assert_eq!(s.max_delay, CPU_HZ / 50, "{name}");
     }
+    let names: Vec<_> = Assembly::ALL.iter().map(|a| a.name()).collect();
+    assert_eq!(names, want.iter().map(|w| w.0).collect::<Vec<_>>());
 }

@@ -10,7 +10,9 @@
 //!   Exits nonzero if any seed violated an oracle.
 //! - `chaos --replay FILE` re-executes a repro file twice, verifies the
 //!   two executions are bit-identical (equal fingerprints), and checks
-//!   that the recorded violation — if any — re-triggers. Sentinel
+//!   that the recorded violation — if any — re-triggers. A workload
+//!   knob the file does not carry replays at the workload's default
+//!   (TPC-W: 48 clients, a 60 s horizon). Sentinel
 //!   bundles (violation `slo:*`) are re-judged by reconstructing the
 //!   tripped budget from the bundle's `slo_*` knobs and streaming the
 //!   scenario through the sentinel.
