@@ -95,7 +95,10 @@ pub struct LinkVerdict {
 
 impl Default for LinkVerdict {
     fn default() -> Self {
-        LinkVerdict { copies: 1, delay: 0 }
+        LinkVerdict {
+            copies: 1,
+            delay: 0,
+        }
     }
 }
 
@@ -438,7 +441,9 @@ impl Federation {
     /// already out of lockstep keeps the mirror it has.
     fn diverge(&mut self, leaf: usize) {
         let l = &self.leaves[leaf];
-        self.mirrors.entry(leaf).or_insert_with(|| l.accs().to_vec());
+        self.mirrors
+            .entry(leaf)
+            .or_insert_with(|| l.accs().to_vec());
     }
 
     /// The part of a feed that happens whether or not the leaf is up:
@@ -1053,7 +1058,10 @@ pub(crate) mod tests {
         assert!(out.stats.frames_lost > 0 && out.stats.retransmits > 0);
         assert_eq!((out.stats.recoveries, out.stats.input_resyncs), (1, 1));
         assert_eq!(out.stats.missed_batches, 0);
-        assert_eq!(out.coverage_ppm, 1_000_000, "the journal's epochs came back");
+        assert_eq!(
+            out.coverage_ppm, 1_000_000,
+            "the journal's epochs came back"
+        );
         let flat = flat_reference(n);
         assert_eq!(out.output.report.fingerprint(), flat.fingerprint());
     }
@@ -1108,9 +1116,18 @@ pub(crate) mod tests {
             }
             self.n += 1;
             match self.n {
-                1..=4 => LinkVerdict { copies: 0, delay: 0 },
-                n if n % 5 == 0 => LinkVerdict { copies: 2, delay: 0 },
-                n if n % 3 == 0 => LinkVerdict { copies: 1, delay: 7 },
+                1..=4 => LinkVerdict {
+                    copies: 0,
+                    delay: 0,
+                },
+                n if n % 5 == 0 => LinkVerdict {
+                    copies: 2,
+                    delay: 0,
+                },
+                n if n % 3 == 0 => LinkVerdict {
+                    copies: 1,
+                    delay: 7,
+                },
                 _ => LinkVerdict::default(),
             }
         }
@@ -1139,7 +1156,10 @@ pub(crate) mod tests {
             0,
         );
         let out = fed.finalize();
-        assert!(out.stats.frames_lost + out.stats.acks_lost > 0, "plan fired");
+        assert!(
+            out.stats.frames_lost + out.stats.acks_lost > 0,
+            "plan fired"
+        );
         assert!(out.stats.retransmits > 0, "losses forced retries");
         assert_eq!(
             out.stats.frames_sent + out.stats.retransmits + out.stats.acks_sent,

@@ -8,13 +8,12 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use whodunit_core::delta::{
-    apply_frame, repeated_stage, DeltaError, EpochBatch, StageAccumulator, StageDelta,
-    StreamHeader,
+    apply_frame, repeated_stage, DeltaError, EpochBatch, StageAccumulator, StageDelta, StreamHeader,
 };
 use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
-    check_merge, delta_mass, empty_delta, merge_stage_delta, seal_delta, LeafGauges,
-    SummaryFrame, TierSketch,
+    check_merge, delta_mass, empty_delta, merge_stage_delta, seal_delta, LeafGauges, SummaryFrame,
+    TierSketch,
 };
 
 use super::FederationStats;
@@ -673,9 +672,18 @@ mod tests {
             self.0 ^= self.0 >> 7;
             self.0 ^= self.0 << 17;
             match self.0 % 16 {
-                0 | 1 => LinkVerdict { copies: 0, delay: 0 },
-                2 | 3 => LinkVerdict { copies: 2, delay: 0 },
-                r @ 4..=7 => LinkVerdict { copies: 1, delay: r },
+                0 | 1 => LinkVerdict {
+                    copies: 0,
+                    delay: 0,
+                },
+                2 | 3 => LinkVerdict {
+                    copies: 2,
+                    delay: 0,
+                },
+                r @ 4..=7 => LinkVerdict {
+                    copies: 1,
+                    delay: r,
+                },
                 _ => LinkVerdict::default(),
             }
         }
@@ -931,7 +939,10 @@ mod tests {
             vec![front.clone(), unknown_ctx(&db)],
         ] {
             let what = format!("{bad:?}");
-            let (bad, good) = (sealed(vec![bad]), sealed(vec![vec![front.clone(), db.clone()]]));
+            let (bad, good) = (
+                sealed(vec![bad]),
+                sealed(vec![vec![front.clone(), db.clone()]]),
+            );
             let mut root = RootNode::new(&header2(), 1);
             let mut stats = FederationStats::default();
             root.on_frame(0, &bad[0], &mut stats);

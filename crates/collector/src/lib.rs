@@ -71,13 +71,13 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use whodunit_core::cct::{Cct, CctNodeId, Metrics};
-use whodunit_core::hash::FnvHashMap;
 use whodunit_core::crosstalk::{OriginKey, WaitStats};
 use whodunit_core::delta::{
     CctDelta, DeltaError, DeltaSink, EpochBatch, Incoming, IncomingBatch, ResyncSource,
     StageAccumulator, StageDelta, StreamHeader,
 };
 use whodunit_core::frame::FrameId;
+use whodunit_core::hash::FnvHashMap;
 use whodunit_core::pipeline::{analyze, PipelineConfig, PipelineReport};
 use whodunit_core::stitch::{
     ctx_string_into, fold_dump_nodes, walk_origin, StageDump, UnresolvedHead,
@@ -630,8 +630,7 @@ impl Collector {
         let stall = self.cfg.quarantine.stall_epochs;
         if stall > 0 {
             for q in &mut self.quarantine {
-                if !q.halted && !q.stalled && self.epoch.saturating_sub(q.last_progress) >= stall
-                {
+                if !q.halted && !q.stalled && self.epoch.saturating_sub(q.last_progress) >= stall {
                     q.stalled = true;
                     q.stalls += 1;
                     self.stats.stalls += 1;
@@ -852,7 +851,12 @@ impl Collector {
                 .is_some_and(Option::is_some)
             {
                 self.fold_delta(d.stage, c);
-            } else if self.stages[d.stage].bindings.get(c.ctx as usize).copied().flatten().is_some()
+            } else if self.stages[d.stage]
+                .bindings
+                .get(c.ctx as usize)
+                .copied()
+                .flatten()
+                .is_some()
             {
                 self.fold_full(d.stage, c.ctx);
             }
@@ -911,11 +915,7 @@ impl Collector {
         }
         match self.origin_walk(start) {
             Ok(origin) => self.bind(start, origin),
-            Err(u) => self
-                .pending_walks
-                .entry(u.missing)
-                .or_default()
-                .push(start),
+            Err(u) => self.pending_walks.entry(u.missing).or_default().push(start),
         }
     }
 
@@ -947,8 +947,7 @@ impl Collector {
     /// origin's aggregate, creating the node map for later
     /// incremental folds. Called once, when the binding settles.
     fn fold_full(&mut self, si: usize, ctx: u32) {
-        debug_assert!(self
-            .stages[si]
+        debug_assert!(self.stages[si]
             .fold
             .get(ctx as usize)
             .is_none_or(Option::is_none));

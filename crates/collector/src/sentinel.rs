@@ -313,7 +313,8 @@ impl Sentinel {
         }
         if let Some(budget) = self.budget.xt_wait {
             self.xt_scratch.clear();
-            self.xt_scratch.extend(self.window.iter().map(|o| o.xt_wait));
+            self.xt_scratch
+                .extend(self.window.iter().map(|o| o.xt_wait));
             if let Some(est) = quantile_ppm_over(&mut self.xt_scratch, q) {
                 if est > budget {
                     return Some(SloViolation {
@@ -586,7 +587,9 @@ mod tests {
         s.observe(obs(0, 500));
         assert_eq!(s.observe(obs(1, 10)), None);
         assert_eq!(s.observe(obs(2, 10)), None, "window still holds epoch 0");
-        let v = s.observe(obs(3, 10)).expect("3 starved epochs fill the window");
+        let v = s
+            .observe(obs(3, 10))
+            .expect("3 starved epochs fill the window");
         assert_eq!(v.dimension, "starve:db");
         assert!(v.observed < 100 && v.budget == 100);
     }

@@ -38,12 +38,12 @@ use whodunit_collector::federation::{
 };
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::delta::{EpochBatch, RecordingSink, StreamHeader};
+use whodunit_core::ids::ChanId;
 use whodunit_core::oracle::check_federation;
 use whodunit_core::pipeline::{analyze, replicate_fleet, PipelineConfig, PipelineReport};
 use whodunit_core::summary::delta_mass;
 use whodunit_sim::fault::ChannelFaults;
 use whodunit_sim::FaultPlan;
-use whodunit_core::ids::ChanId;
 
 const EPOCH_LEN: u64 = CPU_HZ;
 const STAGGER: u64 = 2;
@@ -59,7 +59,13 @@ const SHAPES: [(&str, usize, &[usize]); 3] = [
 const CADENCES: [(u64, u64); 2] = [(1, 4), (4, 8)];
 
 /// Records one clean scenario's delta stream and end-of-run dumps.
-fn recorded(seed: u64) -> (StreamHeader, Vec<EpochBatch>, Vec<whodunit_core::stitch::StageDump>) {
+fn recorded(
+    seed: u64,
+) -> (
+    StreamHeader,
+    Vec<EpochBatch>,
+    Vec<whodunit_core::stitch::StageDump>,
+) {
     let mut sink = RecordingSink::default();
     let report = run_tpcw_streaming(federation_cfg(seed), EPOCH_LEN, &mut sink);
     (sink.header, sink.batches, report.dumps)
@@ -89,7 +95,10 @@ fn assert_byte_identical(batch: &PipelineReport, fed: &PipelineReport, what: &st
         fed.crosstalk_text(),
         "crosstalk matrix diverged: {what}"
     );
-    assert_eq!(batch.dumps_json, fed.dumps_json, "dump JSON diverged: {what}");
+    assert_eq!(
+        batch.dumps_json, fed.dumps_json,
+        "dump JSON diverged: {what}"
+    );
     assert_eq!(batch.dict, fed.dict, "context dictionary diverged: {what}");
     assert_eq!(
         batch.fingerprint(),
@@ -166,7 +175,10 @@ fn clean_matrix_is_byte_identical_at_every_fan_in() {
                     s.leaf_link_wire_bytes > 0 && s.regional_link_wire_bytes > 0,
                     "a link level carried no wire bytes: {what}"
                 );
-                assert_eq!(s.wire_decode_errors, 0, "clean link frame failed decode: {what}");
+                assert_eq!(
+                    s.wire_decode_errors, 0,
+                    "clean link frame failed decode: {what}"
+                );
             }
         }
     }
@@ -235,7 +247,10 @@ fn lossy_uplinks_heal_through_retransmission() {
     assert!(s.retransmits > 0, "losses never forced a retry");
     assert!(s.dup_frames > 0, "duplicates never reached a receiver");
     // Sent counters are counted at offer time, before the link decides.
-    assert!(s.acks_lost > 0 && s.acks_sent >= s.acks_lost, "acks offered < acks lost");
+    assert!(
+        s.acks_lost > 0 && s.acks_sent >= s.acks_lost,
+        "acks offered < acks lost"
+    );
     assert!(
         s.frames_sent + s.retransmits >= s.frames_lost,
         "frames offered < frames lost"

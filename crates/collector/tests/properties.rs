@@ -256,10 +256,7 @@ fn collect(batches: &[EpochBatch]) -> (CollectorOutput, Tally) {
 }
 
 fn batch_reference(shape: &Shape) -> PipelineReport {
-    analyze(
-        dumps_at(shape, shape.epochs - 1),
-        PipelineConfig::default(),
-    )
+    analyze(dumps_at(shape, shape.epochs - 1), PipelineConfig::default())
 }
 
 fn assert_report_eq(a: &PipelineReport, b: &PipelineReport, what: &str) {
@@ -284,8 +281,7 @@ fn interleave(batches: &[EpochBatch], rot: usize, split: usize) -> Vec<EpochBatc
             deltas.rotate_left(rot % n);
         }
         let chunk = split.clamp(1, deltas.len().max(1));
-        let mut chunks: Vec<Vec<StageDelta>> =
-            deltas.chunks(chunk).map(|c| c.to_vec()).collect();
+        let mut chunks: Vec<Vec<StageDelta>> = deltas.chunks(chunk).map(|c| c.to_vec()).collect();
         if chunks.is_empty() {
             chunks.push(Vec::new());
         }

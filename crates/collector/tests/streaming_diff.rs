@@ -76,7 +76,10 @@ fn assert_byte_identical(batch: &PipelineReport, streamed: &PipelineReport, what
         batch.dumps_json, streamed.dumps_json,
         "dump JSON diverged: {what}"
     );
-    assert_eq!(batch.dict, streamed.dict, "context dictionary diverged: {what}");
+    assert_eq!(
+        batch.dict, streamed.dict,
+        "context dictionary diverged: {what}"
+    );
     assert_eq!(
         batch.fingerprint(),
         streamed.fingerprint(),
@@ -89,7 +92,10 @@ fn assert_byte_identical(batch: &PipelineReport, streamed: &PipelineReport, what
 /// accumulated validates, so no stage was skipped.
 fn assert_dumps_validate(out: &CollectorOutput, what: &str) {
     let warnings = &out.report.warnings;
-    assert!(warnings.is_empty(), "accumulated an invalid dump: {what}: {warnings:?}");
+    assert!(
+        warnings.is_empty(),
+        "accumulated an invalid dump: {what}: {warnings:?}"
+    );
 }
 
 /// Snapshots the matrices must compare in all, per fault plan: at least
@@ -106,7 +112,8 @@ fn run_matrix(faulty: bool) {
 
             // One simulation run, recorded, then replayed.
             let mut sink = RecordingSink::default();
-            let report = run_tpcw_streaming(scenario_cfg(seed, sched, faulty), EPOCH_LEN, &mut sink);
+            let report =
+                run_tpcw_streaming(scenario_cfg(seed, sched, faulty), EPOCH_LEN, &mut sink);
             let batch = analyze(report.dumps, PipelineConfig::default());
             assert!(
                 !batch.profiles.is_empty(),
@@ -188,7 +195,10 @@ fn chunked_run_is_bit_identical_to_unchunked() {
                 batch.tail.compute_truth, streamed.tail.compute_truth,
                 "ground-truth compute diverged: {what}"
             );
-            assert!(sink.batches.len() > 1, "stream collapsed to one batch: {what}");
+            assert!(
+                sink.batches.len() > 1,
+                "stream collapsed to one batch: {what}"
+            );
         }
     }
 }
@@ -423,7 +433,10 @@ fn duplicated_frame_is_dropped_without_resync() {
     assert_eq!(out.stats.quarantined, 0);
     assert_byte_identical(&reference, &out.report, "duplicated frame");
     assert!(
-        out.stats.degraded.iter().any(|m| m.contains("1 duplicates dropped")),
+        out.stats
+            .degraded
+            .iter()
+            .any(|m| m.contains("1 duplicates dropped")),
         "degraded: {:?}",
         out.stats.degraded
     );
@@ -445,7 +458,10 @@ fn reordered_frame_parks_and_heals_without_resync() {
     assert_eq!(out.stats.resyncs, 0, "reorder heals without resync");
     assert_byte_identical(&reference, &out.report, "reordered frame");
     assert!(
-        out.stats.degraded.iter().any(|m| m.contains("1 reordered healed")),
+        out.stats
+            .degraded
+            .iter()
+            .any(|m| m.contains("1 reordered healed")),
         "degraded: {:?}",
         out.stats.degraded
     );
@@ -497,10 +513,16 @@ fn hole_still_open_at_end_of_stream_is_resynced_at_finalize() {
     damaged[bi].deltas.retain(|d| d.stage != stage);
 
     let out = ingest_damaged(&header, &batches, &damaged, CollectorConfig::default());
-    assert_eq!(out.stats.resyncs, 1, "the open hole is loss, not reordering");
+    assert_eq!(
+        out.stats.resyncs, 1,
+        "the open hole is loss, not reordering"
+    );
     assert_byte_identical(&reference, &out.report, "hole open at end of stream");
     assert!(
-        out.stats.degraded.iter().any(|m| m.contains("stage 0 ") && m.contains("1 resync")),
+        out.stats
+            .degraded
+            .iter()
+            .any(|m| m.contains("stage 0 ") && m.contains("1 resync")),
         "degraded: {:?}",
         out.stats.degraded
     );
@@ -544,7 +566,10 @@ fn damage_without_resync_source_halts_the_stage_degraded() {
     assert_eq!(out.stats.quarantined, 1);
     assert_eq!(out.stats.resyncs, 0, "nothing to resync from");
     assert_eq!(out.stats.delta_errors, 0, "the frame named a known stage");
-    assert!(out.stats.dropped_frames >= 1, "follow-up frames are dropped");
+    assert!(
+        out.stats.dropped_frames >= 1,
+        "follow-up frames are dropped"
+    );
     assert_eq!(out.stats.degraded.len(), 1, "{:?}", out.stats.degraded);
     let marker = marker_of(&out, stage);
     assert!(marker.contains("1 corrupt quarantined"), "{marker}");
@@ -647,7 +672,13 @@ fn snapshot_that_does_not_extend_the_state_halts_the_stage() {
     damaged[bi].deltas[di].checksum ^= 1;
 
     let lying = |src| Box::new(LyingResync(src)) as Box<dyn ResyncSource>;
-    let out = ingest_damaged_via(&header, &batches, &damaged, CollectorConfig::default(), lying);
+    let out = ingest_damaged_via(
+        &header,
+        &batches,
+        &damaged,
+        CollectorConfig::default(),
+        lying,
+    );
     assert_eq!(out.stats.quarantined, 1);
     assert_eq!(out.stats.resyncs, 0, "a refused snapshot is not a resync");
     let marker = marker_of(&out, stage);
@@ -714,7 +745,8 @@ fn ingest_wire(
     ccfg: CollectorConfig,
 ) -> (CollectorOutput, u64) {
     let mut c = Collector::new(ccfg);
-    c.start_wire(&encode_header(header)).expect("header frame decodes");
+    c.start_wire(&encode_header(header))
+        .expect("header frame decodes");
     let shared = Rc::new(RefCell::new(RecordedResync::new(header)));
     c.set_resync_source(Box::new(SharedResync(shared.clone())));
     let mut rejected = 0u64;
@@ -768,7 +800,8 @@ fn ingest_clean_wire(
     what: &str,
 ) -> (CollectorOutput, u64) {
     let mut c = Collector::new(CollectorConfig::default());
-    c.start_wire(&encode_header(header)).expect("header frame decodes");
+    c.start_wire(&encode_header(header))
+        .expect("header frame decodes");
     let mut wire_bytes = 0u64;
     for b in batches {
         let f = encode_batch(b);

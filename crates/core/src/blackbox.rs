@@ -207,7 +207,15 @@ impl CommRecorder {
     }
 
     /// Records an application-level recv of a message carrying `tag`.
-    pub fn on_recv(&mut self, at: u64, chan: u32, proc: u32, thread: u32, bytes: u64, tag: CommTag) {
+    pub fn on_recv(
+        &mut self,
+        at: u64,
+        chan: u32,
+        proc: u32,
+        thread: u32,
+        bytes: u64,
+        tag: CommTag,
+    ) {
         let id = self.log.events.len() as CommEventId;
         self.log.events.push(CommEvent {
             id,

@@ -286,7 +286,12 @@ struct ValueIndex {
 
 impl ValueIndex {
     /// Looks up the arena id of `value` (whose stable hash is `hash`).
-    fn get(&self, values: &[TransactionContext], hash: u64, value: &TransactionContext) -> Option<u32> {
+    fn get(
+        &self,
+        values: &[TransactionContext],
+        hash: u64,
+        value: &TransactionContext,
+    ) -> Option<u32> {
         self.find(hash, |id| values[id as usize] == *value)
     }
 
@@ -613,7 +618,8 @@ mod tests {
     fn sample_values(n: u32) -> Vec<TransactionContext> {
         (0..n)
             .map(|i| {
-                let base = TransactionContext::root().append_frame(fid(i % 7), ContextPolicy::default());
+                let base =
+                    TransactionContext::root().append_frame(fid(i % 7), ContextPolicy::default());
                 if i % 3 == 0 {
                     base.append_path(&[fid(i), fid(i + 1)])
                 } else if i % 3 == 1 {

@@ -78,7 +78,10 @@ impl CrosstalkRecorder {
         waited: u64,
         holder_hint: Option<CtxId>,
     ) {
-        let w = self.waiters.slot(ctx.0).get_or_insert_with(WaitStats::default);
+        let w = self
+            .waiters
+            .slot(ctx.0)
+            .get_or_insert_with(WaitStats::default);
         w.count += 1;
         w.total_wait += waited;
         if waited > 0 {
@@ -88,7 +91,10 @@ impl CrosstalkRecorder {
                 p.total_wait += waited;
             }
         }
-        let h = self.holders.slot(lock.0).get_or_insert_with(LockHolders::default);
+        let h = self
+            .holders
+            .slot(lock.0)
+            .get_or_insert_with(LockHolders::default);
         match mode {
             LockMode::Exclusive => h.exclusive = Some((t, ctx)),
             LockMode::Shared => {
@@ -176,17 +182,15 @@ impl CrosstalkMatrix {
     /// origin (stage, context) for display.
     pub fn render(&self, label: &dyn Fn(usize, u32) -> String) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, &|out: &mut String, s, c| out.push_str(&label(s, c)));
+        self.render_into(&mut out, &|out: &mut String, s, c| {
+            out.push_str(&label(s, c))
+        });
         out
     }
 
     /// [`CrosstalkMatrix::render`] writing into any [`Sink`]; `label`
     /// writes an origin's name into the same sink.
-    pub fn render_into<S: Sink + ?Sized>(
-        &self,
-        out: &mut S,
-        label: &dyn Fn(&mut S, usize, u32),
-    ) {
+    pub fn render_into<S: Sink + ?Sized>(&self, out: &mut S, label: &dyn Fn(&mut S, usize, u32)) {
         let stats = |out: &mut S, s: &WaitStats| {
             push_u64(out, s.count);
             out.put(" total ");

@@ -244,11 +244,7 @@ impl StageDelta {
     /// checksum recomputed. Mirrors [`StageDump::with_remapped_proc`]
     /// so a recorded single-fleet stream can be replicated into many
     /// disjoint process-id ranges.
-    pub fn with_remapped_proc(
-        &self,
-        stage: usize,
-        map: &dyn Fn(u32) -> Option<u32>,
-    ) -> StageDelta {
+    pub fn with_remapped_proc(&self, stage: usize, map: &dyn Fn(u32) -> Option<u32>) -> StageDelta {
         let mut d = self.clone();
         d.stage = stage;
         for (raw, _) in &mut d.new_synopses {
@@ -969,12 +965,14 @@ impl StageAccumulator {
             crosstalk_pairs: self
                 .pairs
                 .iter()
-                .map(|(&(waiter, holder), &(count, total_wait))| DumpCrosstalkPair {
-                    waiter,
-                    holder,
-                    count,
-                    total_wait,
-                })
+                .map(
+                    |(&(waiter, holder), &(count, total_wait))| DumpCrosstalkPair {
+                        waiter,
+                        holder,
+                        count,
+                        total_wait,
+                    },
+                )
                 .collect(),
             crosstalk_waiters: self
                 .waiters
@@ -1017,7 +1015,10 @@ pub fn apply_frame(accs: &mut [StageAccumulator], deltas: &[StageDelta]) -> Resu
     for d in deltas {
         let Some(acc) = accs.get(d.stage) else {
             let what = "stage outside the header";
-            return Err(DeltaError::Inconsistent { stage: d.stage, what });
+            return Err(DeltaError::Inconsistent {
+                stage: d.stage,
+                what,
+            });
         };
         acc.check(d, true)?;
     }
@@ -1197,12 +1198,17 @@ pub(crate) mod tests {
         for (frame, why) in [
             (vec![first(0), damaged], "checksum mismatch"),
             (vec![first(0), outside], "stage outside the header"),
-            (vec![first(0), first(1), growth.clone()], "two deltas of one frame"),
+            (
+                vec![first(0), first(1), growth.clone()],
+                "two deltas of one frame",
+            ),
         ] {
             let mut accs = fresh();
             let err = apply_frame(&mut accs, &frame).unwrap_err().to_string();
             assert!(err.contains(why), "{err}");
-            assert!(accs.iter().all(|acc| acc.next_seq() == 0 && acc.frames.is_empty()));
+            assert!(accs
+                .iter()
+                .all(|acc| acc.next_seq() == 0 && acc.frames.is_empty()));
         }
         let mut accs = fresh();
         apply_frame(&mut accs, &[first(1), first(0)]).unwrap();
@@ -1293,7 +1299,10 @@ pub(crate) mod tests {
                 },
                 ATOM,
             ),
-            (|d| d.new_synopses[0].1 = 3, "synopsis minted for an unknown context"),
+            (
+                |d| d.new_synopses[0].1 = 3,
+                "synopsis minted for an unknown context",
+            ),
             (|d| d.new_synopses.push((0x0100_0003, 2)), TWICE),
             (|d| d.new_synopses.push((0x0100_0002, 0)), TWICE),
         ];
@@ -1316,7 +1325,9 @@ pub(crate) mod tests {
     fn remap_proc_tracks_dump_remap() {
         let b = grown_dump();
         let map = |p: u32| if p == 1 { Some(7) } else { None };
-        let d = diff_dump(0, 0, None, &b).unwrap().with_remapped_proc(5, &map);
+        let d = diff_dump(0, 0, None, &b)
+            .unwrap()
+            .with_remapped_proc(5, &map);
         let mut acc = StageAccumulator::new(&StreamStage {
             proc: 7,
             stage_name: "app".into(),

@@ -375,11 +375,7 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Value, StitchError> {
         let start = self.pos;
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit())
-        {
+        while self.b.get(self.pos).is_some_and(|c| c.is_ascii_digit()) {
             self.pos += 1;
         }
         if self

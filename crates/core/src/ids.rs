@@ -136,7 +136,10 @@ mod tests {
         v.slot(9).get_or_insert("nine");
         assert_eq!(v.get(5), Some(&"five"));
         assert_eq!(v.remove(5), Some("five"));
-        assert_eq!(v.iter().collect::<Vec<_>>(), vec![(2, &"two"), (9, &"nine")]);
+        assert_eq!(
+            v.iter().collect::<Vec<_>>(),
+            vec![(2, &"two"), (9, &"nine")]
+        );
     }
 
     #[test]

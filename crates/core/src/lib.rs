@@ -69,7 +69,9 @@ pub mod synopsis;
 pub mod txt;
 pub mod wire;
 
-pub use blackbox::{CommEvent, CommEventId, CommKind, CommLog, CommRecorder, CommTag, CommTruth, TierVisibility};
+pub use blackbox::{
+    CommEvent, CommEventId, CommKind, CommLog, CommRecorder, CommTag, CommTruth, TierVisibility,
+};
 pub use cct::{Cct, CctNodeId, Metrics, SortedWalk};
 pub use context::{ContextAtom, ContextPolicy, ContextTable, CtxId, TransactionContext};
 pub use crosstalk::{CrosstalkMatrix, CrosstalkRecorder, CrosstalkReport, OriginKey, WaitStats};

@@ -836,9 +836,7 @@ mod tests {
             retripped: false,
             ..sound
         };
-        assert!(check_capture(&no_retrip)[0]
-            .to_string()
-            .contains("re-trip"));
+        assert!(check_capture(&no_retrip)[0].to_string().contains("re-trip"));
     }
 
     fn honest_score(asserted: u64, truth: u64, correct: u64) -> InferenceScore {
@@ -877,7 +875,10 @@ mod tests {
         };
         ev.pairs.truth = 80; // claims 85 correct out of 80 true items
         ev.pairs.reported_recall_ppm = ppm(85, 80);
-        ev.pairs.reported_f1_ppm = f1_ppm(ev.pairs.reported_precision_ppm, ev.pairs.reported_recall_ppm);
+        ev.pairs.reported_f1_ppm = f1_ppm(
+            ev.pairs.reported_precision_ppm,
+            ev.pairs.reported_recall_ppm,
+        );
         let v = check_inference(&ev);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind(), "inference-accounting");

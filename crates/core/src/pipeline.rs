@@ -38,8 +38,8 @@ use crate::dumpjson;
 use crate::frame::FrameId;
 use crate::hash::Fnv64;
 use crate::stitch::{
-    fold_dump_nodes, global_frames, global_value, walk_origin, RequestEdge, StageDump,
-    StitchError, UnresolvedEdge,
+    fold_dump_nodes, global_frames, global_value, walk_origin, RequestEdge, StageDump, StitchError,
+    UnresolvedEdge,
 };
 use crate::synopsis::Synopsis;
 use crate::txt::{push_u32, push_u64, push_usize, Sink};
@@ -461,11 +461,8 @@ impl PipelineReport {
 /// (`Synopsis::new`), and remapping never changes a counter.
 pub fn replicate_fleet(dumps: &[StageDump], replicas: usize) -> Vec<StageDump> {
     let g = dumps.len();
-    let proc_index: HashMap<u32, usize> = dumps
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (d.proc, i))
-        .collect();
+    let proc_index: HashMap<u32, usize> =
+        dumps.iter().enumerate().map(|(i, d)| (d.proc, i)).collect();
     let mut fleet = Vec::with_capacity(g * replicas);
     for r in 0..replicas {
         for d in dumps {
@@ -575,20 +572,23 @@ mod tests {
         let rep = analyze(chain_dumps(), PipelineConfig::default());
         // mid's remote ctx came from front; db's from mid, the minter
         // of its chain's *last* synopsis.
-        assert_eq!(rep.edges, vec![
-            RequestEdge {
-                from_stage: 0,
-                from_ctx: 1,
-                to_stage: 1,
-                to_ctx: 1
-            },
-            RequestEdge {
-                from_stage: 1,
-                from_ctx: 1,
-                to_stage: 2,
-                to_ctx: 1
-            },
-        ]);
+        assert_eq!(
+            rep.edges,
+            vec![
+                RequestEdge {
+                    from_stage: 0,
+                    from_ctx: 1,
+                    to_stage: 1,
+                    to_ctx: 1
+                },
+                RequestEdge {
+                    from_stage: 1,
+                    from_ctx: 1,
+                    to_stage: 2,
+                    to_ctx: 1
+                },
+            ]
+        );
         assert!(rep.unresolved.is_empty());
         assert!(rep.warnings.is_empty());
     }
@@ -601,11 +601,14 @@ mod tests {
         dumps.remove(1);
         let rep = analyze(dumps, PipelineConfig::default());
         assert!(rep.edges.is_empty());
-        assert_eq!(rep.unresolved, vec![UnresolvedEdge {
-            to_stage: 1,
-            to_ctx: 1,
-            missing: Synopsis::new(1, 0).0
-        }]);
+        assert_eq!(
+            rep.unresolved,
+            vec![UnresolvedEdge {
+                to_stage: 1,
+                to_ctx: 1,
+                missing: Synopsis::new(1, 0).0
+            }]
+        );
         // The origin walk still finds the true entry stage via the
         // chain head, which front did mint.
         assert_eq!(rep.profiles.len(), 1);
@@ -658,14 +661,17 @@ mod tests {
     fn crosstalk_resolves_to_origins() {
         let rep = analyze(chain_dumps(), PipelineConfig::default());
         // db ctx1's origin is (0,1); db ctx0 is local root (2,0).
-        assert_eq!(rep.matrix.pairs, vec![(
-            (0, 1),
-            (2, 0),
-            WaitStats {
-                count: 4,
-                total_wait: 400
-            }
-        )]);
+        assert_eq!(
+            rep.matrix.pairs,
+            vec![(
+                (0, 1),
+                (2, 0),
+                WaitStats {
+                    count: 4,
+                    total_wait: 400
+                }
+            )]
+        );
         assert_eq!(rep.matrix.waiters.len(), 1);
         assert_eq!(rep.matrix.waiters[0].0, (0, 1));
     }
@@ -675,7 +681,10 @@ mod tests {
         let mut dumps = chain_dumps();
         dumps[1].ccts[0].ctx = 99; // context out of range → invalid
         let rep = analyze(dumps, PipelineConfig::default());
-        assert_eq!(rep.warnings, vec![(1, StitchError::ContextOutOfRange { ctx: 99 })]);
+        assert_eq!(
+            rep.warnings,
+            vec![(1, StitchError::ContextOutOfRange { ctx: 99 })]
+        );
         assert!(rep.stage_valid(0));
         assert!(!rep.stage_valid(1));
         assert!(rep.stage_valid(2));
@@ -683,11 +692,14 @@ mod tests {
         // The skipped stage's mint is unindexed, so the db tier's edge
         // is unresolved; its own remote context is not scanned at all.
         assert!(rep.edges.is_empty());
-        assert_eq!(rep.unresolved, vec![UnresolvedEdge {
-            to_stage: 2,
-            to_ctx: 1,
-            missing: Synopsis::new(1, 0).0
-        }]);
+        assert_eq!(
+            rep.unresolved,
+            vec![UnresolvedEdge {
+                to_stage: 2,
+                to_ctx: 1,
+                missing: Synopsis::new(1, 0).0
+            }]
+        );
         // front's mint is indexed: db's work still files under it.
         assert_eq!(rep.profiles.len(), 1);
         assert_eq!(rep.profiles[0].stages, vec![0, 2]);

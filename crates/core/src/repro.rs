@@ -231,9 +231,8 @@ fn fault_of(v: &Value) -> Result<FaultEntry, StitchError> {
     let [(k, p)] = items.as_slice() else {
         return schema("fault: expected exactly one variant key");
     };
-    let s = |key: &str| -> Result<String, StitchError> {
-        p.field(key)?.as_str(key).map(str::to_owned)
-    };
+    let s =
+        |key: &str| -> Result<String, StitchError> { p.field(key)?.as_str(key).map(str::to_owned) };
     let n = |key: &str| -> Result<u64, StitchError> { p.field(key)?.as_u64(key) };
     match k.as_str() {
         "Drop" => Ok(FaultEntry::Drop {
@@ -275,7 +274,10 @@ pub fn repro_from_json(s: &str) -> Result<ChaosRepro, StitchError> {
             let [name, value] = pair.as_arr("workload pair")? else {
                 return schema("workload pair: expected [name, value]");
             };
-            Ok((name.as_str("knob name")?.to_owned(), value.as_u64("knob value")?))
+            Ok((
+                name.as_str("knob name")?.to_owned(),
+                value.as_u64("knob value")?,
+            ))
         })
         .collect::<Result<_, StitchError>>()?;
     let faults = v

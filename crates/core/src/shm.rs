@@ -177,7 +177,10 @@ const REG_TAG: u64 = 1 << 63;
 fn loc_code(loc: Loc) -> u64 {
     match loc {
         Loc::Mem(a) => {
-            debug_assert!(a & REG_TAG == 0, "memory address collides with the register tag");
+            debug_assert!(
+                a & REG_TAG == 0,
+                "memory address collides with the register tag"
+            );
             a
         }
         Loc::Reg(t, r) => REG_TAG | (u64::from(t.0) << 8) | u64::from(r),
@@ -425,7 +428,13 @@ impl FlowDetector {
     fn cs_enter(&mut self, t: ThreadId, lock: LockId) {
         let ti = t.0 as usize;
         if self.in_cs.len() <= ti {
-            self.in_cs.resize(ti + 1, CsSlot { outer: lock, depth: 0 });
+            self.in_cs.resize(
+                ti + 1,
+                CsSlot {
+                    outer: lock,
+                    depth: 0,
+                },
+            );
         }
         if self.in_cs[ti].depth == 0 {
             self.in_cs[ti].outer = lock;

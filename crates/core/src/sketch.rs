@@ -62,9 +62,7 @@ fn bucket_hi(b: usize) -> u64 {
     // Top of the sub-bucket: next sub-bucket's base minus one. The
     // adds wrap exactly once, at the very top of the u64 range, where
     // the answer is u64::MAX.
-    (1u64 << e)
-        .wrapping_add((sub + 1) << shift)
-        .wrapping_sub(1)
+    (1u64 << e).wrapping_add((sub + 1) << shift).wrapping_sub(1)
 }
 
 /// A fixed-size, mergeable, deterministic quantile sketch over `u64`

@@ -139,11 +139,15 @@ impl DumpNode {
         if i == 0 {
             return Ok(None);
         }
-        let p = self.parent.ok_or(StitchError::NodeWithoutParent { node: i })?;
+        let p = self
+            .parent
+            .ok_or(StitchError::NodeWithoutParent { node: i })?;
         if p as usize >= i {
             return Err(StitchError::ParentOutOfOrder { node: i, parent: p });
         }
-        let f = self.frame.ok_or(StitchError::NodeWithoutFrame { node: i })?;
+        let f = self
+            .frame
+            .ok_or(StitchError::NodeWithoutFrame { node: i })?;
         Ok(Some((p, f)))
     }
 }
@@ -258,7 +262,10 @@ impl fmt::Display for StitchError {
                 write!(f, "cct node {node} is non-root but has no frame")
             }
             StitchError::ParentOutOfOrder { node, parent } => {
-                write!(f, "cct node {node} names parent {parent}, which does not precede it")
+                write!(
+                    f,
+                    "cct node {node} names parent {parent}, which does not precede it"
+                )
             }
             StitchError::ContextOutOfRange { ctx } => {
                 write!(f, "cct labeled with unknown context index {ctx}")
@@ -284,7 +291,12 @@ impl StageDump {
     /// precede its children.
     pub fn rebuild_cct(&self, d: &DumpCct) -> Result<Cct, StitchError> {
         let mut cct = Cct::new();
-        fold_dump_nodes(&mut cct, &mut Vec::with_capacity(d.nodes.len()), &d.nodes, FrameId)?;
+        fold_dump_nodes(
+            &mut cct,
+            &mut Vec::with_capacity(d.nodes.len()),
+            &d.nodes,
+            FrameId,
+        )?;
         Ok(cct)
     }
 

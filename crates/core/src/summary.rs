@@ -50,7 +50,11 @@ pub struct MergeError {
 
 impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "stage {}: cannot merge deltas: {}", self.stage, self.what)
+        write!(
+            f,
+            "stage {}: cannot merge deltas: {}",
+            self.stage, self.what
+        )
     }
 }
 

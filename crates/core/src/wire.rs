@@ -808,7 +808,9 @@ fn read_delta(
         // One CCT per context, sorted by ctx — the rule
         // [`StageAccumulator::apply`] enforces again for struct callers.
         if d.ccts.last().is_some_and(|prev| prev.ctx >= ctx) {
-            return Err(WireError::Malformed("CCT ctx column not strictly increasing"));
+            return Err(WireError::Malformed(
+                "CCT ctx column not strictly increasing",
+            ));
         }
         let mut c = spare.pop().unwrap_or_default();
         c.ctx = ctx;
@@ -877,7 +879,11 @@ fn read_delta(
     for w in &mut d.waiters {
         w.total_wait = r.u64()?;
     }
-    d.piggyback_bytes = if flags & F_PIGGYBACK != 0 { r.u64()? } else { 0 };
+    d.piggyback_bytes = if flags & F_PIGGYBACK != 0 {
+        r.u64()?
+    } else {
+        0
+    };
     d.messages = if flags & F_MESSAGES != 0 { r.u64()? } else { 0 };
     let stored = flags & F_CHECKSUM != 0;
     d.checksum = if stored { r.fixed_u64()? } else { 0 };
@@ -1504,7 +1510,11 @@ mod tests {
         for v in (1000..1100).map(|x| x * 8) {
             w.push(&mut buf, v);
         }
-        assert!(buf.len() <= 2 + 2 + 98, "dod run not compact: {}", buf.len());
+        assert!(
+            buf.len() <= 2 + 2 + 98,
+            "dod run not compact: {}",
+            buf.len()
+        );
     }
 
     #[test]

@@ -167,9 +167,17 @@ mod legacy_stitched {
 /// Cross-validates a pipeline report against the legacy analysis:
 /// `Stitched` edges, and the dump JSON, both texts and the fingerprint
 /// of the read-side oracle.
-fn assert_matches_legacy(dumps: &[StageDump], rep: &whodunit_core::pipeline::PipelineReport, what: &str) {
+fn assert_matches_legacy(
+    dumps: &[StageDump],
+    rep: &whodunit_core::pipeline::PipelineReport,
+    what: &str,
+) {
     let st = Stitched::new(dumps.to_vec());
-    assert_eq!(rep.edges, st.request_edges(), "request edges vs legacy: {what}");
+    assert_eq!(
+        rep.edges,
+        st.request_edges(),
+        "request edges vs legacy: {what}"
+    );
     assert_eq!(
         rep.unresolved,
         st.unresolved_edges(),
@@ -266,7 +274,10 @@ fn faulty_runs_exercise_unresolved_and_warning_paths() {
             break;
         }
     }
-    assert!(any_faults_seen, "fault plans never fired; faulty diff is vacuous");
+    assert!(
+        any_faults_seen,
+        "fault plans never fired; faulty diff is vacuous"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -529,7 +529,13 @@ mod flow_reference {
                     self.flush_if_foreign(dst, lock);
                     match self.dict.get(&src).copied() {
                         Some(e) => {
-                            self.dict.insert(dst, Entry { taint: e.taint, lock });
+                            self.dict.insert(
+                                dst,
+                                Entry {
+                                    taint: e.taint,
+                                    lock,
+                                },
+                            );
                         }
                         None => {
                             if dst.is_mem() || !self.cfg.produce_requires_mem_dst {
@@ -581,8 +587,7 @@ mod flow_reference {
                     st.consumers.insert(t);
                     let disabled = st.disabled;
                     self.check_intersection(e.lock, out);
-                    let now_disabled =
-                        self.locks.get(&e.lock).map(|s| s.disabled).unwrap_or(false);
+                    let now_disabled = self.locks.get(&e.lock).map(|s| s.disabled).unwrap_or(false);
                     if !disabled && !now_disabled {
                         out.push(FlowEvent::Consumed {
                             thread: t,

@@ -6,9 +6,9 @@ use whodunit_core::context::{ContextTable, CtxId};
 use whodunit_core::frame::{shared_frame_table, FrameId};
 use whodunit_core::ids::{LockId, LockMode, ProcId, ThreadId};
 use whodunit_core::ipc::{IpcTracker, RecvKind};
+use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_core::profiler::{Whodunit, WhodunitConfig};
 use whodunit_core::rt::Runtime;
-use whodunit_core::pipeline::{analyze, PipelineConfig};
 use whodunit_core::stitch::{DumpAtom, DumpCct, DumpContext, DumpNode, StageDump};
 use whodunit_core::synopsis::{SynChain, Synopsis, SynopsisTable};
 
@@ -166,7 +166,11 @@ fn stitch_tolerates_dangling_synopses() {
     };
     let rep = analyze(vec![a], PipelineConfig::default());
     assert_eq!(rep.profiles.len(), 1);
-    assert_eq!(rep.profiles[0].origin, (0, 1), "unresolvable chain stays put");
+    assert_eq!(
+        rep.profiles[0].origin,
+        (0, 1),
+        "unresolvable chain stays put"
+    );
     assert!(rep.edges.is_empty());
 }
 

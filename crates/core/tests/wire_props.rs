@@ -26,6 +26,7 @@
 //! `diff_dump`'s output.
 
 use proptest::prelude::*;
+use whodunit_core::delta::CctDelta;
 use whodunit_core::delta::{EpochBatch, Incoming, StageDelta, StreamHeader, StreamStage};
 use whodunit_core::stitch::{
     DumpAtom, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode,
@@ -35,7 +36,6 @@ use whodunit_core::wire::{
     decode_batch, decode_header, decode_summary, encode_batch, encode_header, encode_summary,
     BatchDecoder,
 };
-use whodunit_core::delta::CctDelta;
 
 /// Deterministic xorshift64* stream for structure building.
 struct Rng(u64);
@@ -184,8 +184,7 @@ fn arb_summary(r: &mut Rng) -> SummaryFrame {
                 tier: r.name("tier"),
                 max: r.extreme(),
                 buckets: {
-                    let mut idx: Vec<u32> =
-                        (0..r.below(5)).map(|_| r.below(4096) as u32).collect();
+                    let mut idx: Vec<u32> = (0..r.below(5)).map(|_| r.below(4096) as u32).collect();
                     idx.sort_unstable();
                     idx.dedup();
                     idx.into_iter().map(|i| (i, r.extreme().max(1))).collect()
@@ -373,7 +372,9 @@ fn golden_batch() -> EpochBatch {
             seq: 7,
             new_frames: vec!["main".into(), "handle_req".into()],
             new_contexts: vec![
-                DumpContext { atoms: vec![DumpAtom::Frame(0)].into() },
+                DumpContext {
+                    atoms: vec![DumpAtom::Frame(0)].into(),
+                },
                 DumpContext {
                     atoms: vec![DumpAtom::Path(vec![0, 1]), DumpAtom::Remote(vec![0xABCD])].into(),
                 },
@@ -391,8 +392,17 @@ fn golden_batch() -> EpochBatch {
                 }],
                 grown: vec![(0, 1, 512, 1)],
             }],
-            pairs: vec![DumpCrosstalkPair { waiter: 1, holder: 0, count: 2, total_wait: 300 }],
-            waiters: vec![DumpCrosstalkWaiter { waiter: 1, count: 2, total_wait: 300 }],
+            pairs: vec![DumpCrosstalkPair {
+                waiter: 1,
+                holder: 0,
+                count: 2,
+                total_wait: 300,
+            }],
+            waiters: vec![DumpCrosstalkWaiter {
+                waiter: 1,
+                count: 2,
+                total_wait: 300,
+            }],
             piggyback_bytes: 24,
             messages: 6,
             checksum: 0x0123_4567_89AB_CDEF,

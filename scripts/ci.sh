@@ -202,12 +202,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Formatting of the crates that are rustfmt-clean, so a stray diff
 # fails here instead of riding along in the next change to the file.
-# Still unformatted, the backlog (`cargo fmt --all -- --check -l`):
-# whodunit-core 19 files, whodunit-collector 7, plus examples/, the
-# root tests/ and vendor/. A change that formats one of them adds it
-# here.
-cargo fmt -p whodunit-sim -p whodunit-apps -p whodunit-workload \
-    -p whodunit-report -p whodunit-infer -p whodunit-bench -- --check
+# Still unformatted, the backlog (`cargo fmt --all -- --check -l`,
+# ROADMAP item 6): examples/, the three root tests (end_to_end,
+# golden_collector, golden_federation) and vendor/. A change that
+# formats one of them adds it here.
+cargo fmt -p whodunit-core -p whodunit-collector -p whodunit-sim \
+    -p whodunit-apps -p whodunit-workload -p whodunit-report \
+    -p whodunit-infer -p whodunit-bench -- --check
 
 # Non-test Rust lines per crate, against the last commit. Subtraction
 # PRs quote `scripts/loc.sh <parent rev>` for their net lines; running
