@@ -347,6 +347,7 @@ impl Federation {
         let mut regions = Vec::new();
         for (r, leaf_specs) in topology.iter().enumerate() {
             let mut children = Vec::new();
+            let mut region_stages = Vec::new();
             for (slot, spec) in leaf_specs.iter().enumerate() {
                 let leaf_id = leaves.len() as u32;
                 let mut stages = spec.clone();
@@ -356,10 +357,13 @@ impl Federation {
                     assert!(!owned[gs], "stage {gs} owned by two leaves");
                     owned[gs] = true;
                 }
+                region_stages.extend_from_slice(&stages);
                 leaves.push(LeafNode::new(leaf_id, r, slot, stages, header));
                 children.push(leaf_id);
             }
-            regions.push(RegionalNode::new(r, (n_leaves + r) as u32, children));
+            region_stages.sort_unstable();
+            let src = (n_leaves + r) as u32;
+            regions.push(RegionalNode::new(r, src, children, region_stages));
         }
         assert!(
             owned.iter().all(|&o| o),

@@ -12,8 +12,8 @@ use whodunit_core::delta::{
 };
 use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
-    check_merge, delta_mass, empty_delta, merge_stage_delta, seal_delta, LeafGauges, SummaryFrame,
-    TierSketch,
+    check_merge, delta_mass, empty_delta, merge_owned_delta, merge_stage_delta, IncomingSummary,
+    LeafGauges, SummaryFrame, TierSketch,
 };
 
 use super::FederationStats;
@@ -47,13 +47,16 @@ impl Ledger {
 /// What a node has merged since its last flush: everything it ships
 /// upstream as one sealed [`SummaryFrame`]. A leaf fills it from its
 /// input, a regional from its children's frames; [`Increment::flush`]
-/// seals the frame for both.
-#[derive(Clone, Default)]
+/// seals the frame for both. Per-stage state is indexed by the node's
+/// stage slot: the stage's place in the node's ascending stage list.
+#[derive(Default)]
 pub(super) struct Increment {
-    /// Merged not-yet-flushed delta per global stage.
+    /// Merged not-yet-flushed delta by stage slot: only the stages the
+    /// interval touched, so a node holds no per-stage struct between
+    /// flushes.
     pending: BTreeMap<usize, StageDelta>,
-    /// Next outgoing delta seq per global stage.
-    out_seq: BTreeMap<usize, u64>,
+    /// Next outgoing delta seq per stage slot.
+    out_seq: Vec<u64>,
     /// Change events in the pending deltas.
     events: u64,
     /// Input epoch interval the pending deltas cover.
@@ -66,35 +69,87 @@ pub(super) struct Increment {
     pub(super) ledger: Ledger,
 }
 
+impl Clone for Increment {
+    fn clone(&self) -> Self {
+        let mut c = Increment::default();
+        c.clone_from(self);
+        c
+    }
+
+    /// Field by field, so a checkpoint refills its own lists instead of
+    /// dropping them and allocating new ones. Exhaustive on purpose: a
+    /// new field must decide here how it is copied.
+    fn clone_from(&mut self, src: &Self) {
+        let Increment {
+            pending,
+            out_seq,
+            events,
+            interval,
+            end,
+            sketches,
+            ledger,
+        } = src;
+        self.pending.clone_from(pending);
+        self.out_seq.clone_from(out_seq);
+        self.events = *events;
+        self.interval = *interval;
+        self.end = *end;
+        self.sketches.clone_from(sketches);
+        self.ledger.clone_from(ledger);
+    }
+}
+
 impl Increment {
-    /// Merges the next in-order increment of `d.stage` into the pending
-    /// delta of that stage. The interval's first delta of a stage *is*
-    /// its pending delta — merged into the empty delta, its content
-    /// comes out unchanged, and [`Increment::flush`] restamps its seq
-    /// and checksum — so it moves in, or is cloned once if borrowed.
-    /// Every caller's delta merges: a leaf's is input its accumulators
-    /// took, a regional's comes from a frame [`Increment::admits`].
-    fn absorb_delta(&mut self, d: Cow<'_, StageDelta>) {
-        self.events += d.events();
-        match self.pending.entry(d.stage) {
-            Entry::Vacant(e) => {
-                e.insert(d.into_owned());
-            }
-            Entry::Occupied(e) => merge_stage_delta(e.into_mut(), &d)
-                .expect("contiguous same-stage increments always merge"),
+    /// An empty increment over `slots` stages.
+    fn new(slots: usize) -> Increment {
+        Increment {
+            pending: BTreeMap::new(),
+            out_seq: vec![0; slots],
+            ..Increment::default()
         }
     }
 
-    /// Whether a child frame's `deltas` all merge in: no two name one
-    /// stage, and each carries its stage's next expected seq in
-    /// `in_seq` and composes onto the stage's pending delta (the empty
-    /// delta if there is none). Every delta is checked against the
-    /// state before the frame, so the frame merges whole or not at all.
-    fn admits(&self, deltas: &[StageDelta], in_seq: &BTreeMap<usize, u64>) -> bool {
-        repeated_stage(deltas).is_none()
-            && deltas.iter().all(|d| {
-                let pending = self.pending.get(&d.stage);
-                d.seq == in_seq.get(&d.stage).copied().unwrap_or(0)
+    /// Merges the next in-order increment of the stage in `slot` into
+    /// that stage's pending delta. The interval's first delta of a
+    /// stage *is* its pending delta — merged into the empty delta, its
+    /// content comes out unchanged, and [`Increment::flush`] restamps
+    /// its seq and checksum — so it moves in, or is cloned once if
+    /// borrowed. A later owned delta gives its lists up to the merge
+    /// instead of having them copied. Every caller's delta merges: a
+    /// leaf's is input its accumulators took, a regional's comes from a
+    /// frame [`Increment::admits`].
+    fn absorb_delta(&mut self, slot: usize, d: Cow<'_, StageDelta>) {
+        self.events += d.events();
+        let merges = match (self.pending.entry(slot), d) {
+            (Entry::Vacant(e), d) => {
+                e.insert(d.into_owned());
+                Ok(())
+            }
+            (Entry::Occupied(e), Cow::Borrowed(d)) => merge_stage_delta(e.into_mut(), d),
+            (Entry::Occupied(e), Cow::Owned(mut d)) => merge_owned_delta(e.into_mut(), &mut d),
+        };
+        merges.expect("contiguous same-stage increments always merge");
+    }
+
+    /// Whether a child frame's deltas all merge in: each names one of
+    /// the node's `stages` (ascending) that no other delta of the frame
+    /// names, carries that stage's next expected seq in `in_seq` (by
+    /// slot), holds the checksum its content implies if its frame
+    /// stored one, and composes onto the stage's pending delta (the
+    /// empty delta if there is none). Every delta is checked against
+    /// the state before the frame, so the frame merges whole or not at
+    /// all.
+    fn admits(&self, stages: &[usize], f: &IncomingSummary, in_seq: &[u64]) -> bool {
+        let frame = f.frame();
+        repeated_stage(frame.deltas.iter().map(|d| d.stage)).is_none()
+            && f.deltas().all(|incoming| {
+                let d = incoming.delta();
+                let Ok(slot) = stages.binary_search(&d.stage) else {
+                    return false;
+                };
+                let pending = self.pending.get(&slot);
+                d.seq == in_seq[slot]
+                    && incoming.verify()
                     && check_merge(pending.unwrap_or(&empty_delta(d.stage)), d).is_ok()
             })
     }
@@ -128,28 +183,31 @@ impl Increment {
     }
 
     /// Seals everything merged since the last flush into one frame from
-    /// `src` on `up`. A full spool stalls the flush (the increment keeps
+    /// `src` on `up`, its deltas in slot (stage) order. A full spool
+    /// stalls the flush (the increment keeps
     /// merging: lag, not loss); an interval with no content ships
     /// nothing. A leaf's own gauges, filed under `src`, report the spool
     /// lag as of this flush.
     pub(super) fn flush(&mut self, src: u32, up: &mut Uplink, stats: &mut FederationStats) {
-        if self.interval.is_none() {
+        let Some((first_epoch, last_epoch)) = self.interval else {
             return;
-        }
+        };
         if up.is_full() {
             stats.spool_stalls += 1;
             return;
         }
-        let (first_epoch, last_epoch) = self.interval.take().expect("checked above");
+        self.interval = None;
         self.events = 0;
         let mut deltas = Vec::new();
-        for (gs, d) in std::mem::take(&mut self.pending) {
+        for (slot, mut d) in std::mem::take(&mut self.pending) {
             if d.is_empty() {
                 continue;
             }
-            let seq = self.out_seq.entry(gs).or_insert(0);
-            deltas.push(seal_delta(d, *seq));
+            // `Uplink::seal` computes the checksum.
+            let seq = &mut self.out_seq[slot];
+            d.seq = *seq;
             *seq += 1;
+            deltas.push(d);
         }
         if deltas.is_empty() && self.ledger.mass.values().sum::<u64>() == 0 {
             return;
@@ -157,7 +215,7 @@ impl Increment {
         if let Some(g) = self.ledger.gauges.get_mut(&src) {
             g.lag_frames = up.spool_len() as u64;
         }
-        up.seal(SummaryFrame {
+        let frame = SummaryFrame {
             src,
             seq: 0,
             first_epoch,
@@ -171,7 +229,8 @@ impl Increment {
             leaf_mass: std::mem::take(&mut self.ledger.mass).into_iter().collect(),
             gauges: self.ledger.gauges.iter().map(|(&l, &g)| (l, g)).collect(),
             checksum: 0,
-        });
+        };
+        up.seal(frame);
     }
 }
 
@@ -264,7 +323,7 @@ impl LeafNode {
                 .iter()
                 .map(|&gs| StageAccumulator::new(&header.stages[gs]))
                 .collect(),
-            inc: Increment::default(),
+            inc: Increment::new(stages.len()),
             up: Uplink::default(),
         };
         let (st, ckpt) = (empty_state(), empty_state());
@@ -314,7 +373,7 @@ impl LeafNode {
         let inc = &mut self.st.inc;
         *inc.ledger.mass.entry(self.leaf_id).or_insert(0) += m;
         inc.sketch(&self.names[si]).record(m);
-        inc.absorb_delta(d);
+        inc.absorb_delta(si, d);
     }
 
     /// The slot of global stage `gs` in the owned stage list, if this
@@ -397,7 +456,7 @@ impl LeafNode {
         // Exhaustive on purpose: a new `LeafState` field must decide
         // here how it reaches the checkpoint.
         let LeafState { accs: _, inc, up } = &self.st;
-        self.ckpt.inc = inc.clone();
+        self.ckpt.inc.clone_from(inc);
         self.ckpt.up.clone_from(up);
         #[cfg(test)]
         tests::assert_checkpoint_is_a_clone(self);
@@ -421,7 +480,6 @@ impl LeafNode {
 }
 
 /// Durable (checkpointed) state of one regional aggregator.
-#[derive(Clone)]
 pub(super) struct RegionalState {
     /// The outgoing increment, merged from the children's frames.
     pub(super) inc: Increment,
@@ -429,8 +487,33 @@ pub(super) struct RegionalState {
     pub(super) up: Uplink,
     /// Per-child receive state.
     pub(super) rx: Vec<RxState>,
-    /// Next expected incoming per-stage delta seq.
-    in_seq: BTreeMap<usize, u64>,
+    /// Next expected incoming delta seq per stage slot.
+    in_seq: Vec<u64>,
+}
+
+impl Clone for RegionalState {
+    fn clone(&self) -> Self {
+        RegionalState {
+            inc: self.inc.clone(),
+            up: self.up.clone(),
+            rx: self.rx.clone(),
+            in_seq: self.in_seq.clone(),
+        }
+    }
+
+    /// Field by field, so a checkpoint refills its own lists.
+    fn clone_from(&mut self, src: &Self) {
+        let RegionalState {
+            inc,
+            up,
+            rx,
+            in_seq,
+        } = src;
+        self.inc.clone_from(inc);
+        self.up.clone_from(up);
+        self.rx.clone_from(rx);
+        self.in_seq.clone_from(in_seq);
+    }
 }
 
 pub(super) struct RegionalNode {
@@ -438,6 +521,8 @@ pub(super) struct RegionalNode {
     pub(super) src: u32,
     /// Leaf ids of the children, by slot.
     pub(super) children: Vec<u32>,
+    /// The stages the children own, ascending: the stage slots.
+    stages: Vec<usize>,
     pub(super) st: RegionalState,
     ckpt: RegionalState,
     pub(super) snd: Sender,
@@ -445,18 +530,25 @@ pub(super) struct RegionalNode {
 }
 
 impl RegionalNode {
-    /// Region `region_id`, sending as `src`, over the leaves `children`.
-    pub(super) fn new(region_id: usize, src: u32, children: Vec<u32>) -> RegionalNode {
+    /// Region `region_id`, sending as `src`, over the leaves `children`,
+    /// which own `stages` (ascending).
+    pub(super) fn new(
+        region_id: usize,
+        src: u32,
+        children: Vec<u32>,
+        stages: Vec<usize>,
+    ) -> RegionalNode {
         let st = RegionalState {
-            inc: Increment::default(),
+            inc: Increment::new(stages.len()),
             up: Uplink::default(),
             rx: children.iter().map(|_| RxState::default()).collect(),
-            in_seq: BTreeMap::new(),
+            in_seq: vec![0; stages.len()],
         };
         RegionalNode {
             region_id,
             src,
             children,
+            stages,
             snd: Sender::restart(&st.up, 0),
             ckpt: st.clone(),
             st,
@@ -474,24 +566,38 @@ impl RegionalNode {
         bytes: &[u8],
         stats: &mut FederationStats,
     ) -> Option<u64> {
+        let RegionalNode { stages, st, .. } = self;
         let RegionalState {
             inc, rx, in_seq, ..
-        } = &mut self.st;
+        } = st;
         rx[slot].receive(bytes, AckMode::OnCheckpoint, stats, |f, stats| {
             // A frame that does not merge whole is refused whole, and
             // the per-link seq does not advance: the sender retries
             // until the deadline marks the subtree degraded.
-            if !inc.admits(&f.deltas, in_seq) {
+            if !inc.admits(stages, &f, in_seq) {
                 stats.rejected_frames += 1;
                 return false;
             }
-            let mut f = Arc::unwrap_or_clone(f);
-            for d in std::mem::take(&mut f.deltas) {
-                *in_seq.entry(d.stage).or_insert(0) += 1;
-                inc.absorb_delta(Cow::Owned(d));
-            }
-            inc.fold_freight(&f);
             stats.frames_delivered += 1;
+            let mut absorb = |d: Cow<'_, StageDelta>| {
+                let si = stages.binary_search(&d.stage).expect("admitted");
+                in_seq[si] += 1;
+                inc.absorb_delta(si, d)
+            };
+            // A frame a checkpoint still holds merges borrowed; any
+            // other moves its deltas in.
+            match Arc::try_unwrap(f) {
+                Ok(f) => {
+                    let mut f = f.into_frame();
+                    f.deltas.drain(..).for_each(|d| absorb(Cow::Owned(d)));
+                    inc.fold_freight(&f);
+                }
+                Err(shared) => {
+                    let f = shared.frame();
+                    f.deltas.iter().for_each(|d| absorb(Cow::Borrowed(d)));
+                    inc.fold_freight(f);
+                }
+            }
             true
         })
     }
@@ -507,14 +613,14 @@ impl RegionalNode {
             .zip(&self.children)
             .filter_map(|(rx, &leaf)| Some((leaf as usize, rx.checkpointed()?)))
             .collect();
-        self.ckpt = self.st.clone();
+        self.ckpt.clone_from(&self.st);
         self.snd.checkpointed(&self.st.up);
         stats.checkpoints += 1;
         acks
     }
 
     pub(super) fn recover(&mut self, now: u64) {
-        self.st = self.ckpt.clone();
+        self.st.clone_from(&self.ckpt);
         self.snd = Sender::restart(&self.st.up, now);
         self.alive = true;
     }
@@ -557,10 +663,11 @@ impl RootNode {
         }
     }
 
-    /// Applies each frame whole or refuses it whole ([`apply_frame`]);
-    /// only an applied frame counts in the ledger. The root acks
-    /// immediately on apply: it is the durable terminus of the tree
-    /// (root crashes are out of scope).
+    /// Applies each frame whole or refuses it whole ([`apply_frame`]),
+    /// each delta under the check its decoder vouched for; only an
+    /// applied frame counts in the ledger. The root acks immediately on
+    /// apply: it is the durable terminus of the tree (root crashes are
+    /// out of scope).
     pub(super) fn on_frame(
         &mut self,
         slot: usize,
@@ -576,16 +683,17 @@ impl RootNode {
             frames_applied,
         } = self;
         rx[slot].receive(bytes, AckMode::Immediate, stats, |f, stats| {
-            if apply_frame(accs, &f.deltas).is_err() {
+            if apply_frame(accs, f.deltas()).is_err() {
                 stats.rejected_frames += 1;
                 return false;
             }
-            *applied_mass += f.deltas.iter().map(delta_mass).sum::<u64>();
-            ledger.fold(&f);
-            *max_epoch = (*max_epoch).max(f.last_epoch);
+            let frame = f.frame();
+            *applied_mass += frame.deltas.iter().map(delta_mass).sum::<u64>();
+            ledger.fold(frame);
+            *max_epoch = (*max_epoch).max(frame.last_epoch);
             *frames_applied += 1;
             stats.frames_delivered += 1;
-            stats.root_events_applied += f.events();
+            stats.root_events_applied += frame.events();
             true
         })
     }
@@ -711,7 +819,7 @@ mod tests {
         snd.checkpointed(&up);
         let mut stats = FederationStats::default();
         let sent = snd.pump(&up, 1, &mut stats);
-        let mut r = RegionalNode::new(0, 1, vec![0]);
+        let mut r = RegionalNode::new(0, 1, vec![0], vec![0]);
 
         // Seq 0 is late: 1 and 2 park, and the checkpoint copies
         // pointers to them.
@@ -899,7 +1007,7 @@ mod tests {
             vec![clean[2].clone(), clean[2].clone()],
         ]);
         let good = sealed(clean.iter().map(|d| vec![d.clone()]).collect());
-        let mut r = RegionalNode::new(0, 1, vec![0]);
+        let mut r = RegionalNode::new(0, 1, vec![0], vec![0]);
         let mut stats = FederationStats::default();
         r.on_frame(0, &bad[0], &mut stats);
         for (i, frame) in bad.iter().enumerate().skip(1) {
@@ -910,9 +1018,9 @@ mod tests {
             assert_eq!(stats.rejected_frames, 2 * i as u64, "frame {i} refused");
             assert_eq!(stats.dup_frames, 0, "frame {i}: the link seq moved");
             assert_eq!(r.st.inc.pending, merged, "frame {i} merged in part");
-            assert_eq!(r.st.in_seq[&0], i as u64);
+            assert_eq!(r.st.in_seq[0], i as u64);
             r.on_frame(0, &good[i], &mut stats);
-            assert_eq!(r.st.in_seq[&0], i as u64 + 1);
+            assert_eq!(r.st.in_seq[0], i as u64 + 1);
         }
         assert_eq!(stats.frames_delivered, 3);
         let mut want = clean[0].clone();
@@ -920,6 +1028,43 @@ mod tests {
             merge_stage_delta(&mut want, d).unwrap();
         }
         assert_eq!(r.st.inc.pending[&0], want);
+    }
+
+    /// A delta whose stored checksum its content does not imply passes
+    /// the frame's end-to-end check, which folds in the stored value,
+    /// so only the receiver's own comparison can catch it. The regional
+    /// refuses the frame whole, as the root does, instead of merging
+    /// the delta and sealing the damage away at its next flush; the
+    /// clean frame at that seq is taken after it.
+    #[test]
+    fn a_stored_bad_delta_checksum_is_refused_at_the_regional_and_the_root() {
+        let clean = batches_for(0, 0, "front", 1).remove(0).deltas.remove(0);
+        let bytes = |d: StageDelta| {
+            let frame = SummaryFrame {
+                leaf_mass: vec![(0, delta_mass(&d))],
+                deltas: vec![d],
+                ..SummaryFrame::default()
+            };
+            whodunit_core::wire::encode_summary(&frame.seal())
+        };
+        let mut damaged = clean.clone();
+        damaged.checksum ^= 1;
+        let (bad, good) = (bytes(damaged), bytes(clean));
+        let mut r = RegionalNode::new(0, 1, vec![0], vec![0]);
+        let mut root = RootNode::new(&header2(), 1);
+        let (mut rs, mut ts) = (FederationStats::default(), FederationStats::default());
+        r.on_frame(0, &bad, &mut rs);
+        root.on_frame(0, &bad, &mut ts);
+        for s in [&rs, &ts] {
+            let counts = (s.rejected_frames, s.corrupt_frames, s.frames_delivered);
+            assert_eq!(counts, (1, 0, 0), "{s:?}");
+        }
+        assert_eq!((r.st.inc.events, r.st.in_seq[0]), (0, 0));
+        assert_eq!(root.applied_mass, 0);
+        r.on_frame(0, &good, &mut rs);
+        root.on_frame(0, &good, &mut ts);
+        assert_eq!((rs.frames_delivered, ts.frames_delivered), (1, 1));
+        assert_eq!(r.st.in_seq[0], 1);
     }
 
     /// A frame the root refuses leaves no trace in its accounting: not
@@ -1072,7 +1217,7 @@ mod tests {
                 damage(&mut bad[fi], kind, param);
             }
             let (bad, clean) = (sealed(bad), sealed(clean));
-            let mut r = RegionalNode::new(0, 1, vec![0]);
+            let mut r = RegionalNode::new(0, 1, vec![0], vec![0, 1, 2]);
             let (mut root, mut root2) = (RootNode::new(&header, 1), RootNode::new(&header, 1));
             let mut rs = FederationStats::default();
             let (mut s1, mut s2) = (rs.clone(), rs.clone());

@@ -2,7 +2,7 @@
 //! once for every level of the tree (DESIGN.md §13).
 //!
 //! A link carries exactly one thing: the sealed wire frame
-//! ([`whodunit_core::wire::encode_summary`] bytes). The sending node
+//! ([`whodunit_core::wire::seal_summary`] bytes). The sending node
 //! seals and encodes a [`SummaryFrame`] once, when it flushes
 //! ([`Uplink::seal`]); from then on the spool, checkpoints, first
 //! transmissions, go-back-N retransmits and the fabric's duplicates all
@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use whodunit_core::summary::SummaryFrame;
+use whodunit_core::summary::{IncomingSummary, SummaryFrame};
 use whodunit_core::wire;
 
 use crate::federation::FederationStats;
@@ -44,8 +44,9 @@ pub(crate) const PARK_MAX: usize = 8;
 /// pending increment keeps merging — lag, not loss).
 pub(crate) const SPOOL_MAX: usize = 64;
 
-/// A sealed summary frame in the only form a link holds it.
-pub(crate) type WireFrame = Arc<[u8]>;
+/// A sealed summary frame in the only form a link holds it: the
+/// encoder's own buffer, shared.
+pub(crate) type WireFrame = Arc<Vec<u8>>;
 
 /// Durable (checkpointed) sender state of one uplink.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -58,20 +59,25 @@ pub(crate) struct Uplink {
     spool_events: u64,
     /// Frames `< acked` are acknowledged and discarded.
     acked: u64,
+    /// Bytes of the largest frame sealed so far: the size each frame's
+    /// buffer is allocated at, so a frame is encoded without regrowing.
+    frame_bytes: usize,
 }
 
 impl Uplink {
-    /// Stamps the link sequence number on `f`, seals it, encodes it —
-    /// the one wire encode of the frame's life — and spools the bytes.
-    /// The caller's `seq` and `checksum` are overwritten.
+    /// Stamps the link sequence number on `f`, seals it and its deltas
+    /// and encodes it ([`wire::seal_summary`]: the one wire encode of
+    /// the frame's life, and the one hash of each delta's content at
+    /// this hop), and spools the encoder's buffer.
     pub(crate) fn seal(&mut self, mut f: SummaryFrame) {
         f.seq = self.next_seq;
-        let f = f.seal();
+        let mut bytes = Vec::with_capacity(self.frame_bytes.max(256));
+        wire::seal_summary(&mut f, &mut bytes);
+        self.frame_bytes = self.frame_bytes.max(bytes.len());
         let events = f.events();
         self.next_seq += 1;
         self.spool_events += events;
-        self.spool
-            .push_back((events, wire::encode_summary(&f).into()));
+        self.spool.push_back((events, Arc::new(bytes)));
     }
 
     /// Whether the spool is at [`SPOOL_MAX`]: the node must not flush
@@ -192,7 +198,7 @@ pub(crate) struct RxState {
     ack_gate: u64,
     /// Bounded reorder buffer, keyed by frame seq. Shared, so a
     /// checkpoint of this state copies pointers, not frames.
-    parked: BTreeMap<u64, Arc<SummaryFrame>>,
+    parked: BTreeMap<u64, Arc<IncomingSummary>>,
     parked_events: u64,
 }
 
@@ -218,7 +224,7 @@ impl RxState {
         bytes: &[u8],
         mode: AckMode,
         stats: &mut FederationStats,
-        mut accept: impl FnMut(Arc<SummaryFrame>, &mut FederationStats) -> bool,
+        mut accept: impl FnMut(Arc<IncomingSummary>, &mut FederationStats) -> bool,
     ) -> Option<u64> {
         let Ok(open) = wire::open_summary(bytes) else {
             stats.wire_decode_errors += 1;
@@ -236,13 +242,13 @@ impl RxState {
             stats.wire_decode_errors += 1;
             return None;
         };
-        if !f.verify() {
+        if !f.frame().verify() {
             stats.corrupt_frames += 1;
             return None;
         }
         if seq > self.expected {
             if self.parked.len() < PARK_MAX {
-                self.parked_events += f.events();
+                self.parked_events += f.frame().events();
                 self.parked.insert(seq, Arc::new(f));
             } else {
                 stats.park_overflow += 1;
@@ -252,7 +258,7 @@ impl RxState {
         if accept(Arc::new(f), stats) {
             self.expected += 1;
             while let Some(n) = self.parked.remove(&self.expected) {
-                self.parked_events = self.parked_events.saturating_sub(n.events());
+                self.parked_events = self.parked_events.saturating_sub(n.frame().events());
                 if !accept(n, stats) {
                     break;
                 }
@@ -286,7 +292,7 @@ impl RxState {
 
     /// The parked frames, by seq.
     #[cfg(test)]
-    pub(crate) fn parked_frames(&self) -> impl Iterator<Item = &Arc<SummaryFrame>> {
+    pub(crate) fn parked_frames(&self) -> impl Iterator<Item = &Arc<IncomingSummary>> {
         self.parked.values()
     }
 }
@@ -363,7 +369,7 @@ mod tests {
             let accepted = &mut self.accepted;
             self.rx
                 .receive(bytes, self.mode, &mut self.stats, |f, stats| {
-                    accepted.push(f.seq);
+                    accepted.push(f.frame().seq);
                     stats.frames_delivered += 1;
                     true
                 })

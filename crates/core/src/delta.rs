@@ -285,7 +285,9 @@ impl EpochBatch {
 /// the canonical value is *implied*: hashing the content to fill the
 /// field in and hashing it again to compare the field with itself
 /// proves nothing, and [`StageAccumulator::apply_unsealed`] does
-/// neither. Holding one is the vouch that this is the case, and only
+/// neither (a summary frame's deltas have the field filled in, as the
+/// frame's own checksum folds it in, and are still not compared).
+/// Holding one is the vouch that this is the case, and only
 /// the wire decoder — which saw the frame — can make one; a struct
 /// anybody else holds goes through [`StageAccumulator::apply`] and has
 /// its stored checksum compared.
@@ -301,11 +303,31 @@ pub enum Incoming<'a> {
     /// of a frame that stored any checksum.
     Sealed(&'a StageDelta),
     /// A delta the wire decoder vouches for. Its `checksum` field is a
-    /// placeholder.
+    /// placeholder in a batch, and the implied value in a summary frame
+    /// ([`crate::summary::IncomingSummary`]); it is never compared.
     Unsealed(Unsealed<'a>),
 }
 
 impl<'a> Incoming<'a> {
+    /// `d` as a decoder that read it vouches for it: unsealed when its
+    /// frame stored no checksum.
+    pub(crate) fn vouched(d: &'a StageDelta, unsealed: bool) -> Self {
+        if unsealed {
+            Incoming::Unsealed(Unsealed(d))
+        } else {
+            Incoming::Sealed(d)
+        }
+    }
+
+    /// Whether the delta's checksum matches its content: compared for
+    /// a sealed delta, implied for an unsealed one.
+    pub fn verify(self) -> bool {
+        match self {
+            Incoming::Sealed(d) => d.compute_checksum() == d.checksum,
+            Incoming::Unsealed(_) => true,
+        }
+    }
+
     /// The delta's content.
     pub fn delta(self) -> &'a StageDelta {
         match self {
@@ -367,13 +389,10 @@ impl IncomingBatch {
     /// The deltas, each under the `apply` it is due.
     pub fn deltas(&self) -> impl Iterator<Item = Incoming<'_>> {
         let unsealed = self.unsealed;
-        self.batch.deltas.iter().map(move |d| {
-            if unsealed {
-                Incoming::Unsealed(Unsealed(d))
-            } else {
-                Incoming::Sealed(d)
-            }
-        })
+        self.batch
+            .deltas
+            .iter()
+            .map(move |d| Incoming::vouched(d, unsealed))
     }
 
     /// The plain struct batch, implied checksums filled in.
@@ -989,9 +1008,15 @@ impl StageAccumulator {
     }
 }
 
-/// The lowest stage two of `deltas` name, if any two name one.
-pub fn repeated_stage(deltas: &[StageDelta]) -> Option<usize> {
-    let mut stages: Vec<usize> = deltas.iter().map(|d| d.stage).collect();
+/// The lowest stage two of a frame's deltas name, if any two name one.
+/// A sender lists its deltas by ascending stage, which settles it with
+/// no copy; any other order is sorted first.
+pub fn repeated_stage(stages: impl Iterator<Item = usize> + Clone) -> Option<usize> {
+    let mut ascending = stages.clone().zip(stages.clone().skip(1));
+    if ascending.all(|(a, b)| a < b) {
+        return None;
+    }
+    let mut stages: Vec<usize> = stages.collect();
     stages.sort_unstable();
     stages.windows(2).find_map(|w| match *w {
         [a, b] if a == b => Some(a),
@@ -1002,17 +1027,24 @@ pub fn repeated_stage(deltas: &[StageDelta]) -> Option<usize> {
 /// Applies one frame's `deltas` to `accs`, the accumulators of every
 /// header stage indexed by stage, whole or not at all. The frame is
 /// refused before anything mutates if a delta names a stage outside
-/// the header, two deltas name one stage, or any delta fails
-/// [`StageAccumulator::apply`]'s checks. With every stage named once,
-/// checking each delta against the state before the frame is checking
-/// it as `apply` would, one delta at a time.
+/// the header, two deltas name one stage, or any delta fails the checks
+/// of the `apply` it is due ([`Incoming::apply_to`]). With every stage
+/// named once, checking each delta against the state before the frame
+/// is checking it as `apply` would, one delta at a time.
 #[deny(clippy::indexing_slicing)]
-pub fn apply_frame(accs: &mut [StageAccumulator], deltas: &[StageDelta]) -> Result<(), DeltaError> {
-    if let Some(stage) = repeated_stage(deltas) {
+pub fn apply_frame<'a>(
+    accs: &mut [StageAccumulator],
+    deltas: impl Iterator<Item = Incoming<'a>> + Clone,
+) -> Result<(), DeltaError> {
+    if let Some(stage) = repeated_stage(deltas.clone().map(|d| d.delta().stage)) {
         let what = "two deltas of one frame name the stage";
         return Err(DeltaError::Inconsistent { stage, what });
     }
-    for d in deltas {
+    for d in deltas.clone() {
+        let (d, stored_checksum) = match d {
+            Incoming::Sealed(d) => (d, true),
+            Incoming::Unsealed(Unsealed(d)) => (d, false),
+        };
         let Some(acc) = accs.get(d.stage) else {
             let what = "stage outside the header";
             return Err(DeltaError::Inconsistent {
@@ -1020,10 +1052,10 @@ pub fn apply_frame(accs: &mut [StageAccumulator], deltas: &[StageDelta]) -> Resu
                 what,
             });
         };
-        acc.check(d, true)?;
+        acc.check(d, stored_checksum)?;
     }
     // Every stage was checked in range above.
-    for d in deltas {
+    for d in deltas.map(Incoming::delta) {
         if let Some(acc) = accs.get_mut(d.stage) {
             acc.commit(d);
         }
@@ -1204,15 +1236,18 @@ pub(crate) mod tests {
             ),
         ] {
             let mut accs = fresh();
-            let err = apply_frame(&mut accs, &frame).unwrap_err().to_string();
+            let err = apply_frame(&mut accs, frame.iter().map(Incoming::Sealed));
+            let err = err.unwrap_err().to_string();
             assert!(err.contains(why), "{err}");
             assert!(accs
                 .iter()
                 .all(|acc| acc.next_seq() == 0 && acc.frames.is_empty()));
         }
         let mut accs = fresh();
-        apply_frame(&mut accs, &[first(1), first(0)]).unwrap();
-        apply_frame(&mut accs, &[growth]).unwrap();
+        let mut sealed =
+            |frame: &[StageDelta]| apply_frame(&mut accs, frame.iter().map(Incoming::Sealed));
+        sealed(&[first(1), first(0)]).unwrap();
+        sealed(&[growth]).unwrap();
         assert_eq!((accs[0].to_dump(), accs[1].to_dump()), (a, b));
     }
 

@@ -33,9 +33,11 @@
 //! mass (the root's coverage accounting), and per-leaf lag/health
 //! gauges ([`LeafGauges`]) for the topology view.
 
-use crate::delta::{CctDelta, StageDelta};
+use crate::delta::{CctDelta, Incoming, StageDelta};
 use crate::hash::FnvLanes;
 use crate::sketch::QuantileSketch;
+use crate::stitch::{DumpCrosstalkPair, DumpCrosstalkWaiter};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -125,83 +127,98 @@ pub fn check_merge(acc: &StageDelta, next: &StageDelta) -> Result<(), MergeError
 /// not compose leaves `acc` untouched and fails here instead of
 /// corrupting an upstream accumulator.
 ///
+/// Every diff emits its keyed lists (CCTs by context, growth rows by
+/// node, crosstalk by key) strictly ascending, so each merges in place
+/// in one linear pass. A list out of order or repeating a key can only
+/// be outside data, and takes the general rules the linear pass agrees
+/// with on sorted input: CCTs merge-joined in list order, growth rows
+/// placed one at a time, crosstalk summed through a `BTreeMap` (a key
+/// `acc` repeats keeps its last row, a key `next` repeats sums).
+///
 /// `acc`'s `stage` and `seq` are preserved and its `checksum` is left
-/// **unset** (zero): the emitter stamps the outgoing sequence number
-/// and recomputes the checksum once per frame (see
-/// [`seal_delta`]), not once per merged epoch.
+/// **unset** (zero): the sender stamps the outgoing sequence number and
+/// seals the checksum once per frame ([`crate::wire::seal_summary`]),
+/// not once per merged epoch.
 #[deny(clippy::indexing_slicing)]
 pub fn merge_stage_delta(acc: &mut StageDelta, next: &StageDelta) -> Result<(), MergeError> {
     check_merge(acc, next)?;
-    acc.new_frames.extend(next.new_frames.iter().cloned());
-    acc.new_contexts.extend(next.new_contexts.iter().cloned());
-    acc.new_synopses.extend(next.new_synopses.iter().copied());
+    acc.new_frames.extend_from_slice(&next.new_frames);
+    acc.new_contexts.extend_from_slice(&next.new_contexts);
+    merge_ccts(&mut acc.ccts, &mut Copied(&next.ccts));
+    merge_rows(acc, next);
+    Ok(())
+}
 
-    // CCTs: both lists are sorted by ctx; merge-join.
-    let mut merged = Vec::with_capacity(acc.ccts.len() + next.ccts.len());
-    let mut ai = std::mem::take(&mut acc.ccts).into_iter().peekable();
-    for n in &next.ccts {
-        while let Some(a) = ai.next_if(|a| a.ctx < n.ctx) {
+/// [`merge_stage_delta`] for a caller that owns `next` and is done
+/// with it: its frame names, contexts and the CCT increments of
+/// contexts `acc` does not hold move into `acc` instead of being
+/// copied. What is left of `next` is spare storage, its content
+/// unspecified; a refused merge leaves both untouched.
+#[deny(clippy::indexing_slicing)]
+pub fn merge_owned_delta(acc: &mut StageDelta, next: &mut StageDelta) -> Result<(), MergeError> {
+    check_merge(acc, next)?;
+    acc.new_frames.append(&mut next.new_frames);
+    acc.new_contexts.append(&mut next.new_contexts);
+    merge_ccts(&mut acc.ccts, &mut Moved(&mut next.ccts));
+    merge_rows(acc, next);
+    Ok(())
+}
+
+/// The rest of a merge, which copies plain rows: synopsis mints,
+/// crosstalk sums and the counters. Unsets the checksum.
+fn merge_rows(acc: &mut StageDelta, next: &StageDelta) {
+    acc.new_synopses.extend_from_slice(&next.new_synopses);
+    let pair = |p: &DumpCrosstalkPair| (p.waiter, p.holder);
+    let add_pair = |a: &mut DumpCrosstalkPair, n: &DumpCrosstalkPair| {
+        a.count += n.count;
+        a.total_wait += n.total_wait;
+    };
+    if !merge_sorted(&mut acc.pairs, &mut Copied(&next.pairs), pair, add_pair) {
+        sum_by_key(&mut acc.pairs, &next.pairs, pair, add_pair);
+    }
+    let waiter = |w: &DumpCrosstalkWaiter| w.waiter;
+    let add_waiter = |a: &mut DumpCrosstalkWaiter, n: &DumpCrosstalkWaiter| {
+        a.count += n.count;
+        a.total_wait += n.total_wait;
+    };
+    if !merge_sorted(
+        &mut acc.waiters,
+        &mut Copied(&next.waiters),
+        waiter,
+        add_waiter,
+    ) {
+        sum_by_key(&mut acc.waiters, &next.waiters, waiter, add_waiter);
+    }
+    acc.piggyback_bytes += next.piggyback_bytes;
+    acc.messages += next.messages;
+    acc.checksum = 0;
+}
+
+/// Composes `next`'s CCT increments into `acc`'s, context by context.
+#[deny(clippy::indexing_slicing)]
+fn merge_ccts(acc: &mut Vec<CctDelta>, next: &mut impl Rows<CctDelta>) {
+    if merge_sorted(acc, next, |c| c.ctx, compose_cct) {
+        return;
+    }
+    // A list out of order: merge-join in list order into a new list.
+    let mut merged = Vec::with_capacity(acc.len() + next.rows().len());
+    let mut ai = std::mem::take(acc).into_iter().peekable();
+    for j in 0..next.rows().len() {
+        let Some(n) = next.rows().get(j) else { break };
+        let ctx = n.ctx;
+        while let Some(a) = ai.next_if(|a| a.ctx < ctx) {
             merged.push(a);
         }
-        match ai.next_if(|a| a.ctx == n.ctx) {
+        match ai.next_if(|a| a.ctx == ctx) {
             Some(mut a) => {
                 compose_cct(&mut a, n);
                 merged.push(a);
             }
-            None => merged.push(n.clone()),
+            None => merged.extend(next.take(j)),
         }
     }
     merged.extend(ai);
-    acc.ccts = merged;
-
-    // Crosstalk: keyed monotone sums; rebuild sorted via BTreeMap so
-    // the merged delta matches what a single longer diff would emit.
-    let mut pairs: BTreeMap<(u32, u32), (u64, u64)> = acc
-        .pairs
-        .drain(..)
-        .map(|p| ((p.waiter, p.holder), (p.count, p.total_wait)))
-        .collect();
-    for p in &next.pairs {
-        let e = pairs.entry((p.waiter, p.holder)).or_insert((0, 0));
-        e.0 += p.count;
-        e.1 += p.total_wait;
-    }
-    acc.pairs = pairs
-        .into_iter()
-        .map(
-            |((waiter, holder), (count, total_wait))| crate::stitch::DumpCrosstalkPair {
-                waiter,
-                holder,
-                count,
-                total_wait,
-            },
-        )
-        .collect();
-    let mut waiters: BTreeMap<u32, (u64, u64)> = acc
-        .waiters
-        .drain(..)
-        .map(|w| (w.waiter, (w.count, w.total_wait)))
-        .collect();
-    for w in &next.waiters {
-        let e = waiters.entry(w.waiter).or_insert((0, 0));
-        e.0 += w.count;
-        e.1 += w.total_wait;
-    }
-    acc.waiters = waiters
-        .into_iter()
-        .map(
-            |(waiter, (count, total_wait))| crate::stitch::DumpCrosstalkWaiter {
-                waiter,
-                count,
-                total_wait,
-            },
-        )
-        .collect();
-
-    acc.piggyback_bytes += next.piggyback_bytes;
-    acc.messages += next.messages;
-    acc.checksum = 0;
-    Ok(())
+    *acc = merged;
 }
 
 /// Composes `n` (the later increment) into `a` for one context.
@@ -210,34 +227,170 @@ pub fn merge_stage_delta(acc: &mut StageDelta, next: &StageDelta) -> Result<(), 
 /// below that, so every grown node is in `a` or before it.
 #[deny(clippy::indexing_slicing)]
 fn compose_cct(a: &mut CctDelta, n: &CctDelta) {
-    for &(i, s, cy, ca) in &n.grown {
-        if i < a.nodes_before {
-            // Growth of a node that predates `a`: sum into `a`'s own
-            // growth list, keeping it sorted by node index.
+    let add = |g: &mut (u32, u64, u64, u64), n: &(u32, u64, u64, u64)| {
+        g.1 += n.1;
+        g.2 += n.2;
+        g.3 += n.3;
+    };
+    // Ascending rows split where `a`'s own nodes start: growth of nodes
+    // that predate `a` merges into `a`'s growth list, the rest folds
+    // into the nodes `a` appended.
+    let split = n.grown.partition_point(|g| g.0 < a.nodes_before);
+    let (older, own) = n.grown.split_at(split);
+    let ascending = n.grown.windows(2).all(|w| matches!(w, [x, y] if x.0 < y.0));
+    if !(ascending && merge_sorted(&mut a.grown, &mut Copied(older), |g| g.0, add)) {
+        // Rows out of order: place them one at a time.
+        for g @ &(i, ..) in &n.grown {
+            if i >= a.nodes_before {
+                fold_into_node(a, g);
+                continue;
+            }
             match a.grown.binary_search_by_key(&i, |g| g.0) {
                 Ok(at) => {
-                    if let Some(g) = a.grown.get_mut(at) {
-                        g.1 += s;
-                        g.2 += cy;
-                        g.3 += ca;
+                    if let Some(x) = a.grown.get_mut(at) {
+                        add(x, g);
                     }
                 }
-                Err(at) => a.grown.insert(at, (i, s, cy, ca)),
+                Err(at) => a.grown.insert(at, *g),
             }
-        } else if let Some(node) = a.new_nodes.get_mut((i - a.nodes_before) as usize) {
-            // Growth of a node `a` itself appended: fold into the
-            // appended node's metrics.
-            node.samples += s;
-            node.cycles += cy;
-            node.calls += ca;
+        }
+        a.new_nodes.extend_from_slice(&n.new_nodes);
+        return;
+    }
+    for g in own {
+        fold_into_node(a, g);
+    }
+    a.new_nodes.extend_from_slice(&n.new_nodes);
+}
+
+/// Folds growth row `g` of a node `a` itself appended into that node's
+/// metrics.
+fn fold_into_node(a: &mut CctDelta, &(i, s, cy, ca): &(u32, u64, u64, u64)) {
+    if let Some(node) = a.new_nodes.get_mut((i - a.nodes_before) as usize) {
+        node.samples += s;
+        node.cycles += cy;
+        node.calls += ca;
+    }
+}
+
+/// The later delta's rows of one list, as a merge takes them.
+trait Rows<T> {
+    fn rows(&self) -> &[T];
+    /// Row `j`, for the earlier delta to keep.
+    fn take(&mut self, j: usize) -> Option<T>;
+}
+
+/// A borrowed list: a row kept is a copy.
+struct Copied<'a, T>(&'a [T]);
+
+/// A list its owner is done with: a row kept moves out, leaving an
+/// empty row behind.
+struct Moved<'a, T>(&'a mut [T]);
+
+impl<T: Clone> Rows<T> for Copied<'_, T> {
+    fn rows(&self) -> &[T] {
+        self.0
+    }
+    fn take(&mut self, j: usize) -> Option<T> {
+        self.0.get(j).cloned()
+    }
+}
+
+impl<T: Default> Rows<T> for Moved<'_, T> {
+    fn rows(&self) -> &[T] {
+        self.0
+    }
+    fn take(&mut self, j: usize) -> Option<T> {
+        self.0.get_mut(j).map(std::mem::take)
+    }
+}
+
+/// Merges `next` into `acc` in place when both are strictly ascending
+/// by `key`: a row whose key `acc` holds folds into that row, and every
+/// other row lands where it sorts, with each row of `acc` moved at most
+/// once. Returns `false`, having touched nothing, when either list is
+/// out of order or repeats a key.
+#[deny(clippy::indexing_slicing)]
+fn merge_sorted<T: Default, K: Ord + Copy>(
+    acc: &mut Vec<T>,
+    next: &mut impl Rows<T>,
+    key: impl Fn(&T) -> K,
+    fold: impl Fn(&mut T, &T),
+) -> bool {
+    let ascending = |rows: &[T]| {
+        rows.windows(2)
+            .all(|w| matches!(w, [x, y] if key(x) < key(y)))
+    };
+    if !ascending(acc) || !ascending(next.rows()) {
+        return false;
+    }
+    // Forward: fold the rows of keys `acc` holds; count the others.
+    let mut fresh = 0;
+    let mut ai = acc.iter_mut().peekable();
+    for n in next.rows() {
+        while ai.next_if(|a| key(a) < key(n)).is_some() {}
+        match ai.next_if(|a| key(a) == key(n)) {
+            Some(a) => fold(a, n),
+            None => fresh += 1,
         }
     }
-    a.new_nodes.extend(n.new_nodes.iter().copied());
+    // Backward: grow `acc` by the fresh rows and fill it from the end,
+    // the larger key first. `kept` counts `acc`'s rows not yet moved
+    // and `end` the slots not yet filled; `end - kept` is the number
+    // of fresh rows still to place, so every row lands in an empty slot.
+    let mut kept = acc.len();
+    acc.resize_with(kept + fresh, T::default);
+    let mut end = acc.len();
+    let last_kept =
+        |acc: &Vec<T>, kept: usize| kept.checked_sub(1).and_then(|i| acc.get(i)).map(&key);
+    for j in (0..next.rows().len()).rev() {
+        let Some(k) = next.rows().get(j).map(&key) else {
+            break;
+        };
+        if end == kept {
+            break;
+        }
+        while last_kept(acc, kept).is_some_and(|a| a > k) {
+            kept -= 1;
+            end -= 1;
+            acc.swap(kept, end);
+        }
+        if last_kept(acc, kept) == Some(k) {
+            continue; // folded in the forward pass
+        }
+        end -= 1;
+        if let (Some(slot), Some(row)) = (acc.get_mut(end), next.take(j)) {
+            *slot = row;
+        }
+    }
+    true
+}
+
+/// Sums `next` into `acc` by key through a `BTreeMap`, for lists out of
+/// order or repeating a key: one row per key, ascending, where a key
+/// `acc` repeats keeps its last row and a key `next` repeats sums.
+#[deny(clippy::indexing_slicing)]
+fn sum_by_key<T: Copy, K: Ord>(
+    acc: &mut Vec<T>,
+    next: &[T],
+    key: impl Fn(&T) -> K,
+    add: impl Fn(&mut T, &T),
+) {
+    let mut by_key: BTreeMap<K, T> = acc.drain(..).map(|r| (key(&r), r)).collect();
+    for n in next {
+        match by_key.entry(key(n)) {
+            Entry::Vacant(e) => {
+                e.insert(*n);
+            }
+            Entry::Occupied(e) => add(e.into_mut(), n),
+        }
+    }
+    acc.extend(by_key.into_values());
 }
 
 /// Stamps the outgoing per-stage sequence number on a merged delta and
-/// recomputes its checksum — the final step before a delta leaves a
-/// federation node.
+/// recomputes its checksum: the delta as a federation node ships it
+/// (which [`crate::wire::seal_summary`] does for a whole frame).
 pub fn seal_delta(mut d: StageDelta, seq: u64) -> StageDelta {
     d.seq = seq;
     d.seal();
@@ -292,11 +445,11 @@ pub struct LeafGauges {
 /// plus its operational freight.
 ///
 /// The byte form the federation links actually ship is the columnar
-/// binary codec in [`crate::wire`] ([`crate::wire::encode_summary`] /
+/// binary codec in [`crate::wire`] ([`crate::wire::seal_summary`] /
 /// [`crate::wire::decode_summary`]); this struct is the in-memory
 /// form, and its [`SummaryFrame::checksum`] stays the end-to-end
 /// content digest on both encodings.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SummaryFrame {
     /// Emitting node id (unique per link).
     pub src: u32,
@@ -311,7 +464,8 @@ pub struct SummaryFrame {
     /// Virtual time at the end of the interval.
     pub end: u64,
     /// Merged per-stage increments (global stage indices, per-stage
-    /// sequence numbers stamped by the emitter via [`seal_delta`]).
+    /// sequence numbers stamped by the sender, checksums sealed by
+    /// [`crate::wire::seal_summary`]).
     pub deltas: Vec<StageDelta>,
     /// Per-tier interval cost digests, sorted by tier name.
     pub sketches: Vec<TierSketch>,
@@ -337,8 +491,8 @@ impl SummaryFrame {
 
     /// The lane-wise FNV-1a digest of the frame's content (everything
     /// except the stored `checksum` itself). Delta content is folded in
-    /// through each delta's own checksum — already computed by
-    /// [`seal_delta`] — so frame sealing is O(freight), not O(content).
+    /// through each delta's own checksum — computed once, when the
+    /// delta is sealed — so frame sealing is O(freight), not O(content).
     pub fn compute_checksum(&self) -> u64 {
         let mut h = FnvLanes::new();
         h.write_u64(self.src as u64);
@@ -394,6 +548,42 @@ impl SummaryFrame {
     /// Whether the stored checksum matches the content.
     pub fn verify(&self) -> bool {
         self.checksum == self.compute_checksum()
+    }
+}
+
+/// A [`SummaryFrame`] as the wire decoder read it
+/// ([`crate::wire::OpenSummary::read`]), and which check each delta's
+/// checksum is due ([`IncomingSummary::deltas`]). Every `checksum` field
+/// holds a value, since the frame's own checksum folds them in: a delta
+/// whose section stored none has the value its content implies, which
+/// the decoder computed and the frame's checksum then verified, so it
+/// comes out [`Incoming::Unsealed`] and nothing compares it again. A
+/// frame that stored any delta checksum — never one a clean sender
+/// sealed — has every delta compared.
+#[derive(Debug, PartialEq, Eq)]
+pub struct IncomingSummary {
+    pub(crate) frame: SummaryFrame,
+    pub(crate) unsealed: bool,
+}
+
+impl IncomingSummary {
+    /// The frame.
+    pub fn frame(&self) -> &SummaryFrame {
+        &self.frame
+    }
+
+    /// The deltas, each under the check it is due.
+    pub fn deltas(&self) -> impl Iterator<Item = Incoming<'_>> + Clone {
+        let unsealed = self.unsealed;
+        self.frame
+            .deltas
+            .iter()
+            .map(move |d| Incoming::vouched(d, unsealed))
+    }
+
+    /// The plain frame, for a holder that has run every check it needs.
+    pub fn into_frame(self) -> SummaryFrame {
+        self.frame
     }
 }
 

@@ -37,16 +37,17 @@
 //! is only those two steps composed. [`decode_summary`] is likewise two
 //! halves: [`open_summary`] verifies the envelope and reads the link
 //! header, [`OpenSummary::read`] the body, so a federation receiver
-//! drops a duplicate without reading its body.
+//! drops a duplicate without reading its body. The sender's half is
+//! [`seal_summary`], which hashes each delta once, to seal it, and
+//! writes every delta checksum as implied.
 
 use crate::delta::{
     CctDelta, DeltaError, EpochBatch, IncomingBatch, StageAccumulator, StageDelta, StreamHeader,
     StreamStage,
 };
-use crate::hash::fnv1a;
+use crate::hash::{fnv1a, FnvHashMap};
 use crate::stitch::{DumpAtom, DumpContext, DumpNode};
-use crate::summary::{LeafGauges, SummaryFrame, TierSketch};
-use std::collections::HashMap;
+use crate::summary::{IncomingSummary, LeafGauges, SummaryFrame, TierSketch};
 use std::fmt;
 use std::sync::Arc;
 
@@ -527,28 +528,14 @@ fn get_atom(r: &mut Reader<'_>) -> Result<DumpAtom, WireError> {
     }
 }
 
-/// Appends one delta's columnar section to a frame body. Layout (all
-/// varints unless noted): stage, seq, section-presence flags; then
-/// only the sections whose flag bit is set — frame strings; contexts
-/// (tagged atoms — inherently ragged, so row-encoded); synopsis ctx
-/// column (DoD) + raw column; CCT header columns (ctx DoD, baseline
-/// sizes, new-node counts, grown counts) followed by the node field
-/// columns across *all* CCTs (frame+1, parent+1, samples, cycles,
-/// calls) and the grown field columns (index, Δsamples, Δcycles,
-/// Δcalls); crosstalk pair columns (waiter DoD, holder, count, wait);
-/// waiter columns; piggyback bytes; messages; and — only when it
-/// differs from the canonical recomputable value — the stored
-/// end-to-end checksum as 8 raw bytes (a wrong checksum must
-/// round-trip verbatim: the accumulator revalidates it, which is what
-/// the damage matrix locks).
 /// Builds the per-frame interned string table over a run of deltas:
 /// every distinct `new_frames` string, in first-use order. Delta frame
 /// sections then reference strings by table index, so a fleet of
 /// replicas interning the same frame names pays each name's bytes once
 /// per wire frame instead of once per stage.
-fn collect_dict(deltas: &[StageDelta]) -> (Vec<&str>, HashMap<&str, u64>) {
+fn collect_dict(deltas: &[StageDelta]) -> (Vec<&str>, FnvHashMap<&str, u64>) {
     let mut table = Vec::new();
-    let mut dict = HashMap::new();
+    let mut dict = FnvHashMap::default();
     for d in deltas {
         for f in &d.new_frames {
             let s = &**f;
@@ -583,7 +570,31 @@ fn get_dict(r: &mut Reader<'_>) -> Result<Vec<Arc<str>>, WireError> {
     Ok(table)
 }
 
-pub(crate) fn put_delta(buf: &mut Vec<u8>, d: &StageDelta, dict: &HashMap<&str, u64>) {
+/// Appends one delta's columnar section to a frame body. Layout (all
+/// varints unless noted): stage, seq, section-presence flags; then
+/// only the sections whose flag bit is set — frame strings; contexts
+/// (tagged atoms — inherently ragged, so row-encoded); synopsis ctx
+/// column (DoD) + raw column; CCT header columns (ctx DoD, baseline
+/// sizes, new-node counts, grown counts) followed by the node field
+/// columns across *all* CCTs (frame+1, parent+1, samples, cycles,
+/// calls) and the grown field columns (index, Δsamples, Δcycles,
+/// Δcalls); crosstalk pair columns (waiter DoD, holder, count, wait);
+/// waiter columns; piggyback bytes; messages; and — only when it
+/// differs from the canonical recomputable value — the stored
+/// end-to-end checksum as 8 raw bytes (a wrong checksum must
+/// round-trip verbatim: the accumulator revalidates it, which is what
+/// the damage matrix locks).
+///
+/// `canonical` is the caller's vouch that `d.checksum` is the value
+/// [`StageDelta::compute_checksum`] gives (it has just sealed `d`), so
+/// the checksum is elided without hashing the content again; without
+/// it, the content is hashed to decide.
+pub(crate) fn put_delta(
+    buf: &mut Vec<u8>,
+    d: &StageDelta,
+    dict: &FnvHashMap<&str, u64>,
+    canonical: bool,
+) {
     let mut flags = 0u64;
     if !d.new_frames.is_empty() {
         flags |= F_FRAMES;
@@ -609,7 +620,7 @@ pub(crate) fn put_delta(buf: &mut Vec<u8>, d: &StageDelta, dict: &HashMap<&str, 
     if d.messages != 0 {
         flags |= F_MESSAGES;
     }
-    if d.checksum != d.compute_checksum() {
+    if !canonical && d.checksum != d.compute_checksum() {
         flags |= F_CHECKSUM;
     }
     put_u64(buf, d.stage as u64);
@@ -1056,7 +1067,7 @@ pub fn encode_batch(b: &EpochBatch) -> Vec<u8> {
     put_dict(&mut buf, &table);
     put_u64(&mut buf, b.deltas.len() as u64);
     for d in &b.deltas {
-        put_delta(&mut buf, d, &dict);
+        put_delta(&mut buf, d, &dict, false);
     }
     end_frame(&mut buf, body);
     buf
@@ -1088,15 +1099,13 @@ pub(crate) fn put_buckets(buf: &mut Vec<u8>, buckets: &[(u32, u64)]) {
 /// Reads a [`put_buckets`] bucket list back.
 #[deny(clippy::indexing_slicing)]
 pub(crate) fn get_buckets(r: &mut Reader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
-    let n = r.count()?;
-    let mut idx = Vec::with_capacity(n);
+    let mut out = vec![(0, 0); r.count()?];
     let mut dr = DodReader::new();
-    for _ in 0..n {
-        idx.push(as_u32(dr.next(r)?)?);
+    for b in &mut out {
+        b.0 = as_u32(dr.next(r)?)?;
     }
-    let mut out = Vec::with_capacity(n);
-    for &b in &idx {
-        out.push((b, r.u64()?));
+    for b in &mut out {
+        b.1 = r.u64()?;
     }
     Ok(out)
 }
@@ -1104,60 +1113,80 @@ pub(crate) fn get_buckets(r: &mut Reader<'_>) -> Result<Vec<(u32, u64)>, WireErr
 /// Encodes a federation [`SummaryFrame`] as a [`KIND_SUMMARY`] frame —
 /// the byte form the federation links ship. Deltas reuse the batch
 /// delta section; freight (sketches, leaf mass, gauges) is columnar.
+/// Each delta's stored checksum is compared with its content, and
+/// written only when they differ.
 pub fn encode_summary(f: &SummaryFrame) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256);
-    let body = begin_frame(&mut buf, KIND_SUMMARY);
-    put_u64(&mut buf, f.src as u64);
-    put_u64(&mut buf, f.seq);
-    put_u64(&mut buf, f.first_epoch);
-    put_u64(&mut buf, f.last_epoch);
-    put_u64(&mut buf, f.end);
+    put_summary(&mut buf, f, false);
+    buf
+}
+
+/// Seals `f` and appends its [`KIND_SUMMARY`] frame to `buf`: stores
+/// each delta's checksum, then the frame's, which folds them in, and
+/// writes every delta's as implied. This is the sender's one hash of
+/// each delta's content; the receiver's is the decoder's fill-in of
+/// the implied value, which the frame's checksum verifies. Every
+/// `checksum` in `f` is overwritten.
+pub fn seal_summary(f: &mut SummaryFrame, buf: &mut Vec<u8>) {
+    f.deltas.iter_mut().for_each(StageDelta::seal);
+    f.checksum = f.compute_checksum();
+    put_summary(buf, f, true);
+}
+
+/// Appends `f`'s frame to `buf`; `canonical` as [`put_delta`] takes it,
+/// for every delta.
+fn put_summary(buf: &mut Vec<u8>, f: &SummaryFrame, canonical: bool) {
+    let body = begin_frame(buf, KIND_SUMMARY);
+    put_u64(buf, f.src as u64);
+    put_u64(buf, f.seq);
+    put_u64(buf, f.first_epoch);
+    put_u64(buf, f.last_epoch);
+    put_u64(buf, f.end);
     let (table, dict) = collect_dict(&f.deltas);
-    put_dict(&mut buf, &table);
-    put_u64(&mut buf, f.deltas.len() as u64);
+    put_dict(buf, &table);
+    put_u64(buf, f.deltas.len() as u64);
     for d in &f.deltas {
-        put_delta(&mut buf, d, &dict);
+        put_delta(buf, d, &dict, canonical);
     }
-    put_u64(&mut buf, f.sketches.len() as u64);
+    put_u64(buf, f.sketches.len() as u64);
     for s in &f.sketches {
-        put_str(&mut buf, &s.tier);
-        put_u64(&mut buf, s.max);
-        put_buckets(&mut buf, &s.buckets);
+        put_str(buf, &s.tier);
+        put_u64(buf, s.max);
+        put_buckets(buf, &s.buckets);
     }
-    put_u64(&mut buf, f.leaf_mass.len() as u64);
+    put_u64(buf, f.leaf_mass.len() as u64);
     let mut w = DodWriter::new();
     for &(leaf, _) in &f.leaf_mass {
-        w.push(&mut buf, leaf as u64);
+        w.push(buf, leaf as u64);
     }
     for &(_, m) in &f.leaf_mass {
-        put_u64(&mut buf, m);
+        put_u64(buf, m);
     }
-    put_u64(&mut buf, f.gauges.len() as u64);
+    put_u64(buf, f.gauges.len() as u64);
     let mut w = DodWriter::new();
     for &(leaf, _) in &f.gauges {
-        w.push(&mut buf, leaf as u64);
+        w.push(buf, leaf as u64);
     }
     for &(_, g) in &f.gauges {
-        put_u64(&mut buf, g.last_epoch);
+        put_u64(buf, g.last_epoch);
     }
     for &(_, g) in &f.gauges {
-        put_u64(&mut buf, g.events);
+        put_u64(buf, g.events);
     }
     for &(_, g) in &f.gauges {
-        put_u64(&mut buf, g.mass);
+        put_u64(buf, g.mass);
     }
     for &(_, g) in &f.gauges {
-        put_u64(&mut buf, g.lag_frames);
+        put_u64(buf, g.lag_frames);
     }
     for &(_, g) in &f.gauges {
-        put_u64(&mut buf, g.checkpoints);
+        put_u64(buf, g.checkpoints);
     }
     for &(_, g) in &f.gauges {
-        put_u64(&mut buf, g.recoveries);
+        put_u64(buf, g.recoveries);
     }
     buf.extend_from_slice(&f.checksum.to_le_bytes());
-    end_frame(&mut buf, body);
-    buf
+    end_frame(buf, body);
 }
 
 /// A [`KIND_SUMMARY`] frame whose envelope has verified and whose link
@@ -1195,9 +1224,13 @@ pub fn open_summary(buf: &[u8]) -> Result<OpenSummary<'_>, WireError> {
 #[deny(clippy::indexing_slicing)]
 impl OpenSummary<'_> {
     /// Reads the rest of the body, returning the frame and the total
-    /// bytes consumed. The stored end-to-end checksum round-trips
-    /// verbatim; callers still run [`SummaryFrame::verify`] on it.
-    pub fn read(self) -> Result<(SummaryFrame, usize), WireError> {
+    /// bytes consumed. Every delta checksum comes out filled in: stored
+    /// ones verbatim, implied ones computed here, which is the
+    /// receiver's one hash of each delta's content; the frame's
+    /// checksum, which folds them in, then verifies them. The stored
+    /// end-to-end checksum round-trips verbatim; callers still run
+    /// [`SummaryFrame::verify`] on it.
+    pub fn read(self) -> Result<(IncomingSummary, usize), WireError> {
         let OpenSummary {
             src,
             seq,
@@ -1211,9 +1244,12 @@ impl OpenSummary<'_> {
         let nd = r.count()?;
         let mut deltas = Vec::with_capacity(nd);
         let mut atoms = Vec::new();
+        let mut unsealed = true;
         for _ in 0..nd {
             let mut d = StageDelta::default();
-            if !read_delta(&mut r, &table, &mut d, &mut atoms, &mut Vec::new())? {
+            if read_delta(&mut r, &table, &mut d, &mut atoms, &mut Vec::new())? {
+                unsealed = false;
+            } else {
                 d.seal();
             }
             deltas.push(d);
@@ -1226,26 +1262,19 @@ impl OpenSummary<'_> {
             let buckets = get_buckets(&mut r)?;
             sketches.push(TierSketch { tier, max, buckets });
         }
-        let nlm = r.count()?;
-        let mut leaf_col = Vec::with_capacity(nlm);
+        let mut leaf_mass = vec![(0, 0); r.count()?];
         let mut dr = DodReader::new();
-        for _ in 0..nlm {
-            leaf_col.push(as_u32(dr.next(&mut r)?)?);
+        for m in &mut leaf_mass {
+            m.0 = as_u32(dr.next(&mut r)?)?;
         }
-        let mut leaf_mass = Vec::with_capacity(nlm);
-        for &leaf in &leaf_col {
-            leaf_mass.push((leaf, r.u64()?));
+        for m in &mut leaf_mass {
+            m.1 = r.u64()?;
         }
-        let ng = r.count()?;
-        let mut gleaf_col = Vec::with_capacity(ng);
+        let mut gauges = vec![(0, LeafGauges::default()); r.count()?];
         let mut dr = DodReader::new();
-        for _ in 0..ng {
-            gleaf_col.push(as_u32(dr.next(&mut r)?)?);
+        for g in &mut gauges {
+            g.0 = as_u32(dr.next(&mut r)?)?;
         }
-        let mut gauges: Vec<(u32, LeafGauges)> = gleaf_col
-            .iter()
-            .map(|&leaf| (leaf, LeafGauges::default()))
-            .collect();
         for g in &mut gauges {
             g.1.last_epoch = r.u64()?;
         }
@@ -1268,28 +1297,27 @@ impl OpenSummary<'_> {
         if r.remaining() != 0 {
             return Err(WireError::Malformed("trailing bytes in summary body"));
         }
-        Ok((
-            SummaryFrame {
-                src,
-                seq,
-                first_epoch,
-                last_epoch,
-                end,
-                deltas,
-                sketches,
-                leaf_mass,
-                gauges,
-                checksum,
-            },
-            consumed,
-        ))
+        let frame = SummaryFrame {
+            src,
+            seq,
+            first_epoch,
+            last_epoch,
+            end,
+            deltas,
+            sketches,
+            leaf_mass,
+            gauges,
+            checksum,
+        };
+        Ok((IncomingSummary { frame, unsealed }, consumed))
     }
 }
 
 /// Decodes a [`KIND_SUMMARY`] frame, returning the frame and the total
 /// bytes consumed: [`open_summary`], then [`OpenSummary::read`].
 pub fn decode_summary(buf: &[u8]) -> Result<(SummaryFrame, usize), WireError> {
-    open_summary(buf)?.read()
+    let (f, consumed) = open_summary(buf)?.read()?;
+    Ok((f.into_frame(), consumed))
 }
 
 // ---------------------------------------------------------------------
@@ -1350,7 +1378,7 @@ pub fn apply_batch(accs: &mut [StageAccumulator], buf: &[u8]) -> Result<WireBatc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::diff_dump;
+    use crate::delta::{diff_dump, Incoming};
     use crate::sketch::QuantileSketch;
     use crate::stitch::{DumpCct, DumpCrosstalkPair, DumpCrosstalkWaiter, StageDump};
     use crate::summary::seal_delta;
@@ -1682,14 +1710,15 @@ mod tests {
         assert_eq!((dec.deltas.len(), dec.ccts.len()), full);
     }
 
-    #[test]
-    fn summary_round_trip_is_exact() {
+    /// A sealed frame with one delta, a tier digest, and two leaves'
+    /// mass and gauges.
+    fn sample_frame() -> SummaryFrame {
         let (_, batches) = sample_batches();
         let mut sk = QuantileSketch::new();
         for v in [3u64, 90, 90, 4000, 1 << 40] {
             sk.record(v);
         }
-        let frame = SummaryFrame {
+        SummaryFrame {
             src: 3,
             seq: 5,
             first_epoch: 0,
@@ -1714,12 +1743,45 @@ mod tests {
             ],
             checksum: 0,
         }
-        .seal();
+        .seal()
+    }
+
+    #[test]
+    fn summary_round_trip_is_exact() {
+        let frame = sample_frame();
         let bytes = encode_summary(&frame);
         let (back, consumed) = decode_summary(&bytes).unwrap();
         assert_eq!(back, frame);
         assert_eq!(consumed, bytes.len());
         assert!(back.verify());
+    }
+
+    /// The sender's path (`seal_summary`: each delta hashed once, every
+    /// checksum written as implied) writes the bytes `encode_summary`
+    /// writes for the same sealed frame, which read back with every
+    /// delta unsealed. A delta that stores a checksum its content does
+    /// not imply is written with it, and comes back sealed, to be
+    /// compared.
+    #[test]
+    fn sealed_summaries_read_back_unsealed() {
+        let frame = sample_frame();
+        let mut sent = frame.clone();
+        sent.checksum = 0;
+        sent.deltas.iter_mut().for_each(|d| d.checksum = 0);
+        let mut bytes = Vec::new();
+        seal_summary(&mut sent, &mut bytes);
+        assert_eq!((&sent, &bytes), (&frame, &encode_summary(&frame)));
+        let (f, consumed) = open_summary(&bytes).unwrap().read().unwrap();
+        assert_eq!((f.frame(), consumed), (&frame, bytes.len()));
+        assert!(f.deltas().all(|d| matches!(d, Incoming::Unsealed(_))));
+        let mut bad = frame.clone();
+        bad.deltas[0].checksum ^= 1;
+        let bad = bad.seal();
+        let (f, _) = open_summary(&encode_summary(&bad)).unwrap().read().unwrap();
+        assert!(f.frame() == &bad && bad.verify());
+        assert!(f
+            .deltas()
+            .all(|d| matches!(d, Incoming::Sealed(_)) && !d.verify()));
     }
 
     #[test]

@@ -1,0 +1,240 @@
+//! The summary merge against the composition it replaced.
+//!
+//! `merge_stage_delta` and `merge_owned_delta` merge-join lists that
+//! are already sorted in place, and keep the old composition for input
+//! that is not: CCT lists merge-joined in list order, growth rows
+//! placed one at a time, crosstalk rebuilt through a `BTreeMap`. The
+//! oracle (`merge_oracle`) is that old composition whole. Random
+//! contiguous delta pairs are cut from three growing snapshots of one
+//! stage; each pair is merged as diffed (the linear path) and again
+//! with its keyed lists disordered and repeated (the fallback), and
+//! every merge must equal the oracle's, refusals included. A pair as
+//! diffed must also merge into a delta whose application equals
+//! applying both in turn.
+
+mod merge_oracle;
+
+use proptest::prelude::*;
+use whodunit_core::delta::{diff_dump, StageAccumulator, StageDelta, StreamStage};
+use whodunit_core::stitch::{
+    DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
+};
+use whodunit_core::summary::{merge_owned_delta, merge_stage_delta, seal_delta, MergeError};
+
+/// A xorshift stream, so one proptest seed draws a whole stage history.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n.max(1)
+    }
+}
+
+fn stage() -> StreamStage {
+    StreamStage {
+        proc: 1,
+        stage_name: "svc".into(),
+    }
+}
+
+/// The next snapshot after `s`: maybe new frames and contexts, growth
+/// and new nodes in some CCTs, a CCT for a context that had none, a
+/// synopsis minted, and crosstalk rows grown or added.
+fn grow(s: &StageDump, rng: &mut Rng) -> StageDump {
+    let mut s = s.clone();
+    for _ in 0..rng.below(2) {
+        s.frames.push(format!("f{}", s.frames.len()).into());
+    }
+    for _ in 0..rng.below(3) {
+        let f = rng.below(s.frames.len() as u64) as u32;
+        s.contexts.push(DumpContext {
+            atoms: vec![DumpAtom::Frame(f)].into(),
+        });
+    }
+    let frames = s.frames.len() as u64;
+    for c in &mut s.ccts {
+        for n in &mut c.nodes {
+            if rng.below(2) == 0 {
+                n.samples += rng.below(3);
+                n.cycles += rng.below(500);
+                n.calls += rng.below(2);
+            }
+        }
+        for _ in 0..rng.below(3) {
+            let parent = rng.below(c.nodes.len() as u64) as u32;
+            c.nodes.push(DumpNode {
+                frame: Some(rng.below(frames) as u32),
+                parent: Some(parent),
+                samples: rng.below(4),
+                cycles: rng.below(900),
+                calls: 1,
+            });
+        }
+    }
+    for ctx in 0..s.contexts.len() as u32 {
+        if rng.below(3) == 0 && !s.ccts.iter().any(|c| c.ctx == ctx) {
+            let root = DumpNode {
+                frame: None,
+                parent: None,
+                samples: 0,
+                cycles: rng.below(100),
+                calls: 0,
+            };
+            s.ccts.push(DumpCct {
+                ctx,
+                nodes: vec![root],
+            });
+        }
+        if rng.below(4) == 0 && !s.synopses.iter().any(|&(_, c)| c == ctx) {
+            s.synopses.push((0x0100_0000 + u64::from(ctx), ctx));
+        }
+    }
+    s.ccts.sort_by_key(|c| c.ctx);
+    s.synopses.sort_by_key(|&(_, c)| c);
+    for _ in 0..rng.below(4) {
+        let (waiter, holder) = (rng.below(4) as u32, rng.below(4) as u32);
+        match s
+            .crosstalk_pairs
+            .iter_mut()
+            .find(|p| (p.waiter, p.holder) == (waiter, holder))
+        {
+            Some(p) => {
+                p.count += 1;
+                p.total_wait += rng.below(50);
+            }
+            None => s.crosstalk_pairs.push(DumpCrosstalkPair {
+                waiter,
+                holder,
+                count: 1,
+                total_wait: rng.below(50),
+            }),
+        }
+        match s.crosstalk_waiters.iter_mut().find(|w| w.waiter == waiter) {
+            Some(w) => {
+                w.count += 1;
+                w.total_wait += rng.below(50);
+            }
+            None => s.crosstalk_waiters.push(DumpCrosstalkWaiter {
+                waiter,
+                count: 1,
+                total_wait: rng.below(50),
+            }),
+        }
+    }
+    s.crosstalk_pairs.sort_by_key(|p| (p.waiter, p.holder));
+    s.crosstalk_waiters.sort_by_key(|w| w.waiter);
+    s.piggyback_bytes += rng.below(16);
+    s.messages += rng.below(2);
+    s
+}
+
+/// Three snapshots and the deltas between them: `d0` from nothing,
+/// then the contiguous pair `d1`, `d2`. A delta that changes nothing
+/// is the empty delta with its seq.
+fn history(seed: u64) -> ([StageDump; 3], [StageDelta; 3]) {
+    let mut rng = Rng(seed | 1);
+    let mut s0 = StageDump {
+        proc: 1,
+        stage_name: "svc".into(),
+        frames: vec!["main".into()],
+        ..StageDump::default()
+    };
+    // A few epochs first, so the pair grows trees of several nodes.
+    for _ in 0..1 + rng.below(4) {
+        s0 = grow(&s0, &mut rng);
+    }
+    let s1 = grow(&s0, &mut rng);
+    let s2 = grow(&s1, &mut rng);
+    let diff = |seq: u64, prev: Option<&StageDump>, cur: &StageDump| {
+        diff_dump(0, seq, prev, cur).unwrap_or_else(|| {
+            let mut d = whodunit_core::summary::empty_delta(0);
+            d.seq = seq;
+            d.seal();
+            d
+        })
+    };
+    let d = [
+        diff(0, None, &s0),
+        diff(1, Some(&s0), &s1),
+        diff(2, Some(&s1), &s2),
+    ];
+    ([s0, s1, s2], d)
+}
+
+/// `d`'s keyed lists, disordered and repeated as `mask` picks:
+/// crosstalk rows reversed and one repeated, growth rows reversed.
+fn disorder(d: &mut StageDelta, mask: u8) {
+    if mask & 1 != 0 {
+        d.pairs.reverse();
+        d.waiters.reverse();
+    }
+    if mask & 2 != 0 {
+        if let Some(&p) = d.pairs.first() {
+            d.pairs.push(p);
+        }
+        if let Some(&w) = d.waiters.last() {
+            d.waiters.insert(0, w);
+        }
+    }
+    if mask & 4 != 0 {
+        d.ccts.iter_mut().for_each(|c| c.grown.reverse());
+    }
+    if mask & 8 != 0 {
+        d.ccts.reverse();
+    }
+}
+
+/// Both product merges of `next` into `acc`, which must agree.
+fn product(acc: &StageDelta, next: &StageDelta) -> Result<StageDelta, MergeError> {
+    let mut borrowed = acc.clone();
+    let b = merge_stage_delta(&mut borrowed, next).map(|()| borrowed);
+    let (mut owned, mut spent) = (acc.clone(), next.clone());
+    let o = merge_owned_delta(&mut owned, &mut spent).map(|()| owned);
+    assert_eq!(b, o, "the borrowed and the owned merge differ");
+    if b.is_err() {
+        assert_eq!(&spent, next, "a refused owned merge moved rows");
+    }
+    b
+}
+
+fn oracle(acc: &StageDelta, next: &StageDelta) -> Result<StageDelta, MergeError> {
+    let mut m = acc.clone();
+    merge_oracle::merge(&mut m, next).map(|()| m)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn linear_merges_equal_the_btreemap_composition(
+        case in (any::<u64>(), 0u8..16, 0u8..16)
+    ) {
+        let (seed, earlier, later) = case;
+        let ([_, _, s2], [d0, d1, d2]) = history(seed);
+
+        // As diffed: the linear path, and the merge law.
+        let merged = product(&d1, &d2);
+        prop_assert_eq!(&merged, &oracle(&d1, &d2));
+        let merged = merged.expect("contiguous increments merge");
+        let mut one = StageAccumulator::new(&stage());
+        one.apply(&d0).unwrap();
+        one.apply(&seal_delta(merged, 1)).unwrap();
+        let mut both = StageAccumulator::new(&stage());
+        for d in [&d0, &d1, &d2] {
+            both.apply(d).unwrap();
+        }
+        prop_assert_eq!(one.to_dump(), both.to_dump());
+        prop_assert_eq!(one.to_dump(), s2);
+
+        // Disordered and repeated keys: the fallback, refusals included.
+        let (mut a, mut n) = (d1.clone(), d2.clone());
+        disorder(&mut a, earlier);
+        disorder(&mut n, later);
+        prop_assert_eq!(product(&a, &n), oracle(&a, &n));
+        prop_assert_eq!(product(&d1, &n), oracle(&d1, &n));
+        prop_assert_eq!(product(&a, &d2), oracle(&a, &d2));
+    }
+}
