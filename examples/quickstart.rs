@@ -11,9 +11,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use whodunit::core::cost::ms_to_cycles;
 use whodunit::core::ids::ProcId;
+use whodunit::core::pipeline::{analyze, PipelineConfig};
 use whodunit::core::profiler::{Whodunit, WhodunitConfig};
 use whodunit::core::rt::Runtime;
-use whodunit::core::pipeline::{analyze, PipelineConfig};
 use whodunit::report::render;
 use whodunit::sim::{Msg, Op, Sim, SimConfig, ThreadBody, ThreadCx, Wake};
 use whodunit_core::frame::FrameId;

@@ -200,15 +200,9 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 # on an `.unwrap()`.
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Formatting of the crates that are rustfmt-clean, so a stray diff
-# fails here instead of riding along in the next change to the file.
-# Still unformatted, the backlog (`cargo fmt --all -- --check -l`,
-# ROADMAP item 6): examples/, the three root tests (end_to_end,
-# golden_collector, golden_federation) and vendor/. A change that
-# formats one of them adds it here.
-cargo fmt -p whodunit-core -p whodunit-collector -p whodunit-sim \
-    -p whodunit-apps -p whodunit-workload -p whodunit-report \
-    -p whodunit-infer -p whodunit-bench -- --check
+# Formatting of the whole workspace, so a stray diff fails here
+# instead of riding along in the next change to the file.
+cargo fmt --all -- --check
 
 # Non-test Rust lines per crate, against the last commit. Subtraction
 # PRs quote `scripts/loc.sh <parent rev>` for their net lines; running

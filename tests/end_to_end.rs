@@ -233,8 +233,14 @@ fn faulty_tpcw_still_stitches_end_to_end() {
     assert!(!rep.profiles.is_empty(), "faulty run still profiles");
 
     // Edges still connect squid -> tomcat -> mysql despite the faults.
-    assert!(rep.edges.iter().any(|e| e.from_stage == 0 && e.to_stage == 1));
-    assert!(rep.edges.iter().any(|e| e.from_stage == 1 && e.to_stage == 2));
+    assert!(rep
+        .edges
+        .iter()
+        .any(|e| e.from_stage == 0 && e.to_stage == 1));
+    assert!(rep
+        .edges
+        .iter()
+        .any(|e| e.from_stage == 1 && e.to_stage == 2));
 }
 
 #[test]

@@ -74,7 +74,10 @@ fn golden_live_snapshots() {
     };
     let mut sink = RecordingSink::default();
     run_tpcw_streaming(cfg, CPU_HZ, &mut sink);
-    assert!(sink.batches.len() > 4, "stream too short to snapshot mid-run");
+    assert!(
+        sink.batches.len() > 4,
+        "stream too short to snapshot mid-run"
+    );
 
     let mut c = Collector::new(CollectorConfig::default());
     c.start(&sink.header);

@@ -21,11 +21,11 @@
 use std::path::PathBuf;
 use whodunit::apps::federation::{fan_in_topology, fleet_epochs, leaf_stream, replica_header};
 use whodunit::apps::tpcw::run_tpcw_streaming;
-use whodunit_bench::matrix::federation_cfg;
 use whodunit::collector::federation::{CleanLinks, FedNodeId, Federation, FederationConfig};
 use whodunit::core::cost::CPU_HZ;
 use whodunit::core::delta::RecordingSink;
 use whodunit::report::render_fed_topology;
+use whodunit_bench::matrix::federation_cfg;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
