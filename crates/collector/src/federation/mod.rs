@@ -818,12 +818,19 @@ impl Federation {
             root_mass: self.root.applied_mass,
             reported_coverage_ppm: coverage_ppm,
         };
-        let dumps = self.root.accs.into_iter().map(StageAccumulator::into_dump);
+        // Only the root's accumulators reach `analyze`: the leaves,
+        // regionals, queued frames and mirrors go before it runs.
+        let accs = std::mem::take(&mut self.root.accs);
+        let batches = self.root.frames_applied;
+        let stats = std::mem::take(&mut self.stats);
+        let recovery = std::mem::take(&mut self.recovery_log);
+        drop(self);
+        let dumps = accs.into_iter().map(StageAccumulator::into_dump);
         let output = CollectorOutput {
             report: analyze(dumps.collect(), PipelineConfig::default()),
             stats: CollectorStats {
-                batches: self.root.frames_applied,
-                events: self.stats.root_events_applied,
+                batches,
+                events: stats.root_events_applied,
                 ..CollectorStats::default()
             },
         };
@@ -832,9 +839,9 @@ impl Federation {
             coverage_ppm,
             degraded,
             evidence,
-            stats: self.stats,
+            stats,
             topology,
-            recovery: self.recovery_log,
+            recovery,
         }
     }
 }

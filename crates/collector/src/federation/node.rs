@@ -8,7 +8,8 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use whodunit_core::delta::{
-    apply_frame, repeated_stage, DeltaError, EpochBatch, StageAccumulator, StageDelta, StreamHeader,
+    apply_frame, stage_out_of_turn, DeltaError, EpochBatch, StageAccumulator, StageDelta,
+    StreamHeader,
 };
 use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
@@ -131,17 +132,17 @@ impl Increment {
         merges.expect("contiguous same-stage increments always merge");
     }
 
-    /// Whether a child frame's deltas all merge in: each names one of
-    /// the node's `stages` (ascending) that no other delta of the frame
-    /// names, carries that stage's next expected seq in `in_seq` (by
-    /// slot), holds the checksum its content implies if its frame
+    /// Whether a child frame's deltas all merge in: they name strictly
+    /// ascending stages, each one of the node's `stages` (ascending),
+    /// and each delta carries that stage's next expected seq in `in_seq`
+    /// (by slot), holds the checksum its content implies if its frame
     /// stored one, and composes onto the stage's pending delta (the
     /// empty delta if there is none). Every delta is checked against
     /// the state before the frame, so the frame merges whole or not at
     /// all.
     fn admits(&self, stages: &[usize], f: &IncomingSummary, in_seq: &[u64]) -> bool {
         let frame = f.frame();
-        repeated_stage(frame.deltas.iter().map(|d| d.stage)).is_none()
+        stage_out_of_turn(frame.deltas.iter().map(|d| d.stage)).is_none()
             && f.deltas().all(|incoming| {
                 let d = incoming.delta();
                 let Ok(slot) = stages.binary_search(&d.stage) else {
@@ -712,7 +713,9 @@ mod tests {
     use proptest::prelude::*;
     use std::cell::Cell;
     use whodunit_core::delta::{diff_dump, StreamStage};
-    use whodunit_core::stitch::{DumpAtom, DumpCct, DumpContext, DumpNode, StageDump};
+    use whodunit_core::stitch::{
+        DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
+    };
 
     thread_local! {
         /// Leaf checkpoints [`assert_checkpoint_is_a_clone`] has
@@ -1028,6 +1031,58 @@ mod tests {
             merge_stage_delta(&mut want, d).unwrap();
         }
         assert_eq!(r.st.inc.pending[&0], want);
+    }
+
+    /// A delta that repeats a crosstalk pair or waiter, or lists growth
+    /// rows out of node order, is refused whole at the regional. The
+    /// wire decoder is the first door it meets, so the frame counts as
+    /// a decode error; the pending increment and the link seq stay
+    /// where they are, and the clean frame at that seq merges after it.
+    #[test]
+    fn a_regional_refuses_a_frame_with_a_non_canonical_delta() {
+        let clean: Vec<StageDelta> = batches_for(0, 0, "front", 2)
+            .into_iter()
+            .map(|mut b| b.deltas.remove(0))
+            .collect();
+        let pair = DumpCrosstalkPair {
+            waiter: 0,
+            holder: 0,
+            count: 1,
+            total_wait: 5,
+        };
+        let waiter = DumpCrosstalkWaiter {
+            waiter: 0,
+            count: 1,
+            total_wait: 5,
+        };
+        let damaged = [
+            resealed(clean[1].clone(), |d| d.pairs = vec![pair, pair]),
+            resealed(clean[1].clone(), |d| d.waiters = vec![waiter, waiter]),
+            resealed(clean[1].clone(), |d| {
+                let g = d.ccts[0].grown[0];
+                d.ccts[0].grown.push(g);
+            }),
+        ];
+        let good = sealed(clean.iter().map(|d| vec![d.clone()]).collect());
+        for d in damaged {
+            let what = format!("{d:?}");
+            let bad = sealed(vec![vec![clean[0].clone()], vec![d]]);
+            let mut r = RegionalNode::new(0, 1, vec![0], vec![0]);
+            let mut stats = FederationStats::default();
+            r.on_frame(0, &bad[0], &mut stats);
+            let merged = r.st.inc.pending.clone();
+            r.on_frame(0, &bad[1], &mut stats);
+            let counts = (
+                stats.wire_decode_errors,
+                stats.rejected_frames,
+                stats.frames_delivered,
+            );
+            assert_eq!(counts, (1, 0, 1), "{what}");
+            assert_eq!(r.st.inc.pending, merged, "{what}");
+            assert_eq!(r.st.in_seq[0], 1, "{what}");
+            r.on_frame(0, &good[1], &mut stats);
+            assert_eq!((stats.frames_delivered, r.st.in_seq[0]), (2, 2), "{what}");
+        }
     }
 
     /// A delta whose stored checksum its content does not imply passes

@@ -193,11 +193,6 @@ pub fn cycles_to_ms(cycles: u64) -> f64 {
     cycles as f64 * 1e3 / CPU_HZ as f64
 }
 
-/// Converts cycles to seconds at [`CPU_HZ`].
-pub fn cycles_to_secs(cycles: u64) -> f64 {
-    cycles as f64 / CPU_HZ as f64
-}
-
 /// Converts milliseconds to cycles at [`CPU_HZ`].
 pub fn ms_to_cycles(ms: f64) -> u64 {
     (ms * CPU_HZ as f64 / 1e3) as u64
@@ -274,7 +269,6 @@ mod tests {
     #[test]
     fn unit_conversions_roundtrip() {
         assert!((cycles_to_ms(CPU_HZ) - 1000.0).abs() < 1e-9);
-        assert!((cycles_to_secs(CPU_HZ) - 1.0).abs() < 1e-12);
         assert_eq!(ms_to_cycles(1000.0), CPU_HZ);
     }
 }

@@ -233,6 +233,32 @@ impl StageDelta {
         h.finish()
     }
 
+    /// Whether the delta is in canonical form: `ccts` strictly ascending
+    /// by context, each CCT's `grown` rows strictly ascending by node,
+    /// `pairs` by `(waiter, holder)` and `waiters` by waiter. Every
+    /// emitter produces this form, so a list out of order or repeating
+    /// a key is refused, never repaired: the wire decoder, the
+    /// accumulator and the summary merge all call this one check.
+    pub fn check_order(&self) -> Result<(), &'static str> {
+        fn ascending<T, K: Ord>(rows: &[T], key: impl Fn(&T) -> K) -> bool {
+            rows.windows(2)
+                .all(|w| matches!(w, [x, y] if key(x) < key(y)))
+        }
+        if !ascending(&self.ccts, |c| c.ctx) {
+            return Err("CCT ctx column not strictly increasing");
+        }
+        if !self.ccts.iter().all(|c| ascending(&c.grown, |g| g.0)) {
+            return Err("CCT growth rows not strictly increasing by node");
+        }
+        if !ascending(&self.pairs, |p| (p.waiter, p.holder)) {
+            return Err("crosstalk pairs not strictly increasing");
+        }
+        if !ascending(&self.waiters, |w| w.waiter) {
+            return Err("crosstalk waiters not strictly increasing");
+        }
+        Ok(())
+    }
+
     /// Stores the checksum the content implies.
     pub fn seal(&mut self) {
         self.checksum = self.compute_checksum();
@@ -840,12 +866,9 @@ impl StageAccumulator {
         if new_contexts.any(|c| c.check_frames(frames).is_err()) {
             return Err(incon("context atom names an unknown frame"));
         }
-        // One CCT per context, sorted by ctx: a repeated id would have
-        // both entries checked against the same pre-state baseline and
-        // both appended.
-        if d.ccts.windows(2).any(|w| w[0].ctx >= w[1].ctx) {
-            return Err(incon("CCT ctx column not strictly increasing"));
-        }
+        // One CCT per context: a repeated id would have both entries
+        // checked against the same pre-state baseline and both appended.
+        d.check_order().map_err(incon)?;
         for c in &d.ccts {
             if c.ctx as usize >= contexts {
                 return Err(incon("CCT labeled with an unknown context"));
@@ -854,7 +877,8 @@ impl StageAccumulator {
             if have != c.nodes_before as usize {
                 return Err(incon("CCT baseline size mismatch"));
             }
-            if c.grown.iter().any(|&(i, ..)| i as usize >= have) {
+            // Rows ascend, so the last names the highest node.
+            if c.grown.last().is_some_and(|&(i, ..)| i as usize >= have) {
                 return Err(incon("CCT growth targets a missing node"));
             }
             let mut new = c.new_nodes.iter().enumerate();
@@ -1008,36 +1032,29 @@ impl StageAccumulator {
     }
 }
 
-/// The lowest stage two of a frame's deltas name, if any two name one.
-/// A sender lists its deltas by ascending stage, which settles it with
-/// no copy; any other order is sorted first.
-pub fn repeated_stage(stages: impl Iterator<Item = usize> + Clone) -> Option<usize> {
-    let mut ascending = stages.clone().zip(stages.clone().skip(1));
-    if ascending.all(|(a, b)| a < b) {
-        return None;
-    }
-    let mut stages: Vec<usize> = stages.collect();
-    stages.sort_unstable();
-    stages.windows(2).find_map(|w| match *w {
-        [a, b] if a == b => Some(a),
-        _ => None,
-    })
+/// The first stage a frame's deltas name out of turn, if any. A sender
+/// lists its deltas by strictly ascending stage, so a frame naming a
+/// stage twice, or below one it already named, is refused.
+pub fn stage_out_of_turn(stages: impl Iterator<Item = usize> + Clone) -> Option<usize> {
+    let mut pairs = stages.clone().zip(stages.skip(1));
+    pairs.find_map(|(a, b)| (a >= b).then_some(b))
 }
 
 /// Applies one frame's `deltas` to `accs`, the accumulators of every
 /// header stage indexed by stage, whole or not at all. The frame is
-/// refused before anything mutates if a delta names a stage outside
-/// the header, two deltas name one stage, or any delta fails the checks
-/// of the `apply` it is due ([`Incoming::apply_to`]). With every stage
-/// named once, checking each delta against the state before the frame
-/// is checking it as `apply` would, one delta at a time.
+/// refused before anything mutates if its deltas do not strictly ascend
+/// by stage, a delta names a stage outside the header, or any delta
+/// fails the checks of the `apply` it is due ([`Incoming::apply_to`]).
+/// With every stage named once, checking each delta against the state
+/// before the frame is checking it as `apply` would, one delta at a
+/// time.
 #[deny(clippy::indexing_slicing)]
 pub fn apply_frame<'a>(
     accs: &mut [StageAccumulator],
     deltas: impl Iterator<Item = Incoming<'a>> + Clone,
 ) -> Result<(), DeltaError> {
-    if let Some(stage) = repeated_stage(deltas.clone().map(|d| d.delta().stage)) {
-        let what = "two deltas of one frame name the stage";
+    if let Some(stage) = stage_out_of_turn(deltas.clone().map(|d| d.delta().stage)) {
+        let what = "a frame's deltas do not strictly ascend by stage";
         return Err(DeltaError::Inconsistent { stage, what });
     }
     for d in deltas.clone() {
@@ -1232,8 +1249,9 @@ pub(crate) mod tests {
             (vec![first(0), outside], "stage outside the header"),
             (
                 vec![first(0), first(1), growth.clone()],
-                "two deltas of one frame",
+                "do not strictly ascend by stage",
             ),
+            (vec![first(1), first(0)], "do not strictly ascend by stage"),
         ] {
             let mut accs = fresh();
             let err = apply_frame(&mut accs, frame.iter().map(Incoming::Sealed));
@@ -1246,7 +1264,7 @@ pub(crate) mod tests {
         let mut accs = fresh();
         let mut sealed =
             |frame: &[StageDelta]| apply_frame(&mut accs, frame.iter().map(Incoming::Sealed));
-        sealed(&[first(1), first(0)]).unwrap();
+        sealed(&[first(0), first(1)]).unwrap();
         sealed(&[growth]).unwrap();
         assert_eq!((accs[0].to_dump(), accs[1].to_dump()), (a, b));
     }
@@ -1316,7 +1334,9 @@ pub(crate) mod tests {
         const NODE: &str = "CCT node lacks a frame or a preceding parent";
         const ATOM: &str = "context atom names an unknown frame";
         const TWICE: &str = "synopsis minted twice in one delta";
-        let cases: [(Damage, &str); 9] = [
+        const PAIRS: &str = "crosstalk pairs not strictly increasing";
+        const WAITERS: &str = "crosstalk waiters not strictly increasing";
+        let cases: [(Damage, &str); 13] = [
             (|d| d.ccts[1].new_nodes[0].parent = Some(2), NODE),
             (|d| d.ccts[1].new_nodes[0].parent = None, NODE),
             (|d| d.ccts[1].new_nodes[0].frame = None, NODE),
@@ -1340,6 +1360,14 @@ pub(crate) mod tests {
             ),
             (|d| d.new_synopses.push((0x0100_0003, 2)), TWICE),
             (|d| d.new_synopses.push((0x0100_0002, 0)), TWICE),
+            // A keyed list out of canonical order (`check_order`).
+            (|d| d.pairs.push(d.pairs[0]), PAIRS),
+            (|d| d.waiters.push(d.waiters[0]), WAITERS),
+            (|d| d.waiters.push(DumpCrosstalkWaiter::default()), WAITERS),
+            (
+                |d| d.ccts[1].grown.push((0, 0, 5, 0)),
+                "CCT growth rows not strictly increasing by node",
+            ),
         ];
         for (damage, what) in cases {
             let mut acc = StageAccumulator::new(&header());

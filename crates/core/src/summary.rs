@@ -37,8 +37,6 @@ use crate::delta::{CctDelta, Incoming, StageDelta};
 use crate::hash::FnvLanes;
 use crate::sketch::QuantileSketch;
 use crate::stitch::{DumpCrosstalkPair, DumpCrosstalkWaiter};
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why two stage deltas could not be merged.
@@ -80,22 +78,22 @@ pub fn empty_delta(stage: usize) -> StageDelta {
 }
 
 /// Whether `next` composes onto `acc` ([`merge_stage_delta`]'s checks,
-/// with no mutation): both name one stage, and each of `next`'s CCT
-/// increments starts at `acc`'s baseline plus its appended nodes for
-/// that context and grows only nodes below its own baseline. Deltas
-/// come from outside the program, so every count is checked, never
-/// trusted.
+/// with no mutation): both name one stage, both are in canonical form
+/// ([`StageDelta::check_order`]), and each of `next`'s CCT increments
+/// starts at `acc`'s baseline plus its appended nodes for that context
+/// and grows only nodes below its own baseline. Deltas come from
+/// outside the program, so every count is checked, never trusted.
 #[deny(clippy::indexing_slicing)]
 pub fn check_merge(acc: &StageDelta, next: &StageDelta) -> Result<(), MergeError> {
-    let refuse = |what| {
-        Err(MergeError {
-            stage: acc.stage,
-            what,
-        })
+    let refuse = |what| MergeError {
+        stage: acc.stage,
+        what,
     };
     if next.stage != acc.stage {
-        return refuse("stage index mismatch");
+        return Err(refuse("stage index mismatch"));
     }
+    acc.check_order().map_err(refuse)?;
+    next.check_order().map_err(refuse)?;
     let mut ai = acc.ccts.iter().peekable();
     for n in &next.ccts {
         while ai.peek().is_some_and(|a| a.ctx < n.ctx) {
@@ -106,10 +104,13 @@ pub fn check_merge(acc: &StageDelta, next: &StageDelta) -> Result<(), MergeError
             _ => u64::from(n.nodes_before),
         };
         if u64::from(n.nodes_before) != extended {
-            return refuse("CCT baseline does not extend the accumulated increment");
+            return Err(refuse(
+                "CCT baseline does not extend the accumulated increment",
+            ));
         }
-        if n.grown.iter().any(|&(i, ..)| i >= n.nodes_before) {
-            return refuse("CCT growth targets a node past its baseline");
+        // Rows ascend, so the last names the highest node.
+        if n.grown.last().is_some_and(|&(i, ..)| i >= n.nodes_before) {
+            return Err(refuse("CCT growth targets a node past its baseline"));
         }
     }
     Ok(())
@@ -124,16 +125,10 @@ pub fn check_merge(acc: &StageDelta, next: &StageDelta) -> Result<(), MergeError
 /// growth of nodes `acc` itself appended folds into those appended
 /// nodes, growth of older nodes sums into `acc`'s growth list. The
 /// composition is checked first ([`check_merge`]), so a pair that does
-/// not compose leaves `acc` untouched and fails here instead of
-/// corrupting an upstream accumulator.
-///
-/// Every diff emits its keyed lists (CCTs by context, growth rows by
-/// node, crosstalk by key) strictly ascending, so each merges in place
-/// in one linear pass. A list out of order or repeating a key can only
-/// be outside data, and takes the general rules the linear pass agrees
-/// with on sorted input: CCTs merge-joined in list order, growth rows
-/// placed one at a time, crosstalk summed through a `BTreeMap` (a key
-/// `acc` repeats keeps its last row, a key `next` repeats sums).
+/// not compose, or a delta whose keyed lists do not strictly ascend,
+/// leaves `acc` untouched and fails here instead of corrupting an
+/// upstream accumulator. With every list strictly ascending, each
+/// merges in place in one linear pass.
 ///
 /// `acc`'s `stage` and `seq` are preserved and its `checksum` is left
 /// **unset** (zero): the sender stamps the outgoing sequence number and
@@ -144,7 +139,12 @@ pub fn merge_stage_delta(acc: &mut StageDelta, next: &StageDelta) -> Result<(), 
     check_merge(acc, next)?;
     acc.new_frames.extend_from_slice(&next.new_frames);
     acc.new_contexts.extend_from_slice(&next.new_contexts);
-    merge_ccts(&mut acc.ccts, &mut Copied(&next.ccts));
+    merge_sorted(
+        &mut acc.ccts,
+        &mut Copied(&next.ccts),
+        |c| c.ctx,
+        compose_cct,
+    );
     merge_rows(acc, next);
     Ok(())
 }
@@ -159,7 +159,12 @@ pub fn merge_owned_delta(acc: &mut StageDelta, next: &mut StageDelta) -> Result<
     check_merge(acc, next)?;
     acc.new_frames.append(&mut next.new_frames);
     acc.new_contexts.append(&mut next.new_contexts);
-    merge_ccts(&mut acc.ccts, &mut Moved(&mut next.ccts));
+    merge_sorted(
+        &mut acc.ccts,
+        &mut Moved(&mut next.ccts),
+        |c| c.ctx,
+        compose_cct,
+    );
     merge_rows(acc, next);
     Ok(())
 }
@@ -173,58 +178,24 @@ fn merge_rows(acc: &mut StageDelta, next: &StageDelta) {
         a.count += n.count;
         a.total_wait += n.total_wait;
     };
-    if !merge_sorted(&mut acc.pairs, &mut Copied(&next.pairs), pair, add_pair) {
-        sum_by_key(&mut acc.pairs, &next.pairs, pair, add_pair);
-    }
+    merge_sorted(&mut acc.pairs, &mut Copied(&next.pairs), pair, add_pair);
     let waiter = |w: &DumpCrosstalkWaiter| w.waiter;
     let add_waiter = |a: &mut DumpCrosstalkWaiter, n: &DumpCrosstalkWaiter| {
         a.count += n.count;
         a.total_wait += n.total_wait;
     };
-    if !merge_sorted(
-        &mut acc.waiters,
-        &mut Copied(&next.waiters),
-        waiter,
-        add_waiter,
-    ) {
-        sum_by_key(&mut acc.waiters, &next.waiters, waiter, add_waiter);
-    }
+    let waiters = &mut Copied(&next.waiters);
+    merge_sorted(&mut acc.waiters, waiters, waiter, add_waiter);
     acc.piggyback_bytes += next.piggyback_bytes;
     acc.messages += next.messages;
     acc.checksum = 0;
 }
 
-/// Composes `next`'s CCT increments into `acc`'s, context by context.
-#[deny(clippy::indexing_slicing)]
-fn merge_ccts(acc: &mut Vec<CctDelta>, next: &mut impl Rows<CctDelta>) {
-    if merge_sorted(acc, next, |c| c.ctx, compose_cct) {
-        return;
-    }
-    // A list out of order: merge-join in list order into a new list.
-    let mut merged = Vec::with_capacity(acc.len() + next.rows().len());
-    let mut ai = std::mem::take(acc).into_iter().peekable();
-    for j in 0..next.rows().len() {
-        let Some(n) = next.rows().get(j) else { break };
-        let ctx = n.ctx;
-        while let Some(a) = ai.next_if(|a| a.ctx < ctx) {
-            merged.push(a);
-        }
-        match ai.next_if(|a| a.ctx == ctx) {
-            Some(mut a) => {
-                compose_cct(&mut a, n);
-                merged.push(a);
-            }
-            None => merged.extend(next.take(j)),
-        }
-    }
-    merged.extend(ai);
-    *acc = merged;
-}
-
 /// Composes `n` (the later increment) into `a` for one context.
 /// [`check_merge`] has already checked `n.nodes_before ==
-/// a.nodes_before + a.new_nodes.len()` and that `n` grows only nodes
-/// below that, so every grown node is in `a` or before it.
+/// a.nodes_before + a.new_nodes.len()`, that `n` grows only nodes
+/// below that, so every grown node is in `a` or before it, and that
+/// both growth lists ascend.
 #[deny(clippy::indexing_slicing)]
 fn compose_cct(a: &mut CctDelta, n: &CctDelta) {
     let add = |g: &mut (u32, u64, u64, u64), n: &(u32, u64, u64, u64)| {
@@ -237,26 +208,7 @@ fn compose_cct(a: &mut CctDelta, n: &CctDelta) {
     // into the nodes `a` appended.
     let split = n.grown.partition_point(|g| g.0 < a.nodes_before);
     let (older, own) = n.grown.split_at(split);
-    let ascending = n.grown.windows(2).all(|w| matches!(w, [x, y] if x.0 < y.0));
-    if !(ascending && merge_sorted(&mut a.grown, &mut Copied(older), |g| g.0, add)) {
-        // Rows out of order: place them one at a time.
-        for g @ &(i, ..) in &n.grown {
-            if i >= a.nodes_before {
-                fold_into_node(a, g);
-                continue;
-            }
-            match a.grown.binary_search_by_key(&i, |g| g.0) {
-                Ok(at) => {
-                    if let Some(x) = a.grown.get_mut(at) {
-                        add(x, g);
-                    }
-                }
-                Err(at) => a.grown.insert(at, *g),
-            }
-        }
-        a.new_nodes.extend_from_slice(&n.new_nodes);
-        return;
-    }
+    merge_sorted(&mut a.grown, &mut Copied(older), |g| g.0, add);
     for g in own {
         fold_into_node(a, g);
     }
@@ -305,25 +257,17 @@ impl<T: Default> Rows<T> for Moved<'_, T> {
     }
 }
 
-/// Merges `next` into `acc` in place when both are strictly ascending
-/// by `key`: a row whose key `acc` holds folds into that row, and every
-/// other row lands where it sorts, with each row of `acc` moved at most
-/// once. Returns `false`, having touched nothing, when either list is
-/// out of order or repeats a key.
+/// Merges `next` into `acc` in place, both strictly ascending by `key`
+/// ([`check_merge`] has checked): a row whose key `acc` holds folds
+/// into that row, and every other row lands where it sorts, with each
+/// row of `acc` moved at most once.
 #[deny(clippy::indexing_slicing)]
 fn merge_sorted<T: Default, K: Ord + Copy>(
     acc: &mut Vec<T>,
     next: &mut impl Rows<T>,
     key: impl Fn(&T) -> K,
     fold: impl Fn(&mut T, &T),
-) -> bool {
-    let ascending = |rows: &[T]| {
-        rows.windows(2)
-            .all(|w| matches!(w, [x, y] if key(x) < key(y)))
-    };
-    if !ascending(acc) || !ascending(next.rows()) {
-        return false;
-    }
+) {
     // Forward: fold the rows of keys `acc` holds; count the others.
     let mut fresh = 0;
     let mut ai = acc.iter_mut().peekable();
@@ -363,29 +307,6 @@ fn merge_sorted<T: Default, K: Ord + Copy>(
             *slot = row;
         }
     }
-    true
-}
-
-/// Sums `next` into `acc` by key through a `BTreeMap`, for lists out of
-/// order or repeating a key: one row per key, ascending, where a key
-/// `acc` repeats keeps its last row and a key `next` repeats sums.
-#[deny(clippy::indexing_slicing)]
-fn sum_by_key<T: Copy, K: Ord>(
-    acc: &mut Vec<T>,
-    next: &[T],
-    key: impl Fn(&T) -> K,
-    add: impl Fn(&mut T, &T),
-) {
-    let mut by_key: BTreeMap<K, T> = acc.drain(..).map(|r| (key(&r), r)).collect();
-    for n in next {
-        match by_key.entry(key(n)) {
-            Entry::Vacant(e) => {
-                e.insert(*n);
-            }
-            Entry::Occupied(e) => add(e.into_mut(), n),
-        }
-    }
-    acc.extend(by_key.into_values());
 }
 
 /// Stamps the outgoing per-stage sequence number on a merged delta and
@@ -732,6 +653,25 @@ mod tests {
         // onto d0 must fail loudly and leave `m` unchanged.
         let before = m.clone();
         assert!(merge_stage_delta(&mut m, &d2).is_err());
+        assert_eq!(m, before);
+    }
+
+    #[test]
+    fn merge_rejects_growth_past_the_baseline() {
+        let [s0, s1, s2] = snapshots();
+        let mut m = diff_dump(0, 0, None, &s0).unwrap();
+        merge_stage_delta(&mut m, &diff_dump(0, 1, Some(&s0), &s1).unwrap()).unwrap();
+        let mut d2 = diff_dump(0, 2, Some(&s1), &s2).unwrap();
+        // The last of several ascending rows names a node d2 appends.
+        let c = &mut d2.ccts[0];
+        assert!(!c.grown.is_empty());
+        c.grown.push((c.nodes_before, 0, 5, 0));
+        let before = m.clone();
+        let what = "CCT growth targets a node past its baseline";
+        assert_eq!(
+            merge_stage_delta(&mut m, &d2),
+            Err(MergeError { stage: 0, what })
+        );
         assert_eq!(m, before);
     }
 

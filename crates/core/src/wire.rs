@@ -758,10 +758,11 @@ pub(crate) fn put_delta(
 /// no column is held on the side and nothing is indexed. Frame names
 /// are clones of `table`'s entries; each context's atoms are read into
 /// `atoms` and moved into one allocation of their exact size. CCT
-/// increments are drawn from `spare`, capacity and all. Returns whether the
-/// section stored a checksum; when it did not, `d.checksum` is left 0:
-/// the canonical value is implied, for the caller to fill in or to
-/// vouch for.
+/// increments are drawn from `spare`, capacity and all. A delta whose
+/// keyed lists are not in canonical form ([`StageDelta::check_order`])
+/// is malformed. Returns whether the section stored a checksum; when it
+/// did not, `d.checksum` is left 0: the canonical value is implied, for
+/// the caller to fill in or to vouch for.
 #[deny(clippy::indexing_slicing)]
 fn read_delta(
     r: &mut Reader<'_>,
@@ -815,16 +816,8 @@ fn read_delta(
     d.ccts.reserve(nc);
     let mut dr = DodReader::new();
     for _ in 0..nc {
-        let ctx = as_u32(dr.next(r)?)?;
-        // One CCT per context, sorted by ctx — the rule
-        // [`StageAccumulator::apply`] enforces again for struct callers.
-        if d.ccts.last().is_some_and(|prev| prev.ctx >= ctx) {
-            return Err(WireError::Malformed(
-                "CCT ctx column not strictly increasing",
-            ));
-        }
         let mut c = spare.pop().unwrap_or_default();
-        c.ctx = ctx;
+        c.ctx = as_u32(dr.next(r)?)?;
         d.ccts.push(c);
     }
     for c in &mut d.ccts {
@@ -898,6 +891,7 @@ fn read_delta(
     d.messages = if flags & F_MESSAGES != 0 { r.u64()? } else { 0 };
     let stored = flags & F_CHECKSUM != 0;
     d.checksum = if stored { r.fixed_u64()? } else { 0 };
+    d.check_order().map_err(WireError::Malformed)?;
     Ok(stored)
 }
 

@@ -1,25 +1,22 @@
-//! The summary merge against the composition it replaced.
+//! The summary merge on canonical and on non-canonical deltas.
 //!
-//! `merge_stage_delta` and `merge_owned_delta` merge-join lists that
-//! are already sorted in place, and keep the old composition for input
-//! that is not: CCT lists merge-joined in list order, growth rows
-//! placed one at a time, crosstalk rebuilt through a `BTreeMap`. The
-//! oracle (`merge_oracle`) is that old composition whole. Random
-//! contiguous delta pairs are cut from three growing snapshots of one
-//! stage; each pair is merged as diffed (the linear path) and again
-//! with its keyed lists disordered and repeated (the fallback), and
-//! every merge must equal the oracle's, refusals included. A pair as
-//! diffed must also merge into a delta whose application equals
-//! applying both in turn.
-
-mod merge_oracle;
+//! `merge_stage_delta` and `merge_owned_delta` merge-join keyed lists
+//! in place, and take only deltas in canonical form
+//! (`StageDelta::check_order`: every keyed list strictly ascending).
+//! Random contiguous delta pairs are cut from three growing snapshots
+//! of one stage. A pair as diffed must merge into a delta whose
+//! application equals applying both in turn. The same pair with its
+//! keyed lists disordered or repeated must be refused by both merges,
+//! with both operands left as they were.
 
 use proptest::prelude::*;
 use whodunit_core::delta::{diff_dump, StageAccumulator, StageDelta, StreamStage};
 use whodunit_core::stitch::{
     DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
 };
-use whodunit_core::summary::{merge_owned_delta, merge_stage_delta, seal_delta, MergeError};
+use whodunit_core::summary::{
+    check_merge, merge_owned_delta, merge_stage_delta, seal_delta, MergeError,
+};
 
 /// A xorshift stream, so one proptest seed draws a whole stage history.
 struct Rng(u64);
@@ -187,38 +184,37 @@ fn disorder(d: &mut StageDelta, mask: u8) {
     }
 }
 
-/// Both product merges of `next` into `acc`, which must agree.
+/// Both product merges of `next` into `acc`, which must agree; a
+/// refused merge leaves both operands as they were.
 fn product(acc: &StageDelta, next: &StageDelta) -> Result<StageDelta, MergeError> {
     let mut borrowed = acc.clone();
-    let b = merge_stage_delta(&mut borrowed, next).map(|()| borrowed);
+    let b = merge_stage_delta(&mut borrowed, next);
     let (mut owned, mut spent) = (acc.clone(), next.clone());
-    let o = merge_owned_delta(&mut owned, &mut spent).map(|()| owned);
-    assert_eq!(b, o, "the borrowed and the owned merge differ");
+    let o = merge_owned_delta(&mut owned, &mut spent);
+    assert_eq!(
+        (&b, &borrowed),
+        (&o, &owned),
+        "the borrowed and the owned merge differ"
+    );
     if b.is_err() {
+        assert_eq!(&borrowed, acc, "a refused merge changed the earlier delta");
         assert_eq!(&spent, next, "a refused owned merge moved rows");
     }
-    b
-}
-
-fn oracle(acc: &StageDelta, next: &StageDelta) -> Result<StageDelta, MergeError> {
-    let mut m = acc.clone();
-    merge_oracle::merge(&mut m, next).map(|()| m)
+    b.map(|()| borrowed)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn linear_merges_equal_the_btreemap_composition(
+    fn canonical_pairs_merge_as_applied_in_turn_and_others_are_refused(
         case in (any::<u64>(), 0u8..16, 0u8..16)
     ) {
         let (seed, earlier, later) = case;
         let ([_, _, s2], [d0, d1, d2]) = history(seed);
 
-        // As diffed: the linear path, and the merge law.
-        let merged = product(&d1, &d2);
-        prop_assert_eq!(&merged, &oracle(&d1, &d2));
-        let merged = merged.expect("contiguous increments merge");
+        // As diffed: the merge law.
+        let merged = product(&d1, &d2).expect("contiguous increments merge");
         let mut one = StageAccumulator::new(&stage());
         one.apply(&d0).unwrap();
         one.apply(&seal_delta(merged, 1)).unwrap();
@@ -229,12 +225,20 @@ proptest! {
         prop_assert_eq!(one.to_dump(), both.to_dump());
         prop_assert_eq!(one.to_dump(), s2);
 
-        // Disordered and repeated keys: the fallback, refusals included.
+        // Disordered or repeated keys in either operand: refused with
+        // the first rule the earlier delta breaks, else the later's,
+        // both left untouched (`product`). Every mask that changes a
+        // list breaks a rule; one that changes nothing leaves a pair
+        // that merges.
         let (mut a, mut n) = (d1.clone(), d2.clone());
         disorder(&mut a, earlier);
         disorder(&mut n, later);
-        prop_assert_eq!(product(&a, &n), oracle(&a, &n));
-        prop_assert_eq!(product(&d1, &n), oracle(&d1, &n));
-        prop_assert_eq!(product(&a, &d2), oracle(&a, &d2));
+        for (a, n) in [(&a, &n), (&d1, &n), (&a, &d2)] {
+            let broken = a.check_order().and(n.check_order());
+            prop_assert_eq!(broken.is_ok(), (a, n) == (&d1, &d2));
+            let refusal = broken.map_err(|what| MergeError { stage: 0, what });
+            prop_assert_eq!(check_merge(a, n), refusal.clone());
+            prop_assert_eq!(product(a, n).map(|_| ()), refusal);
+        }
     }
 }

@@ -1,11 +1,13 @@
 //! Property tests for the columnar binary wire codec (DESIGN.md §16):
 //!
 //! - **Exact round-trips**: `decode(encode(x)) == x` as a value, for
-//!   arbitrary [`StageDelta`]s (including hostile extremes — `u64::MAX`
-//!   swings that stress the zigzag delta-of-delta columns, empty and
-//!   maximal sections, multi-byte UTF-8 in the intern tables, and wrong
-//!   stored checksums, which must survive the wire verbatim so the
-//!   struct ingest path can quarantine them).
+//!   arbitrary canonical [`StageDelta`]s (including hostile extremes —
+//!   `u64::MAX` swings that stress the zigzag delta-of-delta columns,
+//!   empty and maximal sections, multi-byte UTF-8 in the intern tables,
+//!   and wrong stored checksums, which must survive the wire verbatim
+//!   so the struct ingest path can quarantine them).
+//! - **Canonical form**: a delta whose keyed lists do not strictly
+//!   ascend is malformed, in a batch frame and in a summary frame.
 //! - **Stream framing**: concatenated frames decode one by one off a
 //!   single buffer via the `consumed` count, with no drift.
 //! - **Recycled decode ≡ fresh decode**: one [`BatchDecoder`] fed a
@@ -21,9 +23,9 @@
 //!
 //! The generators build structures directly from a seeded xorshift
 //! stream rather than composing strategy combinators: the wire codec
-//! must round-trip *any* field values, not only streams an emitter
-//! would produce, so the domain is deliberately wider than
-//! `diff_dump`'s output.
+//! must round-trip *any* field values of a canonical delta, not only
+//! streams an emitter would produce, so the domain is deliberately
+//! wider than `diff_dump`'s output.
 
 use proptest::prelude::*;
 use whodunit_core::delta::CctDelta;
@@ -34,7 +36,7 @@ use whodunit_core::stitch::{
 use whodunit_core::summary::{LeafGauges, SummaryFrame, TierSketch};
 use whodunit_core::wire::{
     decode_batch, decode_header, decode_summary, encode_batch, encode_header, encode_summary,
-    BatchDecoder,
+    BatchDecoder, WireError,
 };
 
 /// Deterministic xorshift64* stream for structure building.
@@ -107,6 +109,13 @@ fn arb_atom(r: &mut Rng) -> DumpAtom {
     }
 }
 
+/// `rows` sorted by `key`, one row per key.
+fn canonical<T, K: Ord>(mut rows: Vec<T>, key: impl Fn(&T) -> K) -> Vec<T> {
+    rows.sort_by_key(&key);
+    rows.dedup_by(|x, y| key(x) == key(y));
+    rows
+}
+
 fn arb_delta(r: &mut Rng) -> StageDelta {
     StageDelta {
         stage: r.below(64) as usize,
@@ -120,10 +129,9 @@ fn arb_delta(r: &mut Rng) -> StageDelta {
         new_synopses: (0..r.below(5))
             .map(|_| (r.extreme(), r.extreme() as u32))
             .collect(),
+        // Every keyed list strictly ascending — the canonical form
+        // (`StageDelta::check_order`) both decode paths enforce.
         ccts: {
-            // One CCT per context, sorted by ctx — the documented
-            // `StageDelta::ccts` invariant, which both decode paths
-            // enforce (a repeated id could shrink ranges mid-apply).
             let mut ctx: Vec<u32> = (0..r.below(4)).map(|_| r.extreme() as u32).collect();
             ctx.sort_unstable();
             ctx.dedup();
@@ -132,27 +140,36 @@ fn arb_delta(r: &mut Rng) -> StageDelta {
                     ctx,
                     nodes_before: r.below(1000) as u32,
                     new_nodes: (0..r.below(5)).map(|_| arb_node(r)).collect(),
-                    grown: (0..r.below(5))
-                        .map(|_| (r.below(1000) as u32, r.extreme(), r.extreme(), r.extreme()))
-                        .collect(),
+                    grown: canonical(
+                        (0..r.below(5))
+                            .map(|_| (r.below(1000) as u32, r.extreme(), r.extreme(), r.extreme()))
+                            .collect(),
+                        |g| g.0,
+                    ),
                 })
                 .collect()
         },
-        pairs: (0..r.below(4))
-            .map(|_| DumpCrosstalkPair {
-                waiter: r.extreme() as u32,
-                holder: r.extreme() as u32,
-                count: r.extreme(),
-                total_wait: r.extreme(),
-            })
-            .collect(),
-        waiters: (0..r.below(4))
-            .map(|_| DumpCrosstalkWaiter {
-                waiter: r.extreme() as u32,
-                count: r.extreme(),
-                total_wait: r.extreme(),
-            })
-            .collect(),
+        pairs: canonical(
+            (0..r.below(4))
+                .map(|_| DumpCrosstalkPair {
+                    waiter: r.extreme() as u32,
+                    holder: r.extreme() as u32,
+                    count: r.extreme(),
+                    total_wait: r.extreme(),
+                })
+                .collect(),
+            |p| (p.waiter, p.holder),
+        ),
+        waiters: canonical(
+            (0..r.below(4))
+                .map(|_| DumpCrosstalkWaiter {
+                    waiter: r.extreme() as u32,
+                    count: r.extreme(),
+                    total_wait: r.extreme(),
+                })
+                .collect(),
+            |w| w.waiter,
+        ),
         piggyback_bytes: r.extreme(),
         messages: r.extreme(),
         // Arbitrary — often *wrong* for the content. The wire must
@@ -341,6 +358,45 @@ proptest! {
                 dec.recycle(held.swap_remove(r.below(held.len() as u64) as usize));
             }
         }
+    }
+
+    /// A delta that repeats a crosstalk pair or waiter, or lists growth
+    /// rows out of node order, is malformed: a batch frame and a
+    /// summary frame carrying it are refused whole, naming the rule.
+    #[test]
+    fn non_canonical_deltas_are_malformed(input in (any::<u64>(), 0u8..3)) {
+        let (seed, which) = input;
+        let mut r = Rng::new(seed);
+        let mut d = arb_delta(&mut r);
+        let what = match which {
+            0 => {
+                let p = DumpCrosstalkPair { waiter: r.next() as u32, holder: 1, count: 1, total_wait: 2 };
+                d.pairs.extend([p, p]);
+                "crosstalk pairs not strictly increasing"
+            }
+            1 => {
+                let w = DumpCrosstalkWaiter { waiter: r.next() as u32, count: 1, total_wait: 2 };
+                d.waiters.extend([w, w]);
+                "crosstalk waiters not strictly increasing"
+            }
+            _ => {
+                if d.ccts.is_empty() {
+                    d.ccts.push(CctDelta::default());
+                }
+                let at = r.below(d.ccts.len() as u64) as usize;
+                let node = r.below(1000) as u32;
+                d.ccts[at].grown.extend([(node + 1, 1, 2, 3), (node, 1, 2, 3)]);
+                "CCT growth rows not strictly increasing by node"
+            }
+        };
+        prop_assert_eq!(d.check_order(), Err(what));
+        let malformed = Err(WireError::Malformed(what));
+        let batch = EpochBatch { epoch: 0, seq: 0, end: 0, deltas: vec![d.clone()] };
+        let bytes = encode_batch(&batch);
+        prop_assert_eq!(decode_batch(&bytes).map(|_| ()), malformed.clone());
+        prop_assert_eq!(BatchDecoder::default().decode(&bytes).map(|_| ()), malformed.clone());
+        let frame = SummaryFrame { deltas: vec![d], ..SummaryFrame::default() }.seal();
+        prop_assert_eq!(decode_summary(&encode_summary(&frame)).map(|_| ()), malformed);
     }
 
     /// Stream headers round-trip through their wire frames for

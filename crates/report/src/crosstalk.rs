@@ -1,7 +1,6 @@
-//! Crosstalk presentation (§6): who-waits-for-whom tables from a stage
+//! Crosstalk presentation (§6): who-waits-for-whom rows from a stage
 //! dump, with contexts rendered readably.
 
-use crate::table;
 use whodunit_core::cost::cycles_to_ms;
 use whodunit_core::stitch::StageDump;
 
@@ -37,24 +36,6 @@ pub fn pairs(dump: &StageDump) -> Vec<PairRow> {
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     rows
-}
-
-/// Renders the §6 presentation: "the length of the wait, and the
-/// transaction instance that causes the wait", per ordered pair.
-pub fn render_pairs(dump: &StageDump, top: usize) -> String {
-    let rows: Vec<Vec<String>> = pairs(dump)
-        .into_iter()
-        .take(top)
-        .map(|r| {
-            vec![
-                r.waiter,
-                r.holder,
-                table::f(r.mean_ms, 2),
-                r.count.to_string(),
-            ]
-        })
-        .collect();
-    table::render(&["Waiter", "Holder", "Mean wait ms", "Waits"], &rows)
 }
 
 #[cfg(test)]
@@ -105,18 +86,7 @@ mod tests {
     }
 
     #[test]
-    fn render_includes_headers_and_rows() {
-        let s = render_pairs(&dump(), 5);
-        assert!(s.contains("Waiter"));
-        assert!(s.contains("Mean wait ms"));
-        assert!(s.lines().count() >= 4);
-    }
-
-    #[test]
-    fn empty_dump_renders_header_only() {
-        let d = StageDump::default();
-        let s = render_pairs(&d, 5);
-        assert!(s.contains("Waiter"));
-        assert!(pairs(&d).is_empty());
+    fn empty_dump_has_no_pairs() {
+        assert!(pairs(&StageDump::default()).is_empty());
     }
 }

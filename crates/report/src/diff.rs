@@ -2,11 +2,9 @@
 //!
 //! The §8.4 workflow is profile → find candidates → optimize →
 //! re-measure; a diff view makes the "re-measure" step concrete by
-//! comparing two dumps of the same stage (e.g. MyISAM vs InnoDB, or
-//! caching off vs on) context by context.
-
-use crate::render::context_shares;
-use whodunit_core::stitch::StageDump;
+//! comparing two profiles of the same stage (e.g. MyISAM vs InnoDB, or
+//! caching off vs on) row by row, each row a context's share before
+//! and after.
 
 /// One row of a profile diff.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,41 +22,6 @@ impl DiffRow {
     pub fn delta(&self) -> f64 {
         self.after_pct - self.before_pct
     }
-}
-
-/// Diffs two dumps of the same stage by context share, sorted by the
-/// magnitude of the change (largest first).
-pub fn diff_contexts(before: &StageDump, after: &StageDump) -> Vec<DiffRow> {
-    let b = context_shares(before);
-    let a = context_shares(after);
-    let mut ctxs: Vec<String> = b
-        .iter()
-        .map(|s| s.ctx.clone())
-        .chain(a.iter().map(|s| s.ctx.clone()))
-        .collect();
-    ctxs.sort();
-    ctxs.dedup();
-    let find = |set: &[crate::render::CtxShare], ctx: &str| {
-        set.iter()
-            .find(|s| s.ctx == ctx)
-            .map(|s| s.pct)
-            .unwrap_or(0.0)
-    };
-    let mut rows: Vec<DiffRow> = ctxs
-        .into_iter()
-        .map(|ctx| DiffRow {
-            before_pct: find(&b, &ctx),
-            after_pct: find(&a, &ctx),
-            ctx,
-        })
-        .collect();
-    rows.sort_by(|x, y| {
-        y.delta()
-            .abs()
-            .partial_cmp(&x.delta().abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    rows
 }
 
 /// Renders a diff as an aligned table.
@@ -80,74 +43,16 @@ pub fn render_diff(rows: &[DiffRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whodunit_core::stitch::{DumpCct, DumpContext, DumpNode};
-
-    fn dump(samples: &[(u32, u64)]) -> StageDump {
-        // One single-frame CCT per context index.
-        let max_ctx = samples.iter().map(|&(c, _)| c).max().unwrap_or(0);
-        StageDump {
-            proc: 0,
-            stage_name: "s".into(),
-            frames: vec!["f".into()],
-            contexts: (0..=max_ctx)
-                .map(|i| DumpContext {
-                    atoms: if i == 0 {
-                        vec![].into()
-                    } else {
-                        vec![whodunit_core::stitch::DumpAtom::Frame(0)].into()
-                    },
-                })
-                .collect(),
-            ccts: samples
-                .iter()
-                .map(|&(ctx, n)| DumpCct {
-                    ctx,
-                    nodes: vec![
-                        DumpNode {
-                            frame: None,
-                            parent: None,
-                            samples: 0,
-                            cycles: 0,
-                            calls: 0,
-                        },
-                        DumpNode {
-                            frame: Some(0),
-                            parent: Some(0),
-                            samples: n,
-                            cycles: n * 10,
-                            calls: 0,
-                        },
-                    ],
-                })
-                .collect(),
-            ..StageDump::default()
-        }
-    }
 
     #[test]
-    fn diff_orders_by_change_magnitude() {
-        // Before: ctx0 80%, ctx1 20%. After: ctx0 30%, ctx1 70%.
-        let before = dump(&[(0, 80), (1, 20)]);
-        let after = dump(&[(0, 30), (1, 70)]);
-        let rows = diff_contexts(&before, &after);
-        assert_eq!(rows.len(), 2);
-        assert!((rows[0].delta().abs() - 50.0).abs() < 1e-9);
+    fn rows_render_with_their_change() {
+        let rows = [DiffRow {
+            ctx: "BestSellers".into(),
+            before_pct: 80.0,
+            after_pct: 30.0,
+        }];
         let table = render_diff(&rows);
         assert!(table.contains("Δ pp"));
-        assert!(table.contains("+50.00") || table.contains("-50.00"));
-    }
-
-    #[test]
-    fn contexts_missing_on_one_side_show_zero() {
-        let before = dump(&[(0, 100)]);
-        let after = dump(&[(1, 100)]);
-        let rows = diff_contexts(&before, &after);
-        assert_eq!(rows.len(), 2);
-        assert!(rows
-            .iter()
-            .any(|r| r.before_pct == 0.0 && r.after_pct == 100.0));
-        assert!(rows
-            .iter()
-            .any(|r| r.before_pct == 100.0 && r.after_pct == 0.0));
+        assert!(table.contains("BestSellers") && table.contains("-50.00"));
     }
 }

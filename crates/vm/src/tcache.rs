@@ -53,14 +53,6 @@ impl TranslationCache {
         }
     }
 
-    /// Whether `program` is already translated.
-    pub fn is_translated(&self, program: ProgId) -> bool {
-        self.translated
-            .get(program.0 as usize)
-            .copied()
-            .unwrap_or(false)
-    }
-
     /// Charges for entering `program` (translating it if this is its
     /// first execution). Returns the translation cycles charged (zero
     /// on a cache hit).
@@ -105,8 +97,6 @@ mod tests {
         let mut tc = TranslationCache::new();
         let c1 = tc.enter(PUSH, 20);
         assert_eq!(c1, 20 * tc.translate_per_instr);
-        assert!(tc.is_translated(PUSH));
-        assert!(!tc.is_translated(POP));
         let c2 = tc.enter(PUSH, 20);
         assert_eq!(c2, 0);
         assert_eq!(tc.translate_cycles, c1);
@@ -134,7 +124,6 @@ mod tests {
         let mut tc = TranslationCache::new();
         tc.enter(PUSH, 4);
         tc.flush();
-        assert!(!tc.is_translated(PUSH));
         assert!(tc.enter(PUSH, 4) > 0);
     }
 

@@ -72,7 +72,7 @@ cargo test --workspace -q
 #   decode == fresh decode — one BatchDecoder over random frame
 #   sequences, damaged frames in between, answers each frame exactly as
 #   decode_batch does, so nothing of an earlier delta shows in a later
-#   one;
+#   one; a delta whose keyed lists do not strictly ascend is malformed;
 # - allocation budget: wire ingest of the staggered fleet stream behind
 #   a counting allocator, <= 1.0 allocations per event (0.907 now,
 #   0.897 while CCT nodes kept two inline child slots, 0.890 while the
@@ -97,7 +97,7 @@ cargo test --workspace -q
 #   mutates (apply Ok => the dump validates).
 #
 # The federation gates (federation_diff, federation_props,
-# federation_alloc_budget, golden_federation):
+# federation_alloc_budget, golden_federation, summary_merge):
 # - differential: leaf/regional/global federation vs flat batch
 #   byte-identity over the 36-scenario matrix, plus fault scenarios
 #   (lossy uplinks, partitions, leaf/regional crash recovery,
@@ -105,11 +105,17 @@ cargo test --workspace -q
 #   its feeder), three of them with their whole FederationStats pinned;
 # - properties: the summary-delta merge algebra (grouping invariance,
 #   associativity, mass conservation, sketch wire round-trip);
+# - merge: a contiguous pair of canonical deltas merges into one whose
+#   application equals applying both in turn, and a pair with a keyed
+#   list disordered or repeated in either delta is refused, both left
+#   untouched;
 # - allocation budget: a 24-replica federation on lossy links (frames
-#   parked and duplicated) behind a counting allocator, <= 2.6
-#   allocations per leaf event (2.538 now; 9.017 when checkpoints
-#   deep-copied parked frames, duplicates were decoded, regionals
-#   cloned every decoded delta and each leaf had its own mirror;
+#   parked and duplicated) behind a counting allocator, <= 2.4
+#   allocations per leaf event (2.323 now; 2.538 while the spool
+#   re-copied each frame and the merge went through `BTreeMap`s;
+#   9.017 when checkpoints deep-copied parked frames, duplicates were
+#   decoded, regionals cloned every decoded delta and each leaf had its
+#   own mirror;
 #   7.691 while one emitter mirror replayed every leaf in lockstep;
 #   6.797 while the root ran a §10 collector; 6.609 while every hop
 #   copied each frame name and context, and a regional built a sketch
@@ -165,6 +171,7 @@ whodunit/golden_collector whodunit/golden_sentinel
 whodunit-core/wire_props whodunit-collector/wire_fuzz whodunit-collector/alloc_budget
 whodunit-collector/federation_diff whodunit-collector/federation_props
 whodunit-collector/federation_alloc_budget whodunit/golden_federation
+whodunit-core/summary_merge
 whodunit-infer/properties whodunit-infer/scenarios whodunit/golden_infer
 whodunit/fingerprint whodunit-apps/engine_alloc_budget
 whodunit-apps/zoo_chaos whodunit-sim/chaos_detectors
