@@ -8,7 +8,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use whodunit_core::delta::{
-    apply_frame, stage_out_of_turn, DeltaError, EpochBatch, StageAccumulator, StageDelta,
+    apply_frame, stage_out_of_turn, Compared, DeltaError, EpochBatch, StageAccumulator, StageDelta,
     StreamHeader,
 };
 use whodunit_core::sketch::QuantileSketch;
@@ -236,33 +236,26 @@ impl Increment {
 }
 
 /// One logged mutation of a leaf's input accumulators: the unit of the
-/// leaf's redo journal. [`Redo::run`] is the only code that mutates a
-/// leaf accumulator — on the live state when the op is logged, and on
-/// the checkpoint copy when [`LeafNode::checkpoint`] replays the
-/// journal — so both copies take every op through the same
-/// [`StageAccumulator::apply`] checks.
+/// leaf's redo journal. The live state takes a delta through the
+/// verifying [`StageAccumulator::apply_kept`], whose [`Compared`] the
+/// journal keeps; [`Redo::replay`] is the only code that mutates the
+/// checkpoint copy, so it takes every op through the same checks but
+/// the checksum compare the live apply already made.
 enum Redo {
     /// An input (or catch-up) delta.
-    Apply(StageDelta),
+    Apply(Compared),
     /// A resync fast-forwarded the expected input seq.
     Seek(u64),
 }
 
 impl Redo {
-    fn run(&self, acc: &mut StageAccumulator) -> Result<(), DeltaError> {
+    fn replay(&self, acc: &mut StageAccumulator) -> Result<(), DeltaError> {
         match self {
-            Redo::Apply(d) => acc.apply(d),
+            Redo::Apply(d) => acc.replay(d),
             Redo::Seek(next) => {
                 acc.set_next_seq(*next);
                 Ok(())
             }
-        }
-    }
-
-    fn events(&self) -> u64 {
-        match self {
-            Redo::Apply(d) => d.events(),
-            Redo::Seek(_) => 0,
         }
     }
 }
@@ -352,18 +345,20 @@ impl LeafNode {
         self.st.inc.ledger.gauges.entry(self.leaf_id).or_default()
     }
 
-    /// Runs `op` on `st.accs[si]` and logs it. The entry is pushed
-    /// before the op runs and popped if the op refuses, so not even an
-    /// op that unwinds leaves `st.accs` ahead of the journal.
-    fn log(&mut self, si: usize, op: Redo) -> Result<(), DeltaError> {
-        self.journal.push((si, op));
-        let (_, op) = self.journal.last().expect("just pushed");
-        let done = op.run(&mut self.st.accs[si]);
-        match done {
-            Ok(()) => self.journal_events += op.events(),
-            Err(_) => drop(self.journal.pop()),
-        }
-        done
+    /// Applies `d` to `st.accs[si]` and journals it; a refused delta
+    /// leaves both untouched.
+    fn apply(&mut self, si: usize, d: &StageDelta) -> Result<(), DeltaError> {
+        let op = self.st.accs[si].apply_kept(d)?;
+        self.journal_events += d.events();
+        self.journal.push((si, Redo::Apply(op)));
+        Ok(())
+    }
+
+    /// Fast-forwards `st.accs[si]` to expect input seq `next`, and
+    /// journals it.
+    fn seek(&mut self, si: usize, next: u64) {
+        self.st.accs[si].set_next_seq(next);
+        self.journal.push((si, Redo::Seek(next)));
     }
 
     /// Folds a delta the accumulators took into the outgoing increment:
@@ -394,7 +389,7 @@ impl LeafNode {
                 stats.foreign_deltas += 1;
                 continue;
             };
-            if self.log(si, Redo::Apply(d.clone())).is_err() {
+            if self.apply(si, d).is_err() {
                 stats.input_errors += 1;
                 self.need_resync = true;
                 continue;
@@ -427,13 +422,12 @@ impl LeafNode {
                 .catchup_delta(gs, &emitter.into_dump())
                 .expect("the mirror replays this leaf's own clean input");
             if let Some(cd) = cd {
-                self.log(si, Redo::Apply(cd.clone()))
-                    .expect("catch-up delta applies");
+                self.apply(si, &cd).expect("catch-up delta applies");
                 self.gauges().events += cd.events();
                 self.absorb(si, Cow::Owned(cd));
                 gained = true;
             }
-            self.log(si, Redo::Seek(upto)).expect("seek cannot refuse");
+            self.seek(si, upto);
         }
         if gained {
             self.st.inc.cover(up_to_epoch, up_to_epoch, up_to_end);
@@ -450,7 +444,7 @@ impl LeafNode {
     pub(super) fn checkpoint(&mut self, stats: &mut FederationStats) {
         self.gauges().checkpoints += 1;
         for (si, op) in self.journal.drain(..) {
-            op.run(&mut self.ckpt.accs[si])
+            op.replay(&mut self.ckpt.accs[si])
                 .expect("an op the live state took replays onto its checkpoint");
         }
         self.journal_events = 0;

@@ -19,7 +19,7 @@
 //!   repeats intact frames heals to byte-identity through the park,
 //!   dedup, and resync paths.
 //! - **Structure-aware damage**: bit flips almost never get past the
-//!   FNV envelope, so one suite edits a *decoded* field, re-seals the
+//!   CRC-64 envelope, so one suite edits a *decoded* field, re-seals the
 //!   delta checksum and re-encodes under a fresh valid envelope — the
 //!   only way to reach `StageAccumulator::apply`'s validation with
 //!   bytes every checksum vouches for. Whatever `apply` lets through

@@ -320,6 +320,16 @@ impl EpochBatch {
 #[derive(Clone, Copy, Debug)]
 pub struct Unsealed<'a>(&'a StageDelta);
 
+/// A copy of a delta that an accumulator took through the verifying
+/// [`StageAccumulator::apply`], stored checksum compared with the
+/// content. Only [`StageAccumulator::apply_kept`] makes one, so holding
+/// one is the vouch that the compare is done, and
+/// [`StageAccumulator::replay`] runs every other check of `apply` on a
+/// second accumulator without hashing the content again (a leaf's redo
+/// journal, replayed onto its checkpoint).
+#[derive(Debug)]
+pub struct Compared(StageDelta);
+
 /// A borrowed delta on its way into an accumulator, and which `apply`
 /// it is due.
 #[derive(Clone, Copy, Debug)]
@@ -827,6 +837,19 @@ impl StageAccumulator {
     /// checksum with itself, so the content is never hashed.
     pub fn apply_unsealed(&mut self, d: Unsealed<'_>) -> Result<(), DeltaError> {
         self.apply_inner(d.0, false)
+    }
+
+    /// [`StageAccumulator::apply`], and on success a copy of `d` vouched
+    /// as [`Compared`] for [`StageAccumulator::replay`].
+    pub fn apply_kept(&mut self, d: &StageDelta) -> Result<Compared, DeltaError> {
+        self.apply(d)?;
+        Ok(Compared(d.clone()))
+    }
+
+    /// Applies a delta another accumulator took through `apply`: every
+    /// check but the checksum compare that `apply` has made.
+    pub fn replay(&mut self, d: &Compared) -> Result<(), DeltaError> {
+        self.apply_inner(&d.0, false)
     }
 
     // `check` and `commit` are inlined into their two callers: as

@@ -8,6 +8,10 @@
 //! and streaming delta checksums. They all
 //! share this implementation so the constants and byte order cannot
 //! drift apart between call sites.
+//!
+//! The wire frame envelope is the one digest that is not FNV: it is
+//! CRC-64 ([`crate::crc64`]), which detects every burst of up to 64
+//! bits and runs at memory speed where the CPU has carry-less multiply.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

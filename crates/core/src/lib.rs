@@ -49,6 +49,7 @@ pub mod blackbox;
 pub mod cct;
 pub mod context;
 pub mod cost;
+pub mod crc64;
 pub mod crosstalk;
 pub mod delta;
 pub mod dumpjson;

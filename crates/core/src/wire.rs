@@ -18,9 +18,9 @@
 //!    never pads.
 //! 3. **The frame envelope**: `"WDW"` magic, a version byte, a kind
 //!    byte, a `u32` little-endian body length, the body, and a trailing
-//!    FNV-1a digest of the body. [`open_frame`] verifies all five
-//!    before a single body byte is parsed, so damaged input surfaces as
-//!    a typed [`WireError`] — never a panic, never a silent
+//!    CRC-64 of the body ([`crate::crc64`]). [`open_frame`] verifies
+//!    all five before a single body byte is parsed, so damaged input
+//!    surfaces as a typed [`WireError`] — never a panic, never a silent
 //!    misparse — and slots into the collector's §12 quarantine /
 //!    resync machinery like any other lost or corrupt delta.
 //!
@@ -41,11 +41,12 @@
 //! [`seal_summary`], which hashes each delta once, to seal it, and
 //! writes every delta checksum as implied.
 
+use crate::crc64::crc64;
 use crate::delta::{
     CctDelta, DeltaError, EpochBatch, IncomingBatch, StageAccumulator, StageDelta, StreamHeader,
     StreamStage,
 };
-use crate::hash::{fnv1a, FnvHashMap};
+use crate::hash::FnvHashMap;
 use crate::stitch::{DumpAtom, DumpContext, DumpNode};
 use crate::summary::{IncomingSummary, LeafGauges, SummaryFrame, TierSketch};
 use std::fmt;
@@ -59,7 +60,7 @@ pub const WIRE_MAGIC: [u8; 3] = *b"WDW";
 /// its body is touched (version negotiation is pinned in DESIGN.md §16:
 /// there is exactly one live version per deployment epoch; mixed fleets
 /// quarantine foreign frames and resync rather than guess).
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Frame kind: a [`StreamHeader`].
 pub const KIND_HEADER: u8 = 1;
@@ -73,7 +74,7 @@ pub const KIND_SUMMARY: u8 = 3;
 
 /// Bytes of envelope before the body (magic + version + kind + length).
 pub const ENVELOPE_HEAD: usize = 9;
-/// Bytes of envelope after the body (the FNV-1a digest).
+/// Bytes of envelope after the body (the CRC-64 of the body).
 pub const ENVELOPE_TAIL: usize = 8;
 
 /// Why a wire frame could not be decoded. Every variant is a *detected*
@@ -94,7 +95,7 @@ pub enum WireError {
     },
     /// The buffer ends before the frame does.
     Truncated,
-    /// The body's FNV-1a digest does not match the stored trailer.
+    /// The body's CRC-64 does not match the stored trailer.
     Checksum,
     /// The envelope verified but the body violates the format (a
     /// version-logic bug or a deliberately crafted frame — random
@@ -405,13 +406,13 @@ pub fn begin_frame(buf: &mut Vec<u8>, kind: u8) -> usize {
 }
 
 /// Finishes the frame opened at `body_start`: backpatches the body
-/// length and appends the FNV-1a digest of the body bytes.
+/// length and appends the CRC-64 of the body bytes.
 pub fn end_frame(buf: &mut Vec<u8>, body_start: usize) {
     let body_len = buf.len() - body_start;
     assert!(body_len <= u32::MAX as usize, "wire frame body over 4 GiB");
     let lenb = (body_len as u32).to_le_bytes();
     buf[body_start - 4..body_start].copy_from_slice(&lenb);
-    let digest = fnv1a(&buf[body_start..]);
+    let digest = crc64(&buf[body_start..]);
     buf.extend_from_slice(&digest.to_le_bytes());
 }
 
@@ -449,7 +450,7 @@ pub fn open_frame(buf: &[u8], kind: u8) -> Result<(Reader<'_>, usize), WireError
     else {
         return Err(WireError::Truncated);
     };
-    if fnv1a(body) != u64::from_le_bytes(*stored) {
+    if crc64(body) != u64::from_le_bytes(*stored) {
         return Err(WireError::Checksum);
     }
     Ok((Reader::new(body), total))

@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod crosstalk;
 pub mod diff;
 pub mod infer;
 pub mod live;

@@ -64,8 +64,8 @@ cargo test --workspace -q
 #   the rendered sentinel incident report mid-violation + post-capture
 #   (regenerate intentionally with UPDATE_GOLDEN=1).
 #
-# The binary wire-format gates (DESIGN.md §16; wire_props, wire_fuzz,
-# alloc_budget):
+# The binary wire-format gates (DESIGN.md §16; wire_props, wire_digest,
+# wire_fuzz, alloc_budget):
 # - properties: decode(encode(delta)) == delta for arbitrary deltas,
 #   batches, and summary frames, plus the golden frame hex dump
 #   (regenerate intentionally with UPDATE_GOLDEN=1); and recycled
@@ -73,6 +73,13 @@ cargo test --workspace -q
 #   sequences, damaged frames in between, answers each frame exactly as
 #   decode_batch does, so nothing of an earlier delta shows in a later
 #   one; a delta whose keyed lists do not strictly ascend is malformed;
+# - digest: the envelope's CRC-64/XZ has its check value, the carry-less
+#   fold equals the slicing-by-8 table at every length 0..=2048 from
+#   every start offset 0..16, the folding keys and Barrett constants
+#   are derived from the polynomial and equal the literals, every bit
+#   flip and sampled burst of up to 64 bits in the golden frame's body
+#   and in a folded 4 KiB body is a Checksum error, and a version-1
+#   frame is BadVersion(1);
 # - allocation budget: wire ingest of the staggered fleet stream behind
 #   a counting allocator, <= 1.0 allocations per event (0.907 now,
 #   0.897 while CCT nodes kept two inline child slots, 0.890 while the
@@ -168,7 +175,8 @@ whodunit-core/parallel_diff whodunit/golden_report
 whodunit-core/read_side whodunit/read_alloc_budget
 whodunit-collector/streaming_diff whodunit-collector/properties
 whodunit/golden_collector whodunit/golden_sentinel
-whodunit-core/wire_props whodunit-collector/wire_fuzz whodunit-collector/alloc_budget
+whodunit-core/wire_props whodunit-core/wire_digest
+whodunit-collector/wire_fuzz whodunit-collector/alloc_budget
 whodunit-collector/federation_diff whodunit-collector/federation_props
 whodunit-collector/federation_alloc_budget whodunit/golden_federation
 whodunit-core/summary_merge
@@ -190,7 +198,8 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 
 # Lints the tests, benches and examples as well as the libraries. Also
 # what keeps the outside-input readers free of indexing — the wire's
-# body cursor (Reader), the envelope check (open_frame), the string
+# body cursor (Reader), the envelope check (open_frame) and its
+# CRC-64 walks (the table's and the carry-less fold's), the string
 # table (get_dict), the delta-section reader, BatchDecoder, the sketch
 # bucket list (get_buckets) and the summary decoder, the JSON Parser,
 # the Value -> dump (dumpjson) and Value -> repro (repro) schema
