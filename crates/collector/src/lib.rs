@@ -21,10 +21,11 @@
 //!   is insert-only: an entry never changes once written, so a walk
 //!   that resolves at epoch *e* resolves identically against the
 //!   complete end-of-run index.
-//! - **Incremental CCT merge**: each origin's cross-stage profile is
-//!   folded node-by-node as CCT deltas arrive, over a collector-local
-//!   frame table in arrival order (the global sorted frame table only
-//!   exists in the batch report).
+//! - **CCT merge at the first read**: a [`Collector::snapshot`] first
+//!   folds every context bound since the last one into its origin's
+//!   tree, from the stage's accumulator, over a collector-local frame
+//!   table in arrival order; after that the context's CCT deltas fold
+//!   as they arrive. A collector that is never read builds no tree.
 //! - **Retention**: every origin keeps its merged tree in one map until
 //!   [`Collector::finalize`], as every stage keeps its dump in its
 //!   accumulator, so memory grows with the origins and stages the
@@ -73,8 +74,8 @@ use std::sync::Arc;
 use whodunit_core::cct::{Cct, CctNodeId, Metrics};
 use whodunit_core::crosstalk::{OriginKey, WaitStats};
 use whodunit_core::delta::{
-    CctDelta, DeltaError, DeltaSink, EpochBatch, Incoming, IncomingBatch, ResyncSource,
-    StageAccumulator, StageDelta, StreamHeader,
+    DeltaError, DeltaSink, EpochBatch, Incoming, IncomingBatch, ResyncSource, StageAccumulator,
+    StageDelta, StreamHeader,
 };
 use whodunit_core::frame::FrameId;
 use whodunit_core::hash::FnvHashMap;
@@ -249,7 +250,7 @@ struct OriginAggregate {
     /// rank the same hot origins again and again, and walking a tree
     /// per ranked origin per snapshot would put an O(nodes) tax on
     /// every live query.
-    hot_path: std::cell::OnceCell<Vec<u32>>,
+    hot_path: Option<Vec<u32>>,
 }
 
 impl OriginAggregate {
@@ -268,18 +269,13 @@ struct StageState {
     acc: StageAccumulator,
     /// Per context index: the resolved origin, once the walk settles.
     bindings: Vec<Option<OriginKey>>,
-    /// Per context index, `Some` once the context's CCT mass is folded:
-    /// dump CCT node index → node id inside the origin's merged CCT.
+    /// Per context index, `Some` once a snapshot has folded the
+    /// context's CCT mass: dump CCT node index → node id inside the
+    /// origin's merged CCT.
     fold: Vec<Option<Vec<CctNodeId>>>,
     /// Stage-local frame index → collector-global frame id, kept in
     /// sync as deltas arrive so folds never rebuild the mapping.
     frame_map: Vec<u32>,
-}
-
-/// Stage-local frame index → collector-global [`FrameId`], for
-/// [`fold_dump_nodes`].
-fn frame_of(map: &[u32]) -> impl Fn(u32) -> FrameId + '_ {
-    |f| FrameId(map.get(f as usize).copied().unwrap_or(u32::MAX))
 }
 
 /// The streaming collector. See the crate docs for the model.
@@ -306,10 +302,13 @@ pub struct Collector {
     // Hash-indexed for the per-row hot lookups; the snapshot ranks it
     // with an explicit total order.
     xt_pairs: FnvHashMap<(OriginKey, OriginKey), WaitStats>,
-    /// Every origin folded so far.
+    /// Every origin a snapshot has folded so far.
     origins: FnvHashMap<OriginKey, OriginAggregate>,
+    /// Bound contexts with CCT mass that no snapshot has folded yet, in
+    /// the order they qualified; the next snapshot folds them first.
+    unfolded: Vec<(usize, u32)>,
     /// Memoized origin labels (see [`Collector::origin_label`]).
-    label_cache: std::cell::RefCell<FnvHashMap<OriginKey, String>>,
+    label_cache: FnvHashMap<OriginKey, String>,
     /// Collector-local frame intern table (union of stage frames in
     /// arrival order), naming the snapshot's hot paths. Names are
     /// shared with the stage accumulators.
@@ -401,7 +400,8 @@ impl Collector {
             deferred_xt: Vec::new(),
             xt_pairs: FnvHashMap::default(),
             origins: FnvHashMap::default(),
-            label_cache: std::cell::RefCell::new(FnvHashMap::default()),
+            unfolded: Vec::new(),
+            label_cache: FnvHashMap::default(),
             frames: Vec::new(),
             frame_ids: FnvHashMap::default(),
             epoch: 0,
@@ -455,6 +455,9 @@ impl Collector {
     /// needed self-healing, in stage order, then one line for deltas
     /// that named no stage of the header. Empty on a clean stream.
     pub fn degraded_markers(&self) -> Vec<String> {
+        if self.degrade_count() == 0 {
+            return Vec::new();
+        }
         let unknown = self.stats.delta_errors;
         self.quarantine
             .iter()
@@ -471,6 +474,22 @@ impl Collector {
             })
             .chain((unknown > 0).then(|| format!("{unknown} deltas for unknown stages dropped")))
             .collect()
+    }
+
+    /// The sum of the collector-wide twins of every per-stage counter
+    /// [`StageQuarantine::degraded`] reads, plus the unknown-stage
+    /// deltas: zero exactly when no marker would be written. `halted`
+    /// has no twin and needs none (see [`Collector::halt`]).
+    fn degrade_count(&self) -> u64 {
+        let s = &self.stats;
+        let twins = [
+            s.quarantined,
+            s.dup_frames,
+            s.healed_frames,
+            s.resyncs,
+            s.dropped_frames,
+        ];
+        twins.iter().sum::<u64>() + s.stalls + s.delta_errors
     }
 
     /// Pops the oldest per-epoch observation not yet taken, if any
@@ -549,7 +568,7 @@ impl Collector {
     /// looked at — counted in [`CollectorStats::throttled`] only, so a
     /// damaged frame offered to a full queue is reported on the retry
     /// that finds room. Otherwise the envelope (magic, version, kind,
-    /// length, FNV digest) is verified before any decode; a damaged
+    /// length, CRC-64 digest) is verified before any decode; a damaged
     /// frame is counted in [`CollectorStats::wire_errors`] and dropped,
     /// which the self-healing machinery then treats exactly like a
     /// lost batch (reorder-buffer park on the next good frame, bounded
@@ -794,6 +813,9 @@ impl Collector {
 
     /// Halts a stage: no more frames are accepted for it, parked ones
     /// are discarded, and the report will carry its degradation marker.
+    /// A corrupt frame is counted before its resync is asked for, and
+    /// the other asks (a full reorder buffer, a hole open at finalize)
+    /// drop a parked frame here, so a halt always leaves a counter.
     fn halt(&mut self, si: usize) {
         let q = &mut self.quarantine[si];
         if q.halted {
@@ -804,6 +826,7 @@ impl Collector {
         q.parked.clear();
         q.dropped += parked;
         self.stats.dropped_frames += parked;
+        debug_assert!(self.degrade_count() > 0, "a halt left no counter");
     }
 
     /// The incremental stitching work an applied delta unlocks; only
@@ -824,41 +847,30 @@ impl Collector {
             }
             self.obs_xt_wait += d.pairs.iter().map(|p| p.total_wait).sum::<u64>();
         }
+        // The accumulator appended exactly these frames, so the stage's
+        // frame map grows by their interned ids and folds index it
+        // directly.
         for f in &d.new_frames {
-            self.intern_frame(f);
+            let id = self.intern_frame(f);
+            self.stages[d.stage].frame_map.push(id);
         }
-        // Extend the stage's frame map for frames this delta added;
-        // every stage frame is interned by now, so the entries are
-        // final and folds can index the map directly.
-        {
-            let st = &mut self.stages[d.stage];
-            for i in st.frame_map.len()..st.acc.frames.len() {
-                let id = self
-                    .frame_ids
-                    .get(&st.acc.frames[i])
-                    .copied()
-                    .unwrap_or(u32::MAX);
-                st.frame_map.push(id);
-            }
-        }
-        // CCT increments for contexts whose mass is already folded.
-        // Unbound contexts are skipped here: their mass stays in the
-        // accumulator and is folded wholesale when the walk settles.
+        debug_assert_eq!(
+            self.stages[d.stage].frame_map.len(),
+            self.stages[d.stage].acc.frames.len()
+        );
+        // CCT increments fold now only into a context a snapshot has
+        // folded. Any other bound context queues for the next snapshot
+        // when it gets its first nodes (`bind` queues one that already
+        // has some); an unbound context's mass waits for its walk.
         for c in &d.ccts {
             if self.stages[d.stage]
                 .fold
                 .get(c.ctx as usize)
                 .is_some_and(Option::is_some)
             {
-                self.fold_delta(d.stage, c);
-            } else if self.stages[d.stage]
-                .bindings
-                .get(c.ctx as usize)
-                .copied()
-                .flatten()
-                .is_some()
-            {
-                self.fold_full(d.stage, c.ctx);
+                self.fold(d.stage, c.ctx, &c.grown);
+            } else if c.nodes_before == 0 && self.binding_of(d.stage, c.ctx).is_some() {
+                self.unfolded.push((d.stage, c.ctx));
             }
         }
         // Index new mints; each may unpark pending walks and edges.
@@ -926,69 +938,37 @@ impl Collector {
         walk_origin(context, |raw| self.syn_index.get(&raw).copied(), start)
     }
 
-    /// Records a settled origin and folds any CCT mass the context has
-    /// already accumulated.
+    /// Records a settled origin; a context that already has CCT mass
+    /// queues for the next snapshot's fold.
     fn bind(&mut self, start: (usize, u32), origin: OriginKey) {
         self.stages[start.0].bindings[start.1 as usize] = Some(origin);
         if self.stages[start.0].acc.cct_nodes(start.1).is_some() {
-            self.fold_full(start.0, start.1);
+            self.unfolded.push(start);
         }
     }
 
-    /// The aggregate of `origin`, created on first use, for a fold that
-    /// is about to change its tree: the hot-path memo goes.
-    fn origin_for_fold(&mut self, origin: OriginKey) -> &mut OriginAggregate {
-        let e = self.origins.entry(origin).or_default();
-        e.hot_path.take();
-        e
-    }
-
-    /// Folds the *entire* accumulated CCT of `(si, ctx)` into its
-    /// origin's aggregate, creating the node map for later
-    /// incremental folds. Called once, when the binding settles.
-    fn fold_full(&mut self, si: usize, ctx: u32) {
-        debug_assert!(self.stages[si]
-            .fold
-            .get(ctx as usize)
-            .is_none_or(Option::is_none));
-        let origin = self.stages[si].bindings[ctx as usize].expect("bound before fold");
-        let nodes: Vec<_> = match self.stages[si].acc.cct_nodes(ctx) {
-            Some(n) => n.to_vec(),
-            None => return,
-        };
-        // Borrow the cached stage frame map for the duration of the
-        // fold (taken rather than cloned; restored below).
-        let frames = std::mem::take(&mut self.stages[si].frame_map);
-        let mut map: Vec<CctNodeId> = Vec::with_capacity(nodes.len());
-        let entry = self.origin_for_fold(origin);
-        let cycles = fold_dump_nodes(&mut entry.cct, &mut map, &nodes, frame_of(&frames))
-            .expect("apply validated every accumulated node");
-        entry.add_cycles(si, cycles);
+    /// Folds the bound context `(si, ctx)` into its origin's tree
+    /// through the context's node map: `grown` onto nodes the map
+    /// covers, then every accumulated node past the map. A context's
+    /// first fold (a snapshot's catch-up, `grown` empty) starts the map
+    /// and takes all its nodes; every later one is a delta just applied
+    /// to the accumulator, whose growth rows name mapped nodes and
+    /// whose new nodes are the ones past the map.
+    fn fold(&mut self, si: usize, ctx: u32, grown: &[(u32, u64, u64, u64)]) {
+        let origin = self
+            .binding_of(si, ctx)
+            .expect("only a bound context folds");
         let st = &mut self.stages[si];
-        st.frame_map = frames;
         if st.fold.len() <= ctx as usize {
             st.fold.resize_with(ctx as usize + 1, || None);
         }
-        st.fold[ctx as usize] = Some(map);
-    }
-
-    /// Folds one CCT increment through the context's existing node
-    /// map: growth onto mapped nodes, then the new nodes appended. `c`
-    /// has been applied to the stage's accumulator, whose node list the
-    /// map mirrors, so it continues the map and every new node links to
-    /// a mapped parent.
-    fn fold_delta(&mut self, si: usize, c: &CctDelta) {
-        let origin = self
-            .binding_of(si, c.ctx)
-            .expect("a fold map exists only for a bound context");
-        let frames = std::mem::take(&mut self.stages[si].frame_map);
-        let mut map = self.stages[si].fold[c.ctx as usize]
-            .take()
-            .expect("caller checked the fold map exists");
-        debug_assert_eq!(map.len(), c.nodes_before as usize);
-        let entry = self.origin_for_fold(origin);
+        let map = st.fold[ctx as usize].get_or_insert_with(Vec::new);
+        let nodes = st.acc.cct_nodes(ctx).unwrap_or_default();
+        let past = nodes.get(map.len()..).unwrap_or_default();
+        let entry = self.origins.entry(origin).or_default();
+        entry.hot_path = None;
         let mut cycles = 0u64;
-        for &(i, samples, dc, calls) in &c.grown {
+        for &(i, samples, dc, calls) in grown {
             let grown = Metrics {
                 samples,
                 cycles: dc,
@@ -997,11 +977,10 @@ impl Collector {
             entry.cct.record_at(map[i as usize], grown);
             cycles += dc;
         }
-        cycles += fold_dump_nodes(&mut entry.cct, &mut map, &c.new_nodes, frame_of(&frames))
-            .expect("apply validated the new nodes");
+        let frame = |f: u32| FrameId(st.frame_map.get(f as usize).copied().unwrap_or(u32::MAX));
+        cycles += fold_dump_nodes(&mut entry.cct, map, past, frame)
+            .expect("apply validated every accumulated node");
         entry.add_cycles(si, cycles);
-        self.stages[si].frame_map = frames;
-        self.stages[si].fold[c.ctx as usize] = Some(map);
     }
 
     fn binding_of(&self, si: usize, ctx: u32) -> Option<OriginKey> {
@@ -1042,27 +1021,34 @@ impl Collector {
     /// append-only), so it is memoized: periodic snapshots re-label
     /// the same hot origins every time, and the context-chain walk is
     /// the expensive part.
-    fn origin_label(&self, origin: OriginKey) -> String {
-        if let Some(s) = self.label_cache.borrow().get(&origin) {
-            return s.clone();
-        }
-        let s = match (self.header.stages.get(origin.0), self.stages.get(origin.0)) {
-            (Some(s), Some(st)) => {
-                let mut label = s.stage_name.clone();
-                label.push(':');
-                ctx_string_into(&mut label, &st.acc.frames, &st.acc.contexts, origin.1);
-                label
+    fn origin_label(&mut self, origin: OriginKey) -> String {
+        let label = self.label_cache.entry(origin).or_insert_with(|| {
+            match (self.header.stages.get(origin.0), self.stages.get(origin.0)) {
+                (Some(s), Some(st)) => {
+                    let mut label = s.stage_name.clone();
+                    label.push(':');
+                    ctx_string_into(&mut label, &st.acc.frames, &st.acc.contexts, origin.1);
+                    label
+                }
+                _ => format!("<stage {}?>:{}", origin.0, origin.1),
             }
-            _ => format!("<stage {}?>:{}", origin.0, origin.1),
-        };
-        self.label_cache.borrow_mut().insert(origin, s.clone());
-        s
+        });
+        label.clone()
     }
 
     /// Answers the live queries at the current epoch: top-k
     /// transaction paths by cost, their tier breakdowns, and crosstalk
-    /// hotspots, plus origin, pending and lag gauges.
-    pub fn snapshot(&self) -> LiveSnapshot {
+    /// hotspots, plus origin, pending and lag gauges. It first folds
+    /// every context bound since the last snapshot into its origin's
+    /// tree.
+    pub fn snapshot(&mut self) -> LiveSnapshot {
+        // In the order they queued. A context queued twice (its CCT
+        // arrived empty) has no node past its map on its second turn.
+        let mut queued = std::mem::take(&mut self.unfolded);
+        for (si, ctx) in queued.drain(..) {
+            self.fold(si, ctx, &[]);
+        }
+        self.unfolded = queued;
         // Cycles descending, then origin ascending.
         let ranked = top_k(self.origins.iter().map(|(&k, o)| (o.total, k)), |a, b| {
             (b.0, a.1).cmp(&(a.0, b.1))
@@ -1071,24 +1057,25 @@ impl Collector {
         let mut top_paths = Vec::new();
         let mut tiers = Vec::new();
         for &(cycles, k) in &ranked {
+            let origin = self.origin_label(k);
             let frame_name = |f: u32| {
                 self.frames
                     .get(f as usize)
                     .map_or_else(|| format!("<frame {f}?>"), |n| n.to_string())
             };
-            let o = &self.origins[&k];
-            let hot = o.hot_path.get_or_init(|| {
+            let o = self.origins.get_mut(&k).expect("ranked from the map");
+            let hot = o.hot_path.get_or_insert_with(|| {
                 let hottest = o.cct.hot_paths(1).into_iter().next();
                 hottest.map_or_else(Vec::new, |(frames, _)| frames.iter().map(|f| f.0).collect())
             });
             top_paths.push(TopPath {
-                origin: self.origin_label(k),
+                origin: origin.clone(),
                 cycles,
                 samples: o.cct.total().samples,
                 path: hot.iter().map(|&f| frame_name(f)).collect(),
             });
             tiers.push(TierSlice {
-                origin: self.origin_label(k),
+                origin,
                 stages: o
                     .tier_cycles
                     .iter()
@@ -1106,11 +1093,11 @@ impl Collector {
         }
 
         // Wait descending, then pair ascending.
-        let hotspots = top_k(self.xt_pairs.iter(), |a, b| {
+        let hotspots = top_k(self.xt_pairs.iter().map(|(&k, &s)| (k, s)), |a, b| {
             (b.1.total_wait, a.0).cmp(&(a.1.total_wait, b.0))
         })
         .into_iter()
-        .map(|(&(w, h), s)| Hotspot {
+        .map(|((w, h), s)| Hotspot {
             waiter: self.origin_label(w),
             holder: self.origin_label(h),
             count: s.count,
@@ -1310,6 +1297,67 @@ mod tests {
         assert_eq!(out.report.stages[0].ccts[0].nodes[0].cycles, 200);
     }
 
+    /// A context that binds before it has CCT nodes queues for the
+    /// snapshot's fold with its first CCT delta, and the snapshot
+    /// folds its whole mass.
+    #[test]
+    fn a_cct_that_arrives_after_its_context_binds_is_folded() {
+        use whodunit_core::delta::{diff_dump, StreamStage};
+        use whodunit_core::stitch::{DumpCct, DumpContext, DumpNode};
+        let node = |frame, parent, samples| DumpNode {
+            frame,
+            parent,
+            samples,
+            cycles: samples * 10,
+            calls: 1,
+        };
+        let bare = StageDump {
+            stage_name: "front".into(),
+            frames: vec!["main".into()],
+            contexts: vec![DumpContext::default()],
+            ..StageDump::default()
+        };
+        let grown = StageDump {
+            ccts: vec![DumpCct {
+                ctx: 0,
+                nodes: vec![node(None, None, 1), node(Some(0), Some(0), 3)],
+            }],
+            ..bare.clone()
+        };
+        let header = StreamHeader {
+            stages: vec![StreamStage {
+                proc: 0,
+                stage_name: "front".into(),
+            }],
+        };
+        let mut c = Collector::new(CollectorConfig::default());
+        c.start(&header);
+        for (e, delta) in [
+            diff_dump(0, 0, None, &bare),
+            diff_dump(0, 1, Some(&bare), &grown),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let deltas = vec![delta.expect("the dump grew")];
+            let (epoch, end) = (e as u64, (e as u64 + 1) * 100);
+            assert!(c.enqueue(EpochBatch {
+                epoch,
+                seq: epoch,
+                end,
+                deltas
+            }));
+            c.drain();
+        }
+        let snap = c.snapshot();
+        assert_eq!(snap.origins, 1);
+        let top = &snap.top_paths[0];
+        assert_eq!(
+            (top.cycles, top.samples, top.path.join(">")),
+            (40, 4, "main".into())
+        );
+    }
+
     #[test]
     fn a_fold_drops_the_hot_path_memo() {
         use whodunit_core::delta::{diff_dump, StreamStage};
@@ -1360,7 +1408,7 @@ mod tests {
         ];
         let mut c = Collector::new(CollectorConfig::default());
         c.start(&header);
-        let top = |c: &Collector| {
+        let top = |c: &mut Collector| {
             let snap = c.snapshot();
             assert_eq!(snap.origins, 1);
             (snap.top_paths[0].path.join(">"), snap.top_paths[0].samples)
@@ -1371,9 +1419,9 @@ mod tests {
             match i {
                 0 => {}
                 // Nothing folded; this snapshot memoizes the hot path.
-                1 => assert_eq!(top(&c), ("main>a".into(), 6)),
+                1 => assert_eq!(top(&mut c), ("main>a".into(), 6)),
                 // The fold grew the tree and dropped the memo.
-                _ => assert_eq!(top(&c), ("main>b".into(), 15)),
+                _ => assert_eq!(top(&mut c), ("main>b".into(), 15)),
             }
         }
 
@@ -1415,6 +1463,102 @@ mod tests {
         assert_eq!(
             c.degraded_markers(),
             ["stage 0 (front): 9 corrupt quarantined, 8 resyncs, halted"]
+        );
+    }
+
+    /// `degraded_markers` skips its scan while the collector-wide
+    /// counters are all zero; after every batch of every damage a
+    /// stream can take, halts included, the scan would find nothing
+    /// exactly then.
+    #[test]
+    fn the_clean_stream_fast_path_is_the_scan() {
+        let agree = |c: &Collector| {
+            let scan = c.quarantine.iter().any(StageQuarantine::degraded);
+            let scan = scan || c.stats.delta_errors > 0;
+            assert_eq!(c.degrade_count() > 0, scan, "{:?}", c.quarantine);
+        };
+        let batches = batches_for(0, 0, "front", 6);
+        let ingest = |cfg: CollectorConfig, stream: &[EpochBatch]| {
+            let mut c = Collector::new(cfg);
+            c.start(&header2());
+            agree(&c);
+            for b in stream {
+                assert!(c.enqueue(b.clone()));
+                c.drain();
+                agree(&c);
+            }
+            c
+        };
+        let corrupt = |i: usize| {
+            let mut s = batches.clone();
+            s[i].deltas[0].checksum ^= 1;
+            s
+        };
+        let unknown = {
+            let mut s = batches.clone();
+            s[1].deltas[0].stage = 7;
+            s
+        };
+        let stalling = CollectorConfig {
+            quarantine: QuarantinePolicy {
+                stall_epochs: 2,
+                ..QuarantinePolicy::default()
+            },
+            ..CollectorConfig::default()
+        };
+        let one_parked = CollectorConfig {
+            quarantine: QuarantinePolicy {
+                reorder_buffer: 1,
+                ..QuarantinePolicy::default()
+            },
+            ..CollectorConfig::default()
+        };
+        let b = &batches;
+        let cases: [(CollectorConfig, Vec<EpochBatch>, &str); 7] = [
+            (CollectorConfig::default(), b.clone(), ""),
+            (
+                CollectorConfig::default(),
+                [&b[..3], &b[2..]].concat(),
+                "1 duplicates dropped",
+            ),
+            (
+                CollectorConfig::default(),
+                [&b[..1], &b[2..3], &b[1..2], &b[3..]].concat(),
+                "1 reordered healed",
+            ),
+            (
+                CollectorConfig::default(),
+                corrupt(2),
+                "1 corrupt quarantined, 3 frames dropped, halted",
+            ),
+            (
+                CollectorConfig::default(),
+                unknown,
+                "deltas for unknown stages dropped",
+            ),
+            (stalling, b.clone(), "stage 1 (db): 1 stall"),
+            // Frames 3 and 4 park, overflow the buffer, and the resync
+            // no source can serve halts the stage.
+            (
+                one_parked,
+                [&b[..2], &b[3..5]].concat(),
+                "2 frames dropped, halted",
+            ),
+        ];
+        for (cfg, stream, marker) in cases {
+            let c = ingest(cfg, &stream);
+            let markers = c.degraded_markers().join("; ");
+            assert!(markers.contains(marker), "{markers:?} lacks {marker:?}");
+            assert_eq!(markers.is_empty(), marker.is_empty(), "{markers:?}");
+        }
+        // A hole still open at the end: finalize's resync halts the
+        // stage, and the frame it parked is the counter that shows it.
+        let mut c = ingest(CollectorConfig::default(), &[&b[..2], &b[3..4]].concat());
+        c.request_resync(0);
+        agree(&c);
+        assert_eq!(
+            c.degraded_markers(),
+            ["stage 0 (front): 1 frames dropped, halted"]
         );
     }
 

@@ -250,7 +250,7 @@ fn collect(batches: &[EpochBatch]) -> (CollectorOutput, Tally) {
     for b in batches {
         assert!(c.enqueue(b.clone()));
         c.drain();
-        gate.after(b, &c, &format!("batch seq={}", b.seq));
+        gate.after(b, &mut c, &format!("batch seq={}", b.seq));
     }
     (c.finalize(), gate.tally)
 }

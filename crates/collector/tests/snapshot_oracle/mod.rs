@@ -77,20 +77,33 @@ impl SnapshotGate {
     /// Feeds `batch`, which `c` has just drained, and holds `c`'s
     /// snapshot to `analyze` over the dumps so far. The stream must be
     /// clean: every delta applies.
-    pub fn after(&mut self, batch: &EpochBatch, c: &Collector, what: &str) {
+    pub fn after(&mut self, batch: &EpochBatch, c: &mut Collector, what: &str) {
+        self.feed(batch);
+        self.check(c, what);
+    }
+
+    /// Feeds `batch`, which the collector has just drained, without
+    /// taking a snapshot.
+    pub fn feed(&mut self, batch: &EpochBatch) {
         for d in &batch.deltas {
             self.accs[d.stage].apply(d).expect("a clean stream applies");
         }
+    }
+
+    /// Holds `c`'s snapshot to `analyze` over the dumps fed so far, and
+    /// returns it.
+    pub fn check(&mut self, c: &mut Collector, what: &str) -> LiveSnapshot {
         let snap = c.snapshot();
         if snap.pending_walks > 0 {
             self.tally.skipped += 1;
-            return;
+            return snap;
         }
         let dumps = self.accs.iter().map(StageAccumulator::to_dump).collect();
         let report = analyze(dumps, PipelineConfig::default());
         let what = format!("{what}, epoch {}", snap.epoch);
         self.tally.hot_paths += check(&snap, &report, &what);
         self.tally.snapshots += 1;
+        snap
     }
 }
 

@@ -126,7 +126,7 @@ fn run_matrix(faulty: bool) {
             for b in &sink.batches {
                 assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
                 c.drain();
-                gate.after(b, &c, &what);
+                gate.after(b, &mut c, &what);
             }
             if !faulty {
                 assert!(gate.tally.snapshots > 0, "no snapshot compared: {what}");
@@ -256,6 +256,47 @@ fn staggered_fleet_matches_batch_and_packs_on_the_wire() {
         per_event <= WIRE_MAX_BYTES_PER_EVENT,
         "frames pack to {per_event:.3} B/event over {events} events \
          (9.412 when this bound was set), over the {WIRE_MAX_BYTES_PER_EVENT} bound"
+    );
+}
+
+/// How often a collector is read changes when its origin trees are
+/// built, never what a snapshot shows: a context folds at the first
+/// snapshot after its walk settles, then with every delta. One
+/// staggered fleet stream, snapshotted after every batch, every 4th,
+/// every 8th and only at the end: every snapshot passes the gate, and
+/// the four final snapshots are equal.
+#[test]
+fn snapshot_cadence_changes_no_snapshot() {
+    let mut sink = RecordingSink::default();
+    run_tpcw_streaming(fleet_config(12, 12), EPOCH_LEN, &mut sink);
+    let (hdr, stream) = fleet_stream(&sink.header, &sink.batches, 12, 2);
+    let mut finals = Vec::new();
+    // Every `every` batches; 0 is only at the end.
+    for every in [1, 4, 8, 0] {
+        let what = format!("snapshot every {every} batches");
+        let mut c = Collector::new(CollectorConfig::default());
+        c.start(&hdr);
+        let mut gate = SnapshotGate::new(&hdr);
+        for (i, b) in stream.iter().enumerate() {
+            assert!(c.enqueue(b.clone()), "unbounded queue refused a batch");
+            c.drain();
+            gate.feed(b);
+            if every > 0 && (i + 1) % every == 0 {
+                gate.check(&mut c, &what);
+            }
+        }
+        let last = gate.check(&mut c, &what);
+        println!("{what}: {}", gate.tally);
+        assert_eq!(
+            last.pending_walks, 0,
+            "the final snapshot was skipped: {what}"
+        );
+        assert!(last.origins > 0 && !last.top_paths.is_empty(), "{what}");
+        finals.push(last);
+    }
+    assert!(
+        finals.windows(2).all(|w| w[0] == w[1]),
+        "cadences disagree on the final snapshot"
     );
 }
 

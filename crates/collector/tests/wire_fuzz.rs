@@ -12,7 +12,7 @@
 //!   machinery takes it from there.
 //! - **Detection**: every byte-corrupted frame fed to
 //!   [`Collector::enqueue_wire`] is individually rejected by the
-//!   envelope (magic/version/length/FNV digest) or body validation —
+//!   envelope (magic/version/length/CRC-64 digest) or body validation —
 //!   corruption cannot ride a valid-looking frame into the
 //!   accumulators.
 //! - **Reorder/duplicate transparency**: damage that only permutes or

@@ -758,8 +758,9 @@ pub(crate) fn put_delta(
 /// the list, every column then fills one field through `iter_mut` — so
 /// no column is held on the side and nothing is indexed. Frame names
 /// are clones of `table`'s entries; each context's atoms are read into
-/// `atoms` and moved into one allocation of their exact size. CCT
-/// increments are drawn from `spare`, capacity and all. A delta whose
+/// `atoms` and moved into one allocation of their exact size. The CCT
+/// increments `d` already holds are overwritten where they stand,
+/// capacity and all, and only the ones past the new count go. A delta whose
 /// keyed lists are not in canonical form ([`StageDelta::check_order`])
 /// is malformed. Returns whether the section stored a checksum; when it
 /// did not, `d.checksum` is left 0: the canonical value is implied, for
@@ -770,7 +771,6 @@ fn read_delta(
     table: &[Arc<str>],
     d: &mut StageDelta,
     atoms: &mut Vec<DumpAtom>,
-    spare: &mut Vec<CctDelta>,
 ) -> Result<bool, WireError> {
     d.stage = as_usize(r.u64()?)?;
     d.seq = r.u64()?;
@@ -812,14 +812,10 @@ fn read_delta(
     for s in &mut d.new_synopses {
         s.0 = r.u64()?;
     }
-    let nc = rows(r, F_CCTS)?;
-    d.ccts.clear();
-    d.ccts.reserve(nc);
+    d.ccts.resize_with(rows(r, F_CCTS)?, CctDelta::default);
     let mut dr = DodReader::new();
-    for _ in 0..nc {
-        let mut c = spare.pop().unwrap_or_default();
+    for c in &mut d.ccts {
         c.ctx = as_u32(dr.next(r)?)?;
-        d.ccts.push(c);
     }
     for c in &mut d.ccts {
         c.nodes_before = r.u32()?;
@@ -924,23 +920,20 @@ fn read_counts(
     Ok(total)
 }
 
-/// Decodes [`KIND_BATCH`] frames into recycled storage: the deltas and
-/// CCT increments of a batch handed back through
-/// [`BatchDecoder::recycle`] keep their lists' capacity and serve the
-/// next [`BatchDecoder::decode`], so a steady stream is read without
+/// Decodes [`KIND_BATCH`] frames into recycled storage: a batch handed
+/// back through [`BatchDecoder::recycle`] is kept whole, and the next
+/// [`BatchDecoder::decode`] reads over its deltas and their CCT
+/// increments where they stand, so a steady stream is read without
 /// allocating per delta. A fresh decoder has nothing to reuse and reads
 /// into fresh storage, which is all [`decode_batch`] is.
 #[derive(Debug, Default)]
 pub struct BatchDecoder {
-    /// Spare deltas, CCT increments, one batch-level list and one atom
-    /// list, all empty (capacity, never content), and the cap on the
-    /// first two: the most of each that any one decoded batch held.
-    deltas: Vec<StageDelta>,
-    ccts: Vec<CctDelta>,
-    batch: Vec<StageDelta>,
+    /// The delta lists of recycled batches, content and all (every
+    /// field is overwritten before it is read again): at most as many
+    /// as were decoded and not yet handed back at once.
+    spares: Vec<Vec<StageDelta>>,
+    /// One atom list, empty (capacity, never content).
     atoms: Vec<DumpAtom>,
-    max_deltas: usize,
-    max_ccts: usize,
 }
 
 #[deny(clippy::indexing_slicing)]
@@ -949,69 +942,46 @@ impl BatchDecoder {
     /// the total frame size consumed. A frame that stored no checksum —
     /// every clean frame — comes out unsealed, never hashed; one that
     /// stored any has its implied checksums filled in, all to be
-    /// verified. A refused frame drops the spares it had drawn.
+    /// verified. A refused frame drops the spare batch it had drawn.
     pub fn decode(&mut self, buf: &[u8]) -> Result<(IncomingBatch, usize), WireError> {
         let (mut r, consumed) = open_frame(buf, KIND_BATCH)?;
         let (epoch, seq, end) = (r.u64()?, r.u64()?, r.u64()?);
         let table = get_dict(&mut r)?;
-        let n = r.count()?;
-        let mut deltas = std::mem::take(&mut self.batch);
-        deltas.reserve(n);
-        let mut unsealed = true;
-        for _ in 0..n {
-            deltas.push(self.deltas.pop().unwrap_or_default());
-            let (d, earlier) = deltas.split_last_mut().expect("just pushed");
-            let stored = read_delta(&mut r, &table, d, &mut self.atoms, &mut self.ccts)?;
-            if stored && unsealed {
-                // The frame's first stored checksum: every delta before
-                // it elided its own.
-                earlier.iter_mut().for_each(StageDelta::seal);
-                unsealed = false;
-            } else if !stored && !unsealed {
+        let mut deltas = self.spares.pop().unwrap_or_default();
+        deltas.resize_with(r.count()?, StageDelta::default);
+        let mut first_stored = None;
+        for (i, d) in deltas.iter_mut().enumerate() {
+            if read_delta(&mut r, &table, d, &mut self.atoms)? {
+                first_stored.get_or_insert(i);
+            } else if first_stored.is_some() {
                 d.seal();
             }
+        }
+        // Every delta before the frame's first stored checksum elided
+        // its own.
+        if let Some(k) = first_stored {
+            deltas.iter_mut().take(k).for_each(StageDelta::seal);
         }
         if r.remaining() != 0 {
             return Err(WireError::Malformed("trailing bytes in batch body"));
         }
-        self.max_deltas = self.max_deltas.max(n);
-        let ccts = deltas.iter().map(|d| d.ccts.len()).sum();
-        self.max_ccts = self.max_ccts.max(ccts);
         let batch = EpochBatch {
             epoch,
             seq,
             end,
             deltas,
         };
+        let unsealed = first_stored.is_none();
         Ok((IncomingBatch { batch, unsealed }, consumed))
     }
 
-    /// Takes a decoded batch's storage back for later decodes. A sealed
-    /// batch (a struct batch, a frame that stored a checksum) is dropped.
+    /// Takes a decoded batch back, whole, for a later decode to read
+    /// over. A sealed batch (a struct batch, a frame that stored a
+    /// checksum) is dropped: an unsealed batch comes only from
+    /// `decode`, which bounds the spares by the batches out at once.
     pub fn recycle(&mut self, batch: IncomingBatch) {
-        if !batch.unsealed {
-            return;
-        }
-        let mut deltas = batch.batch.deltas;
-        for mut d in deltas.drain(..) {
-            for mut c in d.ccts.drain(..) {
-                if self.ccts.len() < self.max_ccts {
-                    c.new_nodes.clear();
-                    c.grown.clear();
-                    self.ccts.push(c);
-                }
-            }
-            if self.deltas.len() < self.max_deltas {
-                d.new_frames.clear();
-                d.new_contexts.clear();
-                d.new_synopses.clear();
-                d.pairs.clear();
-                d.waiters.clear();
-                self.deltas.push(d);
-            }
-        }
-        if deltas.capacity() > self.batch.capacity() {
-            self.batch = deltas;
+        if batch.unsealed {
+            self.spares.push(batch.batch.deltas);
         }
     }
 }
@@ -1242,7 +1212,7 @@ impl OpenSummary<'_> {
         let mut unsealed = true;
         for _ in 0..nd {
             let mut d = StageDelta::default();
-            if read_delta(&mut r, &table, &mut d, &mut atoms, &mut Vec::new())? {
+            if read_delta(&mut r, &table, &mut d, &mut atoms)? {
                 unsealed = false;
             } else {
                 d.seal();
@@ -1676,33 +1646,46 @@ mod tests {
     }
 
     #[test]
-    fn the_pool_never_outgrows_the_largest_batch() {
+    fn a_recycled_batch_is_read_over_where_it_stands() {
         let (_, batches) = sample_batches();
         let d = &batches[1].deltas[0];
         let wide = EpochBatch {
             deltas: vec![d.clone(); 3],
             ..batches[1].clone()
         };
+        let sealed = |b: &IncomingBatch| b.deltas().map(Incoming::seal).collect::<Vec<_>>();
+        let at = |b: &IncomingBatch| (b.batch.deltas.as_ptr(), b.batch.deltas[0].ccts.as_ptr());
         let mut dec = BatchDecoder::default();
         let frames = [&wide, &wide, &batches[0]].map(encode_batch);
         let held = frames.each_ref().map(|f| dec.decode(f).expect("clean").0);
+        let spots = held.each_ref().map(at);
+        // Batches come back whole: one spare per batch out at once.
         held.into_iter().for_each(|b| dec.recycle(b));
-        let full = (3, 3 * d.ccts.len());
-        assert_eq!((dec.deltas.len(), dec.ccts.len()), full);
-        // Spares hold capacity, never content.
-        let (deltas, ccts) = (&dec.deltas, &dec.ccts);
-        assert!(deltas.iter().all(|d| d.events() == 0 && d.ccts.is_empty()));
-        assert!(ccts.iter().all(|c| c.new_nodes.len() + c.grown.len() == 0));
-        assert!(deltas.iter().any(|d| d.new_frames.capacity() > 0));
-        // A frame refused part way through keeps what it drew; the
-        // next clean batch refills the pool, to the same cap.
+        assert_eq!(dec.spares.len(), 3);
+        // The last one back is the first read over, where it stands:
+        // the same delta list and the same CCT increments.
+        let (b, _) = dec.decode(&frames[2]).expect("clean");
+        assert_eq!((at(&b), sealed(&b)), (spots[2], batches[0].deltas.clone()));
+        dec.recycle(b);
+        // A wider frame grows the spare; a narrower one keeps its list.
+        let (b, _) = dec.decode(&frames[0]).expect("clean");
+        assert_eq!(sealed(&b), wide.deltas);
+        let grown = b.batch.deltas.as_ptr();
+        dec.recycle(b);
+        let (b, _) = dec.decode(&frames[2]).expect("clean");
+        assert_eq!(
+            (b.batch.deltas.as_ptr(), sealed(&b)),
+            (grown, batches[0].deltas.clone())
+        );
+        dec.recycle(b);
+        // A frame refused part way through drops the spare it drew, and
+        // a sealed batch is not kept.
         let mut bad = wide.clone();
         bad.deltas[2] = crate::delta::tests::dup_ctx_delta();
         assert!(dec.decode(&encode_batch(&bad)).is_err());
-        assert_eq!(dec.deltas.len(), 0);
-        let (back, _) = dec.decode(&frames[0]).expect("clean frame");
-        dec.recycle(back);
-        assert_eq!((dec.deltas.len(), dec.ccts.len()), full);
+        assert_eq!(dec.spares.len(), 2);
+        dec.recycle(IncomingBatch::from(wide));
+        assert_eq!(dec.spares.len(), 2);
     }
 
     /// A sealed frame with one delta, a tier digest, and two leaves'
