@@ -759,7 +759,7 @@ impl Federation {
                 degraded: false,
                 lag_frames: self.root.rx.iter().map(|x| x.parked_len() as u64).sum(),
                 last_epoch: self.root.max_epoch,
-                mass: self.root.applied_mass,
+                mass: self.root.mass(),
                 recoveries: 0,
                 children,
             },
@@ -815,7 +815,7 @@ impl Federation {
         }
         let evidence = FederationEvidence {
             subtrees,
-            root_mass: self.root.applied_mass,
+            root_mass: self.root.mass(),
             reported_coverage_ppm: coverage_ppm,
         };
         // Only the root's accumulators reach `analyze`: the leaves,

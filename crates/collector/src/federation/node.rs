@@ -13,7 +13,7 @@ use whodunit_core::delta::{
 };
 use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
-    check_merge, delta_mass, empty_delta, merge_owned_delta, merge_stage_delta, IncomingSummary,
+    check_join, delta_mass, empty_delta, merge_owned_delta, merge_stage_delta, IncomingSummary,
     LeafGauges, SummaryFrame, TierSketch,
 };
 
@@ -136,10 +136,13 @@ impl Increment {
     /// ascending stages, each one of the node's `stages` (ascending),
     /// and each delta carries that stage's next expected seq in `in_seq`
     /// (by slot), holds the checksum its content implies if its frame
-    /// stored one, and composes onto the stage's pending delta (the
-    /// empty delta if there is none). Every delta is checked against
-    /// the state before the frame, so the frame merges whole or not at
-    /// all.
+    /// stored one, and joins the stage's pending delta (the empty delta
+    /// if there is none). Every delta is checked against the state
+    /// before the frame, so the frame merges whole or not at all. Only
+    /// the join is checked here: the frame's deltas were read by
+    /// [`IncomingSummary`]'s decoder, which refuses one out of canonical
+    /// form, and every pending delta was built by merges that checked
+    /// both operands.
     fn admits(&self, stages: &[usize], f: &IncomingSummary, in_seq: &[u64]) -> bool {
         let frame = f.frame();
         stage_out_of_turn(frame.deltas.iter().map(|d| d.stage)).is_none()
@@ -151,7 +154,7 @@ impl Increment {
                 let pending = self.pending.get(&slot);
                 d.seq == in_seq[slot]
                     && incoming.verify()
-                    && check_merge(pending.unwrap_or(&empty_delta(d.stage)), d).is_ok()
+                    && check_join(pending.unwrap_or(&empty_delta(d.stage)), d).is_ok()
             })
     }
 
@@ -636,9 +639,6 @@ pub(super) struct RootNode {
     /// Mass delivered since the start and latest gauges, per
     /// originating leaf — the applied frames' own ledger.
     pub(super) ledger: Ledger,
-    /// Mass the root actually applied, measured from delta content —
-    /// independently of the frames' self-reported ledger.
-    pub(super) applied_mass: u64,
     pub(super) max_epoch: u64,
     /// Frames applied: the output's `CollectorStats::batches`.
     pub(super) frames_applied: u64,
@@ -652,7 +652,6 @@ impl RootNode {
             accs: header.stages.iter().map(StageAccumulator::new).collect(),
             rx: vec![RxState::default(); regions],
             ledger: Ledger::default(),
-            applied_mass: 0,
             max_epoch: 0,
             frames_applied: 0,
         }
@@ -673,7 +672,6 @@ impl RootNode {
             accs,
             rx,
             ledger,
-            applied_mass,
             max_epoch,
             frames_applied,
         } = self;
@@ -683,7 +681,6 @@ impl RootNode {
                 return false;
             }
             let frame = f.frame();
-            *applied_mass += frame.deltas.iter().map(delta_mass).sum::<u64>();
             ledger.fold(frame);
             *max_epoch = (*max_epoch).max(frame.last_epoch);
             *frames_applied += 1;
@@ -691,6 +688,13 @@ impl RootNode {
             stats.root_events_applied += frame.events();
             true
         })
+    }
+
+    /// The CCT cycles the root holds, measured from the deltas its
+    /// accumulators applied, independently of the frames' self-reported
+    /// ledger.
+    pub(super) fn mass(&self) -> u64 {
+        self.accs.iter().map(StageAccumulator::mass).sum()
     }
 
     pub(super) fn resident_events(&self) -> u64 {
@@ -718,15 +722,17 @@ mod tests {
     }
 
     /// Field-by-field equality of two leaf states (accumulators by the
-    /// dump they reconstruct plus their expected seq, sketches by their
-    /// wire form). Exhaustive, so a new `LeafState` or `Increment` field
-    /// cannot escape the comparison.
+    /// dump they reconstruct plus their expected seq and running
+    /// totals, sketches by their wire form). Exhaustive, so a new
+    /// `LeafState` or `Increment` field cannot escape the comparison.
     fn assert_same_state(got: &LeafState, want: &LeafState, what: &str) {
         let LeafState { accs, inc, up } = got;
         assert_eq!(accs.len(), want.accs.len(), "{what}: accs");
         for (si, (a, b)) in accs.iter().zip(&want.accs).enumerate() {
             assert_eq!(a.next_seq(), b.next_seq(), "{what}: accs[{si}] seq");
             assert_eq!(a.to_dump(), b.to_dump(), "{what}: accs[{si}] dump");
+            let totals = |a: &StageAccumulator| (a.mass(), a.pair_wait());
+            assert_eq!(totals(a), totals(b), "{what}: accs[{si}] totals");
         }
         assert_eq!(up, &want.up, "{what}: uplink");
         let Increment {
@@ -1109,7 +1115,7 @@ mod tests {
             assert_eq!(counts, (1, 0, 0), "{s:?}");
         }
         assert_eq!((r.st.inc.events, r.st.in_seq[0]), (0, 0));
-        assert_eq!(root.applied_mass, 0);
+        assert_eq!(root.mass(), 0);
         r.on_frame(0, &good, &mut rs);
         root.on_frame(0, &good, &mut ts);
         assert_eq!((rs.frames_delivered, ts.frames_delivered), (1, 1));
@@ -1141,14 +1147,14 @@ mod tests {
             let mut stats = FederationStats::default();
             root.on_frame(0, &bad[0], &mut stats);
             assert_eq!(root.ledger, Ledger::default(), "{what}");
-            assert_eq!(root.applied_mass, 0, "{what}");
+            assert_eq!(root.mass(), 0, "{what}");
             assert_eq!(stats.frames_delivered, 0, "{what}");
             assert_eq!(stats.rejected_frames, 1, "{what}");
             assert!(root.accs.iter().all(|a| a.next_seq() == 0), "{what}");
             // The clean frame at the same link seq is applied in full.
             root.on_frame(0, &good[0], &mut stats);
             assert_eq!(root.ledger.mass[&0], 200, "{what}");
-            assert_eq!(root.applied_mass, 200, "{what}");
+            assert_eq!(root.mass(), 200, "{what}");
             assert_eq!((stats.frames_delivered, root.frames_applied), (1, 1));
         }
     }
@@ -1271,7 +1277,8 @@ mod tests {
             let mut rs = FederationStats::default();
             let (mut s1, mut s2) = (rs.clone(), rs.clone());
             let ledger_holds = |root: &RootNode| {
-                root.ledger.mass.values().sum::<u64>() == held_cycles(&root.accs)
+                let held = held_cycles(&root.accs);
+                root.ledger.mass.values().sum::<u64>() == held && root.mass() == held
             };
             for (i, (b, c)) in bad.iter().zip(&clean).enumerate() {
                 let now = i as u64 + 2;

@@ -78,8 +78,6 @@ pub struct StageQuarantine {
     /// Frames discarded because the stage was halted or a resync
     /// subsumed them.
     pub dropped: u64,
-    /// High-water mark of parked frames.
-    pub parked_peak: u64,
     /// Stall events declared by the watchdog.
     pub stalls: u64,
     /// Whether the stage is currently considered stalled.

@@ -2,8 +2,8 @@
 //!
 //! The collector's live tier answers "what is the profile right now";
 //! the sentinel answers "is the service still inside its budget, and
-//! if not, exactly when did it leave". It consumes the cheap per-epoch
-//! [`EpochObs`] stream (no snapshots, no cloning) and evaluates a
+//! if not, exactly when did it leave". It consumes one cheap
+//! [`EpochObs`] per epoch (no snapshots, no cloning) and evaluates a
 //! [`SloBudget`] continuously:
 //!
 //! - **Tail latency per tier**: a deterministic streaming quantile
@@ -21,18 +21,39 @@
 //! value, which is what makes an anomaly capture replayable at all.
 //!
 //! [`SentinelSink`] packages the watchdog as a [`DeltaSink`]: it owns
-//! a [`Collector`] with observation tracking on, feeds it the stream,
-//! drains the observations into a [`Sentinel`], and keeps a bounded
-//! ring of periodic [`LiveSnapshot`]s for time travel — when the
-//! sentinel trips, the ring holds the before-state and the trip
-//! snapshot holds the after-state for a differential incident report.
+//! a [`Collector`], feeds it the stream one batch at a time, observes
+//! how far the collector's running totals moved across each batch
+//! (the stage accumulators' mass and pair wait, the quarantine count),
+//! hands that to a [`Sentinel`], and keeps a bounded ring of periodic
+//! [`LiveSnapshot`]s for time travel — when the sentinel trips, the
+//! ring holds the before-state and the trip snapshot holds the
+//! after-state for a differential incident report.
 
 use std::collections::VecDeque;
-use whodunit_core::delta::{DeltaSink, EpochBatch, StreamHeader};
+use whodunit_core::delta::{DeltaSink, EpochBatch, StageAccumulator, StreamHeader};
 use whodunit_core::sketch::{quantile_ppm_over, rank_of, QuantileSketch};
 use whodunit_report::live::LiveSnapshot;
 
-use crate::{Collector, CollectorConfig, CollectorOutput, EpochObs};
+use crate::{Collector, CollectorConfig, CollectorOutput};
+
+/// One epoch as the sentinel's budgets see it: what the collector
+/// added while it processed the epoch's batch, healed and caught-up
+/// deltas included, in the epoch that applied them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EpochObs {
+    /// Epoch index of the batch.
+    pub epoch: u64,
+    /// Virtual time (cycles) at the end of the epoch.
+    pub end: u64,
+    /// Change events the batch carried.
+    pub events: u64,
+    /// CCT cycles added per stage this epoch (indexed by stage).
+    pub stage_cycles: Vec<u64>,
+    /// Crosstalk-pair wait cycles added this epoch.
+    pub xt_wait: u64,
+    /// Frames quarantined while processing the batch.
+    pub quarantined: u64,
+}
 
 /// The service-level budget the sentinel enforces. All thresholds are
 /// optional; an empty budget never trips.
@@ -384,13 +405,16 @@ impl Sentinel {
 /// How many periodic snapshots the time-travel ring retains.
 const SNAPSHOT_RING: usize = 8;
 
-/// A [`DeltaSink`] that wires a [`Collector`] (observation tracking
-/// forced on) to a [`Sentinel`] and keeps the time-travel snapshot
-/// ring. Feed it a stream (e.g. via `run_tpcw_streaming`), then pull
-/// the trip state and the before/after snapshots for the incident.
+/// A [`DeltaSink`] that wires a [`Collector`] to a [`Sentinel`] and
+/// keeps the time-travel snapshot ring. Feed it a stream (e.g. via
+/// `run_tpcw_streaming`), then pull the trip state and the
+/// before/after snapshots for the incident.
 #[derive(Debug)]
 pub struct SentinelSink {
     collector: Collector,
+    /// The collector's running totals after the last batch: per-stage
+    /// mass, pair wait summed over the stages, frames quarantined.
+    seen: (Vec<u64>, u64, u64),
     sentinel: Sentinel,
     /// Take a periodic snapshot every this many epochs (the time-travel
     /// granularity).
@@ -402,12 +426,11 @@ pub struct SentinelSink {
 }
 
 impl SentinelSink {
-    /// Builds the sink; `cfg.track_obs` is forced on (the sentinel is
-    /// the consumer the flag exists for).
-    pub fn new(mut cfg: CollectorConfig, budget: SloBudget) -> Self {
-        cfg.track_obs = true;
+    /// Builds the sink over a collector configured by `cfg`.
+    pub fn new(cfg: CollectorConfig, budget: SloBudget) -> Self {
         SentinelSink {
             collector: Collector::new(cfg),
+            seen: Default::default(),
             sentinel: Sentinel::new(budget),
             snapshot_every: 8,
             ring: VecDeque::new(),
@@ -419,11 +442,6 @@ impl SentinelSink {
     pub fn with_snapshot_every(mut self, epochs: u64) -> Self {
         self.snapshot_every = epochs.max(1);
         self
-    }
-
-    /// The wrapped collector.
-    pub fn collector(&self) -> &Collector {
-        &self.collector
     }
 
     /// The watchdog state.
@@ -461,28 +479,36 @@ impl SentinelSink {
 impl DeltaSink for SentinelSink {
     fn on_start(&mut self, header: &StreamHeader) {
         self.collector.start(header);
+        self.seen = (vec![0; header.stages.len()], 0, 0);
         self.sentinel.start(header);
         self.ring.clear();
         self.trip_snapshot = None;
     }
 
+    /// Processes the batch, the only one queued, and observes it.
     fn on_batch(&mut self, batch: EpochBatch) {
+        let (epoch, end, events) = (batch.epoch, batch.end, batch.events());
         self.collector.enqueue(batch);
         self.collector.drain();
-        let mut newly_tripped = false;
-        while let Some(obs) = self.collector.pop_epoch_obs() {
-            let epoch = obs.epoch;
-            if epoch % self.snapshot_every == 0 {
-                self.ring.push_back((epoch, self.collector.snapshot()));
-                while self.ring.len() > SNAPSHOT_RING {
-                    self.ring.pop_front();
-                }
-            }
-            if self.sentinel.observe(obs).is_some() {
-                newly_tripped = true;
+        let (c, (mass, wait, quarantined)) = (&self.collector, &mut self.seen);
+        let moved = |seen: &mut u64, now: u64| now - std::mem::replace(seen, now);
+        let obs = EpochObs {
+            epoch,
+            end,
+            events,
+            stage_cycles: (c.accs.iter().zip(mass))
+                .map(|(acc, seen)| moved(seen, acc.mass()))
+                .collect(),
+            xt_wait: moved(wait, c.accs.iter().map(StageAccumulator::pair_wait).sum()),
+            quarantined: moved(quarantined, c.stats.quarantined),
+        };
+        if epoch % self.snapshot_every == 0 {
+            self.ring.push_back((epoch, self.collector.snapshot()));
+            while self.ring.len() > SNAPSHOT_RING {
+                self.ring.pop_front();
             }
         }
-        if newly_tripped {
+        if self.sentinel.observe(obs).is_some() {
             self.trip_snapshot = Some(self.collector.snapshot());
         }
     }
@@ -491,6 +517,10 @@ impl DeltaSink for SentinelSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whodunit_core::delta::diff_dump;
+    use whodunit_core::stitch::{
+        DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
+    };
 
     fn obs(epoch: u64, db_cycles: u64) -> EpochObs {
         EpochObs {
@@ -592,6 +622,154 @@ mod tests {
             .expect("3 starved epochs fill the window");
         assert_eq!(v.dimension, "starve:db");
         assert!(v.observed < 100 && v.budget == 100);
+    }
+
+    /// Stage `name`'s snapshots at epochs `1..=n`: two contexts whose
+    /// CCT cycles grow by a different amount each epoch (a new node
+    /// from epoch 3 on), and from epoch 2 a crosstalk pair and a waiter
+    /// row whose waits grow (the waiter row's wait is not pair wait).
+    fn xt_snapshots(proc: u32, name: &str, scale: u64, n: u64) -> Vec<StageDump> {
+        let node = |frame, parent, cycles| DumpNode {
+            frame,
+            parent,
+            samples: 1,
+            cycles,
+            calls: 1,
+        };
+        (1..=n)
+            .map(|e| {
+                let mut nodes = vec![node(None, None, scale * e * (e + 1) / 2)];
+                if e >= 3 {
+                    nodes.push(node(Some(1), Some(0), 5 * e));
+                }
+                let xt = e >= 2;
+                StageDump {
+                    proc,
+                    stage_name: name.into(),
+                    frames: vec!["main".into(), "lock".into()],
+                    contexts: vec![
+                        DumpContext::default(),
+                        DumpContext {
+                            atoms: vec![DumpAtom::Frame(1)].into(),
+                        },
+                    ],
+                    ccts: vec![
+                        DumpCct { ctx: 0, nodes },
+                        DumpCct {
+                            ctx: 1,
+                            nodes: vec![node(None, None, 3 * e)],
+                        },
+                    ],
+                    crosstalk_pairs: xt
+                        .then_some(DumpCrosstalkPair {
+                            waiter: 1,
+                            holder: 0,
+                            count: e,
+                            total_wait: 7 * scale * e,
+                        })
+                        .into_iter()
+                        .collect(),
+                    crosstalk_waiters: xt
+                        .then_some(DumpCrosstalkWaiter {
+                            waiter: 1,
+                            count: e,
+                            total_wait: 1000 * e,
+                        })
+                        .into_iter()
+                        .collect(),
+                    ..StageDump::default()
+                }
+            })
+            .collect()
+    }
+
+    /// Seven epochs of `header()`'s two stages, one delta each.
+    fn xt_stream() -> Vec<EpochBatch> {
+        let n = 7;
+        let front = xt_snapshots(1, "front", 100, n);
+        let db = xt_snapshots(2, "db", 40, n);
+        (0..n as usize)
+            .map(|e| {
+                let delta = |stage, snaps: &[StageDump]| {
+                    let prev = e.checked_sub(1).map(|p| &snaps[p]);
+                    diff_dump(stage, e as u64, prev, &snaps[e]).expect("every epoch grows")
+                };
+                EpochBatch {
+                    epoch: e as u64,
+                    seq: e as u64,
+                    end: (e as u64 + 1) * 100,
+                    deltas: vec![delta(0, &front), delta(1, &db)],
+                }
+            })
+            .collect()
+    }
+
+    /// Every observation a sink made of `stream`, as
+    /// `(epoch, end, events, stage_cycles, xt_wait, quarantined)`.
+    fn observed(stream: &[EpochBatch]) -> Vec<(u64, u64, u64, Vec<u64>, u64, u64)> {
+        let budget = SloBudget {
+            window_epochs: 64,
+            ..SloBudget::default()
+        };
+        let mut sink = SentinelSink::new(CollectorConfig::default(), budget);
+        sink.on_start(&header());
+        for b in stream {
+            sink.on_batch(b.clone());
+        }
+        let window = sink.sentinel().window().iter().cloned();
+        let row = |o: EpochObs| {
+            let EpochObs {
+                epoch,
+                end,
+                events,
+                stage_cycles,
+                xt_wait,
+                quarantined,
+            } = o;
+            (epoch, end, events, stage_cycles, xt_wait, quarantined)
+        };
+        window.map(row).collect()
+    }
+
+    /// The sink's observations, field by field at every epoch, are the
+    /// ones the collector's former per-epoch observation ring recorded
+    /// for the same streams (the literals were read from it). A clean
+    /// stream; then the same stream damaged: front's deltas 2 and 3
+    /// swapped (2 parks, so epoch 2 adds nothing for front, and epoch 3
+    /// applies both, the healed cycles landing in the epoch that healed
+    /// them), and db's delta 4 corrupt (quarantined; with no resync
+    /// source, db halts and adds nothing after).
+    #[test]
+    fn the_sink_observes_what_each_batch_added() {
+        let clean = xt_stream();
+        assert_eq!(
+            observed(&clean),
+            [
+                (0, 100, 12, vec![103, 43], 0, 0),
+                (1, 200, 8, vec![203, 83], 1960, 0),
+                (2, 300, 10, vec![318, 138], 980, 0),
+                (3, 400, 10, vec![408, 168], 980, 0),
+                (4, 500, 10, vec![508, 208], 980, 0),
+                (5, 600, 10, vec![608, 248], 980, 0),
+                (6, 700, 10, vec![708, 288], 980, 0),
+            ]
+        );
+        let mut damaged = clean;
+        let (d2, d3) = (damaged[2].deltas[0].clone(), damaged[3].deltas[0].clone());
+        (damaged[2].deltas[0], damaged[3].deltas[0]) = (d3, d2);
+        damaged[4].deltas[1].checksum ^= 1;
+        assert_eq!(
+            observed(&damaged),
+            [
+                (0, 100, 12, vec![103, 43], 0, 0),
+                (1, 200, 8, vec![203, 83], 1960, 0),
+                (2, 300, 10, vec![0, 138], 280, 0),
+                (3, 400, 10, vec![726, 168], 1680, 0),
+                (4, 500, 10, vec![508, 0], 700, 1),
+                (5, 600, 10, vec![608, 0], 700, 0),
+                (6, 700, 10, vec![708, 0], 700, 0),
+            ]
+        );
     }
 
     #[test]

@@ -786,6 +786,8 @@ pub struct StageAccumulator {
     piggyback_bytes: u64,
     messages: u64,
     next_seq: u64,
+    mass: u64,
+    pair_wait: u64,
 }
 
 impl StageAccumulator {
@@ -803,6 +805,8 @@ impl StageAccumulator {
             piggyback_bytes: 0,
             messages: 0,
             next_seq: 0,
+            mass: 0,
+            pair_wait: 0,
         }
     }
 
@@ -814,6 +818,19 @@ impl StageAccumulator {
     /// Number of contexts interned so far.
     pub fn context_count(&self) -> usize {
         self.contexts.len()
+    }
+
+    /// The CCT cycles accumulated so far: the sum of every node's
+    /// cycles in [`StageAccumulator::to_dump`], kept as deltas commit.
+    pub fn mass(&self) -> u64 {
+        self.mass
+    }
+
+    /// The crosstalk-pair wait accumulated so far: the sum of every
+    /// pair's `total_wait` in [`StageAccumulator::to_dump`] (waiter rows
+    /// are not counted), kept as deltas commit.
+    pub fn pair_wait(&self) -> u64 {
+        self.pair_wait
     }
 
     /// The CCT node list for `ctx`, if one has accumulated.
@@ -937,6 +954,7 @@ impl StageAccumulator {
         for &(raw, ctx) in &d.new_synopses {
             self.synopses[ctx as usize] = Some(raw);
         }
+        let mut mass = 0;
         for c in &d.ccts {
             let nodes = self.ccts[c.ctx as usize].get_or_insert_with(Vec::new);
             for &(i, s, cy, ca) in &c.grown {
@@ -944,13 +962,17 @@ impl StageAccumulator {
                 n.samples += s;
                 n.cycles += cy;
                 n.calls += ca;
+                mass += cy;
             }
+            mass += c.new_nodes.iter().map(|n| n.cycles).sum::<u64>();
             nodes.extend(c.new_nodes.iter().copied());
         }
+        self.mass += mass;
         for p in &d.pairs {
             let e = self.pairs.entry((p.waiter, p.holder)).or_insert((0, 0));
             e.0 += p.count;
             e.1 += p.total_wait;
+            self.pair_wait += p.total_wait;
         }
         for w in &d.waiters {
             let e = self.waiters.entry(w.waiter).or_insert((0, 0));
@@ -1399,12 +1421,79 @@ pub(crate) mod tests {
             damage(&mut d);
             d.checksum = d.compute_checksum();
             let refused = DeltaError::Inconsistent { stage: 0, what };
+            let totals = (acc.mass(), acc.pair_wait());
             assert_eq!(acc.apply(&d), Err(refused));
             assert_eq!(acc.to_dump(), a, "{what}");
+            assert_eq!((acc.mass(), acc.pair_wait()), totals, "{what}");
             // The same delta undamaged still applies, and validates.
             acc.apply(&good).unwrap();
             assert_eq!(acc.to_dump().validate(), Ok(()));
         }
+    }
+
+    /// `mass()` and `pair_wait()` against the sums over `to_dump()`.
+    fn assert_totals(acc: &StageAccumulator, what: &str) {
+        let dump = acc.to_dump();
+        let nodes = dump.ccts.iter().flat_map(|c| &c.nodes);
+        let mass = nodes.map(|n| n.cycles).sum::<u64>();
+        let wait = dump.crosstalk_pairs.iter().map(|p| p.total_wait).sum();
+        assert_eq!((acc.mass(), acc.pair_wait()), (mass, wait), "{what}");
+    }
+
+    /// After every apply, accepted or refused, by every door (`apply`,
+    /// an unsealed delta, a catch-up, a `replay`, a whole frame), the
+    /// running totals are the sums over the dump.
+    #[test]
+    fn the_running_totals_are_the_sums_over_the_dump() {
+        let (a, b) = (base_dump(), grown_dump());
+        let d0 = diff_dump(0, 0, None, &a).unwrap();
+        let d1 = diff_dump(0, 1, Some(&a), &b).unwrap();
+        let mut acc = StageAccumulator::new(&header());
+        assert_totals(&acc, "empty");
+        acc.apply(&d0).unwrap();
+        assert_totals(&acc, "first delta");
+        assert_eq!((acc.mass(), acc.pair_wait()), (300, 50));
+        let mut damaged = d1.clone();
+        damaged.checksum ^= 1;
+        assert!(acc.apply(&damaged).is_err());
+        assert!(acc.apply(&d0).is_err());
+        assert_totals(&acc, "refused");
+        assert_eq!((acc.mass(), acc.pair_wait()), (300, 50));
+        // The verifying apply keeps its delta; a replay of it elsewhere
+        // adds the same.
+        let kept = acc.apply_kept(&d1).unwrap();
+        assert_totals(&acc, "kept");
+        assert_eq!((acc.mass(), acc.pair_wait()), (470, 75));
+        let mut replayed = StageAccumulator::new(&header());
+        replayed.apply(&d0).unwrap();
+        replayed.replay(&kept).unwrap();
+        assert_totals(&replayed, "replay");
+        assert!(replayed.replay(&kept).is_err());
+        assert_totals(&replayed, "refused replay");
+        // A catch-up over the lost growth delta.
+        let mut caught = StageAccumulator::new(&header());
+        caught.apply(&d0).unwrap();
+        let cd = caught.catchup_delta(0, &b).unwrap().expect("behind");
+        caught.apply(&cd).unwrap();
+        assert_totals(&caught, "catch-up");
+        let mut unsealed = StageAccumulator::new(&header());
+        Incoming::vouched(&d0, true)
+            .apply_to(&mut unsealed)
+            .unwrap();
+        assert_totals(&unsealed, "unsealed");
+        // Whole frames: a refused one adds nothing to any stage.
+        let mut accs = vec![StageAccumulator::new(&header()); 2];
+        let first = |stage| diff_dump(stage, 0, None, &a).unwrap();
+        let mut bad = first(1);
+        bad.checksum ^= 1;
+        let frame = [first(0), bad];
+        assert!(apply_frame(&mut accs, frame.iter().map(Incoming::Sealed)).is_err());
+        let frame = [first(0), first(1)];
+        apply_frame(&mut accs, frame.iter().map(Incoming::Sealed)).unwrap();
+        for (si, acc) in accs.iter().enumerate() {
+            assert_totals(acc, &format!("frame, stage {si}"));
+        }
+        assert_eq!(accs[1].mass(), 300);
     }
 
     #[test]

@@ -79,11 +79,9 @@ pub fn empty_delta(stage: usize) -> StageDelta {
 
 /// Whether `next` composes onto `acc` ([`merge_stage_delta`]'s checks,
 /// with no mutation): both name one stage, both are in canonical form
-/// ([`StageDelta::check_order`]), and each of `next`'s CCT increments
-/// starts at `acc`'s baseline plus its appended nodes for that context
-/// and grows only nodes below its own baseline. Deltas come from
-/// outside the program, so every count is checked, never trusted.
-#[deny(clippy::indexing_slicing)]
+/// ([`StageDelta::check_order`]), and their CCT increments join
+/// ([`check_join`]). Deltas come from outside the program, so every
+/// count is checked, never trusted.
 pub fn check_merge(acc: &StageDelta, next: &StageDelta) -> Result<(), MergeError> {
     let refuse = |what| MergeError {
         stage: acc.stage,
@@ -94,6 +92,20 @@ pub fn check_merge(acc: &StageDelta, next: &StageDelta) -> Result<(), MergeError
     }
     acc.check_order().map_err(refuse)?;
     next.check_order().map_err(refuse)?;
+    check_join(acc, next)
+}
+
+/// [`check_merge`]'s join of two deltas already in canonical form: each
+/// of `next`'s CCT increments starts at `acc`'s baseline plus its
+/// appended nodes for that context and grows only nodes below its own
+/// baseline. A caller that calls it alone must know both operands are
+/// canonical and name one stage.
+#[deny(clippy::indexing_slicing)]
+pub fn check_join(acc: &StageDelta, next: &StageDelta) -> Result<(), MergeError> {
+    let refuse = |what| MergeError {
+        stage: acc.stage,
+        what,
+    };
     let mut ai = acc.ccts.iter().peekable();
     for n in &next.ccts {
         while ai.peek().is_some_and(|a| a.ctx < n.ctx) {

@@ -224,6 +224,13 @@ proptest! {
         }
         prop_assert_eq!(one.to_dump(), both.to_dump());
         prop_assert_eq!(one.to_dump(), s2);
+        // The running totals are the dump's sums, whether the
+        // increments arrived one by one or merged.
+        let mass = s2.ccts.iter().flat_map(|c| &c.nodes).map(|n| n.cycles).sum::<u64>();
+        let wait = s2.crosstalk_pairs.iter().map(|p| p.total_wait).sum::<u64>();
+        for acc in [&one, &both] {
+            prop_assert_eq!((acc.mass(), acc.pair_wait()), (mass, wait));
+        }
 
         // Disordered or repeated keys in either operand: refused with
         // the first rule the earlier delta breaks, else the later's,

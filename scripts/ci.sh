@@ -204,14 +204,14 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 # bucket list (get_buckets) and the summary decoder, the JSON Parser,
 # the Value -> dump (dumpjson) and Value -> repro (repro) schema
 # readers, and the federation's frame receivers — the merge of a
-# child's deltas (check_merge, merge_stage_delta, compose_cct) and the
+# child's deltas (check_join, merge_stage_delta, compose_cct) and the
 # root's whole-frame apply (apply_frame): each carries
 # #[deny(clippy::indexing_slicing)], so the first `col[i]` written
 # there fails this line, not a review. The whole core crate (the wire
 # codec, the dump JSON reader and writer, the delta apply and diff,
 # the summary merge, the repro reader, the flow dictionary, the CCT,
-# ...), the whole collector crate (ingest, link.rs, federation/,
-# quarantine.rs, sentinel.rs) and the whole simulator crate also deny
+# ...), the whole collector crate (lib.rs, ingest.rs, live.rs, link.rs,
+# federation/, quarantine.rs, sentinel.rs) and the whole simulator crate also deny
 # clippy::unwrap_used outside their tests, so none of them can panic
 # on an `.unwrap()`.
 cargo clippy --workspace --all-targets -- -D warnings
