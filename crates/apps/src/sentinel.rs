@@ -20,6 +20,7 @@
 //!    as an explicit `false-repro` violation instead of a bogus bundle.
 
 use crate::chaos::{Assembly, SHRINKABLE_KNOBS};
+use whodunit_collector::sentinel::{QUANTILE_PPM, WINDOW_EPOCHS};
 use whodunit_collector::{CollectorConfig, CollectorOutput, SentinelSink, SloBudget, SloViolation};
 use whodunit_core::oracle::{check_capture, CaptureEvidence, Violation};
 use whodunit_core::repro::{ChaosRepro, ReproWindow};
@@ -99,7 +100,6 @@ pub fn calibrate_budget(
         .with_snapshot_every(SNAPSHOT_EVERY);
     Assembly::Tpcw.run_streaming(clean, epoch_len, &mut sink);
     let s = sink.sentinel();
-    let q = s.budget().quantile_ppm;
     let slack = epoch_len / 100;
     let margin_up = |v: u64| v.saturating_mul(margin_num) / margin_den.max(1) + slack;
     let margin_down = |v: u64| v.saturating_mul(margin_den) / margin_num.max(1);
@@ -110,7 +110,7 @@ pub fn calibrate_budget(
         .map(|(si, name)| {
             (
                 name.clone(),
-                margin_up(s.lifetime_quantile(si, q).unwrap_or(0)),
+                margin_up(s.lifetime_quantile(si, QUANTILE_PPM).unwrap_or(0)),
             )
         })
         .collect();
@@ -128,9 +128,8 @@ pub fn calibrate_budget(
     SloBudget {
         stage_cycles,
         stage_floor,
-        xt_wait: Some(margin_up(s.lifetime_xt_quantile(q).unwrap_or(0))),
+        xt_wait: Some(margin_up(s.lifetime_xt_quantile(QUANTILE_PPM).unwrap_or(0))),
         max_quarantined: Some(0),
-        ..SloBudget::default()
     }
 }
 
@@ -218,19 +217,15 @@ pub fn capture_incident(
     repro_out.violation = Some(format!("slo:{}", trip.dimension));
     // Everything a later `chaos --replay` needs to re-judge the trip
     // without the calibrated budget in hand: the tripped dimension's
-    // ceiling plus the watchdog's window parameters. Together with
-    // `window` below (epoch length, trip epoch) this makes the bundle
-    // self-contained.
+    // ceiling. Together with `window` below (epoch length, trip epoch)
+    // this makes the bundle self-contained; the quantile, window and
+    // warmup are the sentinel's constants.
     repro_out.set_knob("slo_budget", trip.budget);
-    repro_out.set_knob("slo_quantile_ppm", budget.quantile_ppm);
-    repro_out.set_knob("slo_window_epochs", budget.window_epochs);
-    repro_out.set_knob("slo_warmup_epochs", budget.warmup_epochs);
+    let first_in_window = |epoch: u64| epoch.saturating_sub(WINDOW_EPOCHS - 1);
     if let Some(v) = &a.violation {
         repro_out.window = Some(ReproWindow {
             epoch_len,
-            start: v
-                .epoch
-                .saturating_sub(budget.window_epochs.saturating_sub(1)),
+            start: first_in_window(v.epoch),
             end: v.epoch,
             dimension: v.dimension.clone(),
         });
@@ -241,12 +236,8 @@ pub fn capture_incident(
         detected_epoch: trip.epoch,
         observed: trip.observed,
         budget: trip.budget,
-        quantile_ppm: budget.quantile_ppm,
-        window: (
-            trip.epoch
-                .saturating_sub(budget.window_epochs.saturating_sub(1)),
-            trip.epoch,
-        ),
+        quantile_ppm: QUANTILE_PPM,
+        window: (first_in_window(trip.epoch), trip.epoch),
         onset_epoch: None,
         degraded: run.output.stats.degraded.clone(),
         shrink: Some(ShrinkSummary {

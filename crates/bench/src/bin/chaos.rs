@@ -219,29 +219,22 @@ fn replay(path: &str) -> ExitCode {
 }
 
 /// Re-judge a sentinel-captured SLO trip. The bundle is self-contained:
-/// the `slo_*` knobs carry the tripped dimension's ceiling and the
-/// watchdog's window parameters, and `window` carries the epoch length
-/// and the trip epoch. Reconstructs a minimal single-dimension budget
-/// and checks the same dimension trips at the same epoch.
+/// the `slo_budget` knob carries the tripped dimension's ceiling, and
+/// `window` carries the epoch length and the trip epoch (the quantile,
+/// window and warmup are the sentinel's constants). Reconstructs a
+/// minimal single-dimension budget and checks the same dimension trips
+/// at the same epoch.
 fn verify_slo(repro: &ChaosRepro, kind: &str) -> ExitCode {
     let dim = &kind["slo:".len()..];
     let Some(win) = &repro.window else {
         println!("MISMATCH: slo repro has no capture window");
         return ExitCode::FAILURE;
     };
-    let knob = |name: &str| {
-        repro
-            .knob(name)
-            .ok_or_else(|| format!("MISMATCH: slo repro missing knob '{name}'"))
-    };
     let reconstructed = || -> Result<SloBudget, String> {
-        let ceiling = knob("slo_budget")?;
-        let mut budget = SloBudget {
-            quantile_ppm: knob("slo_quantile_ppm")?,
-            window_epochs: knob("slo_window_epochs")?,
-            warmup_epochs: knob("slo_warmup_epochs")?,
-            ..SloBudget::default()
-        };
+        let ceiling = repro
+            .knob("slo_budget")
+            .ok_or("MISMATCH: slo repro missing knob 'slo_budget'")?;
+        let mut budget = SloBudget::default();
         if let Some(stage) = dim.strip_prefix("tail:") {
             budget.stage_cycles = vec![(stage.to_owned(), ceiling)];
         } else if let Some(stage) = dim.strip_prefix("starve:") {

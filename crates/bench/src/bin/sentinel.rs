@@ -32,6 +32,7 @@ use std::process::ExitCode;
 use whodunit_apps::chaos::Assembly;
 use whodunit_apps::sentinel::{calibrate_budget, capture_incident, run_with_sentinel};
 use whodunit_bench::{fleet_stream, header, write_json_file};
+use whodunit_collector::sentinel::{QUANTILE_PPM, WARMUP_EPOCHS, WINDOW_EPOCHS};
 use whodunit_collector::{Collector, CollectorConfig, SentinelSink, SloBudget};
 use whodunit_core::cost::CPU_HZ;
 use whodunit_core::delta::{DeltaSink, EpochBatch, RecordingSink, StreamHeader};
@@ -195,11 +196,8 @@ fn write_json(
         args.clients, args.duration_s, args.factor, args.smoke
     ));
     j.push_str(&format!(
-        "  \"budget\": {{\"quantile_ppm\": {}, \"stages\": {}, \"window_epochs\": {}, \"warmup_epochs\": {}}},\n",
-        budget.quantile_ppm,
+        "  \"budget\": {{\"quantile_ppm\": {QUANTILE_PPM}, \"stages\": {}, \"window_epochs\": {WINDOW_EPOCHS}, \"warmup_epochs\": {WARMUP_EPOCHS}}},\n",
         budget.stage_cycles.len(),
-        budget.window_epochs,
-        budget.warmup_epochs
     ));
     j.push_str(&format!("  \"clean_scenarios\": {clean_total},\n"));
     j.push_str(&format!("  \"false_repros\": {false_repros},\n"));
@@ -259,7 +257,7 @@ fn main() -> ExitCode {
     println!(
         "calibrated budget: {} stage tails at p{:.2}, xt {:?}, quarantine {:?}",
         budget.stage_cycles.len(),
-        budget.quantile_ppm as f64 / 10_000.0,
+        QUANTILE_PPM as f64 / 10_000.0,
         budget.xt_wait,
         budget.max_quarantined
     );

@@ -5,7 +5,7 @@
 use whodunit_core::delta::{DeltaError, EpochBatch, Incoming, IncomingBatch};
 use whodunit_core::wire::{self, WireError};
 
-use crate::{quarantine, Collector};
+use crate::{quarantine, Collector, StageQuarantine};
 
 const TRAILING: WireError = WireError::Malformed("bytes after the frame");
 const OTHER_HEADER: WireError = WireError::Malformed("a different stream header is installed");
@@ -157,11 +157,12 @@ impl Collector {
         // stall count stays).
         let stall = self.cfg.quarantine.stall_epochs;
         if stall > 0 {
-            for q in &mut self.quarantine {
+            for si in 0..self.quarantine.len() {
+                let q = &self.quarantine[si];
                 if !q.halted && !q.stalled && self.epoch.saturating_sub(q.last_progress) >= stall {
+                    let q = self.damage(si);
                     q.stalled = true;
                     q.stalls += 1;
-                    self.stats.stalls += 1;
                 }
             }
         }
@@ -177,8 +178,7 @@ impl Collector {
             return;
         }
         if self.quarantine[stage].halted {
-            self.quarantine[stage].dropped += 1;
-            self.stats.dropped_frames += 1;
+            self.damage(stage).dropped += 1;
             return;
         }
         self.try_apply(d);
@@ -209,16 +209,14 @@ impl Collector {
             Ok(()) => self.drain_parked(d.stage),
             Err(DeltaError::SeqGap { expected, got, .. }) if got < expected => {
                 // Duplicate of an already-applied frame: drop it.
-                self.quarantine[d.stage].duplicates += 1;
-                self.stats.dup_frames += 1;
+                self.damage(d.stage).duplicates += 1;
             }
             Err(DeltaError::SeqGap { .. }) => self.park(incoming),
             Err(_) => {
                 // Checksum or inconsistency: the frame's content is
                 // unusable. Quarantine it and catch up from the
                 // emitter snapshot.
-                self.quarantine[d.stage].corrupt += 1;
-                self.stats.quarantined += 1;
+                self.damage(d.stage).corrupt += 1;
                 self.request_resync(d.stage);
             }
         }
@@ -245,8 +243,7 @@ impl Collector {
             let Some(d) = self.quarantine[si].parked.remove(&next) else {
                 return;
             };
-            self.quarantine[si].healed += 1;
-            self.stats.healed_frames += 1;
+            self.damage(si).healed += 1;
             // Recursion depth is bounded by the reorder buffer size.
             self.try_apply(Incoming::Sealed(&d));
         }
@@ -283,8 +280,7 @@ impl Collector {
             self.halt(si);
             return;
         }
-        self.quarantine[si].resyncs += 1;
-        self.stats.resyncs += 1;
+        self.damage(si).resyncs += 1;
         self.accs[si].set_next_seq(upto);
         // Parked frames the snapshot subsumed are no longer needed.
         self.quarantine[si].parked.retain(|&s, _| s >= upto);
@@ -293,11 +289,8 @@ impl Collector {
 
     /// Halts a stage: no more frames are accepted for it, parked ones
     /// are discarded, and the report will carry its degradation marker.
-    /// A corrupt frame is counted before its resync is asked for, and
-    /// the other asks (a full reorder buffer, a hole open at finalize)
-    /// drop a parked frame here, so a halt always leaves a counter.
     fn halt(&mut self, si: usize) {
-        let q = &mut self.quarantine[si];
+        let q = self.damage(si);
         if q.halted {
             return;
         }
@@ -305,8 +298,16 @@ impl Collector {
         let parked = q.parked.len() as u64;
         q.parked.clear();
         q.dropped += parked;
-        self.stats.dropped_frames += parked;
-        debug_assert!(self.degrade_count() > 0, "a halt left no counter");
+    }
+
+    /// The record every damage step counts in. A stage's first damage
+    /// lists it in `damaged`, which is what the markers and the damage
+    /// totals walk.
+    fn damage(&mut self, si: usize) -> &mut StageQuarantine {
+        if let Err(at) = self.damaged.binary_search(&si) {
+            self.damaged.insert(at, si);
+        }
+        &mut self.quarantine[si]
     }
 }
 

@@ -48,11 +48,12 @@
 //! index) refuses leaves no trace. Refused input has exactly one route,
 //! with or without a [`ResyncSource`]: duplicate → drop, gap → park,
 //! corrupt or inconsistent → quarantine → bounded resync → halt the
-//! stage (see [`quarantine`]). Every step is counted in
-//! [`CollectorStats`] and named in [`CollectorStats::degraded`]; the
-//! report is what the batch pipeline computes over the dumps the
-//! collector did accumulate ([`PipelineReport::stages`]) — healed or
-//! short of mass, never invented.
+//! stage (see [`quarantine`]). Every step is counted once, in its
+//! stage's [`StageQuarantine`] (summed into [`CollectorStats`]), and
+//! named in [`CollectorStats::degraded`]; the report is what the batch
+//! pipeline computes over the dumps the collector did accumulate
+//! ([`PipelineReport::stages`]) — healed or short of mass, never
+//! invented.
 //!
 //! **Modules.** `ingest` is the intake and damage route, and it alone
 //! writes the stage accumulators; `live` is the incremental read layer,
@@ -128,7 +129,11 @@ impl Default for CollectorConfig {
     }
 }
 
-/// Ingest, memory, and integrity accounting.
+/// Ingest, memory, and integrity accounting. The six damage totals
+/// (`quarantined`, `dup_frames`, `healed_frames`, `resyncs`,
+/// `dropped_frames`, `stalls`) are sums over the per-stage
+/// [`StageQuarantine`] records, taken when [`Collector::stats`] or
+/// [`Collector::finalize`] builds the stats.
 #[derive(Clone, Debug, Default)]
 pub struct CollectorStats {
     /// Epoch batches processed.
@@ -233,6 +238,8 @@ pub struct Collector {
     started: bool,
     /// Per-stage quarantine/reorder/stall state, parallel to `accs`.
     quarantine: Vec<StageQuarantine>,
+    /// The stages whose record has taken damage, ascending.
+    damaged: Vec<usize>,
     /// Emitter-side snapshot provider for bounded resync, if attached.
     resync: Option<ResyncHandle>,
     /// Epoch of the batch currently being ingested (for per-stage
@@ -266,6 +273,7 @@ impl Collector {
             stats: CollectorStats::default(),
             started: false,
             quarantine: Vec::new(),
+            damaged: Vec::new(),
             resync: None,
             ingest_epoch: 0,
         }
@@ -297,39 +305,32 @@ impl Collector {
     /// needed self-healing, in stage order, then one line for deltas
     /// that named no stage of the header. Empty on a clean stream.
     pub fn degraded_markers(&self) -> Vec<String> {
-        if self.degrade_count() == 0 {
-            return Vec::new();
-        }
         let unknown = self.stats.delta_errors;
-        self.quarantine
+        self.damaged
             .iter()
-            .zip(&self.accs)
-            .enumerate()
-            .filter(|(_, (q, _))| q.degraded())
-            .map(|(si, (q, acc))| q.marker(si, &acc.stage_name))
+            .map(|&si| self.quarantine[si].marker(si, &self.accs[si].stage_name))
             .chain((unknown > 0).then(|| format!("{unknown} deltas for unknown stages dropped")))
             .collect()
     }
 
-    /// The sum of the collector-wide twins of every per-stage counter
-    /// [`StageQuarantine::degraded`] reads, plus the unknown-stage
-    /// deltas: zero exactly when no marker would be written. `halted`
-    /// has no twin and needs none (see [`Collector::halt`]).
-    fn degrade_count(&self) -> u64 {
-        let s = &self.stats;
-        let twins = [
-            s.quarantined,
-            s.dup_frames,
-            s.healed_frames,
-            s.resyncs,
-            s.dropped_frames,
-        ];
-        twins.iter().sum::<u64>() + s.stalls + s.delta_errors
+    /// The damaged stages' records, in stage order.
+    fn damaged_records(&self) -> impl Iterator<Item = &StageQuarantine> {
+        self.damaged.iter().map(|&si| &self.quarantine[si])
     }
 
-    /// Read access to the running stats.
-    pub fn stats(&self) -> &CollectorStats {
-        &self.stats
+    /// The running stats, with the damage totals summed over the
+    /// damaged stages' records.
+    pub fn stats(&self) -> CollectorStats {
+        let mut stats = self.stats.clone();
+        for q in self.damaged_records() {
+            stats.quarantined += q.corrupt;
+            stats.dup_frames += q.duplicates;
+            stats.healed_frames += q.healed;
+            stats.resyncs += q.resyncs;
+            stats.dropped_frames += q.dropped;
+            stats.stalls += q.stalls;
+        }
+        stats
     }
 
     /// Answers the live queries at the current epoch: top-k
@@ -372,8 +373,8 @@ impl Collector {
         }
         self.stats.pending_walks_at_flush = self.live.pending_walk_count();
         self.stats.pending_edges_at_flush = self.live.pending_edge_count();
-        self.stats.degraded = self.degraded_markers();
-        let stats = std::mem::take(&mut self.stats);
+        let mut stats = self.stats();
+        stats.degraded = self.degraded_markers();
         let accs = std::mem::take(&mut self.accs);
         // The incremental state only answered snapshots: free it before
         // the batch pass builds its own.
@@ -403,16 +404,17 @@ mod tests {
     use super::*;
     use crate::federation::tests::{batches_for, header2};
 
-    /// `degraded_markers` skips its scan while the collector-wide
-    /// counters are all zero; after every batch of every damage a
-    /// stream can take, halts included, the scan would find nothing
-    /// exactly then.
+    /// `degraded_markers` walks only the listed damaged stages; after
+    /// every batch of every damage a stream can take, halts included,
+    /// the list holds exactly the stages a scan of every record would
+    /// find degraded.
     #[test]
     fn the_clean_stream_fast_path_is_the_scan() {
         let agree = |c: &Collector| {
-            let scan = c.quarantine.iter().any(StageQuarantine::degraded);
-            let scan = scan || c.stats.delta_errors > 0;
-            assert_eq!(c.degrade_count() > 0, scan, "{:?}", c.quarantine);
+            let scan: Vec<usize> = (0..c.quarantine.len())
+                .filter(|&si| c.quarantine[si].degraded())
+                .collect();
+            assert_eq!(c.damaged, scan, "{:?}", c.quarantine);
         };
         let batches = batches_for(0, 0, "front", 6);
         let ingest = |cfg: CollectorConfig, stream: &[EpochBatch]| {

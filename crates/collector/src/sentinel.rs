@@ -4,17 +4,22 @@
 //! the sentinel answers "is the service still inside its budget, and
 //! if not, exactly when did it leave". It consumes one cheap
 //! [`EpochObs`] per epoch (no snapshots, no cloning) and evaluates a
-//! [`SloBudget`] continuously:
+//! [`SloBudget`] continuously over a window of the last
+//! [`WINDOW_EPOCHS`] observations, once [`WARMUP_EPOCHS`] have passed:
 //!
-//! - **Tail latency per tier**: a deterministic streaming quantile
-//!   sketch ([`QuantileSketch`]) over the per-epoch cycles each stage
-//!   added, evaluated over the retained window of recent epochs; the
-//!   configured quantile exceeding the stage's budget trips the
-//!   sentinel.
-//! - **Crosstalk mass**: the same sketch over per-epoch crosstalk wait
+//! - **Tail latency per tier**: the [`QUANTILE_PPM`] quantile (p99) of
+//!   the per-epoch cycles each stage added over the window exceeding
+//!   the stage's budget trips the sentinel. The p99 of at most 99
+//!   values is the largest of them, and a [`QuantileSketch`]'s
+//!   estimate of a maximum is that maximum, so the tail is read as the
+//!   window's maximum.
+//! - **Crosstalk mass**: the same tail over per-epoch crosstalk wait
 //!   cycles.
 //! - **Quarantine pressure**: cumulative frames the self-healing
 //!   ingest had to quarantine.
+//!
+//! Lifetime [`QuantileSketch`]es per tier keep the baseline that
+//! budget calibration reads.
 //!
 //! Everything is a pure function of the delta stream content: two runs
 //! of the same scenario trip at the same epoch with the same observed
@@ -31,10 +36,27 @@
 
 use std::collections::VecDeque;
 use whodunit_core::delta::{DeltaSink, EpochBatch, StageAccumulator, StreamHeader};
-use whodunit_core::sketch::{quantile_ppm_over, rank_of, QuantileSketch};
+use whodunit_core::sketch::QuantileSketch;
 use whodunit_report::live::LiveSnapshot;
 
 use crate::{Collector, CollectorConfig, CollectorOutput};
+
+/// The quantile (parts per million) the tail budgets judge and
+/// calibration reads: p99.
+pub const QUANTILE_PPM: u64 = 990_000;
+
+/// Retained evaluation window, in epochs: the tails are judged over
+/// the most recent `WINDOW_EPOCHS` observations, and an anomaly
+/// capture reports the same window.
+pub const WINDOW_EPOCHS: u64 = 8;
+
+/// Epochs observed before any budget is evaluated (lets the workload's
+/// warmup transient pass).
+pub const WARMUP_EPOCHS: u64 = 5;
+
+// The p99 of a full window selects its largest value, which is what
+// `Sentinel::evaluate` reads.
+const _: () = assert!((WINDOW_EPOCHS * QUANTILE_PPM).div_ceil(1_000_000) == WINDOW_EPOCHS);
 
 /// One epoch as the sentinel's budgets see it: what the collector
 /// added while it processed the epoch's batch, healed and caught-up
@@ -56,51 +78,27 @@ pub struct EpochObs {
 }
 
 /// The service-level budget the sentinel enforces. All thresholds are
-/// optional; an empty budget never trips.
-#[derive(Clone, Debug)]
+/// optional; an empty budget never trips. The quantile, window and
+/// warmup are not part of a budget: they are [`QUANTILE_PPM`],
+/// [`WINDOW_EPOCHS`] and [`WARMUP_EPOCHS`].
+#[derive(Clone, Debug, Default)]
 pub struct SloBudget {
-    /// Quantile (parts-per-million) the tail budgets are evaluated at,
-    /// e.g. `990_000` for p99.
-    pub quantile_ppm: u64,
-    /// Per-stage budget on the chosen quantile of per-epoch added
-    /// cycles: `(stage name, max cycles)`. Stage names not present in
-    /// the stream are ignored.
+    /// Per-stage budget on the p99 of per-epoch added cycles over the
+    /// window (its maximum): `(stage name, max cycles)`. Stage names
+    /// not present in the stream are ignored.
     pub stage_cycles: Vec<(String, u64)>,
     /// Per-stage starvation floor: `(stage name, min cycles)`. Trips
-    /// when even the *best* epoch in the retained window (the chosen
-    /// quantile of the windowed sketch) falls below the floor — the
-    /// signature of a slowed or wedged tier, whose profile cycles
-    /// *drop* (the profiler records application-requested cycles, so a
-    /// machine slowdown shows up as missing throughput, not extra
-    /// cost).
+    /// when even the *best* epoch of a full window falls below the
+    /// floor — the signature of a slowed or wedged tier, whose profile
+    /// cycles *drop* (the profiler records application-requested
+    /// cycles, so a machine slowdown shows up as missing throughput,
+    /// not extra cost).
     pub stage_floor: Vec<(String, u64)>,
-    /// Budget on the chosen quantile of per-epoch crosstalk wait
-    /// cycles (the hotspot-mass budget).
+    /// Budget on the p99 (the window maximum) of per-epoch crosstalk
+    /// wait cycles (the hotspot-mass budget).
     pub xt_wait: Option<u64>,
     /// Budget on cumulative quarantined frames.
     pub max_quarantined: Option<u64>,
-    /// Epochs observed before any budget is evaluated (lets the
-    /// workload's warmup transient pass).
-    pub warmup_epochs: u64,
-    /// Retained evaluation window, in epochs: tail budgets are
-    /// evaluated over a sketch of the most recent `window_epochs`
-    /// observations, and the same window is what an anomaly capture
-    /// snapshots.
-    pub window_epochs: u64,
-}
-
-impl Default for SloBudget {
-    fn default() -> Self {
-        SloBudget {
-            quantile_ppm: 990_000,
-            stage_cycles: Vec::new(),
-            stage_floor: Vec::new(),
-            xt_wait: None,
-            max_quarantined: None,
-            warmup_epochs: 5,
-            window_epochs: 8,
-        }
-    }
 }
 
 /// One budget violation: the dimension that tripped, when, and by how
@@ -128,8 +126,8 @@ impl std::fmt::Display for SloViolation {
     }
 }
 
-/// The SLO watchdog proper: per-stage quantile sketches plus a bounded
-/// ring of retained observations. Trip state is sticky — the first
+/// The SLO watchdog proper: a bounded window of retained observations
+/// plus per-tier lifetime sketches. Trip state is sticky — the first
 /// violation is the incident; later epochs keep being observed (the
 /// retained window keeps sliding) but do not re-trip.
 #[derive(Debug, Default)]
@@ -152,21 +150,8 @@ pub struct Sentinel {
     lifetime: Vec<QuantileSketch>,
     /// Lifetime sketch of per-epoch crosstalk wait (baseline).
     lifetime_xt: QuantileSketch,
-    /// Retained recent observations, newest at the back.
+    /// The last [`WINDOW_EPOCHS`] observations, newest at the back.
     window: VecDeque<EpochObs>,
-    /// Per-stage `(max value, stream position)` over the retained
-    /// window, maintained incrementally in [`Sentinel::observe`]: a new
-    /// observation replaces the running max on `>=` (keeping the latest
-    /// position so it expires as late as possible), and only when the
-    /// recorded position slides out of the window does that one stage
-    /// rescan its column. High quantiles over the small retained window
-    /// always select rank == window length — the column max — so this
-    /// turns the per-epoch evaluation from a full window walk into one
-    /// compare per stage.
-    win_max: Vec<(u64, u64)>,
-    /// Reused scratch for the per-epoch crosstalk quantile (avoids an
-    /// allocation per evaluation).
-    xt_scratch: Vec<u64>,
     quarantined_total: u64,
     epochs_seen: u64,
     tripped: Option<SloViolation>,
@@ -208,8 +193,6 @@ impl Sentinel {
         self.lifetime = vec![QuantileSketch::new(); names.len()];
         self.lifetime_xt = QuantileSketch::new();
         self.window.clear();
-        self.win_max = vec![(0, 0); self.stages.len()];
-        self.xt_scratch.clear();
         self.quarantined_total = 0;
         self.epochs_seen = 0;
         self.tripped = None;
@@ -230,33 +213,11 @@ impl Sentinel {
             }
         }
         self.lifetime_xt.record(obs.xt_wait);
-        self.window.push_back(obs);
-        while self.window.len() as u64 > self.budget.window_epochs.max(1) {
+        if self.window.len() as u64 == WINDOW_EPOCHS {
             self.window.pop_front();
         }
-        // Maintain the per-stage sliding-window maxima. Positions are
-        // the monotone observation count, so the window front sits at
-        // `epochs_seen - window.len()` regardless of epoch numbering.
-        let pos = self.epochs_seen - 1;
-        let front_pos = self.epochs_seen - self.window.len() as u64;
-        let back = self.window.back().expect("just pushed");
-        for si in 0..self.win_max.len() {
-            let c = back.stage_cycles.get(si).copied().unwrap_or(0);
-            if c >= self.win_max[si].0 {
-                self.win_max[si] = (c, pos);
-            } else if self.win_max[si].1 < front_pos {
-                // The recorded max slid out: rescan this one column.
-                let mut best = (0, front_pos);
-                for (off, o) in self.window.iter().enumerate() {
-                    let v = o.stage_cycles.get(si).copied().unwrap_or(0);
-                    if v >= best.0 {
-                        best = (v, front_pos + off as u64);
-                    }
-                }
-                self.win_max[si] = best;
-            }
-        }
-        if self.tripped.is_some() || self.epochs_seen <= self.budget.warmup_epochs {
+        self.window.push_back(obs);
+        if self.tripped.is_some() || self.epochs_seen <= WARMUP_EPOCHS {
             return None;
         }
         let v = self.evaluate();
@@ -266,85 +227,54 @@ impl Sentinel {
         v
     }
 
+    /// The window's maximum of one per-epoch value: its p99.
+    fn window_max(&self, value: impl Fn(&EpochObs) -> u64) -> u64 {
+        self.window.iter().map(value).max().unwrap_or(0)
+    }
+
     /// Evaluates every budget dimension over the retained window,
     /// returning the first violation in a fixed deterministic order
     /// (stages in stream order, then crosstalk, quarantine).
-    fn evaluate(&mut self) -> Option<SloViolation> {
+    fn evaluate(&self) -> Option<SloViolation> {
         let epoch = self.window.back().map(|o| o.epoch).unwrap_or(0);
-        let q = self.budget.quantile_ppm;
-        let w = self.window.len();
-        let ns = self.stages.len();
-        // The estimate only depends on the rank-selected value, so a
-        // high quantile (rank == window length — always, for p99 over
-        // the small retained window) needs just each stage's column
-        // max, which `observe` already maintains incrementally in
-        // `win_max`: the whole per-epoch evaluation is then one budget
-        // check per stage, with no window walk at all. (For the max,
-        // `bucket_hi(bucket_of(max)).min(max)` is `max` itself, so the
-        // estimate IS the column max.) Other ranks take the
-        // transposed-grid path. Both are bit-equal to a freshly built
-        // sketch over the same values.
-        let max_rank = w > 0 && rank_of(w as u64, q) == w as u64;
-        let mut grid: Vec<u64> = vec![0; if max_rank { 0 } else { w * ns }];
-        if !max_rank {
-            for (wi, o) in self.window.iter().enumerate() {
-                for (si, &c) in o.stage_cycles.iter().enumerate().take(ns) {
-                    grid[si * w + wi] = c;
-                }
-            }
-        }
-        for si in 0..ns {
-            let budget = self.stage_budget.get(si).copied().flatten();
-            let floor = self.stage_floor.get(si).copied().flatten();
+        let full = self.window.len() as u64 == WINDOW_EPOCHS;
+        for (si, name) in self.stages.iter().enumerate() {
+            let budget = self.stage_budget[si];
+            let floor = self.stage_floor[si];
             if budget.is_none() && floor.is_none() {
                 continue;
             }
-            let est = if max_rank {
-                self.win_max[si].0
-            } else {
-                let Some(est) = quantile_ppm_over(&mut grid[si * w..(si + 1) * w], q) else {
-                    continue;
-                };
-                est
-            };
-            if let Some(budget) = budget {
-                if est > budget {
-                    return Some(SloViolation {
-                        epoch,
-                        dimension: format!("tail:{}", self.stages[si]),
-                        observed: est,
-                        budget,
-                    });
-                }
+            let est = self.window_max(|o| o.stage_cycles.get(si).copied().unwrap_or(0));
+            if let Some(budget) = budget.filter(|&b| est > b) {
+                return Some(SloViolation {
+                    epoch,
+                    dimension: format!("tail:{name}"),
+                    observed: est,
+                    budget,
+                });
             }
             // The floor is a *sustained* starvation check: it engages
             // only on a full window, so even the window's best epoch
             // being under the floor means the whole retained window
             // starved.
-            if let Some(floor) = floor {
-                if self.window.len() as u64 >= self.budget.window_epochs && est < floor {
-                    return Some(SloViolation {
-                        epoch,
-                        dimension: format!("starve:{}", self.stages[si]),
-                        observed: est,
-                        budget: floor,
-                    });
-                }
+            if let Some(floor) = floor.filter(|&f| full && est < f) {
+                return Some(SloViolation {
+                    epoch,
+                    dimension: format!("starve:{name}"),
+                    observed: est,
+                    budget: floor,
+                });
             }
         }
         if let Some(budget) = self.budget.xt_wait {
-            self.xt_scratch.clear();
-            self.xt_scratch
-                .extend(self.window.iter().map(|o| o.xt_wait));
-            if let Some(est) = quantile_ppm_over(&mut self.xt_scratch, q) {
-                if est > budget {
-                    return Some(SloViolation {
-                        epoch,
-                        dimension: "xt-wait".to_owned(),
-                        observed: est,
-                        budget,
-                    });
-                }
+            let est = self.window_max(|o| o.xt_wait);
+            if est > budget {
+                return Some(SloViolation {
+                    epoch,
+                    dimension: "xt-wait".to_owned(),
+                    observed: est,
+                    budget,
+                });
             }
         }
         if let Some(budget) = self.budget.max_quarantined {
@@ -368,11 +298,6 @@ impl Sentinel {
     /// The retained observation window (newest last).
     pub fn window(&self) -> &VecDeque<EpochObs> {
         &self.window
-    }
-
-    /// The budget this sentinel enforces.
-    pub fn budget(&self) -> &SloBudget {
-        &self.budget
     }
 
     /// Epochs observed so far.
@@ -500,7 +425,7 @@ impl DeltaSink for SentinelSink {
                 .map(|(acc, seen)| moved(seen, acc.mass()))
                 .collect(),
             xt_wait: moved(wait, c.accs.iter().map(StageAccumulator::pair_wait).sum()),
-            quarantined: moved(quarantined, c.stats.quarantined),
+            quarantined: moved(quarantined, c.damaged_records().map(|q| q.corrupt).sum()),
         };
         if epoch % self.snapshot_every == 0 {
             self.ring.push_back((epoch, self.collector.snapshot()));
@@ -517,6 +442,8 @@ impl DeltaSink for SentinelSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use whodunit_core::delta::diff_dump;
     use whodunit_core::stitch::{
         DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
@@ -549,55 +476,71 @@ mod tests {
         }
     }
 
+    /// A sentinel over `header()`'s two stages.
+    fn started(budget: SloBudget) -> Sentinel {
+        let mut s = Sentinel::new(budget);
+        s.start(&header());
+        s
+    }
+
     #[test]
     fn trips_on_the_budgeted_stage_and_is_sticky() {
-        let mut s = Sentinel::new(SloBudget {
+        let mut s = started(SloBudget {
             stage_cycles: vec![("db".into(), 1000)],
-            warmup_epochs: 2,
-            window_epochs: 4,
             ..SloBudget::default()
         });
-        s.start(&header());
-        for e in 0..5 {
+        let clean = WARMUP_EPOCHS + 3;
+        for e in 0..clean {
             assert_eq!(s.observe(obs(e, 500)), None, "epoch {e}");
         }
-        let v = s.observe(obs(5, 5000)).expect("must trip");
+        let v = s.observe(obs(clean, 5000)).expect("must trip");
         assert_eq!(v.dimension, "tail:db");
-        assert_eq!(v.epoch, 5);
+        assert_eq!(v.epoch, clean);
         assert!(v.observed > 1000 && v.budget == 1000);
-        assert_eq!(s.observe(obs(6, 9000)), None, "sticky");
-        assert_eq!(s.tripped().unwrap().epoch, 5);
+        assert_eq!(s.observe(obs(clean + 1, 9000)), None, "sticky");
+        assert_eq!(s.tripped().unwrap().epoch, clean);
     }
 
     #[test]
     fn warmup_suppresses_and_unbudgeted_stages_never_trip() {
-        let mut s = Sentinel::new(SloBudget {
-            stage_cycles: vec![("front".into(), 1_000_000)],
-            warmup_epochs: 3,
+        // Every warmup epoch is over db's budget, and none trips; the
+        // first epoch after the warmup judges the window they fill.
+        let mut s = started(SloBudget {
+            stage_cycles: vec![("db".into(), 1000)],
             ..SloBudget::default()
         });
-        s.start(&header());
-        // Violations of db cycles don't matter: db has no budget, and
-        // the first epochs are warmup anyway.
-        for e in 0..10 {
+        for e in 0..WARMUP_EPOCHS {
+            assert_eq!(s.observe(obs(e, 5000)), None, "warmup epoch {e}");
+        }
+        let v = s.observe(obs(WARMUP_EPOCHS, 500)).expect("over budget");
+        assert_eq!((v.dimension.as_str(), v.observed), ("tail:db", 5000));
+        // Violations of db cycles don't matter when db has no budget.
+        let mut s = started(SloBudget {
+            stage_cycles: vec![("front".into(), 1_000_000)],
+            ..SloBudget::default()
+        });
+        for e in 0..2 * WINDOW_EPOCHS {
             assert_eq!(s.observe(obs(e, u64::MAX / 2)), None);
         }
         assert!(s.tripped().is_none());
-        assert_eq!(s.epochs_seen(), 10);
+        assert_eq!(s.epochs_seen(), 2 * WINDOW_EPOCHS);
     }
 
     #[test]
     fn quarantine_budget_counts_cumulatively() {
-        let mut s = Sentinel::new(SloBudget {
+        let mut s = started(SloBudget {
             max_quarantined: Some(2),
-            warmup_epochs: 0,
             ..SloBudget::default()
         });
-        s.start(&header());
-        let mut o = obs(0, 0);
-        o.quarantined = 2;
-        assert_eq!(s.observe(o), None, "at budget is not over budget");
-        let mut o = obs(1, 0);
+        // Frames quarantined during the warmup count toward the total.
+        for e in 0..WARMUP_EPOCHS {
+            let mut o = obs(e, 0);
+            o.quarantined = if e == 0 { 2 } else { 0 };
+            assert_eq!(s.observe(o), None, "warmup epoch {e}");
+        }
+        let e = WARMUP_EPOCHS;
+        assert_eq!(s.observe(obs(e, 0)), None, "at budget is not over budget");
+        let mut o = obs(e + 1, 0);
         o.quarantined = 1;
         let v = s.observe(o).expect("cumulative 3 > 2");
         assert_eq!(v.dimension, "quarantine");
@@ -606,20 +549,28 @@ mod tests {
 
     #[test]
     fn starvation_floor_needs_a_full_starved_window() {
-        let mut s = Sentinel::new(SloBudget {
+        let budget = SloBudget {
             stage_floor: vec![("db".into(), 100)],
-            warmup_epochs: 0,
-            window_epochs: 3,
             ..SloBudget::default()
-        });
-        s.start(&header());
-        // One good epoch keeps the windowed max above the floor.
+        };
+        // Starved from the start: the epochs judged before the window
+        // fills do not trip; the one that fills it does.
+        let mut s = started(budget.clone());
+        for e in 0..WINDOW_EPOCHS - 1 {
+            assert_eq!(s.observe(obs(e, 10)), None, "window not full at {e}");
+        }
+        let v = s.observe(obs(WINDOW_EPOCHS - 1, 10)).expect("full");
+        assert_eq!(v.epoch, WINDOW_EPOCHS - 1);
+        // One good epoch keeps the windowed max above the floor until
+        // it slides out.
+        let mut s = started(budget);
         s.observe(obs(0, 500));
-        assert_eq!(s.observe(obs(1, 10)), None);
-        assert_eq!(s.observe(obs(2, 10)), None, "window still holds epoch 0");
+        for e in 1..=WINDOW_EPOCHS - 1 {
+            assert_eq!(s.observe(obs(e, 10)), None, "window still holds epoch 0");
+        }
         let v = s
-            .observe(obs(3, 10))
-            .expect("3 starved epochs fill the window");
+            .observe(obs(WINDOW_EPOCHS, 10))
+            .expect("a window of starved epochs");
         assert_eq!(v.dimension, "starve:db");
         assert!(v.observed < 100 && v.budget == 100);
     }
@@ -707,11 +658,7 @@ mod tests {
     /// Every observation a sink made of `stream`, as
     /// `(epoch, end, events, stage_cycles, xt_wait, quarantined)`.
     fn observed(stream: &[EpochBatch]) -> Vec<(u64, u64, u64, Vec<u64>, u64, u64)> {
-        let budget = SloBudget {
-            window_epochs: 64,
-            ..SloBudget::default()
-        };
-        let mut sink = SentinelSink::new(CollectorConfig::default(), budget);
+        let mut sink = SentinelSink::new(CollectorConfig::default(), SloBudget::default());
         sink.on_start(&header());
         for b in stream {
             sink.on_batch(b.clone());
@@ -774,15 +721,116 @@ mod tests {
 
     #[test]
     fn window_is_bounded_and_slides() {
-        let mut s = Sentinel::new(SloBudget {
-            window_epochs: 3,
-            ..SloBudget::default()
-        });
-        s.start(&header());
-        for e in 0..10 {
+        let mut s = started(SloBudget::default());
+        for e in 0..20 {
             s.observe(obs(e, e));
         }
         let epochs: Vec<u64> = s.window().iter().map(|o| o.epoch).collect();
-        assert_eq!(epochs, vec![7, 8, 9]);
+        assert_eq!(epochs, (12..20).collect::<Vec<u64>>());
+    }
+
+    /// `Some(value)` one time in three.
+    fn sometimes() -> impl Strategy<Value = Option<u64>> {
+        (0u8..3, any::<u64>()).prop_map(|(f, v)| (f == 0).then_some(v))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Reading the window's maximum is judging its p99: over random
+        /// streams and budgets, the sentinel trips exactly at the first
+        /// judged epoch where a fresh sketch of the retained window, at
+        /// p99, is over a ceiling (or under a floor, on a full window),
+        /// with that estimate as `observed`, and never otherwise. Every
+        /// value of a case is cut to the case's width of 1 to 40 bits,
+        /// so narrow cases put values on their budgets.
+        #[test]
+        fn the_window_max_is_the_sketch_p99(
+            case in (
+                (2usize..5, 1u32..41),
+                vec((vec(any::<u64>(), 4..5), any::<u64>()), 1..40),
+                vec((sometimes(), sometimes()), 4..5),
+                sometimes(),
+            )
+        ) {
+            let ((n, bits), rows, limits, xt_wait) = case;
+            let cut = |v: u64| v & ((1u64 << bits) - 1);
+            let limits: Vec<(Option<u64>, Option<u64>)> =
+                limits.iter().map(|&(c, f)| (c.map(cut), f.map(cut))).collect();
+            let xt_wait = xt_wait.map(cut);
+            let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
+            let (mut stage_cycles, mut stage_floor) = (Vec::new(), Vec::new());
+            for (name, &(c, f)) in names.iter().zip(&limits) {
+                stage_cycles.extend(c.map(|c| (name.clone(), c)));
+                stage_floor.extend(f.map(|f| (name.clone(), f)));
+            }
+            let mut s = Sentinel::new(SloBudget {
+                stage_cycles,
+                stage_floor,
+                xt_wait,
+                max_quarantined: None,
+            });
+            s.start(&StreamHeader {
+                stages: (names.iter().enumerate())
+                    .map(|(i, name)| whodunit_core::delta::StreamStage {
+                        proc: i as u32 + 1,
+                        stage_name: name.clone(),
+                    })
+                    .collect(),
+            });
+            let p99 = |values: &mut dyn Iterator<Item = u64>| {
+                let mut sk = QuantileSketch::new();
+                values.for_each(|v| sk.record(v));
+                sk.quantile_ppm(QUANTILE_PPM).expect("a non-empty window")
+            };
+            let mut window: VecDeque<(Vec<u64>, u64)> = VecDeque::new();
+            let mut expected: Option<SloViolation> = None;
+            for (e, (row, xt)) in rows.into_iter().enumerate() {
+                let stage_cycles: Vec<u64> = row[..n].iter().map(|&v| cut(v)).collect();
+                let xt = cut(xt);
+                if window.len() as u64 == WINDOW_EPOCHS {
+                    window.pop_front();
+                }
+                window.push_back((stage_cycles.clone(), xt));
+                let epoch = e as u64;
+                let judged = expected.is_none() && epoch >= WARMUP_EPOCHS;
+                let full = window.len() as u64 == WINDOW_EPOCHS;
+                let trip = |dimension: String, observed, budget| SloViolation {
+                    epoch,
+                    dimension,
+                    observed,
+                    budget,
+                };
+                let mut now = None;
+                for (si, name) in names.iter().enumerate().filter(|_| judged) {
+                    let est = p99(&mut window.iter().map(|(c, _)| c[si]));
+                    now = match limits[si] {
+                        (Some(c), _) if est > c => Some(trip(format!("tail:{name}"), est, c)),
+                        (_, Some(f)) if full && est < f => {
+                            Some(trip(format!("starve:{name}"), est, f))
+                        }
+                        _ => None,
+                    };
+                    if now.is_some() {
+                        break;
+                    }
+                }
+                if let (true, None, Some(c)) = (judged, &now, xt_wait) {
+                    let est = p99(&mut window.iter().map(|&(_, x)| x));
+                    now = (est > c).then(|| trip("xt-wait".into(), est, c));
+                }
+                let got = s.observe(EpochObs {
+                    epoch,
+                    end: epoch + 1,
+                    events: 1,
+                    stage_cycles,
+                    xt_wait: xt,
+                    quarantined: 0,
+                });
+                prop_assert_eq!(&got, &now, "epoch {}", epoch);
+                expected = expected.or(now);
+            }
+            prop_assert_eq!(s.tripped(), expected.as_ref());
+        }
     }
 }

@@ -1,13 +1,13 @@
 //! Deterministic streaming quantile sketch.
 //!
-//! The sentinel tier evaluates tail-latency SLOs continuously over a
-//! stream of per-epoch cost observations. It needs quantile estimates
-//! that are (a) **deterministic** — the same observations in any epoch
-//! grouping yield the same answer, so a replayed repro trips the same
-//! budget at the same epoch; (b) **mergeable** — per-epoch sketches
-//! combine across retained epochs and across collectors without order
-//! sensitivity; and (c) **bounded** — fixed memory regardless of
-//! stream length.
+//! The sentinel tier calibrates its tail-latency budgets from per-tier
+//! quantiles of a stream of per-epoch cost observations, and the
+//! federation merges per-tier sketches up its tree. Both need quantile
+//! estimates that are (a) **deterministic** — the same observations in
+//! any epoch grouping yield the same answer, so a replayed run
+//! calibrates the same budget; (b) **mergeable** — sketches combine
+//! across epochs and across collectors without order sensitivity; and
+//! (c) **bounded** — fixed memory regardless of stream length.
 //!
 //! [`QuantileSketch`] is a log-bucketed histogram in the HDR style:
 //! values land in buckets of bounded *relative* width ([`EPS_SHIFT`]
@@ -198,42 +198,11 @@ impl QuantileSketch {
 }
 
 /// The 1-based rank the sketch's quantile rule selects at `q_ppm` out
-/// of `n` samples: `ceil(n * q / 1e6)`, floored at 1. Exposed so
-/// callers can recognize the extreme ranks (1 = min, `n` = max) and
-/// compute those without materializing the sample set.
-pub fn rank_of(n: u64, q_ppm: u64) -> u64 {
+/// of `n` samples: `ceil(n * q / 1e6)`, floored at 1.
+fn rank_of(n: u64, q_ppm: u64) -> u64 {
     (n.saturating_mul(q_ppm.min(1_000_000)))
         .div_ceil(1_000_000)
         .max(1)
-}
-
-/// Exactly the estimate a fresh sketch over `values` would return from
-/// [`QuantileSketch::quantile_ppm`], computed without allocating one.
-/// Bucket indices are monotone in the value, so the bucket holding the
-/// rank-`r` sample is the bucket of the rank-`r` value — sorting the
-/// values and bucketing one of them gives the identical answer. May
-/// reorder `values`. The sentinel uses this on its small per-window
-/// slices, where a fixed 7.8 KiB histogram per evaluation would be all
-/// allocation and no data.
-pub fn quantile_ppm_over(values: &mut [u64], q_ppm: u64) -> Option<u64> {
-    if values.is_empty() {
-        return None;
-    }
-    let n = values.len() as u64;
-    let r = rank_of(n, q_ppm);
-    let max = *values.iter().max().expect("non-empty");
-    // Extreme ranks need no sort: rank n is the max, rank 1 the min —
-    // and high quantiles over small windows (the sentinel's per-epoch
-    // case) always land on rank n.
-    let v = if r == n {
-        max
-    } else if r == 1 {
-        *values.iter().min().expect("non-empty")
-    } else {
-        values.sort_unstable();
-        values[(r - 1) as usize]
-    };
-    Some(bucket_hi(bucket_of(v)).min(max))
 }
 
 #[cfg(test)]
@@ -354,35 +323,5 @@ mod tests {
         let s = QuantileSketch::new();
         assert_eq!(s.quantile_ppm(990_000), None);
         assert_eq!(s.count(), 0);
-        assert_eq!(quantile_ppm_over(&mut [], 990_000), None);
-    }
-
-    #[test]
-    fn slice_path_matches_the_sketch_exactly() {
-        // Window-sized slices (the sentinel's workload), arbitrary
-        // magnitudes and duplicates, every quantile: both paths must
-        // agree bit for bit.
-        let pools: &[&[u64]] = &[
-            &[0],
-            &[0, 0, 0],
-            &[7],
-            &[1, 2, 3, 4, 5, 6, 7, 8],
-            &[u64::MAX, 0, 1 << 40, 1 << 40, 3, 999_999_937],
-            &[2_184_000_000, 1_137_603_200, 0, 38_427_600],
-        ];
-        for vals in pools {
-            let mut sk = QuantileSketch::new();
-            for &v in *vals {
-                sk.record(v);
-            }
-            for q in [0u64, 100_000, 500_000, 900_000, 990_000, 1_000_000] {
-                let mut scratch = vals.to_vec();
-                assert_eq!(
-                    quantile_ppm_over(&mut scratch, q),
-                    sk.quantile_ppm(q),
-                    "vals {vals:?} q {q}"
-                );
-            }
-        }
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! 1. **Primitives**: LEB128 varints (little-endian base-128), length-
 //!    prefixed UTF-8 strings, and zigzag **delta-of-delta** columns
-//!    ([`DodWriter`]/[`DodReader`]) for integer sequences that are
+//!    (`DodWriter`/`DodReader`) for integer sequences that are
 //!    nearly arithmetic (sorted ctx ids, bucket indices). The DoD
 //!    residuals are computed in `i128`, so the column codec round-trips
 //!    *arbitrary* `u64` sequences — monotonicity makes it small, but is
@@ -139,7 +139,7 @@ pub fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Appends `v` as a LEB128 varint (shared encoding with [`put_u64`]).
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     put_u64(buf, v as u64);
 }
 
@@ -156,7 +156,7 @@ fn put_u128(buf: &mut Vec<u8>, mut v: u128) {
 }
 
 /// Appends `s` as a varint byte length followed by its UTF-8 bytes.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u64(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
 }
@@ -256,7 +256,7 @@ impl<'a> Reader<'a> {
     /// Reads a `u64` stored as 8 raw little-endian bytes (used for the
     /// stored end-to-end checksums, which must round-trip even when
     /// they do not match their content).
-    pub fn fixed_u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn fixed_u64(&mut self) -> Result<u64, WireError> {
         let b = self.bytes(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
@@ -319,7 +319,7 @@ fn put_opt_u32(buf: &mut Vec<u8>, v: Option<u32>) {
 /// collapse to runs of single `0x00` bytes. Differences are taken in
 /// `i128`, so any `u64` sequence round-trips exactly.
 #[derive(Clone, Debug, Default)]
-pub struct DodWriter {
+pub(crate) struct DodWriter {
     n: u64,
     prev: u64,
     prev_d: i128,
@@ -350,7 +350,7 @@ impl DodWriter {
 /// checked: a crafted residual that walks the value out of `u64` range
 /// is a [`WireError::Malformed`], never a wrap or a panic.
 #[derive(Clone, Debug, Default)]
-pub struct DodReader {
+pub(crate) struct DodReader {
     n: u64,
     prev: u64,
     prev_d: i128,

@@ -694,7 +694,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Quantile sketch (sentinel SLO evaluation)
+// Quantile sketch (sentinel calibration, federation tier sketches)
 // ---------------------------------------------------------------------
 
 use whodunit_core::sketch::{QuantileSketch, EPS_SHIFT};

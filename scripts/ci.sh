@@ -314,10 +314,13 @@ cargo run --release -q -p whodunit-bench --bin chaos -- --seeds 25 --out target/
 # ring snapshots taken, no trip).
 cargo run --release -q -p whodunit-bench --bin sentinel -- --smoke --out target/BENCH_sentinel_smoke.json
 
-# The sentinel's repro bundle must be self-contained: chaos --replay
-# reconstructs the tripped budget from the bundle's slo_* knobs alone
+# The sentinel's repro bundles must be self-contained: chaos --replay
+# reconstructs the tripped budget from the bundle's slo_budget knob
+# alone (the quantile, window and warmup are the sentinel's constants)
 # and fails unless the same dimension re-trips at the recorded epoch.
+# The smoke's fresh bundle, then the published one.
 cargo run --release -q -p whodunit-bench --bin chaos -- --replay target/BENCH_sentinel_smoke.repro.json
+cargo run --release -q -p whodunit-bench --bin chaos -- --replay BENCH_sentinel.repro.json
 
 # Every published or smoke bench result must carry its gate fields: a
 # bench that silently stops reporting a gate can never fail it, so a
