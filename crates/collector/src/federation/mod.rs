@@ -316,8 +316,6 @@ pub struct Federation {
     truth: Vec<u64>,
     /// Last input epoch fed per leaf.
     truth_epoch: Vec<u64>,
-    /// Last input virtual time fed per leaf.
-    truth_end: Vec<u64>,
     policy: Box<dyn LinkPolicy>,
     queue: BTreeMap<(u64, u64), FedMsg>,
     msg_order: u64,
@@ -373,7 +371,6 @@ impl Federation {
             mirrors: BTreeMap::new(),
             truth: vec![0; n_leaves],
             truth_epoch: vec![0; n_leaves],
-            truth_end: vec![0; n_leaves],
             cfg,
             leaves,
             root: RootNode::new(header, regions.len()),
@@ -459,7 +456,6 @@ impl Federation {
         let mass: u64 = batch.deltas.iter().map(delta_mass).sum();
         self.truth[leaf] += mass;
         self.truth_epoch[leaf] = self.truth_epoch[leaf].max(batch.epoch);
-        self.truth_end[leaf] = self.truth_end[leaf].max(batch.end);
         if let Some(mirror) = self.mirrors.get_mut(&leaf) {
             let owner = &self.leaves[leaf];
             for d in &batch.deltas {
@@ -567,8 +563,7 @@ impl Federation {
         for (i, mirror) in std::mem::take(&mut self.mirrors) {
             let l = &mut self.leaves[i];
             if l.alive && l.need_resync {
-                let (epoch, end) = (self.truth_epoch[i], self.truth_end[i]);
-                l.catchup(mirror, epoch, end, &mut self.stats);
+                l.catchup(mirror, self.truth_epoch[i], &mut self.stats);
             } else {
                 self.mirrors.insert(i, mirror);
             }

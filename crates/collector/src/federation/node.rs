@@ -11,10 +11,9 @@ use whodunit_core::delta::{
     apply_frame, stage_out_of_turn, Compared, DeltaError, EpochBatch, StageAccumulator, StageDelta,
     StreamHeader,
 };
-use whodunit_core::sketch::QuantileSketch;
 use whodunit_core::summary::{
     check_join, delta_mass, empty_delta, merge_owned_delta, merge_stage_delta, IncomingSummary,
-    LeafGauges, SummaryFrame, TierSketch,
+    LeafGauges, SummaryFrame,
 };
 
 use super::FederationStats;
@@ -60,12 +59,9 @@ pub(super) struct Increment {
     out_seq: Vec<u64>,
     /// Change events in the pending deltas.
     events: u64,
-    /// Input epoch interval the pending deltas cover.
-    pub(super) interval: Option<(u64, u64)>,
-    /// Latest input virtual time seen.
-    end: u64,
-    /// Per-tier interval cost digests.
-    sketches: BTreeMap<String, QuantileSketch>,
+    /// Last input epoch the pending interval covers; `None` while the
+    /// interval is empty.
+    pub(super) interval: Option<u64>,
     /// Interval mass and latest gauges per originating leaf.
     pub(super) ledger: Ledger,
 }
@@ -86,16 +82,12 @@ impl Clone for Increment {
             out_seq,
             events,
             interval,
-            end,
-            sketches,
             ledger,
         } = src;
         self.pending.clone_from(pending);
         self.out_seq.clone_from(out_seq);
         self.events = *events;
         self.interval = *interval;
-        self.end = *end;
-        self.sketches.clone_from(sketches);
         self.ledger.clone_from(ledger);
     }
 }
@@ -158,31 +150,15 @@ impl Increment {
             })
     }
 
-    /// Widens the pending interval to input epochs `first..=last`,
-    /// ending at virtual time `end`.
-    fn cover(&mut self, first: u64, last: u64, end: u64) {
-        self.interval = Some(match self.interval {
-            None => (first, last),
-            Some((a, b)) => (a.min(first), b.max(last)),
-        });
-        self.end = self.end.max(end);
+    /// Widens the pending interval to input epoch `last`.
+    fn cover(&mut self, last: u64) {
+        self.interval = Some(self.interval.map_or(last, |b| b.max(last)));
     }
 
-    /// The interval digest of `tier`.
-    fn sketch(&mut self, tier: &str) -> &mut QuantileSketch {
-        if !self.sketches.contains_key(tier) {
-            self.sketches.insert(tier.to_owned(), QuantileSketch::new());
-        }
-        self.sketches.get_mut(tier).expect("just inserted")
-    }
-
-    /// Folds a child frame's freight — interval, tier digests, per-leaf
-    /// mass and gauges — into this increment.
+    /// Folds a child frame's freight — last epoch, per-leaf mass and
+    /// gauges — into this increment.
     fn fold_freight(&mut self, f: &SummaryFrame) {
-        self.cover(f.first_epoch, f.last_epoch, f.end);
-        for ts in &f.sketches {
-            self.sketch(&ts.tier).merge_wire(ts.max, &ts.buckets);
-        }
+        self.cover(f.last_epoch);
         self.ledger.fold(f);
     }
 
@@ -193,7 +169,7 @@ impl Increment {
     /// nothing. A leaf's own gauges, filed under `src`, report the spool
     /// lag as of this flush.
     pub(super) fn flush(&mut self, src: u32, up: &mut Uplink, stats: &mut FederationStats) {
-        let Some((first_epoch, last_epoch)) = self.interval else {
+        let Some(last_epoch) = self.interval else {
             return;
         };
         if up.is_full() {
@@ -222,14 +198,8 @@ impl Increment {
         let frame = SummaryFrame {
             src,
             seq: 0,
-            first_epoch,
             last_epoch,
-            end: self.end,
             deltas,
-            sketches: std::mem::take(&mut self.sketches)
-                .iter()
-                .map(|(t, sk)| TierSketch::of(t, sk))
-                .collect(),
             leaf_mass: std::mem::take(&mut self.ledger.mass).into_iter().collect(),
             gauges: self.ledger.gauges.iter().map(|(&l, &g)| (l, g)).collect(),
             checksum: 0,
@@ -286,8 +256,6 @@ pub(super) struct LeafNode {
     pub(super) child_slot: usize,
     /// Owned global stage indices, ascending.
     stages: Vec<usize>,
-    /// Tier (stage) names parallel to `stages`.
-    names: Vec<String>,
     pub(super) st: LeafState,
     ckpt: LeafState,
     /// Every op applied to `st.accs` since `ckpt` was taken, as
@@ -328,10 +296,6 @@ impl LeafNode {
             leaf_id,
             region,
             child_slot,
-            names: stages
-                .iter()
-                .map(|&gs| header.stages[gs].stage_name.clone())
-                .collect(),
             stages,
             snd: Sender::restart(&st.up, 0),
             st,
@@ -365,13 +329,10 @@ impl LeafNode {
     }
 
     /// Folds a delta the accumulators took into the outgoing increment:
-    /// its mass, its tier's digest and the pending merge.
+    /// its mass and the pending merge.
     fn absorb(&mut self, si: usize, d: Cow<'_, StageDelta>) {
-        let m = delta_mass(&d);
-        self.gauges().mass += m;
         let inc = &mut self.st.inc;
-        *inc.ledger.mass.entry(self.leaf_id).or_insert(0) += m;
-        inc.sketch(&self.names[si]).record(m);
+        *inc.ledger.mass.entry(self.leaf_id).or_insert(0) += delta_mass(&d);
         inc.absorb_delta(si, d);
     }
 
@@ -400,9 +361,8 @@ impl LeafNode {
             self.absorb(si, Cow::Borrowed(d));
         }
         let g = self.gauges();
-        g.events += batch.events();
         g.last_epoch = g.last_epoch.max(batch.epoch);
-        self.st.inc.cover(batch.epoch, batch.epoch, batch.end);
+        self.st.inc.cover(batch.epoch);
     }
 
     /// Catches the input side up to the emitter mirror, which holds
@@ -414,7 +374,6 @@ impl LeafNode {
         &mut self,
         mirror: Vec<StageAccumulator>,
         up_to_epoch: u64,
-        up_to_end: u64,
         stats: &mut FederationStats,
     ) {
         let mut gained = false;
@@ -426,14 +385,13 @@ impl LeafNode {
                 .expect("the mirror replays this leaf's own clean input");
             if let Some(cd) = cd {
                 self.apply(si, &cd).expect("catch-up delta applies");
-                self.gauges().events += cd.events();
                 self.absorb(si, Cow::Owned(cd));
                 gained = true;
             }
             self.seek(si, upto);
         }
         if gained {
-            self.st.inc.cover(up_to_epoch, up_to_epoch, up_to_end);
+            self.st.inc.cover(up_to_epoch);
         }
         let g = self.gauges();
         g.last_epoch = g.last_epoch.max(up_to_epoch);
@@ -443,9 +401,8 @@ impl LeafNode {
 
     /// Brings `ckpt` up to `st`: replays the journal into `ckpt.accs`
     /// and copies the rest, which is small — the un-flushed increment
-    /// (drained sketches, counters) and a spool of shared bytes.
+    /// and a spool of shared bytes.
     pub(super) fn checkpoint(&mut self, stats: &mut FederationStats) {
-        self.gauges().checkpoints += 1;
         for (si, op) in self.journal.drain(..) {
             op.replay(&mut self.ckpt.accs[si])
                 .expect("an op the live state took replays onto its checkpoint");
@@ -723,8 +680,8 @@ mod tests {
 
     /// Field-by-field equality of two leaf states (accumulators by the
     /// dump they reconstruct plus their expected seq and running
-    /// totals, sketches by their wire form). Exhaustive, so a new
-    /// `LeafState` or `Increment` field cannot escape the comparison.
+    /// totals). Exhaustive, so a new `LeafState` or `Increment` field
+    /// cannot escape the comparison.
     fn assert_same_state(got: &LeafState, want: &LeafState, what: &str) {
         let LeafState { accs, inc, up } = got;
         assert_eq!(accs.len(), want.accs.len(), "{what}: accs");
@@ -740,8 +697,6 @@ mod tests {
             out_seq,
             events,
             interval,
-            end,
-            sketches,
             ledger,
         } = inc;
         let w = &want.inc;
@@ -749,15 +704,6 @@ mod tests {
         assert_eq!(out_seq, &w.out_seq, "{what}: out_seq");
         assert_eq!(*events, w.events, "{what}: events");
         assert_eq!(*interval, w.interval, "{what}: interval");
-        assert_eq!(*end, w.end, "{what}: end");
-        assert!(
-            sketches.keys().eq(w.sketches.keys()),
-            "{what}: sketch tiers"
-        );
-        for ((tier, a), b) in sketches.iter().zip(w.sketches.values()) {
-            assert_eq!(a.count(), b.count(), "{what}: sketch {tier} count");
-            assert_eq!(a.to_wire(), b.to_wire(), "{what}: sketch {tier}");
-        }
         assert_eq!(ledger, &w.ledger, "{what}: ledger");
     }
 
@@ -766,8 +712,8 @@ mod tests {
     /// `ckpt` must be what cloning the live state — the old checkpoint,
     /// alive only here — produces, and the journal must be spent.
     pub(super) fn assert_checkpoint_is_a_clone(l: &LeafNode) {
-        let checkpoints = l.st.inc.ledger.gauges[&l.leaf_id].checkpoints;
-        let what = format!("leaf {} checkpoint {checkpoints}", l.leaf_id);
+        let checked = CHECKED.with(Cell::get);
+        let what = format!("leaf {} checkpoint {checked}", l.leaf_id);
         assert_same_state(&l.ckpt, &l.st.clone(), &what);
         assert!(l.journal.is_empty(), "{what}: journal not drained");
         assert_eq!(l.journal_events, 0, "{what}: journal events");
@@ -806,16 +752,9 @@ mod tests {
         let mut up = Uplink::default();
         for b in &deltas {
             up.seal(SummaryFrame {
-                src: 0,
-                seq: 0,
-                first_epoch: b.epoch,
                 last_epoch: b.epoch,
-                end: b.end,
                 deltas: b.deltas.clone(),
-                sketches: Vec::new(),
-                leaf_mass: Vec::new(),
-                gauges: Vec::new(),
-                checksum: 0,
+                ..SummaryFrame::default()
             });
         }
         let mut snd = Sender::restart(&up, 0);
@@ -957,16 +896,9 @@ mod tests {
         for deltas in frames {
             let mass = deltas.iter().map(delta_mass).sum();
             up.seal(SummaryFrame {
-                src: 0,
-                seq: 0,
-                first_epoch: 0,
-                last_epoch: 0,
-                end: 0,
                 deltas,
-                sketches: Vec::new(),
                 leaf_mass: vec![(0, mass)],
-                gauges: Vec::new(),
-                checksum: 0,
+                ..SummaryFrame::default()
             });
         }
         let mut snd = Sender::restart(&up, 0);

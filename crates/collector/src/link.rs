@@ -314,16 +314,8 @@ mod tests {
         let mut d = empty_delta(0);
         d.new_frames = (0..EVENTS).map(|i| format!("f{i}").into()).collect();
         SummaryFrame {
-            src: 0,
-            seq: 0,
-            first_epoch: 0,
-            last_epoch: 0,
-            end: 0,
             deltas: vec![seal_delta(d, 0)],
-            sketches: Vec::new(),
-            leaf_mass: Vec::new(),
-            gauges: Vec::new(),
-            checksum: 0,
+            ..SummaryFrame::default()
         }
     }
 

@@ -75,8 +75,10 @@ pub struct StageQuarantine {
     pub healed: u64,
     /// Resyncs performed.
     pub resyncs: u64,
-    /// Frames discarded because the stage was halted or a resync
-    /// subsumed them.
+    /// Frames discarded by a halt: those parked when the stage halted
+    /// and every one that arrives after. Parked frames a resync makes
+    /// redundant are discarded uncounted, since the snapshot already
+    /// covers their content.
     pub dropped: u64,
     /// Stall events declared by the watchdog.
     pub stalls: u64,

@@ -35,7 +35,10 @@
 //!   and sorted crosstalk lists merge in place. Reading summary frames
 //!   into recycled storage took it to 14,556 (2.205), but bought no
 //!   `fed_lossy/pass_s` and cost `peak_rss_mb`, so each frame is still
-//!   read into fresh storage.
+//!   read into fresh storage;
+//! - 14,568 (2.207 per event) with the per-tier sketch digests, which
+//!   no receiver read, gone from the leaves, the regionals and the
+//!   frames.
 //!
 //! The bound sits just above the last. `finalize` is outside the
 //! count: it is one `analyze` over the root's dumps.
@@ -116,7 +119,7 @@ fn lossy_federation_stays_inside_its_allocation_budget() {
          duplicates, cloned regional merges and a mirror per leaf; 7.691 with one \
          mirror over the whole header; 6.797 with a collector at the root; 6.609 with \
          names and contexts copied at every hop; 2.538 with a re-copied spool and \
-         `BTreeMap` merges; 2.323 since)",
+         `BTreeMap` merges; 2.323 with tier sketches in every frame; 2.207 since)",
         s.leaf_events_in
     );
 }

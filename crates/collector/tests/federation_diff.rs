@@ -236,8 +236,8 @@ fn lossy_uplinks_heal_through_retransmission() {
             peak_resident_root: 86,
             leaf_events_in: 1836,
             root_events_applied: 1446,
-            leaf_link_wire_bytes: 24330,
-            regional_link_wire_bytes: 14929,
+            leaf_link_wire_bytes: 20554,
+            regional_link_wire_bytes: 13169,
             wire_decode_errors: 0,
         },
         "protocol counters moved"
@@ -334,8 +334,8 @@ fn planted_leaf_crash_recovers_with_zero_mass_loss() {
             peak_resident_root: 0,
             leaf_events_in: 1914,
             root_events_applied: 1548,
-            leaf_link_wire_bytes: 22059,
-            regional_link_wire_bytes: 12583,
+            leaf_link_wire_bytes: 19348,
+            regional_link_wire_bytes: 11480,
             wire_decode_errors: 0,
         },
         "protocol counters moved"
@@ -402,8 +402,8 @@ fn regional_crash_recovers_with_zero_mass_loss() {
             peak_resident_root: 0,
             leaf_events_in: 1770,
             root_events_applied: 1363,
-            leaf_link_wire_bytes: 28763,
-            regional_link_wire_bytes: 12041,
+            leaf_link_wire_bytes: 24615,
+            regional_link_wire_bytes: 11190,
             wire_decode_errors: 0,
         },
         "protocol counters moved"

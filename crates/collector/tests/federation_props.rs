@@ -10,10 +10,6 @@
 //!   as values, so leaf-side and regional-side compaction commute.
 //! - **Mass conservation**: `delta_mass` is additive under merge — the
 //!   ledger unit the root's coverage accounting is built on.
-//! - **Sketch algebra**: [`QuantileSketch::merge`] is permutation- and
-//!   grouping-insensitive, and the sparse wire form round-trips
-//!   bit-exactly — per-tier digests may take any path through the
-//!   tree.
 //!
 //! The generated streams carry growing CCTs, late-arriving contexts,
 //! crosstalk pair/waiter partials, and piggyback counters, so every
@@ -25,7 +21,6 @@ use whodunit_core::stitch::{
     DumpAtom, DumpCct, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode, StageDump,
 };
 use whodunit_core::summary::{delta_mass, empty_delta, merge_stage_delta, seal_delta};
-use whodunit_core::QuantileSketch;
 
 /// Generated stream shape: epoch count, context arrivals, and a raw
 /// growth pool the cycle increments are carved from.
@@ -219,50 +214,5 @@ proptest! {
                 "associativity broke"
             );
         }
-    }
-
-    /// Sketch merging is permutation- and grouping-insensitive, and the
-    /// sparse wire form round-trips exactly — whatever path a tier
-    /// digest takes through the tree, the root reads the same answer.
-    #[test]
-    fn sketch_merge_is_order_free_and_wire_exact(
-        input in (proptest::collection::vec(0u64..1_000_000, 1..40), 0usize..40, 1usize..8)
-    ) {
-        let (values, rot, split) = input;
-        let mut sequential = QuantileSketch::new();
-        for &v in &values {
-            sequential.record(v);
-        }
-
-        let mut rotated = values.clone();
-        let n = rotated.len();
-        rotated.rotate_left(rot % n);
-        let mut merged = QuantileSketch::new();
-        // An empty part follows every real one — a tier whose stages
-        // saw nothing that interval. It ships as no buckets and merges
-        // as the identity.
-        for chunk in rotated.chunks(split).flat_map(|c| [c, &[][..]]) {
-            let mut part = QuantileSketch::new();
-            for &v in chunk {
-                part.record(v);
-            }
-            // Ship every part through the wire form, as a frame would.
-            let (max, buckets) = part.to_wire();
-            prop_assert_eq!(buckets.is_empty(), chunk.is_empty());
-            merged.merge(&QuantileSketch::from_wire(max, &buckets));
-        }
-
-        prop_assert_eq!(sequential.count(), merged.count());
-        prop_assert_eq!(sequential.max(), merged.max());
-        for q in [0u64, 100_000, 500_000, 900_000, 990_000, 1_000_000] {
-            prop_assert_eq!(
-                sequential.quantile_ppm(q),
-                merged.quantile_ppm(q),
-                "quantile {} diverged", q
-            );
-        }
-        let (m1, b1) = sequential.to_wire();
-        let (m2, b2) = merged.to_wire();
-        prop_assert_eq!((m1, b1), (m2, b2), "wire forms diverged");
     }
 }

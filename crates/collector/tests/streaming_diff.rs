@@ -532,6 +532,10 @@ fn lost_frame_overflows_the_reorder_buffer_into_a_resync() {
         },
     );
     assert_eq!(out.stats.resyncs, 1);
+    // The parked frames the resync made redundant are neither dropped
+    // by a halt nor healed from the buffer.
+    assert_eq!(out.stats.dropped_frames, 0);
+    assert_eq!(out.stats.healed_frames, 0);
     assert_byte_identical(&reference, &out.report, "lost frame");
     assert!(
         out.stats.degraded.iter().any(|m| m.contains("resync")),

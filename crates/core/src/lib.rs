@@ -95,7 +95,7 @@ pub use repro::{repro_from_json, repro_to_json, ChaosRepro, FaultEntry, ReproWin
 pub use rt::{NullRuntime, Runtime};
 pub use shm::{FlowDetector, FlowEvent, Loc, MemEvent};
 pub use sketch::QuantileSketch;
-pub use summary::{merge_stage_delta, seal_delta, LeafGauges, SummaryFrame, TierSketch};
+pub use summary::{merge_stage_delta, seal_delta, LeafGauges, SummaryFrame};
 pub use synopsis::{SynChain, Synopsis, SynopsisTable};
 pub use wire::{
     apply_batch, decode_batch, decode_header, decode_summary, encode_batch, encode_header,

@@ -1,22 +1,19 @@
 //! Deterministic streaming quantile sketch.
 //!
-//! The sentinel tier calibrates its tail-latency budgets from per-tier
-//! quantiles of a stream of per-epoch cost observations, and the
-//! federation merges per-tier sketches up its tree. Both need quantile
-//! estimates that are (a) **deterministic** — the same observations in
-//! any epoch grouping yield the same answer, so a replayed run
-//! calibrates the same budget; (b) **mergeable** — sketches combine
-//! across epochs and across collectors without order sensitivity; and
-//! (c) **bounded** — fixed memory regardless of stream length.
+//! The sentinel tier keeps one per tier, over the stream of per-epoch
+//! cost observations, as the lifetime baseline its budget calibration
+//! reads. It needs quantile estimates that are (a) **deterministic** —
+//! the same observations yield the same answer, so a replayed run
+//! calibrates the same budget; and (b) **bounded** — fixed memory
+//! regardless of stream length.
 //!
 //! [`QuantileSketch`] is a log-bucketed histogram in the HDR style:
 //! values land in buckets of bounded *relative* width ([`EPS_SHIFT`]
 //! sub-bucket bits per octave, so every bucket spans less than a
-//! `1 + 2^-EPS_SHIFT` factor). Merging is bucket-wise addition —
-//! commutative and associative by construction — and a quantile query
-//! walks the cumulative counts to the bucket holding the target rank
-//! and returns that bucket's inclusive upper bound. The estimate `e`
-//! for the rank-`r` sample `v` therefore satisfies
+//! `1 + 2^-EPS_SHIFT` factor). A quantile query walks the cumulative
+//! counts to the bucket holding the target rank and returns that
+//! bucket's inclusive upper bound. The estimate `e` for the rank-`r`
+//! sample `v` therefore satisfies
 //!
 //! ```text
 //! v <= e  and  e <= v + max(1, v >> EPS_SHIFT)
@@ -65,16 +62,14 @@ fn bucket_hi(b: usize) -> u64 {
     (1u64 << e).wrapping_add((sub + 1) << shift).wrapping_sub(1)
 }
 
-/// A fixed-size, mergeable, deterministic quantile sketch over `u64`
+/// A fixed-size, deterministic quantile sketch over `u64`
 /// observations. See the module docs for the error contract.
 ///
 /// The histogram is allocated by the first observation: an empty
 /// sketch holds none, so creating, cloning and resetting one is free.
-/// Nodes that keep a sketch per stage and drain it every flush (the
-/// federation leaves) hold mostly empty ones.
 #[derive(Clone, Default)]
 pub struct QuantileSketch {
-    /// `None` until something is recorded or merged in.
+    /// `None` until something is recorded.
     counts: Option<Box<[u64; BUCKETS]>>,
     count: u64,
     max: u64,
@@ -110,7 +105,7 @@ impl QuantileSketch {
         self.counts.as_deref().map_or(&[], |c| c.as_slice())
     }
 
-    /// Number of observations recorded (including merged ones).
+    /// Number of observations recorded.
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -118,62 +113,6 @@ impl QuantileSketch {
     /// The largest observation recorded, or 0 if empty.
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Folds `other` into `self`. Bucket-wise addition: commutative,
-    /// associative, and loss-free with respect to later queries.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if let Some(theirs) = &other.counts {
-            match &mut self.counts {
-                Some(mine) => {
-                    for (a, b) in mine.iter_mut().zip(theirs.iter()) {
-                        *a += b;
-                    }
-                }
-                None => self.counts = Some(theirs.clone()),
-            }
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Sparse wire form: the exact max plus every nonzero `(bucket,
-    /// count)` pair in ascending bucket order. Federation frames ship
-    /// digests in this shape — a handful of pairs instead of the fixed
-    /// 7.8 KiB histogram — and [`QuantileSketch::from_wire`] rebuilds a
-    /// sketch that merges and queries bit-identically to the original.
-    pub fn to_wire(&self) -> (u64, Vec<(u32, u64)>) {
-        let buckets = self
-            .buckets()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != 0)
-            .map(|(b, &c)| (b as u32, c))
-            .collect();
-        (self.max, buckets)
-    }
-
-    /// Rebuilds a sketch from its [`QuantileSketch::to_wire`] form. The
-    /// observation count is the sum of the bucket counts; out-of-range
-    /// bucket indices are ignored (a corrupt frame fails its checksum
-    /// long before reaching this point).
-    pub fn from_wire(max: u64, buckets: &[(u32, u64)]) -> QuantileSketch {
-        let mut s = QuantileSketch::new();
-        s.merge_wire(max, buckets);
-        s
-    }
-
-    /// `self.merge(&QuantileSketch::from_wire(max, buckets))` without
-    /// building the other sketch: the pairs are added in place, and the
-    /// histogram is allocated only if one lands in range.
-    pub fn merge_wire(&mut self, max: u64, buckets: &[(u32, u64)]) {
-        for &(b, c) in buckets {
-            if (b as usize) < BUCKETS {
-                self.buckets_mut()[b as usize] += c;
-                self.count += c;
-            }
-        }
-        self.max = self.max.max(max);
     }
 
     /// The quantile estimate at `q_ppm` parts-per-million (e.g.
@@ -259,63 +198,6 @@ mod tests {
                 "q={q}: est {est} too far above exact {exact}"
             );
         }
-    }
-
-    #[test]
-    fn merge_is_commutative_and_matches_single_stream() {
-        let vals: Vec<u64> = (0..300).map(|i| (i * 7919) % 50_000).collect();
-        let mut whole = QuantileSketch::new();
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        for (i, &v) in vals.iter().enumerate() {
-            whole.record(v);
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for q in [0, 250_000, 500_000, 990_000, 1_000_000] {
-            assert_eq!(ab.quantile_ppm(q), ba.quantile_ppm(q));
-            assert_eq!(ab.quantile_ppm(q), whole.quantile_ppm(q));
-        }
-        assert_eq!(ab.count(), whole.count());
-        assert_eq!(ab.max(), whole.max());
-    }
-
-    #[test]
-    fn wire_round_trip_is_exact() {
-        let mut s = QuantileSketch::new();
-        for v in [0u64, 3, 3, 99, 1 << 20, u64::MAX] {
-            s.record(v);
-        }
-        let (max, buckets) = s.to_wire();
-        assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0));
-        let r = QuantileSketch::from_wire(max, &buckets);
-        assert_eq!(r.count(), s.count());
-        assert_eq!(r.max(), s.max());
-        for q in [0u64, 500_000, 990_000, 1_000_000] {
-            assert_eq!(r.quantile_ppm(q), s.quantile_ppm(q));
-        }
-        // Empty sketch round-trips to an empty wire form.
-        let (m, b) = QuantileSketch::new().to_wire();
-        assert_eq!((m, b.len()), (0, 0));
-    }
-
-    #[test]
-    fn merge_wire_allocates_only_for_a_pair_that_lands() {
-        let mut s = QuantileSketch::new();
-        s.merge_wire(7, &[]);
-        s.merge_wire(9, &[(BUCKETS as u32, 5), (u32::MAX, 1)]);
-        assert!(s.counts.is_none());
-        assert_eq!((s.count(), s.max()), (0, 9));
-        s.merge_wire(3, &[(2, 4)]);
-        assert!(s.counts.is_some());
-        assert_eq!((s.count(), s.max()), (4, 9));
     }
 
     #[test]

@@ -26,16 +26,13 @@
 //! owned by exactly one leaf, so cross-leaf merge order at a regional
 //! can never interleave one stage's deltas.
 //!
-//! Frames also carry operational freight that does not enter the
-//! byte-locked report: mergeable [`QuantileSketch`] digests of
-//! per-epoch tier cost (sparse wire form, see
-//! [`QuantileSketch::to_wire`]), per-originating-leaf interval profile
-//! mass (the root's coverage accounting), and per-leaf lag/health
-//! gauges ([`LeafGauges`]) for the topology view.
+//! Frames also carry the freight the root reads, which does not enter
+//! the byte-locked report: per-originating-leaf interval profile mass
+//! (the root's coverage ledger) and per-leaf gauges ([`LeafGauges`])
+//! for the topology view and the recovery log.
 
 use crate::delta::{CctDelta, Incoming, StageDelta};
 use crate::hash::FnvLanes;
-use crate::sketch::QuantileSketch;
 use crate::stitch::{DumpCrosstalkPair, DumpCrosstalkWaiter};
 use std::fmt;
 
@@ -330,47 +327,15 @@ pub fn seal_delta(mut d: StageDelta, seq: u64) -> StageDelta {
     d
 }
 
-/// A mergeable quantile digest on the wire: sparse nonzero buckets of a
-/// [`QuantileSketch`] plus its exact max, tagged with the tier name the
-/// observations came from.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TierSketch {
-    /// Tier (stage name) the observations belong to; fleet replicas of
-    /// the same tier share one digest line.
-    pub tier: String,
-    /// Exact maximum observation (not recoverable from buckets).
-    pub max: u64,
-    /// `(bucket index, count)` pairs, ascending, counts nonzero.
-    pub buckets: Vec<(u32, u64)>,
-}
-
-impl TierSketch {
-    /// The digest of `sketch`, labelled `tier`.
-    pub fn of(tier: &str, sketch: &QuantileSketch) -> TierSketch {
-        let (max, buckets) = sketch.to_wire();
-        TierSketch {
-            tier: tier.to_string(),
-            max,
-            buckets,
-        }
-    }
-}
-
 /// Health and lag gauges for one leaf, riding on every frame its
-/// subtree emits. Cumulative where not stated otherwise.
+/// subtree emits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LeafGauges {
     /// Last input epoch the leaf folded.
     pub last_epoch: u64,
-    /// Input change events ingested.
-    pub events: u64,
-    /// Profile mass (CCT cycle increments) ingested.
-    pub mass: u64,
     /// Frames sitting in the leaf's spool when this was sampled.
     pub lag_frames: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Crash recoveries performed.
+    /// Crash recoveries performed, since the start.
     pub recoveries: u64,
 }
 
@@ -390,18 +355,12 @@ pub struct SummaryFrame {
     /// park reordered frames, drop duplicates, and ack cumulatively by
     /// this number.
     pub seq: u64,
-    /// First input epoch the frame's interval covers.
-    pub first_epoch: u64,
     /// Last input epoch the frame's interval covers.
     pub last_epoch: u64,
-    /// Virtual time at the end of the interval.
-    pub end: u64,
     /// Merged per-stage increments (global stage indices, per-stage
     /// sequence numbers stamped by the sender, checksums sealed by
     /// [`crate::wire::seal_summary`]).
     pub deltas: Vec<StageDelta>,
-    /// Per-tier interval cost digests, sorted by tier name.
-    pub sketches: Vec<TierSketch>,
     /// Interval profile mass per originating leaf, sorted by leaf id —
     /// the root's per-subtree coverage ledger.
     pub leaf_mass: Vec<(u32, u64)>,
@@ -417,11 +376,6 @@ impl SummaryFrame {
         self.deltas.iter().map(|d| d.events()).sum()
     }
 
-    /// Total interval profile mass across originating leaves.
-    pub fn mass(&self) -> u64 {
-        self.leaf_mass.iter().map(|&(_, m)| m).sum()
-    }
-
     /// The lane-wise FNV-1a digest of the frame's content (everything
     /// except the stored `checksum` itself). Delta content is folded in
     /// through each delta's own checksum — computed once, when the
@@ -430,25 +384,12 @@ impl SummaryFrame {
         let mut h = FnvLanes::new();
         h.write_u64(self.src as u64);
         h.write_u64(self.seq);
-        h.write_u64(self.first_epoch);
         h.write_u64(self.last_epoch);
-        h.write_u64(self.end);
         h.write_u64(self.deltas.len() as u64);
         for d in &self.deltas {
             h.write_u64(d.stage as u64);
             h.write_u64(d.seq);
             h.write_u64(d.checksum);
-        }
-        h.write_u64(self.sketches.len() as u64);
-        for s in &self.sketches {
-            h.write_u64(s.tier.len() as u64);
-            h.write_bytes(s.tier.as_bytes());
-            h.write_u64(s.max);
-            h.write_u64(s.buckets.len() as u64);
-            for &(b, c) in &s.buckets {
-                h.write_u64(b as u64);
-                h.write_u64(c);
-            }
         }
         h.write_u64(self.leaf_mass.len() as u64);
         for &(leaf, m) in &self.leaf_mass {
@@ -458,14 +399,7 @@ impl SummaryFrame {
         h.write_u64(self.gauges.len() as u64);
         for &(leaf, g) in &self.gauges {
             h.write_u64(leaf as u64);
-            for v in [
-                g.last_epoch,
-                g.events,
-                g.mass,
-                g.lag_frames,
-                g.checkpoints,
-                g.recoveries,
-            ] {
+            for v in [g.last_epoch, g.lag_frames, g.recoveries] {
                 h.write_u64(v);
             }
         }
@@ -711,15 +645,8 @@ mod tests {
         let frame = SummaryFrame {
             src: 3,
             seq: 0,
-            first_epoch: 0,
             last_epoch: 4,
-            end: 5_000,
             deltas: vec![d0],
-            sketches: vec![TierSketch {
-                tier: "app".into(),
-                max: 150,
-                buckets: vec![(9, 2)],
-            }],
             leaf_mass: vec![(3, 200)],
             gauges: vec![(3, LeafGauges::default())],
             checksum: 0,
@@ -729,6 +656,5 @@ mod tests {
         let mut bad = frame.clone();
         bad.leaf_mass[0].1 += 1;
         assert!(!bad.verify());
-        assert_eq!(frame.mass(), 200);
     }
 }

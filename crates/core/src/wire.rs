@@ -8,7 +8,7 @@
 //! 1. **Primitives**: LEB128 varints (little-endian base-128), length-
 //!    prefixed UTF-8 strings, and zigzag **delta-of-delta** columns
 //!    (`DodWriter`/`DodReader`) for integer sequences that are
-//!    nearly arithmetic (sorted ctx ids, bucket indices). The DoD
+//!    nearly arithmetic (sorted ctx ids, leaf ids). The DoD
 //!    residuals are computed in `i128`, so the column codec round-trips
 //!    *arbitrary* `u64` sequences — monotonicity makes it small, but is
 //!    never required for correctness.
@@ -48,7 +48,7 @@ use crate::delta::{
 };
 use crate::hash::FnvHashMap;
 use crate::stitch::{DumpAtom, DumpContext, DumpNode};
-use crate::summary::{IncomingSummary, LeafGauges, SummaryFrame, TierSketch};
+use crate::summary::{IncomingSummary, LeafGauges, SummaryFrame};
 use std::fmt;
 use std::sync::Arc;
 
@@ -60,7 +60,7 @@ pub const WIRE_MAGIC: [u8; 3] = *b"WDW";
 /// its body is touched (version negotiation is pinned in DESIGN.md §16:
 /// there is exactly one live version per deployment epoch; mixed fleets
 /// quarantine foreign frames and resync rather than guess).
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Frame kind: a [`StreamHeader`].
 pub const KIND_HEADER: u8 = 1;
@@ -987,7 +987,7 @@ impl BatchDecoder {
 }
 
 // ---------------------------------------------------------------------
-// Frame codecs: header, batch, summary, sketch, repro
+// Frame codecs: header, batch, summary
 // ---------------------------------------------------------------------
 
 /// Encodes a [`StreamHeader`] as a [`KIND_HEADER`] frame.
@@ -1047,37 +1047,9 @@ pub fn decode_batch(buf: &[u8]) -> Result<(EpochBatch, usize), WireError> {
     Ok((batch.seal(), consumed))
 }
 
-/// Appends a sparse bucket list (ascending indices) as an index DoD
-/// column plus a count column — the shared tail of the sketch and
-/// summary codecs.
-pub(crate) fn put_buckets(buf: &mut Vec<u8>, buckets: &[(u32, u64)]) {
-    put_u64(buf, buckets.len() as u64);
-    let mut w = DodWriter::new();
-    for &(b, _) in buckets {
-        w.push(buf, b as u64);
-    }
-    for &(_, c) in buckets {
-        put_u64(buf, c);
-    }
-}
-
-/// Reads a [`put_buckets`] bucket list back.
-#[deny(clippy::indexing_slicing)]
-pub(crate) fn get_buckets(r: &mut Reader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
-    let mut out = vec![(0, 0); r.count()?];
-    let mut dr = DodReader::new();
-    for b in &mut out {
-        b.0 = as_u32(dr.next(r)?)?;
-    }
-    for b in &mut out {
-        b.1 = r.u64()?;
-    }
-    Ok(out)
-}
-
 /// Encodes a federation [`SummaryFrame`] as a [`KIND_SUMMARY`] frame —
 /// the byte form the federation links ship. Deltas reuse the batch
-/// delta section; freight (sketches, leaf mass, gauges) is columnar.
+/// delta section; freight (leaf mass, gauges) is columnar.
 /// Each delta's stored checksum is compared with its content, and
 /// written only when they differ.
 pub fn encode_summary(f: &SummaryFrame) -> Vec<u8> {
@@ -1104,20 +1076,12 @@ fn put_summary(buf: &mut Vec<u8>, f: &SummaryFrame, canonical: bool) {
     let body = begin_frame(buf, KIND_SUMMARY);
     put_u64(buf, f.src as u64);
     put_u64(buf, f.seq);
-    put_u64(buf, f.first_epoch);
     put_u64(buf, f.last_epoch);
-    put_u64(buf, f.end);
     let (table, dict) = collect_dict(&f.deltas);
     put_dict(buf, &table);
     put_u64(buf, f.deltas.len() as u64);
     for d in &f.deltas {
         put_delta(buf, d, &dict, canonical);
-    }
-    put_u64(buf, f.sketches.len() as u64);
-    for s in &f.sketches {
-        put_str(buf, &s.tier);
-        put_u64(buf, s.max);
-        put_buckets(buf, &s.buckets);
     }
     put_u64(buf, f.leaf_mass.len() as u64);
     let mut w = DodWriter::new();
@@ -1136,16 +1100,7 @@ fn put_summary(buf: &mut Vec<u8>, f: &SummaryFrame, canonical: bool) {
         put_u64(buf, g.last_epoch);
     }
     for &(_, g) in &f.gauges {
-        put_u64(buf, g.events);
-    }
-    for &(_, g) in &f.gauges {
-        put_u64(buf, g.mass);
-    }
-    for &(_, g) in &f.gauges {
         put_u64(buf, g.lag_frames);
-    }
-    for &(_, g) in &f.gauges {
-        put_u64(buf, g.checkpoints);
     }
     for &(_, g) in &f.gauges {
         put_u64(buf, g.recoveries);
@@ -1202,9 +1157,7 @@ impl OpenSummary<'_> {
             rest: mut r,
             consumed,
         } = self;
-        let first_epoch = r.u64()?;
         let last_epoch = r.u64()?;
-        let end = r.u64()?;
         let table = get_dict(&mut r)?;
         let nd = r.count()?;
         let mut deltas = Vec::with_capacity(nd);
@@ -1218,14 +1171,6 @@ impl OpenSummary<'_> {
                 d.seal();
             }
             deltas.push(d);
-        }
-        let nsk = r.count()?;
-        let mut sketches = Vec::with_capacity(nsk);
-        for _ in 0..nsk {
-            let tier = r.str()?.to_owned();
-            let max = r.u64()?;
-            let buckets = get_buckets(&mut r)?;
-            sketches.push(TierSketch { tier, max, buckets });
         }
         let mut leaf_mass = vec![(0, 0); r.count()?];
         let mut dr = DodReader::new();
@@ -1244,16 +1189,7 @@ impl OpenSummary<'_> {
             g.1.last_epoch = r.u64()?;
         }
         for g in &mut gauges {
-            g.1.events = r.u64()?;
-        }
-        for g in &mut gauges {
-            g.1.mass = r.u64()?;
-        }
-        for g in &mut gauges {
             g.1.lag_frames = r.u64()?;
-        }
-        for g in &mut gauges {
-            g.1.checkpoints = r.u64()?;
         }
         for g in &mut gauges {
             g.1.recoveries = r.u64()?;
@@ -1265,11 +1201,8 @@ impl OpenSummary<'_> {
         let frame = SummaryFrame {
             src,
             seq,
-            first_epoch,
             last_epoch,
-            end,
             deltas,
-            sketches,
             leaf_mass,
             gauges,
             checksum,
@@ -1344,7 +1277,6 @@ pub fn apply_batch(accs: &mut [StageAccumulator], buf: &[u8]) -> Result<WireBatc
 mod tests {
     use super::*;
     use crate::delta::{diff_dump, Incoming};
-    use crate::sketch::QuantileSketch;
     use crate::stitch::{DumpCct, DumpCrosstalkPair, DumpCrosstalkWaiter, StageDump};
     use crate::summary::seal_delta;
 
@@ -1688,33 +1620,22 @@ mod tests {
         assert_eq!(dec.spares.len(), 2);
     }
 
-    /// A sealed frame with one delta, a tier digest, and two leaves'
-    /// mass and gauges.
+    /// A sealed frame with one delta and two leaves' mass and gauges.
     fn sample_frame() -> SummaryFrame {
         let (_, batches) = sample_batches();
-        let mut sk = QuantileSketch::new();
-        for v in [3u64, 90, 90, 4000, 1 << 40] {
-            sk.record(v);
-        }
         SummaryFrame {
             src: 3,
             seq: 5,
-            first_epoch: 0,
             last_epoch: 4,
-            end: 5_000,
             deltas: vec![seal_delta(batches[0].deltas[0].clone(), 0)],
-            sketches: vec![TierSketch::of("app", &sk)],
             leaf_mass: vec![(3, 200), (9, 50)],
             gauges: vec![
                 (
                     3,
                     LeafGauges {
                         last_epoch: 4,
-                        events: 100,
-                        mass: 200,
                         lag_frames: 1,
-                        checkpoints: 2,
-                        recoveries: 0,
+                        recoveries: 2,
                     },
                 ),
                 (9, LeafGauges::default()),
@@ -1797,11 +1718,8 @@ mod tests {
         let frame = SummaryFrame {
             src: 0,
             seq: 0,
-            first_epoch: 0,
             last_epoch: 0,
-            end: 100,
             deltas: deltas.clone(),
-            sketches: vec![],
             leaf_mass: vec![],
             gauges: vec![],
             checksum: 0,

@@ -694,7 +694,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Quantile sketch (sentinel calibration, federation tier sketches)
+// Quantile sketch (sentinel calibration)
 // ---------------------------------------------------------------------
 
 use whodunit_core::sketch::{QuantileSketch, EPS_SHIFT};
@@ -715,44 +715,6 @@ fn sketch_stream(seed: u64, n: usize) -> Vec<u64> {
 }
 
 proptest! {
-    /// Merging per-epoch sketches is commutative and associative: any
-    /// epoch order (and any epoch grouping) yields the same quantiles
-    /// as one sketch fed the whole stream — the property that lets the
-    /// sentinel evaluate SLOs over retained epochs without caring how
-    /// the stream was chunked.
-    #[test]
-    fn sketch_merge_commutes_across_epoch_order(
-        args in (any::<u64>(), 2usize..7, 1usize..40, 0usize..720)
-    ) {
-        let (seed, epochs, per_epoch, rot) = args;
-        let vals = sketch_stream(seed, epochs * per_epoch);
-        let mut whole = QuantileSketch::new();
-        for &v in &vals {
-            whole.record(v);
-        }
-        let mut parts: Vec<QuantileSketch> = vals
-            .chunks(per_epoch)
-            .map(|c| {
-                let mut s = QuantileSketch::new();
-                for &v in c {
-                    s.record(v);
-                }
-                s
-            })
-            .collect();
-        let rot = rot % parts.len();
-        parts.rotate_left(rot);
-        let mut merged = QuantileSketch::new();
-        for p in &parts {
-            merged.merge(p);
-        }
-        prop_assert_eq!(merged.count(), whole.count());
-        prop_assert_eq!(merged.max(), whole.max());
-        for q in [0u64, 100_000, 500_000, 900_000, 990_000, 1_000_000] {
-            prop_assert_eq!(merged.quantile_ppm(q), whole.quantile_ppm(q));
-        }
-    }
-
     /// For a fixed seed the sketch's output is a pure function of the
     /// stream: two independently built sketches agree exactly.
     #[test]
@@ -789,10 +751,10 @@ proptest! {
         assert_brackets_sorted(&s, &vals, q, "one stream");
     }
 
-    /// An empty sketch holds no histogram, and nothing shows it: as
-    /// either operand of a merge, through the wire form, or cloned and
-    /// then recorded into, it answers exactly like the sorted vector
-    /// of the observations actually made.
+    /// An empty sketch holds no histogram, and nothing shows it:
+    /// cloned and then recorded into, it answers exactly like the
+    /// sorted vector of the observations actually made, and the clone
+    /// leaves its source empty.
     #[test]
     fn sketch_empty_operands_match_sorted_reference(
         args in (any::<u64>(), 0usize..200, 0u64..1_000_001)
@@ -800,71 +762,13 @@ proptest! {
         let (seed, n, q) = args;
         let mut vals = sketch_stream(seed, n);
         let empty = QuantileSketch::new();
-        let mut x = QuantileSketch::new();
-        for &v in &vals {
-            x.record(v);
-        }
-        vals.sort_unstable();
-
-        let mut empty_empty = empty.clone();
-        empty_empty.merge(&empty);
-        let (max, buckets) = empty.to_wire();
-        prop_assert_eq!((max, buckets.len()), (0, 0));
-        let rewired = QuantileSketch::from_wire(max, &buckets);
-        assert_brackets_sorted(&empty_empty, &[], q, "empty + empty");
-        assert_brackets_sorted(&rewired, &[], q, "from_wire(to_wire(empty))");
-
-        let mut empty_x = empty.clone();
-        empty_x.merge(&x);
-        let mut x_empty = x.clone();
-        x_empty.merge(&empty);
-        let mut x_rewired = x.clone();
-        x_rewired.merge(&rewired);
         let mut recorded = empty.clone();
         for &v in vals.iter().rev() {
             recorded.record(v);
         }
-        for (s, what) in [
-            (&empty_x, "empty + x"),
-            (&x_empty, "x + empty"),
-            (&x_rewired, "x + rewired empty"),
-            (&recorded, "record after cloning empty"),
-        ] {
-            assert_brackets_sorted(s, &vals, q, what);
-            prop_assert_eq!(s.to_wire(), x.to_wire(), "{}", what);
-        }
-        // The clones above left their source alone.
+        vals.sort_unstable();
+        assert_brackets_sorted(&recorded, &vals, q, "record after cloning empty");
         assert_brackets_sorted(&empty, &[], q, "cloned-from empty");
-    }
-
-    /// Folding a wire digest in place is merging the sketch it
-    /// describes, over any pair list: empty ones, zero counts, repeated
-    /// buckets, indices past the histogram (both ignore them), and
-    /// either side empty.
-    #[test]
-    fn sketch_merge_wire_is_merge_of_from_wire(
-        args in (
-            any::<u64>(),
-            0usize..60,
-            proptest::collection::vec((0u32..1_200, 0u64..1_000), 0..12),
-            0u64..2_000_000,
-        )
-    ) {
-        let (seed, n, pairs, max) = args;
-        let mut base = QuantileSketch::new();
-        for v in sketch_stream(seed, n) {
-            base.record(v);
-        }
-        let mut folded = base.clone();
-        folded.merge_wire(max, &pairs);
-        let mut merged = base;
-        merged.merge(&QuantileSketch::from_wire(max, &pairs));
-        prop_assert_eq!(folded.count(), merged.count());
-        prop_assert_eq!(folded.max(), merged.max());
-        prop_assert_eq!(folded.to_wire(), merged.to_wire());
-        for q in (0..=10).map(|i| i * 100_000) {
-            prop_assert_eq!(folded.quantile_ppm(q), merged.quantile_ppm(q));
-        }
     }
 }
 

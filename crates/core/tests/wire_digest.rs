@@ -11,13 +11,16 @@
 //! - **Detection**: every single-bit flip, and every burst of up to 64
 //!   bits from sampled starts, in the golden frame's body (table path)
 //!   and in a 4 KiB body (fold path) is answered `WireError::Checksum`.
-//! - **Version**: a frame carrying version byte 1 (the FNV-1a
-//!   envelope's) is refused as `BadVersion(1)` before its digest or
+//! - **Version**: a batch frame and a summary frame carrying version
+//!   byte 1 (the FNV-1a envelope's) or 2 (the summary body with tier
+//!   sketches) are refused as `BadVersion(v)` before the digest or the
 //!   body is read.
 
 use whodunit_core::crc64::{crc64, crc64_table, FOLD_KEYS, FOLD_MIN, MU, POLY, POLY_DIV_X};
+use whodunit_core::summary::{LeafGauges, SummaryFrame};
 use whodunit_core::wire::{
-    begin_frame, decode_batch, end_frame, open_frame, WireError, KIND_BATCH,
+    begin_frame, decode_batch, decode_summary, encode_summary, end_frame, open_frame, WireError,
+    KIND_BATCH,
 };
 
 /// The normal-order ECMA-182 polynomial, `x^64` implied.
@@ -197,8 +200,36 @@ fn every_flip_and_burst_in_a_folded_body_is_a_checksum_error() {
 
 #[test]
 fn a_version_1_frame_is_refused() {
-    let mut frame = golden_frame();
-    assert!(decode_batch(&frame).is_ok());
-    frame[3] = 1;
-    assert_eq!(decode_batch(&frame).err(), Some(WireError::BadVersion(1)));
+    let summary = SummaryFrame {
+        src: 2,
+        seq: 7,
+        last_epoch: 9,
+        leaf_mass: vec![(2, 500)],
+        gauges: vec![(2, LeafGauges::default())],
+        ..SummaryFrame::default()
+    }
+    .seal();
+    let batch = golden_frame();
+    let summary = encode_summary(&summary);
+    assert!(decode_batch(&batch).is_ok());
+    assert!(decode_summary(&summary).is_ok());
+    for v in [1, 2] {
+        // A wrong digest and an unparseable body as well: the version
+        // answers first.
+        let old = |frame: &[u8]| {
+            let mut f = frame.to_vec();
+            f[3] = v;
+            let n = f.len();
+            f[n - 1] ^= 0xFF;
+            f[9] = 0xFF;
+            f
+        };
+        let bad = Some(WireError::BadVersion(v));
+        assert_eq!(decode_batch(&old(&batch)).err(), bad, "batch, version {v}");
+        assert_eq!(
+            decode_summary(&old(&summary)).err(),
+            bad,
+            "summary, version {v}"
+        );
+    }
 }

@@ -33,7 +33,7 @@ use whodunit_core::delta::{EpochBatch, Incoming, StageDelta, StreamHeader, Strea
 use whodunit_core::stitch::{
     DumpAtom, DumpContext, DumpCrosstalkPair, DumpCrosstalkWaiter, DumpNode,
 };
-use whodunit_core::summary::{LeafGauges, SummaryFrame, TierSketch};
+use whodunit_core::summary::{LeafGauges, SummaryFrame};
 use whodunit_core::wire::{
     decode_batch, decode_header, decode_summary, encode_batch, encode_header, encode_summary,
     BatchDecoder, WireError,
@@ -192,22 +192,8 @@ fn arb_summary(r: &mut Rng) -> SummaryFrame {
     SummaryFrame {
         src: r.extreme() as u32,
         seq: r.extreme(),
-        first_epoch: r.extreme(),
         last_epoch: r.extreme(),
-        end: r.extreme(),
         deltas: (0..r.below(3)).map(|_| arb_delta(r)).collect(),
-        sketches: (0..r.below(3))
-            .map(|_| TierSketch {
-                tier: r.name("tier"),
-                max: r.extreme(),
-                buckets: {
-                    let mut idx: Vec<u32> = (0..r.below(5)).map(|_| r.below(4096) as u32).collect();
-                    idx.sort_unstable();
-                    idx.dedup();
-                    idx.into_iter().map(|i| (i, r.extreme().max(1))).collect()
-                },
-            })
-            .collect(),
         leaf_mass: (0..r.below(4))
             .map(|_| (r.extreme() as u32, r.extreme()))
             .collect(),
@@ -217,10 +203,7 @@ fn arb_summary(r: &mut Rng) -> SummaryFrame {
                     r.extreme() as u32,
                     LeafGauges {
                         last_epoch: r.extreme(),
-                        events: r.extreme(),
-                        mass: r.extreme(),
                         lag_frames: r.extreme(),
-                        checkpoints: r.extreme(),
                         recoveries: r.extreme(),
                     },
                 )
@@ -258,7 +241,7 @@ proptest! {
     }
 
     /// Summary frames (federation links) round-trip exactly, including
-    /// sketches, ledgers, gauges, and stored checksums.
+    /// ledgers, gauges, and stored checksums.
     #[test]
     fn summaries_round_trip_exactly(seed in any::<u64>()) {
         let mut r = Rng::new(seed);

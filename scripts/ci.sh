@@ -111,14 +111,15 @@ cargo test --workspace -q
 #   unrecoverable-leaf degraded finalize, a foreign delta charged to
 #   its feeder), three of them with their whole FederationStats pinned;
 # - properties: the summary-delta merge algebra (grouping invariance,
-#   associativity, mass conservation, sketch wire round-trip);
+#   associativity, mass conservation);
 # - merge: a contiguous pair of canonical deltas merges into one whose
 #   application equals applying both in turn, and a pair with a keyed
 #   list disordered or repeated in either delta is refused, both left
 #   untouched;
 # - allocation budget: a 24-replica federation on lossy links (frames
 #   parked and duplicated) behind a counting allocator, <= 2.4
-#   allocations per leaf event (2.323 now; 2.538 while the spool
+#   allocations per leaf event (2.207 now; 2.323 while every frame
+#   carried per-tier sketch digests; 2.538 while the spool
 #   re-copied each frame and the merge went through `BTreeMap`s;
 #   9.017 when checkpoints deep-copied parked frames, duplicates were
 #   decoded, regionals cloned every decoded delta and each leaf had its
@@ -200,8 +201,8 @@ print(f"all {len(GATES)} named gate suites are workspace test targets")
 # what keeps the outside-input readers free of indexing — the wire's
 # body cursor (Reader), the envelope check (open_frame) and its
 # CRC-64 walks (the table's and the carry-less fold's), the string
-# table (get_dict), the delta-section reader, BatchDecoder, the sketch
-# bucket list (get_buckets) and the summary decoder, the JSON Parser,
+# table (get_dict), the delta-section reader, BatchDecoder and the
+# summary decoder, the JSON Parser,
 # the Value -> dump (dumpjson) and Value -> repro (repro) schema
 # readers, and the federation's frame receivers — the merge of a
 # child's deltas (check_join, merge_stage_delta, compose_cct) and the
